@@ -1717,6 +1717,11 @@ mod tests {
         server.kill();
         let t0 = std::time::Instant::now();
         assert_eq!(disk.read(0), None, "dead shard reads as absent");
+        // The first read may still go out on the mux connection, whose
+        // reader has not seen the EOF yet, and fail there without a
+        // retry; the next one finds it dead and takes the blocking path
+        // with its retry budget.
+        assert_eq!(disk.read(0), None, "and stays absent");
         // Bounded failure detection: the low-latency profile allows
         // ~(1+1) × 200ms plus backoff; it must not hang for seconds.
         assert!(t0.elapsed() < Duration::from_secs(2));

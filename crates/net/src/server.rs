@@ -2,24 +2,30 @@
 //!
 //! Thread-per-connection, with short socket timeouts so every thread
 //! notices the stop flag quickly. A connection that speaks the
-//! multiplexed framing ([`Request::Mux`]) additionally gets a small
-//! demux worker pool: wrapped requests are handled concurrently and
-//! their responses written back, id-tagged, in completion order through
-//! one shared writer — so one connection can carry many in-flight
-//! requests. [`ShardServer::kill`] models a node crash: the accept loop
+//! multiplexed framing ([`Request::Mux`]) can carry many in-flight
+//! requests, answered id-tagged in completion order through one shared
+//! writer. A wrapped read whose backend submits without blocking
+//! ([`DiskBackend::submits_async`]) is submitted on the connection
+//! thread itself, and answered there too when the result is already in
+//! hand (a page-cache hit); everything that has to wait — a blocking
+//! backend, a cold page, an injected straggle delay, a non-read op —
+//! goes to a small per-connection worker pool, spawned on the first
+//! frame that needs it. Only connection threads and their workers write
+//! to a socket: a backend's completion thread never does.
+//! [`ShardServer::kill`] models a node crash: the accept loop
 //! and all connection handlers exit without draining in-flight
 //! requests, so clients see resets/timeouts — the stimulus the store's
 //! degraded-read fallback exists for.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar};
+use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Counter, Histogram, Recorder};
-use ecfrm_sim::DiskBackend;
+use ecfrm_sim::{DiskBackend, IoHandle, IoResults};
 use ecfrm_util::Mutex;
 
 use ecfrm_integrity::{verify_footer, HashKey};
@@ -85,6 +91,7 @@ struct ServerMetrics {
     inject: Counter,
     stats: Counter,
     mux: Counter,
+    mux_inline: Counter,
     serve_us: Histogram,
 }
 
@@ -104,6 +111,7 @@ impl ServerMetrics {
             inject: recorder.counter("serve.inject"),
             stats: recorder.counter("serve.stats"),
             mux: recorder.counter("serve.mux"),
+            mux_inline: recorder.counter("serve.mux_inline"),
             serve_us: recorder.histogram("serve_us"),
         }
     }
@@ -225,7 +233,9 @@ impl ShardServer {
     /// The server's metrics registry: per-op counters (`serve.get`,
     /// `serve.put`, `serve.batch`, `serve.range`, `serve.checked`,
     /// `serve.health`, `serve.inject`, `serve.stats`), the `serve.mux`
-    /// count of multiplexed envelopes (each also counts its inner op),
+    /// count of multiplexed envelopes (each also counts its inner op)
+    /// and `serve.mux_inline`, how many of them the connection thread
+    /// answered itself instead of handing to the worker pool,
     /// the `serve.checked_corrupt` count of cells that failed
     /// server-side footer verification, and the `serve_us`
     /// request-service histogram.
@@ -289,17 +299,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// without tearing frames.
 type SharedWriter = Arc<Mutex<std::io::BufWriter<TcpStream>>>;
 
-/// Count, time, handle, and write one request's response. Returns
-/// `false` if the response could not be written (connection is dead).
-///
-/// A panicking backend (e.g. an element-size mismatch on a file-backed
-/// shard) must surface as a wire-level error the client can count and
-/// report — not kill the connection and masquerade as a network fault.
-fn serve_one(req: &Request, mux_id: Option<u64>, shared: &Shared, writer: &SharedWriter) -> bool {
-    shared.metrics.count(req);
-    let t0 = std::time::Instant::now();
-    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(req, shared)))
-        .unwrap_or_else(|payload| Response::Error(panic_message(payload.as_ref())));
+/// Record the service time since `t0`, id-tag the response if it
+/// answers a mux frame, and write it. Returns `false` if it could not
+/// be written (connection is dead).
+fn respond(
+    resp: Response,
+    mux_id: Option<u64>,
+    t0: Instant,
+    shared: &Shared,
+    writer: &SharedWriter,
+) -> bool {
     shared.metrics.serve_us.record_duration(t0.elapsed());
     let resp = match mux_id {
         Some(id) => Response::Mux {
@@ -311,69 +320,195 @@ fn serve_one(req: &Request, mux_id: Option<u64>, shared: &Shared, writer: &Share
     write_response(&mut *writer.lock(), &resp).is_ok()
 }
 
-/// The demux worker pool a connection grows on its first mux frame.
+/// [`handle`], with a panic turned into a wire error.
 ///
-/// Workers share one receiver: whoever holds the lock blocks in `recv`,
-/// the rest queue on the mutex, so dequeue is serialized but handling —
-/// the expensive part, including injected straggle delays — overlaps up
-/// to [`MUX_WORKERS`] deep. Dropping the pool closes the channel; each
-/// worker drains out and is joined.
+/// A panicking backend (e.g. an element-size mismatch on a file-backed
+/// shard) must surface as a wire-level error the client can count and
+/// report — not kill the connection and masquerade as a network fault.
+fn handle_caught(req: &Request, shared: &Shared) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(req, shared)))
+        .unwrap_or_else(|payload| Response::Error(panic_message(payload.as_ref())))
+}
+
+/// Count, time, handle, and write one request's response. Returns
+/// `false` if the response could not be written (connection is dead).
+fn serve_one(req: &Request, mux_id: Option<u64>, shared: &Shared, writer: &SharedWriter) -> bool {
+    shared.metrics.count(req);
+    let t0 = Instant::now();
+    respond(handle_caught(req, shared), mux_id, t0, shared, writer)
+}
+
+/// A mux-wrapped request the connection thread could not answer itself.
+enum MuxJob {
+    /// Not started: a worker handles it from start to finish.
+    Serve { id: u64, req: Request },
+    /// A read the connection thread already submitted, whose backend has
+    /// to wait for it (cold page, `O_DIRECT`): a worker waits it out.
+    Finish {
+        id: u64,
+        req: Request,
+        offsets: Vec<u64>,
+        handle: IoHandle,
+        t0: Instant,
+    },
+}
+
+/// What [`start_mux`] made of a mux frame.
+enum Started {
+    /// Answered on the connection thread; write this.
+    Done(Response, Instant),
+    /// Needs a worker.
+    Job(MuxJob),
+}
+
+/// Start a mux-wrapped request on the connection thread when that
+/// cannot block it: a read, on a backend whose submission only stages
+/// the I/O, with no straggle delay injected. A result that is already
+/// there (page-cache hit) is answered on the spot — no hand-off, no
+/// second thread; one still pending is handed to the pool. So is the
+/// `Health` probe every mux client opens its connection with, or each
+/// negotiation would grow the pool the reads then never use.
+/// Everything else goes to the pool untouched.
+fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
+    let inline =
+        shared.backend.submits_async() && shared.read_delay_ms.load(Ordering::Acquire) == 0;
+    if inline && matches!(req, Request::Health) {
+        shared.metrics.count(&req);
+        let t0 = Instant::now();
+        return Started::Done(handle_caught(&req, shared), t0);
+    }
+    let Some(plan) = inline.then(|| read_offsets(&req)).flatten() else {
+        return Started::Job(MuxJob::Serve { id, req });
+    };
+    shared.metrics.count(&req);
+    let t0 = Instant::now();
+    let offsets = match plan {
+        Ok(offsets) => offsets,
+        Err(msg) => return Started::Done(Response::Error(msg), t0),
+    };
+    let submit = || shared.backend.submit_read_many(&offsets);
+    let mut handle = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(submit)) {
+        Ok(handle) => handle,
+        Err(payload) => return Started::Done(Response::Error(panic_message(payload.as_ref())), t0),
+    };
+    match handle.try_take() {
+        Some(cells) => Started::Done(finish_read(&req, &offsets, cells, shared), t0),
+        None => {
+            let offsets = offsets.into_owned();
+            Started::Job(MuxJob::Finish {
+                id,
+                req,
+                offsets,
+                handle,
+                t0,
+            })
+        }
+    }
+}
+
+/// The worker pool a connection grows on the first mux frame that has
+/// to wait for something (see [`start_mux`]).
+///
+/// One queue, one condvar: a push wakes exactly one parked worker, and
+/// handling — the expensive part, including injected straggle delays —
+/// overlaps up to [`MUX_WORKERS`] deep. Dropping the pool closes the
+/// queue; each worker drains out and is joined.
 struct MuxPool {
-    tx: Option<Sender<Request>>,
+    queue: Arc<JobQueue>,
     workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+struct JobQueue {
+    /// Queued jobs, and whether the connection loop has exited.
+    state: Mutex<(VecDeque<MuxJob>, bool)>,
+    cv: Condvar,
+}
+
+impl JobQueue {
+    fn push(&self, job: MuxJob) {
+        self.state.lock().0.push_back(job);
+        self.cv.notify_one();
+    }
+
+    /// Next job, parking while the queue is empty; `None` once it is
+    /// closed and drained.
+    fn pop(&self) -> Option<MuxJob> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self
+                .cv
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().1 = true;
+        self.cv.notify_all();
+    }
 }
 
 impl MuxPool {
     fn spawn(shared: &Arc<Shared>, writer: &SharedWriter) -> Self {
-        let (tx, rx) = channel::<Request>();
-        let rx = Arc::new(Mutex::new(rx));
+        let queue = Arc::new(JobQueue {
+            state: Mutex::new((VecDeque::new(), false)),
+            cv: Condvar::new(),
+        });
         let workers = (0..MUX_WORKERS)
             .map(|_| {
-                let rx = Arc::clone(&rx);
+                let queue = Arc::clone(&queue);
                 let shared = Arc::clone(shared);
                 let writer = Arc::clone(writer);
-                std::thread::spawn(move || mux_worker(&rx, &shared, &writer))
+                std::thread::spawn(move || mux_worker(&queue, &shared, &writer))
             })
             .collect();
-        Self {
-            tx: Some(tx),
-            workers,
-        }
-    }
-
-    fn submit(&self, req: Request) -> bool {
-        self.tx.as_ref().is_some_and(|tx| tx.send(req).is_ok())
+        Self { queue, workers }
     }
 }
 
 impl Drop for MuxPool {
     fn drop(&mut self) {
-        self.tx = None; // close the channel so workers drain and exit
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn mux_worker(rx: &Mutex<Receiver<Request>>, shared: &Arc<Shared>, writer: &SharedWriter) {
-    loop {
-        // Hold the receiver lock only while dequeuing, never while
-        // handling, so a slow request doesn't starve the pool.
-        let req = match rx.lock().recv() {
-            Ok(req) => req,
-            Err(_) => return, // channel closed: connection loop exited
-        };
+fn mux_worker(queue: &JobQueue, shared: &Shared, writer: &SharedWriter) {
+    while let Some(job) = queue.pop() {
         if shared.stop.load(Ordering::Acquire) {
             return; // hard kill: abandon the in-flight request
         }
-        let (id, inner) = match req {
-            Request::Mux { id, inner } => (id, inner),
-            _ => unreachable!("only mux frames are submitted to the pool"),
+        let alive = match job {
+            MuxJob::Serve { id, req } => serve_one(&req, Some(id), shared, writer),
+            MuxJob::Finish {
+                id,
+                req,
+                offsets,
+                mut handle,
+                t0,
+            } => {
+                // Wait in slices so a kill interrupts it.
+                let cells = loop {
+                    if let Some(cells) = handle.wait_timeout(POLL) {
+                        break cells;
+                    }
+                    if shared.stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                };
+                let resp = finish_read(&req, &offsets, cells, shared);
+                respond(resp, Some(id), t0, shared, writer)
+            }
         };
-        // The envelope is counted here; `serve_one` counts the inner op
-        // (it only ever sees the unwrapped request).
-        shared.metrics.mux.inc();
-        if !serve_one(&inner, Some(id), shared, writer) {
+        if !alive {
             return; // dead socket: stop servicing this connection
         }
     }
@@ -388,8 +523,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     });
     let writer: SharedWriter = Arc::new(Mutex::new(std::io::BufWriter::new(stream)));
-    // Spawned lazily on the first mux frame: plain sequential clients
-    // never pay for the pool.
+    // Spawned lazily on the first frame that needs it: plain sequential
+    // clients and mux reads of a warm async backend never pay for it.
     let mut mux_pool: Option<MuxPool> = None;
     loop {
         if shared.stop.load(Ordering::Acquire) {
@@ -400,22 +535,32 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             PolledRequest::Idle => continue, // poll tick, check stop
             PolledRequest::Closed => return, // peer gone, kill, or garbage
         };
-        match req {
-            // Mux frames fan out to the pool so many can be in flight;
-            // responses come back id-tagged in completion order.
-            req @ Request::Mux { .. } => {
-                let pool = mux_pool.get_or_insert_with(|| MuxPool::spawn(shared, &writer));
-                if !pool.submit(req) {
-                    return;
+        let alive = match req {
+            // Mux frames may be many in flight; responses come back
+            // id-tagged in completion order. The envelope is counted
+            // here; whoever serves the request inside counts that.
+            Request::Mux { id, inner } => {
+                shared.metrics.mux.inc();
+                match start_mux(id, *inner, shared) {
+                    Started::Done(resp, t0) => {
+                        shared.metrics.mux_inline.inc();
+                        respond(resp, Some(id), t0, shared, &writer)
+                    }
+                    Started::Job(job) => {
+                        mux_pool
+                            .get_or_insert_with(|| MuxPool::spawn(shared, &writer))
+                            .queue
+                            .push(job);
+                        true
+                    }
                 }
             }
             // Everything else keeps the one-at-a-time path: response
             // written before the next frame is read.
-            req => {
-                if !serve_one(&req, None, shared, &writer) {
-                    return;
-                }
-            }
+            req => serve_one(&req, None, shared, &writer),
+        };
+        if !alive {
+            return;
         }
     }
 }
@@ -457,57 +602,57 @@ fn obj_result(
     }
 }
 
-fn handle(req: &Request, shared: &Shared) -> Response {
+/// The offsets of the `count`-element run starting at `offset`, refused
+/// (before anything is allocated) when it is longer than [`MAX_RANGE`]
+/// or would run past the last `u64` offset instead of wrapping to 0.
+fn range_offsets(offset: u64, count: u32) -> Result<Vec<u64>, String> {
+    // Even an all-absent answer allocates per requested slot (a run
+    // longer than the cap could not fit a reply frame anyway).
+    if count > MAX_RANGE {
+        return Err(format!(
+            "range of {count} elements exceeds the {MAX_RANGE}-element cap"
+        ));
+    }
+    match offset.checked_add(u64::from(count)) {
+        Some(end) => Ok((offset..end).collect()),
+        None => Err(format!(
+            "range of {count} elements from offset {offset} overflows the offset space"
+        )),
+    }
+}
+
+/// The offsets a read op asks the backend's vectored read for: the one
+/// place the four read ops are told apart on the way in, as
+/// [`finish_read`] is on the way out. `None` for every other op; `Err`
+/// is the message of a refused range.
+fn read_offsets(req: &Request) -> Option<Result<Cow<'_, [u64]>, String>> {
     match req {
-        Request::GetElement { offset } => {
-            straggle(shared);
-            Response::Element(shared.backend.read(*offset))
+        Request::GetElement { offset } => Some(Ok(Cow::Borrowed(std::slice::from_ref(offset)))),
+        Request::BatchGet { offsets } => Some(Ok(Cow::Borrowed(offsets))),
+        Request::GetRange { offset, count } | Request::RangeChecked { offset, count, .. } => {
+            Some(range_offsets(*offset, *count).map(Cow::Owned))
         }
-        Request::PutElement { offset, bytes } => {
-            shared.backend.write(*offset, bytes.clone());
-            Response::Put
-        }
-        Request::BatchGet { offsets } => {
-            straggle(shared);
-            Response::Batch(shared.backend.read_many(offsets))
-        }
-        Request::GetRange { offset, count } => {
-            // Even an all-absent answer allocates per requested slot, so
-            // bound the run length before touching the backend (a run
-            // longer than this could not fit a reply frame anyway).
-            if *count > MAX_RANGE {
-                return Response::Error(format!(
-                    "range of {count} elements exceeds the {MAX_RANGE}-element cap"
-                ));
-            }
-            straggle(shared);
-            let offsets: Vec<u64> = (0..u64::from(*count)).map(|i| offset + i).collect();
-            Response::Range(shared.backend.read_many(&offsets))
-        }
-        Request::RangeChecked {
-            offset,
-            count,
-            k0,
-            k1,
-        } => {
-            if *count > MAX_RANGE {
-                return Response::Error(format!(
-                    "range of {count} elements exceeds the {MAX_RANGE}-element cap"
-                ));
-            }
-            straggle(shared);
+        _ => None,
+    }
+}
+
+/// Shape the backend's `cells` for the `offsets` of read op `req` into
+/// its response.
+fn finish_read(req: &Request, offsets: &[u64], cells: IoResults, shared: &Shared) -> Response {
+    match req {
+        Request::GetElement { .. } => Response::Element(cells.into_iter().next().flatten()),
+        Request::BatchGet { .. } => Response::Batch(cells),
+        Request::GetRange { .. } => Response::Range(cells),
+        Request::RangeChecked { k0, k1, .. } => {
             let key = HashKey { k0: *k0, k1: *k1 };
-            let offsets: Vec<u64> = (0..u64::from(*count)).map(|i| offset + i).collect();
-            let items = shared
-                .backend
-                .read_many(&offsets)
+            let checked = cells
                 .into_iter()
-                .zip(&offsets)
+                .zip(offsets)
                 .map(|(cell, &off)| match cell {
                     None => CheckedElement::Missing,
-                    // Verify at the source: a corrupt cell costs a
-                    // status byte on the wire, not a payload transfer
-                    // the client would throw away anyway.
+                    // Verify at the source: a corrupt cell costs a status
+                    // byte on the wire, not a payload transfer the client
+                    // would throw away anyway.
                     Some(cell) if verify_footer(&key, off, &cell).is_some() => {
                         CheckedElement::Valid(cell)
                     }
@@ -515,9 +660,29 @@ fn handle(req: &Request, shared: &Shared) -> Response {
                         shared.metrics.checked_corrupt.inc();
                         CheckedElement::Corrupt
                     }
-                })
-                .collect();
-            Response::Checked(items)
+                });
+            Response::Checked(checked.collect())
+        }
+        _ => unreachable!("only ops with read_offsets are finished as reads"),
+    }
+}
+
+fn handle(req: &Request, shared: &Shared) -> Response {
+    match req {
+        Request::GetElement { .. }
+        | Request::BatchGet { .. }
+        | Request::GetRange { .. }
+        | Request::RangeChecked { .. } => match read_offsets(req) {
+            Some(Ok(offsets)) => {
+                straggle(shared);
+                finish_read(req, &offsets, shared.backend.read_many(&offsets), shared)
+            }
+            Some(Err(msg)) => Response::Error(msg),
+            None => unreachable!("every read op has read_offsets"),
+        },
+        Request::PutElement { offset, bytes } => {
+            shared.backend.write(*offset, bytes.clone());
+            Response::Put
         }
         Request::CombineRange {
             offset,
@@ -609,11 +774,10 @@ fn handle_combine(
     // Bound the work before touching the backend (the hostile-vector
     // guard): run length like `GetRange`, plus lane count, matrix
     // shape, and fan-out caps.
-    if count > MAX_RANGE {
-        return Response::Error(format!(
-            "range of {count} elements exceeds the {MAX_RANGE}-element cap"
-        ));
-    }
+    let offsets = match range_offsets(offset, count) {
+        Ok(offsets) => offsets,
+        Err(msg) => return Response::Error(msg),
+    };
     if outputs == 0 || outputs > MAX_COMBINE_OUTPUTS {
         return Response::Error(format!(
             "{outputs} output lanes outside the 1..={MAX_COMBINE_OUTPUTS} cap"
@@ -664,7 +828,6 @@ fn handle_combine(
 
     // Local partial: verify every cell's footer at the data, before it
     // can contribute to a sum.
-    let offsets: Vec<u64> = (0..u64::from(count)).map(|i| offset + i).collect();
     let cells = shared.backend.read_many(&offsets);
     let mut local_status = vec![cstat::OK; n];
     let mut payloads: Vec<Option<Vec<u8>>> = Vec::with_capacity(n);
@@ -1039,6 +1202,61 @@ mod tests {
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 0 }
+        );
+    }
+
+    #[test]
+    fn range_running_past_the_last_offset_is_refused_not_wrapped() {
+        // `offset + i` used to wrap in release builds: this run read
+        // back elements 0 and 1 as its tail.
+        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
+        let mut c = dial(&server);
+        for o in 0..2u64 {
+            rpc(
+                &mut c,
+                &Request::PutElement {
+                    offset: o,
+                    bytes: vec![o as u8; 2],
+                },
+            );
+        }
+        let (offset, count) = (u64::MAX - 1, 4);
+        for req in [
+            Request::GetRange { offset, count },
+            Request::RangeChecked {
+                offset,
+                count,
+                k0: 1,
+                k1: 2,
+            },
+        ] {
+            let wrapped = Request::Mux {
+                id: 9,
+                inner: Box::new(req.clone()),
+            };
+            let plain = rpc(&mut c, &req);
+            let muxed = match rpc(&mut c, &wrapped) {
+                Response::Mux { id: 9, inner } => *inner,
+                other => panic!("expected Response::Mux, got {other:?}"),
+            };
+            for resp in [plain, muxed] {
+                match resp {
+                    Response::Error(msg) => assert!(msg.contains("overflows"), "got: {msg}"),
+                    other => panic!("expected Response::Error, got {other:?}"),
+                }
+            }
+        }
+        // The last offsets that do fit are served (as absent), and the
+        // connection survived the refusals.
+        assert_eq!(
+            rpc(
+                &mut c,
+                &Request::GetRange {
+                    offset: u64::MAX - 4,
+                    count: 4
+                }
+            ),
+            Response::Range(vec![None; 4])
         );
     }
 

@@ -1,0 +1,264 @@
+//! Who answers a mux frame: the connection thread, or its worker pool.
+//!
+//! A mux-wrapped read on a backend that submits without blocking is
+//! submitted by the connection thread, which also answers it when the
+//! result is already there; everything that has to wait goes to the
+//! per-connection pool. `serve.mux_inline` counts the frames the
+//! connection thread answered itself, so `serve.mux_inline ==
+//! serve.mux` means the connection never needed (or spawned) its pool.
+//! These tests drive a raw socket, so every frame on the wire is theirs.
+
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use ecfrm_net::protocol::{read_response, write_request};
+use ecfrm_net::{Fault, Request, Response, ShardServer};
+use ecfrm_sim::{io_pair, DiskBackend, FileDisk, FileIoConfig, IoCompleter, IoHandle, MemDisk};
+use ecfrm_util::Mutex;
+
+const ES: usize = 64;
+
+fn cell(offset: u64) -> Vec<u8> {
+    (0..ES).map(|i| (offset as usize * 7 + i) as u8).collect()
+}
+
+fn dial(server: &ShardServer) -> TcpStream {
+    let s = TcpStream::connect(server.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.set_nodelay(true).unwrap();
+    s
+}
+
+fn send_mux(c: &mut TcpStream, id: u64, inner: Request) {
+    let inner = Box::new(inner);
+    write_request(c, &Request::Mux { id, inner }).unwrap();
+}
+
+fn recv_mux(c: &mut TcpStream) -> (u64, Response) {
+    match read_response(c).unwrap() {
+        Response::Mux { id, inner } => (id, *inner),
+        other => panic!("expected Response::Mux, got {other:?}"),
+    }
+}
+
+fn rpc(c: &mut TcpStream, req: &Request) -> Response {
+    write_request(c, req).unwrap();
+    read_response(c).unwrap()
+}
+
+fn counter(server: &ShardServer, name: &str) -> u64 {
+    let snap = server.recorder().snapshot();
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// A file-backed shard holding `cell(o)` at offsets `0..n`.
+fn file_shard(tag: &str, n: u64, direct: bool) -> (ShardServer, Arc<FileDisk>, std::path::PathBuf) {
+    let path = std::env::temp_dir().join(format!("ecfrm-muxserve-{tag}-{}", std::process::id()));
+    let io = FileIoConfig {
+        direct,
+        ..FileIoConfig::default()
+    };
+    let disk = Arc::new(FileDisk::create_with(&path, ES, io).unwrap());
+    for o in 0..n {
+        disk.write(o, cell(o));
+    }
+    let backend = Arc::clone(&disk) as Arc<dyn DiskBackend>;
+    let server = ShardServer::spawn(backend, "127.0.0.1:0").unwrap();
+    (server, disk, path)
+}
+
+#[test]
+fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
+    const N: u64 = 1000;
+    let (server, disk, path) = file_shard("hot", 256, false);
+    let mut c = dial(&server);
+    // The probe a `RemoteDisk` opens with, then every read shape.
+    send_mux(&mut c, 0, Request::Health);
+    assert_eq!(recv_mux(&mut c), (0, Response::Health { elements: 256 }));
+    for id in 1..=N {
+        let o = id % 250;
+        let inner = match id % 3 {
+            0 => Request::GetElement { offset: o },
+            1 => Request::GetRange {
+                offset: o,
+                count: 3,
+            },
+            _ => Request::BatchGet {
+                offsets: vec![o + 2, 999, o],
+            },
+        };
+        send_mux(&mut c, id, inner);
+    }
+    let mut seen = vec![false; N as usize + 1];
+    for _ in 0..N {
+        let (id, resp) = recv_mux(&mut c);
+        assert!(
+            !std::mem::replace(&mut seen[id as usize], true),
+            "id {id} twice"
+        );
+        let o = id % 250;
+        let want = match id % 3 {
+            0 => Response::Element(Some(cell(o))),
+            1 => Response::Range((o..o + 3).map(|o| Some(cell(o))).collect()),
+            _ => Response::Batch(vec![Some(cell(o + 2)), None, Some(cell(o))]),
+        };
+        assert_eq!(resp, want, "id {id}");
+    }
+    assert_eq!(counter(&server, "serve.mux"), N + 1);
+    if disk.io_backend() == "uring" {
+        // Buffered uring disk, pages hot from the writes: nothing was
+        // handed off, so the pool was never spawned.
+        assert_eq!(counter(&server, "serve.mux_inline"), N + 1);
+    } else {
+        // Blocking disk (no io_uring here, or forced): the pool as ever.
+        assert_eq!(counter(&server, "serve.mux_inline"), 0);
+    }
+    drop(server);
+    let _ = std::fs::remove_file(path);
+}
+
+/// A backend that submits asynchronously and keeps reads that touch
+/// offset 0 pending until the test releases them.
+#[derive(Debug, Default)]
+struct GatedDisk {
+    inner: MemDisk,
+    held: Mutex<Vec<(IoCompleter, Vec<u64>)>>,
+}
+
+impl GatedDisk {
+    fn held(&self) -> usize {
+        self.held.lock().len()
+    }
+
+    fn release(&self) {
+        for (completer, offsets) in self.held.lock().drain(..) {
+            completer.complete(self.inner.read_many(&offsets));
+        }
+    }
+}
+
+impl DiskBackend for GatedDisk {
+    fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+        if !offsets.contains(&0) {
+            return self.inner.submit_read_many(offsets);
+        }
+        let (handle, completer) = io_pair(offsets.len());
+        self.held.lock().push((completer, offsets.to_vec()));
+        handle
+    }
+    fn submits_async(&self) -> bool {
+        true
+    }
+    fn write(&self, offset: u64, bytes: Vec<u8>) {
+        self.inner.write(offset, bytes);
+    }
+    fn fail(&self) {
+        self.inner.fail();
+    }
+    fn heal(&self) {
+        self.inner.heal();
+    }
+    fn wipe(&self) {
+        self.inner.wipe();
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+fn gated_shard() -> (ShardServer, Arc<GatedDisk>) {
+    let disk = Arc::new(GatedDisk::default());
+    for o in 0..4 {
+        disk.write(o, cell(o));
+    }
+    let backend = Arc::clone(&disk) as Arc<dyn DiskBackend>;
+    (ShardServer::spawn(backend, "127.0.0.1:0").unwrap(), disk)
+}
+
+#[test]
+fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
+    let (server, disk) = gated_shard();
+    let mut c = dial(&server);
+    // Id 1 is submitted by the connection thread and stays pending (the
+    // cold page / O_DIRECT case): handed to a worker, which waits.
+    send_mux(&mut c, 1, Request::GetElement { offset: 0 });
+    // A plain frame is served in order, so once this is answered id 1
+    // has been submitted.
+    assert_eq!(
+        rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80))),
+        Response::FaultInjected
+    );
+    assert_eq!(disk.held(), 1);
+    // Id 2 is a straggler read: the pool start to finish. Neither waits
+    // for the other, and id 3 behind them is not stuck either.
+    let t0 = Instant::now();
+    send_mux(&mut c, 2, Request::GetElement { offset: 1 });
+    send_mux(&mut c, 3, Request::GetElement { offset: 2 });
+    let mut got = [recv_mux(&mut c), recv_mux(&mut c)];
+    got.sort_by_key(|(id, _)| *id);
+    assert_eq!(got[0], (2, Response::Element(Some(cell(1)))));
+    assert_eq!(got[1], (3, Response::Element(Some(cell(2)))));
+    assert!(
+        t0.elapsed() >= Duration::from_millis(70),
+        "the delay applied"
+    );
+    assert!(
+        t0.elapsed() < Duration::from_millis(150),
+        "two 80 ms reads took {:?} — the pool is not overlapping them",
+        t0.elapsed()
+    );
+    disk.release();
+    assert_eq!(recv_mux(&mut c), (1, Response::Element(Some(cell(0)))));
+    // Only the inline-served frames count as inline: none of the three.
+    assert_eq!(counter(&server, "serve.mux"), 3);
+    assert_eq!(counter(&server, "serve.mux_inline"), 0);
+    assert_eq!(counter(&server, "serve.get"), 3);
+}
+
+#[test]
+fn o_direct_reads_are_handed_off_and_answered() {
+    let (server, disk, path) = file_shard("direct", 64, true);
+    let mut c = dial(&server);
+    for id in 0..32u64 {
+        send_mux(&mut c, id, Request::GetElement { offset: id });
+    }
+    for _ in 0..32 {
+        let (id, resp) = recv_mux(&mut c);
+        assert_eq!(resp, Response::Element(Some(cell(id))), "id {id}");
+    }
+    if disk.io_backend() == "uring-direct" {
+        // The ring completes on the poller thread; the connection thread
+        // found nothing ready and a worker wrote every answer.
+        assert_eq!(counter(&server, "serve.mux_inline"), 0);
+    }
+    drop(server);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn kill_with_pending_hand_offs_joins_and_drops_every_handle() {
+    let (mut server, disk) = gated_shard();
+    let mut c = dial(&server);
+    // More pending reads than the pool has workers: some wait in a
+    // worker, the rest in the queue.
+    for id in 0..8u64 {
+        send_mux(&mut c, id, Request::GetElement { offset: 0 });
+    }
+    assert_eq!(
+        rpc(&mut c, &Request::Health),
+        Response::Health { elements: 4 }
+    );
+    assert_eq!(disk.held(), 8);
+    let t0 = Instant::now();
+    server.kill(); // joins the connection thread and its workers
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "kill waited {:?} on reads that never complete",
+        t0.elapsed()
+    );
+    assert!(read_response(&mut c).is_err(), "connection dropped");
+    // Every handle was dropped: completing now reaches no one, quietly.
+    disk.release();
+    assert_eq!(disk.held(), 0);
+}

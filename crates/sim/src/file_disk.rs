@@ -15,9 +15,17 @@
 //! * **uring** (Linux with a working io_uring, the default) — the
 //!   [`crate::uring`] engine: coalesced runs become batched SQEs,
 //!   `O_DIRECT` when the filesystem allows it, completions resolved
-//!   asynchronously by a poller thread. [`DiskBackend::submits_async`]
-//!   reports `true`, so [`ThreadedArray`](crate::threaded::ThreadedArray)
-//!   submits from the driver thread and never parks a pool worker.
+//!   asynchronously by a poller thread. On a buffered descriptor
+//!   (`direct: false`, or a filesystem that refused `O_DIRECT`) a
+//!   submission of at most 256 KiB first tries each run with
+//!   `preadv2(RWF_NOWAIT)` on the submitting thread: what the page
+//!   cache holds is answered there — the handle comes back ready, no
+//!   SQE, no poller wake-up — and only the rest goes through the ring.
+//!   Nothing about it is configured: the kernel's answer selects the
+//!   path per run. [`DiskBackend::submits_async`] reports `true`
+//!   either way (submission never waits for a device), so
+//!   [`ThreadedArray`](crate::threaded::ThreadedArray) submits from the
+//!   driver thread and never parks a pool worker.
 //! * **blocking** (the portable fallback) — present offsets sorted and
 //!   grouped into maximal sequential runs, one seek + sequential reads
 //!   per run, serviced inline on the submitting thread.
@@ -58,7 +66,13 @@ pub fn io_error_count() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileIoMode {
     /// Probe at construction: the io_uring engine when the kernel
-    /// supports it, the blocking sorted-run pass otherwise.
+    /// supports it, the blocking sorted-run pass otherwise. The engine
+    /// is the right pick at every depth on a buffered descriptor: a
+    /// page-cache hit is served inline on the submitting thread (one
+    /// `preadv2`, cheaper than the blocking pass's seek + read under the
+    /// file lock) and only a miss pays for the ring. On an `O_DIRECT`
+    /// descriptor a lone read at depth 1 is still slower through the
+    /// ring than a blocking read (`BENCH_file_io.json`, qd 1).
     Auto,
     /// Always the portable blocking sorted-run pass.
     Blocking,
@@ -365,8 +379,10 @@ impl Drop for FileDisk {
 
 impl DiskBackend for FileDisk {
     /// Serve a whole batch in one submission. With the uring engine the
-    /// present offsets are coalesced into runs, pushed as SQEs, and the
-    /// returned handle completes from the poller — nothing blocks here.
+    /// present offsets are coalesced into runs; runs the page cache can
+    /// answer are read on this thread, the rest are pushed as SQEs and
+    /// the returned handle completes from the poller — nothing blocks
+    /// here, and a fully cached batch comes back already complete.
     /// On the blocking backend the sorted single pass (one seek per
     /// maximal sequential run) services the batch inline.
     fn submit_read_many(&self, offsets: &[u64]) -> crate::reactor::IoHandle {
@@ -379,8 +395,9 @@ impl DiskBackend for FileDisk {
         crate::reactor::IoHandle::ready(self.read_sorted_runs(offsets))
     }
 
-    /// True on the uring backend: submission only stages SQEs, so
-    /// `ThreadedArray` drives it from the caller's thread.
+    /// True on the uring backend: submission copies what is already in
+    /// memory and stages SQEs for the rest, so `ThreadedArray` (and a
+    /// shard server's connection thread) drives it from its own thread.
     fn submits_async(&self) -> bool {
         self.engine.is_some()
     }

@@ -145,6 +145,19 @@ impl IoHandle {
         }
     }
 
+    /// Block for at most `timeout`: the results if the operation
+    /// completed in time, `None` (handle still redeemable) otherwise —
+    /// for waiters that must also watch a stop flag.
+    pub fn wait_timeout(&mut self, timeout: std::time::Duration) -> Option<IoResults> {
+        let slot = self.shared.slot.lock();
+        let (mut slot, _) = self
+            .shared
+            .cv
+            .wait_timeout_while(slot, timeout, |s| s.outcome.is_none())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        slot.outcome.take()
+    }
+
     /// Deliver the results to `f` as soon as they land — immediately if
     /// the operation already completed, otherwise from the thread that
     /// completes it. Consumes the handle; exactly one delivery happens.
@@ -520,6 +533,17 @@ mod tests {
         c.complete(vec![None]);
         assert_eq!(h.try_take(), Some(vec![None]));
         assert_eq!(h.try_take(), None, "results are taken once");
+    }
+
+    #[test]
+    fn wait_timeout_gives_up_and_can_be_retried() {
+        let (mut h, c) = io_pair(1);
+        assert_eq!(h.wait_timeout(Duration::from_millis(1)), None);
+        c.complete(vec![Some(vec![3])]);
+        assert_eq!(
+            h.wait_timeout(Duration::from_secs(5)),
+            Some(vec![Some(vec![3])])
+        );
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //!   and the batch is pushed into the kernel with one
 //!   `io_uring_enter`. Nothing blocks: the call returns a pending
 //!   [`IoHandle`] resolved through the reactor's completion contract.
+//! * **Inline page-cache reads** — on a buffered descriptor a small
+//!   submission first offers each run to `preadv2(RWF_NOWAIT)` on the
+//!   submitting thread. A run that is wholly in the page cache is
+//!   copied out there and never becomes an SQE; `EAGAIN`, a short read
+//!   or a refused flag sends exactly that run through the ring. When
+//!   every run was answered the handle returns ready and the poller is
+//!   never woken — a read that needs no waiting needs no second thread.
 //! * **Completion** — a single poller thread per engine parks in
 //!   `io_uring_enter(GETEVENTS)`, reaps CQEs, slices each run's buffer
 //!   back into per-element payloads, and completes the batch's
@@ -63,6 +70,9 @@ pub struct UringSnapshot {
     pub batches: u64,
     /// `io_uring_enter` syscalls issued (submit and wait sides).
     pub enter_calls: u64,
+    /// Runs answered on the submitting thread by `preadv2(RWF_NOWAIT)`
+    /// — page-cache hits that never became an SQE.
+    pub inline_runs: u64,
     /// Runs whose read ended short of a requested element (the element
     /// reads as `None`).
     pub short_reads: u64,
@@ -82,6 +92,7 @@ static SQES: AtomicU64 = AtomicU64::new(0);
 static CQES: AtomicU64 = AtomicU64::new(0);
 static BATCHES: AtomicU64 = AtomicU64::new(0);
 static ENTERS: AtomicU64 = AtomicU64::new(0);
+static INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
 static SHORT_READS: AtomicU64 = AtomicU64::new(0);
 static IO_ERRORS: AtomicU64 = AtomicU64::new(0);
 static DIRECT_OPENS: AtomicU64 = AtomicU64::new(0);
@@ -96,6 +107,7 @@ pub fn snapshot() -> UringSnapshot {
         cqes_completed: CQES.load(Ordering::Relaxed),
         batches: BATCHES.load(Ordering::Relaxed),
         enter_calls: ENTERS.load(Ordering::Relaxed),
+        inline_runs: INLINE_RUNS.load(Ordering::Relaxed),
         short_reads: SHORT_READS.load(Ordering::Relaxed),
         io_errors: IO_ERRORS.load(Ordering::Relaxed),
         direct_opens: DIRECT_OPENS.load(Ordering::Relaxed),
@@ -120,6 +132,9 @@ impl UringSnapshot {
         recorder
             .gauge("io.uring_enters")
             .set(self.enter_calls as i64);
+        recorder
+            .gauge("io.uring_inline_runs")
+            .set(self.inline_runs as i64);
         recorder
             .gauge("io.uring_short_reads")
             .set(self.short_reads as i64);
@@ -156,8 +171,8 @@ mod imp {
     use ecfrm_util::Mutex;
 
     use super::{
-        BATCHES, BUFFERED_OPENS, CQES, DIRECT_OPENS, ENGINES, ENTERS, INFLIGHT, IO_ERRORS,
-        SHORT_READS, SQES,
+        BATCHES, BUFFERED_OPENS, CQES, DIRECT_OPENS, ENGINES, ENTERS, INFLIGHT, INLINE_RUNS,
+        IO_ERRORS, SHORT_READS, SQES,
     };
     use crate::reactor::{io_pair, IoCompleter, IoHandle, IoResults};
 
@@ -177,6 +192,8 @@ mod imp {
     const MAP_SHARED: c_int = 1;
     const MAP_POPULATE: c_int = 0x8000;
     const EINTR: i32 = 4;
+    /// `preadv2` flag: fail with `EAGAIN` rather than wait for I/O.
+    const RWF_NOWAIT: c_int = 0x8;
 
     /// `O_DIRECT` is architecture-dependent: octal 040000 on x86,
     /// 0200000 on the asm-generic table (aarch64, riscv, ...).
@@ -191,6 +208,14 @@ mod imp {
     /// Cap on the aligned byte span of one run (one SQE): long
     /// sequential scans split rather than monopolising buffers.
     const MAX_RUN_BYTES: u64 = 1 << 20;
+    /// Most bytes one submission may ask for and still be tried inline
+    /// (`preadv2(RWF_NOWAIT)` on the submitting thread). Inline, the
+    /// submitter does all the copying itself; through the ring the
+    /// poller slices this disk's buffers while the submitter moves on
+    /// to the next disk. Measured on a 9-disk warm `ThreadedArray` (2
+    /// cores): at 256 KiB per disk inline is 1.3x faster than the ring,
+    /// at 512 KiB 1.2x slower, at 4 MiB 3x slower.
+    const INLINE_MAX_BYTES: u64 = 256 << 10;
     /// Aligned buffers retained for reuse per engine.
     const POOL_KEEP: usize = 16;
     /// `user_data` of the poller-wakeup NOP; never assigned to a run.
@@ -207,6 +232,15 @@ mod imp {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn preadv2(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64, flags: c_int)
+            -> isize;
+    }
+
+    /// `struct iovec`.
+    #[repr(C)]
+    struct IoVec {
+        base: *mut c_void,
+        len: usize,
     }
 
     #[repr(C)]
@@ -545,7 +579,7 @@ mod imp {
         fn filled(&self, len: usize) -> &[u8] {
             debug_assert!(len <= self.cap);
             // SAFETY: in bounds per the assert; the kernel has finished
-            // writing (the CQE for this buffer's run was reaped).
+            // writing (the run's CQE was reaped, or `preadv2` returned).
             unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), len) }
         }
     }
@@ -569,6 +603,22 @@ mod imp {
         len: u32,
         /// `(output slot, byte position within the run buffer)`.
         slots: Vec<(usize, usize)>,
+    }
+
+    impl Run {
+        /// Slice the first `got` bytes of the run buffer into the output
+        /// slots they cover; an element cut off by a short read stays
+        /// `None`.
+        fn scatter(&self, got: usize, es: usize, out: &mut IoResults) {
+            let got = self.buf.filled(got.min(self.len as usize));
+            for &(slot, pos) in &self.slots {
+                if pos + es <= got.len() {
+                    out[slot] = Some(got[pos..pos + es].to_vec());
+                } else {
+                    SHORT_READS.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
     }
 
     /// One in-flight vectored batch being assembled from its runs.
@@ -720,9 +770,16 @@ mod imp {
 
         /// Submit a vectored read: `wanted` holds the present `(element
         /// offset, output slot)` pairs of a request covering `n_out`
-        /// offsets. Returns a pending handle that completes from the
-        /// poller; nothing blocks. After [`Self::kill`], the handle
-        /// resolves all-`None` immediately.
+        /// offsets. Nothing blocks. On a buffered descriptor each run
+        /// of a submission of at most 256 KiB (`INLINE_MAX_BYTES`) is
+        /// first tried with `preadv2(RWF_NOWAIT)` on this thread: a run
+        /// the page cache holds in full is answered here, and when every
+        /// run was, the handle comes back ready and the poller is never
+        /// woken.
+        /// Any other run (cold, short, refused flag — and every run of a
+        /// larger submission or an `O_DIRECT` descriptor) becomes an SQE
+        /// and the handle completes from the poller. After
+        /// [`Self::kill`], the handle resolves all-`None` immediately.
         pub fn submit(&self, mut wanted: Vec<(u64, usize)>, n_out: usize) -> IoHandle {
             if wanted.is_empty() {
                 return IoHandle::ready(vec![None; n_out]);
@@ -757,33 +814,22 @@ mod imp {
                     }),
                 }
             }
-            let (handle, completer) = io_pair(n_out);
-            let mut inner = self.inner.lock();
-            if inner.killed {
-                drop(inner);
-                drop(completer); // delivers all-None
-                return handle;
-            }
-            BATCHES.fetch_add(1, Ordering::Relaxed);
-            let batch_id = inner.next_id;
-            inner.next_id += 1;
-            inner.batches.insert(
-                batch_id,
-                Batch {
-                    completer,
-                    out: vec![None; n_out],
-                    remaining: runs.len(),
-                },
-            );
+            let try_inline = !self.direct
+                && runs
+                    .iter()
+                    .map(|r| (r.last - r.first + 1) * es)
+                    .sum::<u64>()
+                    <= INLINE_MAX_BYTES;
+            let mut out: IoResults = vec![None; n_out];
+            let mut for_ring: Vec<Run> = Vec::new();
             for run in runs {
                 let file_off = self.align_down(run.first * es);
                 let len = self.align_up((run.last + 1) * es) - file_off;
-                debug_assert!(len <= self.buf_cap as u64);
-                let id = inner.next_id;
-                inner.next_id += 1;
-                inner.pending.push_back(Run {
-                    id,
-                    batch: batch_id,
+                // The kernel writes `len` bytes into a `buf_cap` buffer.
+                assert!(len <= self.buf_cap as u64, "run outgrew its buffer");
+                let run = Run {
+                    id: 0, // assigned with the batch, under the lock
+                    batch: 0,
                     buf: self.buf_get(),
                     file_off,
                     len: len as u32,
@@ -792,10 +838,57 @@ mod imp {
                         .into_iter()
                         .map(|(slot, offset)| (slot, (offset * es - file_off) as usize))
                         .collect(),
-                });
+                };
+                if try_inline && self.read_nowait(&run) {
+                    INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
+                    run.scatter(run.len as usize, es as usize, &mut out);
+                    self.buf_put(run.buf);
+                } else {
+                    for_ring.push(run);
+                }
+            }
+            let mut inner = self.inner.lock();
+            if inner.killed {
+                return IoHandle::ready(vec![None; n_out]);
+            }
+            BATCHES.fetch_add(1, Ordering::Relaxed);
+            if for_ring.is_empty() {
+                drop(inner);
+                return IoHandle::ready(out);
+            }
+            let (handle, completer) = io_pair(n_out);
+            let batch_id = inner.next_id;
+            inner.next_id += 1;
+            inner.batches.insert(
+                batch_id,
+                Batch {
+                    completer,
+                    out,
+                    remaining: for_ring.len(),
+                },
+            );
+            for mut run in for_ring {
+                run.id = inner.next_id;
+                run.batch = batch_id;
+                inner.next_id += 1;
+                inner.pending.push_back(run);
             }
             self.flush_locked(&mut inner);
             handle
+        }
+
+        /// Read the run's span into its buffer without waiting for I/O;
+        /// `true` only when every byte was in the page cache.
+        fn read_nowait(&self, run: &Run) -> bool {
+            let iov = IoVec {
+                base: run.buf.ptr.as_ptr().cast(),
+                len: run.len as usize,
+            };
+            // SAFETY: `iov` covers the first `run.len` bytes of a buffer
+            // this run owns exclusively (`run.len <= buf_cap`, asserted
+            // by the caller); the descriptor lives as long as the engine.
+            let got = unsafe { preadv2(self.file_fd, &iov, 1, run.file_off as i64, RWF_NOWAIT) };
+            got == run.len as isize
         }
 
         /// Push pending runs into the kernel up to the ring depth, then
@@ -860,15 +953,8 @@ mod imp {
                             if cqe.res < 0 {
                                 IO_ERRORS.fetch_add(1, Ordering::Relaxed);
                             } else {
-                                let got = run.buf.filled((cqe.res as u32).min(run.len) as usize);
                                 let es = self.element_size as usize;
-                                for &(slot, pos) in &run.slots {
-                                    if pos + es <= got.len() {
-                                        batch.out[slot] = Some(got[pos..pos + es].to_vec());
-                                    } else {
-                                        SHORT_READS.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
+                                run.scatter(cqe.res as usize, es, &mut batch.out);
                             }
                             batch.remaining -= 1;
                             if batch.remaining == 0 {

@@ -16,10 +16,27 @@
 //! A separate test kills the uring engine mid-flight and asserts every
 //! outstanding handle resolves (to all-`None` or to complete pre-kill
 //! bytes) instead of hanging.
+//!
+//! The uring backend itself answers a run two ways — inline from the
+//! page cache (`preadv2(RWF_NOWAIT)`, buffered descriptor only) or
+//! through the ring — so a second group of tests reads the same batches
+//! through blocking / ring-only (`direct: true`) / inline-capable
+//! (`direct: false`) disks, warm and after `drop_cache()`, and pins that
+//! a warm batch costs no `io_uring_enter` at all.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ecfrm::sim::{DiskBackend, FileDisk, FileIoConfig, FileIoMode, MemDisk, ThreadedArray};
+
+/// The uring counters are process-wide and one test compares them
+/// before and after a read, so tests that run an engine take turns.
+static ENGINES: Mutex<()> = Mutex::new(());
+
+fn engines() -> MutexGuard<'static, ()> {
+    ENGINES
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Element sizes ±1 around the alignment boundaries, plus a tiny one.
 const SIZES: &[usize] = &[8, 511, 512, 513, 4096, 4097];
@@ -73,6 +90,7 @@ fn random_batch(x: &mut u64) -> Vec<u64> {
 
 #[test]
 fn backends_read_identical_bytes() {
+    let _turn = engines();
     for &es in SIZES {
         let salt = es as u64;
         let mem = MemDisk::new();
@@ -125,6 +143,7 @@ fn backends_read_identical_bytes() {
 
 #[test]
 fn arrays_balance_submissions_across_backends() {
+    let _turn = engines();
     const ES: usize = 513; // unaligned on purpose
     let make = |mode: FileIoMode, tag: &str| -> (ThreadedArray, Vec<std::path::PathBuf>) {
         let paths: Vec<_> = (0..3).map(|d| tmpfile(&format!("bal-{tag}-{d}"))).collect();
@@ -175,6 +194,7 @@ fn arrays_balance_submissions_across_backends() {
 
 #[test]
 fn mid_flight_kill_resolves_all_handles() {
+    let _turn = engines();
     if !uring_available() {
         eprintln!("uring unavailable (kernel or ECFRM_FORCE_FILE_IO) — skipped");
         return;
@@ -221,4 +241,164 @@ fn mid_flight_kill_resolves_all_handles() {
     assert!(!blocking.kill_io_engine());
     let _ = std::fs::remove_file(&p);
     let _ = std::fs::remove_file(&pb);
+}
+
+/// A uring disk over `path`: ring-only (`O_DIRECT` skips the inline
+/// attempt) or inline-capable (buffered descriptor).
+fn uring_disk(path: &std::path::Path, es: usize, direct: bool) -> FileDisk {
+    let cfg = FileIoConfig {
+        mode: FileIoMode::Uring,
+        depth: 8,
+        direct,
+    };
+    FileDisk::create_with(path, es, cfg).unwrap()
+}
+
+#[test]
+fn warm_and_cold_batches_agree_across_blocking_ring_and_inline() {
+    if !uring_available() {
+        eprintln!("uring unavailable (kernel or ECFRM_FORCE_FILE_IO) — skipped");
+        return;
+    }
+    let _turn = engines();
+    for es in [512usize, 4097] {
+        let salt = 0x1A7E + es as u64;
+        let paths = ["blk", "ring", "inl"].map(|t| tmpfile(&format!("paths-{t}-{es}")));
+        let blocking = FileDisk::create_with(&paths[0], es, FileIoConfig::blocking()).unwrap();
+        let ring = uring_disk(&paths[1], es, true);
+        let inline = uring_disk(&paths[2], es, false);
+        assert_eq!(inline.io_backend(), "uring");
+        let mut x = salt;
+        for o in 0..PRESENT_SPAN {
+            if !xorshift(&mut x).is_multiple_of(4) {
+                for d in [&blocking, &ring, &inline] {
+                    d.write(o, element(o, es, salt));
+                }
+            }
+        }
+        let check = |batch: &[u64], when: &str| {
+            let want = blocking.read_many(batch);
+            assert_eq!(ring.read_many(batch), want, "ring, {when} (es {es})");
+            assert_eq!(inline.read_many(batch), want, "inline, {when} (es {es})");
+        };
+        // Unsorted, duplicates, holes and out-of-range offsets, one run
+        // long enough to coalesce.
+        check(&[40, 3, 3, 127, 9, 10, 11, 12, 500, 0, 95, 3], "warm");
+        check(&[], "empty");
+        for _ in 0..TRIALS {
+            check(&random_batch(&mut x), "warm");
+        }
+        // Cold, then the head of the file warmed again: where readahead
+        // left the tail cold (the larger element size), one batch mixes
+        // runs the page cache answers inline with runs through the ring.
+        for d in [&blocking, &ring, &inline] {
+            d.drop_cache().unwrap();
+        }
+        check(&[1, 0], "cold");
+        check(&[0, 1, 2, 95, 94, 60, 1, 93], "mixed hot/cold");
+        for _ in 0..TRIALS {
+            check(&random_batch(&mut x), "mixed hot/cold");
+        }
+        for p in paths {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+}
+
+#[test]
+fn warm_batch_never_enters_the_ring() {
+    if !uring_available() {
+        eprintln!("uring unavailable (kernel or ECFRM_FORCE_FILE_IO) — skipped");
+        return;
+    }
+    let _turn = engines();
+    const ES: usize = 4104; // a 4 KiB element plus its footer: unaligned
+    let p = tmpfile("warm");
+    let disk = uring_disk(&p, ES, false);
+    for o in 0..64u64 {
+        disk.write(o, element(o, ES, 5)); // buffered writes leave the pages hot
+    }
+    let batch: Vec<u64> = vec![7, 8, 9, 30, 2, 63, 8];
+    let before = ecfrm::sim::uring::snapshot();
+    let got = disk.read_many(&batch);
+    let after = ecfrm::sim::uring::snapshot();
+    for (g, &o) in got.iter().zip(&batch) {
+        assert_eq!(g.as_ref(), Some(&element(o, ES, 5)), "offset {o}");
+    }
+    if after.inline_runs == before.inline_runs {
+        eprintln!("RWF_NOWAIT reads refused on this filesystem — ring served the batch, skipped");
+    } else {
+        // Runs: {2}, {7,8,8,9}, {30}, {63}.
+        assert_eq!(after.inline_runs - before.inline_runs, 4);
+        assert_eq!(after.enter_calls, before.enter_calls, "no io_uring_enter");
+        assert_eq!(after.sqes_submitted, before.sqes_submitted, "no SQE");
+        assert_eq!(after.batches - before.batches, 1, "still one batch");
+        // Inline is for submissions of at most 256 KiB: past that the
+        // poller's help with the copying is worth its wake-up, warm or
+        // not. 63 of these elements fit, 64 do not.
+        let fits: Vec<u64> = (0..63).collect();
+        let too_big: Vec<u64> = (0..64).collect();
+        assert!(disk.read_many(&fits).iter().all(Option::is_some));
+        let small = ecfrm::sim::uring::snapshot();
+        assert_eq!(small.inline_runs - after.inline_runs, 1);
+        assert_eq!(small.sqes_submitted, after.sqes_submitted);
+        assert!(disk.read_many(&too_big).iter().all(Option::is_some));
+        let big = ecfrm::sim::uring::snapshot();
+        assert_eq!(big.inline_runs, small.inline_runs);
+        assert_eq!(big.sqes_submitted - small.sqes_submitted, 1);
+    }
+    let _ = std::fs::remove_file(&p);
+}
+
+#[test]
+fn writes_are_read_back_through_the_engines_own_descriptor() {
+    if !uring_available() {
+        eprintln!("uring unavailable (kernel or ECFRM_FORCE_FILE_IO) — skipped");
+        return;
+    }
+    let _turn = engines();
+    const ES: usize = 513;
+    // Writes go through the disk's read-write descriptor, reads through
+    // the engine's own (buffered: same page cache; direct: the kernel
+    // flushes the dirty range first). Fresh offsets and overwrites.
+    for direct in [false, true] {
+        let p = tmpfile(&format!("coherent-{direct}"));
+        let disk = uring_disk(&p, ES, direct);
+        for round in 0..40u64 {
+            for o in [round, 0, round / 2] {
+                let bytes = element(o, ES, round);
+                disk.write(o, bytes.clone());
+                assert_eq!(disk.read(o), Some(bytes), "direct {direct}, round {round}");
+            }
+        }
+        let _ = std::fs::remove_file(&p);
+    }
+}
+
+#[test]
+fn fail_and_kill_read_all_none_from_a_warm_disk() {
+    if !uring_available() {
+        eprintln!("uring unavailable (kernel or ECFRM_FORCE_FILE_IO) — skipped");
+        return;
+    }
+    let _turn = engines();
+    const ES: usize = 64;
+    let p = tmpfile("warm-kill");
+    let disk = uring_disk(&p, ES, false);
+    for o in 0..8u64 {
+        disk.write(o, element(o, ES, 3));
+    }
+    let batch = [0u64, 1, 2, 7];
+    let want: Vec<_> = batch.iter().map(|&o| Some(element(o, ES, 3))).collect();
+    assert_eq!(disk.read_many(&batch), want);
+    // The pages are as hot as they get; neither fault may be answered
+    // from them.
+    disk.fail();
+    assert_eq!(disk.read_many(&batch), vec![None; batch.len()]);
+    disk.heal();
+    assert_eq!(disk.read_many(&batch), want);
+    assert!(disk.kill_io_engine());
+    assert_eq!(disk.read_many(&batch), vec![None; batch.len()]);
+    assert_eq!(disk.submit_read_many(&batch).wait(), vec![None; 4]);
+    let _ = std::fs::remove_file(&p);
 }
