@@ -129,6 +129,16 @@ pub trait CandidateCode: Send + Sync + std::fmt::Debug {
     /// # Panics
     /// Panics if slice arities or lengths mismatch the code parameters.
     fn encode(&self, data: &[&[u8]], parity: &mut [Vec<u8>]) {
+        let mut dsts: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.encode_into(data, &mut dsts);
+    }
+
+    /// [`Self::encode`] into regions the caller placed — e.g. the cells
+    /// of a stripe's parities inside the buffers that go to the disks.
+    ///
+    /// # Panics
+    /// Panics if slice arities or lengths mismatch the code parameters.
+    fn encode_into(&self, data: &[&[u8]], parity: &mut [&mut [u8]]) {
         assert_eq!(data.len(), self.k(), "encode expects k data regions");
         assert_eq!(parity.len(), self.m(), "encode expects m parity regions");
         let pm = self.parity_matrix();
@@ -136,8 +146,7 @@ pub trait CandidateCode: Send + Sync + std::fmt::Debug {
             .map(|i| pm.row(i).iter().map(|&c| c as u8).collect())
             .collect();
         let row_refs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-        let mut dsts: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-        ecfrm_gf::region::dot_region_multi(&row_refs, data, &mut dsts);
+        ecfrm_gf::region::dot_region_multi(&row_refs, data, parity);
     }
 
     /// Reconstruct every `None` shard in place. `len` is the region size

@@ -39,13 +39,14 @@ use std::time::{Duration, Instant};
 use ecfrm_obs::{Histogram, HistogramSnapshot};
 use ecfrm_sim::{
     io_pair, CombineOutcome, CombineReply, CombineSpec, DiskBackend, IoHandle, NetCounters,
-    NetStats,
+    NetStats, WriteRun,
 };
 use ecfrm_util::{Mutex, Rng};
 
 use crate::protocol::{
-    read_response, read_response_polling, write_request, CheckedElement, CombinePeer, Fault,
-    NetError, PolledResponse, Request, Response,
+    read_response, read_response_polling, write_put_many, write_request, CheckedElement,
+    CombinePeer, Fault, NetError, PolledResponse, Request, Response, SendFrame, MAX_PAYLOAD,
+    MAX_RANGE,
 };
 
 /// Client-side resilience knobs. Build one with
@@ -398,12 +399,19 @@ impl MuxConn {
         self.shared.dead.load(Ordering::Acquire)
     }
 
-    /// Send `req` id-tagged. `done` runs exactly once — with the
-    /// response, with `Timeout` after the deadline, or with a transport
-    /// error if the connection dies first.
-    fn submit(&self, req: Request, timeout: Duration, done: MuxCallback) {
+    /// Send one id-tagged frame: `send` writes it, given the writer and
+    /// the id to tag it with. `Ok` means `done` runs exactly once — with
+    /// the response, with `Timeout` after the deadline, or with a
+    /// transport error if the connection dies first. `Err` hands `done`
+    /// back unrun: the frame did not (wholly) leave this host.
+    fn submit(
+        &self,
+        send: impl FnOnce(&mut BufWriter<TcpStream>, u64) -> Result<(), NetError>,
+        timeout: Duration,
+        done: MuxCallback,
+    ) -> Result<(), MuxCallback> {
         if self.is_dead() {
-            return done(Err(NetError::Protocol("mux connection dead".into())));
+            return Err(done);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.shared.pending.lock().insert(
@@ -413,11 +421,7 @@ impl MuxConn {
                 done,
             },
         );
-        let framed = Request::Mux {
-            id,
-            inner: Box::new(req),
-        };
-        let wrote = write_request(&mut *self.writer.lock(), &framed).is_ok();
+        let wrote = send(&mut self.writer.lock(), id).is_ok();
         if !wrote && !self.shared.dead.swap(true, Ordering::AcqRel) {
             // First to notice the death: account the discard (the reader
             // will see the stop flag and exit without double-counting).
@@ -429,12 +433,16 @@ impl MuxConn {
         if !wrote || self.is_dead() {
             // Either our write failed, or the reader died and drained
             // `pending` while we were inserting. Whoever still finds the
-            // entry completes it; a missing entry means the reader beat
+            // entry settles it; a missing entry means the reader beat
             // us to it.
             if let Some(p) = self.shared.pending.lock().remove(&id) {
+                if !wrote {
+                    return Err(p.done);
+                }
                 (p.done)(Err(NetError::Protocol("mux connection lost".into())));
             }
         }
+        Ok(())
     }
 }
 
@@ -654,9 +662,9 @@ impl RemoteDisk {
     }
 
     /// One attempt: dial/reuse, send, await the response.
-    fn rpc_once(&self, req: &Request) -> Result<Response, NetError> {
+    fn rpc_once(&self, send: SendFrame<'_>) -> Result<Response, NetError> {
         let mut stream = self.connection()?;
-        match write_request(&mut stream, req).and_then(|()| read_response(&mut stream)) {
+        match send(&mut stream).and_then(|()| read_response(&mut stream)) {
             Ok(resp) => {
                 self.recycle(stream);
                 match resp {
@@ -693,6 +701,11 @@ impl RemoteDisk {
     /// Full resilience stack: attempts with backoff until one succeeds
     /// or the retry budget is spent.
     fn rpc(&self, req: &Request) -> Result<Response, NetError> {
+        self.rpc_with(&|w| write_request(w, req))
+    }
+
+    /// [`Self::rpc`] for a frame `send` writes from borrowed buffers.
+    fn rpc_with(&self, send: SendFrame<'_>) -> Result<Response, NetError> {
         let attempts = 1 + self.cfg.max_retries;
         let mut last = None;
         for attempt in 1..=attempts {
@@ -700,7 +713,7 @@ impl RemoteDisk {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.backoff(attempt - 1));
             }
-            match self.rpc_once(req) {
+            match self.rpc_once(send) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => last = Some(e),
             }
@@ -721,7 +734,7 @@ impl RemoteDisk {
         std::thread::scope(|scope| {
             let primary_tx = tx.clone();
             scope.spawn(move || {
-                let _ = primary_tx.send((false, self.rpc_once(req)));
+                let _ = primary_tx.send((false, self.rpc_once(&|w| write_request(w, req))));
             });
             let first = match rx.recv_timeout(hedge_after) {
                 Ok(result) => Some(result),
@@ -738,7 +751,7 @@ impl RemoteDisk {
                     self.counters.hedges.fetch_add(1, Ordering::Relaxed);
                     let hedge_tx = tx.clone();
                     scope.spawn(move || {
-                        let _ = hedge_tx.send((true, self.rpc_once(req)));
+                        let _ = hedge_tx.send((true, self.rpc_once(&|w| write_request(w, req))));
                     });
                     // Prefer the first *successful* answer; fall back to
                     // the second result if the first errored.
@@ -1092,6 +1105,49 @@ fn contiguous_run(offsets: &[u64]) -> Option<u32> {
     contiguous.then_some(offsets.len() as u32)
 }
 
+/// Split `runs` into `PutMany` frames: one cell size per frame, at most
+/// `max_bytes` of run table plus cells and [`MAX_RANGE`] cells in each.
+/// A run that does not fit is cut at a cell boundary; empty runs go
+/// nowhere.
+fn pack_frames<'a>(runs: &[WriteRun<'a>], max_bytes: usize) -> Vec<Vec<WriteRun<'a>>> {
+    let mut frames: Vec<Vec<WriteRun<'a>>> = Vec::new();
+    // Bytes and cells the frame being filled (the last one) has room for.
+    let (mut room, mut cells) = (0usize, 0usize);
+    for run in runs {
+        let mut rest = *run;
+        while rest.count() > 0 {
+            let fits = room.saturating_sub(12) / rest.cell_len;
+            // A frame takes the run while it is empty, or holds cells of
+            // this size and has room for one more.
+            let open = frames.last().is_some_and(|f| {
+                f.first()
+                    .is_none_or(|r| r.cell_len == rest.cell_len && fits > 0 && cells > 0)
+            });
+            if !open {
+                frames.push(Vec::new());
+                (room, cells) = (max_bytes, MAX_RANGE as usize);
+                continue;
+            }
+            // (A cell too big for any frame still goes out, alone, and
+            // is refused — and counted — when the frame is written.)
+            let take = rest.count().min(fits.max(1)).min(cells);
+            let (head, tail) = rest.bytes.split_at(take * rest.cell_len);
+            frames.last_mut().expect("pushed above").push(WriteRun {
+                bytes: head,
+                ..rest
+            });
+            room = room.saturating_sub(12 + head.len());
+            cells -= take;
+            rest = WriteRun {
+                start: rest.start + take as u64,
+                bytes: tail,
+                ..rest
+            };
+        }
+    }
+    frames
+}
+
 impl DiskBackend for RemoteDisk {
     /// Submit a batch read. Over the multiplexed transport this is
     /// truly non-blocking: the request goes out id-tagged on the shared
@@ -1120,21 +1176,24 @@ impl DiskBackend for RemoteDisk {
         let request_us = self.request_us.clone();
         let verify_fails = Arc::clone(&self.remote_verify_fails);
         let t0 = Instant::now();
-        conn.submit(
-            req,
-            self.cfg.request_timeout,
-            Box::new(move |res| {
-                request_us.record_duration(t0.elapsed());
-                let results = res
-                    .ok()
-                    .and_then(|resp| map_read_response(resp, &shape, n, &verify_fails))
-                    .unwrap_or_else(|| {
-                        counters.failed_requests.fetch_add(1, Ordering::Relaxed);
-                        vec![None; n]
-                    });
-                completer.complete(results);
-            }),
-        );
+        let framed = |w: &mut BufWriter<TcpStream>, id| {
+            let inner = Box::new(req);
+            write_request(w, &Request::Mux { id, inner })
+        };
+        let done: MuxCallback = Box::new(move |res| {
+            request_us.record_duration(t0.elapsed());
+            let results = res
+                .ok()
+                .and_then(|resp| map_read_response(resp, &shape, n, &verify_fails))
+                .unwrap_or_else(|| {
+                    counters.failed_requests.fetch_add(1, Ordering::Relaxed);
+                    vec![None; n]
+                });
+            completer.complete(results);
+        });
+        if let Err(done) = conn.submit(framed, self.cfg.request_timeout, done) {
+            done(Err(NetError::Protocol("mux connection lost".into())));
+        }
         handle
     }
 
@@ -1145,11 +1204,49 @@ impl DiskBackend for RemoteDisk {
         self.mux_enabled()
     }
 
-    fn write(&self, offset: u64, bytes: Vec<u8>) {
-        // DiskBackend writes are infallible by contract; a write that
-        // exhausts its retries is recorded in the counters (and the
-        // element will read back as absent).
-        let _ = self.timed(|| self.rpc(&Request::PutElement { offset, bytes }));
+    /// Submit a batch write: one `PutMany` frame (more only past the
+    /// payload cap, or for mixed cell sizes), sent from the caller's
+    /// buffers. Over the multiplexed transport the frame is written and
+    /// the handle completes when the demux thread has the
+    /// acknowledgement, so a caller writing to many shards sends all
+    /// its frames before it waits for any. A frame that could not be
+    /// written there — transport down, or the write failed part-way:
+    /// puts are idempotent by offset, so sending it again is safe —
+    /// takes the blocking path with its retry budget, inline.
+    /// `DiskBackend` writes are infallible by contract: a frame that is
+    /// never acknowledged is one failed request in the counters, and
+    /// its cells read back as absent.
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+        let (handle, completer) = io_pair(0);
+        // Dropped — which completes the handle — by whichever frame's
+        // completion runs last.
+        let completer = Arc::new(completer);
+        let mux = self.use_mux().then(|| self.mux_conn()).flatten();
+        for frame in pack_frames(runs, MAX_PAYLOAD as usize - 32) {
+            let cell_len = frame[0].cell_len as u32;
+            let on_mux = mux.as_ref().is_some_and(|conn| {
+                let framed = |w: &mut BufWriter<TcpStream>, id| {
+                    write_put_many(w, Some(id), cell_len, &frame)
+                };
+                let counters = Arc::clone(&self.counters);
+                let request_us = self.request_us.clone();
+                let completer = Arc::clone(&completer);
+                let t0 = Instant::now();
+                let done: MuxCallback = Box::new(move |res| {
+                    request_us.record_duration(t0.elapsed());
+                    if !matches!(res, Ok(Response::Put)) {
+                        counters.failed_requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                    drop(completer);
+                });
+                conn.submit(framed, self.cfg.request_timeout, done).is_ok()
+            });
+            if !on_mux {
+                let _ =
+                    self.timed(|| self.rpc_with(&|w| write_put_many(w, None, cell_len, &frame)));
+            }
+        }
+        handle
     }
 
     /// Remote failure injection: flips the *server's* backend, so every
@@ -1395,7 +1492,6 @@ mod tests {
     fn read_many_on_dead_server_is_all_absent() {
         let mut server = server();
         let disk = RemoteDisk::new(server.addr(), fast());
-        disk.write(0, vec![1]);
         server.kill();
         assert_eq!(disk.read_many(&[0, 1, 2]), vec![None, None, None]);
         // A transient outage must not permanently disable coalescing —
@@ -1682,6 +1778,63 @@ mod tests {
     }
 
     #[test]
+    fn frames_split_by_size_cell_count_and_cell_size() {
+        let bytes = vec![0u8; 4096];
+        let run = |start, cell_len, cells: usize| WriteRun {
+            start,
+            cell_len,
+            bytes: &bytes[..cells * cell_len],
+        };
+        let shape = |frames: &[Vec<WriteRun<'_>>]| -> Vec<Vec<(u64, usize)>> {
+            frames
+                .iter()
+                .map(|f| f.iter().map(|r| (r.start, r.count())).collect())
+                .collect()
+        };
+        // Everything fits: one frame, runs as given; nothing: no frame.
+        let runs = [run(7, 16, 3), run(100, 16, 2)];
+        assert_eq!(shape(&pack_frames(&runs, 1 << 20)), [[(7, 3), (100, 2)]]);
+        assert!(pack_frames(&[], 1 << 20).is_empty());
+        assert!(pack_frames(&[run(5, 16, 0), run(5, 0, 0)], 1 << 20).is_empty());
+        // 100 bytes a frame, 12 of them per run's table entry: a run of
+        // ten 16-byte cells is cut at cell boundaries, 5 + 5, and the
+        // next run starts where the room left allows.
+        let runs = [run(0, 16, 10), run(50, 16, 1)];
+        assert_eq!(
+            shape(&pack_frames(&runs, 100)),
+            [vec![(0, 5)], vec![(5, 5)], vec![(50, 1)]]
+        );
+        // A change of cell size closes the frame.
+        let runs = [run(0, 16, 2), run(9, 8, 2), run(20, 8, 1)];
+        assert_eq!(
+            shape(&pack_frames(&runs, 1 << 20)),
+            [vec![(0, 2)], vec![(9, 2), (20, 1)]]
+        );
+        // A cell no frame can hold still goes out, alone (and is refused
+        // by the frame writer); the cells around it are unaffected.
+        let runs = [run(0, 16, 1), run(1, 512, 1), run(2, 16, 1)];
+        assert_eq!(
+            shape(&pack_frames(&runs, 100)),
+            [vec![(0, 1)], vec![(1, 1)], vec![(2, 1)]]
+        );
+        // Cut runs keep their bytes in order.
+        let bytes: Vec<u8> = (0..=255).collect();
+        let all = [WriteRun {
+            start: 0,
+            cell_len: 8,
+            bytes: &bytes,
+        }];
+        let cut = pack_frames(&all, 60);
+        assert!(cut.len() > 4);
+        let joined: Vec<u8> = cut
+            .iter()
+            .flatten()
+            .flat_map(|r| r.bytes.to_vec())
+            .collect();
+        assert_eq!(joined, bytes);
+    }
+
+    #[test]
     fn fault_injection_via_backend_trait() {
         let server = server();
         let disk = RemoteDisk::new(server.addr(), fast());
@@ -1856,10 +2009,14 @@ mod tests {
         let stats = disk.stats().unwrap();
         let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         assert_eq!(get("serve.get"), Some(3));
-        assert_eq!(get("serve.put"), Some(1));
+        assert_eq!(get("serve.put_many"), Some(1));
         // 1 put + the Mux(Health) negotiation probe + 3 gets.
         assert_eq!(get("serve_us.count"), Some(5));
-        assert_eq!(get("serve.mux"), Some(4), "probe + 3 mux'd reads");
+        assert_eq!(
+            get("serve.mux"),
+            Some(5),
+            "probe + the mux'd write and reads"
+        );
         // The same registry is visible locally on the server handle.
         let local = server.recorder().snapshot();
         assert_eq!(local.counters.get("serve.get"), Some(&3));

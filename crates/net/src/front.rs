@@ -52,7 +52,9 @@ use ecfrm_store::{FrontDoor, ObjectStat, StoreError};
 use ecfrm_util::Mutex;
 
 use crate::client::RemoteDiskConfig;
-use crate::protocol::{read_response, write_request, NetError, Request, Response};
+use crate::protocol::{
+    read_response, write_obj_write, write_request, NetError, Request, Response, SendFrame,
+};
 
 /// The typed error a front-less (but object-op-aware) server answers
 /// every object op with. Receiving it demotes a [`FrontClient`] to its
@@ -185,7 +187,9 @@ impl FrontClient {
             tenant: tenant.to_string(),
             object: object.to_string(),
         };
-        self.dispatch(&req, ack, |f| f.create(tenant, object))
+        self.dispatch(&|w| write_request(w, &req), false, ack, |f| {
+            f.create(tenant, object)
+        })
     }
 
     /// Append `bytes` to an object as one extent. See
@@ -195,12 +199,13 @@ impl FrontClient {
     /// [`StoreError::NotFound`], [`StoreError::Throttled`], or any
     /// store/transport error.
     pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let req = Request::ObjWrite {
-            tenant: tenant.to_string(),
-            object: object.to_string(),
-            bytes: bytes.to_vec(),
-        };
-        self.dispatch(&req, ack, |f| f.write(tenant, object, bytes))
+        // Sent from the caller's buffer: no owned `Request`, no payload.
+        self.dispatch(
+            &|w| write_obj_write(w, tenant, object, bytes),
+            false,
+            ack,
+            |f| f.write(tenant, object, bytes),
+        )
     }
 
     /// Create + first write in one call. See [`FrontDoor::put`].
@@ -243,7 +248,8 @@ impl FrontClient {
             len,
         };
         self.dispatch(
-            &req,
+            &|w| write_request(w, &req),
+            true,
             |resp| match resp {
                 Response::ObjData(bytes) => Ok(bytes),
                 other => Err(unexpected(&other)),
@@ -269,7 +275,8 @@ impl FrontClient {
             object: object.to_string(),
         };
         self.dispatch(
-            &req,
+            &|w| write_request(w, &req),
+            true,
             |resp| match resp {
                 Response::ObjStat {
                     len,
@@ -295,21 +302,26 @@ impl FrontClient {
             tenant: tenant.to_string(),
             object: object.to_string(),
         };
-        self.dispatch(&req, ack, |f| f.delete(tenant, object))
+        self.dispatch(&|w| write_request(w, &req), false, ack, |f| {
+            f.delete(tenant, object)
+        })
     }
 
     /// One op, either path: remote while the latch holds, local
-    /// fallback once demoted.
+    /// fallback once demoted. `send` writes the op's request frame;
+    /// `idempotent` says whether it may be sent twice (see
+    /// [`Self::request`]).
     fn dispatch<T>(
         &self,
-        req: &Request,
+        send: SendFrame<'_>,
+        idempotent: bool,
         decode: impl FnOnce(Response) -> Result<T, StoreError>,
         local: impl Fn(&FrontDoor) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         if !self.remote_enabled() {
             return self.local(&local);
         }
-        match self.request(req) {
+        match self.request(send, idempotent) {
             Ok(Response::Error(msg)) if msg == NO_FRONT => {
                 // An answering, object-op-aware server with no front
                 // door: demote, same as an old server.
@@ -375,12 +387,17 @@ impl FrontClient {
     /// request provably did not execute server-side (the frame never
     /// fully left, or the op is idempotent); a fresh-dial failure is
     /// final.
-    fn request(&self, req: &Request) -> Result<Response, NetError> {
+    ///
+    /// Only reads with no server-side effects are `idempotent`: a
+    /// replayed `ObjWrite` would append its extent a second time, and a
+    /// replayed `ObjCreate`/`ObjDelete` would flip a success into a
+    /// spurious `already_exists`/`not_found`.
+    fn request(&self, send: SendFrame<'_>, idempotent: bool) -> Result<Response, NetError> {
         // Pop in its own statement: an `if let` scrutinee's lock guard
         // would live for the whole block and deadlock against `park`.
         let pooled = self.pool.lock().pop();
         if let Some(mut stream) = pooled {
-            match round_trip(&mut stream, req) {
+            match round_trip(&mut stream, send) {
                 Ok(resp) => {
                     self.park(stream);
                     return Ok(resp);
@@ -393,12 +410,12 @@ impl FrontClient {
                 // lost. Retrying a non-idempotent op here could run it
                 // twice (an ObjWrite would append its extent again) —
                 // surface the failure instead.
-                Err(TripError::Recv(e)) if !idempotent(req) => return Err(e),
+                Err(TripError::Recv(e)) if !idempotent => return Err(e),
                 Err(TripError::Recv(_)) => {}
             }
         }
         let mut stream = self.dial()?;
-        let resp = round_trip(&mut stream, req).map_err(TripError::into_inner)?;
+        let resp = round_trip(&mut stream, send).map_err(TripError::into_inner)?;
         self.park(stream);
         Ok(resp)
     }
@@ -417,7 +434,7 @@ impl FrontClient {
         let Ok(mut stream) = self.dial() else {
             return Probe::Inconclusive; // outage, not evidence of age
         };
-        match round_trip(&mut stream, &req) {
+        match round_trip(&mut stream, &|w| write_request(w, &req)) {
             // An answering front-less server cannot serve object ops,
             // same verdict as the typed-error path in `dispatch`.
             Ok(Response::Error(msg)) if msg == NO_FRONT => Probe::NoObjectOps,
@@ -443,7 +460,7 @@ impl FrontClient {
         let Ok(mut stream) = self.dial() else {
             return false;
         };
-        round_trip(&mut stream, &Request::Health).is_ok()
+        round_trip(&mut stream, &|w| write_request(w, &Request::Health)).is_ok()
     }
 
     fn dial(&self) -> Result<TcpStream, NetError> {
@@ -498,20 +515,8 @@ impl TripError {
     }
 }
 
-/// May this request be retried after a `Recv`-phase failure, when the
-/// server may already have executed it? Only reads with no server-side
-/// effects qualify — a replayed `ObjWrite` would append its extent a
-/// second time, and a replayed `ObjCreate`/`ObjDelete` would flip a
-/// success into a spurious `already_exists`/`not_found`.
-fn idempotent(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::ObjGet { .. } | Request::ObjStat { .. } | Request::Health
-    )
-}
-
-fn round_trip(stream: &mut TcpStream, req: &Request) -> Result<Response, TripError> {
-    write_request(stream, req).map_err(TripError::Send)?;
+fn round_trip(stream: &mut TcpStream, send: SendFrame<'_>) -> Result<Response, TripError> {
+    send(stream).map_err(TripError::Send)?;
     read_response(stream).map_err(TripError::Recv)
 }
 

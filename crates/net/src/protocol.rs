@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Integers inside payloads are little-endian. Eight operations exist:
-//! `GetElement`, `PutElement`, `BatchGet`, `Health`, `InjectFault`
+//! `GetElement`, `PutMany`, `BatchGet`, `Health`, `InjectFault`
 //! (the fault-injection side channel that lets a client drive a remote
 //! shard's failure state exactly like a local disk's), `Stats`
 //! (dump the server's metrics registry as flat name/value pairs),
@@ -17,6 +17,20 @@
 //! so the server verifies each element's checksum footer before
 //! shipping it, answering with a per-element verdict). Both range ops
 //! are additive: old servers reject the opcode and clients fall back.
+//!
+//! `PutMany` (opcode 16) is the one write op: runs of consecutive cells,
+//! a `(start, count)` table followed by every run's cells back to back.
+//! It **replaced** the per-cell `PutElement` (opcode 2, retired — a
+//! single cell is a one-run `PutMany`). There is no capability latch
+//! for it and there never will be: no server older than this one exists
+//! outside our tests, so a peer that drops the opcode is a failed,
+//! counted write like any other dead shard, and the erasure code covers
+//! it. The same rule holds for every future write op: replace, do not
+//! negotiate. The sender never builds the payload: [`write_put_many`]
+//! hands the frame header, the run table and the caller's run buffers
+//! to one vectored write, and the receiver keeps the frame it read as
+//! the run buffer ([`Body`]) — so between a sealed stripe and the
+//! shard's `pwrite` a cell is copied by the two socket calls only.
 //!
 //! A ninth operation, `Mux`, wraps any other request together with a
 //! client-chosen 64-bit request id; the matching [`Response::Mux`]
@@ -36,12 +50,56 @@
 
 use std::io::{IoSlice, Read, Write};
 
+use ecfrm_sim::WriteRun;
+
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
 pub const VERSION: u8 = 1;
 /// Upper bound on a sane payload (guards allocation on corrupt frames).
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
+/// Most cells one request may name: the longest `GetRange` run a server
+/// serves and the most cells one `PutMany` may carry.
+pub const MAX_RANGE: u32 = 1 << 20;
+
+/// The bulk bytes of a received request, kept in the frame they arrived
+/// in: decoding a [`Request::PutMany`] or [`Request::ObjWrite`] moves
+/// the frame here instead of copying the bytes out of it. Reads as a
+/// byte slice; build one for sending with `Vec::into`.
+#[derive(Clone)]
+pub struct Body {
+    /// The whole frame payload.
+    frame: Vec<u8>,
+    /// Where the bulk bytes start in it.
+    start: usize,
+}
+
+impl std::ops::Deref for Body {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.frame[self.start..]
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Body {}
+
+impl From<Vec<u8>> for Body {
+    fn from(frame: Vec<u8>) -> Self {
+        Self { frame, start: 0 }
+    }
+}
+
+impl std::fmt::Debug for Body {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Body({} bytes)", self.len())
+    }
+}
 
 /// Transport / protocol failure.
 #[derive(Debug)]
@@ -120,12 +178,21 @@ pub enum Request {
         /// Element offset on the shard.
         offset: u64,
     },
-    /// Store one element.
-    PutElement {
-        /// Element offset on the shard.
-        offset: u64,
-        /// Element bytes.
-        bytes: Vec<u8>,
+    /// Store runs of consecutive cells — the one write op. Run `i`
+    /// covers offsets `runs[i].0 .. runs[i].0 + runs[i].1`; `bytes`
+    /// holds every run's cells back to back, `cell_len` bytes each.
+    /// Cells are applied in order, so a later cell at the same offset
+    /// wins. The server refuses (with [`Response::Error`], before
+    /// touching its backend) a frame whose table and bytes disagree, an
+    /// empty run, a run past the last offset, more than [`MAX_RANGE`]
+    /// cells, and a `cell_len` its backend does not store.
+    PutMany {
+        /// `(first offset, cell count)` per run.
+        runs: Vec<(u64, u32)>,
+        /// Bytes per cell.
+        cell_len: u32,
+        /// The cells of all runs, in run order.
+        bytes: Body,
     },
     /// Fetch several elements in one round trip.
     BatchGet {
@@ -217,7 +284,7 @@ pub enum Request {
         /// Object name.
         object: String,
         /// Bytes to append.
-        bytes: Vec<u8>,
+        bytes: Body,
     },
     /// Read `len` bytes of an object starting at `start`
     /// (`len == u64::MAX` means "to the end").
@@ -365,7 +432,6 @@ pub enum Response {
 }
 
 const OP_GET: u8 = 1;
-const OP_PUT: u8 = 2;
 const OP_BATCH_GET: u8 = 3;
 const OP_HEALTH: u8 = 4;
 const OP_INJECT: u8 = 5;
@@ -379,6 +445,7 @@ const OP_OBJ_WRITE: u8 = 12;
 const OP_OBJ_GET: u8 = 13;
 const OP_OBJ_STAT: u8 = 14;
 const OP_OBJ_DELETE: u8 = 15;
+const OP_PUT_MANY: u8 = 16;
 
 const RESP_ELEMENT: u8 = 129;
 const RESP_PUT: u8 = 130;
@@ -434,6 +501,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn done(&self) -> Result<(), NetError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -441,19 +512,35 @@ impl<'a> Cursor<'a> {
             Err(NetError::Protocol("trailing bytes in payload".into()))
         }
     }
-
-    /// Everything not yet consumed (for wrapped inner payloads).
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
 }
 
 /// `[len:u32][utf-8 bytes]`.
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Everything of a `PutMany` payload ahead of the cells:
+/// `[cell_len:u32][n_runs:u32]` then `[start:u64][count:u32]` per run.
+fn put_many_head(
+    out: &mut Vec<u8>,
+    cell_len: u32,
+    runs: impl ExactSizeIterator<Item = (u64, u32)>,
+) {
+    put_u32(out, cell_len);
+    put_u32(out, runs.len() as u32);
+    for (start, count) in runs {
+        put_u64(out, start);
+        put_u32(out, count);
+    }
+}
+
+/// Everything of an `ObjWrite` payload ahead of the bytes:
+/// `[tenant][object][bytes len:u32]`.
+fn obj_write_head(out: &mut Vec<u8>, tenant: &str, object: &str, len: usize) {
+    put_str(out, tenant);
+    put_str(out, object);
+    put_u32(out, len as u32);
 }
 
 fn get_str(c: &mut Cursor<'_>) -> Result<String, NetError> {
@@ -490,7 +577,7 @@ impl Request {
     fn opcode(&self) -> u8 {
         match self {
             Request::GetElement { .. } => OP_GET,
-            Request::PutElement { .. } => OP_PUT,
+            Request::PutMany { .. } => OP_PUT_MANY,
             Request::BatchGet { .. } => OP_BATCH_GET,
             Request::GetRange { .. } => OP_GET_RANGE,
             Request::RangeChecked { .. } => OP_RANGE_CHECKED,
@@ -511,9 +598,12 @@ impl Request {
         let mut out = Vec::new();
         match self {
             Request::GetElement { offset } => put_u64(&mut out, *offset),
-            Request::PutElement { offset, bytes } => {
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, bytes.len() as u32);
+            Request::PutMany {
+                runs,
+                cell_len,
+                bytes,
+            } => {
+                put_many_head(&mut out, *cell_len, runs.iter().copied());
                 out.extend_from_slice(bytes);
             }
             Request::BatchGet { offsets } => {
@@ -581,10 +671,7 @@ impl Request {
                 object,
                 bytes,
             } => {
-                // [tenant][object][bytes len:u32][bytes].
-                put_str(&mut out, tenant);
-                put_str(&mut out, object);
-                put_u32(&mut out, bytes.len() as u32);
+                obj_write_head(&mut out, tenant, object, bytes.len());
                 out.extend_from_slice(bytes);
             }
             Request::ObjGet {
@@ -619,16 +706,66 @@ impl Request {
         out
     }
 
-    fn decode(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
+    /// Decode the request whose payload is `frame[at..]`. The two bulk
+    /// ops keep `frame` as their [`Body`]; a `Mux` envelope hands it on
+    /// to the request inside.
+    fn decode(opcode: u8, frame: Vec<u8>, at: usize) -> Result<Self, NetError> {
+        let mut c = Cursor::new(&frame[at..]);
+        match opcode {
+            OP_MUX => {
+                let id = c.u64()?;
+                let op = c.u8()?;
+                if op == OP_MUX {
+                    return Err(NetError::Protocol("nested mux request".into()));
+                }
+                let at = at + c.pos;
+                let inner = Box::new(Request::decode(op, frame, at)?);
+                Ok(Request::Mux { id, inner })
+            }
+            OP_PUT_MANY => {
+                let cell_len = c.u32()?;
+                let n = c.u32()? as usize;
+                // Bound the table by the frame before allocating for it.
+                if n > c.remaining() / 12 {
+                    return Err(NetError::Protocol(format!(
+                        "table of {n} runs overruns the payload"
+                    )));
+                }
+                let mut runs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    runs.push((c.u64()?, c.u32()?));
+                }
+                let start = at + c.pos;
+                let bytes = Body { frame, start };
+                Ok(Request::PutMany {
+                    runs,
+                    cell_len,
+                    bytes,
+                })
+            }
+            OP_OBJ_WRITE => {
+                let tenant = get_str(&mut c)?;
+                let object = get_str(&mut c)?;
+                if c.u32()? as usize != c.remaining() {
+                    return Err(NetError::Protocol("object bytes length mismatch".into()));
+                }
+                let start = at + c.pos;
+                let bytes = Body { frame, start };
+                Ok(Request::ObjWrite {
+                    tenant,
+                    object,
+                    bytes,
+                })
+            }
+            _ => Request::decode_small(opcode, &frame[at..]),
+        }
+    }
+
+    /// Every op whose payload is parsed out of the frame by value.
+    fn decode_small(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
         let mut c = Cursor::new(payload);
         let req = match opcode {
             OP_GET => Request::GetElement { offset: c.u64()? },
-            OP_PUT => {
-                let offset = c.u64()?;
-                let len = c.u32()? as usize;
-                let bytes = c.take(len)?.to_vec();
-                Request::PutElement { offset, bytes }
-            }
             OP_BATCH_GET => {
                 let n = c.u32()? as usize;
                 let mut offsets = Vec::with_capacity(n.min(1 << 20));
@@ -687,16 +824,6 @@ impl Request {
                 tenant: get_str(&mut c)?,
                 object: get_str(&mut c)?,
             },
-            OP_OBJ_WRITE => {
-                let tenant = get_str(&mut c)?;
-                let object = get_str(&mut c)?;
-                let len = c.u32()? as usize;
-                Request::ObjWrite {
-                    tenant,
-                    object,
-                    bytes: c.take(len)?.to_vec(),
-                }
-            }
             OP_OBJ_GET => Request::ObjGet {
                 tenant: get_str(&mut c)?,
                 object: get_str(&mut c)?,
@@ -713,18 +840,6 @@ impl Request {
             },
             OP_HEALTH => Request::Health,
             OP_STATS => Request::Stats,
-            OP_MUX => {
-                let id = c.u64()?;
-                let op = c.u8()?;
-                if op == OP_MUX {
-                    return Err(NetError::Protocol("nested mux request".into()));
-                }
-                let inner = Request::decode(op, c.rest())?;
-                Request::Mux {
-                    id,
-                    inner: Box::new(inner),
-                }
-            }
             OP_INJECT => {
                 let fault = match c.u8()? {
                     0 => Fault::Fail,
@@ -975,7 +1090,8 @@ impl Response {
                 if op == RESP_MUX {
                     return Err(NetError::Protocol("nested mux response".into()));
                 }
-                let inner = Response::decode(op, c.rest())?;
+                let inner = Response::decode(op, &payload[c.pos..])?;
+                c.pos = payload.len();
                 Response::Mux {
                     id,
                     inner: Box::new(inner),
@@ -992,23 +1108,25 @@ impl Response {
     }
 }
 
-fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(), NetError> {
-    if payload.len() as u64 > MAX_PAYLOAD as u64 {
+/// Write one frame whose payload is `parts`, back to back. The parts
+/// are never joined in memory: header and parts leave in one vectored
+/// write — on a raw socket one syscall and (with `TCP_NODELAY`) one
+/// segment train, through a `BufWriter` one pass whatever the size.
+fn write_frame(w: &mut impl Write, opcode: u8, parts: &[IoSlice<'_>]) -> Result<(), NetError> {
+    let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
+    if len > u64::from(MAX_PAYLOAD) {
         return Err(NetError::Protocol(format!(
-            "payload of {} bytes exceeds the {MAX_PAYLOAD}-byte cap",
-            payload.len()
+            "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
         )));
     }
     let mut header = [0u8; 10];
     header[..4].copy_from_slice(&MAGIC);
     header[4] = VERSION;
     header[5] = opcode;
-    header[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    // One vectored write for header and payload: on a raw socket one
-    // syscall and (with `TCP_NODELAY`) one segment instead of a 10-byte
-    // segment of its own; through a `BufWriter` one pass whatever the
-    // payload size.
-    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    header[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+    let mut bufs = Vec::with_capacity(1 + parts.len());
+    bufs.push(IoSlice::new(&header));
+    bufs.extend_from_slice(parts);
     let mut bufs = &mut bufs[..];
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
@@ -1135,7 +1253,7 @@ pub fn read_request_polling(
     match poll_frame(r, stop) {
         PolledFrame::Idle => PolledRequest::Idle,
         PolledFrame::Closed => PolledRequest::Closed,
-        PolledFrame::Frame(opcode, payload) => match Request::decode(opcode, &payload) {
+        PolledFrame::Frame(opcode, payload) => match Request::decode(opcode, payload, 0) {
             Ok(req) => PolledRequest::Frame(req),
             Err(_) => PolledRequest::Closed,
         },
@@ -1172,12 +1290,65 @@ pub fn read_response_polling(
     }
 }
 
+/// Writes one request frame onto a connection — a closure, so a bulk
+/// write can send from buffers it only borrows ([`write_put_many`],
+/// [`write_obj_write`]) where everything else sends an owned
+/// [`Request`] ([`write_request`]).
+pub(crate) type SendFrame<'a> =
+    &'a (dyn Fn(&mut std::net::TcpStream) -> Result<(), NetError> + Sync);
+
 /// Serialise one request onto a stream.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> {
-    write_frame(w, req.opcode(), &req.payload())
+    write_frame(w, req.opcode(), &[IoSlice::new(&req.payload())])
+}
+
+/// Send `runs` (all of `cell_len`-byte cells) as one
+/// [`Request::PutMany`] — inside a [`Request::Mux`] envelope when
+/// `mux_id` is given — straight from the caller's buffers.
+///
+/// # Errors
+/// I/O failure, or an oversized payload.
+pub fn write_put_many(
+    w: &mut impl Write,
+    mux_id: Option<u64>,
+    cell_len: u32,
+    runs: &[WriteRun<'_>],
+) -> Result<(), NetError> {
+    let mut head = Vec::with_capacity(17 + 12 * runs.len());
+    if let Some(id) = mux_id {
+        put_u64(&mut head, id);
+        head.push(OP_PUT_MANY);
+    }
+    let table = runs.iter().map(|r| (r.start, r.count() as u32));
+    put_many_head(&mut head, cell_len, table);
+    let mut parts = Vec::with_capacity(1 + runs.len());
+    parts.push(IoSlice::new(&head));
+    parts.extend(runs.iter().map(|r| IoSlice::new(r.bytes)));
+    let opcode = if mux_id.is_some() {
+        OP_MUX
+    } else {
+        OP_PUT_MANY
+    };
+    write_frame(w, opcode, &parts)
+}
+
+/// Send a [`Request::ObjWrite`] of `bytes` straight from the caller's
+/// buffer.
+///
+/// # Errors
+/// I/O failure, or an oversized payload.
+pub fn write_obj_write(
+    w: &mut impl Write,
+    tenant: &str,
+    object: &str,
+    bytes: &[u8],
+) -> Result<(), NetError> {
+    let mut head = Vec::new();
+    obj_write_head(&mut head, tenant, object, bytes.len());
+    write_frame(w, OP_OBJ_WRITE, &[IoSlice::new(&head), IoSlice::new(bytes)])
 }
 
 /// Read one request frame off a stream.
@@ -1186,7 +1357,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> 
 /// I/O failure or a malformed frame.
 pub fn read_request(r: &mut impl Read) -> Result<Request, NetError> {
     let (opcode, payload) = read_frame(r)?;
-    Request::decode(opcode, &payload)
+    Request::decode(opcode, payload, 0)
 }
 
 /// Serialise one response onto a stream.
@@ -1194,7 +1365,7 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, NetError> {
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), NetError> {
-    write_frame(w, resp.opcode(), &resp.payload())
+    write_frame(w, resp.opcode(), &[IoSlice::new(&resp.payload())])
 }
 
 /// Read one response frame off a stream.
@@ -1227,13 +1398,15 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         roundtrip_request(Request::GetElement { offset: 42 });
-        roundtrip_request(Request::PutElement {
-            offset: u64::MAX,
-            bytes: vec![1, 2, 3, 0, 255],
+        roundtrip_request(Request::PutMany {
+            runs: vec![(u64::MAX - 1, 1), (0, 2)],
+            cell_len: 2,
+            bytes: vec![1, 2, 3, 0, 255, 9].into(),
         });
-        roundtrip_request(Request::PutElement {
-            offset: 0,
-            bytes: vec![],
+        roundtrip_request(Request::PutMany {
+            runs: vec![],
+            cell_len: 0,
+            bytes: vec![].into(),
         });
         roundtrip_request(Request::BatchGet {
             offsets: vec![0, 7, 1 << 40],
@@ -1275,12 +1448,12 @@ mod tests {
         roundtrip_request(Request::ObjWrite {
             tenant: "".into(),
             object: "naïve/名前".into(),
-            bytes: vec![0, 1, 255],
+            bytes: vec![0, 1, 255].into(),
         });
         roundtrip_request(Request::ObjWrite {
             tenant: "t".into(),
             object: "o".into(),
-            bytes: vec![],
+            bytes: vec![].into(),
         });
         roundtrip_request(Request::ObjGet {
             tenant: "t".into(),
@@ -1381,11 +1554,83 @@ mod tests {
         });
         roundtrip_request(Request::Mux {
             id: 42,
-            inner: Box::new(Request::PutElement {
-                offset: 3,
-                bytes: vec![1, 2, 3],
+            inner: Box::new(Request::PutMany {
+                runs: vec![(3, 3)],
+                cell_len: 1,
+                bytes: vec![1, 2, 3].into(),
             }),
         });
+    }
+
+    /// `write_put_many` (borrowed runs, no payload built) and
+    /// `write_request` (an owned `PutMany`) put the same frame on the
+    /// wire, plain and `Mux`-wrapped, and the decoded body is the run
+    /// bytes however deep in the frame it sits.
+    #[test]
+    fn borrowed_put_many_is_the_same_frame() {
+        let cells: Vec<u8> = (0..40).collect();
+        let runs = [
+            WriteRun {
+                start: 7,
+                cell_len: 8,
+                bytes: &cells[..24],
+            },
+            WriteRun {
+                start: 100,
+                cell_len: 8,
+                bytes: &cells[24..],
+            },
+        ];
+        let owned = Request::PutMany {
+            runs: vec![(7, 3), (100, 2)],
+            cell_len: 8,
+            bytes: cells.clone().into(),
+        };
+        for mux_id in [None, Some(0xABCD_u64)] {
+            let want = match mux_id {
+                Some(id) => Request::Mux {
+                    id,
+                    inner: Box::new(owned.clone()),
+                },
+                None => owned.clone(),
+            };
+            let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
+            write_put_many(&mut borrowed, mux_id, 8, &runs).unwrap();
+            write_request(&mut whole, &want).unwrap();
+            assert_eq!(borrowed, whole);
+            assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), want);
+        }
+        let mut borrowed = Vec::new();
+        write_obj_write(&mut borrowed, "t", "o", &cells).unwrap();
+        assert_eq!(
+            read_request(&mut borrowed.as_slice()).unwrap(),
+            Request::ObjWrite {
+                tenant: "t".into(),
+                object: "o".into(),
+                bytes: cells.into(),
+            }
+        );
+    }
+
+    /// Frames that lie about their own shape are refused at decode
+    /// without allocating for what they claim; what a `PutMany` says
+    /// about its *cells* is the server's to refuse (see `server.rs`).
+    #[test]
+    fn put_many_table_must_fit_the_frame() {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 4096); // cell_len
+        put_u32(&mut payload, u32::MAX); // 4 Gi runs claimed...
+        payload.extend_from_slice(&[0; 24]); // ...two shipped
+        let err = Request::decode(OP_PUT_MANY, payload, 0).unwrap_err();
+        assert!(err.to_string().contains("overruns"), "{err}");
+        // An object write whose length field disagrees with the frame.
+        let mut payload = Vec::new();
+        obj_write_head(&mut payload, "t", "o", 100);
+        payload.extend_from_slice(&[9; 10]);
+        assert!(matches!(
+            Request::decode(OP_OBJ_WRITE, payload, 0),
+            Err(NetError::Protocol(_))
+        ));
     }
 
     #[test]
@@ -1540,9 +1785,8 @@ mod tests {
         let mut buf = Vec::new();
         write_request(
             &mut buf,
-            &Request::PutElement {
-                offset: 1,
-                bytes: vec![5; 64],
+            &Request::BatchGet {
+                offsets: vec![5; 8],
             },
         )
         .unwrap();
@@ -1559,7 +1803,7 @@ mod tests {
         let mut payload = req.payload();
         payload.push(0xEE);
         assert!(matches!(
-            Request::decode(OP_GET, &payload),
+            Request::decode(OP_GET, payload, 0),
             Err(NetError::Protocol(_))
         ));
     }

@@ -7,10 +7,11 @@
 //! writer. A wrapped read whose backend submits without blocking
 //! ([`DiskBackend::submits_async`]) is submitted on the connection
 //! thread itself, and answered there too when the result is already in
-//! hand (a page-cache hit); everything that has to wait — a blocking
-//! backend, a cold page, an injected straggle delay, a non-read op —
-//! goes to a small per-connection worker pool, spawned on the first
-//! frame that needs it. Only connection threads and their workers write
+//! hand (a page-cache hit); so is a wrapped `PutMany` on such a backend
+//! (its write is a copy into the page cache). Everything that has to
+//! wait — a blocking backend, a cold page, an injected straggle delay,
+//! any other op — goes to a small per-connection worker pool, spawned
+//! on the first frame that needs it. Only connection threads and their workers write
 //! to a socket: a backend's completion thread never does.
 //! [`ShardServer::kill`] models a node crash: the accept loop
 //! and all connection handlers exit without draining in-flight
@@ -25,20 +26,18 @@ use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Counter, Histogram, Recorder};
-use ecfrm_sim::{DiskBackend, IoHandle, IoResults};
+use ecfrm_sim::{DiskBackend, IoHandle, IoResults, WriteRun};
 use ecfrm_util::Mutex;
 
 use ecfrm_integrity::{verify_footer, HashKey};
 
 use crate::protocol::{
     read_request_polling, write_response, CheckedElement, Fault, PolledRequest, Request, Response,
+    MAX_RANGE,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
 const POLL: Duration = Duration::from_millis(20);
-
-/// Longest `GetRange` run a server will serve (element count).
-const MAX_RANGE: u32 = 1 << 20;
 
 /// Most output lanes one `CombineRange` may request. Lanes are sized by
 /// the caller's rows-per-stripe (single digits in practice); the cap
@@ -79,7 +78,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// registry maps.
 struct ServerMetrics {
     get: Counter,
-    put: Counter,
+    put_many: Counter,
     batch: Counter,
     range: Counter,
     checked: Counter,
@@ -99,7 +98,7 @@ impl ServerMetrics {
     fn new(recorder: &Recorder) -> Self {
         Self {
             get: recorder.counter("serve.get"),
-            put: recorder.counter("serve.put"),
+            put_many: recorder.counter("serve.put_many"),
             batch: recorder.counter("serve.batch"),
             range: recorder.counter("serve.range"),
             checked: recorder.counter("serve.checked"),
@@ -119,7 +118,7 @@ impl ServerMetrics {
     fn count(&self, req: &Request) {
         match req {
             Request::GetElement { .. } => self.get.inc(),
-            Request::PutElement { .. } => self.put.inc(),
+            Request::PutMany { .. } => self.put_many.inc(),
             Request::BatchGet { .. } => self.batch.inc(),
             Request::GetRange { .. } => self.range.inc(),
             Request::RangeChecked { .. } => self.checked.inc(),
@@ -231,7 +230,7 @@ impl ShardServer {
     }
 
     /// The server's metrics registry: per-op counters (`serve.get`,
-    /// `serve.put`, `serve.batch`, `serve.range`, `serve.checked`,
+    /// `serve.put_many`, `serve.batch`, `serve.range`, `serve.checked`,
     /// `serve.health`, `serve.inject`, `serve.stats`), the `serve.mux`
     /// count of multiplexed envelopes (each also counts its inner op)
     /// and `serve.mux_inline`, how many of them the connection thread
@@ -365,14 +364,16 @@ enum Started {
 /// cannot block it: a read, on a backend whose submission only stages
 /// the I/O, with no straggle delay injected. A result that is already
 /// there (page-cache hit) is answered on the spot — no hand-off, no
-/// second thread; one still pending is handed to the pool. So is the
+/// second thread; one still pending is handed to the pool. Served here
+/// too are a `PutMany` — on such a backend the write is a copy into the
+/// page cache, and the frame it arrived in is the buffer — and the
 /// `Health` probe every mux client opens its connection with, or each
 /// negotiation would grow the pool the reads then never use.
 /// Everything else goes to the pool untouched.
 fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
     let inline =
         shared.backend.submits_async() && shared.read_delay_ms.load(Ordering::Acquire) == 0;
-    if inline && matches!(req, Request::Health) {
+    if inline && matches!(req, Request::Health | Request::PutMany { .. }) {
         shared.metrics.count(&req);
         let t0 = Instant::now();
         return Started::Done(handle_caught(&req, shared), t0);
@@ -621,6 +622,63 @@ fn range_offsets(offset: u64, count: u32) -> Result<Vec<u64>, String> {
     }
 }
 
+/// The runs of a `PutMany`, each over its own share of `bytes` — or why
+/// the frame is refused. Everything a hostile or mismatched client can
+/// get wrong is answered here, before the backend sees a byte: a table
+/// and a byte count that disagree, an empty run, a run past the last
+/// offset, more than [`MAX_RANGE`] cells, cells of a size the backend
+/// does not store (a `FileDisk` would otherwise panic on them).
+fn put_runs<'a>(
+    table: &[(u64, u32)],
+    cell_len: u32,
+    bytes: &'a [u8],
+    shared: &Shared,
+) -> Result<Vec<WriteRun<'a>>, String> {
+    let cell_len = cell_len as usize;
+    if cell_len == 0 {
+        return Err("cells of zero bytes".into());
+    }
+    if let Some(stored) = shared.backend.cell_len().filter(|&s| s != cell_len) {
+        return Err(format!(
+            "cells of {cell_len} bytes sent to a shard that stores {stored}-byte cells"
+        ));
+    }
+    let mut runs = Vec::with_capacity(table.len());
+    let (mut cells, mut rest) = (0u64, bytes);
+    for &(start, count) in table {
+        if count == 0 {
+            return Err(format!("empty run at offset {start}"));
+        }
+        if start.checked_add(u64::from(count)).is_none() {
+            return Err(format!(
+                "run of {count} cells from offset {start} overflows the offset space"
+            ));
+        }
+        cells += u64::from(count);
+        if cells > u64::from(MAX_RANGE) {
+            return Err(format!("more than the {MAX_RANGE}-cell cap in one write"));
+        }
+        // `count` ≤ 2^20 here, so the product cannot overflow.
+        let Some((head, tail)) = rest.split_at_checked(count as usize * cell_len) else {
+            return Err(format!("{} bytes are too few for the runs", bytes.len()));
+        };
+        runs.push(WriteRun {
+            start,
+            cell_len,
+            bytes: head,
+        });
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(format!(
+            "{} bytes are {} too many for {cells} cells of {cell_len}",
+            bytes.len(),
+            rest.len()
+        ));
+    }
+    Ok(runs)
+}
+
 /// The offsets a read op asks the backend's vectored read for: the one
 /// place the four read ops are told apart on the way in, as
 /// [`finish_read`] is on the way out. `None` for every other op; `Err`
@@ -680,10 +738,17 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             Some(Err(msg)) => Response::Error(msg),
             None => unreachable!("every read op has read_offsets"),
         },
-        Request::PutElement { offset, bytes } => {
-            shared.backend.write(*offset, bytes.clone());
-            Response::Put
-        }
+        Request::PutMany {
+            runs,
+            cell_len,
+            bytes,
+        } => match put_runs(runs, *cell_len, bytes, shared) {
+            Ok(runs) => {
+                let _ = shared.backend.submit_write_many(&runs).wait();
+                Response::Put
+            }
+            Err(msg) => Response::Error(msg),
+        },
         Request::CombineRange {
             offset,
             count,
@@ -1029,20 +1094,20 @@ mod tests {
         crate::protocol::read_response(stream).unwrap()
     }
 
+    /// A one-cell write.
+    fn put(offset: u64, bytes: Vec<u8>) -> Request {
+        Request::PutMany {
+            runs: vec![(offset, 1)],
+            cell_len: bytes.len() as u32,
+            bytes: bytes.into(),
+        }
+    }
+
     #[test]
     fn serves_put_get_health() {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
-        assert_eq!(
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: 3,
-                    bytes: vec![1, 2, 3]
-                }
-            ),
-            Response::Put
-        );
+        assert_eq!(rpc(&mut c, &put(3, vec![1, 2, 3])), Response::Put);
         assert_eq!(
             rpc(&mut c, &Request::GetElement { offset: 3 }),
             Response::Element(Some(vec![1, 2, 3]))
@@ -1062,13 +1127,7 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         for o in 0..4u64 {
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: o,
-                    bytes: vec![o as u8; 2],
-                },
-            );
+            rpc(&mut c, &put(o, vec![o as u8; 2]));
         }
         assert_eq!(
             rpc(
@@ -1086,13 +1145,7 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         for o in [2u64, 3, 5] {
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: o,
-                    bytes: vec![o as u8; 2],
-                },
-            );
+            rpc(&mut c, &put(o, vec![o as u8; 2]));
         }
         assert_eq!(
             rpc(
@@ -1137,13 +1190,7 @@ mod tests {
             if off == 3 {
                 cell[4] ^= 0x40;
             }
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: off,
-                    bytes: cell,
-                },
-            );
+            rpc(&mut c, &put(off, cell));
         }
         let mut good0 = vec![0u8; 16];
         ecfrm_integrity::append_footer(&key, 0, &mut good0);
@@ -1212,13 +1259,7 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         for o in 0..2u64 {
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: o,
-                    bytes: vec![o as u8; 2],
-                },
-            );
+            rpc(&mut c, &put(o, vec![o as u8; 2]));
         }
         let (offset, count) = (u64::MAX - 1, 4);
         for req in [
@@ -1266,13 +1307,7 @@ mod tests {
         let server =
             ShardServer::spawn(Arc::clone(&disk) as Arc<dyn DiskBackend>, "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
-        rpc(
-            &mut c,
-            &Request::PutElement {
-                offset: 0,
-                bytes: vec![7],
-            },
-        );
+        rpc(&mut c, &put(0, vec![7]));
         rpc(&mut c, &Request::InjectFault(Fault::Fail));
         assert_eq!(
             rpc(&mut c, &Request::GetElement { offset: 0 }),
@@ -1294,13 +1329,7 @@ mod tests {
     fn injected_delay_slows_reads() {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
-        rpc(
-            &mut c,
-            &Request::PutElement {
-                offset: 0,
-                bytes: vec![1],
-            },
-        );
+        rpc(&mut c, &put(0, vec![1]));
         rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80)));
         let t0 = std::time::Instant::now();
         rpc(&mut c, &Request::GetElement { offset: 0 });
@@ -1323,9 +1352,11 @@ mod tests {
         fn submit_read_many(&self, offsets: &[u64]) -> ecfrm_sim::IoHandle {
             self.inner.submit_read_many(offsets)
         }
-        fn write(&self, offset: u64, bytes: Vec<u8>) {
-            assert_eq!(bytes.len(), self.element_size, "element size mismatch");
-            self.inner.write(offset, bytes);
+        fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> ecfrm_sim::IoHandle {
+            for run in runs {
+                assert_eq!(run.cell_len, self.element_size, "element size mismatch");
+            }
+            self.inner.submit_write_many(runs)
         }
         fn fail(&self) {
             self.inner.fail();
@@ -1354,31 +1385,89 @@ mod tests {
         let mut c = dial(&server);
         // Wrong-sized write: the handler panics, but the client must get
         // a structured error back instead of a dropped connection.
-        match rpc(
-            &mut c,
-            &Request::PutElement {
-                offset: 0,
-                bytes: vec![1; 3],
-            },
-        ) {
+        match rpc(&mut c, &put(0, vec![1; 3])) {
             Response::Error(msg) => assert!(msg.contains("panicked"), "got: {msg}"),
             other => panic!("expected Response::Error, got {other:?}"),
         }
         // Same connection still serves well-formed requests.
-        assert_eq!(
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: 0,
-                    bytes: vec![2; 8],
-                }
-            ),
-            Response::Put
-        );
+        assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
         assert_eq!(
             rpc(&mut c, &Request::GetElement { offset: 0 }),
             Response::Element(Some(vec![2; 8]))
         );
+    }
+
+    #[test]
+    fn hostile_put_many_frames_get_typed_errors_and_write_nothing() {
+        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
+        let mut c = dial(&server);
+        let frame = |runs: Vec<(u64, u32)>, cell_len: u32, bytes: usize| Request::PutMany {
+            runs,
+            cell_len,
+            bytes: vec![7u8; bytes].into(),
+        };
+        let cases = [
+            (frame(vec![(0, 2)], 8, 15), "too few"),
+            (frame(vec![(0, 2)], 8, 17), "too many"),
+            (frame(vec![(0, 2), (9, 1)], 8, 16), "too few"),
+            (frame(vec![], 8, 8), "too many"),
+            (frame(vec![(0, 1), (5, 0)], 8, 8), "empty run"),
+            (frame(vec![(u64::MAX - 1, 2)], 8, 16), "overflows"),
+            // The cap is on the cells of all runs together...
+            (frame(vec![(0, MAX_RANGE), (1 << 40, 1)], 1, 1 << 20), "cap"),
+            // ...and a run is refused on its table entry alone: what it
+            // claims is never allocated for, or multiplied out.
+            (frame(vec![(0, u32::MAX)], 1 << 31, 0), "cap"),
+            (frame(vec![(0, 1)], 0, 0), "zero bytes"),
+        ];
+        for (req, needle) in cases {
+            let wrapped = Request::Mux {
+                id: 3,
+                inner: Box::new(req.clone()),
+            };
+            let muxed = match rpc(&mut c, &wrapped) {
+                Response::Mux { id: 3, inner } => *inner,
+                other => panic!("expected Response::Mux, got {other:?}"),
+            };
+            for resp in [rpc(&mut c, &req), muxed] {
+                match resp {
+                    Response::Error(msg) => {
+                        assert!(msg.contains(needle), "{req:?}: got {msg}");
+                        assert!(!msg.contains("panicked"), "{msg}");
+                    }
+                    other => panic!("{req:?}: expected Response::Error, got {other:?}"),
+                }
+            }
+        }
+        // Nothing reached the backend, and the connection survived.
+        assert_eq!(
+            rpc(&mut c, &Request::Health),
+            Response::Health { elements: 0 }
+        );
+        // The last offset itself is writable.
+        assert_eq!(rpc(&mut c, &put(u64::MAX - 1, vec![1; 8])), Response::Put);
+    }
+
+    #[test]
+    fn wrong_cell_size_for_a_file_shard_is_refused_not_a_panic() {
+        let path = std::env::temp_dir().join(format!("ecfrm-srv-cell-{}", std::process::id()));
+        let disk = ecfrm_sim::FileDisk::create(&path, 8).unwrap();
+        let server = ShardServer::spawn(Arc::new(disk), "127.0.0.1:0").unwrap();
+        let mut c = dial(&server);
+        match rpc(&mut c, &put(0, vec![1; 3])) {
+            Response::Error(msg) => {
+                assert!(msg.contains("stores 8-byte cells"), "got: {msg}");
+                assert!(!msg.contains("panicked"), "got: {msg}");
+            }
+            other => panic!("expected Response::Error, got {other:?}"),
+        }
+        assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
+        assert_eq!(
+            rpc(&mut c, &Request::GetElement { offset: 0 }),
+            Response::Element(Some(vec![2; 8]))
+        );
+        drop(server);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1408,13 +1497,7 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         for o in 0..6u64 {
-            rpc(
-                &mut c,
-                &Request::PutElement {
-                    offset: o,
-                    bytes: vec![o as u8; 4],
-                },
-            );
+            rpc(&mut c, &put(o, vec![o as u8; 4]));
         }
         // Fire a burst of id-tagged reads without waiting for replies,
         // then collect: every id must come back with its own element,
@@ -1460,13 +1543,7 @@ mod tests {
     fn mux_requests_are_served_concurrently() {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
-        rpc(
-            &mut c,
-            &Request::PutElement {
-                offset: 0,
-                bytes: vec![1],
-            },
-        );
+        rpc(&mut c, &put(0, vec![1]));
         rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80)));
         // Four delayed reads in flight at once: if the pool overlaps
         // them they finish in ~1 delay, not 4 back-to-back.
@@ -1502,13 +1579,7 @@ mod tests {
         for &off in offsets {
             let mut cell = vec![off as u8; 16];
             ecfrm_integrity::append_footer(key, off, &mut cell);
-            rpc(
-                c,
-                &Request::PutElement {
-                    offset: off,
-                    bytes: cell,
-                },
-            );
+            rpc(c, &put(off, cell));
         }
     }
 
@@ -1578,13 +1649,7 @@ mod tests {
         let mut bad = vec![2u8; 16];
         ecfrm_integrity::append_footer(&key, 2, &mut bad);
         bad[5] ^= 0x10;
-        rpc(
-            &mut c,
-            &Request::PutElement {
-                offset: 2,
-                bytes: bad,
-            },
-        );
+        rpc(&mut c, &put(2, bad));
         // Lane uses the corrupt cell: no sums, verdicts localize it
         // (offset 1 is a hole).
         let resp = rpc(
@@ -1799,13 +1864,7 @@ mod tests {
                 let server = Arc::clone(&server);
                 std::thread::spawn(move || {
                     let mut c = dial(&server);
-                    rpc(
-                        &mut c,
-                        &Request::PutElement {
-                            offset: i,
-                            bytes: vec![i as u8; 16],
-                        },
-                    );
+                    rpc(&mut c, &put(i, vec![i as u8; 16]));
                     assert_eq!(
                         rpc(&mut c, &Request::GetElement { offset: i }),
                         Response::Element(Some(vec![i as u8; 16]))

@@ -192,8 +192,17 @@ fn spawn_old_server(backend: Arc<MemDisk>) -> std::net::SocketAddr {
                     | Request::ObjStat { .. }
                     | Request::ObjDelete { .. } => return, // "unknown opcode"
                     Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                    Request::PutElement { offset, bytes } => {
-                        disk.write(offset, bytes);
+                    Request::PutMany {
+                        runs,
+                        cell_len,
+                        bytes,
+                    } => {
+                        let mut cells = bytes.chunks_exact(cell_len as usize);
+                        for (start, count) in runs {
+                            for offset in start..start + u64::from(count) {
+                                disk.write(offset, cells.next().unwrap().to_vec());
+                            }
+                        }
                         Response::Put
                     }
                     Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),

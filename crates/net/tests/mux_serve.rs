@@ -14,7 +14,9 @@ use std::time::{Duration, Instant};
 
 use ecfrm_net::protocol::{read_response, write_request};
 use ecfrm_net::{Fault, Request, Response, ShardServer};
-use ecfrm_sim::{io_pair, DiskBackend, FileDisk, FileIoConfig, IoCompleter, IoHandle, MemDisk};
+use ecfrm_sim::{
+    io_pair, DiskBackend, FileDisk, FileIoConfig, IoCompleter, IoHandle, MemDisk, WriteRun,
+};
 use ecfrm_util::Mutex;
 
 const ES: usize = 64;
@@ -118,6 +120,43 @@ fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
     let _ = std::fs::remove_file(path);
 }
 
+#[test]
+fn mux_writes_are_served_by_the_connection_thread_of_an_async_backend() {
+    const N: u64 = 200;
+    let put = |o: u64| Request::PutMany {
+        runs: vec![(o * 4, 3)],
+        cell_len: ES as u32,
+        bytes: [cell(o), cell(o + 1), cell(o + 2)].concat().into(),
+    };
+    let (server, disk, path) = file_shard("put", 0, false);
+    let mut c = dial(&server);
+    for id in 0..N {
+        send_mux(&mut c, id, put(id));
+    }
+    for _ in 0..N {
+        assert!(matches!(recv_mux(&mut c), (_, Response::Put)));
+    }
+    assert_eq!(disk.len() as u64, 3 * N);
+    assert_eq!(disk.read(4 * 7 + 2), Some(cell(9)));
+    assert_eq!(counter(&server, "serve.put_many"), N);
+    let inline = counter(&server, "serve.mux_inline");
+    if disk.io_backend() == "uring" {
+        // A buffered write waits for nothing: no hand-off, no pool.
+        assert_eq!(inline, N);
+    } else {
+        assert_eq!(inline, 0, "a blocking disk serves from the pool");
+    }
+    // With a straggle delay injected the connection thread must stay
+    // free, so the write takes the pool like any delayed op.
+    rpc(&mut c, &Request::InjectFault(Fault::DelayMs(1)));
+    send_mux(&mut c, N, put(N));
+    assert!(matches!(recv_mux(&mut c), (_, Response::Put)));
+    assert_eq!(counter(&server, "serve.mux_inline"), inline);
+    assert_eq!(counter(&server, "serve.put_many"), N + 1);
+    drop(server);
+    let _ = std::fs::remove_file(path);
+}
+
 /// A backend that submits asynchronously and keeps reads that touch
 /// offset 0 pending until the test releases them.
 #[derive(Debug, Default)]
@@ -150,8 +189,8 @@ impl DiskBackend for GatedDisk {
     fn submits_async(&self) -> bool {
         true
     }
-    fn write(&self, offset: u64, bytes: Vec<u8>) {
-        self.inner.write(offset, bytes);
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+        self.inner.submit_write_many(runs)
     }
     fn fail(&self) {
         self.inner.fail();

@@ -42,7 +42,7 @@ use std::time::Duration;
 use ecfrm_util::Mutex;
 
 use crate::metrics::NetStats;
-use crate::threaded::DiskBackend;
+use crate::threaded::{DiskBackend, WriteRun};
 
 /// What a [`FaultyDisk`] does once its fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,12 +193,17 @@ impl DiskBackend for FaultyDisk {
         crate::reactor::IoHandle::ready(results)
     }
 
-    fn write(&self, offset: u64, bytes: Vec<u8>) {
-        // A killed node accepts nothing; other faults leave writes alone.
+    /// A killed node accepts nothing — the whole call is dropped; other
+    /// faults leave writes alone.
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> crate::reactor::IoHandle {
         if self.fired() && matches!(*self.fault.lock(), Some(FaultKind::Kill)) {
-            return;
+            return crate::reactor::IoHandle::ready(Vec::new());
         }
-        self.inner.write(offset, bytes);
+        self.inner.submit_write_many(runs)
+    }
+
+    fn cell_len(&self) -> Option<usize> {
+        self.inner.cell_len()
     }
 
     fn fail(&self) {

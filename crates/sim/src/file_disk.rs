@@ -37,14 +37,14 @@
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ecfrm_util::Mutex;
 
-use crate::threaded::DiskBackend;
+use crate::threaded::{DiskBackend, WriteRun};
 use crate::uring::{self, UringEngine};
 
 /// Local file I/O errors swallowed into `None` results (failed element
@@ -60,6 +60,20 @@ fn note_io_error() {
 /// `io.file_errors` gauge.
 pub fn io_error_count() -> u64 {
     FILE_IO_ERRORS.load(Ordering::Relaxed)
+}
+
+/// Write all of `buf` at byte `pos` without touching the file cursor.
+#[cfg(unix)]
+fn write_all_at(file: &File, buf: &[u8], pos: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, pos)
+}
+
+/// Portable stand-in: seek, then write (the caller holds the file lock).
+#[cfg(not(unix))]
+fn write_all_at(mut file: &File, buf: &[u8], pos: u64) -> std::io::Result<()> {
+    use std::io::Write;
+    file.seek(SeekFrom::Start(pos))?;
+    file.write_all(buf)
 }
 
 /// Which backend a [`FileDisk`] uses for vectored reads.
@@ -402,25 +416,50 @@ impl DiskBackend for FileDisk {
         self.engine.is_some()
     }
 
-    fn write(&self, offset: u64, bytes: Vec<u8>) {
-        assert_eq!(
-            bytes.len(),
-            self.element_size,
-            "FileDisk stores fixed-size elements"
-        );
-        let mut file = self.file.lock();
-        let pos = offset * self.element_size as u64;
-        let ok = file.seek(SeekFrom::Start(pos)).is_ok() && file.write_all(&bytes).is_ok();
-        drop(file);
-        if ok {
-            self.present.lock().insert(offset);
-        } else {
-            // A failed write must not leave the slot readable (it may
-            // hold a torn element): drop presence so reads return
-            // `None` and the store replans through parity.
-            note_io_error();
-            self.present.lock().remove(&offset);
+    /// One positional write per run — no seek, the file cursor belongs
+    /// to the blocking read pass — then one `present` update for the
+    /// whole call. Buffered whatever the read backend is: what was just
+    /// written is in the page cache for the read that follows.
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> crate::reactor::IoHandle {
+        let es = self.element_size;
+        let landed: Vec<bool> = {
+            let file = self.file.lock();
+            runs.iter()
+                .map(|run| {
+                    assert!(
+                        run.cell_len == es && run.bytes.len() % es == 0,
+                        "FileDisk stores fixed-size elements"
+                    );
+                    let ok = run
+                        .start
+                        .checked_mul(es as u64)
+                        .is_some_and(|pos| write_all_at(&file, run.bytes, pos).is_ok());
+                    if !ok {
+                        note_io_error();
+                    }
+                    ok
+                })
+                .collect()
+        };
+        let mut present = self.present.lock();
+        for (run, ok) in runs.iter().zip(landed) {
+            for (offset, _) in run.cells() {
+                if ok {
+                    present.insert(offset);
+                } else {
+                    // A failed write must not leave the slot readable
+                    // (it may hold a torn element): drop presence so
+                    // reads return `None` and the store replans through
+                    // parity.
+                    present.remove(&offset);
+                }
+            }
         }
+        crate::reactor::IoHandle::ready(Vec::new())
+    }
+
+    fn cell_len(&self) -> Option<usize> {
+        Some(self.element_size)
     }
 
     fn fail(&self) {

@@ -46,7 +46,7 @@ pub use net::{ClusterSim, NetModel};
 pub use reactor::{io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Reactor, ReactorStats};
 pub use threaded::{
     combine_status, Address, CombineOutcome, CombinePeerSpec, CombineReply, CombineSpec,
-    DiskBackend, MemDisk, ThreadedArray,
+    DiskBackend, MemDisk, RunBuf, ThreadedArray, WriteRun,
 };
 pub use uring::UringSnapshot;
 pub use workload::{

@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 
 use ecfrm_util::Mutex;
 
-use crate::threaded::DiskBackend;
+use crate::threaded::{DiskBackend, RunBuf, WriteRun};
 
 /// The payload of a completed vectored read: one entry per submitted
 /// offset, in submission order (`None` = absent or failed element).
@@ -59,7 +59,8 @@ struct IoShared {
 /// The submitter's half of a one-shot completion slot: redeem it for the
 /// operation's results by blocking, polling, or registering a callback.
 ///
-/// Obtained from [`DiskBackend::submit_read_many`] or [`io_pair`].
+/// Obtained from [`DiskBackend::submit_read_many`],
+/// [`DiskBackend::submit_write_many`] or [`io_pair`].
 pub struct IoHandle {
     shared: Arc<IoShared>,
 }
@@ -291,7 +292,7 @@ impl IoSnapshot {
 
 enum OpKind {
     Read(Vec<u64>),
-    Write(Vec<(u64, Vec<u8>)>),
+    Write(Vec<RunBuf>),
 }
 
 /// One queued submission: the backend to drive, what to do, where to
@@ -407,11 +408,9 @@ impl Reactor {
             } = op;
             let outcome = catch_unwind(AssertUnwindSafe(|| match kind {
                 OpKind::Read(offsets) => backend.read_many(&offsets),
-                OpKind::Write(items) => {
-                    for (offset, bytes) in items {
-                        backend.write(offset, bytes);
-                    }
-                    Vec::new()
+                OpKind::Write(runs) => {
+                    let views: Vec<WriteRun<'_>> = runs.iter().map(RunBuf::as_run).collect();
+                    backend.submit_write_many(&views).wait()
                 }
             }));
             stats.inflight_add(-1);
@@ -456,18 +455,18 @@ impl Reactor {
     }
 
     /// Queue a vectored write against `backend`; the returned handle
-    /// completes (with an empty result vector) once every element has
-    /// been written.
+    /// completes (with an empty result vector) once a pool worker has
+    /// waited out the backend's [`DiskBackend::submit_write_many`].
     pub fn submit_write(
         &self,
         backend: Arc<dyn DiskBackend>,
-        items: Vec<(u64, Vec<u8>)>,
+        runs: Vec<RunBuf>,
         panic_hook: Option<Box<dyn FnOnce() + Send + 'static>>,
     ) -> IoHandle {
         let (handle, completer) = io_pair(0);
         self.submit(Op {
             backend,
-            kind: OpKind::Write(items),
+            kind: OpKind::Write(runs),
             completer,
             panic_hook,
         });
@@ -571,8 +570,13 @@ mod tests {
     fn reactor_services_reads_and_writes() {
         let reactor = Reactor::new(2);
         let disk: Arc<dyn DiskBackend> = Arc::new(MemDisk::new());
+        let run = RunBuf {
+            start: 0,
+            cell_len: 1,
+            bytes: vec![1, 2],
+        };
         reactor
-            .submit_write(Arc::clone(&disk), vec![(0, vec![1]), (1, vec![2])], None)
+            .submit_write(Arc::clone(&disk), vec![run], None)
             .wait();
         let got = reactor
             .submit_read(Arc::clone(&disk), vec![0, 1, 9], None)
@@ -590,7 +594,7 @@ mod tests {
         fn submit_read_many(&self, _offsets: &[u64]) -> IoHandle {
             panic!("injected backend panic");
         }
-        fn write(&self, _offset: u64, _bytes: Vec<u8>) {
+        fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
             panic!("injected backend panic");
         }
         fn fail(&self) {}

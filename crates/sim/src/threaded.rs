@@ -10,7 +10,7 @@
 //! replies stream back to the caller as they land so decode starts while
 //! slower disks are still working.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -113,17 +113,68 @@ pub enum CombineOutcome {
     Combined(CombineReply),
 }
 
+/// Consecutive cells of one disk in one buffer — the unit of a write.
+/// Cell `i` is `bytes[i * cell_len..][..cell_len]` and lands at offset
+/// `start + i`; `bytes.len()` is a multiple of `cell_len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteRun<'a> {
+    /// Offset of the first cell.
+    pub start: u64,
+    /// Bytes per cell.
+    pub cell_len: usize,
+    /// The cells, back to back.
+    pub bytes: &'a [u8],
+}
+
+impl<'a> WriteRun<'a> {
+    /// Number of cells in the run (a run of empty cells holds none).
+    pub fn count(&self) -> usize {
+        self.bytes.len().checked_div(self.cell_len).unwrap_or(0)
+    }
+
+    /// The run's `(offset, cell)` pairs, in offset order.
+    pub fn cells(&self) -> impl Iterator<Item = (u64, &'a [u8])> {
+        let cells = self.bytes.chunks_exact(self.cell_len.max(1));
+        let start = self.start;
+        cells.enumerate().map(move |(i, c)| (start + i as u64, c))
+    }
+}
+
+/// A [`WriteRun`] that owns its buffer: what a caller hands
+/// [`ThreadedArray::write_runs`], so the run can cross to a pool worker
+/// when its backend blocks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunBuf {
+    /// Offset of the first cell.
+    pub start: u64,
+    /// Bytes per cell.
+    pub cell_len: usize,
+    /// The cells, back to back.
+    pub bytes: Vec<u8>,
+}
+
+impl RunBuf {
+    /// The borrowed view backends take.
+    pub fn as_run(&self) -> WriteRun<'_> {
+        WriteRun {
+            start: self.start,
+            cell_len: self.cell_len,
+            bytes: &self.bytes,
+        }
+    }
+}
+
 /// What the array needs from a disk: element-granular read/write plus
 /// failure injection. Implemented by [`MemDisk`] (in-memory, optional
 /// simulated latency), [`FileDisk`](crate::file_disk::FileDisk) (real
 /// files), and `RemoteDisk` in `ecfrm-net` (a shard over TCP).
 ///
-/// The one required I/O method is the **submission entry point**
-/// [`Self::submit_read_many`]: it hands back an
-/// [`IoHandle`] that completes with the
-/// batch's results. The blocking [`Self::read_many`] and per-element
-/// [`Self::read`] are default-implemented shims over it, so a new
-/// backend implements exactly one read method.
+/// The two required I/O methods are the **submission entry points**
+/// [`Self::submit_read_many`] and [`Self::submit_write_many`]: each
+/// hands back an [`IoHandle`] that completes when the batch is served.
+/// The blocking [`Self::read_many`] and the per-element [`Self::read`]
+/// and [`Self::write`] are default-implemented shims over them, so a
+/// new backend implements exactly one read and one write method.
 pub trait DiskBackend: Send + Sync + std::fmt::Debug {
     /// Submit one vectored read covering `offsets`, returning a
     /// completion handle that resolves to one entry per offset, in
@@ -163,8 +214,33 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
         false
     }
 
-    /// Store an element.
-    fn write(&self, offset: u64, bytes: Vec<u8>);
+    /// Submit one vectored write: every cell of every run, applied in
+    /// order (a later cell at the same offset wins) — the mirror of
+    /// [`Self::submit_read_many`], one submission per disk per
+    /// array-level write. The backend is done with the borrowed buffers
+    /// when this returns; the handle completes, with an empty result,
+    /// once the write has been applied or given up. Writes are
+    /// infallible by contract: a cell that could not be stored reads
+    /// back absent.
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle;
+
+    /// Store one element: a one-cell run, waited for.
+    fn write(&self, offset: u64, bytes: Vec<u8>) {
+        let run = WriteRun {
+            start: offset,
+            cell_len: bytes.len(),
+            bytes: &bytes,
+        };
+        let _ = self.submit_write_many(&[run]).wait();
+    }
+
+    /// The one cell size this backend stores, when it has one (a
+    /// [`FileDisk`](crate::file_disk::FileDisk)). A shard server refuses
+    /// a write of any other size before it reaches the backend.
+    fn cell_len(&self) -> Option<usize> {
+        None
+    }
+
     /// Mark failed: reads return `None` until healed.
     fn fail(&self);
     /// Clear the failure flag.
@@ -251,8 +327,13 @@ impl DiskBackend for MemDisk {
         IoHandle::ready(offsets.iter().map(|o| elements.get(o).cloned()).collect())
     }
 
-    fn write(&self, offset: u64, bytes: Vec<u8>) {
-        self.elements.lock().insert(offset, bytes);
+    /// Store a whole batch under one map lock.
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+        let mut elements = self.elements.lock();
+        for (offset, cell) in runs.iter().flat_map(WriteRun::cells) {
+            elements.insert(offset, cell.to_vec());
+        }
+        IoHandle::ready(Vec::new())
     }
 
     /// Mark the disk failed: reads return `None` until healed. Contents
@@ -544,25 +625,70 @@ impl ThreadedArray {
         }
     }
 
-    /// Write a batch of elements, waiting for all to land: one vectored
-    /// write submission per touched disk, so engine traffic is O(disks),
-    /// not O(elements). A panicking backend is marked suspect rather
-    /// than panicking the caller — the lost elements simply read back
-    /// as absent, the same failure surface as a failed disk.
-    pub fn write_batch(&self, items: Vec<(Address, Vec<u8>)>) {
-        let mut by_disk: HashMap<usize, Vec<(u64, Vec<u8>)>> = HashMap::new();
+    /// Write a batch of elements, waiting for all to land. The elements
+    /// are put in address order and coalesced into runs of consecutive
+    /// offsets (and equal size), which go out through
+    /// [`Self::write_runs`]: one vectored write per touched disk.
+    pub fn write_batch(&self, mut items: Vec<(Address, Vec<u8>)>) {
+        // Stable: of two elements for one address the later lands last.
+        items.sort_by_key(|&(addr, _)| addr);
+        let mut runs: Vec<(usize, RunBuf)> = Vec::new();
         for ((disk, offset), bytes) in items {
-            by_disk.entry(disk).or_default().push((offset, bytes));
+            if let Some((d, run)) = runs.last_mut() {
+                let next = run.start.checked_add(run.as_run().count() as u64);
+                if *d == disk && next == Some(offset) && run.cell_len == bytes.len() {
+                    run.bytes.extend_from_slice(&bytes);
+                    continue;
+                }
+            }
+            let cell_len = bytes.len();
+            runs.push((
+                disk,
+                RunBuf {
+                    start: offset,
+                    cell_len,
+                    bytes,
+                },
+            ));
         }
-        let handles: Vec<IoHandle> = by_disk
+        self.write_runs(runs);
+    }
+
+    /// Write runs of consecutive cells, waiting for all to land: one
+    /// vectored write per touched disk, submitted from this thread for
+    /// completion-driven backends (all disks' requests leave back to
+    /// back, then the acknowledgements are collected) and through the
+    /// reactor pool for blocking ones — the split [`Self::dispatch_read`]
+    /// makes. A panicking pooled backend is marked suspect rather than
+    /// panicking the caller — the lost elements simply read back as
+    /// absent, the same failure surface as a failed disk.
+    pub fn write_runs(&self, runs: Vec<(usize, RunBuf)>) {
+        let mut by_disk: BTreeMap<usize, Vec<RunBuf>> = BTreeMap::new();
+        for (disk, run) in runs {
+            by_disk.entry(disk).or_default().push(run);
+        }
+        let stats = self.reactor.stats();
+        let handles: Vec<(IoHandle, bool)> = by_disk
             .into_iter()
-            .map(|(disk, items)| {
-                self.reactor
-                    .submit_write(self.disk(disk), items, Some(self.suspect_hook(disk)))
+            .map(|(disk, runs)| {
+                let backend = self.disk(disk);
+                if backend.submits_async() {
+                    stats.note_submitted();
+                    stats.inflight_add(1);
+                    let views: Vec<WriteRun<'_>> = runs.iter().map(RunBuf::as_run).collect();
+                    (backend.submit_write_many(&views), true)
+                } else {
+                    let hook = self.suspect_hook(disk);
+                    (self.reactor.submit_write(backend, runs, Some(hook)), false)
+                }
             })
             .collect();
-        for handle in handles {
+        for (handle, direct) in handles {
             let _ = handle.wait();
+            if direct {
+                stats.inflight_add(-1);
+                stats.note_completed();
+            }
         }
     }
 
@@ -780,13 +906,94 @@ mod tests {
         fn submit_read_many(&self, _offsets: &[u64]) -> IoHandle {
             panic!("injected backend panic");
         }
-        fn write(&self, _offset: u64, _bytes: Vec<u8>) {}
+        fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
+            IoHandle::ready(Vec::new())
+        }
         fn fail(&self) {}
         fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             0
         }
+    }
+
+    /// A `MemDisk` that records the `(start, count)` shape of every
+    /// vectored write it is handed.
+    #[derive(Debug, Default)]
+    struct ShapeDisk {
+        inner: MemDisk,
+        calls: Mutex<Vec<Vec<(u64, usize)>>>,
+        submits_async: bool,
+    }
+    impl DiskBackend for ShapeDisk {
+        fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+            self.inner.submit_read_many(offsets)
+        }
+        fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+            let shape = runs.iter().map(|r| (r.start, r.count())).collect();
+            self.calls.lock().push(shape);
+            self.inner.submit_write_many(runs)
+        }
+        fn submits_async(&self) -> bool {
+            self.submits_async
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn wipe(&self) {}
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn write_batch_is_one_call_per_disk_in_runs_of_consecutive_offsets() {
+        // One pooled disk and one the array submits to directly.
+        let disks: Vec<Arc<ShapeDisk>> = [false, true]
+            .into_iter()
+            .map(|submits_async| {
+                Arc::new(ShapeDisk {
+                    submits_async,
+                    ..ShapeDisk::default()
+                })
+            })
+            .collect();
+        let a = ThreadedArray::from_backends(
+            disks
+                .iter()
+                .map(|d| Arc::clone(d) as Arc<dyn DiskBackend>)
+                .collect(),
+        );
+        for (d, disk) in disks.iter().enumerate() {
+            // Unsorted, a hole after 12, a cell of another size in the
+            // middle of a run, and offset 11 twice: the later one wins.
+            a.write_batch(vec![
+                ((d, 12), vec![12; 4]),
+                ((d, 10), vec![10; 4]),
+                ((d, 11), vec![0; 4]),
+                ((d, 20), vec![20; 4]),
+                ((d, 21), vec![21; 3]),
+                ((d, 22), vec![22; 4]),
+                ((d, 11), vec![11; 4]),
+            ]);
+            assert_eq!(
+                *disk.calls.lock(),
+                [[(10, 2), (11, 2), (20, 1), (21, 1), (22, 1)]],
+                "disk {d}"
+            );
+            let addrs: Vec<Address> = [10, 11, 12, 13, 20, 21, 22].map(|o| (d, o)).to_vec();
+            let got = a.read_batch(&addrs);
+            assert_eq!(
+                got[1],
+                Some(vec![11; 4]),
+                "the later write of 11 landed last"
+            );
+            assert_eq!(got[2], Some(vec![12; 4]));
+            assert_eq!(got[3], None);
+            assert_eq!(got[5], Some(vec![21; 3]));
+        }
+        let snap = a.io_stats().snapshot();
+        assert_eq!(snap.submitted, snap.completed);
+        assert_eq!((snap.queue_depth, snap.inflight), (0, 0));
     }
 
     #[test]

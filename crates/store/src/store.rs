@@ -6,11 +6,13 @@ use ecfrm_util::{par_map, Mutex};
 
 use ecfrm_core::recover::RepairTask;
 use ecfrm_core::{DiskRecovery, ReadCtx, Scheme};
-use ecfrm_integrity::{append_footer, leaf_hash, verify_footer, HashKey, MerkleTree, FOOTER_LEN};
+use ecfrm_integrity::{
+    append_footer, element_checksum, leaf_hash, verify_footer, HashKey, MerkleTree, FOOTER_LEN,
+};
 use ecfrm_layout::Loc;
 use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
 use ecfrm_sim::{
-    combine_status, CombineOutcome, CombinePeerSpec, CombineSpec, NetStats, ThreadedArray,
+    combine_status, CombineOutcome, CombinePeerSpec, CombineSpec, NetStats, RunBuf, ThreadedArray,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,6 +40,12 @@ struct StoreMetrics {
     /// run of ≥ 2 elements — the batches a remote backend ships as a
     /// single coalesced `GetRange`.
     coalesced_runs: Counter,
+    /// Per-disk vectored writes issued (one per touched disk per seal or
+    /// repair write-back; for remote backends the logical RPC count),
+    /// the runs of consecutive cells they carried, and the cells.
+    write_rpcs: Counter,
+    write_runs: Counter,
+    write_elems: Counter,
     /// Elements whose checksum footer (or merkle path, during scrub)
     /// failed verification — each is treated as an erasure.
     verify_fail: Counter,
@@ -80,6 +88,9 @@ impl StoreMetrics {
             rpcs: recorder.counter("read.rpcs"),
             batch_elems: recorder.counter("read.batch_elems"),
             coalesced_runs: recorder.counter("read.coalesced_runs"),
+            write_rpcs: recorder.counter("write.rpcs"),
+            write_runs: recorder.counter("write.runs"),
+            write_elems: recorder.counter("write.batch_elems"),
             verify_fail: recorder.counter("integrity.verify_fail"),
             elements_verified: recorder.counter("scrub.elements_verified"),
             repair_wire_bytes: recorder.counter("repair.wire_bytes"),
@@ -100,6 +111,14 @@ impl StoreMetrics {
         self.rpcs.add(jobs as u64);
         self.batch_elems.add(addrs.len() as u64);
         self.coalesced_runs.add(count_coalesced_runs(addrs) as u64);
+    }
+
+    /// Tally one array-level write: `rpcs` per-disk requests carrying
+    /// `runs` runs of `elems` cells in all.
+    fn note_write(&self, rpcs: usize, runs: usize, elems: usize) {
+        self.write_rpcs.add(rpcs as u64);
+        self.write_runs.add(runs as u64);
+        self.write_elems.add(elems as u64);
     }
 }
 
@@ -385,7 +404,10 @@ impl ObjectStore {
     /// vectored requests issued), `read.batch_elems` (elements those
     /// requests carried), `read.coalesced_runs` (per-disk batches that
     /// formed one contiguous run — shipped as a single `GetRange` on
-    /// remote backends), `integrity.verify_fail` (elements whose
+    /// remote backends), `write.rpcs` / `write.runs` /
+    /// `write.batch_elems` (their mirrors for seals and repair
+    /// write-backs: per-disk vectored writes, the runs of consecutive
+    /// cells in them, the cells), `integrity.verify_fail` (elements whose
     /// checksum or merkle path failed), `scrub.elements_verified`,
     /// `repair.wire_bytes` (bytes the rebuilding client ingested during
     /// stripe repair), `repair.cross_domain_reads` (repair sources read
@@ -532,77 +554,129 @@ impl ObjectStore {
 
     /// Encode and write out every complete stripe in the pending buffer.
     ///
-    /// Zero-copy pipeline: stripe blocks are slices straight over
-    /// `pending` (no per-stripe block copy), parities land in the write
-    /// batch by move, and data bytes are copied exactly once — into the
-    /// buffers the disks take ownership of.
+    /// A stripe occupies `rows` consecutive offsets on every disk and
+    /// stripes follow each other, so what a seal sends to one disk is
+    /// one run. Each disk's run buffer is allocated once and every cell
+    /// is built in place in it: the data payload copied from `pending`
+    /// (stripe blocks are slices straight over it), the parity encoded
+    /// into its cell, the footer hashed and the manifest leaf hashed
+    /// from there — no per-cell allocation, and nothing is copied again
+    /// on the way to the backends.
     fn seal_full_stripes(&self, inner: &mut Inner) {
         let stripe_bytes = self.stripe_bytes();
         let full = inner.pending.len() / stripe_bytes;
         if full == 0 {
             return;
         }
-        let dps = self.scheme.data_per_stripe();
         let first_stripe = inner.stripes;
         let layout = self.scheme.layout();
-        let per_stripe = layout.total_per_stripe();
-        let blocks: Vec<&[u8]> = inner.pending[..full * stripe_bytes]
-            .chunks_exact(stripe_bytes)
+        let (n, k, rows) = (layout.n_disks(), layout.code_k(), layout.rows_per_stripe());
+        let dps = layout.data_per_stripe();
+        let es = self.element_size;
+        let cell_len = es + FOOTER_LEN;
+        let per_disk = layout.offsets_per_stripe();
+        assert_eq!(
+            layout.total_per_stripe() as u64,
+            n as u64 * per_disk,
+            "a stripe fills the same offsets on every disk"
+        );
+        // Bytes one stripe occupies in one disk's run.
+        let share = per_disk as usize * cell_len;
+        let mut runs: Vec<RunBuf> = (0..n)
+            .map(|_| RunBuf {
+                start: first_stripe * per_disk,
+                cell_len,
+                bytes: vec![0u8; full * share],
+            })
             .collect();
+        // Stripe `i`'s share of every disk's run, so stripes can be
+        // built in parallel. (`par_map` hands out `&T`; each stripe's
+        // shares sit behind a lock only it ever takes.)
+        let mut shares: Vec<Vec<&mut [u8]>> = (0..full).map(|_| Vec::with_capacity(n)).collect();
+        for run in &mut runs {
+            for (stripe, chunk) in shares.iter_mut().zip(run.bytes.chunks_exact_mut(share)) {
+                stripe.push(chunk);
+            }
+        }
+        let shares: Vec<Mutex<Vec<&mut [u8]>>> = shares.into_iter().map(Mutex::new).collect();
 
         // Encode stripes in parallel: each is an independent set of
-        // group-by-group parity computations. Each cell leaves here as
+        // group-by-group parity computations. Each cell is
         // `payload || checksum footer`, and each stripe additionally
         // yields its merkle manifest (leaves in layout order).
-        type StripeCells = Vec<((usize, u64), Vec<u8>)>;
-        let rows = layout.rows_per_stripe();
-        let stripes: Vec<(StripeCells, StripeManifest)> = par_map(&blocks, |i, block| {
+        let manifests: Vec<StripeManifest> = par_map(&shares, |i, disks| {
             let stripe = first_stripe + i as u64;
-            let refs: Vec<&[u8]> = block.chunks_exact(self.element_size).collect();
-            debug_assert_eq!(refs.len(), dps);
-            let mut cells: StripeCells = Vec::with_capacity(per_stripe);
+            let mut disks = disks.lock();
+            let block = &inner.pending[i * stripe_bytes..][..stripe_bytes];
+            let data: Vec<&[u8]> = block.chunks_exact(es).collect();
+            // Where `loc`'s cell starts in its disk's share.
+            let at = |loc: Loc| (loc.offset - stripe * per_disk) as usize * cell_len;
             let base = stripe * dps as u64;
-            for (t, d) in refs.iter().enumerate() {
+            for (t, d) in data.iter().enumerate() {
                 let loc = layout.data_location(base + t as u64);
-                let mut cell = Vec::with_capacity(self.element_size + FOOTER_LEN);
-                cell.extend_from_slice(d);
-                append_footer(&self.key, loc.offset, &mut cell);
-                cells.push(((loc.disk, loc.offset), cell));
+                disks[loc.disk][at(loc)..][..es].copy_from_slice(d);
             }
-            for (loc, mut bytes) in self.scheme.encode_stripe_parities(stripe, &refs) {
-                append_footer(&self.key, loc.offset, &mut bytes);
-                cells.push(((loc.disk, loc.offset), bytes));
+            for (g, group) in data.chunks_exact(k).enumerate() {
+                // A candidate row's elements sit on distinct disks, so
+                // its parity cells are disjoint borrows of `disks`.
+                let locs: Vec<Loc> = (0..n - k)
+                    .map(|p| layout.parity_location(stripe, g, p))
+                    .collect();
+                let mut cells: Vec<(usize, &mut [u8])> = disks
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(d, share)| {
+                        let p = locs.iter().position(|l| l.disk == d)?;
+                        Some((p, &mut share[at(locs[p])..][..es]))
+                    })
+                    .collect();
+                cells.sort_unstable_by_key(|(p, _)| *p);
+                let mut parity: Vec<&mut [u8]> = cells.into_iter().map(|(_, c)| c).collect();
+                self.scheme.code().encode_into(group, &mut parity);
             }
-            // Manifest leaves in layout order: row by row, data then
-            // parity within each row (the order scrub reads them back).
-            let by_addr: HashMap<(usize, u64), &[u8]> = cells
-                .iter()
-                .map(|((d, o), cell)| ((*d, *o), &cell[..self.element_size]))
-                .collect();
-            let mut leaves = Vec::with_capacity(per_stripe);
+            // Footers, and manifest leaves in layout order: row by row,
+            // data then parity within each row (the order scrub reads
+            // them back).
+            let mut leaves = Vec::with_capacity(n * rows);
             for row in 0..rows {
                 for loc in layout.row_locations(stripe, row) {
-                    let payload = by_addr[&(loc.disk, loc.offset)];
+                    let cell = &mut disks[loc.disk][at(loc)..][..cell_len];
+                    let (payload, footer) = cell.split_at_mut(es);
+                    let sum = element_checksum(&self.key, loc.offset, payload);
+                    footer.copy_from_slice(&sum.to_le_bytes());
                     leaves.push(leaf_hash(&self.key, leaves.len() as u64, payload));
                 }
             }
-            let manifest = StripeManifest::new(MerkleTree::from_leaves(&self.key, leaves));
-            (cells, manifest)
+            StripeManifest::new(MerkleTree::from_leaves(&self.key, leaves))
         });
+        drop(shares);
         inner.pending.drain(..full * stripe_bytes);
+        inner.manifests.extend(manifests);
 
-        let mut batch = Vec::with_capacity(full * per_stripe);
-        for (cells, manifest) in stripes {
-            batch.extend(cells);
-            inner.manifests.push(manifest);
-        }
-        self.array.write_batch(batch);
+        self.metrics
+            .note_write(n, n, full * layout.total_per_stripe());
+        self.array
+            .write_runs(runs.into_iter().enumerate().collect());
         inner.stripes += full as u64;
         inner.sealed_elements += (full * dps) as u64;
         self.push_event(StripeEvent::Sealed {
             first: first_stripe,
             count: full as u64,
         });
+    }
+
+    /// Write rebuilt cells back through [`ThreadedArray::write_batch`],
+    /// tallying the per-disk requests and the runs of consecutive
+    /// offsets it coalesces them into.
+    fn write_back(&self, cells: Vec<((usize, u64), Vec<u8>)>) {
+        let mut addrs: Vec<(usize, u64)> = cells.iter().map(|&(addr, _)| addr).collect();
+        addrs.sort_unstable();
+        let follows =
+            |w: &[(usize, u64)]| w[0].0 == w[1].0 && w[0].1.checked_add(1) == Some(w[1].1);
+        let runs = addrs.len() - addrs.windows(2).filter(|w| follows(w)).count();
+        addrs.dedup_by_key(|&mut (disk, _)| disk);
+        self.metrics.note_write(addrs.len(), runs, cells.len());
+        self.array.write_batch(cells);
     }
 
     /// Read a whole object.
@@ -1242,7 +1316,7 @@ impl ObjectStore {
 
         self.array.disk(disk).wipe();
         self.array.disk(disk).heal();
-        self.array.write_batch(rebuilt);
+        self.write_back(rebuilt);
         self.inner.lock().failed.remove(&disk);
         self.push_event(StripeEvent::DiskRebuilt { disk });
         self.notify();
@@ -1370,7 +1444,7 @@ impl ObjectStore {
         }
         let elements = rebuilt.len();
         self.metrics.repair_wire_bytes.add(bytes_read);
-        self.array.write_batch(rebuilt);
+        self.write_back(rebuilt);
         Ok(StripeRepair {
             elements,
             bytes_read,
@@ -1643,7 +1717,7 @@ impl ObjectStore {
         }
         self.metrics.repair_wire_bytes.add(wire_bytes);
         self.metrics.combined_stripes.inc();
-        self.array.write_batch(rebuilt);
+        self.write_back(rebuilt);
         CombinedRepair::Done(StripeRepair {
             elements: outputs,
             bytes_read: wire_bytes,
@@ -1717,6 +1791,119 @@ mod tests {
         let data = blob(10_000, 1);
         store.put("a", &data).unwrap();
         assert_eq!(store.get("a").unwrap(), data);
+    }
+
+    /// Stored cells by `(disk, offset)`.
+    type SealedCells = BTreeMap<(usize, u64), Vec<u8>>;
+
+    /// What the per-cell seal (one `Vec` per cell through
+    /// `encode_stripe_parities` and `append_footer`) stored for the
+    /// first `stripes` stripes of `stream`: the reference the run-built
+    /// seal is compared with, cell for cell and manifest for manifest.
+    fn per_cell_seal(store: &ObjectStore, stream: &[u8], stripes: u64) -> (SealedCells, Vec<u128>) {
+        let (scheme, es) = (store.scheme(), store.element_size());
+        let layout = scheme.layout();
+        let key = store.integrity_key();
+        let dps = scheme.data_per_stripe();
+        let mut cells = BTreeMap::new();
+        let mut roots = Vec::new();
+        for stripe in 0..stripes {
+            let block = &stream[stripe as usize * dps * es..][..dps * es];
+            let data: Vec<&[u8]> = block.chunks_exact(es).collect();
+            let mut payloads: HashMap<(usize, u64), Vec<u8>> = HashMap::new();
+            for (t, d) in data.iter().enumerate() {
+                let loc = layout.data_location(stripe * dps as u64 + t as u64);
+                payloads.insert((loc.disk, loc.offset), d.to_vec());
+            }
+            for (loc, bytes) in scheme.encode_stripe_parities(stripe, &data) {
+                payloads.insert((loc.disk, loc.offset), bytes);
+            }
+            let mut leaves = Vec::new();
+            for row in 0..layout.rows_per_stripe() {
+                for loc in layout.row_locations(stripe, row) {
+                    let payload = &payloads[&(loc.disk, loc.offset)];
+                    leaves.push(leaf_hash(&key, leaves.len() as u64, payload));
+                }
+            }
+            roots.push(MerkleTree::from_leaves(&key, leaves).root());
+            for ((disk, offset), mut cell) in payloads {
+                append_footer(&key, offset, &mut cell);
+                cells.insert((disk, offset), cell);
+            }
+        }
+        (cells, roots)
+    }
+
+    #[test]
+    fn run_built_seal_stores_what_the_per_cell_seal_stored() {
+        for layout in [LayoutKind::EcFrm, LayoutKind::Standard, LayoutKind::Rotated] {
+            for code in [
+                Arc::new(RsCode::vandermonde(6, 3)) as Arc<dyn CandidateCode>,
+                Arc::new(LrcCode::new(6, 2, 2)),
+            ] {
+                let scheme = Scheme::builder(code).layout(layout).build();
+                let store = ObjectStore::new(scheme, 64);
+                let stripe_bytes = store.stripe_bytes();
+                // Three seals: several stripes at once, a stripe
+                // completed by two puts, and the flush's padded tail.
+                let lens = [
+                    3 * stripe_bytes + 17,
+                    stripe_bytes - 17,
+                    2 * stripe_bytes + 5,
+                ];
+                let objects: Vec<Vec<u8>> = (0..3).map(|i| blob(lens[i], 40 + i as u8)).collect();
+                for (i, data) in objects.iter().enumerate() {
+                    store.put(&format!("o{i}"), data).unwrap();
+                }
+                store.flush();
+                let mut stream = objects.concat();
+                let stripes = store.stats().stripes;
+                assert_eq!(stripes, 7, "{layout:?}");
+                stream.resize(stripes as usize * stripe_bytes, 0);
+
+                let (want, roots) = per_cell_seal(&store, &stream, stripes);
+                let n = store.scheme().n_disks();
+                let per_disk = store.scheme().layout().offsets_per_stripe();
+                let stored: usize = (0..n).map(|d| store.array().disk(d).len()).sum();
+                assert_eq!(stored, want.len(), "{layout:?}: nothing extra stored");
+                for d in 0..n {
+                    for o in 0..stripes * per_disk {
+                        let got = store.array().disk(d).read(o);
+                        assert_eq!(got.as_ref(), want.get(&(d, o)), "{layout:?}: ({d}, {o})");
+                    }
+                }
+                for (s, root) in roots.iter().enumerate() {
+                    assert_eq!(store.manifest(s as u64).unwrap().root(), *root);
+                }
+                let report = store.scrub().unwrap();
+                assert!(report.is_clean(), "{layout:?}: {report:?}");
+                for (i, data) in objects.iter().enumerate() {
+                    assert_eq!(&store.get(&format!("o{i}")).unwrap(), data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seal_is_one_write_per_disk_and_one_run_in_it() {
+        let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 32);
+        let counter = |name: &str| store.recorder().snapshot().counters[name];
+        let stripe_bytes = store.stripe_bytes();
+        store.put("a", &blob(5 * stripe_bytes + 9, 1)).unwrap();
+        assert_eq!(counter("write.rpcs"), 9);
+        assert_eq!(counter("write.runs"), 9);
+        assert_eq!(counter("write.batch_elems"), 5 * 27);
+        store.flush();
+        assert_eq!(counter("write.rpcs"), 18);
+        assert_eq!(counter("write.batch_elems"), 6 * 27);
+        // A whole-disk rebuild: one request to the one disk, and its 6
+        // stripes × 3 rows of cells are consecutive: one run.
+        store.fail_disk(3).unwrap();
+        store.recover_disk(3).unwrap();
+        assert_eq!(counter("write.rpcs"), 19);
+        assert_eq!(counter("write.runs"), 19);
+        assert_eq!(counter("write.batch_elems"), 6 * 27 + 18);
+        assert_eq!(store.get("a").unwrap(), blob(5 * stripe_bytes + 9, 1));
     }
 
     #[test]
