@@ -1,24 +1,18 @@
-//! Read-path microbenchmark: per-element vs batched vs coalesced.
+//! Read-path microbenchmark: the batched stripe read, local and remote.
 //!
 //! ```text
 //! read_path [--quick] [--no-json]
 //! ```
 //!
 //! Reads the address pattern of EC-FRM stripe reads under RS(6,3) —
-//! every disk serving one contiguous run of element offsets — through
-//! three strategies:
-//!
-//! * **per_element** — the pre-batching read path: one `Job::Read` (and,
-//!   remotely, one `GetElement` RPC) per element.
-//! * **batched** — one `Job::ReadMany` per disk; remotely one `BatchGet`
-//!   RPC per disk (`use_range` disabled to isolate batching).
-//! * **coalesced** — batched, plus the per-disk run collapses into a
-//!   single `GetRange` frame on the wire (remote only; locally the
-//!   coalescing happens inside one `read_many` call either way).
-//!
-//! Each strategy runs over a local `MemDisk` array and over a real
-//! loopback TCP cluster. The JSON lands in `BENCH_read_path.json`; the
-//! CI smoke job asserts batched beats per-element on loopback.
+//! every disk serving one contiguous run of element offsets — as one
+//! vectored request per disk: over a local `MemDisk` array (one
+//! `read_many` per disk) and over a real loopback TCP cluster (one
+//! `Read` frame per disk). The per-element baseline this path replaced
+//! in PR 4 has done its job and is gone; and since the wire has one read
+//! op, "batched" and "coalesced" are the same request, so the remote
+//! setting has one row. A concurrency sweep over the multiplexed wire
+//! follows. The JSON lands in `BENCH_read_path.json`.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,7 +75,6 @@ fn check(got: &[Option<Vec<u8>>], addrs: &[Address]) {
 
 struct Row {
     setting: &'static str,
-    strategy: &'static str,
     secs_per_read: f64,
 }
 
@@ -91,43 +84,24 @@ impl Row {
     }
 }
 
-fn bench_array(
-    setting: &'static str,
-    array: &ThreadedArray,
-    strategies: &[&'static str],
-    iters: u32,
-    rows: &mut Vec<Row>,
-) {
+fn bench_array(setting: &'static str, array: &ThreadedArray, iters: u32) -> Row {
     let addrs = stripe_addrs(ROWS_PER_READ);
     // Correctness gate: never publish numbers for a path that returns
     // wrong bytes.
-    check(&array.read_batch_per_element(&addrs), &addrs);
     check(&array.read_batch(&addrs), &addrs);
-    for &strategy in strategies {
-        let secs = match strategy {
-            "per_element" => measure(iters, || {
-                black_box(array.read_batch_per_element(black_box(&addrs)));
-            }),
-            _ => measure(iters, || {
-                black_box(array.read_batch(black_box(&addrs)));
-            }),
-        };
-        println!(
-            "  {setting:<16} {strategy:<12} {:>9.1} us/read {:>9.1} MB/s",
-            secs * 1e6,
-            Row {
-                setting,
-                strategy,
-                secs_per_read: secs
-            }
-            .mbps(),
-        );
-        rows.push(Row {
-            setting,
-            strategy,
-            secs_per_read: secs,
-        });
-    }
+    let secs_per_read = measure(iters, || {
+        black_box(array.read_batch(black_box(&addrs)));
+    });
+    let row = Row {
+        setting,
+        secs_per_read,
+    };
+    println!(
+        "  {setting:<16} {:>9.1} us/read {:>9.1} MB/s",
+        secs_per_read * 1e6,
+        row.mbps(),
+    );
+    row
 }
 
 /// One concurrency level's latency summary.
@@ -166,8 +140,8 @@ fn bench_concurrency(levels: &[usize]) -> Vec<ConcRow> {
             );
         }
     }
-    // Warm each client through mux negotiation so the sweep measures
-    // steady-state submissions, not the first-use probe.
+    // Warm each client's connection so the sweep measures steady-state
+    // submissions, not the first dial.
     for disk in &backends {
         assert!(disk.read(0).is_some());
     }
@@ -227,74 +201,28 @@ fn main() {
         "read_path: RS(6,3) stripe reads, {N_DISKS} disks x {ROWS_PER_READ} \
          elements x {ELEMENT} B"
     );
-    let mut rows: Vec<Row> = Vec::new();
-
     // Local: thread-per-disk over MemDisk, with a small per-access
-    // latency so the per-element channel chatter has something to hide.
+    // latency.
     let local = ThreadedArray::with_latency(N_DISKS, Duration::from_micros(20));
     populate(&local, ROWS_PER_READ);
-    bench_array(
-        "local",
-        &local,
-        &["per_element", "batched"],
-        local_iters,
-        &mut rows,
-    );
+    let mut rows = vec![bench_array("local", &local, local_iters)];
 
-    // Loopback remote, ranges off: batching is one BatchGet per disk.
-    let no_range = RemoteDiskConfig::builder()
-        .low_latency()
-        .use_range(false)
-        .build();
-    let cluster = Cluster::spawn_with(N_DISKS, &no_range).unwrap();
+    // Loopback remote: the per-disk run ships as one Read frame.
+    let cluster =
+        Cluster::spawn_with(N_DISKS, &RemoteDiskConfig::builder().low_latency().build()).unwrap();
     let remote = ThreadedArray::from_backends(cluster.backends());
     populate(&remote, ROWS_PER_READ);
-    bench_array(
-        "remote",
-        &remote,
-        &["per_element", "batched"],
-        remote_iters,
-        &mut rows,
-    );
-
-    // Loopback remote, ranges on: the per-disk run ships as one GetRange.
-    let ranged =
-        Cluster::spawn_with(N_DISKS, &RemoteDiskConfig::builder().low_latency().build()).unwrap();
-    let remote_ranged = ThreadedArray::from_backends(ranged.backends());
-    populate(&remote_ranged, ROWS_PER_READ);
-    bench_array(
-        "remote",
-        &remote_ranged,
-        &["coalesced"],
-        remote_iters,
-        &mut rows,
-    );
-    let coalesced_rpcs: u64 = (0..N_DISKS)
+    rows.push(bench_array("remote", &remote, remote_iters));
+    let frames: u64 = (0..N_DISKS)
         .map(|i| {
-            ranged
-                .client(i)
-                .stats()
-                .unwrap()
-                .into_iter()
-                .find(|(k, _)| k == "serve.range")
-                .map(|(_, v)| v)
-                .unwrap_or(0)
+            let stats = cluster.client(i).stats().unwrap();
+            stats
+                .iter()
+                .find(|(k, _)| k == "serve.read")
+                .map_or(0, |(_, v)| *v)
         })
         .sum();
-    println!("  coalesced run shipped {coalesced_rpcs} GetRange frames total");
-
-    let per_el = rows
-        .iter()
-        .find(|r| r.setting == "remote" && r.strategy == "per_element")
-        .unwrap()
-        .secs_per_read;
-    let batched = rows
-        .iter()
-        .find(|r| r.setting == "remote" && r.strategy == "batched")
-        .unwrap()
-        .secs_per_read;
-    let speedup = per_el / batched;
-    println!("\nloopback batched vs per-element speedup: {speedup:.2}x");
+    println!("  the remote reads shipped {frames} Read frames in all, one per disk per read");
 
     // The concurrency axis: in-flight stripe reads over the mux engine.
     println!("\nconcurrency sweep ({C_ELEMENT} B cells, mux transport):");
@@ -309,15 +237,18 @@ fn main() {
         return;
     }
     let mut body = String::from("{\n  \"bench\": \"read_path\",\n");
+    body.push_str(
+        "  \"note\": \"one read op on the wire (protocol v2): the per_element baseline is \
+         deleted, and remote batched and coalesced are the same Read frame, so one row\",\n",
+    );
     body.push_str(&format!(
         "  \"shape\": {{\"disks\": {N_DISKS}, \"rows\": {ROWS_PER_READ}, \"element\": {ELEMENT}}},\n"
     ));
     body.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"setting\": \"{}\", \"strategy\": \"{}\", \"us_per_read\": {}, \"mb_per_s\": {}}}{}\n",
+            "    {{\"setting\": \"{}\", \"strategy\": \"batched\", \"us_per_read\": {}, \"mb_per_s\": {}}}{}\n",
             r.setting,
-            r.strategy,
             json_f(r.secs_per_read * 1e6),
             json_f(r.mbps()),
             if i + 1 == rows.len() { "" } else { "," }
@@ -334,11 +265,7 @@ fn main() {
             if i + 1 == conc.len() { "" } else { "," }
         ));
     }
-    body.push_str("  ],\n");
-    body.push_str(&format!(
-        "  \"loopback_batched_speedup\": {}\n}}\n",
-        json_f(speedup)
-    ));
+    body.push_str("  ]\n}\n");
     std::fs::write("BENCH_read_path.json", &body).expect("write BENCH_read_path.json");
     println!("wrote BENCH_read_path.json");
 }

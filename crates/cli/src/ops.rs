@@ -478,13 +478,8 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
                 acc.merge(&d.counters().snapshot())
             });
         println!(
-            "network: {} retries, {} hedges ({} won), {} timeouts, {} reconnects, {} failed",
-            net.retries,
-            net.hedges,
-            net.hedge_wins,
-            net.timeouts,
-            net.reconnects,
-            net.failed_requests
+            "network: {} retries, {} timeouts, {} reconnects, {} failed",
+            net.retries, net.timeouts, net.reconnects, net.failed_requests
         );
     }
     if opts.stats {

@@ -1,29 +1,29 @@
 //! [`RemoteDisk`]: a [`DiskBackend`] that speaks the wire protocol.
 //!
 //! Drop-in client for a [`ShardServer`](crate::server::ShardServer):
-//! `ThreadedArray` and `ObjectStore` run unmodified over it. Two
-//! transports are layered behind the one trait:
+//! `ThreadedArray` and `ObjectStore` run unmodified over it. It keeps
+//! two kinds of connection to its shard:
 //!
-//! * **multiplexed** (preferred) — one connection per shard carries many
-//!   in-flight requests, id-tagged with [`Request::Mux`] framing. A
-//!   demux thread matches responses to completion callbacks, so
-//!   [`DiskBackend::submit_read_many`] is truly non-blocking and the
-//!   store's reactor can keep thousands of stripe reads in flight.
-//!   Support is negotiated on first use with a `Mux(Health)` probe; a
-//!   shard that predates the opcode permanently demotes this client to
-//!   the legacy transport (the PR-4-style additive-negotiation rule: an
-//!   *answering* shard demotes, a transient outage does not).
-//! * **legacy pooled** — one blocking request per pooled connection,
-//!   with the full resilience stack: per-request timeouts, bounded
-//!   retries with exponential backoff, and optional hedged reads
-//!   (`hedge_after` — a tail-latency tool for the blocking path; the
-//!   multiplexed path gets its tail protection from the store's
-//!   replanning instead).
-//!
-//! On either path, a read that ultimately fails returns *absent*
-//! (`None`) — the store treats it as a suspect disk and replans the
-//! read degraded, so the network failure domain degrades into the
-//! erasure-code failure domain instead of erroring.
+//! * **The data path** — every `Read` and `PutMany` — is one
+//!   multiplexed connection, dialled on first use: many in-flight
+//!   requests, id-tagged with [`Request::Mux`] framing, and a demux
+//!   thread that matches responses to completion callbacks. So
+//!   [`DiskBackend::submit_read_many`] never blocks on the shard and the
+//!   store's reactor can keep thousands of stripe reads in flight. Its
+//!   one retry rule: a frame that never fully left this host is re-sent
+//!   once on a fresh dial (`net.retries`). Anything else — a refused
+//!   dial, a timeout, a connection lost with the request in flight, an
+//!   error reply — completes the submission as *absent* and counts one
+//!   `net.failed_requests`; the store treats the shard as a suspect disk
+//!   and replans the read through parity, so the network failure domain
+//!   degrades into the erasure-code failure domain instead of erroring.
+//! * **The ops that go one at a time** — `Stats`, `Health`,
+//!   `InjectFault`, `CombineRange` — take a pooled sequential
+//!   connection (`pool.rs`, shared with
+//!   [`FrontClient`](crate::FrontClient)) and report transport failures
+//!   as errors. `CombineRange` stays off the mux connection on purpose:
+//!   a repair window's combines would compete with foreground reads for
+//!   that connection's demux workers on the shard.
 //!
 //! Every event increments the shared [`NetCounters`], surfaced through
 //! [`DiskBackend::net_stats`] into the store's `ReadStats`.
@@ -31,25 +31,25 @@
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Histogram, HistogramSnapshot};
 use ecfrm_sim::{
-    io_pair, CombineOutcome, CombineReply, CombineSpec, DiskBackend, IoHandle, NetCounters,
-    NetStats, WriteRun,
+    io_pair, CombineOutcome, CombineReply, CombineSpec, DiskBackend, IoCompleter, IoHandle,
+    IoResults, NetCounters, NetStats, WriteRun,
 };
-use ecfrm_util::{Mutex, Rng};
+use ecfrm_util::Mutex;
 
+use crate::pool::Pool;
 use crate::protocol::{
-    read_response, read_response_polling, write_put_many, write_request, CheckedElement,
-    CombinePeer, Fault, NetError, PolledResponse, Request, Response, SendFrame, MAX_PAYLOAD,
+    read_response_polling, version_mismatch, write_mux_request, write_put_many, write_request,
+    CheckedElement, CombinePeer, Fault, NetError, Polled, Request, Response, MAX_PAYLOAD,
     MAX_RANGE,
 };
 
-/// Client-side resilience knobs. Build one with
+/// What a client needs to know about its connections. Build one with
 /// [`RemoteDiskConfig::builder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteDiskConfig {
@@ -57,41 +57,13 @@ pub struct RemoteDiskConfig {
     pub connect_timeout: Duration,
     /// Per-request response deadline.
     pub request_timeout: Duration,
-    /// Re-sends after the first attempt (0 = one attempt only). Applies
-    /// to the legacy blocking path; multiplexed submissions are
-    /// single-attempt (a failure completes as absent and the store
-    /// replans).
-    pub max_retries: u32,
-    /// First backoff step; doubles each retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Launch a duplicate read on a second connection if the primary
-    /// has not answered within this window. `None` disables hedging.
-    /// Legacy-path only: hedging and multiplexing are alternative
-    /// tail-latency strategies, so configs that hedge usually also set
-    /// `multiplex: false`.
-    pub hedge_after: Option<Duration>,
-    /// Idle connections kept for reuse.
+    /// Idle sequential connections kept for reuse.
     pub pool_size: usize,
-    /// Emit coalesced `GetRange` requests when a batch forms one
-    /// contiguous ascending run. Disabled, every batch goes out as
-    /// `BatchGet`. Even when enabled, the client auto-falls-back (and
-    /// stops asking) if the server predates the opcode.
-    pub use_range: bool,
-    /// The store's integrity key `(k0, k1)`. When set (and `use_range`
-    /// allows coalescing), contiguous runs go out as `RangeChecked`:
-    /// the server verifies each cell's checksum footer at the source
-    /// and corrupt cells come back as a one-byte verdict instead of a
-    /// payload. `None` keeps all verification client-side. As with
-    /// `GetRange`, an old server that rejects the opcode demotes the
-    /// client to the unchecked path permanently.
+    /// The store's integrity key `(k0, k1)`. When set, every read
+    /// carries it: the shard verifies each cell's checksum footer at
+    /// the source and a corrupt cell comes back as a one-byte verdict
+    /// instead of a payload. `None` keeps all verification client-side.
     pub integrity_key: Option<(u64, u64)>,
-    /// Allow the multiplexed transport (one connection, many in-flight
-    /// requests). Disabled, every request takes the legacy pooled path
-    /// — the shape of a pre-mux client, kept for wire compatibility
-    /// tests and for hedging configs.
-    pub multiplex: bool,
 }
 
 impl Default for RemoteDiskConfig {
@@ -99,14 +71,8 @@ impl Default for RemoteDiskConfig {
         Self {
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(1),
-            max_retries: 2,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(100),
-            hedge_after: None,
             pool_size: 2,
-            use_range: true,
             integrity_key: None,
-            multiplex: true,
         }
     }
 }
@@ -130,19 +96,10 @@ impl RemoteDiskConfig {
             cfg: Self::default(),
         }
     }
-
-    /// Enable server-side footer verification with the given key: the
-    /// store's `(k0, k1)` integrity key words, shipped on every
-    /// `RangeChecked` request.
-    #[must_use]
-    pub fn with_integrity(mut self, k0: u64, k1: u64) -> Self {
-        self.integrity_key = Some((k0, k1));
-        self
-    }
 }
 
-/// Fluent constructor for [`RemoteDiskConfig`]: chain knob setters
-/// and/or a preset, then [`build`](Self::build).
+/// Fluent constructor for [`RemoteDiskConfig`]: chain setters and/or a
+/// preset, then [`build`](Self::build).
 #[derive(Debug, Clone)]
 pub struct RemoteDiskConfigBuilder {
     cfg: RemoteDiskConfig,
@@ -163,54 +120,18 @@ impl RemoteDiskConfigBuilder {
         self
     }
 
-    /// Re-sends after the first attempt (0 = one attempt only).
-    #[must_use]
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.cfg.max_retries = n;
-        self
-    }
-
-    /// Exponential backoff: first step and ceiling.
-    #[must_use]
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.cfg.backoff_base = base;
-        self.cfg.backoff_cap = cap;
-        self
-    }
-
-    /// Hedge window for the legacy read path (`None` disables hedging).
-    #[must_use]
-    pub fn hedge_after(mut self, d: Option<Duration>) -> Self {
-        self.cfg.hedge_after = d;
-        self
-    }
-
-    /// Idle connections kept for reuse.
+    /// Idle sequential connections kept for reuse.
     #[must_use]
     pub fn pool_size(mut self, n: usize) -> Self {
         self.cfg.pool_size = n;
         self
     }
 
-    /// Allow coalesced `GetRange` requests for contiguous runs.
-    #[must_use]
-    pub fn use_range(mut self, yes: bool) -> Self {
-        self.cfg.use_range = yes;
-        self
-    }
-
-    /// The store's `(k0, k1)` integrity key, enabling server-side
-    /// footer verification via `RangeChecked`.
+    /// The store's `(k0, k1)` integrity key, enabling footer
+    /// verification at the shard on every read.
     #[must_use]
     pub fn integrity_key(mut self, k0: u64, k1: u64) -> Self {
         self.cfg.integrity_key = Some((k0, k1));
-        self
-    }
-
-    /// Allow the multiplexed transport.
-    #[must_use]
-    pub fn multiplex(mut self, yes: bool) -> Self {
-        self.cfg.multiplex = yes;
         self
     }
 
@@ -221,27 +142,6 @@ impl RemoteDiskConfigBuilder {
     pub fn low_latency(mut self) -> Self {
         self.cfg.connect_timeout = Duration::from_millis(200);
         self.cfg.request_timeout = Duration::from_millis(200);
-        self.cfg.max_retries = 1;
-        self.cfg.backoff_base = Duration::from_millis(2);
-        self.cfg.backoff_cap = Duration::from_millis(10);
-        self
-    }
-
-    /// Preset: low-priority profile for background repair traffic — no
-    /// hedging (hedges exist to cut foreground tail latency; repair has
-    /// no tail-latency SLO and duplicate reads would double its load on
-    /// the survivors), relaxed timeouts with patient backoff (a busy
-    /// shard serving foreground reads is the expected case, not a
-    /// failure), and a single pooled connection per shard.
-    #[must_use]
-    pub fn repair_profile(mut self) -> Self {
-        self.cfg.connect_timeout = Duration::from_secs(2);
-        self.cfg.request_timeout = Duration::from_secs(5);
-        self.cfg.max_retries = 3;
-        self.cfg.backoff_base = Duration::from_millis(50);
-        self.cfg.backoff_cap = Duration::from_secs(1);
-        self.cfg.hedge_after = None;
-        self.cfg.pool_size = 1;
         self
     }
 
@@ -256,16 +156,13 @@ impl RemoteDiskConfigBuilder {
 /// sweep request deadlines.
 const MUX_POLL: Duration = Duration::from_millis(10);
 
-/// Mux negotiation has not run yet (first data request triggers it).
-const MUX_UNKNOWN: u8 = 0;
-/// The shard answered the `Mux(Health)` probe: multiplex everything.
-const MUX_ON: u8 = 1;
-/// The shard answered legacy but not mux: never ask again.
-const MUX_OFF: u8 = 2;
-
 /// Completion callback for one multiplexed request — guaranteed to run
 /// exactly once: with the response, a timeout, or a transport error.
 type MuxCallback = Box<dyn FnOnce(Result<Response, NetError>) + Send>;
+
+/// Writes one request frame, tagged with the id it is given, onto the
+/// mux connection — possibly twice (see [`RemoteDisk::submit`]).
+type MuxSend<'a> = dyn Fn(&mut BufWriter<TcpStream>, u64) -> Result<(), NetError> + 'a;
 
 struct MuxPending {
     deadline: Instant,
@@ -283,11 +180,11 @@ struct MuxShared {
 
 impl MuxShared {
     /// Complete every outstanding request with a transport error
-    /// (callbacks run outside the lock).
-    fn fail_all(&self) {
+    /// saying `why` (callbacks run outside the lock).
+    fn fail_all(&self, why: &str) {
         let drained: Vec<MuxPending> = self.pending.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
-            (p.done)(Err(NetError::Protocol("mux connection lost".into())));
+            (p.done)(Err(NetError::Protocol(why.to_string())));
         }
     }
 
@@ -310,7 +207,21 @@ impl MuxShared {
             (p.done)(Err(NetError::Timeout));
         }
     }
+
+    /// Mark the connection unusable; the first to do so accounts the
+    /// discard. (An intentional shutdown raised the flag already, so it
+    /// is never counted.)
+    fn discard(&self) {
+        if !self.dead.swap(true, Ordering::AcqRel) {
+            self.counters
+                .conns_discarded
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
+
+/// Said of a request that was in flight when its connection died.
+const CONN_LOST: &str = "mux connection lost";
 
 /// One multiplexed connection to a shard: submitters write id-tagged
 /// frames under the writer lock; a demux thread reads responses and
@@ -321,66 +232,16 @@ struct MuxConn {
     next_id: AtomicU64,
 }
 
-/// Why a multiplexed connection could not be established.
-#[derive(Debug)]
-enum MuxProbe {
-    /// The shard answered the probe with a *plain* response: it is alive
-    /// but predates the mux opcode. Carries the still-clean connection
-    /// so the caller can recycle it into the legacy pool.
-    Unsupported(TcpStream),
-    /// Transport-level failure: an old server dropping the unknown
-    /// opcode, or an outage — indistinguishable without a legacy probe.
-    /// The error is carried for `Debug` output only; negotiation cares
-    /// about the *kind* of failure, not its detail.
-    Transport(#[allow(dead_code)] NetError),
-}
-
 impl MuxConn {
-    /// Dial a fresh connection and negotiate: one `Mux(Health)` probe,
-    /// answered in kind, promotes the connection to a demuxed transport.
-    fn establish(
-        addr: SocketAddr,
-        cfg: &RemoteDiskConfig,
-        counters: &Arc<NetCounters>,
-    ) -> Result<Self, MuxProbe> {
-        let dial = || -> Result<TcpStream, NetError> {
-            let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)?;
-            stream.set_read_timeout(Some(cfg.request_timeout))?;
-            stream.set_write_timeout(Some(cfg.request_timeout))?;
-            stream.set_nodelay(true).ok();
-            Ok(stream)
-        };
-        let mut stream = dial().map_err(MuxProbe::Transport)?;
-        let probe = Request::Mux {
-            id: 0,
-            inner: Box::new(Request::Health),
-        };
-        match write_request(&mut stream, &probe).and_then(|()| read_response(&mut stream)) {
-            Ok(Response::Mux { .. }) => {}
-            Ok(_) => return Err(MuxProbe::Unsupported(stream)),
-            Err(e) => {
-                if matches!(e, NetError::Timeout) {
-                    counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                counters.conns_discarded.fetch_add(1, Ordering::Relaxed);
-                return Err(MuxProbe::Transport(e));
-            }
-        }
-        // Promoted: the reader needs a short timeout so it can poll the
-        // stop flag and sweep deadlines while idle.
-        if stream.set_read_timeout(Some(MUX_POLL)).is_err() {
-            counters.conns_discarded.fetch_add(1, Ordering::Relaxed);
-            return Err(MuxProbe::Transport(NetError::Protocol(
-                "could not re-arm read timeout".into(),
-            )));
-        }
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => {
-                counters.conns_discarded.fetch_add(1, Ordering::Relaxed);
-                return Err(MuxProbe::Transport(e.into()));
-            }
-        };
+    /// Dial a fresh connection and start its demux reader. Nothing is
+    /// exchanged first: the version byte of the first frame is the
+    /// handshake.
+    fn dial(pool: &Pool, counters: &Arc<NetCounters>) -> Result<Self, NetError> {
+        let stream = pool.dial()?;
+        // The reader needs a short timeout so it can poll the stop flag
+        // and sweep deadlines while idle.
+        stream.set_read_timeout(Some(MUX_POLL))?;
+        let reader = stream.try_clone()?;
         let shared = Arc::new(MuxShared {
             pending: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
@@ -406,7 +267,7 @@ impl MuxConn {
     /// back unrun: the frame did not (wholly) leave this host.
     fn submit(
         &self,
-        send: impl FnOnce(&mut BufWriter<TcpStream>, u64) -> Result<(), NetError>,
+        send: &MuxSend<'_>,
         timeout: Duration,
         done: MuxCallback,
     ) -> Result<(), MuxCallback> {
@@ -422,13 +283,8 @@ impl MuxConn {
             },
         );
         let wrote = send(&mut self.writer.lock(), id).is_ok();
-        if !wrote && !self.shared.dead.swap(true, Ordering::AcqRel) {
-            // First to notice the death: account the discard (the reader
-            // will see the stop flag and exit without double-counting).
-            self.shared
-                .counters
-                .conns_discarded
-                .fetch_add(1, Ordering::Relaxed);
+        if !wrote {
+            self.shared.discard();
         }
         if !wrote || self.is_dead() {
             // Either our write failed, or the reader died and drained
@@ -439,7 +295,7 @@ impl MuxConn {
                 if !wrote {
                     return Err(p.done);
                 }
-                (p.done)(Err(NetError::Protocol("mux connection lost".into())));
+                (p.done)(Err(NetError::Protocol(CONN_LOST.into())));
             }
         }
         Ok(())
@@ -458,9 +314,9 @@ impl Drop for MuxConn {
 /// sweeps deadlines while idle, and on connection death fails every
 /// outstanding request.
 fn demux_loop(mut reader: BufReader<TcpStream>, shared: &Arc<MuxShared>) {
-    loop {
+    let why = loop {
         match read_response_polling(&mut reader, &shared.dead) {
-            PolledResponse::Frame(Response::Mux { id, inner }) => {
+            Polled::Frame(Response::Mux { id, inner }) => {
                 let entry = shared.pending.lock().remove(&id);
                 if let Some(p) = entry {
                     (p.done)(match *inner {
@@ -471,109 +327,54 @@ fn demux_loop(mut reader: BufReader<TcpStream>, shared: &Arc<MuxShared>) {
                 // else: a late response for a swept id — drop it.
                 shared.sweep();
             }
-            PolledResponse::Frame(_) => {
-                // A plain response on a mux connection: framing
-                // confusion, the stream is unusable.
-                if !shared.dead.swap(true, Ordering::AcqRel) {
-                    shared
-                        .counters
-                        .conns_discarded
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-            PolledResponse::Idle => shared.sweep(),
-            PolledResponse::Closed => {
-                // EOF/garbage — or the stop flag raised by an intentional
-                // shutdown, which must not count as a discard.
-                if !shared.dead.swap(true, Ordering::AcqRel) {
-                    shared
-                        .counters
-                        .conns_discarded
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
+            Polled::Idle => shared.sweep(),
+            // A plain response on a mux connection is framing confusion:
+            // the stream is as unusable as after EOF or garbage. (Or the
+            // stop flag was raised by an intentional shutdown.)
+            Polled::Frame(_) | Polled::Closed => break CONN_LOST.to_string(),
+            Polled::WrongVersion(peer) => break version_mismatch(peer),
+        }
+    };
+    shared.discard();
+    shared.fail_all(&why);
+}
+
+/// The cells of one read, filled in by the frames it went out as; when
+/// the last of them lets go, the read's handle completes.
+struct Gather {
+    cells: Mutex<IoResults>,
+    completer: Option<IoCompleter>,
+}
+
+impl Drop for Gather {
+    fn drop(&mut self) {
+        if let Some(completer) = self.completer.take() {
+            completer.complete(std::mem::take(&mut *self.cells.lock()));
         }
     }
-    shared.fail_all();
-}
-
-/// Which read shape went out, for decoding the mux reply.
-enum ReadShape {
-    Element,
-    Batch,
-    Range,
-    Checked,
-}
-
-/// Map a read response back onto per-offset cells. `None` on any
-/// shape/length mismatch (the caller treats it as a failed request).
-fn map_read_response(
-    resp: Response,
-    shape: &ReadShape,
-    n: usize,
-    remote_verify_fails: &AtomicU64,
-) -> Option<Vec<Option<Vec<u8>>>> {
-    let items = match (shape, resp) {
-        (ReadShape::Element, Response::Element(v)) => vec![v],
-        (ReadShape::Batch, Response::Batch(items)) => items,
-        (ReadShape::Range, Response::Range(items)) => items,
-        (ReadShape::Checked, Response::Checked(items)) => items
-            .into_iter()
-            .map(|item| match item {
-                CheckedElement::Valid(bytes) => Some(bytes),
-                CheckedElement::Missing => None,
-                CheckedElement::Corrupt => {
-                    remote_verify_fails.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            })
-            .collect(),
-        _ => return None,
-    };
-    (items.len() == n).then_some(items)
 }
 
 /// A remote shard, presented as a local [`DiskBackend`].
 pub struct RemoteDisk {
-    addr: SocketAddr,
     cfg: RemoteDiskConfig,
-    pool: Mutex<Vec<TcpStream>>,
+    /// Sequential connections, and how to dial (see [`crate::pool`]).
+    pool: Pool,
     counters: Arc<NetCounters>,
-    /// End-to-end latency of data-path requests (read / write / batch),
-    /// including retries and hedges, in microseconds.
+    /// End-to-end latency of data-path requests (read / write /
+    /// combine), in microseconds.
     request_us: Histogram,
-    ever_connected: AtomicBool,
-    /// Cleared the first time a `GetRange` fails but a `BatchGet` of the
-    /// same offsets succeeds — the shard is alive but predates the
-    /// opcode, so stop asking (forward compatibility with old servers).
-    range_supported: AtomicBool,
-    /// Same demotion latch for `RangeChecked`: cleared the first time
-    /// the checked opcode fails but a `BatchGet` of the same offsets
-    /// succeeds.
-    checked_supported: AtomicBool,
-    /// Same demotion latch for `CombineRange`: cleared the first time
-    /// the combine opcode fails but a `BatchGet` of the same offsets
-    /// succeeds (the shard is alive but predates server-side
-    /// combining — the repair planner falls back to raw elements).
-    combine_supported: AtomicBool,
-    /// Three-state mux negotiation latch: [`MUX_UNKNOWN`] until the
-    /// first data request probes, then [`MUX_ON`] or [`MUX_OFF`].
-    mux_state: AtomicU8,
-    /// The live multiplexed connection, when negotiated on. Also serves
-    /// as the negotiation/re-dial critical section.
+    /// The multiplexed connection, once dialled; a dead one stays here
+    /// until a dial replaces it. Also the re-dial critical section.
     mux: Mutex<Option<Arc<MuxConn>>>,
     /// Cells the server reported as failing footer verification
     /// (`CheckedElement::Corrupt`). Surfaced via
     /// [`RemoteDisk::remote_verify_fails`].
     remote_verify_fails: Arc<AtomicU64>,
-    rng: Mutex<Rng>,
 }
 
 impl std::fmt::Debug for RemoteDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RemoteDisk({})", self.addr)
+        write!(f, "RemoteDisk({})", self.addr())
     }
 }
 
@@ -582,25 +383,18 @@ impl RemoteDisk {
     /// first request.
     pub fn new(addr: SocketAddr, cfg: RemoteDiskConfig) -> Self {
         Self {
-            addr,
+            pool: Pool::new(addr, &cfg),
             cfg,
-            pool: Mutex::new(Vec::new()),
             counters: Arc::new(NetCounters::new()),
             request_us: Histogram::new(),
-            ever_connected: AtomicBool::new(false),
-            range_supported: AtomicBool::new(true),
-            checked_supported: AtomicBool::new(true),
-            combine_supported: AtomicBool::new(true),
-            mux_state: AtomicU8::new(MUX_UNKNOWN),
             mux: Mutex::new(None),
             remote_verify_fails: Arc::new(AtomicU64::new(0)),
-            rng: Mutex::new(Rng::seed_from_u64(addr.port() as u64 ^ 0xD15C)),
         }
     }
 
     /// The shard address this client dials.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.pool.addr()
     }
 
     /// Live handle to the transport counters.
@@ -609,249 +403,9 @@ impl RemoteDisk {
     }
 
     /// Snapshot of the end-to-end data-path request latency histogram
-    /// (microseconds, including retries and hedges).
+    /// (microseconds).
     pub fn request_latency(&self) -> HistogramSnapshot {
         self.request_us.snapshot()
-    }
-
-    /// Fetch the server's metrics registry as flat `(name, value)`
-    /// pairs — per-op serve counters plus the `serve_us` histogram
-    /// summary.
-    ///
-    /// # Errors
-    /// Transport failure after the full retry budget.
-    pub fn stats(&self) -> Result<Vec<(String, u64)>, NetError> {
-        match self.rpc(&Request::Stats)? {
-            Response::Stats(pairs) => Ok(pairs),
-            other => Err(NetError::Protocol(format!(
-                "unexpected response to stats request: {other:?}"
-            ))),
-        }
-    }
-
-    /// Run `f` and record its wall-clock in the request histogram.
-    fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.request_us.record_duration(t0.elapsed());
-        out
-    }
-
-    /// Pop a pooled connection or dial a fresh one.
-    fn connection(&self) -> Result<TcpStream, NetError> {
-        if let Some(s) = self.pool.lock().pop() {
-            return Ok(s);
-        }
-        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
-        stream.set_read_timeout(Some(self.cfg.request_timeout))?;
-        stream.set_write_timeout(Some(self.cfg.request_timeout))?;
-        stream.set_nodelay(true).ok();
-        if self.ever_connected.swap(true, Ordering::AcqRel) {
-            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(stream)
-    }
-
-    /// Return a connection to the pool — only ever called after a clean
-    /// request/response exchange, so its framing state is known-good.
-    fn recycle(&self, stream: TcpStream) {
-        let mut pool = self.pool.lock();
-        if pool.len() < self.cfg.pool_size {
-            pool.push(stream);
-        }
-    }
-
-    /// One attempt: dial/reuse, send, await the response.
-    fn rpc_once(&self, send: SendFrame<'_>) -> Result<Response, NetError> {
-        let mut stream = self.connection()?;
-        match send(&mut stream).and_then(|()| read_response(&mut stream)) {
-            Ok(resp) => {
-                self.recycle(stream);
-                match resp {
-                    Response::Error(msg) => Err(NetError::Remote(msg)),
-                    ok => Ok(ok),
-                }
-            }
-            Err(e) => {
-                // The connection's framing state is unknown — drop it
-                // (and account the drop) rather than recycling.
-                self.counters
-                    .conns_discarded
-                    .fetch_add(1, Ordering::Relaxed);
-                if matches!(e, NetError::Timeout) {
-                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Backoff before retry `attempt` (1-based): `base × 2^(attempt-1)`
-    /// capped, scaled by uniform jitter in [0.5, 1.5).
-    fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .cfg
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16))
-            .min(self.cfg.backoff_cap);
-        let jitter = self.rng.lock().random_range(0.5f64..1.5);
-        exp.mul_f64(jitter)
-    }
-
-    /// Full resilience stack: attempts with backoff until one succeeds
-    /// or the retry budget is spent.
-    fn rpc(&self, req: &Request) -> Result<Response, NetError> {
-        self.rpc_with(&|w| write_request(w, req))
-    }
-
-    /// [`Self::rpc`] for a frame `send` writes from borrowed buffers.
-    fn rpc_with(&self, send: SendFrame<'_>) -> Result<Response, NetError> {
-        let attempts = 1 + self.cfg.max_retries;
-        let mut last = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(self.backoff(attempt - 1));
-            }
-            match self.rpc_once(send) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => last = Some(e),
-            }
-        }
-        self.counters
-            .failed_requests
-            .fetch_add(1, Ordering::Relaxed);
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// A read with hedging: if the primary attempt has not answered
-    /// within `hedge_after`, race a duplicate on a second connection and
-    /// take whichever answers first. Loser responses are discarded (the
-    /// connections are not recycled into each other's streams, so no
-    /// frame mixing is possible).
-    fn hedged_read(&self, req: &Request, hedge_after: Duration) -> Result<Response, NetError> {
-        let (tx, rx) = mpsc::channel::<(bool, Result<Response, NetError>)>();
-        std::thread::scope(|scope| {
-            let primary_tx = tx.clone();
-            scope.spawn(move || {
-                let _ = primary_tx.send((false, self.rpc_once(&|w| write_request(w, req))));
-            });
-            let first = match rx.recv_timeout(hedge_after) {
-                Ok(result) => Some(result),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Protocol("hedge channel broke".into()))
-                }
-            };
-            let (from_hedge, result) = match first {
-                Some(r) => r,
-                None => {
-                    // Primary is slow: launch the hedge and take the
-                    // first answer from either.
-                    self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                    let hedge_tx = tx.clone();
-                    scope.spawn(move || {
-                        let _ = hedge_tx.send((true, self.rpc_once(&|w| write_request(w, req))));
-                    });
-                    // Prefer the first *successful* answer; fall back to
-                    // the second result if the first errored.
-                    match rx.recv() {
-                        Ok((who, Ok(resp))) => (who, Ok(resp)),
-                        Ok((_, Err(_))) => match rx.recv() {
-                            Ok(r) => r,
-                            Err(_) => return Err(NetError::Protocol("hedge channel broke".into())),
-                        },
-                        Err(_) => return Err(NetError::Protocol("hedge channel broke".into())),
-                    }
-                }
-            };
-            if from_hedge && result.is_ok() {
-                self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        })
-    }
-
-    /// Read with the full stack: hedging (if enabled) inside the retry
-    /// loop.
-    fn read_rpc(&self, req: &Request) -> Result<Response, NetError> {
-        match self.cfg.hedge_after {
-            None => self.rpc(req),
-            Some(hedge_after) => {
-                let attempts = 1 + self.cfg.max_retries;
-                let mut last = None;
-                for attempt in 1..=attempts {
-                    if attempt > 1 {
-                        self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(self.backoff(attempt - 1));
-                    }
-                    match self.hedged_read(req, hedge_after) {
-                        Ok(resp) => return Ok(resp),
-                        Err(e) => last = Some(e),
-                    }
-                }
-                self.counters
-                    .failed_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                Err(last.expect("at least one attempt ran"))
-            }
-        }
-    }
-
-    /// Send a fault-injection command to the shard, with retries.
-    ///
-    /// # Errors
-    /// Transport failure after the full retry budget.
-    pub fn inject(&self, fault: Fault) -> Result<(), NetError> {
-        match self.rpc(&Request::InjectFault(fault))? {
-            Response::FaultInjected => Ok(()),
-            other => Err(NetError::Protocol(format!(
-                "unexpected response to fault injection: {other:?}"
-            ))),
-        }
-    }
-
-    /// Liveness probe: stored element count, or an error if the shard is
-    /// unreachable.
-    ///
-    /// # Errors
-    /// Transport failure after the full retry budget.
-    pub fn health(&self) -> Result<u64, NetError> {
-        match self.rpc(&Request::Health)? {
-            Response::Health { elements } => Ok(elements),
-            other => Err(NetError::Protocol(format!(
-                "unexpected response to health probe: {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetch several elements in one round trip. `None` entries are
-    /// absent/failed elements; a transport failure after all retries
-    /// yields all-`None`.
-    pub fn read_batch(&self, offsets: &[u64]) -> Vec<Option<Vec<u8>>> {
-        match self.timed(|| {
-            self.read_rpc(&Request::BatchGet {
-                offsets: offsets.to_vec(),
-            })
-        }) {
-            Ok(Response::Batch(items)) if items.len() == offsets.len() => items,
-            _ => vec![None; offsets.len()],
-        }
-    }
-
-    /// True while this client will still emit `GetRange` (config allows
-    /// it and the server has not demonstrated it predates the opcode).
-    pub fn range_enabled(&self) -> bool {
-        self.cfg.use_range && self.range_supported.load(Ordering::Acquire)
-    }
-
-    /// True while this client will still emit `RangeChecked` (an
-    /// integrity key is configured, coalescing is allowed, and the
-    /// server has not demonstrated it predates the opcode).
-    pub fn checked_enabled(&self) -> bool {
-        self.cfg.integrity_key.is_some()
-            && self.cfg.use_range
-            && self.checked_supported.load(Ordering::Acquire)
     }
 
     /// Cells the server has reported as corrupt (footer verification
@@ -860,249 +414,125 @@ impl RemoteDisk {
         self.remote_verify_fails.load(Ordering::Relaxed)
     }
 
-    /// True while requests go over the multiplexed transport (config
-    /// allows it and negotiation latched it on).
-    pub fn mux_enabled(&self) -> bool {
-        self.cfg.multiplex && self.mux_state.load(Ordering::Acquire) == MUX_ON
-    }
-
-    /// Whether to take the mux path, negotiating on first use.
-    fn use_mux(&self) -> bool {
-        if !self.cfg.multiplex {
-            return false;
-        }
-        match self.mux_state.load(Ordering::Acquire) {
-            MUX_ON => true,
-            MUX_OFF => false,
-            _ => self.negotiate_mux(),
+    /// Fetch the server's metrics registry as flat `(name, value)`
+    /// pairs — per-op serve counters plus the `serve_us` histogram
+    /// summary.
+    ///
+    /// # Errors
+    /// Transport failure, or an error reply.
+    pub fn stats(&self) -> Result<Vec<(String, u64)>, NetError> {
+        match self.rpc(&Request::Stats)? {
+            Response::Stats(pairs) => Ok(pairs),
+            other => Err(unexpected("stats request", &other)),
         }
     }
 
-    /// First-use negotiation, serialized on the mux slot lock: probe
-    /// with `Mux(Health)`; an in-kind answer latches mux on, a *plain*
-    /// answer (or an answering legacy path after a dropped probe)
-    /// latches it off permanently, and a total outage leaves the state
-    /// unknown so a later request re-probes.
-    fn negotiate_mux(&self) -> bool {
+    /// Send a fault-injection command to the shard.
+    ///
+    /// # Errors
+    /// Transport failure, or an error reply.
+    pub fn inject(&self, fault: Fault) -> Result<(), NetError> {
+        match self.rpc(&Request::InjectFault(fault))? {
+            Response::FaultInjected => Ok(()),
+            other => Err(unexpected("fault injection", &other)),
+        }
+    }
+
+    /// Liveness probe: stored element count, or an error if the shard is
+    /// unreachable.
+    ///
+    /// # Errors
+    /// Transport failure, or an error reply.
+    pub fn health(&self) -> Result<u64, NetError> {
+        match self.rpc(&Request::Health)? {
+            Response::Health { elements } => Ok(elements),
+            other => Err(unexpected("health probe", &other)),
+        }
+    }
+
+    /// One sequential round trip on a pooled connection, for the ops
+    /// that go one at a time. All of them may be sent twice, so a stale
+    /// pooled connection costs a re-dial, not an error.
+    fn rpc(&self, req: &Request) -> Result<Response, NetError> {
+        let res = match self.pool.request(&|w| write_request(w, req), true) {
+            Ok(Response::Error(msg)) => Err(NetError::Remote(msg)),
+            other => other,
+        };
+        if let Err(e) = &res {
+            if matches!(e, NetError::Timeout) {
+                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            self.counters
+                .failed_requests
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        res
+    }
+
+    /// The live mux connection, dialling if there is none or the last
+    /// one died.
+    fn mux_conn(&self) -> Result<Arc<MuxConn>, NetError> {
         let mut slot = self.mux.lock();
-        match self.mux_state.load(Ordering::Acquire) {
-            MUX_ON => return true,
-            MUX_OFF => return false,
-            _ => {}
+        if let Some(conn) = slot.as_ref().filter(|conn| !conn.is_dead()) {
+            return Ok(Arc::clone(conn));
         }
-        match MuxConn::establish(self.addr, &self.cfg, &self.counters) {
-            Ok(conn) => {
-                *slot = Some(Arc::new(conn));
-                self.mux_state.store(MUX_ON, Ordering::Release);
-                true
-            }
-            Err(MuxProbe::Unsupported(stream)) => {
-                // The shard answered without demuxing: it predates the
-                // opcode. The exchange was clean, so the connection is
-                // reusable by the legacy path.
-                self.recycle(stream);
-                self.mux_state.store(MUX_OFF, Ordering::Release);
-                false
-            }
-            Err(MuxProbe::Transport(_)) => {
-                // Ambiguous: an old server dropping the unknown opcode
-                // looks exactly like an outage. Ask on the legacy path;
-                // only an *answering* shard demotes (a transient outage
-                // must not latch mux off).
-                if self.health().is_ok() {
-                    self.mux_state.store(MUX_OFF, Ordering::Release);
-                }
-                false
-            }
+        let conn = Arc::new(MuxConn::dial(&self.pool, &self.counters)?);
+        if slot.replace(Arc::clone(&conn)).is_some() {
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(conn)
     }
 
-    /// The live mux connection, re-dialing if the previous one died.
-    /// `None` means the transport is unavailable right now (caller
-    /// falls back to the blocking path, which carries the retry
-    /// budget).
-    fn mux_conn(&self) -> Option<Arc<MuxConn>> {
-        let mut slot = self.mux.lock();
-        if let Some(conn) = slot.as_ref() {
-            if !conn.is_dead() {
-                return Some(Arc::clone(conn));
+    /// Send one id-tagged frame on the mux connection. `done` runs
+    /// exactly once: with the response, with `Timeout` after
+    /// `request_timeout`, or with the transport error. The data path's
+    /// one retry rule lives here: a frame that never fully left this
+    /// host is re-sent once, on a fresh dial. Nothing sleeps.
+    fn submit(&self, send: &MuxSend<'_>, mut done: MuxCallback) {
+        for attempt in 0..2 {
+            if attempt == 1 {
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
-            *slot = None;
-        }
-        // Mux was negotiated on, so the server speaks it: this is an
-        // outage or restart, not a protocol question.
-        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        match MuxConn::establish(self.addr, &self.cfg, &self.counters) {
-            Ok(conn) => {
-                let conn = Arc::new(conn);
-                *slot = Some(Arc::clone(&conn));
-                Some(conn)
-            }
-            Err(MuxProbe::Unsupported(stream)) => {
-                // The shard came back *older* (rollback): demote.
-                self.recycle(stream);
-                self.mux_state.store(MUX_OFF, Ordering::Release);
-                None
-            }
-            Err(MuxProbe::Transport(_)) => None,
-        }
-    }
-
-    /// Pick the wire shape for a batch of offsets: single element,
-    /// coalesced (checked) range for one contiguous ascending run, or
-    /// order-preserving batch.
-    fn plan_read(&self, offsets: &[u64]) -> (Request, ReadShape) {
-        if offsets.len() == 1 {
-            return (
-                Request::GetElement { offset: offsets[0] },
-                ReadShape::Element,
-            );
-        }
-        if let Some(count) = contiguous_run(offsets) {
-            if self.checked_enabled() {
-                let (k0, k1) = self
-                    .cfg
-                    .integrity_key
-                    .expect("checked_enabled implies a key");
-                return (
-                    Request::RangeChecked {
-                        offset: offsets[0],
-                        count,
-                        k0,
-                        k1,
-                    },
-                    ReadShape::Checked,
-                );
-            }
-            if self.range_enabled() {
-                return (
-                    Request::GetRange {
-                        offset: offsets[0],
-                        count,
-                    },
-                    ReadShape::Range,
-                );
+            let conn = match self.mux_conn() {
+                Ok(conn) => conn,
+                Err(e) => return done(Err(e)),
+            };
+            match conn.submit(send, self.cfg.request_timeout, done) {
+                Ok(()) => return,
+                Err(unsent) => done = unsent,
             }
         }
-        (
-            Request::BatchGet {
-                offsets: offsets.to_vec(),
-            },
-            ReadShape::Batch,
-        )
-    }
-
-    /// The blocking read path: retries, backoff, hedging, and the
-    /// range/checked opcode negotiation. Used when multiplexing is off
-    /// (old servers, hedging configs) and as the fallback when the mux
-    /// transport cannot be (re-)established.
-    fn read_many_blocking(&self, offsets: &[u64]) -> Vec<Option<Vec<u8>>> {
-        if offsets.is_empty() {
-            return Vec::new();
-        }
-        if offsets.len() == 1 {
-            let got =
-                match self.timed(|| self.read_rpc(&Request::GetElement { offset: offsets[0] })) {
-                    Ok(Response::Element(v)) => v,
-                    _ => None,
-                };
-            return vec![got];
-        }
-        if self.checked_enabled() {
-            if let Some(count) = contiguous_run(offsets) {
-                if let Some(items) = self.read_checked(offsets[0], count) {
-                    return items;
-                }
-                // Transient fault or an old server. Retry unchecked
-                // (GetRange negotiates its own fallback below); if the
-                // shard answers, it is alive but checked-less —
-                // remember and stop asking.
-                let items = self.read_many_unchecked(offsets);
-                if items.iter().any(Option::is_some) {
-                    self.checked_supported.store(false, Ordering::Release);
-                }
-                return items;
-            }
-        }
-        self.read_many_unchecked(offsets)
-    }
-
-    /// One `RangeChecked` attempt for a contiguous run, or `None` if
-    /// the checked path is unavailable/failed (caller falls back).
-    /// Corrupt cells map to absent entries — the store's verify-on-read
-    /// treats both as erasures — after bumping the corrupt counter.
-    fn read_checked(&self, offset: u64, count: u32) -> Option<Vec<Option<Vec<u8>>>> {
-        let (k0, k1) = self.cfg.integrity_key?;
-        match self.timed(|| {
-            self.read_rpc(&Request::RangeChecked {
-                offset,
-                count,
-                k0,
-                k1,
-            })
-        }) {
-            Ok(Response::Checked(items)) if items.len() == count as usize => Some(
-                items
-                    .into_iter()
-                    .map(|item| match item {
-                        CheckedElement::Valid(bytes) => Some(bytes),
-                        CheckedElement::Missing => None,
-                        CheckedElement::Corrupt => {
-                            self.remote_verify_fails.fetch_add(1, Ordering::Relaxed);
-                            None
-                        }
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// The unchecked multi-element path: coalesced `GetRange` for a
-    /// contiguous run (with its own old-server fallback), `BatchGet`
-    /// otherwise.
-    fn read_many_unchecked(&self, offsets: &[u64]) -> Vec<Option<Vec<u8>>> {
-        if self.range_enabled() {
-            if let Some(count) = contiguous_run(offsets) {
-                match self.timed(|| {
-                    self.read_rpc(&Request::GetRange {
-                        offset: offsets[0],
-                        count,
-                    })
-                }) {
-                    Ok(Response::Range(items)) if items.len() == offsets.len() => return items,
-                    _ => {
-                        // Either a transient fault or an old server (which
-                        // drops the connection on the unknown opcode). Retry
-                        // the batch as BatchGet; if *that* works, the shard
-                        // is alive but range-less — remember and stop asking.
-                        match self.timed(|| {
-                            self.read_rpc(&Request::BatchGet {
-                                offsets: offsets.to_vec(),
-                            })
-                        }) {
-                            Ok(Response::Batch(items)) if items.len() == offsets.len() => {
-                                self.range_supported.store(false, Ordering::Release);
-                                return items;
-                            }
-                            _ => return vec![None; offsets.len()],
-                        }
-                    }
-                }
-            }
-        }
-        self.read_batch(offsets)
+        done(Err(NetError::Protocol(CONN_LOST.into())));
     }
 }
 
-/// `Some(count)` when `offsets` is one contiguous ascending run
-/// (`o, o+1, …, o+len-1`) — the shape `GetRange` carries.
-fn contiguous_run(offsets: &[u64]) -> Option<u32> {
-    if offsets.is_empty() || offsets.len() > u32::MAX as usize {
-        return None;
-    }
-    let contiguous = offsets.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
-    contiguous.then_some(offsets.len() as u32)
+fn unexpected(what: &str, resp: &Response) -> NetError {
+    NetError::Protocol(format!("unexpected response to {what}: {resp:?}"))
+}
+
+/// Pack `offsets` into `Read` frames of order-preserving runs: a new run
+/// wherever an offset is not its predecessor plus one — so repeated and
+/// unsorted offsets are answered in the order they were asked — and a
+/// new frame every `max_cells` cells.
+fn pack_runs(offsets: &[u64], max_cells: usize) -> Vec<Vec<(u64, u32)>> {
+    offsets
+        .chunks(max_cells)
+        .map(|chunk| {
+            let mut runs: Vec<(u64, u32)> = Vec::new();
+            for &offset in chunk {
+                match runs.last_mut() {
+                    // Checked: the offset after `u64::MAX` is not 0.
+                    Some((start, count))
+                        if start.checked_add(u64::from(*count)) == Some(offset) =>
+                    {
+                        *count += 1;
+                    }
+                    _ => runs.push((offset, 1)),
+                }
+            }
+            runs
+        })
+        .collect()
 }
 
 /// Split `runs` into `PutMany` frames: one cell size per frame, at most
@@ -1149,102 +579,91 @@ fn pack_frames<'a>(runs: &[WriteRun<'a>], max_bytes: usize) -> Vec<Vec<WriteRun<
 }
 
 impl DiskBackend for RemoteDisk {
-    /// Submit a batch read. Over the multiplexed transport this is
-    /// truly non-blocking: the request goes out id-tagged on the shared
-    /// connection and the handle completes when the demux thread
-    /// delivers the response (or its deadline passes — mux submissions
-    /// are single-attempt; a failure completes as all-absent and the
-    /// store replans degraded). When multiplexing is off or
-    /// unavailable, the blocking path — with its full retry/hedge
-    /// budget — runs inline and the handle returns already complete.
+    /// Submit a batch read: one `Read` frame (more only past
+    /// [`MAX_RANGE`] cells) on the mux connection, carrying the
+    /// integrity key when one is configured. The handle completes when
+    /// the demux thread delivers the response or its deadline passes; a
+    /// frame that fails for any reason leaves its cells absent, counts
+    /// one failed request, and the store replans degraded.
     fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
-        if offsets.is_empty() {
-            return IoHandle::ready(Vec::new());
-        }
-        if !self.use_mux() {
-            return IoHandle::ready(self.read_many_blocking(offsets));
-        }
-        let Some(conn) = self.mux_conn() else {
-            // Transport down right now: the blocking path carries the
-            // retry budget and the failure accounting.
-            return IoHandle::ready(self.read_many_blocking(offsets));
-        };
         let (handle, completer) = io_pair(offsets.len());
-        let (req, shape) = self.plan_read(offsets);
-        let n = offsets.len();
-        let counters = Arc::clone(&self.counters);
-        let request_us = self.request_us.clone();
-        let verify_fails = Arc::clone(&self.remote_verify_fails);
-        let t0 = Instant::now();
-        let framed = |w: &mut BufWriter<TcpStream>, id| {
-            let inner = Box::new(req);
-            write_request(w, &Request::Mux { id, inner })
-        };
-        let done: MuxCallback = Box::new(move |res| {
-            request_us.record_duration(t0.elapsed());
-            let results = res
-                .ok()
-                .and_then(|resp| map_read_response(resp, &shape, n, &verify_fails))
-                .unwrap_or_else(|| {
-                    counters.failed_requests.fetch_add(1, Ordering::Relaxed);
-                    vec![None; n]
-                });
-            completer.complete(results);
+        let gather = Arc::new(Gather {
+            cells: Mutex::new(vec![None; offsets.len()]),
+            completer: Some(completer),
         });
-        if let Err(done) = conn.submit(framed, self.cfg.request_timeout, done) {
-            done(Err(NetError::Protocol("mux connection lost".into())));
+        let mut at = 0;
+        for runs in pack_runs(offsets, MAX_RANGE as usize) {
+            let n: usize = runs.iter().map(|&(_, count)| count as usize).sum();
+            let req = Request::Read {
+                runs,
+                key: self.cfg.integrity_key,
+            };
+            let gather = Arc::clone(&gather);
+            let counters = Arc::clone(&self.counters);
+            let request_us = self.request_us.clone();
+            let verify_fails = Arc::clone(&self.remote_verify_fails);
+            let t0 = Instant::now();
+            let done: MuxCallback = Box::new(move |res| {
+                request_us.record_duration(t0.elapsed());
+                match res {
+                    Ok(Response::Cells(items)) if items.len() == n => {
+                        let mut cells = gather.cells.lock();
+                        for (slot, item) in cells[at..at + n].iter_mut().zip(items) {
+                            match item {
+                                CheckedElement::Valid(bytes) => *slot = Some(bytes),
+                                CheckedElement::Missing => {}
+                                CheckedElement::Corrupt => {
+                                    verify_fails.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                        }
+                    }
+                    _ => {
+                        counters.failed_requests.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+            self.submit(&|w, id| write_mux_request(w, id, &req), done);
+            at += n;
         }
         handle
     }
 
-    /// True once mux negotiation has latched on: submissions return
-    /// un-completed handles, so the array drives this backend from the
-    /// reactor's completion side instead of parking a pool worker on it.
+    /// Submissions return un-completed handles, so the array drives this
+    /// backend from the reactor's completion side instead of parking a
+    /// pool worker on it.
     fn submits_async(&self) -> bool {
-        self.mux_enabled()
+        true
     }
 
     /// Submit a batch write: one `PutMany` frame (more only past the
-    /// payload cap, or for mixed cell sizes), sent from the caller's
-    /// buffers. Over the multiplexed transport the frame is written and
-    /// the handle completes when the demux thread has the
-    /// acknowledgement, so a caller writing to many shards sends all
-    /// its frames before it waits for any. A frame that could not be
-    /// written there — transport down, or the write failed part-way:
-    /// puts are idempotent by offset, so sending it again is safe —
-    /// takes the blocking path with its retry budget, inline.
-    /// `DiskBackend` writes are infallible by contract: a frame that is
-    /// never acknowledged is one failed request in the counters, and
-    /// its cells read back as absent.
+    /// payload cap, or for mixed cell sizes) on the mux connection, sent
+    /// from the caller's buffers. The handle completes when the demux
+    /// thread has every acknowledgement, so a caller writing to many
+    /// shards sends all its frames before it waits for any. (Re-sending
+    /// a frame that did not wholly leave is safe: puts are idempotent by
+    /// offset.) `DiskBackend` writes are infallible by contract: a frame
+    /// that is never acknowledged is one failed request in the
+    /// counters, and its cells read back as absent.
     fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
         let (handle, completer) = io_pair(0);
         // Dropped — which completes the handle — by whichever frame's
         // completion runs last.
         let completer = Arc::new(completer);
-        let mux = self.use_mux().then(|| self.mux_conn()).flatten();
         for frame in pack_frames(runs, MAX_PAYLOAD as usize - 32) {
             let cell_len = frame[0].cell_len as u32;
-            let on_mux = mux.as_ref().is_some_and(|conn| {
-                let framed = |w: &mut BufWriter<TcpStream>, id| {
-                    write_put_many(w, Some(id), cell_len, &frame)
-                };
-                let counters = Arc::clone(&self.counters);
-                let request_us = self.request_us.clone();
-                let completer = Arc::clone(&completer);
-                let t0 = Instant::now();
-                let done: MuxCallback = Box::new(move |res| {
-                    request_us.record_duration(t0.elapsed());
-                    if !matches!(res, Ok(Response::Put)) {
-                        counters.failed_requests.fetch_add(1, Ordering::Relaxed);
-                    }
-                    drop(completer);
-                });
-                conn.submit(framed, self.cfg.request_timeout, done).is_ok()
+            let counters = Arc::clone(&self.counters);
+            let request_us = self.request_us.clone();
+            let completer = Arc::clone(&completer);
+            let t0 = Instant::now();
+            let done: MuxCallback = Box::new(move |res| {
+                request_us.record_duration(t0.elapsed());
+                if !matches!(res, Ok(Response::Put)) {
+                    counters.failed_requests.fetch_add(1, Ordering::Relaxed);
+                }
+                drop(completer);
             });
-            if !on_mux {
-                let _ =
-                    self.timed(|| self.rpc_with(&|w| write_put_many(w, None, cell_len, &frame)));
-            }
+            self.submit(&|w, id| write_put_many(w, id, cell_len, &frame), done);
         }
         handle
     }
@@ -1272,15 +691,8 @@ impl DiskBackend for RemoteDisk {
     }
 
     /// Ship decode coefficients to the shard and receive pre-summed
-    /// regions back (the repair-traffic-optimal path). An old server
-    /// drops the connection on the unknown opcode; like the range
-    /// latches, a `BatchGet` probe of the same offsets distinguishes
-    /// "combine-less but alive" (latch off, caller falls back to raw
-    /// elements) from "shard down" (report the failure).
+    /// regions back (the repair-traffic-optimal path).
     fn combine(&self, spec: &CombineSpec) -> CombineOutcome {
-        if !self.combine_supported.load(Ordering::Acquire) {
-            return CombineOutcome::Unsupported;
-        }
         let req = Request::CombineRange {
             offset: spec.offset,
             count: spec.count,
@@ -1299,7 +711,10 @@ impl DiskBackend for RemoteDisk {
                 })
                 .collect(),
         };
-        match self.timed(|| self.rpc(&req)) {
+        let t0 = Instant::now();
+        let res = self.rpc(&req);
+        self.request_us.record_duration(t0.elapsed());
+        match res {
             Ok(Response::Combined {
                 regions,
                 local_status,
@@ -1310,30 +725,12 @@ impl DiskBackend for RemoteDisk {
                 peer_status,
             }),
             Ok(other) => CombineOutcome::Failed(format!("unexpected response: {other:?}")),
-            // A structured Error came back over the wire: the server
-            // speaks the opcode (it rejected this *request*), so the
-            // latch stays on.
-            Err(NetError::Remote(msg)) => CombineOutcome::Failed(msg),
-            Err(e) => {
-                let offsets: Vec<u64> = (0..u64::from(spec.count))
-                    .map(|i| spec.offset + i)
-                    .collect();
-                let probe = self.read_batch(&offsets);
-                if probe.iter().any(Option::is_some) {
-                    self.combine_supported.store(false, Ordering::Release);
-                    return CombineOutcome::Unsupported;
-                }
-                CombineOutcome::Failed(e.to_string())
-            }
+            Err(e) => CombineOutcome::Failed(e.to_string()),
         }
     }
 
-    fn supports_combine(&self) -> bool {
-        self.combine_supported.load(Ordering::Acquire)
-    }
-
     fn peer_addr(&self) -> Option<String> {
-        Some(self.addr.to_string())
+        Some(self.addr().to_string())
     }
 }
 
@@ -1341,6 +738,7 @@ impl DiskBackend for RemoteDisk {
 mod tests {
     use super::*;
     use crate::server::ShardServer;
+    use ecfrm_integrity::{append_footer, HashKey};
     use ecfrm_sim::MemDisk;
 
     fn server() -> ShardServer {
@@ -1352,100 +750,97 @@ mod tests {
         RemoteDiskConfig::builder().low_latency().build()
     }
 
+    /// One server-side counter, over the `Stats` op.
+    fn served(disk: &RemoteDisk, name: &str) -> u64 {
+        let stats = disk.stats().unwrap();
+        stats.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
     #[test]
-    fn builder_default_matches_config_default() {
+    fn builder_sets_each_of_the_four_fields() {
         assert_eq!(
             RemoteDiskConfig::builder().build(),
             RemoteDiskConfig::default()
         );
-    }
-
-    #[test]
-    fn builder_sets_individual_knobs() {
         let cfg = RemoteDiskConfig::builder()
             .connect_timeout(Duration::from_millis(10))
             .request_timeout(Duration::from_millis(20))
-            .max_retries(7)
-            .backoff(Duration::from_millis(1), Duration::from_millis(2))
-            .hedge_after(Some(Duration::from_millis(30)))
             .pool_size(9)
-            .use_range(false)
             .integrity_key(3, 4)
-            .multiplex(false)
             .build();
-        assert_eq!(cfg.connect_timeout, Duration::from_millis(10));
-        assert_eq!(cfg.request_timeout, Duration::from_millis(20));
-        assert_eq!(cfg.max_retries, 7);
-        assert_eq!(cfg.backoff_base, Duration::from_millis(1));
-        assert_eq!(cfg.backoff_cap, Duration::from_millis(2));
-        assert_eq!(cfg.hedge_after, Some(Duration::from_millis(30)));
-        assert_eq!(cfg.pool_size, 9);
-        assert!(!cfg.use_range);
-        assert_eq!(cfg.integrity_key, Some((3, 4)));
-        assert!(!cfg.multiplex);
+        let want = RemoteDiskConfig {
+            connect_timeout: Duration::from_millis(10),
+            request_timeout: Duration::from_millis(20),
+            pool_size: 9,
+            integrity_key: Some((3, 4)),
+        };
+        assert_eq!(cfg, want);
     }
 
     #[test]
     fn read_write_roundtrip_over_wire() {
         let server = server();
         let disk = RemoteDisk::new(server.addr(), fast());
+        assert!(disk.submits_async(), "from construction: nothing to probe");
         assert!(disk.is_empty());
         disk.write(7, vec![1, 2, 3]);
         assert_eq!(disk.read(7), Some(vec![1, 2, 3]));
         assert_eq!(disk.read(8), None);
         assert_eq!(disk.len(), 1);
-        let stats = disk.net_stats().unwrap();
-        assert_eq!(stats.failed_requests, 0);
-        assert_eq!(stats.timeouts, 0);
-        assert!(disk.mux_enabled(), "a live new server negotiates mux on");
-        assert!(disk.submits_async());
+        assert_eq!(disk.net_stats().unwrap(), NetStats::default());
     }
 
     #[test]
-    fn batch_get_roundtrip() {
-        let server = server();
-        let disk = RemoteDisk::new(server.addr(), fast());
-        for o in 0..3u64 {
-            disk.write(o, vec![o as u8; 4]);
-        }
-        let got = disk.read_batch(&[1, 5, 2]);
-        assert_eq!(got, vec![Some(vec![1u8; 4]), None, Some(vec![2u8; 4])]);
-    }
-
-    #[test]
-    fn read_many_coalesces_contiguous_run_into_one_range_rpc() {
-        let server = server();
-        let disk = RemoteDisk::new(server.addr(), fast());
-        for o in 0..6u64 {
-            disk.write(o, vec![o as u8; 4]);
-        }
-        let got = disk.read_many(&[2, 3, 4, 5]);
+    fn offsets_pack_into_order_preserving_runs() {
+        let pack = |offsets: &[u64]| pack_runs(offsets, 1 << 20);
+        assert!(pack(&[]).is_empty());
+        assert_eq!(pack(&[5]), [[(5, 1)]]);
+        assert_eq!(pack(&[5, 6, 7]), [[(5, 3)]]);
+        // Holes, descending and repeated offsets each start a run, so
+        // the reply's cells line up with the offsets as asked.
+        assert_eq!(pack(&[5, 7, 8, 20]), [[(5, 1), (7, 2), (20, 1)]]);
+        assert_eq!(pack(&[6, 5, 4]), [[(6, 1), (5, 1), (4, 1)]]);
+        assert_eq!(pack(&[5, 5, 6, 6]), [[(5, 1), (5, 2), (6, 1)]]);
+        // Nothing follows the last offset: 0 after it is a new run (the
+        // wrapped `(u64::MAX, 2)` is a frame every server refuses).
         assert_eq!(
-            got,
-            (2..6u64)
-                .map(|o| Some(vec![o as u8; 4]))
-                .collect::<Vec<_>>()
+            pack(&[u64::MAX - 1, u64::MAX, 0, 1]),
+            [[(u64::MAX - 1, 2), (0, 2)]]
         );
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("serve.range"), Some(1), "one coalesced RPC");
-        assert_eq!(get("serve.batch"), Some(0), "no per-batch fallback used");
+        // A frame holds `max_cells` cells; a run is cut where one ends.
+        assert_eq!(
+            pack_runs(&[0, 1, 2, 3, 4, 9, 10], 3),
+            [vec![(0, 3)], vec![(3, 2), (9, 1)], vec![(10, 1)]]
+        );
     }
 
     #[test]
-    fn read_many_non_contiguous_uses_batch_get() {
+    fn a_read_is_one_frame_whatever_its_shape() {
         let server = server();
         let disk = RemoteDisk::new(server.addr(), fast());
         for o in 0..8u64 {
-            disk.write(o, vec![o as u8]);
+            disk.write(o, vec![o as u8; 4]);
         }
-        let got = disk.read_many(&[7, 0, 3, 100]);
-        assert_eq!(got, vec![Some(vec![7]), Some(vec![0]), Some(vec![3]), None]);
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("serve.batch"), Some(1));
-        assert_eq!(get("serve.range"), Some(0));
-        assert!(disk.range_enabled(), "fallback must not disable range");
+        let cell = |o: u64| Some(vec![o as u8; 4]);
+        assert_eq!(
+            disk.read_many(&[2, 3, 4, 5]),
+            (2..6).map(cell).collect::<Vec<_>>()
+        );
+        assert_eq!(served(&disk, "serve.read"), 1, "a contiguous run");
+        assert_eq!(
+            disk.read_many(&[7, 0, 3, 100, 7, u64::MAX, 0]),
+            vec![cell(7), cell(0), cell(3), None, cell(7), None, cell(0)]
+        );
+        assert_eq!(served(&disk, "serve.read"), 2, "a scattered batch");
+        assert_eq!(disk.read(6), cell(6));
+        assert_eq!(served(&disk, "serve.read"), 3, "a single cell");
+        assert!(disk.read_many(&[]).is_empty());
+        assert_eq!(
+            served(&disk, "serve.read"),
+            3,
+            "nothing asked, nothing sent"
+        );
+        assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
     }
 
     #[test]
@@ -1467,49 +862,73 @@ mod tests {
         }
     }
 
+    /// For seeded random offset lists — runs, holes, repeats, both ends
+    /// of the offset space — a `RemoteDisk` answers exactly as the
+    /// `MemDisk` behind its shard does, with and without a key.
     #[test]
-    fn mux_path_serves_many_concurrent_submissions() {
-        let server = server();
-        let disk = RemoteDisk::new(server.addr(), fast());
-        for o in 0..64u64 {
-            disk.write(o, vec![o as u8; 8]);
+    fn read_many_matches_the_backing_disk_on_random_offset_lists() {
+        let key = HashKey::DEFAULT.derive(0x4449_4646, 3);
+        let backend = Arc::new(MemDisk::new());
+        let stored: Vec<u64> = (0..200).chain([u64::MAX - 2, u64::MAX - 1]).collect();
+        for &off in stored.iter().filter(|o| *o % 7 != 3) {
+            let mut cell = vec![off as u8; 24];
+            append_footer(&key, off, &mut cell);
+            backend.write(off, cell);
         }
-        // Trigger negotiation, then pile up in-flight submissions on
-        // the one connection before collecting any of them.
-        assert_eq!(disk.read(0), Some(vec![0u8; 8]));
-        assert!(disk.submits_async());
-        let handles: Vec<IoHandle> = (0..64u64).map(|o| disk.submit_read_many(&[o])).collect();
-        for (o, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.wait(), vec![Some(vec![o as u8; 8])], "offset {o}");
+        let server =
+            ShardServer::spawn(Arc::clone(&backend) as Arc<dyn DiskBackend>, "127.0.0.1:0")
+                .unwrap();
+        let plain = RemoteDisk::new(server.addr(), fast());
+        let keyed_cfg = RemoteDiskConfig::builder()
+            .low_latency()
+            .integrity_key(key.k0, key.k1)
+            .build();
+        let keyed = RemoteDisk::new(server.addr(), keyed_cfg);
+        let mut rng = ecfrm_util::Rng::seed_from_u64(0xEC_F2);
+        for round in 0..60 {
+            let mut offsets = Vec::new();
+            while offsets.len() < rng.random_range(0..40usize) {
+                let start = match rng.random_range(0..10u32) {
+                    0 => u64::MAX - rng.random_range(0..4u64),
+                    _ => rng.random_range(0..220u64),
+                };
+                let run = rng.random_range(1..6u64);
+                offsets.extend((0..run).map(|i| start.saturating_add(i)));
+            }
+            let want = backend.read_many(&offsets);
+            assert_eq!(
+                plain.read_many(&offsets),
+                want,
+                "round {round}: {offsets:?}"
+            );
+            assert_eq!(
+                keyed.read_many(&offsets),
+                want,
+                "round {round}: {offsets:?}"
+            );
         }
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert!(get("serve.mux").unwrap() >= 65, "{stats:?}");
-        assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
+        for disk in [&plain, &keyed] {
+            assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
+        }
+        assert_eq!(keyed.remote_verify_fails(), 0);
     }
 
+    /// Verification at the source does not depend on what a batch looks
+    /// like: a rotted cell read alone, inside a contiguous run and in a
+    /// scattered batch is absent each time, and counted on both sides.
     #[test]
-    fn read_many_on_dead_server_is_all_absent() {
-        let mut server = server();
-        let disk = RemoteDisk::new(server.addr(), fast());
-        server.kill();
-        assert_eq!(disk.read_many(&[0, 1, 2]), vec![None, None, None]);
-        // A transient outage must not permanently disable coalescing —
-        // or multiplexing.
-        assert!(disk.range_enabled());
-        assert!(!disk.mux_enabled(), "outage leaves mux undetermined");
-    }
-
-    #[test]
-    fn read_many_checked_maps_corrupt_to_absent_and_counts() {
-        use ecfrm_integrity::{append_footer, HashKey};
+    fn a_corrupt_cell_is_absent_and_counted_whatever_the_batch_shape() {
         let backend = Arc::new(MemDisk::new());
         let server =
             ShardServer::spawn(Arc::clone(&backend) as Arc<dyn DiskBackend>, "127.0.0.1:0")
                 .unwrap();
         let key = HashKey::DEFAULT.derive(0x454C_454D, 7);
-        let disk = RemoteDisk::new(server.addr(), fast().with_integrity(key.k0, key.k1));
-        for off in 0..4u64 {
+        let cfg = RemoteDiskConfig::builder()
+            .low_latency()
+            .integrity_key(key.k0, key.k1)
+            .build();
+        let disk = RemoteDisk::new(server.addr(), cfg);
+        for off in 0..6u64 {
             let mut cell = vec![off as u8; 8];
             append_footer(&key, off, &mut cell);
             disk.write(off, cell);
@@ -1519,71 +938,68 @@ mod tests {
         rotted[3] ^= 0x80;
         backend.write(2, rotted);
 
-        let got = disk.read_many(&[0, 1, 2, 3]);
-        assert!(got[0].is_some() && got[1].is_some() && got[3].is_some());
-        assert_eq!(got[2], None, "corrupt cell reads as absent");
-        assert_eq!(disk.remote_verify_fails(), 1);
-        assert!(disk.checked_enabled(), "corruption must not demote the op");
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("serve.checked"), Some(1));
-        assert_eq!(get("serve.checked_corrupt"), Some(1));
-        assert_eq!(get("serve.batch"), Some(0), "no fallback was needed");
+        let shapes: [&[u64]; 3] = [&[2], &[0, 1, 2, 3], &[5, 2, 0]];
+        for (i, offsets) in shapes.into_iter().enumerate() {
+            let got = disk.read_many(offsets);
+            for (&off, cell) in offsets.iter().zip(&got) {
+                assert_eq!(cell.is_some(), off != 2, "shape {i}, offset {off}");
+            }
+            assert_eq!(disk.remote_verify_fails(), i as u64 + 1, "shape {i}");
+            assert_eq!(served(&disk, "serve.read_corrupt"), i as u64 + 1);
+            assert_eq!(served(&disk, "serve.read"), i as u64 + 1);
+        }
+        assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
+    }
+
+    /// A shard backend that answers every read one cell short.
+    #[derive(Debug)]
+    struct ShortDisk(MemDisk);
+
+    impl DiskBackend for ShortDisk {
+        fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+            let mut cells = self.0.read_many(offsets);
+            cells.pop();
+            IoHandle::ready(cells)
+        }
+        fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+            self.0.submit_write_many(runs)
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn wipe(&self) {}
+        fn len(&self) -> usize {
+            self.0.len()
+        }
     }
 
     #[test]
-    fn old_server_demotes_checked_to_unchecked_path() {
-        // A hand-rolled shard that predates `RangeChecked`: it drops the
-        // connection on the unknown opcode (exactly what an old
-        // `read_request` does with an unparseable frame) but serves
-        // `BatchGet`/`GetRange` fine. It answers a `Mux` probe with a
-        // plain error, so mux negotiation latches off first.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let backend = Arc::new(MemDisk::new());
-        for off in 0..4u64 {
-            backend.write(off, vec![off as u8; 4]);
-        }
-        let serve_backend = Arc::clone(&backend);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { return };
-                let disk = Arc::clone(&serve_backend);
-                std::thread::spawn(move || loop {
-                    let req = match crate::protocol::read_request(&mut stream) {
-                        Ok(r) => r,
-                        Err(_) => return,
-                    };
-                    let resp = match req {
-                        Request::RangeChecked { .. } => return, // "unknown opcode"
-                        Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),
-                        Request::GetRange { offset, count } => {
-                            let offsets: Vec<u64> =
-                                (0..u64::from(count)).map(|i| offset + i).collect();
-                            Response::Range(disk.read_many(&offsets))
-                        }
-                        Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                        _ => Response::Error("unsupported".into()),
-                    };
-                    if crate::protocol::write_response(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                });
-            }
-        });
+    fn a_reply_of_the_wrong_length_is_a_failed_request_not_a_panic() {
+        let server =
+            ShardServer::spawn(Arc::new(ShortDisk(MemDisk::new())), "127.0.0.1:0").unwrap();
+        let disk = RemoteDisk::new(server.addr(), fast());
+        disk.write(0, vec![1; 4]);
+        disk.write(1, vec![2; 4]);
+        assert_eq!(disk.read_many(&[0, 1, 2]), vec![None; 3]);
+        assert_eq!(disk.net_stats().unwrap().failed_requests, 1);
+        // The connection is fine: the reply was well-formed, just wrong.
+        assert_eq!(disk.net_stats().unwrap().conns_discarded, 0);
+    }
 
-        let disk = RemoteDisk::new(addr, fast().with_integrity(1, 2));
-        assert!(disk.checked_enabled());
-        let want: Vec<Option<Vec<u8>>> = (0..4u64).map(|o| Some(vec![o as u8; 4])).collect();
-        assert_eq!(disk.read_many(&[0, 1, 2, 3]), want);
-        assert!(
-            !disk.checked_enabled(),
-            "an answering but checked-less shard demotes the op permanently"
-        );
-        assert!(disk.range_enabled(), "range negotiation is independent");
-        assert!(!disk.mux_enabled(), "plain probe answer demotes mux");
-        // Subsequent batches skip the checked attempt entirely.
-        assert_eq!(disk.read_many(&[0, 1, 2, 3]), want);
+    #[test]
+    fn mux_path_serves_many_concurrent_submissions() {
+        let server = server();
+        let disk = RemoteDisk::new(server.addr(), fast());
+        for o in 0..64u64 {
+            disk.write(o, vec![o as u8; 8]);
+        }
+        // Pile up in-flight submissions on the one connection before
+        // collecting any of them.
+        let handles: Vec<IoHandle> = (0..64u64).map(|o| disk.submit_read_many(&[o])).collect();
+        for (o, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.wait(), vec![Some(vec![o as u8; 8])], "offset {o}");
+        }
+        assert_eq!(served(&disk, "serve.mux"), 128, "every write and read");
+        assert_eq!(disk.net_stats().unwrap(), NetStats::default());
     }
 
     #[test]
@@ -1608,7 +1024,6 @@ mod tests {
         let CombineOutcome::Combined(reply) = disk.combine(&spec) else {
             panic!("live new server must combine");
         };
-        assert!(disk.supports_combine());
         assert_eq!(reply.local_status, vec![0, 0, 0]);
         let region = verify_footer(&key, 0, &reply.regions[0]).expect("region sealed");
         let mut want = vec![0u8; 16];
@@ -1616,165 +1031,6 @@ mod tests {
             ecfrm_gf::region::mul_add_region(c, &[off as u8 + 1; 16], &mut want);
         }
         assert_eq!(region, &want[..]);
-    }
-
-    #[test]
-    fn old_server_latches_combine_off_after_one_probe() {
-        // A pre-combine shard: drops the connection on the unknown
-        // opcode but answers `BatchGet` — the probe that tells the
-        // client "alive but combine-less". The latch must be permanent
-        // and must not disturb the other negotiations.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let combine_frames = Arc::new(AtomicU64::new(0));
-        let backend = Arc::new(MemDisk::new());
-        for off in 0..3u64 {
-            backend.write(off, vec![off as u8; 4]);
-        }
-        let serve_backend = Arc::clone(&backend);
-        let serve_frames = Arc::clone(&combine_frames);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { return };
-                let disk = Arc::clone(&serve_backend);
-                let frames = Arc::clone(&serve_frames);
-                std::thread::spawn(move || loop {
-                    let req = match crate::protocol::read_request(&mut stream) {
-                        Ok(r) => r,
-                        Err(_) => return,
-                    };
-                    let resp = match req {
-                        Request::CombineRange { .. } => {
-                            frames.fetch_add(1, Ordering::Relaxed);
-                            return; // "unknown opcode"
-                        }
-                        Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),
-                        Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                        _ => Response::Error("unsupported".into()),
-                    };
-                    if crate::protocol::write_response(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                });
-            }
-        });
-
-        let disk = RemoteDisk::new(addr, fast());
-        assert!(disk.supports_combine(), "optimistic until proven otherwise");
-        let spec = CombineSpec {
-            offset: 0,
-            count: 3,
-            outputs: 1,
-            coeffs: vec![1, 1, 1],
-            key: (0, 0),
-            peers: Vec::new(),
-        };
-        assert!(matches!(disk.combine(&spec), CombineOutcome::Unsupported));
-        assert!(
-            !disk.supports_combine(),
-            "an answering but combine-less shard latches the op off"
-        );
-        let after_first = combine_frames.load(Ordering::Relaxed);
-        assert!(after_first >= 1);
-        // The latch is permanent: no further combine frames on the wire.
-        assert!(matches!(disk.combine(&spec), CombineOutcome::Unsupported));
-        assert_eq!(combine_frames.load(Ordering::Relaxed), after_first);
-    }
-
-    #[test]
-    fn old_server_dropping_mux_frames_latches_mux_off() {
-        // A pre-mux shard as it actually behaves: an unknown opcode is
-        // an unparseable frame, so the connection is dropped. The
-        // legacy path answers fine — the client must latch mux off
-        // after one probe and never ask again.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let probes = Arc::new(AtomicU64::new(0));
-        let backend = Arc::new(MemDisk::new());
-        backend.write(0, vec![9; 4]);
-        let serve_backend = Arc::clone(&backend);
-        let serve_probes = Arc::clone(&probes);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(mut stream) = stream else { return };
-                let disk = Arc::clone(&serve_backend);
-                let probes = Arc::clone(&serve_probes);
-                std::thread::spawn(move || loop {
-                    let req = match crate::protocol::read_request(&mut stream) {
-                        Ok(r) => r,
-                        Err(_) => return,
-                    };
-                    let resp = match req {
-                        Request::Mux { .. } => {
-                            probes.fetch_add(1, Ordering::Relaxed);
-                            return; // old server: drop on unknown opcode
-                        }
-                        Request::Health => Response::Health {
-                            elements: disk.len() as u64,
-                        },
-                        Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                        Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),
-                        Request::GetRange { offset, count } => {
-                            let offsets: Vec<u64> =
-                                (0..u64::from(count)).map(|i| offset + i).collect();
-                            Response::Range(disk.read_many(&offsets))
-                        }
-                        _ => Response::Error("unsupported".into()),
-                    };
-                    if crate::protocol::write_response(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                });
-            }
-        });
-
-        let disk = RemoteDisk::new(addr, fast());
-        assert_eq!(disk.read(0), Some(vec![9; 4]));
-        assert!(!disk.mux_enabled());
-        assert!(!disk.submits_async());
-        assert_eq!(disk.read(0), Some(vec![9; 4]));
-        assert_eq!(
-            probes.load(Ordering::Relaxed),
-            1,
-            "exactly one probe, then never again"
-        );
-        assert!(
-            disk.net_stats().unwrap().conns_discarded >= 1,
-            "the dropped probe connection is accounted"
-        );
-    }
-
-    #[test]
-    fn legacy_client_against_new_server_stays_plain() {
-        // Old-client wire compatibility: a client configured like a
-        // pre-mux build (no multiplex) must work against a new server
-        // without ever emitting the new opcode.
-        let server = server();
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .multiplex(false)
-            .build();
-        let disk = RemoteDisk::new(server.addr(), cfg);
-        for o in 0..4u64 {
-            disk.write(o, vec![o as u8; 4]);
-        }
-        let want: Vec<Option<Vec<u8>>> = (0..4u64).map(|o| Some(vec![o as u8; 4])).collect();
-        assert_eq!(disk.read_many(&[0, 1, 2, 3]), want);
-        assert!(!disk.submits_async());
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("serve.mux"), Some(0), "no mux frames on the wire");
-        assert_eq!(get("serve.range"), Some(1));
-    }
-
-    #[test]
-    fn contiguous_run_detection() {
-        assert_eq!(contiguous_run(&[]), None);
-        assert_eq!(contiguous_run(&[5]), Some(1));
-        assert_eq!(contiguous_run(&[5, 6, 7]), Some(3));
-        assert_eq!(contiguous_run(&[5, 7]), None);
-        assert_eq!(contiguous_run(&[6, 5]), None);
-        assert_eq!(contiguous_run(&[5, 5]), None);
     }
 
     #[test]
@@ -1861,27 +1117,41 @@ mod tests {
     }
 
     #[test]
-    fn dead_server_reads_as_absent_with_counters() {
+    fn a_killed_shard_fails_fast_without_backoff_and_a_restarted_one_is_redialled() {
         let mut server = server();
-        let disk = RemoteDisk::new(server.addr(), fast());
+        let addr = server.addr();
+        let disk = RemoteDisk::new(addr, fast());
         disk.write(0, vec![1]);
         assert_eq!(disk.read(0), Some(vec![1]));
-        assert!(disk.mux_enabled());
         server.kill();
-        let t0 = std::time::Instant::now();
-        assert_eq!(disk.read(0), None, "dead shard reads as absent");
-        // The first read may still go out on the mux connection, whose
-        // reader has not seen the EOF yet, and fail there without a
-        // retry; the next one finds it dead and takes the blocking path
-        // with its retry budget.
-        assert_eq!(disk.read(0), None, "and stays absent");
-        // Bounded failure detection: the low-latency profile allows
-        // ~(1+1) × 200ms plus backoff; it must not hang for seconds.
-        assert!(t0.elapsed() < Duration::from_secs(2));
+        // Each submission is one attempt (plus one re-send if the frame
+        // could not even be written): it completes absent within a
+        // refused dial or the dying connection's EOF — far inside
+        // `connect_timeout` — and nothing sleeps in between.
+        let before = disk.net_stats().unwrap().failed_requests;
+        let t0 = Instant::now();
+        for i in 1..=5u64 {
+            assert_eq!(disk.read_many(&[0, 1, 2]), vec![None; 3]);
+            assert_eq!(disk.net_stats().unwrap().failed_requests, before + i);
+        }
+        assert!(
+            t0.elapsed() < 5 * fast().connect_timeout,
+            "five reads of a dead shard took {:?}",
+            t0.elapsed()
+        );
         let stats = disk.net_stats().unwrap();
-        assert!(stats.failed_requests >= 1, "{stats:?}");
-        assert!(stats.retries >= 1, "{stats:?}");
         assert!(stats.conns_discarded >= 1, "{stats:?}");
+        // Rebind the same port (data is gone — fresh MemDisk): the next
+        // submission dials it, no latch to clear, no probe to pass.
+        let server2 = match ShardServer::spawn(Arc::new(MemDisk::new()), &addr.to_string()) {
+            Ok(s) => s,
+            Err(_) => return, // port taken by another process: skip
+        };
+        assert_eq!(server2.addr(), addr);
+        disk.write(1, vec![4]);
+        assert_eq!(disk.read(1), Some(vec![4]));
+        assert!(disk.net_stats().unwrap().reconnects >= 1);
+        assert_eq!(disk.net_stats().unwrap().failed_requests, before + 5);
     }
 
     #[test]
@@ -1890,7 +1160,6 @@ mod tests {
         let disk = RemoteDisk::new(server.addr(), fast());
         disk.write(0, vec![7; 4]);
         assert_eq!(disk.read(0), Some(vec![7; 4]));
-        assert!(disk.submits_async());
         // Make the server a straggler so submissions are still in
         // flight when it dies mid-request.
         disk.inject(Fault::DelayMs(150)).unwrap();
@@ -1925,66 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_recovers_after_restart_on_same_port() {
-        let mut server = server();
-        let addr = server.addr();
-        let disk = RemoteDisk::new(addr, fast());
-        disk.write(0, vec![3]);
-        server.kill();
-        assert_eq!(disk.read(0), None);
-        // Rebind the same port (data is gone — fresh MemDisk — but the
-        // transport must reconnect transparently).
-        let server2 = match ShardServer::spawn(Arc::new(MemDisk::new()), &addr.to_string()) {
-            Ok(s) => s,
-            Err(_) => return, // port taken by another process: skip
-        };
-        assert_eq!(server2.addr(), addr);
-        disk.write(1, vec![4]);
-        assert_eq!(disk.read(1), Some(vec![4]));
-        assert!(disk.net_stats().unwrap().reconnects >= 1);
-        assert!(disk.mux_enabled(), "mux comes back with the server");
-    }
-
-    #[test]
-    fn hedged_read_beats_straggler() {
-        let server = server();
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .request_timeout(Duration::from_secs(2))
-            .hedge_after(Some(Duration::from_millis(30)))
-            .multiplex(false) // hedging is a legacy-path strategy
-            .build();
-        let disk = RemoteDisk::new(server.addr(), cfg);
-        disk.write(0, vec![7; 16]);
-
-        // Make the server a straggler: every read sleeps 150 ms. The
-        // hedge fires at 30 ms and (also delayed) still answers; the
-        // counters must show hedges were launched.
-        disk.inject(Fault::DelayMs(150)).unwrap();
-        let got = disk.read(0);
-        disk.inject(Fault::DelayMs(0)).unwrap();
-        assert_eq!(got, Some(vec![7; 16]));
-        let stats = disk.net_stats().unwrap();
-        assert!(stats.hedges >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn fast_reads_do_not_hedge() {
-        let server = server();
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .hedge_after(Some(Duration::from_millis(150)))
-            .multiplex(false)
-            .build();
-        let disk = RemoteDisk::new(server.addr(), cfg);
-        disk.write(0, vec![1]);
-        for _ in 0..20 {
-            assert_eq!(disk.read(0), Some(vec![1]));
-        }
-        assert_eq!(disk.net_stats().unwrap().hedges, 0);
-    }
-
-    #[test]
     fn request_latency_histogram_counts_data_requests() {
         let server = server();
         let disk = RemoteDisk::new(server.addr(), fast());
@@ -1992,7 +1201,7 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(disk.read(0), Some(vec![1; 8]));
         }
-        disk.read_batch(&[0, 1]);
+        disk.read_many(&[0, 1]);
         let lat = disk.request_latency();
         assert_eq!(lat.count, 7, "1 write + 5 reads + 1 batch");
         assert!(lat.p99() >= lat.p50());
@@ -2006,35 +1215,14 @@ mod tests {
         for _ in 0..3 {
             disk.read(0);
         }
-        let stats = disk.stats().unwrap();
-        let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(get("serve.get"), Some(3));
-        assert_eq!(get("serve.put_many"), Some(1));
-        // 1 put + the Mux(Health) negotiation probe + 3 gets.
-        assert_eq!(get("serve_us.count"), Some(5));
-        assert_eq!(
-            get("serve.mux"),
-            Some(5),
-            "probe + the mux'd write and reads"
-        );
+        assert_eq!(served(&disk, "serve.read"), 3);
+        assert_eq!(served(&disk, "serve.put_many"), 1);
+        // The data path is all there was on the mux connection: no
+        // probe opened it.
+        assert_eq!(served(&disk, "serve.mux"), 4);
+        assert_eq!(served(&disk, "serve.health"), 0);
         // The same registry is visible locally on the server handle.
         let local = server.recorder().snapshot();
-        assert_eq!(local.counters.get("serve.get"), Some(&3));
-    }
-
-    #[test]
-    fn backoff_grows_and_respects_cap() {
-        let server = server();
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .backoff(Duration::from_millis(8), Duration::from_millis(20))
-            .build();
-        let disk = RemoteDisk::new(server.addr(), cfg);
-        // attempt 1: 8ms × jitter ∈ [4, 12); attempt 4+: capped 20 × jitter < 30.
-        for attempt in 1..=8 {
-            let d = disk.backoff(attempt);
-            assert!(d >= Duration::from_millis(4), "attempt {attempt}: {d:?}");
-            assert!(d < Duration::from_millis(30), "attempt {attempt}: {d:?}");
-        }
+        assert_eq!(local.counters.get("serve.read"), Some(&3));
     }
 }

@@ -7,16 +7,19 @@
 //! when a node times out or dies mid-read.
 //!
 //! Layers:
-//! * [`protocol`] — versioned, length-prefixed binary framing with
-//!   `GetElement` / `PutElement` / `BatchGet` / `Health` / `InjectFault`.
+//! * [`protocol`] — version 2 of the length-prefixed binary framing:
+//!   `Read` / `PutMany` / `CombineRange` / `Health` / `InjectFault` /
+//!   `Stats`, the `Mux` envelope, and the object ops. The version byte
+//!   is the whole handshake.
 //! * [`server`] — [`ShardServer`], a thread-per-connection server
 //!   wrapping a `DiskBackend`, with a per-connection demux pool for
 //!   multiplexed (`Mux`-framed) requests.
-//! * [`client`] — [`RemoteDisk`]: multiplexed by default (one
-//!   connection per shard carrying many id-tagged in-flight requests,
-//!   negotiated with old-server fallback), with a pooled blocking path
-//!   behind it carrying per-request timeouts, bounded retries with
-//!   exponential backoff and jitter, and optional hedged reads.
+//! * [`client`] — [`RemoteDisk`]: every read and write rides one
+//!   multiplexed connection per shard (many id-tagged requests in
+//!   flight, failures complete as absent cells); `Stats`, `Health`,
+//!   `InjectFault` and `CombineRange` take a pooled sequential one.
+//! * [`front`] — [`FrontClient`], the object front door over the same
+//!   pooled connections.
 //! * [`cluster`] — [`Cluster`], an n-node loopback harness for tests,
 //!   benches, and the CLI.
 //!
@@ -45,6 +48,7 @@
 pub mod client;
 pub mod cluster;
 pub mod front;
+mod pool;
 pub mod protocol;
 pub mod server;
 

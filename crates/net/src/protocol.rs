@@ -1,4 +1,4 @@
-//! The wire protocol: a small, versioned, length-prefixed binary frame.
+//! The wire protocol, version 2: a length-prefixed binary frame.
 //!
 //! Every frame is
 //!
@@ -6,47 +6,38 @@
 //! [ magic "EFRM" : 4 ][ version : 1 ][ opcode : 1 ][ payload len : u32 LE ][ payload ]
 //! ```
 //!
-//! Integers inside payloads are little-endian. Eight operations exist:
-//! `GetElement`, `PutMany`, `BatchGet`, `Health`, `InjectFault`
-//! (the fault-injection side channel that lets a client drive a remote
-//! shard's failure state exactly like a local disk's), `Stats`
-//! (dump the server's metrics registry as flat name/value pairs),
-//! `GetRange` (the coalesced batch form: one contiguous run of
-//! elements, answered in a single bitmap-framed payload), and
-//! `RangeChecked` (a `GetRange` that carries the store's integrity key
-//! so the server verifies each element's checksum footer before
-//! shipping it, answering with a per-element verdict). Both range ops
-//! are additive: old servers reject the opcode and clients fall back.
+//! Integers inside payloads are little-endian. The version byte is the
+//! whole handshake: a peer that speaks another version gets one typed
+//! [`Response::Error`] naming both versions ([`version_mismatch`]) and
+//! the connection is closed. Nothing is negotiated per connection or per
+//! op; DESIGN.md ("The wire, v2") has the rule and the opcode table,
+//! retired numbers included.
 //!
-//! `PutMany` (opcode 16) is the one write op: runs of consecutive cells,
-//! a `(start, count)` table followed by every run's cells back to back.
-//! It **replaced** the per-cell `PutElement` (opcode 2, retired — a
-//! single cell is a one-run `PutMany`). There is no capability latch
-//! for it and there never will be: no server older than this one exists
-//! outside our tests, so a peer that drops the opcode is a failed,
-//! counted write like any other dead shard, and the erasure code covers
-//! it. The same rule holds for every future write op: replace, do not
-//! negotiate. The sender never builds the payload: [`write_put_many`]
-//! hands the frame header, the run table and the caller's run buffers
-//! to one vectored write, and the receiver keeps the frame it read as
-//! the run buffer ([`Body`]) — so between a sealed stripe and the
-//! shard's `pwrite` a cell is copied by the two socket calls only.
-//!
-//! A ninth operation, `Mux`, wraps any other request together with a
-//! client-chosen 64-bit request id; the matching [`Response::Mux`]
-//! echoes the id, letting a client keep many requests in flight over
-//! **one** connection and match completions as they land in any order.
-//! Like the range ops it is additive in version 1: old servers reject
-//! (and drop the connection on) the opcode, and clients latch back to
-//! the pooled one-request-per-connection discipline.
-//!
-//! A tenth operation, `CombineRange`, moves repair decode arithmetic to
+//! A shard serves six operations. `Read` (17) is the one read op: runs
+//! of consecutive cells, optionally with the store's integrity key so
+//! the shard verifies each cell's checksum footer before shipping it,
+//! answered by one [`Response::Cells`]. `PutMany` (16) is the one write
+//! op: the same `(start, count)` run table followed by every run's
+//! cells back to back. The sender never builds that payload:
+//! [`write_put_many`] hands the frame header, the run table and the
+//! caller's run buffers to one vectored write, and the receiver keeps
+//! the frame it read as the run buffer ([`Body`]) — so between a sealed
+//! stripe and the shard's `pwrite` a cell is copied by the two socket
+//! calls only. `CombineRange` (10) moves repair decode arithmetic to
 //! the data: the server multiplies a contiguous run of local elements
 //! by a caller-supplied GF(2^8) coefficient matrix and ships back
 //! pre-summed regions — optionally first fetching and XOR-merging other
 //! helpers' partial sums ([`CombinePeer`]) so only the combined result
-//! crosses the rebuilder's ingest link. Additive like the other new
-//! ops, with the same probe-and-latch client fallback.
+//! crosses the rebuilder's ingest link. `Health`, `InjectFault` (the
+//! side channel that lets a client drive a remote shard's failure state
+//! exactly like a local disk's) and `Stats` (the server's metrics
+//! registry as flat name/value pairs) complete the set.
+//!
+//! `Mux` (9) wraps any of them together with a client-chosen 64-bit
+//! request id; the matching [`Response::Mux`] echoes the id, letting a
+//! client keep many requests in flight over **one** connection and
+//! match completions as they land in any order. A front node also
+//! serves the object ops (11–15).
 
 use std::io::{IoSlice, Read, Write};
 
@@ -55,12 +46,19 @@ use ecfrm_sim::WriteRun;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Upper bound on a sane payload (guards allocation on corrupt frames).
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-/// Most cells one request may name: the longest `GetRange` run a server
-/// serves and the most cells one `PutMany` may carry.
+/// Most cells one request may name: what one `Read` may ask for, one
+/// `PutMany` carry and one `CombineRange` sum.
 pub const MAX_RANGE: u32 = 1 << 20;
+
+/// What either side says about a frame of another protocol version: the
+/// text of the server's one [`Response::Error`] before it hangs up, and
+/// of the client's [`NetError::Protocol`].
+pub fn version_mismatch(peer: u8) -> String {
+    format!("version: peer speaks {peer}, this node speaks {VERSION}")
+}
 
 /// The bulk bytes of a received request, kept in the frame they arrived
 /// in: decoding a [`Request::PutMany`] or [`Request::ObjWrite`] moves
@@ -173,10 +171,21 @@ pub enum Fault {
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Fetch one element.
-    GetElement {
-        /// Element offset on the shard.
-        offset: u64,
+    /// Fetch runs of consecutive cells — the one read op. Run `i` covers
+    /// offsets `runs[i].0 .. runs[i].0 + runs[i].1`; the answer is one
+    /// [`Response::Cells`] entry per cell, in run order (so unsorted and
+    /// repeated offsets come back the way they were asked). With a
+    /// `key` the server checks each stored cell's checksum footer
+    /// against its offset before answering and reports a mismatch as
+    /// [`CheckedElement::Corrupt`] instead of shipping the bytes — the
+    /// wire analogue of verify-on-read. The server refuses (with
+    /// [`Response::Error`], before touching its backend) an empty run,
+    /// a run past the last offset and more than [`MAX_RANGE`] cells.
+    Read {
+        /// `(first offset, cell count)` per run.
+        runs: Vec<(u64, u32)>,
+        /// The store's integrity key `(k0, k1)`, to verify at the source.
+        key: Option<(u64, u64)>,
     },
     /// Store runs of consecutive cells — the one write op. Run `i`
     /// covers offsets `runs[i].0 .. runs[i].0 + runs[i].1`; `bytes`
@@ -194,42 +203,6 @@ pub enum Request {
         /// The cells of all runs, in run order.
         bytes: Body,
     },
-    /// Fetch several elements in one round trip.
-    BatchGet {
-        /// Element offsets, served in order.
-        offsets: Vec<u64>,
-    },
-    /// Fetch a contiguous run of `count` elements starting at `offset`
-    /// — the coalesced form of [`Request::BatchGet`] a client emits
-    /// when a per-disk batch collapses into one sequential run (the
-    /// common case under EC-FRM's sequential layout). Additive in
-    /// protocol version 1: servers that predate it reject the opcode
-    /// and clients fall back to `BatchGet`.
-    GetRange {
-        /// First element offset of the run.
-        offset: u64,
-        /// Number of consecutive elements.
-        count: u32,
-    },
-    /// [`Request::GetRange`] with server-side integrity verification:
-    /// the client ships its keyed-hash key and the server checks each
-    /// stored cell's checksum footer against its offset before
-    /// answering, classifying every element as valid, missing, or
-    /// corrupt ([`CheckedElement`]). Corrupt cells are detected at the
-    /// data, before crossing the network — the wire analogue of
-    /// verify-on-read. Additive in protocol version 1: servers that
-    /// predate it reject the opcode and clients fall back to
-    /// `BatchGet` (verifying client-side as always).
-    RangeChecked {
-        /// First element offset of the run.
-        offset: u64,
-        /// Number of consecutive elements.
-        count: u32,
-        /// First word of the store's integrity key.
-        k0: u64,
-        /// Second word of the store's integrity key.
-        k1: u64,
-    },
     /// Multiply `count` contiguous local elements starting at `offset`
     /// by a row-major `outputs × count` GF(2^8) coefficient matrix and
     /// answer with one pre-summed region per output lane
@@ -240,9 +213,7 @@ pub enum Request {
     /// key) before it contributes, fetches and XOR-merges the partial
     /// sums of any `peers` (one level deep — forwarded requests carry
     /// no peers), and seals each returned region with a footer salted
-    /// by `offset + lane`. Additive in protocol version 1: servers that
-    /// predate it reject the opcode and clients fall back to fetching
-    /// raw elements.
+    /// by `offset + lane`.
     CombineRange {
         /// First local element offset.
         offset: u64,
@@ -262,15 +233,9 @@ pub enum Request {
         peers: Vec<CombinePeer>,
     },
     /// Create an empty named object for a tenant on the server's
-    /// object front door ([`ecfrm_store::FrontDoor`]). Part of the
-    /// additive object-op family (opcodes 11–15, protocol version 1):
-    /// servers that predate them reject the opcodes and clients fall
-    /// back to a local front door over the shard data path
-    /// (probe-and-latch like opcodes 7–10, but probing with a
-    /// read-only `ObjStat` so timeouts and transient drops on a
-    /// capable server never latch). Servers *without* a front door
-    /// attached answer [`Response::Error`]`("no front door…")`
-    /// instead.
+    /// object front door ([`ecfrm_store::FrontDoor`]). A server without
+    /// a front door attached answers every object op (opcodes 11–15)
+    /// with the typed [`crate::front::NO_FRONT`] error.
     ObjCreate {
         /// Owning tenant.
         tenant: String,
@@ -322,8 +287,7 @@ pub enum Request {
     /// many requests in flight over one connection. The server answers
     /// with [`Response::Mux`] carrying the same id; answers may arrive
     /// in any order. Nesting a `Mux` inside a `Mux` is a protocol
-    /// error. Additive in protocol version 1: servers that predate it
-    /// reject the opcode and clients fall back to pooled connections.
+    /// error.
     Mux {
         /// Client-chosen request id, echoed by the response.
         id: u64,
@@ -347,40 +311,39 @@ pub struct CombinePeer {
     pub coeffs: Vec<u8>,
 }
 
-/// One element of a [`Response::Checked`] — the server's per-element
-/// integrity verdict for a [`Request::RangeChecked`].
+/// One cell of a [`Response::Cells`] — for a [`Request::Read`] that
+/// carried a key, the server's integrity verdict on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckedElement {
     /// Not stored (or the shard is failed).
     Missing,
-    /// Stored and the checksum footer verified; carries the full cell
-    /// (`payload || footer`) so the client can re-verify end-to-end.
+    /// Stored — and, when a key was sent, the checksum footer verified;
+    /// carries the full cell (`payload || footer`) so the client can
+    /// re-verify end-to-end.
     Valid(Vec<u8>),
     /// Stored but the checksum footer disagreed — the bytes are not
     /// shipped (they are known-bad; the client treats this as an
-    /// erasure and saves the wire transfer).
+    /// erasure and saves the wire transfer). Only ever answers a read
+    /// that carried a key.
     Corrupt,
+}
+
+/// A cell as a backend answers it, unjudged: stored is `Valid`.
+impl From<Option<Vec<u8>>> for CheckedElement {
+    fn from(cell: Option<Vec<u8>>) -> Self {
+        cell.map_or(CheckedElement::Missing, CheckedElement::Valid)
+    }
 }
 
 /// A server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// One element (`None` = absent or failed).
-    Element(Option<Vec<u8>>),
     /// Write acknowledged.
     Put,
-    /// Batched elements, in request order.
-    Batch(Vec<Option<Vec<u8>>>),
-    /// A contiguous run of elements answering [`Request::GetRange`]:
-    /// one frame carrying a presence bitmap plus the present elements'
-    /// bytes, so a fully-present run costs 4 + ⌈count/8⌉ bytes of
-    /// per-element framing total instead of 5 bytes *per element*.
-    Range(Vec<Option<Vec<u8>>>),
-    /// A contiguous run answering [`Request::RangeChecked`]: one
-    /// status byte per element (so corrupt cells cost 1 byte, not a
-    /// wasted element transfer) followed by the valid elements' bytes
-    /// in order.
-    Checked(Vec<CheckedElement>),
+    /// The cells answering a [`Request::Read`], in run order: one
+    /// status byte per cell (so absent and corrupt cells cost 1 byte
+    /// each) followed by the valid cells' bytes.
+    Cells(Vec<CheckedElement>),
     /// The answer to a [`Request::CombineRange`]: one pre-summed region
     /// per output lane (each `payload || footer`, the footer salted by
     /// `offset + lane` under the request's key), plus per-local-element
@@ -431,13 +394,12 @@ pub enum Response {
     },
 }
 
-const OP_GET: u8 = 1;
-const OP_BATCH_GET: u8 = 3;
+// Opcodes 1, 2, 3, 7 and 8 (and replies 129, 131, 135 and 136) belonged
+// to version 1's per-shape reads and per-cell write. A number is never
+// reused.
 const OP_HEALTH: u8 = 4;
 const OP_INJECT: u8 = 5;
 const OP_STATS: u8 = 6;
-const OP_GET_RANGE: u8 = 7;
-const OP_RANGE_CHECKED: u8 = 8;
 const OP_MUX: u8 = 9;
 const OP_COMBINE_RANGE: u8 = 10;
 const OP_OBJ_CREATE: u8 = 11;
@@ -446,20 +408,18 @@ const OP_OBJ_GET: u8 = 13;
 const OP_OBJ_STAT: u8 = 14;
 const OP_OBJ_DELETE: u8 = 15;
 const OP_PUT_MANY: u8 = 16;
+const OP_READ: u8 = 17;
 
-const RESP_ELEMENT: u8 = 129;
 const RESP_PUT: u8 = 130;
-const RESP_BATCH: u8 = 131;
 const RESP_HEALTH: u8 = 132;
 const RESP_FAULT: u8 = 133;
 const RESP_STATS: u8 = 134;
-const RESP_RANGE: u8 = 135;
-const RESP_CHECKED: u8 = 136;
 const RESP_MUX: u8 = 137;
 const RESP_COMBINED: u8 = 138;
 const RESP_OBJ_ACK: u8 = 139;
 const RESP_OBJ_DATA: u8 = 140;
 const RESP_OBJ_STAT: u8 = 141;
+const RESP_CELLS: u8 = 145;
 const RESP_ERROR: u8 = 255;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -520,19 +480,42 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The run table `Read` and `PutMany` share: `[n_runs:u32]` then
+/// `[start:u64][count:u32]` per run.
+fn put_runs(out: &mut Vec<u8>, runs: impl ExactSizeIterator<Item = (u64, u32)>) {
+    put_u32(out, runs.len() as u32);
+    for (start, count) in runs {
+        put_u64(out, start);
+        put_u32(out, count);
+    }
+}
+
+/// Decode a run table, bounding it by the frame before allocating for
+/// it. What the runs *say* (an empty run, one past the last offset, too
+/// many cells) is the server's to refuse, with a typed error.
+fn get_runs(c: &mut Cursor<'_>) -> Result<Vec<(u64, u32)>, NetError> {
+    let n = c.u32()? as usize;
+    if n > c.remaining() / 12 {
+        return Err(NetError::Protocol(format!(
+            "table of {n} runs overruns the payload"
+        )));
+    }
+    let mut runs = Vec::with_capacity(n);
+    for _ in 0..n {
+        runs.push((c.u64()?, c.u32()?));
+    }
+    Ok(runs)
+}
+
 /// Everything of a `PutMany` payload ahead of the cells:
-/// `[cell_len:u32][n_runs:u32]` then `[start:u64][count:u32]` per run.
+/// `[cell_len:u32]` then the run table.
 fn put_many_head(
     out: &mut Vec<u8>,
     cell_len: u32,
     runs: impl ExactSizeIterator<Item = (u64, u32)>,
 ) {
     put_u32(out, cell_len);
-    put_u32(out, runs.len() as u32);
-    for (start, count) in runs {
-        put_u64(out, start);
-        put_u32(out, count);
-    }
+    put_runs(out, runs);
 }
 
 /// Everything of an `ObjWrite` payload ahead of the bytes:
@@ -550,37 +533,11 @@ fn get_str(c: &mut Cursor<'_>) -> Result<String, NetError> {
         .to_string())
 }
 
-/// `Some(bytes)` ↔ `[1][len:u32][bytes]`, `None` ↔ `[0]`.
-fn put_opt_bytes(out: &mut Vec<u8>, v: &Option<Vec<u8>>) {
-    match v {
-        Some(b) => {
-            out.push(1);
-            put_u32(out, b.len() as u32);
-            out.extend_from_slice(b);
-        }
-        None => out.push(0),
-    }
-}
-
-fn get_opt_bytes(c: &mut Cursor<'_>) -> Result<Option<Vec<u8>>, NetError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => {
-            let len = c.u32()? as usize;
-            Ok(Some(c.take(len)?.to_vec()))
-        }
-        t => Err(NetError::Protocol(format!("bad option tag {t}"))),
-    }
-}
-
 impl Request {
     fn opcode(&self) -> u8 {
         match self {
-            Request::GetElement { .. } => OP_GET,
+            Request::Read { .. } => OP_READ,
             Request::PutMany { .. } => OP_PUT_MANY,
-            Request::BatchGet { .. } => OP_BATCH_GET,
-            Request::GetRange { .. } => OP_GET_RANGE,
-            Request::RangeChecked { .. } => OP_RANGE_CHECKED,
             Request::CombineRange { .. } => OP_COMBINE_RANGE,
             Request::ObjCreate { .. } => OP_OBJ_CREATE,
             Request::ObjWrite { .. } => OP_OBJ_WRITE,
@@ -597,7 +554,15 @@ impl Request {
     fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Request::GetElement { offset } => put_u64(&mut out, *offset),
+            Request::Read { runs, key } => {
+                // [has key:u8]([k0:u64][k1:u64])? then the run table.
+                out.push(u8::from(key.is_some()));
+                if let Some((k0, k1)) = key {
+                    put_u64(&mut out, *k0);
+                    put_u64(&mut out, *k1);
+                }
+                put_runs(&mut out, runs.iter().copied());
+            }
             Request::PutMany {
                 runs,
                 cell_len,
@@ -605,27 +570,6 @@ impl Request {
             } => {
                 put_many_head(&mut out, *cell_len, runs.iter().copied());
                 out.extend_from_slice(bytes);
-            }
-            Request::BatchGet { offsets } => {
-                put_u32(&mut out, offsets.len() as u32);
-                for &o in offsets {
-                    put_u64(&mut out, o);
-                }
-            }
-            Request::GetRange { offset, count } => {
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, *count);
-            }
-            Request::RangeChecked {
-                offset,
-                count,
-                k0,
-                k1,
-            } => {
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, *count);
-                put_u64(&mut out, *k0);
-                put_u64(&mut out, *k1);
             }
             Request::CombineRange {
                 offset,
@@ -724,17 +668,7 @@ impl Request {
             }
             OP_PUT_MANY => {
                 let cell_len = c.u32()?;
-                let n = c.u32()? as usize;
-                // Bound the table by the frame before allocating for it.
-                if n > c.remaining() / 12 {
-                    return Err(NetError::Protocol(format!(
-                        "table of {n} runs overruns the payload"
-                    )));
-                }
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    runs.push((c.u64()?, c.u32()?));
-                }
+                let runs = get_runs(&mut c)?;
                 let start = at + c.pos;
                 let bytes = Body { frame, start };
                 Ok(Request::PutMany {
@@ -765,25 +699,15 @@ impl Request {
     fn decode_small(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
         let mut c = Cursor::new(payload);
         let req = match opcode {
-            OP_GET => Request::GetElement { offset: c.u64()? },
-            OP_BATCH_GET => {
-                let n = c.u32()? as usize;
-                let mut offsets = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    offsets.push(c.u64()?);
-                }
-                Request::BatchGet { offsets }
+            OP_READ => {
+                let key = match c.u8()? {
+                    0 => None,
+                    1 => Some((c.u64()?, c.u64()?)),
+                    t => return Err(NetError::Protocol(format!("bad key tag {t}"))),
+                };
+                let runs = get_runs(&mut c)?;
+                Request::Read { runs, key }
             }
-            OP_GET_RANGE => Request::GetRange {
-                offset: c.u64()?,
-                count: c.u32()?,
-            },
-            OP_RANGE_CHECKED => Request::RangeChecked {
-                offset: c.u64()?,
-                count: c.u32()?,
-                k0: c.u64()?,
-                k1: c.u64()?,
-            },
             OP_COMBINE_RANGE => {
                 let offset = c.u64()?;
                 let count = c.u32()?;
@@ -860,11 +784,8 @@ impl Request {
 impl Response {
     fn opcode(&self) -> u8 {
         match self {
-            Response::Element(_) => RESP_ELEMENT,
             Response::Put => RESP_PUT,
-            Response::Batch(_) => RESP_BATCH,
-            Response::Range(_) => RESP_RANGE,
-            Response::Checked(_) => RESP_CHECKED,
+            Response::Cells(_) => RESP_CELLS,
             Response::Combined { .. } => RESP_COMBINED,
             Response::ObjAck => RESP_OBJ_ACK,
             Response::ObjData(_) => RESP_OBJ_DATA,
@@ -880,33 +801,10 @@ impl Response {
     fn payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Response::Element(v) => put_opt_bytes(&mut out, v),
             Response::Put | Response::FaultInjected => {}
-            Response::Batch(items) => {
-                put_u32(&mut out, items.len() as u32);
-                for v in items {
-                    put_opt_bytes(&mut out, v);
-                }
-            }
-            Response::Range(items) => {
-                // [count:u32][presence bitmap: ceil(count/8) bytes, LSB
-                // first][per present element: len:u32 + bytes].
-                put_u32(&mut out, items.len() as u32);
-                let mut bitmap = vec![0u8; items.len().div_ceil(8)];
-                for (i, v) in items.iter().enumerate() {
-                    if v.is_some() {
-                        bitmap[i / 8] |= 1 << (i % 8);
-                    }
-                }
-                out.extend_from_slice(&bitmap);
-                for v in items.iter().flatten() {
-                    put_u32(&mut out, v.len() as u32);
-                    out.extend_from_slice(v);
-                }
-            }
-            Response::Checked(items) => {
-                // [count:u32][status byte per element: 0=missing,
-                // 1=valid, 2=corrupt][per valid element, in order:
+            Response::Cells(items) => {
+                // [count:u32][status byte per cell: 0=missing,
+                // 1=valid, 2=corrupt][per valid cell, in order:
                 // len:u32 + bytes]. Corrupt cells ship a verdict but
                 // no payload.
                 put_u32(&mut out, items.len() as u32);
@@ -979,41 +877,14 @@ impl Response {
     fn decode(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
         let mut c = Cursor::new(payload);
         let resp = match opcode {
-            RESP_ELEMENT => Response::Element(get_opt_bytes(&mut c)?),
             RESP_PUT => Response::Put,
-            RESP_BATCH => {
+            RESP_CELLS => {
+                // The status bytes are taken out of the frame before
+                // anything is allocated for the count it claims.
                 let n = c.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    items.push(get_opt_bytes(&mut c)?);
-                }
-                Response::Batch(items)
-            }
-            RESP_RANGE => {
-                let n = c.u32()? as usize;
-                if n > MAX_PAYLOAD as usize {
-                    return Err(NetError::Protocol(format!("range count {n} implausible")));
-                }
-                let bitmap = c.take(n.div_ceil(8))?.to_vec();
-                let mut items = Vec::with_capacity(n.min(1 << 20));
-                for i in 0..n {
-                    if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                        let len = c.u32()? as usize;
-                        items.push(Some(c.take(len)?.to_vec()));
-                    } else {
-                        items.push(None);
-                    }
-                }
-                Response::Range(items)
-            }
-            RESP_CHECKED => {
-                let n = c.u32()? as usize;
-                if n > MAX_PAYLOAD as usize {
-                    return Err(NetError::Protocol(format!("checked count {n} implausible")));
-                }
-                let statuses = c.take(n)?.to_vec();
-                let mut items = Vec::with_capacity(n.min(1 << 20));
-                for s in statuses {
+                let statuses = c.take(n)?;
+                let mut items = Vec::with_capacity(n);
+                for &s in statuses {
                     items.push(match s {
                         0 => CheckedElement::Missing,
                         1 => {
@@ -1022,11 +893,11 @@ impl Response {
                         }
                         2 => CheckedElement::Corrupt,
                         t => {
-                            return Err(NetError::Protocol(format!("bad checked status {t}")));
+                            return Err(NetError::Protocol(format!("bad cell status {t}")));
                         }
                     });
                 }
-                Response::Checked(items)
+                Response::Cells(items)
             }
             RESP_COMBINED => {
                 let n = c.u32()? as usize;
@@ -1147,10 +1018,7 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), NetError> {
         return Err(NetError::Protocol("bad magic".into()));
     }
     if header[4] != VERSION {
-        return Err(NetError::Protocol(format!(
-            "unsupported protocol version {} (this build speaks {VERSION})",
-            header[4]
-        )));
+        return Err(NetError::Protocol(version_mismatch(header[4])));
     }
     let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
     if len > MAX_PAYLOAD {
@@ -1163,30 +1031,39 @@ fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), NetError> {
     Ok((header[5], payload))
 }
 
-/// Outcome of one polling read attempt on a server connection whose
-/// socket has a short read timeout.
+/// Outcome of one polling read attempt on a connection whose socket has
+/// a short read timeout.
 #[derive(Debug)]
-pub enum PolledRequest {
-    /// A complete, well-formed request frame.
-    Frame(Request),
-    /// The timeout elapsed with no frame started — poll again.
+pub enum Polled<T> {
+    /// A complete, well-formed frame.
+    Frame(T),
+    /// The timeout elapsed with no frame started — poll again (a client
+    /// also sweeps its request deadlines).
     Idle,
     /// Peer hung up, the stop flag was raised, or the stream is garbage.
     Closed,
+    /// The peer sent a frame of this other protocol version. Nothing of
+    /// it past the header was read: the connection is of no further use.
+    WrongVersion(u8),
 }
 
-/// Outcome of one polling read attempt for a raw frame.
-enum PolledFrame {
-    Frame(u8, Vec<u8>),
-    Idle,
-    Closed,
+impl<T> Polled<T> {
+    /// Decode a polled raw frame; one that does not parse is garbage.
+    fn decoded<U>(self, decode: impl FnOnce(T) -> Result<U, NetError>) -> Polled<U> {
+        match self {
+            Polled::Frame(raw) => decode(raw).map_or(Polled::Closed, Polled::Frame),
+            Polled::Idle => Polled::Idle,
+            Polled::Closed => Polled::Closed,
+            Polled::WrongVersion(v) => Polled::WrongVersion(v),
+        }
+    }
 }
 
 /// Read one raw frame from a socket with a short read timeout, without
 /// ever losing sync: a timeout *between* frames reports `Idle`, while a
 /// timeout *inside* a partially read frame keeps polling (checking
 /// `stop` each round) until the rest of the frame arrives.
-fn poll_frame(r: &mut impl Read, stop: &std::sync::atomic::AtomicBool) -> PolledFrame {
+fn poll_frame(r: &mut impl Read, stop: &std::sync::atomic::AtomicBool) -> Polled<(u8, Vec<u8>)> {
     use std::sync::atomic::Ordering;
 
     fn fill(
@@ -1223,71 +1100,44 @@ fn poll_frame(r: &mut impl Read, stop: &std::sync::atomic::AtomicBool) -> Polled
 
     let mut header = [0u8; 10];
     match fill(r, &mut header, stop, true) {
-        Ok(false) => return PolledFrame::Idle,
+        Ok(false) => return Polled::Idle,
         Ok(true) => {}
-        Err(()) => return PolledFrame::Closed,
+        Err(()) => return Polled::Closed,
     }
-    if header[..4] != MAGIC || header[4] != VERSION {
-        return PolledFrame::Closed;
+    if header[..4] != MAGIC {
+        return Polled::Closed;
+    }
+    if header[4] != VERSION {
+        return Polled::WrongVersion(header[4]);
     }
     let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
     if len > MAX_PAYLOAD {
-        return PolledFrame::Closed;
+        return Polled::Closed;
     }
     let mut payload = vec![0u8; len as usize];
     if fill(r, &mut payload, stop, false) != Ok(true) {
-        return PolledFrame::Closed;
+        return Polled::Closed;
     }
-    PolledFrame::Frame(header[5], payload)
+    Polled::Frame((header[5], payload))
 }
 
-/// Read one request frame from a socket with a short read timeout,
-/// without ever losing sync: a timeout *between* frames reports
-/// [`PolledRequest::Idle`], while a timeout *inside* a partially read
-/// frame keeps polling (checking `stop` each round) until the rest of
-/// the frame arrives.
+/// Read one request frame from a server connection's socket (see
+/// [`Polled`]): idle only ever between frames.
 pub fn read_request_polling(
     r: &mut impl Read,
     stop: &std::sync::atomic::AtomicBool,
-) -> PolledRequest {
-    match poll_frame(r, stop) {
-        PolledFrame::Idle => PolledRequest::Idle,
-        PolledFrame::Closed => PolledRequest::Closed,
-        PolledFrame::Frame(opcode, payload) => match Request::decode(opcode, payload, 0) {
-            Ok(req) => PolledRequest::Frame(req),
-            Err(_) => PolledRequest::Closed,
-        },
-    }
+) -> Polled<Request> {
+    poll_frame(r, stop).decoded(|(opcode, payload)| Request::decode(opcode, payload, 0))
 }
 
-/// Outcome of one polling read attempt on a multiplexed client
-/// connection whose socket has a short read timeout.
-#[derive(Debug)]
-pub enum PolledResponse {
-    /// A complete, well-formed response frame.
-    Frame(Response),
-    /// The timeout elapsed with no frame started — poll again (and
-    /// sweep request deadlines).
-    Idle,
-    /// Peer hung up, the stop flag was raised, or the stream is garbage.
-    Closed,
-}
-
-/// Read one response frame from a socket with a short read timeout —
-/// the demux side of a multiplexed connection. Same sync discipline as
-/// [`read_request_polling`]: idle only ever between frames.
+/// Read one response frame from a multiplexed client connection's
+/// socket — the demux side. Same sync discipline as
+/// [`read_request_polling`].
 pub fn read_response_polling(
     r: &mut impl Read,
     stop: &std::sync::atomic::AtomicBool,
-) -> PolledResponse {
-    match poll_frame(r, stop) {
-        PolledFrame::Idle => PolledResponse::Idle,
-        PolledFrame::Closed => PolledResponse::Closed,
-        PolledFrame::Frame(opcode, payload) => match Response::decode(opcode, &payload) {
-            Ok(resp) => PolledResponse::Frame(resp),
-            Err(_) => PolledResponse::Closed,
-        },
-    }
+) -> Polled<Response> {
+    poll_frame(r, stop).decoded(|(opcode, payload)| Response::decode(opcode, &payload))
 }
 
 /// Writes one request frame onto a connection — a closure, so a bulk
@@ -1305,34 +1155,42 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> 
     write_frame(w, req.opcode(), &[IoSlice::new(&req.payload())])
 }
 
+/// Serialise `req` inside a [`Request::Mux`] envelope tagged `id`,
+/// without owning it.
+///
+/// # Errors
+/// I/O failure, or an oversized payload.
+pub fn write_mux_request(w: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
+    let mut head = id.to_le_bytes().to_vec();
+    head.push(req.opcode());
+    write_frame(
+        w,
+        OP_MUX,
+        &[IoSlice::new(&head), IoSlice::new(&req.payload())],
+    )
+}
+
 /// Send `runs` (all of `cell_len`-byte cells) as one
-/// [`Request::PutMany`] — inside a [`Request::Mux`] envelope when
-/// `mux_id` is given — straight from the caller's buffers.
+/// [`Request::PutMany`] inside a [`Request::Mux`] envelope tagged `id`,
+/// straight from the caller's buffers.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_put_many(
     w: &mut impl Write,
-    mux_id: Option<u64>,
+    id: u64,
     cell_len: u32,
     runs: &[WriteRun<'_>],
 ) -> Result<(), NetError> {
     let mut head = Vec::with_capacity(17 + 12 * runs.len());
-    if let Some(id) = mux_id {
-        put_u64(&mut head, id);
-        head.push(OP_PUT_MANY);
-    }
+    put_u64(&mut head, id);
+    head.push(OP_PUT_MANY);
     let table = runs.iter().map(|r| (r.start, r.count() as u32));
     put_many_head(&mut head, cell_len, table);
     let mut parts = Vec::with_capacity(1 + runs.len());
     parts.push(IoSlice::new(&head));
     parts.extend(runs.iter().map(|r| IoSlice::new(r.bytes)));
-    let opcode = if mux_id.is_some() {
-        OP_MUX
-    } else {
-        OP_PUT_MANY
-    };
-    write_frame(w, opcode, &parts)
+    write_frame(w, OP_MUX, &parts)
 }
 
 /// Send a [`Request::ObjWrite`] of `bytes` straight from the caller's
@@ -1397,7 +1255,19 @@ mod tests {
 
     #[test]
     fn request_roundtrips() {
-        roundtrip_request(Request::GetElement { offset: 42 });
+        roundtrip_request(Request::Read {
+            runs: vec![(42, 1)],
+            key: None,
+        });
+        // Unsorted, repeated and far-apart runs, with and without a key.
+        roundtrip_request(Request::Read {
+            runs: vec![(1 << 40, 4096), (7, 1), (7, 1), (u64::MAX, u32::MAX)],
+            key: Some((u64::MAX, 0xDEAD_BEEF_CAFE_F00D)),
+        });
+        roundtrip_request(Request::Read {
+            runs: vec![],
+            key: Some((0, 0)),
+        });
         roundtrip_request(Request::PutMany {
             runs: vec![(u64::MAX - 1, 1), (0, 2)],
             cell_len: 2,
@@ -1407,30 +1277,6 @@ mod tests {
             runs: vec![],
             cell_len: 0,
             bytes: vec![].into(),
-        });
-        roundtrip_request(Request::BatchGet {
-            offsets: vec![0, 7, 1 << 40],
-        });
-        roundtrip_request(Request::BatchGet { offsets: vec![] });
-        roundtrip_request(Request::GetRange {
-            offset: 0,
-            count: 1,
-        });
-        roundtrip_request(Request::GetRange {
-            offset: 1 << 40,
-            count: u32::MAX,
-        });
-        roundtrip_request(Request::RangeChecked {
-            offset: 0,
-            count: 1,
-            k0: 0,
-            k1: 0,
-        });
-        roundtrip_request(Request::RangeChecked {
-            offset: 1 << 40,
-            count: 4096,
-            k0: u64::MAX,
-            k1: 0xDEAD_BEEF_CAFE_F00D,
         });
         roundtrip_request(Request::Health);
         roundtrip_request(Request::Stats);
@@ -1545,11 +1391,9 @@ mod tests {
         });
         roundtrip_request(Request::Mux {
             id: u64::MAX,
-            inner: Box::new(Request::RangeChecked {
-                offset: 1 << 33,
-                count: 512,
-                k0: 7,
-                k1: u64::MAX,
+            inner: Box::new(Request::Read {
+                runs: vec![(1 << 33, 512), (3, 2)],
+                key: Some((7, u64::MAX)),
             }),
         });
         roundtrip_request(Request::Mux {
@@ -1563,9 +1407,9 @@ mod tests {
     }
 
     /// `write_put_many` (borrowed runs, no payload built) and
-    /// `write_request` (an owned `PutMany`) put the same frame on the
-    /// wire, plain and `Mux`-wrapped, and the decoded body is the run
-    /// bytes however deep in the frame it sits.
+    /// `write_request` (an owned `PutMany` in its `Mux` envelope) put
+    /// the same frame on the wire, and the decoded body is the run bytes
+    /// however deep in the frame it sits.
     #[test]
     fn borrowed_put_many_is_the_same_frame() {
         let cells: Vec<u8> = (0..40).collect();
@@ -1586,20 +1430,21 @@ mod tests {
             cell_len: 8,
             bytes: cells.clone().into(),
         };
-        for mux_id in [None, Some(0xABCD_u64)] {
-            let want = match mux_id {
-                Some(id) => Request::Mux {
-                    id,
-                    inner: Box::new(owned.clone()),
-                },
-                None => owned.clone(),
-            };
-            let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
-            write_put_many(&mut borrowed, mux_id, 8, &runs).unwrap();
-            write_request(&mut whole, &want).unwrap();
-            assert_eq!(borrowed, whole);
-            assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), want);
-        }
+        let want = Request::Mux {
+            id: 0xABCD,
+            inner: Box::new(owned),
+        };
+        let (mut borrowed, mut whole, mut by_ref) = (Vec::new(), Vec::new(), Vec::new());
+        write_put_many(&mut borrowed, 0xABCD, 8, &runs).unwrap();
+        write_request(&mut whole, &want).unwrap();
+        assert_eq!(borrowed, whole);
+        assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), want);
+        // And `write_mux_request` wraps a request it only borrows.
+        let Request::Mux { id, inner } = &want else {
+            unreachable!()
+        };
+        write_mux_request(&mut by_ref, *id, inner).unwrap();
+        assert_eq!(by_ref, whole);
         let mut borrowed = Vec::new();
         write_obj_write(&mut borrowed, "t", "o", &cells).unwrap();
         assert_eq!(
@@ -1613,16 +1458,30 @@ mod tests {
     }
 
     /// Frames that lie about their own shape are refused at decode
-    /// without allocating for what they claim; what a `PutMany` says
+    /// without allocating for what they claim; what a run table says
     /// about its *cells* is the server's to refuse (see `server.rs`).
     #[test]
-    fn put_many_table_must_fit_the_frame() {
+    fn a_run_table_must_fit_the_frame() {
         let mut payload = Vec::new();
         put_u32(&mut payload, 4096); // cell_len
         put_u32(&mut payload, u32::MAX); // 4 Gi runs claimed...
         payload.extend_from_slice(&[0; 24]); // ...two shipped
         let err = Request::decode(OP_PUT_MANY, payload, 0).unwrap_err();
         assert!(err.to_string().contains("overruns"), "{err}");
+        // The same table under a `Read`, plain and inside a `Mux`.
+        let mut read = vec![0u8]; // no key
+        put_u32(&mut read, 3);
+        read.extend_from_slice(&[0; 24]);
+        let mut muxed = 9u64.to_le_bytes().to_vec();
+        muxed.push(OP_READ);
+        muxed.extend_from_slice(&read);
+        for (op, payload) in [(OP_READ, read), (OP_MUX, muxed)] {
+            let err = Request::decode(op, payload, 0).unwrap_err();
+            assert!(err.to_string().contains("overruns"), "{err}");
+        }
+        // A key tag that is neither "none" nor "some".
+        let err = Request::decode(OP_READ, vec![2, 0, 0, 0, 0], 0).unwrap_err();
+        assert!(err.to_string().contains("key tag"), "{err}");
         // An object write whose length field disagrees with the frame.
         let mut payload = Vec::new();
         obj_write_head(&mut payload, "t", "o", 100);
@@ -1637,7 +1496,10 @@ mod tests {
     fn mux_response_roundtrips() {
         roundtrip_response(Response::Mux {
             id: 9,
-            inner: Box::new(Response::Range(vec![Some(vec![5; 16]), None])),
+            inner: Box::new(Response::Cells(vec![
+                CheckedElement::Valid(vec![5; 16]),
+                CheckedElement::Missing,
+            ])),
         });
         roundtrip_response(Response::Mux {
             id: 1 << 50,
@@ -1662,29 +1524,16 @@ mod tests {
 
     #[test]
     fn response_roundtrips() {
-        roundtrip_response(Response::Element(Some(vec![9; 100])));
-        roundtrip_response(Response::Element(None));
         roundtrip_response(Response::Put);
-        roundtrip_response(Response::Batch(vec![Some(vec![1]), None, Some(vec![])]));
-        roundtrip_response(Response::Range(vec![]));
-        roundtrip_response(Response::Range(vec![Some(vec![7; 32])]));
-        roundtrip_response(Response::Range(vec![None, None, None]));
-        // Presence straddling a bitmap byte boundary, with empty and
-        // absent elements interleaved.
-        let mut items: Vec<Option<Vec<u8>>> = (0..19u8)
-            .map(|i| (i % 3 != 0).then(|| vec![i; i as usize]))
-            .collect();
-        items[8] = Some(vec![]);
-        roundtrip_response(Response::Range(items));
-        roundtrip_response(Response::Checked(vec![]));
-        roundtrip_response(Response::Checked(vec![CheckedElement::Valid(vec![7; 32])]));
-        roundtrip_response(Response::Checked(vec![
+        roundtrip_response(Response::Cells(vec![]));
+        roundtrip_response(Response::Cells(vec![CheckedElement::Valid(vec![7; 32])]));
+        roundtrip_response(Response::Cells(vec![
             CheckedElement::Missing,
             CheckedElement::Corrupt,
             CheckedElement::Missing,
         ]));
         // All three verdicts interleaved, with an empty valid cell.
-        roundtrip_response(Response::Checked(vec![
+        roundtrip_response(Response::Cells(vec![
             CheckedElement::Valid(vec![1, 2, 3]),
             CheckedElement::Corrupt,
             CheckedElement::Valid(vec![]),
@@ -1695,7 +1544,7 @@ mod tests {
         roundtrip_response(Response::FaultInjected);
         roundtrip_response(Response::Stats(vec![]));
         roundtrip_response(Response::Stats(vec![
-            ("serve.get".into(), 42),
+            ("serve.read".into(), 42),
             ("serve_us.p99".into(), u64::MAX),
             ("net.retries".into(), 0),
         ]));
@@ -1764,9 +1613,18 @@ mod tests {
     fn wrong_version_rejected() {
         let mut buf = Vec::new();
         write_request(&mut buf, &Request::Health).unwrap();
-        buf[4] = VERSION + 1;
+        buf[4] = 1;
         let err = read_request(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(1)));
+        assert!(err
+            .to_string()
+            .contains("peer speaks 1, this node speaks 2"));
+        // The polling reader names the version too, and reads no further.
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        assert!(matches!(
+            read_request_polling(&mut buf.as_slice(), &stop),
+            Polled::WrongVersion(1)
+        ));
     }
 
     #[test]
@@ -1785,8 +1643,9 @@ mod tests {
         let mut buf = Vec::new();
         write_request(
             &mut buf,
-            &Request::BatchGet {
-                offsets: vec![5; 8],
+            &Request::Read {
+                runs: vec![(5, 1); 8],
+                key: None,
             },
         )
         .unwrap();
@@ -1799,34 +1658,47 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let req = Request::GetElement { offset: 3 };
+        let req = Request::Read {
+            runs: vec![(3, 1)],
+            key: None,
+        };
         let mut payload = req.payload();
         payload.push(0xEE);
         assert!(matches!(
-            Request::decode(OP_GET, payload, 0),
+            Request::decode(OP_READ, payload, 0),
             Err(NetError::Protocol(_))
         ));
     }
 
     #[test]
-    fn bad_checked_status_rejected() {
-        // count=1, status byte 7 (only 0/1/2 are defined).
+    fn bad_cell_status_rejected() {
+        // count=1, status byte 3 (only 0/1/2 are defined).
         let mut payload = Vec::new();
         put_u32(&mut payload, 1);
-        payload.push(7);
-        let err = Response::decode(RESP_CHECKED, &payload).unwrap_err();
-        assert!(err.to_string().contains("checked status"), "{err}");
+        payload.push(3);
+        let err = Response::decode(RESP_CELLS, &payload).unwrap_err();
+        assert!(err.to_string().contains("cell status"), "{err}");
     }
 
     #[test]
-    fn checked_truncated_valid_bytes_rejected() {
+    fn cells_reply_cannot_claim_more_than_its_frame() {
+        // 4 Gi cells claimed, three status bytes shipped: refused on the
+        // count alone, nothing allocated for it.
+        let mut payload = Vec::new();
+        put_u32(&mut payload, u32::MAX);
+        payload.extend_from_slice(&[0; 3]);
+        assert!(matches!(
+            Response::decode(RESP_CELLS, &payload),
+            Err(NetError::Protocol(_))
+        ));
+        // A valid cell whose bytes the frame does not hold.
         let mut payload = Vec::new();
         put_u32(&mut payload, 1);
         payload.push(1); // valid...
         put_u32(&mut payload, 100); // ...claiming 100 bytes
         payload.extend_from_slice(&[9; 10]); // but shipping 10
         assert!(matches!(
-            Response::decode(RESP_CHECKED, &payload),
+            Response::decode(RESP_CELLS, &payload),
             Err(NetError::Protocol(_))
         ));
     }

@@ -18,7 +18,6 @@
 //! requests, so clients see resets/timeouts — the stimulus the store's
 //! degraded-read fallback exists for.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,8 +31,8 @@ use ecfrm_util::Mutex;
 use ecfrm_integrity::{verify_footer, HashKey};
 
 use crate::protocol::{
-    read_request_polling, write_response, CheckedElement, Fault, PolledRequest, Request, Response,
-    MAX_RANGE,
+    read_request_polling, version_mismatch, write_response, CheckedElement, Fault, Polled, Request,
+    Response, MAX_RANGE,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
@@ -77,12 +76,9 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Pre-resolved metric handles so the request loop never touches the
 /// registry maps.
 struct ServerMetrics {
-    get: Counter,
+    read: Counter,
+    read_corrupt: Counter,
     put_many: Counter,
-    batch: Counter,
-    range: Counter,
-    checked: Counter,
-    checked_corrupt: Counter,
     combine: Counter,
     combine_corrupt: Counter,
     obj: Counter,
@@ -97,12 +93,9 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn new(recorder: &Recorder) -> Self {
         Self {
-            get: recorder.counter("serve.get"),
+            read: recorder.counter("serve.read"),
+            read_corrupt: recorder.counter("serve.read_corrupt"),
             put_many: recorder.counter("serve.put_many"),
-            batch: recorder.counter("serve.batch"),
-            range: recorder.counter("serve.range"),
-            checked: recorder.counter("serve.checked"),
-            checked_corrupt: recorder.counter("serve.checked_corrupt"),
             combine: recorder.counter("serve.combine"),
             combine_corrupt: recorder.counter("serve.combine_corrupt"),
             obj: recorder.counter("serve.obj"),
@@ -117,11 +110,8 @@ impl ServerMetrics {
 
     fn count(&self, req: &Request) {
         match req {
-            Request::GetElement { .. } => self.get.inc(),
+            Request::Read { .. } => self.read.inc(),
             Request::PutMany { .. } => self.put_many.inc(),
-            Request::BatchGet { .. } => self.batch.inc(),
-            Request::GetRange { .. } => self.range.inc(),
-            Request::RangeChecked { .. } => self.checked.inc(),
             Request::CombineRange { .. } => self.combine.inc(),
             Request::ObjCreate { .. }
             | Request::ObjWrite { .. }
@@ -145,9 +135,7 @@ struct Shared {
     backend: Arc<dyn DiskBackend>,
     /// Object front door served by opcodes 11–15, when this node is a
     /// front node and not just a raw shard. `None` answers object ops
-    /// with a wire error instead of rejecting the opcode, so new
-    /// clients can tell "server too old" (decode error, connection
-    /// drop) from "server has no front door" (typed error).
+    /// with a typed wire error.
     front: Option<Arc<ecfrm_store::FrontDoor>>,
     stop: AtomicBool,
     /// Injected per-read delay in ms (straggler simulation).
@@ -229,15 +217,15 @@ impl ShardServer {
         self.addr
     }
 
-    /// The server's metrics registry: per-op counters (`serve.get`,
-    /// `serve.put_many`, `serve.batch`, `serve.range`, `serve.checked`,
-    /// `serve.health`, `serve.inject`, `serve.stats`), the `serve.mux`
-    /// count of multiplexed envelopes (each also counts its inner op)
-    /// and `serve.mux_inline`, how many of them the connection thread
-    /// answered itself instead of handing to the worker pool,
-    /// the `serve.checked_corrupt` count of cells that failed
-    /// server-side footer verification, and the `serve_us`
-    /// request-service histogram.
+    /// The server's metrics registry: per-op counters (`serve.read`,
+    /// `serve.put_many`, `serve.combine`, `serve.obj`, `serve.health`,
+    /// `serve.inject`, `serve.stats`), the `serve.mux` count of
+    /// multiplexed envelopes (each also counts its inner op) and
+    /// `serve.mux_inline`, how many of them the connection thread
+    /// answered itself instead of handing to the worker pool, the
+    /// `serve.read_corrupt` count of cells that failed footer
+    /// verification at this shard, and the `serve_us` request-service
+    /// histogram.
     /// Remote clients can fetch the same data with [`Request::Stats`].
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
@@ -345,7 +333,7 @@ enum MuxJob {
     /// to wait for it (cold page, `O_DIRECT`): a worker waits it out.
     Finish {
         id: u64,
-        req: Request,
+        key: Option<(u64, u64)>,
         offsets: Vec<u64>,
         handle: IoHandle,
         t0: Instant,
@@ -365,25 +353,24 @@ enum Started {
 /// the I/O, with no straggle delay injected. A result that is already
 /// there (page-cache hit) is answered on the spot — no hand-off, no
 /// second thread; one still pending is handed to the pool. Served here
-/// too are a `PutMany` — on such a backend the write is a copy into the
-/// page cache, and the frame it arrived in is the buffer — and the
-/// `Health` probe every mux client opens its connection with, or each
-/// negotiation would grow the pool the reads then never use.
-/// Everything else goes to the pool untouched.
+/// too is a `PutMany`: on such a backend the write is a copy into the
+/// page cache, and the frame it arrived in is the buffer. Everything
+/// else goes to the pool untouched.
 fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
     let inline =
         shared.backend.submits_async() && shared.read_delay_ms.load(Ordering::Acquire) == 0;
-    if inline && matches!(req, Request::Health | Request::PutMany { .. }) {
-        shared.metrics.count(&req);
-        let t0 = Instant::now();
-        return Started::Done(handle_caught(&req, shared), t0);
-    }
-    let Some(plan) = inline.then(|| read_offsets(&req)).flatten() else {
-        return Started::Job(MuxJob::Serve { id, req });
+    let (runs, key) = match &req {
+        Request::PutMany { .. } if inline => {
+            shared.metrics.count(&req);
+            let t0 = Instant::now();
+            return Started::Done(handle_caught(&req, shared), t0);
+        }
+        Request::Read { runs, key } if inline => (runs, *key),
+        _ => return Started::Job(MuxJob::Serve { id, req }),
     };
     shared.metrics.count(&req);
     let t0 = Instant::now();
-    let offsets = match plan {
+    let offsets = match read_offsets(runs) {
         Ok(offsets) => offsets,
         Err(msg) => return Started::Done(Response::Error(msg), t0),
     };
@@ -393,17 +380,14 @@ fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
         Err(payload) => return Started::Done(Response::Error(panic_message(payload.as_ref())), t0),
     };
     match handle.try_take() {
-        Some(cells) => Started::Done(finish_read(&req, &offsets, cells, shared), t0),
-        None => {
-            let offsets = offsets.into_owned();
-            Started::Job(MuxJob::Finish {
-                id,
-                req,
-                offsets,
-                handle,
-                t0,
-            })
-        }
+        Some(cells) => Started::Done(finish_read(key, &offsets, cells, shared), t0),
+        None => Started::Job(MuxJob::Finish {
+            id,
+            key,
+            offsets,
+            handle,
+            t0,
+        }),
     }
 }
 
@@ -491,7 +475,7 @@ fn mux_worker(queue: &JobQueue, shared: &Shared, writer: &SharedWriter) {
             MuxJob::Serve { id, req } => serve_one(&req, Some(id), shared, writer),
             MuxJob::Finish {
                 id,
-                req,
+                key,
                 offsets,
                 mut handle,
                 t0,
@@ -505,7 +489,7 @@ fn mux_worker(queue: &JobQueue, shared: &Shared, writer: &SharedWriter) {
                         return;
                     }
                 };
-                let resp = finish_read(&req, &offsets, cells, shared);
+                let resp = finish_read(key, &offsets, cells, shared);
                 respond(resp, Some(id), t0, shared, writer)
             }
         };
@@ -532,9 +516,16 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             return; // hard kill: drop the connection mid-stream
         }
         let req = match read_request_polling(&mut reader, &shared.stop) {
-            PolledRequest::Frame(req) => req,
-            PolledRequest::Idle => continue, // poll tick, check stop
-            PolledRequest::Closed => return, // peer gone, kill, or garbage
+            Polled::Frame(req) => req,
+            Polled::Idle => continue, // poll tick, check stop
+            Polled::Closed => return, // peer gone, kill, or garbage
+            Polled::WrongVersion(peer) => {
+                // Say why before hanging up: a silent close reads as an
+                // outage on the other side.
+                let refusal = Response::Error(version_mismatch(peer));
+                let _ = write_response(&mut *writer.lock(), &refusal);
+                return;
+            }
         };
         let alive = match req {
             // Mux frames may be many in flight; responses come back
@@ -591,8 +582,7 @@ fn straggle(shared: &Shared) {
 /// Dispatch one object op to the attached front door, mapping store
 /// errors to the typed wire strings [`crate::front::unwire_error`]
 /// re-types client-side. A front-less server answers every object op
-/// with the same typed error — distinguishable from an *old* server,
-/// which rejects the opcode at decode and drops the connection.
+/// with the same typed error.
 fn obj_result(
     shared: &Shared,
     f: impl FnOnce(&ecfrm_store::FrontDoor) -> Result<Response, ecfrm_store::StoreError>,
@@ -679,64 +669,68 @@ fn put_runs<'a>(
     Ok(runs)
 }
 
-/// The offsets a read op asks the backend's vectored read for: the one
-/// place the four read ops are told apart on the way in, as
-/// [`finish_read`] is on the way out. `None` for every other op; `Err`
-/// is the message of a refused range.
-fn read_offsets(req: &Request) -> Option<Result<Cow<'_, [u64]>, String>> {
-    match req {
-        Request::GetElement { offset } => Some(Ok(Cow::Borrowed(std::slice::from_ref(offset)))),
-        Request::BatchGet { offsets } => Some(Ok(Cow::Borrowed(offsets))),
-        Request::GetRange { offset, count } | Request::RangeChecked { offset, count, .. } => {
-            Some(range_offsets(*offset, *count).map(Cow::Owned))
+/// The offsets a `Read`'s runs name, in run order — or why the frame
+/// is refused, before anything is allocated for what it claims: an
+/// empty run, a run past the last `u64` offset (never wrapped to 0),
+/// more than [`MAX_RANGE`] cells in all.
+fn read_offsets(runs: &[(u64, u32)]) -> Result<Vec<u64>, String> {
+    let mut cells = 0u64;
+    for &(start, count) in runs {
+        if count == 0 {
+            return Err(format!("empty run at offset {start}"));
         }
-        _ => None,
+        if start.checked_add(u64::from(count) - 1).is_none() {
+            return Err(format!(
+                "run of {count} cells from offset {start} overflows the offset space"
+            ));
+        }
+        // Even an all-absent answer allocates per requested slot (more
+        // cells than the cap could not fit a reply frame anyway).
+        cells += u64::from(count);
+        if cells > u64::from(MAX_RANGE) {
+            return Err(format!("more than the {MAX_RANGE}-cell cap in one read"));
+        }
     }
+    let mut offsets = Vec::with_capacity(cells as usize);
+    for &(start, count) in runs {
+        offsets.extend(start..=start + (u64::from(count) - 1));
+    }
+    Ok(offsets)
 }
 
-/// Shape the backend's `cells` for the `offsets` of read op `req` into
-/// its response.
-fn finish_read(req: &Request, offsets: &[u64], cells: IoResults, shared: &Shared) -> Response {
-    match req {
-        Request::GetElement { .. } => Response::Element(cells.into_iter().next().flatten()),
-        Request::BatchGet { .. } => Response::Batch(cells),
-        Request::GetRange { .. } => Response::Range(cells),
-        Request::RangeChecked { k0, k1, .. } => {
-            let key = HashKey { k0: *k0, k1: *k1 };
-            let checked = cells
-                .into_iter()
-                .zip(offsets)
-                .map(|(cell, &off)| match cell {
-                    None => CheckedElement::Missing,
-                    // Verify at the source: a corrupt cell costs a status
-                    // byte on the wire, not a payload transfer the client
-                    // would throw away anyway.
-                    Some(cell) if verify_footer(&key, off, &cell).is_some() => {
-                        CheckedElement::Valid(cell)
-                    }
-                    Some(_) => {
-                        shared.metrics.checked_corrupt.inc();
-                        CheckedElement::Corrupt
-                    }
-                });
-            Response::Checked(checked.collect())
-        }
-        _ => unreachable!("only ops with read_offsets are finished as reads"),
-    }
+/// Shape the backend's `cells` for `offsets` into the reply, verifying
+/// each against its offset when the read carried a key.
+fn finish_read(
+    key: Option<(u64, u64)>,
+    offsets: &[u64],
+    cells: IoResults,
+    shared: &Shared,
+) -> Response {
+    let key = key.map(|(k0, k1)| HashKey { k0, k1 });
+    let checked = cells
+        .into_iter()
+        .zip(offsets)
+        .map(|(cell, &off)| match (cell, &key) {
+            // Verify at the source: a corrupt cell costs a status byte
+            // on the wire, not a payload transfer the client would
+            // throw away anyway.
+            (Some(cell), Some(key)) if verify_footer(key, off, &cell).is_none() => {
+                shared.metrics.read_corrupt.inc();
+                CheckedElement::Corrupt
+            }
+            (cell, _) => cell.into(),
+        });
+    Response::Cells(checked.collect())
 }
 
 fn handle(req: &Request, shared: &Shared) -> Response {
     match req {
-        Request::GetElement { .. }
-        | Request::BatchGet { .. }
-        | Request::GetRange { .. }
-        | Request::RangeChecked { .. } => match read_offsets(req) {
-            Some(Ok(offsets)) => {
+        Request::Read { runs, key } => match read_offsets(runs) {
+            Ok(offsets) => {
                 straggle(shared);
-                finish_read(req, &offsets, shared.backend.read_many(&offsets), shared)
+                finish_read(*key, &offsets, shared.backend.read_many(&offsets), shared)
             }
-            Some(Err(msg)) => Response::Error(msg),
-            None => unreachable!("every read op has read_offsets"),
+            Err(msg) => Response::Error(msg),
         },
         Request::PutMany {
             runs,
@@ -837,8 +831,7 @@ fn handle_combine(
     use ecfrm_sim::combine_status as cstat;
 
     // Bound the work before touching the backend (the hostile-vector
-    // guard): run length like `GetRange`, plus lane count, matrix
-    // shape, and fan-out caps.
+    // guard): run length, lane count, matrix shape, and fan-out caps.
     let offsets = match range_offsets(offset, count) {
         Ok(offsets) => offsets,
         Err(msg) => return Response::Error(msg),
@@ -1070,9 +1063,7 @@ fn fetch_peer_partial(
                 (cstat::DECLINED, Vec::new())
             }
         }
-        // An old server drops the connection on the unknown opcode; the
-        // failed exchange above already answered MISSING for that, so
-        // anything else decodable-but-unexpected is a decline.
+        // A peer that refused the spec (a typed error) declined.
         _ => (cstat::DECLINED, Vec::new()),
     }
 }
@@ -1094,6 +1085,19 @@ mod tests {
         crate::protocol::read_response(stream).unwrap()
     }
 
+    /// A keyless read of one run.
+    fn read(start: u64, count: u32) -> Request {
+        Request::Read {
+            runs: vec![(start, count)],
+            key: None,
+        }
+    }
+
+    /// The reply to a keyless read: every stored cell is `Valid`.
+    fn cells(items: Vec<Option<Vec<u8>>>) -> Response {
+        Response::Cells(items.into_iter().map(Into::into).collect())
+    }
+
     /// A one-cell write.
     fn put(offset: u64, bytes: Vec<u8>) -> Request {
         Request::PutMany {
@@ -1108,14 +1112,8 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         assert_eq!(rpc(&mut c, &put(3, vec![1, 2, 3])), Response::Put);
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 3 }),
-            Response::Element(Some(vec![1, 2, 3]))
-        );
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 99 }),
-            Response::Element(None)
-        );
+        assert_eq!(rpc(&mut c, &read(3, 1)), cells(vec![Some(vec![1, 2, 3])]));
+        assert_eq!(rpc(&mut c, &read(99, 1)), cells(vec![None]));
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 1 }
@@ -1123,181 +1121,135 @@ mod tests {
     }
 
     #[test]
-    fn batch_get_preserves_order() {
+    fn read_answers_runs_in_the_order_asked_holes_included() {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
-        for o in 0..4u64 {
+        for o in [0u64, 2, 3, 5] {
             rpc(&mut c, &put(o, vec![o as u8; 2]));
         }
+        // Unsorted and repeated runs come back the way they were asked.
+        let scattered = Request::Read {
+            runs: vec![(2, 1), (9, 1), (0, 1), (2, 1)],
+            key: None,
+        };
         assert_eq!(
-            rpc(
-                &mut c,
-                &Request::BatchGet {
-                    offsets: vec![2, 9, 0]
-                }
-            ),
-            Response::Batch(vec![Some(vec![2, 2]), None, Some(vec![0, 0])])
+            rpc(&mut c, &scattered),
+            cells(vec![
+                Some(vec![2, 2]),
+                None,
+                Some(vec![0, 0]),
+                Some(vec![2, 2])
+            ])
         );
-    }
-
-    #[test]
-    fn get_range_serves_contiguous_run_with_holes() {
-        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
-        let mut c = dial(&server);
-        for o in [2u64, 3, 5] {
-            rpc(&mut c, &put(o, vec![o as u8; 2]));
-        }
         assert_eq!(
-            rpc(
-                &mut c,
-                &Request::GetRange {
-                    offset: 2,
-                    count: 4
-                }
-            ),
-            Response::Range(vec![
+            rpc(&mut c, &read(2, 4)),
+            cells(vec![
                 Some(vec![2, 2]),
                 Some(vec![3, 3]),
                 None,
                 Some(vec![5, 5])
             ])
         );
-        assert_eq!(
-            rpc(
-                &mut c,
-                &Request::GetRange {
-                    offset: 100,
-                    count: 2
-                }
-            ),
-            Response::Range(vec![None, None])
-        );
+        assert_eq!(rpc(&mut c, &read(100, 2)), cells(vec![None, None]));
         let snap = server.recorder().snapshot();
-        assert_eq!(snap.counters.get("serve.range").copied(), Some(2));
+        assert_eq!(snap.counters.get("serve.read").copied(), Some(3));
     }
 
     #[test]
-    fn range_checked_classifies_valid_missing_and_corrupt() {
+    fn keyed_read_classifies_valid_missing_and_corrupt() {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         let key = HashKey::DEFAULT.derive(0x454C_454D, 0);
         // Offsets 0 and 2 hold properly footered cells; offset 1 is a
         // hole; offset 3 holds a cell whose payload was flipped after
         // sealing.
-        for off in [0u64, 2, 3] {
+        let sealed = |off: u64| {
             let mut cell = vec![off as u8; 16];
             ecfrm_integrity::append_footer(&key, off, &mut cell);
-            if off == 3 {
-                cell[4] ^= 0x40;
-            }
+            cell
+        };
+        let mut rotted = sealed(3);
+        rotted[4] ^= 0x40;
+        for (off, cell) in [(0, sealed(0)), (2, sealed(2)), (3, rotted.clone())] {
             rpc(&mut c, &put(off, cell));
         }
-        let mut good0 = vec![0u8; 16];
-        ecfrm_integrity::append_footer(&key, 0, &mut good0);
-        let mut good2 = vec![2u8; 16];
-        ecfrm_integrity::append_footer(&key, 2, &mut good2);
+        let keyed = |runs| Request::Read {
+            runs,
+            key: Some((key.k0, key.k1)),
+        };
         assert_eq!(
-            rpc(
-                &mut c,
-                &Request::RangeChecked {
-                    offset: 0,
-                    count: 4,
-                    k0: key.k0,
-                    k1: key.k1,
-                }
-            ),
-            Response::Checked(vec![
-                CheckedElement::Valid(good0),
+            rpc(&mut c, &keyed(vec![(0, 4)])),
+            Response::Cells(vec![
+                CheckedElement::Valid(sealed(0)),
                 CheckedElement::Missing,
-                CheckedElement::Valid(good2),
+                CheckedElement::Valid(sealed(2)),
                 CheckedElement::Corrupt,
             ])
         );
-        let snap = server.recorder().snapshot();
-        assert_eq!(snap.counters.get("serve.checked").copied(), Some(1));
-        assert_eq!(snap.counters.get("serve.checked_corrupt").copied(), Some(1));
-        // The cap applies to the checked variant too.
-        match rpc(
-            &mut c,
-            &Request::RangeChecked {
-                offset: 0,
-                count: u32::MAX,
-                k0: key.k0,
-                k1: key.k1,
-            },
-        ) {
-            Response::Error(msg) => assert!(msg.contains("cap"), "got: {msg}"),
-            other => panic!("expected Response::Error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversized_range_rejected_with_error() {
-        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
-        let mut c = dial(&server);
-        match rpc(
-            &mut c,
-            &Request::GetRange {
-                offset: 0,
-                count: u32::MAX,
-            },
-        ) {
-            Response::Error(msg) => assert!(msg.contains("cap"), "got: {msg}"),
-            other => panic!("expected Response::Error, got {other:?}"),
-        }
-        // Connection survives the rejection.
+        // Whatever the shape: alone, and scattered.
         assert_eq!(
-            rpc(&mut c, &Request::Health),
-            Response::Health { elements: 0 }
+            rpc(&mut c, &keyed(vec![(3, 1)])),
+            Response::Cells(vec![CheckedElement::Corrupt])
         );
+        assert_eq!(
+            rpc(&mut c, &keyed(vec![(3, 1), (0, 1)])),
+            Response::Cells(vec![
+                CheckedElement::Corrupt,
+                CheckedElement::Valid(sealed(0))
+            ])
+        );
+        let snap = server.recorder().snapshot();
+        assert_eq!(snap.counters.get("serve.read").copied(), Some(3));
+        assert_eq!(snap.counters.get("serve.read_corrupt").copied(), Some(3));
+        // Without a key nothing is judged: the bytes ship as stored.
+        assert_eq!(rpc(&mut c, &read(3, 1)), cells(vec![Some(rotted)]));
     }
 
     #[test]
-    fn range_running_past_the_last_offset_is_refused_not_wrapped() {
-        // `offset + i` used to wrap in release builds: this run read
-        // back elements 0 and 1 as its tail.
+    fn hostile_read_frames_get_typed_errors_plain_and_muxed() {
+        // A run past the last offset used to wrap in release builds and
+        // read back elements 0 and 1 as its tail.
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         for o in 0..2u64 {
             rpc(&mut c, &put(o, vec![o as u8; 2]));
         }
-        let (offset, count) = (u64::MAX - 1, 4);
-        for req in [
-            Request::GetRange { offset, count },
-            Request::RangeChecked {
-                offset,
-                count,
-                k0: 1,
-                k1: 2,
-            },
-        ] {
-            let wrapped = Request::Mux {
-                id: 9,
-                inner: Box::new(req.clone()),
-            };
-            let plain = rpc(&mut c, &req);
-            let muxed = match rpc(&mut c, &wrapped) {
-                Response::Mux { id: 9, inner } => *inner,
-                other => panic!("expected Response::Mux, got {other:?}"),
-            };
-            for resp in [plain, muxed] {
-                match resp {
-                    Response::Error(msg) => assert!(msg.contains("overflows"), "got: {msg}"),
-                    other => panic!("expected Response::Error, got {other:?}"),
+        let cases = [
+            (vec![(0, u32::MAX)], "cap"),
+            // The cap is on the cells of all runs together.
+            (vec![(0, MAX_RANGE), (1 << 40, 1)], "cap"),
+            (vec![(u64::MAX - 1, 4)], "overflows"),
+            (vec![(0, 1), (u64::MAX, 2)], "overflows"),
+            (vec![(0, 1), (5, 0)], "empty run"),
+        ];
+        for (runs, needle) in cases {
+            for key in [None, Some((1, 2))] {
+                let req = Request::Read {
+                    runs: runs.clone(),
+                    key,
+                };
+                let wrapped = Request::Mux {
+                    id: 9,
+                    inner: Box::new(req.clone()),
+                };
+                let muxed = match rpc(&mut c, &wrapped) {
+                    Response::Mux { id: 9, inner } => *inner,
+                    other => panic!("expected Response::Mux, got {other:?}"),
+                };
+                for resp in [rpc(&mut c, &req), muxed] {
+                    match resp {
+                        Response::Error(msg) => assert!(msg.contains(needle), "got: {msg}"),
+                        other => panic!("expected Response::Error, got {other:?}"),
+                    }
                 }
             }
         }
-        // The last offsets that do fit are served (as absent), and the
-        // connection survived the refusals.
+        // Every offset there is can be asked for (and is absent), and
+        // the connection survived the refusals.
+        assert_eq!(rpc(&mut c, &read(u64::MAX - 3, 4)), cells(vec![None; 4]));
         assert_eq!(
-            rpc(
-                &mut c,
-                &Request::GetRange {
-                    offset: u64::MAX - 4,
-                    count: 4
-                }
-            ),
-            Response::Range(vec![None; 4])
+            rpc(&mut c, &Request::Health),
+            Response::Health { elements: 2 }
         );
     }
 
@@ -1309,20 +1261,11 @@ mod tests {
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![7]));
         rpc(&mut c, &Request::InjectFault(Fault::Fail));
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 0 }),
-            Response::Element(None)
-        );
+        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![None]));
         rpc(&mut c, &Request::InjectFault(Fault::Heal));
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 0 }),
-            Response::Element(Some(vec![7]))
-        );
+        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![7])]));
         rpc(&mut c, &Request::InjectFault(Fault::Wipe));
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 0 }),
-            Response::Element(None)
-        );
+        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![None]));
     }
 
     #[test]
@@ -1332,11 +1275,11 @@ mod tests {
         rpc(&mut c, &put(0, vec![1]));
         rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80)));
         let t0 = std::time::Instant::now();
-        rpc(&mut c, &Request::GetElement { offset: 0 });
+        rpc(&mut c, &read(0, 1));
         assert!(t0.elapsed() >= Duration::from_millis(70));
         rpc(&mut c, &Request::InjectFault(Fault::DelayMs(0)));
         let t0 = std::time::Instant::now();
-        rpc(&mut c, &Request::GetElement { offset: 0 });
+        rpc(&mut c, &read(0, 1));
         assert!(t0.elapsed() < Duration::from_millis(70));
     }
 
@@ -1391,10 +1334,7 @@ mod tests {
         }
         // Same connection still serves well-formed requests.
         assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 0 }),
-            Response::Element(Some(vec![2; 8]))
-        );
+        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![2; 8])]));
     }
 
     #[test]
@@ -1462,10 +1402,7 @@ mod tests {
             other => panic!("expected Response::Error, got {other:?}"),
         }
         assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
-        assert_eq!(
-            rpc(&mut c, &Request::GetElement { offset: 0 }),
-            Response::Element(Some(vec![2; 8]))
-        );
+        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![2; 8])]));
         drop(server);
         let _ = std::fs::remove_file(path);
     }
@@ -1507,7 +1444,7 @@ mod tests {
                 &mut c,
                 &Request::Mux {
                     id: 100 + id,
-                    inner: Box::new(Request::GetElement { offset: id }),
+                    inner: Box::new(read(id, 1)),
                 },
             )
             .unwrap();
@@ -1524,7 +1461,7 @@ mod tests {
         for id in 0..6u64 {
             assert_eq!(
                 seen.get(&(100 + id)),
-                Some(&Response::Element(Some(vec![id as u8; 4]))),
+                Some(&cells(vec![Some(vec![id as u8; 4])])),
                 "id {id}"
             );
         }
@@ -1532,7 +1469,7 @@ mod tests {
         // the same connection after mux traffic.
         let snap = server.recorder().snapshot();
         assert_eq!(snap.counters.get("serve.mux").copied(), Some(6));
-        assert_eq!(snap.counters.get("serve.get").copied(), Some(6));
+        assert_eq!(snap.counters.get("serve.read").copied(), Some(6));
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 6 }
@@ -1553,7 +1490,7 @@ mod tests {
                 &mut c,
                 &Request::Mux {
                     id,
-                    inner: Box::new(Request::GetElement { offset: 0 }),
+                    inner: Box::new(read(0, 1)),
                 },
             )
             .unwrap();
@@ -1561,7 +1498,7 @@ mod tests {
         for _ in 0..4 {
             match crate::protocol::read_response(&mut c).unwrap() {
                 Response::Mux { inner, .. } => {
-                    assert_eq!(*inner, Response::Element(Some(vec![1])));
+                    assert_eq!(*inner, cells(vec![Some(vec![1])]));
                 }
                 other => panic!("expected Response::Mux, got {other:?}"),
             }
@@ -1866,8 +1803,8 @@ mod tests {
                     let mut c = dial(&server);
                     rpc(&mut c, &put(i, vec![i as u8; 16]));
                     assert_eq!(
-                        rpc(&mut c, &Request::GetElement { offset: i }),
-                        Response::Element(Some(vec![i as u8; 16]))
+                        rpc(&mut c, &read(i, 1)),
+                        cells(vec![Some(vec![i as u8; 16])])
                     );
                 })
             })

@@ -1,22 +1,16 @@
 //! The batched read path over a real loopback cluster.
 //!
 //! Pins the contract the per-disk vectored read path makes on the wire:
-//! one stripe read costs exactly one request per live disk, a shard
-//! whose `GetRange` reply comes back all-absent still decodes through
-//! the degraded path, and the protocol stays compatible in both
-//! directions — an old client (no `GetRange`) against a new server, and
-//! a new client against an old server that rejects opcode 7.
+//! one stripe read costs exactly one `Read` request per live disk, and a
+//! shard whose reply comes back all-absent still decodes through the
+//! degraded path.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread;
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::Scheme;
-use ecfrm_net::protocol::{read_request, write_response};
-use ecfrm_net::{Cluster, Fault, RemoteDisk, RemoteDiskConfig, Request, Response};
-use ecfrm_sim::{DiskBackend, ThreadedArray};
+use ecfrm_net::{Cluster, Fault};
+use ecfrm_sim::ThreadedArray;
 use ecfrm_store::ObjectStore;
 
 const ELEMENT: usize = 512;
@@ -51,11 +45,9 @@ fn server_counter(cluster: &Cluster, i: usize, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Total read requests a shard server has handled, whatever the shape.
+/// Read requests a shard server has handled.
 fn server_read_ops(cluster: &Cluster, i: usize) -> u64 {
-    server_counter(cluster, i, "serve.get")
-        + server_counter(cluster, i, "serve.batch")
-        + server_counter(cluster, i, "serve.range")
+    server_counter(cluster, i, "serve.read")
 }
 
 fn store_counter(store: &ObjectStore, name: &str) -> u64 {
@@ -98,20 +90,16 @@ fn stripe_read_is_one_rpc_per_live_disk() {
     }
 
     // EC-FRM's sequential layout makes each per-disk batch one
-    // contiguous run, so every request shipped as a coalesced GetRange.
+    // contiguous run: every request carried a one-entry run table.
     let runs = store_counter(&store, "read.coalesced_runs") - runs_before;
     assert_eq!(
         runs as usize, n,
         "expected every per-disk batch to coalesce"
     );
-    let ranges: u64 = (0..n)
-        .map(|i| server_counter(&cluster, i, "serve.range"))
-        .sum();
-    assert_eq!(ranges as usize, n, "expected one GetRange per disk");
 }
 
 #[test]
-fn get_range_partial_failure_still_decodes() {
+fn an_all_absent_reply_still_decodes() {
     let scheme = rs_scheme();
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
     let store = store_over(&cluster, scheme.clone());
@@ -120,19 +108,19 @@ fn get_range_partial_failure_still_decodes() {
     store.put("stripe", &data).unwrap();
     store.flush();
 
-    // Fail one shard's backend but keep its server up: its GetRange
-    // reply arrives as a well-formed all-absent Range frame rather than
-    // a transport error.
+    // Fail one shard's backend but keep its server up: its reply
+    // arrives as a well-formed all-absent `Cells` frame rather than a
+    // transport error.
     cluster.client(2).inject(Fault::Fail).unwrap();
 
     let (got, stats) = store.get_with_stats("stripe").unwrap();
     assert_eq!(got, data, "decode must survive an all-absent range reply");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
     assert!(stats.replans >= 1, "expected a replan: {stats:?}");
-    // The failure really travelled through the range path.
+    // The failure really travelled over the wire.
     assert!(
-        server_counter(&cluster, 2, "serve.range") >= 1,
-        "failed shard should have answered via GetRange"
+        server_counter(&cluster, 2, "serve.read") >= 1,
+        "failed shard should have answered the read"
     );
 
     // Heal and confirm the normal path comes back.
@@ -140,102 +128,4 @@ fn get_range_partial_failure_still_decodes() {
     let (again, stats) = store.get_with_stats("stripe").unwrap();
     assert_eq!(again, data);
     assert!(!stats.degraded);
-}
-
-#[test]
-fn old_client_without_get_range_talks_to_new_server() {
-    let scheme = rs_scheme();
-    // A client built before opcode 7 (or mux) existed.
-    let cfg = RemoteDiskConfig::builder()
-        .low_latency()
-        .use_range(false)
-        .multiplex(false)
-        .build();
-    let cluster = Cluster::spawn_with(scheme.n_disks(), &cfg).unwrap();
-    let store = store_over(&cluster, scheme.clone());
-
-    let data = payload(scheme.data_per_stripe() * ELEMENT + 777);
-    store.put("obj", &data).unwrap();
-    store.flush();
-    assert_eq!(store.get("obj").unwrap(), data);
-
-    // Everything went over the pre-range opcode subset.
-    let n = scheme.n_disks();
-    for i in 0..n {
-        assert_eq!(
-            server_counter(&cluster, i, "serve.range"),
-            0,
-            "old client must never emit GetRange"
-        );
-    }
-    let batched: u64 = (0..n)
-        .map(|i| server_counter(&cluster, i, "serve.batch"))
-        .sum();
-    assert!(batched >= 1, "old client should still batch via BatchGet");
-}
-
-/// A stand-in for a server built before `GetRange` existed: it serves
-/// the original opcode subset and, like the old frame dispatcher, drops
-/// the connection on an opcode it does not know.
-fn spawn_old_server(data: HashMap<u64, Vec<u8>>) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let data = Arc::new(data);
-    thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut s) = stream else { continue };
-            let data = Arc::clone(&data);
-            thread::spawn(move || loop {
-                let Ok(req) = read_request(&mut s) else {
-                    return;
-                };
-                let resp = match req {
-                    // Old servers predate opcode 7: connection dies.
-                    Request::GetRange { .. } => return,
-                    Request::GetElement { offset } => Response::Element(data.get(&offset).cloned()),
-                    Request::BatchGet { offsets } => {
-                        Response::Batch(offsets.iter().map(|o| data.get(o).cloned()).collect())
-                    }
-                    Request::Health => Response::Health {
-                        elements: data.len() as u64,
-                    },
-                    _ => Response::Error("unsupported".into()),
-                };
-                if write_response(&mut s, &resp).is_err() {
-                    return;
-                }
-            });
-        }
-    });
-    addr
-}
-
-#[test]
-fn new_client_falls_back_to_batch_get_on_old_server() {
-    let mut data = HashMap::new();
-    for o in 0..6u64 {
-        data.insert(o, vec![o as u8 + 1; 16]);
-    }
-    let addr = spawn_old_server(data.clone());
-    let disk = RemoteDisk::new(addr, RemoteDiskConfig::builder().low_latency().build());
-    assert!(disk.range_enabled());
-
-    // A contiguous run tempts the client into GetRange; the old server
-    // kills the connection, and the client must recover via BatchGet.
-    let offsets: Vec<u64> = (0..6).collect();
-    let got = disk.read_many(&offsets);
-    for (o, e) in offsets.iter().zip(&got) {
-        assert_eq!(e.as_deref(), Some(&data[o][..]), "offset {o}");
-    }
-    assert!(
-        !disk.range_enabled(),
-        "a BatchGet success after a GetRange failure proves the server \
-         is range-less; the client must stop trying"
-    );
-
-    // Subsequent batched reads skip GetRange entirely and still work.
-    let again = disk.read_many(&[2, 3, 4]);
-    assert_eq!(again[0].as_deref(), Some(&data[&2][..]));
-    assert_eq!(again[1].as_deref(), Some(&data[&3][..]));
-    assert_eq!(again[2].as_deref(), Some(&data[&4][..]));
 }

@@ -3,18 +3,15 @@
 //! The acceptance scenarios for server-side `CombineRange` partial sums:
 //! a combined stripe repair ingests `rows` pre-summed regions instead of
 //! `k·rows` raw elements (1/k of the naive wire bytes at RS(6,3)), a
-//! lying helper is excluded and the stripe replanned, rack labels keep
-//! repair traffic inside the failed disk's domain, and a mixed-version
-//! cluster (some shards predate the opcode) still repairs byte-correct
-//! by serving old shards with raw fetches.
+//! lying helper is excluded and the stripe replanned, and rack labels
+//! keep repair traffic inside the failed disk's domain.
 
 use std::sync::Arc;
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::{DomainMap, LayoutKind, Scheme};
 use ecfrm_integrity::FOOTER_LEN;
-use ecfrm_net::protocol::{read_request, write_response};
-use ecfrm_net::{Cluster, RemoteDiskConfig, Request, Response, ShardServer};
+use ecfrm_net::{Cluster, RemoteDiskConfig};
 use ecfrm_sim::{DiskBackend, MemDisk, ThreadedArray};
 use ecfrm_store::ObjectStore;
 
@@ -164,124 +161,5 @@ fn rack_labels_keep_repair_traffic_intra_domain() {
     // unavoidable and the counter says so.
     store.repair_stripe(7, 0).unwrap();
     assert!(counter(&store, "repair.cross_domain_reads") > 0);
-    assert_eq!(store.get("obj").unwrap(), data);
-}
-
-/// A shard that predates `CombineRange` (and the other negotiated
-/// opcodes): unknown frames drop the connection, the legacy operations
-/// answer fine.
-fn spawn_old_server(backend: Arc<MemDisk>) -> std::net::SocketAddr {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            let disk = Arc::clone(&backend);
-            std::thread::spawn(move || loop {
-                let req = match read_request(&mut stream) {
-                    Ok(r) => r,
-                    Err(_) => return,
-                };
-                let resp = match req {
-                    Request::CombineRange { .. }
-                    | Request::RangeChecked { .. }
-                    | Request::Mux { .. }
-                    | Request::ObjCreate { .. }
-                    | Request::ObjWrite { .. }
-                    | Request::ObjGet { .. }
-                    | Request::ObjStat { .. }
-                    | Request::ObjDelete { .. } => return, // "unknown opcode"
-                    Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                    Request::PutMany {
-                        runs,
-                        cell_len,
-                        bytes,
-                    } => {
-                        let mut cells = bytes.chunks_exact(cell_len as usize);
-                        for (start, count) in runs {
-                            for offset in start..start + u64::from(count) {
-                                disk.write(offset, cells.next().unwrap().to_vec());
-                            }
-                        }
-                        Response::Put
-                    }
-                    Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),
-                    Request::GetRange { offset, count } => {
-                        let offsets: Vec<u64> = (0..u64::from(count)).map(|i| offset + i).collect();
-                        Response::Range(disk.read_many(&offsets))
-                    }
-                    Request::Health => Response::Health {
-                        elements: disk.len() as u64,
-                    },
-                    Request::InjectFault(_) => Response::FaultInjected,
-                    Request::Stats => Response::Stats(Vec::new()),
-                };
-                if write_response(&mut stream, &resp).is_err() {
-                    return;
-                }
-            });
-        }
-    });
-    addr
-}
-
-#[test]
-fn mixed_version_cluster_latches_old_shards_off_and_repairs_byte_correct() {
-    let scheme = rs_scheme();
-    let rows = scheme.layout().offsets_per_stripe();
-    let old_disks = [3usize, 5];
-    let cfg = RemoteDiskConfig::builder().low_latency().build();
-    let mem: Vec<Arc<MemDisk>> = (0..scheme.n_disks())
-        .map(|_| Arc::new(MemDisk::new()))
-        .collect();
-    let mut servers: Vec<ShardServer> = Vec::new();
-    let backends: Vec<Arc<dyn DiskBackend>> = mem
-        .iter()
-        .enumerate()
-        .map(|(d, m)| {
-            let addr = if old_disks.contains(&d) {
-                spawn_old_server(Arc::clone(m))
-            } else {
-                let server =
-                    ShardServer::spawn(Arc::clone(m) as Arc<dyn DiskBackend>, "127.0.0.1:0")
-                        .unwrap();
-                let addr = server.addr();
-                servers.push(server);
-                addr
-            };
-            Arc::new(ecfrm_net::RemoteDisk::new(addr, cfg.clone())) as Arc<dyn DiskBackend>
-        })
-        .collect();
-    let store = ObjectStore::with_array(scheme, ELEMENT, ThreadedArray::from_backends(backends));
-    let data = payload(25_000);
-    store.put("obj", &data).unwrap();
-    store.flush();
-    let stripes = store.stats().stripes;
-
-    // Lose a new shard and rebuild it. The first combined attempt vetoes
-    // (the root cannot reach the old peers over the combine opcode), the
-    // probe latches their clients off, and the retry serves them with
-    // raw fetches — every stripe still repairs combined.
-    let originals: Vec<Vec<u8>> = (0..stripes * rows)
-        .map(|o| mem[0].read(o).unwrap())
-        .collect();
-    mem[0].wipe();
-    for s in 0..stripes {
-        store.repair_stripe(0, s).unwrap();
-    }
-    for (o, want) in originals.iter().enumerate() {
-        assert_eq!(
-            mem[0].read(o as u64).as_ref(),
-            Some(want),
-            "cell {o} rebuilt byte-correct across versions"
-        );
-    }
-    for d in old_disks {
-        assert!(
-            !store.array().disk(d).supports_combine(),
-            "old shard {d} must latch its combine support off"
-        );
-    }
-    assert_eq!(counter(&store, "repair.combined_stripes"), stripes);
     assert_eq!(store.get("obj").unwrap(), data);
 }

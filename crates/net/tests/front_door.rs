@@ -1,8 +1,7 @@
 //! The object front door over real TCP: opcodes 11–15 end-to-end,
-//! typed errors across the wire, and the additive-opcode negotiation
-//! story — an old server (or a front-less new one) demotes the client
-//! to a local fallback `FrontDoor` once, permanently, and every object
-//! op stays byte-correct through the demotion.
+//! typed errors across the wire, and what the client does when the
+//! wire lets it down — every failure a typed error that changes nothing
+//! about the next call, and no write ever sent twice.
 
 use std::sync::Arc;
 
@@ -10,7 +9,7 @@ use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_net::protocol::{read_request, write_response};
 use ecfrm_net::{FrontClient, RemoteDiskConfig, Request, Response, ShardServer};
-use ecfrm_sim::{DiskBackend, MemDisk};
+use ecfrm_sim::MemDisk;
 use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore, QosClass, StoreError, TenantSpec};
 
 const ELEMENT: usize = 512;
@@ -70,7 +69,6 @@ fn remote_front_round_trips_every_op() {
         client.stat("web", "hero.png"),
         Err(StoreError::NotFound(_))
     ));
-    assert!(client.remote_enabled(), "no demotion happened");
     server.kill();
 }
 
@@ -110,117 +108,40 @@ fn wire_errors_arrive_typed() {
     server.kill();
 }
 
-/// A shard that predates the object opcodes: unknown frames drop the
-/// connection, `Health` (and the other legacy ops) answer fine.
-fn spawn_old_server() -> std::net::SocketAddr {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            std::thread::spawn(move || loop {
-                let req = match read_request(&mut stream) {
-                    Ok(r) => r,
-                    Err(_) => return, // "unknown opcode": drop the connection
-                };
-                let resp = match req {
-                    Request::Health => Response::Health { elements: 0 },
-                    _ => return,
-                };
-                if write_response(&mut stream, &resp).is_err() {
-                    return;
-                }
-            });
-        }
-    });
-    addr
-}
-
-/// Every object op against an old server falls back to the local
-/// front door, byte-correct, and the latch is permanent: exactly one
-/// demotion no matter how many ops follow.
+/// A server with no front door attached answers a typed error, and a
+/// dead one is a transport error; both are `StoreError::Net`, and the
+/// same client goes back to the wire on its next call.
 #[test]
-fn old_server_demotes_once_and_every_op_falls_back() {
-    let addr = spawn_old_server();
-    let fallback = local_front();
-    let client = FrontClient::new(addr, client_cfg()).with_fallback(Arc::clone(&fallback));
-
-    let data = payload(8_000);
-    client.create("web", "obj").unwrap(); // first op: probe + demote
-    assert!(!client.remote_enabled(), "answering probe must demote");
-
-    client.write("web", "obj", &data).unwrap();
-    assert_eq!(client.read("web", "obj").unwrap(), data);
-    assert_eq!(
-        client.read_range("web", "obj", 100, 50).unwrap(),
-        &data[100..150]
-    );
-    assert_eq!(client.stat("web", "obj").unwrap().len, 8_000);
-    client.delete("web", "obj").unwrap();
-    assert!(matches!(
-        client.stat("web", "obj"),
-        Err(StoreError::NotFound(_))
-    ));
-
-    let snap = client.recorder().snapshot();
-    let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-    assert_eq!(get("front.demoted"), 1, "latch fires exactly once");
-    assert_eq!(get("front.remote"), 0, "no op was served remotely");
-    assert!(get("front.fallback") >= 6, "every op took the fallback");
-}
-
-/// A *new* server with no front door attached answers the typed
-/// `no_front` error — which demotes the client the same way, without
-/// a probe, while raw shard ops on that server keep working.
-#[test]
-fn front_less_server_demotes_via_typed_error() {
-    let mut server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
-    let fallback = local_front();
-    let client = FrontClient::new(server.addr(), client_cfg()).with_fallback(Arc::clone(&fallback));
-
-    let data = payload(2_000);
-    client.create("web", "obj").unwrap();
-    assert!(!client.remote_enabled());
-    client.write("web", "obj", &data).unwrap();
-    assert_eq!(client.read("web", "obj").unwrap(), data);
-    server.kill();
-}
-
-/// Without a fallback, a demoted client errors loudly instead of
-/// pretending; a *dead* server is a transient `Net` error that leaves
-/// the latch alone so recovery is possible.
-#[test]
-fn no_fallback_errors_and_outages_never_latch() {
-    // Front-less server, no fallback: typed failure.
+fn a_front_less_or_dead_server_is_a_typed_net_error() {
     let mut server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
     let client = FrontClient::new(server.addr(), client_cfg());
-    assert!(matches!(
-        client.create("web", "obj"),
-        Err(StoreError::Net(_))
-    ));
+    for _ in 0..2 {
+        match client.create("web", "obj") {
+            Err(StoreError::Net(msg)) => assert!(msg.starts_with("no_front"), "{msg}"),
+            other => panic!("expected a typed no_front error, got {other:?}"),
+        }
+    }
+    let served = |server: &ShardServer| {
+        let snap = server.recorder().snapshot();
+        snap.counters.get("serve.obj").copied()
+    };
+    assert_eq!(served(&server), Some(2), "the second call asked again");
     server.kill();
 
-    // Dead server: transport error, latch untouched.
     let addr = {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         l.local_addr().unwrap()
     }; // listener dropped: nothing is home
-    let fallback = local_front();
-    let client = FrontClient::new(addr, client_cfg()).with_fallback(fallback);
+    let client = FrontClient::new(addr, client_cfg());
     assert!(matches!(
         client.create("web", "obj"),
         Err(StoreError::Net(_))
     ));
-    assert!(
-        client.remote_enabled(),
-        "an outage is not evidence of an old server"
-    );
 }
 
-/// A server that answers `Health` / `ObjStat` promptly but sits on
-/// `ObjGet` for `get_delay` — a live, object-op-capable node that
-/// merely blows the client's request deadline (queued admission, slow
-/// disk, big transfer). Also counts `ObjWrite` frames it *receives*
+/// A server that answers `ObjStat` promptly but sits on `ObjGet` for
+/// `get_delay` — a live node that merely blows the client's request
+/// deadline (queued admission, slow disk, big transfer). Also counts `ObjWrite` frames it *receives*
 /// and, when `drop_writes` is set, kills the connection after reading
 /// one instead of answering — the executed-but-response-lost case.
 fn spawn_slow_server(
@@ -242,7 +163,6 @@ fn spawn_slow_server(
                     return;
                 };
                 let resp = match req {
-                    Request::Health => Response::Health { elements: 0 },
                     Request::ObjCreate { .. } => Response::ObjAck,
                     Request::ObjStat { .. } => Response::ObjStat {
                         len: 0,
@@ -271,34 +191,24 @@ fn spawn_slow_server(
     (addr, writes)
 }
 
-/// A request that merely exceeds the client timeout on a live,
-/// object-op-capable server must stay a transient `Net` error: no
-/// demotion, and the very next (fast) op is served remotely again.
+/// A request that merely exceeds the client timeout on a live server
+/// is a transient `Net` error, and the very next (fast) op is served.
 #[test]
-fn slow_server_times_out_without_latching() {
+fn slow_server_times_out_and_the_next_op_is_served() {
     let (addr, _) = spawn_slow_server(std::time::Duration::from_millis(800), false);
-    let fallback = local_front(); // present, but must never be used
     let cfg = RemoteDiskConfig::builder()
         .request_timeout(std::time::Duration::from_millis(100))
         .build();
-    let client = FrontClient::new(addr, cfg).with_fallback(fallback);
+    let client = FrontClient::new(addr, cfg);
 
     assert!(matches!(
         client.read_range("web", "obj", 0, 8),
         Err(StoreError::Net(_))
     ));
-    assert!(
-        client.remote_enabled(),
-        "a timeout is not evidence of an old server"
-    );
-    // The next op answers within the deadline and is served remotely.
+    // The next op answers within the deadline.
     assert_eq!(client.stat("web", "obj").unwrap().len, 0);
     let snap = client.recorder().snapshot();
-    assert_eq!(
-        snap.counters.get("front.fallback").copied().unwrap_or(0),
-        0,
-        "no op may be served from the fallback's empty namespace"
-    );
+    assert_eq!(snap.counters.get("front.remote").copied(), Some(1));
 }
 
 /// A lost `ObjWrite` *response* must not trigger a blind retry: the
@@ -317,10 +227,6 @@ fn lost_write_response_is_not_retried() {
         writes.load(std::sync::atomic::Ordering::SeqCst),
         1,
         "the write frame must cross the wire exactly once"
-    );
-    assert!(
-        client.remote_enabled(),
-        "an answering object-op probe proves the server is not old"
     );
 }
 
@@ -356,49 +262,4 @@ fn stale_pooled_connection_retries_idempotent_reads() {
     client.create("web", "obj").unwrap(); // parked stream is now stale
     std::thread::sleep(std::time::Duration::from_millis(30)); // let the server hang up
     assert_eq!(client.stat("web", "obj").unwrap().len, 42);
-    assert!(client.remote_enabled());
-}
-
-/// The mixed-version acceptance scenario: the *front* node is old, the
-/// *shard* nodes are new. The demoted client serves through a local
-/// front door whose store reads the same shard cluster over
-/// `RemoteDisk`, so data lands erasure-coded on real remote shards and
-/// reads back byte-correct.
-#[test]
-fn mixed_version_cluster_stays_byte_correct_through_fallback() {
-    use ecfrm_net::RemoteDisk;
-    use ecfrm_sim::ThreadedArray;
-
-    let sch = scheme();
-    let shards: Vec<(ShardServer, Arc<MemDisk>)> = (0..sch.n_disks())
-        .map(|_| {
-            let mem = Arc::new(MemDisk::new());
-            let srv = ShardServer::spawn(Arc::clone(&mem) as Arc<dyn DiskBackend>, "127.0.0.1:0")
-                .unwrap();
-            (srv, mem)
-        })
-        .collect();
-    let backends: Vec<Arc<dyn DiskBackend>> = shards
-        .iter()
-        .map(|(srv, _)| Arc::new(RemoteDisk::new(srv.addr(), client_cfg())) as Arc<dyn DiskBackend>)
-        .collect();
-    let store = Arc::new(ObjectStore::with_array(
-        sch,
-        ELEMENT,
-        ThreadedArray::from_backends(backends),
-    ));
-    let fallback = FrontDoor::new(store, FrontConfig::default());
-
-    let old_front = spawn_old_server();
-    let client = FrontClient::new(old_front, client_cfg()).with_fallback(Arc::clone(&fallback));
-
-    let data = payload(20_000);
-    client.put("web", "movie.mp4", &data).unwrap();
-    assert!(!client.remote_enabled());
-    assert_eq!(client.read("web", "movie.mp4").unwrap(), data);
-
-    // The bytes really live on the remote shards, not in some client
-    // buffer: at least one shard holds sealed elements.
-    let held: usize = shards.iter().map(|(_, mem)| mem.len()).sum();
-    assert!(held > 0, "sealed stripes must land on the shard nodes");
 }

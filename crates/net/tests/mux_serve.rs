@@ -44,6 +44,19 @@ fn recv_mux(c: &mut TcpStream) -> (u64, Response) {
     }
 }
 
+/// A keyless read of the given runs.
+fn read(runs: &[(u64, u32)]) -> Request {
+    Request::Read {
+        runs: runs.to_vec(),
+        key: None,
+    }
+}
+
+/// The reply to a keyless read holding `cell(o)` for each `Some(o)`.
+fn cells(offsets: &[Option<u64>]) -> Response {
+    Response::Cells(offsets.iter().map(|o| o.map(cell).into()).collect())
+}
+
 fn rpc(c: &mut TcpStream, req: &Request) -> Response {
     write_request(c, req).unwrap();
     read_response(c).unwrap()
@@ -75,20 +88,13 @@ fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
     const N: u64 = 1000;
     let (server, disk, path) = file_shard("hot", 256, false);
     let mut c = dial(&server);
-    // The probe a `RemoteDisk` opens with, then every read shape.
-    send_mux(&mut c, 0, Request::Health);
-    assert_eq!(recv_mux(&mut c), (0, Response::Health { elements: 256 }));
+    // Every shape a batch takes: one cell, one run, scattered.
     for id in 1..=N {
         let o = id % 250;
         let inner = match id % 3 {
-            0 => Request::GetElement { offset: o },
-            1 => Request::GetRange {
-                offset: o,
-                count: 3,
-            },
-            _ => Request::BatchGet {
-                offsets: vec![o + 2, 999, o],
-            },
+            0 => read(&[(o, 1)]),
+            1 => read(&[(o, 3)]),
+            _ => read(&[(o + 2, 1), (999, 1), (o, 1)]),
         };
         send_mux(&mut c, id, inner);
     }
@@ -101,17 +107,17 @@ fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
         );
         let o = id % 250;
         let want = match id % 3 {
-            0 => Response::Element(Some(cell(o))),
-            1 => Response::Range((o..o + 3).map(|o| Some(cell(o))).collect()),
-            _ => Response::Batch(vec![Some(cell(o + 2)), None, Some(cell(o))]),
+            0 => cells(&[Some(o)]),
+            1 => cells(&[Some(o), Some(o + 1), Some(o + 2)]),
+            _ => cells(&[Some(o + 2), None, Some(o)]),
         };
         assert_eq!(resp, want, "id {id}");
     }
-    assert_eq!(counter(&server, "serve.mux"), N + 1);
+    assert_eq!(counter(&server, "serve.mux"), N);
     if disk.io_backend() == "uring" {
         // Buffered uring disk, pages hot from the writes: nothing was
         // handed off, so the pool was never spawned.
-        assert_eq!(counter(&server, "serve.mux_inline"), N + 1);
+        assert_eq!(counter(&server, "serve.mux_inline"), N);
     } else {
         // Blocking disk (no io_uring here, or forced): the pool as ever.
         assert_eq!(counter(&server, "serve.mux_inline"), 0);
@@ -221,7 +227,7 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
     let mut c = dial(&server);
     // Id 1 is submitted by the connection thread and stays pending (the
     // cold page / O_DIRECT case): handed to a worker, which waits.
-    send_mux(&mut c, 1, Request::GetElement { offset: 0 });
+    send_mux(&mut c, 1, read(&[(0, 1)]));
     // A plain frame is served in order, so once this is answered id 1
     // has been submitted.
     assert_eq!(
@@ -232,12 +238,12 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
     // Id 2 is a straggler read: the pool start to finish. Neither waits
     // for the other, and id 3 behind them is not stuck either.
     let t0 = Instant::now();
-    send_mux(&mut c, 2, Request::GetElement { offset: 1 });
-    send_mux(&mut c, 3, Request::GetElement { offset: 2 });
+    send_mux(&mut c, 2, read(&[(1, 1)]));
+    send_mux(&mut c, 3, read(&[(2, 1)]));
     let mut got = [recv_mux(&mut c), recv_mux(&mut c)];
     got.sort_by_key(|(id, _)| *id);
-    assert_eq!(got[0], (2, Response::Element(Some(cell(1)))));
-    assert_eq!(got[1], (3, Response::Element(Some(cell(2)))));
+    assert_eq!(got[0], (2, cells(&[Some(1)])));
+    assert_eq!(got[1], (3, cells(&[Some(2)])));
     assert!(
         t0.elapsed() >= Duration::from_millis(70),
         "the delay applied"
@@ -248,11 +254,11 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
         t0.elapsed()
     );
     disk.release();
-    assert_eq!(recv_mux(&mut c), (1, Response::Element(Some(cell(0)))));
+    assert_eq!(recv_mux(&mut c), (1, cells(&[Some(0)])));
     // Only the inline-served frames count as inline: none of the three.
     assert_eq!(counter(&server, "serve.mux"), 3);
     assert_eq!(counter(&server, "serve.mux_inline"), 0);
-    assert_eq!(counter(&server, "serve.get"), 3);
+    assert_eq!(counter(&server, "serve.read"), 3);
 }
 
 #[test]
@@ -260,11 +266,11 @@ fn o_direct_reads_are_handed_off_and_answered() {
     let (server, disk, path) = file_shard("direct", 64, true);
     let mut c = dial(&server);
     for id in 0..32u64 {
-        send_mux(&mut c, id, Request::GetElement { offset: id });
+        send_mux(&mut c, id, read(&[(id, 1)]));
     }
     for _ in 0..32 {
         let (id, resp) = recv_mux(&mut c);
-        assert_eq!(resp, Response::Element(Some(cell(id))), "id {id}");
+        assert_eq!(resp, cells(&[Some(id)]), "id {id}");
     }
     if disk.io_backend() == "uring-direct" {
         // The ring completes on the poller thread; the connection thread
@@ -282,7 +288,7 @@ fn kill_with_pending_hand_offs_joins_and_drops_every_handle() {
     // More pending reads than the pool has workers: some wait in a
     // worker, the rest in the queue.
     for id in 0..8u64 {
-        send_mux(&mut c, id, Request::GetElement { offset: 0 });
+        send_mux(&mut c, id, read(&[(0, 1)]));
     }
     assert_eq!(
         rpc(&mut c, &Request::Health),

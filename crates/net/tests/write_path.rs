@@ -1,6 +1,6 @@
 //! The write path over a real loopback cluster: what a seal costs in
-//! RPCs, what a dead shard costs a seal, and what a peer that does not
-//! speak `PutMany` costs.
+//! RPCs, what a dead shard costs a seal, and what a shard that hangs up
+//! on writes costs.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,8 +73,7 @@ fn a_seal_is_one_write_rpc_per_disk_whatever_its_stripe_count() {
 }
 
 #[test]
-fn a_dead_shard_costs_a_seal_one_retry_budget_and_readers_get_their_turn() {
-    // The default budget: three attempts, backoff sleeps between them.
+fn a_dead_shard_costs_a_seal_one_failed_request_and_readers_get_their_turn() {
     let cfg = RemoteDiskConfig::default();
     let mut cluster = Cluster::spawn_with(9, &cfg).unwrap();
     let array = ThreadedArray::from_backends(cluster.backends());
@@ -113,9 +112,8 @@ fn a_dead_shard_costs_a_seal_one_retry_budget_and_readers_get_their_turn() {
     done.store(true, Ordering::Release);
     let reads_meanwhile = reader.join().unwrap();
 
-    // One budget per seal is two backoffs (5 and 10 ms, jittered to at
-    // most 1.5×) on top of three refused connects: under 25 ms. A budget
-    // per cell — 12 a seal — would be past 2 s here.
+    // A seal's one frame for the dead shard is a refused connect, twice
+    // at most, and nothing sleeps.
     assert!(
         elapsed < Duration::from_millis(1500),
         "{PUTS} seals with a dead shard took {elapsed:?}"
@@ -135,9 +133,9 @@ fn a_dead_shard_costs_a_seal_one_retry_budget_and_readers_get_their_turn() {
     }
 }
 
-/// A shard that speaks everything but `PutMany`: the frame is an unknown
-/// opcode to it, so it drops the connection, as a decoder that cannot
-/// parse a frame does. Reads, probes and mux envelopes are served.
+/// A shard that hangs up on every write: a `PutMany` costs it the
+/// connection, whatever else was in flight on it. Reads, health probes
+/// and mux envelopes are served.
 fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -152,13 +150,14 @@ fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
                     Err(_) => return,
                 };
                 let resp = match req {
-                    Request::PutMany { .. } => return, // "unknown opcode"
-                    Request::GetElement { offset } => Response::Element(disk.read(offset)),
-                    Request::BatchGet { offsets } => Response::Batch(disk.read_many(&offsets)),
-                    Request::GetRange { offset, count }
-                    | Request::RangeChecked { offset, count, .. } => {
-                        let offsets: Vec<u64> = (offset..offset + u64::from(count)).collect();
-                        Response::Range(disk.read_many(&offsets))
+                    Request::PutMany { .. } => return,
+                    Request::Read { runs, .. } => {
+                        let offsets: Vec<u64> = runs
+                            .iter()
+                            .flat_map(|&(start, count)| start..start + u64::from(count))
+                            .collect();
+                        let cells = disk.read_many(&offsets);
+                        Response::Cells(cells.into_iter().map(Into::into).collect())
                     }
                     Request::Health => Response::Health {
                         elements: disk.len() as u64,
@@ -185,8 +184,7 @@ fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
 fn shards_that_drop_put_many_are_failed_counted_writes_covered_by_parity() {
     let cfg = RemoteDiskConfig::builder().low_latency().build();
     let cluster = Cluster::spawn_with(9, &cfg).unwrap();
-    // m = 3 of the nine shards do not speak the write op, over both
-    // transports: the pooled one sends each frame on a fresh connection.
+    // m = 3 of the nine shards drop every write.
     let putless = [1usize, 4, 7];
     let backends: Vec<Arc<dyn DiskBackend>> = (0..9)
         .map(|d| {
@@ -194,11 +192,7 @@ fn shards_that_drop_put_many_are_failed_counted_writes_covered_by_parity() {
                 return Arc::clone(cluster.client(d)) as Arc<dyn DiskBackend>;
             }
             let addr = spawn_putless_server(Arc::new(MemDisk::new()));
-            let cfg = RemoteDiskConfig::builder()
-                .low_latency()
-                .multiplex(d != 4)
-                .build();
-            Arc::new(RemoteDisk::new(addr, cfg)) as Arc<dyn DiskBackend>
+            Arc::new(RemoteDisk::new(addr, cfg.clone())) as Arc<dyn DiskBackend>
         })
         .collect();
     let array = ThreadedArray::from_backends(backends.clone());
@@ -211,8 +205,8 @@ fn shards_that_drop_put_many_are_failed_counted_writes_covered_by_parity() {
     store.flush();
     let seals = counter(&store, "write.rpcs") / 9;
     assert!(seals >= 4);
-    // No capability latch, no fallback op: every seal's frame to such a
-    // shard is one more failed request, and that is all it is.
+    // Nothing latches and nothing falls back: every seal's frame to such
+    // a shard is one more failed request, and that is all it is.
     for &d in &putless {
         let stats = backends[d].net_stats().unwrap();
         assert_eq!(stats.failed_requests, seals, "disk {d}: {stats:?}");

@@ -13,17 +13,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Thread-safe network transport counters.
 #[derive(Debug, Default)]
 pub struct NetCounters {
-    /// Requests re-sent after an error or timeout.
+    /// Frames re-sent on a fresh connection because the first write
+    /// never fully left this host.
     pub retries: AtomicU64,
-    /// Hedge requests launched against a second connection.
-    pub hedges: AtomicU64,
-    /// Hedge requests whose response arrived before the primary's.
-    pub hedge_wins: AtomicU64,
     /// Requests that hit their per-request deadline.
     pub timeouts: AtomicU64,
     /// Connections re-established after a transport error.
     pub reconnects: AtomicU64,
-    /// Requests that exhausted every retry and returned failure.
+    /// Requests that failed: refused, timed out, lost with their
+    /// connection, or answered with an error.
     pub failed_requests: AtomicU64,
     /// Connections dropped instead of being returned for reuse, because
     /// an error or timeout left their framing state unknown.
@@ -40,8 +38,6 @@ impl NetCounters {
     pub fn snapshot(&self) -> NetStats {
         NetStats {
             retries: self.retries.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
             failed_requests: self.failed_requests.load(Ordering::Relaxed),
@@ -54,17 +50,15 @@ impl NetCounters {
 /// delta over a window (e.g. one `get_range` call).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Requests re-sent after an error or timeout.
+    /// Frames re-sent on a fresh connection because the first write
+    /// never fully left this host.
     pub retries: u64,
-    /// Hedge requests launched against a second connection.
-    pub hedges: u64,
-    /// Hedge requests whose response arrived before the primary's.
-    pub hedge_wins: u64,
     /// Requests that hit their per-request deadline.
     pub timeouts: u64,
     /// Connections re-established after a transport error.
     pub reconnects: u64,
-    /// Requests that exhausted every retry and returned failure.
+    /// Requests that failed: refused, timed out, lost with their
+    /// connection, or answered with an error.
     pub failed_requests: u64,
     /// Connections dropped instead of being returned for reuse, because
     /// an error or timeout left their framing state unknown.
@@ -81,8 +75,6 @@ impl NetStats {
     pub fn merge(&self, other: &Self) -> Self {
         Self {
             retries: self.retries + other.retries,
-            hedges: self.hedges + other.hedges,
-            hedge_wins: self.hedge_wins + other.hedge_wins,
             timeouts: self.timeouts + other.timeouts,
             reconnects: self.reconnects + other.reconnects,
             failed_requests: self.failed_requests + other.failed_requests,
@@ -95,8 +87,6 @@ impl NetStats {
     pub fn since(&self, earlier: &Self) -> Self {
         Self {
             retries: self.retries.saturating_sub(earlier.retries),
-            hedges: self.hedges.saturating_sub(earlier.hedges),
-            hedge_wins: self.hedge_wins.saturating_sub(earlier.hedge_wins),
             timeouts: self.timeouts.saturating_sub(earlier.timeouts),
             reconnects: self.reconnects.saturating_sub(earlier.reconnects),
             failed_requests: self.failed_requests.saturating_sub(earlier.failed_requests),
@@ -113,8 +103,6 @@ impl NetStats {
         }
         for (name, v) in [
             ("net.retries", self.retries),
-            ("net.hedges", self.hedges),
-            ("net.hedge_wins", self.hedge_wins),
             ("net.timeouts", self.timeouts),
             ("net.reconnects", self.reconnects),
             ("net.failed_requests", self.failed_requests),
@@ -139,11 +127,11 @@ mod tests {
         c.timeouts.fetch_add(1, Ordering::Relaxed);
         let a = c.snapshot();
         assert_eq!((a.retries, a.timeouts), (3, 1));
-        c.hedges.fetch_add(2, Ordering::Relaxed);
+        c.reconnects.fetch_add(2, Ordering::Relaxed);
         c.retries.fetch_add(1, Ordering::Relaxed);
         let b = c.snapshot();
         let d = b.since(&a);
-        assert_eq!((d.retries, d.hedges, d.timeouts), (1, 2, 0));
+        assert_eq!((d.retries, d.reconnects, d.timeouts), (1, 2, 0));
         let m = a.merge(&d);
         assert_eq!(m, b);
     }
@@ -163,6 +151,6 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counters["net.retries"], 4);
         assert_eq!(s.counters["net.timeouts"], 2);
-        assert!(!s.counters.contains_key("net.hedges"));
+        assert!(!s.counters.contains_key("net.reconnects"));
     }
 }

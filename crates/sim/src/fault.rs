@@ -15,7 +15,7 @@
 //!   re-registering a replacement backend
 //!   ([`ThreadedArray::replace_disk`](crate::ThreadedArray::replace_disk)).
 //! * [`FaultKind::Delay`] — every read pays an extra service delay: the
-//!   straggler that trips hedged reads and suspect timeouts.
+//!   straggler that trips request deadlines and suspect timeouts.
 //! * [`FaultKind::FlipCorrupt`] — served bytes come back with one bit
 //!   flipped (at an offset-derived position, so no fixed byte a reader
 //!   could special-case): silent corruption, invisible to the

@@ -82,7 +82,7 @@ pub mod combine_status {
     /// Element's checksum footer disagreed / a peer shipped a region
     /// that failed verification.
     pub const CORRUPT: u8 = 2;
-    /// Peer answered but declined the op (old server or refused spec).
+    /// Peer answered but declined the op (refused spec).
     pub const DECLINED: u8 = 3;
 }
 
@@ -103,8 +103,8 @@ pub struct CombineReply {
 /// Outcome of [`DiskBackend::combine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CombineOutcome {
-    /// The backend cannot pre-sum (local disk, or an old remote server
-    /// that latched the op off) — fall back to fetching raw elements.
+    /// The backend cannot pre-sum (a local disk) — fall back to
+    /// fetching raw elements.
     Unsupported,
     /// The backend supports the op but this request failed (transport
     /// error, refused spec); retry or fall back.
@@ -270,17 +270,10 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
         CombineOutcome::Unsupported
     }
 
-    /// True when [`Self::combine`] is worth attempting right now (the
-    /// backend is remote and its server has not latched the op off).
-    /// Plan-time gate for the combined repair path.
-    fn supports_combine(&self) -> bool {
-        false
-    }
-
     /// The dialable `host:port` other shard servers can reach this
     /// backend's data at, when it fronts a remote shard. Local backends
-    /// return `None`; a backend without an address cannot serve as a
-    /// combined-repair peer.
+    /// return `None`. Every helper of a combined repair needs one: it is
+    /// the plan-time gate for that path.
     fn peer_addr(&self) -> Option<String> {
         None
     }
@@ -737,31 +730,6 @@ impl ThreadedArray {
         }
         out
     }
-
-    /// The pre-batching read path: one single-element submission per
-    /// address, one backend access per element. Kept as the measured
-    /// baseline for the `read_path` microbench and as the reference
-    /// side of the batched/per-element differential tests. Production
-    /// reads go through [`Self::read_batch`].
-    pub fn read_batch_per_element(&self, addrs: &[Address]) -> Vec<Option<Vec<u8>>> {
-        let (reply_tx, reply_rx) = channel::<DiskReply>();
-        for (tag, &(disk, offset)) in addrs.iter().enumerate() {
-            self.dispatch_read(disk, vec![tag], vec![offset], reply_tx.clone());
-        }
-        drop(reply_tx);
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; addrs.len()];
-        for _ in 0..addrs.len() {
-            match reply_rx.recv() {
-                Ok(reply) => {
-                    for (tag, bytes) in reply.items {
-                        out[tag] = bytes;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -872,7 +840,9 @@ mod tests {
         let mut addrs: Vec<Address> = items.iter().map(|(a, _)| *a).collect();
         addrs.push((0, 999)); // absent offset
         addrs.push((3, 777)); // absent offset
-        assert_eq!(a.read_batch(&addrs), a.read_batch_per_element(&addrs));
+        let per_element: Vec<Option<Vec<u8>>> =
+            addrs.iter().map(|&(d, o)| a.disk(d).read(o)).collect();
+        assert_eq!(a.read_batch(&addrs), per_element);
     }
 
     #[test]
@@ -1013,9 +983,6 @@ mod tests {
         assert_eq!(got[0], Some(vec![9]));
         assert_eq!(got[1], None);
         assert_eq!(got[2], None);
-        let got = a.read_batch_per_element(&[(0, 0), (1, 0)]);
-        assert_eq!(got[0], Some(vec![9]));
-        assert_eq!(got[1], None);
         a.write_batch(vec![((0, 1), vec![4]), ((1, 1), vec![5])]);
         assert_eq!(a.read_batch(&[(0, 1)])[0], Some(vec![4]));
     }

@@ -124,8 +124,8 @@ impl StoreMetrics {
 
 /// How many per-disk groups of `addrs` (grouped in submission order, the
 /// way `ThreadedArray` dispatches them) form one contiguous ascending
-/// offset run of ≥ 2 elements — exactly the batches `RemoteDisk` ships
-/// as a coalesced `GetRange`.
+/// offset run of ≥ 2 elements — the batches a `RemoteDisk` ships as a
+/// single-run `Read`.
 fn count_coalesced_runs(addrs: &[(usize, u64)]) -> usize {
     let mut per_disk: HashMap<usize, Vec<u64>> = HashMap::new();
     for &(d, o) in addrs {
@@ -144,11 +144,8 @@ enum CombinedRepair {
     /// These helpers failed checksum verification — exclude them and
     /// replan the stripe.
     Corrupt(Vec<usize>),
-    /// A helper's combine latch just flipped off (old server) — replan;
-    /// the next attempt serves it with raw fetches instead.
-    Retry,
-    /// Combining was not possible (no capable helper, latch flipped,
-    /// helper vanished); use the batched path for this stripe.
+    /// Combining was not possible (a helper without an address, or one
+    /// that vanished); use the batched path for this stripe.
     Fallback,
 }
 
@@ -1376,7 +1373,6 @@ impl ObjectStore {
                         }
                         continue;
                     }
-                    CombinedRepair::Retry => continue,
                     CombinedRepair::Fallback => {}
                 }
             }
@@ -1390,9 +1386,9 @@ impl ObjectStore {
         )))
     }
 
-    /// The PR-4 batched repair path: fetch every source element, verify,
-    /// decode client-side. Also the per-stripe fallback when no helper
-    /// speaks `CombineRange`.
+    /// The batched repair path: fetch every source element, verify,
+    /// decode client-side. Also the per-stripe fallback when a helper
+    /// cannot be reached over `CombineRange`.
     fn repair_stripe_naive(&self, recovery: &DiskRecovery) -> Result<StripeRepair, StoreError> {
         // One parallel batch for all distinct sources of this stripe.
         let mut want: BTreeSet<(usize, u64)> = BTreeSet::new();
@@ -1491,10 +1487,9 @@ impl ObjectStore {
     /// XOR-merge the other helpers' partial sums server-side, and ingest
     /// `rows` sealed regions instead of `k·rows` raw elements.
     ///
-    /// Helpers that cannot combine (local `MemDisk`s, old servers whose
-    /// latch flipped off, shards without an address) are served by raw
-    /// element fetches and folded in client-side, so mixed-version
-    /// clusters still save bytes on the capable subset.
+    /// Every helper must be dialable by the others
+    /// ([`DiskBackend::peer_addr`]); an array with a local disk among
+    /// the helpers takes the batched path.
     fn repair_stripe_combined(&self, recovery: &DiskRecovery) -> CombinedRepair {
         let tasks = &recovery.tasks;
         if tasks.is_empty() {
@@ -1531,12 +1526,12 @@ impl ObjectStore {
         // summed server-side.
         struct Helper {
             disk: usize,
+            addr: String,
             offset: u64,
             count: usize,
             coeffs: Vec<u8>,
         }
-        let mut capable: Vec<Helper> = Vec::new();
-        let mut raw: Vec<Helper> = Vec::new();
+        let mut helpers: Vec<Helper> = Vec::new();
         for (disk, cells) in per_disk {
             let first = *cells.keys().next().expect("non-empty helper");
             let last = *cells.keys().next_back().expect("non-empty helper");
@@ -1547,45 +1542,40 @@ impl ObjectStore {
                     coeffs[r * count + (o - first) as usize] = c;
                 }
             }
-            let helper = Helper {
+            let Some(addr) = self.array.disk(disk).peer_addr() else {
+                return CombinedRepair::Fallback;
+            };
+            helpers.push(Helper {
                 disk,
+                addr,
                 offset: first,
                 count,
                 coeffs,
-            };
-            let backend = self.array.disk(disk);
-            if backend.supports_combine() && backend.peer_addr().is_some() {
-                capable.push(helper);
-            } else {
-                raw.push(helper);
-            }
+            });
         }
-        if capable.is_empty() {
+        if helpers.is_empty() {
             return CombinedRepair::Fallback;
         }
         // Root: the helper that merges everyone else's partials. Prefer
         // one inside the failed disk's rack so the fat flows (peer →
         // root, root → client) stay intra-domain.
         let domains = self.scheme.domains();
-        let root_idx = capable
+        let root_idx = helpers
             .iter()
             .position(|h| domains.same_domain(h.disk, recovery.failed))
             .unwrap_or(0);
-        let root = capable.swap_remove(root_idx);
+        let root = helpers.swap_remove(root_idx);
+        let peers = helpers;
         let spec = CombineSpec {
             offset: root.offset,
             count: root.count as u32,
             outputs: outputs as u32,
             coeffs: root.coeffs,
             key: (self.key.k0, self.key.k1),
-            peers: capable
+            peers: peers
                 .iter()
                 .map(|h| CombinePeerSpec {
-                    addr: self
-                        .array
-                        .disk(h.disk)
-                        .peer_addr()
-                        .expect("capable helper has an address"),
+                    addr: h.addr.clone(),
                     offset: h.offset,
                     count: h.count as u32,
                     coeffs: h.coeffs.clone(),
@@ -1594,9 +1584,8 @@ impl ObjectStore {
         };
         let reply = match self.array.disk(root.disk).combine(&spec) {
             CombineOutcome::Combined(reply) => reply,
-            // The root's latch flipped mid-repair (old server) or the
-            // request failed structurally: nothing to exclude, use the
-            // batched path for this stripe.
+            // The root is unreachable or refused the request: nothing to
+            // exclude, use the batched path for this stripe.
             CombineOutcome::Unsupported | CombineOutcome::Failed(_) => {
                 return CombinedRepair::Fallback;
             }
@@ -1612,42 +1601,11 @@ impl ObjectStore {
             }
             for (i, &s) in reply.peer_status.iter().enumerate() {
                 if s == combine_status::CORRUPT {
-                    corrupt.push(capable[i].disk);
+                    corrupt.push(peers[i].disk);
                 }
             }
             if corrupt.is_empty() {
-                // No liar, but some peer was missing or declined. The
-                // root cannot tell an old server (which drops the
-                // connection on the unknown opcode) from a dead shard —
-                // but the peer's own client can: its combine path
-                // probes with a `BatchGet` and latches
-                // `supports_combine` off when the shard answers. If any
-                // latch flips, replan: the next attempt serves that
-                // helper with raw fetches instead of vetoing again.
-                let mut latched = false;
-                for (i, &s) in reply.peer_status.iter().enumerate() {
-                    if s != combine_status::MISSING && s != combine_status::DECLINED {
-                        continue;
-                    }
-                    let h = &capable[i];
-                    let backend = self.array.disk(h.disk);
-                    let leaf = CombineSpec {
-                        offset: h.offset,
-                        count: h.count as u32,
-                        outputs: outputs as u32,
-                        coeffs: h.coeffs.clone(),
-                        key: (self.key.k0, self.key.k1),
-                        peers: Vec::new(),
-                    };
-                    if matches!(backend.combine(&leaf), CombineOutcome::Unsupported) {
-                        latched = true;
-                    }
-                }
-                return if latched {
-                    CombinedRepair::Retry
-                } else {
-                    CombinedRepair::Fallback
-                };
+                return CombinedRepair::Fallback;
             }
             self.metrics.verify_fail.add(corrupt.len() as u64);
             return CombinedRepair::Corrupt(corrupt);
@@ -1667,45 +1625,6 @@ impl ObjectStore {
             let mut payload = payload.to_vec();
             payload.truncate(self.element_size);
             partials.push(payload);
-        }
-        // Helpers that could not combine: fetch their used elements raw
-        // and fold them in client-side.
-        if !raw.is_empty() {
-            let mut addrs: Vec<(usize, u64)> = Vec::new();
-            for h in &raw {
-                for i in 0..h.count {
-                    if (0..outputs).any(|r| h.coeffs[r * h.count + i] != 0) {
-                        addrs.push((h.disk, h.offset + i as u64));
-                    }
-                }
-            }
-            let results = self.array.read_batch(&addrs);
-            let mut cells: HashMap<(usize, u64), Vec<u8>> = HashMap::with_capacity(addrs.len());
-            for (&(d, o), bytes) in addrs.iter().zip(results) {
-                let Some(b) = bytes else {
-                    self.array.mark_suspect(d);
-                    return CombinedRepair::Fallback;
-                };
-                wire_bytes += b.len() as u64;
-                let Some(payload) = verify_footer(&self.key, o, &b) else {
-                    self.metrics.verify_fail.inc();
-                    return CombinedRepair::Corrupt(vec![d]);
-                };
-                let mut payload = payload.to_vec();
-                payload.truncate(self.element_size);
-                cells.insert((d, o), payload);
-            }
-            for h in &raw {
-                for (r, partial) in partials.iter_mut().enumerate() {
-                    for i in 0..h.count {
-                        let c = h.coeffs[r * h.count + i];
-                        if c != 0 {
-                            let cell = &cells[&(h.disk, h.offset + i as u64)];
-                            ecfrm_gf::region::mul_add_region(c, cell, partial);
-                        }
-                    }
-                }
-            }
         }
         // Re-seal each completed sum at its home offset and write back.
         let mut rebuilt: Vec<((usize, u64), Vec<u8>)> = Vec::with_capacity(outputs);

@@ -20,8 +20,8 @@
 //!   hash, per-element checksum footers, and merkle stripe manifests
 //!   that let a scrub localize a flipped byte without decoding;
 //! * [`net`] — a real networked shard service: wire protocol, shard
-//!   servers, remote-disk clients with retries/hedging, and a loopback
-//!   cluster harness;
+//!   servers, multiplexed remote-disk clients, and a loopback cluster
+//!   harness;
 //! * [`vertical`] — the vertical codes (X-Code, WEAVER) whose
 //!   restrictions motivate EC-FRM (paper §II-B);
 //! * [`util`] — dependency-free RNG, lock, and parallel-map utilities.

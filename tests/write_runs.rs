@@ -6,8 +6,8 @@
 //! and non-consecutive starts, overlapping runs (the later cell wins),
 //! an empty call, a one-cell call — is applied both ways to two disks
 //! of every kind: `MemDisk`, `FileDisk` (blocking, uring buffered, uring
-//! `O_DIRECT`), `FaultyDisk`, and `RemoteDisk` over a loopback shard
-//! (multiplexed and pooled). After every call the two disks must read
+//! `O_DIRECT`), `FaultyDisk`, and `RemoteDisk` over a loopback shard.
+//! After every call the two disks must read
 //! back identically over the whole probe span, through fail / heal /
 //! wipe, and every kind must agree with the `MemDisk` pair.
 
@@ -202,39 +202,32 @@ fn faulty_disk_forwards_or_drops_the_whole_call() {
 }
 
 #[test]
-fn remote_disks_take_runs_like_cells_on_both_transports() {
+fn remote_disks_take_runs_like_cells() {
     let want = reference();
-    for multiplex in [true, false] {
-        let kind = if multiplex {
-            "remote-mux"
-        } else {
-            "remote-pooled"
-        };
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .multiplex(multiplex)
-            .build();
-        let servers: Vec<ShardServer> = (0..2)
-            .map(|_| ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap())
-            .collect();
-        let many = RemoteDisk::new(servers[0].addr(), cfg.clone());
-        let single = RemoteDisk::new(servers[1].addr(), cfg);
-        assert_eq!(differential(kind, &many, &single), want, "{kind} vs mem");
-        assert_eq!(many.mux_enabled(), multiplex);
-        for disk in [&many, &single] {
-            let stats = disk.net_stats().unwrap();
-            assert_eq!((stats.failed_requests, stats.retries), (0, 0), "{kind}");
-        }
-        // One frame per call that had anything in it, whatever the run
-        // count; one per cell the other way.
-        let frames = |disk: &RemoteDisk| {
-            let stats = disk.stats().unwrap();
-            stats
-                .iter()
-                .find(|(n, _)| n == "serve.put_many")
-                .map(|(_, v)| *v)
-        };
-        assert_eq!(frames(&many), Some(6), "{kind}: 4 script calls + 2");
-        assert_eq!(frames(&single), Some(36 + 3 + 9), "{kind}: one per cell");
+    let cfg = RemoteDiskConfig::builder().low_latency().build();
+    let servers: Vec<ShardServer> = (0..2)
+        .map(|_| ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap())
+        .collect();
+    let many = RemoteDisk::new(servers[0].addr(), cfg.clone());
+    let single = RemoteDisk::new(servers[1].addr(), cfg);
+    assert_eq!(
+        differential("remote", &many, &single),
+        want,
+        "remote vs mem"
+    );
+    for disk in [&many, &single] {
+        let stats = disk.net_stats().unwrap();
+        assert_eq!((stats.failed_requests, stats.retries), (0, 0));
     }
+    // One frame per call that had anything in it, whatever the run
+    // count; one per cell the other way.
+    let frames = |disk: &RemoteDisk| {
+        let stats = disk.stats().unwrap();
+        stats
+            .iter()
+            .find(|(n, _)| n == "serve.put_many")
+            .map(|(_, v)| *v)
+    };
+    assert_eq!(frames(&many), Some(6), "4 script calls + 2");
+    assert_eq!(frames(&single), Some(36 + 3 + 9), "one per cell");
 }
