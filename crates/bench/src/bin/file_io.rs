@@ -33,6 +33,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use ecfrm_bench::report::pct;
 use ecfrm_sim::{DiskBackend, FileDisk, FileIoConfig};
 
 const ELEMENT: usize = 65536;
@@ -77,13 +78,6 @@ fn batches(n_elems: u64, seed: u64) -> Vec<Vec<u64>> {
         order.swap(i, (xorshift(&mut x) % (i as u64 + 1)) as usize);
     }
     order.chunks(BATCH_ELEMS).map(<[u64]>::to_vec).collect()
-}
-
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
 struct Row {

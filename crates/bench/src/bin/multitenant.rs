@@ -12,10 +12,10 @@
 //! large sequential reads. Three phases:
 //!
 //! * `solo` — the web tenant alone: the latency baseline.
-//! * `mixed-off` — scan floods with admission *off*: the bulk tenant
-//!   is free to fill every disk queue and the web tail balloons.
-//! * `mixed-on` — same flood with admission *on*: scan is held to its
-//!   token-bucket rate (queued up to the bulk deadline, then
+//! * `mixed-off` — scan floods with no rate limit registered: the bulk
+//!   tenant is free to fill every disk queue and the web tail balloons.
+//! * `mixed-on` — same flood with scan re-registered at its rate: it is
+//!   held to its token bucket (queued up to the bulk deadline, then
 //!   rejected), and the web tail must come back near its solo
 //!   baseline.
 //!
@@ -23,7 +23,7 @@
 //! fairness ratio (max/min tenant throughput), and the cache hit rate.
 //! Every read is compared byte-for-byte against a reference copy —
 //! wrong bytes abort the bench. `--assert-fairness` turns the headline
-//! claims into hard assertions (the CI smoke gate): with admission on,
+//! claims into hard assertions (the CI smoke gate): with scan limited,
 //! web p99 stays within 2x its solo p99 and the zipf-hot cache serves
 //! more than half the element lookups. The JSON lands in
 //! `BENCH_multitenant.json`.
@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ecfrm_bench::report::pct;
 use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_sim::ThreadedArray;
@@ -72,13 +73,6 @@ fn blob(len: usize, seed: usize) -> Vec<u8> {
     (0..len)
         .map(|i| ((i * 131 + seed * 17 + 7) % 251) as u8)
         .collect()
-}
-
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
 /// Cumulative zipf(s) weights over `n` ranks, for inverse sampling.
@@ -136,19 +130,23 @@ fn counter(front: &FrontDoor, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// One phase: `scan_threads` bulk readers flooding (0 = solo) while the
-/// web readers sample the zipf hot set, all for `window`. Wrong bytes
-/// panic on the spot.
+/// One phase: `scan_threads` bulk readers flooding (0 = solo), the scan
+/// tenant registered at `scan_rate` bytes/second (`None` = unlimited),
+/// while the web readers sample the zipf hot set, all for `window`.
+/// Wrong bytes panic on the spot.
 fn run_phase(
     front: &Arc<FrontDoor>,
     label: &str,
     window: Duration,
     scan_threads: usize,
-    admission: bool,
+    scan_rate: Option<u64>,
     web_data: &Arc<Vec<Vec<u8>>>,
     scan_data: &Arc<Vec<u8>>,
 ) -> Phase {
-    front.set_admission(admission);
+    front.register_tenant(TenantSpec {
+        rate_limit: scan_rate,
+        ..TenantSpec::new("scan", QosClass::Bulk)
+    });
     let (hit0, miss0) = front.cache_stats();
     let delayed0 = counter(front, "tenant.scan.delayed");
     let stop = Arc::new(AtomicBool::new(false));
@@ -290,7 +288,6 @@ fn main() {
         FrontConfig::builder().cache_bytes(CACHE_BYTES).build(),
     );
     front.register_tenant(TenantSpec::new("web", QosClass::Latency));
-    front.register_tenant(TenantSpec::new("scan", QosClass::Bulk).rate(SCAN_RATE));
 
     // Ingest: 256 x 32 KiB web objects (the zipf universe) and one
     // 512 KiB scan object.
@@ -317,13 +314,13 @@ fn main() {
     );
 
     let rows = vec![
-        run_phase(&front, "solo", window, 0, true, &web_data, &scan_data),
+        run_phase(&front, "solo", window, 0, None, &web_data, &scan_data),
         run_phase(
             &front,
             "mixed-off",
             window,
             SCAN_READERS,
-            false,
+            None,
             &web_data,
             &scan_data,
         ),
@@ -332,7 +329,7 @@ fn main() {
             "mixed-on",
             window,
             SCAN_READERS,
-            true,
+            Some(SCAN_RATE),
             &web_data,
             &scan_data,
         ),
@@ -385,7 +382,7 @@ fn main() {
         on.scan_throttled,
     );
     println!(
-        "cache: {:.1}% hit rate on the zipf-hot set (admission-on phase)",
+        "cache: {:.1}% hit rate on the zipf-hot set (mixed-on phase)",
         on.cache_hit_rate * 100.0
     );
     if assert_fairness {

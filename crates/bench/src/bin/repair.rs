@@ -23,16 +23,18 @@
 //! (the `baseline` row, measured degraded with repair paused). The
 //! JSON lands in `BENCH_repair.json`.
 //!
-//! Two more rows price repair *network traffic* over a real loopback
-//! cluster: `naive` fetches every source element raw, `combined` lets
-//! helpers pre-sum server-side over `CombineRange` — 1/k of the wire
-//! bytes at RS(6,3). `--assert-combine` turns the <0.5× ratio into a
-//! hard assertion (the CI smoke gate).
+//! One more row, `combined`, rebuilds the victim over a real loopback
+//! cluster, where every helper is a dialable shard and pre-sums
+//! server-side over `CombineRange`: its `wire_bytes` are the bytes of
+//! the lost disk, 1/k of what fetching every source element would move
+//! at RS(6,3) (asserted exactly in `crates/net/tests/combined_repair.rs`;
+//! `e2e` reports it as `store.repair.wire_bytes_per_lost_byte`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ecfrm_bench::report::pct;
 use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_net::Cluster;
@@ -69,13 +71,6 @@ struct Trial {
     wire_bytes: u64,
     /// Wall clock from first lost stripe to full redundancy.
     time_to_redundancy_ms: f64,
-}
-
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
 }
 
 /// Foreground readers: random small reads until `stop`, per-read
@@ -225,12 +220,10 @@ fn run_baseline(stripes: usize, window: Duration) -> Trial {
 
 /// Repair-traffic trial over a real loopback cluster: wipe the victim
 /// shard and rebuild it stripe by stripe with `repair_stripe`, pricing
-/// the bytes the rebuilder ingested off the wire. `combined = false`
-/// fetches every source element raw (k·rows cells per stripe);
-/// `combined = true` lets helpers pre-sum server-side over
-/// `CombineRange`, so only `rows` sealed regions cross per stripe —
-/// 1/k of the naive traffic at RS(6,3).
-fn run_wire_trial(label: &str, combined: bool, stripes: usize) -> Trial {
+/// the bytes the rebuilder ingested off the wire. Every helper is a
+/// dialable shard, so helpers pre-sum server-side over `CombineRange`
+/// and only `rows` sealed regions cross per stripe.
+fn run_wire_trial(label: &str, stripes: usize) -> Trial {
     let scheme = scheme();
     let data = payload(stripes, scheme.data_per_stripe());
     let cluster = Cluster::spawn(scheme.n_disks()).expect("spawn loopback cluster");
@@ -239,7 +232,6 @@ fn run_wire_trial(label: &str, combined: bool, stripes: usize) -> Trial {
         ELEMENT,
         ThreadedArray::from_backends(cluster.backends()),
     );
-    store.set_combined_repair(combined);
     store.put("obj", &data).unwrap();
     store.flush();
     cluster.client(VICTIM).wipe();
@@ -261,13 +253,16 @@ fn run_wire_trial(label: &str, combined: bool, stripes: usize) -> Trial {
         "{label}: repaired store returned wrong bytes"
     );
     let snap = store.recorder().snapshot();
-    if combined {
-        assert_eq!(
-            snap.counters.get("repair.combined_stripes").copied(),
-            Some(stripes as u64),
-            "{label}: not every stripe took the combined path"
-        );
-    }
+    assert_eq!(
+        snap.counters.get("repair.combined_stripes").copied(),
+        Some(stripes as u64),
+        "{label}: not every stripe took the combined path"
+    );
+    assert_eq!(
+        snap.counters.get("repair.wire_bytes").copied(),
+        Some(rebuilt),
+        "{label}: the rebuilder ingested exactly the lost bytes"
+    );
     let secs = elapsed.as_secs_f64().max(1e-9);
     Trial {
         label: label.to_string(),
@@ -294,7 +289,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let no_json = args.iter().any(|a| a == "--no-json");
-    let assert_combine = args.iter().any(|a| a == "--assert-combine");
     let stripes = if quick { 96 } else { 256 };
 
     // Unlimited, then two throttles. Limits are on total repair traffic
@@ -320,11 +314,10 @@ fn main() {
     for &(label, rate) in settings {
         rows.push(run_trial(label, rate, stripes));
     }
-    // Repair-traffic rows: same shape, real loopback cluster, naive raw
-    // fetches vs server-side CombineRange partial sums.
+    // Repair-traffic row: same shape, real loopback cluster,
+    // server-side CombineRange partial sums.
     let wire_stripes = if quick { 48 } else { 128 };
-    rows.push(run_wire_trial("naive", false, wire_stripes));
-    rows.push(run_wire_trial("combined", true, wire_stripes));
+    rows.push(run_wire_trial("combined", wire_stripes));
 
     println!(
         "\n  {:<10} {:>12} {:>12} {:>9} {:>10} {:>10} {:>10}",
@@ -365,25 +358,12 @@ fn main() {
         unlimited.repair_mb_per_s,
         tightest.repair_mb_per_s,
     );
-    let naive = rows.iter().find(|r| r.label == "naive").unwrap();
     let combined = rows.iter().find(|r| r.label == "combined").unwrap();
-    let ratio = combined.wire_bytes as f64 / naive.wire_bytes as f64;
     println!(
-        "repair traffic: naive {:.2} MB on the wire, combined {:.2} MB \
-         ({ratio:.3}x, 1/k = {:.3}) over {wire_stripes} stripes",
-        naive.wire_bytes as f64 / 1e6,
+        "repair traffic: {:.2} MB on the wire for {wire_stripes} lost stripes \
+         (1 byte per lost byte; fetching every source would move 6)",
         combined.wire_bytes as f64 / 1e6,
-        1.0 / 6.0,
     );
-    if assert_combine {
-        assert!(
-            2 * combined.wire_bytes < naive.wire_bytes,
-            "combined repair shipped {} wire bytes, expected < 0.5x naive ({})",
-            combined.wire_bytes,
-            naive.wire_bytes,
-        );
-        println!("assert-combine: OK (combined < 0.5x naive)");
-    }
 
     if no_json {
         return;

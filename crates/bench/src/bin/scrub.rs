@@ -1,30 +1,23 @@
-//! Integrity microbenchmark: verify-on-read overhead and scrub
-//! throughput.
+//! Integrity microbenchmark: scrub throughput.
 //!
 //! ```text
 //! scrub [--quick] [--no-json]
 //! ```
 //!
 //! An RS(6,3) EC-FRM store runs over latency-injected `MemDisk`s (so
-//! disk service time, not memcpy, dominates — as on a real array, where
-//! checksum verification must hide behind I/O). Two questions, two
-//! sections:
+//! disk service time, not memcpy, dominates — as on a real array). The
+//! merkle scrub (recompute each element's checksum, fold the leaf
+//! hashes, compare one root per stripe) is timed against the decode
+//! scrub (re-encode every stripe and compare parity), both over the
+//! same sealed store, and both must come back clean. The JSON lands in
+//! `BENCH_scrub.json`.
 //!
-//! * **Verify-on-read overhead.** The same random-read workload runs
-//!   twice — once with footer verification disabled, once with it on
-//!   (the default). Throughput (GB/s) and tail latency (p99) are
-//!   compared; the headline `overhead_pct` is the throughput cost of
-//!   verifying every element a foreground read touches.
-//! * **Scrub throughput.** The merkle scrub (recompute each element's
-//!   checksum, fold the leaf hashes, compare one root per stripe) is
-//!   timed against the decode scrub (re-encode every stripe and compare
-//!   parity), both over the same sealed store.
-//!
-//! Every measured pass is gated on correctness: reads are compared
-//! byte-for-byte against the ingested payload and both scrubs must
-//! come back clean. The JSON lands in `BENCH_scrub.json`.
+//! What verify-on-read costs a foreground read is not measured here:
+//! verification is not optional, so there is no unverified pass to
+//! compare with. The `e2e` benchmark reports it per layer
+//! (`store.read.verify_p50_us` beside `store.read.p50_us`, and the hash
+//! alone as `integrity.footer_mb_s`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,8 +28,6 @@ use ecfrm_store::ObjectStore;
 
 const ELEMENT: usize = 65536;
 const DISK_LATENCY: Duration = Duration::from_micros(200);
-const READERS: usize = 2;
-const READ_ELEMENTS: u64 = 4;
 
 fn scheme() -> Scheme {
     Scheme::builder(Arc::new(RsCode::vandermonde(6, 3)))
@@ -48,78 +39,6 @@ fn payload(stripes: usize, dps: usize) -> Vec<u8> {
     (0..stripes * dps * ELEMENT)
         .map(|i| ((i * 131 + 7) % 251) as u8)
         .collect()
-}
-
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p) as usize]
-}
-
-struct ReadRow {
-    label: &'static str,
-    reads: usize,
-    gb_per_s: f64,
-    p50_us: u64,
-    p99_us: u64,
-}
-
-/// One fixed-size random-read pass against `store`, comparing every
-/// answer against `data`. Returns (GB/s, sorted latencies).
-fn read_pass(
-    store: &Arc<ObjectStore>,
-    data: &Arc<Vec<u8>>,
-    label: &'static str,
-    total_reads: usize,
-) -> ReadRow {
-    let remaining = Arc::new(AtomicUsize::new(total_reads));
-    let size = READ_ELEMENTS * ELEMENT as u64;
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..READERS)
-        .map(|r| {
-            let store = Arc::clone(store);
-            let data = Arc::clone(data);
-            let remaining = Arc::clone(&remaining);
-            std::thread::spawn(move || {
-                let mut lat = Vec::new();
-                let mut x = ((r as u64 + 1) * 0x9E37_79B9_7F4A_7C15) | 1;
-                while remaining
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let start = x % (data.len() as u64 - size);
-                    let t = Instant::now();
-                    let got = store.get_range("obj", start, size).expect("read failed");
-                    lat.push(t.elapsed().as_micros() as u64);
-                    // Correctness gate: never publish numbers for a pass
-                    // that returned wrong bytes.
-                    assert_eq!(
-                        got,
-                        data[start as usize..(start + size) as usize],
-                        "read returned wrong bytes at offset {start}"
-                    );
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat: Vec<u64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("reader died"))
-        .collect();
-    let elapsed = t0.elapsed().as_secs_f64();
-    lat.sort_unstable();
-    ReadRow {
-        label,
-        reads: lat.len(),
-        gb_per_s: lat.len() as f64 * size as f64 / 1e9 / elapsed,
-        p50_us: pct(&lat, 0.50),
-        p99_us: pct(&lat, 0.99),
-    }
 }
 
 fn json_f(v: f64) -> String {
@@ -135,48 +54,25 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let no_json = args.iter().any(|a| a == "--no-json");
     let stripes = if quick { 16 } else { 64 };
-    let total_reads = if quick { 300 } else { 1500 };
 
     let scheme = scheme();
-    let dps = scheme.data_per_stripe();
-    let data = Arc::new(payload(stripes, dps));
-    let store = Arc::new(ObjectStore::with_array(
+    let store = ObjectStore::with_array(
         scheme.clone(),
         ELEMENT,
         ThreadedArray::with_latency(scheme.n_disks(), DISK_LATENCY),
-    ));
-    store.put("obj", &data).unwrap();
+    );
+    store
+        .put("obj", &payload(stripes, scheme.data_per_stripe()))
+        .unwrap();
     store.flush();
     println!(
         "scrub: RS(6,3) ec-frm, {stripes} stripes x {ELEMENT} B elements, \
-         disk latency {DISK_LATENCY:?}, {READERS} readers x {total_reads} reads total"
+         disk latency {DISK_LATENCY:?}"
     );
 
-    // --- Verify-on-read overhead: same workload, footer checks off/on.
-    // A throwaway pass first: thread spawn, page faults and disk-queue
-    // warm-up otherwise land entirely on whichever mode runs first.
-    read_pass(&store, &data, "warmup", total_reads / 4);
-    store.set_verify_reads(false);
-    let off = read_pass(&store, &data, "unverified", total_reads);
-    store.set_verify_reads(true);
-    let on = read_pass(&store, &data, "verified", total_reads);
-    let overhead_pct = (1.0 - on.gb_per_s / off.gb_per_s) * 100.0;
-
-    println!(
-        "\n  {:<12} {:>8} {:>10} {:>9} {:>9}",
-        "reads", "count", "GB/s", "p50 us", "p99 us"
-    );
-    for r in [&off, &on] {
-        println!(
-            "  {:<12} {:>8} {:>10.3} {:>9} {:>9}",
-            r.label, r.reads, r.gb_per_s, r.p50_us, r.p99_us
-        );
-    }
-    println!("  verify-on-read overhead: {overhead_pct:.1}% of read throughput");
-
-    // --- Scrub throughput: merkle (hash every cell, compare roots)
-    // vs decode (re-encode every stripe, compare parity). Same bytes
-    // scanned either way — one cell per disk per stripe.
+    // Merkle (hash every cell, compare roots) vs decode (re-encode
+    // every stripe, compare parity). Same bytes scanned either way —
+    // one cell per disk per stripe.
     let cells_per_stripe = store
         .manifest(0)
         .map_or(scheme.data_per_stripe(), |m| m.n_elements());
@@ -209,26 +105,10 @@ fn main() {
     let body = format!(
         "{{\n  \"bench\": \"scrub\",\n\
          \x20 \"shape\": {{\"stripes\": {stripes}, \"element\": {ELEMENT}, \
-         \"disk_latency_us\": {}, \"readers\": {READERS}}},\n\
-         \x20 \"reads\": [\n\
-         \x20   {{\"mode\": \"unverified\", \"reads\": {}, \"gb_per_s\": {}, \
-         \"p50_us\": {}, \"p99_us\": {}}},\n\
-         \x20   {{\"mode\": \"verified\", \"reads\": {}, \"gb_per_s\": {}, \
-         \"p50_us\": {}, \"p99_us\": {}}}\n\
-         \x20 ],\n\
-         \x20 \"overhead_pct\": {},\n\
+         \"disk_latency_us\": {}}},\n\
          \x20 \"scrub\": {{\"merkle_mb_per_s\": {}, \"decode_mb_per_s\": {}, \
          \"decode_over_merkle_time\": {}}}\n}}\n",
         DISK_LATENCY.as_micros(),
-        off.reads,
-        json_f(off.gb_per_s),
-        off.p50_us,
-        off.p99_us,
-        on.reads,
-        json_f(on.gb_per_s),
-        on.p50_us,
-        on.p99_us,
-        json_f(overhead_pct),
         json_f(merkle_mb),
         json_f(decode_mb),
         json_f(decode_s / merkle_s),

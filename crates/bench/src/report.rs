@@ -10,6 +10,16 @@ pub fn gain_pct(new: f64, base: f64) -> f64 {
     (new / base - 1.0) * 100.0
 }
 
+/// The `p`-quantile (`p` in 0.0–1.0) of an ascending-sorted sample, by
+/// the rank at or below `p`; 0 for an empty sample. The one percentile
+/// every microbench row is reduced with.
+pub fn pct(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p) as usize]
+}
+
 /// Render a Figure-8-style table: one row per parameter set, columns =
 /// the three forms' speeds plus EC-FRM gains and the cumulative
 /// load-imbalance (max/mean disk load) of the standard vs EC-FRM forms.
@@ -192,6 +202,16 @@ mod tests {
     fn gain_math() {
         assert!((gain_pct(120.0, 100.0) - 20.0).abs() < 1e-12);
         assert!((gain_pct(90.0, 100.0) + 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pct_is_the_rank_at_or_below() {
+        assert_eq!(pct(&[], 0.99), 0);
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(pct(&sample, 0.0), 1);
+        assert_eq!(pct(&sample, 0.50), 50);
+        assert_eq!(pct(&sample, 0.99), 99);
+        assert_eq!(pct(&sample, 1.0), 100);
     }
 
     #[test]

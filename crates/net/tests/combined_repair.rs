@@ -2,7 +2,7 @@
 //!
 //! The acceptance scenarios for server-side `CombineRange` partial sums:
 //! a combined stripe repair ingests `rows` pre-summed regions instead of
-//! `k·rows` raw elements (1/k of the naive wire bytes at RS(6,3)), a
+//! `k·rows` raw elements (1/k of the batched wire bytes at RS(6,3)), a
 //! lying helper is excluded and the stripe replanned, and rack labels
 //! keep repair traffic inside the failed disk's domain.
 
@@ -23,7 +23,7 @@ fn payload(len: usize) -> Vec<u8> {
 }
 
 fn rs_scheme() -> Scheme {
-    // n = 9 disks, 3 rows per stripe: naive repair reads k·rows = 18
+    // n = 9 disks, 3 rows per stripe: batched repair reads k·rows = 18
     // elements per stripe, combined ships rows = 3 regions.
     Scheme::builder(Arc::new(RsCode::vandermonde(6, 3)))
         .layout(LayoutKind::EcFrm)
@@ -49,7 +49,42 @@ fn counter(store: &ObjectStore, name: &str) -> u64 {
 }
 
 #[test]
-fn combined_repair_ships_one_kth_of_naive_wire_bytes() {
+fn combined_repair_ships_one_kth_of_the_batched_wire_bytes() {
+    let scheme = rs_scheme();
+    let rows = scheme.layout().offsets_per_stripe();
+    let data = payload(40_000);
+
+    // What the rebuilder ingests when it must decode itself: the same
+    // payload on local disks, where no helper can be dialled and every
+    // source element is fetched.
+    let local = ObjectStore::new(scheme.clone(), ELEMENT);
+    local.put("obj", &data).unwrap();
+    local.flush();
+    let batched = local.repair_stripe(2, 0).unwrap();
+    assert_eq!(batched.bytes_read, 6 * rows * CELL, "k·rows raw elements");
+    assert_eq!(counter(&local, "repair.wire_bytes"), batched.bytes_read);
+    assert_eq!(counter(&local, "repair.combined_stripes"), 0);
+
+    // Over a cluster every helper is dialable: helpers pre-sum
+    // server-side, the root merges its peers, and only `rows` sealed
+    // regions reach the rebuilder — 1/k of the batched bytes.
+    let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
+    let store = store_over(&cluster, scheme);
+    store.put("obj", &data).unwrap();
+    store.flush();
+    let combined = store.repair_stripe(2, 0).unwrap();
+    assert_eq!(combined.elements as u64, rows);
+    assert_eq!(combined.bytes_read, rows * CELL, "rows sealed regions");
+    assert_eq!(counter(&store, "repair.wire_bytes"), combined.bytes_read);
+    assert_eq!(batched.bytes_read, 6 * combined.bytes_read, "exactly 1/k");
+    assert_eq!(counter(&store, "repair.combined_stripes"), 1);
+}
+
+/// The blocking rebuild is the same engine: over a cluster every stripe
+/// of `recover_disk` takes the combined path, and the wire bytes are
+/// exactly the bytes of the lost disk.
+#[test]
+fn recover_disk_over_a_cluster_rebuilds_every_stripe_combined() {
     let scheme = rs_scheme();
     let rows = scheme.layout().offsets_per_stripe();
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
@@ -57,36 +92,20 @@ fn combined_repair_ships_one_kth_of_naive_wire_bytes() {
     let data = payload(40_000);
     store.put("obj", &data).unwrap();
     store.flush();
-
-    // Price the naive path: every source element crosses the wire.
-    store.set_combined_repair(false);
-    let naive = store.repair_stripe(2, 0).unwrap();
-    assert_eq!(naive.bytes_read, 6 * rows * CELL, "k·rows raw elements");
-    let naive_wire = counter(&store, "repair.wire_bytes");
-    assert_eq!(naive_wire, naive.bytes_read);
-    assert_eq!(counter(&store, "repair.combined_stripes"), 0);
-
-    // Combined: helpers pre-sum server-side, the root merges its peers,
-    // and only `rows` sealed regions reach the rebuilder — 1/k of naive.
-    store.set_combined_repair(true);
-    let combined = store.repair_stripe(2, 0).unwrap();
-    assert_eq!(combined.elements as u64, rows);
-    assert_eq!(combined.bytes_read, rows * CELL, "rows sealed regions");
-    assert_eq!(
-        counter(&store, "repair.wire_bytes") - naive_wire,
-        combined.bytes_read
-    );
-    assert_eq!(naive.bytes_read, 6 * combined.bytes_read, "exactly 1/k");
-    assert_eq!(counter(&store, "repair.combined_stripes"), 1);
-
-    // The real drill: wipe a shard server-side and rebuild it stripe by
-    // stripe over the combined path.
-    cluster.client(4).wipe();
     let stripes = store.stats().stripes;
-    for s in 0..stripes {
-        store.repair_stripe(4, s).unwrap();
-    }
-    assert_eq!(store.get("obj").unwrap(), data, "rebuilt bytes are exact");
+    assert!(stripes > 1);
+
+    // Wipe a shard server-side, then rebuild it.
+    cluster.client(4).wipe();
+    let rebuilt = store.recover_disk(4).unwrap();
+    assert_eq!(rebuilt as u64, stripes * rows);
+    assert_eq!(counter(&store, "repair.combined_stripes"), stripes);
+    assert_eq!(counter(&store, "repair.wire_bytes"), stripes * rows * CELL);
+    assert!(store.stats().failed_disks.is_empty());
+    let (got, stats) = store.get_with_stats("obj").unwrap();
+    assert_eq!(got, data, "rebuilt bytes are exact");
+    assert!(!stats.degraded);
+    assert!(store.scrub().unwrap().is_clean());
 }
 
 #[test]

@@ -468,22 +468,11 @@ impl ThreadedArray {
     /// # Panics
     /// Panics if `disks` is empty.
     pub fn from_backends(disks: Vec<Arc<dyn DiskBackend>>) -> Self {
-        let workers = disks.len();
-        Self::from_backends_with_workers(disks, workers)
-    }
-
-    /// An array over caller-supplied backends with an explicit reactor
-    /// pool size, for workloads whose concurrency is not one-op-per-disk
-    /// (e.g. many foreground readers over few disks).
-    ///
-    /// # Panics
-    /// Panics if `disks` is empty.
-    pub fn from_backends_with_workers(disks: Vec<Arc<dyn DiskBackend>>, workers: usize) -> Self {
         assert!(!disks.is_empty(), "array needs at least one disk");
         let board = DiskBoard::new(disks.len());
         Self {
+            reactor: Reactor::new(disks.len()),
             slots: disks.into_iter().map(Mutex::new).collect(),
-            reactor: Reactor::new(workers),
             board,
             suspects: Arc::new(Mutex::new(BTreeSet::new())),
         }
@@ -521,15 +510,6 @@ impl ThreadedArray {
         let old = std::mem::replace(&mut *self.slots[d].lock(), backend);
         self.clear_suspect(d);
         old
-    }
-
-    /// Re-arm disk `d` after a fault, keeping its backend: clears the
-    /// suspect flag. (Under the shared reactor there is no per-disk
-    /// thread to respawn — a panicking backend no longer kills a
-    /// worker — so this is the lightweight counterpart of
-    /// [`Self::replace_disk`] for disks that are still usable.)
-    pub fn restart_disk(&self, d: usize) {
-        self.clear_suspect(d);
     }
 
     /// Report disk `d` as unresponsive (timed out, answered all-absent,
@@ -651,8 +631,8 @@ impl ThreadedArray {
     /// vectored write per touched disk, submitted from this thread for
     /// completion-driven backends (all disks' requests leave back to
     /// back, then the acknowledgements are collected) and through the
-    /// reactor pool for blocking ones — the split [`Self::dispatch_read`]
-    /// makes. A panicking pooled backend is marked suspect rather than
+    /// reactor pool for blocking ones — the split reads make too. A
+    /// panicking pooled backend is marked suspect rather than
     /// panicking the caller — the lost elements simply read back as
     /// absent, the same failure surface as a failed disk.
     pub fn write_runs(&self, runs: Vec<(usize, RunBuf)>) {
@@ -1048,14 +1028,6 @@ mod tests {
         // Writes land on the replacement.
         a.write_batch(vec![((1, 1), vec![7])]);
         assert_eq!(a.read_batch(&[(1, 1)])[0], Some(vec![7]));
-    }
-
-    #[test]
-    fn restart_disk_keeps_backend_contents() {
-        let a = ThreadedArray::new(2);
-        a.write_batch(vec![((0, 0), vec![5])]);
-        a.restart_disk(0);
-        assert_eq!(a.read_batch(&[(0, 0)])[0], Some(vec![5]));
     }
 
     #[test]

@@ -190,9 +190,9 @@ impl TenantSpec {
 pub struct FrontConfig {
     /// Decoded-element cache capacity in bytes (`0` disables caching).
     pub cache_bytes: usize,
-    /// Master admission switch. Off, every request is admitted
-    /// immediately and buckets are not charged — the bench's
-    /// "admission off" rows.
+    /// Master admission switch, fixed for the front door's lifetime.
+    /// Off, every request is admitted immediately and buckets are not
+    /// charged.
     pub admission: bool,
     /// How long a [`QosClass::Bulk`] request may be queued before it is
     /// rejected.
@@ -202,19 +202,11 @@ pub struct FrontConfig {
     /// never, yet a deeply overdrawn bucket must not park server
     /// threads for unbounded time.
     pub repair_max_delay: Duration,
-    /// Hot-disk threshold for the cache miss path: a disk is avoided
-    /// when its share of recent planned fetches exceeds `hot_ratio ×`
-    /// the per-disk mean (and traffic is non-trivial).
-    pub hot_ratio: f64,
-    /// How often the live `disk_load` board is re-sampled to re-elect
-    /// the hot disk.
-    pub load_refresh: Duration,
 }
 
 impl FrontConfig {
     /// Start building a config from the defaults: 32 MiB cache,
-    /// admission on, 500 ms max bulk delay, 30 s max repair delay, hot
-    /// ratio 1.5, 100 ms load refresh.
+    /// admission on, 500 ms max bulk delay, 30 s max repair delay.
     pub fn builder() -> FrontConfigBuilder {
         FrontConfigBuilder {
             cfg: FrontConfig {
@@ -222,8 +214,6 @@ impl FrontConfig {
                 admission: true,
                 max_delay: Duration::from_millis(500),
                 repair_max_delay: Duration::from_secs(30),
-                hot_ratio: 1.5,
-                load_refresh: Duration::from_millis(100),
             },
         }
     }
@@ -264,18 +254,6 @@ impl FrontConfigBuilder {
     /// Maximum queueing delay for [`QosClass::Repair`] requests.
     pub fn repair_max_delay(mut self, d: Duration) -> Self {
         self.cfg.repair_max_delay = d;
-        self
-    }
-
-    /// Hot-disk threshold (multiple of the per-disk mean load).
-    pub fn hot_ratio(mut self, ratio: f64) -> Self {
-        self.cfg.hot_ratio = ratio.max(1.0);
-        self
-    }
-
-    /// How often the hot disk is re-elected from the `disk_load` board.
-    pub fn load_refresh(mut self, d: Duration) -> Self {
-        self.cfg.load_refresh = d;
         self
     }
 
@@ -423,19 +401,6 @@ impl ElementCache {
         }
         self.bytes.set(inner.bytes as i64);
     }
-
-    fn invalidate_all(&self) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        self.invalidated.add(inner.map.len() as u64);
-        *inner = CacheInner {
-            tick: inner.tick,
-            ..CacheInner::default()
-        };
-        self.bytes.set(0);
-    }
 }
 
 /// Hot-disk election state: the previous `disk_load` sample and the
@@ -466,7 +431,6 @@ pub struct FrontDoor {
     cache: Arc<ElementCache>,
     metrics: FrontMetrics,
     watch: Mutex<LoadWatch>,
-    admission: AtomicBool,
     /// Raised by [`Self::shutdown`]: unparks every admission waiter
     /// (they reject instead of finishing their sleep) so connection
     /// threads can be joined promptly.
@@ -499,7 +463,6 @@ impl FrontDoor {
         };
         let n = store.scheme().n_disks();
         let front = Arc::new(FrontDoor {
-            admission: AtomicBool::new(cfg.admission),
             stopped: AtomicBool::new(false),
             cfg,
             tenants: Mutex::new(HashMap::new()),
@@ -526,7 +489,6 @@ impl FrontDoor {
                     }
                 }
                 StripeEvent::Rewritten { stripe } => cache.invalidate_stripe(stripe),
-                StripeEvent::DiskRebuilt { .. } => cache.invalidate_all(),
             }
         }));
         front
@@ -542,11 +504,6 @@ impl FrontDoor {
     pub fn register_tenant(&self, spec: TenantSpec) {
         let t = Arc::new(Tenant::new(spec, self.store.recorder()));
         self.tenants.lock().insert(t.spec.name.clone(), t);
-    }
-
-    /// Turn admission on/off at runtime (the bench's A/B switch).
-    pub fn set_admission(&self, on: bool) {
-        self.admission.store(on, Ordering::Relaxed);
     }
 
     /// Begin shutdown: every queued admission waiter unparks at its
@@ -584,7 +541,7 @@ impl FrontDoor {
         /// How coarsely a queued waiter observes the shutdown flag.
         const POLL: Duration = Duration::from_millis(10);
 
-        if !self.admission.load(Ordering::Relaxed) {
+        if !self.cfg.admission {
             return Ok(());
         }
         let Some(bucket) = &tenant.bucket else {
@@ -824,7 +781,9 @@ impl FrontDoor {
             offset: extent.offset + off,
             len: run,
         };
-        let (first, last) = abs.element_range(self.store.element_size());
+        let (first, last) = abs
+            .element_range(self.store.element_size())
+            .expect("namespace extents were handed out by the store's append");
         // Object-relative copy helper: element `e`'s payload overlaps
         // `out` at stream bytes [max(e*es, abs.offset), min((e+1)*es,
         // abs end)).
@@ -885,12 +844,17 @@ impl FrontDoor {
     }
 
     /// The currently hottest disk, from deltas of the store's
-    /// cumulative `disk_load` board, re-elected every
-    /// [`FrontConfig::load_refresh`]. `None` while traffic is light or
-    /// balanced.
+    /// cumulative `disk_load` board, re-elected every `LOAD_REFRESH`.
+    /// `None` while traffic is light or balanced.
     fn hot_disk(&self) -> Option<usize> {
+        /// How often the `disk_load` board is re-sampled.
+        const LOAD_REFRESH: Duration = Duration::from_millis(100);
+        /// A disk is hot when its share of the fetches planned since
+        /// the last sample exceeds this multiple of the per-disk mean.
+        const HOT_RATIO: f64 = 1.5;
+
         let mut watch = self.watch.lock();
-        if watch.at.elapsed() >= self.cfg.load_refresh {
+        if watch.at.elapsed() >= LOAD_REFRESH {
             let snap = self.store.disk_loads();
             let delta: Vec<u64> = snap
                 .elements
@@ -904,7 +868,7 @@ impl FrontDoor {
                 .iter()
                 .enumerate()
                 .max_by_key(|(_, &v)| v)
-                .filter(|(_, &v)| total >= 64 && v as f64 > self.cfg.hot_ratio * mean)
+                .filter(|(_, &v)| total >= 64 && v as f64 > HOT_RATIO * mean)
                 .map(|(d, _)| d);
             watch.elements = snap.elements;
             watch.at = Instant::now();

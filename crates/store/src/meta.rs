@@ -15,12 +15,14 @@ pub struct ObjectMeta {
 
 impl ObjectMeta {
     /// Inclusive first and exclusive last *data element* the object
-    /// spans, for `element_size`-byte elements.
-    pub fn element_range(&self, element_size: usize) -> (u64, u64) {
+    /// spans, for `element_size`-byte elements; `None` when
+    /// `offset + len` does not fit the stream's `u64` offsets (an
+    /// extent the store never handed out).
+    pub fn element_range(&self, element_size: usize) -> Option<(u64, u64)> {
         let es = element_size as u64;
         let first = self.offset / es;
-        let last = (self.offset + self.len).div_ceil(es);
-        (first, last.max(first))
+        let last = self.offset.checked_add(self.len)?.div_ceil(es);
+        Some((first, last.max(first)))
     }
 }
 
@@ -90,7 +92,7 @@ pub struct ObjectStat {
 
 /// Per-read instrumentation returned by
 /// [`ObjectStore::get_with_stats`](crate::ObjectStore::get_with_stats).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReadStats {
     /// Data elements the request spanned.
     pub requested_elements: usize,
@@ -107,8 +109,10 @@ pub struct ReadStats {
     /// Times the read re-planned after a disk stopped answering
     /// mid-read (normal plan → degraded plan fallback).
     pub replans: usize,
-    /// Network transport activity during this read (all-zero when every
-    /// backend is local).
+    /// Network transport activity between this read's start and its
+    /// end, summed over every shard client (all-zero when every backend
+    /// is local). A window, not an attribution: a retry that a
+    /// concurrent read caused inside the window is counted here too.
     pub net: NetStats,
     /// Wall-clock time of the parallel fetch + reconstruction.
     pub elapsed: std::time::Duration,
@@ -225,13 +229,18 @@ mod tests {
     #[test]
     fn element_range_basics() {
         let m = ObjectMeta { offset: 0, len: 10 };
-        assert_eq!(m.element_range(4), (0, 3)); // bytes 0..10 -> elems 0,1,2
+        assert_eq!(m.element_range(4), Some((0, 3))); // bytes 0..10 -> elems 0,1,2
         let m = ObjectMeta { offset: 4, len: 4 };
-        assert_eq!(m.element_range(4), (1, 2));
+        assert_eq!(m.element_range(4), Some((1, 2)));
         let m = ObjectMeta { offset: 5, len: 2 };
-        assert_eq!(m.element_range(4), (1, 2));
+        assert_eq!(m.element_range(4), Some((1, 2)));
         let m = ObjectMeta { offset: 5, len: 6 };
-        assert_eq!(m.element_range(4), (1, 3));
+        assert_eq!(m.element_range(4), Some((1, 3)));
+        let m = ObjectMeta {
+            offset: u64::MAX - 3,
+            len: 10,
+        };
+        assert_eq!(m.element_range(4), None);
     }
 
     #[test]
@@ -277,7 +286,7 @@ mod tests {
     #[test]
     fn empty_object_spans_nothing() {
         let m = ObjectMeta { offset: 8, len: 0 };
-        let (a, b) = m.element_range(4);
+        let (a, b) = m.element_range(4).unwrap();
         assert!(
             b <= a + 1,
             "empty object should span at most its start element"

@@ -1,9 +1,11 @@
 //! Background repair: rate-limited parallel reconstruction of lost
 //! disks while foreground reads keep flowing.
 //!
-//! [`ObjectStore::recover_disk`](crate::ObjectStore::recover_disk) is a
-//! blocking one-shot call; production clusters repair *online*. This
-//! module turns crash recovery into a subsystem:
+//! [`ObjectStore::recover_disk`](crate::ObjectStore::recover_disk)
+//! drives the rebuild engine
+//! ([`ObjectStore::repair_stripe`](crate::ObjectStore::repair_stripe))
+//! over every stripe in one blocking call; production clusters repair
+//! *online*. This module drives the same engine as a subsystem:
 //!
 //! * **Detection** — a detector thread watches the array's suspect set
 //!   (fed by dead workers and by reads that hit unresponsive disks),
@@ -14,11 +16,11 @@
 //!   of repair work in a [`RepairQueue`]: deduplicated, resumable, with
 //!   two priorities — stripes that degraded foreground reads actually
 //!   touched jump the queue, so hot data regains redundancy first.
-//! * **Reconstruction** — a small worker pool drains the queue. Each
-//!   stripe repairs through the store's batched read path (one vectored
-//!   request per source disk, coalescible into `GetRange` on remote
-//!   shards) and the SIMD decode kernels, then writes the rebuilt
-//!   elements back.
+//! * **Reconstruction** — a small worker pool drains the queue, one
+//!   `repair_stripe` per key: helpers pre-sum server-side where every
+//!   one of them is a dialable shard, otherwise one vectored request per
+//!   source disk and the SIMD decode kernels; either way the rebuilt
+//!   elements are written back.
 //! * **Backpressure** — a token-bucket rate limiter bounds repair
 //!   traffic (bytes/second of source reads + rebuilt writes) so
 //!   foreground reads keep a bounded p99 while repair proceeds; leave it

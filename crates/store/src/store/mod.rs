@@ -1,0 +1,523 @@
+//! The [`ObjectStore`]: append-only, full-stripe-write, read-optimised.
+//!
+//! One engine in four parts over one piece of shared state:
+//!
+//! * `seal` — append to the logical stream, encode and write out full
+//!   stripes (the writers of the state);
+//! * `read` — plan, fetch, verify, decode;
+//! * `rebuild` — reconstruct what a disk stores, stripe by stripe;
+//! * `scrub` — check stored cells against what was sealed.
+//!
+//! The state is `StripeState` behind one mutex. The writers — seal,
+//! catalog insert, fail/heal — lock it where they change it; everything
+//! that only reads it goes through `ObjectStore::with_state`, and the
+//! read, scrub and rebuild paths through the `SealedView` built on it.
+
+mod read;
+mod rebuild;
+mod scrub;
+mod seal;
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use ecfrm_core::Scheme;
+use ecfrm_integrity::HashKey;
+use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
+use ecfrm_sim::{NetStats, ThreadedArray};
+use ecfrm_util::Mutex;
+
+use crate::error::StoreError;
+use crate::meta::{ObjectMeta, StoreStats, StripeManifest};
+use crate::repair::RepairQueue;
+
+pub use read::ReadOpts;
+
+/// Pre-resolved instrument handles for the read hot path: one registry
+/// lookup each at construction, then pure atomics per read.
+struct StoreMetrics {
+    reads: Counter,
+    degraded_reads: Counter,
+    replans: Counter,
+    fetched_elements: Counter,
+    repair_elements: Counter,
+    /// Per-disk vectored requests issued by the batched read path (one
+    /// per touched disk per fetch round; for remote backends this is
+    /// the logical RPC count).
+    rpcs: Counter,
+    /// Elements carried by those vectored requests.
+    batch_elems: Counter,
+    /// Per-disk batches whose offsets formed one contiguous ascending
+    /// run of ≥ 2 elements — the batches a remote backend ships as a
+    /// single coalesced `GetRange`.
+    coalesced_runs: Counter,
+    /// Per-disk vectored writes issued (one per touched disk per seal or
+    /// repair write-back; for remote backends the logical RPC count),
+    /// the runs of consecutive cells they carried, and the cells.
+    write_rpcs: Counter,
+    write_runs: Counter,
+    write_elems: Counter,
+    /// Elements whose checksum footer (or merkle path, during scrub)
+    /// failed verification — each is treated as an erasure.
+    verify_fail: Counter,
+    /// Elements a scrub pass checked against their stripe manifest.
+    elements_verified: Counter,
+    /// Bytes the rebuilding client ingested during stripe repair — the
+    /// repair traffic the paper's recovery argument prices. Combined
+    /// repair ships `rows` pre-summed regions instead of `k·rows`
+    /// elements.
+    repair_wire_bytes: Counter,
+    /// Repair source elements read from a disk outside the failed
+    /// disk's failure domain (rack). Zero whenever an intra-domain plan
+    /// exists.
+    cross_domain_reads: Counter,
+    /// Stripes repaired via server-side `CombineRange` partial sums.
+    combined_stripes: Counter,
+    /// Reads planned degraded around a live-but-hot disk at a caller's
+    /// request ([`ReadOpts::avoid`]) — the front-door cache's
+    /// load-aware miss path.
+    avoided_reads: Counter,
+    /// Avoid requests abandoned because the avoiding plan was
+    /// unreadable or cost too much.
+    avoid_fallbacks: Counter,
+    plan_us: Histogram,
+    read_us: Histogram,
+    /// Time spent verifying checksum footers (per read / per scrubbed
+    /// stripe).
+    verify_us: Histogram,
+    disk_load: DiskBoard,
+}
+
+impl StoreMetrics {
+    fn new(recorder: &Recorder, n_disks: usize) -> Self {
+        Self {
+            reads: recorder.counter("reads"),
+            degraded_reads: recorder.counter("degraded_reads"),
+            replans: recorder.counter("replans"),
+            fetched_elements: recorder.counter("fetched_elements"),
+            repair_elements: recorder.counter("repair_elements"),
+            rpcs: recorder.counter("read.rpcs"),
+            batch_elems: recorder.counter("read.batch_elems"),
+            coalesced_runs: recorder.counter("read.coalesced_runs"),
+            write_rpcs: recorder.counter("write.rpcs"),
+            write_runs: recorder.counter("write.runs"),
+            write_elems: recorder.counter("write.batch_elems"),
+            verify_fail: recorder.counter("integrity.verify_fail"),
+            elements_verified: recorder.counter("scrub.elements_verified"),
+            repair_wire_bytes: recorder.counter("repair.wire_bytes"),
+            cross_domain_reads: recorder.counter("repair.cross_domain_reads"),
+            combined_stripes: recorder.counter("repair.combined_stripes"),
+            avoided_reads: recorder.counter("read.avoided"),
+            avoid_fallbacks: recorder.counter("read.avoid_fallback"),
+            plan_us: recorder.histogram("plan_us"),
+            read_us: recorder.histogram("read_us"),
+            verify_us: recorder.histogram("verify_us"),
+            disk_load: recorder.disk_board("disk_load", n_disks),
+        }
+    }
+
+    /// Tally one dispatched fetch round: `jobs` per-disk requests
+    /// covering `addrs`.
+    fn note_batch(&self, jobs: usize, addrs: &[(usize, u64)]) {
+        self.rpcs.add(jobs as u64);
+        self.batch_elems.add(addrs.len() as u64);
+        self.coalesced_runs
+            .add(read::count_coalesced_runs(addrs) as u64);
+    }
+
+    /// Tally one array-level write: `rpcs` per-disk requests carrying
+    /// `runs` runs of `elems` cells in all.
+    fn note_write(&self, rpcs: usize, runs: usize, elems: usize) {
+        self.write_rpcs.add(rpcs as u64);
+        self.write_runs.add(runs as u64);
+        self.write_elems.add(elems as u64);
+    }
+}
+
+/// A [`StripeEvent`] subscriber registered with
+/// [`ObjectStore::subscribe_stripes`]. Called synchronously after the
+/// store's internal lock is released, so it may call back into the
+/// store.
+pub type StripeListener = Arc<dyn Fn(StripeEvent) + Send + Sync>;
+
+/// A change to sealed-stripe state, delivered to subscribers registered
+/// via [`ObjectStore::subscribe_stripes`].
+///
+/// The front door's decoded-element cache uses these to invalidate:
+/// repair rewrites identical payloads and sealed elements are
+/// immutable, so invalidation is a conservative coherence fence rather
+/// than a correctness requirement today — but it keeps the cache honest
+/// against any future path that rewrites cells with different bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StripeEvent {
+    /// Stripes `first .. first + count` were sealed and written out.
+    Sealed {
+        /// First newly sealed stripe index.
+        first: u64,
+        /// Number of stripes sealed in this batch.
+        count: u64,
+    },
+    /// One stripe's lost cells were rewritten by
+    /// [`ObjectStore::repair_stripe`] — a whole-disk rebuild is one of
+    /// these per sealed stripe.
+    Rewritten {
+        /// The repaired stripe.
+        stripe: u64,
+    },
+}
+
+/// Everything the store knows about its stream and its stripes. One
+/// mutex guards it; see the [module docs](self) for who locks it where.
+struct StripeState {
+    catalog: HashMap<String, ObjectMeta>,
+    /// Unsealed logical bytes (tail of the append stream).
+    pending: Vec<u8>,
+    /// Total logical bytes appended, including alignment padding.
+    logical_len: u64,
+    /// Data elements sealed into full stripes.
+    sealed_elements: u64,
+    /// Full stripes written.
+    stripes: u64,
+    /// Per-stripe integrity manifests, indexed by stripe number. Built
+    /// at seal time; repair rewrites identical payloads, so manifests
+    /// stay valid for the stripe's lifetime.
+    manifests: Vec<StripeManifest>,
+    failed: BTreeSet<usize>,
+}
+
+/// What a read, a scrub or a rebuild needs to know before it touches a
+/// disk: how far the stream is sealed and which disks to plan around.
+struct SealedView {
+    sealed_elements: u64,
+    stripes: u64,
+    failed: Vec<usize>,
+}
+
+/// An erasure-coded object store over a threaded disk array.
+///
+/// Objects are immutable byte blobs appended to a logical stream. The
+/// stream is chunked into fixed-size elements; once a full stripe of data
+/// elements accumulates it is encoded (all stripes in parallel) and
+/// written out. Reads plan through the scheme — normal or degraded —
+/// and execute on the array's worker threads. Every cell a read touches
+/// is verified against its checksum footer as its disk answers, and a
+/// mismatch is treated exactly like an erasure. When a disk stops
+/// answering mid-read (a remote shard timing out or dying), the read
+/// falls back to a degraded plan around the suspect disk instead of
+/// failing.
+pub struct ObjectStore {
+    scheme: Scheme,
+    element_size: usize,
+    array: ThreadedArray,
+    state: Mutex<StripeState>,
+    /// Solved repair-coefficient vectors, reused across degraded reads
+    /// with the same erasure geometry.
+    decoder_cache: ecfrm_codes::DecoderCache,
+    /// Observability registry: read/plan/decode latency histograms,
+    /// per-disk load board, read counters. Snapshot via
+    /// [`ObjectStore::recorder`].
+    recorder: Recorder,
+    metrics: StoreMetrics,
+    /// The shard clients' transport totals as of the last fold into
+    /// the registry's `net.*` counters.
+    net_folded: Mutex<NetStats>,
+    /// Stripe repair queue. Degraded reads drop priority hints into it
+    /// (no-ops until a [`RepairManager`](crate::RepairManager) attaches)
+    /// so hot stripes regain redundancy first.
+    repair_queue: Arc<RepairQueue>,
+    /// The keyed-hash key every element footer and merkle manifest is
+    /// computed under.
+    key: HashKey,
+    /// Stripe-event subscribers (the front door's cache invalidation).
+    listeners: Mutex<Vec<StripeListener>>,
+    /// Events recorded while `state` was held, delivered by
+    /// [`Self::notify`] once the lock is released so subscribers may
+    /// freely call back into the store.
+    pending_events: Mutex<Vec<StripeEvent>>,
+}
+
+impl std::fmt::Debug for ObjectStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ObjectStore({}, {}B elements)",
+            self.scheme.name(),
+            self.element_size
+        )
+    }
+}
+
+impl ObjectStore {
+    /// Create a store using `scheme` with `element_size`-byte elements
+    /// (the paper's testbed uses ~1 MB elements; tests use small ones).
+    ///
+    /// # Panics
+    /// Panics if `element_size == 0`.
+    pub fn new(scheme: Scheme, element_size: usize) -> Self {
+        let array = ThreadedArray::new(scheme.n_disks());
+        Self::with_array(scheme, element_size, array)
+    }
+
+    /// Create a store over a caller-built array — e.g. file-backed disks
+    /// ([`ecfrm_sim::FileDisk`]) or latency-injected ones.
+    ///
+    /// # Panics
+    /// Panics if `element_size == 0` or the array's disk count differs
+    /// from the scheme's.
+    pub fn with_array(scheme: Scheme, element_size: usize, array: ThreadedArray) -> Self {
+        assert!(element_size > 0, "element size must be positive");
+        assert_eq!(
+            array.n_disks(),
+            scheme.n_disks(),
+            "array size must match the scheme"
+        );
+        let decoder_cache = ecfrm_codes::DecoderCache::new(scheme.code().generator().clone());
+        let recorder = Recorder::new();
+        let metrics = StoreMetrics::new(&recorder, scheme.n_disks());
+        // Record which GF region-kernel backend this process dispatched
+        // to (avx2/ssse3/neon/portable/scalar), so stats snapshots show
+        // what the encode/decode numbers were produced with.
+        recorder
+            .counter(&format!(
+                "kernel_backend.{}",
+                ecfrm_gf::kernel::active().name
+            ))
+            .inc();
+        Self {
+            decoder_cache,
+            recorder,
+            metrics,
+            net_folded: Mutex::new(NetStats::default()),
+            repair_queue: RepairQueue::new(),
+            scheme,
+            element_size,
+            array,
+            state: Mutex::new(StripeState {
+                catalog: HashMap::new(),
+                pending: Vec::new(),
+                logical_len: 0,
+                sealed_elements: 0,
+                stripes: 0,
+                manifests: Vec::new(),
+                failed: BTreeSet::new(),
+            }),
+            key: HashKey::DEFAULT,
+            listeners: Mutex::new(Vec::new()),
+            pending_events: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The one place [`StripeState`] is locked for reading.
+    fn with_state<R>(&self, f: impl FnOnce(&StripeState) -> R) -> R {
+        f(&self.state.lock())
+    }
+
+    /// The state the read, scrub and rebuild paths consult, copied out
+    /// so none of them holds the lock across I/O.
+    fn sealed(&self) -> SealedView {
+        self.with_state(|s| SealedView {
+            sealed_elements: s.sealed_elements,
+            stripes: s.stripes,
+            failed: s.failed.iter().copied().collect(),
+        })
+    }
+
+    /// Subscribe to [`StripeEvent`]s: seals and repair rewrites. Events
+    /// are delivered synchronously from the store call that completed
+    /// the change, after the store's internal lock is released (so
+    /// subscribers may call back into the store).
+    pub fn subscribe_stripes(&self, listener: StripeListener) {
+        self.listeners.lock().push(listener);
+    }
+
+    /// Record an event for delivery at the next [`Self::notify`]. Safe
+    /// to call with `state` held.
+    fn push_event(&self, ev: StripeEvent) {
+        if !self.listeners.lock().is_empty() {
+            self.pending_events.lock().push(ev);
+        }
+    }
+
+    /// Deliver pending stripe events. Must be called WITHOUT `state`
+    /// held. Listeners run outside every store lock, so they may call
+    /// back into the store; events raised by those calls are drained by
+    /// the same loop.
+    fn notify(&self) {
+        loop {
+            let batch: Vec<StripeEvent> = std::mem::take(&mut *self.pending_events.lock());
+            if batch.is_empty() {
+                return;
+            }
+            let listeners: Vec<_> = self.listeners.lock().clone();
+            for ev in batch {
+                for l in &listeners {
+                    l(ev);
+                }
+            }
+        }
+    }
+
+    /// The bound scheme.
+    pub fn scheme(&self) -> &Scheme {
+        &self.scheme
+    }
+
+    /// The store's metrics registry. Counters: `reads`,
+    /// `degraded_reads`, `replans`, `fetched_elements`,
+    /// `repair_elements`, `decoded_elements`, `read.rpcs` (per-disk
+    /// vectored requests issued), `read.batch_elems` (elements those
+    /// requests carried), `read.coalesced_runs` (per-disk batches that
+    /// formed one contiguous run — shipped as a single `GetRange` on
+    /// remote backends), `write.rpcs` / `write.runs` /
+    /// `write.batch_elems` (their mirrors for seals and repair
+    /// write-backs: per-disk vectored writes, the runs of consecutive
+    /// cells in them, the cells), `integrity.verify_fail` (elements whose
+    /// checksum or merkle path failed), `scrub.elements_verified`,
+    /// `repair.wire_bytes` (bytes the rebuilding client ingested during
+    /// stripe repair), `repair.cross_domain_reads` (repair sources read
+    /// across failure domains), `repair.combined_stripes` (stripes
+    /// repaired via server-side `CombineRange`),
+    /// `net.*` (the shard clients' transport totals, folded in at the
+    /// end of each read). Histograms (µs): `plan_us`,
+    /// `read_us`, `decode_us`, `verify_us` (checksum verification
+    /// time per read / per scrubbed stripe). Disk board: `disk_load`
+    /// (planned fetches per disk).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    /// Element size in bytes.
+    pub fn element_size(&self) -> usize {
+        self.element_size
+    }
+
+    /// A live snapshot of the `disk_load` board: cumulative planned
+    /// fetches per disk since startup. The front door's cache miss path
+    /// diffs successive snapshots to find the currently hottest disk
+    /// and asks the planner to decode around it ([`ReadOpts::avoid`]).
+    pub fn disk_loads(&self) -> ecfrm_obs::DiskBoardSnapshot {
+        self.metrics.disk_load.snapshot()
+    }
+
+    /// The store's stripe repair queue (drained by a
+    /// [`RepairManager`](crate::RepairManager); degraded reads feed it
+    /// priority hints).
+    pub fn repair_queue(&self) -> &Arc<RepairQueue> {
+        &self.repair_queue
+    }
+
+    /// The keyed-hash key element footers and merkle manifests are
+    /// computed under (remote shard clients pass it on the wire so
+    /// servers can pre-verify coalesced runs).
+    pub fn integrity_key(&self) -> HashKey {
+        self.key
+    }
+
+    /// The integrity manifest of `stripe`, if sealed.
+    pub fn manifest(&self, stripe: u64) -> Option<StripeManifest> {
+        self.with_state(|s| s.manifests.get(stripe as usize).cloned())
+    }
+
+    /// Direct handle to the underlying array (failure injection,
+    /// corruption drills, inspection).
+    pub fn array(&self) -> &ThreadedArray {
+        &self.array
+    }
+
+    /// Mark a disk failed: subsequent reads plan around it.
+    pub fn fail_disk(&self, disk: usize) -> Result<(), StoreError> {
+        if disk >= self.scheme.n_disks() {
+            return Err(StoreError::NoSuchDisk(disk));
+        }
+        self.array.disk(disk).fail();
+        self.state.lock().failed.insert(disk);
+        Ok(())
+    }
+
+    /// Clear a disk's failure flag (transient failure resolved with no
+    /// data loss — the paper's >90% case).
+    pub fn heal_disk(&self, disk: usize) -> Result<(), StoreError> {
+        if disk >= self.scheme.n_disks() {
+            return Err(StoreError::NoSuchDisk(disk));
+        }
+        self.array.disk(disk).heal();
+        self.state.lock().failed.remove(&disk);
+        Ok(())
+    }
+
+    /// Occupancy snapshot.
+    pub fn stats(&self) -> StoreStats {
+        self.with_state(|s| StoreStats {
+            objects: s.catalog.len(),
+            logical_bytes: s.logical_len,
+            sealed_elements: s.sealed_elements,
+            stripes: s.stripes,
+            pending_bytes: s.pending.len(),
+            failed_disks: s.failed.iter().copied().collect(),
+        })
+    }
+
+    /// Metadata for an object, if present.
+    pub fn meta(&self, name: &str) -> Option<ObjectMeta> {
+        self.with_state(|s| s.catalog.get(name).copied())
+    }
+}
+
+#[cfg(test)]
+mod testkit {
+    //! What the four parts' tests share.
+
+    use std::sync::Arc;
+
+    use ecfrm_codes::{CandidateCode, LrcCode, RsCode};
+    use ecfrm_core::{LayoutKind, Scheme};
+    use ecfrm_sim::{DiskBackend, FaultyDisk, MemDisk, ThreadedArray};
+
+    use super::ObjectStore;
+
+    pub fn ecfrm_scheme(code: Arc<dyn CandidateCode>) -> Scheme {
+        Scheme::builder(code).layout(LayoutKind::EcFrm).build()
+    }
+
+    pub fn lrc_store() -> ObjectStore {
+        ObjectStore::new(ecfrm_scheme(Arc::new(LrcCode::new(6, 2, 2))), 64)
+    }
+
+    /// An RS(6,3) EC-FRM store over fault-injectable disks.
+    pub fn faulty_store() -> (ObjectStore, Vec<Arc<FaultyDisk>>) {
+        let scheme = ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3)));
+        let faulty: Vec<Arc<FaultyDisk>> = (0..scheme.n_disks())
+            .map(|_| FaultyDisk::wrap(Arc::new(MemDisk::new())))
+            .collect();
+        let backends: Vec<Arc<dyn DiskBackend>> = faulty
+            .iter()
+            .map(|f| Arc::clone(f) as Arc<dyn DiskBackend>)
+            .collect();
+        let store = ObjectStore::with_array(scheme, 64, ThreadedArray::from_backends(backends));
+        (store, faulty)
+    }
+
+    pub fn blob(len: usize, seed: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i * 31 + seed as usize * 7 + 1) % 256) as u8)
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::lrc_store;
+
+    #[test]
+    fn recorder_reports_kernel_backend() {
+        let store = lrc_store();
+        let snap = store.recorder().snapshot();
+        let expected = format!("kernel_backend.{}", ecfrm_gf::kernel::active().name);
+        assert!(
+            snap.flatten()
+                .iter()
+                .any(|(name, v)| name == &expected && *v == 1),
+            "snapshot must carry {expected}"
+        );
+    }
+}

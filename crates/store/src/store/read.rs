@@ -1,0 +1,786 @@
+//! The read side: plan through the scheme, fetch one vectored request
+//! per touched disk, verify every cell, decode around what is down.
+
+use std::collections::{BTreeSet, HashMap};
+
+use ecfrm_core::ReadCtx;
+use ecfrm_integrity::verify_footer;
+use ecfrm_layout::Loc;
+use ecfrm_sim::NetStats;
+
+use super::ObjectStore;
+use crate::error::StoreError;
+use crate::meta::{ObjectMeta, ReadStats};
+
+/// Cost ceiling (fetched/requested elements, [`ReadStats::cost`]) above
+/// which [`ReadOpts::avoid`] is abandoned. EC-FRM's rotated layout
+/// usually substitutes a same-group parity at equal cost, so this only
+/// forgives small remainder-group overheads.
+const MAX_AVOID_COST: f64 = 1.3;
+
+/// Per-read options for [`ObjectStore::read_extent`].
+#[derive(Debug, Clone, Default)]
+pub struct ReadOpts {
+    /// Live disks the planner should treat as down, so the read decodes
+    /// around them instead of touching them — the front-door cache
+    /// passes the currently hottest disk here on a miss. Avoided disks
+    /// are never marked suspect and never generate repair hints; if the
+    /// avoiding plan is unreadable or costs more than 1.3× the elements
+    /// requested, avoidance is dropped and the read proceeds normally.
+    pub avoid: Vec<usize>,
+}
+
+/// How many per-disk groups of `addrs` (grouped in submission order, the
+/// way `ThreadedArray` dispatches them) form one contiguous ascending
+/// offset run of ≥ 2 elements — the batches a `RemoteDisk` ships as a
+/// single-run `Read`.
+pub(super) fn count_coalesced_runs(addrs: &[(usize, u64)]) -> usize {
+    let mut per_disk: HashMap<usize, Vec<u64>> = HashMap::new();
+    for &(d, o) in addrs {
+        per_disk.entry(d).or_default().push(o);
+    }
+    per_disk
+        .values()
+        .filter(|offs| offs.len() >= 2 && offs.windows(2).all(|w| w[1] == w[0].wrapping_add(1)))
+        .count()
+}
+
+/// The typed error for a byte range that leaves its extent or the
+/// sealed stream; `len` is what the range had to fit in.
+fn out_of_bounds(offset: u64, len: u64) -> StoreError {
+    StoreError::RangeOutOfBounds {
+        name: format!("<extent @{offset}>"),
+        len,
+    }
+}
+
+impl ObjectStore {
+    /// Read a whole object.
+    pub fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+        Ok(self.get_with_stats(name)?.0)
+    }
+
+    /// Read a whole object and report how the read went (plan metrics +
+    /// wall-clock time) — the instrumentation behind the examples'
+    /// speed reports.
+    pub fn get_with_stats(&self, name: &str) -> Result<(Vec<u8>, ReadStats), StoreError> {
+        self.read_absolute(self.named(name)?, &ReadOpts::default())
+    }
+
+    /// Read `len` bytes of an object starting at byte `start` within it.
+    ///
+    /// If any referenced element is still unsealed the store flushes
+    /// first. Under failed disks the read is planned as a degraded read
+    /// and lost elements are reconstructed inline. A disk that stops
+    /// answering *during* the read (e.g. a remote shard timing out) is
+    /// marked suspect for this read and the plan falls back to degraded
+    /// around it.
+    pub fn get_range(&self, name: &str, start: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+        let meta = self.named(name)?;
+        if start.checked_add(len).is_none_or(|end| end > meta.len) {
+            return Err(StoreError::RangeOutOfBounds {
+                name: name.to_string(),
+                len: meta.len,
+            });
+        }
+        let abs = ObjectMeta {
+            offset: meta.offset + start,
+            len,
+        };
+        Ok(self.read_absolute(abs, &ReadOpts::default())?.0)
+    }
+
+    fn named(&self, name: &str) -> Result<ObjectMeta, StoreError> {
+        self.meta(name)
+            .ok_or_else(|| StoreError::NotFound(name.to_string()))
+    }
+
+    /// Read `len` bytes starting `start` bytes into `extent` — an
+    /// anonymous stream location previously returned by
+    /// [`Self::append`]. This is the front door's read primitive: its
+    /// extent records carry [`ObjectMeta`] locations instead of store
+    /// catalog names.
+    ///
+    /// # Errors
+    /// [`StoreError::RangeOutOfBounds`] if `start + len` overruns the
+    /// extent (or the logical stream, or `u64`, for a forged extent);
+    /// otherwise exactly like [`Self::get_range`].
+    pub fn read_extent(
+        &self,
+        extent: ObjectMeta,
+        start: u64,
+        len: u64,
+        opts: &ReadOpts,
+    ) -> Result<(Vec<u8>, ReadStats), StoreError> {
+        if start.checked_add(len).is_none_or(|end| end > extent.len) {
+            return Err(out_of_bounds(extent.offset, extent.len));
+        }
+        let offset = extent
+            .offset
+            .checked_add(start)
+            .ok_or_else(|| out_of_bounds(extent.offset, extent.len))?;
+        self.read_absolute(ObjectMeta { offset, len }, opts)
+    }
+
+    /// Sum of network transport counters across every backend that
+    /// exposes them (remote disks); all-zero for local arrays.
+    fn net_snapshot(&self) -> NetStats {
+        (0..self.array.n_disks())
+            .filter_map(|d| self.array.disk(d).net_stats())
+            .fold(NetStats::default(), |acc, s| acc.merge(&s))
+    }
+
+    /// Fold the shard clients' transport totals into the registry's
+    /// `net.*` counters and return those totals. The delta since the
+    /// previous fold is taken and recorded under one lock, so each
+    /// retry or failure is added exactly once however many reads
+    /// overlap: the registry equals the sum of the clients' own
+    /// counters as of the last read that finished.
+    fn fold_net(&self) -> NetStats {
+        let mut folded = self.net_folded.lock();
+        let now = self.net_snapshot();
+        now.since(&folded).record_into(&self.recorder);
+        *folded = now;
+        now
+    }
+
+    /// The shared read core: `meta.offset` is an *absolute* logical
+    /// stream offset (catalog lookups already applied).
+    fn read_absolute(
+        &self,
+        meta: ObjectMeta,
+        opts: &ReadOpts,
+    ) -> Result<(Vec<u8>, ReadStats), StoreError> {
+        let len = meta.len;
+        let (first, last) = meta
+            .element_range(self.element_size)
+            .ok_or_else(|| out_of_bounds(meta.offset, len))?;
+        let mut sealed = self.sealed();
+        if last > sealed.sealed_elements {
+            self.flush();
+            sealed = self.sealed();
+        }
+        if len > 0 && last > sealed.sealed_elements {
+            return Err(out_of_bounds(
+                meta.offset,
+                sealed.sealed_elements * self.element_size as u64,
+            ));
+        }
+        let failed = sealed.failed;
+        if len == 0 {
+            let stats = ReadStats {
+                degraded: !failed.is_empty(),
+                ..ReadStats::default()
+            };
+            return Ok((Vec::new(), stats));
+        }
+
+        let t0 = std::time::Instant::now();
+        let net_before = self.net_snapshot();
+        let count = (last - first) as usize;
+
+        // The requested byte range, relative to the first fetched
+        // element. Elements are copied straight into `out` (no
+        // intermediate flattened buffer) and their scratch buffers
+        // retired to the thread-local pool.
+        let begin = (meta.offset - first * self.element_size as u64) as usize;
+        let end = begin + len as usize;
+        let mut out = vec![0u8; len as usize];
+        let copy_element = |out: &mut [u8], idx: usize, e: &[u8]| {
+            let estart = idx * self.element_size;
+            let s = begin.max(estart);
+            let t = end.min(estart + e.len());
+            if s < t {
+                out[s - begin..t - begin].copy_from_slice(&e[s - estart..t - estart]);
+            }
+        };
+
+        // Plan, fetch, and — when a disk stops answering mid-read —
+        // mark it suspect and replan degraded around it. Each iteration
+        // strictly grows the suspect set, so the loop terminates.
+        //
+        // Fetches go out as one vectored request per touched disk
+        // (`read_batch_streaming`), and per-disk replies are consumed
+        // as they arrive: on the normal path each answering disk's
+        // elements are copied into `out` while slower disks are still
+        // reading; on the degraded path arriving elements accumulate
+        // into the assemble map the same way.
+        let mut verify_spent = std::time::Duration::ZERO;
+        let mut suspects: BTreeSet<usize> = failed.iter().copied().collect();
+        // Live disks the caller asked us to plan around (load shedding,
+        // not failure): planned as down, but never marked suspect and
+        // never hinted for repair. Dropped wholesale if avoiding them
+        // would cost more than `MAX_AVOID_COST` or make the range
+        // unreadable.
+        let mut avoid: BTreeSet<usize> = opts
+            .avoid
+            .iter()
+            .copied()
+            .filter(|&d| d < self.scheme.n_disks() && !suspects.contains(&d))
+            .collect();
+        let mut replans = 0usize;
+        let plan = loop {
+            let down: Vec<usize> = suspects.union(&avoid).copied().collect();
+            let t_plan = std::time::Instant::now();
+            let plan = if down.is_empty() {
+                self.scheme.normal_read_plan(first, count)
+            } else {
+                self.scheme.degraded_read_plan(first, count, &down)
+            };
+            self.metrics.plan_us.record_duration(t_plan.elapsed());
+            if !avoid.is_empty() && (!plan.unreadable.is_empty() || plan.cost() > MAX_AVOID_COST) {
+                avoid.clear();
+                self.metrics.avoid_fallbacks.inc();
+                continue;
+            }
+            if !plan.unreadable.is_empty() {
+                return Err(StoreError::DataLoss(format!(
+                    "{} elements unrecoverable under failed disks {down:?}",
+                    plan.unreadable.len()
+                )));
+            }
+
+            // Execute the plan: one vectored request per touched disk.
+            let addrs: Vec<(usize, u64)> = plan
+                .fetches
+                .iter()
+                .map(|f| (f.loc.disk, f.loc.offset))
+                .collect();
+            let mut batch = self.array.read_batch_streaming(&addrs);
+            self.metrics.note_batch(batch.jobs(), &addrs);
+            let touched: BTreeSet<usize> = addrs.iter().map(|&(d, _)| d).collect();
+            let mut answered: BTreeSet<usize> = BTreeSet::new();
+            let mut newly_suspect: BTreeSet<usize> = BTreeSet::new();
+            let normal = down.is_empty();
+            // Degraded reads collect into a map for group decode; the
+            // map stays empty on the normal path (fetch i IS demand
+            // element i, copied out directly as its disk answers).
+            let mut fetched: HashMap<Loc, Vec<u8>> = if normal {
+                HashMap::new()
+            } else {
+                HashMap::with_capacity(addrs.len())
+            };
+            while let Some(reply) = batch.next_reply() {
+                answered.insert(reply.disk);
+                for (tag, bytes) in reply.items {
+                    let Some(mut b) = bytes else {
+                        newly_suspect.insert(addrs[tag].0);
+                        continue;
+                    };
+                    // Verify-on-read: a cell whose checksum footer
+                    // disagrees is *exactly* an erasure — the disk goes
+                    // suspect and the read replans degraded around it.
+                    let t_v = std::time::Instant::now();
+                    let ok = verify_footer(&self.key, addrs[tag].1, &b).is_some();
+                    verify_spent += t_v.elapsed();
+                    if !ok {
+                        self.metrics.verify_fail.inc();
+                        newly_suspect.insert(addrs[tag].0);
+                        crate::bufpool::give(b);
+                        continue;
+                    }
+                    b.truncate(self.element_size);
+                    if normal {
+                        copy_element(&mut out, tag, &b);
+                        crate::bufpool::give(b);
+                    } else {
+                        fetched.insert(plan.fetches[tag].loc, b);
+                    }
+                }
+            }
+            // A worker that died mid-batch ends the reply stream early;
+            // its disk never answered and is suspect like any other.
+            newly_suspect.extend(touched.difference(&answered));
+            // Feed the failure detector: a disk that served every
+            // requested element is vouched for again; one that stopped
+            // answering goes on the array's suspect list for the
+            // background repair pipeline to probe.
+            for &d in answered.difference(&newly_suspect) {
+                self.array.clear_suspect(d);
+            }
+            for &d in &newly_suspect {
+                self.array.mark_suspect(d);
+            }
+            if newly_suspect.is_empty() {
+                if !normal {
+                    let elements = self.scheme.assemble_read(
+                        first,
+                        count,
+                        &fetched,
+                        ReadCtx::new()
+                            .with_cache(&self.decoder_cache)
+                            .with_recorder(&self.recorder),
+                    )?;
+                    for (idx, e) in elements.into_iter().enumerate() {
+                        copy_element(&mut out, idx, &e);
+                        crate::bufpool::give(e);
+                    }
+                }
+                break plan;
+            }
+            if newly_suspect.iter().all(|d| suspects.contains(d)) {
+                return Err(StoreError::DataLoss(format!(
+                    "disks {newly_suspect:?} still unresponsive after degraded replan"
+                )));
+            }
+            suspects.extend(newly_suspect);
+            replans += 1;
+        };
+        // Leave breadcrumbs for the background repair pipeline: the
+        // stripes this degraded read actually touched, per down disk —
+        // they jump the repair queue so hot data regains redundancy
+        // first. (No-ops until a `RepairManager` attaches.)
+        if !suspects.is_empty() {
+            let dps = self.scheme.data_per_stripe() as u64;
+            for stripe in first / dps..=(last - 1) / dps {
+                for &d in &suspects {
+                    self.repair_queue.hint(d, stripe);
+                }
+            }
+        }
+        let stats = ReadStats {
+            requested_elements: count,
+            fetched_elements: plan.total_fetched(),
+            repair_elements: plan.repair_fetched(),
+            max_disk_load: plan.max_load(),
+            cost: plan.cost(),
+            degraded: !suspects.is_empty(),
+            replans,
+            net: self.fold_net().since(&net_before),
+            elapsed: t0.elapsed(),
+        };
+
+        let m = &self.metrics;
+        m.reads.inc();
+        if stats.degraded {
+            m.degraded_reads.inc();
+        }
+        if !avoid.is_empty() {
+            m.avoided_reads.inc();
+        }
+        if replans > 0 {
+            m.replans.add(replans as u64);
+        }
+        m.fetched_elements.add(stats.fetched_elements as u64);
+        m.repair_elements.add(stats.repair_elements as u64);
+        if verify_spent > std::time::Duration::ZERO {
+            m.verify_us.record_duration(verify_spent);
+        }
+        for f in &plan.fetches {
+            m.disk_load.record(f.loc.disk, 1, self.element_size as u64);
+        }
+        m.read_us.record_duration(stats.elapsed);
+        // Reactor-level I/O gauges (queue depth, in-flight submissions)
+        // alongside the read counters, so a stats snapshot shows how
+        // loaded the completion engine was at the end of this read.
+        self.array.io_stats().snapshot().record_into(&self.recorder);
+        // Kernel-level backend gauges: uring engine totals plus the
+        // count of local file I/O errors absorbed into `None` results.
+        ecfrm_sim::uring::snapshot().record_into(&self.recorder);
+        self.recorder
+            .gauge("io.file_errors")
+            .set(ecfrm_sim::file_disk::io_error_count() as i64);
+
+        Ok((out, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Arc;
+
+    use ecfrm_codes::{LrcCode, RsCode};
+    use ecfrm_integrity::FOOTER_LEN;
+    use ecfrm_sim::{
+        DiskBackend, FaultKind, IoHandle, MemDisk, NetCounters, ThreadedArray, WriteRun,
+    };
+    use ecfrm_util::Mutex;
+
+    use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
+    use super::*;
+
+    #[test]
+    fn put_get_roundtrip() {
+        let store = lrc_store();
+        let data = blob(10_000, 1);
+        store.put("a", &data).unwrap();
+        assert_eq!(store.get("a").unwrap(), data);
+    }
+
+    #[test]
+    fn multiple_objects_are_separate() {
+        let store = lrc_store();
+        let a = blob(5000, 3);
+        let b = blob(777, 4);
+        let c = blob(12_345, 5);
+        store.put("a", &a).unwrap();
+        store.put("b", &b).unwrap();
+        store.put("c", &c).unwrap();
+        assert_eq!(store.get("b").unwrap(), b);
+        assert_eq!(store.get("a").unwrap(), a);
+        assert_eq!(store.get("c").unwrap(), c);
+        assert_eq!(store.stats().objects, 3);
+        assert_eq!(store.meta("b").unwrap().len, 777);
+        assert!(store.meta("zz").is_none());
+    }
+
+    #[test]
+    fn missing_object_not_found() {
+        let store = lrc_store();
+        assert!(matches!(store.get("nope"), Err(StoreError::NotFound(_))));
+    }
+
+    #[test]
+    fn range_reads() {
+        let store = lrc_store();
+        let data = blob(4000, 6);
+        store.put("r", &data).unwrap();
+        assert_eq!(store.get_range("r", 0, 10).unwrap(), &data[0..10]);
+        assert_eq!(store.get_range("r", 100, 500).unwrap(), &data[100..600]);
+        assert_eq!(store.get_range("r", 3990, 10).unwrap(), &data[3990..4000]);
+        assert_eq!(store.get_range("r", 0, 0).unwrap().len(), 0);
+        assert!(matches!(
+            store.get_range("r", 3990, 11),
+            Err(StoreError::RangeOutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn a_forged_extent_is_a_typed_error_not_an_overflow() {
+        let store = lrc_store();
+        store.put("x", &blob(4000, 7)).unwrap();
+        let forged = ObjectMeta {
+            offset: u64::MAX - 3,
+            len: 10,
+        };
+        // `offset + len` wraps in the element range; `offset + start`
+        // wraps before it gets there.
+        for start in [0, 5] {
+            let got = store.read_extent(forged, start, 10 - start, &ReadOpts::default());
+            assert!(
+                matches!(got, Err(StoreError::RangeOutOfBounds { .. })),
+                "start {start}: {got:?}"
+            );
+        }
+        assert!(matches!(
+            store.get_range("x", u64::MAX, 2),
+            Err(StoreError::RangeOutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn degraded_read_under_every_single_disk_failure() {
+        let store = lrc_store();
+        let data = blob(20_000, 7);
+        store.put("d", &data).unwrap();
+        for disk in 0..10 {
+            store.fail_disk(disk).unwrap();
+            assert_eq!(store.get("d").unwrap(), data, "failed disk {disk}");
+            store.heal_disk(disk).unwrap();
+        }
+    }
+
+    #[test]
+    fn degraded_read_under_triple_failure_lrc() {
+        // (6,2,2) LRC tolerates any 3 disk failures.
+        let store = lrc_store();
+        let data = blob(8_000, 8);
+        store.put("t", &data).unwrap();
+        for disks in [[0, 1, 2], [3, 6, 9], [7, 8, 9]] {
+            for &d in &disks {
+                store.fail_disk(d).unwrap();
+            }
+            assert_eq!(store.get("t").unwrap(), data, "failed {disks:?}");
+            for &d in &disks {
+                store.heal_disk(d).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn too_many_failures_is_data_loss_not_garbage() {
+        let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
+        let data = blob(10_000, 9);
+        store.put("x", &data).unwrap();
+        store.get("x").unwrap(); // seal
+        for d in [0, 1, 2, 3] {
+            store.fail_disk(d).unwrap();
+        }
+        assert!(matches!(store.get("x"), Err(StoreError::DataLoss(_))));
+        for d in [0, 1, 2, 3] {
+            store.heal_disk(d).unwrap();
+        }
+        assert_eq!(store.get("x").unwrap(), data);
+    }
+
+    #[test]
+    fn suspect_lifecycle_clears_on_answer_and_dedups_hints() {
+        let (store, faulty) = faulty_store();
+        store.repair_queue().enable();
+        let data = blob(30_000, 50);
+        store.put("x", &data).unwrap();
+        store.flush();
+
+        // Disk 2 stops answering mid-workload: the read replans degraded
+        // around it, marks it suspect, and stages repair hints.
+        faulty[2].arm(FaultKind::Kill, 0);
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        assert!(stats.degraded);
+        assert_eq!(stats.replans, 1, "exactly one mid-read replan");
+        assert_eq!(store.array().suspects(), vec![2]);
+        let staged = store.repair_queue().hint_count();
+        assert!(staged > 0, "degraded read stages repair hints");
+
+        // Re-reading the same range is another degraded read but must
+        // not stage duplicate work.
+        let (_, stats) = store.get_with_stats("x").unwrap();
+        assert!(stats.degraded);
+        assert_eq!(
+            store.repair_queue().hint_count(),
+            staged,
+            "hints dedup across repeated degraded reads"
+        );
+
+        // The disk answers again (transient blip): the next read plans
+        // normally, vouches for it, and the suspicion is withdrawn.
+        faulty[2].clear();
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        assert!(!stats.degraded);
+        assert_eq!(stats.replans, 0);
+        assert!(store.array().suspects().is_empty(), "suspicion withdrawn");
+        // Hints are staging only — nothing was promoted to repair work.
+        assert_eq!(store.repair_queue().depth(), 0);
+    }
+
+    #[test]
+    fn store_over_file_backed_disks() {
+        use ecfrm_sim::FileDisk;
+        let dir = std::env::temp_dir().join(format!("ecfrm-store-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let scheme = ecfrm_scheme(Arc::new(LrcCode::new(6, 2, 2)));
+        let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
+            .map(|d| {
+                Arc::new(FileDisk::create(dir.join(format!("d{d}.bin")), 64 + FOOTER_LEN).unwrap())
+                    as Arc<dyn DiskBackend>
+            })
+            .collect();
+        let store = ObjectStore::with_array(scheme, 64, ThreadedArray::from_backends(backends));
+        let data = blob(12_000, 30);
+        store.put("f", &data).unwrap();
+        assert_eq!(store.get("f").unwrap(), data);
+        // Degraded read off real files.
+        store.fail_disk(5).unwrap();
+        assert_eq!(store.get("f").unwrap(), data);
+        // Real loss: wipe the file, rebuild it.
+        store.array().disk(5).wipe();
+        store.recover_disk(5).unwrap();
+        assert_eq!(store.get("f").unwrap(), data);
+        assert!(store.scrub().unwrap().is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_stats_reflect_degradation() {
+        let store = lrc_store();
+        let data = blob(10_000, 20);
+        store.put("s", &data).unwrap();
+        let (bytes, normal) = store.get_with_stats("s").unwrap();
+        assert_eq!(bytes, data);
+        assert!(!normal.degraded);
+        assert_eq!(normal.repair_elements, 0);
+        assert!((normal.cost - 1.0).abs() < 1e-12);
+        assert!(normal.fetched_elements >= normal.requested_elements);
+
+        store.fail_disk(0).unwrap();
+        let (bytes, degraded) = store.get_with_stats("s").unwrap();
+        assert_eq!(bytes, data);
+        assert!(degraded.degraded);
+        assert!(degraded.cost >= 1.0);
+    }
+
+    #[test]
+    fn verify_on_read_treats_corruption_as_erasure() {
+        let (store, faulty) = faulty_store();
+        store.repair_queue().enable();
+        let data = blob(30_000, 51);
+        store.put("x", &data).unwrap();
+        store.flush();
+
+        // Disk 2 starts lying: every read comes back bit-flipped. The
+        // read must detect it, replan degraded, and still return
+        // byte-correct data.
+        faulty[2].arm(FaultKind::FlipCorrupt, 0);
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data, "corrupted answers never reach the caller");
+        assert!(stats.degraded);
+        assert_eq!(stats.replans, 1);
+        assert_eq!(store.array().suspects(), vec![2]);
+        assert!(store.repair_queue().hint_count() > 0, "stripe hints staged");
+        assert!(store.recorder().snapshot().counters["integrity.verify_fail"] > 0);
+
+        // The probe sees through the lie too: corrupt answers must not
+        // clear the suspicion.
+        assert!(!store.probe_disk(2));
+        // Honest again: probe passes, reads are clean and normal.
+        faulty[2].clear();
+        assert!(store.probe_disk(2));
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        assert!(!stats.degraded);
+    }
+
+    #[test]
+    fn degraded_reads_reuse_decoder_cache() {
+        let store = lrc_store();
+        let data = blob(20_000, 23);
+        store.put("hot", &data).unwrap();
+        store.fail_disk(2).unwrap();
+        for _ in 0..10 {
+            assert_eq!(store.get("hot").unwrap(), data);
+        }
+        let (hits, misses) = store.decoder_cache.stats();
+        assert!(misses > 0, "cache must have been exercised");
+        assert!(
+            hits > misses * 3,
+            "repeated degraded reads should mostly hit: {hits} hits / {misses} misses"
+        );
+    }
+
+    #[test]
+    fn read_issues_one_rpc_per_touched_disk() {
+        // (6,3) EC-FRM over 9 disks: a full-stripe read touches every
+        // data element. The batched path must issue at most one
+        // per-disk request per disk per read round.
+        let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
+        let data = blob(30_000, 40);
+        store.put("x", &data).unwrap();
+        store.flush();
+        let before = store.recorder().snapshot().counters["read.rpcs"];
+        assert_eq!(store.get("x").unwrap(), data);
+        let snap = store.recorder().snapshot();
+        let rpcs = snap.counters["read.rpcs"] - before;
+        assert!(
+            rpcs <= store.scheme().n_disks() as u64,
+            "one read issued {rpcs} per-disk requests over {} disks",
+            store.scheme().n_disks()
+        );
+        assert!(rpcs >= 1);
+        let elems = snap.counters["read.batch_elems"];
+        assert!(elems as usize >= data.len() / 64, "batch_elems: {elems}");
+    }
+
+    #[test]
+    fn sequential_layout_reads_coalesce_into_runs() {
+        // EC-FRM places data sequentially across all disks, so a read
+        // spanning two data rows hands (at least) the wrap-around disks
+        // a strictly contiguous per-disk offset run. (Full-object reads
+        // cross parity rows, which punch periodic holes in the per-disk
+        // offsets — those batches stay `BatchGet`.)
+        let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
+        store.put("x", &blob(30_000, 41)).unwrap();
+        store.flush();
+        // Elements 0..11: every disk serves offset 0, the first two also
+        // serve offset 1 → two [0, 1] runs.
+        store.get_range("x", 0, 700).unwrap();
+        let runs = store.recorder().snapshot().counters["read.coalesced_runs"];
+        assert!(
+            runs >= 2,
+            "sequential layout produced {runs} coalesced runs, expected ≥ 2"
+        );
+    }
+
+    #[test]
+    fn count_coalesced_runs_rule() {
+        // One contiguous run per disk of ≥2 elements counts; gaps,
+        // singletons, and descending order do not.
+        assert_eq!(count_coalesced_runs(&[]), 0);
+        assert_eq!(count_coalesced_runs(&[(0, 5)]), 0);
+        assert_eq!(count_coalesced_runs(&[(0, 5), (0, 6), (0, 7)]), 1);
+        assert_eq!(count_coalesced_runs(&[(0, 5), (0, 7)]), 0);
+        assert_eq!(count_coalesced_runs(&[(0, 6), (0, 5)]), 0);
+        assert_eq!(
+            count_coalesced_runs(&[(0, 0), (1, 3), (0, 1), (1, 4), (2, 9)]),
+            2
+        );
+    }
+
+    /// A disk with transport counters of its own: every read it serves
+    /// costs one retry, and a read can be parked inside it.
+    #[derive(Debug, Default)]
+    struct RetryingDisk {
+        inner: MemDisk,
+        net: NetCounters,
+        /// When set, the next read reports in on the first channel and
+        /// waits for the second before it is served.
+        park: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    }
+
+    impl DiskBackend for RetryingDisk {
+        fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+            self.net.retries.fetch_add(1, Ordering::Relaxed);
+            let park = self.park.lock().take();
+            if let Some((parked, release)) = park {
+                parked.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.submit_read_many(offsets)
+        }
+        fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+            self.inner.submit_write_many(runs)
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn wipe(&self) {}
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn net_stats(&self) -> Option<NetStats> {
+            Some(self.net.snapshot())
+        }
+    }
+
+    #[test]
+    fn overlapping_reads_fold_each_retry_into_the_registry_once() {
+        let scheme = ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3)));
+        let retrying = Arc::new(RetryingDisk::default());
+        let mut backends: Vec<Arc<dyn DiskBackend>> = vec![Arc::clone(&retrying) as _];
+        backends.extend((1..scheme.n_disks()).map(|_| Arc::new(MemDisk::new()) as _));
+        let store = Arc::new(ObjectStore::with_array(
+            scheme,
+            64,
+            ThreadedArray::from_backends(backends),
+        ));
+        let data = blob(30_000, 60);
+        store.put("x", &data).unwrap();
+        store.flush();
+
+        // Read A parks inside disk 0 with its window open (one retry
+        // seen); read B runs start to finish inside that window (a
+        // second retry); then A finishes.
+        let (parked_tx, parked) = channel();
+        let (release, release_rx) = channel();
+        *retrying.park.lock() = Some((parked_tx, release_rx));
+        let a = std::thread::spawn({
+            let store = Arc::clone(&store);
+            move || store.get_with_stats("x").unwrap()
+        });
+        parked.recv().unwrap();
+        let (bytes, b_stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        release.send(()).unwrap();
+        let (bytes, a_stats) = a.join().unwrap();
+        assert_eq!(bytes, data);
+
+        // Each read's `net` is its window: B saw its own retry, A saw
+        // both. The registry is not the sum of the windows — it is what
+        // the client counted.
+        assert_eq!((b_stats.net.retries, a_stats.net.retries), (1, 2));
+        assert_eq!(retrying.net_stats().unwrap().retries, 2);
+        assert_eq!(store.recorder().snapshot().counters["net.retries"], 2);
+    }
+}

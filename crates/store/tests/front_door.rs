@@ -93,10 +93,15 @@ fn cache_stays_byte_correct_across_corrupt_then_repair() {
     );
     assert_eq!(front.read("web", "asset").unwrap(), data);
 
-    // Full disk rebuild: kill a disk, rebuild it, cache flushes whole.
+    // Full disk rebuild: kill a disk, rebuild it. The rebuild rewrites
+    // every sealed stripe, each rewrite is a `Rewritten`, and so every
+    // cached element goes — nothing stale outlives it.
     front.store().fail_disk(4).unwrap();
     assert_eq!(front.read("web", "asset").unwrap(), data, "degraded read");
+    let cache_bytes = || front.store().recorder().snapshot().gauges["cache.bytes"];
+    assert!(cache_bytes() > 0, "the object is cached going in");
     front.store().recover_disk(4).unwrap();
+    assert_eq!(cache_bytes(), 0, "the rebuild left no cached element");
     assert_eq!(front.read("web", "asset").unwrap(), data);
     // And the cache goes hot again afterwards.
     let hits_before = counter(&front, "cache.hit");

@@ -11,7 +11,7 @@ use std::time::Duration;
 use ecfrm::codes::RsCode;
 use ecfrm::core::{LayoutKind, Scheme};
 use ecfrm::sim::{DiskBackend, FaultKind, FaultyDisk, MemDisk, ThreadedArray};
-use ecfrm::store::{ObjectStore, RepairConfig, RepairManager};
+use ecfrm::store::{ObjectStore, ReadOpts, RepairConfig, RepairManager};
 
 fn blob(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
@@ -170,7 +170,10 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     );
     mgr.pause();
     faulty[5].arm(FaultKind::Kill, 0);
-    let (got, stats) = store.get_range_with_stats("obj", 0, 512).unwrap();
+    let extent = store.meta("obj").unwrap();
+    let (got, stats) = store
+        .read_extent(extent, 0, 512, &ReadOpts::default())
+        .unwrap();
     assert_eq!(got, &data[..512]);
     assert!(stats.degraded);
     assert!(
