@@ -8,41 +8,23 @@
 //! * [`params`] — Table I's parameter sets and scheme constructors;
 //! * [`experiment`] — run one (scheme, workload) cell and summarise
 //!   speed / cost / load metrics;
-//! * [`report`] — aligned text tables with paper-style gain percentages.
+//! * [`report`] — aligned text tables with paper-style gain
+//!   percentages, and the one [`report::Report`] shape every
+//!   microbenchmark prints and writes.
 //!
-//! The `figures` binary drives it:
+//! Two binaries drive it — `figures` for the paper's figures, `micro`
+//! for the per-layer microbenchmarks:
 //!
 //! ```text
 //! cargo run -p ecfrm-bench --release --bin figures -- all
+//! cargo run -p ecfrm-bench --release --bin micro -- all
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod harness;
 pub mod params;
 pub mod report;
 
 pub use experiment::{run_degraded, run_normal, DegradedResult, ExperimentConfig, NormalResult};
 pub use params::{lrc_params, lrc_schemes, rs_params, rs_schemes, three_forms};
-
-/// Group benchmark functions under one driver function (criterion-style).
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group(c: &mut $crate::harness::Criterion) {
-            $( $target(c); )+
-        }
-    };
-}
-
-/// Entry point running every group (criterion-style).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::harness::Criterion::new();
-            $( $group(&mut c); )+
-        }
-    };
-}

@@ -10,7 +10,7 @@
 //! into a 16- or 32-wide parallel lookup. `GF(2^16)` splits the same way
 //! into four nibbles, each contributing a 16-bit partial product.
 //!
-//! Five backends are compiled (per architecture) and one is selected at
+//! Four backends are compiled (per architecture) and one is selected at
 //! first use:
 //!
 //! | name       | arch     | technique                                   |
@@ -18,8 +18,7 @@
 //! | `avx2`     | x86_64   | 32-wide `_mm256_shuffle_epi8` nibble lookup |
 //! | `ssse3`    | x86_64   | 16-wide `_mm_shuffle_epi8` nibble lookup    |
 //! | `neon`     | aarch64  | 16-wide `vqtbl1q_u8` nibble lookup          |
-//! | `portable` | any      | two-nibble tables, u64 loads, 8×-unrolled   |
-//! | `scalar`   | any      | the original 256-byte product-row stream    |
+//! | `scalar`   | any      | 256-byte product-row stream (the reference) |
 //!
 //! Selection order is top to bottom (first supported wins); the
 //! `ECFRM_FORCE_KERNEL` environment variable overrides it by name, which
@@ -207,90 +206,6 @@ static SCALAR: Kernel = Kernel {
 };
 
 // ---------------------------------------------------------------------------
-// portable backend: the same two-nibble split tables the SIMD paths use,
-// walked with u64 loads and an 8×-unrolled lookup body. No intrinsics,
-// so it runs (and is differentially tested) on every architecture.
-// ---------------------------------------------------------------------------
-
-/// Multiply the 8 packed bytes of `word` through the split tables.
-#[inline(always)]
-fn split_word8(word: u64, lo: &[u8; 16], hi: &[u8; 16]) -> u64 {
-    let b = word.to_le_bytes();
-    u64::from_le_bytes([
-        lo[(b[0] & 15) as usize] ^ hi[(b[0] >> 4) as usize],
-        lo[(b[1] & 15) as usize] ^ hi[(b[1] >> 4) as usize],
-        lo[(b[2] & 15) as usize] ^ hi[(b[2] >> 4) as usize],
-        lo[(b[3] & 15) as usize] ^ hi[(b[3] >> 4) as usize],
-        lo[(b[4] & 15) as usize] ^ hi[(b[4] >> 4) as usize],
-        lo[(b[5] & 15) as usize] ^ hi[(b[5] >> 4) as usize],
-        lo[(b[6] & 15) as usize] ^ hi[(b[6] >> 4) as usize],
-        lo[(b[7] & 15) as usize] ^ hi[(b[7] >> 4) as usize],
-    ])
-}
-
-fn portable_mul8(c: u8, src: &[u8], dst: &mut [u8]) {
-    let (lo, hi) = split_tables8(c);
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let w = u64::from_le_bytes(sc.try_into().unwrap());
-        dc.copy_from_slice(&split_word8(w, &lo, &hi).to_le_bytes());
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db = lo[(sb & 15) as usize] ^ hi[(sb >> 4) as usize];
-    }
-}
-
-fn portable_mul_add8(c: u8, src: &[u8], dst: &mut [u8]) {
-    let (lo, hi) = split_tables8(c);
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let w = u64::from_le_bytes(sc.try_into().unwrap());
-        let cur = u64::from_le_bytes((&*dc).try_into().unwrap());
-        dc.copy_from_slice(&(cur ^ split_word8(w, &lo, &hi)).to_le_bytes());
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= lo[(sb & 15) as usize] ^ hi[(sb >> 4) as usize];
-    }
-}
-
-/// Multiply one `GF(2^16)` symbol through the four split tables.
-#[inline(always)]
-fn split_sym16(v: u16, t: &[[u16; 16]; 4]) -> u16 {
-    t[0][(v & 15) as usize]
-        ^ t[1][((v >> 4) & 15) as usize]
-        ^ t[2][((v >> 8) & 15) as usize]
-        ^ t[3][(v >> 12) as usize]
-}
-
-fn portable_mul16(c: u16, src: &[u8], dst: &mut [u8]) {
-    let t = split_tables16(c);
-    for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-        let v = u16::from_le_bytes([s[0], s[1]]);
-        d.copy_from_slice(&split_sym16(v, &t).to_le_bytes());
-    }
-}
-
-fn portable_mul_add16(c: u16, src: &[u8], dst: &mut [u8]) {
-    let t = split_tables16(c);
-    for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-        let v = u16::from_le_bytes([s[0], s[1]]);
-        let cur = u16::from_le_bytes([d[0], d[1]]);
-        d.copy_from_slice(&(cur ^ split_sym16(v, &t)).to_le_bytes());
-    }
-}
-
-static PORTABLE: Kernel = Kernel {
-    name: "portable",
-    supported: || true,
-    mul8: portable_mul8,
-    mul_add8: portable_mul_add8,
-    mul16: portable_mul16,
-    mul_add16: portable_mul_add16,
-};
-
-// ---------------------------------------------------------------------------
 // x86_64 backends: SSSE3 (pshufb, 16-wide) and AVX2 (vpshufb, 32-wide).
 // ---------------------------------------------------------------------------
 
@@ -326,9 +241,9 @@ mod x86 {
             i += 16;
         }
         if accumulate {
-            portable_mul_add8(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add8(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul8(c, &src[n..], &mut dst[n..]);
+            scalar_mul8(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -356,9 +271,9 @@ mod x86 {
             i += 32;
         }
         if accumulate {
-            portable_mul_add8(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add8(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul8(c, &src[n..], &mut dst[n..]);
+            scalar_mul8(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -440,9 +355,9 @@ mod x86 {
             i += 32;
         }
         if accumulate {
-            portable_mul_add16(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add16(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul16(c, &src[n..], &mut dst[n..]);
+            scalar_mul16(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -519,9 +434,9 @@ mod x86 {
             i += 64;
         }
         if accumulate {
-            portable_mul_add16(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add16(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul16(c, &src[n..], &mut dst[n..]);
+            scalar_mul16(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -609,9 +524,9 @@ mod arm {
             i += 16;
         }
         if accumulate {
-            portable_mul_add8(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add8(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul8(c, &src[n..], &mut dst[n..]);
+            scalar_mul8(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -669,9 +584,9 @@ mod arm {
             i += 32;
         }
         if accumulate {
-            portable_mul_add16(c, &src[n..], &mut dst[n..]);
+            scalar_mul_add16(c, &src[n..], &mut dst[n..]);
         } else {
-            portable_mul16(c, &src[n..], &mut dst[n..]);
+            scalar_mul16(c, &src[n..], &mut dst[n..]);
         }
     }
 
@@ -709,17 +624,17 @@ static NEON: Kernel = Kernel {
 pub fn backends() -> &'static [&'static Kernel] {
     #[cfg(target_arch = "x86_64")]
     {
-        static ALL: [&Kernel; 4] = [&AVX2, &SSSE3, &PORTABLE, &SCALAR];
+        static ALL: [&Kernel; 3] = [&AVX2, &SSSE3, &SCALAR];
         &ALL
     }
     #[cfg(target_arch = "aarch64")]
     {
-        static ALL: [&Kernel; 3] = [&NEON, &PORTABLE, &SCALAR];
+        static ALL: [&Kernel; 2] = [&NEON, &SCALAR];
         &ALL
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
-        static ALL: [&Kernel; 2] = [&PORTABLE, &SCALAR];
+        static ALL: [&Kernel; 1] = [&SCALAR];
         &ALL
     }
 }
@@ -783,7 +698,8 @@ mod tests {
             let t = split_tables16(c);
             for v in [0u16, 1, 2, 0x00FF, 0x0F0F, 0xABCD, 0xFFFF, 0x8000] {
                 let want = Gf16::mul(c as u32, v as u32) as u16;
-                assert_eq!(split_sym16(v, &t), want, "c={c:#x} v={v:#x}");
+                let got = (0..4).fold(0, |acc, j| acc ^ t[j][(v >> (4 * j)) as usize & 15]);
+                assert_eq!(got, want, "c={c:#x} v={v:#x}");
             }
         }
     }
@@ -796,7 +712,6 @@ mod tests {
 
     #[test]
     fn choose_honours_force() {
-        assert_eq!(choose(Some("portable")).name, "portable");
         assert_eq!(choose(Some("scalar")).name, "scalar");
     }
 
@@ -807,10 +722,8 @@ mod tests {
     }
 
     #[test]
-    fn backends_include_universal_fallbacks() {
-        let names: Vec<&str> = backends().iter().map(|k| k.name).collect();
-        assert!(names.contains(&"portable"));
-        assert!(names.contains(&"scalar"));
+    fn backends_end_with_the_universal_fallback() {
+        assert_eq!(backends().last().map(|k| k.name), Some("scalar"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   multiply-by-constant, multiply-accumulate, fused multi-parity dot
 //!   products), the hot loops of erasure encoding and decoding;
 //! * [`kernel`] — the runtime-dispatched split-table backends behind the
-//!   region ops: SSSE3/AVX2/NEON byte-shuffle kernels where available, a
-//!   portable 64-bit nibble-table loop otherwise, overridable via the
+//!   region ops: SSSE3/AVX2/NEON byte-shuffle kernels where available, the
+//!   scalar product-row loop otherwise, overridable via the
 //!   `ECFRM_FORCE_KERNEL` environment variable;
 //! * [`matrix`] — dense matrices over a field, with Gauss–Jordan
 //!   inversion, rank computation, and the Vandermonde / Cauchy

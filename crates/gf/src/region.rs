@@ -10,7 +10,7 @@
 //! * [`mul_region`] / [`mul_add_region`] — multiply a region by a constant
 //!   (optionally accumulating), dispatched to the runtime-selected
 //!   split-table backend in [`crate::kernel`] (SSSE3/AVX2/NEON byte
-//!   shuffles where the CPU has them, a portable nibble-table loop
+//!   shuffles where the CPU has them, the scalar product-row loop
 //!   otherwise);
 //! * [`dot_region`] — the full encode kernel: `dst = Σ cᵢ·srcᵢ`;
 //! * [`dot_region_multi`] — the fused variant producing all parity

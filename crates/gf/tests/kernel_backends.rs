@@ -189,9 +189,9 @@ fn dot_region_multi16_matches_reference_combination() {
 }
 
 #[test]
-fn by_name_resolves_universal_backends() {
-    assert!(by_name("portable").is_some());
+fn by_name_resolves_the_universal_backend() {
     assert!(by_name("scalar").is_some());
+    assert!(by_name("portable").is_none());
     assert!(by_name("no-such-kernel").is_none());
 }
 

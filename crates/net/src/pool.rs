@@ -1,8 +1,8 @@
-//! The pooled, sequential connections both clients keep for ops that go
-//! one request at a time — [`FrontClient`](crate::FrontClient)'s object
-//! ops, [`RemoteDisk`](crate::RemoteDisk)'s `Stats`, `Health`,
-//! `InjectFault` and `CombineRange` — and the one retry rule they
-//! follow.
+//! The pooled, sequential connections kept for ops that go one request
+//! at a time — [`FrontClient`](crate::FrontClient)'s object ops,
+//! [`RemoteDisk`](crate::RemoteDisk)'s `Stats`, `Health`, `InjectFault`
+//! and `CombineRange`, and a shard's `CombineRange` fetches from its
+//! peers — and the one retry rule they follow.
 //!
 //! Retries are at-most-once: a pooled connection that fails
 //! mid-round-trip is retried on a fresh dial only when the request

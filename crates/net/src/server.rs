@@ -19,7 +19,7 @@
 //! degraded-read fallback exists for.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -30,6 +30,8 @@ use ecfrm_util::Mutex;
 
 use ecfrm_integrity::{verify_footer, HashKey};
 
+use crate::client::RemoteDiskConfig;
+use crate::pool::Pool;
 use crate::protocol::{
     read_request_polling, version_mismatch, write_response, CheckedElement, Fault, Polled, Request,
     Response, MAX_RANGE,
@@ -54,14 +56,12 @@ const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Socket timeout while waiting for a peer's partial sums.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Idle connections kept per combine peer. Dialing a shard costs a TCP
-/// handshake plus up to one accept-poll tick on the far side, so a root
-/// that aggregates every stripe of a rebuild reuses its peer links.
-const MAX_POOLED_PEER_CONNS: usize = 4;
-
-/// Reusable connections to combine peers, keyed by address. Behind an
-/// `Arc` so the per-request fetch threads can share it with the server.
-type PeerPool = Arc<Mutex<HashMap<String, Vec<TcpStream>>>>;
+/// One sequential [`Pool`] per combine peer, keyed by the address the
+/// request named. Dialing a shard costs a TCP handshake plus up to one
+/// accept-poll tick on the far side, so a root that aggregates every
+/// stripe of a rebuild reuses its peer links. Behind an `Arc` so the
+/// per-request fetch threads can share it with the server.
+type PeerPools = Arc<Mutex<HashMap<String, Arc<Pool>>>>;
 
 /// Demux workers per multiplexed connection: how many wrapped requests
 /// one connection services concurrently. Small and fixed — the client
@@ -142,7 +142,7 @@ struct Shared {
     read_delay_ms: AtomicU64,
     recorder: Recorder,
     metrics: ServerMetrics,
-    peer_pool: PeerPool,
+    peer_pools: PeerPools,
 }
 
 /// A TCP server exposing one disk shard.
@@ -201,7 +201,7 @@ impl ShardServer {
             read_delay_ms: AtomicU64::new(0),
             recorder,
             metrics,
-            peer_pool: Arc::new(Mutex::new(HashMap::new())),
+            peer_pools: Arc::new(Mutex::new(HashMap::new())),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
@@ -879,8 +879,8 @@ fn handle_combine(
         .iter()
         .map(|p| {
             let p = p.clone();
-            let pool = Arc::clone(&shared.peer_pool);
-            std::thread::spawn(move || fetch_peer_partial(&pool, &p, outputs, k0, k1))
+            let pools = Arc::clone(&shared.peer_pools);
+            std::thread::spawn(move || fetch_peer_partial(&pools, &p, outputs, k0, k1))
         })
         .collect();
 
@@ -978,31 +978,39 @@ fn handle_combine(
     }
 }
 
-/// Dial one combined-read peer, request its partial sums (never
-/// forwarding further — aggregation is one level deep), and verify each
-/// returned region's footer before it may be merged. Returns the peer's
-/// [`ecfrm_sim::combine_status`] verdict plus the verified, stripped
-/// regions (empty unless OK).
-fn dial_peer(addr: &str) -> Option<TcpStream> {
-    let stream = match addr.parse::<SocketAddr>() {
-        Ok(a) => TcpStream::connect_timeout(&a, PEER_CONNECT_TIMEOUT),
-        Err(_) => TcpStream::connect(addr),
+/// The pool for combine peer `addr`, built on first use; `None` when
+/// the address does not resolve.
+fn peer_pool(pools: &PeerPools, addr: &str) -> Option<Arc<Pool>> {
+    if let Some(pool) = pools.lock().get(addr) {
+        return Some(Arc::clone(pool));
     }
-    .ok()?;
-    let _ = stream.set_read_timeout(Some(PEER_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(PEER_IO_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    Some(stream)
+    // Resolve outside the lock: a slow name lookup must not stall the
+    // fetches to every other peer.
+    let resolved = addr.to_socket_addrs().ok()?.next()?;
+    let cfg = RemoteDiskConfig::builder()
+        .connect_timeout(PEER_CONNECT_TIMEOUT)
+        .request_timeout(PEER_IO_TIMEOUT)
+        .build();
+    let mut pools = pools.lock();
+    let pool = pools
+        .entry(addr.to_string())
+        .or_insert_with(|| Arc::new(Pool::new(resolved, &cfg)));
+    Some(Arc::clone(pool))
 }
 
+/// Request one combined-read peer's partial sums (never forwarding
+/// further — aggregation is one level deep) over its pooled connection,
+/// and verify each returned region's footer before it may be merged.
+/// Returns the peer's [`ecfrm_sim::combine_status`] verdict plus the
+/// verified, stripped regions (empty unless OK).
 fn fetch_peer_partial(
-    pool: &PeerPool,
+    pools: &PeerPools,
     p: &crate::protocol::CombinePeer,
     outputs: u32,
     k0: u64,
     k1: u64,
 ) -> (u8, Vec<Vec<u8>>) {
-    use crate::protocol::{read_response, write_request};
+    use crate::protocol::write_request;
     use ecfrm_sim::combine_status as cstat;
 
     let key = HashKey { k0, k1 };
@@ -1015,28 +1023,14 @@ fn fetch_peer_partial(
         k1,
         peers: Vec::new(),
     };
-    let exchange = |stream: &mut TcpStream| -> Option<Response> {
-        write_request(stream, &req).ok()?;
-        read_response(stream).ok()
-    };
-    // A pooled connection may have been closed since its last use, so a
-    // failed exchange on one falls back to a fresh dial before the peer
-    // is declared missing (CombineRange is read-only; a retry is safe).
-    let pooled = pool.lock().get_mut(&p.addr).and_then(Vec::pop);
-    let mut conn = pooled.and_then(|mut s| exchange(&mut s).map(|r| (r, s)));
-    if conn.is_none() {
-        conn = dial_peer(&p.addr).and_then(|mut s| exchange(&mut s).map(|r| (r, s)));
-    }
-    let Some((resp, stream)) = conn else {
+    // CombineRange is read-only, so the pool may replay it on a fresh
+    // dial when a pooled connection has gone stale; a peer that cannot
+    // be resolved, dialed or heard from is missing.
+    let resp = peer_pool(pools, &p.addr)
+        .and_then(|pool| pool.request(&|w| write_request(w, &req), true).ok());
+    let Some(resp) = resp else {
         return (cstat::MISSING, Vec::new());
     };
-    {
-        let mut pool = pool.lock();
-        let conns = pool.entry(p.addr.clone()).or_default();
-        if conns.len() < MAX_POOLED_PEER_CONNS {
-            conns.push(stream);
-        }
-    }
     match resp {
         Response::Combined {
             regions,

@@ -275,7 +275,7 @@ impl ObjectStore {
         let recorder = Recorder::new();
         let metrics = StoreMetrics::new(&recorder, scheme.n_disks());
         // Record which GF region-kernel backend this process dispatched
-        // to (avx2/ssse3/neon/portable/scalar), so stats snapshots show
+        // to (avx2/ssse3/neon/scalar), so stats snapshots show
         // what the encode/decode numbers were produced with.
         recorder
             .counter(&format!(
