@@ -66,9 +66,6 @@ pub struct Options {
     /// `--cache-bytes 33554432`: front-door element cache capacity
     /// (`0` disables caching).
     pub cache_bytes: Option<usize>,
-    /// `--no-admission`: admit every front-door request immediately
-    /// (QoS off — the A/B baseline).
-    pub no_admission: bool,
 }
 
 impl Options {
@@ -119,7 +116,6 @@ impl Options {
                 "--stats" => o.stats = true,
                 "--corrupt" => o.corrupt = true,
                 "--front" => o.front = true,
-                "--no-admission" => o.no_admission = true,
                 "--tenant" => o.tenant.push(value()?),
                 "--cache-bytes" => {
                     o.cache_bytes = Some(
@@ -415,16 +411,14 @@ mod tests {
             "scan:bulk:8000000",
             "--cache-bytes",
             "1048576",
-            "--no-admission",
         ]))
         .unwrap();
         assert!(o.front);
         assert_eq!(o.tenant, vec!["web:latency", "scan:bulk:8000000"]);
         assert_eq!(o.cache_bytes, Some(1_048_576));
-        assert!(o.no_admission);
         // Off by default: a plain shard server has no front door.
         let d = Options::default();
-        assert!(!d.front && !d.no_admission && d.tenant.is_empty());
+        assert!(!d.front && d.tenant.is_empty());
         assert!(Options::parse(&sv(&["--cache-bytes", "lots"])).is_err());
         assert!(Options::parse(&sv(&["--tenant"])).is_err());
     }

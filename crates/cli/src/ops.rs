@@ -221,42 +221,24 @@ pub fn info(opts: &Options) -> Result<(), CliError> {
 /// over `--remote` shard servers when given, else over local disks —
 /// and answers object create/write/read/stat/delete with QoS admission
 /// and the parity-aware read cache in the path. `--tenant
-/// name:class[:rate]` registers tenants, `--cache-bytes` sizes the
-/// cache, `--no-admission` turns QoS off.
+/// name:class[:rate]` registers tenants (one without a rate is never
+/// throttled), `--cache-bytes` sizes the cache.
 pub fn serve(opts: &Options) -> Result<(), CliError> {
     use ecfrm_net::ShardServer;
-    use ecfrm_sim::{DiskBackend, FileDisk, MemDisk};
-    use std::sync::Arc;
 
     let listen = Options::require(&opts.listen, "listen")?;
     let element_size = opts.element_size.unwrap_or(64 * 1024);
-    let file_io = opts.file_io_config().map_err(CliError::Usage)?;
-    let mut storage = "in-memory".to_string();
-    let backend: Arc<dyn DiskBackend> = match &opts.dir {
-        Some(dir) => {
-            let dir = Path::new(dir);
-            std::fs::create_dir_all(dir)
-                .map_err(|e| CliError::io(format!("creating {}", dir.display()), e))?;
-            let path = dir.join("shard.bin");
-            // Shard files hold whole cells: element payload plus the
-            // store's checksum footer.
-            let disk =
-                FileDisk::create_with(&path, element_size + ecfrm_integrity::FOOTER_LEN, file_io)
-                    .map_err(|e| CliError::io("creating shard file", e))?;
-            storage = format!("file-backed, {} reads", disk.io_backend());
-            Arc::new(disk)
-        }
-        None => Arc::new(MemDisk::new()),
+    let dir = opts.dir.as_deref().map(Path::new);
+    let mut shard = open_disks(opts, &[], dir, 1, element_size, |_| "shard.bin".into())?;
+    let storage = match shard.file_io {
+        Some(io) => format!("file-backed, {io} reads"),
+        None => "in-memory".to_string(),
     };
+    let backend = shard.backends.remove(0);
     let server = if opts.front {
         let front = build_front(opts, element_size)?;
-        let mode = if opts.no_admission {
-            "admission off"
-        } else {
-            "admission on"
-        };
         println!(
-            "front door up: {} tenants, {mode}, {} B cache",
+            "front door up: {} tenants, {} B cache",
             opts.tenant.len(),
             opts.cache_bytes.unwrap_or(32 << 20),
         );
@@ -271,69 +253,116 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     }
 }
 
+/// Disks opened by [`open_disks`].
+#[derive(Default)]
+struct Disks {
+    backends: Vec<std::sync::Arc<dyn ecfrm_sim::DiskBackend>>,
+    /// The same disks as shard clients, when `--remote` named them.
+    remotes: Vec<std::sync::Arc<ecfrm_net::RemoteDisk>>,
+    /// The read engine of file-backed disks (`FileDisk::io_backend`).
+    file_io: Option<&'static str>,
+}
+
+/// Open `n` disks: one shard client per `remote` address when there are
+/// any, else `FileDisk`s named `file(d)` under `dir`, else in-memory
+/// disks. Shard files hold whole cells (element payload plus the
+/// store's checksum footer), and every shard client ships the store's
+/// integrity key, so whatever it reads is verified at the shard.
+fn open_disks(
+    opts: &Options,
+    remote: &[String],
+    dir: Option<&Path>,
+    n: usize,
+    element_size: usize,
+    file: impl Fn(usize) -> String,
+) -> Result<Disks, CliError> {
+    use ecfrm_net::{RemoteDisk, RemoteDiskConfig};
+    use ecfrm_sim::{DiskBackend, FileDisk, MemDisk};
+    use std::sync::Arc;
+
+    let file_io = opts.file_io_config().map_err(CliError::Usage)?;
+    if !remote.is_empty() {
+        if remote.len() != n {
+            return Err(CliError::Usage(format!(
+                "--remote needs exactly n = {n} addresses (one per disk), got {}",
+                remote.len()
+            )));
+        }
+        let key = ecfrm_integrity::HashKey::DEFAULT;
+        let cfg = RemoteDiskConfig::builder()
+            .integrity_key(key.k0, key.k1)
+            .build();
+        let remotes = remote
+            .iter()
+            .map(|a| match a.parse() {
+                Ok(addr) => Ok(Arc::new(RemoteDisk::new(addr, cfg.clone()))),
+                Err(e) => Err(CliError::Usage(format!("bad --remote address `{a}`: {e}"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        return Ok(Disks {
+            backends: remotes.iter().map(|d| Arc::clone(d) as _).collect(),
+            remotes,
+            ..Disks::default()
+        });
+    }
+    let Some(dir) = dir else {
+        return Ok(Disks {
+            backends: (0..n).map(|_| Arc::new(MemDisk::new()) as _).collect(),
+            ..Disks::default()
+        });
+    };
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::io(format!("creating {}", dir.display()), e))?;
+    let files = (0..n)
+        .map(|d| {
+            let cell = element_size + ecfrm_integrity::FOOTER_LEN;
+            FileDisk::create_with(dir.join(file(d)), cell, file_io)
+                .map_err(|e| CliError::io(format!("creating disk file {d}"), e))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Disks {
+        file_io: files.first().map(FileDisk::io_backend),
+        backends: files
+            .into_iter()
+            .map(|d| Arc::new(d) as Arc<dyn DiskBackend>)
+            .collect(),
+        ..Disks::default()
+    })
+}
+
 /// Build the `serve --front` object front door: a full store over
 /// `--remote` shard servers (one address per disk) or local disks
 /// (file-backed under `--dir`, else in-memory), with `--tenant` /
-/// `--cache-bytes` / `--no-admission` applied.
+/// `--cache-bytes` applied.
 fn build_front(
     opts: &Options,
     element_size: usize,
 ) -> Result<std::sync::Arc<ecfrm_store::FrontDoor>, CliError> {
-    use ecfrm_net::{RemoteDisk, RemoteDiskConfig};
-    use ecfrm_sim::{DiskBackend, FileDisk, MemDisk, ThreadedArray};
+    use ecfrm_sim::ThreadedArray;
     use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore, TenantSpec};
     use std::sync::Arc;
 
     let code = Options::require(&opts.code, "code")?;
     let layout = Options::require(&opts.layout, "layout")?;
     let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
-    let file_io = opts.file_io_config().map_err(CliError::Usage)?;
-
-    let backends: Vec<Arc<dyn DiskBackend>> = if opts.remote.is_empty() {
-        (0..scheme.n_disks())
-            .map(|d| match &opts.dir {
-                Some(dir) => {
-                    let disk = FileDisk::create_with(
-                        Path::new(dir).join(format!("front-d{d}.bin")),
-                        element_size + ecfrm_integrity::FOOTER_LEN,
-                        file_io,
-                    )
-                    .map_err(|e| CliError::io(format!("creating front disk {d}"), e))?;
-                    Ok(Arc::new(disk) as Arc<dyn DiskBackend>)
-                }
-                None => Ok(Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>),
-            })
-            .collect::<Result<_, CliError>>()?
-    } else {
-        if opts.remote.len() != scheme.n_disks() {
-            return Err(CliError::Usage(format!(
-                "--front over --remote needs exactly {} shard addresses (one per disk), got {}",
-                scheme.n_disks(),
-                opts.remote.len()
-            )));
-        }
-        let cfg = RemoteDiskConfig::builder().build();
-        opts.remote
-            .iter()
-            .map(|addr| {
-                let addr = addr
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --remote address `{addr}`: {e}")))?;
-                Ok(Arc::new(RemoteDisk::new(addr, cfg.clone())) as Arc<dyn DiskBackend>)
-            })
-            .collect::<Result<_, CliError>>()?
-    };
-
+    let dir = opts.dir.as_deref().map(Path::new);
+    let disks = open_disks(
+        opts,
+        &opts.remote,
+        dir,
+        scheme.n_disks(),
+        element_size,
+        |d| format!("front-d{d}.bin"),
+    )?;
     let store = Arc::new(ObjectStore::with_array(
         scheme,
         element_size,
-        ThreadedArray::from_backends(backends),
+        ThreadedArray::from_backends(disks.backends),
     ));
     let front = FrontDoor::new(
         store,
         FrontConfig::builder()
             .cache_bytes(opts.cache_bytes.unwrap_or(32 << 20))
-            .admission(!opts.no_admission)
             .build(),
     );
     for spec in &opts.tenant {
@@ -347,9 +376,8 @@ fn build_front(
 /// servers), ingest data, and replay the paper's random-read workload,
 /// reporting actual wall-clock speeds for normal and degraded reads.
 pub fn bench(opts: &Options) -> Result<(), CliError> {
-    use ecfrm_net::{RemoteDisk, RemoteDiskConfig};
-    use ecfrm_sim::{DiskBackend, FileDisk, ThreadedArray};
-    use std::sync::Arc;
+    use ecfrm_sim::ThreadedArray;
+    use ecfrm_util::Rng;
     use std::time::Instant;
 
     let code = Options::require(&opts.code, "code")?;
@@ -360,62 +388,28 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
     let stripes = opts.stripe_count()?;
 
     let dir = std::env::temp_dir().join(format!("ecfrm-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| CliError::io("creating bench tmp dir", e))?;
-    let file_io = opts.file_io_config().map_err(CliError::Usage)?;
-    let mut remotes: Vec<Arc<RemoteDisk>> = Vec::new();
-    let backends: Vec<Arc<dyn DiskBackend>> = if opts.remote.is_empty() {
-        let disks = (0..scheme.n_disks())
-            .map(|d| {
-                FileDisk::create_with(
-                    dir.join(format!("bench-d{d}.bin")),
-                    element_size + ecfrm_integrity::FOOTER_LEN,
-                    file_io,
-                )
-                .map_err(|e| CliError::io(format!("creating bench disk {d}"), e))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        println!("local disks     {} reads", disks[0].io_backend());
-        disks
-            .into_iter()
-            .map(|d| Arc::new(d) as Arc<dyn DiskBackend>)
-            .collect()
-    } else {
-        if opts.remote.len() != scheme.n_disks() {
-            return Err(CliError::Usage(format!(
-                "--remote needs exactly n = {} addresses, got {}",
-                scheme.n_disks(),
-                opts.remote.len()
-            )));
-        }
-        for a in &opts.remote {
-            let addr = a
-                .parse()
-                .map_err(|e| CliError::Usage(format!("bad --remote address `{a}`: {e}")))?;
-            // Ship the store's integrity key: contiguous runs verify at
-            // the shard (`RangeChecked`), with automatic fallback on
-            // shards that predate the opcode.
-            let key = ecfrm_integrity::HashKey::DEFAULT;
-            let disk = Arc::new(RemoteDisk::new(
-                addr,
-                RemoteDiskConfig::builder()
-                    .integrity_key(key.k0, key.k1)
-                    .build(),
-            ));
-            // Health-check up front so a dead shard fails the bench with
-            // a clear message instead of silently running degraded.
-            disk.health()
-                .map_err(|e| CliError::Usage(format!("shard {a} unhealthy: {e}")))?;
-            remotes.push(disk);
-        }
-        remotes
-            .iter()
-            .map(|d| Arc::clone(d) as Arc<dyn DiskBackend>)
-            .collect()
-    };
+    let disks = open_disks(
+        opts,
+        &opts.remote,
+        Some(&dir),
+        scheme.n_disks(),
+        element_size,
+        |d| format!("bench-d{d}.bin"),
+    )?;
+    if let Some(io) = disks.file_io {
+        println!("local disks     {io} reads");
+    }
+    let remotes = disks.remotes;
+    // Health-check up front so a dead shard fails the bench with a
+    // clear message instead of silently running degraded.
+    for disk in &remotes {
+        disk.health()
+            .map_err(|e| CliError::Usage(format!("shard {} unhealthy: {e}", disk.addr())))?;
+    }
     let store = ecfrm_store::ObjectStore::with_array(
         scheme.clone(),
         element_size,
-        ThreadedArray::from_backends(backends),
+        ThreadedArray::from_backends(disks.backends),
     );
 
     // Ingest `stripes` stripes worth of data.
@@ -437,13 +431,7 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
     );
 
     // Replay random reads (sizes 1..=20 elements).
-    let mut x = opts.seed | 1;
-    let mut next = move |m: u64| {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x % m
-    };
+    let mut rng = Rng::seed_from_u64(opts.seed);
     let mut run = |label: &str, failed: Option<usize>| -> Result<(), CliError> {
         if let Some(d) = failed {
             store.fail_disk(d)?;
@@ -451,8 +439,8 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         let mut bytes = 0usize;
         let t0 = Instant::now();
         for _ in 0..trials {
-            let size = 1 + next(20) as usize;
-            let start = next((total_elements - size) as u64) * element_size as u64;
+            let size = rng.random_range(1..=20usize);
+            let start = rng.random_range(0..(total_elements - size) as u64) * element_size as u64;
             let len = (size * element_size) as u64;
             let got = store.get_range("bench", start, len)?;
             bytes += got.len();
@@ -471,36 +459,50 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
     };
     run("normal reads  ", None)?;
     run("degraded reads", Some(0))?;
+    // The registry reads the shard clients' transport totals as of
+    // this snapshot; a local array reports none.
+    let snap = store.recorder().snapshot();
     if !remotes.is_empty() {
-        let net = remotes
-            .iter()
-            .fold(ecfrm_sim::NetStats::default(), |acc, d| {
-                acc.merge(&d.counters().snapshot())
-            });
+        let net = |what: &str| snap.counters[&format!("net.{what}")];
         println!(
             "network: {} retries, {} timeouts, {} reconnects, {} failed",
-            net.retries, net.timeouts, net.reconnects, net.failed_requests
+            net("retries"),
+            net("timeouts"),
+            net("reconnects"),
+            net("failed_requests")
         );
     }
-    if opts.stats {
-        let snap = store.recorder().snapshot();
-        println!("\n-- store metrics ({}) --", scheme.name());
-        print!("{}", snap.render());
-        if !remotes.is_empty() {
-            println!("-- per-shard request latency (client side) --");
-            for disk in &remotes {
-                let lat = disk.request_latency();
-                println!("  {}: {}", disk.addr(), lat.summary("us"));
-            }
+    report_metrics(opts, &snap, &scheme.name())?;
+    if opts.stats && !remotes.is_empty() {
+        println!("-- per-shard request latency (client side) --");
+        for disk in &remotes {
+            let lat = disk.request_latency();
+            println!("  {}: {}", disk.addr(), lat.summary("us"));
         }
     }
-    if let Some(path) = &opts.json {
-        let snap = store.recorder().snapshot();
-        std::fs::write(path, snap.to_json())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
-        println!("metrics JSON written to {path}");
-    }
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+/// `--stats` prints the registry snapshot, `--json <file>` writes it.
+fn report_metrics(
+    opts: &Options,
+    snap: &ecfrm_obs::Snapshot,
+    scheme: &str,
+) -> Result<(), CliError> {
+    if opts.stats {
+        println!("\n-- store metrics ({scheme}) --");
+        print!("{}", snap.render());
+    }
+    match &opts.json {
+        Some(path) => write_json(path, snap.to_json()),
+        None => Ok(()),
+    }
+}
+
+fn write_json(path: &str, json: String) -> Result<(), CliError> {
+    std::fs::write(path, json).map_err(|e| CliError::io(format!("writing {path}"), e))?;
+    println!("metrics JSON written to {path}");
     Ok(())
 }
 
@@ -597,22 +599,19 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
         let expected = payload.clone();
-        let mut x = opts.seed | 1;
+        let mut rng = ecfrm_util::Rng::seed_from_u64(opts.seed);
         let len = payload.len() as u64;
         let es = element_size as u64;
         std::thread::spawn(
-            move || -> Result<(Vec<u64>, u64), ecfrm_store::StoreError> {
-                let mut lat_us = Vec::new();
+            move || -> Result<(ecfrm_obs::Histogram, u64), ecfrm_store::StoreError> {
+                let lat_us = ecfrm_obs::Histogram::new();
                 let mut wrong = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let size = (1 + x % 8) * es;
-                    let start = x % (len - size);
+                    let size = rng.random_range(1..=8u64) * es;
+                    let start = rng.random_range(0..len - size);
                     let t = Instant::now();
                     let bytes = store.get_range("drill", start, size)?;
-                    lat_us.push(t.elapsed().as_micros() as u64);
+                    lat_us.record_duration(t.elapsed());
                     if bytes != expected[start as usize..(start + size) as usize] {
                         wrong += 1;
                     }
@@ -649,7 +648,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
     let finished = mgr.wait_idle(Duration::from_secs(600));
     let elapsed = t0.elapsed();
     stop.store(true, Ordering::Release);
-    let (mut lat, wrong_reads) = reader
+    let (lat, wrong_reads) = reader
         .join()
         .map_err(|_| CliError::Usage("foreground reader panicked".into()))??;
     if wrong_reads > 0 {
@@ -681,17 +680,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
     if let Some(ms) = snap.gauges.get("repair.time_to_redundancy_ms") {
         println!("time to full redundancy: {:.2}s", *ms as f64 / 1e3);
     }
-    lat.sort_unstable();
-    if !lat.is_empty() {
-        let pct = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize];
-        println!(
-            "foreground during repair: {} reads, p50 {} us, p99 {} us, max {} us",
-            lat.len(),
-            pct(0.50),
-            pct(0.99),
-            lat[lat.len() - 1],
-        );
-    }
+    println!("foreground during repair: {}", lat.snapshot().summary("us"));
 
     // Prove the drill ended healthy: full redundancy, correct bytes.
     if !store.stats().failed_disks.is_empty() {
@@ -730,16 +719,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
         );
     }
 
-    if opts.stats {
-        println!("\n-- store metrics ({}) --", scheme.name());
-        print!("{}", snap.render());
-    }
-    if let Some(path) = &opts.json {
-        std::fs::write(path, snap.to_json())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
-        println!("metrics JSON written to {path}");
-    }
-    Ok(())
+    report_metrics(opts, &snap, &scheme.name())
 }
 
 /// `ecfrm scrub`: integrity-scrub exercise and microbenchmark. Builds
@@ -859,16 +839,7 @@ pub fn scrub(opts: &Options) -> Result<(), CliError> {
     );
 
     let snap = store.recorder().snapshot();
-    if opts.stats {
-        println!("\n-- store metrics ({}) --", scheme.name());
-        print!("{}", snap.render());
-    }
-    if let Some(path) = &opts.json {
-        std::fs::write(path, snap.to_json())
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
-        println!("metrics JSON written to {path}");
-    }
-    Ok(())
+    report_metrics(opts, &snap, &scheme.name())
 }
 
 /// `ecfrm stats`: fetch and print the metrics registry of one or more
@@ -904,12 +875,10 @@ pub fn stats(opts: &Options) -> Result<(), CliError> {
             json_shards.push((a.clone(), ecfrm_obs::json::object(&fields)));
         }
     }
-    if let Some(path) = &opts.json {
-        std::fs::write(path, ecfrm_obs::json::object(&json_shards))
-            .map_err(|e| CliError::io(format!("writing {path}"), e))?;
-        println!("metrics JSON written to {path}");
+    match &opts.json {
+        Some(path) => write_json(path, ecfrm_obs::json::object(&json_shards)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// `ecfrm verify`: scrub a chunk directory — recompute every group's
@@ -1263,5 +1232,39 @@ mod tests {
         };
         info(&iopts).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn front_door_over_remote_shards_verifies_reads_at_the_shard() {
+        use ecfrm_net::ShardServer;
+        use ecfrm_sim::{DiskBackend, MemDisk};
+        use std::sync::Arc;
+        // rs:4,2 → n = 6 shards, one loopback server each.
+        let disks: Vec<Arc<MemDisk>> = (0..6).map(|_| Arc::new(MemDisk::new())).collect();
+        let servers: Vec<ShardServer> = disks
+            .iter()
+            .map(|d| ShardServer::spawn(Arc::clone(d) as _, "127.0.0.1:0").unwrap())
+            .collect();
+        let opts = Options {
+            code: Some("rs:4,2".into()),
+            layout: Some("ecfrm".into()),
+            remote: servers.iter().map(|s| s.addr().to_string()).collect(),
+            cache_bytes: Some(0),
+            seed: 7,
+            ..Default::default()
+        };
+        let front = build_front(&opts, 512).unwrap();
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        front.put("t", "o", &data).unwrap();
+        front.store().flush();
+
+        // Rot one stored cell: the client ships the integrity key, so
+        // the shard itself names it corrupt and the read decodes around it.
+        let mut cell = disks[0].read(0).unwrap();
+        cell[3] ^= 0x40;
+        disks[0].write(0, cell);
+        assert_eq!(front.read("t", "o").unwrap(), data);
+        let caught = servers[0].recorder().snapshot().counters["serve.read_corrupt"];
+        assert!(caught >= 1, "the shard verified what it served");
     }
 }

@@ -26,7 +26,8 @@
 //!   that connection's demux workers on the shard.
 //!
 //! Every event increments the shared [`NetCounters`], surfaced through
-//! [`DiskBackend::net_stats`] into the store's `ReadStats`.
+//! [`DiskBackend::net_stats`]; the array above sums them into the
+//! store registry's `net.*` counters whenever it is snapshotted.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};

@@ -194,6 +194,9 @@ impl ShardServer {
         listener.set_nonblocking(true)?;
         let recorder = Recorder::new();
         let metrics = ServerMetrics::new(&recorder);
+        // A shard node has no array above its disk: the file I/O
+        // engine's gauges reach `Stats` through this registry.
+        recorder.observe(ecfrm_sim::file_disk::sample);
         let shared = Arc::new(Shared {
             backend,
             front,
@@ -225,7 +228,9 @@ impl ShardServer {
     /// answered itself instead of handing to the worker pool, the
     /// `serve.read_corrupt` count of cells that failed footer
     /// verification at this shard, and the `serve_us` request-service
-    /// histogram.
+    /// histogram; plus the gauges of the file I/O engine under the
+    /// shard's disk (`io.uring_*`, `io.file_errors`), read at snapshot
+    /// time.
     /// Remote clients can fetch the same data with [`Request::Stats`].
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
@@ -1386,6 +1391,7 @@ mod tests {
     fn wrong_cell_size_for_a_file_shard_is_refused_not_a_panic() {
         let path = std::env::temp_dir().join(format!("ecfrm-srv-cell-{}", std::process::id()));
         let disk = ecfrm_sim::FileDisk::create(&path, 8).unwrap();
+        let on_uring = disk.io_backend() != "blocking";
         let server = ShardServer::spawn(Arc::new(disk), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         match rpc(&mut c, &put(0, vec![1; 3])) {
@@ -1397,6 +1403,16 @@ mod tests {
         }
         assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
         assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![2; 8])]));
+        // A shard node's `Stats` carries the I/O engine under its disk.
+        let Response::Stats(pairs) = rpc(&mut c, &Request::Stats) else {
+            panic!("expected Response::Stats");
+        };
+        let get = |name: &str| pairs.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert!(get("io.file_errors").is_some(), "{pairs:?}");
+        assert!(
+            !on_uring || get("io.uring_batches").unwrap() > 0,
+            "{pairs:?}"
+        );
         drop(server);
         let _ = std::fs::remove_file(path);
     }

@@ -4,8 +4,9 @@
 //! n-node cluster, push an object through put → encode → **network**,
 //! read it back over the wire, then crash a shard server and show the
 //! store still returns correct bytes by flipping the read plan from
-//! normal to degraded — with the failed requests visible in
-//! `ReadStats`.
+//! normal to degraded — with the failed requests visible in the shard
+//! clients' own counters and, through the array's source, in the
+//! store's registry.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,6 +32,13 @@ fn store_over(cluster: &Cluster, scheme: Scheme) -> ObjectStore {
     )
 }
 
+/// Requests the cluster's clients have counted as failed, summed.
+fn failed_requests(cluster: &Cluster) -> u64 {
+    (0..cluster.len())
+        .map(|i| cluster.client(i).net_stats().unwrap().failed_requests)
+        .sum()
+}
+
 fn lrc_scheme() -> Scheme {
     Scheme::builder(Arc::new(LrcCode::new(6, 2, 2)))
         .layout(ecfrm_core::LayoutKind::EcFrm)
@@ -49,7 +57,46 @@ fn object_roundtrip_over_loopback_cluster() {
     assert_eq!(got, data, "bytes survived the wire");
     assert!(!stats.degraded);
     assert_eq!(stats.replans, 0);
-    assert_eq!(stats.net.failed_requests, 0, "{:?}", stats.net);
+    assert_eq!(failed_requests(&cluster), 0);
+
+    // The registry after one read: every engine gauge and transport
+    // counter under the name and in the map it has always had, the
+    // transport ones present at zero because the backends report them.
+    let snap = store.recorder().snapshot();
+    for gauge in [
+        "io.queue_depth",
+        "io.inflight",
+        "io.submitted",
+        "io.completed",
+        "io.panics",
+        "io.uring_engines",
+        "io.uring_sqes",
+        "io.uring_cqes",
+        "io.uring_batches",
+        "io.uring_enters",
+        "io.uring_inline_runs",
+        "io.uring_short_reads",
+        "io.uring_errors",
+        "io.uring_direct_opens",
+        "io.uring_buffered_opens",
+        "io.uring_inflight",
+        "io.file_errors",
+    ] {
+        assert!(snap.gauges.contains_key(gauge), "gauge {gauge} missing");
+    }
+    for counter in [
+        "net.retries",
+        "net.timeouts",
+        "net.reconnects",
+        "net.failed_requests",
+        "net.conns_discarded",
+    ] {
+        assert_eq!(snap.counters.get(counter), Some(&0), "counter {counter}");
+    }
+    assert_eq!(
+        snap.gauges["io.submitted"],
+        store.array().io_stats().snapshot().submitted as i64
+    );
 }
 
 #[test]
@@ -69,9 +116,14 @@ fn mid_read_shard_crash_falls_back_to_degraded() {
     assert_eq!(got, data, "degraded fallback reconstructed the bytes");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
     assert!(stats.replans >= 1, "expected a replan: {stats:?}");
-    // The crash is visible in the transport counters surfaced through
-    // ReadStats: the request to the dead node failed.
-    assert!(stats.net.failed_requests >= 1, "{:?}", stats.net);
+    // The crash is visible in the dead node's client counters, and the
+    // store's registry reads the same total.
+    let failed = failed_requests(&cluster);
+    assert!(failed >= 1, "the request to the dead node failed");
+    assert_eq!(
+        store.recorder().snapshot().counters["net.failed_requests"],
+        failed
+    );
 
     // Subsequent ranged reads keep working around the dead node.
     let slice = store.get_range("obj", 10_000, 20_000).unwrap();

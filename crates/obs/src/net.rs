@@ -1,12 +1,14 @@
 //! Network transport counters.
 //!
-//! Incremented by remote disk clients (`ecfrm-net`) and snapshotted into
-//! [`NetStats`] for reporting. These predate the [`Recorder`] registry
-//! (they came in with the shard service) and keep their struct shape
-//! because `ReadStats` embeds the snapshot per read; the store also
-//! folds the same values into its registry as plain counters.
+//! A remote disk client (`ecfrm-net`) owns one [`NetCounters`] and
+//! bumps it as it retries, times out and reconnects; [`NetStats`] is
+//! the plain-integer snapshot a backend hands out
+//! (`DiskBackend::net_stats`). That tally is the only copy: an array
+//! sums its backends' snapshots ([`NetStats::merge`]) in the source it
+//! registers with [`Recorder::observe`], so a registry's `net.*`
+//! counters are the clients' totals as of the snapshot that asked.
 //!
-//! [`Recorder`]: crate::Recorder
+//! [`Recorder::observe`]: crate::Recorder::observe
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,8 +48,7 @@ impl NetCounters {
     }
 }
 
-/// A point-in-time snapshot of [`NetCounters`]. Subtraction gives the
-/// delta over a window (e.g. one `get_range` call).
+/// A point-in-time snapshot of [`NetCounters`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
     /// Frames re-sent on a fresh connection because the first write
@@ -66,11 +67,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// True when every counter is zero (e.g. a purely local read).
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Counter-wise sum.
     pub fn merge(&self, other: &Self) -> Self {
         Self {
@@ -81,38 +77,6 @@ impl NetStats {
             conns_discarded: self.conns_discarded + other.conns_discarded,
         }
     }
-
-    /// Counter-wise saturating difference (`self - earlier`), for
-    /// windowed deltas across a single operation.
-    pub fn since(&self, earlier: &Self) -> Self {
-        Self {
-            retries: self.retries.saturating_sub(earlier.retries),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            reconnects: self.reconnects.saturating_sub(earlier.reconnects),
-            failed_requests: self.failed_requests.saturating_sub(earlier.failed_requests),
-            conns_discarded: self.conns_discarded.saturating_sub(earlier.conns_discarded),
-        }
-    }
-
-    /// Fold this delta into a [`Recorder`](crate::Recorder)'s counters
-    /// under `net.*` names, so transport activity shows up alongside
-    /// the rest of a subsystem's metrics.
-    pub fn record_into(&self, recorder: &crate::Recorder) {
-        if self.is_zero() {
-            return;
-        }
-        for (name, v) in [
-            ("net.retries", self.retries),
-            ("net.timeouts", self.timeouts),
-            ("net.reconnects", self.reconnects),
-            ("net.failed_requests", self.failed_requests),
-            ("net.conns_discarded", self.conns_discarded),
-        ] {
-            if v > 0 {
-                recorder.counter(name).add(v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,37 +84,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn net_counters_snapshot_merge_since() {
+    fn net_counters_snapshot_and_merge() {
         let c = NetCounters::new();
-        assert!(c.snapshot().is_zero());
+        assert_eq!(c.snapshot(), NetStats::default());
         c.retries.fetch_add(3, Ordering::Relaxed);
         c.timeouts.fetch_add(1, Ordering::Relaxed);
         let a = c.snapshot();
         assert_eq!((a.retries, a.timeouts), (3, 1));
-        c.reconnects.fetch_add(2, Ordering::Relaxed);
-        c.retries.fetch_add(1, Ordering::Relaxed);
-        let b = c.snapshot();
-        let d = b.since(&a);
-        assert_eq!((d.retries, d.reconnects, d.timeouts), (1, 2, 0));
-        let m = a.merge(&d);
-        assert_eq!(m, b);
-    }
-
-    #[test]
-    fn record_into_folds_nonzero_counters() {
-        let r = crate::Recorder::new();
-        NetStats::default().record_into(&r);
-        assert!(r.snapshot().counters.is_empty());
-        let d = NetStats {
-            retries: 2,
-            timeouts: 1,
-            ..Default::default()
+        let other = NetStats {
+            retries: 1,
+            reconnects: 2,
+            ..NetStats::default()
         };
-        d.record_into(&r);
-        d.record_into(&r);
-        let s = r.snapshot();
-        assert_eq!(s.counters["net.retries"], 4);
-        assert_eq!(s.counters["net.timeouts"], 2);
-        assert!(!s.counters.contains_key("net.reconnects"));
+        let m = a.merge(&other);
+        assert_eq!((m.retries, m.timeouts, m.reconnects), (4, 1, 2));
     }
 }

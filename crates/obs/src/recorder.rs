@@ -6,6 +6,8 @@
 //! [`Counter`]/[`Gauge`]/[`Histogram`]/[`DiskBoard`] handles are
 //! lock-free, so hot paths resolve their instruments once (at
 //! construction time) and then only touch atomics.
+//! Values another layer already keeps are not pushed in at all: it
+//! registers one source ([`Recorder::observe`]), read at each snapshot.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -69,12 +71,38 @@ impl Gauge {
     }
 }
 
+/// A sampling closure registered with [`Recorder::observe`].
+struct Source(Box<dyn Fn(&mut Snapshot) + Send + Sync>);
+
+impl std::fmt::Debug for Source {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Source")
+    }
+}
+
 #[derive(Debug, Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     boards: Mutex<BTreeMap<String, DiskBoard>>,
+    sources: Mutex<Vec<Source>>,
+}
+
+/// The instrument named `name`, made with `new` on first use. A hit
+/// borrows `name`; only a first registration allocates the key.
+fn lookup<T: Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str, new: impl FnOnce() -> T) -> T {
+    let mut map = map.lock();
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    map.entry(name.to_string()).or_insert_with(new).clone()
+}
+
+/// Every instrument of one kind, read out by name.
+fn read_all<T, V>(map: &Mutex<BTreeMap<String, T>>, read: impl Fn(&T) -> V) -> BTreeMap<String, V> {
+    let map = map.lock();
+    map.iter().map(|(k, v)| (k.clone(), read(v))).collect()
 }
 
 /// A cheap-to-clone handle to a metrics registry.
@@ -94,64 +122,50 @@ impl Recorder {
 
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.registry.counters.lock();
-        map.entry(name.to_string()).or_default().clone()
+        lookup(&self.registry.counters, name, Counter::new)
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.registry.gauges.lock();
-        map.entry(name.to_string()).or_default().clone()
+        lookup(&self.registry.gauges, name, Gauge::new)
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.registry.histograms.lock();
-        map.entry(name.to_string()).or_default().clone()
+        lookup(&self.registry.histograms, name, Histogram::new)
     }
 
     /// The disk board named `name`, registering it on first use with
     /// `n_disks` slots (an existing board is returned as-is; boards are
     /// fixed-size).
     pub fn disk_board(&self, name: &str, n_disks: usize) -> DiskBoard {
-        let mut map = self.registry.boards.lock();
-        map.entry(name.to_string())
-            .or_insert_with(|| DiskBoard::new(n_disks))
-            .clone()
+        lookup(&self.registry.boards, name, || DiskBoard::new(n_disks))
     }
 
-    /// Point-in-time readout of every registered instrument.
+    /// Register a source: `f` runs inside every [`Self::snapshot`],
+    /// after the registered instruments are read, and writes the values
+    /// its layer keeps (an engine's queue depth, a client's transport
+    /// totals) into `counters` / `gauges` under names it owns — as of
+    /// the asking, and at no cost when nobody asks. Sources live as long
+    /// as the registry; `f` must not capture or call this recorder.
+    pub fn observe(&self, f: impl Fn(&mut Snapshot) + Send + Sync + 'static) {
+        self.registry.sources.lock().push(Source(Box::new(f)));
+    }
+
+    /// Point-in-time readout of every registered instrument and every
+    /// [observed](Self::observe) source.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .registry
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .registry
-                .gauges
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .registry
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            boards: self
-                .registry
-                .boards
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+        let reg = &self.registry;
+        let mut snap = Snapshot {
+            counters: read_all(&reg.counters, Counter::get),
+            gauges: read_all(&reg.gauges, Gauge::get),
+            histograms: read_all(&reg.histograms, Histogram::snapshot),
+            boards: read_all(&reg.boards, DiskBoard::snapshot),
+        };
+        for source in reg.sources.lock().iter() {
+            (source.0)(&mut snap);
         }
+        snap
     }
 }
 
@@ -358,5 +372,35 @@ mod tests {
         assert!(js.contains("\"counters\""));
         assert!(js.contains("\"reads\":2"));
         assert!(js.contains("\"imbalance\""));
+    }
+
+    #[test]
+    fn observed_sources_are_sampled_at_every_snapshot() {
+        let r = Recorder::new();
+        r.counter("reads").add(2);
+        let live = Arc::new(AtomicI64::new(3));
+        let seen = Arc::clone(&live);
+        r.observe(move |s| {
+            s.gauges
+                .insert("io.depth".to_string(), seen.load(Ordering::Relaxed));
+        });
+        r.observe(|s| {
+            s.counters.insert("net.retries".to_string(), 7);
+        });
+        // Two sources compose with each other and with what is registered.
+        let s = r.snapshot();
+        assert_eq!(s.counters["reads"], 2);
+        assert_eq!(s.counters["net.retries"], 7);
+        assert_eq!(s.gauges["io.depth"], 3);
+        let flat = s.flatten();
+        assert!(flat.contains(&("io.depth".to_string(), 3)));
+        assert!(flat.contains(&("net.retries".to_string(), 7)));
+        assert!(s.render().contains("io.depth"));
+        assert!(s.to_json().contains("\"io.depth\":3"));
+        assert!(s.to_json().contains("\"net.retries\":7"));
+        // A source is read, not copied: the next snapshot sees the
+        // value as it is then, and clones share the sources.
+        live.store(9, Ordering::Relaxed);
+        assert_eq!(r.clone().snapshot().gauges["io.depth"], 9);
     }
 }

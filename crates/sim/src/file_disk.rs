@@ -42,6 +42,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ecfrm_obs::Snapshot;
 use ecfrm_util::Mutex;
 
 use crate::threaded::{DiskBackend, WriteRun};
@@ -56,10 +57,23 @@ fn note_io_error() {
 }
 
 /// Process-wide count of [`FileDisk`] I/O errors that were absorbed
-/// into `None` results instead of panicking a worker. Recorded as the
+/// into `None` results instead of panicking a worker. Read as the
 /// `io.file_errors` gauge.
 pub fn io_error_count() -> u64 {
     FILE_IO_ERRORS.load(Ordering::Relaxed)
+}
+
+/// A [`Recorder::observe`](ecfrm_obs::Recorder::observe) source: the
+/// process-wide file I/O gauges — the eleven `io.uring_*` engine totals
+/// and `io.file_errors`. An array's own source
+/// ([`ThreadedArray::observe`](crate::threaded::ThreadedArray::observe))
+/// carries them; a shard node, with no array above its disk, registers
+/// this.
+pub fn sample(snap: &mut Snapshot) {
+    let errors = ("io.file_errors", io_error_count() as i64);
+    let gauges = uring::snapshot().gauges().into_iter().chain([errors]);
+    snap.gauges
+        .extend(gauges.map(|(name, v)| (name.to_string(), v)));
 }
 
 /// Write all of `buf` at byte `pos` without touching the file cursor.

@@ -277,16 +277,17 @@ impl ReactorStats {
 }
 
 impl IoSnapshot {
-    /// Fold this snapshot into a recorder: `io.queue_depth` /
-    /// `io.inflight` gauges (point-in-time) and `io.submitted` /
-    /// `io.completed` / `io.panics` cumulative counters, set to the
-    /// engine's lifetime totals.
-    pub fn record_into(&self, recorder: &ecfrm_obs::Recorder) {
-        recorder.gauge("io.queue_depth").set(self.queue_depth);
-        recorder.gauge("io.inflight").set(self.inflight);
-        recorder.gauge("io.submitted").set(self.submitted as i64);
-        recorder.gauge("io.completed").set(self.completed as i64);
-        recorder.gauge("io.panics").set(self.panics as i64);
+    /// This snapshot as registry gauges: `io.queue_depth` /
+    /// `io.inflight` (point-in-time) and `io.submitted` /
+    /// `io.completed` / `io.panics` (the engine's lifetime totals).
+    pub(crate) fn gauges(&self) -> [(&'static str, i64); 5] {
+        [
+            ("io.queue_depth", self.queue_depth),
+            ("io.inflight", self.inflight),
+            ("io.submitted", self.submitted as i64),
+            ("io.completed", self.completed as i64),
+            ("io.panics", self.panics as i64),
+        ]
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ecfrm_obs::DiskBoard;
+use ecfrm_obs::Recorder;
 use ecfrm_util::Mutex;
 
 use crate::metrics::NetStats;
@@ -423,10 +423,6 @@ impl BatchRead {
 /// ([`DiskBackend::submits_async`]) are submitted inline and complete
 /// from their own machinery.
 ///
-/// Every served element read is tallied on a per-disk [`DiskBoard`]
-/// (count + bytes), so the paper's "most-loaded disk is the bottleneck"
-/// is directly observable per layout via [`ThreadedArray::load_board`].
-///
 /// The array also keeps a *suspect set*: disks whose backend panicked or
 /// that a reader reported as unresponsive
 /// ([`ThreadedArray::mark_suspect`]). The set is pure reporting — it
@@ -435,15 +431,37 @@ impl BatchRead {
 /// suspects and either clear them ([`ThreadedArray::clear_suspect`]) or
 /// promote them to failed and start reconstruction.
 pub struct ThreadedArray {
-    slots: Vec<Mutex<Arc<dyn DiskBackend>>>,
+    slots: Arc<Slots>,
     reactor: Reactor,
-    board: DiskBoard,
     suspects: Arc<Mutex<BTreeSet<usize>>>,
+}
+
+/// The per-slot backend registrations, shared with the array's registry
+/// source ([`ThreadedArray::observe`]).
+struct Slots {
+    disks: Vec<Mutex<Arc<dyn DiskBackend>>>,
+    /// Transport totals of the backends [`ThreadedArray::replace_disk`]
+    /// has taken out of their slots, so the array's `net.*` sum never
+    /// goes backwards when a slot changes hands. Locked before a slot
+    /// wherever both are held.
+    retired: Mutex<Option<NetStats>>,
+}
+
+impl Slots {
+    /// Sum of the transport counters of every backend that reports them,
+    /// past and present; `None` for an array that never held one.
+    fn net_totals(&self) -> Option<NetStats> {
+        let retired = self.retired.lock();
+        self.disks
+            .iter()
+            .filter_map(|slot| slot.lock().net_stats())
+            .fold(*retired, |sum, s| Some(sum.unwrap_or_default().merge(&s)))
+    }
 }
 
 impl std::fmt::Debug for ThreadedArray {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ThreadedArray({} disks)", self.slots.len())
+        write!(f, "ThreadedArray({} disks)", self.n_disks())
     }
 }
 
@@ -469,18 +487,49 @@ impl ThreadedArray {
     /// Panics if `disks` is empty.
     pub fn from_backends(disks: Vec<Arc<dyn DiskBackend>>) -> Self {
         assert!(!disks.is_empty(), "array needs at least one disk");
-        let board = DiskBoard::new(disks.len());
         Self {
             reactor: Reactor::new(disks.len()),
-            slots: disks.into_iter().map(Mutex::new).collect(),
-            board,
+            slots: Arc::new(Slots {
+                disks: disks.into_iter().map(Mutex::new).collect(),
+                retired: Mutex::new(None),
+            }),
             suspects: Arc::new(Mutex::new(BTreeSet::new())),
         }
     }
 
     /// Number of disks.
     pub fn n_disks(&self) -> usize {
-        self.slots.len()
+        self.slots.disks.len()
+    }
+
+    /// Register this array as a source of `recorder`: each snapshot
+    /// reads the reactor (`io.queue_depth`, `io.inflight`,
+    /// `io.submitted`, `io.completed`, `io.panics`), `array.suspects`,
+    /// the file I/O gauges ([`crate::file_disk::sample`]) and — when any
+    /// backend, current or replaced, reports transport counters — their
+    /// sum as the `net.*` counters.
+    pub fn observe(&self, recorder: &Recorder) {
+        let io = self.reactor.stats();
+        let slots = Arc::clone(&self.slots);
+        let suspects = Arc::clone(&self.suspects);
+        recorder.observe(move |snap| {
+            let suspects = ("array.suspects", suspects.lock().len() as i64);
+            let gauges = io.snapshot().gauges().into_iter().chain([suspects]);
+            snap.gauges
+                .extend(gauges.map(|(name, v)| (name.to_string(), v)));
+            crate::file_disk::sample(snap);
+            if let Some(net) = slots.net_totals() {
+                let counters = [
+                    ("net.retries", net.retries),
+                    ("net.timeouts", net.timeouts),
+                    ("net.reconnects", net.reconnects),
+                    ("net.failed_requests", net.failed_requests),
+                    ("net.conns_discarded", net.conns_discarded),
+                ];
+                snap.counters
+                    .extend(counters.map(|(name, v)| (name.to_string(), v)));
+            }
+        });
     }
 
     /// Handle to a disk's current backend (for failure injection and
@@ -488,7 +537,7 @@ impl ThreadedArray {
     /// concurrently, after which this handle refers to the *old*
     /// backend.
     pub fn disk(&self, d: usize) -> Arc<dyn DiskBackend> {
-        Arc::clone(&self.slots[d].lock())
+        Arc::clone(&self.slots.disks[d].lock())
     }
 
     /// Live submission/completion counters and queue-depth / in-flight
@@ -507,7 +556,14 @@ impl ThreadedArray {
     /// repair pipeline rebuilds its elements onto it, and readers never
     /// see the array change size.
     pub fn replace_disk(&self, d: usize, backend: Arc<dyn DiskBackend>) -> Arc<dyn DiskBackend> {
-        let old = std::mem::replace(&mut *self.slots[d].lock(), backend);
+        let old = {
+            let mut retired = self.slots.retired.lock();
+            let old = std::mem::replace(&mut *self.slots.disks[d].lock(), backend);
+            if let Some(net) = old.net_stats() {
+                *retired = Some(retired.unwrap_or_default().merge(&net));
+            }
+            old
+        };
         self.clear_suspect(d);
         old
     }
@@ -529,13 +585,6 @@ impl ThreadedArray {
         self.suspects.lock().iter().copied().collect()
     }
 
-    /// The per-disk served-read tally board (elements + bytes per disk,
-    /// cumulative since construction). Cheap to clone; snapshot it for
-    /// a point-in-time load table.
-    pub fn load_board(&self) -> &DiskBoard {
-        &self.board
-    }
-
     /// A hook that marks disk `d` suspect, for the reactor's panic path.
     fn suspect_hook(&self, d: usize) -> Box<dyn FnOnce() + Send + 'static> {
         let suspects = Arc::clone(&self.suspects);
@@ -547,8 +596,7 @@ impl ThreadedArray {
     /// Submit one vectored read for disk `d` covering `(tags, offsets)`
     /// and deliver its [`DiskReply`] on `reply` when it completes —
     /// via the reactor pool for blocking backends, directly for
-    /// completion-driven ones. Served elements are tallied on the load
-    /// board at completion.
+    /// completion-driven ones.
     fn dispatch_read(
         &self,
         d: usize,
@@ -557,25 +605,9 @@ impl ThreadedArray {
         reply: Sender<DiskReply>,
     ) {
         let backend = self.disk(d);
-        let board = self.board.clone();
         let deliver = move |results: IoResults| {
             debug_assert_eq!(results.len(), tags.len());
-            let mut served = 0u64;
-            let mut served_bytes = 0u64;
-            let items: Vec<(usize, Option<Vec<u8>>)> = tags
-                .into_iter()
-                .zip(results)
-                .map(|(tag, bytes)| {
-                    if let Some(b) = &bytes {
-                        served += 1;
-                        served_bytes += b.len() as u64;
-                    }
-                    (tag, bytes)
-                })
-                .collect();
-            if served > 0 {
-                board.record(d, served, served_bytes);
-            }
+            let items = tags.into_iter().zip(results).collect();
             let _ = reply.send(DiskReply { disk: d, items });
         };
         if backend.submits_async() {
@@ -1047,19 +1079,24 @@ mod tests {
     }
 
     #[test]
-    fn load_board_tallies_served_reads_per_disk() {
-        let a = ThreadedArray::new(3);
-        a.write_batch(vec![
-            ((0, 0), vec![1, 1]),
-            ((0, 1), vec![2, 2]),
-            ((1, 0), vec![3, 3]),
-        ]);
-        a.read_batch(&[(0, 0), (0, 1), (1, 0), (2, 0)]); // (2,0) misses
-        let s = a.load_board().snapshot();
-        assert_eq!(s.elements, vec![2, 1, 0]); // misses are not served
-        assert_eq!(s.bytes, vec![4, 2, 0]);
-        a.read_batch(&[(1, 0)]);
-        assert_eq!(a.load_board().snapshot().elements, vec![2, 2, 0]);
+    fn observed_array_is_read_at_snapshot_time() {
+        let a = ThreadedArray::new(2);
+        let r = Recorder::new();
+        a.observe(&r);
+        a.mark_suspect(1);
+        a.read_batch(&[(0, 0), (1, 0)]);
+        let s = r.snapshot();
+        assert_eq!(s.gauges["io.submitted"], 2);
+        assert_eq!(s.gauges["io.completed"], 2);
+        assert_eq!(s.gauges["array.suspects"], 1);
+        assert!(s.gauges.contains_key("io.uring_batches"));
+        assert!(s.gauges.contains_key("io.file_errors"));
+        assert!(
+            !s.counters.contains_key("net.retries"),
+            "no backend reports transport counters"
+        );
+        a.clear_suspect(1);
+        assert_eq!(r.snapshot().gauges["array.suspects"], 0);
     }
 
     #[test]

@@ -117,35 +117,23 @@ pub fn snapshot() -> UringSnapshot {
 }
 
 impl UringSnapshot {
-    /// Fold this snapshot into a recorder as `io.uring_*` gauges set to
-    /// the engines' lifetime totals (`io.uring_inflight` is the live
-    /// point-in-time gauge).
-    pub fn record_into(&self, recorder: &ecfrm_obs::Recorder) {
-        recorder.gauge("io.uring_engines").set(self.engines as i64);
-        recorder
-            .gauge("io.uring_sqes")
-            .set(self.sqes_submitted as i64);
-        recorder
-            .gauge("io.uring_cqes")
-            .set(self.cqes_completed as i64);
-        recorder.gauge("io.uring_batches").set(self.batches as i64);
-        recorder
-            .gauge("io.uring_enters")
-            .set(self.enter_calls as i64);
-        recorder
-            .gauge("io.uring_inline_runs")
-            .set(self.inline_runs as i64);
-        recorder
-            .gauge("io.uring_short_reads")
-            .set(self.short_reads as i64);
-        recorder.gauge("io.uring_errors").set(self.io_errors as i64);
-        recorder
-            .gauge("io.uring_direct_opens")
-            .set(self.direct_opens as i64);
-        recorder
-            .gauge("io.uring_buffered_opens")
-            .set(self.buffered_opens as i64);
-        recorder.gauge("io.uring_inflight").set(self.inflight);
+    /// This snapshot as registry gauges: `io.uring_*`, the engines'
+    /// lifetime totals (`io.uring_inflight` is the live point-in-time
+    /// one).
+    pub(crate) fn gauges(&self) -> [(&'static str, i64); 11] {
+        [
+            ("io.uring_engines", self.engines as i64),
+            ("io.uring_sqes", self.sqes_submitted as i64),
+            ("io.uring_cqes", self.cqes_completed as i64),
+            ("io.uring_batches", self.batches as i64),
+            ("io.uring_enters", self.enter_calls as i64),
+            ("io.uring_inline_runs", self.inline_runs as i64),
+            ("io.uring_short_reads", self.short_reads as i64),
+            ("io.uring_errors", self.io_errors as i64),
+            ("io.uring_direct_opens", self.direct_opens as i64),
+            ("io.uring_buffered_opens", self.buffered_opens as i64),
+            ("io.uring_inflight", self.inflight),
+        ]
     }
 }
 

@@ -190,10 +190,6 @@ impl TenantSpec {
 pub struct FrontConfig {
     /// Decoded-element cache capacity in bytes (`0` disables caching).
     pub cache_bytes: usize,
-    /// Master admission switch, fixed for the front door's lifetime.
-    /// Off, every request is admitted immediately and buckets are not
-    /// charged.
-    pub admission: bool,
     /// How long a [`QosClass::Bulk`] request may be queued before it is
     /// rejected.
     pub max_delay: Duration,
@@ -206,12 +202,11 @@ pub struct FrontConfig {
 
 impl FrontConfig {
     /// Start building a config from the defaults: 32 MiB cache,
-    /// admission on, 500 ms max bulk delay, 30 s max repair delay.
+    /// 500 ms max bulk delay, 30 s max repair delay.
     pub fn builder() -> FrontConfigBuilder {
         FrontConfigBuilder {
             cfg: FrontConfig {
                 cache_bytes: 32 << 20,
-                admission: true,
                 max_delay: Duration::from_millis(500),
                 repair_max_delay: Duration::from_secs(30),
             },
@@ -235,13 +230,6 @@ impl FrontConfigBuilder {
     /// Decoded-element cache capacity in bytes (`0` disables caching).
     pub fn cache_bytes(mut self, bytes: usize) -> Self {
         self.cfg.cache_bytes = bytes;
-        self
-    }
-
-    /// Enable/disable admission control (buckets are not charged while
-    /// off).
-    pub fn admission(mut self, on: bool) -> Self {
-        self.cfg.admission = on;
         self
     }
 
@@ -541,9 +529,6 @@ impl FrontDoor {
         /// How coarsely a queued waiter observes the shutdown flag.
         const POLL: Duration = Duration::from_millis(10);
 
-        if !self.cfg.admission {
-            return Ok(());
-        }
         let Some(bucket) = &tenant.bucket else {
             self.metrics.admit_ok.inc();
             return Ok(());
@@ -1104,15 +1089,6 @@ mod tests {
             ));
         }
         assert_eq!(f.read("t", "o").unwrap(), blob(100, 1));
-    }
-
-    #[test]
-    fn admission_off_never_throttles() {
-        let f = front_with(FrontConfig::builder().admission(false).build());
-        f.register_tenant(TenantSpec::new("t", QosClass::Latency).rate(1));
-        for i in 0..5 {
-            f.put("t", &format!("o{i}"), &blob(4096, i as u8)).unwrap();
-        }
     }
 
     #[test]

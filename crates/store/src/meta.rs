@@ -2,7 +2,6 @@
 //! statistics.
 
 use ecfrm_integrity::{leaf_hash, HashKey, MerkleStep, MerkleTree};
-use ecfrm_sim::NetStats;
 
 /// Catalog entry: where an object lives in the logical byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +108,6 @@ pub struct ReadStats {
     /// Times the read re-planned after a disk stopped answering
     /// mid-read (normal plan → degraded plan fallback).
     pub replans: usize,
-    /// Network transport activity between this read's start and its
-    /// end, summed over every shard client (all-zero when every backend
-    /// is local). A window, not an attribution: a retry that a
-    /// concurrent read caused inside the window is counted here too.
-    pub net: NetStats,
     /// Wall-clock time of the parallel fetch + reconstruction.
     pub elapsed: std::time::Duration,
 }

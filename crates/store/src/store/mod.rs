@@ -24,7 +24,7 @@ use std::sync::Arc;
 use ecfrm_core::Scheme;
 use ecfrm_integrity::HashKey;
 use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
-use ecfrm_sim::{NetStats, ThreadedArray};
+use ecfrm_sim::ThreadedArray;
 use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
@@ -218,9 +218,6 @@ pub struct ObjectStore {
     /// [`ObjectStore::recorder`].
     recorder: Recorder,
     metrics: StoreMetrics,
-    /// The shard clients' transport totals as of the last fold into
-    /// the registry's `net.*` counters.
-    net_folded: Mutex<NetStats>,
     /// Stripe repair queue. Degraded reads drop priority hints into it
     /// (no-ops until a [`RepairManager`](crate::RepairManager) attaches)
     /// so hot stripes regain redundancy first.
@@ -274,6 +271,8 @@ impl ObjectStore {
         let decoder_cache = ecfrm_codes::DecoderCache::new(scheme.code().generator().clone());
         let recorder = Recorder::new();
         let metrics = StoreMetrics::new(&recorder, scheme.n_disks());
+        // Engine gauges and transport totals: read at snapshot time.
+        array.observe(&recorder);
         // Record which GF region-kernel backend this process dispatched
         // to (avx2/ssse3/neon/scalar), so stats snapshots show
         // what the encode/decode numbers were produced with.
@@ -287,7 +286,6 @@ impl ObjectStore {
             decoder_cache,
             recorder,
             metrics,
-            net_folded: Mutex::new(NetStats::default()),
             repair_queue: RepairQueue::new(),
             scheme,
             element_size,
@@ -377,8 +375,10 @@ impl ObjectStore {
     /// stripe repair), `repair.cross_domain_reads` (repair sources read
     /// across failure domains), `repair.combined_stripes` (stripes
     /// repaired via server-side `CombineRange`),
-    /// `net.*` (the shard clients' transport totals, folded in at the
-    /// end of each read). Histograms (µs): `plan_us`,
+    /// `net.*` (the shard clients' transport totals — with the `io.*`
+    /// and `array.suspects` gauges, the array's
+    /// [source](ecfrm_sim::ThreadedArray::observe), read at snapshot
+    /// time). Histograms (µs): `plan_us`,
     /// `read_us`, `decode_us`, `verify_us` (checksum verification
     /// time per read / per scrubbed stripe). Disk board: `disk_load`
     /// (planned fetches per disk).
@@ -506,7 +506,20 @@ mod testkit {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::lrc_store;
+    use super::testkit::{blob, lrc_store};
+
+    #[test]
+    fn engine_gauges_are_fresh_without_a_read() {
+        let store = lrc_store();
+        store.put("x", &blob(10_000, 2)).unwrap();
+        store.flush();
+        let io = store.array().io_stats().snapshot();
+        assert!(io.submitted > 0, "the seal wrote through the engine");
+        let snap = store.recorder().snapshot();
+        assert_eq!(snap.counters["reads"], 0);
+        assert_eq!(snap.gauges["io.submitted"], io.submitted as i64);
+        assert_eq!(snap.gauges["io.completed"], io.completed as i64);
+    }
 
     #[test]
     fn recorder_reports_kernel_backend() {

@@ -6,7 +6,6 @@ use std::collections::{BTreeSet, HashMap};
 use ecfrm_core::ReadCtx;
 use ecfrm_integrity::verify_footer;
 use ecfrm_layout::Loc;
-use ecfrm_sim::NetStats;
 
 use super::ObjectStore;
 use crate::error::StoreError;
@@ -122,28 +121,6 @@ impl ObjectStore {
         self.read_absolute(ObjectMeta { offset, len }, opts)
     }
 
-    /// Sum of network transport counters across every backend that
-    /// exposes them (remote disks); all-zero for local arrays.
-    fn net_snapshot(&self) -> NetStats {
-        (0..self.array.n_disks())
-            .filter_map(|d| self.array.disk(d).net_stats())
-            .fold(NetStats::default(), |acc, s| acc.merge(&s))
-    }
-
-    /// Fold the shard clients' transport totals into the registry's
-    /// `net.*` counters and return those totals. The delta since the
-    /// previous fold is taken and recorded under one lock, so each
-    /// retry or failure is added exactly once however many reads
-    /// overlap: the registry equals the sum of the clients' own
-    /// counters as of the last read that finished.
-    fn fold_net(&self) -> NetStats {
-        let mut folded = self.net_folded.lock();
-        let now = self.net_snapshot();
-        now.since(&folded).record_into(&self.recorder);
-        *folded = now;
-        now
-    }
-
     /// The shared read core: `meta.offset` is an *absolute* logical
     /// stream offset (catalog lookups already applied).
     fn read_absolute(
@@ -176,7 +153,6 @@ impl ObjectStore {
         }
 
         let t0 = std::time::Instant::now();
-        let net_before = self.net_snapshot();
         let count = (last - first) as usize;
 
         // The requested byte range, relative to the first fetched
@@ -346,7 +322,6 @@ impl ObjectStore {
             cost: plan.cost(),
             degraded: !suspects.is_empty(),
             replans,
-            net: self.fold_net().since(&net_before),
             elapsed: t0.elapsed(),
         };
 
@@ -370,16 +345,6 @@ impl ObjectStore {
             m.disk_load.record(f.loc.disk, 1, self.element_size as u64);
         }
         m.read_us.record_duration(stats.elapsed);
-        // Reactor-level I/O gauges (queue depth, in-flight submissions)
-        // alongside the read counters, so a stats snapshot shows how
-        // loaded the completion engine was at the end of this read.
-        self.array.io_stats().snapshot().record_into(&self.recorder);
-        // Kernel-level backend gauges: uring engine totals plus the
-        // count of local file I/O errors absorbed into `None` results.
-        ecfrm_sim::uring::snapshot().record_into(&self.recorder);
-        self.recorder
-            .gauge("io.file_errors")
-            .set(ecfrm_sim::file_disk::io_error_count() as i64);
 
         Ok((out, stats))
     }
@@ -394,7 +359,7 @@ mod tests {
     use ecfrm_codes::{LrcCode, RsCode};
     use ecfrm_integrity::FOOTER_LEN;
     use ecfrm_sim::{
-        DiskBackend, FaultKind, IoHandle, MemDisk, NetCounters, ThreadedArray, WriteRun,
+        DiskBackend, FaultKind, IoHandle, MemDisk, NetCounters, NetStats, ThreadedArray, WriteRun,
     };
     use ecfrm_util::Mutex;
 
@@ -759,28 +724,31 @@ mod tests {
         store.put("x", &data).unwrap();
         store.flush();
 
-        // Read A parks inside disk 0 with its window open (one retry
-        // seen); read B runs start to finish inside that window (a
-        // second retry); then A finishes.
+        // Read A parks inside disk 0 (one retry so far); read B runs
+        // start to finish while A is parked (a second retry); then A
+        // finishes. Whoever asks, whenever, the registry says what the
+        // client has counted by then — no read has to end first, and
+        // no retry is seen twice.
+        let registry = || store.recorder().snapshot().counters["net.retries"];
         let (parked_tx, parked) = channel();
         let (release, release_rx) = channel();
         *retrying.park.lock() = Some((parked_tx, release_rx));
         let a = std::thread::spawn({
             let store = Arc::clone(&store);
-            move || store.get_with_stats("x").unwrap()
+            move || store.get("x").unwrap()
         });
         parked.recv().unwrap();
-        let (bytes, b_stats) = store.get_with_stats("x").unwrap();
-        assert_eq!(bytes, data);
+        assert_eq!(registry(), 1, "A's retry shows while A is in flight");
+        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(registry(), 2);
         release.send(()).unwrap();
-        let (bytes, a_stats) = a.join().unwrap();
-        assert_eq!(bytes, data);
-
-        // Each read's `net` is its window: B saw its own retry, A saw
-        // both. The registry is not the sum of the windows — it is what
-        // the client counted.
-        assert_eq!((b_stats.net.retries, a_stats.net.retries), (1, 2));
+        assert_eq!(a.join().unwrap(), data);
         assert_eq!(retrying.net_stats().unwrap().retries, 2);
-        assert_eq!(store.recorder().snapshot().counters["net.retries"], 2);
+        assert_eq!(registry(), 2);
+
+        // A new drive in the slot (with no counters of its own) does
+        // not take the old client's retries out of the total.
+        store.array().replace_disk(0, Arc::new(MemDisk::new()));
+        assert_eq!(registry(), 2);
     }
 }
