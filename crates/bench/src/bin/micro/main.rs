@@ -216,17 +216,17 @@ mod tests {
     }
 
     #[test]
-    fn repair_needs_the_limiter_to_bound_the_tail() {
-        let row = |rate: &str, limit: f64, p99: u64, wire: u64, ttr: f64| {
+    fn repair_needs_the_limiter_to_lower_the_median() {
+        let row = |rate: &str, limit: f64, p50: u64, wire: u64, ttr: f64| {
             cells! {
-                "rate": rate, "rate_limit_bytes_per_s": limit, "fg_p99_us": p99,
+                "rate": rate, "rate_limit_bytes_per_s": limit, "fg_p50_us": p50,
                 "wire_bytes": wire, "time_to_redundancy_ms": ttr,
             }
         };
         let good = vec![
-            row("unlimited", f64::NAN, 1500, 7, 80.0),
-            row("40MB/s", 4e7, 1600, 7, 200.0),
-            row("10MB/s", 1e7, 1400, 7, 800.0),
+            row("unlimited", f64::NAN, 900, 7, 80.0),
+            row("40MB/s", 4e7, 950, 7, 200.0),
+            row("10MB/s", 1e7, 500, 7, 800.0),
             row("combined", f64::NAN, 0, 5, 60.0),
         ];
         pins(
@@ -235,7 +235,7 @@ mod tests {
             &[
                 &|r| set(r, 0, "rate", "flat-out"),
                 &|r| set(r, 1, "rate_limit_bytes_per_s", f64::NAN),
-                &|r| set(r, 2, "fg_p99_us", 1500u64),
+                &|r| set(r, 2, "fg_p50_us", 900u64),
                 &|r| set(r, 3, "wire_bytes", 0u64),
                 &|r| set(r, 3, "time_to_redundancy_ms", 0.0),
             ],

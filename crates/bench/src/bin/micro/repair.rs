@@ -8,9 +8,12 @@
 //! reads + rebuilt writes) and records the foreground latency *during*
 //! repair, repair throughput, and time to full redundancy. The
 //! trade-off the limiter exists for is visible directly: unlimited
-//! repair floods the per-disk queues and foreground p99 balloons;
-//! throttled repair takes proportionally longer but leaves the tail
-//! close to the `baseline` row (same degraded store, no repair running).
+//! repair floods the per-disk queues and the foreground median nearly
+//! doubles; throttled repair takes proportionally longer but leaves the
+//! median at the `baseline` row (same degraded store, no repair
+//! running). The p99 barely moves at these rates — the reads that
+//! collide with a repair batch *are* the top percent — so `check` tests
+//! the median.
 //!
 //! One more row, `combined`, rebuilds the victim over a real loopback
 //! cluster, where every helper is a dialable shard and pre-sums
@@ -39,7 +42,7 @@ const VICTIM: usize = 0;
 
 /// What runs against the degraded store while the foreground reads.
 enum Background {
-    /// Nothing, for this long: the p99 the limiter defends.
+    /// Nothing, for this long: the latency the limiter defends.
     Idle(Duration),
     /// The repair pipeline at this rate limit, until redundancy is back.
     Repair(Option<u64>),
@@ -195,12 +198,13 @@ pub fn run(quick: bool) -> Report {
 }
 
 /// At least two limited trials ran beside `unlimited`, the tightest
-/// limit measurably bounds foreground p99 relative to unlimited repair,
+/// limit brings the foreground median below unlimited repair's (the
+/// p99 is a colliding read at any limit; ROADMAP 7(g) has the runs),
 /// and the `combined` row moved bytes and restored redundancy (its
 /// exact 1/k ratio is pinned by the `combined_repair` integration
 /// tests).
 pub fn check(r: &Report) -> Result<(), String> {
-    let unlimited = r.find(&[("rate", "unlimited")])?.num("fg_p99_us")?;
+    let unlimited = r.find(&[("rate", "unlimited")])?.num("fg_p50_us")?;
     let limit = |row: &Row| row.num("rate_limit_bytes_per_s").map(|l| l as u64).ok();
     let limited: Vec<&Row> = r.rows().iter().filter(|row| limit(row).is_some()).collect();
     ensure!(
@@ -212,10 +216,10 @@ pub fn check(r: &Report) -> Result<(), String> {
         .iter()
         .min_by_key(|row| limit(row))
         .expect("two or more");
-    let tight = tight.num("fg_p99_us")?;
+    let tight = tight.num("fg_p50_us")?;
     ensure!(
         tight < unlimited,
-        "tightest limit's fg p99 {tight} us is not below unlimited's {unlimited} us"
+        "tightest limit's fg p50 {tight} us is not below unlimited's {unlimited} us"
     );
     let combined = r.find(&[("rate", "combined")])?;
     ensure!(

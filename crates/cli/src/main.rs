@@ -113,7 +113,7 @@ fn usage() -> String {
      \x20 serve   --listen <host:port> [--dir <shard dir>] [--element-size <bytes>]\n\
      \x20         [--file-io auto|blocking|uring[:depth]]\n\
      \x20         [--front --code <spec> --layout <name>]   (object front door: opcodes 11-15)\n\
-     \x20         [--tenant name:latency|bulk|repair[:rate_bytes_per_s]]...\n\
+     \x20         [--tenant name:latency|bulk[:rate_bytes_per_s]]...\n\
      \x20         [--cache-bytes <n>]\n\
      \x20         [--remote host:port,...]   (front store over remote shards, one per disk)\n\
      \x20 stats   --remote host:port[,host:port,...] [--json <file>]\n\

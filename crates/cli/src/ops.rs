@@ -1235,6 +1235,20 @@ mod tests {
     }
 
     #[test]
+    fn a_repair_class_tenant_is_a_usage_error() {
+        let opts = Options {
+            code: Some("rs:4,2".into()),
+            layout: Some("ecfrm".into()),
+            tenant: vec!["web:latency".into(), "x:repair".into()],
+            ..Default::default()
+        };
+        match build_front(&opts, 512) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("latency|bulk"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn front_door_over_remote_shards_verifies_reads_at_the_shard() {
         use ecfrm_net::ShardServer;
         use ecfrm_sim::{DiskBackend, MemDisk};

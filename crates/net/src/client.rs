@@ -38,16 +38,15 @@ use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Histogram, HistogramSnapshot};
 use ecfrm_sim::{
-    io_pair, CombineOutcome, CombineReply, CombineSpec, DiskBackend, IoCompleter, IoHandle,
-    IoResults, NetCounters, NetStats, WriteRun,
+    io_pair, CombineOutcome, CombineSpec, DiskBackend, IoCompleter, IoHandle, IoResults,
+    NetCounters, NetStats, WriteRun,
 };
 use ecfrm_util::Mutex;
 
 use crate::pool::Pool;
 use crate::protocol::{
     read_response_polling, version_mismatch, write_mux_request, write_put_many, write_request,
-    CheckedElement, CombinePeer, Fault, NetError, Polled, Request, Response, MAX_PAYLOAD,
-    MAX_RANGE,
+    CheckedElement, Fault, NetError, Polled, Request, Response, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// What a client needs to know about its connections. Build one with
@@ -694,37 +693,12 @@ impl DiskBackend for RemoteDisk {
     /// Ship decode coefficients to the shard and receive pre-summed
     /// regions back (the repair-traffic-optimal path).
     fn combine(&self, spec: &CombineSpec) -> CombineOutcome {
-        let req = Request::CombineRange {
-            offset: spec.offset,
-            count: spec.count,
-            outputs: spec.outputs,
-            coeffs: spec.coeffs.clone(),
-            k0: spec.key.0,
-            k1: spec.key.1,
-            peers: spec
-                .peers
-                .iter()
-                .map(|p| CombinePeer {
-                    addr: p.addr.clone(),
-                    offset: p.offset,
-                    count: p.count,
-                    coeffs: p.coeffs.clone(),
-                })
-                .collect(),
-        };
+        let req = Request::CombineRange(spec.clone());
         let t0 = Instant::now();
         let res = self.rpc(&req);
         self.request_us.record_duration(t0.elapsed());
         match res {
-            Ok(Response::Combined {
-                regions,
-                local_status,
-                peer_status,
-            }) => CombineOutcome::Combined(CombineReply {
-                regions,
-                local_status,
-                peer_status,
-            }),
+            Ok(Response::Combined(reply)) => CombineOutcome::Combined(reply),
             Ok(other) => CombineOutcome::Failed(format!("unexpected response: {other:?}")),
             Err(e) => CombineOutcome::Failed(e.to_string()),
         }
@@ -740,7 +714,7 @@ mod tests {
     use super::*;
     use crate::server::ShardServer;
     use ecfrm_integrity::{append_footer, HashKey};
-    use ecfrm_sim::MemDisk;
+    use ecfrm_sim::{FaultKind, FaultyDisk, MemDisk};
 
     fn server() -> ShardServer {
         ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap()
@@ -1157,13 +1131,14 @@ mod tests {
 
     #[test]
     fn in_flight_mux_submissions_complete_when_server_dies() {
-        let mut server = server();
+        // A straggling backend, so submissions are still in flight when
+        // the server dies mid-request.
+        let slow = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+        let mut server = ShardServer::spawn(slow.clone(), "127.0.0.1:0").unwrap();
         let disk = RemoteDisk::new(server.addr(), fast());
         disk.write(0, vec![7; 4]);
         assert_eq!(disk.read(0), Some(vec![7; 4]));
-        // Make the server a straggler so submissions are still in
-        // flight when it dies mid-request.
-        disk.inject(Fault::DelayMs(150)).unwrap();
+        slow.arm(FaultKind::Delay(Duration::from_millis(150)), 0);
         let handles: Vec<IoHandle> = (0..8u64).map(|_| disk.submit_read_many(&[0])).collect();
         server.kill();
         // Every handle must complete, not hang: the demux thread fails

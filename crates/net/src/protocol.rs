@@ -27,7 +27,7 @@
 //! the data: the server multiplies a contiguous run of local elements
 //! by a caller-supplied GF(2^8) coefficient matrix and ships back
 //! pre-summed regions — optionally first fetching and XOR-merging other
-//! helpers' partial sums ([`CombinePeer`]) so only the combined result
+//! helpers' partial sums ([`CombinePeerSpec`]) so only the combined result
 //! crosses the rebuilder's ingest link. `Health`, `InjectFault` (the
 //! side channel that lets a client drive a remote shard's failure state
 //! exactly like a local disk's) and `Stats` (the server's metrics
@@ -41,7 +41,7 @@
 
 use std::io::{IoSlice, Read, Write};
 
-use ecfrm_sim::WriteRun;
+use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, WriteRun};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
@@ -163,9 +163,6 @@ pub enum Fault {
     Heal,
     /// Permanently erase contents.
     Wipe,
-    /// Sleep this many milliseconds before serving each read (straggler
-    /// simulation; 0 clears it).
-    DelayMs(u64),
 }
 
 /// A client request.
@@ -203,8 +200,8 @@ pub enum Request {
         /// The cells of all runs, in run order.
         bytes: Body,
     },
-    /// Multiply `count` contiguous local elements starting at `offset`
-    /// by a row-major `outputs × count` GF(2^8) coefficient matrix and
+    /// Multiply a contiguous run of local elements by a GF(2^8)
+    /// coefficient matrix (the array's own [`CombineSpec`]) and
     /// answer with one pre-summed region per output lane
     /// ([`Response::Combined`]) — the repair-traffic optimisation: a
     /// rebuild ships decode coefficients *to* the data and moves one
@@ -214,24 +211,7 @@ pub enum Request {
     /// sums of any `peers` (one level deep — forwarded requests carry
     /// no peers), and seals each returned region with a footer salted
     /// by `offset + lane`.
-    CombineRange {
-        /// First local element offset.
-        offset: u64,
-        /// Number of consecutive local elements.
-        count: u32,
-        /// Number of output lanes (pre-summed regions to return).
-        outputs: u32,
-        /// Row-major `outputs × count` coefficient matrix for the local
-        /// elements.
-        coeffs: Vec<u8>,
-        /// First word of the store's integrity key.
-        k0: u64,
-        /// Second word of the store's integrity key.
-        k1: u64,
-        /// Other helpers whose partial sums this server fetches and
-        /// merges before answering.
-        peers: Vec<CombinePeer>,
-    },
+    CombineRange(CombineSpec),
     /// Create an empty named object for a tenant on the server's
     /// object front door ([`ecfrm_store::FrontDoor`]). A server without
     /// a front door attached answers every object op (opcodes 11–15)
@@ -296,21 +276,6 @@ pub enum Request {
     },
 }
 
-/// One peer's share of a [`Request::CombineRange`], forwarded by the
-/// aggregating server so partial sums merge beside the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CombinePeer {
-    /// The peer shard's dialable address (`host:port`).
-    pub addr: String,
-    /// First element offset on the peer.
-    pub offset: u64,
-    /// Number of consecutive elements on the peer.
-    pub count: u32,
-    /// Row-major `outputs × count` coefficient matrix for the peer's
-    /// elements (`outputs` comes from the enclosing request).
-    pub coeffs: Vec<u8>,
-}
-
 /// One cell of a [`Response::Cells`] — for a [`Request::Read`] that
 /// carried a key, the server's integrity verdict on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,21 +309,13 @@ pub enum Response {
     /// status byte per cell (so absent and corrupt cells cost 1 byte
     /// each) followed by the valid cells' bytes.
     Cells(Vec<CheckedElement>),
-    /// The answer to a [`Request::CombineRange`]: one pre-summed region
-    /// per output lane (each `payload || footer`, the footer salted by
-    /// `offset + lane` under the request's key), plus per-local-element
-    /// and per-peer verdicts (0 = ok, 1 = missing/unreachable,
-    /// 2 = corrupt, 3 = declined) so the rebuilder can exclude a bad
-    /// helper and re-plan. `regions` is empty when nothing contributed.
-    Combined {
-        /// One region per output lane.
-        regions: Vec<Vec<u8>>,
-        /// Verdict per local element, in offset order.
-        local_status: Vec<u8>,
-        /// Verdict per forwarded peer, in request order. A non-ok peer
-        /// contributed nothing to the sums.
-        peer_status: Vec<u8>,
-    },
+    /// The answer to a [`Request::CombineRange`] (the array's own
+    /// [`CombineReply`]): one pre-summed region per output lane plus
+    /// per-local-element and per-peer verdicts (0 = ok,
+    /// 1 = missing/unreachable, 2 = corrupt, 3 = declined) so the
+    /// rebuilder can exclude a bad helper and re-plan. `regions` is
+    /// empty when nothing contributed.
+    Combined(CombineReply),
     /// Object op acknowledged ([`Request::ObjCreate`] /
     /// [`Request::ObjWrite`] / [`Request::ObjDelete`]).
     ObjAck,
@@ -571,15 +528,14 @@ impl Request {
                 put_many_head(&mut out, *cell_len, runs.iter().copied());
                 out.extend_from_slice(bytes);
             }
-            Request::CombineRange {
+            Request::CombineRange(CombineSpec {
                 offset,
                 count,
                 outputs,
                 coeffs,
-                k0,
-                k1,
+                key: (k0, k1),
                 peers,
-            } => {
+            }) => {
                 // [offset:u64][count:u32][outputs:u32][coeffs len:u32]
                 // [coeffs][k0:u64][k1:u64][n_peers:u32] then per peer
                 // [addr len:u32][addr][offset:u64][count:u32]
@@ -641,10 +597,6 @@ impl Request {
                 Fault::Fail => out.push(0),
                 Fault::Heal => out.push(1),
                 Fault::Wipe => out.push(2),
-                Fault::DelayMs(ms) => {
-                    out.push(3);
-                    put_u64(&mut out, *ms);
-                }
             },
         }
         out
@@ -714,8 +666,7 @@ impl Request {
                 let outputs = c.u32()?;
                 let clen = c.u32()? as usize;
                 let coeffs = c.take(clen)?.to_vec();
-                let k0 = c.u64()?;
-                let k1 = c.u64()?;
+                let key = (c.u64()?, c.u64()?);
                 let n = c.u32()? as usize;
                 let mut peers = Vec::with_capacity(n.min(1 << 10));
                 for _ in 0..n {
@@ -727,22 +678,21 @@ impl Request {
                     let count = c.u32()?;
                     let clen = c.u32()? as usize;
                     let coeffs = c.take(clen)?.to_vec();
-                    peers.push(CombinePeer {
+                    peers.push(CombinePeerSpec {
                         addr,
                         offset,
                         count,
                         coeffs,
                     });
                 }
-                Request::CombineRange {
+                Request::CombineRange(CombineSpec {
                     offset,
                     count,
                     outputs,
                     coeffs,
-                    k0,
-                    k1,
+                    key,
                     peers,
-                }
+                })
             }
             OP_OBJ_CREATE => Request::ObjCreate {
                 tenant: get_str(&mut c)?,
@@ -769,7 +719,6 @@ impl Request {
                     0 => Fault::Fail,
                     1 => Fault::Heal,
                     2 => Fault::Wipe,
-                    3 => Fault::DelayMs(c.u64()?),
                     t => return Err(NetError::Protocol(format!("bad fault tag {t}"))),
                 };
                 Request::InjectFault(fault)
@@ -786,7 +735,7 @@ impl Response {
         match self {
             Response::Put => RESP_PUT,
             Response::Cells(_) => RESP_CELLS,
-            Response::Combined { .. } => RESP_COMBINED,
+            Response::Combined(_) => RESP_COMBINED,
             Response::ObjAck => RESP_OBJ_ACK,
             Response::ObjData(_) => RESP_OBJ_DATA,
             Response::ObjStat { .. } => RESP_OBJ_STAT,
@@ -822,11 +771,11 @@ impl Response {
                     }
                 }
             }
-            Response::Combined {
+            Response::Combined(CombineReply {
                 regions,
                 local_status,
                 peer_status,
-            } => {
+            }) => {
                 // [n_regions:u32][per region: len:u32 + bytes]
                 // [n_local:u32][status bytes][n_peers:u32][status bytes].
                 put_u32(&mut out, regions.len() as u32);
@@ -925,11 +874,11 @@ impl Response {
                     )));
                 }
                 let peer_status = c.take(np)?.to_vec();
-                Response::Combined {
+                Response::Combined(CombineReply {
                     regions,
                     local_status,
                     peer_status,
-                }
+                })
             }
             RESP_OBJ_ACK => Response::ObjAck,
             RESP_OBJ_DATA => {
@@ -1280,7 +1229,7 @@ mod tests {
         });
         roundtrip_request(Request::Health);
         roundtrip_request(Request::Stats);
-        for fault in [Fault::Fail, Fault::Heal, Fault::Wipe, Fault::DelayMs(250)] {
+        for fault in [Fault::Fail, Fault::Heal, Fault::Wipe] {
             roundtrip_request(Request::InjectFault(fault));
         }
     }
@@ -1340,47 +1289,91 @@ mod tests {
 
     #[test]
     fn combine_range_roundtrips() {
-        roundtrip_request(Request::CombineRange {
+        roundtrip_request(Request::CombineRange(CombineSpec {
             offset: 0,
             count: 1,
             outputs: 1,
             coeffs: vec![7],
-            k0: 0,
-            k1: 0,
+            key: (0, 0),
             peers: vec![],
-        });
-        roundtrip_request(Request::CombineRange {
+        }));
+        roundtrip_request(Request::CombineRange(CombineSpec {
             offset: 1 << 40,
             count: 3,
             outputs: 3,
             coeffs: vec![1, 0, 0, 0, 2, 0, 0, 0, 3],
-            k0: u64::MAX,
-            k1: 0xDEAD_BEEF_CAFE_F00D,
+            key: (u64::MAX, 0xDEAD_BEEF_CAFE_F00D),
             peers: vec![
-                CombinePeer {
+                CombinePeerSpec {
                     addr: "127.0.0.1:9001".into(),
                     offset: 12,
                     count: 3,
                     coeffs: vec![9; 9],
                 },
-                CombinePeer {
+                CombinePeerSpec {
                     addr: "[::1]:80".into(),
                     offset: 0,
                     count: 1,
                     coeffs: vec![0, 0, 255],
                 },
             ],
-        });
-        roundtrip_response(Response::Combined {
+        }));
+        roundtrip_response(Response::Combined(CombineReply {
             regions: vec![],
             local_status: vec![],
             peer_status: vec![],
-        });
-        roundtrip_response(Response::Combined {
+        }));
+        roundtrip_response(Response::Combined(CombineReply {
             regions: vec![vec![1; 32], vec![], vec![0xAB; 4096]],
             local_status: vec![0, 2, 1],
             peer_status: vec![0, 3],
+        }));
+    }
+
+    /// The two combine variants carry `ecfrm-sim`'s types since PR 19;
+    /// the frames are byte for byte what the loose fields encoded to
+    /// (captured at the commit before).
+    #[test]
+    fn combine_frames_are_the_bytes_they_always_were() {
+        let mut buf = Vec::new();
+        let req = Request::CombineRange(CombineSpec {
+            offset: 3,
+            count: 2,
+            outputs: 1,
+            coeffs: vec![7, 9],
+            key: (0x0102_0304_0506_0708, 0x1112_1314_1516_1718),
+            peers: vec![CombinePeerSpec {
+                addr: "a:1".into(),
+                offset: 5,
+                count: 1,
+                coeffs: vec![4],
+            }],
         });
+        write_request(&mut buf, &req).unwrap();
+        #[rustfmt::skip]
+        assert_eq!(buf, [
+            b'E', b'F', b'R', b'M', 2, 10, 66, 0, 0, 0, // header: v2, op 10, 66 B
+            3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, // offset, count, outputs
+            2, 0, 0, 0, 7, 9, // coeffs
+            8, 7, 6, 5, 4, 3, 2, 1, 24, 23, 22, 21, 20, 19, 18, 17, // k0, k1
+            1, 0, 0, 0, // one peer:
+            3, 0, 0, 0, b'a', b':', b'1', 5, 0, 0, 0, 0, 0, 0, 0, // addr, offset
+            1, 0, 0, 0, 1, 0, 0, 0, 4, // count, coeffs
+        ]);
+        let mut buf = Vec::new();
+        let resp = Response::Combined(CombineReply {
+            regions: vec![vec![0xAB, 0xCD]],
+            local_status: vec![0, 2],
+            peer_status: vec![3],
+        });
+        write_response(&mut buf, &resp).unwrap();
+        #[rustfmt::skip]
+        assert_eq!(buf, [
+            b'E', b'F', b'R', b'M', 2, 138, 21, 0, 0, 0, // header: v2, op 138, 21 B
+            1, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD, // one region
+            2, 0, 0, 0, 0, 2, // local verdicts
+            1, 0, 0, 0, 3, // peer verdicts
+        ]);
     }
 
     #[test]
@@ -1668,6 +1661,15 @@ mod tests {
             Request::decode(OP_READ, payload, 0),
             Err(NetError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn retired_fault_tag_rejected() {
+        // Tag 3 (+ a u64) was a test-only straggle delay; it is no fault now.
+        let mut payload = vec![3];
+        put_u64(&mut payload, 80);
+        let err = Request::decode(OP_INJECT, payload, 0).unwrap_err();
+        assert!(err.to_string().contains("bad fault tag 3"), "{err}");
     }
 
     #[test]

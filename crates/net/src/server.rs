@@ -9,10 +9,10 @@
 //! thread itself, and answered there too when the result is already in
 //! hand (a page-cache hit); so is a wrapped `PutMany` on such a backend
 //! (its write is a copy into the page cache). Everything that has to
-//! wait — a blocking backend, a cold page, an injected straggle delay,
-//! any other op — goes to a small per-connection worker pool, spawned
-//! on the first frame that needs it. Only connection threads and their workers write
-//! to a socket: a backend's completion thread never does.
+//! wait — a blocking backend, a cold page, any other op — goes to a
+//! small per-connection worker pool, spawned on the first frame that
+//! needs it. Only connection threads and their workers write to a
+//! socket: a backend's completion thread never does.
 //! [`ShardServer::kill`] models a node crash: the accept loop
 //! and all connection handlers exit without draining in-flight
 //! requests, so clients see resets/timeouts — the stimulus the store's
@@ -20,12 +20,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Counter, Histogram, Recorder};
-use ecfrm_sim::{DiskBackend, IoHandle, IoResults, WriteRun};
+use ecfrm_sim::{
+    CombinePeerSpec, CombineReply, CombineSpec, DiskBackend, IoHandle, IoResults, WriteRun,
+};
 use ecfrm_util::Mutex;
 
 use ecfrm_integrity::{verify_footer, HashKey};
@@ -138,8 +140,6 @@ struct Shared {
     /// with a typed wire error.
     front: Option<Arc<ecfrm_store::FrontDoor>>,
     stop: AtomicBool,
-    /// Injected per-read delay in ms (straggler simulation).
-    read_delay_ms: AtomicU64,
     recorder: Recorder,
     metrics: ServerMetrics,
     peer_pools: PeerPools,
@@ -201,7 +201,6 @@ impl ShardServer {
             backend,
             front,
             stop: AtomicBool::new(false),
-            read_delay_ms: AtomicU64::new(0),
             recorder,
             metrics,
             peer_pools: Arc::new(Mutex::new(HashMap::new())),
@@ -355,15 +354,14 @@ enum Started {
 
 /// Start a mux-wrapped request on the connection thread when that
 /// cannot block it: a read, on a backend whose submission only stages
-/// the I/O, with no straggle delay injected. A result that is already
+/// the I/O. A result that is already
 /// there (page-cache hit) is answered on the spot — no hand-off, no
 /// second thread; one still pending is handed to the pool. Served here
 /// too is a `PutMany`: on such a backend the write is a copy into the
 /// page cache, and the frame it arrived in is the buffer. Everything
 /// else goes to the pool untouched.
 fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
-    let inline =
-        shared.backend.submits_async() && shared.read_delay_ms.load(Ordering::Acquire) == 0;
+    let inline = shared.backend.submits_async();
     let (runs, key) = match &req {
         Request::PutMany { .. } if inline => {
             shared.metrics.count(&req);
@@ -400,9 +398,9 @@ fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
 /// to wait for something (see [`start_mux`]).
 ///
 /// One queue, one condvar: a push wakes exactly one parked worker, and
-/// handling — the expensive part, including injected straggle delays —
-/// overlaps up to [`MUX_WORKERS`] deep. Dropping the pool closes the
-/// queue; each worker drains out and is joined.
+/// handling — the expensive part — overlaps up to [`MUX_WORKERS`]
+/// deep. Dropping the pool closes the queue; each worker drains out
+/// and is joined.
 struct MuxPool {
     queue: Arc<JobQueue>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -573,17 +571,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Sleep the injected read delay in small slices so a kill interrupts it.
-fn straggle(shared: &Shared) {
-    let total = shared.read_delay_ms.load(Ordering::Acquire);
-    let mut slept = 0u64;
-    while slept < total && !shared.stop.load(Ordering::Acquire) {
-        let step = (total - slept).min(10);
-        std::thread::sleep(Duration::from_millis(step));
-        slept += step;
-    }
-}
-
 /// Dispatch one object op to the attached front door, mapping store
 /// errors to the typed wire strings [`crate::front::unwire_error`]
 /// re-types client-side. A front-less server answers every object op
@@ -711,7 +698,7 @@ fn finish_read(
     cells: IoResults,
     shared: &Shared,
 ) -> Response {
-    let key = key.map(|(k0, k1)| HashKey { k0, k1 });
+    let key = key.map(hash_key);
     let checked = cells
         .into_iter()
         .zip(offsets)
@@ -728,13 +715,15 @@ fn finish_read(
     Response::Cells(checked.collect())
 }
 
+/// The integrity key as the wire carries it, `(k0, k1)`.
+fn hash_key((k0, k1): (u64, u64)) -> HashKey {
+    HashKey { k0, k1 }
+}
+
 fn handle(req: &Request, shared: &Shared) -> Response {
     match req {
         Request::Read { runs, key } => match read_offsets(runs) {
-            Ok(offsets) => {
-                straggle(shared);
-                finish_read(*key, &offsets, shared.backend.read_many(&offsets), shared)
-            }
+            Ok(offsets) => finish_read(*key, &offsets, shared.backend.read_many(&offsets), shared),
             Err(msg) => Response::Error(msg),
         },
         Request::PutMany {
@@ -748,15 +737,7 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             }
             Err(msg) => Response::Error(msg),
         },
-        Request::CombineRange {
-            offset,
-            count,
-            outputs,
-            coeffs,
-            k0,
-            k1,
-            peers,
-        } => handle_combine(*offset, *count, *outputs, coeffs, *k0, *k1, peers, shared),
+        Request::CombineRange(spec) => handle_combine(spec, shared),
         Request::ObjCreate { tenant, object } => obj_result(shared, |f| {
             f.create(tenant, object).map(|()| Response::ObjAck)
         }),
@@ -801,7 +782,6 @@ fn handle(req: &Request, shared: &Shared) -> Response {
                 Fault::Fail => shared.backend.fail(),
                 Fault::Heal => shared.backend.heal(),
                 Fault::Wipe => shared.backend.wipe(),
-                Fault::DelayMs(ms) => shared.read_delay_ms.store(*ms, Ordering::Release),
             }
             Response::FaultInjected
         }
@@ -822,18 +802,17 @@ fn handle(req: &Request, shared: &Shared) -> Response {
 /// coefficient column is not all-zero) verified and every peer
 /// contributed; otherwise `regions` is empty and the per-element /
 /// per-peer verdicts tell the rebuilder whom to exclude.
-#[allow(clippy::too_many_arguments)]
-fn handle_combine(
-    offset: u64,
-    count: u32,
-    outputs: u32,
-    coeffs: &[u8],
-    k0: u64,
-    k1: u64,
-    peers: &[crate::protocol::CombinePeer],
-    shared: &Shared,
-) -> Response {
+fn handle_combine(spec: &CombineSpec, shared: &Shared) -> Response {
     use ecfrm_sim::combine_status as cstat;
+
+    let &CombineSpec {
+        offset,
+        count,
+        outputs,
+        key: wire_key,
+        ..
+    } = spec;
+    let (coeffs, peers) = (&spec.coeffs, &spec.peers);
 
     // Bound the work before touching the backend (the hostile-vector
     // guard): run length, lane count, matrix shape, and fan-out caps.
@@ -874,8 +853,7 @@ fn handle_combine(
         }
     }
 
-    straggle(shared);
-    let key = HashKey { k0, k1 };
+    let key = hash_key(wire_key);
     let lanes = outputs as usize;
     let n = count as usize;
 
@@ -885,7 +863,7 @@ fn handle_combine(
         .map(|p| {
             let p = p.clone();
             let pools = Arc::clone(&shared.peer_pools);
-            std::thread::spawn(move || fetch_peer_partial(&pools, &p, outputs, k0, k1))
+            std::thread::spawn(move || fetch_peer_partial(&pools, &p, outputs, wire_key))
         })
         .collect();
 
@@ -976,11 +954,11 @@ fn handle_combine(
             regions = outs;
         }
     }
-    Response::Combined {
+    Response::Combined(CombineReply {
         regions,
         local_status,
         peer_status,
-    }
+    })
 }
 
 /// The pool for combine peer `addr`, built on first use; `None` when
@@ -1010,24 +988,22 @@ fn peer_pool(pools: &PeerPools, addr: &str) -> Option<Arc<Pool>> {
 /// verified, stripped regions (empty unless OK).
 fn fetch_peer_partial(
     pools: &PeerPools,
-    p: &crate::protocol::CombinePeer,
+    p: &CombinePeerSpec,
     outputs: u32,
-    k0: u64,
-    k1: u64,
+    key: (u64, u64),
 ) -> (u8, Vec<Vec<u8>>) {
     use crate::protocol::write_request;
     use ecfrm_sim::combine_status as cstat;
 
-    let key = HashKey { k0, k1 };
-    let req = Request::CombineRange {
+    let req = Request::CombineRange(CombineSpec {
         offset: p.offset,
         count: p.count,
         outputs,
         coeffs: p.coeffs.clone(),
-        k0,
-        k1,
+        key,
         peers: Vec::new(),
-    };
+    });
+    let key = hash_key(key);
     // CombineRange is read-only, so the pool may replay it on a fresh
     // dial when a pooled connection has gone stale; a peer that cannot
     // be resolved, dialed or heard from is missing.
@@ -1037,11 +1013,11 @@ fn fetch_peer_partial(
         return (cstat::MISSING, Vec::new());
     };
     match resp {
-        Response::Combined {
+        Response::Combined(CombineReply {
             regions,
             local_status,
             ..
-        } => {
+        }) => {
             if regions.len() == outputs as usize {
                 let mut stripped = Vec::with_capacity(regions.len());
                 for (r, region) in regions.into_iter().enumerate() {
@@ -1071,7 +1047,7 @@ fn fetch_peer_partial(
 mod tests {
     use super::*;
     use crate::protocol::write_request;
-    use ecfrm_sim::MemDisk;
+    use ecfrm_sim::{FaultKind, FaultyDisk, MemDisk};
 
     fn dial(server: &ShardServer) -> TcpStream {
         let s = TcpStream::connect(server.addr()).unwrap();
@@ -1269,14 +1245,15 @@ mod tests {
 
     #[test]
     fn injected_delay_slows_reads() {
-        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
+        let slow = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+        let server = ShardServer::spawn(slow.clone(), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![1]));
-        rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80)));
+        slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
         let t0 = std::time::Instant::now();
         rpc(&mut c, &read(0, 1));
         assert!(t0.elapsed() >= Duration::from_millis(70));
-        rpc(&mut c, &Request::InjectFault(Fault::DelayMs(0)));
+        slow.clear();
         let t0 = std::time::Instant::now();
         rpc(&mut c, &read(0, 1));
         assert!(t0.elapsed() < Duration::from_millis(70));
@@ -1488,10 +1465,11 @@ mod tests {
 
     #[test]
     fn mux_requests_are_served_concurrently() {
-        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
+        let slow = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+        let server = ShardServer::spawn(slow.clone(), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![1]));
-        rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80)));
+        slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
         // Four delayed reads in flight at once: if the pool overlaps
         // them they finish in ~1 delay, not 4 back-to-back.
         let t0 = std::time::Instant::now();
@@ -1516,6 +1494,38 @@ mod tests {
         assert!(
             t0.elapsed() < Duration::from_millis(240),
             "4×80 ms requests took {:?} — pool is not overlapping them",
+            t0.elapsed()
+        );
+    }
+
+    /// A slow backend holds a worker, never the connection: a frame
+    /// sent after the slow one is answered before it.
+    #[test]
+    fn a_later_health_frame_overtakes_a_read_of_a_delayed_backend() {
+        let slow = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+        let server = ShardServer::spawn(slow.clone(), "127.0.0.1:0").unwrap();
+        let mut c = dial(&server);
+        rpc(&mut c, &put(0, vec![1]));
+        slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
+        let t0 = std::time::Instant::now();
+        for (id, inner) in [(1, read(0, 1)), (2, Request::Health)] {
+            let inner = Box::new(inner);
+            write_request(&mut c, &Request::Mux { id, inner }).unwrap();
+        }
+        let mut next = || match crate::protocol::read_response(&mut c).unwrap() {
+            Response::Mux { id, inner } => (id, *inner),
+            other => panic!("expected Response::Mux, got {other:?}"),
+        };
+        assert_eq!(next(), (2, Response::Health { elements: 1 }));
+        assert!(
+            t0.elapsed() < Duration::from_millis(70),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert_eq!(next(), (1, cells(vec![Some(vec![1])])));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(70),
+            "{:?}",
             t0.elapsed()
         );
     }
@@ -1549,21 +1559,20 @@ mod tests {
         // Two output lanes over three local elements.
         let resp = rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 3,
                 outputs: 2,
                 coeffs: vec![1, 2, 3, 0, 5, 7],
-                k0: key.k0,
-                k1: key.k1,
+                key: (key.k0, key.k1),
                 peers: vec![],
-            },
+            }),
         );
-        let Response::Combined {
+        let Response::Combined(CombineReply {
             regions,
             local_status,
             peer_status,
-        } = resp
+        }) = resp
         else {
             panic!("expected Combined, got {resp:?}");
         };
@@ -1601,39 +1610,37 @@ mod tests {
         // (offset 1 is a hole).
         let resp = rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 3,
                 outputs: 1,
                 coeffs: vec![1, 1, 1],
-                k0: key.k0,
-                k1: key.k1,
+                key: (key.k0, key.k1),
                 peers: vec![],
-            },
+            }),
         );
         assert_eq!(
             resp,
-            Response::Combined {
+            Response::Combined(CombineReply {
                 regions: vec![],
                 local_status: vec![0, 1, 2],
                 peer_status: vec![],
-            }
+            })
         );
         // Zero coefficients on the hole and the corrupt cell: the sum
         // goes through, built from the one clean element.
         let resp = rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 3,
                 outputs: 1,
                 coeffs: vec![9, 0, 0],
-                k0: key.k0,
-                k1: key.k1,
+                key: (key.k0, key.k1),
                 peers: vec![],
-            },
+            }),
         );
-        let Response::Combined { regions, .. } = resp else {
+        let Response::Combined(CombineReply { regions, .. }) = resp else {
             panic!("expected Combined, got {resp:?}");
         };
         assert_eq!(
@@ -1657,46 +1664,43 @@ mod tests {
         };
         let msg = err(rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: MAX_RANGE + 1,
                 outputs: 1,
                 coeffs: vec![],
-                k0: 0,
-                k1: 0,
+                key: (0, 0),
                 peers: vec![],
-            },
+            }),
         ));
         assert!(msg.contains("cap"), "{msg}");
         let msg = err(rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 1,
                 outputs: 0,
                 coeffs: vec![],
-                k0: 0,
-                k1: 0,
+                key: (0, 0),
                 peers: vec![],
-            },
+            }),
         ));
         assert!(msg.contains("output lanes"), "{msg}");
         // A coefficient matrix that lies about its shape must not drive
         // allocations: 3 claimed elements, 1 byte of coefficients.
         let msg = err(rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 3,
                 outputs: 1,
                 coeffs: vec![1],
-                k0: 0,
-                k1: 0,
+                key: (0, 0),
                 peers: vec![],
-            },
+            }),
         ));
         assert!(msg.contains("does not match"), "{msg}");
-        let peer = crate::protocol::CombinePeer {
+        let peer = CombinePeerSpec {
             addr: "127.0.0.1:1".into(),
             offset: 0,
             count: 1,
@@ -1704,15 +1708,14 @@ mod tests {
         };
         let msg = err(rpc(
             &mut c,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 1,
                 outputs: 1,
                 coeffs: vec![1],
-                k0: 0,
-                k1: 0,
+                key: (0, 0),
                 peers: vec![peer; MAX_COMBINE_PEERS + 1],
-            },
+            }),
         ));
         assert!(msg.contains("fan-out cap"), "{msg}");
         // The connection survived every rejection.
@@ -1733,26 +1736,25 @@ mod tests {
         seed_cells(&mut hc, &key, &[0, 1]);
         let resp = rpc(
             &mut rc,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 2,
                 outputs: 2,
                 coeffs: vec![1, 2, 3, 4],
-                k0: key.k0,
-                k1: key.k1,
-                peers: vec![crate::protocol::CombinePeer {
+                key: (key.k0, key.k1),
+                peers: vec![CombinePeerSpec {
                     addr: helper.addr().to_string(),
                     offset: 0,
                     count: 2,
                     coeffs: vec![5, 6, 7, 8],
                 }],
-            },
+            }),
         );
-        let Response::Combined {
+        let Response::Combined(CombineReply {
             regions,
             local_status,
             peer_status,
-        } = resp
+        }) = resp
         else {
             panic!("expected Combined, got {resp:?}");
         };
@@ -1778,28 +1780,27 @@ mod tests {
         };
         let resp = rpc(
             &mut rc,
-            &Request::CombineRange {
+            &Request::CombineRange(CombineSpec {
                 offset: 0,
                 count: 2,
                 outputs: 1,
                 coeffs: vec![1, 1],
-                k0: key.k0,
-                k1: key.k1,
-                peers: vec![crate::protocol::CombinePeer {
+                key: (key.k0, key.k1),
+                peers: vec![CombinePeerSpec {
                     addr: dead.to_string(),
                     offset: 0,
                     count: 2,
                     coeffs: vec![1, 1],
                 }],
-            },
+            }),
         );
         assert_eq!(
             resp,
-            Response::Combined {
+            Response::Combined(CombineReply {
                 regions: vec![],
                 local_status: vec![0, 0],
                 peer_status: vec![1],
-            }
+            })
         );
     }
 

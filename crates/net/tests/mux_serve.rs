@@ -13,9 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecfrm_net::protocol::{read_response, write_request};
-use ecfrm_net::{Fault, Request, Response, ShardServer};
+use ecfrm_net::{Request, Response, ShardServer};
 use ecfrm_sim::{
-    io_pair, DiskBackend, FileDisk, FileIoConfig, IoCompleter, IoHandle, MemDisk, WriteRun,
+    io_pair, DiskBackend, FaultKind, FaultyDisk, FileDisk, FileIoConfig, IoCompleter, IoHandle,
+    MemDisk, WriteRun,
 };
 use ecfrm_util::Mutex;
 
@@ -152,14 +153,17 @@ fn mux_writes_are_served_by_the_connection_thread_of_an_async_backend() {
     } else {
         assert_eq!(inline, 0, "a blocking disk serves from the pool");
     }
-    // With a straggle delay injected the connection thread must stay
-    // free, so the write takes the pool like any delayed op.
-    rpc(&mut c, &Request::InjectFault(Fault::DelayMs(1)));
+    // The same disk behind a `FaultyDisk` (how a test makes a backend
+    // slow) does not report `submits_async()`: its write takes the
+    // pool, by the one rule there is.
+    let wrapped = ShardServer::spawn(FaultyDisk::wrap(disk.clone()), "127.0.0.1:0").unwrap();
+    let mut c = dial(&wrapped);
     send_mux(&mut c, N, put(N));
     assert!(matches!(recv_mux(&mut c), (_, Response::Put)));
-    assert_eq!(counter(&server, "serve.mux_inline"), inline);
-    assert_eq!(counter(&server, "serve.put_many"), N + 1);
-    drop(server);
+    assert_eq!(counter(&wrapped, "serve.mux_inline"), 0);
+    assert_eq!(counter(&wrapped, "serve.put_many"), 1);
+    assert_eq!(disk.len() as u64, 3 * N + 3);
+    drop((server, wrapped));
     let _ = std::fs::remove_file(path);
 }
 
@@ -212,31 +216,40 @@ impl DiskBackend for GatedDisk {
     }
 }
 
-fn gated_shard() -> (ShardServer, Arc<GatedDisk>) {
+fn gated_disk() -> Arc<GatedDisk> {
     let disk = Arc::new(GatedDisk::default());
     for o in 0..4 {
         disk.write(o, cell(o));
     }
+    disk
+}
+
+fn gated_shard() -> (ShardServer, Arc<GatedDisk>) {
+    let disk = gated_disk();
     let backend = Arc::clone(&disk) as Arc<dyn DiskBackend>;
     (ShardServer::spawn(backend, "127.0.0.1:0").unwrap(), disk)
 }
 
 #[test]
 fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
-    let (server, disk) = gated_shard();
+    // A `FaultyDisk` serves where it is called and so does not report
+    // `submits_async()`: every read below is the pool's, start to
+    // finish.
+    let disk = gated_disk();
+    let slow = FaultyDisk::wrap(disk.clone());
+    let server = ShardServer::spawn(slow.clone(), "127.0.0.1:0").unwrap();
     let mut c = dial(&server);
-    // Id 1 is submitted by the connection thread and stays pending (the
-    // cold page / O_DIRECT case): handed to a worker, which waits.
+    // Id 1 stays pending in the backend (the cold page / O_DIRECT
+    // case): a worker waits on it.
     send_mux(&mut c, 1, read(&[(0, 1)]));
-    // A plain frame is served in order, so once this is answered id 1
-    // has been submitted.
-    assert_eq!(
-        rpc(&mut c, &Request::InjectFault(Fault::DelayMs(80))),
-        Response::FaultInjected
-    );
-    assert_eq!(disk.held(), 1);
-    // Id 2 is a straggler read: the pool start to finish. Neither waits
-    // for the other, and id 3 behind them is not stuck either.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while disk.held() < 1 {
+        assert!(Instant::now() < deadline, "id 1 never reached the backend");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
+    // Ids 2 and 3 are straggler reads. Neither waits for id 1 or for
+    // the other.
     let t0 = Instant::now();
     send_mux(&mut c, 2, read(&[(1, 1)]));
     send_mux(&mut c, 3, read(&[(2, 1)]));

@@ -1,5 +1,5 @@
 //! The multi-tenant object front door: namespace, QoS admission, and a
-//! parity-aware read cache over an [`ObjectStore`].
+//! read cache over an [`ObjectStore`].
 //!
 //! This is the layer that turns the stripe store into a *service*:
 //!
@@ -10,26 +10,23 @@
 //!   like everything else and deletes are metadata-only.
 //! * **Admission control** — per-tenant pay-after token buckets
 //!   ([`ecfrm_util::TokenBucket`], the same limiter background repair
-//!   uses) behind three priority classes: [`QosClass::Latency`] is
-//!   never queued (over-budget requests are rejected immediately),
+//!   uses) behind two priority classes: [`QosClass::Latency`] is
+//!   never queued (over-budget requests are rejected immediately) and
 //!   [`QosClass::Bulk`] is smoothed by queueing up to
-//!   [`FrontConfig::max_delay`], and [`QosClass::Repair`] queues up to
-//!   the much larger [`FrontConfig::repair_max_delay`]. Queued waiters
+//!   [`FrontConfig::max_delay`]. Queued waiters
 //!   sleep in short slices and re-check [`FrontDoor::shutdown`]'s stop
 //!   flag, so no server thread is ever parked past shutdown. Requests
 //!   are validated (object exists, range in bounds) *before* the
 //!   bucket is charged — a misspelled name cannot push a tenant into
 //!   throttling. Bulk scans therefore cannot starve latency tenants:
 //!   their requests are delayed or shed before they reach the disks.
-//! * **Parity-aware read cache** — a bounded LRU of *decoded* data
-//!   elements keyed by global element index (equivalently `(object,
-//!   stripe, element)`, since extents never alias). Misses fetch whole
-//!   elements through the store's planner, and — because EC-FRM's
-//!   rotated layout can substitute a same-group parity at equal fetch
-//!   cost — the miss path asks the planner to decode *around* the
-//!   currently hottest disk ([`ReadOpts::avoid`]), measured live from
-//!   the store's `disk_load` board. The cache is invalidated on stripe
-//!   seal and repair rewrite via [`ObjectStore::subscribe_stripes`].
+//! * **Read cache** — a bounded LRU of *decoded* data elements keyed by
+//!   global element index (equivalently `(object, stripe, element)`,
+//!   since extents never alias). Misses fetch whole elements with one
+//!   [`ObjectStore::read_extent`] per contiguous run; nothing but LRU
+//!   pressure ever removes an entry (see `ElementCache` for why that
+//!   is sound). A read is `namespace → admission → LRU → store read`
+//!   and nothing else.
 //!
 //! # Example: two tenants, one throttled
 //!
@@ -69,13 +66,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ecfrm_obs::{Counter, Gauge, Recorder};
 use ecfrm_util::{Mutex, TokenBucket};
 
 use crate::meta::{ExtentRecord, ObjectMeta, ObjectStat};
-use crate::store::{ObjectStore, ReadOpts, StripeEvent};
+use crate::store::{ObjectStore, ReadOpts};
 use crate::StoreError;
 
 /// Admission priority class of a tenant.
@@ -91,12 +88,6 @@ pub enum QosClass {
     /// Throughput traffic (scans, backfills). Queued (the calling
     /// thread sleeps) up to [`FrontConfig::max_delay`], then rejected.
     Bulk,
-    /// Background maintenance. Queued up to the much larger
-    /// [`FrontConfig::repair_max_delay`] — repair-class callers would
-    /// rather wait than shed work (this mirrors the `RepairManager`'s
-    /// own use of the shared bucket), but the wait stays finite so a
-    /// deeply overdrawn bucket cannot hold server threads hostage.
-    Repair,
 }
 
 impl QosClass {
@@ -105,7 +96,6 @@ impl QosClass {
         match self {
             QosClass::Latency => "latency",
             QosClass::Bulk => "bulk",
-            QosClass::Repair => "repair",
         }
     }
 
@@ -114,7 +104,6 @@ impl QosClass {
         match s {
             "latency" => Some(QosClass::Latency),
             "bulk" => Some(QosClass::Bulk),
-            "repair" => Some(QosClass::Repair),
             _ => None,
         }
     }
@@ -165,7 +154,7 @@ impl TenantSpec {
         let class = parts
             .next()
             .and_then(QosClass::parse)
-            .ok_or_else(|| format!("bad tenant spec `{s}`: class must be latency|bulk|repair"))?;
+            .ok_or_else(|| format!("bad tenant spec `{s}`: class must be latency|bulk"))?;
         let rate = match parts.next() {
             None => None,
             Some(r) => Some(
@@ -193,22 +182,16 @@ pub struct FrontConfig {
     /// How long a [`QosClass::Bulk`] request may be queued before it is
     /// rejected.
     pub max_delay: Duration,
-    /// How long a [`QosClass::Repair`] request may be queued before it
-    /// is rejected. Large but finite: background work prefers late to
-    /// never, yet a deeply overdrawn bucket must not park server
-    /// threads for unbounded time.
-    pub repair_max_delay: Duration,
 }
 
 impl FrontConfig {
     /// Start building a config from the defaults: 32 MiB cache,
-    /// 500 ms max bulk delay, 30 s max repair delay.
+    /// 500 ms max bulk delay.
     pub fn builder() -> FrontConfigBuilder {
         FrontConfigBuilder {
             cfg: FrontConfig {
                 cache_bytes: 32 << 20,
                 max_delay: Duration::from_millis(500),
-                repair_max_delay: Duration::from_secs(30),
             },
         }
     }
@@ -236,12 +219,6 @@ impl FrontConfigBuilder {
     /// Maximum queueing delay for [`QosClass::Bulk`] requests.
     pub fn max_delay(mut self, d: Duration) -> Self {
         self.cfg.max_delay = d;
-        self
-    }
-
-    /// Maximum queueing delay for [`QosClass::Repair`] requests.
-    pub fn repair_max_delay(mut self, d: Duration) -> Self {
-        self.cfg.repair_max_delay = d;
         self
     }
 
@@ -280,24 +257,30 @@ impl Tenant {
 }
 
 /// Bounded LRU of decoded data elements, keyed by global element index.
+///
+/// The contract, stated once: an entry is a *decoded data element that
+/// passed its footer on the way in* (the store verifies every cell it
+/// fetches), and its key is an index into an append-only stream whose
+/// sealed elements never change — [`ObjectStore::flush`] pads the tail
+/// and never reuses the padding, delete is metadata-only, and repair
+/// rewrites byte-identical cells. So nothing ever has to leave the
+/// cache except by LRU: no seal, repair or whole-disk rebuild touches
+/// it (pinned by `tests/front_door.rs`).
 struct ElementCache {
     cap: usize,
     inner: Mutex<CacheInner>,
     hits: Counter,
     misses: Counter,
     evicted: Counter,
-    invalidated: Counter,
     bytes: Gauge,
 }
 
 #[derive(Default)]
 struct CacheInner {
-    /// element → (decoded payload, owning stripe, LRU tick).
-    map: HashMap<u64, (Arc<Vec<u8>>, u64, u64)>,
+    /// element → (decoded payload, LRU tick).
+    map: HashMap<u64, (Arc<Vec<u8>>, u64)>,
     /// LRU order: tick → element (ticks are unique).
     lru: BTreeMap<u64, u64>,
-    /// stripe → elements cached from it (invalidation index).
-    by_stripe: HashMap<u64, Vec<u64>>,
     bytes: usize,
     tick: u64,
 }
@@ -310,7 +293,6 @@ impl ElementCache {
             hits: recorder.counter("cache.hit"),
             misses: recorder.counter("cache.miss"),
             evicted: recorder.counter("cache.evict"),
-            invalidated: recorder.counter("cache.invalidate"),
             bytes: recorder.gauge("cache.bytes"),
         }
     }
@@ -324,7 +306,7 @@ impl ElementCache {
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&elem) {
-            Some((bytes, _, t)) => {
+            Some((bytes, t)) => {
                 let old = std::mem::replace(t, tick);
                 let out = Arc::clone(bytes);
                 inner.lru.remove(&old);
@@ -339,7 +321,7 @@ impl ElementCache {
         }
     }
 
-    fn insert(&self, elem: u64, stripe: u64, payload: Arc<Vec<u8>>) {
+    fn insert(&self, elem: u64, payload: Arc<Vec<u8>>) {
         if self.cap == 0 {
             return;
         }
@@ -350,53 +332,20 @@ impl ElementCache {
         inner.tick += 1;
         let tick = inner.tick;
         inner.bytes += payload.len();
-        inner.map.insert(elem, (payload, stripe, tick));
+        inner.map.insert(elem, (payload, tick));
         inner.lru.insert(tick, elem);
-        inner.by_stripe.entry(stripe).or_default().push(elem);
         while inner.bytes > self.cap {
             let Some((&t, &e)) = inner.lru.iter().next() else {
                 break;
             };
             inner.lru.remove(&t);
-            if let Some((payload, s, _)) = inner.map.remove(&e) {
+            if let Some((payload, _)) = inner.map.remove(&e) {
                 inner.bytes -= payload.len();
-                if let Some(v) = inner.by_stripe.get_mut(&s) {
-                    v.retain(|&x| x != e);
-                    if v.is_empty() {
-                        inner.by_stripe.remove(&s);
-                    }
-                }
                 self.evicted.inc();
             }
         }
         self.bytes.set(inner.bytes as i64);
     }
-
-    fn invalidate_stripe(&self, stripe: u64) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let Some(elems) = inner.by_stripe.remove(&stripe) else {
-            return;
-        };
-        for e in elems {
-            if let Some((payload, _, t)) = inner.map.remove(&e) {
-                inner.bytes -= payload.len();
-                inner.lru.remove(&t);
-                self.invalidated.inc();
-            }
-        }
-        self.bytes.set(inner.bytes as i64);
-    }
-}
-
-/// Hot-disk election state: the previous `disk_load` sample and the
-/// currently avoided disk.
-struct LoadWatch {
-    at: Instant,
-    elements: Vec<u64>,
-    hot: Option<usize>,
 }
 
 /// Front-door counters that are not per-tenant or cache-owned.
@@ -405,7 +354,6 @@ struct FrontMetrics {
     admit_delayed: Counter,
     admit_rejected: Counter,
     objects: Gauge,
-    hot_avoided: Counter,
 }
 
 /// The multi-tenant object layer over an [`ObjectStore`]. See the
@@ -416,9 +364,8 @@ pub struct FrontDoor {
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
     /// tenant → object → extent record.
     namespace: Mutex<HashMap<String, HashMap<String, ExtentRecord>>>,
-    cache: Arc<ElementCache>,
+    cache: ElementCache,
     metrics: FrontMetrics,
-    watch: Mutex<LoadWatch>,
     /// Raised by [`Self::shutdown`]: unparks every admission waiter
     /// (they reject instead of finishing their sleep) so connection
     /// threads can be joined promptly.
@@ -436,50 +383,26 @@ impl std::fmt::Debug for FrontDoor {
 }
 
 impl FrontDoor {
-    /// Stand a front door up over `store`. Subscribes to the store's
-    /// stripe events for cache invalidation; counters register on the
+    /// Stand a front door up over `store`; counters register on the
     /// store's [`Recorder`].
     pub fn new(store: Arc<ObjectStore>, cfg: FrontConfig) -> Arc<FrontDoor> {
         let recorder = store.recorder();
-        let cache = Arc::new(ElementCache::new(cfg.cache_bytes, recorder));
+        let cache = ElementCache::new(cfg.cache_bytes, recorder);
         let metrics = FrontMetrics {
             admit_ok: recorder.counter("admit.ok"),
             admit_delayed: recorder.counter("admit.delayed"),
             admit_rejected: recorder.counter("admit.rejected"),
             objects: recorder.gauge("front.objects"),
-            hot_avoided: recorder.counter("front.hot_avoided"),
         };
-        let n = store.scheme().n_disks();
-        let front = Arc::new(FrontDoor {
+        Arc::new(FrontDoor {
             stopped: AtomicBool::new(false),
             cfg,
             tenants: Mutex::new(HashMap::new()),
             namespace: Mutex::new(HashMap::new()),
-            cache: Arc::clone(&cache),
+            cache,
             metrics,
-            watch: Mutex::new(LoadWatch {
-                at: Instant::now(),
-                elements: vec![0; n],
-                hot: None,
-            }),
-            store: Arc::clone(&store),
-        });
-        // Coherence fence: drop cached elements whose stripe was sealed
-        // or rewritten (see `StripeEvent` — conservative today, since
-        // sealed payloads are immutable and repair rewrites identical
-        // bytes, but it keeps the cache honest by construction).
-        store.subscribe_stripes(Arc::new({
-            let cache = Arc::clone(&cache);
-            move |ev| match ev {
-                StripeEvent::Sealed { first, count } => {
-                    for s in first..first + count {
-                        cache.invalidate_stripe(s);
-                    }
-                }
-                StripeEvent::Rewritten { stripe } => cache.invalidate_stripe(stripe),
-            }
-        }));
-        front
+            store,
+        })
     }
 
     /// The underlying store.
@@ -538,7 +461,6 @@ impl FrontDoor {
             let deadline = match tenant.spec.class {
                 QosClass::Latency => Duration::ZERO,
                 QosClass::Bulk => self.cfg.max_delay,
-                QosClass::Repair => self.cfg.repair_max_delay,
             };
             if wait > deadline {
                 tenant.rejected.inc();
@@ -752,8 +674,7 @@ impl FrontDoor {
 
     /// Fill `out` with `run` bytes starting `off` into `extent`,
     /// serving whole decoded elements from the cache and batch-reading
-    /// contiguous miss runs through the planner (avoiding the hottest
-    /// disk when one stands out).
+    /// contiguous miss runs through the store.
     fn read_extent_cached(
         &self,
         extent: ObjectMeta,
@@ -791,8 +712,6 @@ impl FrontDoor {
         if misses.is_empty() {
             return Ok(());
         }
-        let dps = self.store.scheme().data_per_stripe() as u64;
-        let opts = self.read_opts();
         // Batch contiguous miss runs into single planned reads.
         let mut i = 0;
         while i < misses.len() {
@@ -806,64 +725,25 @@ impl FrontDoor {
                 offset: a * es,
                 len: (b - a) * es,
             };
-            let (bytes, _) = self.store.read_extent(span, 0, span.len, &opts)?;
+            let (bytes, _) = self
+                .store
+                .read_extent(span, 0, span.len, &ReadOpts::default())?;
             for (k, chunk) in bytes.chunks_exact(es as usize).enumerate() {
                 let e = a + k as u64;
                 let payload = Arc::new(chunk.to_vec());
                 copy_into(out, e, &payload);
-                self.cache.insert(e, e / dps, payload);
+                self.cache.insert(e, payload);
             }
             i = j;
         }
         Ok(())
     }
-
-    /// Per-miss [`ReadOpts`]: avoid the hot disk, if one is elected.
-    fn read_opts(&self) -> ReadOpts {
-        let mut opts = ReadOpts::default();
-        if let Some(d) = self.hot_disk() {
-            opts.avoid.push(d);
-            self.metrics.hot_avoided.inc();
-        }
-        opts
-    }
-
-    /// The currently hottest disk, from deltas of the store's
-    /// cumulative `disk_load` board, re-elected every `LOAD_REFRESH`.
-    /// `None` while traffic is light or balanced.
-    fn hot_disk(&self) -> Option<usize> {
-        /// How often the `disk_load` board is re-sampled.
-        const LOAD_REFRESH: Duration = Duration::from_millis(100);
-        /// A disk is hot when its share of the fetches planned since
-        /// the last sample exceeds this multiple of the per-disk mean.
-        const HOT_RATIO: f64 = 1.5;
-
-        let mut watch = self.watch.lock();
-        if watch.at.elapsed() >= LOAD_REFRESH {
-            let snap = self.store.disk_loads();
-            let delta: Vec<u64> = snap
-                .elements
-                .iter()
-                .zip(&watch.elements)
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect();
-            let total: u64 = delta.iter().sum();
-            let mean = total as f64 / delta.len().max(1) as f64;
-            watch.hot = delta
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &v)| v)
-                .filter(|(_, &v)| total >= 64 && v as f64 > HOT_RATIO * mean)
-                .map(|(d, _)| d);
-            watch.elements = snap.elements;
-            watch.at = Instant::now();
-        }
-        watch.hot
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use ecfrm_codes::RsCode;
     use ecfrm_core::{LayoutKind, Scheme};
@@ -1020,24 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_class_wait_is_finite() {
-        // A deeply overdrawn repair bucket used to park the caller with
-        // `Duration::MAX` as the deadline; now it rejects once the wait
-        // exceeds the (finite) repair deadline.
-        let f = front_with(
-            FrontConfig::builder()
-                .repair_max_delay(Duration::from_millis(100))
-                .build(),
-        );
-        f.register_tenant(TenantSpec::new("rep", QosClass::Repair).rate(1024));
-        f.put("rep", "o", &blob(4096, 1)).unwrap(); // ~4 s of deficit
-        let t0 = Instant::now();
-        let r = f.put("rep", "o2", b"x");
-        assert!(matches!(r, Err(StoreError::Throttled(_))), "{r:?}");
-        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
-    }
-
-    #[test]
     fn shutdown_unparks_queued_waiters() {
         let f = front_with(
             FrontConfig::builder()
@@ -1121,6 +983,10 @@ mod tests {
         assert_eq!(s.rate_limit, Some(8_000_000));
         assert!(TenantSpec::parse("scan").is_err());
         assert!(TenantSpec::parse("scan:fast").is_err());
+        // There is no repair class: background repair never passes
+        // through the front door.
+        let err = TenantSpec::parse("x:repair").unwrap_err();
+        assert!(err.contains("latency|bulk"), "{err}");
         assert!(TenantSpec::parse("scan:bulk:zap").is_err());
         assert!(TenantSpec::parse("scan:bulk:1:2").is_err());
     }

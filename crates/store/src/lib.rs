@@ -55,4 +55,4 @@ pub use meta::{
     StripeRepair,
 };
 pub use repair::{RepairConfig, RepairManager, RepairProgress, RepairQueue, Replacer};
-pub use store::{ObjectStore, ReadOpts, StripeEvent, StripeListener};
+pub use store::{ObjectStore, ReadOpts};

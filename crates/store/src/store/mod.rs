@@ -73,13 +73,6 @@ struct StoreMetrics {
     cross_domain_reads: Counter,
     /// Stripes repaired via server-side `CombineRange` partial sums.
     combined_stripes: Counter,
-    /// Reads planned degraded around a live-but-hot disk at a caller's
-    /// request ([`ReadOpts::avoid`]) — the front-door cache's
-    /// load-aware miss path.
-    avoided_reads: Counter,
-    /// Avoid requests abandoned because the avoiding plan was
-    /// unreadable or cost too much.
-    avoid_fallbacks: Counter,
     plan_us: Histogram,
     read_us: Histogram,
     /// Time spent verifying checksum footers (per read / per scrubbed
@@ -107,8 +100,6 @@ impl StoreMetrics {
             repair_wire_bytes: recorder.counter("repair.wire_bytes"),
             cross_domain_reads: recorder.counter("repair.cross_domain_reads"),
             combined_stripes: recorder.counter("repair.combined_stripes"),
-            avoided_reads: recorder.counter("read.avoided"),
-            avoid_fallbacks: recorder.counter("read.avoid_fallback"),
             plan_us: recorder.histogram("plan_us"),
             read_us: recorder.histogram("read_us"),
             verify_us: recorder.histogram("verify_us"),
@@ -132,38 +123,6 @@ impl StoreMetrics {
         self.write_runs.add(runs as u64);
         self.write_elems.add(elems as u64);
     }
-}
-
-/// A [`StripeEvent`] subscriber registered with
-/// [`ObjectStore::subscribe_stripes`]. Called synchronously after the
-/// store's internal lock is released, so it may call back into the
-/// store.
-pub type StripeListener = Arc<dyn Fn(StripeEvent) + Send + Sync>;
-
-/// A change to sealed-stripe state, delivered to subscribers registered
-/// via [`ObjectStore::subscribe_stripes`].
-///
-/// The front door's decoded-element cache uses these to invalidate:
-/// repair rewrites identical payloads and sealed elements are
-/// immutable, so invalidation is a conservative coherence fence rather
-/// than a correctness requirement today — but it keeps the cache honest
-/// against any future path that rewrites cells with different bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripeEvent {
-    /// Stripes `first .. first + count` were sealed and written out.
-    Sealed {
-        /// First newly sealed stripe index.
-        first: u64,
-        /// Number of stripes sealed in this batch.
-        count: u64,
-    },
-    /// One stripe's lost cells were rewritten by
-    /// [`ObjectStore::repair_stripe`] — a whole-disk rebuild is one of
-    /// these per sealed stripe.
-    Rewritten {
-        /// The repaired stripe.
-        stripe: u64,
-    },
 }
 
 /// Everything the store knows about its stream and its stripes. One
@@ -225,12 +184,6 @@ pub struct ObjectStore {
     /// The keyed-hash key every element footer and merkle manifest is
     /// computed under.
     key: HashKey,
-    /// Stripe-event subscribers (the front door's cache invalidation).
-    listeners: Mutex<Vec<StripeListener>>,
-    /// Events recorded while `state` was held, delivered by
-    /// [`Self::notify`] once the lock is released so subscribers may
-    /// freely call back into the store.
-    pending_events: Mutex<Vec<StripeEvent>>,
 }
 
 impl std::fmt::Debug for ObjectStore {
@@ -300,8 +253,6 @@ impl ObjectStore {
                 failed: BTreeSet::new(),
             }),
             key: HashKey::DEFAULT,
-            listeners: Mutex::new(Vec::new()),
-            pending_events: Mutex::new(Vec::new()),
         }
     }
 
@@ -318,41 +269,6 @@ impl ObjectStore {
             stripes: s.stripes,
             failed: s.failed.iter().copied().collect(),
         })
-    }
-
-    /// Subscribe to [`StripeEvent`]s: seals and repair rewrites. Events
-    /// are delivered synchronously from the store call that completed
-    /// the change, after the store's internal lock is released (so
-    /// subscribers may call back into the store).
-    pub fn subscribe_stripes(&self, listener: StripeListener) {
-        self.listeners.lock().push(listener);
-    }
-
-    /// Record an event for delivery at the next [`Self::notify`]. Safe
-    /// to call with `state` held.
-    fn push_event(&self, ev: StripeEvent) {
-        if !self.listeners.lock().is_empty() {
-            self.pending_events.lock().push(ev);
-        }
-    }
-
-    /// Deliver pending stripe events. Must be called WITHOUT `state`
-    /// held. Listeners run outside every store lock, so they may call
-    /// back into the store; events raised by those calls are drained by
-    /// the same loop.
-    fn notify(&self) {
-        loop {
-            let batch: Vec<StripeEvent> = std::mem::take(&mut *self.pending_events.lock());
-            if batch.is_empty() {
-                return;
-            }
-            let listeners: Vec<_> = self.listeners.lock().clone();
-            for ev in batch {
-                for l in &listeners {
-                    l(ev);
-                }
-            }
-        }
     }
 
     /// The bound scheme.
@@ -389,14 +305,6 @@ impl ObjectStore {
     /// Element size in bytes.
     pub fn element_size(&self) -> usize {
         self.element_size
-    }
-
-    /// A live snapshot of the `disk_load` board: cumulative planned
-    /// fetches per disk since startup. The front door's cache miss path
-    /// diffs successive snapshots to find the currently hottest disk
-    /// and asks the planner to decode around it ([`ReadOpts::avoid`]).
-    pub fn disk_loads(&self) -> ecfrm_obs::DiskBoardSnapshot {
-        self.metrics.disk_load.snapshot()
     }
 
     /// The store's stripe repair queue (drained by a

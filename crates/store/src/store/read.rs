@@ -11,23 +11,13 @@ use super::ObjectStore;
 use crate::error::StoreError;
 use crate::meta::{ObjectMeta, ReadStats};
 
-/// Cost ceiling (fetched/requested elements, [`ReadStats::cost`]) above
-/// which [`ReadOpts::avoid`] is abandoned. EC-FRM's rotated layout
-/// usually substitutes a same-group parity at equal cost, so this only
-/// forgives small remainder-group overheads.
-const MAX_AVOID_COST: f64 = 1.3;
-
-/// Per-read options for [`ObjectStore::read_extent`].
-#[derive(Debug, Clone, Default)]
-pub struct ReadOpts {
-    /// Live disks the planner should treat as down, so the read decodes
-    /// around them instead of touching them — the front-door cache
-    /// passes the currently hottest disk here on a miss. Avoided disks
-    /// are never marked suspect and never generate repair hints; if the
-    /// avoiding plan is unreadable or costs more than 1.3× the elements
-    /// requested, avoidance is dropped and the read proceeds normally.
-    pub avoid: Vec<usize>,
-}
+/// Per-read options for [`ObjectStore::read_extent`]. There are none:
+/// the type survives, field-less, only because the e2e trace probe
+/// (`crates/bench/src/bin/e2e`, frozen by BENCHMARK.json) names it in
+/// `read_extent(…, &ReadOpts::default())`. It leaves with the same
+/// benchmark-only change ROADMAP 3(c) waits on for [`ObjectStore::put`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReadOpts {}
 
 /// How many per-disk groups of `addrs` (grouped in submission order, the
 /// way `ThreadedArray` dispatches them) form one contiguous ascending
@@ -63,7 +53,7 @@ impl ObjectStore {
     /// wall-clock time) — the instrumentation behind the examples'
     /// speed reports.
     pub fn get_with_stats(&self, name: &str) -> Result<(Vec<u8>, ReadStats), StoreError> {
-        self.read_absolute(self.named(name)?, &ReadOpts::default())
+        self.read_absolute(self.named(name)?)
     }
 
     /// Read `len` bytes of an object starting at byte `start` within it.
@@ -86,7 +76,7 @@ impl ObjectStore {
             offset: meta.offset + start,
             len,
         };
-        Ok(self.read_absolute(abs, &ReadOpts::default())?.0)
+        Ok(self.read_absolute(abs)?.0)
     }
 
     fn named(&self, name: &str) -> Result<ObjectMeta, StoreError> {
@@ -109,7 +99,7 @@ impl ObjectStore {
         extent: ObjectMeta,
         start: u64,
         len: u64,
-        opts: &ReadOpts,
+        _opts: &ReadOpts,
     ) -> Result<(Vec<u8>, ReadStats), StoreError> {
         if start.checked_add(len).is_none_or(|end| end > extent.len) {
             return Err(out_of_bounds(extent.offset, extent.len));
@@ -118,16 +108,12 @@ impl ObjectStore {
             .offset
             .checked_add(start)
             .ok_or_else(|| out_of_bounds(extent.offset, extent.len))?;
-        self.read_absolute(ObjectMeta { offset, len }, opts)
+        self.read_absolute(ObjectMeta { offset, len })
     }
 
     /// The shared read core: `meta.offset` is an *absolute* logical
     /// stream offset (catalog lookups already applied).
-    fn read_absolute(
-        &self,
-        meta: ObjectMeta,
-        opts: &ReadOpts,
-    ) -> Result<(Vec<u8>, ReadStats), StoreError> {
+    fn read_absolute(&self, meta: ObjectMeta) -> Result<(Vec<u8>, ReadStats), StoreError> {
         let len = meta.len;
         let (first, last) = meta
             .element_range(self.element_size)
@@ -183,20 +169,9 @@ impl ObjectStore {
         // into the assemble map the same way.
         let mut verify_spent = std::time::Duration::ZERO;
         let mut suspects: BTreeSet<usize> = failed.iter().copied().collect();
-        // Live disks the caller asked us to plan around (load shedding,
-        // not failure): planned as down, but never marked suspect and
-        // never hinted for repair. Dropped wholesale if avoiding them
-        // would cost more than `MAX_AVOID_COST` or make the range
-        // unreadable.
-        let mut avoid: BTreeSet<usize> = opts
-            .avoid
-            .iter()
-            .copied()
-            .filter(|&d| d < self.scheme.n_disks() && !suspects.contains(&d))
-            .collect();
         let mut replans = 0usize;
         let plan = loop {
-            let down: Vec<usize> = suspects.union(&avoid).copied().collect();
+            let down: Vec<usize> = suspects.iter().copied().collect();
             let t_plan = std::time::Instant::now();
             let plan = if down.is_empty() {
                 self.scheme.normal_read_plan(first, count)
@@ -204,11 +179,6 @@ impl ObjectStore {
                 self.scheme.degraded_read_plan(first, count, &down)
             };
             self.metrics.plan_us.record_duration(t_plan.elapsed());
-            if !avoid.is_empty() && (!plan.unreadable.is_empty() || plan.cost() > MAX_AVOID_COST) {
-                avoid.clear();
-                self.metrics.avoid_fallbacks.inc();
-                continue;
-            }
             if !plan.unreadable.is_empty() {
                 return Err(StoreError::DataLoss(format!(
                     "{} elements unrecoverable under failed disks {down:?}",
@@ -329,9 +299,6 @@ impl ObjectStore {
         m.reads.inc();
         if stats.degraded {
             m.degraded_reads.inc();
-        }
-        if !avoid.is_empty() {
-            m.avoided_reads.inc();
         }
         if replans > 0 {
             m.replans.add(replans as u64);

@@ -11,7 +11,7 @@ use ecfrm_integrity::{append_footer, verify_footer};
 use ecfrm_layout::Loc;
 use ecfrm_sim::{combine_status, CombineOutcome, CombinePeerSpec, CombineSpec};
 
-use super::{ObjectStore, StripeEvent};
+use super::ObjectStore;
 use crate::error::StoreError;
 use crate::meta::StripeRepair;
 
@@ -97,11 +97,7 @@ impl ObjectStore {
                 None => self.repair_stripe_batched(&recovery),
             };
             match attempt {
-                Ok(repair) => {
-                    self.push_event(StripeEvent::Rewritten { stripe });
-                    self.notify();
-                    return Ok(repair);
-                }
+                Ok(repair) => return Ok(repair),
                 Err(helpers) => {
                     for d in helpers {
                         self.array.mark_suspect(d);

@@ -9,7 +9,7 @@ use ecfrm_layout::Loc;
 use ecfrm_sim::RunBuf;
 use ecfrm_util::{par_map, Mutex};
 
-use super::{ObjectStore, StripeEvent, StripeState};
+use super::{ObjectStore, StripeState};
 use crate::error::StoreError;
 use crate::meta::{ObjectMeta, StripeManifest};
 
@@ -26,8 +26,6 @@ impl ObjectStore {
         }
         let meta = self.append_locked(&mut state, bytes);
         state.catalog.insert(name.to_string(), meta);
-        drop(state);
-        self.notify();
         Ok(())
     }
 
@@ -40,9 +38,7 @@ impl ObjectStore {
     /// buffered until a flush or a read needs it. Read the bytes back
     /// with [`Self::read_extent`].
     pub fn append(&self, bytes: &[u8]) -> ObjectMeta {
-        let meta = self.append_locked(&mut self.state.lock(), bytes);
-        self.notify();
-        meta
+        self.append_locked(&mut self.state.lock(), bytes)
     }
 
     fn append_locked(&self, state: &mut StripeState, bytes: &[u8]) -> ObjectMeta {
@@ -60,20 +56,17 @@ impl ObjectStore {
     /// everything written so far becomes readable. Later appends start
     /// after the padding (alignment loss, as in real append-only stores).
     pub fn flush(&self) {
-        {
-            let mut state = self.state.lock();
-            if state.pending.is_empty() {
-                return;
-            }
-            let stripe_bytes = self.stripe_bytes();
-            let pad = (stripe_bytes - state.pending.len() % stripe_bytes) % stripe_bytes;
-            let padded = state.pending.len() + pad;
-            state.pending.resize(padded, 0);
-            state.logical_len += pad as u64;
-            self.seal_full_stripes(&mut state);
-            debug_assert!(state.pending.is_empty());
+        let mut state = self.state.lock();
+        if state.pending.is_empty() {
+            return;
         }
-        self.notify();
+        let stripe_bytes = self.stripe_bytes();
+        let pad = (stripe_bytes - state.pending.len() % stripe_bytes) % stripe_bytes;
+        let padded = state.pending.len() + pad;
+        state.pending.resize(padded, 0);
+        state.logical_len += pad as u64;
+        self.seal_full_stripes(&mut state);
+        debug_assert!(state.pending.is_empty());
     }
 
     pub(super) fn stripe_bytes(&self) -> usize {
@@ -187,10 +180,6 @@ impl ObjectStore {
             .write_runs(runs.into_iter().enumerate().collect());
         state.stripes += full as u64;
         state.sealed_elements += (full * dps) as u64;
-        self.push_event(StripeEvent::Sealed {
-            first: first_stripe,
-            count: full as u64,
-        });
     }
 }
 
