@@ -30,7 +30,7 @@
 //! store registry's `net.*` counters whenever it is snapshotted.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,8 +152,8 @@ impl RemoteDiskConfigBuilder {
     }
 }
 
-/// How often the demux reader wakes when idle, to check liveness and
-/// sweep request deadlines.
+/// How often the demux reader wakes when idle to check liveness, and
+/// how often — idle or not — it sweeps request deadlines.
 const MUX_POLL: Duration = Duration::from_millis(10);
 
 /// Completion callback for one multiplexed request — guaranteed to run
@@ -162,7 +162,7 @@ type MuxCallback = Box<dyn FnOnce(Result<Response, NetError>) + Send>;
 
 /// Writes one request frame, tagged with the id it is given, onto the
 /// mux connection — possibly twice (see [`RemoteDisk::submit`]).
-type MuxSend<'a> = dyn Fn(&mut BufWriter<TcpStream>, u64) -> Result<(), NetError> + 'a;
+type MuxSend<'a> = dyn Fn(&mut TcpStream, u64) -> Result<(), NetError> + 'a;
 
 struct MuxPending {
     deadline: Instant,
@@ -227,7 +227,7 @@ const CONN_LOST: &str = "mux connection lost";
 /// frames under the writer lock; a demux thread reads responses and
 /// fires the matching callbacks as they land, whatever the order.
 struct MuxConn {
-    writer: Mutex<BufWriter<TcpStream>>,
+    writer: Mutex<TcpStream>,
     shared: Arc<MuxShared>,
     next_id: AtomicU64,
 }
@@ -250,7 +250,7 @@ impl MuxConn {
         let reader_shared = Arc::clone(&shared);
         std::thread::spawn(move || demux_loop(BufReader::new(reader), &reader_shared));
         Ok(Self {
-            writer: Mutex::new(BufWriter::new(stream)),
+            writer: Mutex::new(stream),
             shared,
             next_id: AtomicU64::new(1),
         })
@@ -311,9 +311,10 @@ impl Drop for MuxConn {
 }
 
 /// The demux reader: matches id-tagged responses to pending callbacks,
-/// sweeps deadlines while idle, and on connection death fails every
-/// outstanding request.
+/// sweeps deadlines once per [`MUX_POLL`] — idle or busy — and on
+/// connection death fails every outstanding request.
 fn demux_loop(mut reader: BufReader<TcpStream>, shared: &Arc<MuxShared>) {
+    let mut swept = Instant::now();
     let why = loop {
         match read_response_polling(&mut reader, &shared.dead) {
             Polled::Frame(Response::Mux { id, inner }) => {
@@ -325,15 +326,20 @@ fn demux_loop(mut reader: BufReader<TcpStream>, shared: &Arc<MuxShared>) {
                     });
                 }
                 // else: a late response for a swept id — drop it.
-                shared.sweep();
+                // A busy connection never idles: it sweeps between replies.
+                if swept.elapsed() < MUX_POLL {
+                    continue;
+                }
             }
-            Polled::Idle => shared.sweep(),
+            Polled::Idle => {}
             // A plain response on a mux connection is framing confusion:
             // the stream is as unusable as after EOF or garbage. (Or the
             // stop flag was raised by an intentional shutdown.)
             Polled::Frame(_) | Polled::Closed => break CONN_LOST.to_string(),
             Polled::WrongVersion(peer) => break version_mismatch(peer),
         }
+        shared.sweep();
+        swept = Instant::now();
     };
     shared.discard();
     shared.fail_all(&why);

@@ -11,6 +11,7 @@
 //! non-idempotent op surfaces as an error instead: the op may have
 //! landed server-side, and a blind retry would run it twice.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -18,6 +19,8 @@ use ecfrm_util::Mutex;
 
 use crate::client::RemoteDiskConfig;
 use crate::protocol::{read_response, NetError, Response, SendFrame};
+
+type Conn = BufReader<TcpStream>;
 
 /// Idle connections to one server, and how to dial another.
 pub(crate) struct Pool {
@@ -27,7 +30,7 @@ pub(crate) struct Pool {
     size: usize,
     /// Strictly one request at a time per connection; concurrency comes
     /// from pooling.
-    idle: Mutex<Vec<TcpStream>>,
+    idle: Mutex<Vec<Conn>>,
 }
 
 impl Pool {
@@ -81,7 +84,7 @@ impl Pool {
                 Err(TripError::Recv(_)) => {}
             }
         }
-        let mut stream = self.dial()?;
+        let mut stream = BufReader::new(self.dial()?);
         let resp = round_trip(&mut stream, send).map_err(TripError::into_inner)?;
         self.park(stream);
         Ok(resp)
@@ -98,7 +101,7 @@ impl Pool {
 
     /// Keep a connection for reuse — only ever called after a clean
     /// request/response exchange, so its framing state is known-good.
-    fn park(&self, stream: TcpStream) {
+    fn park(&self, stream: Conn) {
         let mut idle = self.idle.lock();
         if idle.len() < self.size {
             idle.push(stream);
@@ -125,7 +128,9 @@ impl TripError {
     }
 }
 
-fn round_trip(stream: &mut TcpStream, send: SendFrame<'_>) -> Result<Response, TripError> {
-    send(stream).map_err(TripError::Send)?;
+/// The response is parsed field by field as it arrives, so it comes in
+/// through a buffer (which a body bigger than it bypasses).
+fn round_trip(stream: &mut Conn, send: SendFrame<'_>) -> Result<Response, TripError> {
+    send(stream.get_mut()).map_err(TripError::Send)?;
     read_response(stream).map_err(TripError::Recv)
 }

@@ -18,12 +18,14 @@
 //! the shard verifies each cell's checksum footer before shipping it,
 //! answered by one [`Response::Cells`]. `PutMany` (16) is the one write
 //! op: the same `(start, count)` run table followed by every run's
-//! cells back to back. The sender never builds that payload:
-//! [`write_put_many`] hands the frame header, the run table and the
-//! caller's run buffers to one vectored write, and the receiver keeps
-//! the frame it read as the run buffer ([`Body`]) — so between a sealed
-//! stripe and the shard's `pwrite` a cell is copied by the two socket
-//! calls only. `CombineRange` (10) moves repair decode arithmetic to
+//! cells back to back. No sender joins a payload, request or response:
+//! the small fields and the bulk buffers they sit between, borrowed
+//! from whoever holds them, leave in one vectored write (`Parts`). No
+//! receiver copies one out: a request's frame is read into the buffer
+//! that becomes its [`Body`], a response's cells and object bytes each
+//! into the `Vec` the caller keeps (`Frame::body`) — so on either way
+//! across a hop the bytes are copied by the two socket calls only.
+//! `CombineRange` (10) moves repair decode arithmetic to
 //! the data: the server multiplies a contiguous run of local elements
 //! by a caller-supplied GF(2^8) coefficient matrix and ships back
 //! pre-summed regions — optionally first fetching and XOR-merging other
@@ -39,7 +41,9 @@
 //! match completions as they land in any order. A front node also
 //! serves the object ops (11–15).
 
+use std::io::ErrorKind::{Interrupted, TimedOut, UnexpectedEof, WouldBlock};
 use std::io::{IoSlice, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, WriteRun};
 
@@ -387,47 +391,60 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A frame's payload as the pieces it leaves from: the small fields,
+/// encoded into one scratch buffer, and the bulk buffers they sit
+/// between, borrowed from whoever holds them.
+#[derive(Default)]
+struct Parts<'a> {
+    small: Vec<u8>,
+    /// `(cut, bytes)`: `bytes` goes on the wire after `small[..cut]`.
+    bulk: Vec<(usize, &'a [u8])>,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl<'a> Parts<'a> {
+    /// `bytes` come next, sent from where they are.
+    fn bulk(&mut self, bytes: &'a [u8]) {
+        self.bulk.push((self.small.len(), bytes));
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self.pos + n > self.buf.len() {
-            return Err(NetError::Protocol("payload truncated".into()));
+    /// Write the payload as one frame, never joined in memory: header,
+    /// fields and buffers leave in one vectored write — on a socket one
+    /// syscall and (with `TCP_NODELAY`) one segment train.
+    fn send(&self, w: &mut impl Write, opcode: u8) -> Result<(), NetError> {
+        let bulk: u64 = self.bulk.iter().map(|(_, b)| b.len() as u64).sum();
+        let len = self.small.len() as u64 + bulk;
+        if len > u64::from(MAX_PAYLOAD) {
+            return Err(NetError::Protocol(format!(
+                "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
+            )));
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn done(&self) -> Result<(), NetError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(NetError::Protocol("trailing bytes in payload".into()))
+        let mut header = [0u8; 10];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4] = VERSION;
+        header[5] = opcode;
+        header[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+        let mut bufs = Vec::with_capacity(2 * self.bulk.len() + 2);
+        bufs.push(IoSlice::new(&header));
+        let mut at = 0;
+        for &(cut, bytes) in &self.bulk {
+            if cut > at {
+                bufs.push(IoSlice::new(&self.small[at..cut]));
+            }
+            bufs.push(IoSlice::new(bytes));
+            at = cut;
         }
+        bufs.push(IoSlice::new(&self.small[at..]));
+        let mut bufs = &mut bufs[..];
+        while !bufs.is_empty() {
+            match w.write_vectored(bufs) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        w.flush()?;
+        Ok(())
     }
 }
 
@@ -450,29 +467,18 @@ fn put_runs(out: &mut Vec<u8>, runs: impl ExactSizeIterator<Item = (u64, u32)>) 
 /// Decode a run table, bounding it by the frame before allocating for
 /// it. What the runs *say* (an empty run, one past the last offset, too
 /// many cells) is the server's to refuse, with a typed error.
-fn get_runs(c: &mut Cursor<'_>) -> Result<Vec<(u64, u32)>, NetError> {
-    let n = c.u32()? as usize;
-    if n > c.remaining() / 12 {
+fn get_runs<R: Read>(f: &mut Frame<'_, R>) -> Result<Vec<(u64, u32)>, NetError> {
+    let n = f.u32()? as usize;
+    if n > f.left / 12 {
         return Err(NetError::Protocol(format!(
             "table of {n} runs overruns the payload"
         )));
     }
     let mut runs = Vec::with_capacity(n);
     for _ in 0..n {
-        runs.push((c.u64()?, c.u32()?));
+        runs.push((f.u64()?, f.u32()?));
     }
     Ok(runs)
-}
-
-/// Everything of a `PutMany` payload ahead of the cells:
-/// `[cell_len:u32]` then the run table.
-fn put_many_head(
-    out: &mut Vec<u8>,
-    cell_len: u32,
-    runs: impl ExactSizeIterator<Item = (u64, u32)>,
-) {
-    put_u32(out, cell_len);
-    put_runs(out, runs);
 }
 
 /// Everything of an `ObjWrite` payload ahead of the bytes:
@@ -483,11 +489,9 @@ fn obj_write_head(out: &mut Vec<u8>, tenant: &str, object: &str, len: usize) {
     put_u32(out, len as u32);
 }
 
-fn get_str(c: &mut Cursor<'_>) -> Result<String, NetError> {
-    let len = c.u32()? as usize;
-    Ok(std::str::from_utf8(c.take(len)?)
-        .map_err(|_| NetError::Protocol("string is not UTF-8".into()))?
-        .to_string())
+fn get_str<R: Read>(f: &mut Frame<'_, R>) -> Result<String, NetError> {
+    let len = f.u32()? as usize;
+    String::from_utf8(f.body(len)?).map_err(|_| NetError::Protocol("string is not UTF-8".into()))
 }
 
 impl Request {
@@ -508,25 +512,28 @@ impl Request {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Encode the payload, borrowing a bulk op's bytes.
+    fn encode<'a>(&'a self, parts: &mut Parts<'a>) {
+        let out = &mut parts.small;
         match self {
             Request::Read { runs, key } => {
                 // [has key:u8]([k0:u64][k1:u64])? then the run table.
                 out.push(u8::from(key.is_some()));
                 if let Some((k0, k1)) = key {
-                    put_u64(&mut out, *k0);
-                    put_u64(&mut out, *k1);
+                    put_u64(out, *k0);
+                    put_u64(out, *k1);
                 }
-                put_runs(&mut out, runs.iter().copied());
+                put_runs(out, runs.iter().copied());
             }
             Request::PutMany {
                 runs,
                 cell_len,
                 bytes,
             } => {
-                put_many_head(&mut out, *cell_len, runs.iter().copied());
-                out.extend_from_slice(bytes);
+                // [cell_len:u32] then the run table, then the cells.
+                put_u32(out, *cell_len);
+                put_runs(out, runs.iter().copied());
+                parts.bulk(bytes);
             }
             Request::CombineRange(CombineSpec {
                 offset,
@@ -540,39 +547,36 @@ impl Request {
                 // [coeffs][k0:u64][k1:u64][n_peers:u32] then per peer
                 // [addr len:u32][addr][offset:u64][count:u32]
                 // [coeffs len:u32][coeffs].
-                put_u64(&mut out, *offset);
-                put_u32(&mut out, *count);
-                put_u32(&mut out, *outputs);
-                put_u32(&mut out, coeffs.len() as u32);
+                put_u64(out, *offset);
+                put_u32(out, *count);
+                put_u32(out, *outputs);
+                put_u32(out, coeffs.len() as u32);
                 out.extend_from_slice(coeffs);
-                put_u64(&mut out, *k0);
-                put_u64(&mut out, *k1);
-                put_u32(&mut out, peers.len() as u32);
+                put_u64(out, *k0);
+                put_u64(out, *k1);
+                put_u32(out, peers.len() as u32);
                 for p in peers {
-                    put_u32(&mut out, p.addr.len() as u32);
-                    out.extend_from_slice(p.addr.as_bytes());
-                    put_u64(&mut out, p.offset);
-                    put_u32(&mut out, p.count);
-                    put_u32(&mut out, p.coeffs.len() as u32);
+                    put_str(out, &p.addr);
+                    put_u64(out, p.offset);
+                    put_u32(out, p.count);
+                    put_u32(out, p.coeffs.len() as u32);
                     out.extend_from_slice(&p.coeffs);
                 }
             }
-            Request::ObjCreate { tenant, object } | Request::ObjDelete { tenant, object } => {
-                // [tenant len:u32][tenant][object len:u32][object].
-                put_str(&mut out, tenant);
-                put_str(&mut out, object);
-            }
-            Request::ObjStat { tenant, object } => {
-                put_str(&mut out, tenant);
-                put_str(&mut out, object);
+            // [tenant len:u32][tenant][object len:u32][object].
+            Request::ObjCreate { tenant, object }
+            | Request::ObjDelete { tenant, object }
+            | Request::ObjStat { tenant, object } => {
+                put_str(out, tenant);
+                put_str(out, object);
             }
             Request::ObjWrite {
                 tenant,
                 object,
                 bytes,
             } => {
-                obj_write_head(&mut out, tenant, object, bytes.len());
-                out.extend_from_slice(bytes);
+                obj_write_head(out, tenant, object, bytes.len());
+                parts.bulk(bytes);
             }
             Request::ObjGet {
                 tenant,
@@ -581,103 +585,98 @@ impl Request {
                 len,
             } => {
                 // [tenant][object][start:u64][len:u64].
-                put_str(&mut out, tenant);
-                put_str(&mut out, object);
-                put_u64(&mut out, *start);
-                put_u64(&mut out, *len);
+                put_str(out, tenant);
+                put_str(out, object);
+                put_u64(out, *start);
+                put_u64(out, *len);
             }
             Request::Health | Request::Stats => {}
             Request::Mux { id, inner } => {
                 // [id:u64][inner opcode:u8][inner payload].
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
                 out.push(inner.opcode());
-                out.extend_from_slice(&inner.payload());
+                inner.encode(parts);
             }
-            Request::InjectFault(fault) => match fault {
-                Fault::Fail => out.push(0),
-                Fault::Heal => out.push(1),
-                Fault::Wipe => out.push(2),
-            },
+            Request::InjectFault(fault) => out.push(match fault {
+                Fault::Fail => 0,
+                Fault::Heal => 1,
+                Fault::Wipe => 2,
+            }),
         }
-        out
     }
 
     /// Decode the request whose payload is `frame[at..]`. The two bulk
     /// ops keep `frame` as their [`Body`]; a `Mux` envelope hands it on
     /// to the request inside.
     fn decode(opcode: u8, frame: Vec<u8>, at: usize) -> Result<Self, NetError> {
-        let mut c = Cursor::new(&frame[at..]);
-        match opcode {
+        let mut f = Frame {
+            r: &frame[at..],
+            stop: None,
+            left: frame.len() - at,
+        };
+        // Where in `frame` the fields read so far end.
+        let here = |f: &Frame<'_, &[u8]>| frame.len() - f.left;
+        let f = &mut f;
+        let req = match opcode {
             OP_MUX => {
-                let id = c.u64()?;
-                let op = c.u8()?;
+                let id = f.u64()?;
+                let op = f.u8()?;
                 if op == OP_MUX {
                     return Err(NetError::Protocol("nested mux request".into()));
                 }
-                let at = at + c.pos;
+                let at = here(f);
                 let inner = Box::new(Request::decode(op, frame, at)?);
-                Ok(Request::Mux { id, inner })
+                return Ok(Request::Mux { id, inner });
             }
             OP_PUT_MANY => {
-                let cell_len = c.u32()?;
-                let runs = get_runs(&mut c)?;
-                let start = at + c.pos;
+                let cell_len = f.u32()?;
+                let runs = get_runs(f)?;
+                let start = here(f);
                 let bytes = Body { frame, start };
-                Ok(Request::PutMany {
+                return Ok(Request::PutMany {
                     runs,
                     cell_len,
                     bytes,
-                })
+                });
             }
             OP_OBJ_WRITE => {
-                let tenant = get_str(&mut c)?;
-                let object = get_str(&mut c)?;
-                if c.u32()? as usize != c.remaining() {
+                let tenant = get_str(f)?;
+                let object = get_str(f)?;
+                if f.u32()? as usize != f.left {
                     return Err(NetError::Protocol("object bytes length mismatch".into()));
                 }
-                let start = at + c.pos;
+                let start = here(f);
                 let bytes = Body { frame, start };
-                Ok(Request::ObjWrite {
+                return Ok(Request::ObjWrite {
                     tenant,
                     object,
                     bytes,
-                })
+                });
             }
-            _ => Request::decode_small(opcode, &frame[at..]),
-        }
-    }
-
-    /// Every op whose payload is parsed out of the frame by value.
-    fn decode_small(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
-        let mut c = Cursor::new(payload);
-        let req = match opcode {
             OP_READ => {
-                let key = match c.u8()? {
+                let key = match f.u8()? {
                     0 => None,
-                    1 => Some((c.u64()?, c.u64()?)),
+                    1 => Some((f.u64()?, f.u64()?)),
                     t => return Err(NetError::Protocol(format!("bad key tag {t}"))),
                 };
-                let runs = get_runs(&mut c)?;
+                let runs = get_runs(f)?;
                 Request::Read { runs, key }
             }
             OP_COMBINE_RANGE => {
-                let offset = c.u64()?;
-                let count = c.u32()?;
-                let outputs = c.u32()?;
-                let clen = c.u32()? as usize;
-                let coeffs = c.take(clen)?.to_vec();
-                let key = (c.u64()?, c.u64()?);
-                let n = c.u32()? as usize;
+                let offset = f.u64()?;
+                let count = f.u32()?;
+                let outputs = f.u32()?;
+                let clen = f.u32()? as usize;
+                let coeffs = f.body(clen)?;
+                let key = (f.u64()?, f.u64()?);
+                let n = f.u32()? as usize;
                 let mut peers = Vec::with_capacity(n.min(1 << 10));
                 for _ in 0..n {
-                    let alen = c.u32()? as usize;
-                    let addr = std::str::from_utf8(c.take(alen)?)
-                        .map_err(|_| NetError::Protocol("peer address is not UTF-8".into()))?
-                        .to_string();
-                    let offset = c.u64()?;
-                    let count = c.u32()?;
-                    let clen = c.u32()? as usize;
-                    let coeffs = c.take(clen)?.to_vec();
+                    let addr = get_str(f)?;
+                    let offset = f.u64()?;
+                    let count = f.u32()?;
+                    let clen = f.u32()? as usize;
+                    let coeffs = f.body(clen)?;
                     peers.push(CombinePeerSpec {
                         addr,
                         offset,
@@ -695,37 +694,34 @@ impl Request {
                 })
             }
             OP_OBJ_CREATE => Request::ObjCreate {
-                tenant: get_str(&mut c)?,
-                object: get_str(&mut c)?,
+                tenant: get_str(f)?,
+                object: get_str(f)?,
             },
             OP_OBJ_GET => Request::ObjGet {
-                tenant: get_str(&mut c)?,
-                object: get_str(&mut c)?,
-                start: c.u64()?,
-                len: c.u64()?,
+                tenant: get_str(f)?,
+                object: get_str(f)?,
+                start: f.u64()?,
+                len: f.u64()?,
             },
             OP_OBJ_STAT => Request::ObjStat {
-                tenant: get_str(&mut c)?,
-                object: get_str(&mut c)?,
+                tenant: get_str(f)?,
+                object: get_str(f)?,
             },
             OP_OBJ_DELETE => Request::ObjDelete {
-                tenant: get_str(&mut c)?,
-                object: get_str(&mut c)?,
+                tenant: get_str(f)?,
+                object: get_str(f)?,
             },
             OP_HEALTH => Request::Health,
             OP_STATS => Request::Stats,
-            OP_INJECT => {
-                let fault = match c.u8()? {
-                    0 => Fault::Fail,
-                    1 => Fault::Heal,
-                    2 => Fault::Wipe,
-                    t => return Err(NetError::Protocol(format!("bad fault tag {t}"))),
-                };
-                Request::InjectFault(fault)
-            }
+            OP_INJECT => Request::InjectFault(match f.u8()? {
+                0 => Fault::Fail,
+                1 => Fault::Heal,
+                2 => Fault::Wipe,
+                t => return Err(NetError::Protocol(format!("bad fault tag {t}"))),
+            }),
             op => return Err(NetError::Protocol(format!("unknown request opcode {op}"))),
         };
-        c.done()?;
+        f.done()?;
         Ok(req)
     }
 }
@@ -747,27 +743,27 @@ impl Response {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Encode the payload, borrowing the cells, object bytes and
+    /// combined regions from the response that holds them.
+    fn encode<'a>(&'a self, parts: &mut Parts<'a>) {
+        let out = &mut parts.small;
         match self {
-            Response::Put | Response::FaultInjected => {}
+            Response::Put | Response::FaultInjected | Response::ObjAck => {}
             Response::Cells(items) => {
                 // [count:u32][status byte per cell: 0=missing,
                 // 1=valid, 2=corrupt][per valid cell, in order:
                 // len:u32 + bytes]. Corrupt cells ship a verdict but
                 // no payload.
-                put_u32(&mut out, items.len() as u32);
-                for item in items {
-                    out.push(match item {
-                        CheckedElement::Missing => 0,
-                        CheckedElement::Valid(_) => 1,
-                        CheckedElement::Corrupt => 2,
-                    });
-                }
+                put_u32(out, items.len() as u32);
+                out.extend(items.iter().map(|item| match item {
+                    CheckedElement::Missing => 0,
+                    CheckedElement::Valid(_) => 1,
+                    CheckedElement::Corrupt => 2,
+                }));
                 for item in items {
                     if let CheckedElement::Valid(v) = item {
-                        put_u32(&mut out, v.len() as u32);
-                        out.extend_from_slice(v);
+                        put_u32(&mut parts.small, v.len() as u32);
+                        parts.bulk(v);
                     }
                 }
             }
@@ -778,20 +774,20 @@ impl Response {
             }) => {
                 // [n_regions:u32][per region: len:u32 + bytes]
                 // [n_local:u32][status bytes][n_peers:u32][status bytes].
-                put_u32(&mut out, regions.len() as u32);
+                put_u32(out, regions.len() as u32);
                 for r in regions {
-                    put_u32(&mut out, r.len() as u32);
-                    out.extend_from_slice(r);
+                    put_u32(&mut parts.small, r.len() as u32);
+                    parts.bulk(r);
                 }
-                put_u32(&mut out, local_status.len() as u32);
+                let out = &mut parts.small;
+                put_u32(out, local_status.len() as u32);
                 out.extend_from_slice(local_status);
-                put_u32(&mut out, peer_status.len() as u32);
+                put_u32(out, peer_status.len() as u32);
                 out.extend_from_slice(peer_status);
             }
-            Response::ObjAck => {}
             Response::ObjData(bytes) => {
-                put_u32(&mut out, bytes.len() as u32);
-                out.extend_from_slice(bytes);
+                put_u32(out, bytes.len() as u32);
+                parts.bulk(bytes);
             }
             Response::ObjStat {
                 len,
@@ -799,46 +795,47 @@ impl Response {
                 extents,
             } => {
                 // [len:u64][version:u64][extents:u32].
-                put_u64(&mut out, *len);
-                put_u64(&mut out, *version);
-                put_u32(&mut out, *extents);
+                put_u64(out, *len);
+                put_u64(out, *version);
+                put_u32(out, *extents);
             }
-            Response::Health { elements } => put_u64(&mut out, *elements),
+            Response::Health { elements } => put_u64(out, *elements),
             Response::Stats(pairs) => {
-                put_u32(&mut out, pairs.len() as u32);
+                put_u32(out, pairs.len() as u32);
                 for (name, value) in pairs {
-                    put_u32(&mut out, name.len() as u32);
-                    out.extend_from_slice(name.as_bytes());
-                    put_u64(&mut out, *value);
+                    put_str(out, name);
+                    put_u64(out, *value);
                 }
             }
             Response::Error(msg) => out.extend_from_slice(msg.as_bytes()),
             Response::Mux { id, inner } => {
                 // [id:u64][inner opcode:u8][inner payload].
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
                 out.push(inner.opcode());
-                out.extend_from_slice(&inner.payload());
+                inner.encode(parts);
             }
         }
-        out
     }
 
-    fn decode(opcode: u8, payload: &[u8]) -> Result<Self, NetError> {
-        let mut c = Cursor::new(payload);
-        let resp = match opcode {
+    /// Read the response whose payload `f` has yet to deliver, by
+    /// value: the small fields parsed as they arrive, each cell, region
+    /// and the object bytes read into the `Vec` the caller keeps. A
+    /// `Mux` envelope hands the frame on to the response inside.
+    fn read<R: Read>(opcode: u8, f: &mut Frame<'_, R>) -> Result<Self, NetError> {
+        Ok(match opcode {
             RESP_PUT => Response::Put,
             RESP_CELLS => {
-                // The status bytes are taken out of the frame before
+                // The status bytes are read off the frame before
                 // anything is allocated for the count it claims.
-                let n = c.u32()? as usize;
-                let statuses = c.take(n)?;
+                let n = f.u32()? as usize;
+                let statuses = f.body(n)?;
                 let mut items = Vec::with_capacity(n);
-                for &s in statuses {
+                for s in statuses {
                     items.push(match s {
                         0 => CheckedElement::Missing,
                         1 => {
-                            let len = c.u32()? as usize;
-                            CheckedElement::Valid(c.take(len)?.to_vec())
+                            let len = f.u32()? as usize;
+                            CheckedElement::Valid(f.body(len)?)
                         }
                         2 => CheckedElement::Corrupt,
                         t => {
@@ -849,31 +846,16 @@ impl Response {
                 Response::Cells(items)
             }
             RESP_COMBINED => {
-                let n = c.u32()? as usize;
-                if n > MAX_PAYLOAD as usize {
-                    return Err(NetError::Protocol(format!(
-                        "combined region count {n} implausible"
-                    )));
-                }
+                let n = f.u32()? as usize;
                 let mut regions = Vec::with_capacity(n.min(1 << 10));
                 for _ in 0..n {
-                    let len = c.u32()? as usize;
-                    regions.push(c.take(len)?.to_vec());
+                    let len = f.u32()? as usize;
+                    regions.push(f.body(len)?);
                 }
-                let nl = c.u32()? as usize;
-                if nl > MAX_PAYLOAD as usize {
-                    return Err(NetError::Protocol(format!(
-                        "combined status count {nl} implausible"
-                    )));
-                }
-                let local_status = c.take(nl)?.to_vec();
-                let np = c.u32()? as usize;
-                if np > MAX_PAYLOAD as usize {
-                    return Err(NetError::Protocol(format!(
-                        "combined peer count {np} implausible"
-                    )));
-                }
-                let peer_status = c.take(np)?.to_vec();
+                let nl = f.u32()? as usize;
+                let local_status = f.body(nl)?;
+                let np = f.u32()? as usize;
+                let peer_status = f.body(np)?;
                 Response::Combined(CombineReply {
                     regions,
                     local_status,
@@ -882,102 +864,37 @@ impl Response {
             }
             RESP_OBJ_ACK => Response::ObjAck,
             RESP_OBJ_DATA => {
-                let len = c.u32()? as usize;
-                Response::ObjData(c.take(len)?.to_vec())
+                let len = f.u32()? as usize;
+                Response::ObjData(f.body(len)?)
             }
             RESP_OBJ_STAT => Response::ObjStat {
-                len: c.u64()?,
-                version: c.u64()?,
-                extents: c.u32()?,
+                len: f.u64()?,
+                version: f.u64()?,
+                extents: f.u32()?,
             },
-            RESP_HEALTH => Response::Health { elements: c.u64()? },
+            RESP_HEALTH => Response::Health { elements: f.u64()? },
             RESP_FAULT => Response::FaultInjected,
             RESP_STATS => {
-                let n = c.u32()? as usize;
+                let n = f.u32()? as usize;
                 let mut pairs = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    let len = c.u32()? as usize;
-                    let name = std::str::from_utf8(c.take(len)?)
-                        .map_err(|_| NetError::Protocol("stats name is not UTF-8".into()))?
-                        .to_string();
-                    pairs.push((name, c.u64()?));
+                    pairs.push((get_str(f)?, f.u64()?));
                 }
                 Response::Stats(pairs)
             }
             RESP_MUX => {
-                let id = c.u64()?;
-                let op = c.u8()?;
+                let id = f.u64()?;
+                let op = f.u8()?;
                 if op == RESP_MUX {
                     return Err(NetError::Protocol("nested mux response".into()));
                 }
-                let inner = Response::decode(op, &payload[c.pos..])?;
-                c.pos = payload.len();
-                Response::Mux {
-                    id,
-                    inner: Box::new(inner),
-                }
+                let inner = Box::new(Response::read(op, f)?);
+                Response::Mux { id, inner }
             }
-            RESP_ERROR => {
-                let msg = String::from_utf8_lossy(c.take(payload.len())?).into_owned();
-                return Ok(Response::Error(msg));
-            }
+            RESP_ERROR => Response::Error(String::from_utf8_lossy(&f.body(f.left)?).into_owned()),
             op => return Err(NetError::Protocol(format!("unknown response opcode {op}"))),
-        };
-        c.done()?;
-        Ok(resp)
+        })
     }
-}
-
-/// Write one frame whose payload is `parts`, back to back. The parts
-/// are never joined in memory: header and parts leave in one vectored
-/// write — on a raw socket one syscall and (with `TCP_NODELAY`) one
-/// segment train, through a `BufWriter` one pass whatever the size.
-fn write_frame(w: &mut impl Write, opcode: u8, parts: &[IoSlice<'_>]) -> Result<(), NetError> {
-    let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
-    if len > u64::from(MAX_PAYLOAD) {
-        return Err(NetError::Protocol(format!(
-            "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-        )));
-    }
-    let mut header = [0u8; 10];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = opcode;
-    header[6..10].copy_from_slice(&(len as u32).to_le_bytes());
-    let mut bufs = Vec::with_capacity(1 + parts.len());
-    bufs.push(IoSlice::new(&header));
-    bufs.extend_from_slice(parts);
-    let mut bufs = &mut bufs[..];
-    while !bufs.is_empty() {
-        match w.write_vectored(bufs) {
-            Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into()),
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), NetError> {
-    let mut header = [0u8; 10];
-    r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(NetError::Protocol("bad magic".into()));
-    }
-    if header[4] != VERSION {
-        return Err(NetError::Protocol(version_mismatch(header[4])));
-    }
-    let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(NetError::Protocol(format!(
-            "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok((header[5], payload))
 }
 
 /// Outcome of one polling read attempt on a connection whose socket has
@@ -996,97 +913,161 @@ pub enum Polled<T> {
     WrongVersion(u8),
 }
 
-impl<T> Polled<T> {
-    /// Decode a polled raw frame; one that does not parse is garbage.
-    fn decoded<U>(self, decode: impl FnOnce(T) -> Result<U, NetError>) -> Polled<U> {
-        match self {
-            Polled::Frame(raw) => decode(raw).map_or(Polled::Closed, Polled::Frame),
-            Polled::Idle => Polled::Idle,
-            Polled::Closed => Polled::Closed,
-            Polled::WrongVersion(v) => Polled::WrongVersion(v),
-        }
+/// One frame coming off a connection (or, for a request, lying in the
+/// buffer it was read into). The one reader, blocking and polling: with
+/// a `stop` flag the socket has a short read timeout, a timeout before
+/// the frame's first byte is [`Polled::Idle`] and one inside the frame
+/// keeps waiting while the flag is down, so the stream never loses
+/// sync; without one a timeout is [`NetError::Timeout`].
+struct Frame<'a, R> {
+    r: R,
+    stop: Option<&'a AtomicBool>,
+    /// Payload bytes not read yet.
+    left: usize,
+}
+
+/// What to do about a failed read: `Ok` is "try again" — after an
+/// interrupt, or a polling reader's timeout with its stop flag down.
+fn retry(stop: Option<&AtomicBool>, e: std::io::Error) -> Result<(), NetError> {
+    match (e.kind(), stop) {
+        (Interrupted, _) => Ok(()),
+        (WouldBlock | TimedOut, Some(stop)) if !stop.load(Ordering::Acquire) => Ok(()),
+        _ => Err(e.into()),
     }
 }
 
-/// Read one raw frame from a socket with a short read timeout, without
-/// ever losing sync: a timeout *between* frames reports `Idle`, while a
-/// timeout *inside* a partially read frame keeps polling (checking
-/// `stop` each round) until the rest of the frame arrives.
-fn poll_frame(r: &mut impl Read, stop: &std::sync::atomic::AtomicBool) -> Polled<(u8, Vec<u8>)> {
-    use std::sync::atomic::Ordering;
-
-    fn fill(
-        r: &mut impl Read,
-        buf: &mut [u8],
-        stop: &std::sync::atomic::AtomicBool,
-        idle_ok: bool,
-    ) -> Result<bool, ()> {
-        let mut filled = 0usize;
+impl<R: Read> Frame<'_, R> {
+    /// Fill `buf` from the connection. `Ok(false)`: a polling reader's
+    /// timeout passed before the first byte, and `idle_ok`.
+    fn fill(&mut self, buf: &mut [u8], idle_ok: bool) -> Result<bool, NetError> {
+        let mut filled = 0;
         while filled < buf.len() {
-            if stop.load(Ordering::Acquire) {
-                return Err(());
-            }
-            match r.read(&mut buf[filled..]) {
-                Ok(0) => return Err(()),
+            match self.r.read(&mut buf[filled..]) {
+                Ok(0) => return Err(std::io::Error::from(UnexpectedEof).into()),
                 Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if filled == 0 && idle_ok {
+                Err(e) => {
+                    let timed_out = e.kind() != Interrupted;
+                    retry(self.stop, e)?;
+                    if timed_out && idle_ok && filled == 0 {
                         return Ok(false);
                     }
-                    // Mid-frame: keep waiting for the rest.
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(()),
             }
         }
         Ok(true)
     }
 
+    /// The next `N` payload bytes: a small field.
+    fn field<const N: usize>(&mut self) -> Result<[u8; N], NetError> {
+        if N > self.left {
+            return Err(NetError::Protocol("payload truncated".into()));
+        }
+        self.left -= N;
+        let mut buf = [0u8; N];
+        self.fill(&mut buf, false)?;
+        Ok(buf)
+    }
+
+    fn u8(&mut self) -> Result<u8, NetError> {
+        Ok(self.field::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, NetError> {
+        Ok(u32::from_le_bytes(self.field()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, NetError> {
+        Ok(u64::from_le_bytes(self.field()?))
+    }
+
+    /// The next `n` payload bytes, read into a `Vec` of their own —
+    /// reserved, never zero-filled, and the one the caller keeps.
+    /// Nothing is allocated for an `n` the (capped) frame does not cover.
+    fn body(&mut self, n: usize) -> Result<Vec<u8>, NetError> {
+        if n > self.left {
+            return Err(NetError::Protocol("payload truncated".into()));
+        }
+        self.left -= n;
+        let mut buf = Vec::with_capacity(n);
+        let mut rest = Read::take(&mut self.r, n as u64);
+        while rest.limit() > 0 {
+            // Appends what arrived before an error, so a timeout
+            // mid-body resumes where it stopped.
+            match rest.read_to_end(&mut buf) {
+                Ok(_) if rest.limit() > 0 => return Err(std::io::Error::from(UnexpectedEof).into()),
+                Ok(_) => {}
+                Err(e) => retry(self.stop, e)?,
+            }
+        }
+        Ok(buf)
+    }
+
+    fn done(&self) -> Result<(), NetError> {
+        match self.left {
+            0 => Ok(()),
+            _ => Err(NetError::Protocol("trailing bytes in payload".into())),
+        }
+    }
+}
+
+/// Read one frame off `r` and hand its opcode and payload to `decode`.
+/// Garbage — bad magic, a payload over [`MAX_PAYLOAD`], one `decode`
+/// refuses or leaves bytes of — is an error, after which the stream is
+/// out of sync and of no further use.
+fn poll<R: Read, T>(
+    r: R,
+    stop: Option<&AtomicBool>,
+    decode: impl FnOnce(u8, &mut Frame<'_, R>) -> Result<T, NetError>,
+) -> Result<Polled<T>, NetError> {
+    let mut frame = Frame { r, stop, left: 0 };
     let mut header = [0u8; 10];
-    match fill(r, &mut header, stop, true) {
-        Ok(false) => return Polled::Idle,
-        Ok(true) => {}
-        Err(()) => return Polled::Closed,
+    if !frame.fill(&mut header, true)? {
+        return Ok(Polled::Idle);
     }
     if header[..4] != MAGIC {
-        return Polled::Closed;
+        return Err(NetError::Protocol("bad magic".into()));
     }
     if header[4] != VERSION {
-        return Polled::WrongVersion(header[4]);
+        return Ok(Polled::WrongVersion(header[4]));
     }
     let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
     if len > MAX_PAYLOAD {
-        return Polled::Closed;
+        return Err(NetError::Protocol(format!(
+            "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
+        )));
     }
-    let mut payload = vec![0u8; len as usize];
-    if fill(r, &mut payload, stop, false) != Ok(true) {
-        return Polled::Closed;
+    frame.left = len as usize;
+    let decoded = decode(header[5], &mut frame)?;
+    frame.done()?;
+    Ok(Polled::Frame(decoded))
+}
+
+/// A blocking reader's frame: never idle, and another version an error.
+fn whole<T>(polled: Polled<T>) -> Result<T, NetError> {
+    match polled {
+        Polled::Frame(frame) => Ok(frame),
+        Polled::WrongVersion(peer) => Err(NetError::Protocol(version_mismatch(peer))),
+        Polled::Idle | Polled::Closed => Err(NetError::Timeout),
     }
-    Polled::Frame((header[5], payload))
+}
+
+/// A request's payload is read whole, into the buffer a bulk op keeps
+/// as its [`Body`].
+fn request_frame<R: Read>(opcode: u8, frame: &mut Frame<'_, R>) -> Result<Request, NetError> {
+    Request::decode(opcode, frame.body(frame.left)?, 0)
 }
 
 /// Read one request frame from a server connection's socket (see
 /// [`Polled`]): idle only ever between frames.
-pub fn read_request_polling(
-    r: &mut impl Read,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Polled<Request> {
-    poll_frame(r, stop).decoded(|(opcode, payload)| Request::decode(opcode, payload, 0))
+pub fn read_request_polling(r: &mut impl Read, stop: &AtomicBool) -> Polled<Request> {
+    poll(r, Some(stop), request_frame).unwrap_or(Polled::Closed)
 }
 
 /// Read one response frame from a multiplexed client connection's
 /// socket — the demux side. Same sync discipline as
 /// [`read_request_polling`].
-pub fn read_response_polling(
-    r: &mut impl Read,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Polled<Response> {
-    poll_frame(r, stop).decoded(|(opcode, payload)| Response::decode(opcode, &payload))
+pub fn read_response_polling(r: &mut impl Read, stop: &AtomicBool) -> Polled<Response> {
+    poll(r, Some(stop), Response::read).unwrap_or(Polled::Closed)
 }
 
 /// Writes one request frame onto a connection — a closure, so a bulk
@@ -1101,7 +1082,9 @@ pub(crate) type SendFrame<'a> =
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> {
-    write_frame(w, req.opcode(), &[IoSlice::new(&req.payload())])
+    let mut parts = Parts::default();
+    req.encode(&mut parts);
+    parts.send(w, req.opcode())
 }
 
 /// Serialise `req` inside a [`Request::Mux`] envelope tagged `id`,
@@ -1110,13 +1093,11 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> 
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_mux_request(w: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
-    let mut head = id.to_le_bytes().to_vec();
-    head.push(req.opcode());
-    write_frame(
-        w,
-        OP_MUX,
-        &[IoSlice::new(&head), IoSlice::new(&req.payload())],
-    )
+    let mut parts = Parts::default();
+    put_u64(&mut parts.small, id);
+    parts.small.push(req.opcode());
+    req.encode(&mut parts);
+    parts.send(w, OP_MUX)
 }
 
 /// Send `runs` (all of `cell_len`-byte cells) as one
@@ -1131,15 +1112,18 @@ pub fn write_put_many(
     cell_len: u32,
     runs: &[WriteRun<'_>],
 ) -> Result<(), NetError> {
-    let mut head = Vec::with_capacity(17 + 12 * runs.len());
-    put_u64(&mut head, id);
-    head.push(OP_PUT_MANY);
-    let table = runs.iter().map(|r| (r.start, r.count() as u32));
-    put_many_head(&mut head, cell_len, table);
-    let mut parts = Vec::with_capacity(1 + runs.len());
-    parts.push(IoSlice::new(&head));
-    parts.extend(runs.iter().map(|r| IoSlice::new(r.bytes)));
-    write_frame(w, OP_MUX, &parts)
+    let mut parts = Parts::default();
+    put_u64(&mut parts.small, id);
+    parts.small.push(OP_PUT_MANY);
+    put_u32(&mut parts.small, cell_len);
+    put_runs(
+        &mut parts.small,
+        runs.iter().map(|r| (r.start, r.count() as u32)),
+    );
+    for run in runs {
+        parts.bulk(run.bytes);
+    }
+    parts.send(w, OP_MUX)
 }
 
 /// Send a [`Request::ObjWrite`] of `bytes` straight from the caller's
@@ -1153,9 +1137,10 @@ pub fn write_obj_write(
     object: &str,
     bytes: &[u8],
 ) -> Result<(), NetError> {
-    let mut head = Vec::new();
-    obj_write_head(&mut head, tenant, object, bytes.len());
-    write_frame(w, OP_OBJ_WRITE, &[IoSlice::new(&head), IoSlice::new(bytes)])
+    let mut parts = Parts::default();
+    obj_write_head(&mut parts.small, tenant, object, bytes.len());
+    parts.bulk(bytes);
+    parts.send(w, OP_OBJ_WRITE)
 }
 
 /// Read one request frame off a stream.
@@ -1163,8 +1148,7 @@ pub fn write_obj_write(
 /// # Errors
 /// I/O failure or a malformed frame.
 pub fn read_request(r: &mut impl Read) -> Result<Request, NetError> {
-    let (opcode, payload) = read_frame(r)?;
-    Request::decode(opcode, payload, 0)
+    whole(poll(r, None, request_frame)?)
 }
 
 /// Serialise one response onto a stream.
@@ -1172,7 +1156,9 @@ pub fn read_request(r: &mut impl Read) -> Result<Request, NetError> {
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), NetError> {
-    write_frame(w, resp.opcode(), &[IoSlice::new(&resp.payload())])
+    let mut parts = Parts::default();
+    resp.encode(&mut parts);
+    parts.send(w, resp.opcode())
 }
 
 /// Read one response frame off a stream.
@@ -1180,13 +1166,19 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), NetErro
 /// # Errors
 /// I/O failure or a malformed frame.
 pub fn read_response(r: &mut impl Read) -> Result<Response, NetError> {
-    let (opcode, payload) = read_frame(r)?;
-    Response::decode(opcode, &payload)
+    whole(poll(r, None, Response::read)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `payload` as the frame a peer would send it in.
+    fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
+        let (small, bulk, mut buf) = (payload.to_vec(), Vec::new(), Vec::new());
+        Parts { small, bulk }.send(&mut buf, opcode).unwrap();
+        buf
+    }
 
     fn roundtrip_request(req: Request) {
         let mut buf = Vec::new();
@@ -1655,7 +1647,9 @@ mod tests {
             runs: vec![(3, 1)],
             key: None,
         };
-        let mut payload = req.payload();
+        let mut buf = Vec::new();
+        write_request(&mut buf, &req).unwrap();
+        let mut payload = buf.split_off(10);
         payload.push(0xEE);
         assert!(matches!(
             Request::decode(OP_READ, payload, 0),
@@ -1678,7 +1672,7 @@ mod tests {
         let mut payload = Vec::new();
         put_u32(&mut payload, 1);
         payload.push(3);
-        let err = Response::decode(RESP_CELLS, &payload).unwrap_err();
+        let err = read_response(&mut frame(RESP_CELLS, &payload).as_slice()).unwrap_err();
         assert!(err.to_string().contains("cell status"), "{err}");
     }
 
@@ -1690,7 +1684,7 @@ mod tests {
         put_u32(&mut payload, u32::MAX);
         payload.extend_from_slice(&[0; 3]);
         assert!(matches!(
-            Response::decode(RESP_CELLS, &payload),
+            read_response(&mut frame(RESP_CELLS, &payload).as_slice()),
             Err(NetError::Protocol(_))
         ));
         // A valid cell whose bytes the frame does not hold.
@@ -1700,7 +1694,7 @@ mod tests {
         put_u32(&mut payload, 100); // ...claiming 100 bytes
         payload.extend_from_slice(&[9; 10]); // but shipping 10
         assert!(matches!(
-            Response::decode(RESP_CELLS, &payload),
+            read_response(&mut frame(RESP_CELLS, &payload).as_slice()),
             Err(NetError::Protocol(_))
         ));
     }

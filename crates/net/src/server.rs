@@ -287,8 +287,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 
 /// The writer half of a connection, shared between the inline request
 /// loop and any mux demux workers so id-tagged responses interleave
-/// without tearing frames.
-type SharedWriter = Arc<Mutex<std::io::BufWriter<TcpStream>>>;
+/// without tearing frames. The socket itself: a response leaves in one
+/// vectored write from the buffers that hold it.
+type SharedWriter = Arc<Mutex<TcpStream>>;
 
 /// Record the service time since `t0`, id-tag the response if it
 /// answers a mux frame, and write it. Returns `false` if it could not
@@ -510,7 +511,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let writer: SharedWriter = Arc::new(Mutex::new(std::io::BufWriter::new(stream)));
+    let writer: SharedWriter = Arc::new(Mutex::new(stream));
     // Spawned lazily on the first frame that needs it: plain sequential
     // clients and mux reads of a warm async backend never pay for it.
     let mut mux_pool: Option<MuxPool> = None;
@@ -754,14 +755,8 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             start,
             len,
         } => obj_result(shared, |f| {
-            // `u64::MAX` is the wire encoding of "to the end": resolve
-            // it against the current length so the range check passes.
-            let len = if *len == u64::MAX {
-                f.stat(tenant, object)?.len.saturating_sub(*start)
-            } else {
-                *len
-            };
-            f.read_range(tenant, object, *start, len)
+            // `u64::MAX`, "to the end", means the same to the front door.
+            f.read_range(tenant, object, *start, *len)
                 .map(Response::ObjData)
         }),
         Request::ObjStat { tenant, object } => obj_result(shared, |f| {

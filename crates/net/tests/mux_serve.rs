@@ -9,11 +9,12 @@
 //! These tests drive a raw socket, so every frame on the wire is theirs.
 
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecfrm_net::protocol::{read_response, write_request};
-use ecfrm_net::{Request, Response, ShardServer};
+use ecfrm_net::{RemoteDisk, RemoteDiskConfig, Request, Response, ShardServer};
 use ecfrm_sim::{
     io_pair, DiskBackend, FaultKind, FaultyDisk, FileDisk, FileIoConfig, IoCompleter, IoHandle,
     MemDisk, WriteRun,
@@ -319,4 +320,42 @@ fn kill_with_pending_hand_offs_joins_and_drops_every_handle() {
     // Every handle was dropped: completing now reaches no one, quietly.
     disk.release();
     assert_eq!(disk.held(), 0);
+}
+
+/// The demux thread sweeps deadlines on its idle tick; a connection
+/// whose replies never leave it idle must sweep between them, or a
+/// request whose reply never comes would outlive its deadline for as
+/// long as the traffic lasts.
+#[test]
+fn an_unanswered_request_times_out_while_other_replies_keep_the_connection_busy() {
+    let (server, gate) = gated_shard();
+    let timeout = Duration::from_millis(100);
+    let cfg = RemoteDiskConfig::builder().request_timeout(timeout).build();
+    let disk = RemoteDisk::new(server.addr(), cfg);
+    let t0 = Instant::now();
+    let stuck = disk.submit_read_many(&[0]); // held by the gate, for good
+    let done = AtomicBool::new(false);
+    let waited = std::thread::scope(|s| {
+        // Back-to-back reads on the same connection: a reply lands every
+        // few tens of microseconds, far inside the 10 ms idle tick.
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                assert_eq!(disk.read(1), Some(cell(1)));
+            }
+        });
+        let cells = stuck.wait();
+        let waited = t0.elapsed();
+        done.store(true, Ordering::Release);
+        assert_eq!(cells, vec![None], "timed out, so absent");
+        waited
+    });
+    assert!(waited >= timeout, "timed out after {waited:?}");
+    assert!(
+        waited < timeout + Duration::from_millis(200),
+        "a {timeout:?} deadline took {waited:?} on a busy connection"
+    );
+    let stats = disk.net_stats().unwrap();
+    assert_eq!((stats.timeouts, stats.failed_requests), (1, 1), "{stats:?}");
+    assert_eq!(stats.conns_discarded, 0, "the connection stays up");
+    assert_eq!(gate.held(), 1);
 }

@@ -1,0 +1,553 @@
+//! The wire is what it was, and the by-value receive path refuses what
+//! lies about itself.
+//!
+//! Frames are written from the buffers that hold their bytes and read
+//! into the buffers that keep them; the bytes on the wire did not move.
+//! The first half pins that against the encoder every frame used to go
+//! through (small fields and bulk bytes joined into one payload),
+//! restated here with its own opcode table. The second half feeds the
+//! reader frames whose inner lengths disagree with the frame around
+//! them — plain and `Mux`-wrapped, blocking and polling — and a client
+//! a server that sends them.
+
+use std::io::Write;
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use ecfrm_net::protocol::{
+    read_request, read_response, read_response_polling, write_request, write_response, Polled,
+    MAGIC, MAX_PAYLOAD, VERSION,
+};
+use ecfrm_net::{
+    CheckedElement, Fault, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
+};
+use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, DiskBackend};
+use ecfrm_store::StoreError;
+
+fn u32le(out: &mut Vec<u8>, v: usize) {
+    out.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+fn u64le(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn string(out: &mut Vec<u8>, s: &str) {
+    u32le(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// `payload` in the frame a peer would send it in.
+fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&[VERSION, opcode]);
+    u32le(&mut out, payload.len());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The same payload inside a `Mux` response envelope tagged 7.
+fn muxed(opcode: u8, payload: &[u8]) -> Vec<u8> {
+    let mut inner = 7u64.to_le_bytes().to_vec();
+    inner.push(opcode);
+    inner.extend_from_slice(payload);
+    frame(137, &inner)
+}
+
+/// The joined-payload encoder responses went through before they were
+/// written from their own buffers: `(opcode, payload)`.
+fn old_response(resp: &Response) -> (u8, Vec<u8>) {
+    let mut out = Vec::new();
+    let opcode = match resp {
+        Response::Put => 130,
+        Response::FaultInjected => 133,
+        Response::ObjAck => 139,
+        Response::Cells(items) => {
+            u32le(&mut out, items.len());
+            for item in items {
+                out.push(match item {
+                    CheckedElement::Missing => 0,
+                    CheckedElement::Valid(_) => 1,
+                    CheckedElement::Corrupt => 2,
+                });
+            }
+            for item in items {
+                if let CheckedElement::Valid(v) = item {
+                    u32le(&mut out, v.len());
+                    out.extend_from_slice(v);
+                }
+            }
+            145
+        }
+        Response::Combined(reply) => {
+            u32le(&mut out, reply.regions.len());
+            for r in &reply.regions {
+                u32le(&mut out, r.len());
+                out.extend_from_slice(r);
+            }
+            u32le(&mut out, reply.local_status.len());
+            out.extend_from_slice(&reply.local_status);
+            u32le(&mut out, reply.peer_status.len());
+            out.extend_from_slice(&reply.peer_status);
+            138
+        }
+        Response::ObjData(bytes) => {
+            u32le(&mut out, bytes.len());
+            out.extend_from_slice(bytes);
+            140
+        }
+        Response::ObjStat {
+            len,
+            version,
+            extents,
+        } => {
+            u64le(&mut out, *len);
+            u64le(&mut out, *version);
+            u32le(&mut out, *extents as usize);
+            141
+        }
+        Response::Health { elements } => {
+            u64le(&mut out, *elements);
+            132
+        }
+        Response::Stats(pairs) => {
+            u32le(&mut out, pairs.len());
+            for (name, value) in pairs {
+                string(&mut out, name);
+                u64le(&mut out, *value);
+            }
+            134
+        }
+        Response::Error(msg) => {
+            out.extend_from_slice(msg.as_bytes());
+            255
+        }
+        Response::Mux { id, inner } => {
+            let (op, payload) = old_response(inner);
+            u64le(&mut out, *id);
+            out.push(op);
+            out.extend_from_slice(&payload);
+            137
+        }
+    };
+    (opcode, out)
+}
+
+/// The same for requests.
+fn old_request(req: &Request) -> (u8, Vec<u8>) {
+    let mut out = Vec::new();
+    let runs = |out: &mut Vec<u8>, runs: &[(u64, u32)]| {
+        u32le(out, runs.len());
+        for &(start, count) in runs {
+            u64le(out, start);
+            u32le(out, count as usize);
+        }
+    };
+    let opcode = match req {
+        Request::Read { runs: table, key } => {
+            out.push(u8::from(key.is_some()));
+            if let Some((k0, k1)) = key {
+                u64le(&mut out, *k0);
+                u64le(&mut out, *k1);
+            }
+            runs(&mut out, table);
+            17
+        }
+        Request::PutMany {
+            runs: table,
+            cell_len,
+            bytes,
+        } => {
+            u32le(&mut out, *cell_len as usize);
+            runs(&mut out, table);
+            out.extend_from_slice(bytes);
+            16
+        }
+        Request::CombineRange(spec) => {
+            u64le(&mut out, spec.offset);
+            u32le(&mut out, spec.count as usize);
+            u32le(&mut out, spec.outputs as usize);
+            u32le(&mut out, spec.coeffs.len());
+            out.extend_from_slice(&spec.coeffs);
+            u64le(&mut out, spec.key.0);
+            u64le(&mut out, spec.key.1);
+            u32le(&mut out, spec.peers.len());
+            for p in &spec.peers {
+                string(&mut out, &p.addr);
+                u64le(&mut out, p.offset);
+                u32le(&mut out, p.count as usize);
+                u32le(&mut out, p.coeffs.len());
+                out.extend_from_slice(&p.coeffs);
+            }
+            10
+        }
+        Request::ObjCreate { tenant, object } => {
+            string(&mut out, tenant);
+            string(&mut out, object);
+            11
+        }
+        Request::ObjWrite {
+            tenant,
+            object,
+            bytes,
+        } => {
+            string(&mut out, tenant);
+            string(&mut out, object);
+            u32le(&mut out, bytes.len());
+            out.extend_from_slice(bytes);
+            12
+        }
+        Request::ObjGet {
+            tenant,
+            object,
+            start,
+            len,
+        } => {
+            string(&mut out, tenant);
+            string(&mut out, object);
+            u64le(&mut out, *start);
+            u64le(&mut out, *len);
+            13
+        }
+        Request::ObjStat { tenant, object } => {
+            string(&mut out, tenant);
+            string(&mut out, object);
+            14
+        }
+        Request::ObjDelete { tenant, object } => {
+            string(&mut out, tenant);
+            string(&mut out, object);
+            15
+        }
+        Request::Health => 4,
+        Request::InjectFault(fault) => {
+            out.push(match fault {
+                Fault::Fail => 0,
+                Fault::Heal => 1,
+                Fault::Wipe => 2,
+            });
+            5
+        }
+        Request::Stats => 6,
+        Request::Mux { id, inner } => {
+            let (op, payload) = old_request(inner);
+            u64le(&mut out, *id);
+            out.push(op);
+            out.extend_from_slice(&payload);
+            9
+        }
+    };
+    (opcode, out)
+}
+
+/// One response of every variant, the bulk ones in several shapes.
+fn every_response() -> Vec<Response> {
+    let pattern = |n: usize| (0..n).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>();
+    vec![
+        Response::Put,
+        Response::FaultInjected,
+        Response::ObjAck,
+        Response::Cells(vec![]),
+        Response::Cells(vec![CheckedElement::Missing, CheckedElement::Corrupt]),
+        Response::Cells(vec![
+            CheckedElement::Valid(pattern(4104)),
+            CheckedElement::Missing,
+            CheckedElement::Valid(vec![]),
+            CheckedElement::Corrupt,
+            CheckedElement::Valid(pattern(3)),
+            CheckedElement::Valid(pattern(70_000)),
+        ]),
+        Response::Combined(CombineReply {
+            regions: vec![],
+            local_status: vec![1, 2],
+            peer_status: vec![],
+        }),
+        Response::Combined(CombineReply {
+            regions: vec![pattern(40), vec![], pattern(9000)],
+            local_status: vec![0, 0, 2],
+            peer_status: vec![3, 0],
+        }),
+        Response::ObjData(vec![]),
+        Response::ObjData(pattern(1)),
+        Response::ObjData(pattern(256 * 1024)),
+        Response::ObjStat {
+            len: u64::MAX,
+            version: 3,
+            extents: u32::MAX,
+        },
+        Response::Health { elements: 12345 },
+        Response::Stats(vec![("serve.read".into(), 42), ("x".into(), u64::MAX)]),
+        Response::Error("disk on fire".into()),
+    ]
+}
+
+#[test]
+fn responses_leave_as_the_bytes_the_joined_encoder_produced() {
+    let plain = every_response();
+    let wrapped = plain.iter().cloned().map(|inner| Response::Mux {
+        id: 0xFEED_0000_0000_0001,
+        inner: Box::new(inner),
+    });
+    for resp in plain.iter().cloned().chain(wrapped) {
+        let (opcode, payload) = old_response(&resp);
+        let mut sent = Vec::new();
+        write_response(&mut sent, &resp).unwrap();
+        assert_eq!(sent, frame(opcode, &payload), "{resp:?}");
+        // And what was sent is what is read back, by value.
+        assert_eq!(read_response(&mut sent.as_slice()).unwrap(), resp);
+        let stop = AtomicBool::new(false);
+        match read_response_polling(&mut sent.as_slice(), &stop) {
+            Polled::Frame(got) => assert_eq!(got, resp),
+            other => panic!("{resp:?} polled as {other:?}"),
+        }
+    }
+    assert_eq!(VERSION, 2, "the wire did not change");
+}
+
+#[test]
+fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
+    let bytes: Vec<u8> = (0..=255).collect();
+    let tenant = || "tenant".to_string();
+    let plain = vec![
+        Request::Read {
+            runs: vec![(1 << 40, 4096), (7, 1)],
+            key: Some((u64::MAX, 0xDEAD_BEEF)),
+        },
+        Request::Read {
+            runs: vec![],
+            key: None,
+        },
+        Request::PutMany {
+            runs: vec![(3, 16), (100, 16)],
+            cell_len: 8,
+            bytes: bytes.clone().into(),
+        },
+        Request::CombineRange(CombineSpec {
+            offset: 3,
+            count: 2,
+            outputs: 1,
+            coeffs: vec![7, 9],
+            key: (1, 2),
+            peers: vec![CombinePeerSpec {
+                addr: "a:1".into(),
+                offset: 5,
+                count: 1,
+                coeffs: vec![4],
+            }],
+        }),
+        Request::ObjCreate {
+            tenant: tenant(),
+            object: "c".into(),
+        },
+        Request::ObjWrite {
+            tenant: tenant(),
+            object: "w".into(),
+            bytes: bytes.clone().into(),
+        },
+        Request::ObjGet {
+            tenant: tenant(),
+            object: "g".into(),
+            start: 9,
+            len: u64::MAX,
+        },
+        Request::ObjStat {
+            tenant: tenant(),
+            object: "s".into(),
+        },
+        Request::ObjDelete {
+            tenant: tenant(),
+            object: "d".into(),
+        },
+        Request::Health,
+        Request::InjectFault(Fault::Wipe),
+        Request::Stats,
+    ];
+    let wrapped = plain.iter().cloned().map(|inner| Request::Mux {
+        id: 99,
+        inner: Box::new(inner),
+    });
+    for req in plain.iter().cloned().chain(wrapped) {
+        let (opcode, payload) = old_request(&req);
+        let mut sent = Vec::new();
+        write_request(&mut sent, &req).unwrap();
+        assert_eq!(sent, frame(opcode, &payload), "{req:?}");
+        assert_eq!(read_request(&mut sent.as_slice()).unwrap(), req);
+    }
+}
+
+/// A `Cells` payload: `count`, the status bytes, then `(claimed length,
+/// bytes shipped)` per valid cell.
+fn cells_payload(count: usize, statuses: &[u8], cells: &[(usize, usize)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    u32le(&mut out, count);
+    out.extend_from_slice(statuses);
+    for &(claimed, shipped) in cells {
+        u32le(&mut out, claimed);
+        out.extend(std::iter::repeat_n(9u8, shipped));
+    }
+    out
+}
+
+/// An `ObjData` payload claiming `claimed` bytes and shipping `shipped`.
+fn obj_payload(claimed: usize, shipped: usize) -> Vec<u8> {
+    cells_payload(claimed, &vec![9u8; shipped], &[])
+}
+
+/// Payloads that lie about their own shape: `(opcode, payload, what the
+/// reader says)`.
+fn hostile_payloads() -> Vec<(u8, Vec<u8>, &'static str)> {
+    vec![
+        (140, obj_payload(5, 10), "trailing"),
+        (140, obj_payload(100, 10), "truncated"),
+        (140, obj_payload(u32::MAX as usize, 0), "truncated"),
+        (140, vec![1, 0], "truncated"),
+        // A status table longer than the payload it is in.
+        (145, cells_payload(1000, &[0; 3], &[]), "truncated"),
+        (145, cells_payload(u32::MAX as usize, &[], &[]), "truncated"),
+        // A cell longer than what is left of it.
+        (145, cells_payload(1, &[1], &[(100, 10)]), "truncated"),
+        (
+            145,
+            cells_payload(2, &[1, 1], &[(4, 4), (u32::MAX as usize, 4)]),
+            "truncated",
+        ),
+        // A valid cell with no length at all.
+        (145, cells_payload(1, &[1], &[]), "truncated"),
+        // Bytes nobody claimed.
+        (145, cells_payload(1, &[1], &[(4, 5)]), "trailing"),
+        (145, cells_payload(2, &[0, 2, 0], &[]), "trailing"),
+        (145, cells_payload(1, &[7], &[]), "cell status"),
+    ]
+}
+
+/// Both readers on the same bytes: the blocking one's typed error, and
+/// the polling one's `Closed`.
+fn refused(bytes: &[u8]) -> NetError {
+    let stop = AtomicBool::new(false);
+    let mut polled = bytes;
+    match read_response_polling(&mut polled, &stop) {
+        Polled::Closed => {}
+        other => panic!("polled as {other:?}"),
+    }
+    let mut blocking = bytes;
+    read_response(&mut blocking).expect_err("a hostile frame decoded")
+}
+
+#[test]
+fn frames_whose_lengths_disagree_are_typed_errors_plain_and_muxed() {
+    for (opcode, payload, needle) in hostile_payloads() {
+        for bytes in [frame(opcode, &payload), muxed(opcode, &payload)] {
+            match refused(&bytes) {
+                NetError::Protocol(msg) => {
+                    assert!(msg.contains(needle), "op {opcode} {payload:?}: {msg}");
+                }
+                other => panic!("op {opcode} {payload:?}: {other}"),
+            }
+        }
+    }
+    // A mux envelope inside a mux envelope.
+    let nested = muxed(137, &[0; 9]);
+    assert!(refused(&nested).to_string().contains("nested mux"));
+    // A frame that declares more than any frame may hold is refused on
+    // its header: nothing after it is read (there is nothing here).
+    let mut over = frame(140, &[]);
+    over[6..10].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+    assert!(refused(&over).to_string().contains("exceeds"));
+}
+
+#[test]
+fn a_peer_that_stops_mid_body_is_an_io_error_not_a_short_cell() {
+    let good = Response::Cells(vec![
+        CheckedElement::Valid(vec![5; 300]),
+        CheckedElement::Valid(vec![6; 300]),
+    ]);
+    let big = Response::ObjData(vec![7; 100_000]);
+    for resp in [good, big] {
+        for wrap in [false, true] {
+            let resp = match wrap {
+                true => Response::Mux {
+                    id: 1,
+                    inner: Box::new(resp.clone()),
+                },
+                false => resp.clone(),
+            };
+            let mut sent = Vec::new();
+            write_response(&mut sent, &resp).unwrap();
+            // Cut in the header, in the small fields and in each body.
+            for keep in [4, 12, 30, 200, 400, sent.len() - 1] {
+                let err = refused(&sent[..keep.min(sent.len() - 1)]);
+                assert!(matches!(err, NetError::Io(_)), "cut at {keep}: {err}");
+            }
+        }
+    }
+}
+
+/// A server that accepts connections one at a time and answers every
+/// request on each with the next of `replies` (raw bytes). Returns its
+/// address and the count of connections it has accepted.
+fn scripted_server(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accepted = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&accepted);
+    std::thread::spawn(move || {
+        let mut replies = replies.into_iter();
+        while let Ok((mut stream, _)) = listener.accept() {
+            count.fetch_add(1, Ordering::SeqCst);
+            while read_request(&mut stream).is_ok() {
+                let Some(reply) = replies.next() else { return };
+                if stream.write_all(&reply).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    (addr, accepted)
+}
+
+fn sent(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_response(&mut out, resp).unwrap();
+    out
+}
+
+#[test]
+fn a_front_client_drops_the_connection_a_hostile_frame_arrived_on() {
+    // Claims 100 object bytes in a frame that holds 10, then behaves.
+    let (addr, accepted) = scripted_server(vec![
+        frame(140, &obj_payload(100, 10)),
+        sent(&Response::ObjData(vec![1, 2, 3])),
+    ]);
+    let client = FrontClient::new(addr, RemoteDiskConfig::builder().low_latency().build());
+    let err = client.read("t", "o").unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Net(msg) if msg.contains("truncated")),
+        "{err}"
+    );
+    // The stream is out of sync past that frame: it was not parked, and
+    // the next op dials again.
+    assert_eq!(client.read("t", "o").unwrap(), vec![1, 2, 3]);
+    assert_eq!(accepted.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn a_remote_disk_discards_the_mux_connection_a_hostile_frame_arrived_on() {
+    let honest = Response::Mux {
+        id: 1,
+        inner: Box::new(Response::Cells(vec![CheckedElement::Valid(vec![4; 8])])),
+    };
+    // Reply to id 1: one valid cell claiming 4 GiB, inside a mux frame.
+    let (addr, accepted) = scripted_server(vec![
+        muxed(145, &cells_payload(1, &[1], &[(u32::MAX as usize, 16)])),
+        sent(&honest),
+    ]);
+    let disk = RemoteDisk::new(addr, RemoteDiskConfig::builder().low_latency().build());
+    assert_eq!(disk.read_many(&[0, 1]), vec![None, None]);
+    let stats = disk.net_stats().unwrap();
+    assert_eq!((stats.conns_discarded, stats.failed_requests), (1, 1));
+    // A fresh connection (whose ids start at 1 again) serves the next.
+    assert_eq!(disk.read(0), Some(vec![4; 8]));
+    assert_eq!(accepted.load(Ordering::SeqCst), 2);
+    assert_eq!(disk.net_stats().unwrap().reconnects, 1);
+}

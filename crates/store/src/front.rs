@@ -23,10 +23,12 @@
 //! * **Read cache** — a bounded LRU of *decoded* data elements keyed by
 //!   global element index (equivalently `(object, stripe, element)`,
 //!   since extents never alias). Misses fetch whole elements with one
-//!   [`ObjectStore::read_extent`] per contiguous run; nothing but LRU
-//!   pressure ever removes an entry (see `ElementCache` for why that
-//!   is sound). A read is `namespace → admission → LRU → store read`
-//!   and nothing else.
+//!   planned store read per contiguous run, and the cache keeps the
+//!   buffers that read returns; nothing but LRU pressure ever removes
+//!   an entry (see `ElementCache` for why that is sound). A read is
+//!   `namespace → admission → LRU → store read` and nothing else, and
+//!   its bytes are appended to the one buffer the caller gets, in
+//!   order, once.
 //!
 //! # Example: two tenants, one throttled
 //!
@@ -72,7 +74,7 @@ use ecfrm_obs::{Counter, Gauge, Recorder};
 use ecfrm_util::{Mutex, TokenBucket};
 
 use crate::meta::{ExtentRecord, ObjectMeta, ObjectStat};
-use crate::store::{ObjectStore, ReadOpts};
+use crate::store::ObjectStore;
 use crate::StoreError;
 
 /// Admission priority class of a tenant.
@@ -297,28 +299,31 @@ impl ElementCache {
         }
     }
 
-    fn get(&self, elem: u64) -> Option<Arc<Vec<u8>>> {
+    /// Look a run of consecutive elements up under one lock: one entry
+    /// per element, in order, each hit moved to the young end of the
+    /// LRU as if looked up on its own.
+    fn get_run(&self, elems: std::ops::Range<u64>) -> Vec<Option<Arc<Vec<u8>>>> {
+        let n = (elems.end - elems.start) as usize;
         if self.cap == 0 {
-            self.misses.inc();
-            return None;
+            self.misses.add(n as u64);
+            return vec![None; n];
         }
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&elem) {
-            Some((bytes, t)) => {
-                let old = std::mem::replace(t, tick);
-                let out = Arc::clone(bytes);
-                inner.lru.remove(&old);
-                inner.lru.insert(tick, elem);
-                self.hits.inc();
-                Some(out)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
-        }
+        let CacheInner { map, lru, tick, .. } = &mut *inner;
+        let found: Vec<_> = elems
+            .map(|elem| {
+                *tick += 1;
+                let (bytes, t) = map.get_mut(&elem)?;
+                lru.remove(&std::mem::replace(t, *tick));
+                lru.insert(*tick, elem);
+                Some(Arc::clone(bytes))
+            })
+            .collect();
+        drop(inner);
+        let hits = found.iter().flatten().count();
+        self.hits.add(hits as u64);
+        self.misses.add((n - hits) as u64);
+        found
     }
 
     fn insert(&self, elem: u64, payload: Arc<Vec<u8>>) {
@@ -573,12 +578,14 @@ impl FrontDoor {
     /// [`StoreError::NotFound`] / [`StoreError::Throttled`], or any
     /// store read error.
     pub fn read(&self, tenant: &str, object: &str) -> Result<Vec<u8>, StoreError> {
-        let len = self.stat(tenant, object)?.len;
-        self.read_range(tenant, object, 0, len)
+        self.read_range(tenant, object, 0, u64::MAX)
     }
 
     /// Read `len` bytes of an object starting at byte `start`,
-    /// read-through the decoded-element cache.
+    /// read-through the decoded-element cache. `len == u64::MAX` reads
+    /// to the end — of the object as the one namespace lookup finds it,
+    /// so a whole-object read racing a write or a delete-and-recreate
+    /// returns one version's bytes whole.
     ///
     /// # Errors
     /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
@@ -599,6 +606,10 @@ impl FrontDoor {
                 .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?
         };
         let total = rec.len();
+        let len = match len {
+            u64::MAX => total.saturating_sub(start),
+            len => len,
+        };
         if start.checked_add(len).is_none_or(|end| end > total) {
             return Err(StoreError::RangeOutOfBounds {
                 name: format!("{tenant}/{object}"),
@@ -608,12 +619,9 @@ impl FrontDoor {
         // Admit only after the request is known valid, so NotFound /
         // RangeOutOfBounds traffic cannot throttle a tenant.
         self.admit(&t, len)?;
-        let mut out = vec![0u8; len as usize];
-        let mut filled = 0usize;
+        let mut out = Vec::with_capacity(len as usize);
         for (extent, off, run) in rec.slices(start, len) {
-            let dst = &mut out[filled..filled + run as usize];
-            self.read_extent_cached(extent, off, run, dst)?;
-            filled += run as usize;
+            self.read_extent_cached(extent, off, run, &mut out)?;
         }
         t.reads.inc();
         t.read_bytes.add(len);
@@ -672,17 +680,17 @@ impl FrontDoor {
         (self.cache.hits.get(), self.cache.misses.get())
     }
 
-    /// Fill `out` with `run` bytes starting `off` into `extent`,
-    /// serving whole decoded elements from the cache and batch-reading
-    /// contiguous miss runs through the store.
+    /// Append to `out` the `run` bytes starting `off` into `extent`, in
+    /// order: whole decoded elements from the cache, contiguous miss
+    /// runs batch-read through the store — whose element buffers the
+    /// cache then keeps.
     fn read_extent_cached(
         &self,
         extent: ObjectMeta,
         off: u64,
         run: u64,
-        out: &mut [u8],
+        out: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let es = self.store.element_size() as u64;
         let abs = ObjectMeta {
             offset: extent.offset + off,
             len: run,
@@ -690,51 +698,25 @@ impl FrontDoor {
         let (first, last) = abs
             .element_range(self.store.element_size())
             .expect("namespace extents were handed out by the store's append");
-        // Object-relative copy helper: element `e`'s payload overlaps
-        // `out` at stream bytes [max(e*es, abs.offset), min((e+1)*es,
-        // abs end)).
-        let copy_into = |out: &mut [u8], e: u64, payload: &[u8]| {
-            let estart = e * es;
-            let s = estart.max(abs.offset);
-            let t = (estart + payload.len() as u64).min(abs.offset + abs.len);
-            if s < t {
-                out[(s - abs.offset) as usize..(t - abs.offset) as usize]
-                    .copy_from_slice(&payload[(s - estart) as usize..(t - estart) as usize]);
+        let cached = self.cache.get_run(first..last);
+        let mut e = first;
+        while e < last {
+            if let Some(payload) = &cached[(e - first) as usize] {
+                out.extend_from_slice(abs.part_of(e, payload));
+                e += 1;
+                continue;
             }
-        };
-        let mut misses: Vec<u64> = Vec::new();
-        for e in first..last {
-            match self.cache.get(e) {
-                Some(payload) => copy_into(out, e, &payload),
-                None => misses.push(e),
+            // One planned read per contiguous miss run.
+            let misses = cached[(e - first) as usize..]
+                .iter()
+                .take_while(|hit| hit.is_none())
+                .count();
+            let (elements, _) = self.store.read_elements(e, misses)?;
+            for payload in elements {
+                out.extend_from_slice(abs.part_of(e, &payload));
+                self.cache.insert(e, Arc::new(payload));
+                e += 1;
             }
-        }
-        if misses.is_empty() {
-            return Ok(());
-        }
-        // Batch contiguous miss runs into single planned reads.
-        let mut i = 0;
-        while i < misses.len() {
-            let a = misses[i];
-            let mut j = i + 1;
-            while j < misses.len() && misses[j] == misses[j - 1] + 1 {
-                j += 1;
-            }
-            let b = misses[j - 1] + 1;
-            let span = ObjectMeta {
-                offset: a * es,
-                len: (b - a) * es,
-            };
-            let (bytes, _) = self
-                .store
-                .read_extent(span, 0, span.len, &ReadOpts::default())?;
-            for (k, chunk) in bytes.chunks_exact(es as usize).enumerate() {
-                let e = a + k as u64;
-                let payload = Arc::new(chunk.to_vec());
-                copy_into(out, e, &payload);
-                self.cache.insert(e, payload);
-            }
-            i = j;
         }
         Ok(())
     }
@@ -790,6 +772,69 @@ mod tests {
         assert!(matches!(f.read("a", "obj"), Err(StoreError::NotFound(_))));
         f.put("a", "obj", b"fresh").unwrap();
         assert_eq!(f.read("a", "obj").unwrap(), b"fresh");
+    }
+
+    #[test]
+    fn reading_to_the_end_is_resolved_in_the_one_lookup() {
+        let f = front();
+        let data = blob(3000, 4);
+        f.put("a", "o", &data).unwrap();
+        assert_eq!(f.read_range("a", "o", 0, u64::MAX).unwrap(), data);
+        assert_eq!(
+            f.read_range("a", "o", 2990, u64::MAX).unwrap(),
+            &data[2990..]
+        );
+        assert!(f.read_range("a", "o", 3000, u64::MAX).unwrap().is_empty());
+        assert!(matches!(
+            f.read_range("a", "o", 3001, u64::MAX),
+            Err(StoreError::RangeOutOfBounds { len: 3000, .. })
+        ));
+    }
+
+    /// A whole-object read used to ask for the length and then for that
+    /// many bytes: a writer in between made it fail (the object
+    /// replaced by a shorter one) or tear. Now it is one lookup, so
+    /// whatever the interleaving it returns one version whole. (The
+    /// window is gone, so there is no seam left to force it at; 4000
+    /// swaps hit the old one in about three runs of four.)
+    #[test]
+    fn a_whole_object_read_racing_writers_returns_one_version_whole() {
+        let f = front();
+        let (long, short, more) = (blob(3000, 1), blob(700, 2), blob(900, 3));
+        let grown = [long.clone(), more.clone()].concat();
+        f.put("a", "swap", &long).unwrap();
+        f.put("a", "grow", &long).unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // `swap` alternates between a long and a short version;
+                // `grow` is appended to once.
+                for round in 0..4000 {
+                    f.delete("a", "swap").unwrap();
+                    let next = if round % 2 == 0 { &short } else { &long };
+                    f.put("a", "swap", next).unwrap();
+                    if round == 2000 {
+                        f.write("a", "grow", &more).unwrap();
+                    }
+                }
+                stop.store(true, Ordering::Release);
+            });
+            while !stop.load(Ordering::Acquire) {
+                match f.read("a", "swap") {
+                    // Deleted, created and not yet written, or whole.
+                    Err(StoreError::NotFound(_)) => {}
+                    Ok(got) => assert!(
+                        got.is_empty() || got == long || got == short,
+                        "torn read of {} bytes",
+                        got.len()
+                    ),
+                    Err(e) => panic!("a racing whole-object read failed: {e}"),
+                }
+                let got = f.read("a", "grow").unwrap();
+                assert!(got == long || got == grown, "{} bytes", got.len());
+            }
+        });
+        assert_eq!(f.read("a", "grow").unwrap(), grown);
     }
 
     #[test]

@@ -23,6 +23,16 @@ impl ObjectMeta {
         let last = self.offset.checked_add(self.len)?.div_ceil(es);
         Some((first, last.max(first)))
     }
+
+    /// The bytes of data element `e` (all `element_size` of them in
+    /// `payload`) that lie inside this range: all of it, except where
+    /// the first and last element stick out.
+    pub(crate) fn part_of<'e>(&self, e: u64, payload: &'e [u8]) -> &'e [u8] {
+        let start = e * payload.len() as u64;
+        let from = self.offset.saturating_sub(start) as usize;
+        let to = (self.offset + self.len - start).min(payload.len() as u64) as usize;
+        &payload[from..to]
+    }
 }
 
 /// A named object's extent map — the front door's namespace record,

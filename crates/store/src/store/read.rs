@@ -111,51 +111,57 @@ impl ObjectStore {
         self.read_absolute(ObjectMeta { offset, len })
     }
 
-    /// The shared read core: `meta.offset` is an *absolute* logical
-    /// stream offset (catalog lookups already applied).
+    /// What is sealed, once every element before `last` is: a read that
+    /// reaches into the unsealed tail flushes first.
+    fn sealed_through(&self, last: u64) -> super::SealedView {
+        let sealed = self.sealed();
+        if last <= sealed.sealed_elements {
+            return sealed;
+        }
+        self.flush();
+        self.sealed()
+    }
+
+    /// Read the bytes at `meta`, whose `offset` is an *absolute*
+    /// logical stream offset (catalog lookups already applied): the
+    /// elements they span, appended in order.
     fn read_absolute(&self, meta: ObjectMeta) -> Result<(Vec<u8>, ReadStats), StoreError> {
-        let len = meta.len;
         let (first, last) = meta
             .element_range(self.element_size)
-            .ok_or_else(|| out_of_bounds(meta.offset, len))?;
-        let mut sealed = self.sealed();
-        if last > sealed.sealed_elements {
-            self.flush();
-            sealed = self.sealed();
-        }
-        if len > 0 && last > sealed.sealed_elements {
-            return Err(out_of_bounds(
-                meta.offset,
-                sealed.sealed_elements * self.element_size as u64,
-            ));
-        }
-        let failed = sealed.failed;
-        if len == 0 {
+            .ok_or_else(|| out_of_bounds(meta.offset, meta.len))?;
+        if meta.len == 0 {
             let stats = ReadStats {
-                degraded: !failed.is_empty(),
+                degraded: !self.sealed_through(last).failed.is_empty(),
                 ..ReadStats::default()
             };
             return Ok((Vec::new(), stats));
         }
+        let (elements, stats) = self.read_elements(first, (last - first) as usize)?;
+        let mut out = Vec::with_capacity(meta.len as usize);
+        for (e, bytes) in (first..last).zip(elements) {
+            out.extend_from_slice(meta.part_of(e, &bytes));
+            crate::bufpool::give(bytes);
+        }
+        Ok((out, stats))
+    }
 
+    /// The shared read core: data elements `first .. first + count` of
+    /// the stream, in order, each in a buffer of its own — the one its
+    /// cell arrived in or the decoder filled, so a caller that keeps an
+    /// element (the front door's cache) keeps that buffer.
+    pub(crate) fn read_elements(
+        &self,
+        first: u64,
+        count: usize,
+    ) -> Result<(Vec<Vec<u8>>, ReadStats), StoreError> {
+        let last = first + count as u64;
+        let sealed = self.sealed_through(last);
+        if last > sealed.sealed_elements {
+            let es = self.element_size as u64;
+            return Err(out_of_bounds(first * es, sealed.sealed_elements * es));
+        }
+        let failed = sealed.failed;
         let t0 = std::time::Instant::now();
-        let count = (last - first) as usize;
-
-        // The requested byte range, relative to the first fetched
-        // element. Elements are copied straight into `out` (no
-        // intermediate flattened buffer) and their scratch buffers
-        // retired to the thread-local pool.
-        let begin = (meta.offset - first * self.element_size as u64) as usize;
-        let end = begin + len as usize;
-        let mut out = vec![0u8; len as usize];
-        let copy_element = |out: &mut [u8], idx: usize, e: &[u8]| {
-            let estart = idx * self.element_size;
-            let s = begin.max(estart);
-            let t = end.min(estart + e.len());
-            if s < t {
-                out[s - begin..t - begin].copy_from_slice(&e[s - estart..t - estart]);
-            }
-        };
 
         // Plan, fetch, and — when a disk stops answering mid-read —
         // mark it suspect and replan degraded around it. Each iteration
@@ -163,14 +169,14 @@ impl ObjectStore {
         //
         // Fetches go out as one vectored request per touched disk
         // (`read_batch_streaming`), and per-disk replies are consumed
-        // as they arrive: on the normal path each answering disk's
-        // elements are copied into `out` while slower disks are still
-        // reading; on the degraded path arriving elements accumulate
-        // into the assemble map the same way.
+        // as they arrive: each answering disk's cells are verified
+        // while slower disks are still reading, and kept — on the
+        // normal path in the slot of the element they are, on the
+        // degraded path in the assemble map.
         let mut verify_spent = std::time::Duration::ZERO;
         let mut suspects: BTreeSet<usize> = failed.iter().copied().collect();
         let mut replans = 0usize;
-        let plan = loop {
+        let (plan, elements) = loop {
             let down: Vec<usize> = suspects.iter().copied().collect();
             let t_plan = std::time::Instant::now();
             let plan = if down.is_empty() {
@@ -198,14 +204,15 @@ impl ObjectStore {
             let mut answered: BTreeSet<usize> = BTreeSet::new();
             let mut newly_suspect: BTreeSet<usize> = BTreeSet::new();
             let normal = down.is_empty();
-            // Degraded reads collect into a map for group decode; the
-            // map stays empty on the normal path (fetch i IS demand
-            // element i, copied out directly as its disk answers).
-            let mut fetched: HashMap<Loc, Vec<u8>> = if normal {
-                HashMap::new()
+            // Degraded reads collect into a map for group decode; on
+            // the normal path fetch i IS demand element i.
+            let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::new();
+            let mut slots: Vec<Vec<u8>> = Vec::new();
+            if normal {
+                slots.resize_with(count, Vec::new);
             } else {
-                HashMap::with_capacity(addrs.len())
-            };
+                fetched.reserve(addrs.len());
+            }
             while let Some(reply) = batch.next_reply() {
                 answered.insert(reply.disk);
                 for (tag, bytes) in reply.items {
@@ -227,8 +234,7 @@ impl ObjectStore {
                     }
                     b.truncate(self.element_size);
                     if normal {
-                        copy_element(&mut out, tag, &b);
-                        crate::bufpool::give(b);
+                        slots[tag] = b;
                     } else {
                         fetched.insert(plan.fetches[tag].loc, b);
                     }
@@ -249,7 +255,7 @@ impl ObjectStore {
             }
             if newly_suspect.is_empty() {
                 if !normal {
-                    let elements = self.scheme.assemble_read(
+                    slots = self.scheme.assemble_read(
                         first,
                         count,
                         &fetched,
@@ -257,13 +263,10 @@ impl ObjectStore {
                             .with_cache(&self.decoder_cache)
                             .with_recorder(&self.recorder),
                     )?;
-                    for (idx, e) in elements.into_iter().enumerate() {
-                        copy_element(&mut out, idx, &e);
-                        crate::bufpool::give(e);
-                    }
                 }
-                break plan;
+                break (plan, slots);
             }
+            crate::bufpool::give_all(slots);
             if newly_suspect.iter().all(|d| suspects.contains(d)) {
                 return Err(StoreError::DataLoss(format!(
                     "disks {newly_suspect:?} still unresponsive after degraded replan"
@@ -313,7 +316,7 @@ impl ObjectStore {
         }
         m.read_us.record_duration(stats.elapsed);
 
-        Ok((out, stats))
+        Ok((elements, stats))
     }
 }
 
