@@ -262,11 +262,12 @@ mod tests {
         let row = |phase: &str, p99: u64, hit: f64, throttled: u64| {
             cells! {
                 "phase": phase, "web_p99_us": p99, "cache_hit_rate": hit,
-                "scan_throttled": throttled, "scan_delayed": 0u64,
+                "scan_throttled": throttled, "scan_delayed": 0u64, "scan_ok": 64u64,
             }
         };
         let good = vec![
             row("solo", 700, 0.8, 0),
+            row("cold-scan", 2000, 0.78, 0),
             row("mixed-off", 3500, 0.9, 0),
             row("mixed-on", 1400, 0.8, 3),
         ];
@@ -274,22 +275,25 @@ mod tests {
             "multitenant",
             good,
             &[
-                &|r| drop(r.remove(1)),
-                &|r| set(r, 2, "web_p99_us", 1401u64),
-                &|r| set(r, 2, "cache_hit_rate", 0.5),
-                &|r| set(r, 2, "scan_throttled", 0u64),
+                &|r| drop(r.remove(2)),
+                &|r| set(r, 1, "cache_hit_rate", 0.76),
+                &|r| set(r, 1, "scan_ok", 63u64),
+                &|r| set(r, 3, "web_p99_us", 1401u64),
+                &|r| set(r, 3, "cache_hit_rate", 0.5),
+                &|r| set(r, 3, "scan_throttled", 0u64),
             ],
         );
         // The absolute floor: a quiet solo run does not tighten the bound.
         let quiet = vec![
             row("solo", 100, 0.8, 0),
+            row("cold-scan", 1, 0.8, 0),
             row("mixed-off", 1, 0.8, 0),
             row("mixed-on", 1000, 0.8, 3),
         ];
         pins(
             "multitenant",
             quiet,
-            &[&|r| set(r, 2, "web_p99_us", 1001u64)],
+            &[&|r| set(r, 3, "web_p99_us", 1001u64)],
         );
     }
 
