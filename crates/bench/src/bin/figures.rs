@@ -5,9 +5,11 @@
 //!          sweep-elem|sweep-size|hetero|placement|cauchy|ablations]
 //! ```
 //!
-//! `--json` additionally writes one `BENCH_<figure>.json` per figure
-//! (fig8a/fig8b/fig9a–d) with tail-latency (p50/p95/p99 ms) and
-//! load-imbalance (max/mean disk load) columns next to the speeds.
+//! Each of fig8a/fig8b/fig9a–d is one `report::Report` — a row per
+//! (code, form) with speed or cost, tail latency (p50/p95/p99 ms) and
+//! load imbalance (max/mean disk load), then per code the gains the
+//! paper quotes. `--json` additionally writes it as
+//! `BENCH_<figure>.json` (under `target/micro/` with `--quick`).
 //!
 //! Absolute MB/s differ from the paper (their testbed is real hardware;
 //! ours is the calibrated Savvio model), but the comparisons — who wins
@@ -15,119 +17,122 @@
 
 use std::sync::Arc;
 
-use ecfrm_bench::experiment::{run_degraded, run_normal, ExperimentConfig};
+use ecfrm_bench::cells;
+use ecfrm_bench::experiment::{run_degraded, run_normal, ExperimentConfig, TailStats};
 use ecfrm_bench::params::{lrc_params, lrc_schemes, rs_params, rs_schemes};
-use ecfrm_bench::report::{
-    degraded_cost_table, degraded_json, degraded_speed_table, gain_pct, normal_json, normal_table,
-};
+use ecfrm_bench::report::{gain_pct, Cells, Report};
 use ecfrm_codes::{CandidateCode, RsCode};
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_sim::{mean, DiskModel, NormalReadWorkload};
 use ecfrm_util::{par_map, Rng};
 
-/// Write one figure's JSON report next to the working directory and say
-/// so; figures are regenerated wholesale, so overwriting is the point.
-fn write_json(name: &str, body: &str) {
-    let path = format!("BENCH_{name}.json");
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+/// The paper's six figures: name, title, LRC (else RS) forms, and what
+/// each reports per code beside its per-form rows.
+#[rustfmt::skip]
+const FIGURES: [(&str, &str, bool, Quoted); 6] = [
+    ("fig8a", "Figure 8(a): normal read speed, RS forms (MB/s)", false, Quoted::NormalSpeed),
+    ("fig8b", "Figure 8(b): normal read speed, LRC forms (MB/s)", true, Quoted::NormalSpeed),
+    ("fig9a", "Figure 9(a): degraded read cost, RS forms (fetched/requested)", false, Quoted::DegradedCost),
+    ("fig9b", "Figure 9(b): degraded read cost, LRC forms (fetched/requested)", true, Quoted::DegradedCost),
+    ("fig9c", "Figure 9(c): degraded read speed, RS forms (MB/s)", false, Quoted::DegradedSpeed),
+    ("fig9d", "Figure 9(d): degraded read speed, LRC forms (MB/s)", true, Quoted::DegradedSpeed),
+];
+
+/// What a figure quotes per code: EC-FRM's speed gain over the other
+/// two forms (normal or degraded reads), or the spread of the degraded
+/// read cost across the three forms.
+#[derive(Clone, Copy, PartialEq)]
+enum Quoted {
+    NormalSpeed,
+    DegradedSpeed,
+    DegradedCost,
 }
 
-fn fig8a(cfg: &ExperimentConfig, json: bool) {
-    let rows: Vec<_> = par_map(&rs_params(), |_, &(k, m)| {
-        let [s, r, e] = rs_schemes(k, m);
-        (
-            format!("({k},{m})"),
-            [
-                run_normal(&s, cfg),
-                run_normal(&r, cfg),
-                run_normal(&e, cfg),
-            ],
-        )
-    });
-    println!(
-        "{}",
-        normal_table("Figure 8(a): normal read speed, RS forms (MB/s)", &rows)
-    );
-    if json {
-        write_json("fig8a", &normal_json("fig8a", &rows));
-    }
-}
+/// The forms of a code, in the order `rs_schemes`/`lrc_schemes` build
+/// them (the paper's legend order).
+const FORMS: [&str; 3] = ["standard", "rotated", "ecfrm"];
 
-fn fig8b(cfg: &ExperimentConfig, json: bool) {
-    let rows: Vec<_> = par_map(&lrc_params(), |_, &(k, l, m)| {
-        let [s, r, e] = lrc_schemes(k, l, m);
-        (
-            format!("({k},{l},{m})"),
-            [
-                run_normal(&s, cfg),
-                run_normal(&r, cfg),
-                run_normal(&e, cfg),
-            ],
-        )
-    });
-    println!(
-        "{}",
-        normal_table("Figure 8(b): normal read speed, LRC forms (MB/s)", &rows)
-    );
-    if json {
-        write_json("fig8b", &normal_json("fig8b", &rows));
-    }
-}
-
-fn degraded_rows_rs(cfg: &ExperimentConfig) -> Vec<(String, [ecfrm_bench::DegradedResult; 3])> {
-    par_map(&rs_params(), |_, &(k, m)| {
-        let [s, r, e] = rs_schemes(k, m);
-        (
-            format!("({k},{m})"),
-            [
-                run_degraded(&s, cfg),
-                run_degraded(&r, cfg),
-                run_degraded(&e, cfg),
-            ],
-        )
-    })
-}
-
-fn degraded_rows_lrc(cfg: &ExperimentConfig) -> Vec<(String, [ecfrm_bench::DegradedResult; 3])> {
-    par_map(&lrc_params(), |_, &(k, l, m)| {
-        let [s, r, e] = lrc_schemes(k, l, m);
-        (
-            format!("({k},{l},{m})"),
-            [
-                run_degraded(&s, cfg),
-                run_degraded(&r, cfg),
-                run_degraded(&e, cfg),
-            ],
-        )
-    })
-}
-
-fn fig9(cfg: &ExperimentConfig, which: &str, json: bool) {
-    let rows = match which {
-        "a" | "c" => degraded_rows_rs(cfg),
-        "b" | "d" => degraded_rows_lrc(cfg),
-        _ => unreachable!(),
+/// Run one paper figure as a `report::Report` — a row per (code, form),
+/// then a row per code with what the paper quotes — and print it; with
+/// `json`, write `BENCH_<name>.json` too.
+fn figure(name: &str, cfg: &ExperimentConfig, quick: bool, json: bool) {
+    let &(name, title, lrc, quoted) = FIGURES
+        .iter()
+        .find(|f| f.0 == name)
+        .expect("a figure's name");
+    let codes = if lrc {
+        lrc_params().map(|(k, l, m)| lrc_schemes(k, l, m))
+    } else {
+        rs_params().map(|(k, m)| rs_schemes(k, m))
     };
-    let table = match which {
-        "a" => degraded_cost_table(
-            "Figure 9(a): degraded read cost, RS forms (fetched/requested)",
-            &rows,
-        ),
-        "b" => degraded_cost_table(
-            "Figure 9(b): degraded read cost, LRC forms (fetched/requested)",
-            &rows,
-        ),
-        "c" => degraded_speed_table("Figure 9(c): degraded read speed, RS forms (MB/s)", &rows),
-        "d" => degraded_speed_table("Figure 9(d): degraded read speed, LRC forms (MB/s)", &rows),
-        _ => unreachable!(),
+    // Per form: its measured cells, its tail, and the number quoted.
+    let measure = |scheme: &Scheme| -> (Cells, TailStats, f64) {
+        if quoted == Quoted::NormalSpeed {
+            let r = run_normal(scheme, cfg);
+            let cells = cells! {
+                "speed_mb_s": r.speed_mb_s,
+                "mean_max_load": r.mean_max_load,
+                "mean_disks_touched": r.mean_disks_touched,
+            };
+            return (cells, r.tail, r.speed_mb_s);
+        }
+        let r = run_degraded(scheme, cfg);
+        let cells = cells! {
+            "cost": r.cost,
+            "speed_mb_s": r.speed_mb_s,
+            "mean_max_load": r.mean_max_load,
+        };
+        let quote = if quoted == Quoted::DegradedCost {
+            r.cost
+        } else {
+            r.speed_mb_s
+        };
+        (cells, r.tail, quote)
     };
-    println!("{table}");
-    if json {
-        let name = format!("fig9{which}");
-        write_json(&name, &degraded_json(&name, &rows));
+    let measured = par_map(&codes, |_, forms| forms.each_ref().map(measure));
+
+    let shape = cells! {
+        "figure": title,
+        "element_size": cfg.element_size,
+        "trials_normal": cfg.trials_normal,
+        "trials_degraded": cfg.trials_degraded,
+        "seed": cfg.seed,
+        "jitter": cfg.jitter,
+    };
+    // The disks are the analytic model.
+    let mut report = Report::new(name, quick, "model", shape);
+    let code_names = codes.each_ref().map(|forms| forms[0].name());
+    for (code, forms) in code_names.iter().zip(&measured) {
+        for (form, (cells, tail, _)) in FORMS.into_iter().zip(forms) {
+            let mut row = cells! {"code": code.as_str(), "form": form};
+            row.extend(cells.iter().cloned());
+            row.extend(cells! {
+                "p50_ms": tail.p50_ms,
+                "p95_ms": tail.p95_ms,
+                "p99_ms": tail.p99_ms,
+                "load_imbalance": tail.load_imbalance,
+            });
+            report.row(row);
+        }
+    }
+    for (code, forms) in code_names.iter().zip(&measured) {
+        let [standard, rotated, ecfrm] = forms.each_ref().map(|f| f.2);
+        report.row(if quoted == Quoted::DegradedCost {
+            let max = standard.max(rotated).max(ecfrm);
+            let min = standard.min(rotated).min(ecfrm);
+            cells! {"code": code.as_str(), "cost_spread_pct": gain_pct(max, min)}
+        } else {
+            cells! {
+                "code": code.as_str(),
+                "ecfrm_vs_standard_pct": gain_pct(ecfrm, standard),
+                "ecfrm_vs_rotated_pct": gain_pct(ecfrm, rotated),
+            }
+        });
+    }
+    if !json {
+        println!("{}", report.table());
+    } else if let Err(e) = report.publish() {
+        eprintln!("failed to write the report: {e}");
     }
 }
 
@@ -602,12 +607,7 @@ fn main() {
 
     for cmd in cmds {
         match cmd {
-            "fig8a" => fig8a(&cfg, json),
-            "fig8b" => fig8b(&cfg, json),
-            "fig9a" => fig9(&cfg, "a", json),
-            "fig9b" => fig9(&cfg, "b", json),
-            "fig9c" => fig9(&cfg, "c", json),
-            "fig9d" => fig9(&cfg, "d", json),
+            name if FIGURES.iter().any(|f| f.0 == name) => figure(name, &cfg, quick, json),
             "sweep-elem" => sweep_elem(&cfg),
             "sweep-size" => sweep_size(&cfg),
             "hetero" => hetero(&cfg),
@@ -633,12 +633,9 @@ fn main() {
                 recovery(&cfg);
             }
             "all" => {
-                fig8a(&cfg, json);
-                fig8b(&cfg, json);
-                fig9(&cfg, "a", json);
-                fig9(&cfg, "b", json);
-                fig9(&cfg, "c", json);
-                fig9(&cfg, "d", json);
+                for (name, ..) in FIGURES {
+                    figure(name, &cfg, quick, json);
+                }
             }
             other => {
                 eprintln!("unknown command: {other}");

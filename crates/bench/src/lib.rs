@@ -8,9 +8,9 @@
 //! * [`params`] — Table I's parameter sets and scheme constructors;
 //! * [`experiment`] — run one (scheme, workload) cell and summarise
 //!   speed / cost / load metrics;
-//! * [`report`] — aligned text tables with paper-style gain
-//!   percentages, and the one [`report::Report`] shape every
-//!   microbenchmark prints and writes.
+//! * [`report`] — the one [`report::Report`] shape every figure and
+//!   every microbenchmark prints and writes, and the paper-style gain
+//!   percentage.
 //!
 //! Two binaries drive it — `figures` for the paper's figures, `micro`
 //! for the per-layer microbenchmarks:

@@ -146,42 +146,6 @@ impl LrcCode {
             }
         }
     }
-
-    /// Fraction of erasure patterns of exactly `t` elements that decode
-    /// (e.g. the Azure paper's "86% of four-failure patterns" for
-    /// (6,2,2)).
-    pub fn recoverable_fraction(&self, t: usize) -> f64 {
-        let n = self.n();
-        let mut total = 0u64;
-        let mut ok = 0u64;
-        let mut idx: Vec<usize> = (0..t).collect();
-        if t > n {
-            return 0.0;
-        }
-        loop {
-            total += 1;
-            if self.is_recoverable(&idx) {
-                ok += 1;
-            }
-            let mut advanced = false;
-            let mut i = t;
-            while i > 0 {
-                i -= 1;
-                if idx[i] != i + n - t {
-                    idx[i] += 1;
-                    for j in i + 1..t {
-                        idx[j] = idx[j - 1] + 1;
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
-        ok as f64 / total as f64
-    }
 }
 
 impl CandidateCode for LrcCode {
@@ -417,7 +381,12 @@ mod tests {
         // two globals can restore.
         assert!(!code.is_recoverable(&[0, 1, 2, 6]));
         // Azure reports ~86% of 4-failure patterns recoverable.
-        let frac = code.recoverable_fraction(4);
+        let patterns: Vec<Vec<usize>> = (0u32..1 << code.n())
+            .filter(|mask| mask.count_ones() == 4)
+            .map(|mask| (0..code.n()).filter(|i| mask >> i & 1 == 1).collect())
+            .collect();
+        let ok = patterns.iter().filter(|p| code.is_recoverable(p)).count();
+        let frac = ok as f64 / patterns.len() as f64;
         assert!(frac > 0.80 && frac < 0.95, "fraction = {frac}");
     }
 

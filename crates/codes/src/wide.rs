@@ -15,6 +15,9 @@
 //! only the planner/scheme plumbing (which is `GF(2^8)`-typed) stops at
 //! 255. The example below shows a (300, 240) stripe.
 //!
+//! Backs DESIGN §5 "GF(2^16) wide stripes" (`examples/wide_stripe.rs`);
+//! ROADMAP's parked cascaded-parity wide-stripe layout starts from it.
+//!
 //! ```
 //! use ecfrm_codes::wide::WideRs;
 //!

@@ -43,7 +43,6 @@ pub mod recover;
 pub mod scheme;
 pub mod stripe;
 pub mod update;
-pub mod wide;
 
 pub use ecfrm_layout::{DomainMap, LayoutKind};
 pub use plan::{Fetch, Purpose, ReadPlan};
@@ -51,4 +50,3 @@ pub use recover::DiskRecovery;
 pub use scheme::{ReadCtx, Scheme, SchemeBuilder};
 pub use stripe::StripeImage;
 pub use update::{append_stripe_plan, update_plan, WritePlan};
-pub use wide::WideScheme;

@@ -13,6 +13,9 @@
 //!   overwrite workloads the paper's append-only assumption excludes.
 //!   The *count* is layout-invariant (1 + parities reads and writes);
 //!   only the disks touched differ.
+//!
+//! Backs DESIGN §5 "Write/update planning": §II-D's write-cost claim,
+//! an equality this module's tests assert (so no EXPERIMENTS.md number).
 
 use ecfrm_layout::Loc;
 

@@ -5,6 +5,9 @@
 //! verified against a field where brute force over all elements and all
 //! small matrices is feasible, and to support narrow codes where
 //! `n < 16` suffices.
+//!
+//! Backs no experiment: it is the reference field of `matrix.rs`'s and
+//! `tests/prop_gf.rs`'s exhaustive tests.
 
 use crate::field::{peasant_mul, Field};
 

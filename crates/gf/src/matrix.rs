@@ -173,23 +173,6 @@ impl<F: Field> Matrix<F> {
         out
     }
 
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[u32]) -> Vec<u32> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = 0u32;
-                for j in 0..self.cols {
-                    acc ^= F::mul(self[(i, j)], v[j]);
-                }
-                acc
-            })
-            .collect()
-    }
-
     /// Pick a subset of rows into a new matrix.
     ///
     /// # Panics
@@ -485,15 +468,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let a = M8::cauchy(4, 6);
-        let v: Vec<u32> = (1..=6).collect();
-        let as_col = M8::from_data(6, 1, v.clone());
-        let want: Vec<u32> = a.mul(&as_col).data().to_vec();
-        assert_eq!(a.mul_vec(&v), want);
     }
 
     #[test]

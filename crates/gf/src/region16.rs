@@ -8,6 +8,9 @@
 //! nibble tables per coefficient, byte-shuffled 16 or 32 symbols at a
 //! time on SIMD backends, log/antilog per symbol only in the scalar
 //! baseline.
+//!
+//! Backs EXPERIMENTS.md "GF kernel backends", rows `mul_region16` /
+//! `mul_add_region16`; [`dot_region16`] is the tests' reference.
 
 use crate::kernel;
 use crate::region::MULTI_BLOCK;

@@ -71,14 +71,6 @@ impl DomainMap {
         }
     }
 
-    /// The failure domain of `disk`.
-    ///
-    /// # Panics
-    /// If `disk` is out of range.
-    pub fn domain_of(&self, disk: usize) -> usize {
-        self.labels[disk]
-    }
-
     /// Number of distinct domains.
     pub fn n_domains(&self) -> usize {
         self.n_domains
@@ -105,7 +97,7 @@ mod tests {
         let m = DomainMap::single(9);
         assert_eq!(m.n_domains(), 1);
         assert_eq!(m.n_disks(), 9);
-        assert!((0..9).all(|d| m.domain_of(d) == 0));
+        assert_eq!(m.labels, [0; 9]);
         assert!(m.same_domain(0, 8));
     }
 
@@ -113,9 +105,7 @@ mod tests {
     fn contiguous_splits_into_equal_runs() {
         let m = DomainMap::contiguous(9, 3);
         assert_eq!(m.n_domains(), 3);
-        for d in 0..9 {
-            assert_eq!(m.domain_of(d), d / 3, "disk {d}");
-        }
+        assert_eq!(m.labels, [0, 0, 0, 1, 1, 1, 2, 2, 2]);
         assert!(m.same_domain(0, 2));
         assert!(!m.same_domain(2, 3));
     }
@@ -124,16 +114,14 @@ mod tests {
     fn contiguous_handles_uneven_split() {
         // 10 disks over 3 domains: runs of 4, 4, 2.
         let m = DomainMap::contiguous(10, 3);
-        let labels: Vec<usize> = (0..10).map(|d| m.domain_of(d)).collect();
-        assert_eq!(labels, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(m.labels, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
         assert_eq!(m.n_domains(), 3);
     }
 
     #[test]
     fn from_labels_compacts_sparse_labels() {
         let m = DomainMap::from_labels(&[7, 7, 3, 7, 9]);
-        let labels: Vec<usize> = (0..5).map(|d| m.domain_of(d)).collect();
-        assert_eq!(labels, vec![0, 0, 1, 0, 2]);
+        assert_eq!(m.labels, [0, 0, 1, 0, 2]);
         assert_eq!(m.n_domains(), 3);
     }
 

@@ -79,16 +79,6 @@ impl EcFrmLayout {
         debug_assert!(group < self.n / self.r && pos < self.n);
         (group * self.k + pos) % self.n
     }
-
-    /// Row (within the stripe grid) of element `pos` of group `i`.
-    pub fn group_row(&self, group: usize, pos: usize) -> usize {
-        debug_assert!(group < self.n / self.r && pos < self.n);
-        if pos < self.k {
-            (group * self.k + pos) / self.n
-        } else {
-            self.data_rows() + (pos - self.k) / self.r
-        }
-    }
 }
 
 impl Layout for EcFrmLayout {
@@ -369,18 +359,16 @@ mod tests {
     }
 
     #[test]
-    fn group_row_matches_locations() {
+    fn group_column_matches_locations() {
         for (n, k) in [(10usize, 6usize), (9, 6), (7, 3)] {
             let l = EcFrmLayout::new(n, k);
             for g in 0..l.rows_per_stripe() {
-                let locs = l.row_locations(0, g);
-                for (pos, loc) in locs.iter().enumerate() {
+                for (pos, loc) in l.row_locations(0, g).iter().enumerate() {
                     assert_eq!(
-                        l.group_row(g, pos),
-                        loc.offset as usize,
+                        l.group_column(g, pos),
+                        loc.disk,
                         "({n},{k}) g={g} pos={pos}"
                     );
-                    assert_eq!(l.group_column(g, pos), loc.disk);
                 }
             }
         }

@@ -45,21 +45,6 @@ pub struct StoredElement {
     pub pos: usize,
 }
 
-impl StoredElement {
-    /// Global data element index if this is a data element (`pos < k`),
-    /// given the layout that produced it.
-    pub fn data_index(&self, layout: &dyn Layout) -> Option<u64> {
-        if self.pos < layout.code_k() {
-            Some(
-                self.stripe * layout.data_per_stripe() as u64
-                    + (self.row * layout.code_k() + self.pos) as u64,
-            )
-        } else {
-            None
-        }
-    }
-}
-
 /// A mapping between the logical element address space of an `(n, k)`
 /// candidate code and physical `(disk, offset)` locations.
 ///
@@ -146,20 +131,6 @@ mod tests {
         let b = Loc::new(1, 0);
         assert!(a < b);
         assert_eq!(a, Loc { disk: 0, offset: 5 });
-    }
-
-    #[test]
-    fn stored_element_data_index_roundtrip() {
-        let l = StandardLayout::new(10, 6);
-        for idx in [0u64, 1, 5, 6, 17, 100] {
-            let loc = l.data_location(idx);
-            let se = l.element_at(loc);
-            assert_eq!(se.data_index(&l), Some(idx));
-        }
-        // Parity elements have no data index.
-        let ploc = l.parity_location(3, 0, 1);
-        let se = l.element_at(ploc);
-        assert_eq!(se.data_index(&l), None);
     }
 
     #[test]

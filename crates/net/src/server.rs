@@ -18,17 +18,17 @@
 //! requests, so clients see resets/timeouts — the stimulus the store's
 //! degraded-read fallback exists for.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Counter, Histogram, Recorder};
 use ecfrm_sim::{
     CombinePeerSpec, CombineReply, CombineSpec, DiskBackend, IoHandle, IoResults, WriteRun,
 };
-use ecfrm_util::Mutex;
+use ecfrm_util::{Mutex, Queue};
 
 use ecfrm_integrity::{verify_footer, HashKey};
 
@@ -403,52 +403,13 @@ fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
 /// deep. Dropping the pool closes the queue; each worker drains out
 /// and is joined.
 struct MuxPool {
-    queue: Arc<JobQueue>,
+    queue: Arc<Queue<MuxJob>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct JobQueue {
-    /// Queued jobs, and whether the connection loop has exited.
-    state: Mutex<(VecDeque<MuxJob>, bool)>,
-    cv: Condvar,
-}
-
-impl JobQueue {
-    fn push(&self, job: MuxJob) {
-        self.state.lock().0.push_back(job);
-        self.cv.notify_one();
-    }
-
-    /// Next job, parking while the queue is empty; `None` once it is
-    /// closed and drained.
-    fn pop(&self) -> Option<MuxJob> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self
-                .cv
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().1 = true;
-        self.cv.notify_all();
-    }
 }
 
 impl MuxPool {
     fn spawn(shared: &Arc<Shared>, writer: &SharedWriter) -> Self {
-        let queue = Arc::new(JobQueue {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        });
+        let queue = Arc::new(Queue::new());
         let workers = (0..MUX_WORKERS)
             .map(|_| {
                 let queue = Arc::clone(&queue);
@@ -470,7 +431,7 @@ impl Drop for MuxPool {
     }
 }
 
-fn mux_worker(queue: &JobQueue, shared: &Shared, writer: &SharedWriter) {
+fn mux_worker(queue: &Queue<MuxJob>, shared: &Shared, writer: &SharedWriter) {
     while let Some(job) = queue.pop() {
         if shared.stop.load(Ordering::Acquire) {
             return; // hard kill: abandon the in-flight request
@@ -546,8 +507,8 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         mux_pool
                             .get_or_insert_with(|| MuxPool::spawn(shared, &writer))
                             .queue
-                            .push(job);
-                        true
+                            .push(job)
+                            .is_ok() // only this thread, leaving, closes it
                     }
                 }
             }

@@ -41,18 +41,6 @@ impl DiskModel {
         }
     }
 
-    /// A generic fast SSD-ish device (for ablations: when positioning
-    /// cost vanishes, layout matters less).
-    pub fn ssd_like() -> Self {
-        Self {
-            seek_ms: 0.02,
-            rotational_ms: 0.0,
-            transfer_mb_s: 500.0,
-            speed_factor: 1.0,
-            track_to_track_ms: None,
-        }
-    }
-
     /// Same disk at a different relative speed.
     pub fn with_speed_factor(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "speed factor must be positive");
@@ -119,7 +107,12 @@ mod tests {
     #[test]
     fn ssd_is_much_faster() {
         let hdd = DiskModel::savvio_10k3();
-        let ssd = DiskModel::ssd_like();
+        let ssd = DiskModel {
+            seek_ms: 0.02,
+            rotational_ms: 0.0,
+            transfer_mb_s: 500.0,
+            ..hdd
+        };
         assert!(ssd.service_time_ms(1_000_000) < hdd.service_time_ms(1_000_000) / 5.0);
     }
 

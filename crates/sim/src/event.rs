@@ -7,6 +7,9 @@
 //! queued request behind it. This module simulates closed-loop clients
 //! over FIFO per-disk queues so that effect can be measured — the
 //! `figures -- concurrency` ablation.
+//!
+//! Backs EXPERIMENTS.md "Ablations → Closed-loop concurrency", "Zipf
+//! trace" and "Open-loop tail latency" (DESIGN §5).
 
 use crate::disk::DiskModel;
 

@@ -43,10 +43,12 @@ pub use fault::{FaultKind, FaultyDisk};
 pub use file_disk::{FileDisk, FileIoConfig, FileIoMode};
 pub use metrics::{mean, speed_mb_s, stddev, NetCounters, NetStats, Summary};
 pub use net::{ClusterSim, NetModel};
-pub use reactor::{io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Reactor, ReactorStats};
+pub use reactor::{
+    io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Op, Reactor, ReactorStats,
+};
 pub use threaded::{
     combine_status, Address, CombineOutcome, CombinePeerSpec, CombineReply, CombineSpec,
-    DiskBackend, MemDisk, RunBuf, ThreadedArray, WriteRun,
+    DiskBackend, MemDisk, RunBuf, ThreadedArray, WriteRun, WriteShape,
 };
 pub use uring::UringSnapshot;
 pub use workload::{

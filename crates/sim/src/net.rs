@@ -9,6 +9,9 @@
 //! client downlink shows where the paper's regime ends: once bandwidth —
 //! not the most-loaded disk — is the bottleneck, layout stops mattering
 //! and only the fetch *volume* (cost) does.
+//!
+//! Backs EXPERIMENTS.md "Ablations → Client-bandwidth sweep" (DESIGN §5,
+//! `figures -- bandwidth`) and `tests/bandwidth_claim.rs`.
 
 use crate::disk::DiskModel;
 
@@ -32,16 +35,6 @@ impl NetModel {
             node_uplink_mb_s: f64::INFINITY,
             client_downlink_mb_s: f64::INFINITY,
             rtt_ms: 0.0,
-        }
-    }
-
-    /// A typical inner-enterprise setup: 10 GbE client, 10 GbE nodes,
-    /// 0.2 ms RTT.
-    pub fn ten_gbe() -> Self {
-        Self {
-            node_uplink_mb_s: 1250.0,
-            client_downlink_mb_s: 1250.0,
-            rtt_ms: 0.2,
         }
     }
 }
@@ -155,7 +148,13 @@ mod tests {
 
     #[test]
     fn ten_gbe_is_nearly_sufficient_for_small_reads() {
-        let c10 = ClusterSim::new(disk(), NetModel::ten_gbe(), 1_000_000);
+        // 10 GbE at the client and every node, 0.2 ms RTT.
+        let ten_gbe = NetModel {
+            node_uplink_mb_s: 1250.0,
+            client_downlink_mb_s: 1250.0,
+            rtt_ms: 0.2,
+        };
+        let c10 = ClusterSim::new(disk(), ten_gbe, 1_000_000);
         let cinf = ClusterSim::new(disk(), NetModel::sufficient(), 1_000_000);
         let load = [1usize, 1, 1, 1, 1, 1, 1, 1, 0, 0];
         let t10 = c10.read_time_ms(&load);

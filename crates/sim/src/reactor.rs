@@ -29,13 +29,12 @@
 //! failure surface as a failed disk. Waiters therefore never deadlock on
 //! a lost operation.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
-use ecfrm_util::Mutex;
+use ecfrm_util::{Mutex, Queue};
 
 use crate::threaded::{DiskBackend, RunBuf, WriteRun};
 
@@ -77,7 +76,8 @@ pub struct IoCompleter {
 
 impl std::fmt::Debug for IoHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "IoHandle(done: {})", self.is_done())
+        let done = self.shared.slot.lock().outcome.is_some();
+        write!(f, "IoHandle(done: {done})")
     }
 }
 
@@ -118,11 +118,6 @@ impl IoHandle {
         let (handle, completer) = io_pair(results.len());
         completer.complete(results);
         handle
-    }
-
-    /// True once the result has landed (and has not been taken).
-    pub fn is_done(&self) -> bool {
-        self.shared.slot.lock().outcome.is_some()
     }
 
     /// Take the results if the operation has completed, without
@@ -166,19 +161,17 @@ impl IoHandle {
     where
         F: FnOnce(IoResults) + Send + 'static,
     {
-        let ready = {
+        let results = {
             let mut slot = self.shared.slot.lock();
             match slot.outcome.take() {
-                Some(results) => Some(results),
+                Some(results) => results,
                 None => {
                     slot.callback = Some(Box::new(f));
                     return;
                 }
             }
         };
-        if let Some(results) = ready {
-            f(results);
-        }
+        f(results);
     }
 }
 
@@ -194,7 +187,7 @@ impl IoCompleter {
         let callback = {
             let mut slot = self.shared.slot.lock();
             match slot.callback.take() {
-                Some(cb) => Some(cb),
+                Some(callback) => callback,
                 None => {
                     slot.outcome = Some(results);
                     self.shared.cv.notify_all();
@@ -202,9 +195,7 @@ impl IoCompleter {
                 }
             }
         };
-        if let Some(cb) = callback {
-            cb(results);
-        }
+        callback(results);
     }
 }
 
@@ -255,20 +246,33 @@ impl ReactorStats {
         }
     }
 
-    pub(crate) fn note_submitted(&self) {
+    fn note_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_completed(&self) {
+    fn note_completed(&self) {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_panic(&self) {
+    fn note_panic(&self) {
         self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn inflight_add(&self, delta: i64) {
+    fn inflight_add(&self, delta: i64) {
         self.inflight.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// An operation that bypasses the pool — the array is handing it to
+    /// a completion-driven backend itself — is submitted and in flight.
+    pub(crate) fn direct_submitted(&self) {
+        self.note_submitted();
+        self.inflight_add(1);
+    }
+
+    /// That operation completed.
+    pub(crate) fn direct_completed(&self) {
+        self.inflight_add(-1);
+        self.note_completed();
     }
 
     fn depth_add(&self, delta: i64) {
@@ -291,66 +295,38 @@ impl IoSnapshot {
     }
 }
 
-enum OpKind {
+/// One vectored backend operation: what [`Reactor::submit`] queues and
+/// `ThreadedArray` hands a completion-driven backend directly.
+#[derive(Debug)]
+pub enum Op {
+    /// Read these offsets: one result entry per offset.
     Read(Vec<u64>),
+    /// Write these runs: an empty result once they are applied.
     Write(Vec<RunBuf>),
 }
 
+impl Op {
+    /// Hand the operation to `backend` through the submission entry
+    /// point it belongs to.
+    pub(crate) fn submit_to(&self, backend: &dyn DiskBackend) -> IoHandle {
+        match self {
+            Op::Read(offsets) => backend.submit_read_many(offsets),
+            Op::Write(runs) => {
+                let views: Vec<WriteRun<'_>> = runs.iter().map(RunBuf::as_run).collect();
+                backend.submit_write_many(&views)
+            }
+        }
+    }
+}
+
 /// One queued submission: the backend to drive, what to do, where to
-/// complete, and an optional hook fired if the backend panics (used by
-/// `ThreadedArray` to mark the disk suspect).
-struct Op {
+/// complete, and the hook fired if the backend panics (`ThreadedArray`
+/// marks the disk suspect with it).
+struct Job {
     backend: Arc<dyn DiskBackend>,
-    kind: OpKind,
+    op: Op,
     completer: IoCompleter,
-    panic_hook: Option<Box<dyn FnOnce() + Send + 'static>>,
-}
-
-struct SubmitQueue {
-    ops: Mutex<QueueInner>,
-    cv: Condvar,
-}
-
-struct QueueInner {
-    ops: VecDeque<Op>,
-    shutdown: bool,
-}
-
-impl SubmitQueue {
-    fn push(&self, op: Op) -> bool {
-        let mut inner = self.ops.lock();
-        if inner.shutdown {
-            return false; // op dropped → completer delivers all-None
-        }
-        inner.ops.push_back(op);
-        self.cv.notify_one();
-        true
-    }
-
-    fn pop(&self) -> Option<Op> {
-        let mut inner = self.ops.lock();
-        loop {
-            if let Some(op) = inner.ops.pop_front() {
-                return Some(op);
-            }
-            if inner.shutdown {
-                return None;
-            }
-            inner = self
-                .cv
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Flip to shutdown and drain unserviced ops (their completers
-    /// deliver all-`None` as they drop).
-    fn close(&self) -> VecDeque<Op> {
-        let mut inner = self.ops.lock();
-        inner.shutdown = true;
-        self.cv.notify_all();
-        std::mem::take(&mut inner.ops)
-    }
+    panic_hook: Box<dyn FnOnce() + Send + 'static>,
 }
 
 /// A bounded worker pool servicing vectored backend operations from a
@@ -361,7 +337,7 @@ impl SubmitQueue {
 /// caught, the op completes as all-`None`, the per-op panic hook fires
 /// (suspect marking), and the worker moves on to the next submission.
 pub struct Reactor {
-    queue: Arc<SubmitQueue>,
+    queue: Arc<Queue<Job>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     stats: Arc<ReactorStats>,
 }
@@ -375,13 +351,7 @@ impl std::fmt::Debug for Reactor {
 impl Reactor {
     /// Spawn a reactor with `workers` pool threads (at least one).
     pub fn new(workers: usize) -> Self {
-        let queue = Arc::new(SubmitQueue {
-            ops: Mutex::new(QueueInner {
-                ops: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
+        let queue = Arc::new(Queue::new());
         let stats = Arc::new(ReactorStats::default());
         let handles = (0..workers.max(1))
             .map(|_| {
@@ -397,34 +367,26 @@ impl Reactor {
         }
     }
 
-    fn worker_loop(queue: &SubmitQueue, stats: &ReactorStats) {
-        while let Some(op) = queue.pop() {
+    fn worker_loop(queue: &Queue<Job>, stats: &ReactorStats) {
+        while let Some(job) = queue.pop() {
             stats.depth_add(-1);
             stats.inflight_add(1);
-            let Op {
+            let Job {
                 backend,
-                kind,
+                op,
                 completer,
                 panic_hook,
-            } = op;
-            let outcome = catch_unwind(AssertUnwindSafe(|| match kind {
-                OpKind::Read(offsets) => backend.read_many(&offsets),
-                OpKind::Write(runs) => {
-                    let views: Vec<WriteRun<'_>> = runs.iter().map(RunBuf::as_run).collect();
-                    backend.submit_write_many(&views).wait()
-                }
-            }));
+            } = job;
+            let outcome = catch_unwind(AssertUnwindSafe(|| op.submit_to(&*backend).wait()));
             stats.inflight_add(-1);
             stats.note_completed();
             match outcome {
                 Ok(results) => completer.complete(results),
                 Err(_) => {
                     stats.note_panic();
-                    if let Some(hook) = panic_hook {
-                        // The hook is engine code (suspect marking), but
-                        // isolate it anyway: a worker must not die.
-                        let _ = catch_unwind(AssertUnwindSafe(hook));
-                    }
+                    // The hook is engine code (suspect marking), but
+                    // isolate it anyway: a worker must not die.
+                    let _ = catch_unwind(AssertUnwindSafe(panic_hook));
                     drop(completer); // delivers all-None
                 }
             }
@@ -432,64 +394,45 @@ impl Reactor {
     }
 
     /// Shared counters/gauges for this engine.
-    pub fn stats(&self) -> Arc<ReactorStats> {
-        Arc::clone(&self.stats)
+    pub fn stats(&self) -> &Arc<ReactorStats> {
+        &self.stats
     }
 
-    /// Queue a vectored read against `backend`; the returned handle
-    /// completes when a pool worker has serviced it. `panic_hook` fires
-    /// (once, from the worker) if the backend panics.
-    pub fn submit_read(
+    /// Queue `op` against `backend`; the returned handle completes when
+    /// a pool worker has submitted it and waited it out. `panic_hook`
+    /// fires (once, from the worker) if the backend panics.
+    pub fn submit(
         &self,
         backend: Arc<dyn DiskBackend>,
-        offsets: Vec<u64>,
-        panic_hook: Option<Box<dyn FnOnce() + Send + 'static>>,
+        op: Op,
+        panic_hook: impl FnOnce() + Send + 'static,
     ) -> IoHandle {
-        let (handle, completer) = io_pair(offsets.len());
-        self.submit(Op {
-            backend,
-            kind: OpKind::Read(offsets),
-            completer,
-            panic_hook,
+        // What a lost op completes with: a `None` per offset read.
+        let (handle, completer) = io_pair(match &op {
+            Op::Read(offsets) => offsets.len(),
+            Op::Write(_) => 0,
         });
-        handle
-    }
-
-    /// Queue a vectored write against `backend`; the returned handle
-    /// completes (with an empty result vector) once a pool worker has
-    /// waited out the backend's [`DiskBackend::submit_write_many`].
-    pub fn submit_write(
-        &self,
-        backend: Arc<dyn DiskBackend>,
-        runs: Vec<RunBuf>,
-        panic_hook: Option<Box<dyn FnOnce() + Send + 'static>>,
-    ) -> IoHandle {
-        let (handle, completer) = io_pair(0);
-        self.submit(Op {
-            backend,
-            kind: OpKind::Write(runs),
-            completer,
-            panic_hook,
-        });
-        handle
-    }
-
-    fn submit(&self, op: Op) {
         self.stats.note_submitted();
         self.stats.depth_add(1);
-        if !self.queue.push(op) {
+        let job = Job {
+            backend,
+            op,
+            completer,
+            panic_hook: Box::new(panic_hook),
+        };
+        if self.queue.push(job).is_err() {
             self.stats.depth_add(-1); // dropped: completer → all-None
         }
+        handle
     }
 
     /// Stop accepting submissions, complete queued-but-unserviced ops as
     /// all-`None`, and join the pool. Idempotent.
     pub fn shutdown(&self) {
-        let abandoned = self.queue.close();
-        for op in abandoned {
+        for job in self.queue.close() {
             self.stats.depth_add(-1);
             self.stats.note_completed();
-            drop(op); // completer delivers all-None
+            drop(job); // completer delivers all-None
         }
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
@@ -513,7 +456,7 @@ mod tests {
     #[test]
     fn ready_handle_completes_immediately() {
         let h = IoHandle::ready(vec![Some(vec![1]), None]);
-        assert!(h.is_done());
+        assert_eq!(format!("{h:?}"), "IoHandle(done: true)");
         assert_eq!(h.wait(), vec![Some(vec![1]), None]);
     }
 
@@ -577,10 +520,10 @@ mod tests {
             bytes: vec![1, 2],
         };
         reactor
-            .submit_write(Arc::clone(&disk), vec![run], None)
+            .submit(Arc::clone(&disk), Op::Write(vec![run]), || {})
             .wait();
         let got = reactor
-            .submit_read(Arc::clone(&disk), vec![0, 1, 9], None)
+            .submit(Arc::clone(&disk), Op::Read(vec![0, 1, 9]), || {})
             .wait();
         assert_eq!(got, vec![Some(vec![1]), Some(vec![2]), None]);
         let snap = reactor.stats().snapshot();
@@ -611,11 +554,9 @@ mod tests {
         let reactor = Reactor::new(1);
         let (tx, rx) = channel();
         let got = reactor
-            .submit_read(
-                Arc::new(PanicBackend),
-                vec![0, 1],
-                Some(Box::new(move || tx.send(()).unwrap())),
-            )
+            .submit(Arc::new(PanicBackend), Op::Read(vec![0, 1]), move || {
+                tx.send(()).unwrap()
+            })
             .wait();
         assert_eq!(got, vec![None, None]);
         rx.recv().unwrap();
@@ -623,7 +564,7 @@ mod tests {
         let disk: Arc<dyn DiskBackend> = Arc::new(MemDisk::new());
         disk.write(0, vec![5]);
         assert_eq!(
-            reactor.submit_read(disk, vec![0], None).wait(),
+            reactor.submit(disk, Op::Read(vec![0]), || {}).wait(),
             vec![Some(vec![5])]
         );
         assert_eq!(reactor.stats().snapshot().panics, 1);
@@ -636,14 +577,14 @@ mod tests {
         let reactor = Reactor::new(1);
         let slow: Arc<dyn DiskBackend> = Arc::new(MemDisk::with_latency(Duration::from_millis(30)));
         slow.write(0, vec![1]);
-        let first = reactor.submit_read(Arc::clone(&slow), vec![0], None);
+        let first = reactor.submit(Arc::clone(&slow), Op::Read(vec![0]), || {});
         // Wait for the worker to dequeue `first` (queue_depth drops to
         // zero) — otherwise shutdown races the dequeue and may abandon
         // it too.
         while reactor.stats().snapshot().queue_depth > 0 {
             std::thread::yield_now();
         }
-        let queued = reactor.submit_read(Arc::clone(&slow), vec![0, 0], None);
+        let queued = reactor.submit(Arc::clone(&slow), Op::Read(vec![0, 0]), || {});
         reactor.shutdown();
         assert_eq!(first.wait(), vec![Some(vec![1])]);
         assert_eq!(queued.wait(), vec![None, None]);

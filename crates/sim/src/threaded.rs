@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,7 +20,7 @@ use ecfrm_obs::Recorder;
 use ecfrm_util::Mutex;
 
 use crate::metrics::NetStats;
-use crate::reactor::{IoHandle, IoResults, Reactor, ReactorStats};
+use crate::reactor::{IoHandle, IoResults, Op, Reactor, ReactorStats};
 
 /// Address of one element on the array: `(disk, offset)`.
 pub type Address = (usize, u64);
@@ -379,6 +379,7 @@ pub struct BatchRead {
     rx: std::sync::mpsc::Receiver<DiskReply>,
     pending: usize,
     jobs: usize,
+    coalesced_runs: usize,
 }
 
 impl BatchRead {
@@ -388,6 +389,13 @@ impl BatchRead {
     /// batch.
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// How many of those submissions covered one run of two or more
+    /// consecutive ascending offsets — the requests a `RemoteDisk` ships
+    /// as a single-run `Read`.
+    pub fn coalesced_runs(&self) -> usize {
+        self.coalesced_runs
     }
 
     /// Next per-disk reply, blocking until one arrives; `None` once
@@ -408,6 +416,47 @@ impl BatchRead {
                 self.pending = 0;
                 None
             }
+        }
+    }
+}
+
+/// The shape of one array-level write, as [`ThreadedArray::write_runs`]
+/// dispatched it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteShape {
+    /// Per-disk vectored writes submitted: one per touched disk (for
+    /// remote backends, the logical RPC count).
+    pub rpcs: usize,
+    /// Runs of consecutive cells those writes carried.
+    pub runs: usize,
+    /// Cells in those runs.
+    pub cells: usize,
+}
+
+/// A submission on its way. The reactor pool tallies its own
+/// completions; one the array handed its backend directly is tallied
+/// here, as it is redeemed.
+struct Pending<'a> {
+    handle: IoHandle,
+    direct: Option<&'a Arc<ReactorStats>>,
+}
+
+impl Pending<'_> {
+    fn wait(self) -> IoResults {
+        let results = self.handle.wait();
+        if let Some(stats) = self.direct {
+            stats.direct_completed();
+        }
+        results
+    }
+
+    fn on_complete(self, f: impl FnOnce(IoResults) + Send + 'static) {
+        match self.direct.cloned() {
+            None => self.handle.on_complete(f),
+            Some(stats) => self.handle.on_complete(move |results| {
+                stats.direct_completed();
+                f(results);
+            }),
         }
     }
 }
@@ -509,7 +558,7 @@ impl ThreadedArray {
     /// backend, current or replaced, reports transport counters — their
     /// sum as the `net.*` counters.
     pub fn observe(&self, recorder: &Recorder) {
-        let io = self.reactor.stats();
+        let io = Arc::clone(self.reactor.stats());
         let slots = Arc::clone(&self.slots);
         let suspects = Arc::clone(&self.suspects);
         recorder.observe(move |snap| {
@@ -543,7 +592,7 @@ impl ThreadedArray {
     /// Live submission/completion counters and queue-depth / in-flight
     /// gauges for the array's I/O engine.
     pub fn io_stats(&self) -> Arc<ReactorStats> {
-        self.reactor.stats()
+        Arc::clone(self.reactor.stats())
     }
 
     /// Re-register disk `d` with a replacement backend; in-flight
@@ -585,48 +634,28 @@ impl ThreadedArray {
         self.suspects.lock().iter().copied().collect()
     }
 
-    /// A hook that marks disk `d` suspect, for the reactor's panic path.
-    fn suspect_hook(&self, d: usize) -> Box<dyn FnOnce() + Send + 'static> {
-        let suspects = Arc::clone(&self.suspects);
-        Box::new(move || {
-            suspects.lock().insert(d);
-        })
-    }
-
-    /// Submit one vectored read for disk `d` covering `(tags, offsets)`
-    /// and deliver its [`DiskReply`] on `reply` when it completes —
-    /// via the reactor pool for blocking backends, directly for
-    /// completion-driven ones.
-    fn dispatch_read(
-        &self,
-        d: usize,
-        tags: Vec<usize>,
-        offsets: Vec<u64>,
-        reply: Sender<DiskReply>,
-    ) {
+    /// The one way into a disk: hand `op` to disk `d`'s backend — from
+    /// this thread when the backend completes submissions itself, through
+    /// the reactor pool when it blocks. A pooled backend that panics is
+    /// marked suspect and its op completes all-`None`.
+    fn submit(&self, d: usize, op: Op) -> Pending<'_> {
         let backend = self.disk(d);
-        let deliver = move |results: IoResults| {
-            debug_assert_eq!(results.len(), tags.len());
-            let items = tags.into_iter().zip(results).collect();
-            let _ = reply.send(DiskReply { disk: d, items });
-        };
         if backend.submits_async() {
-            // Completion-driven backend: submit from this thread, let
-            // its own machinery complete the handle. Track it in the
-            // engine gauges so in-flight covers both paths.
+            // Tracked in the engine gauges so in-flight covers both paths.
             let stats = self.reactor.stats();
-            stats.note_submitted();
-            stats.inflight_add(1);
-            backend.submit_read_many(&offsets).on_complete(move |r| {
-                stats.inflight_add(-1);
-                stats.note_completed();
-                deliver(r);
-            });
-        } else {
-            let hook = self.suspect_hook(d);
-            self.reactor
-                .submit_read(backend, offsets, Some(hook))
-                .on_complete(deliver);
+            stats.direct_submitted();
+            return Pending {
+                handle: op.submit_to(&*backend),
+                direct: Some(stats),
+            };
+        }
+        let suspects = Arc::clone(&self.suspects);
+        let hook = move || {
+            suspects.lock().insert(d);
+        };
+        Pending {
+            handle: self.reactor.submit(backend, op, hook),
+            direct: None,
         }
     }
 
@@ -634,7 +663,7 @@ impl ThreadedArray {
     /// are put in address order and coalesced into runs of consecutive
     /// offsets (and equal size), which go out through
     /// [`Self::write_runs`]: one vectored write per touched disk.
-    pub fn write_batch(&self, mut items: Vec<(Address, Vec<u8>)>) {
+    pub fn write_batch(&self, mut items: Vec<(Address, Vec<u8>)>) -> WriteShape {
         // Stable: of two elements for one address the later lands last.
         items.sort_by_key(|&(addr, _)| addr);
         let mut runs: Vec<(usize, RunBuf)> = Vec::new();
@@ -656,45 +685,36 @@ impl ThreadedArray {
                 },
             ));
         }
-        self.write_runs(runs);
+        self.write_runs(runs)
     }
 
     /// Write runs of consecutive cells, waiting for all to land: one
-    /// vectored write per touched disk, submitted from this thread for
-    /// completion-driven backends (all disks' requests leave back to
-    /// back, then the acknowledgements are collected) and through the
-    /// reactor pool for blocking ones — the split reads make too. A
-    /// panicking pooled backend is marked suspect rather than
-    /// panicking the caller — the lost elements simply read back as
-    /// absent, the same failure surface as a failed disk.
-    pub fn write_runs(&self, runs: Vec<(usize, RunBuf)>) {
+    /// vectored write per touched disk, every disk's submitted before
+    /// the first is waited for (so completion-driven backends' requests
+    /// leave back to back). A panicking pooled backend is marked suspect
+    /// rather than panicking the caller — the lost elements simply read
+    /// back as absent, the same failure surface as a failed disk.
+    /// Returns what was dispatched.
+    pub fn write_runs(&self, runs: Vec<(usize, RunBuf)>) -> WriteShape {
+        let mut shape = WriteShape {
+            rpcs: 0,
+            runs: runs.len(),
+            cells: 0,
+        };
         let mut by_disk: BTreeMap<usize, Vec<RunBuf>> = BTreeMap::new();
         for (disk, run) in runs {
+            shape.cells += run.as_run().count();
             by_disk.entry(disk).or_default().push(run);
         }
-        let stats = self.reactor.stats();
-        let handles: Vec<(IoHandle, bool)> = by_disk
+        shape.rpcs = by_disk.len();
+        let pending: Vec<Pending<'_>> = by_disk
             .into_iter()
-            .map(|(disk, runs)| {
-                let backend = self.disk(disk);
-                if backend.submits_async() {
-                    stats.note_submitted();
-                    stats.inflight_add(1);
-                    let views: Vec<WriteRun<'_>> = runs.iter().map(RunBuf::as_run).collect();
-                    (backend.submit_write_many(&views), true)
-                } else {
-                    let hook = self.suspect_hook(disk);
-                    (self.reactor.submit_write(backend, runs, Some(hook)), false)
-                }
-            })
+            .map(|(disk, runs)| self.submit(disk, Op::Write(runs)))
             .collect();
-        for (handle, direct) in handles {
-            let _ = handle.wait();
-            if direct {
-                stats.inflight_add(-1);
-                stats.note_completed();
-            }
+        for p in pending {
+            let _ = p.wait();
         }
+        shape
     }
 
     /// Start a batched read: addresses are grouped by disk and **one**
@@ -715,13 +735,23 @@ impl ThreadedArray {
             entry.1.push(offset);
         }
         let jobs = by_disk.len();
+        let mut coalesced_runs = 0;
         for (disk, (tags, offsets)) in by_disk {
-            self.dispatch_read(disk, tags, offsets, reply_tx.clone());
+            let one_run = offsets.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
+            coalesced_runs += usize::from(offsets.len() >= 2 && one_run);
+            let reply = reply_tx.clone();
+            self.submit(disk, Op::Read(offsets))
+                .on_complete(move |results| {
+                    debug_assert_eq!(results.len(), tags.len());
+                    let items = tags.into_iter().zip(results).collect();
+                    let _ = reply.send(DiskReply { disk, items });
+                });
         }
         BatchRead {
             rx: reply_rx,
             pending: jobs,
             jobs,
+            coalesced_runs,
         }
     }
 
@@ -900,15 +930,17 @@ mod tests {
     }
 
     /// A `MemDisk` that records the `(start, count)` shape of every
-    /// vectored write it is handed.
+    /// vectored write it is handed, and the offsets of every read.
     #[derive(Debug, Default)]
     struct ShapeDisk {
         inner: MemDisk,
         calls: Mutex<Vec<Vec<(u64, usize)>>>,
+        reads: Mutex<Vec<Vec<u64>>>,
         submits_async: bool,
     }
     impl DiskBackend for ShapeDisk {
         fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+            self.reads.lock().push(offsets.to_vec());
             self.inner.submit_read_many(offsets)
         }
         fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
@@ -948,7 +980,7 @@ mod tests {
         for (d, disk) in disks.iter().enumerate() {
             // Unsorted, a hole after 12, a cell of another size in the
             // middle of a run, and offset 11 twice: the later one wins.
-            a.write_batch(vec![
+            let shape = a.write_batch(vec![
                 ((d, 12), vec![12; 4]),
                 ((d, 10), vec![10; 4]),
                 ((d, 11), vec![0; 4]),
@@ -962,8 +994,16 @@ mod tests {
                 [[(10, 2), (11, 2), (20, 1), (21, 1), (22, 1)]],
                 "disk {d}"
             );
-            let addrs: Vec<Address> = [10, 11, 12, 13, 20, 21, 22].map(|o| (d, o)).to_vec();
+            let dispatched = WriteShape {
+                rpcs: 1,
+                runs: 5,
+                cells: 7,
+            };
+            assert_eq!(shape, dispatched, "disk {d}");
+            let offsets = [10, 11, 12, 13, 20, 21, 22];
+            let addrs: Vec<Address> = offsets.map(|o| (d, o)).to_vec();
             let got = a.read_batch(&addrs);
+            assert_eq!(*disk.reads.lock(), [offsets], "disk {d}: one read call");
             assert_eq!(
                 got[1],
                 Some(vec![11; 4]),
@@ -973,9 +1013,32 @@ mod tests {
             assert_eq!(got[3], None);
             assert_eq!(got[5], Some(vec![21; 3]));
         }
+        // Both disks in one operation: still one backend call each.
+        a.write_batch(vec![((0, 30), vec![1; 4]), ((1, 30), vec![2; 4])]);
+        let got = a.read_batch(&[(1, 30), (0, 30), (1, 31)]);
+        assert_eq!(got, [Some(vec![2; 4]), Some(vec![1; 4]), None]);
+        for (d, disk) in disks.iter().enumerate() {
+            assert_eq!(disk.calls.lock()[1..], [[(30, 1)]], "disk {d}");
+        }
+        assert_eq!(disks[0].reads.lock()[1..], [[30]]);
+        assert_eq!(disks[1].reads.lock()[1..], [[30, 31]]);
         let snap = a.io_stats().snapshot();
-        assert_eq!(snap.submitted, snap.completed);
+        assert_eq!((snap.submitted, snap.completed), (8, 8));
         assert_eq!((snap.queue_depth, snap.inflight), (0, 0));
+    }
+
+    #[test]
+    fn a_batch_read_counts_the_disks_it_asks_for_one_run() {
+        // One contiguous ascending run of ≥ 2 offsets per disk counts;
+        // gaps, singletons and descending order do not.
+        let a = ThreadedArray::new(3);
+        let runs = |addrs: &[Address]| a.read_batch_streaming(addrs).coalesced_runs();
+        assert_eq!(runs(&[]), 0);
+        assert_eq!(runs(&[(0, 5)]), 0);
+        assert_eq!(runs(&[(0, 5), (0, 6), (0, 7)]), 1);
+        assert_eq!(runs(&[(0, 5), (0, 7)]), 0);
+        assert_eq!(runs(&[(0, 6), (0, 5)]), 0);
+        assert_eq!(runs(&[(0, 0), (1, 3), (0, 1), (1, 4), (2, 9)]), 2);
     }
 
     #[test]

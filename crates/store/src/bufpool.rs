@@ -1,12 +1,13 @@
-//! A small thread-local buffer pool for the store's hot loops.
+//! A small thread-local buffer pool for the decode scrub's hot loop.
 //!
-//! The scrub and read paths churn through element-sized `Vec<u8>`
-//! scratch buffers: scrub re-derives every group's parities, and a range
-//! read receives one owned region per element only to copy a byte range
-//! out and drop them. Routing those buffers through a per-thread
-//! free list turns the steady state allocation-free — each loop
-//! iteration reuses the previous iteration's capacity instead of going
-//! back to the allocator.
+//! `scrub_decode` churns through element-sized `Vec<u8>` scratch
+//! buffers: it re-derives every group's parities and drops the cells it
+//! compared them with. Routing those buffers through a per-thread free
+//! list turns the steady state allocation-free — each group reuses the
+//! previous group's capacity instead of going back to the allocator.
+//! The read path does not use it: a read keeps the buffers its cells
+//! arrived in (the front door's cache owns them afterwards), and nothing
+//! on that path ever takes from the pool.
 //!
 //! The pool is deliberately modest: a bounded `thread_local!` stack of
 //! retired buffers, no cross-thread sharing, no size classes. Buffers

@@ -459,24 +459,29 @@ impl RepairManager {
     /// restored or given up on — or `timeout` elapses. Returns whether
     /// the pipeline went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
+        let sh = &self.shared;
         let deadline = Instant::now() + timeout;
         loop {
-            let failed = self.shared.store.stats().failed_disks;
-            let pending_failed = {
-                let given_up = self.shared.given_up.lock();
-                failed.iter().any(|d| !given_up.contains(d))
-            };
-            let idle = !pending_failed
-                && self.shared.active.lock().is_empty()
-                && self.shared.store.repair_queue().depth() == 0
-                && self.shared.store.array().suspects().is_empty();
+            // Read in the order a lost disk moves through the pipeline —
+            // suspect, failed, queued — and `active` last: a disk is
+            // registered there before it stops being suspect and stays
+            // until after it is healed, so one that changes state while
+            // this looks is still seen.
+            let idle = sh.store.array().suspects().is_empty()
+                && {
+                    let failed = sh.store.stats().failed_disks;
+                    let given_up = sh.given_up.lock();
+                    failed.iter().all(|d| given_up.contains(d))
+                }
+                && sh.store.repair_queue().depth() == 0
+                && sh.active.lock().is_empty();
             if idle {
                 return true;
             }
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(self.shared.cfg.poll);
+            std::thread::sleep(sh.cfg.poll);
         }
     }
 
@@ -499,10 +504,19 @@ impl Drop for RepairManager {
     }
 }
 
-/// Promote a lost disk: re-register a replacement (when configured),
-/// mark it failed so the planner avoids it, and enqueue every sealed
-/// stripe.
+/// Promote a lost disk: register its repair, re-register a replacement
+/// (when configured), mark it failed so the planner avoids it, and
+/// enqueue every sealed stripe.
 fn promote(sh: &Shared, disk: usize, stripes: u64) {
+    // Registered before the slot is touched: `replace_disk` clears the
+    // suspect flag, and until `fail_disk` nothing else says the disk is
+    // in trouble ([`RepairManager::wait_idle`] reads `active` last).
+    let repair = ActiveRepair {
+        since: Instant::now(),
+        enqueued_to: stripes,
+    };
+    sh.active.lock().insert(disk, repair);
+    sh.metrics.active_disks.set(sh.active.lock().len() as i64);
     if let Some(replacer) = &sh.cfg.replacer {
         let fresh = replacer(disk);
         sh.store.array().replace_disk(disk, fresh);
@@ -516,14 +530,6 @@ fn promote(sh: &Shared, disk: usize, stripes: u64) {
     for s in 0..stripes {
         queue.enqueue(disk, s);
     }
-    sh.active.lock().insert(
-        disk,
-        ActiveRepair {
-            since: Instant::now(),
-            enqueued_to: stripes,
-        },
-    );
-    sh.metrics.active_disks.set(sh.active.lock().len() as i64);
 }
 
 fn detector_loop(sh: &Shared) {
@@ -665,11 +671,13 @@ fn worker_loop(sh: &Shared) {
                 if let Some(bucket) = &sh.bucket {
                     bucket.spend(r.bytes_read + r.bytes_written);
                 }
-                queue.complete(key);
                 sh.metrics.stripes_done.inc();
                 sh.metrics.bytes.add(r.bytes_written);
                 sh.metrics.read_bytes.add(r.bytes_read);
                 sh.metrics.repair_us.record_duration(t0.elapsed());
+                // Last: the disk is healed once its last stripe is
+                // complete, and by then the counters must say so.
+                queue.complete(key);
             }
             Err(_) => {
                 queue.fail_attempt(key);

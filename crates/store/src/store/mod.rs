@@ -24,7 +24,8 @@ use std::sync::Arc;
 use ecfrm_core::Scheme;
 use ecfrm_integrity::HashKey;
 use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
-use ecfrm_sim::ThreadedArray;
+use ecfrm_sim::threaded::BatchRead;
+use ecfrm_sim::{ThreadedArray, WriteShape};
 use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
@@ -107,21 +108,19 @@ impl StoreMetrics {
         }
     }
 
-    /// Tally one dispatched fetch round: `jobs` per-disk requests
-    /// covering `addrs`.
-    fn note_batch(&self, jobs: usize, addrs: &[(usize, u64)]) {
-        self.rpcs.add(jobs as u64);
-        self.batch_elems.add(addrs.len() as u64);
-        self.coalesced_runs
-            .add(read::count_coalesced_runs(addrs) as u64);
+    /// Tally one dispatched fetch round: `batch`'s per-disk requests,
+    /// covering `elems` addresses.
+    fn note_batch(&self, batch: &BatchRead, elems: usize) {
+        self.rpcs.add(batch.jobs() as u64);
+        self.batch_elems.add(elems as u64);
+        self.coalesced_runs.add(batch.coalesced_runs() as u64);
     }
 
-    /// Tally one array-level write: `rpcs` per-disk requests carrying
-    /// `runs` runs of `elems` cells in all.
-    fn note_write(&self, rpcs: usize, runs: usize, elems: usize) {
-        self.write_rpcs.add(rpcs as u64);
-        self.write_runs.add(runs as u64);
-        self.write_elems.add(elems as u64);
+    /// Tally one array-level write, as the array dispatched it.
+    fn note_write(&self, shape: WriteShape) {
+        self.write_rpcs.add(shape.rpcs as u64);
+        self.write_runs.add(shape.runs as u64);
+        self.write_elems.add(shape.cells as u64);
     }
 }
 

@@ -19,21 +19,6 @@ use crate::meta::{ObjectMeta, ReadStats};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadOpts {}
 
-/// How many per-disk groups of `addrs` (grouped in submission order, the
-/// way `ThreadedArray` dispatches them) form one contiguous ascending
-/// offset run of ≥ 2 elements — the batches a `RemoteDisk` ships as a
-/// single-run `Read`.
-pub(super) fn count_coalesced_runs(addrs: &[(usize, u64)]) -> usize {
-    let mut per_disk: HashMap<usize, Vec<u64>> = HashMap::new();
-    for &(d, o) in addrs {
-        per_disk.entry(d).or_default().push(o);
-    }
-    per_disk
-        .values()
-        .filter(|offs| offs.len() >= 2 && offs.windows(2).all(|w| w[1] == w[0].wrapping_add(1)))
-        .count()
-}
-
 /// The typed error for a byte range that leaves its extent or the
 /// sealed stream; `len` is what the range had to fit in.
 fn out_of_bounds(offset: u64, len: u64) -> StoreError {
@@ -140,7 +125,6 @@ impl ObjectStore {
         let mut out = Vec::with_capacity(meta.len as usize);
         for (e, bytes) in (first..last).zip(elements) {
             out.extend_from_slice(meta.part_of(e, &bytes));
-            crate::bufpool::give(bytes);
         }
         Ok((out, stats))
     }
@@ -199,7 +183,7 @@ impl ObjectStore {
                 .map(|f| (f.loc.disk, f.loc.offset))
                 .collect();
             let mut batch = self.array.read_batch_streaming(&addrs);
-            self.metrics.note_batch(batch.jobs(), &addrs);
+            self.metrics.note_batch(&batch, addrs.len());
             let touched: BTreeSet<usize> = addrs.iter().map(|&(d, _)| d).collect();
             let mut answered: BTreeSet<usize> = BTreeSet::new();
             let mut newly_suspect: BTreeSet<usize> = BTreeSet::new();
@@ -229,7 +213,6 @@ impl ObjectStore {
                     if !ok {
                         self.metrics.verify_fail.inc();
                         newly_suspect.insert(addrs[tag].0);
-                        crate::bufpool::give(b);
                         continue;
                     }
                     b.truncate(self.element_size);
@@ -266,7 +249,6 @@ impl ObjectStore {
                 }
                 break (plan, slots);
             }
-            crate::bufpool::give_all(slots);
             if newly_suspect.iter().all(|d| suspects.contains(d)) {
                 return Err(StoreError::DataLoss(format!(
                     "disks {newly_suspect:?} still unresponsive after degraded replan"
@@ -626,21 +608,6 @@ mod tests {
         assert!(
             runs >= 2,
             "sequential layout produced {runs} coalesced runs, expected ≥ 2"
-        );
-    }
-
-    #[test]
-    fn count_coalesced_runs_rule() {
-        // One contiguous run per disk of ≥2 elements counts; gaps,
-        // singletons, and descending order do not.
-        assert_eq!(count_coalesced_runs(&[]), 0);
-        assert_eq!(count_coalesced_runs(&[(0, 5)]), 0);
-        assert_eq!(count_coalesced_runs(&[(0, 5), (0, 6), (0, 7)]), 1);
-        assert_eq!(count_coalesced_runs(&[(0, 5), (0, 7)]), 0);
-        assert_eq!(count_coalesced_runs(&[(0, 6), (0, 5)]), 0);
-        assert_eq!(
-            count_coalesced_runs(&[(0, 0), (1, 3), (0, 1), (1, 4), (2, 9)]),
-            2
         );
     }
 

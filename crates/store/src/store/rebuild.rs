@@ -174,7 +174,7 @@ impl ObjectStore {
         }
         let elements = rebuilt.len();
         self.metrics.repair_wire_bytes.add(bytes_read);
-        self.write_back(rebuilt);
+        self.metrics.note_write(self.array.write_batch(rebuilt));
         Ok(StripeRepair {
             elements,
             bytes_read,
@@ -340,27 +340,12 @@ impl ObjectStore {
         }
         self.metrics.repair_wire_bytes.add(wire_bytes);
         self.metrics.combined_stripes.inc();
-        self.write_back(rebuilt);
+        self.metrics.note_write(self.array.write_batch(rebuilt));
         Some(Ok(StripeRepair {
             elements: outputs,
             bytes_read: wire_bytes,
             bytes_written,
         }))
-    }
-
-    /// Write rebuilt cells back through
-    /// [`ThreadedArray::write_batch`](ecfrm_sim::ThreadedArray::write_batch),
-    /// tallying the per-disk requests and the runs of consecutive
-    /// offsets it coalesces them into.
-    fn write_back(&self, cells: Vec<((usize, u64), Vec<u8>)>) {
-        let mut addrs: Vec<(usize, u64)> = cells.iter().map(|&(addr, _)| addr).collect();
-        addrs.sort_unstable();
-        let follows =
-            |w: &[(usize, u64)]| w[0].0 == w[1].0 && w[0].1.checked_add(1) == Some(w[1].1);
-        let runs = addrs.len() - addrs.windows(2).filter(|w| follows(w)).count();
-        addrs.dedup_by_key(|&mut (disk, _)| disk);
-        self.metrics.note_write(addrs.len(), runs, cells.len());
-        self.array.write_batch(cells);
     }
 }
 

@@ -174,10 +174,10 @@ impl ObjectStore {
         state.pending.drain(..full * stripe_bytes);
         state.manifests.extend(manifests);
 
-        self.metrics
-            .note_write(n, n, full * layout.total_per_stripe());
-        self.array
+        let shape = self
+            .array
             .write_runs(runs.into_iter().enumerate().collect());
+        self.metrics.note_write(shape);
         state.stripes += full as u64;
         state.sealed_elements += (full * dps) as u64;
     }

@@ -28,41 +28,33 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
+    // Each worker claims indices from the shared counter and returns
+    // the `(index, result)` pairs it produced, which are put back in
+    // index order once every worker has joined.
     let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let slots = out.as_mut_slice();
-    // Each worker claims indices from the shared counter and writes its
-    // own disjoint slot, so handing out &mut cells via raw parts is safe.
-    let slots_ptr = SendPtr(slots.as_mut_ptr());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i, &items[i])));
+        }
+    };
+    let mut pairs: Vec<(usize, R)> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let f = &f;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                // SAFETY: `i` is claimed exactly once across all workers
-                // (fetch_add), so no two threads touch slot `i`, and the
-                // scope keeps `slots` alive until every worker joins.
-                unsafe { *slots_ptr.0.add(i) = Some(r) };
-            });
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => pairs.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
-    out.into_iter()
-        .map(|r| r.expect("worker filled slot"))
-        .collect()
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
-
-/// A raw pointer wrapper that asserts cross-thread sendability for the
-/// disjoint-slot write pattern above.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Sync for SendPtr<T> {}
-unsafe impl<T> Send for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -42,11 +42,6 @@ impl Rng {
         out
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 high bits → the standard [0,1) double construction.
@@ -127,7 +122,7 @@ impl Sample for u64 {
 
 impl Sample for u32 {
     fn sample(rng: &mut Rng) -> Self {
-        rng.next_u32()
+        (rng.next_u64() >> 32) as u32
     }
 }
 

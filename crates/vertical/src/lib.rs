@@ -17,6 +17,9 @@
 //! over a `rows × cols` grid with a binary generator matrix, which
 //! reuses the workspace's matrix decoder — the same machinery that
 //! decodes RS and LRC.
+//!
+//! Backs EXPERIMENTS.md "Ablations → Vertical codes" (DESIGN §5
+//! "Vertical-code comparison", `figures -- vertical`).
 
 pub mod array_code;
 pub mod weaver;

@@ -4,7 +4,7 @@
 //! restores full redundancy — after which reads of the repaired disk
 //! need zero decodes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,4 +251,57 @@ fn rate_limited_repair_still_completes() {
     assert!(store.stats().failed_disks.is_empty());
     assert_eq!(store.get("obj").unwrap(), data);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
+    let (store, _faulty) = faulty_store();
+    store.put("obj", &blob(12_000, 5)).unwrap();
+    store.flush();
+    let stripes = store.stats().stripes;
+    let mgr = RepairManager::spawn(
+        Arc::clone(&store),
+        RepairConfig {
+            poll: Duration::from_micros(200),
+            replacer: Some(Arc::new(|_d| {
+                Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
+            })),
+            ..RepairConfig::default()
+        },
+    );
+
+    // `owed` is what `stripes_done` reads once every disk lost so far is
+    // rebuilt. It is raised only after the loss is on the suspect list,
+    // so a watcher that saw the new value and then an idle pipeline
+    // short of it caught `wait_idle` answering mid-repair.
+    let owed = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let watcher = s.spawn(|| {
+            let mut early = 0;
+            while !stop.load(Ordering::SeqCst) {
+                let owed = owed.load(Ordering::SeqCst);
+                if mgr.wait_idle(Duration::ZERO) && mgr.progress().stripes_done < owed {
+                    early += 1;
+                }
+            }
+            early
+        });
+        for round in 1..=200u64 {
+            // The disk comes back empty: the probe finds nothing at
+            // offset 0 and the detector promotes it.
+            store.array().disk(4).wipe();
+            store.array().mark_suspect(4);
+            owed.store(round * stripes, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while mgr.progress().disks_restored < round {
+                assert!(std::time::Instant::now() < deadline, "round {round} stuck");
+                std::thread::yield_now();
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(watcher.join().unwrap(), 0, "idle reported mid-promotion");
+    });
+    assert_eq!(mgr.progress().stripes_done, 200 * stripes);
+    assert_eq!(store.get("obj").unwrap(), blob(12_000, 5));
 }
