@@ -41,6 +41,7 @@ pub fn wire_error(e: &StoreError) -> String {
         StoreError::AlreadyExists(n) => format!("already_exists: {n}"),
         StoreError::RangeOutOfBounds { name, len } => format!("range: {len} {name}"),
         StoreError::Throttled(m) => format!("throttled: {m}"),
+        StoreError::TooLarge(m) => format!("too_large: {m}"),
         other => format!("store: {other}"),
     }
 }
@@ -66,6 +67,9 @@ pub fn unwire_error(msg: &str) -> StoreError {
     }
     if let Some(m) = msg.strip_prefix("throttled: ") {
         return StoreError::Throttled(m.to_string());
+    }
+    if let Some(m) = msg.strip_prefix("too_large: ") {
+        return StoreError::TooLarge(m.to_string());
     }
     StoreError::Net(msg.to_string())
 }
@@ -154,6 +158,7 @@ impl FrontClient {
     ///
     /// # Errors
     /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
+    /// [`StoreError::TooLarge`] for more than one reply frame carries,
     /// [`StoreError::Throttled`], or any store/transport error.
     pub fn read_range(
         &self,
@@ -258,6 +263,7 @@ mod tests {
                 len: 12345,
             },
             StoreError::Throttled("bulk over budget".into()),
+            StoreError::TooLarge("t/a: 70000000 bytes".into()),
         ];
         for e in cases {
             assert_eq!(unwire_error(&wire_error(&e)), e, "round-tripping {e}");

@@ -46,6 +46,7 @@ use std::io::{IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, WriteRun};
+use ecfrm_store::Piece;
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
@@ -325,6 +326,11 @@ pub enum Response {
     ObjAck,
     /// The bytes answering a [`Request::ObjGet`].
     ObjData(Vec<u8>),
+    /// [`Response::ObjData`] as a front node sends it: the bytes in the
+    /// cached (or just-read) elements that hold them, written from
+    /// there and never joined. The same frame on the wire; what a
+    /// reader gets back is `ObjData`.
+    ObjPieces(Vec<Piece>),
     /// The answer to a [`Request::ObjStat`].
     ObjStat {
         /// Object length in bytes.
@@ -733,7 +739,7 @@ impl Response {
             Response::Cells(_) => RESP_CELLS,
             Response::Combined(_) => RESP_COMBINED,
             Response::ObjAck => RESP_OBJ_ACK,
-            Response::ObjData(_) => RESP_OBJ_DATA,
+            Response::ObjData(_) | Response::ObjPieces(_) => RESP_OBJ_DATA,
             Response::ObjStat { .. } => RESP_OBJ_STAT,
             Response::Health { .. } => RESP_HEALTH,
             Response::FaultInjected => RESP_FAULT,
@@ -788,6 +794,13 @@ impl Response {
             Response::ObjData(bytes) => {
                 put_u32(out, bytes.len() as u32);
                 parts.bulk(bytes);
+            }
+            Response::ObjPieces(pieces) => {
+                put_u32(out, pieces.iter().map(|p| p.len()).sum::<usize>() as u32);
+                parts.bulk.reserve(pieces.len());
+                for piece in pieces {
+                    parts.bulk(piece);
+                }
             }
             Response::ObjStat {
                 len,

@@ -36,7 +36,7 @@ use crate::client::RemoteDiskConfig;
 use crate::pool::Pool;
 use crate::protocol::{
     read_request_polling, version_mismatch, write_response, CheckedElement, Fault, Polled, Request,
-    Response, MAX_RANGE,
+    Response, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
@@ -70,6 +70,10 @@ type PeerPools = Arc<Mutex<HashMap<String, Arc<Pool>>>>;
 /// may queue thousands of submissions, but per-connection handler
 /// parallelism beyond a few threads only buys writer-lock contention.
 const MUX_WORKERS: usize = 4;
+
+/// Most object bytes one `ObjGet` reply carries: what fits a frame
+/// beside its length field and a `Mux` envelope's id and opcode.
+const MAX_OBJ_REPLY: u64 = MAX_PAYLOAD as u64 - 4 - 9;
 
 /// Bound on a blocked socket write, so a stalled client cannot wedge a
 /// handler (and therefore `kill`) forever.
@@ -716,9 +720,10 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             start,
             len,
         } => obj_result(shared, |f| {
-            // `u64::MAX`, "to the end", means the same to the front door.
-            f.read_range(tenant, object, *start, *len)
-                .map(Response::ObjData)
+            // `u64::MAX`, "to the end", means the same to the front door,
+            // and a read no frame could carry is refused before it runs.
+            f.read_pieces(tenant, object, *start, *len, MAX_OBJ_REPLY)
+                .map(Response::ObjPieces)
         }),
         Request::ObjStat { tenant, object } => obj_result(shared, |f| {
             f.stat(tenant, object).map(|s| Response::ObjStat {

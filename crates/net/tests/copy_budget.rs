@@ -18,9 +18,10 @@ use std::sync::{Arc, Mutex};
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
+use ecfrm_integrity::FOOTER_LEN;
 use ecfrm_net::protocol::{read_response, MAGIC, VERSION};
-use ecfrm_net::{FrontClient, RemoteDisk, RemoteDiskConfig, ShardServer};
-use ecfrm_sim::{DiskBackend, MemDisk};
+use ecfrm_net::{Cluster, FrontClient, RemoteDisk, RemoteDiskConfig, ShardServer};
+use ecfrm_sim::{uring, DiskBackend, FileDisk, FileIoConfig, MemDisk, ThreadedArray};
 use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore};
 
 /// Counts allocations of at least `FLOOR` bytes while `ARMED`.
@@ -87,16 +88,19 @@ fn pattern(len: usize, seed: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 + seed) as u8).collect()
 }
 
+fn rs63() -> Scheme {
+    Scheme::builder(Arc::new(RsCode::vandermonde(6, 3)))
+        .layout(LayoutKind::EcFrm)
+        .build()
+}
+
 #[test]
-fn a_warm_256k_object_read_allocates_one_body_on_each_side() {
+fn a_warm_256k_object_read_allocates_one_body_the_clients() {
     let _turn = TURN
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     const LEN: usize = 256 * 1024;
-    let scheme = Scheme::builder(Arc::new(RsCode::vandermonde(6, 3)))
-        .layout(LayoutKind::EcFrm)
-        .build();
-    let store = Arc::new(ObjectStore::new(scheme, 4096));
+    let store = Arc::new(ObjectStore::new(rs63(), 4096));
     let front = FrontDoor::new(store, FrontConfig::builder().cache_bytes(4 * LEN).build());
     let server =
         ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
@@ -112,14 +116,17 @@ fn a_warm_256k_object_read_allocates_one_body_on_each_side() {
     let (hits, _) = front.cache_stats();
 
     // Anything a quarter of the body or more is a buffer of its bytes.
-    let (got, serving, _) = counted(LEN / 4, || front.read_range("t", "hot", 0, LEN as u64));
+    // In process, the one `Vec` returned is one.
+    let (got, in_process, _) = counted(LEN / 4, || front.read_range("t", "hot", 0, LEN as u64));
     assert_eq!(got.unwrap(), data);
-    assert_eq!(serving, 1, "the serving side builds the reply, once");
+    assert_eq!(in_process, 1, "the buffer returned, once");
 
+    // Over the wire the reply leaves from the cached elements: the only
+    // body in the process is the one the client returns.
     let (got, both, bytes) = counted(LEN / 4, || client.read_range("t", "hot", 0, u64::MAX));
     assert_eq!(got.unwrap(), data);
-    assert_eq!(both, 2, "the reply, and the buffer the client returns");
-    assert_eq!(bytes, 2 * LEN, "each exactly the body: reserved, not grown");
+    assert_eq!(both, 1, "the buffer the client returns, and no reply");
+    assert_eq!(bytes, LEN, "exactly the body: reserved, not grown");
     assert_eq!(
         front.cache_stats().0,
         hits + 2 * (LEN / 4096) as u64,
@@ -153,6 +160,90 @@ fn an_eight_cell_read_reply_allocates_one_vec_per_cell_on_the_client() {
     assert_eq!(got, want);
     assert_eq!(both - serving, 8, "one `Vec` per cell on the client");
     assert_eq!(bytes, 16 * CELL, "nothing frame-sized on either side");
+}
+
+/// A cold 32 KiB object read on the `zipf_get` shape: RS(6,3) over nine
+/// `MemDisk` shards, eight one-cell shard reads. What is as big as half a
+/// cell is a cell or the body: each shard's `MemDisk` copy, the cell the
+/// store's client reads it into (kept by the cache, and sent from there),
+/// and the client's result — no reply `Vec` at the front node.
+#[test]
+fn a_cold_32k_object_read_allocates_the_cells_and_the_result() {
+    let _turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    const LEN: usize = 32 * 1024;
+    const CELL: usize = 4096 + FOOTER_LEN;
+    let cluster = Cluster::spawn_with(9, &RemoteDiskConfig::default()).unwrap();
+    let array = ThreadedArray::from_backends(cluster.backends());
+    let store = Arc::new(ObjectStore::with_array(rs63(), 4096, array));
+    let front = FrontDoor::new(store, FrontConfig::builder().cache_bytes(1 << 20).build());
+    let server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), RemoteDiskConfig::default());
+    let (warm, cold) = (pattern(LEN, 1), pattern(LEN, 2));
+    client.put("t", "warm", &warm).unwrap();
+    client.put("t", "cold", &cold).unwrap();
+    front.store().flush();
+    // Every connection is up: the seal wrote to all nine shards, and
+    // this read warms the paths the counted one takes.
+    assert_eq!(client.read("t", "warm").unwrap(), warm);
+
+    let (got, allocs, bytes) = counted(CELL / 2, || client.read("t", "cold"));
+    assert_eq!(got.unwrap(), cold);
+    assert_eq!(front.cache_stats().1, 16, "both reads missed every element");
+    assert_eq!(
+        allocs,
+        8 + 8 + 1,
+        "8 shard copies, 8 cells received, 1 result"
+    );
+    assert_eq!(bytes, 16 * CELL + LEN);
+}
+
+/// An eight-cell `Read` of a page-cache-warm `FileDisk` shard, answered
+/// on the connection thread through `preadv2(RWF_NOWAIT)`: the run lands
+/// in a pooled buffer and `Run::scatter` copies each cell out of it —
+/// one cell-sized `Vec` per cell at the shard (ROADMAP 7(e), pinned
+/// before it is changed), one per cell on the client.
+#[test]
+fn an_eight_cell_inline_uring_read_allocates_one_cell_per_cell_on_each_side() {
+    let _turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    const CELL: usize = 4104;
+    let path = std::env::temp_dir().join(format!("ecfrm-copy-budget-{}", std::process::id()));
+    let config = FileIoConfig {
+        direct: false,
+        ..FileIoConfig::uring(8)
+    };
+    let Ok(backend) = FileDisk::create_with(&path, CELL, config) else {
+        eprintln!("no io_uring on this kernel: nothing to pin");
+        return;
+    };
+    let backend = Arc::new(backend);
+    for o in 0..8u64 {
+        backend.write(o, pattern(CELL, o as usize));
+    }
+    let server =
+        ShardServer::spawn(Arc::clone(&backend) as Arc<dyn DiskBackend>, "127.0.0.1:0").unwrap();
+    let disk = RemoteDisk::new(server.addr(), RemoteDiskConfig::default());
+    let offsets: Vec<u64> = (0..8).collect();
+    let want: Vec<_> = (0..8).map(|o| Some(pattern(CELL, o))).collect();
+    // Dials, fills the run-buffer pool and the page cache.
+    assert_eq!(disk.read_many(&offsets), want);
+
+    let inline = uring::snapshot().inline_runs;
+    let (got, both, bytes) = counted(CELL / 2, || disk.read_many(&offsets));
+    assert_eq!(got, want);
+    assert_eq!(uring::snapshot().inline_runs, inline + 1, "one run, inline");
+    assert_eq!(
+        both,
+        8 + 8,
+        "`scatter`'s copy of each cell, and the client's"
+    );
+    assert_eq!(bytes, 16 * CELL, "nothing run- or frame-sized");
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

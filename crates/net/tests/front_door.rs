@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
-use ecfrm_net::protocol::{read_request, write_response};
+use ecfrm_net::protocol::{read_request, write_response, MAX_PAYLOAD};
 use ecfrm_net::{FrontClient, RemoteDiskConfig, Request, Response, ShardServer};
 use ecfrm_sim::MemDisk;
 use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore, QosClass, StoreError, TenantSpec};
@@ -105,6 +105,76 @@ fn wire_errors_arrive_typed() {
         client.read("bulk", "slow"),
         Err(StoreError::Throttled(_))
     ));
+    server.kill();
+}
+
+/// A reply of more pieces than one `writev` takes (`IOV_MAX`, 1 024):
+/// 2 049 elements of 64 bytes, read whole, once cold and once warm.
+#[test]
+fn a_reply_of_more_pieces_than_one_writev_takes_arrives_whole() {
+    let store = Arc::new(ObjectStore::new(scheme(), 64));
+    let front = FrontDoor::new(store, FrontConfig::default());
+    let mut server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), client_cfg());
+    let data = payload(2048 * 64 + 40);
+    client.put("t", "o", &data).unwrap();
+    for cache in [(0, 2049), (2049, 2049)] {
+        assert_eq!(client.read("t", "o").unwrap(), data);
+        assert_eq!(front.cache_stats(), cache, "(hits, misses)");
+    }
+    server.kill();
+}
+
+/// An object read no reply frame can carry is refused with a typed
+/// error on the namespace lookup alone — no admission charge, no cache
+/// lookup, no fetch — in one attempt, and the connection it was asked
+/// on serves the next read. (It used to be read whole, dropped by the
+/// frame writer with the connection, and read again by the client's
+/// retry of an idempotent op.)
+#[test]
+fn a_read_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
+    const HALF: usize = MAX_PAYLOAD as usize / 2;
+    let store = Arc::new(ObjectStore::new(scheme(), 1 << 20));
+    let front = FrontDoor::new(store, FrontConfig::default());
+    let bytes = payload(HALF + 1);
+    front.put("t", "big", &bytes[..HALF]).unwrap();
+    front.write("t", "big", &bytes).unwrap(); // two extents, cap + 1 bytes
+    front.put("t", "small", b"hello").unwrap();
+    let mut server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), client_cfg());
+    assert_eq!(client.stat("t", "big").unwrap().len, MAX_PAYLOAD as u64 + 1);
+
+    let count = |name: &str| -> u64 {
+        let (server, node) = (
+            server.recorder().snapshot(),
+            front.store().recorder().snapshot(),
+        );
+        server
+            .counters
+            .get(name)
+            .or(node.counters.get(name))
+            .copied()
+            .unwrap_or(0)
+    };
+    let (asked, admitted, cache) = (count("serve.obj"), count("admit.ok"), front.cache_stats());
+    assert!(matches!(
+        client.read("t", "big"),
+        Err(StoreError::TooLarge(m)) if m.starts_with("t/big")
+    ));
+    assert_eq!(count("serve.obj"), asked + 1, "asked once: not retried");
+    assert_eq!(count("admit.ok"), admitted, "not charged");
+    assert_eq!(front.cache_stats(), cache, "not looked up");
+
+    assert_eq!(client.read("t", "small").unwrap(), b"hello");
+    let seam = HALF as u64 - 10;
+    assert_eq!(
+        client.read_range("t", "big", seam, 20).unwrap(),
+        [&bytes[HALF - 10..HALF], &bytes[..10]].concat()
+    );
     server.kill();
 }
 

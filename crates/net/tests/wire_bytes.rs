@@ -10,7 +10,7 @@
 //! them — plain and `Mux`-wrapped, blocking and polling — and a client
 //! a server that sends them.
 
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use ecfrm_net::{
     CheckedElement, Fault, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
 };
 use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, DiskBackend};
-use ecfrm_store::StoreError;
+use ecfrm_store::{Piece, StoreError};
 
 fn u32le(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u32).to_le_bytes());
@@ -96,6 +96,11 @@ fn old_response(resp: &Response) -> (u8, Vec<u8>) {
             u32le(&mut out, bytes.len());
             out.extend_from_slice(bytes);
             140
+        }
+        // The same reply, its pieces joined.
+        Response::ObjPieces(pieces) => {
+            let bytes: Vec<&[u8]> = pieces.iter().map(|p| &p[..]).collect();
+            return old_response(&Response::ObjData(bytes.concat()));
         }
         Response::ObjStat {
             len,
@@ -303,6 +308,68 @@ fn responses_leave_as_the_bytes_the_joined_encoder_produced() {
         }
     }
     assert_eq!(VERSION, 2, "the wire did not change");
+}
+
+/// A writer that takes at most `IOV_MAX` (1 024) buffers a call, as a
+/// socket's `writev` does, and counts its calls.
+#[derive(Default)]
+struct IovMax {
+    bytes: Vec<u8>,
+    calls: usize,
+}
+
+impl Write for IovMax {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let before = self.bytes.len();
+        for buf in bufs.iter().take(1024) {
+            self.bytes.extend_from_slice(buf);
+        }
+        Ok(self.bytes.len() - before)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A front node's reply leaves from the elements that hold its bytes —
+/// one buffer each, more of them than one `writev` takes in the last
+/// case — and is the frame the joined encoder made of those bytes,
+/// plain and muxed; it reads back as `ObjData`.
+#[test]
+fn object_pieces_leave_as_the_bytes_the_joined_encoder_produced() {
+    for count in [0usize, 1, 64, 2048] {
+        // 64-byte elements; the first and last stick out of the read.
+        let pieces: Vec<Piece> = (0..count)
+            .map(|i| Piece {
+                element: Arc::new((0..64).map(|b| (b * 7 + i) as u8).collect()),
+                range: if i == 0 { 5 } else { 0 }..if i + 1 == count { 17 } else { 64 },
+            })
+            .collect();
+        let joined: Vec<&[u8]> = pieces.iter().map(|p| &p[..]).collect();
+        let joined = Response::ObjData(joined.concat());
+        let plain = Response::ObjPieces(pieces);
+        let wrapped = |inner| Response::Mux {
+            id: 3,
+            inner: Box::new(inner),
+        };
+        for (resp, want) in [
+            (plain.clone(), joined.clone()),
+            (wrapped(plain), wrapped(joined)),
+        ] {
+            let mut sent = IovMax::default();
+            write_response(&mut sent, &resp).unwrap();
+            let (opcode, payload) = old_response(&want);
+            assert_eq!(sent.bytes, frame(opcode, &payload), "{count} pieces");
+            // Header, length field and the pieces, 1 024 buffers a call
+            // (the empty tail of the small fields needs no call).
+            assert_eq!(sent.calls, (count + 2).div_ceil(1024));
+            assert_eq!(read_response(&mut sent.bytes.as_slice()).unwrap(), want);
+        }
+    }
 }
 
 #[test]

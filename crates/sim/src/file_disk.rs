@@ -346,6 +346,8 @@ impl FileDisk {
             }
             const POSIX_FADV_DONTNEED: i32 = 4;
             // len 0 means "to end of file" — the whole inode's pages.
+            // SAFETY: integer arguments only, on a descriptor the locked
+            // `file` keeps open; advice touches no memory of ours.
             let rc = unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
             if rc != 0 {
                 return Err(std::io::Error::from_raw_os_error(rc));

@@ -296,6 +296,8 @@ mod imp {
 
     impl Sqe {
         fn read(fd: i32, file_off: u64, buf: u64, len: u32, user_data: u64) -> Self {
+            // SAFETY: `Sqe` is plain integers, for which all-zero is a
+            // valid value — and the ABI's "no flags, no extras" SQE.
             let mut sqe: Sqe = unsafe { std::mem::zeroed() };
             sqe.opcode = IORING_OP_READ;
             sqe.fd = fd;
@@ -307,6 +309,7 @@ mod imp {
         }
 
         fn nop() -> Self {
+            // SAFETY: as in `read`: all-zero integers.
             let mut sqe: Sqe = unsafe { std::mem::zeroed() };
             sqe.opcode = IORING_OP_NOP;
             sqe.fd = -1;
@@ -356,9 +359,13 @@ mod imp {
     // described on the struct (locked SQ side, single-threaded CQ side,
     // atomic head/tail).
     unsafe impl Send for Ring {}
+    // SAFETY: as for `Send`: every shared access is locked, confined to
+    // the poller, or atomic.
     unsafe impl Sync for Ring {}
 
     fn ring_mmap(len: usize, fd: c_int, offset: i64) -> io::Result<*mut u8> {
+        // SAFETY: a fresh shared mapping chosen by the kernel (null
+        // hint) overlaps nothing Rust owns; a failure is checked below.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -379,6 +386,8 @@ mod imp {
         /// `io_uring_setup` + the three (or two) ring mmaps.
         fn setup(entries: u32) -> io::Result<Self> {
             let mut params = IoUringParams::default();
+            // SAFETY: `params` is a live, `repr(C)` `io_uring_params` the
+            // kernel fills in for the duration of the call.
             let fd = unsafe {
                 syscall(
                     SYS_IO_URING_SETUP,
@@ -416,6 +425,8 @@ mod imp {
                 match ring_mmap(cq_len, fd, IORING_OFF_CQ_RING) {
                     Ok(p) => (p, cq_len),
                     Err(e) => {
+                        // SAFETY: unmaps exactly the mapping made above,
+                        // which nothing else has seen.
                         unsafe { munmap(sq_ptr as *mut c_void, sq_map_len) };
                         return close_on_err(e);
                     }
@@ -425,6 +436,8 @@ mod imp {
             let sqes_ptr = match ring_mmap(sqes_map_len, fd, IORING_OFF_SQES) {
                 Ok(p) => p as *mut Sqe,
                 Err(e) => {
+                    // SAFETY: unmaps exactly the mappings made above,
+                    // which nothing else has seen.
                     unsafe {
                         munmap(sq_ptr as *mut c_void, sq_map_len);
                         if !single_mmap {
@@ -481,6 +494,9 @@ mod imp {
         /// `io_uring_enter`, retrying on `EINTR`.
         fn enter(&self, to_submit: u32, min_complete: u32, flags: u32) -> io::Result<i32> {
             loop {
+                // SAFETY: integer arguments only, on the ring fd this
+                // `Ring` owns; the kernel reads the SQEs staged under the
+                // caller's lock, whose buffers outlive their completion.
                 let r = unsafe {
                     syscall(
                         SYS_IO_URING_ENTER,

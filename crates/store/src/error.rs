@@ -36,6 +36,10 @@ pub enum StoreError {
     /// bucket could not cover it within the configured maximum queueing
     /// delay. The request was not executed; retry after backing off.
     Throttled(String),
+    /// The read asked for more bytes than one reply may carry. Refused
+    /// before admission and before any byte is fetched; read it in
+    /// ranges.
+    TooLarge(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -52,6 +56,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Code(e) => write!(f, "decode error: {e}"),
             StoreError::Net(msg) => write!(f, "network error: {msg}"),
             StoreError::Throttled(msg) => write!(f, "throttled: {msg}"),
+            StoreError::TooLarge(msg) => write!(f, "too large: {msg}"),
         }
     }
 }

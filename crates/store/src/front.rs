@@ -29,8 +29,10 @@
 //!   returns, admitted under one lock; nothing leaves except by
 //!   eviction (see `ElementCache` for why that is sound, and for the
 //!   policy). A read is `namespace → admission → cache → store read`
-//!   and nothing else, and its bytes are appended to the one buffer
-//!   the caller gets, in order, once.
+//!   and nothing else, and it yields its bytes where they already are:
+//!   an ordered list of [`Piece`]s of cached or just-read elements,
+//!   which a front node writes to the socket as they lie and
+//!   [`FrontDoor::read_range`] appends to the one buffer it returns.
 //!
 //! # Example: two tenants, one throttled
 //!
@@ -428,7 +430,7 @@ impl ElementCache {
     /// newcomer is never its own victim, and an element larger than the
     /// whole budget is not admitted (it would evict everything and
     /// still not fit).
-    fn insert_run(&self, first: u64, payloads: Vec<Vec<u8>>) {
+    fn insert_run(&self, first: u64, payloads: Vec<Arc<Vec<u8>>>) {
         if self.cap == 0 {
             return;
         }
@@ -443,10 +445,28 @@ impl ElementCache {
                 inner.evict();
                 evicted += 1;
             }
-            inner.push_head(elem, Arc::new(payload));
+            inner.push_head(elem, payload);
         }
         self.evicted.add(evicted);
         self.bytes.set(inner.bytes as i64);
+    }
+}
+
+/// Part of an object read: bytes `range` of one decoded element, in the
+/// buffer that holds them — the cache's, or the one a miss read the cell
+/// into. A read is a list of these, in order ([`FrontDoor::read_pieces`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Piece {
+    /// The whole element, shared with the cache.
+    pub element: Arc<Vec<u8>>,
+    /// The bytes of it the read covers.
+    pub range: std::ops::Range<usize>,
+}
+
+impl std::ops::Deref for Piece {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.element[self.range.clone()]
     }
 }
 
@@ -678,11 +698,8 @@ impl FrontDoor {
         self.read_range(tenant, object, 0, u64::MAX)
     }
 
-    /// Read `len` bytes of an object starting at byte `start`,
-    /// read-through the decoded-element cache. `len == u64::MAX` reads
-    /// to the end — of the object as the one namespace lookup finds it,
-    /// so a whole-object read racing a write or a delete-and-recreate
-    /// returns one version's bytes whole.
+    /// Read `len` bytes of an object starting at byte `start`: the
+    /// pieces of [`Self::read_pieces`] (no cap) appended to one buffer.
     ///
     /// # Errors
     /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
@@ -694,6 +711,34 @@ impl FrontDoor {
         start: u64,
         len: u64,
     ) -> Result<Vec<u8>, StoreError> {
+        let pieces = self.read_pieces(tenant, object, start, len, u64::MAX)?;
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.len()).sum());
+        for piece in &pieces {
+            out.extend_from_slice(piece);
+        }
+        Ok(out)
+    }
+
+    /// Read `len` bytes of an object starting at byte `start`,
+    /// read-through the decoded-element cache, as the buffers that hold
+    /// them, in order: no byte is copied. `len == u64::MAX` reads to the
+    /// end — of the object as the one namespace lookup finds it, so a
+    /// whole-object read racing a write or a delete-and-recreate returns
+    /// one version's bytes whole.
+    ///
+    /// # Errors
+    /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
+    /// [`StoreError::TooLarge`] for more than `cap` bytes (refused, like
+    /// the first two, before admission and before any fetch),
+    /// [`StoreError::Throttled`], or any store read error.
+    pub fn read_pieces(
+        &self,
+        tenant: &str,
+        object: &str,
+        start: u64,
+        len: u64,
+        cap: u64,
+    ) -> Result<Vec<Piece>, StoreError> {
         let t = self.tenant(tenant);
         let rec = {
             let ns = self.namespace.lock();
@@ -713,16 +758,21 @@ impl FrontDoor {
                 len: total,
             });
         }
+        if len > cap {
+            return Err(StoreError::TooLarge(format!(
+                "{tenant}/{object}: {len} bytes in one reply, over the {cap}-byte cap"
+            )));
+        }
         // Admit only after the request is known valid, so NotFound /
-        // RangeOutOfBounds traffic cannot throttle a tenant.
+        // RangeOutOfBounds / TooLarge traffic cannot throttle a tenant.
         self.admit(&t, len)?;
-        let mut out = Vec::with_capacity(len as usize);
+        let mut pieces = Vec::new();
         for (extent, off, run) in rec.slices(start, len) {
-            self.read_extent_cached(extent, off, run, &mut out)?;
+            self.extent_pieces(extent, off, run, &mut pieces)?;
         }
         t.reads.inc();
         t.read_bytes.add(len);
-        Ok(out)
+        Ok(pieces)
     }
 
     /// Object metadata: length, version, extent count.
@@ -777,16 +827,16 @@ impl FrontDoor {
         (self.cache.hits.get(), self.cache.misses.get())
     }
 
-    /// Append to `out` the `run` bytes starting `off` into `extent`, in
-    /// order: whole decoded elements from the cache, contiguous miss
-    /// runs batch-read through the store — whose element buffers the
-    /// cache then keeps.
-    fn read_extent_cached(
+    /// Push the pieces of the `run` bytes starting `off` into `extent`,
+    /// in order: decoded elements from the cache, contiguous miss runs
+    /// batch-read through the store — each element buffer wrapped once
+    /// and shared between the pieces and the cache.
+    fn extent_pieces(
         &self,
         extent: ObjectMeta,
         off: u64,
         run: u64,
-        out: &mut Vec<u8>,
+        pieces: &mut Vec<Piece>,
     ) -> Result<(), StoreError> {
         let abs = ObjectMeta {
             offset: extent.offset + off,
@@ -795,11 +845,16 @@ impl FrontDoor {
         let (first, last) = abs
             .element_range(self.store.element_size())
             .expect("namespace extents were handed out by the store's append");
-        let cached = self.cache.get_run(first..last);
+        let piece = |e: u64, element: Arc<Vec<u8>>| Piece {
+            range: abs.part_of(e, element.len()),
+            element,
+        };
+        let mut cached = self.cache.get_run(first..last);
+        pieces.reserve(cached.len());
         let mut e = first;
         while e < last {
-            if let Some(payload) = &cached[(e - first) as usize] {
-                out.extend_from_slice(abs.part_of(e, payload));
+            if let Some(element) = cached[(e - first) as usize].take() {
+                pieces.push(piece(e, element));
                 e += 1;
                 continue;
             }
@@ -809,9 +864,8 @@ impl FrontDoor {
                 .take_while(|hit| hit.is_none())
                 .count();
             let (elements, _) = self.store.read_elements(e, misses)?;
-            for (elem, payload) in (e..).zip(&elements) {
-                out.extend_from_slice(abs.part_of(elem, payload));
-            }
+            let elements: Vec<_> = elements.into_iter().map(Arc::new).collect();
+            pieces.extend((e..).zip(&elements).map(|(e, el)| piece(e, Arc::clone(el))));
             let fetched = elements.len() as u64;
             self.cache.insert_run(e, elements);
             e += fetched;
@@ -979,6 +1033,44 @@ mod tests {
         assert_eq!(f.read("a", "hot").unwrap(), data);
     }
 
+    /// A read hands back the buffers the bytes are in: a miss's pieces
+    /// are the very elements the cache admitted, and a hit's are those
+    /// again — nothing in between was copied.
+    #[test]
+    fn pieces_are_the_cached_elements() {
+        let f = front();
+        let data = blob(3 * 512, 6);
+        f.put("a", "o", &data).unwrap();
+        let cold = f.read_pieces("a", "o", 100, 1000, u64::MAX).unwrap();
+        let warm = f.read_pieces("a", "o", 100, 1000, u64::MAX).unwrap();
+        let bytes: Vec<&[u8]> = cold.iter().map(|p| &p[..]).collect();
+        assert_eq!(bytes.concat(), &data[100..1100]);
+        let cached = f.cache.get_run(0..3);
+        for pieces in [&cold, &warm] {
+            let ranges: Vec<_> = pieces.iter().map(|p| p.range.clone()).collect();
+            assert_eq!(ranges, [100..512, 0..512, 0..76]);
+            for (piece, element) in pieces.iter().zip(cached.iter().flatten()) {
+                assert!(Arc::ptr_eq(&piece.element, element));
+            }
+        }
+    }
+
+    /// More than `cap` bytes is refused on the namespace lookup alone:
+    /// no admission charge, no cache lookup, no fetch.
+    #[test]
+    fn a_read_over_the_cap_is_refused_before_admission() {
+        let f = front();
+        f.put("a", "o", &blob(2000, 1)).unwrap();
+        let admitted = f.metrics.admit_ok.get();
+        let r = f.read_pieces("a", "o", 0, u64::MAX, 1999);
+        assert!(matches!(r, Err(StoreError::TooLarge(_))), "{r:?}");
+        assert_eq!(
+            (f.metrics.admit_ok.get(), f.cache_stats()),
+            (admitted, (0, 0))
+        );
+        assert_eq!(f.read_pieces("a", "o", 1, 1999, 1999).unwrap().len(), 4);
+    }
+
     #[test]
     fn cache_disabled_still_correct() {
         let f = front_with(FrontConfig::builder().cache_bytes(0).build());
@@ -1026,15 +1118,20 @@ mod tests {
         ElementCache::new(cap, &Recorder::new())
     }
 
-    /// Read `elems` the way `read_extent_cached` does — one `get_run`,
-    /// one `insert_run` (of one-byte payloads, so the budget counts
+    /// `n` zeroed elements of `len` bytes, each a buffer of its own.
+    fn zeroed(n: usize, len: usize) -> Vec<Arc<Vec<u8>>> {
+        (0..n).map(|_| Arc::new(vec![0u8; len])).collect()
+    }
+
+    /// Read `elems` the way `extent_pieces` does — one `get_run`, one
+    /// `insert_run` (of one-byte payloads, so the budget counts
     /// elements) per contiguous miss run — and return how many hit.
     fn read_through(c: &ElementCache, elems: std::ops::Range<u64>) -> usize {
         let found = c.get_run(elems.clone());
         let mut e = elems.start;
         for run in found.chunk_by(|a, b| a.is_some() == b.is_some()) {
             if run[0].is_none() {
-                c.insert_run(e, vec![vec![0u8]; run.len()]);
+                c.insert_run(e, zeroed(run.len(), 1));
             }
             e += run.len() as u64;
         }
@@ -1105,7 +1202,7 @@ mod tests {
             if rng.bounded(3) == 0 {
                 let payloads: Vec<_> = elems
                     .clone()
-                    .map(|e| vec![e as u8; 1 + (e * 37 % 96) as usize])
+                    .map(|e| Arc::new(vec![e as u8; 1 + (e * 37 % 96) as usize]))
                     .collect();
                 for (e, payload) in elems.clone().zip(&payloads) {
                     singles.insert_run(e, vec![payload.clone()]);
@@ -1145,8 +1242,8 @@ mod tests {
     #[test]
     fn cache_does_not_admit_an_element_larger_than_the_budget() {
         let c = cache(100);
-        c.insert_run(0, vec![vec![0u8; 25]; 4]); // warm, exactly full
-        c.insert_run(10, vec![vec![1u8; 101], vec![2u8; 25]]);
+        c.insert_run(0, zeroed(4, 25)); // warm, exactly full
+        c.insert_run(10, vec![Arc::new(vec![1u8; 101]), Arc::new(vec![2u8; 25])]);
         assert!(c.get_run(10..11)[0].is_none(), "oversized: not admitted");
         assert!(c.get_run(11..12)[0].is_some(), "its run-mate is");
         let warm = c.get_run(0..4);

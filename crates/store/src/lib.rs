@@ -49,7 +49,7 @@ pub mod repair;
 pub mod store;
 
 pub use error::StoreError;
-pub use front::{FrontConfig, FrontDoor, QosClass, TenantSpec};
+pub use front::{FrontConfig, FrontDoor, Piece, QosClass, TenantSpec};
 pub use meta::{
     ExtentRecord, ObjectMeta, ObjectStat, ReadStats, ScrubReport, StoreStats, StripeManifest,
     StripeRepair,

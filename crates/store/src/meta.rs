@@ -24,14 +24,14 @@ impl ObjectMeta {
         Some((first, last.max(first)))
     }
 
-    /// The bytes of data element `e` (all `element_size` of them in
-    /// `payload`) that lie inside this range: all of it, except where
-    /// the first and last element stick out.
-    pub(crate) fn part_of<'e>(&self, e: u64, payload: &'e [u8]) -> &'e [u8] {
-        let start = e * payload.len() as u64;
+    /// Which bytes of data element `e`, `element_size` of them, lie
+    /// inside this range: all of them, except where the first and last
+    /// element stick out.
+    pub(crate) fn part_of(&self, e: u64, element_size: usize) -> std::ops::Range<usize> {
+        let start = e * element_size as u64;
         let from = self.offset.saturating_sub(start) as usize;
-        let to = (self.offset + self.len - start).min(payload.len() as u64) as usize;
-        &payload[from..to]
+        let to = (self.offset + self.len - start).min(element_size as u64) as usize;
+        from..to
     }
 }
 

@@ -124,7 +124,7 @@ impl ObjectStore {
         let (elements, stats) = self.read_elements(first, (last - first) as usize)?;
         let mut out = Vec::with_capacity(meta.len as usize);
         for (e, bytes) in (first..last).zip(elements) {
-            out.extend_from_slice(meta.part_of(e, &bytes));
+            out.extend_from_slice(&bytes[meta.part_of(e, bytes.len())]);
         }
         Ok((out, stats))
     }
