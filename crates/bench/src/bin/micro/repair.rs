@@ -199,10 +199,10 @@ pub fn run(quick: bool) -> Report {
 
 /// At least two limited trials ran beside `unlimited`, the tightest
 /// limit brings the foreground median below unlimited repair's (the
-/// p99 is a colliding read at any limit; ROADMAP 7(g) has the runs),
-/// and the `combined` row moved bytes and restored redundancy (its
-/// exact 1/k ratio is pinned by the `combined_repair` integration
-/// tests).
+/// p99 is a colliding read at any limit; EXPERIMENTS.md's repair section
+/// has the runs), and the `combined` row moved bytes and restored
+/// redundancy (its exact 1/k ratio is pinned by the `combined_repair`
+/// integration tests).
 pub fn check(r: &Report) -> Result<(), String> {
     let unlimited = r.find(&[("rate", "unlimited")])?.num("fg_p50_us")?;
     let limit = |row: &Row| row.num("rate_limit_bytes_per_s").map(|l| l as u64).ok();

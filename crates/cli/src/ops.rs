@@ -1,6 +1,5 @@
 //! The CLI operations: encode / decode / repair / info / plan.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use ecfrm_core::{DiskRecovery, ReadCtx, Scheme};
@@ -107,23 +106,23 @@ pub fn decode(opts: &Options) -> Result<(), CliError> {
     }
 
     let dps = scheme.data_per_stripe();
-    let mut out = Vec::with_capacity((m.stripes as usize) * dps * m.element_size);
+    let es = m.element_size;
+    let mut out = Vec::with_capacity((m.stripes as usize) * dps * es);
     for s in 0..m.stripes {
-        // Offer every available element of this stripe to the assembler.
-        let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::new();
-        for row in 0..scheme.layout().rows_per_stripe() {
-            for loc in scheme.layout().row_locations(s, row) {
-                if let Some(bytes) = element_of(&chunks, loc, m.element_size) {
-                    fetched.insert(loc, bytes.to_vec());
-                }
-            }
-        }
-        let elements = scheme
-            .assemble_read(s * dps as u64, dps, &fetched, ReadCtx::default())
+        // Every data element whose chunk survives fills its slot; the
+        // holes decode from whatever else of their rows is on disk.
+        let base = s * dps as u64;
+        let mut slots: Vec<Vec<u8>> = (base..base + dps as u64)
+            .map(|idx| {
+                let loc = scheme.layout().data_location(idx);
+                element_of(&chunks, loc, es).map_or_else(Vec::new, <[u8]>::to_vec)
+            })
+            .collect();
+        let cell = |loc| element_of(&chunks, loc, es);
+        scheme
+            .fill_holes(base, &mut slots, cell, es, ReadCtx::new())
             .map_err(|e| CliError::Store(ecfrm_store::StoreError::Code(e)))?;
-        for e in elements {
-            out.extend_from_slice(&e);
-        }
+        slots.iter().for_each(|e| out.extend_from_slice(e));
     }
     out.truncate(m.data_len as usize);
     std::fs::write(output, &out).map_err(|e| CliError::io(format!("writing {output}"), e))?;
@@ -142,35 +141,29 @@ pub fn repair(opts: &Options) -> Result<(), CliError> {
     }
     let chunks = read_chunks(dir, scheme.n_disks());
     let recovery = DiskRecovery::plan(&scheme, disk, m.stripes);
+    let lost = |what: String| CliError::Store(ecfrm_store::StoreError::DataLoss(what));
 
-    let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::new();
-    for task in &recovery.tasks {
-        for (_, loc) in &task.sources {
-            if !fetched.contains_key(loc) {
-                let bytes = element_of(&chunks, *loc, m.element_size).ok_or_else(|| {
-                    CliError::Store(ecfrm_store::StoreError::DataLoss(format!(
-                        "repair source chunk {} missing too",
-                        loc.disk
-                    )))
-                })?;
-                fetched.insert(*loc, bytes.to_vec());
-            }
-        }
-    }
-
+    let es = m.element_size;
     let ops = scheme.layout().offsets_per_stripe();
-    let mut buf = vec![0u8; (m.stripes * ops) as usize * m.element_size];
+    let mut buf = vec![0u8; (m.stripes * ops) as usize * es];
     for task in &recovery.tasks {
-        let bytes = DiskRecovery::rebuild_one(&scheme, task, &fetched, m.element_size).ok_or_else(
-            || {
-                CliError::Store(ecfrm_store::StoreError::DataLoss(format!(
-                    "cannot rebuild element at offset {}",
-                    task.target.offset
-                )))
-            },
-        )?;
-        let at = task.target.offset as usize * m.element_size;
-        buf[at..at + m.element_size].copy_from_slice(&bytes);
+        let sources = task
+            .sources
+            .iter()
+            .map(|&(p, loc)| {
+                element_of(&chunks, loc, es)
+                    .map(|b| (p, b))
+                    .ok_or_else(|| lost(format!("repair source chunk {} missing too", loc.disk)))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let bytes = scheme.reconstruct(task.pos, &sources, es).ok_or_else(|| {
+            lost(format!(
+                "cannot rebuild element at offset {}",
+                task.target.offset
+            ))
+        })?;
+        let at = task.target.offset as usize * es;
+        buf[at..at + es].copy_from_slice(&bytes);
     }
     std::fs::write(dir.join(chunk_name(disk)), &buf)
         .map_err(|e| CliError::io(format!("writing chunk {disk}"), e))?;

@@ -9,6 +9,7 @@
 //! keyed by `(target, available positions)`, shared across threads.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ecfrm_gf::region::mul_add_region;
@@ -23,7 +24,8 @@ type Key = (usize, Vec<usize>);
 /// matrix.
 ///
 /// Entries are `None` when the source set does not span the target, so
-/// negative lookups are cached too.
+/// negative lookups are cached too. A lookup takes the entry map's lock
+/// once; the hit and miss tallies are atomics beside it.
 ///
 /// ```
 /// use ecfrm_codes::{CandidateCode, DecoderCache, RsCode};
@@ -38,8 +40,8 @@ type Key = (usize, Vec<usize>);
 pub struct DecoderCache {
     generator: Matrix<Gf8>,
     entries: Mutex<HashMap<Key, Option<Arc<Vec<u8>>>>>,
-    hits: Mutex<u64>,
-    misses: Mutex<u64>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for DecoderCache {
@@ -57,8 +59,8 @@ impl DecoderCache {
         Self {
             generator,
             entries: Mutex::new(HashMap::new()),
-            hits: Mutex::new(0),
-            misses: Mutex::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -68,15 +70,20 @@ impl DecoderCache {
         let mut key: Vec<usize> = avail.to_vec();
         key.sort_unstable();
         let key = (target, key);
-        if let Some(cached) = self.entries.lock().unwrap().get(&key) {
-            *self.hits.lock().unwrap() += 1;
+        let mut entries = self
+            .entries
+            .lock()
+            .expect("a thread panicked holding the decoder cache");
+        if let Some(cached) = entries.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return cached.clone();
         }
-        *self.misses.lock().unwrap() += 1;
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Solve against the SORTED positions so the cached vector matches
-        // the canonical key order.
+        // the canonical key order. Solving under the lock costs only a
+        // geometry's first lookup, and no two threads solve the same one.
         let solved = solve_coefficients(&self.generator, target, &key.1).map(Arc::new);
-        self.entries.lock().unwrap().insert(key, solved.clone());
+        entries.insert(key, solved.clone());
         solved
     }
 
@@ -108,7 +115,10 @@ impl DecoderCache {
 
     /// `(hits, misses)` so far.
     pub fn stats(&self) -> (u64, u64) {
-        (*self.hits.lock().unwrap(), *self.misses.lock().unwrap())
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 
     /// Number of cached systems.

@@ -13,9 +13,11 @@
 //!   per-disk accesses and, under failures, adds minimal repair traffic,
 //!   greedily balancing the most-loaded disk (the paper's bottleneck
 //!   metric, §III-B);
-//! * **reconstruction** ([`Scheme::assemble_read`],
+//! * **reconstruction** ([`Scheme::reconstruct`], [`Scheme::fill_holes`],
 //!   [`recover::DiskRecovery`]) — paper §IV-D: identify failed elements
-//!   at stripe level, solve the candidate code's equations per group;
+//!   at stripe level, solve the candidate code's equations per group.
+//!   A degraded read and a disk rebuild pick a lost element's helpers by
+//!   one rule and decode through the scheme's one coefficient cache;
 //! * **fault-tolerance checking** ([`Scheme::verify_disk_tolerance`]) —
 //!   machine-checkable form of paper §IV-C (Lemma 1): EC-FRM preserves
 //!   the candidate code's tolerance.

@@ -8,9 +8,6 @@
 //! spreads that load like a vertical code would, which is one of the
 //! merits §V-B claims.
 
-use std::collections::HashMap;
-
-use ecfrm_codes::{decode, RepairSpec};
 use ecfrm_layout::Loc;
 
 use crate::scheme::Scheme;
@@ -45,7 +42,8 @@ impl DiskRecovery {
     /// it is the only disk down.
     ///
     /// Repair sources are chosen greedily to keep the surviving disks'
-    /// cumulative read loads balanced.
+    /// cumulative read loads balanced, by the same rule a degraded read
+    /// picks its helpers with ([`Scheme::degraded_read_plan`]).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -126,72 +124,36 @@ impl DiskRecovery {
         stripe_ids: &[u64],
     ) -> Result<Self, String> {
         let layout = scheme.layout();
-        let code = scheme.code();
         assert!(target < layout.n_disks(), "failed disk out of range");
-        let is_failed = |d: usize| d == target || all_failed.contains(&d);
+        let down = |d: usize| d == target || all_failed.contains(&d);
         let mut loads = vec![0usize; layout.n_disks()];
         let mut tasks = Vec::new();
         for &stripe in stripe_ids {
             for row in 0..layout.rows_per_stripe() {
                 let locs = layout.row_locations(stripe, row);
-                let erased: Vec<usize> = (0..locs.len())
-                    .filter(|&p| is_failed(locs[p].disk))
-                    .collect();
-                for &pos in &erased {
-                    if locs[pos].disk != target {
-                        continue; // this plan only rebuilds `target`
-                    }
-                    let spec = code.repair_spec(pos, &erased).ok_or_else(|| {
+                // A row's elements sit on distinct disks: at most one of
+                // them is `target`'s.
+                let Some(pos) = locs.iter().position(|l| l.disk == target) else {
+                    continue;
+                };
+                let chosen = scheme
+                    .helpers(&locs, pos, down, &loads, |_| false)
+                    .ok_or_else(|| {
                         format!(
                             "element (stripe {stripe}, row {row}, pos {pos}) unrecoverable \
                              with disks {all_failed:?} down"
                         )
                     })?;
-                    let chosen: Vec<usize> = match spec {
-                        RepairSpec::Exact { read } => read,
-                        RepairSpec::AnyOf { from, count } => {
-                            // Prefer helpers sharing the failed disk's
-                            // failure domain — rebuild traffic stays
-                            // inside the rack — then balance loads.
-                            let domains = scheme.domains();
-                            let mut ranked: Vec<(bool, usize, usize, usize)> = from
-                                .into_iter()
-                                .filter(|&p| !is_failed(locs[p].disk))
-                                .map(|p| {
-                                    let d = locs[p].disk;
-                                    (!domains.same_domain(target, d), loads[d], d, p)
-                                })
-                                .collect();
-                            ranked.sort_unstable();
-                            if ranked.len() < count {
-                                return Err(format!(
-                                    "only {} live sources for (stripe {stripe}, row {row}, \
-                                     pos {pos}); need {count}",
-                                    ranked.len()
-                                ));
-                            }
-                            ranked
-                                .into_iter()
-                                .take(count)
-                                .map(|(_, _, _, p)| p)
-                                .collect()
-                        }
-                    };
-                    debug_assert!(
-                        chosen.iter().all(|&p| !is_failed(locs[p].disk)),
-                        "repair spec offered a source on a downed disk"
-                    );
-                    for &p in &chosen {
-                        loads[locs[p].disk] += 1;
-                    }
-                    tasks.push(RepairTask {
-                        stripe,
-                        row,
-                        pos,
-                        target: locs[pos],
-                        sources: chosen.into_iter().map(|p| (p, locs[p])).collect(),
-                    });
+                for &p in &chosen {
+                    loads[locs[p].disk] += 1;
                 }
+                tasks.push(RepairTask {
+                    stripe,
+                    row,
+                    pos,
+                    target: locs[pos],
+                    sources: chosen.into_iter().map(|p| (p, locs[p])).collect(),
+                });
             }
         }
         Ok(Self {
@@ -221,26 +183,6 @@ impl DiskRecovery {
     pub fn total_rebuilt(&self) -> usize {
         self.tasks.len()
     }
-
-    /// Execute one task against fetched bytes, returning the rebuilt
-    /// element.
-    ///
-    /// Returns `None` if `fetched` is missing a source or the sources do
-    /// not span the target (cannot happen when the plan's own sources are
-    /// supplied).
-    pub fn rebuild_one(
-        scheme: &Scheme,
-        task: &RepairTask,
-        fetched: &HashMap<Loc, Vec<u8>>,
-        element_size: usize,
-    ) -> Option<Vec<u8>> {
-        let sources: Vec<(usize, &[u8])> = task
-            .sources
-            .iter()
-            .map(|(p, loc)| fetched.get(loc).map(|b| (*p, b.as_slice())))
-            .collect::<Option<Vec<_>>>()?;
-        decode::reconstruct_one(scheme.code().generator(), task.pos, &sources, element_size)
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +190,18 @@ mod tests {
     use super::*;
     use ecfrm_codes::{CandidateCode, LrcCode, RsCode};
     use ecfrm_layout::{DomainMap, LayoutKind};
+    use std::collections::HashMap;
     use std::sync::Arc;
+
+    /// Execute one task against a full stripe image.
+    fn rebuild(scheme: &Scheme, task: &RepairTask, all: &HashMap<Loc, Vec<u8>>) -> Vec<u8> {
+        let sources: Vec<(usize, &[u8])> = task
+            .sources
+            .iter()
+            .map(|(p, loc)| (*p, all[loc].as_slice()))
+            .collect();
+        scheme.reconstruct(task.pos, &sources, 8).unwrap()
+    }
 
     fn ecfrm(code: Arc<dyn CandidateCode>) -> Scheme {
         Scheme::builder(code).layout(LayoutKind::EcFrm).build()
@@ -306,7 +259,7 @@ mod tests {
                         for (_, loc) in &task.sources {
                             assert_ne!(loc.disk, failed, "source on failed disk");
                         }
-                        let rebuilt = DiskRecovery::rebuild_one(&scheme, task, &all, 8).unwrap();
+                        let rebuilt = rebuild(&scheme, task, &all);
                         assert_eq!(
                             rebuilt,
                             all[&task.target],
@@ -399,7 +352,7 @@ mod tests {
             for (_, loc) in &task.sources {
                 assert!(![0, 4, 8].contains(&loc.disk), "source on downed disk");
             }
-            let rebuilt = DiskRecovery::rebuild_one(&scheme, task, &all, 8).unwrap();
+            let rebuilt = rebuild(&scheme, task, &all);
             assert_eq!(rebuilt, all[&task.target]);
         }
     }

@@ -4,36 +4,28 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ecfrm_codes::{decode, CandidateCode, CodeError, DecoderCache, RepairSpec};
+use ecfrm_codes::{CandidateCode, CodeError, DecoderCache, RepairSpec};
 use ecfrm_layout::{DomainMap, Layout, LayoutKind, Loc};
 use ecfrm_obs::Recorder;
 
 use crate::plan::{Fetch, Purpose, ReadPlan};
 use crate::stripe::StripeImage;
 
-/// Per-read context for [`Scheme::assemble_read`]: an optional
-/// [`DecoderCache`] (reuse solved coefficient vectors across repeated
-/// repairs of the same erasure geometry) and an optional [`Recorder`]
-/// (decode timing lands in its `decode_us` histogram and
-/// `decoded_elements` counter).
+/// Per-read context for [`Scheme::assemble_read`] and
+/// [`Scheme::fill_holes`]: an optional [`Recorder`] (decode timing lands
+/// in its `decode_us` histogram and `decoded_elements` counter).
 ///
-/// `ReadCtx::default()` is the plain uncached, unrecorded read.
+/// `ReadCtx::default()` is the plain unrecorded read. Coefficients come
+/// from the scheme's own [`DecoderCache`] either way.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadCtx<'a> {
-    cache: Option<&'a DecoderCache>,
     recorder: Option<&'a Recorder>,
 }
 
 impl<'a> ReadCtx<'a> {
-    /// No cache, no recorder.
+    /// No recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reuse solved decode coefficients from `cache`.
-    pub fn with_cache(mut self, cache: &'a DecoderCache) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Record decode timings into `recorder`.
@@ -46,11 +38,15 @@ impl<'a> ReadCtx<'a> {
 /// A complete erasure-coding scheme: `(n, k)` candidate code + element
 /// placement. All read planning, encoding and reconstruction go through
 /// this type.
+///
+/// Clones share one [`DecoderCache`], so every reader and rebuilder of a
+/// store solves each erasure geometry once.
 #[derive(Clone)]
 pub struct Scheme {
     code: Arc<dyn CandidateCode>,
     layout: Arc<dyn Layout>,
     domains: Arc<DomainMap>,
+    decoder: Arc<DecoderCache>,
 }
 
 impl std::fmt::Debug for Scheme {
@@ -89,6 +85,7 @@ impl Scheme {
             "domain map disks != layout disks"
         );
         Self {
+            decoder: Arc::new(DecoderCache::new(code.generator().clone())),
             code,
             layout,
             domains,
@@ -130,6 +127,13 @@ impl Scheme {
     /// Failure-domain labels; [`DomainMap::single`] unless configured.
     pub fn domains(&self) -> &DomainMap {
         &self.domains
+    }
+
+    /// The solved decode coefficients, one vector per `(lost position,
+    /// sources)` geometry — what [`Self::reconstruct`] applies, and what
+    /// a helper-side combine is handed.
+    pub fn decoder(&self) -> &DecoderCache {
+        &self.decoder
     }
 
     /// Display name following the paper's convention: `RS(6,3)`,
@@ -232,9 +236,11 @@ impl Scheme {
     ///
     /// Demand elements on surviving disks are fetched directly; each
     /// requested element on a failed disk is reconstructed within its
-    /// group, choosing repair sources that (a) are already being fetched
-    /// or (b) sit on the least-loaded surviving disks — greedy
-    /// minimisation of the bottleneck disk.
+    /// group from helpers picked by the rule [`DiskRecovery`] uses too:
+    /// sources already being fetched first, then the least-loaded
+    /// surviving disks — greedy minimisation of the bottleneck disk.
+    ///
+    /// [`DiskRecovery`]: crate::DiskRecovery
     ///
     /// ```
     /// use std::sync::Arc;
@@ -275,16 +281,14 @@ impl Scheme {
 
         for (idx, stripe, row, pos) in lost {
             let row_locs = self.layout.row_locations(stripe, row);
-            let erased: Vec<usize> = (0..row_locs.len())
-                .filter(|&p| is_failed(row_locs[p].disk))
-                .collect();
-            let Some(spec) = self.code.repair_spec(pos, &erased) else {
+            let Some(chosen) =
+                self.helpers(&row_locs, pos, is_failed, &loads, |l| plan.contains(l))
+            else {
                 plan.unreadable.push(idx);
                 continue;
             };
-            let add = |p: usize, plan: &mut ReadPlan, loads: &mut [usize]| {
+            for p in chosen {
                 let loc = row_locs[p];
-                debug_assert!(!is_failed(loc.disk));
                 if !plan.contains(loc) {
                     plan.fetches.push(Fetch {
                         loc,
@@ -295,59 +299,142 @@ impl Scheme {
                     });
                     loads[loc.disk] += 1;
                 }
-            };
-            match spec {
-                RepairSpec::Exact { read } => {
-                    for p in read {
-                        add(p, &mut plan, &mut loads);
-                    }
-                }
-                RepairSpec::AnyOf { from, count: need } => {
-                    // Free sources first: already fetched for this plan.
-                    let (have, candidates): (Vec<usize>, Vec<usize>) =
-                        from.into_iter().partition(|&p| plan.contains(row_locs[p]));
-                    let mut chosen: Vec<usize> = have.into_iter().take(need).collect();
-                    if chosen.len() < need {
-                        // Remaining sources: prefer helpers in the lost
-                        // disk's failure domain (repair traffic stays
-                        // inside the rack), then the least-loaded
-                        // surviving disks, deterministically.
-                        let target_disk = row_locs[pos].disk;
-                        let mut ranked: Vec<(bool, usize, usize, usize)> = candidates
-                            .into_iter()
-                            .map(|p| {
-                                let d = row_locs[p].disk;
-                                (!self.domains.same_domain(target_disk, d), loads[d], d, p)
-                            })
-                            .collect();
-                        ranked.sort_unstable();
-                        for (_, _, _, p) in ranked.into_iter().take(need - chosen.len()) {
-                            chosen.push(p);
-                        }
-                    }
-                    debug_assert_eq!(chosen.len(), need, "repair spec under-provisioned");
-                    for p in chosen {
-                        add(p, &mut plan, &mut loads);
-                    }
-                }
             }
         }
         plan
     }
 
+    /// The one helper rule, for degraded reads and disk rebuilds alike
+    /// (paper §IV-D: set up the lost element's group decoding relation):
+    /// which positions of a row at `locs` rebuild position `pos` while
+    /// the disks `down` names are unavailable.
+    ///
+    /// The code's repair spec decides. Where it leaves a choice, sources
+    /// `fetched` says are already being read come first (they are free),
+    /// then the rest ranked by `(outside the lost disk's failure domain,
+    /// load, disk, position)`: repair traffic stays inside the rack, then
+    /// spreads over the least-loaded disks, deterministically. `None` if
+    /// the erasures leave `pos` unrecoverable.
+    pub(crate) fn helpers(
+        &self,
+        locs: &[Loc],
+        pos: usize,
+        down: impl Fn(usize) -> bool,
+        loads: &[usize],
+        fetched: impl Fn(Loc) -> bool,
+    ) -> Option<Vec<usize>> {
+        let erased: Vec<usize> = (0..locs.len()).filter(|&p| down(locs[p].disk)).collect();
+        let (from, count) = match self.code.repair_spec(pos, &erased)? {
+            RepairSpec::Exact { read } => return Some(read),
+            RepairSpec::AnyOf { from, count } => (from, count),
+        };
+        let (mut chosen, rest): (Vec<usize>, Vec<usize>) = from
+            .into_iter()
+            .filter(|&p| !down(locs[p].disk))
+            .partition(|&p| fetched(locs[p]));
+        chosen.truncate(count);
+        let target = locs[pos].disk;
+        let mut ranked: Vec<(bool, usize, usize, usize)> = rest
+            .into_iter()
+            .map(|p| {
+                let d = locs[p].disk;
+                (!self.domains.same_domain(target, d), loads[d], d, p)
+            })
+            .collect();
+        ranked.sort_unstable();
+        let short = count - chosen.len();
+        chosen.extend(ranked.into_iter().take(short).map(|(.., p)| p));
+        (chosen.len() == count).then_some(chosen)
+    }
+
+    /// Rebuild row position `pos` from `(position, bytes)` sources of its
+    /// row, each `len` bytes long — paper §IV-D's group decode, and the
+    /// one every reconstruction goes through. Coefficients come from
+    /// [`Self::decoder`], so repairs of the same erasure geometry (every
+    /// row while one disk is down) solve it once. `None` if the sources
+    /// do not span `pos`.
+    ///
+    /// # Panics
+    /// Panics if a source region is not `len` bytes long.
+    pub fn reconstruct(
+        &self,
+        pos: usize,
+        sources: &[(usize, &[u8])],
+        len: usize,
+    ) -> Option<Vec<u8>> {
+        self.decoder.reconstruct(pos, sources, len)
+    }
+
+    /// Decode a read's holes in place: `slots[i]` holds data element
+    /// `start + i` as fetched, or is empty where its disk was down. Each
+    /// hole is rebuilt by [`Self::reconstruct`] from every other cell of
+    /// its row at hand — a filled slot, or `cell(loc)` for one fetched
+    /// only to repair with. Filled slots are left as they are.
+    ///
+    /// # Errors
+    /// [`CodeError::Unrecoverable`] if the cells at hand do not span a
+    /// hole.
+    pub fn fill_holes<'c>(
+        &self,
+        start: u64,
+        slots: &mut [Vec<u8>],
+        cell: impl Fn(Loc) -> Option<&'c [u8]>,
+        len: usize,
+        ctx: ReadCtx<'_>,
+    ) -> Result<(), CodeError> {
+        let holes: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_empty()).collect();
+        if holes.is_empty() {
+            return Ok(());
+        }
+        let k = self.code.k();
+        let end = start + slots.len() as u64;
+        // Resolve instruments once per call, not per element.
+        let decode_hist = ctx.recorder.map(|r| r.histogram("decode_us"));
+        let mut rebuilt = Vec::with_capacity(holes.len());
+        for &i in &holes {
+            let idx = start + i as u64;
+            let (stripe, row, pos) = self.layout.data_coordinates(idx);
+            let sources: Vec<(usize, &[u8])> = self
+                .layout
+                .row_locations(stripe, row)
+                .into_iter()
+                .enumerate()
+                .filter(|&(p, _)| p != pos)
+                .filter_map(|(p, loc)| {
+                    let d = self.layout.data_index(stripe, row, p);
+                    let bytes = if p < k && (start..end).contains(&d) {
+                        Some(slots[(d - start) as usize].as_slice()).filter(|b| !b.is_empty())
+                    } else {
+                        cell(loc)
+                    };
+                    bytes.map(|b| (p, b))
+                })
+                .collect();
+            let t0 = decode_hist.as_ref().map(|_| std::time::Instant::now());
+            let bytes = self
+                .reconstruct(pos, &sources, len)
+                .ok_or(CodeError::Unrecoverable { erased: vec![pos] })?;
+            if let (Some(h), Some(t0)) = (&decode_hist, t0) {
+                h.record_duration(t0.elapsed());
+            }
+            rebuilt.push(bytes);
+        }
+        for (&i, bytes) in holes.iter().zip(rebuilt) {
+            slots[i] = bytes;
+        }
+        if let Some(r) = ctx.recorder {
+            r.counter("decoded_elements").add(holes.len() as u64);
+        }
+        Ok(())
+    }
+
     /// Materialise the requested data elements from fetched bytes,
     /// reconstructing any element that was not fetched directly
-    /// (paper §IV-D's per-group decode).
+    /// ([`Self::fill_holes`]).
     ///
     /// `fetched` maps every planned location to its bytes. Returns the
-    /// `count` data regions in logical order.
-    ///
-    /// `ctx` carries the optional per-read extras: a
-    /// [`DecoderCache`] (repeated repairs of the same erasure geometry —
-    /// every row while one disk is down — reuse solved coefficient
-    /// vectors instead of re-running Gaussian elimination) and a
-    /// [`Recorder`] for decode timing. Pass `ReadCtx::default()` for a
-    /// plain read.
+    /// `count` data regions in logical order. `ctx` optionally records
+    /// decode timing; pass `ReadCtx::default()` for a plain read.
     pub fn assemble_read(
         &self,
         start: u64,
@@ -362,43 +449,14 @@ impl Scheme {
                 return Err(CodeError::Shape("no fetched data to assemble".into()));
             }
         };
-        let mut out = Vec::with_capacity(count);
-        // Resolve instruments once per call, not per element.
-        let decode_hist = ctx.recorder.map(|r| r.histogram("decode_us"));
-        let mut decoded = 0u64;
-        for i in 0..count as u64 {
-            let idx = start + i;
-            let loc = self.layout.data_location(idx);
-            if let Some(bytes) = fetched.get(&loc) {
-                out.push(bytes.clone());
-                continue;
-            }
-            // Reconstruct from whatever same-row fetches are available.
-            let (stripe, row, pos) = self.layout.data_coordinates(idx);
-            let row_locs = self.layout.row_locations(stripe, row);
-            let sources: Vec<(usize, &[u8])> = row_locs
-                .iter()
-                .enumerate()
-                .filter(|(p, _)| *p != pos)
-                .filter_map(|(p, l)| fetched.get(l).map(|b| (p, b.as_slice())))
-                .collect();
-            let t0 = decode_hist.as_ref().map(|_| std::time::Instant::now());
-            let rebuilt = match ctx.cache {
-                Some(c) => c.reconstruct(pos, &sources, element_size),
-                None => decode::reconstruct_one(self.code.generator(), pos, &sources, element_size),
-            }
-            .ok_or(CodeError::Unrecoverable { erased: vec![pos] })?;
-            if let (Some(h), Some(t0)) = (&decode_hist, t0) {
-                h.record_duration(t0.elapsed());
-                decoded += 1;
-            }
-            out.push(rebuilt);
-        }
-        if let Some(r) = ctx.recorder {
-            if decoded > 0 {
-                r.counter("decoded_elements").add(decoded);
-            }
-        }
+        let mut out: Vec<Vec<u8>> = (start..start + count as u64)
+            .map(|idx| {
+                let loc = self.layout.data_location(idx);
+                fetched.get(&loc).cloned().unwrap_or_default()
+            })
+            .collect();
+        let cell = |loc| fetched.get(&loc).map(Vec::as_slice);
+        self.fill_holes(start, &mut out, cell, element_size, ctx)?;
         Ok(out)
     }
 
@@ -513,7 +571,7 @@ impl SchemeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecfrm_codes::{LrcCode, RsCode, XorCode};
+    use ecfrm_codes::{decode, LrcCode, RsCode, XorCode};
     use ecfrm_layout::StandardLayout;
 
     fn sample_elements(count: usize, size: usize) -> Vec<Vec<u8>> {
@@ -885,8 +943,11 @@ mod tests {
 
     #[test]
     fn cached_assembly_matches_uncached() {
+        // Every hole decodes through the scheme's cache, which clones
+        // share; each must equal the uncached reference decode.
         let rs: Arc<dyn CandidateCode> = Arc::new(RsCode::vandermonde(6, 3));
         let scheme = form(rs, LayoutKind::EcFrm);
+        let twin = scheme.clone();
         let dps = scheme.data_per_stripe();
         let data = sample_elements(dps, 8);
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
@@ -895,7 +956,7 @@ mod tests {
             .iter()
             .map(|(l, b)| (l, b.to_vec()))
             .collect();
-        let cache = ecfrm_codes::DecoderCache::new(scheme.code().generator().clone());
+        let layout = scheme.layout();
         for failed in 0..scheme.n_disks() {
             let plan = scheme.degraded_read_plan(0, dps, &[failed]);
             let fetched: HashMap<Loc, Vec<u8>> = plan
@@ -903,15 +964,35 @@ mod tests {
                 .iter()
                 .map(|f| (f.loc, all[&f.loc].clone()))
                 .collect();
-            let direct = scheme
+            let got = scheme
                 .assemble_read(0, dps, &fetched, ReadCtx::default())
                 .unwrap();
-            let cached = scheme
-                .assemble_read(0, dps, &fetched, ReadCtx::new().with_cache(&cache))
+            let again = twin
+                .assemble_read(0, dps, &fetched, ReadCtx::default())
                 .unwrap();
-            assert_eq!(direct, cached, "failed={failed}");
+            assert_eq!(got, again, "failed={failed}");
+            for (i, g) in got.iter().enumerate() {
+                assert_eq!(g, &data[i], "failed={failed} elem {i}");
+                if layout.data_location(i as u64).disk != failed {
+                    continue;
+                }
+                let (stripe, row, pos) = layout.data_coordinates(i as u64);
+                let sources: Vec<(usize, &[u8])> = layout
+                    .row_locations(stripe, row)
+                    .iter()
+                    .enumerate()
+                    .filter(|(p, _)| *p != pos)
+                    .filter_map(|(p, l)| fetched.get(l).map(|b| (p, b.as_slice())))
+                    .collect();
+                let reference =
+                    decode::reconstruct_one(scheme.code().generator(), pos, &sources, 8).unwrap();
+                assert_eq!(g, &reference, "failed={failed} elem {i}");
+            }
         }
-        assert!(cache.stats().1 > 0);
+        // The twin's reads hit what the original solved.
+        let (hits, misses) = scheme.decoder().stats();
+        assert!(misses > 0);
+        assert!(hits >= misses, "{hits} hits / {misses} misses");
     }
 
     #[test]

@@ -196,6 +196,16 @@ fn scalar_mul_add16(c: u16, src: &[u8], dst: &mut [u8]) {
     }
 }
 
+/// Panic unless a SIMD kernel may run: its CPU `feature` is present
+/// (std caches the detection, so this is a load) and `src` and `dst` have
+/// equal lengths — together the whole safety contract of every
+/// `unsafe fn` kernel below.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+fn runnable(feature: bool, src: &[u8], dst: &[u8]) {
+    assert!(feature, "SIMD kernel called on a CPU without its feature");
+    assert_eq!(src.len(), dst.len(), "region lengths differ");
+}
+
 static SCALAR: Kernel = Kernel {
     name: "scalar",
     supported: || true,
@@ -218,7 +228,9 @@ mod x86 {
     // -- GF(2^8) ------------------------------------------------------
 
     /// # Safety
-    /// Caller must ensure the CPU supports SSSE3 and `src.len() == dst.len()`.
+    /// The CPU must support SSSE3, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 16 bytes at `i` for every `i + 16 <= src.len()`.
     #[target_feature(enable = "ssse3")]
     unsafe fn mul8_ssse3(c: u8, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let (lo, hi) = split_tables8(c);
@@ -248,7 +260,9 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and `src.len() == dst.len()`.
+    /// The CPU must support AVX2, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 32 bytes at `i` for every `i + 32 <= src.len()`.
     #[target_feature(enable = "avx2")]
     unsafe fn mul8_avx2(c: u8, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let (lo, hi) = split_tables8(c);
@@ -303,8 +317,11 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must ensure the CPU supports SSSE3, equal lengths, and an
-    /// even region length.
+    /// The CPU must support SSSE3, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 32 bytes at `i` for every `i + 32 <= src.len()`. (An even length
+    /// is what makes the result right, not what makes it safe: a trailing
+    /// odd byte is left alone.)
     #[target_feature(enable = "ssse3")]
     unsafe fn mul16_ssse3(c: u16, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let planes = plane_tables16(c);
@@ -362,8 +379,10 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2, equal lengths, and an
-    /// even region length.
+    /// The CPU must support AVX2, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 64 bytes at `i` for every `i + 64 <= src.len()`. (An even length
+    /// is for correctness only, as in `mul16_ssse3`.)
     #[target_feature(enable = "avx2")]
     unsafe fn mul16_avx2(c: u16, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let planes = plane_tables16(c);
@@ -440,30 +459,55 @@ mod x86 {
         }
     }
 
-    // Safe wrappers: support is verified once at backend selection, so
-    // the target-feature calls are sound by construction.
+    // Safe wrappers: each checks its kernel's whole contract first, so a
+    // backend taken from `backends()` on a CPU without its feature
+    // panics instead of executing an illegal instruction.
     pub(super) fn ssse3_mul8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("ssse3"), src, dst);
+        // SAFETY: `runnable` returned, so SSSE3 is present and the
+        // lengths match: all of `mul8_ssse3`'s contract.
         unsafe { mul8_ssse3(c, src, dst, false) }
     }
     pub(super) fn ssse3_mul_add8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("ssse3"), src, dst);
+        // SAFETY: `runnable` returned, so SSSE3 is present and the
+        // lengths match: all of `mul8_ssse3`'s contract.
         unsafe { mul8_ssse3(c, src, dst, true) }
     }
     pub(super) fn ssse3_mul16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("ssse3"), src, dst);
+        // SAFETY: `runnable` returned, so SSSE3 is present and the
+        // lengths match: all of `mul16_ssse3`'s contract.
         unsafe { mul16_ssse3(c, src, dst, false) }
     }
     pub(super) fn ssse3_mul_add16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("ssse3"), src, dst);
+        // SAFETY: `runnable` returned, so SSSE3 is present and the
+        // lengths match: all of `mul16_ssse3`'s contract.
         unsafe { mul16_ssse3(c, src, dst, true) }
     }
     pub(super) fn avx2_mul8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("avx2"), src, dst);
+        // SAFETY: `runnable` returned, so AVX2 is present and the
+        // lengths match: all of `mul8_avx2`'s contract.
         unsafe { mul8_avx2(c, src, dst, false) }
     }
     pub(super) fn avx2_mul_add8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("avx2"), src, dst);
+        // SAFETY: `runnable` returned, so AVX2 is present and the
+        // lengths match: all of `mul8_avx2`'s contract.
         unsafe { mul8_avx2(c, src, dst, true) }
     }
     pub(super) fn avx2_mul16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("avx2"), src, dst);
+        // SAFETY: `runnable` returned, so AVX2 is present and the
+        // lengths match: all of `mul16_avx2`'s contract.
         unsafe { mul16_avx2(c, src, dst, false) }
     }
     pub(super) fn avx2_mul_add16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(is_x86_feature_detected!("avx2"), src, dst);
+        // SAFETY: `runnable` returned, so AVX2 is present and the
+        // lengths match: all of `mul16_avx2`'s contract.
         unsafe { mul16_avx2(c, src, dst, true) }
     }
 }
@@ -501,7 +545,9 @@ mod arm {
     use std::arch::aarch64::*;
 
     /// # Safety
-    /// Caller must ensure NEON support and `src.len() == dst.len()`.
+    /// The CPU must support NEON, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 16 bytes at `i` for every `i + 16 <= src.len()`.
     #[target_feature(enable = "neon")]
     unsafe fn mul8_neon(c: u8, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let (lo, hi) = split_tables8(c);
@@ -531,8 +577,10 @@ mod arm {
     }
 
     /// # Safety
-    /// Caller must ensure NEON support, equal lengths, and an even
-    /// region length.
+    /// The CPU must support NEON, and `src.len() == dst.len()`: the loop
+    /// loads from `src` and loads and stores `dst` through raw pointers,
+    /// 32 bytes at `i` for every `i + 32 <= src.len()`. (An even length
+    /// is for correctness only: a trailing odd byte is left alone.)
     #[target_feature(enable = "neon")]
     unsafe fn mul16_neon(c: u16, src: &[u8], dst: &mut [u8], accumulate: bool) {
         let t = split_tables16(c);
@@ -590,16 +638,29 @@ mod arm {
         }
     }
 
+    // Safe wrappers, as for x86.
     pub(super) fn neon_mul8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(std::arch::is_aarch64_feature_detected!("neon"), src, dst);
+        // SAFETY: `runnable` returned, so NEON is present and the lengths
+        // match: all of `mul8_neon`'s contract.
         unsafe { mul8_neon(c, src, dst, false) }
     }
     pub(super) fn neon_mul_add8(c: u8, src: &[u8], dst: &mut [u8]) {
+        runnable(std::arch::is_aarch64_feature_detected!("neon"), src, dst);
+        // SAFETY: `runnable` returned, so NEON is present and the lengths
+        // match: all of `mul8_neon`'s contract.
         unsafe { mul8_neon(c, src, dst, true) }
     }
     pub(super) fn neon_mul16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(std::arch::is_aarch64_feature_detected!("neon"), src, dst);
+        // SAFETY: `runnable` returned, so NEON is present and the lengths
+        // match: all of `mul16_neon`'s contract.
         unsafe { mul16_neon(c, src, dst, false) }
     }
     pub(super) fn neon_mul_add16(c: u16, src: &[u8], dst: &mut [u8]) {
+        runnable(std::arch::is_aarch64_feature_detected!("neon"), src, dst);
+        // SAFETY: `runnable` returned, so NEON is present and the lengths
+        // match: all of `mul16_neon`'s contract.
         unsafe { mul16_neon(c, src, dst, true) }
     }
 }

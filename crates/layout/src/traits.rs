@@ -101,7 +101,7 @@ pub trait Layout: Send + Sync + std::fmt::Debug {
     fn row_locations(&self, stripe: u64, row: usize) -> Vec<Loc> {
         let k = self.code_k();
         let n = self.code_n();
-        let base = stripe * self.data_per_stripe() as u64 + (row * k) as u64;
+        let base = self.data_index(stripe, row, 0);
         let mut locs: Vec<Loc> = (0..k as u64)
             .map(|t| self.data_location(base + t))
             .collect();
@@ -117,6 +117,12 @@ pub trait Layout: Send + Sync + std::fmt::Debug {
         let within = (idx % dps) as usize;
         let k = self.code_k();
         (stripe, within / k, within % k)
+    }
+
+    /// Inverse of [`Self::data_coordinates`]: the global index of data
+    /// element `pos` (`0..k`) of candidate row `row` of stripe `stripe`.
+    fn data_index(&self, stripe: u64, row: usize, pos: usize) -> u64 {
+        stripe * self.data_per_stripe() as u64 + (row * self.code_k() + pos) as u64
     }
 }
 
@@ -138,5 +144,6 @@ mod tests {
         let l = StandardLayout::new(9, 6);
         let (stripe, row, pos) = l.data_coordinates(20);
         assert_eq!((stripe, row, pos), (3, 0, 2));
+        assert_eq!(l.data_index(stripe, row, pos), 20);
     }
 }

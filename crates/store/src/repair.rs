@@ -652,18 +652,19 @@ fn worker_loop(sh: &Shared) {
             std::thread::sleep(sh.cfg.poll);
             continue;
         }
+        // Wait for the limiter before taking a key: a worker stopped
+        // while it waits holds none, so no stripe is charged an attempt
+        // it never had.
+        if let Some(bucket) = &sh.bucket {
+            bucket.wait_ready(&sh.stop, sh.cfg.poll);
+            if sh.stop.load(Ordering::Acquire) {
+                return;
+            }
+        }
         let Some(key) = queue.pop() else {
             std::thread::sleep(sh.cfg.poll);
             continue;
         };
-        if let Some(bucket) = &sh.bucket {
-            bucket.wait_ready(&sh.stop, sh.cfg.poll);
-            if sh.stop.load(Ordering::Acquire) {
-                // Put the key back for the next manager generation.
-                queue.fail_attempt(key);
-                return;
-            }
-        }
         let (disk, stripe) = key;
         let t0 = Instant::now();
         match store.repair_stripe(disk, stripe) {

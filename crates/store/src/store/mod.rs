@@ -20,9 +20,10 @@ mod seal;
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ecfrm_core::Scheme;
-use ecfrm_integrity::HashKey;
+use ecfrm_integrity::{verify_footer, HashKey};
 use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
 use ecfrm_sim::threaded::BatchRead;
 use ecfrm_sim::{ThreadedArray, WriteShape};
@@ -168,9 +169,6 @@ pub struct ObjectStore {
     element_size: usize,
     array: ThreadedArray,
     state: Mutex<StripeState>,
-    /// Solved repair-coefficient vectors, reused across degraded reads
-    /// with the same erasure geometry.
-    decoder_cache: ecfrm_codes::DecoderCache,
     /// Observability registry: read/plan/decode latency histograms,
     /// per-disk load board, read counters. Snapshot via
     /// [`ObjectStore::recorder`].
@@ -220,7 +218,6 @@ impl ObjectStore {
             scheme.n_disks(),
             "array size must match the scheme"
         );
-        let decoder_cache = ecfrm_codes::DecoderCache::new(scheme.code().generator().clone());
         let recorder = Recorder::new();
         let metrics = StoreMetrics::new(&recorder, scheme.n_disks());
         // Engine gauges and transport totals: read at snapshot time.
@@ -235,7 +232,6 @@ impl ObjectStore {
             ))
             .inc();
         Self {
-            decoder_cache,
             recorder,
             metrics,
             repair_queue: RepairQueue::new(),
@@ -268,6 +264,53 @@ impl ObjectStore {
             stripes: s.stripes,
             failed: s.failed.iter().copied().collect(),
         })
+    }
+
+    /// The one way the store takes cells off its disks, for reads and
+    /// repairs alike: wait out `batch` (a read of `addrs`), check every
+    /// cell against its footer as its disk answers, and hand each intact
+    /// payload, footer stripped, to `keep` with its index into `addrs`.
+    /// Returns the disks that owe a cell — it came back absent or failed
+    /// its footer, which is exactly an erasure, or the disk never
+    /// answered — and the time spent checking footers.
+    fn fetch_verified(
+        &self,
+        mut batch: BatchRead,
+        addrs: &[(usize, u64)],
+        mut keep: impl FnMut(usize, Vec<u8>),
+    ) -> (BTreeSet<usize>, Duration) {
+        let mut bad = BTreeSet::new();
+        let mut answered = BTreeSet::new();
+        let mut verify = Duration::ZERO;
+        while let Some(reply) = batch.next_reply() {
+            answered.insert(reply.disk);
+            for (tag, bytes) in reply.items {
+                let (disk, offset) = addrs[tag];
+                let Some(mut b) = bytes else {
+                    bad.insert(disk);
+                    continue;
+                };
+                let t = Instant::now();
+                let ok = verify_footer(&self.key, offset, &b).is_some();
+                verify += t.elapsed();
+                if !ok {
+                    self.metrics.verify_fail.inc();
+                    bad.insert(disk);
+                    continue;
+                }
+                b.truncate(self.element_size);
+                keep(tag, b);
+            }
+        }
+        // A worker that died mid-batch ends the reply stream early; its
+        // disk never answered and owes every cell it was asked for.
+        bad.extend(
+            addrs
+                .iter()
+                .map(|&(d, _)| d)
+                .filter(|d| !answered.contains(d)),
+        );
+        (bad, verify)
     }
 
     /// The bound scheme.

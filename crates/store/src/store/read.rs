@@ -3,8 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ecfrm_core::ReadCtx;
-use ecfrm_integrity::verify_footer;
+use ecfrm_core::{Purpose, ReadCtx};
 use ecfrm_layout::Loc;
 
 use super::ObjectStore;
@@ -15,7 +14,7 @@ use crate::meta::{ObjectMeta, ReadStats};
 /// the type survives, field-less, only because the e2e trace probe
 /// (`crates/bench/src/bin/e2e`, frozen by BENCHMARK.json) names it in
 /// `read_extent(…, &ReadOpts::default())`. It leaves with the same
-/// benchmark-only change ROADMAP 3(c) waits on for [`ObjectStore::put`].
+/// benchmark-only change ROADMAP 9 waits on for [`ObjectStore::put`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadOpts {}
 
@@ -151,15 +150,15 @@ impl ObjectStore {
         // mark it suspect and replan degraded around it. Each iteration
         // strictly grows the suspect set, so the loop terminates.
         //
-        // Fetches go out as one vectored request per touched disk
-        // (`read_batch_streaming`), and per-disk replies are consumed
-        // as they arrive: each answering disk's cells are verified
-        // while slower disks are still reading, and kept — on the
-        // normal path in the slot of the element they are, on the
-        // degraded path in the assemble map.
+        // Fetches go out as one vectored request per touched disk and
+        // are verified as each disk answers (`fetch_verified`). A demand
+        // cell lands in the slot of the element it is, degraded or not;
+        // a cell fetched only to repair with waits beside the slots, and
+        // the decode fills just the holes.
         let mut verify_spent = std::time::Duration::ZERO;
         let mut suspects: BTreeSet<usize> = failed.iter().copied().collect();
         let mut replans = 0usize;
+        let layout = self.scheme.layout();
         let (plan, elements) = loop {
             let down: Vec<usize> = suspects.iter().copied().collect();
             let t_plan = std::time::Instant::now();
@@ -176,85 +175,52 @@ impl ObjectStore {
                 )));
             }
 
-            // Execute the plan: one vectored request per touched disk.
             let addrs: Vec<(usize, u64)> = plan
                 .fetches
                 .iter()
                 .map(|f| (f.loc.disk, f.loc.offset))
                 .collect();
-            let mut batch = self.array.read_batch_streaming(&addrs);
+            let batch = self.array.read_batch_streaming(&addrs);
             self.metrics.note_batch(&batch, addrs.len());
-            let touched: BTreeSet<usize> = addrs.iter().map(|&(d, _)| d).collect();
-            let mut answered: BTreeSet<usize> = BTreeSet::new();
-            let mut newly_suspect: BTreeSet<usize> = BTreeSet::new();
-            let normal = down.is_empty();
-            // Degraded reads collect into a map for group decode; on
-            // the normal path fetch i IS demand element i.
-            let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::new();
-            let mut slots: Vec<Vec<u8>> = Vec::new();
-            if normal {
-                slots.resize_with(count, Vec::new);
-            } else {
-                fetched.reserve(addrs.len());
-            }
-            while let Some(reply) = batch.next_reply() {
-                answered.insert(reply.disk);
-                for (tag, bytes) in reply.items {
-                    let Some(mut b) = bytes else {
-                        newly_suspect.insert(addrs[tag].0);
-                        continue;
-                    };
-                    // Verify-on-read: a cell whose checksum footer
-                    // disagrees is *exactly* an erasure — the disk goes
-                    // suspect and the read replans degraded around it.
-                    let t_v = std::time::Instant::now();
-                    let ok = verify_footer(&self.key, addrs[tag].1, &b).is_some();
-                    verify_spent += t_v.elapsed();
-                    if !ok {
-                        self.metrics.verify_fail.inc();
-                        newly_suspect.insert(addrs[tag].0);
-                        continue;
+            let mut slots: Vec<Vec<u8>> = vec![Vec::new(); count];
+            let mut repair: HashMap<Loc, Vec<u8>> = HashMap::new();
+            let (bad, verify) = self.fetch_verified(batch, &addrs, |tag, bytes| {
+                let f = &plan.fetches[tag];
+                match f.purpose {
+                    Purpose::Demand => {
+                        let idx = layout.data_index(f.stripe, f.row, f.pos);
+                        slots[(idx - first) as usize] = bytes;
                     }
-                    b.truncate(self.element_size);
-                    if normal {
-                        slots[tag] = b;
-                    } else {
-                        fetched.insert(plan.fetches[tag].loc, b);
+                    Purpose::Repair => {
+                        repair.insert(f.loc, bytes);
                     }
                 }
-            }
-            // A worker that died mid-batch ends the reply stream early;
-            // its disk never answered and is suspect like any other.
-            newly_suspect.extend(touched.difference(&answered));
+            });
+            verify_spent += verify;
             // Feed the failure detector: a disk that served every
             // requested element is vouched for again; one that stopped
-            // answering goes on the array's suspect list for the
+            // answering or lied goes on the array's suspect list for the
             // background repair pipeline to probe.
-            for &d in answered.difference(&newly_suspect) {
+            let touched: BTreeSet<usize> = addrs.iter().map(|&(d, _)| d).collect();
+            for &d in touched.difference(&bad) {
                 self.array.clear_suspect(d);
             }
-            for &d in &newly_suspect {
+            for &d in &bad {
                 self.array.mark_suspect(d);
             }
-            if newly_suspect.is_empty() {
-                if !normal {
-                    slots = self.scheme.assemble_read(
-                        first,
-                        count,
-                        &fetched,
-                        ReadCtx::new()
-                            .with_cache(&self.decoder_cache)
-                            .with_recorder(&self.recorder),
-                    )?;
-                }
+            if bad.is_empty() {
+                let cell = |loc| repair.get(&loc).map(Vec::as_slice);
+                let ctx = ReadCtx::new().with_recorder(&self.recorder);
+                self.scheme
+                    .fill_holes(first, &mut slots, cell, self.element_size, ctx)?;
                 break (plan, slots);
             }
-            if newly_suspect.iter().all(|d| suspects.contains(d)) {
+            if bad.iter().all(|d| suspects.contains(d)) {
                 return Err(StoreError::DataLoss(format!(
-                    "disks {newly_suspect:?} still unresponsive after degraded replan"
+                    "disks {bad:?} still unresponsive after degraded replan"
                 )));
             }
-            suspects.extend(newly_suspect);
+            suspects.extend(bad);
             replans += 1;
         };
         // Leave breadcrumbs for the background repair pipeline: the
@@ -552,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_reads_reuse_decoder_cache() {
+    fn degraded_reads_reuse_solved_coefficients() {
         let store = lrc_store();
         let data = blob(20_000, 23);
         store.put("hot", &data).unwrap();
@@ -560,7 +526,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(store.get("hot").unwrap(), data);
         }
-        let (hits, misses) = store.decoder_cache.stats();
+        let (hits, misses) = store.scheme().decoder().stats();
         assert!(misses > 0, "cache must have been exercised");
         assert!(
             hits > misses * 3,

@@ -7,7 +7,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ecfrm_core::DiskRecovery;
-use ecfrm_integrity::{append_footer, verify_footer};
+use ecfrm_integrity::{append_footer, verify_footer, FOOTER_LEN};
 use ecfrm_layout::Loc;
 use ecfrm_sim::{combine_status, CombineOutcome, CombinePeerSpec, CombineSpec};
 
@@ -117,45 +117,32 @@ impl ObjectStore {
     /// client-side — what an array with a local disk among the helpers
     /// takes, and a stripe whose combine root could not be reached.
     fn repair_stripe_batched(&self, recovery: &DiskRecovery) -> Attempt {
-        // One parallel batch for all distinct sources of this stripe.
-        let mut want: BTreeSet<(usize, u64)> = BTreeSet::new();
-        for t in &recovery.tasks {
-            for (_, loc) in &t.sources {
-                want.insert((loc.disk, loc.offset));
-            }
-        }
+        // One vectored request per disk for all distinct sources of this
+        // stripe. Repair must not launder corruption into freshly sealed
+        // cells: a source that fails verification is as bad as one that
+        // never answered.
+        let want: BTreeSet<(usize, u64)> = recovery
+            .tasks
+            .iter()
+            .flat_map(|t| &t.sources)
+            .map(|(_, loc)| (loc.disk, loc.offset))
+            .collect();
         let addrs: Vec<(usize, u64)> = want.into_iter().collect();
-        let results = self.array.read_batch(&addrs);
         let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::with_capacity(addrs.len());
-        let mut bytes_read = 0u64;
-        let mut bad: Vec<usize> = Vec::new();
-        for (&(d, o), bytes) in addrs.iter().zip(results) {
-            let Some(mut b) = bytes else {
-                bad.push(d);
-                continue;
-            };
-            bytes_read += b.len() as u64;
-            // Repair must not launder corruption into freshly sealed
-            // cells: a source that fails verification is as bad as one
-            // that never answered.
-            if verify_footer(&self.key, o, &b).is_none() {
-                self.metrics.verify_fail.inc();
-                bad.push(d);
-                continue;
-            }
-            b.truncate(self.element_size);
-            fetched.insert(Loc::new(d, o), b);
-        }
+        let batch = self.array.read_batch_streaming(&addrs);
+        let (bad, _) = self.fetch_verified(batch, &addrs, |tag, bytes| {
+            let (disk, offset) = addrs[tag];
+            fetched.insert(Loc::new(disk, offset), bytes);
+        });
         if !bad.is_empty() {
-            bad.dedup();
-            return Err(bad);
+            return Err(bad.into_iter().collect());
         }
+        // Every source arrived whole: a payload and its footer each.
+        let bytes_read = (addrs.len() * (self.element_size + FOOTER_LEN)) as u64;
 
         // Stripe-level work is small; rebuild serially to keep repair's
         // CPU footprint low (parallelism comes from the worker pool).
-        // Decoding reuses cached coefficient vectors — every stripe of a
-        // disk rebuild solves the same erasure pattern — and each
-        // rebuilt element is re-sealed with a fresh footer.
+        // Each rebuilt element is re-sealed with a fresh footer.
         let mut rebuilt: Vec<((usize, u64), Vec<u8>)> = Vec::with_capacity(recovery.tasks.len());
         let mut bytes_written = 0u64;
         for task in &recovery.tasks {
@@ -165,7 +152,7 @@ impl ObjectStore {
                 .map(|(p, loc)| (*p, fetched[loc].as_slice()))
                 .collect();
             let mut bytes = self
-                .decoder_cache
+                .scheme
                 .reconstruct(task.pos, &sources, self.element_size)
                 .expect("plan sources span the target");
             append_footer(&self.key, task.target.offset, &mut bytes);
@@ -221,7 +208,7 @@ impl ObjectStore {
         for (r, task) in tasks.iter().enumerate() {
             let mut avail: Vec<usize> = task.sources.iter().map(|(p, _)| *p).collect();
             avail.sort_unstable();
-            let coeffs = self.decoder_cache.coefficients(task.pos, &avail)?;
+            let coeffs = self.scheme.decoder().coefficients(task.pos, &avail)?;
             for (p, loc) in &task.sources {
                 let i = avail.binary_search(p).expect("source position in avail");
                 if coeffs[i] != 0 {

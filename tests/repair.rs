@@ -254,6 +254,66 @@ fn rate_limited_repair_still_completes() {
 }
 
 #[test]
+fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
+    let (store, _faulty) = faulty_store();
+    // 32 stripes: one is rebuilt per manager generation below.
+    let data = blob(32 * 18 * 64, 6);
+    store.put("obj", &data).unwrap();
+    store.flush();
+    let stripes = store.stats().stripes;
+    store.fail_disk(1).unwrap();
+    store.array().disk(1).wipe();
+    let counter = |name: &str| {
+        let snap = store.recorder().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    };
+
+    // At 1 B/s a fresh bucket admits one stripe and then parks the lone
+    // worker on the limiter. Stopping the manager there must leave the
+    // queue as it was: were the next stripe charged an attempt it never
+    // had, the one that keeps coming second would run out of attempts
+    // long before this loop ends, and the disk would be given up on.
+    for generation in 1..stripes {
+        let mgr = RepairManager::spawn(
+            Arc::clone(&store),
+            RepairConfig {
+                workers: 1,
+                rate_limit: Some(1),
+                poll: Duration::from_millis(1),
+                replacer: None,
+            },
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while counter("repair.stripes_done") < generation {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "generation {generation} stuck"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(10)); // the worker parks
+        mgr.shutdown();
+    }
+
+    let mgr = RepairManager::spawn(
+        Arc::clone(&store),
+        RepairConfig {
+            poll: Duration::from_millis(1),
+            ..RepairConfig::default()
+        },
+    );
+    assert!(
+        mgr.wait_idle(Duration::from_secs(60)),
+        "{:?}",
+        mgr.progress()
+    );
+    assert_eq!(counter("repair.abandoned_stripes"), 0);
+    assert!(store.stats().failed_disks.is_empty(), "the disk healed");
+    assert_eq!(counter("repair.stripes_done"), stripes);
+    assert_eq!(store.get("obj").unwrap(), data);
+}
+
+#[test]
 fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
     let (store, _faulty) = faulty_store();
     store.put("obj", &blob(12_000, 5)).unwrap();
