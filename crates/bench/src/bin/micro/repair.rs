@@ -86,7 +86,6 @@ fn trial(label: &str, background: Background, stripes: usize, r: &mut Report) {
                 let cfg = RepairConfig {
                     workers: 2,
                     rate_limit,
-                    poll: Duration::from_millis(1),
                     replacer: None,
                 };
                 let mgr = RepairManager::spawn(Arc::clone(&store), cfg);

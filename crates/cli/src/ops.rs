@@ -579,7 +579,6 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
         RepairConfig {
             workers: opts.workers.unwrap_or(2),
             rate_limit: opts.rate,
-            poll: Duration::from_millis(1),
             replacer: None,
         },
     );
@@ -790,7 +789,6 @@ pub fn scrub(opts: &Options) -> Result<(), CliError> {
             RepairConfig {
                 workers: opts.workers.unwrap_or(2),
                 rate_limit: None,
-                poll: Duration::from_millis(1),
                 replacer: None,
             },
         );

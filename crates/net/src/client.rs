@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Histogram, HistogramSnapshot};
 use ecfrm_sim::{
-    io_pair, CombineOutcome, CombineSpec, DiskBackend, IoCompleter, IoHandle, IoResults,
-    NetCounters, NetStats, WriteRun,
+    io_pair, CombineReply, CombineSpec, DiskBackend, IoCompleter, IoHandle, IoResults, NetCounters,
+    NetStats, WriteRun,
 };
 use ecfrm_util::Mutex;
 
@@ -698,15 +698,14 @@ impl DiskBackend for RemoteDisk {
 
     /// Ship decode coefficients to the shard and receive pre-summed
     /// regions back (the repair-traffic-optimal path).
-    fn combine(&self, spec: &CombineSpec) -> CombineOutcome {
+    fn combine(&self, spec: &CombineSpec) -> Result<CombineReply, String> {
         let req = Request::CombineRange(spec.clone());
         let t0 = Instant::now();
         let res = self.rpc(&req);
         self.request_us.record_duration(t0.elapsed());
-        match res {
-            Ok(Response::Combined(reply)) => CombineOutcome::Combined(reply),
-            Ok(other) => CombineOutcome::Failed(format!("unexpected response: {other:?}")),
-            Err(e) => CombineOutcome::Failed(e.to_string()),
+        match res.map_err(|e| e.to_string())? {
+            Response::Combined(reply) => Ok(reply),
+            other => Err(format!("unexpected response: {other:?}")),
         }
     }
 
@@ -1002,9 +1001,7 @@ mod tests {
             key: (key.k0, key.k1),
             peers: Vec::new(),
         };
-        let CombineOutcome::Combined(reply) = disk.combine(&spec) else {
-            panic!("live new server must combine");
-        };
+        let reply = disk.combine(&spec).expect("a live server combines");
         assert_eq!(reply.local_status, vec![0, 0, 0]);
         let region = verify_footer(&key, 0, &reply.regions[0]).expect("region sealed");
         let mut want = vec![0u8; 16];

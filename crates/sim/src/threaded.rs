@@ -48,9 +48,8 @@ pub struct CombinePeerSpec {
 ///
 /// This is the backend-agnostic description of the `CombineRange` wire
 /// op (see `ecfrm-net`): a local backend has no wire to save and
-/// reports [`CombineOutcome::Unsupported`], while a remote shard client
-/// ships the spec to its server, which does the multiplication beside
-/// the data.
+/// refuses it, while a remote shard client ships the spec to its
+/// server, which does the multiplication beside the data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CombineSpec {
     /// First local element offset.
@@ -98,19 +97,6 @@ pub struct CombineReply {
     /// Per forwarded peer (in spec order): [`combine_status`] verdict.
     /// A non-OK peer contributed *nothing* to the sums.
     pub peer_status: Vec<u8>,
-}
-
-/// Outcome of [`DiskBackend::combine`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CombineOutcome {
-    /// The backend cannot pre-sum (a local disk) — fall back to
-    /// fetching raw elements.
-    Unsupported,
-    /// The backend supports the op but this request failed (transport
-    /// error, refused spec); retry or fall back.
-    Failed(String),
-    /// Partial sums computed.
-    Combined(CombineReply),
 }
 
 /// Consecutive cells of one disk in one buffer — the unit of a write.
@@ -262,12 +248,13 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
     /// Multiply local elements by caller-supplied GF(2^8) coefficients
     /// and return pre-summed regions (optionally merged with peers'
     /// partial sums) instead of raw elements — the repair-traffic
-    /// optimisation behind the `CombineRange` wire op. Local backends
-    /// have no wire to save and report
-    /// [`CombineOutcome::Unsupported`]; only a remote shard client
-    /// overrides this.
-    fn combine(&self, _spec: &CombineSpec) -> CombineOutcome {
-        CombineOutcome::Unsupported
+    /// optimisation behind the `CombineRange` wire op. `Err` says why
+    /// nothing was summed: a transport error or a refused spec, or, for
+    /// a local backend (which has no wire to save, and no
+    /// [`Self::peer_addr`] to be asked by), that it does not pre-sum.
+    /// Only a remote shard client overrides this.
+    fn combine(&self, _spec: &CombineSpec) -> Result<CombineReply, String> {
+        Err("a local disk does not pre-sum".into())
     }
 
     /// The dialable `host:port` other shard servers can reach this

@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bufpool;
 pub mod error;
 pub mod front;
 pub mod meta;

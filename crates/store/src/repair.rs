@@ -12,12 +12,13 @@
 //!   probes each suspect, and either clears it (the disk answered — a
 //!   transient) or promotes it to *lost* and starts reconstruction. Disks
 //!   already marked failed on the store are adopted the same way.
-//! * **Queueing** — every sealed stripe of a lost disk becomes one unit
-//!   of repair work in a [`RepairQueue`]: deduplicated, resumable, with
-//!   two priorities — stripes that degraded foreground reads actually
-//!   touched jump the queue, so hot data regains redundancy first.
+//! * **Queueing** — what a lost disk still owes is one record in the
+//!   store's [`RepairQueue`]: the stripes left to rebuild, each once, with
+//!   the ones degraded foreground reads actually touched taken first, so
+//!   hot data regains redundancy first. The record outlives the manager,
+//!   so a new one resumes where the last stopped.
 //! * **Reconstruction** — a small worker pool drains the queue, one
-//!   `repair_stripe` per key: helpers pre-sum server-side where every
+//!   `repair_stripe` per stripe: helpers pre-sum server-side where every
 //!   one of them is a dialable shard, otherwise one vectored request per
 //!   source disk and the SIMD decode kernels; either way the rebuilt
 //!   elements are written back.
@@ -53,7 +54,8 @@
 //! assert_eq!(store.get("obj").unwrap(), vec![7u8; 30_000]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -65,46 +67,98 @@ use ecfrm_util::{Mutex, TokenBucket};
 
 use crate::store::ObjectStore;
 
-/// One unit of repair work: `(disk, stripe)`.
-pub type RepairKey = (usize, u64);
+/// Tries per stripe before the queue gives up on it (a failed try goes
+/// back among the owed stripes, so transient source outages retry).
+const MAX_TRIES: u32 = 5;
 
-/// Attempts per stripe before the queue gives up on it (each failure
-/// requeues at normal priority, so transient source outages retry).
-const MAX_ATTEMPTS: u32 = 5;
+/// How often the detector looks, and how long an idle worker sleeps
+/// before it looks again.
+const TICK: Duration = Duration::from_millis(2);
 
-/// The deduplicated, two-priority, resumable stripe queue.
+/// Everything one disk still owes, from the first degraded read that
+/// hinted it to the tick that heals it or gives up on it.
+#[derive(Debug, Default)]
+struct DiskRepair {
+    /// Stripes degraded reads touched: staged while the disk is only
+    /// suspected or failed (so a suspicion the foreground withdraws
+    /// never causes repair traffic), taken first once it is promoted.
+    hot: BTreeSet<u64>,
+    /// When the disk was promoted to lost (time-to-full-redundancy
+    /// starts here); `None` while only hints are staged.
+    since: Option<Instant>,
+    /// Stripes `0..sealed_to` are owed; stripes sealed since promotion
+    /// join once the rest is done.
+    sealed_to: u64,
+    /// Owed stripes neither hot nor taken. It is also the dedup: a
+    /// stripe in flight or rebuilt is in neither set.
+    todo: BTreeSet<u64>,
+    /// Where the next `todo` pop starts: a stripe whose try failed goes
+    /// back behind it, so the rest of the pass comes first.
+    next: u64,
+    in_flight: usize,
+    tries: HashMap<u64, u32>,
+    abandoned: u64,
+    /// Out of tries: the disk stays failed and is not promoted again
+    /// until it leaves the failed set (otherwise the detector would
+    /// promote-abandon-promote forever).
+    gave_up: bool,
+}
+
+impl DiskRepair {
+    fn promoted(&self) -> bool {
+        self.since.is_some()
+    }
+
+    /// Stripes queued or in flight.
+    fn owed(&self) -> usize {
+        if self.promoted() {
+            self.hot.len() + self.todo.len() + self.in_flight
+        } else {
+            0
+        }
+    }
+
+    /// Take the next stripe from `hot`, or from `todo` at the cursor.
+    fn take(&mut self, hot: bool) -> Option<u64> {
+        let stripe = if hot {
+            self.hot.pop_first()?
+        } else {
+            let s = *self
+                .todo
+                .range(self.next..)
+                .next()
+                .or_else(|| self.todo.first())?;
+            self.todo.remove(&s);
+            self.next = s + 1;
+            s
+        };
+        self.in_flight += 1;
+        Some(stripe)
+    }
+}
+
+/// What a detector tick settled for a promoted disk that has nothing
+/// queued or in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// Every owed stripe is rebuilt: heal the disk, then
+    /// [`RepairQueue::forget`] it. Carries the promotion instant.
+    Heal(Instant),
+    /// This many stripes ran out of tries; the disk is given up on.
+    GaveUp(u64),
+}
+
+/// One record per disk of what it still owes, under one lock.
 ///
-/// The store owns the queue (so degraded reads can drop priority hints
-/// into it with no manager attached — they are no-ops until a
-/// [`RepairManager`] enables it), and the manager drains it. Completed
-/// stripes are remembered until their disk's repair finishes, which is
+/// The store owns the queue, so degraded reads can hint into it with no
+/// manager attached (no-ops until a [`RepairManager`] enables it), and
+/// the manager drains it. A record lives until its disk heals, which is
 /// what makes pausing/resuming — or replacing the manager mid-repair —
 /// safe: no stripe is rebuilt twice.
 #[derive(Debug, Default)]
 pub struct RepairQueue {
     enabled: AtomicBool,
-    inner: Mutex<QueueState>,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    /// Breadcrumbs from degraded reads: stripes the foreground actually
-    /// touched with a disk down. Not yet repair work — the detector
-    /// drains them to the front of the queue when (and only when) it
-    /// promotes the disk to lost, so a suspicion the foreground
-    /// withdraws on its own never causes repair traffic.
-    hints: HashSet<RepairKey>,
-    /// Stripes degraded foreground reads touched — repaired first.
-    high: VecDeque<RepairKey>,
-    /// Everything else, in stripe order.
-    normal: VecDeque<RepairKey>,
-    /// Keys currently in a deque or being repaired (dedup set).
-    queued: HashSet<RepairKey>,
-    /// Keys repaired during the current generation of their disk.
-    done: HashSet<RepairKey>,
-    /// Keys abandoned after [`MAX_ATTEMPTS`] failures.
-    abandoned: HashSet<RepairKey>,
-    attempts: HashMap<RepairKey, u32>,
+    disks: Mutex<BTreeMap<usize, DiskRepair>>,
 }
 
 impl RepairQueue {
@@ -118,145 +172,157 @@ impl RepairQueue {
         self.enabled.store(true, Ordering::Release);
     }
 
-    /// Record that a degraded read touched `stripe` with `disk` down —
-    /// a priority hint: if the disk turns out to be lost, that stripe
-    /// repairs before cold ones.
-    pub fn hint(&self, disk: usize, stripe: u64) {
+    /// Record that a degraded read touched `stripes` with `disks` down —
+    /// a priority hint: if a disk turns out to be lost, those stripes
+    /// repair before cold ones. One lock for the whole read.
+    pub fn hint(&self, disks: impl IntoIterator<Item = usize>, stripes: Range<u64>) {
         if !self.enabled.load(Ordering::Acquire) {
             return;
         }
-        let key = (disk, stripe);
-        let mut q = self.inner.lock();
-        if q.queued.contains(&key) || q.done.contains(&key) || q.abandoned.contains(&key) {
-            return;
-        }
-        q.hints.insert(key);
-    }
-
-    /// Turn `disk`'s staged hints into front-of-queue repair work
-    /// (called by the detector at promotion and on every tick while the
-    /// disk is under repair, so hints from ongoing degraded reads keep
-    /// jumping the queue).
-    fn drain_hints(&self, disk: usize) {
-        let mut q = self.inner.lock();
-        let keys: Vec<RepairKey> = q
-            .hints
-            .iter()
-            .filter(|(d, _)| *d == disk)
-            .copied()
-            .collect();
-        for key in keys {
-            q.hints.remove(&key);
-            if q.queued.contains(&key) || q.done.contains(&key) || q.abandoned.contains(&key) {
+        let mut records = self.disks.lock();
+        for disk in disks {
+            let r = records.entry(disk).or_default();
+            if r.gave_up {
                 continue;
             }
-            q.queued.insert(key);
-            q.high.push_back(key);
+            for s in stripes.clone() {
+                // Once promoted, only a stripe still owed moves up.
+                if !r.promoted() || r.todo.remove(&s) {
+                    r.hot.insert(s);
+                }
+            }
         }
-    }
-
-    /// Drop staged hints for every disk *not* in `keep` — garbage
-    /// collection for suspicions the foreground withdrew on its own
-    /// (the disk answered again before the detector probed it).
-    fn retain_hint_disks(&self, keep: &BTreeSet<usize>) {
-        self.inner.lock().hints.retain(|(d, _)| keep.contains(d));
     }
 
     /// Staged hints not yet promoted into repair work.
     pub fn hint_count(&self) -> usize {
-        self.inner.lock().hints.len()
+        let records = self.disks.lock();
+        let staged = records.values().filter(|r| !r.promoted());
+        staged.map(|r| r.hot.len()).sum()
     }
 
-    /// Enqueue a stripe at normal priority (no-op if already queued,
-    /// done, or abandoned).
-    fn enqueue(&self, disk: usize, stripe: u64) {
-        let key = (disk, stripe);
-        let mut q = self.inner.lock();
-        if q.queued.contains(&key) || q.done.contains(&key) || q.abandoned.contains(&key) {
+    /// Stripes queued or in flight.
+    pub fn depth(&self) -> usize {
+        self.disks.lock().values().map(DiskRepair::owed).sum()
+    }
+
+    /// Disks under reconstruction.
+    fn active(&self) -> Vec<usize> {
+        let records = self.disks.lock();
+        let active = records.iter().filter(|(_, r)| r.promoted());
+        active.map(|(&d, _)| d).collect()
+    }
+
+    /// Promote `disk` to lost, owing stripes `0..sealed` with its staged
+    /// hints first. False, and nothing changes, when it is already
+    /// promoted or was given up on.
+    fn promote(&self, disk: usize, sealed: u64) -> bool {
+        let mut records = self.disks.lock();
+        let r = records.entry(disk).or_default();
+        if r.promoted() || r.gave_up {
+            return false;
+        }
+        let mut hot = std::mem::take(&mut r.hot);
+        hot.retain(|&s| s < sealed);
+        *r = DiskRepair {
+            todo: (0..sealed).filter(|s| !hot.contains(s)).collect(),
+            hot,
+            since: Some(Instant::now()),
+            sealed_to: sealed,
+            ..DiskRepair::default()
+        };
+        true
+    }
+
+    /// Next stripe to repair: every disk's hot stripes first.
+    fn pop(&self) -> Option<(usize, u64)> {
+        let mut records = self.disks.lock();
+        for hot in [true, false] {
+            for (&d, r) in records.iter_mut().filter(|(_, r)| r.promoted()) {
+                if let Some(s) = r.take(hot) {
+                    return Some((d, s));
+                }
+            }
+        }
+        None
+    }
+
+    /// Report how a try at a popped stripe ended. A failed one is owed
+    /// again until it has had [`MAX_TRIES`], then abandoned (and its
+    /// disk can never finish repairing until it is forgotten).
+    fn finish(&self, disk: usize, stripe: u64, ok: bool) {
+        let mut records = self.disks.lock();
+        let Some(r) = records.get_mut(&disk) else {
+            return;
+        };
+        r.in_flight -= 1;
+        if ok {
+            r.tries.remove(&stripe);
             return;
         }
-        q.queued.insert(key);
-        q.normal.push_back(key);
-    }
-
-    /// Next stripe to repair: priority hints first. The key stays in the
-    /// dedup set while in flight.
-    fn pop(&self) -> Option<RepairKey> {
-        let mut q = self.inner.lock();
-        q.high.pop_front().or_else(|| q.normal.pop_front())
-    }
-
-    /// Mark a stripe rebuilt.
-    fn complete(&self, key: RepairKey) {
-        let mut q = self.inner.lock();
-        q.queued.remove(&key);
-        q.attempts.remove(&key);
-        q.done.insert(key);
-    }
-
-    /// Record a failed attempt; requeues unless the stripe is out of
-    /// attempts, in which case it is abandoned (and its disk can never
-    /// finish repairing until [`Self::reset_disk`]).
-    fn fail_attempt(&self, key: RepairKey) {
-        let mut q = self.inner.lock();
-        let attempts = q.attempts.entry(key).or_insert(0);
-        *attempts += 1;
-        if *attempts >= MAX_ATTEMPTS {
-            q.attempts.remove(&key);
-            q.queued.remove(&key);
-            q.abandoned.insert(key);
+        let tries = r.tries.entry(stripe).or_insert(0);
+        *tries += 1;
+        if *tries < MAX_TRIES {
+            r.todo.insert(stripe);
         } else {
-            q.normal.push_back(key);
+            r.tries.remove(&stripe);
+            r.abandoned += 1;
         }
     }
 
-    /// Outstanding keys for `disk` (queued or in flight).
-    fn pending_for(&self, disk: usize) -> usize {
-        self.inner
-            .lock()
-            .queued
-            .iter()
-            .filter(|(d, _)| *d == disk)
-            .count()
+    /// One detector tick over every record. Staged hints of a disk that
+    /// is neither `failed` nor suspect go (the foreground vouched for it
+    /// again), and so does a gave-up mark once its disk leaves `failed`.
+    /// A promoted disk with nothing queued or in flight is settled: its
+    /// `todo` is extended to the stripes sealed since (`sealed` is the
+    /// store's count now), or, with none, it is given up on if a stripe
+    /// ran out of tries and healed otherwise.
+    fn settle(
+        &self,
+        failed: &BTreeSet<usize>,
+        suspects: &[usize],
+        sealed: u64,
+    ) -> Vec<(usize, Settled)> {
+        let mut records = self.disks.lock();
+        records.retain(|d, r| {
+            r.promoted() || failed.contains(d) || (!r.gave_up && suspects.contains(d))
+        });
+        let mut settled = Vec::new();
+        for (&d, r) in records.iter_mut() {
+            let Some(since) = r.since else { continue };
+            if r.owed() > 0 {
+                continue;
+            }
+            if r.abandoned > 0 {
+                settled.push((d, Settled::GaveUp(r.abandoned)));
+                *r = DiskRepair {
+                    gave_up: true,
+                    ..DiskRepair::default()
+                };
+            } else if sealed > r.sealed_to {
+                r.todo.extend(r.sealed_to..sealed);
+                r.sealed_to = sealed;
+            } else {
+                settled.push((d, Settled::Heal(since)));
+            }
+        }
+        settled
     }
 
-    /// Abandoned keys for `disk`.
-    fn abandoned_for(&self, disk: usize) -> usize {
-        self.inner
-            .lock()
-            .abandoned
-            .iter()
-            .filter(|(d, _)| *d == disk)
-            .count()
+    /// Drop `disk`'s record: it healed, or a suspicion was withdrawn
+    /// before repair started. A later loss starts a clean record.
+    fn forget(&self, disk: usize) {
+        self.disks.lock().remove(&disk);
     }
 
-    /// Stripes completed for `disk` this generation.
-    pub fn done_for(&self, disk: usize) -> usize {
-        self.inner
-            .lock()
-            .done
-            .iter()
-            .filter(|(d, _)| *d == disk)
-            .count()
-    }
-
-    /// Forget everything about `disk` — called when its repair finishes
-    /// (a later failure of the same disk starts a fresh generation) or
-    /// when a suspicion is withdrawn before repair started.
-    fn reset_disk(&self, disk: usize) {
-        let mut q = self.inner.lock();
-        q.hints.retain(|(d, _)| *d != disk);
-        q.high.retain(|(d, _)| *d != disk);
-        q.normal.retain(|(d, _)| *d != disk);
-        q.queued.retain(|(d, _)| *d != disk);
-        q.done.retain(|(d, _)| *d != disk);
-        q.abandoned.retain(|(d, _)| *d != disk);
-        q.attempts.retain(|(d, _), _| *d != disk);
-    }
-
-    /// Keys waiting or in flight.
-    pub fn depth(&self) -> usize {
-        self.inner.lock().queued.len()
+    /// No disk under reconstruction, and every one of `failed` given up
+    /// on.
+    fn idle(&self, failed: &[usize]) -> bool {
+        let records = self.disks.lock();
+        records.values().all(|r| !r.promoted())
+            && failed
+                .iter()
+                .all(|d| records.get(d).is_some_and(|r| r.gave_up))
     }
 }
 
@@ -274,8 +340,6 @@ pub struct RepairConfig {
     /// Token-bucket rate limit on repair traffic, in bytes/second of
     /// source reads + rebuilt writes. `None` repairs at full speed.
     pub rate_limit: Option<u64>,
-    /// Detector poll / idle-worker sleep interval. Default 2 ms.
-    pub poll: Duration,
     /// How to obtain a replacement backend for a disk whose node is
     /// gone (killed or crashed — reads `None`, writes dropped). `None`
     /// repairs in place onto the existing backend, which is right for
@@ -288,7 +352,6 @@ impl Default for RepairConfig {
         Self {
             workers: 2,
             rate_limit: None,
-            poll: Duration::from_millis(2),
             replacer: None,
         }
     }
@@ -299,20 +362,9 @@ impl std::fmt::Debug for RepairConfig {
         f.debug_struct("RepairConfig")
             .field("workers", &self.workers)
             .field("rate_limit", &self.rate_limit)
-            .field("poll", &self.poll)
             .field("replacer", &self.replacer.as_ref().map(|_| "fn"))
             .finish()
     }
-}
-
-/// Live repair state for one lost disk.
-#[derive(Debug, Clone)]
-struct ActiveRepair {
-    /// When the loss was detected (time-to-full-redundancy starts here).
-    since: Instant,
-    /// Stripes `0..enqueued_to` have been enqueued; stripes sealed after
-    /// promotion are picked up at finalization.
-    enqueued_to: u64,
 }
 
 /// Pre-resolved repair instruments (registered on the store's
@@ -369,19 +421,14 @@ struct Shared {
     paused: AtomicBool,
     bucket: Option<TokenBucket>,
     metrics: RepairMetrics,
-    active: Mutex<BTreeMap<usize, ActiveRepair>>,
-    /// Disks whose repair ran out of attempts: left failed, not
-    /// re-promoted until an operator heals or replaces them (otherwise
-    /// the detector would promote-abandon-promote forever).
-    given_up: Mutex<BTreeSet<usize>>,
 }
 
 /// The background repair subsystem: detector + worker pool over an
 /// [`ObjectStore`] (see the [module docs](self) for the pipeline).
 ///
 /// Dropping the manager stops and joins every thread; in-flight stripe
-/// repairs finish, queued ones stay in the store's [`RepairQueue`] and
-/// resume if a new manager attaches.
+/// repairs finish, and what is still owed stays in the store's
+/// [`RepairQueue`] and resumes if a new manager attaches.
 pub struct RepairManager {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -405,8 +452,6 @@ impl RepairManager {
             stop: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             metrics,
-            active: Mutex::new(BTreeMap::new()),
-            given_up: Mutex::new(BTreeSet::new()),
         });
         let mut threads = Vec::with_capacity(shared.cfg.workers + 1);
         {
@@ -444,44 +489,39 @@ impl RepairManager {
     /// Current pipeline state.
     pub fn progress(&self) -> RepairProgress {
         let m = &self.shared.metrics;
+        let queue = self.shared.store.repair_queue();
         RepairProgress {
             stripes_done: m.stripes_done.get(),
             bytes: m.bytes.get(),
-            queue_depth: self.shared.store.repair_queue().depth(),
-            active_disks: self.shared.active.lock().keys().copied().collect(),
+            queue_depth: queue.depth(),
+            active_disks: queue.active(),
             disks_restored: m.disks_restored.get(),
             paused: self.shared.paused.load(Ordering::Acquire),
         }
     }
 
-    /// Block until the pipeline is idle — no active repair, an empty
-    /// queue, no unprobed suspects, and every failed disk either
-    /// restored or given up on — or `timeout` elapses. Returns whether
-    /// the pipeline went idle.
+    /// Block until the pipeline is idle — no unprobed suspects, no disk
+    /// under reconstruction, and every failed disk either restored or
+    /// given up on — or `timeout` elapses. Returns whether the pipeline
+    /// went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let sh = &self.shared;
+        let store = &self.shared.store;
         let deadline = Instant::now() + timeout;
         loop {
             // Read in the order a lost disk moves through the pipeline —
-            // suspect, failed, queued — and `active` last: a disk is
-            // registered there before it stops being suspect and stays
-            // until after it is healed, so one that changes state while
-            // this looks is still seen.
-            let idle = sh.store.array().suspects().is_empty()
-                && {
-                    let failed = sh.store.stats().failed_disks;
-                    let given_up = sh.given_up.lock();
-                    failed.iter().all(|d| given_up.contains(d))
-                }
-                && sh.store.repair_queue().depth() == 0
-                && sh.active.lock().is_empty();
+            // suspect, failed, and its record last: a record is promoted
+            // before the disk stops being suspect and dropped only after
+            // it is healed, so one that changes state while this looks
+            // is still seen.
+            let idle = store.array().suspects().is_empty()
+                && store.repair_queue().idle(&store.stats().failed_disks);
             if idle {
                 return true;
             }
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::sleep(sh.cfg.poll);
+            std::thread::sleep(TICK);
         }
     }
 
@@ -504,57 +544,46 @@ impl Drop for RepairManager {
     }
 }
 
-/// Promote a lost disk: register its repair, re-register a replacement
-/// (when configured), mark it failed so the planner avoids it, and
-/// enqueue every sealed stripe.
+/// Promote a lost disk: promote its record, re-register a replacement
+/// (when configured), and mark it failed so the planner avoids it. A
+/// disk already under repair — a new manager resuming its record — or
+/// given up on is left as it is.
 fn promote(sh: &Shared, disk: usize, stripes: u64) {
-    // Registered before the slot is touched: `replace_disk` clears the
-    // suspect flag, and until `fail_disk` nothing else says the disk is
-    // in trouble ([`RepairManager::wait_idle`] reads `active` last).
-    let repair = ActiveRepair {
-        since: Instant::now(),
-        enqueued_to: stripes,
-    };
-    sh.active.lock().insert(disk, repair);
-    sh.metrics.active_disks.set(sh.active.lock().len() as i64);
+    // The record comes before the slot is touched: `replace_disk` clears
+    // the suspect flag, and until `fail_disk` nothing else says the disk
+    // is in trouble ([`RepairManager::wait_idle`] reads records last).
+    if !sh.store.repair_queue().promote(disk, stripes) {
+        return;
+    }
     if let Some(replacer) = &sh.cfg.replacer {
         let fresh = replacer(disk);
         sh.store.array().replace_disk(disk, fresh);
     }
     let _ = sh.store.fail_disk(disk);
     sh.store.array().clear_suspect(disk);
-    let queue = sh.store.repair_queue();
-    // Hot stripes (hinted by degraded reads) jump the queue; the full
-    // sweep fills in behind them.
-    queue.drain_hints(disk);
-    for s in 0..stripes {
-        queue.enqueue(disk, s);
-    }
 }
 
 fn detector_loop(sh: &Shared) {
     let store = &sh.store;
     let queue = store.repair_queue();
     while !sh.stop.load(Ordering::Acquire) {
-        std::thread::sleep(sh.cfg.poll);
+        std::thread::sleep(TICK);
         if sh.paused.load(Ordering::Acquire) {
             continue;
         }
         let stats = store.stats();
         let failed: BTreeSet<usize> = stats.failed_disks.iter().copied().collect();
 
-        // 1. Probe suspects: answering disks are cleared (and any
-        //    priority hints for them dropped — no double repair);
-        //    silent ones are promoted to lost.
+        // 1. Probe suspects: answering disks are cleared (and their
+        //    staged hints dropped — no double repair); silent ones are
+        //    promoted to lost.
+        let active = queue.active();
         for d in store.array().suspects() {
             if sh.stop.load(Ordering::Acquire) {
                 return;
             }
-            if failed.contains(&d) || sh.active.lock().contains_key(&d) {
-                continue;
-            }
-            if stats.stripes == 0 {
-                continue; // nothing sealed: nothing to probe against or repair
+            if failed.contains(&d) || active.contains(&d) || stats.stripes == 0 {
+                continue; // under repair, or nothing sealed to probe against
             }
             // Every disk stores offset 0 once a stripe is sealed. The
             // probe verifies the cell's checksum footer, so a disk that
@@ -563,83 +592,35 @@ fn detector_loop(sh: &Shared) {
             // this, a lying disk would cycle suspect → cleared forever.
             if store.probe_disk(d) {
                 store.array().clear_suspect(d);
-                queue.reset_disk(d);
+                queue.forget(d);
             } else {
                 promote(sh, d, stats.stripes);
             }
         }
 
         // 2. Adopt disks already marked failed on the store (e.g. via
-        //    `fail_disk` from an operator or a fault drill) — unless a
-        //    previous repair of that disk already ran out of attempts.
-        sh.given_up.lock().retain(|d| failed.contains(d));
+        //    `fail_disk` from an operator or a fault drill).
         for &d in &failed {
-            if !sh.active.lock().contains_key(&d) && !sh.given_up.lock().contains(&d) {
-                promote(sh, d, stats.stripes);
-            }
+            promote(sh, d, stats.stripes);
         }
 
-        // Hints from degraded reads that landed since promotion keep
-        // jumping the queue while their disk is under repair.
-        let active_disks: Vec<usize> = sh.active.lock().keys().copied().collect();
-        for &d in &active_disks {
-            queue.drain_hints(d);
-        }
-        // Garbage-collect hints for disks the foreground vouched for
-        // again before we ever probed them.
-        let keep: BTreeSet<usize> = failed
-            .iter()
-            .copied()
-            .chain(active_disks.iter().copied())
-            .chain(store.array().suspects())
-            .collect();
-        queue.retain_hint_disks(&keep);
-
-        // 3. Finalize finished repairs: enqueue stripes sealed since
-        //    promotion, then heal and record time-to-full-redundancy.
-        let active_now: Vec<(usize, ActiveRepair)> = sh
-            .active
-            .lock()
-            .iter()
-            .map(|(d, a)| (*d, a.clone()))
-            .collect();
-        for (d, info) in active_now {
-            if queue.pending_for(d) > 0 {
-                continue;
-            }
-            if queue.abandoned_for(d) > 0 {
-                // Out of attempts (e.g. too many concurrent failures):
-                // give up on this disk for now; it stays failed and a
-                // fresh generation can retry after `reset_disk`.
-                sh.metrics
-                    .abandoned_stripes
-                    .add(queue.abandoned_for(d) as u64);
-                queue.reset_disk(d);
-                sh.given_up.lock().insert(d);
-                sh.active.lock().remove(&d);
-                sh.metrics.active_disks.set(sh.active.lock().len() as i64);
-                continue;
-            }
-            let sealed_now = store.stats().stripes;
-            if sealed_now > info.enqueued_to {
-                for s in info.enqueued_to..sealed_now {
-                    queue.enqueue(d, s);
+        // 3. Settle every record in one call: heal what is rebuilt and
+        //    record time-to-full-redundancy, count what was given up.
+        let sealed = store.stats().stripes;
+        for (d, settled) in queue.settle(&failed, &store.array().suspects(), sealed) {
+            match settled {
+                Settled::GaveUp(stripes) => sh.metrics.abandoned_stripes.add(stripes),
+                Settled::Heal(since) => {
+                    let _ = store.heal_disk(d);
+                    store.array().clear_suspect(d);
+                    queue.forget(d);
+                    let ms = since.elapsed().as_millis() as i64;
+                    sh.metrics.redundancy_ms.set(ms);
+                    sh.metrics.disks_restored.inc();
                 }
-                if let Some(a) = sh.active.lock().get_mut(&d) {
-                    a.enqueued_to = sealed_now;
-                }
-                continue;
             }
-            let _ = store.heal_disk(d);
-            store.array().clear_suspect(d);
-            queue.reset_disk(d);
-            sh.active.lock().remove(&d);
-            sh.metrics.active_disks.set(sh.active.lock().len() as i64);
-            sh.metrics
-                .redundancy_ms
-                .set(info.since.elapsed().as_millis() as i64);
-            sh.metrics.disks_restored.inc();
         }
+        sh.metrics.active_disks.set(queue.active().len() as i64);
         sh.metrics.queue_depth.set(queue.depth() as i64);
     }
 }
@@ -649,41 +630,38 @@ fn worker_loop(sh: &Shared) {
     let queue = store.repair_queue();
     while !sh.stop.load(Ordering::Acquire) {
         if sh.paused.load(Ordering::Acquire) {
-            std::thread::sleep(sh.cfg.poll);
+            std::thread::sleep(TICK);
             continue;
         }
-        // Wait for the limiter before taking a key: a worker stopped
-        // while it waits holds none, so no stripe is charged an attempt
-        // it never had.
+        // Wait for the limiter before taking a stripe: a worker stopped
+        // while it waits holds none, so no stripe is charged a try it
+        // never had.
         if let Some(bucket) = &sh.bucket {
-            bucket.wait_ready(&sh.stop, sh.cfg.poll);
+            bucket.wait_ready(&sh.stop);
             if sh.stop.load(Ordering::Acquire) {
                 return;
             }
         }
-        let Some(key) = queue.pop() else {
-            std::thread::sleep(sh.cfg.poll);
+        let Some((disk, stripe)) = queue.pop() else {
+            std::thread::sleep(TICK);
             continue;
         };
-        let (disk, stripe) = key;
         let t0 = Instant::now();
-        match store.repair_stripe(disk, stripe) {
-            Ok(r) => {
-                if let Some(bucket) = &sh.bucket {
-                    bucket.spend(r.bytes_read + r.bytes_written);
-                }
-                sh.metrics.stripes_done.inc();
-                sh.metrics.bytes.add(r.bytes_written);
-                sh.metrics.read_bytes.add(r.bytes_read);
-                sh.metrics.repair_us.record_duration(t0.elapsed());
-                // Last: the disk is healed once its last stripe is
-                // complete, and by then the counters must say so.
-                queue.complete(key);
+        let repaired = store.repair_stripe(disk, stripe);
+        if let Ok(r) = &repaired {
+            if let Some(bucket) = &sh.bucket {
+                bucket.spend(r.bytes_read + r.bytes_written);
             }
-            Err(_) => {
-                queue.fail_attempt(key);
-                std::thread::sleep(sh.cfg.poll);
-            }
+            sh.metrics.stripes_done.inc();
+            sh.metrics.bytes.add(r.bytes_written);
+            sh.metrics.read_bytes.add(r.bytes_read);
+            sh.metrics.repair_us.record_duration(t0.elapsed());
+        }
+        // Last: the disk is healed once its last stripe is reported, and
+        // by then the counters must say so.
+        queue.finish(disk, stripe, repaired.is_ok());
+        if repaired.is_err() {
+            std::thread::sleep(TICK);
         }
         sh.metrics.queue_depth.set(queue.depth() as i64);
     }
@@ -693,83 +671,118 @@ fn worker_loop(sh: &Shared) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn queue_dedups_and_prioritises_hints() {
+    /// An enabled queue with `disk` promoted, owing `0..sealed`.
+    fn promoted(disk: usize, sealed: u64) -> Arc<RepairQueue> {
         let q = RepairQueue::new();
         q.enable();
-        q.hint(0, 7); // hot stripe, staged
-        q.hint(0, 7); // duplicate hint is a no-op
-        assert_eq!(q.hint_count(), 1);
-        assert_eq!(q.depth(), 0, "hints are not repair work yet");
-        // Promotion: hints jump ahead of the full sweep.
-        q.drain_hints(0);
-        q.enqueue(0, 5);
-        q.enqueue(0, 6);
-        q.enqueue(0, 7); // already queued high: no-op
-        assert_eq!(q.depth(), 3);
-        assert_eq!(q.pop(), Some((0, 7)));
-        assert_eq!(q.pop(), Some((0, 5)));
-        q.complete((0, 7));
-        q.hint(0, 7); // done this generation: not re-staged
-        assert_eq!(q.hint_count(), 0);
-        assert_eq!(q.pop(), Some((0, 6)));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.done_for(0), 1);
+        assert!(q.promote(disk, sealed));
+        q
     }
 
     #[test]
     fn queue_hints_are_noops_until_enabled() {
         let q = RepairQueue::new();
-        q.hint(1, 3);
+        q.hint([1], 3..4);
         assert_eq!(q.hint_count(), 0);
         q.enable();
-        q.hint(1, 3);
+        q.hint([1], 3..4);
         assert_eq!(q.hint_count(), 1);
+        assert_eq!(q.depth(), 0, "staged hints are not repair work");
+    }
+
+    #[test]
+    fn queue_dedups_and_prioritises_hints() {
+        let q = RepairQueue::new();
+        q.enable();
+        q.hint([0], 7..8); // hot stripe, staged
+        q.hint([0], 7..8); // duplicate hint is a no-op
+        q.hint([0], 12..13); // not sealed at promotion: owed later, not hot
+        assert_eq!(q.hint_count(), 2);
+        // Promotion: the hint jumps ahead of the full sweep.
+        assert!(q.promote(0, 9));
+        assert!(!q.promote(0, 9), "already promoted");
+        assert_eq!(q.hint_count(), 0);
+        assert_eq!(q.depth(), 9);
+        assert_eq!(q.pop(), Some((0, 7)));
+        assert_eq!(q.pop(), Some((0, 0)));
+        // A hint that lands under repair moves an owed stripe up.
+        q.hint([0], 5..6);
+        assert_eq!(q.pop(), Some((0, 5)));
+        assert_eq!(q.pop(), Some((0, 1)));
+        assert_eq!(q.depth(), 9, "four in flight, five owed");
+    }
+
+    #[test]
+    fn queue_never_requeues_a_done_or_in_flight_stripe() {
+        let q = promoted(0, 3);
+        assert_eq!(q.pop(), Some((0, 0)));
+        assert_eq!(q.pop(), Some((0, 1)));
+        q.finish(0, 0, true);
+        // Stripe 0 is done and 1 in flight: neither is hinted or owed
+        // again, whatever degraded reads touch.
+        q.hint([0], 0..2);
+        assert_eq!(q.depth(), 2);
+        q.finish(0, 1, true);
+        assert_eq!(q.pop(), Some((0, 2)));
+        assert_eq!(q.pop(), None);
+        q.finish(0, 2, true);
+        // Sealed since promotion: only the new stripe is added.
+        let failed = BTreeSet::from([0]);
+        assert_eq!(q.settle(&failed, &[], 4), vec![]);
+        assert_eq!(q.pop(), Some((0, 3)));
+        assert_eq!(q.pop(), None);
+        q.finish(0, 3, true);
+        let settled = q.settle(&failed, &[], 4);
+        assert!(matches!(settled[..], [(0, Settled::Heal(_))]));
     }
 
     #[test]
     fn queue_gc_drops_hints_for_recovered_disks() {
         let q = RepairQueue::new();
         q.enable();
-        q.hint(1, 0);
-        q.hint(2, 0);
-        q.retain_hint_disks(&BTreeSet::from([2]));
+        q.hint([1, 2], 0..1);
+        assert_eq!(q.hint_count(), 2);
+        q.settle(&BTreeSet::new(), &[2], 1);
         assert_eq!(q.hint_count(), 1, "disk 1 recovered: its hints drop");
-        q.drain_hints(2);
+        assert!(q.promote(2, 2));
         assert_eq!(q.pop(), Some((2, 0)));
     }
 
     #[test]
     fn queue_reset_disk_clears_generation() {
-        let q = RepairQueue::new();
-        q.enable();
-        q.enqueue(2, 0);
-        q.enqueue(2, 1);
-        q.hint(2, 1);
-        q.enqueue(3, 0);
-        let k = q.pop().unwrap();
-        q.complete(k);
-        q.reset_disk(2);
-        assert_eq!(q.done_for(2), 0);
-        assert_eq!(q.pending_for(2), 0);
+        let q = promoted(2, 2);
+        assert!(q.promote(3, 1));
+        q.hint([2], 1..2);
+        let (d, s) = q.pop().unwrap();
+        q.finish(d, s, true);
+        q.forget(2);
+        assert_eq!(q.active(), vec![3], "other disks untouched");
+        assert_eq!(q.depth(), 1);
         assert_eq!(q.hint_count(), 0);
-        assert_eq!(q.pending_for(3), 1, "other disks untouched");
         // A fresh generation may re-repair the same stripe.
-        q.enqueue(2, 0);
-        assert_eq!(q.pending_for(2), 1);
+        assert!(q.promote(2, 2));
+        assert_eq!(q.pop(), Some((2, 0)));
     }
 
     #[test]
     fn queue_abandons_after_max_attempts() {
-        let q = RepairQueue::new();
-        q.enable();
-        q.enqueue(0, 9);
-        for _ in 0..MAX_ATTEMPTS {
-            let k = q.pop().unwrap();
-            q.fail_attempt(k);
+        let q = promoted(0, 1);
+        for _ in 0..MAX_TRIES {
+            let (d, s) = q.pop().unwrap();
+            q.finish(d, s, false);
         }
         assert_eq!(q.pop(), None);
-        assert_eq!(q.abandoned_for(0), 1);
-        assert_eq!(q.pending_for(0), 0);
+        assert_eq!(q.depth(), 0);
+        let failed = BTreeSet::from([0]);
+        assert_eq!(q.settle(&failed, &[], 1), vec![(0, Settled::GaveUp(1))]);
+        // Given up on while the disk stays failed: idle, not promoted
+        // again, deaf to hints.
+        assert!(q.idle(&[0]));
+        assert!(!q.promote(0, 1));
+        q.hint([0], 0..1);
+        assert_eq!(q.hint_count(), 0);
+        // Out of the failed set, the mark goes.
+        q.settle(&BTreeSet::new(), &[], 1);
+        assert!(q.promote(0, 1));
     }
 }

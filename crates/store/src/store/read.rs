@@ -229,11 +229,8 @@ impl ObjectStore {
         // first. (No-ops until a `RepairManager` attaches.)
         if !suspects.is_empty() {
             let dps = self.scheme.data_per_stripe() as u64;
-            for stripe in first / dps..=(last - 1) / dps {
-                for &d in &suspects {
-                    self.repair_queue.hint(d, stripe);
-                }
-            }
+            let stripes = first / dps..(last - 1) / dps + 1;
+            self.repair_queue.hint(suspects.iter().copied(), stripes);
         }
         let stats = ReadStats {
             requested_elements: count,

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use ecfrm_core::DiskRecovery;
 use ecfrm_integrity::{append_footer, verify_footer, FOOTER_LEN};
 use ecfrm_layout::Loc;
-use ecfrm_sim::{combine_status, CombineOutcome, CombinePeerSpec, CombineSpec};
+use ecfrm_sim::{combine_status, CombinePeerSpec, CombineSpec};
 
 use super::ObjectStore;
 use crate::error::StoreError;
@@ -279,12 +279,9 @@ impl ObjectStore {
                 })
                 .collect(),
         };
-        let reply = match self.array.disk(root.disk).combine(&spec) {
-            CombineOutcome::Combined(reply) => reply,
-            // The root is unreachable or refused the request: nothing to
-            // exclude, use the batched path for this stripe.
-            CombineOutcome::Unsupported | CombineOutcome::Failed(_) => return None,
-        };
+        // The root is unreachable or refused the request: nothing to
+        // exclude, use the batched path for this stripe.
+        let reply = self.array.disk(root.disk).combine(&spec).ok()?;
         if reply.regions.is_empty() {
             // The root vetoed: some used element or peer failed
             // verification. Corrupt parties are excluded and the stripe

@@ -83,7 +83,6 @@ impl ObjectStore {
                         corrupt_groups.push(group);
                     }
                 }
-                crate::bufpool::give(cell);
             }
             self.metrics.verify_us.record_duration(t_v.elapsed());
         }
@@ -111,6 +110,9 @@ impl ObjectStore {
         let n = code.n();
         let mut corrupt_groups = Vec::new();
         let mut missing = 0usize;
+        // One set of scratch parities for the whole pass: `encode`
+        // overwrites every byte of them for each group.
+        let mut parity = vec![vec![0u8; self.element_size]; n - k];
         for stripe in 0..stripes {
             let rows = layout.rows_per_stripe();
             let addrs = self.stripe_addrs(stripe);
@@ -129,11 +131,6 @@ impl ObjectStore {
                     c.truncate(self.element_size);
                 }
                 let data_refs: Vec<&[u8]> = cells[..k].iter().map(|v| v.as_slice()).collect();
-                // Scratch parities cycle through the thread-local pool:
-                // after the first group, re-derivation is allocation-free.
-                let mut parity: Vec<Vec<u8>> = (0..n - k)
-                    .map(|_| crate::bufpool::take(self.element_size))
-                    .collect();
                 code.encode(&data_refs, &mut parity);
                 if parity
                     .iter()
@@ -142,8 +139,6 @@ impl ObjectStore {
                 {
                     corrupt_groups.push((stripe, row));
                 }
-                crate::bufpool::give_all(parity);
-                crate::bufpool::give_all(cells);
             }
         }
         Ok(ScrubReport {

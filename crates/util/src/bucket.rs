@@ -24,7 +24,7 @@
 //!
 //! let bucket = TokenBucket::new(1_000_000); // 1 MB/s
 //! let stop = AtomicBool::new(false);
-//! bucket.wait_ready(&stop, Duration::from_millis(1));
+//! bucket.wait_ready(&stop);
 //! bucket.spend(500_000); // charge actual bytes after the work
 //! // Overdrawn by ~0.5 s of rate: refill pays the debt off over time,
 //! // so long-run throughput converges to exactly `rate`.
@@ -63,25 +63,15 @@ impl TokenBucket {
 
     /// Block until the balance is non-negative (or `stop` is raised).
     ///
-    /// `poll` bounds how coarsely the stop flag is observed while
-    /// parked; the sleep itself is sized from the token deficit.
-    pub fn wait_ready(&self, stop: &AtomicBool, poll: Duration) {
-        loop {
-            if stop.load(Ordering::Acquire) {
+    /// Each sleep is sized from the token deficit and capped at 50 ms,
+    /// which bounds how late a raised `stop` is seen.
+    pub fn wait_ready(&self, stop: &AtomicBool) {
+        while !stop.load(Ordering::Acquire) {
+            let wait = self.ready_in();
+            if wait.is_zero() {
                 return;
             }
-            let wait = {
-                let mut s = self.state.lock();
-                let now = Instant::now();
-                let (ref mut tokens, ref mut last) = *s;
-                *tokens = (*tokens + last.elapsed().as_secs_f64() * self.rate).min(self.burst);
-                *last = now;
-                if *tokens >= 0.0 {
-                    return;
-                }
-                Duration::from_secs_f64((-*tokens / self.rate).min(0.05))
-            };
-            std::thread::sleep(wait.max(poll.min(Duration::from_millis(1))));
+            std::thread::sleep(wait.min(Duration::from_millis(50)));
         }
     }
 
@@ -121,7 +111,7 @@ mod tests {
         // Spend 300 KB in 50 KB chunks: at 1 MB/s this must take at
         // least ~150 ms (the first ~100 KB rides the burst allowance).
         for _ in 0..6 {
-            bucket.wait_ready(&stop, Duration::from_millis(1));
+            bucket.wait_ready(&stop);
             bucket.spend(50_000);
         }
         assert!(t0.elapsed() >= Duration::from_millis(150));
@@ -144,7 +134,7 @@ mod tests {
         bucket.spend(10_000_000); // ~115 days of deficit at 1 B/s
         let stop = AtomicBool::new(true);
         let t0 = Instant::now();
-        bucket.wait_ready(&stop, Duration::from_millis(1));
+        bucket.wait_ready(&stop);
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

@@ -53,7 +53,6 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
     let cfg = RepairConfig {
         workers: 2,
         rate_limit: None,
-        poll: Duration::from_millis(1),
         replacer: Some(Arc::new(|_d| {
             Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
         })),
@@ -161,7 +160,6 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     let mgr = RepairManager::spawn(
         Arc::clone(&store),
         RepairConfig {
-            poll: Duration::from_millis(1),
             replacer: Some(Arc::new(|_d| {
                 Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
             })),
@@ -204,7 +202,6 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
     let mgr = RepairManager::spawn(
         Arc::clone(&store),
         RepairConfig {
-            poll: Duration::from_millis(1),
             ..RepairConfig::default()
         },
     );
@@ -225,6 +222,75 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
 }
 
 #[test]
+fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
+    let (store, faulty) = faulty_store();
+    let data = blob(60_000, 7);
+    store.put("obj", &data).unwrap();
+    store.flush();
+    let stripes = store.stats().stripes;
+    let counter = |name: &str| {
+        let snap = store.recorder().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    };
+
+    // At 1 B/s the lone worker rebuilds one stripe and parks on the
+    // limiter, so the disk stays promoted until the fault is cleared.
+    let throttled = RepairManager::spawn(
+        Arc::clone(&store),
+        RepairConfig {
+            workers: 1,
+            rate_limit: Some(1),
+            replacer: None,
+        },
+    );
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let store = Arc::clone(&store);
+        let stop = Arc::clone(&stop);
+        let want = data.clone();
+        std::thread::spawn(move || {
+            let mut reads = 0usize;
+            while !stop.load(Ordering::Acquire) {
+                let start = (reads * 977) % (want.len() - 512);
+                let got = store.get_range("obj", start as u64, 512).unwrap();
+                assert_eq!(got, &want[start..start + 512], "a lie reached a reader");
+                reads += 1;
+            }
+            reads
+        })
+    };
+
+    // Disk 2 keeps answering, every cell with one bit flipped:
+    // verify-on-read makes it a suspect, and the detector's probe checks
+    // the footer, so it is promoted instead of vouched for.
+    faulty[2].arm(FaultKind::FlipCorrupt, 0);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !store.stats().failed_disks.contains(&2) {
+        assert!(std::time::Instant::now() < deadline, "never promoted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(counter("integrity.verify_fail") > 0);
+    assert_eq!(throttled.progress().active_disks, vec![2]);
+
+    // The disk stops lying; a new manager resumes the record.
+    faulty[2].clear();
+    throttled.shutdown();
+    let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
+    assert!(
+        mgr.wait_idle(Duration::from_secs(60)),
+        "{:?}",
+        mgr.progress()
+    );
+    stop.store(true, Ordering::Release);
+    mgr.shutdown();
+    assert!(reader.join().expect("foreground reader died") > 0);
+    assert!(store.stats().failed_disks.is_empty(), "the disk healed");
+    assert_eq!(counter("repair.stripes_done"), stripes);
+    assert_eq!(counter("repair.disks_restored"), 1);
+    assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
 fn rate_limited_repair_still_completes() {
     let (store, _faulty) = faulty_store();
     let data = blob(40_000, 4);
@@ -239,7 +305,6 @@ fn rate_limited_repair_still_completes() {
         Arc::clone(&store),
         RepairConfig {
             rate_limit: Some(1_000_000),
-            poll: Duration::from_millis(1),
             ..RepairConfig::default()
         },
     );
@@ -279,7 +344,6 @@ fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
             RepairConfig {
                 workers: 1,
                 rate_limit: Some(1),
-                poll: Duration::from_millis(1),
                 replacer: None,
             },
         );
@@ -298,7 +362,6 @@ fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
     let mgr = RepairManager::spawn(
         Arc::clone(&store),
         RepairConfig {
-            poll: Duration::from_millis(1),
             ..RepairConfig::default()
         },
     );
@@ -322,7 +385,6 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
     let mgr = RepairManager::spawn(
         Arc::clone(&store),
         RepairConfig {
-            poll: Duration::from_micros(200),
             replacer: Some(Arc::new(|_d| {
                 Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
             })),
