@@ -16,11 +16,7 @@ pub struct Options {
     pub layout: Option<String>,
     /// `--element-size 65536`.
     pub element_size: Option<usize>,
-    /// `--input file`.
-    pub input: Option<String>,
-    /// `--output file`.
-    pub output: Option<String>,
-    /// `--dir chunkdir`.
+    /// `--dir shard-dir`: file-backed disks (serve).
     pub dir: Option<String>,
     /// `--disk 3`.
     pub disk: Option<usize>,
@@ -57,8 +53,7 @@ pub struct Options {
     pub racks: Option<usize>,
     /// `--front`: serve the multi-tenant object front door (namespace +
     /// QoS admission + read cache) on top of the shard, not just raw
-    /// shard ops. Requires `--code`/`--layout` so the node can build
-    /// its store.
+    /// shard ops. The node builds its store from `--code`/`--layout`.
     pub front: bool,
     /// `--tenant name:class[:rate]` (repeatable): register a tenant on
     /// the front door, e.g. `web:latency` or `scan:bulk:8000000`.
@@ -92,8 +87,6 @@ impl Options {
                             .map_err(|e| format!("bad --element-size: {e}"))?,
                     )
                 }
-                "--input" => o.input = Some(value()?),
-                "--output" => o.output = Some(value()?),
                 "--dir" => o.dir = Some(value()?),
                 "--disk" => {
                     o.disk = Some(value()?.parse().map_err(|e| format!("bad --disk: {e}"))?)
@@ -150,6 +143,18 @@ impl Options {
     pub fn require<'a, T>(v: &'a Option<T>, name: &str) -> Result<&'a T, String> {
         v.as_ref()
             .ok_or_else(|| format!("missing required flag --{name}"))
+    }
+
+    /// The scheme `--code` / `--layout` name (`rs:6,3` / `ecfrm` when
+    /// left out), with `--seed` and `--racks` applied. Every command
+    /// that builds a scheme builds it here.
+    pub fn scheme(&self) -> Result<Scheme, String> {
+        parse_scheme(
+            self.code.as_deref().unwrap_or("rs:6,3"),
+            self.layout.as_deref().unwrap_or("ecfrm"),
+            self.seed,
+            self.racks,
+        )
     }
 
     /// Resolve `--file-io` to a [`FileIoConfig`]: `auto` (probe, the
@@ -326,6 +331,11 @@ mod tests {
             "KROTATED-RS(6,3)"
         );
         assert!(parse_scheme("rs:6,3", "shuffled", 9, None).is_ok());
+        // One set of defaults for every command that builds a scheme.
+        assert_eq!(
+            Options::default().scheme().unwrap().name(),
+            "EC-FRM-RS(6,3)"
+        );
     }
 
     #[test]

@@ -1,15 +1,7 @@
 //! `ecfrm` — command-line front end for the EC-FRM framework.
 //!
 //! ```text
-//! ecfrm encode  --code rs:6,3 --layout ecfrm --element-size 65536 \
-//!               --input data.bin --dir ./chunks
-//! ecfrm decode  --dir ./chunks --output restored.bin
-//! ecfrm repair  --dir ./chunks --disk 3
-//! ecfrm info    --dir ./chunks
 //! ecfrm plan    --code lrc:6,2,2 --layout ecfrm --start 0 --count 8 [--failed 2]
-//! ```
-//!
-//! ```text
 //! ecfrm serve   --listen 127.0.0.1:7000 --dir ./shard0
 //! ecfrm serve   --listen 127.0.0.1:7100 --front --code rs:6,3 --layout ecfrm \
 //!               --tenant web:latency --tenant scan:bulk:8000000 \
@@ -19,13 +11,12 @@
 //! ecfrm drill   --code rs:6,3 --layout ecfrm --disk 3 --rate 20000000
 //! ```
 //!
-//! `encode` splits a file into elements, erasure codes it stripe by
-//! stripe under the chosen scheme, and writes one chunk file per disk
-//! plus a plain-text manifest. `decode` restores the original file even
-//! when up to `fault-tolerance` chunk files are deleted. `repair`
-//! regenerates one missing/corrupt chunk file. `plan` prints the per-disk
-//! access distribution of a read — the paper's Figures 3 and 7 as a
-//! command. `serve` exposes one shard over TCP and `bench --remote`
+//! Every command that builds a scheme takes `--code` / `--layout`
+//! (default `rs:6,3` / `ecfrm`), and every command that builds a store
+//! keeps its data in the store's own format: offset-salted cell footers
+//! and a merkle root per stripe. `plan` prints the per-disk access
+//! distribution of a read — the paper's Figures 3 and 7 as a command.
+//! `serve` exposes one shard over TCP and `bench --remote`
 //! drives the full put→encode→network→decode path against such shards.
 //! `serve --front` additionally hosts the multi-tenant object front
 //! door on the same listener: named objects, per-tenant QoS admission
@@ -42,7 +33,6 @@
 
 mod args;
 mod error;
-mod manifest;
 mod ops;
 
 use error::CliError;
@@ -63,60 +53,54 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err(CliError::Usage(usage()));
     };
-    let opts = args::Options::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "encode" => ops::encode(&opts),
-        "decode" => ops::decode(&opts),
-        "repair" => ops::repair(&opts),
-        "info" => ops::info(&opts),
-        "verify" => ops::verify(&opts),
-        "plan" => ops::plan(&opts),
-        "bench" => ops::bench(&opts),
-        "drill" => ops::drill(&opts),
-        "scrub" => ops::scrub(&opts),
-        "serve" => ops::serve(&opts),
-        "stats" => ops::stats(&opts),
+    // The command is resolved before its flags are parsed, so an
+    // unknown command is reported as one whatever flags follow it.
+    let command: fn(&args::Options) -> Result<(), CliError> = match cmd.as_str() {
+        "plan" => ops::plan,
+        "bench" => ops::bench,
+        "drill" => ops::drill,
+        "scrub" => ops::scrub,
+        "serve" => ops::serve,
+        "stats" => ops::stats,
         "help" | "--help" | "-h" => {
             println!("{}", usage());
-            Ok(())
+            return Ok(());
         }
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n{}",
-            usage()
-        ))),
-    }
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command `{other}`\n{}",
+                usage()
+            )))
+        }
+    };
+    command(&args::Options::parse(&argv[1..])?)
 }
 
 fn usage() -> String {
     "usage: ecfrm <command> [options]\n\
      commands:\n\
-     \x20 encode  --code <rs:K,M|crs:K,M|lrc:K,L,M|xor:K> --layout <standard|rotated|ecfrm|shuffled>\n\
-     \x20         --element-size <bytes> --input <file> --dir <chunk dir>\n\
-     \x20 decode  --dir <chunk dir> --output <file>\n\
-     \x20 repair  --dir <chunk dir> --disk <index>\n\
-     \x20 info    --dir <chunk dir>\n\
-     \x20 verify  --dir <chunk dir>\n\
-     \x20 plan    --code <spec> --layout <name> --start <elem> --count <elems> [--failed <disk>]\n\
-     \x20 bench   --code <spec> --layout <name> [--element-size <bytes>] [--count <trials>]\n\
+     \x20 plan    --start <elem> --count <elems> [--failed <disk>]\n\
+     \x20 bench   [--element-size <bytes>] [--count <trials>]\n\
      \x20         [--stripes small|full|<n>] [--stats] [--json <file>]\n\
      \x20         [--file-io auto|blocking|uring[:depth]]   (local disk read backend)\n\
      \x20         [--remote host:port,host:port,...]   (one address per disk)\n\
-     \x20 drill   [--code <spec>] [--layout <name>] [--disk <victim>] [--stripes small|full|<n>]\n\
+     \x20 drill   [--disk <victim>] [--stripes small|full|<n>]\n\
      \x20         [--workers <n>] [--rate <bytes/s>] [--corrupt] [--stats] [--json <file>]\n\
      \x20         (kill-and-repair fire drill: background repair under foreground load;\n\
      \x20          --corrupt injects silent bit-rot instead of a clean kill)\n\
-     \x20 every scheme command also takes [--racks <n>]: contiguous failure domains;\n\
-     \x20         repair and degraded reads prefer same-rack helpers\n\
-     \x20 scrub   [--code <spec>] [--layout <name>] [--stripes small|full|<n>] [--corrupt]\n\
+     \x20 scrub   [--stripes small|full|<n>] [--corrupt]\n\
      \x20         [--stats] [--json <file>]\n\
      \x20         (merkle vs decode scrub timing; --corrupt plants bit-rot and checks localization)\n\
      \x20 serve   --listen <host:port> [--dir <shard dir>] [--element-size <bytes>]\n\
      \x20         [--file-io auto|blocking|uring[:depth]]\n\
-     \x20         [--front --code <spec> --layout <name>]   (object front door: opcodes 11-15)\n\
+     \x20         [--front]   (object front door: opcodes 11-15)\n\
      \x20         [--tenant name:latency|bulk[:rate_bytes_per_s]]...\n\
      \x20         [--cache-bytes <n>]\n\
      \x20         [--remote host:port,...]   (front store over remote shards, one per disk)\n\
      \x20 stats   --remote host:port[,host:port,...] [--json <file>]\n\
+     plan, bench, drill, scrub and serve --front build their scheme from\n\
+     \x20 [--code <rs:K,M|crs:K,M|lrc:K,L,M|xor:K>] [--layout <name>] (default rs:6,3 / ecfrm)\n\
+     \x20 [--racks <n>]: contiguous failure domains; repair and degraded reads prefer same-rack helpers\n\
      layouts: standard | rotated | krotated | shuffled | ecfrm"
         .to_string()
 }

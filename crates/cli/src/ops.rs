@@ -1,207 +1,50 @@
-//! The CLI operations: encode / decode / repair / info / plan.
+//! The CLI operations: plan / bench / drill / scrub / serve / stats.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use ecfrm_core::{DiskRecovery, ReadCtx, Scheme};
-use ecfrm_layout::Loc;
+use ecfrm_store::ObjectStore;
+use ecfrm_util::Rng;
 
-use crate::args::{parse_scheme, Options};
+use crate::args::Options;
 use crate::error::CliError;
-use crate::manifest::{chunk_name, Manifest};
 
-/// Split a padded stripe block into element refs.
-fn element_refs(block: &[u8], element_size: usize) -> Vec<&[u8]> {
-    block.chunks_exact(element_size).collect()
-}
-
-/// Read the chunk files that exist: `None` for missing disks.
-fn read_chunks(dir: &Path, n: usize) -> Vec<Option<Vec<u8>>> {
-    (0..n)
-        .map(|d| std::fs::read(dir.join(chunk_name(d))).ok())
-        .collect()
-}
-
-/// Element bytes of `loc` within a per-disk chunk buffer.
-fn element_of(chunks: &[Option<Vec<u8>>], loc: Loc, element_size: usize) -> Option<&[u8]> {
-    let chunk = chunks[loc.disk].as_ref()?;
-    let start = loc.offset as usize * element_size;
-    chunk.get(start..start + element_size)
-}
-
-/// `ecfrm encode`: erasure code a file into per-disk chunk files.
-pub fn encode(opts: &Options) -> Result<(), CliError> {
-    let code = Options::require(&opts.code, "code")?;
-    let layout = Options::require(&opts.layout, "layout")?;
-    let element_size = *Options::require(&opts.element_size, "element-size")?;
-    let input = Options::require(&opts.input, "input")?;
-    let dir = Path::new(Options::require(&opts.dir, "dir")?);
-    if element_size == 0 {
-        return Err(CliError::Usage("--element-size must be positive".into()));
-    }
-
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
-    let data = std::fs::read(input).map_err(|e| CliError::io(format!("reading {input}"), e))?;
-    let data_len = data.len() as u64;
-    let dps = scheme.data_per_stripe();
-    let stripe_bytes = dps * element_size;
-    let mut padded = data;
-    let pad = (stripe_bytes - padded.len() % stripe_bytes) % stripe_bytes;
-    let pad = if padded.is_empty() { stripe_bytes } else { pad };
-    padded.resize(padded.len() + pad, 0);
-    let stripes = (padded.len() / stripe_bytes) as u64;
-
-    let ops = scheme.layout().offsets_per_stripe();
-    let n = scheme.n_disks();
-    let mut disks: Vec<Vec<u8>> = vec![vec![0u8; (stripes * ops) as usize * element_size]; n];
-    for s in 0..stripes {
-        let block = &padded[s as usize * stripe_bytes..(s as usize + 1) * stripe_bytes];
-        let refs = element_refs(block, element_size);
-        let img = scheme.encode_stripe(s, &refs);
-        for (loc, bytes) in img.iter() {
-            let at = loc.offset as usize * element_size;
-            disks[loc.disk][at..at + element_size].copy_from_slice(bytes);
-        }
-    }
-
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CliError::io(format!("creating {}", dir.display()), e))?;
-    for (d, buf) in disks.iter().enumerate() {
-        std::fs::write(dir.join(chunk_name(d)), buf)
-            .map_err(|e| CliError::io(format!("writing chunk {d}"), e))?;
-    }
-    Manifest {
-        code: code.clone(),
-        layout: layout.clone(),
-        seed: opts.seed,
-        element_size,
-        data_len,
-        stripes,
-    }
-    .save(dir)?;
-    println!(
-        "encoded {data_len} bytes as {} over {n} chunks ({stripes} stripes, {element_size} B elements)",
-        scheme.name()
-    );
-    Ok(())
-}
-
-/// Build the scheme recorded in a manifest.
-fn scheme_of(m: &Manifest) -> Result<Scheme, CliError> {
-    Ok(parse_scheme(&m.code, &m.layout, m.seed, None)?)
-}
-
-/// `ecfrm decode`: restore the original file, reconstructing around any
-/// missing chunk files.
-pub fn decode(opts: &Options) -> Result<(), CliError> {
-    let dir = Path::new(Options::require(&opts.dir, "dir")?);
-    let output = Options::require(&opts.output, "output")?;
-    let m = Manifest::load(dir)?;
-    let scheme = scheme_of(&m)?;
-    let chunks = read_chunks(dir, scheme.n_disks());
-    let missing: Vec<usize> = (0..scheme.n_disks())
-        .filter(|&d| chunks[d].is_none())
+/// Put `--stripes` stripes of the `i % 251` byte pattern into `store`
+/// as `object` and flush them to the disks. Returns the payload and how
+/// long `put` + `flush` took.
+fn ingest(
+    opts: &Options,
+    store: &ObjectStore,
+    object: &str,
+) -> Result<(Vec<u8>, Duration), CliError> {
+    let elements = opts.stripe_count()? * store.scheme().data_per_stripe();
+    let payload: Vec<u8> = (0..elements * store.element_size())
+        .map(|i| (i % 251) as u8)
         .collect();
-    if !missing.is_empty() {
-        eprintln!("note: reconstructing around missing chunks {missing:?}");
-    }
-
-    let dps = scheme.data_per_stripe();
-    let es = m.element_size;
-    let mut out = Vec::with_capacity((m.stripes as usize) * dps * es);
-    for s in 0..m.stripes {
-        // Every data element whose chunk survives fills its slot; the
-        // holes decode from whatever else of their rows is on disk.
-        let base = s * dps as u64;
-        let mut slots: Vec<Vec<u8>> = (base..base + dps as u64)
-            .map(|idx| {
-                let loc = scheme.layout().data_location(idx);
-                element_of(&chunks, loc, es).map_or_else(Vec::new, <[u8]>::to_vec)
-            })
-            .collect();
-        let cell = |loc| element_of(&chunks, loc, es);
-        scheme
-            .fill_holes(base, &mut slots, cell, es, ReadCtx::new())
-            .map_err(|e| CliError::Store(ecfrm_store::StoreError::Code(e)))?;
-        slots.iter().for_each(|e| out.extend_from_slice(e));
-    }
-    out.truncate(m.data_len as usize);
-    std::fs::write(output, &out).map_err(|e| CliError::io(format!("writing {output}"), e))?;
-    println!("decoded {} bytes to {output}", m.data_len);
-    Ok(())
+    let t0 = Instant::now();
+    store.put(object, &payload)?;
+    store.flush();
+    Ok((payload, t0.elapsed()))
 }
 
-/// `ecfrm repair`: regenerate one chunk file from the survivors.
-pub fn repair(opts: &Options) -> Result<(), CliError> {
-    let dir = Path::new(Options::require(&opts.dir, "dir")?);
-    let disk = *Options::require(&opts.disk, "disk")?;
-    let m = Manifest::load(dir)?;
-    let scheme = scheme_of(&m)?;
-    if disk >= scheme.n_disks() {
-        return Err(CliError::Store(ecfrm_store::StoreError::NoSuchDisk(disk)));
-    }
-    let chunks = read_chunks(dir, scheme.n_disks());
-    let recovery = DiskRecovery::plan(&scheme, disk, m.stripes);
-    let lost = |what: String| CliError::Store(ecfrm_store::StoreError::DataLoss(what));
-
-    let es = m.element_size;
-    let ops = scheme.layout().offsets_per_stripe();
-    let mut buf = vec![0u8; (m.stripes * ops) as usize * es];
-    for task in &recovery.tasks {
-        let sources = task
-            .sources
-            .iter()
-            .map(|&(p, loc)| {
-                element_of(&chunks, loc, es)
-                    .map(|b| (p, b))
-                    .ok_or_else(|| lost(format!("repair source chunk {} missing too", loc.disk)))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let bytes = scheme.reconstruct(task.pos, &sources, es).ok_or_else(|| {
-            lost(format!(
-                "cannot rebuild element at offset {}",
-                task.target.offset
-            ))
-        })?;
-        let at = task.target.offset as usize * es;
-        buf[at..at + es].copy_from_slice(&bytes);
-    }
-    std::fs::write(dir.join(chunk_name(disk)), &buf)
-        .map_err(|e| CliError::io(format!("writing chunk {disk}"), e))?;
-    println!(
-        "rebuilt chunk {disk} ({} elements) from {} source reads",
-        recovery.total_rebuilt(),
-        recovery.total_reads()
-    );
-    Ok(())
+/// A random element-aligned read of 1..=`max` elements inside the `len`
+/// ingested bytes, as `(start, len)` in bytes. A store of fewer than
+/// `max` elements caps the read at all of it.
+fn random_read(rng: &mut Rng, max: u64, len: u64, element_size: u64) -> (u64, u64) {
+    let elements = len / element_size;
+    let size = rng.random_range(1..=max.min(elements));
+    let start = rng.random_range(0..=elements - size);
+    (start * element_size, size * element_size)
 }
 
-/// `ecfrm info`: describe a chunk directory.
-pub fn info(opts: &Options) -> Result<(), CliError> {
-    let dir = Path::new(Options::require(&opts.dir, "dir")?);
-    let m = Manifest::load(dir)?;
-    let scheme = scheme_of(&m)?;
-    let chunks = read_chunks(dir, scheme.n_disks());
-    let present = chunks.iter().filter(|c| c.is_some()).count();
-    println!("scheme          {}", scheme.name());
-    println!(
-        "disks           {} ({present} chunk files present)",
-        scheme.n_disks()
-    );
-    println!("element size    {} B", m.element_size);
-    println!("stripes         {}", m.stripes);
-    println!("rows per stripe {}", scheme.layout().rows_per_stripe());
-    println!("data bytes      {}", m.data_len);
-    println!(
-        "fault tolerance any {} disks",
-        scheme.code().fault_tolerance()
-    );
-    let missing: Vec<usize> = (0..scheme.n_disks())
-        .filter(|&d| chunks[d].is_none())
-        .collect();
-    if !missing.is_empty() {
-        println!("missing chunks  {missing:?}");
+/// A directory removed with everything in it when dropped, so a command
+/// cleans up after itself on every return, error or not.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-    Ok(())
 }
 
 /// `ecfrm serve`: expose a shard (one disk's elements) over TCP so
@@ -242,7 +85,7 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     .map_err(|e| CliError::io(format!("bind {listen}"), e))?;
     println!("serving shard on {} ({storage})", server.addr());
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }
 
@@ -332,12 +175,10 @@ fn build_front(
     element_size: usize,
 ) -> Result<std::sync::Arc<ecfrm_store::FrontDoor>, CliError> {
     use ecfrm_sim::ThreadedArray;
-    use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore, TenantSpec};
+    use ecfrm_store::{FrontConfig, FrontDoor, TenantSpec};
     use std::sync::Arc;
 
-    let code = Options::require(&opts.code, "code")?;
-    let layout = Options::require(&opts.layout, "layout")?;
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
+    let scheme = opts.scheme()?;
     let dir = opts.dir.as_deref().map(Path::new);
     let disks = open_disks(
         opts,
@@ -370,21 +211,23 @@ fn build_front(
 /// reporting actual wall-clock speeds for normal and degraded reads.
 pub fn bench(opts: &Options) -> Result<(), CliError> {
     use ecfrm_sim::ThreadedArray;
-    use ecfrm_util::Rng;
-    use std::time::Instant;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    let code = Options::require(&opts.code, "code")?;
-    let layout = Options::require(&opts.layout, "layout")?;
     let element_size = opts.element_size.unwrap_or(64 * 1024);
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
+    let scheme = opts.scheme()?;
     let trials = opts.count.unwrap_or(200);
-    let stripes = opts.stripe_count()?;
 
-    let dir = std::env::temp_dir().join(format!("ecfrm-bench-{}", std::process::id()));
+    // One directory per call: tests run benches side by side in one
+    // process. Declared before the disks, so it outlives their files.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = RemoveOnDrop(
+        std::env::temp_dir().join(format!("ecfrm-bench-{}-{call}", std::process::id())),
+    );
     let disks = open_disks(
         opts,
         &opts.remote,
-        Some(&dir),
+        Some(&dir.0),
         scheme.n_disks(),
         element_size,
         |d| format!("bench-d{d}.bin"),
@@ -399,28 +242,18 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         disk.health()
             .map_err(|e| CliError::Usage(format!("shard {} unhealthy: {e}", disk.addr())))?;
     }
-    let store = ecfrm_store::ObjectStore::with_array(
+    let store = ObjectStore::with_array(
         scheme.clone(),
         element_size,
         ThreadedArray::from_backends(disks.backends),
     );
-
-    // Ingest `stripes` stripes worth of data.
-    let dps = scheme.data_per_stripe();
-    let total_elements = stripes * dps;
-    let payload: Vec<u8> = (0..total_elements * element_size)
-        .map(|i| (i % 251) as u8)
-        .collect();
-    let t0 = Instant::now();
-    store.put("bench", &payload)?;
-    store.flush();
-    let ingest = t0.elapsed();
+    let (payload, took) = ingest(opts, &store, "bench")?;
     println!(
         "{}: ingested {:.1} MB in {:.2}s ({:.1} MB/s encode+write)",
         scheme.name(),
         payload.len() as f64 / 1e6,
-        ingest.as_secs_f64(),
-        payload.len() as f64 / 1e6 / ingest.as_secs_f64()
+        took.as_secs_f64(),
+        payload.len() as f64 / 1e6 / took.as_secs_f64()
     );
 
     // Replay random reads (sizes 1..=20 elements).
@@ -432,11 +265,8 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         let mut bytes = 0usize;
         let t0 = Instant::now();
         for _ in 0..trials {
-            let size = rng.random_range(1..=20usize);
-            let start = rng.random_range(0..(total_elements - size) as u64) * element_size as u64;
-            let len = (size * element_size) as u64;
-            let got = store.get_range("bench", start, len)?;
-            bytes += got.len();
+            let (start, len) = random_read(&mut rng, 20, payload.len() as u64, element_size as u64);
+            bytes += store.get_range("bench", start, len)?.len();
         }
         let dt = t0.elapsed();
         println!(
@@ -473,7 +303,6 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
             println!("  {}: {}", disk.addr(), lat.summary("us"));
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
@@ -511,16 +340,12 @@ fn write_json(path: &str, json: String) -> Result<(), CliError> {
 /// against repair throughput and time-to-full-redundancy.
 pub fn drill(opts: &Options) -> Result<(), CliError> {
     use ecfrm_sim::{DiskBackend, FaultKind, FaultyDisk, MemDisk, ThreadedArray};
-    use ecfrm_store::{ObjectStore, RepairConfig, RepairManager};
+    use ecfrm_store::{RepairConfig, RepairManager};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
-    let code = opts.code.as_deref().unwrap_or("rs:6,3");
-    let layout = opts.layout.as_deref().unwrap_or("ecfrm");
     let element_size = opts.element_size.unwrap_or(16 * 1024);
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
-    let stripes = opts.stripe_count()?;
+    let scheme = opts.scheme()?;
     let victim = opts.disk.unwrap_or(0);
     if victim >= scheme.n_disks() {
         return Err(CliError::Usage(format!(
@@ -545,12 +370,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
                 .collect(),
         ),
     ));
-    let total_elements = stripes * scheme.data_per_stripe();
-    let payload: Vec<u8> = (0..total_elements * element_size)
-        .map(|i| (i % 251) as u8)
-        .collect();
-    store.put("drill", &payload)?;
-    store.flush();
+    let (payload, _) = ingest(opts, &store, "drill")?;
     println!(
         "{}: ingested {:.1} MB over {} disks ({} stripes)",
         scheme.name(),
@@ -591,7 +411,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
         let expected = payload.clone();
-        let mut rng = ecfrm_util::Rng::seed_from_u64(opts.seed);
+        let mut rng = Rng::seed_from_u64(opts.seed);
         let len = payload.len() as u64;
         let es = element_size as u64;
         std::thread::spawn(
@@ -599,8 +419,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
                 let lat_us = ecfrm_obs::Histogram::new();
                 let mut wrong = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    let size = rng.random_range(1..=8u64) * es;
-                    let start = rng.random_range(0..len - size);
+                    let (start, size) = random_read(&mut rng, 8, len, es);
                     let t = Instant::now();
                     let bytes = store.get_range("drill", start, size)?;
                     lat_us.record_duration(t.elapsed());
@@ -723,27 +542,17 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
 /// through the repair pipeline and finishes with a clean re-scrub.
 pub fn scrub(opts: &Options) -> Result<(), CliError> {
     use ecfrm_sim::ThreadedArray;
-    use ecfrm_store::{ObjectStore, RepairConfig, RepairManager};
+    use ecfrm_store::{RepairConfig, RepairManager};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
-    let code = opts.code.as_deref().unwrap_or("rs:6,3");
-    let layout = opts.layout.as_deref().unwrap_or("ecfrm");
     let element_size = opts.element_size.unwrap_or(16 * 1024);
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
-    let stripes = opts.stripe_count()?;
-
+    let scheme = opts.scheme()?;
     let store = Arc::new(ObjectStore::with_array(
         scheme.clone(),
         element_size,
         ThreadedArray::new(scheme.n_disks()),
     ));
-    let total_elements = stripes * scheme.data_per_stripe();
-    let payload: Vec<u8> = (0..total_elements * element_size)
-        .map(|i| (i % 251) as u8)
-        .collect();
-    store.put("scrub", &payload)?;
-    store.flush();
+    let (payload, _) = ingest(opts, &store, "scrub")?;
     let sealed = store.stats().stripes;
     let cells_per_stripe = store
         .manifest(0)
@@ -872,72 +681,12 @@ pub fn stats(opts: &Options) -> Result<(), CliError> {
     }
 }
 
-/// `ecfrm verify`: scrub a chunk directory — recompute every group's
-/// parities from the stored data and report mismatches and missing
-/// chunks. Exit is an `Err` when corruption is found, so scripts can
-/// gate on it.
-pub fn verify(opts: &Options) -> Result<(), CliError> {
-    let dir = Path::new(Options::require(&opts.dir, "dir")?);
-    let m = Manifest::load(dir)?;
-    let scheme = scheme_of(&m)?;
-    let chunks = read_chunks(dir, scheme.n_disks());
-    let missing: Vec<usize> = (0..scheme.n_disks())
-        .filter(|&d| chunks[d].is_none())
-        .collect();
-    let k = scheme.code().k();
-    let n = scheme.code().n();
-    let mut corrupt: Vec<(u64, usize)> = Vec::new();
-    let mut skipped = 0u64;
-    for s in 0..m.stripes {
-        for row in 0..scheme.layout().rows_per_stripe() {
-            let locs = scheme.layout().row_locations(s, row);
-            let cells: Vec<Option<&[u8]>> = locs
-                .iter()
-                .map(|&loc| element_of(&chunks, loc, m.element_size))
-                .collect();
-            if cells.iter().any(|c| c.is_none()) {
-                skipped += 1;
-                continue;
-            }
-            let data: Vec<&[u8]> = cells[..k].iter().map(|c| c.unwrap()).collect();
-            let mut parity = vec![vec![0u8; m.element_size]; n - k];
-            scheme.code().encode(&data, &mut parity);
-            let stored: Vec<&[u8]> = cells[k..].iter().map(|c| c.unwrap()).collect();
-            if parity
-                .iter()
-                .zip(&stored)
-                .any(|(want, got)| want.as_slice() != *got)
-            {
-                corrupt.push((s, row));
-            }
-        }
-    }
-    if !missing.is_empty() {
-        println!("missing chunks: {missing:?} ({skipped} groups skipped)");
-    }
-    if corrupt.is_empty() {
-        println!(
-            "verify OK: {} stripes, {} groups checked",
-            m.stripes,
-            m.stripes * scheme.layout().rows_per_stripe() as u64 - skipped
-        );
-        Ok(())
-    } else {
-        Err(CliError::Store(ecfrm_store::StoreError::DataLoss(format!(
-            "corruption detected in {} group(s): {corrupt:?}",
-            corrupt.len()
-        ))))
-    }
-}
-
 /// `ecfrm plan`: print the per-disk load distribution of a read — the
 /// paper's Figure 3 / Figure 7 views.
 pub fn plan(opts: &Options) -> Result<(), CliError> {
-    let code = Options::require(&opts.code, "code")?;
-    let layout = Options::require(&opts.layout, "layout")?;
     let start = *Options::require(&opts.start, "start")?;
     let count = *Options::require(&opts.count, "count")?;
-    let scheme = parse_scheme(code, layout, opts.seed, opts.racks)?;
+    let scheme = opts.scheme()?;
     let plan = if opts.failed.is_empty() {
         scheme.normal_read_plan(start, count)
     } else {
@@ -985,99 +734,6 @@ mod tests {
         dir
     }
 
-    fn opts_encode(dir: &Path, input: &Path) -> Options {
-        Options {
-            code: Some("lrc:6,2,2".into()),
-            layout: Some("ecfrm".into()),
-            element_size: Some(512),
-            input: Some(input.to_string_lossy().into_owned()),
-            dir: Some(dir.to_string_lossy().into_owned()),
-            seed: 7,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_with_missing_chunks() {
-        let dir = tmpdir("roundtrip");
-        let input = dir.join("input.bin");
-        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
-        std::fs::write(&input, &data).unwrap();
-
-        encode(&opts_encode(&dir, &input)).unwrap();
-        assert!(dir.join("manifest.txt").exists());
-        assert!(dir.join(chunk_name(9)).exists());
-
-        // Delete three chunks — (6,2,2) LRC tolerates any 3.
-        for d in [0usize, 4, 8] {
-            std::fs::remove_file(dir.join(chunk_name(d))).unwrap();
-        }
-        let out = dir.join("restored.bin");
-        let dopts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            output: Some(out.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        decode(&dopts).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap(), data);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn repair_regenerates_identical_chunk() {
-        let dir = tmpdir("repair");
-        let input = dir.join("input.bin");
-        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
-        std::fs::write(&input, &data).unwrap();
-        encode(&opts_encode(&dir, &input)).unwrap();
-
-        let original = std::fs::read(dir.join(chunk_name(3))).unwrap();
-        std::fs::remove_file(dir.join(chunk_name(3))).unwrap();
-        let ropts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            disk: Some(3),
-            ..Default::default()
-        };
-        repair(&ropts).unwrap();
-        assert_eq!(std::fs::read(dir.join(chunk_name(3))).unwrap(), original);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn decode_fails_cleanly_beyond_tolerance() {
-        let dir = tmpdir("beyond");
-        let input = dir.join("input.bin");
-        std::fs::write(&input, vec![9u8; 10_000]).unwrap();
-        encode(&opts_encode(&dir, &input)).unwrap();
-        for d in [0usize, 1, 2, 6] {
-            std::fs::remove_file(dir.join(chunk_name(d))).unwrap();
-        }
-        let dopts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            output: Some(dir.join("x.bin").to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        assert!(decode(&dopts).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_input_still_roundtrips() {
-        let dir = tmpdir("empty");
-        let input = dir.join("input.bin");
-        std::fs::write(&input, b"").unwrap();
-        encode(&opts_encode(&dir, &input)).unwrap();
-        let out = dir.join("restored.bin");
-        let dopts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            output: Some(out.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        decode(&dopts).unwrap();
-        assert_eq!(std::fs::read(&out).unwrap().len(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn bench_subcommand_runs_end_to_end() {
         let opts = Options {
@@ -1089,6 +745,35 @@ mod tests {
             ..Default::default()
         };
         bench(&opts).unwrap();
+    }
+
+    /// RS(4,2) under EC-FRM holds 12 data elements a stripe: fewer than
+    /// the 20 a bench read may ask for.
+    #[test]
+    fn bench_reads_no_more_than_one_stripe_holds() {
+        let opts = Options {
+            code: Some("rs:4,2".into()),
+            element_size: Some(512),
+            count: Some(50),
+            stripes: Some("1".into()),
+            seed: 5,
+            ..Default::default()
+        };
+        bench(&opts).unwrap();
+    }
+
+    /// RS(2,1) under EC-FRM holds 6 data elements a stripe: fewer than
+    /// the 8 a drill read may ask for.
+    #[test]
+    fn drill_reads_no_more_than_one_stripe_holds() {
+        let opts = Options {
+            code: Some("rs:2,1".into()),
+            element_size: Some(512),
+            stripes: Some("1".into()),
+            seed: 5,
+            ..Default::default()
+        };
+        drill(&opts).unwrap();
     }
 
     #[test]
@@ -1163,39 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_detects_corruption_and_passes_clean() {
-        let dir = tmpdir("verify");
-        let input = dir.join("input.bin");
-        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 253) as u8).collect();
-        std::fs::write(&input, &data).unwrap();
-        encode(&opts_encode(&dir, &input)).unwrap();
-        let vopts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        verify(&vopts).unwrap();
-
-        // Flip one byte in one chunk.
-        let chunk = dir.join(chunk_name(4));
-        let mut bytes = std::fs::read(&chunk).unwrap();
-        bytes[100] ^= 0x55;
-        std::fs::write(&chunk, &bytes).unwrap();
-        let err = verify(&vopts).unwrap_err();
-        assert!(err.to_string().contains("corruption"), "{err}");
-
-        // Repairing the corrupt chunk from survivors restores it.
-        std::fs::remove_file(&chunk).unwrap();
-        let ropts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            disk: Some(4),
-            ..Default::default()
-        };
-        repair(&ropts).unwrap();
-        verify(&vopts).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn plan_runs_for_normal_and_degraded() {
         let p = Options {
             code: Some("lrc:6,2,2".into()),
@@ -1208,21 +860,6 @@ mod tests {
         let mut pd = p;
         pd.failed = vec![2];
         plan(&pd).unwrap();
-    }
-
-    #[test]
-    fn info_reports_missing() {
-        let dir = tmpdir("info");
-        let input = dir.join("input.bin");
-        std::fs::write(&input, vec![1u8; 5000]).unwrap();
-        encode(&opts_encode(&dir, &input)).unwrap();
-        std::fs::remove_file(dir.join(chunk_name(2))).unwrap();
-        let iopts = Options {
-            dir: Some(dir.to_string_lossy().into_owned()),
-            ..Default::default()
-        };
-        info(&iopts).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

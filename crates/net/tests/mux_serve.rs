@@ -277,20 +277,26 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
 
 #[test]
 fn o_direct_reads_are_handed_off_and_answered() {
-    let (server, disk, path) = file_shard("direct", 64, true);
+    let (server, _, path) = file_shard("direct", 64, true);
     let mut c = dial(&server);
     for id in 0..32u64 {
         send_mux(&mut c, id, read(&[(id, 1)]));
     }
+    let mut seen = [false; 32];
     for _ in 0..32 {
         let (id, resp) = recv_mux(&mut c);
+        assert!(
+            !std::mem::replace(&mut seen[id as usize], true),
+            "id {id} twice"
+        );
         assert_eq!(resp, cells(&[Some(id)]), "id {id}");
     }
-    if disk.io_backend() == "uring-direct" {
-        // The ring completes on the poller thread; the connection thread
-        // found nothing ready and a worker wrote every answer.
-        assert_eq!(counter(&server, "serve.mux_inline"), 0);
-    }
+    // Who answered each read is not pinned here: a `uring-direct`
+    // completion can land between the submit and the connection
+    // thread's look, and that read is then rightly answered inline. The
+    // gated-disk tests in this file pin the hand-off itself.
+    assert_eq!(counter(&server, "serve.mux"), 32);
+    assert_eq!(counter(&server, "serve.read"), 32);
     drop(server);
     let _ = std::fs::remove_file(path);
 }
