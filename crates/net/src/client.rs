@@ -1,38 +1,33 @@
-//! [`RemoteDisk`]: a [`DiskBackend`] that speaks the wire protocol.
+//! [`RemoteDisk`]: a [`DiskBackend`] that speaks the wire protocol, and
+//! the one client connection every client in this crate rides.
 //!
 //! Drop-in client for a [`ShardServer`](crate::server::ShardServer):
-//! `ThreadedArray` and `ObjectStore` run unmodified over it. It keeps
-//! two kinds of connection to its shard:
+//! `ThreadedArray` and `ObjectStore` run unmodified over it. Every op it
+//! sends rides one connection to its shard, dialled on first use, with
+//! many id-tagged requests in flight answered in completion order; so do
+//! [`FrontClient`](crate::FrontClient)'s object ops and a combine root's
+//! peer fetches — one connection per (client, peer). Until its first
+//! async submission (`Read`, `PutMany`, a peer fetch) a connection has
+//! no thread of its own: a blocking call reads its own reply, completing
+//! any other id it reads on the way. That submission starts the demux
+//! thread, so [`DiskBackend::submit_read_many`] never blocks on the
+//! shard.
 //!
-//! * **The data path** — every `Read` and `PutMany` — is one
-//!   multiplexed connection, dialled on first use: many in-flight
-//!   requests, id-tagged with [`Request::Mux`] framing, and a demux
-//!   thread that matches responses to completion callbacks. So
-//!   [`DiskBackend::submit_read_many`] never blocks on the shard and the
-//!   store's reactor can keep thousands of stripe reads in flight. Its
-//!   one retry rule: a frame that never fully left this host is re-sent
-//!   once on a fresh dial (`net.retries`). Anything else — a refused
-//!   dial, a timeout, a connection lost with the request in flight, an
-//!   error reply — completes the submission as *absent* and counts one
-//!   `net.failed_requests`; the store treats the shard as a suspect disk
-//!   and replans the read through parity, so the network failure domain
-//!   degrades into the erasure-code failure domain instead of erroring.
-//! * **The ops that go one at a time** — `Stats`, `Health`,
-//!   `InjectFault`, `CombineRange` — take a pooled sequential
-//!   connection (`pool.rs`, shared with
-//!   [`FrontClient`](crate::FrontClient)) and report transport failures
-//!   as errors. `CombineRange` stays off the mux connection on purpose:
-//!   a repair window's combines would compete with foreground reads for
-//!   that connection's demux workers on the shard.
-//!
-//! Every event increments the shared [`NetCounters`], surfaced through
-//! [`DiskBackend::net_stats`]; the array above sums them into the
-//! store registry's `net.*` counters whenever it is snapshotted.
+//! One retry rule for every op: a frame that never fully left this host
+//! is re-sent once on a fresh dial (`net.retries`). Anything else — a
+//! refused dial, a connection lost with the request in flight, an error
+//! reply — fails the request (`net.failed_requests`): a read's cells
+//! complete absent, so the store replans it through parity, and every
+//! other op returns the error. One timeout rule: a request past its
+//! deadline completes `Timeout` (`net.timeouts`); its connection stays
+//! up and its late reply is dropped. The array sums every client's
+//! [`NetCounters`] into the store's `net.*` counters.
 
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,10 +38,9 @@ use ecfrm_sim::{
 };
 use ecfrm_util::Mutex;
 
-use crate::pool::Pool;
 use crate::protocol::{
-    read_response_polling, version_mismatch, write_mux_request, write_put_many, write_request,
-    CheckedElement, Fault, NetError, Polled, Request, Response, MAX_PAYLOAD, MAX_RANGE,
+    read_response_polling, version_mismatch, write_put_many, write_request, CheckedElement, Fault,
+    NetError, Polled, Request, Response, SendFrame, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// What a client needs to know about its connections. Build one with
@@ -57,8 +51,6 @@ pub struct RemoteDiskConfig {
     pub connect_timeout: Duration,
     /// Per-request response deadline.
     pub request_timeout: Duration,
-    /// Idle sequential connections kept for reuse.
-    pub pool_size: usize,
     /// The store's integrity key `(k0, k1)`. When set, every read
     /// carries it: the shard verifies each cell's checksum footer at
     /// the source and a corrupt cell comes back as a one-byte verdict
@@ -71,7 +63,6 @@ impl Default for RemoteDiskConfig {
         Self {
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(1),
-            pool_size: 2,
             integrity_key: None,
         }
     }
@@ -87,9 +78,8 @@ impl RemoteDiskConfig {
     ///
     /// let cfg = RemoteDiskConfig::builder()
     ///     .request_timeout(Duration::from_millis(500))
-    ///     .pool_size(4)
     ///     .build();
-    /// assert_eq!(cfg.pool_size, 4);
+    /// assert_eq!(cfg.request_timeout, Duration::from_millis(500));
     /// ```
     pub fn builder() -> RemoteDiskConfigBuilder {
         RemoteDiskConfigBuilder {
@@ -120,10 +110,12 @@ impl RemoteDiskConfigBuilder {
         self
     }
 
-    /// Idle sequential connections kept for reuse.
+    /// Does nothing: every peer gets one connection, so there is no
+    /// pool to size. Kept so callers written against the pooled
+    /// transport still build.
+    #[deprecated(note = "one connection per peer: there is no pool to size")]
     #[must_use]
-    pub fn pool_size(mut self, n: usize) -> Self {
-        self.cfg.pool_size = n;
+    pub fn pool_size(self, _n: usize) -> Self {
         self
     }
 
@@ -152,26 +144,26 @@ impl RemoteDiskConfigBuilder {
     }
 }
 
-/// How often the demux reader wakes when idle to check liveness, and
-/// how often — idle or not — it sweeps request deadlines.
+/// How often a connection's reader wakes when idle to check liveness,
+/// and how often — idle or not — it sweeps request deadlines.
 const MUX_POLL: Duration = Duration::from_millis(10);
 
-/// Completion callback for one multiplexed request — guaranteed to run
-/// exactly once: with the response, a timeout, or a transport error.
-type MuxCallback = Box<dyn FnOnce(Result<Response, NetError>) + Send>;
+/// What a request comes to: its reply, or why there is none. An error
+/// reply is [`NetError::Remote`].
+type Reply = Result<Response, NetError>;
 
-/// Writes one request frame, tagged with the id it is given, onto the
-/// mux connection — possibly twice (see [`RemoteDisk::submit`]).
-type MuxSend<'a> = dyn Fn(&mut TcpStream, u64) -> Result<(), NetError> + 'a;
+/// Completion callback for one request — guaranteed to run exactly
+/// once: with the reply, a timeout, or a transport error.
+pub(crate) type Callback = Box<dyn FnOnce(Reply) + Send>;
 
-struct MuxPending {
+struct Pending {
     deadline: Instant,
-    done: MuxCallback,
+    done: Callback,
 }
 
-/// State shared between submitters and the demux reader thread.
+/// State shared between submitters and whoever reads the connection.
 struct MuxShared {
-    pending: Mutex<HashMap<u64, MuxPending>>,
+    pending: Mutex<HashMap<u64, Pending>>,
     /// Set on any unclean event (EOF, garbage frame, failed write) and
     /// on intentional shutdown; the reader polls it as its stop flag.
     dead: AtomicBool,
@@ -182,7 +174,7 @@ impl MuxShared {
     /// Complete every outstanding request with a transport error
     /// saying `why` (callbacks run outside the lock).
     fn fail_all(&self, why: &str) {
-        let drained: Vec<MuxPending> = self.pending.lock().drain().map(|(_, p)| p).collect();
+        let drained: Vec<Pending> = self.pending.lock().drain().map(|(_, p)| p).collect();
         for p in drained {
             (p.done)(Err(NetError::Protocol(why.to_string())));
         }
@@ -193,7 +185,7 @@ impl MuxShared {
     /// swept id is dropped on arrival.
     fn sweep(&self) {
         let now = Instant::now();
-        let expired: Vec<MuxPending> = {
+        let expired: Vec<Pending> = {
             let mut pending = self.pending.lock();
             let ids: Vec<u64> = pending
                 .iter()
@@ -223,36 +215,90 @@ impl MuxShared {
 /// Said of a request that was in flight when its connection died.
 const CONN_LOST: &str = "mux connection lost";
 
-/// One multiplexed connection to a shard: submitters write id-tagged
-/// frames under the writer lock; a demux thread reads responses and
-/// fires the matching callbacks as they land, whatever the order.
+fn lost() -> Reply {
+    Err(NetError::Protocol(CONN_LOST.into()))
+}
+
+/// A connection's read half, and when its deadlines were last swept.
+struct Reader {
+    stream: BufReader<TcpStream>,
+    swept: Instant,
+}
+
+impl Reader {
+    /// Read one reply — or wait out one idle tick — and complete the
+    /// request it answers; sweep deadlines once per [`MUX_POLL`], idle
+    /// or busy. `false` once the connection is dead, every outstanding
+    /// request failed.
+    fn pump(&mut self, shared: &MuxShared) -> bool {
+        let why = match read_response_polling(&mut self.stream, &shared.dead) {
+            Polled::Frame(id, resp) => {
+                let entry = shared.pending.lock().remove(&id);
+                // else: a late reply for a swept id — drop it.
+                if let Some(p) = entry {
+                    (p.done)(match resp {
+                        Response::Error(msg) => Err(NetError::Remote(msg)),
+                        ok => Ok(ok),
+                    });
+                }
+                // A busy connection never idles: it sweeps between replies.
+                if self.swept.elapsed() < MUX_POLL {
+                    return true;
+                }
+                None
+            }
+            Polled::Idle => None,
+            // EOF, garbage, or the stop flag raised by a failed write or
+            // an intentional shutdown.
+            Polled::Closed => Some(CONN_LOST.to_string()),
+            Polled::WrongVersion(peer) => Some(version_mismatch(peer)),
+        };
+        if let Some(why) = why {
+            shared.discard();
+            shared.fail_all(&why);
+            return false;
+        }
+        shared.sweep();
+        self.swept = Instant::now();
+        true
+    }
+}
+
+/// One connection to a peer: submitters write id-tagged frames under
+/// the writer lock, and whoever reads completes the replies as they
+/// land, whatever the order.
 struct MuxConn {
     writer: Mutex<TcpStream>,
     shared: Arc<MuxShared>,
     next_id: AtomicU64,
+    /// The read half, read by blocking callers under this lock until the
+    /// demux thread takes it (`None`).
+    reader: Mutex<Option<Reader>>,
 }
 
 impl MuxConn {
-    /// Dial a fresh connection and start its demux reader. Nothing is
-    /// exchanged first: the version byte of the first frame is the
-    /// handshake.
-    fn dial(pool: &Pool, counters: &Arc<NetCounters>) -> Result<Self, NetError> {
-        let stream = pool.dial()?;
-        // The reader needs a short timeout so it can poll the stop flag
-        // and sweep deadlines while idle.
+    /// Dial a fresh connection. Nothing is exchanged first: the version
+    /// byte of the first frame is the handshake.
+    fn dial(link: &Link) -> Result<Self, NetError> {
+        let stream = TcpStream::connect_timeout(&link.addr, link.cfg.connect_timeout)?;
+        // The reader polls, so it notices the stop flag and sweeps
+        // deadlines while idle.
         stream.set_read_timeout(Some(MUX_POLL))?;
-        let reader = stream.try_clone()?;
-        let shared = Arc::new(MuxShared {
-            pending: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-            counters: Arc::clone(counters),
-        });
-        let reader_shared = Arc::clone(&shared);
-        std::thread::spawn(move || demux_loop(BufReader::new(reader), &reader_shared));
+        stream.set_write_timeout(Some(link.cfg.request_timeout))?;
+        stream.set_nodelay(true).ok();
+        let reader = Reader {
+            stream: BufReader::new(stream.try_clone()?),
+            swept: Instant::now(),
+        };
         Ok(Self {
             writer: Mutex::new(stream),
-            shared,
+            shared: Arc::new(MuxShared {
+                pending: Mutex::new(HashMap::new()),
+                dead: AtomicBool::new(false),
+                counters: Arc::clone(&link.counters),
+            }),
             next_id: AtomicU64::new(1),
+            reader: Mutex::new(Some(reader)),
         })
     }
 
@@ -260,24 +306,37 @@ impl MuxConn {
         self.shared.dead.load(Ordering::Acquire)
     }
 
+    /// Hand the read half to a demux thread, unless one has it already.
+    fn start_demux(&self) {
+        if let Some(mut reader) = self.reader.lock().take() {
+            let shared = Arc::clone(&self.shared);
+            std::thread::spawn(move || while reader.pump(&shared) {});
+        }
+    }
+
     /// Send one id-tagged frame: `send` writes it, given the writer and
-    /// the id to tag it with. `Ok` means `done` runs exactly once — with
+    /// the id to tag it with; an async submission (`demux`) starts the
+    /// demux thread first. `Ok` means `done` runs exactly once — with
     /// the response, with `Timeout` after the deadline, or with a
     /// transport error if the connection dies first. `Err` hands `done`
     /// back unrun: the frame did not (wholly) leave this host.
     fn submit(
         &self,
-        send: &MuxSend<'_>,
+        send: SendFrame<'_>,
         timeout: Duration,
-        done: MuxCallback,
-    ) -> Result<(), MuxCallback> {
+        done: Callback,
+        demux: bool,
+    ) -> Result<(), Callback> {
         if self.is_dead() {
             return Err(done);
+        }
+        if demux {
+            self.start_demux();
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.shared.pending.lock().insert(
             id,
-            MuxPending {
+            Pending {
                 deadline: Instant::now() + timeout,
                 done,
             },
@@ -295,10 +354,28 @@ impl MuxConn {
                 if !wrote {
                     return Err(p.done);
                 }
-                (p.done)(Err(NetError::Protocol(CONN_LOST.into())));
+                (p.done)(lost());
             }
         }
         Ok(())
+    }
+
+    /// Wait for the reply `rx` carries: read the socket, completing
+    /// whatever reply comes, this caller's or another's — or, once the
+    /// demux thread reads, wait to be completed.
+    fn wait(&self, rx: &Receiver<Reply>) -> Reply {
+        loop {
+            let mut reader = self.reader.lock();
+            if let Ok(reply) = rx.try_recv() {
+                return reply;
+            }
+            match reader.as_mut() {
+                // A dead connection failed every request, this one too.
+                Some(reader) => reader.pump(&self.shared),
+                None => break,
+            };
+        }
+        rx.recv().unwrap_or_else(|_| lost())
     }
 }
 
@@ -310,39 +387,94 @@ impl Drop for MuxConn {
     }
 }
 
-/// The demux reader: matches id-tagged responses to pending callbacks,
-/// sweeps deadlines once per [`MUX_POLL`] — idle or busy — and on
-/// connection death fails every outstanding request.
-fn demux_loop(mut reader: BufReader<TcpStream>, shared: &Arc<MuxShared>) {
-    let mut swept = Instant::now();
-    let why = loop {
-        match read_response_polling(&mut reader, &shared.dead) {
-            Polled::Frame(Response::Mux { id, inner }) => {
-                let entry = shared.pending.lock().remove(&id);
-                if let Some(p) = entry {
-                    (p.done)(match *inner {
-                        Response::Error(msg) => Err(NetError::Remote(msg)),
-                        ok => Ok(ok),
-                    });
-                }
-                // else: a late response for a swept id — drop it.
-                // A busy connection never idles: it sweeps between replies.
-                if swept.elapsed() < MUX_POLL {
-                    continue;
-                }
-            }
-            Polled::Idle => {}
-            // A plain response on a mux connection is framing confusion:
-            // the stream is as unusable as after EOF or garbage. (Or the
-            // stop flag was raised by an intentional shutdown.)
-            Polled::Frame(_) | Polled::Closed => break CONN_LOST.to_string(),
-            Polled::WrongVersion(peer) => break version_mismatch(peer),
+/// One client's connection to one peer, and how to dial another when it
+/// dies. [`RemoteDisk`], [`FrontClient`](crate::FrontClient) and a
+/// combine root's peer fetches each hold one per peer.
+pub(crate) struct Link {
+    pub(crate) addr: SocketAddr,
+    cfg: RemoteDiskConfig,
+    pub(crate) counters: Arc<NetCounters>,
+    /// The connection, once dialled; a dead one stays here until a dial
+    /// replaces it. Also the re-dial critical section.
+    conn: Mutex<Option<Arc<MuxConn>>>,
+}
+
+impl Link {
+    /// A link to `addr`. Nothing is dialled until the first request.
+    pub(crate) fn new(addr: SocketAddr, cfg: RemoteDiskConfig) -> Self {
+        Self {
+            addr,
+            cfg,
+            counters: Arc::new(NetCounters::new()),
+            conn: Mutex::new(None),
         }
-        shared.sweep();
-        swept = Instant::now();
-    };
-    shared.discard();
-    shared.fail_all(&why);
+    }
+
+    /// The live connection, dialling if there is none or the last one
+    /// died.
+    fn conn(&self) -> Result<Arc<MuxConn>, NetError> {
+        let mut slot = self.conn.lock();
+        if let Some(conn) = slot.as_ref().filter(|conn| !conn.is_dead()) {
+            return Ok(Arc::clone(conn));
+        }
+        let conn = Arc::new(MuxConn::dial(self)?);
+        if slot.replace(Arc::clone(&conn)).is_some() {
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(conn)
+    }
+
+    /// Send one frame; `done` runs exactly once. The one retry rule
+    /// lives here: a frame that never fully left this host is re-sent
+    /// once, on a fresh dial. Nothing sleeps. `Some` is the connection
+    /// the frame is in flight on.
+    fn send(&self, send: SendFrame<'_>, mut done: Callback, demux: bool) -> Option<Arc<MuxConn>> {
+        for attempt in 0..2 {
+            if attempt == 1 {
+                self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let conn = match self.conn() {
+                Ok(conn) => conn,
+                Err(e) => {
+                    done(Err(e));
+                    return None;
+                }
+            };
+            match conn.submit(send, self.cfg.request_timeout, done, demux) {
+                Ok(()) => return Some(conn),
+                Err(unsent) => done = unsent,
+            }
+        }
+        done(lost());
+        None
+    }
+
+    /// An async submission: `done` runs exactly once, on the
+    /// connection's demux thread — with the reply, with `Timeout` after
+    /// the deadline, or with the transport error.
+    pub(crate) fn submit(&self, send: SendFrame<'_>, done: Callback) {
+        self.send(send, done, true);
+    }
+
+    /// A blocking call: the reply, or why there is none. Any error
+    /// counts one failed request.
+    pub(crate) fn call(&self, send: SendFrame<'_>) -> Reply {
+        let (tx, rx) = sync_channel(1);
+        let done: Callback = Box::new(move |reply| {
+            let _ = tx.send(reply);
+        });
+        // No connection: `done` has run already.
+        let reply = match self.send(send, done, false) {
+            Some(conn) => conn.wait(&rx),
+            None => rx.recv().unwrap_or_else(|_| lost()),
+        };
+        if reply.is_err() {
+            self.counters
+                .failed_requests
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        reply
+    }
 }
 
 /// The cells of one read, filled in by the frames it went out as; when
@@ -362,16 +494,11 @@ impl Drop for Gather {
 
 /// A remote shard, presented as a local [`DiskBackend`].
 pub struct RemoteDisk {
-    cfg: RemoteDiskConfig,
-    /// Sequential connections, and how to dial (see [`crate::pool`]).
-    pool: Pool,
-    counters: Arc<NetCounters>,
+    /// The one connection to the shard, and how to dial it.
+    link: Link,
     /// End-to-end latency of data-path requests (read / write /
     /// combine), in microseconds.
     request_us: Histogram,
-    /// The multiplexed connection, once dialled; a dead one stays here
-    /// until a dial replaces it. Also the re-dial critical section.
-    mux: Mutex<Option<Arc<MuxConn>>>,
     /// Cells the server reported as failing footer verification
     /// (`CheckedElement::Corrupt`). Surfaced via
     /// [`RemoteDisk::remote_verify_fails`].
@@ -389,23 +516,20 @@ impl RemoteDisk {
     /// first request.
     pub fn new(addr: SocketAddr, cfg: RemoteDiskConfig) -> Self {
         Self {
-            pool: Pool::new(addr, &cfg),
-            cfg,
-            counters: Arc::new(NetCounters::new()),
+            link: Link::new(addr, cfg),
             request_us: Histogram::new(),
-            mux: Mutex::new(None),
             remote_verify_fails: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// The shard address this client dials.
     pub fn addr(&self) -> SocketAddr {
-        self.pool.addr()
+        self.link.addr
     }
 
     /// Live handle to the transport counters.
     pub fn counters(&self) -> Arc<NetCounters> {
-        Arc::clone(&self.counters)
+        Arc::clone(&self.link.counters)
     }
 
     /// Snapshot of the end-to-end data-path request latency histogram
@@ -456,59 +580,9 @@ impl RemoteDisk {
         }
     }
 
-    /// One sequential round trip on a pooled connection, for the ops
-    /// that go one at a time. All of them may be sent twice, so a stale
-    /// pooled connection costs a re-dial, not an error.
-    fn rpc(&self, req: &Request) -> Result<Response, NetError> {
-        let res = match self.pool.request(&|w| write_request(w, req), true) {
-            Ok(Response::Error(msg)) => Err(NetError::Remote(msg)),
-            other => other,
-        };
-        if let Err(e) = &res {
-            if matches!(e, NetError::Timeout) {
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            self.counters
-                .failed_requests
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        res
-    }
-
-    /// The live mux connection, dialling if there is none or the last
-    /// one died.
-    fn mux_conn(&self) -> Result<Arc<MuxConn>, NetError> {
-        let mut slot = self.mux.lock();
-        if let Some(conn) = slot.as_ref().filter(|conn| !conn.is_dead()) {
-            return Ok(Arc::clone(conn));
-        }
-        let conn = Arc::new(MuxConn::dial(&self.pool, &self.counters)?);
-        if slot.replace(Arc::clone(&conn)).is_some() {
-            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(conn)
-    }
-
-    /// Send one id-tagged frame on the mux connection. `done` runs
-    /// exactly once: with the response, with `Timeout` after
-    /// `request_timeout`, or with the transport error. The data path's
-    /// one retry rule lives here: a frame that never fully left this
-    /// host is re-sent once, on a fresh dial. Nothing sleeps.
-    fn submit(&self, send: &MuxSend<'_>, mut done: MuxCallback) {
-        for attempt in 0..2 {
-            if attempt == 1 {
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            let conn = match self.mux_conn() {
-                Ok(conn) => conn,
-                Err(e) => return done(Err(e)),
-            };
-            match conn.submit(send, self.cfg.request_timeout, done) {
-                Ok(()) => return,
-                Err(unsent) => done = unsent,
-            }
-        }
-        done(Err(NetError::Protocol(CONN_LOST.into())));
+    /// One blocking call on the shard's connection.
+    fn rpc(&self, req: &Request) -> Reply {
+        self.link.call(&|w, id| write_request(w, id, req))
     }
 }
 
@@ -586,11 +660,11 @@ fn pack_frames<'a>(runs: &[WriteRun<'a>], max_bytes: usize) -> Vec<Vec<WriteRun<
 
 impl DiskBackend for RemoteDisk {
     /// Submit a batch read: one `Read` frame (more only past
-    /// [`MAX_RANGE`] cells) on the mux connection, carrying the
-    /// integrity key when one is configured. The handle completes when
-    /// the demux thread delivers the response or its deadline passes; a
-    /// frame that fails for any reason leaves its cells absent, counts
-    /// one failed request, and the store replans degraded.
+    /// [`MAX_RANGE`] cells), carrying the integrity key when one is
+    /// configured. The handle completes when the demux thread delivers
+    /// the response or its deadline passes; a frame that fails for any
+    /// reason leaves its cells absent, counts one failed request, and
+    /// the store replans degraded.
     fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
         let (handle, completer) = io_pair(offsets.len());
         let gather = Arc::new(Gather {
@@ -602,14 +676,14 @@ impl DiskBackend for RemoteDisk {
             let n: usize = runs.iter().map(|&(_, count)| count as usize).sum();
             let req = Request::Read {
                 runs,
-                key: self.cfg.integrity_key,
+                key: self.link.cfg.integrity_key,
             };
             let gather = Arc::clone(&gather);
-            let counters = Arc::clone(&self.counters);
+            let counters = Arc::clone(&self.link.counters);
             let request_us = self.request_us.clone();
             let verify_fails = Arc::clone(&self.remote_verify_fails);
             let t0 = Instant::now();
-            let done: MuxCallback = Box::new(move |res| {
+            let done: Callback = Box::new(move |res| {
                 request_us.record_duration(t0.elapsed());
                 match res {
                     Ok(Response::Cells(items)) if items.len() == n => {
@@ -629,7 +703,7 @@ impl DiskBackend for RemoteDisk {
                     }
                 }
             });
-            self.submit(&|w, id| write_mux_request(w, id, &req), done);
+            self.link.submit(&|w, id| write_request(w, id, &req), done);
             at += n;
         }
         handle
@@ -643,14 +717,13 @@ impl DiskBackend for RemoteDisk {
     }
 
     /// Submit a batch write: one `PutMany` frame (more only past the
-    /// payload cap, or for mixed cell sizes) on the mux connection, sent
-    /// from the caller's buffers. The handle completes when the demux
-    /// thread has every acknowledgement, so a caller writing to many
-    /// shards sends all its frames before it waits for any. (Re-sending
-    /// a frame that did not wholly leave is safe: puts are idempotent by
-    /// offset.) `DiskBackend` writes are infallible by contract: a frame
-    /// that is never acknowledged is one failed request in the
-    /// counters, and its cells read back as absent.
+    /// payload cap, or for mixed cell sizes), sent from the caller's
+    /// buffers. The handle completes when the demux thread has every
+    /// acknowledgement, so a caller writing to many shards sends all its
+    /// frames before it waits for any. `DiskBackend` writes are
+    /// infallible by contract: a frame that is never acknowledged is one
+    /// failed request in the counters, and its cells read back as
+    /// absent.
     fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
         let (handle, completer) = io_pair(0);
         // Dropped — which completes the handle — by whichever frame's
@@ -658,18 +731,19 @@ impl DiskBackend for RemoteDisk {
         let completer = Arc::new(completer);
         for frame in pack_frames(runs, MAX_PAYLOAD as usize - 32) {
             let cell_len = frame[0].cell_len as u32;
-            let counters = Arc::clone(&self.counters);
+            let counters = Arc::clone(&self.link.counters);
             let request_us = self.request_us.clone();
             let completer = Arc::clone(&completer);
             let t0 = Instant::now();
-            let done: MuxCallback = Box::new(move |res| {
+            let done: Callback = Box::new(move |res| {
                 request_us.record_duration(t0.elapsed());
                 if !matches!(res, Ok(Response::Put)) {
                     counters.failed_requests.fetch_add(1, Ordering::Relaxed);
                 }
                 drop(completer);
             });
-            self.submit(&|w, id| write_put_many(w, id, cell_len, &frame), done);
+            self.link
+                .submit(&|w, id| write_put_many(w, id, cell_len, &frame), done);
         }
         handle
     }
@@ -693,7 +767,7 @@ impl DiskBackend for RemoteDisk {
     }
 
     fn net_stats(&self) -> Option<NetStats> {
-        Some(self.counters.snapshot())
+        Some(self.link.counters.snapshot())
     }
 
     /// Ship decode coefficients to the shard and receive pre-summed
@@ -737,7 +811,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_each_of_the_four_fields() {
+    #[allow(deprecated)]
+    fn builder_sets_each_of_the_three_fields() {
         assert_eq!(
             RemoteDiskConfig::builder().build(),
             RemoteDiskConfig::default()
@@ -745,16 +820,19 @@ mod tests {
         let cfg = RemoteDiskConfig::builder()
             .connect_timeout(Duration::from_millis(10))
             .request_timeout(Duration::from_millis(20))
-            .pool_size(9)
             .integrity_key(3, 4)
             .build();
         let want = RemoteDiskConfig {
             connect_timeout: Duration::from_millis(10),
             request_timeout: Duration::from_millis(20),
-            pool_size: 9,
             integrity_key: Some((3, 4)),
         };
         assert_eq!(cfg, want);
+        // A pool size is accepted, and changes nothing.
+        assert_eq!(
+            RemoteDiskConfig::builder().pool_size(9).build(),
+            RemoteDiskConfig::default()
+        );
     }
 
     #[test]
@@ -767,6 +845,36 @@ mod tests {
         assert_eq!(disk.read(7), Some(vec![1, 2, 3]));
         assert_eq!(disk.read(8), None);
         assert_eq!(disk.len(), 1);
+        assert_eq!(disk.net_stats().unwrap(), NetStats::default());
+    }
+
+    /// Every op a `RemoteDisk` sends rides the one connection it dialled
+    /// first — two at the pooled transport: reads and writes on one,
+    /// everything else on another.
+    #[test]
+    fn every_op_of_a_remote_disk_rides_one_connection() {
+        let server = server();
+        let disk = RemoteDisk::new(server.addr(), fast());
+        let key = HashKey::DEFAULT.derive(0x4F4E_4521, 0);
+        for off in 0..3u64 {
+            let mut cell = vec![off as u8; 16];
+            append_footer(&key, off, &mut cell);
+            disk.write(off, cell);
+        }
+        assert_eq!(disk.read_many(&[0, 1, 2]).len(), 3);
+        assert_eq!(disk.health().unwrap(), 3);
+        disk.fail();
+        disk.heal();
+        let spec = CombineSpec {
+            offset: 0,
+            count: 3,
+            outputs: 1,
+            coeffs: vec![1, 2, 3],
+            key: (key.k0, key.k1),
+            peers: Vec::new(),
+        };
+        assert_eq!(disk.combine(&spec).unwrap().local_status, [0, 0, 0]);
+        assert_eq!(served(&disk, "serve.conns"), 1);
         assert_eq!(disk.net_stats().unwrap(), NetStats::default());
     }
 
@@ -978,7 +1086,9 @@ mod tests {
         for (o, h) in handles.into_iter().enumerate() {
             assert_eq!(h.wait(), vec![Some(vec![o as u8; 8])], "offset {o}");
         }
-        assert_eq!(served(&disk, "serve.mux"), 128, "every write and read");
+        assert_eq!(served(&disk, "serve.put_many"), 64);
+        assert_eq!(served(&disk, "serve.read"), 64);
+        assert_eq!(served(&disk, "serve.conns"), 1, "all on one connection");
         assert_eq!(disk.net_stats().unwrap(), NetStats::default());
     }
 
@@ -1196,9 +1306,8 @@ mod tests {
         }
         assert_eq!(served(&disk, "serve.read"), 3);
         assert_eq!(served(&disk, "serve.put_many"), 1);
-        // The data path is all there was on the mux connection: no
-        // probe opened it.
-        assert_eq!(served(&disk, "serve.mux"), 4);
+        // The probe rode the data path's connection, and opened no other.
+        assert_eq!(served(&disk, "serve.conns"), 1);
         assert_eq!(served(&disk, "serve.health"), 0);
         // The same registry is visible locally on the server handle.
         let local = server.recorder().snapshot();

@@ -4,16 +4,17 @@
 //! a [`FrontDoor`](ecfrm_store::FrontDoor) attached with
 //! [`ShardServer::spawn_with_front`](crate::ShardServer::spawn_with_front).
 //! `FrontClient` is the matching client: typed errors instead of
-//! strings, over pooled sequential connections with the at-most-once
-//! retry rule of `pool.rs` — only [`Request::ObjGet`] and
-//! [`Request::ObjStat`] are idempotent; a lost *response* to
-//! [`Request::ObjWrite`] surfaces as an error, because the write may
-//! have landed and a blind retry would append the extent twice.
+//! strings, over the crate's one connection per peer, whose replies it
+//! reads itself — it never starts a thread. Under the crate's one retry
+//! rule ([`crate::client`]) an op runs at most once: a lost *response*
+//! to [`Request::ObjWrite`] is an error, because the write may have
+//! landed and a blind retry would append the extent twice.
 //!
 //! Every failure is a typed error and none of them changes what the
 //! next call does: a timeout, an outage, a mid-op connection drop or a
 //! server with no front door ([`NO_FRONT`]) is [`StoreError::Net`], and
-//! the next call goes to the wire again.
+//! the next call goes to the wire again — on the same connection after a
+//! timeout (the late reply is dropped), on a fresh dial after a drop.
 //!
 //! Store errors cross the wire as prefixed strings ([`wire_error`]) and
 //! are re-typed client-side ([`unwire_error`]), so `match`ing on
@@ -22,12 +23,11 @@
 
 use std::net::SocketAddr;
 
-use ecfrm_obs::{Counter, Recorder};
+use ecfrm_obs::{Counter, NetStats, Recorder};
 use ecfrm_store::{ObjectStat, StoreError};
 
-use crate::client::RemoteDiskConfig;
-use crate::pool::Pool;
-use crate::protocol::{write_obj_write, write_request, Request, Response, SendFrame};
+use crate::client::{Link, RemoteDiskConfig};
+use crate::protocol::{write_obj_write, write_request, NetError, Request, Response, SendFrame};
 
 /// The typed error a server with no front door attached answers every
 /// object op with; a [`FrontClient`] reports it as [`StoreError::Net`].
@@ -76,25 +76,24 @@ pub fn unwire_error(msg: &str) -> StoreError {
 
 /// Object front door client: speaks opcodes 11–15 to a front node.
 pub struct FrontClient {
-    pool: Pool,
+    link: Link,
     recorder: Recorder,
     remote_ops: Counter,
 }
 
 impl std::fmt::Debug for FrontClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FrontClient({})", self.pool.addr())
+        write!(f, "FrontClient({})", self.link.addr)
     }
 }
 
 impl FrontClient {
-    /// Client for the front node at `addr` (timeouts and pool size come
-    /// from `cfg`).
+    /// Client for the front node at `addr` (timeouts come from `cfg`).
     pub fn new(addr: SocketAddr, cfg: RemoteDiskConfig) -> Self {
         let recorder = Recorder::new();
         let remote_ops = recorder.counter("front.remote");
         Self {
-            pool: Pool::new(addr, &cfg),
+            link: Link::new(addr, cfg),
             recorder,
             remote_ops,
         }
@@ -104,6 +103,12 @@ impl FrontClient {
     /// server answered with something other than an error.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// The transport counters of this client's connection: retries,
+    /// timeouts, reconnects, failed requests, discarded connections.
+    pub fn net_stats(&self) -> NetStats {
+        self.link.counters.snapshot()
     }
 
     /// Create an empty object. See
@@ -116,7 +121,7 @@ impl FrontClient {
             tenant: tenant.to_string(),
             object: object.to_string(),
         };
-        self.dispatch(&|w| write_request(w, &req), false, ack)
+        self.dispatch(&|w, id| write_request(w, id, &req), ack)
     }
 
     /// Append `bytes` to an object as one extent. See
@@ -127,7 +132,7 @@ impl FrontClient {
     /// store/transport error.
     pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Sent from the caller's buffer: no owned `Request`, no payload.
-        self.dispatch(&|w| write_obj_write(w, tenant, object, bytes), false, ack)
+        self.dispatch(&|w, id| write_obj_write(w, id, tenant, object, bytes), ack)
     }
 
     /// Create + first write in one call. See
@@ -173,7 +178,7 @@ impl FrontClient {
             start,
             len,
         };
-        self.dispatch(&|w| write_request(w, &req), true, |resp| match resp {
+        self.dispatch(&|w, id| write_request(w, id, &req), |resp| match resp {
             Response::ObjData(bytes) => Ok(bytes),
             other => Err(unexpected(&other)),
         })
@@ -189,7 +194,7 @@ impl FrontClient {
             tenant: tenant.to_string(),
             object: object.to_string(),
         };
-        self.dispatch(&|w| write_request(w, &req), true, |resp| match resp {
+        self.dispatch(&|w, id| write_request(w, id, &req), |resp| match resp {
             Response::ObjStat {
                 len,
                 version,
@@ -213,24 +218,22 @@ impl FrontClient {
             tenant: tenant.to_string(),
             object: object.to_string(),
         };
-        self.dispatch(&|w| write_request(w, &req), false, ack)
+        self.dispatch(&|w, id| write_request(w, id, &req), ack)
     }
 
-    /// One op: `send` writes its request frame, `idempotent` says
-    /// whether it may be sent twice (see [`Pool::request`]), `decode`
-    /// types the answer.
+    /// One op: `send` writes its request frame, `decode` types the
+    /// answer.
     fn dispatch<T>(
         &self,
         send: SendFrame<'_>,
-        idempotent: bool,
         decode: impl FnOnce(Response) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
-        match self.pool.request(send, idempotent) {
-            Ok(Response::Error(msg)) => Err(unwire_error(&msg)),
+        match self.link.call(send) {
             Ok(resp) => {
                 self.remote_ops.inc();
                 decode(resp)
             }
+            Err(NetError::Remote(msg)) => Err(unwire_error(&msg)),
             Err(e) => Err(StoreError::Net(format!("front op failed: {e}"))),
         }
     }

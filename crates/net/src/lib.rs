@@ -7,19 +7,18 @@
 //! when a node times out or dies mid-read.
 //!
 //! Layers:
-//! * [`protocol`] — version 2 of the length-prefixed binary framing:
+//! * [`protocol`] — version 3 of the length-prefixed binary framing:
 //!   `Read` / `PutMany` / `CombineRange` / `Health` / `InjectFault` /
-//!   `Stats`, the `Mux` envelope, and the object ops. The version byte
-//!   is the whole handshake.
+//!   `Stats` and the object ops, every frame carrying its request id.
+//!   The version byte is the whole handshake.
 //! * [`server`] — [`ShardServer`], a thread-per-connection server
-//!   wrapping a `DiskBackend`, with a per-connection demux pool for
-//!   multiplexed (`Mux`-framed) requests.
-//! * [`client`] — [`RemoteDisk`]: every read and write rides one
-//!   multiplexed connection per shard (many id-tagged requests in
-//!   flight, failures complete as absent cells); `Stats`, `Health`,
-//!   `InjectFault` and `CombineRange` take a pooled sequential one.
+//!   wrapping a `DiskBackend`, with a per-connection worker pool for the
+//!   frames that have to wait.
+//! * [`client`] — [`RemoteDisk`], and the crate's one client connection:
+//!   one per peer, many id-tagged requests in flight, failures complete
+//!   as absent cells or typed errors.
 //! * [`front`] — [`FrontClient`], the object front door over the same
-//!   pooled connections.
+//!   kind of connection.
 //! * [`cluster`] — [`Cluster`], an n-node loopback harness for tests,
 //!   benches, and the CLI.
 //!
@@ -48,7 +47,6 @@
 pub mod client;
 pub mod cluster;
 pub mod front;
-mod pool;
 pub mod protocol;
 pub mod server;
 

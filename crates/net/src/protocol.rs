@@ -1,45 +1,31 @@
-//! The wire protocol, version 2: a length-prefixed binary frame.
+//! The wire protocol, version 3: a length-prefixed binary frame.
 //!
 //! Every frame is
 //!
 //! ```text
-//! [ magic "EFRM" : 4 ][ version : 1 ][ opcode : 1 ][ payload len : u32 LE ][ payload ]
+//! [ magic "EFRM" : 4 ][ version : 1 ][ opcode : 1 ][ id : u64 LE ][ payload len : u32 LE ][ payload ]
 //! ```
 //!
-//! Integers inside payloads are little-endian. The version byte is the
-//! whole handshake: a peer that speaks another version gets one typed
-//! [`Response::Error`] naming both versions ([`version_mismatch`]) and
-//! the connection is closed. Nothing is negotiated per connection or per
-//! op; DESIGN.md ("The wire, v2") has the rule and the opcode table,
-//! retired numbers included.
+//! Integers inside payloads are little-endian. The id is the client's:
+//! a response carries the id of the request it answers, so one
+//! connection carries many requests in flight and their answers in
+//! whatever order they complete. The version byte is the whole
+//! handshake, and it sits where it sat in every version, so a peer of
+//! any version reads it before anything else: a peer that speaks another
+//! version gets one typed [`Response::Error`] naming both versions
+//! ([`version_mismatch`]) and the connection is closed. Nothing is
+//! negotiated per connection or per op; DESIGN.md ("The wire, v3") has
+//! the rule and the opcode table, retired numbers included.
 //!
-//! A shard serves six operations. `Read` (17) is the one read op: runs
-//! of consecutive cells, optionally with the store's integrity key so
-//! the shard verifies each cell's checksum footer before shipping it,
-//! answered by one [`Response::Cells`]. `PutMany` (16) is the one write
-//! op: the same `(start, count)` run table followed by every run's
-//! cells back to back. No sender joins a payload, request or response:
-//! the small fields and the bulk buffers they sit between, borrowed
-//! from whoever holds them, leave in one vectored write (`Parts`). No
-//! receiver copies one out: a request's frame is read into the buffer
-//! that becomes its [`Body`], a response's cells and object bytes each
-//! into the `Vec` the caller keeps (`Frame::body`) — so on either way
-//! across a hop the bytes are copied by the two socket calls only.
-//! `CombineRange` (10) moves repair decode arithmetic to
-//! the data: the server multiplies a contiguous run of local elements
-//! by a caller-supplied GF(2^8) coefficient matrix and ships back
-//! pre-summed regions — optionally first fetching and XOR-merging other
-//! helpers' partial sums ([`CombinePeerSpec`]) so only the combined result
-//! crosses the rebuilder's ingest link. `Health`, `InjectFault` (the
-//! side channel that lets a client drive a remote shard's failure state
-//! exactly like a local disk's) and `Stats` (the server's metrics
-//! registry as flat name/value pairs) complete the set.
-//!
-//! `Mux` (9) wraps any of them together with a client-chosen 64-bit
-//! request id; the matching [`Response::Mux`] echoes the id, letting a
-//! client keep many requests in flight over **one** connection and
-//! match completions as they land in any order. A front node also
-//! serves the object ops (11–15).
+//! A shard serves `Read` (17), `PutMany` (16), `CombineRange` (10),
+//! `Health`, `InjectFault` and `Stats`; a front node also serves the
+//! object ops (11–15). [`Request`]'s variants say what each one does. No
+//! sender joins a payload: the small fields and the bulk buffers they
+//! sit between, borrowed from whoever holds them, leave in one vectored
+//! write (`Parts`). No receiver copies one out: a request's frame is
+//! read into the buffer that becomes its [`Body`], a response's cells
+//! and object bytes each into the `Vec` the caller keeps
+//! (`Frame::body`).
 
 use std::io::ErrorKind::{Interrupted, TimedOut, UnexpectedEof, WouldBlock};
 use std::io::{IoSlice, Read, Write};
@@ -51,7 +37,10 @@ use ecfrm_store::Piece;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
+/// Bytes of a frame ahead of its payload: magic, version, opcode, id
+/// and payload length.
+pub const HEADER_LEN: usize = 18;
 /// Upper bound on a sane payload (guards allocation on corrupt frames).
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 /// Most cells one request may name: what one `Read` may ask for, one
@@ -268,17 +257,6 @@ pub enum Request {
     InjectFault(Fault),
     /// Dump the server's metrics registry.
     Stats,
-    /// Any other request wrapped with a client-chosen id, for keeping
-    /// many requests in flight over one connection. The server answers
-    /// with [`Response::Mux`] carrying the same id; answers may arrive
-    /// in any order. Nesting a `Mux` inside a `Mux` is a protocol
-    /// error.
-    Mux {
-        /// Client-chosen request id, echoed by the response.
-        id: u64,
-        /// The wrapped request.
-        inner: Box<Request>,
-    },
 }
 
 /// One cell of a [`Response::Cells`] — for a [`Request::Read`] that
@@ -351,23 +329,15 @@ pub enum Response {
     Stats(Vec<(String, u64)>),
     /// Server-side failure.
     Error(String),
-    /// The answer to a [`Request::Mux`]: the wrapped response plus the
-    /// request's id, so the client can match completions out of order.
-    Mux {
-        /// The id of the request this answers.
-        id: u64,
-        /// The wrapped response.
-        inner: Box<Response>,
-    },
 }
 
 // Opcodes 1, 2, 3, 7 and 8 (and replies 129, 131, 135 and 136) belonged
-// to version 1's per-shape reads and per-cell write. A number is never
-// reused.
+// to version 1's per-shape reads and per-cell write; 9 and 137 to
+// version 2's `Mux` envelope, whose id every header carries now. A
+// number is never reused.
 const OP_HEALTH: u8 = 4;
 const OP_INJECT: u8 = 5;
 const OP_STATS: u8 = 6;
-const OP_MUX: u8 = 9;
 const OP_COMBINE_RANGE: u8 = 10;
 const OP_OBJ_CREATE: u8 = 11;
 const OP_OBJ_WRITE: u8 = 12;
@@ -381,7 +351,6 @@ const RESP_PUT: u8 = 130;
 const RESP_HEALTH: u8 = 132;
 const RESP_FAULT: u8 = 133;
 const RESP_STATS: u8 = 134;
-const RESP_MUX: u8 = 137;
 const RESP_COMBINED: u8 = 138;
 const RESP_OBJ_ACK: u8 = 139;
 const RESP_OBJ_DATA: u8 = 140;
@@ -413,10 +382,11 @@ impl<'a> Parts<'a> {
         self.bulk.push((self.small.len(), bytes));
     }
 
-    /// Write the payload as one frame, never joined in memory: header,
-    /// fields and buffers leave in one vectored write — on a socket one
-    /// syscall and (with `TCP_NODELAY`) one segment train.
-    fn send(&self, w: &mut impl Write, opcode: u8) -> Result<(), NetError> {
+    /// Write the payload as one frame tagged `id`, never joined in
+    /// memory: header, fields and buffers leave in one vectored write —
+    /// on a socket one syscall and (with `TCP_NODELAY`) one segment
+    /// train.
+    fn send(&self, w: &mut impl Write, opcode: u8, id: u64) -> Result<(), NetError> {
         let bulk: u64 = self.bulk.iter().map(|(_, b)| b.len() as u64).sum();
         let len = self.small.len() as u64 + bulk;
         if len > u64::from(MAX_PAYLOAD) {
@@ -424,11 +394,12 @@ impl<'a> Parts<'a> {
                 "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
             )));
         }
-        let mut header = [0u8; 10];
+        let mut header = [0u8; HEADER_LEN];
         header[..4].copy_from_slice(&MAGIC);
         header[4] = VERSION;
         header[5] = opcode;
-        header[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+        header[6..14].copy_from_slice(&id.to_le_bytes());
+        header[14..].copy_from_slice(&(len as u32).to_le_bytes());
         let mut bufs = Vec::with_capacity(2 * self.bulk.len() + 2);
         bufs.push(IoSlice::new(&header));
         let mut at = 0;
@@ -514,7 +485,6 @@ impl Request {
             Request::Health => OP_HEALTH,
             Request::InjectFault(_) => OP_INJECT,
             Request::Stats => OP_STATS,
-            Request::Mux { .. } => OP_MUX,
         }
     }
 
@@ -597,12 +567,6 @@ impl Request {
                 put_u64(out, *len);
             }
             Request::Health | Request::Stats => {}
-            Request::Mux { id, inner } => {
-                // [id:u64][inner opcode:u8][inner payload].
-                put_u64(out, *id);
-                out.push(inner.opcode());
-                inner.encode(parts);
-            }
             Request::InjectFault(fault) => out.push(match fault {
                 Fault::Fail => 0,
                 Fault::Heal => 1,
@@ -611,29 +575,18 @@ impl Request {
         }
     }
 
-    /// Decode the request whose payload is `frame[at..]`. The two bulk
-    /// ops keep `frame` as their [`Body`]; a `Mux` envelope hands it on
-    /// to the request inside.
-    fn decode(opcode: u8, frame: Vec<u8>, at: usize) -> Result<Self, NetError> {
+    /// Decode the request whose payload is `frame`. The two bulk ops
+    /// keep `frame` as their [`Body`].
+    fn decode(opcode: u8, frame: Vec<u8>) -> Result<Self, NetError> {
         let mut f = Frame {
-            r: &frame[at..],
+            r: &frame[..],
             stop: None,
-            left: frame.len() - at,
+            left: frame.len(),
         };
         // Where in `frame` the fields read so far end.
         let here = |f: &Frame<'_, &[u8]>| frame.len() - f.left;
         let f = &mut f;
         let req = match opcode {
-            OP_MUX => {
-                let id = f.u64()?;
-                let op = f.u8()?;
-                if op == OP_MUX {
-                    return Err(NetError::Protocol("nested mux request".into()));
-                }
-                let at = here(f);
-                let inner = Box::new(Request::decode(op, frame, at)?);
-                return Ok(Request::Mux { id, inner });
-            }
             OP_PUT_MANY => {
                 let cell_len = f.u32()?;
                 let runs = get_runs(f)?;
@@ -745,7 +698,6 @@ impl Response {
             Response::FaultInjected => RESP_FAULT,
             Response::Stats(_) => RESP_STATS,
             Response::Error(_) => RESP_ERROR,
-            Response::Mux { .. } => RESP_MUX,
         }
     }
 
@@ -821,19 +773,12 @@ impl Response {
                 }
             }
             Response::Error(msg) => out.extend_from_slice(msg.as_bytes()),
-            Response::Mux { id, inner } => {
-                // [id:u64][inner opcode:u8][inner payload].
-                put_u64(out, *id);
-                out.push(inner.opcode());
-                inner.encode(parts);
-            }
         }
     }
 
     /// Read the response whose payload `f` has yet to deliver, by
     /// value: the small fields parsed as they arrive, each cell, region
-    /// and the object bytes read into the `Vec` the caller keeps. A
-    /// `Mux` envelope hands the frame on to the response inside.
+    /// and the object bytes read into the `Vec` the caller keeps.
     fn read<R: Read>(opcode: u8, f: &mut Frame<'_, R>) -> Result<Self, NetError> {
         Ok(match opcode {
             RESP_PUT => Response::Put,
@@ -895,15 +840,6 @@ impl Response {
                 }
                 Response::Stats(pairs)
             }
-            RESP_MUX => {
-                let id = f.u64()?;
-                let op = f.u8()?;
-                if op == RESP_MUX {
-                    return Err(NetError::Protocol("nested mux response".into()));
-                }
-                let inner = Box::new(Response::read(op, f)?);
-                Response::Mux { id, inner }
-            }
             RESP_ERROR => Response::Error(String::from_utf8_lossy(&f.body(f.left)?).into_owned()),
             op => return Err(NetError::Protocol(format!("unknown response opcode {op}"))),
         })
@@ -914,8 +850,8 @@ impl Response {
 /// a short read timeout.
 #[derive(Debug)]
 pub enum Polled<T> {
-    /// A complete, well-formed frame.
-    Frame(T),
+    /// A complete, well-formed frame, and the id its header carried.
+    Frame(u64, T),
     /// The timeout elapsed with no frame started — poll again (a client
     /// also sweeps its request deadlines).
     Idle,
@@ -1024,6 +960,8 @@ impl<R: Read> Frame<'_, R> {
 }
 
 /// Read one frame off `r` and hand its opcode and payload to `decode`.
+/// The version byte is judged before the rest of the header is read: a
+/// peer of another version may send a shorter header than this one.
 /// Garbage — bad magic, a payload over [`MAX_PAYLOAD`], one `decode`
 /// refuses or leaves bytes of — is an error, after which the stream is
 /// out of sync and of no further use.
@@ -1033,8 +971,8 @@ fn poll<R: Read, T>(
     decode: impl FnOnce(u8, &mut Frame<'_, R>) -> Result<T, NetError>,
 ) -> Result<Polled<T>, NetError> {
     let mut frame = Frame { r, stop, left: 0 };
-    let mut header = [0u8; 10];
-    if !frame.fill(&mut header, true)? {
+    let mut header = [0u8; HEADER_LEN];
+    if !frame.fill(&mut header[..5], true)? {
         return Ok(Polled::Idle);
     }
     if header[..4] != MAGIC {
@@ -1043,7 +981,9 @@ fn poll<R: Read, T>(
     if header[4] != VERSION {
         return Ok(Polled::WrongVersion(header[4]));
     }
-    let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
+    frame.fill(&mut header[5..], false)?;
+    let id = u64::from_le_bytes(header[6..14].try_into().unwrap());
+    let len = u32::from_le_bytes(header[14..].try_into().unwrap());
     if len > MAX_PAYLOAD {
         return Err(NetError::Protocol(format!(
             "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
@@ -1052,13 +992,13 @@ fn poll<R: Read, T>(
     frame.left = len as usize;
     let decoded = decode(header[5], &mut frame)?;
     frame.done()?;
-    Ok(Polled::Frame(decoded))
+    Ok(Polled::Frame(id, decoded))
 }
 
 /// A blocking reader's frame: never idle, and another version an error.
-fn whole<T>(polled: Polled<T>) -> Result<T, NetError> {
+fn whole<T>(polled: Polled<T>) -> Result<(u64, T), NetError> {
     match polled {
-        Polled::Frame(frame) => Ok(frame),
+        Polled::Frame(id, frame) => Ok((id, frame)),
         Polled::WrongVersion(peer) => Err(NetError::Protocol(version_mismatch(peer))),
         Polled::Idle | Polled::Closed => Err(NetError::Timeout),
     }
@@ -1067,7 +1007,7 @@ fn whole<T>(polled: Polled<T>) -> Result<T, NetError> {
 /// A request's payload is read whole, into the buffer a bulk op keeps
 /// as its [`Body`].
 fn request_frame<R: Read>(opcode: u8, frame: &mut Frame<'_, R>) -> Result<Request, NetError> {
-    Request::decode(opcode, frame.body(frame.left)?, 0)
+    Request::decode(opcode, frame.body(frame.left)?)
 }
 
 /// Read one request frame from a server connection's socket (see
@@ -1076,46 +1016,30 @@ pub fn read_request_polling(r: &mut impl Read, stop: &AtomicBool) -> Polled<Requ
     poll(r, Some(stop), request_frame).unwrap_or(Polled::Closed)
 }
 
-/// Read one response frame from a multiplexed client connection's
-/// socket — the demux side. Same sync discipline as
-/// [`read_request_polling`].
+/// Read one response frame from a client connection's socket. Same
+/// sync discipline as [`read_request_polling`].
 pub fn read_response_polling(r: &mut impl Read, stop: &AtomicBool) -> Polled<Response> {
     poll(r, Some(stop), Response::read).unwrap_or(Polled::Closed)
 }
 
-/// Writes one request frame onto a connection — a closure, so a bulk
-/// write can send from buffers it only borrows ([`write_put_many`],
-/// [`write_obj_write`]) where everything else sends an owned
-/// [`Request`] ([`write_request`]).
-pub(crate) type SendFrame<'a> =
-    &'a (dyn Fn(&mut std::net::TcpStream) -> Result<(), NetError> + Sync);
+/// Writes one request frame, tagged with the id it is given, onto a
+/// connection — a closure, so a bulk write can send from buffers it only
+/// borrows ([`write_put_many`], [`write_obj_write`]) where everything
+/// else sends an owned [`Request`] ([`write_request`]).
+pub(crate) type SendFrame<'a> = &'a dyn Fn(&mut std::net::TcpStream, u64) -> Result<(), NetError>;
 
-/// Serialise one request onto a stream.
+/// Serialise one request tagged `id` onto a stream.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), NetError> {
+pub fn write_request(w: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
     let mut parts = Parts::default();
     req.encode(&mut parts);
-    parts.send(w, req.opcode())
-}
-
-/// Serialise `req` inside a [`Request::Mux`] envelope tagged `id`,
-/// without owning it.
-///
-/// # Errors
-/// I/O failure, or an oversized payload.
-pub fn write_mux_request(w: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
-    let mut parts = Parts::default();
-    put_u64(&mut parts.small, id);
-    parts.small.push(req.opcode());
-    req.encode(&mut parts);
-    parts.send(w, OP_MUX)
+    parts.send(w, req.opcode(), id)
 }
 
 /// Send `runs` (all of `cell_len`-byte cells) as one
-/// [`Request::PutMany`] inside a [`Request::Mux`] envelope tagged `id`,
-/// straight from the caller's buffers.
+/// [`Request::PutMany`] tagged `id`, straight from the caller's buffers.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
@@ -1126,8 +1050,6 @@ pub fn write_put_many(
     runs: &[WriteRun<'_>],
 ) -> Result<(), NetError> {
     let mut parts = Parts::default();
-    put_u64(&mut parts.small, id);
-    parts.small.push(OP_PUT_MANY);
     put_u32(&mut parts.small, cell_len);
     put_runs(
         &mut parts.small,
@@ -1136,16 +1058,17 @@ pub fn write_put_many(
     for run in runs {
         parts.bulk(run.bytes);
     }
-    parts.send(w, OP_MUX)
+    parts.send(w, OP_PUT_MANY, id)
 }
 
-/// Send a [`Request::ObjWrite`] of `bytes` straight from the caller's
-/// buffer.
+/// Send a [`Request::ObjWrite`] of `bytes` tagged `id`, straight from
+/// the caller's buffer.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_obj_write(
     w: &mut impl Write,
+    id: u64,
     tenant: &str,
     object: &str,
     bytes: &[u8],
@@ -1153,32 +1076,33 @@ pub fn write_obj_write(
     let mut parts = Parts::default();
     obj_write_head(&mut parts.small, tenant, object, bytes.len());
     parts.bulk(bytes);
-    parts.send(w, OP_OBJ_WRITE)
+    parts.send(w, OP_OBJ_WRITE, id)
 }
 
-/// Read one request frame off a stream.
+/// Read one request frame off a stream: its id and the request.
 ///
 /// # Errors
 /// I/O failure or a malformed frame.
-pub fn read_request(r: &mut impl Read) -> Result<Request, NetError> {
+pub fn read_request(r: &mut impl Read) -> Result<(u64, Request), NetError> {
     whole(poll(r, None, request_frame)?)
 }
 
-/// Serialise one response onto a stream.
+/// Serialise one response, answering request `id`, onto a stream.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), NetError> {
+pub fn write_response(w: &mut impl Write, id: u64, resp: &Response) -> Result<(), NetError> {
     let mut parts = Parts::default();
     resp.encode(&mut parts);
-    parts.send(w, resp.opcode())
+    parts.send(w, resp.opcode(), id)
 }
 
-/// Read one response frame off a stream.
+/// Read one response frame off a stream: the id of the request it
+/// answers, and the response.
 ///
 /// # Errors
 /// I/O failure or a malformed frame.
-pub fn read_response(r: &mut impl Read) -> Result<Response, NetError> {
+pub fn read_response(r: &mut impl Read) -> Result<(u64, Response), NetError> {
     whole(poll(r, None, Response::read)?)
 }
 
@@ -1189,22 +1113,28 @@ mod tests {
     /// `payload` as the frame a peer would send it in.
     fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
         let (small, bulk, mut buf) = (payload.to_vec(), Vec::new(), Vec::new());
-        Parts { small, bulk }.send(&mut buf, opcode).unwrap();
+        Parts { small, bulk }.send(&mut buf, opcode, 1).unwrap();
         buf
     }
 
     fn roundtrip_request(req: Request) {
-        let mut buf = Vec::new();
-        write_request(&mut buf, &req).unwrap();
-        let got = read_request(&mut buf.as_slice()).unwrap();
-        assert_eq!(got, req);
+        for id in [0, 42, u64::MAX] {
+            let mut buf = Vec::new();
+            write_request(&mut buf, id, &req).unwrap();
+            assert_eq!(
+                read_request(&mut buf.as_slice()).unwrap(),
+                (id, req.clone())
+            );
+        }
     }
 
     fn roundtrip_response(resp: Response) {
-        let mut buf = Vec::new();
-        write_response(&mut buf, &resp).unwrap();
-        let got = read_response(&mut buf.as_slice()).unwrap();
-        assert_eq!(got, resp);
+        for id in [0, 9, 1 << 50] {
+            let mut buf = Vec::new();
+            write_response(&mut buf, id, &resp).unwrap();
+            let got = read_response(&mut buf.as_slice()).unwrap();
+            assert_eq!(got, (id, resp.clone()));
+        }
     }
 
     #[test]
@@ -1281,13 +1211,14 @@ mod tests {
         let mut buf = Vec::new();
         write_request(
             &mut buf,
+            1,
             &Request::ObjStat {
                 tenant: "ab".into(),
                 object: "o".into(),
             },
         )
         .unwrap();
-        let tenant_start = 10 + 4; // header + tenant len
+        let tenant_start = HEADER_LEN + 4; // header + tenant len
         buf[tenant_start] = 0xFF;
         assert!(read_request(&mut buf.as_slice()).is_err());
     }
@@ -1336,8 +1267,8 @@ mod tests {
     }
 
     /// The two combine variants carry `ecfrm-sim`'s types since PR 19;
-    /// the frames are byte for byte what the loose fields encoded to
-    /// (captured at the commit before).
+    /// the payloads are byte for byte what the loose fields encoded to
+    /// (captured at the commit before), behind the v3 header.
     #[test]
     fn combine_frames_are_the_bytes_they_always_were() {
         let mut buf = Vec::new();
@@ -1354,10 +1285,11 @@ mod tests {
                 coeffs: vec![4],
             }],
         });
-        write_request(&mut buf, &req).unwrap();
+        write_request(&mut buf, 7, &req).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 2, 10, 66, 0, 0, 0, // header: v2, op 10, 66 B
+            b'E', b'F', b'R', b'M', 3, 10, // v3, op 10
+            7, 0, 0, 0, 0, 0, 0, 0, 66, 0, 0, 0, // id 7, 66 B
             3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, // offset, count, outputs
             2, 0, 0, 0, 7, 9, // coeffs
             8, 7, 6, 5, 4, 3, 2, 1, 24, 23, 22, 21, 20, 19, 18, 17, // k0, k1
@@ -1371,43 +1303,79 @@ mod tests {
             local_status: vec![0, 2],
             peer_status: vec![3],
         });
-        write_response(&mut buf, &resp).unwrap();
+        write_response(&mut buf, 7, &resp).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 2, 138, 21, 0, 0, 0, // header: v2, op 138, 21 B
+            b'E', b'F', b'R', b'M', 3, 138, // v3, op 138
+            7, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, // id 7, 21 B
             1, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD, // one region
             2, 0, 0, 0, 0, 2, // local verdicts
             1, 0, 0, 0, 3, // peer verdicts
         ]);
     }
 
+    /// Many requests share one stream, each tagged with its own id, and
+    /// are read back in the order they were written, ids and all.
     #[test]
     fn mux_request_roundtrips() {
-        roundtrip_request(Request::Mux {
-            id: 0,
-            inner: Box::new(Request::Health),
-        });
-        roundtrip_request(Request::Mux {
-            id: u64::MAX,
-            inner: Box::new(Request::Read {
-                runs: vec![(1 << 33, 512), (3, 2)],
-                key: Some((7, u64::MAX)),
-            }),
-        });
-        roundtrip_request(Request::Mux {
-            id: 42,
-            inner: Box::new(Request::PutMany {
-                runs: vec![(3, 3)],
-                cell_len: 1,
-                bytes: vec![1, 2, 3].into(),
-            }),
-        });
+        let reqs = [
+            (0, Request::Health),
+            (
+                u64::MAX,
+                Request::Read {
+                    runs: vec![(1 << 33, 512), (3, 2)],
+                    key: Some((7, u64::MAX)),
+                },
+            ),
+            (
+                42,
+                Request::PutMany {
+                    runs: vec![(3, 3)],
+                    cell_len: 1,
+                    bytes: vec![1, 2, 3].into(),
+                },
+            ),
+        ];
+        let mut stream = Vec::new();
+        for (id, req) in &reqs {
+            write_request(&mut stream, *id, req).unwrap();
+        }
+        let mut r = stream.as_slice();
+        for want in reqs {
+            assert_eq!(read_request(&mut r).unwrap(), want);
+        }
+        assert!(r.is_empty());
+    }
+
+    /// Replies likewise, in whatever order their requests completed.
+    #[test]
+    fn mux_response_roundtrips() {
+        let resps = [
+            (
+                9,
+                Response::Cells(vec![
+                    CheckedElement::Valid(vec![5; 16]),
+                    CheckedElement::Missing,
+                ]),
+            ),
+            (1 << 50, Response::Error("shard offline".into())),
+            (3, Response::Put),
+        ];
+        let mut stream = Vec::new();
+        for (id, resp) in &resps {
+            write_response(&mut stream, *id, resp).unwrap();
+        }
+        let mut r = stream.as_slice();
+        for want in resps {
+            assert_eq!(read_response(&mut r).unwrap(), want);
+        }
+        assert!(r.is_empty());
     }
 
     /// `write_put_many` (borrowed runs, no payload built) and
-    /// `write_request` (an owned `PutMany` in its `Mux` envelope) put
-    /// the same frame on the wire, and the decoded body is the run bytes
-    /// however deep in the frame it sits.
+    /// `write_request` (an owned `PutMany`) put the same frame on the
+    /// wire, and the decoded body is the run bytes; likewise
+    /// `write_obj_write`.
     #[test]
     fn borrowed_put_many_is_the_same_frame() {
         let cells: Vec<u8> = (0..40).collect();
@@ -1423,36 +1391,29 @@ mod tests {
                 bytes: &cells[24..],
             },
         ];
-        let owned = Request::PutMany {
+        let want = Request::PutMany {
             runs: vec![(7, 3), (100, 2)],
             cell_len: 8,
             bytes: cells.clone().into(),
         };
-        let want = Request::Mux {
-            id: 0xABCD,
-            inner: Box::new(owned),
-        };
-        let (mut borrowed, mut whole, mut by_ref) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
         write_put_many(&mut borrowed, 0xABCD, 8, &runs).unwrap();
-        write_request(&mut whole, &want).unwrap();
+        write_request(&mut whole, 0xABCD, &want).unwrap();
         assert_eq!(borrowed, whole);
-        assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), want);
-        // And `write_mux_request` wraps a request it only borrows.
-        let Request::Mux { id, inner } = &want else {
-            unreachable!()
-        };
-        write_mux_request(&mut by_ref, *id, inner).unwrap();
-        assert_eq!(by_ref, whole);
-        let mut borrowed = Vec::new();
-        write_obj_write(&mut borrowed, "t", "o", &cells).unwrap();
         assert_eq!(
             read_request(&mut borrowed.as_slice()).unwrap(),
-            Request::ObjWrite {
-                tenant: "t".into(),
-                object: "o".into(),
-                bytes: cells.into(),
-            }
+            (0xABCD, want)
         );
+        let want = Request::ObjWrite {
+            tenant: "t".into(),
+            object: "o".into(),
+            bytes: cells.clone().into(),
+        };
+        let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
+        write_obj_write(&mut borrowed, 5, "t", "o", &cells).unwrap();
+        write_request(&mut whole, 5, &want).unwrap();
+        assert_eq!(borrowed, whole);
+        assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), (5, want));
     }
 
     /// Frames that lie about their own shape are refused at decode
@@ -1464,60 +1425,40 @@ mod tests {
         put_u32(&mut payload, 4096); // cell_len
         put_u32(&mut payload, u32::MAX); // 4 Gi runs claimed...
         payload.extend_from_slice(&[0; 24]); // ...two shipped
-        let err = Request::decode(OP_PUT_MANY, payload, 0).unwrap_err();
+        let err = Request::decode(OP_PUT_MANY, payload).unwrap_err();
         assert!(err.to_string().contains("overruns"), "{err}");
-        // The same table under a `Read`, plain and inside a `Mux`.
+        // The same table under a `Read`.
         let mut read = vec![0u8]; // no key
         put_u32(&mut read, 3);
         read.extend_from_slice(&[0; 24]);
-        let mut muxed = 9u64.to_le_bytes().to_vec();
-        muxed.push(OP_READ);
-        muxed.extend_from_slice(&read);
-        for (op, payload) in [(OP_READ, read), (OP_MUX, muxed)] {
-            let err = Request::decode(op, payload, 0).unwrap_err();
-            assert!(err.to_string().contains("overruns"), "{err}");
-        }
+        let err = Request::decode(OP_READ, read).unwrap_err();
+        assert!(err.to_string().contains("overruns"), "{err}");
         // A key tag that is neither "none" nor "some".
-        let err = Request::decode(OP_READ, vec![2, 0, 0, 0, 0], 0).unwrap_err();
+        let err = Request::decode(OP_READ, vec![2, 0, 0, 0, 0]).unwrap_err();
         assert!(err.to_string().contains("key tag"), "{err}");
         // An object write whose length field disagrees with the frame.
         let mut payload = Vec::new();
         obj_write_head(&mut payload, "t", "o", 100);
         payload.extend_from_slice(&[9; 10]);
         assert!(matches!(
-            Request::decode(OP_OBJ_WRITE, payload, 0),
+            Request::decode(OP_OBJ_WRITE, payload),
             Err(NetError::Protocol(_))
         ));
     }
 
+    /// The retired `Mux` envelope's opcodes are unknown opcodes now.
     #[test]
-    fn mux_response_roundtrips() {
-        roundtrip_response(Response::Mux {
-            id: 9,
-            inner: Box::new(Response::Cells(vec![
-                CheckedElement::Valid(vec![5; 16]),
-                CheckedElement::Missing,
-            ])),
-        });
-        roundtrip_response(Response::Mux {
-            id: 1 << 50,
-            inner: Box::new(Response::Error("shard offline".into())),
-        });
-    }
-
-    #[test]
-    fn nested_mux_rejected() {
-        let req = Request::Mux {
-            id: 1,
-            inner: Box::new(Request::Mux {
-                id: 2,
-                inner: Box::new(Request::Health),
-            }),
-        };
-        let mut buf = Vec::new();
-        write_request(&mut buf, &req).unwrap();
-        let err = read_request(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("nested mux"), "{err}");
+    fn retired_mux_opcodes_are_refused() {
+        let err = Request::decode(9, vec![0; 10]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown request opcode 9"),
+            "{err}"
+        );
+        let err = read_response(&mut frame(137, &[0; 10]).as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown response opcode 137"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1582,7 +1523,7 @@ mod tests {
             calls: 0,
             chunk: usize::MAX,
         };
-        write_response(&mut whole, &resp).unwrap();
+        write_response(&mut whole, 3, &resp).unwrap();
         assert_eq!(whole.calls, 1, "header and payload leave together");
         // A writer that takes 7 bytes a call splits header and payload
         // at every possible place; the frame must still arrive whole.
@@ -1591,15 +1532,18 @@ mod tests {
             calls: 0,
             chunk: 7,
         };
-        write_response(&mut dribble, &resp).unwrap();
+        write_response(&mut dribble, 3, &resp).unwrap();
         assert_eq!(dribble.bytes, whole.bytes);
-        assert_eq!(read_response(&mut dribble.bytes.as_slice()).unwrap(), resp);
+        assert_eq!(
+            read_response(&mut dribble.bytes.as_slice()).unwrap(),
+            (3, resp)
+        );
     }
 
     #[test]
     fn bad_magic_rejected() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Health).unwrap();
+        write_request(&mut buf, 1, &Request::Health).unwrap();
         buf[0] = b'X';
         assert!(matches!(
             read_request(&mut buf.as_slice()),
@@ -1610,26 +1554,27 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Health).unwrap();
-        buf[4] = 1;
+        write_request(&mut buf, 1, &Request::Health).unwrap();
+        buf[4] = 2;
         let err = read_request(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(1)));
+        assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(2)));
         assert!(err
             .to_string()
-            .contains("peer speaks 1, this node speaks 2"));
-        // The polling reader names the version too, and reads no further.
+            .contains("peer speaks 2, this node speaks 3"));
+        // The polling reader names the version too, and reads no further:
+        // five bytes are all an older peer's header need share with ours.
         let stop = std::sync::atomic::AtomicBool::new(false);
         assert!(matches!(
-            read_request_polling(&mut buf.as_slice(), &stop),
-            Polled::WrongVersion(1)
+            read_request_polling(&mut &buf[..5], &stop),
+            Polled::WrongVersion(2)
         ));
     }
 
     #[test]
     fn oversized_length_rejected() {
         let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Health).unwrap();
-        buf[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        write_request(&mut buf, 1, &Request::Health).unwrap();
+        buf[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_request(&mut buf.as_slice()),
             Err(NetError::Protocol(_))
@@ -1641,6 +1586,7 @@ mod tests {
         let mut buf = Vec::new();
         write_request(
             &mut buf,
+            1,
             &Request::Read {
                 runs: vec![(5, 1); 8],
                 key: None,
@@ -1661,11 +1607,11 @@ mod tests {
             key: None,
         };
         let mut buf = Vec::new();
-        write_request(&mut buf, &req).unwrap();
-        let mut payload = buf.split_off(10);
+        write_request(&mut buf, 1, &req).unwrap();
+        let mut payload = buf.split_off(HEADER_LEN);
         payload.push(0xEE);
         assert!(matches!(
-            Request::decode(OP_READ, payload, 0),
+            Request::decode(OP_READ, payload),
             Err(NetError::Protocol(_))
         ));
     }
@@ -1675,7 +1621,7 @@ mod tests {
         // Tag 3 (+ a u64) was a test-only straggle delay; it is no fault now.
         let mut payload = vec![3];
         put_u64(&mut payload, 80);
-        let err = Request::decode(OP_INJECT, payload, 0).unwrap_err();
+        let err = Request::decode(OP_INJECT, payload).unwrap_err();
         assert!(err.to_string().contains("bad fault tag 3"), "{err}");
     }
 

@@ -1,24 +1,23 @@
 //! [`ShardServer`]: serve any [`DiskBackend`] over TCP.
 //!
 //! Thread-per-connection, with short socket timeouts so every thread
-//! notices the stop flag quickly. A connection that speaks the
-//! multiplexed framing ([`Request::Mux`]) can carry many in-flight
-//! requests, answered id-tagged in completion order through one shared
-//! writer. A wrapped read whose backend submits without blocking
-//! ([`DiskBackend::submits_async`]) is submitted on the connection
-//! thread itself, and answered there too when the result is already in
-//! hand (a page-cache hit); so is a wrapped `PutMany` on such a backend
-//! (its write is a copy into the page cache). Everything that has to
-//! wait — a blocking backend, a cold page, any other op — goes to a
-//! small per-connection worker pool, spawned on the first frame that
-//! needs it. Only connection threads and their workers write to a
-//! socket: a backend's completion thread never does.
-//! [`ShardServer::kill`] models a node crash: the accept loop
-//! and all connection handlers exit without draining in-flight
-//! requests, so clients see resets/timeouts — the stimulus the store's
-//! degraded-read fallback exists for.
+//! notices the stop flag quickly. One connection carries many requests
+//! in flight, answered by id in completion order through one writer.
+//! Which thread serves a frame is chosen per frame (`start`): the
+//! connection thread answers object ops, `Health`, `Stats`,
+//! `InjectFault`, and a `Read` or `PutMany` whose backend submits
+//! without blocking ([`DiskBackend::submits_async`]) and has the result
+//! in hand; a per-connection worker pool, spawned on the first frame
+//! that needs it, serves the rest — and every `CombineRange`, at most
+//! `MAX_COMBINES` (two) of a connection's at once.
+//!
+//! Only connection threads and their workers write to a socket: a
+//! backend's completion thread never does. [`ShardServer::kill`] models
+//! a node crash: the accept loop and all connection handlers exit
+//! without draining in-flight requests, so clients see resets/timeouts —
+//! the stimulus the store's degraded-read fallback exists for.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,11 +31,10 @@ use ecfrm_util::{Mutex, Queue};
 
 use ecfrm_integrity::{verify_footer, HashKey};
 
-use crate::client::RemoteDiskConfig;
-use crate::pool::Pool;
+use crate::client::{Callback, Link, RemoteDiskConfig};
 use crate::protocol::{
-    read_request_polling, version_mismatch, write_response, CheckedElement, Fault, Polled, Request,
-    Response, MAX_PAYLOAD, MAX_RANGE,
+    read_request_polling, version_mismatch, write_request, write_response, CheckedElement, Fault,
+    NetError, Polled, Request, Response, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
@@ -48,32 +46,30 @@ const POLL: Duration = Duration::from_millis(20);
 /// `outputs` full regions unboundedly.
 const MAX_COMBINE_OUTPUTS: u32 = 256;
 
-/// Most peers one `CombineRange` may fan out to (one thread + one
-/// connection each).
+/// Most peers one `CombineRange` may fan out to.
 const MAX_COMBINE_PEERS: usize = 32;
 
 /// Dial timeout for a combined-read peer fetch.
 const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Socket timeout while waiting for a peer's partial sums.
+/// Deadline for a peer's partial sums.
 const PEER_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One sequential [`Pool`] per combine peer, keyed by the address the
-/// request named. Dialing a shard costs a TCP handshake plus up to one
-/// accept-poll tick on the far side, so a root that aggregates every
-/// stripe of a rebuild reuses its peer links. Behind an `Arc` so the
-/// per-request fetch threads can share it with the server.
-type PeerPools = Arc<Mutex<HashMap<String, Arc<Pool>>>>;
-
-/// Demux workers per multiplexed connection: how many wrapped requests
-/// one connection services concurrently. Small and fixed — the client
-/// may queue thousands of submissions, but per-connection handler
-/// parallelism beyond a few threads only buys writer-lock contention.
+/// Workers per connection: how many of its requests one connection
+/// services concurrently. Small and fixed — the client may queue
+/// thousands of submissions, but per-connection handler parallelism
+/// beyond a few threads only buys writer-lock contention.
 const MUX_WORKERS: usize = 4;
 
+/// The combine rule: at most this many of one connection's
+/// `CombineRange`s are in service at once; the others wait, holding no
+/// worker, so a repair window leaves the foreground reads on its
+/// connection half of the workers.
+const MAX_COMBINES: usize = MUX_WORKERS / 2;
+
 /// Most object bytes one `ObjGet` reply carries: what fits a frame
-/// beside its length field and a `Mux` envelope's id and opcode.
-const MAX_OBJ_REPLY: u64 = MAX_PAYLOAD as u64 - 4 - 9;
+/// beside its length field.
+const MAX_OBJ_REPLY: u64 = MAX_PAYLOAD as u64 - 4;
 
 /// Bound on a blocked socket write, so a stalled client cannot wedge a
 /// handler (and therefore `kill`) forever.
@@ -91,8 +87,8 @@ struct ServerMetrics {
     health: Counter,
     inject: Counter,
     stats: Counter,
-    mux: Counter,
-    mux_inline: Counter,
+    inline: Counter,
+    conns: Counter,
     serve_us: Histogram,
 }
 
@@ -108,8 +104,8 @@ impl ServerMetrics {
             health: recorder.counter("serve.health"),
             inject: recorder.counter("serve.inject"),
             stats: recorder.counter("serve.stats"),
-            mux: recorder.counter("serve.mux"),
-            mux_inline: recorder.counter("serve.mux_inline"),
+            inline: recorder.counter("serve.inline"),
+            conns: recorder.counter("serve.conns"),
             serve_us: recorder.histogram("serve_us"),
         }
     }
@@ -127,12 +123,6 @@ impl ServerMetrics {
             Request::Health => self.health.inc(),
             Request::InjectFault(_) => self.inject.inc(),
             Request::Stats => self.stats.inc(),
-            // A mux frame counts its envelope *and* the request inside,
-            // so per-op counters stay comparable across transports.
-            Request::Mux { inner, .. } => {
-                self.mux.inc();
-                self.count(inner);
-            }
         }
     }
 }
@@ -146,7 +136,9 @@ struct Shared {
     stop: AtomicBool,
     recorder: Recorder,
     metrics: ServerMetrics,
-    peer_pools: PeerPools,
+    /// One connection per combine peer, keyed by the address requests
+    /// name it by, kept for every stripe of a rebuild.
+    links: Mutex<HashMap<String, Arc<Link>>>,
 }
 
 /// A TCP server exposing one disk shard.
@@ -207,7 +199,7 @@ impl ShardServer {
             stop: AtomicBool::new(false),
             recorder,
             metrics,
-            peer_pools: Arc::new(Mutex::new(HashMap::new())),
+            links: Mutex::new(HashMap::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::spawn(move || accept_loop(&listener, &accept_shared));
@@ -225,10 +217,9 @@ impl ShardServer {
 
     /// The server's metrics registry: per-op counters (`serve.read`,
     /// `serve.put_many`, `serve.combine`, `serve.obj`, `serve.health`,
-    /// `serve.inject`, `serve.stats`), the `serve.mux` count of
-    /// multiplexed envelopes (each also counts its inner op) and
-    /// `serve.mux_inline`, how many of them the connection thread
-    /// answered itself instead of handing to the worker pool, the
+    /// `serve.inject`, `serve.stats`), `serve.inline` — the frames the
+    /// connection thread answered itself instead of handing them to its
+    /// worker pool — `serve.conns`, the connections accepted, the
     /// `serve.read_corrupt` count of cells that failed footer
     /// verification at this shard, and the `serve_us` request-service
     /// histogram; plus the gauges of the file I/O engine under the
@@ -273,6 +264,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                shared.metrics.conns.inc();
                 let shared = Arc::clone(shared);
                 handlers.lock().push(std::thread::spawn(move || {
                     serve_connection(stream, &shared)
@@ -289,31 +281,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// The writer half of a connection, shared between the inline request
-/// loop and any mux demux workers so id-tagged responses interleave
-/// without tearing frames. The socket itself: a response leaves in one
-/// vectored write from the buffers that hold it.
+/// The writer half of a connection, shared between the connection
+/// thread and its workers so responses interleave without tearing
+/// frames. The socket itself: a response leaves in one vectored write
+/// from the buffers that hold it.
 type SharedWriter = Arc<Mutex<TcpStream>>;
 
-/// Record the service time since `t0`, id-tag the response if it
-/// answers a mux frame, and write it. Returns `false` if it could not
-/// be written (connection is dead).
-fn respond(
-    resp: Response,
-    mux_id: Option<u64>,
-    t0: Instant,
-    shared: &Shared,
-    writer: &SharedWriter,
-) -> bool {
+/// Record the service time since `t0` and write the response to request
+/// `id`. Returns `false` if it could not be written (connection is
+/// dead).
+fn respond(resp: Response, id: u64, t0: Instant, shared: &Shared, writer: &SharedWriter) -> bool {
     shared.metrics.serve_us.record_duration(t0.elapsed());
-    let resp = match mux_id {
-        Some(id) => Response::Mux {
-            id,
-            inner: Box::new(resp),
-        },
-        None => resp,
-    };
-    write_response(&mut *writer.lock(), &resp).is_ok()
+    write_response(&mut *writer.lock(), id, &resp).is_ok()
 }
 
 /// [`handle`], with a panic turned into a wire error.
@@ -328,14 +307,14 @@ fn handle_caught(req: &Request, shared: &Shared) -> Response {
 
 /// Count, time, handle, and write one request's response. Returns
 /// `false` if the response could not be written (connection is dead).
-fn serve_one(req: &Request, mux_id: Option<u64>, shared: &Shared, writer: &SharedWriter) -> bool {
+fn serve_one(req: &Request, id: u64, shared: &Shared, writer: &SharedWriter) -> bool {
     shared.metrics.count(req);
     let t0 = Instant::now();
-    respond(handle_caught(req, shared), mux_id, t0, shared, writer)
+    respond(handle_caught(req, shared), id, t0, shared, writer)
 }
 
-/// A mux-wrapped request the connection thread could not answer itself.
-enum MuxJob {
+/// A request the connection thread could not answer itself.
+enum Job {
     /// Not started: a worker handles it from start to finish.
     Serve { id: u64, req: Request },
     /// A read the connection thread already submitted, whose backend has
@@ -349,35 +328,38 @@ enum MuxJob {
     },
 }
 
-/// What [`start_mux`] made of a mux frame.
+impl Job {
+    fn is_combine(&self) -> bool {
+        matches!(self, Job::Serve { req, .. } if matches!(req, Request::CombineRange(_)))
+    }
+}
+
+/// What [`start`] made of a frame.
 enum Started {
     /// Answered on the connection thread; write this.
     Done(Response, Instant),
     /// Needs a worker.
-    Job(MuxJob),
+    Job(Job),
 }
 
-/// Start a mux-wrapped request on the connection thread when that
-/// cannot block it: a read, on a backend whose submission only stages
-/// the I/O. A result that is already
-/// there (page-cache hit) is answered on the spot — no hand-off, no
-/// second thread; one still pending is handed to the pool. Served here
-/// too is a `PutMany`: on such a backend the write is a copy into the
-/// page cache, and the frame it arrived in is the buffer. Everything
-/// else goes to the pool untouched.
-fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
-    let inline = shared.backend.submits_async();
-    let (runs, key) = match &req {
-        Request::PutMany { .. } if inline => {
-            shared.metrics.count(&req);
-            let t0 = Instant::now();
-            return Started::Done(handle_caught(&req, shared), t0);
-        }
-        Request::Read { runs, key } if inline => (runs, *key),
-        _ => return Started::Job(MuxJob::Serve { id, req }),
+/// Start request `id` on the connection thread unless it has to wait
+/// for something. A read on a backend whose submission only stages the
+/// I/O is submitted here: a result already there (page-cache hit) is
+/// answered on the spot, one still pending is handed to the workers.
+fn start(id: u64, req: Request, shared: &Shared) -> Started {
+    let to_workers = match &req {
+        Request::CombineRange(_) => true,
+        Request::Read { .. } | Request::PutMany { .. } => !shared.backend.submits_async(),
+        _ => false,
     };
+    if to_workers {
+        return Started::Job(Job::Serve { id, req });
+    }
     shared.metrics.count(&req);
     let t0 = Instant::now();
+    let Request::Read { runs, key } = &req else {
+        return Started::Done(handle_caught(&req, shared), t0);
+    };
     let offsets = match read_offsets(runs) {
         Ok(offsets) => offsets,
         Err(msg) => return Started::Done(Response::Error(msg), t0),
@@ -388,10 +370,10 @@ fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
         Err(payload) => return Started::Done(Response::Error(panic_message(payload.as_ref())), t0),
     };
     match handle.try_take() {
-        Some(cells) => Started::Done(finish_read(key, &offsets, cells, shared), t0),
-        None => Started::Job(MuxJob::Finish {
+        Some(cells) => Started::Done(finish_read(*key, &offsets, cells, shared), t0),
+        None => Started::Job(Job::Finish {
             id,
-            key,
+            key: *key,
             offsets,
             handle,
             t0,
@@ -399,50 +381,75 @@ fn start_mux(id: u64, req: Request, shared: &Shared) -> Started {
     }
 }
 
-/// The worker pool a connection grows on the first mux frame that has
-/// to wait for something (see [`start_mux`]).
+/// A connection's combines in service, and the ones waiting for one of
+/// them to finish (the combine rule, [`MAX_COMBINES`]).
+type CombineGate = Mutex<(usize, VecDeque<Job>)>;
+
+/// The worker pool a connection grows on the first frame that has to
+/// wait for something (see [`start`]).
 ///
 /// One queue, one condvar: a push wakes exactly one parked worker, and
 /// handling — the expensive part — overlaps up to [`MUX_WORKERS`]
 /// deep. Dropping the pool closes the queue; each worker drains out
 /// and is joined.
-struct MuxPool {
-    queue: Arc<Queue<MuxJob>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+struct Workers {
+    queue: Arc<Queue<Job>>,
+    combines: Arc<CombineGate>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-impl MuxPool {
+impl Workers {
     fn spawn(shared: &Arc<Shared>, writer: &SharedWriter) -> Self {
         let queue = Arc::new(Queue::new());
-        let workers = (0..MUX_WORKERS)
+        let combines = Arc::new(Mutex::new((0, VecDeque::new())));
+        let threads = (0..MUX_WORKERS)
             .map(|_| {
-                let queue = Arc::clone(&queue);
-                let shared = Arc::clone(shared);
-                let writer = Arc::clone(writer);
-                std::thread::spawn(move || mux_worker(&queue, &shared, &writer))
+                let (queue, combines) = (Arc::clone(&queue), Arc::clone(&combines));
+                let (shared, writer) = (Arc::clone(shared), Arc::clone(writer));
+                std::thread::spawn(move || worker(&queue, &combines, &shared, &writer))
             })
             .collect();
-        Self { queue, workers }
+        Self {
+            queue,
+            combines,
+            threads,
+        }
+    }
+
+    /// Queue `job` — a combine only while fewer than [`MAX_COMBINES`]
+    /// are in service; otherwise it waits its turn off the queue.
+    /// `false` once the queue is closed.
+    fn push(&self, job: Job) -> bool {
+        if job.is_combine() {
+            let mut gate = self.combines.lock();
+            if gate.0 == MAX_COMBINES {
+                gate.1.push_back(job);
+                return true;
+            }
+            gate.0 += 1;
+        }
+        self.queue.push(job).is_ok()
     }
 }
 
-impl Drop for MuxPool {
+impl Drop for Workers {
     fn drop(&mut self) {
         self.queue.close();
-        for w in self.workers.drain(..) {
+        for w in self.threads.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-fn mux_worker(queue: &Queue<MuxJob>, shared: &Shared, writer: &SharedWriter) {
+fn worker(queue: &Queue<Job>, combines: &CombineGate, shared: &Shared, writer: &SharedWriter) {
     while let Some(job) = queue.pop() {
         if shared.stop.load(Ordering::Acquire) {
             return; // hard kill: abandon the in-flight request
         }
+        let combine = job.is_combine();
         let alive = match job {
-            MuxJob::Serve { id, req } => serve_one(&req, Some(id), shared, writer),
-            MuxJob::Finish {
+            Job::Serve { id, req } => serve_one(&req, id, shared, writer),
+            Job::Finish {
                 id,
                 key,
                 offsets,
@@ -459,9 +466,24 @@ fn mux_worker(queue: &Queue<MuxJob>, shared: &Shared, writer: &SharedWriter) {
                     }
                 };
                 let resp = finish_read(key, &offsets, cells, shared);
-                respond(resp, Some(id), t0, shared, writer)
+                respond(resp, id, t0, shared, writer)
             }
         };
+        if combine {
+            // The next waiting combine takes this one's place in service,
+            // queued behind whatever the connection sent meanwhile.
+            let next = {
+                let mut gate = combines.lock();
+                let next = gate.1.pop_front();
+                if next.is_none() {
+                    gate.0 -= 1;
+                }
+                next
+            };
+            if next.is_some_and(|job| queue.push(job).is_err()) {
+                return;
+            }
+        }
         if !alive {
             return; // dead socket: stop servicing this connection
         }
@@ -477,48 +499,35 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     });
     let writer: SharedWriter = Arc::new(Mutex::new(stream));
-    // Spawned lazily on the first frame that needs it: plain sequential
-    // clients and mux reads of a warm async backend never pay for it.
-    let mut mux_pool: Option<MuxPool> = None;
+    // Spawned lazily on the first frame that needs it: clients of
+    // connection-thread ops and reads of a warm async backend never pay
+    // for it.
+    let mut workers: Option<Workers> = None;
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return; // hard kill: drop the connection mid-stream
         }
-        let req = match read_request_polling(&mut reader, &shared.stop) {
-            Polled::Frame(req) => req,
+        let (id, req) = match read_request_polling(&mut reader, &shared.stop) {
+            Polled::Frame(id, req) => (id, req),
             Polled::Idle => continue, // poll tick, check stop
             Polled::Closed => return, // peer gone, kill, or garbage
             Polled::WrongVersion(peer) => {
                 // Say why before hanging up: a silent close reads as an
                 // outage on the other side.
                 let refusal = Response::Error(version_mismatch(peer));
-                let _ = write_response(&mut *writer.lock(), &refusal);
+                let _ = write_response(&mut *writer.lock(), 0, &refusal);
                 return;
             }
         };
-        let alive = match req {
-            // Mux frames may be many in flight; responses come back
-            // id-tagged in completion order. The envelope is counted
-            // here; whoever serves the request inside counts that.
-            Request::Mux { id, inner } => {
-                shared.metrics.mux.inc();
-                match start_mux(id, *inner, shared) {
-                    Started::Done(resp, t0) => {
-                        shared.metrics.mux_inline.inc();
-                        respond(resp, Some(id), t0, shared, &writer)
-                    }
-                    Started::Job(job) => {
-                        mux_pool
-                            .get_or_insert_with(|| MuxPool::spawn(shared, &writer))
-                            .queue
-                            .push(job)
-                            .is_ok() // only this thread, leaving, closes it
-                    }
-                }
+        let alive = match start(id, req, shared) {
+            Started::Done(resp, t0) => {
+                shared.metrics.inline.inc();
+                respond(resp, id, t0, shared, &writer)
             }
-            // Everything else keeps the one-at-a-time path: response
-            // written before the next frame is read.
-            req => serve_one(&req, None, shared, &writer),
+            // Only this thread, leaving, closes the queue.
+            Started::Job(job) => workers
+                .get_or_insert_with(|| Workers::spawn(shared, &writer))
+                .push(job),
         };
         if !alive {
             return;
@@ -747,10 +756,6 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             Response::FaultInjected
         }
         Request::Stats => Response::Stats(shared.recorder.snapshot().flatten()),
-        // Unreachable through serve_connection (mux frames are unwrapped
-        // before dispatch) and the decoder rejects nesting, but the match
-        // must be total and the answer must be a wire error, not a panic.
-        Request::Mux { .. } => Response::Error("nested mux not supported".to_string()),
     }
 }
 
@@ -818,15 +823,33 @@ fn handle_combine(spec: &CombineSpec, shared: &Shared) -> Response {
     let lanes = outputs as usize;
     let n = count as usize;
 
-    // Fetch peers' partial sums while the local read + math runs.
-    let peer_handles: Vec<std::thread::JoinHandle<(u8, Vec<Vec<u8>>)>> = peers
-        .iter()
-        .map(|p| {
-            let p = p.clone();
-            let pools = Arc::clone(&shared.peer_pools);
-            std::thread::spawn(move || fetch_peer_partial(&pools, &p, outputs, wire_key))
-        })
-        .collect();
+    // Ask every peer for its partial sums before the local read + math
+    // runs: async submissions on the one connection per peer (leaf
+    // requests — aggregation is one level deep), all sent before any
+    // reply is awaited.
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (i, p) in peers.iter().enumerate() {
+        let tx = tx.clone();
+        let done: Callback = Box::new(move |reply| {
+            let _ = tx.send((i, reply));
+        });
+        let req = Request::CombineRange(CombineSpec {
+            offset: p.offset,
+            count: p.count,
+            outputs,
+            coeffs: p.coeffs.clone(),
+            key: wire_key,
+            peers: Vec::new(),
+        });
+        match peer_link(shared, &p.addr) {
+            Some(link) => link.submit(&|w, id| write_request(w, id, &req), done),
+            None => done(Err(NetError::Protocol(format!(
+                "{} does not resolve",
+                p.addr
+            )))),
+        }
+    }
+    drop(tx);
 
     // Local partial: verify every cell's footer at the data, before it
     // can contribute to a sum.
@@ -859,16 +882,14 @@ fn handle_combine(spec: &CombineSpec, shared: &Shared) -> Response {
     let local_ok = (0..n).all(|i| local_status[i] == cstat::OK || !used(i));
     let lens: Vec<usize> = payloads.iter().flatten().map(Vec::len).collect();
     if lens.windows(2).any(|w| w[0] != w[1]) {
-        for h in peer_handles {
-            let _ = h.join();
-        }
         return Response::Error("element size mismatch across combined range".into());
     }
 
-    let peer_results: Vec<(u8, Vec<Vec<u8>>)> = peer_handles
-        .into_iter()
-        .map(|h| h.join().unwrap_or_else(|_| (cstat::MISSING, Vec::new())))
-        .collect();
+    // Every peer's reply arrives exactly once, so this ends.
+    let mut peer_results = vec![(cstat::MISSING, Vec::new()); peers.len()];
+    for (i, reply) in rx {
+        peer_results[i] = judge_peer(&peers[i], reply, outputs, &key);
+    }
     let peer_status: Vec<u8> = peer_results.iter().map(|(s, _)| *s).collect();
 
     let mut regions: Vec<Vec<u8>> = Vec::new();
@@ -922,11 +943,11 @@ fn handle_combine(spec: &CombineSpec, shared: &Shared) -> Response {
     })
 }
 
-/// The pool for combine peer `addr`, built on first use; `None` when
-/// the address does not resolve.
-fn peer_pool(pools: &PeerPools, addr: &str) -> Option<Arc<Pool>> {
-    if let Some(pool) = pools.lock().get(addr) {
-        return Some(Arc::clone(pool));
+/// The connection to combine peer `addr`, made on first use; `None`
+/// when the address does not resolve.
+fn peer_link(shared: &Shared, addr: &str) -> Option<Arc<Link>> {
+    if let Some(link) = shared.links.lock().get(addr) {
+        return Some(Arc::clone(link));
     }
     // Resolve outside the lock: a slow name lookup must not stall the
     // fetches to every other peer.
@@ -935,79 +956,58 @@ fn peer_pool(pools: &PeerPools, addr: &str) -> Option<Arc<Pool>> {
         .connect_timeout(PEER_CONNECT_TIMEOUT)
         .request_timeout(PEER_IO_TIMEOUT)
         .build();
-    let mut pools = pools.lock();
-    let pool = pools
+    let mut links = shared.links.lock();
+    let link = links
         .entry(addr.to_string())
-        .or_insert_with(|| Arc::new(Pool::new(resolved, &cfg)));
-    Some(Arc::clone(pool))
+        .or_insert_with(|| Arc::new(Link::new(resolved, cfg)));
+    Some(Arc::clone(link))
 }
 
-/// Request one combined-read peer's partial sums (never forwarding
-/// further — aggregation is one level deep) over its pooled connection,
-/// and verify each returned region's footer before it may be merged.
-/// Returns the peer's [`ecfrm_sim::combine_status`] verdict plus the
-/// verified, stripped regions (empty unless OK).
-fn fetch_peer_partial(
-    pools: &PeerPools,
+/// A combine peer's [`ecfrm_sim::combine_status`] from its reply, and
+/// its regions, footer-verified and stripped (empty unless OK). A peer
+/// not resolved, dialled or heard from is missing; a typed error is a
+/// decline.
+fn judge_peer(
     p: &CombinePeerSpec,
+    reply: Result<Response, NetError>,
     outputs: u32,
-    key: (u64, u64),
+    key: &HashKey,
 ) -> (u8, Vec<Vec<u8>>) {
-    use crate::protocol::write_request;
     use ecfrm_sim::combine_status as cstat;
 
-    let req = Request::CombineRange(CombineSpec {
-        offset: p.offset,
-        count: p.count,
-        outputs,
-        coeffs: p.coeffs.clone(),
-        key,
-        peers: Vec::new(),
-    });
-    let key = hash_key(key);
-    // CombineRange is read-only, so the pool may replay it on a fresh
-    // dial when a pooled connection has gone stale; a peer that cannot
-    // be resolved, dialed or heard from is missing.
-    let resp = peer_pool(pools, &p.addr)
-        .and_then(|pool| pool.request(&|w| write_request(w, &req), true).ok());
-    let Some(resp) = resp else {
-        return (cstat::MISSING, Vec::new());
-    };
-    match resp {
-        Response::Combined(CombineReply {
+    let (regions, local_status) = match reply {
+        Ok(Response::Combined(CombineReply {
             regions,
             local_status,
             ..
-        }) => {
-            if regions.len() == outputs as usize {
-                let mut stripped = Vec::with_capacity(regions.len());
-                for (r, region) in regions.into_iter().enumerate() {
-                    match verify_footer(&key, p.offset + r as u64, &region) {
-                        Some(payload) => stripped.push(payload.to_vec()),
-                        None => return (cstat::CORRUPT, Vec::new()),
-                    }
-                }
-                if stripped.windows(2).any(|w| w[0].len() != w[1].len()) {
-                    return (cstat::CORRUPT, Vec::new());
-                }
-                (cstat::OK, stripped)
-            } else if local_status.contains(&cstat::CORRUPT) {
-                (cstat::CORRUPT, Vec::new())
-            } else if local_status.iter().any(|&s| s != cstat::OK) {
-                (cstat::MISSING, Vec::new())
-            } else {
-                (cstat::DECLINED, Vec::new())
+        })) => (regions, local_status),
+        Err(NetError::Remote(_)) | Ok(_) => return (cstat::DECLINED, Vec::new()),
+        Err(_) => return (cstat::MISSING, Vec::new()),
+    };
+    if regions.len() == outputs as usize {
+        let mut stripped = Vec::with_capacity(regions.len());
+        for (r, region) in regions.into_iter().enumerate() {
+            match verify_footer(key, p.offset + r as u64, &region) {
+                Some(payload) => stripped.push(payload.to_vec()),
+                None => return (cstat::CORRUPT, Vec::new()),
             }
         }
-        // A peer that refused the spec (a typed error) declined.
-        _ => (cstat::DECLINED, Vec::new()),
+        if stripped.windows(2).any(|w| w[0].len() != w[1].len()) {
+            return (cstat::CORRUPT, Vec::new());
+        }
+        (cstat::OK, stripped)
+    } else if local_status.contains(&cstat::CORRUPT) {
+        (cstat::CORRUPT, Vec::new())
+    } else if local_status.iter().any(|&s| s != cstat::OK) {
+        (cstat::MISSING, Vec::new())
+    } else {
+        (cstat::DECLINED, Vec::new())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::write_request;
     use ecfrm_sim::{FaultKind, FaultyDisk, MemDisk};
 
     fn dial(server: &ShardServer) -> TcpStream {
@@ -1016,9 +1016,13 @@ mod tests {
         s
     }
 
+    /// One request and its reply, on a connection with nothing else in
+    /// flight.
     fn rpc(stream: &mut TcpStream, req: &Request) -> Response {
-        write_request(stream, req).unwrap();
-        crate::protocol::read_response(stream).unwrap()
+        write_request(stream, 1, req).unwrap();
+        let (id, resp) = crate::protocol::read_response(stream).unwrap();
+        assert_eq!(id, 1, "the reply carries the request's id");
+        resp
     }
 
     /// A keyless read of one run.
@@ -1142,7 +1146,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_read_frames_get_typed_errors_plain_and_muxed() {
+    fn hostile_read_frames_get_typed_errors() {
         // A run past the last offset used to wrap in release builds and
         // read back elements 0 and 1 as its tail.
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
@@ -1164,19 +1168,9 @@ mod tests {
                     runs: runs.clone(),
                     key,
                 };
-                let wrapped = Request::Mux {
-                    id: 9,
-                    inner: Box::new(req.clone()),
-                };
-                let muxed = match rpc(&mut c, &wrapped) {
-                    Response::Mux { id: 9, inner } => *inner,
-                    other => panic!("expected Response::Mux, got {other:?}"),
-                };
-                for resp in [rpc(&mut c, &req), muxed] {
-                    match resp {
-                        Response::Error(msg) => assert!(msg.contains(needle), "got: {msg}"),
-                        other => panic!("expected Response::Error, got {other:?}"),
-                    }
+                match rpc(&mut c, &req) {
+                    Response::Error(msg) => assert!(msg.contains(needle), "got: {msg}"),
+                    other => panic!("expected Response::Error, got {other:?}"),
                 }
             }
         }
@@ -1298,22 +1292,12 @@ mod tests {
             (frame(vec![(0, 1)], 0, 0), "zero bytes"),
         ];
         for (req, needle) in cases {
-            let wrapped = Request::Mux {
-                id: 3,
-                inner: Box::new(req.clone()),
-            };
-            let muxed = match rpc(&mut c, &wrapped) {
-                Response::Mux { id: 3, inner } => *inner,
-                other => panic!("expected Response::Mux, got {other:?}"),
-            };
-            for resp in [rpc(&mut c, &req), muxed] {
-                match resp {
-                    Response::Error(msg) => {
-                        assert!(msg.contains(needle), "{req:?}: got {msg}");
-                        assert!(!msg.contains("panicked"), "{msg}");
-                    }
-                    other => panic!("{req:?}: expected Response::Error, got {other:?}"),
+            match rpc(&mut c, &req) {
+                Response::Error(msg) => {
+                    assert!(msg.contains(needle), "{req:?}: got {msg}");
+                    assert!(!msg.contains("panicked"), "{msg}");
                 }
+                other => panic!("{req:?}: expected Response::Error, got {other:?}"),
             }
         }
         // Nothing reached the backend, and the connection survived.
@@ -1365,14 +1349,14 @@ mod tests {
         assert!(server.is_dead());
         // In-flight connection dies: the next RPC fails (EOF/reset) or
         // times out rather than answering.
-        write_request(&mut c, &Request::Health).ok();
+        write_request(&mut c, 2, &Request::Health).ok();
         assert!(crate::protocol::read_response(&mut c).is_err());
         // New connections are not served (a refused connect — the bind
         // already released — is also fine).
         if let Ok(mut s) = TcpStream::connect(addr) {
             s.set_read_timeout(Some(Duration::from_millis(200)))
                 .unwrap();
-            write_request(&mut s, &Request::Health).ok();
+            write_request(&mut s, 1, &Request::Health).ok();
             assert!(crate::protocol::read_response(&mut s).is_err());
         }
     }
@@ -1384,27 +1368,16 @@ mod tests {
         for o in 0..6u64 {
             rpc(&mut c, &put(o, vec![o as u8; 4]));
         }
-        // Fire a burst of id-tagged reads without waiting for replies,
-        // then collect: every id must come back with its own element,
-        // whatever order the pool finished in.
+        // Fire a burst of reads without waiting for replies, then
+        // collect: every id must come back with its own element,
+        // whatever order the workers finished in.
         for id in 0..6u64 {
-            write_request(
-                &mut c,
-                &Request::Mux {
-                    id: 100 + id,
-                    inner: Box::new(read(id, 1)),
-                },
-            )
-            .unwrap();
+            write_request(&mut c, 100 + id, &read(id, 1)).unwrap();
         }
         let mut seen = std::collections::BTreeMap::new();
         for _ in 0..6 {
-            match crate::protocol::read_response(&mut c).unwrap() {
-                Response::Mux { id, inner } => {
-                    seen.insert(id, *inner);
-                }
-                other => panic!("expected Response::Mux, got {other:?}"),
-            }
+            let (id, resp) = crate::protocol::read_response(&mut c).unwrap();
+            seen.insert(id, resp);
         }
         for id in 0..6u64 {
             assert_eq!(
@@ -1413,11 +1386,9 @@ mod tests {
                 "id {id}"
             );
         }
-        // Envelope and inner op both counted; plain path still works on
-        // the same connection after mux traffic.
         let snap = server.recorder().snapshot();
-        assert_eq!(snap.counters.get("serve.mux").copied(), Some(6));
         assert_eq!(snap.counters.get("serve.read").copied(), Some(6));
+        assert_eq!(snap.counters.get("serve.conns").copied(), Some(1));
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 6 }
@@ -1431,30 +1402,19 @@ mod tests {
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![1]));
         slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
-        // Four delayed reads in flight at once: if the pool overlaps
+        // Four delayed reads in flight at once: if the workers overlap
         // them they finish in ~1 delay, not 4 back-to-back.
         let t0 = std::time::Instant::now();
         for id in 0..4u64 {
-            write_request(
-                &mut c,
-                &Request::Mux {
-                    id,
-                    inner: Box::new(read(0, 1)),
-                },
-            )
-            .unwrap();
+            write_request(&mut c, id, &read(0, 1)).unwrap();
         }
         for _ in 0..4 {
-            match crate::protocol::read_response(&mut c).unwrap() {
-                Response::Mux { inner, .. } => {
-                    assert_eq!(*inner, cells(vec![Some(vec![1])]));
-                }
-                other => panic!("expected Response::Mux, got {other:?}"),
-            }
+            let (_, resp) = crate::protocol::read_response(&mut c).unwrap();
+            assert_eq!(resp, cells(vec![Some(vec![1])]));
         }
         assert!(
             t0.elapsed() < Duration::from_millis(240),
-            "4×80 ms requests took {:?} — pool is not overlapping them",
+            "4×80 ms requests took {:?} — the workers are not overlapping them",
             t0.elapsed()
         );
     }
@@ -1469,14 +1429,10 @@ mod tests {
         rpc(&mut c, &put(0, vec![1]));
         slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
         let t0 = std::time::Instant::now();
-        for (id, inner) in [(1, read(0, 1)), (2, Request::Health)] {
-            let inner = Box::new(inner);
-            write_request(&mut c, &Request::Mux { id, inner }).unwrap();
+        for (id, req) in [(1, read(0, 1)), (2, Request::Health)] {
+            write_request(&mut c, id, &req).unwrap();
         }
-        let mut next = || match crate::protocol::read_response(&mut c).unwrap() {
-            Response::Mux { id, inner } => (id, *inner),
-            other => panic!("expected Response::Mux, got {other:?}"),
-        };
+        let mut next = || crate::protocol::read_response(&mut c).unwrap();
         assert_eq!(next(), (2, Response::Health { elements: 1 }));
         assert!(
             t0.elapsed() < Duration::from_millis(70),

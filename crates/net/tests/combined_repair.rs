@@ -6,13 +6,16 @@
 //! lying helper is excluded and the stripe replanned, and rack labels
 //! keep repair traffic inside the failed disk's domain.
 
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex};
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::{DomainMap, LayoutKind, Scheme};
 use ecfrm_integrity::FOOTER_LEN;
-use ecfrm_net::{Cluster, RemoteDiskConfig};
-use ecfrm_sim::{DiskBackend, MemDisk, ThreadedArray};
+use ecfrm_net::{Cluster, RemoteDisk, RemoteDiskConfig};
+use ecfrm_sim::{
+    CombineReply, CombineSpec, DiskBackend, IoHandle, MemDisk, NetStats, ThreadedArray, WriteRun,
+};
 use ecfrm_store::ObjectStore;
 
 const ELEMENT: usize = 512;
@@ -106,6 +109,110 @@ fn recover_disk_over_a_cluster_rebuilds_every_stripe_combined() {
     assert_eq!(got, data, "rebuilt bytes are exact");
     assert!(!stats.degraded);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+/// Every combine sent: the root's disk, and the peers the request names.
+type Combines = Arc<Mutex<Vec<(usize, Vec<String>)>>>;
+
+/// A shard client that notes, for every combine it is asked to send,
+/// the peers the request names: which roots fetched from which peers.
+#[derive(Debug)]
+struct Noted {
+    inner: Arc<RemoteDisk>,
+    disk: usize,
+    combines: Combines,
+}
+
+impl DiskBackend for Noted {
+    fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+        self.inner.submit_read_many(offsets)
+    }
+    fn submits_async(&self) -> bool {
+        self.inner.submits_async()
+    }
+    fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+        self.inner.submit_write_many(runs)
+    }
+    fn fail(&self) {
+        self.inner.fail();
+    }
+    fn heal(&self) {
+        self.inner.heal();
+    }
+    fn wipe(&self) {
+        self.inner.wipe();
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn net_stats(&self) -> Option<NetStats> {
+        self.inner.net_stats()
+    }
+    fn combine(&self, spec: &CombineSpec) -> Result<CombineReply, String> {
+        let peers = spec.peers.iter().map(|p| p.addr.clone()).collect();
+        self.combines.lock().unwrap().push((self.disk, peers));
+        self.inner.combine(spec)
+    }
+    fn peer_addr(&self) -> Option<String> {
+        self.inner.peer_addr()
+    }
+}
+
+/// One server-side counter of shard `disk`, over its client's `Stats`.
+fn served(cluster: &Cluster, disk: usize, name: &str) -> u64 {
+    let stats = cluster.client(disk).stats().unwrap();
+    stats
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| v)
+}
+
+/// A root keeps one connection to each peer it fetches partial sums
+/// from, however many stripes it combines: each shard has accepted
+/// exactly its own client's one connection plus one per root that named
+/// it as a peer.
+#[test]
+fn each_root_opens_one_connection_per_peer_whatever_its_stripe_count() {
+    let scheme = rs_scheme();
+    let n = scheme.n_disks();
+    let cluster = Cluster::spawn(n).unwrap();
+    let combines = Arc::new(Mutex::new(Vec::new()));
+    let backends: Vec<Arc<dyn DiskBackend>> = (0..n)
+        .map(|disk| {
+            Arc::new(Noted {
+                inner: Arc::clone(cluster.client(disk)),
+                disk,
+                combines: Arc::clone(&combines),
+            }) as Arc<dyn DiskBackend>
+        })
+        .collect();
+    let store = ObjectStore::with_array(scheme, ELEMENT, ThreadedArray::from_backends(backends));
+    store.put("obj", &payload(100_000)).unwrap();
+    store.flush();
+    let stripes = store.stats().stripes;
+    assert!(stripes >= 8, "{stripes} stripes");
+
+    cluster.client(4).wipe();
+    store.recover_disk(4).unwrap();
+    assert_eq!(counter(&store, "repair.combined_stripes"), stripes);
+
+    // How often each root fetched from each peer.
+    let disk_at: HashMap<String, usize> =
+        (0..n).map(|d| (cluster.addr(d).to_string(), d)).collect();
+    let mut fetches: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for (root, peers) in combines.lock().unwrap().iter() {
+        for peer in peers {
+            *fetches.entry((*root, disk_at[peer])).or_default() += 1;
+        }
+    }
+    assert!(
+        fetches.values().any(|&times| times >= 2),
+        "no root combined twice with one peer: {fetches:?}"
+    );
+    for d in 0..n {
+        let roots = fetches.keys().filter(|&&(_, peer)| peer == d).count() as u64;
+        assert_eq!(served(&cluster, d, "serve.conns"), 1 + roots, "shard {d}");
+    }
 }
 
 #[test]

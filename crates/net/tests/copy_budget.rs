@@ -109,7 +109,7 @@ fn a_warm_256k_object_read_allocates_one_body_the_clients() {
     let data = pattern(LEN, 3);
     client.put("t", "hot", &data).unwrap();
     // Twice: the first read fills the cache, the second finds the
-    // connection pooled and every element cached.
+    // connection up and every element cached.
     for _ in 0..2 {
         assert_eq!(client.read("t", "hot").unwrap(), data);
     }
@@ -260,6 +260,7 @@ fn a_length_is_not_allocated_for_before_the_frame_covers_it() {
     for (opcode, payload) in [(140u8, lie.to_vec()), (145, cells)] {
         let mut frame = MAGIC.to_vec();
         frame.extend_from_slice(&[VERSION, opcode]);
+        frame.extend_from_slice(&1u64.to_le_bytes()); // id
         frame.extend_from_slice(&(payload.len() as u32 + 10).to_le_bytes());
         frame.extend_from_slice(&payload);
         frame.extend_from_slice(&[0; 10]);

@@ -211,25 +211,38 @@ fn a_front_less_or_dead_server_is_a_typed_net_error() {
 
 /// A server that answers `ObjStat` promptly but sits on `ObjGet` for
 /// `get_delay` — a live node that merely blows the client's request
-/// deadline (queued admission, slow disk, big transfer). Also counts `ObjWrite` frames it *receives*
-/// and, when `drop_writes` is set, kills the connection after reading
-/// one instead of answering — the executed-but-response-lost case.
+/// deadline (queued admission, slow disk, big transfer); the late reply
+/// goes out when it is ready, whatever was answered meanwhile. Also
+/// counts `ObjWrite` frames it *receives* and, when `drop_writes` is
+/// set, kills the connection after reading one instead of answering —
+/// the executed-but-response-lost case. Returns its address, the write
+/// count and the count of connections it accepted.
 fn spawn_slow_server(
     get_delay: std::time::Duration,
     drop_writes: bool,
-) -> (std::net::SocketAddr, Arc<std::sync::atomic::AtomicUsize>) {
+) -> (
+    std::net::SocketAddr,
+    Arc<std::sync::atomic::AtomicUsize>,
+    Arc<std::sync::atomic::AtomicUsize>,
+) {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let writes = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&writes);
+    let (writes, accepted) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (counter, conns) = (Arc::clone(&writes), Arc::clone(&accepted));
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
+            conns.fetch_add(1, Ordering::SeqCst);
             let writes = Arc::clone(&counter);
+            let writer = Arc::new(std::sync::Mutex::new(stream.try_clone().unwrap()));
+            let reply = move |id, resp: &Response| {
+                let mut w = writer.lock().unwrap();
+                write_response(&mut *w, id, resp).is_ok()
+            };
             std::thread::spawn(move || loop {
-                let Ok(req) = read_request(&mut stream) else {
+                let Ok((id, req)) = read_request(&mut stream) else {
                     return;
                 };
                 let resp = match req {
@@ -240,8 +253,12 @@ fn spawn_slow_server(
                         extents: 0,
                     },
                     Request::ObjGet { .. } => {
-                        std::thread::sleep(get_delay);
-                        Response::ObjData(vec![7; 8])
+                        let reply = reply.clone();
+                        std::thread::spawn(move || {
+                            std::thread::sleep(get_delay);
+                            reply(id, &Response::ObjData(vec![7; 8]))
+                        });
+                        continue;
                     }
                     Request::ObjWrite { .. } => {
                         writes.fetch_add(1, Ordering::SeqCst);
@@ -252,20 +269,21 @@ fn spawn_slow_server(
                     }
                     _ => Response::Error("unexpected op".into()),
                 };
-                if write_response(&mut stream, &resp).is_err() {
+                if !reply(id, &resp) {
                     return;
                 }
             });
         }
     });
-    (addr, writes)
+    (addr, writes, accepted)
 }
 
 /// A request that merely exceeds the client timeout on a live server
-/// is a transient `Net` error, and the very next (fast) op is served.
+/// is a transient `Net` error; its connection stays up, and the very
+/// next (fast) op is answered on it while the late reply is dropped.
 #[test]
 fn slow_server_times_out_and_the_next_op_is_served() {
-    let (addr, _) = spawn_slow_server(std::time::Duration::from_millis(800), false);
+    let (addr, _, accepted) = spawn_slow_server(std::time::Duration::from_millis(300), false);
     let cfg = RemoteDiskConfig::builder()
         .request_timeout(std::time::Duration::from_millis(100))
         .build();
@@ -275,10 +293,16 @@ fn slow_server_times_out_and_the_next_op_is_served() {
         client.read_range("web", "obj", 0, 8),
         Err(StoreError::Net(_))
     ));
-    // The next op answers within the deadline.
+    // The next op answers within the deadline, on the same connection.
     assert_eq!(client.stat("web", "obj").unwrap().len, 0);
     let snap = client.recorder().snapshot();
     assert_eq!(snap.counters.get("front.remote").copied(), Some(1));
+    // The late reply arrives and is dropped; the connection serves on.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    assert_eq!(client.stat("web", "obj").unwrap().version, 1);
+    let stats = client.net_stats();
+    assert_eq!((stats.timeouts, stats.conns_discarded), (1, 0), "{stats:?}");
+    assert_eq!(accepted.load(std::sync::atomic::Ordering::SeqCst), 1);
 }
 
 /// A lost `ObjWrite` *response* must not trigger a blind retry: the
@@ -287,10 +311,10 @@ fn slow_server_times_out_and_the_next_op_is_served() {
 /// frames it receives — exactly one may arrive.
 #[test]
 fn lost_write_response_is_not_retried() {
-    let (addr, writes) = spawn_slow_server(std::time::Duration::ZERO, true);
+    let (addr, writes, _) = spawn_slow_server(std::time::Duration::ZERO, true);
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().build());
 
-    client.create("web", "obj").unwrap(); // parks a pooled connection
+    client.create("web", "obj").unwrap(); // dials the connection
     let r = client.write("web", "obj", &payload(100));
     assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
     assert_eq!(
@@ -300,19 +324,27 @@ fn lost_write_response_is_not_retried() {
     );
 }
 
-/// Idempotent reads still recover from a stale pooled connection with
-/// a silent fresh-dial retry (the server here hangs up after every
-/// response, so the second op always finds a dead pooled stream).
+/// One retry rule for every op: a frame that left is never sent again.
+/// The server here hangs up after every response, so the op after the
+/// first goes out on a connection its server has left: it fails typed
+/// `Net`, having reached the server at most once (here: not at all),
+/// and the op after it dials fresh and is served.
 #[test]
-fn stale_pooled_connection_retries_idempotent_reads() {
+fn the_first_op_after_a_hang_up_fails_typed_and_the_next_dials_fresh() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let served = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&served);
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
+            let count = Arc::clone(&count);
             std::thread::spawn(move || {
                 // One request, one answer, hang up.
-                if let Ok(req) = read_request(&mut stream) {
+                if let Ok((id, req)) = read_request(&mut stream) {
+                    count.fetch_add(1, Ordering::SeqCst);
                     let resp = match req {
                         Request::ObjCreate { .. } => Response::ObjAck,
                         Request::ObjStat { .. } => Response::ObjStat {
@@ -322,14 +354,18 @@ fn stale_pooled_connection_retries_idempotent_reads() {
                         },
                         _ => Response::Error("unexpected op".into()),
                     };
-                    let _ = write_response(&mut stream, &resp);
+                    let _ = write_response(&mut stream, id, &resp);
                 }
             });
         }
     });
 
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().build());
-    client.create("web", "obj").unwrap(); // parked stream is now stale
+    client.create("web", "obj").unwrap();
     std::thread::sleep(std::time::Duration::from_millis(30)); // let the server hang up
+    assert!(matches!(client.stat("web", "obj"), Err(StoreError::Net(_))));
+    assert_eq!(served.load(Ordering::SeqCst), 1, "the stat never arrived");
     assert_eq!(client.stat("web", "obj").unwrap().len, 42);
+    assert_eq!(served.load(Ordering::SeqCst), 2);
+    assert_eq!(client.net_stats().reconnects, 1);
 }

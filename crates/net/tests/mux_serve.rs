@@ -1,12 +1,12 @@
-//! Who answers a mux frame: the connection thread, or its worker pool.
+//! Who answers a frame: the connection thread, or its worker pool.
 //!
-//! A mux-wrapped read on a backend that submits without blocking is
-//! submitted by the connection thread, which also answers it when the
-//! result is already there; everything that has to wait goes to the
-//! per-connection pool. `serve.mux_inline` counts the frames the
-//! connection thread answered itself, so `serve.mux_inline ==
-//! serve.mux` means the connection never needed (or spawned) its pool.
-//! These tests drive a raw socket, so every frame on the wire is theirs.
+//! A read on a backend that submits without blocking is submitted by the
+//! connection thread, which also answers it when the result is already
+//! there; everything that has to wait goes to the per-connection pool,
+//! and so does every `CombineRange` — at most `MUX_WORKERS / 2` of them
+//! in service at once. `serve.inline` counts the frames the connection
+//! thread answered itself. These tests drive a raw socket, so every
+//! frame on the wire is theirs.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use ecfrm_net::protocol::{read_response, write_request};
 use ecfrm_net::{RemoteDisk, RemoteDiskConfig, Request, Response, ShardServer};
 use ecfrm_sim::{
-    io_pair, DiskBackend, FaultKind, FaultyDisk, FileDisk, FileIoConfig, IoCompleter, IoHandle,
-    MemDisk, WriteRun,
+    io_pair, CombineSpec, DiskBackend, FaultKind, FaultyDisk, FileDisk, FileIoConfig, IoCompleter,
+    IoHandle, MemDisk, WriteRun,
 };
 use ecfrm_util::Mutex;
 
@@ -34,16 +34,12 @@ fn dial(server: &ShardServer) -> TcpStream {
     s
 }
 
-fn send_mux(c: &mut TcpStream, id: u64, inner: Request) {
-    let inner = Box::new(inner);
-    write_request(c, &Request::Mux { id, inner }).unwrap();
+fn send(c: &mut TcpStream, id: u64, req: Request) {
+    write_request(c, id, &req).unwrap();
 }
 
-fn recv_mux(c: &mut TcpStream) -> (u64, Response) {
-    match read_response(c).unwrap() {
-        Response::Mux { id, inner } => (id, *inner),
-        other => panic!("expected Response::Mux, got {other:?}"),
-    }
+fn recv(c: &mut TcpStream) -> (u64, Response) {
+    read_response(c).unwrap()
 }
 
 /// A keyless read of the given runs.
@@ -60,13 +56,22 @@ fn cells(offsets: &[Option<u64>]) -> Response {
 }
 
 fn rpc(c: &mut TcpStream, req: &Request) -> Response {
-    write_request(c, req).unwrap();
-    read_response(c).unwrap()
+    write_request(c, 0, req).unwrap();
+    read_response(c).unwrap().1
 }
 
 fn counter(server: &ShardServer, name: &str) -> u64 {
     let snap = server.recorder().snapshot();
     snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Wait, up to five seconds, until `cond` holds.
+fn eventually(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// A file-backed shard holding `cell(o)` at offsets `0..n`.
@@ -93,16 +98,16 @@ fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
     // Every shape a batch takes: one cell, one run, scattered.
     for id in 1..=N {
         let o = id % 250;
-        let inner = match id % 3 {
+        let req = match id % 3 {
             0 => read(&[(o, 1)]),
             1 => read(&[(o, 3)]),
             _ => read(&[(o + 2, 1), (999, 1), (o, 1)]),
         };
-        send_mux(&mut c, id, inner);
+        send(&mut c, id, req);
     }
     let mut seen = vec![false; N as usize + 1];
     for _ in 0..N {
-        let (id, resp) = recv_mux(&mut c);
+        let (id, resp) = recv(&mut c);
         assert!(
             !std::mem::replace(&mut seen[id as usize], true),
             "id {id} twice"
@@ -115,14 +120,14 @@ fn hot_file_shard_answers_pipelined_mux_reads_without_its_pool() {
         };
         assert_eq!(resp, want, "id {id}");
     }
-    assert_eq!(counter(&server, "serve.mux"), N);
+    assert_eq!(counter(&server, "serve.read"), N);
     if disk.io_backend() == "uring" {
         // Buffered uring disk, pages hot from the writes: nothing was
         // handed off, so the pool was never spawned.
-        assert_eq!(counter(&server, "serve.mux_inline"), N);
+        assert_eq!(counter(&server, "serve.inline"), N);
     } else {
         // Blocking disk (no io_uring here, or forced): the pool as ever.
-        assert_eq!(counter(&server, "serve.mux_inline"), 0);
+        assert_eq!(counter(&server, "serve.inline"), 0);
     }
     drop(server);
     let _ = std::fs::remove_file(path);
@@ -139,15 +144,15 @@ fn mux_writes_are_served_by_the_connection_thread_of_an_async_backend() {
     let (server, disk, path) = file_shard("put", 0, false);
     let mut c = dial(&server);
     for id in 0..N {
-        send_mux(&mut c, id, put(id));
+        send(&mut c, id, put(id));
     }
     for _ in 0..N {
-        assert!(matches!(recv_mux(&mut c), (_, Response::Put)));
+        assert!(matches!(recv(&mut c), (_, Response::Put)));
     }
     assert_eq!(disk.len() as u64, 3 * N);
     assert_eq!(disk.read(4 * 7 + 2), Some(cell(9)));
     assert_eq!(counter(&server, "serve.put_many"), N);
-    let inline = counter(&server, "serve.mux_inline");
+    let inline = counter(&server, "serve.inline");
     if disk.io_backend() == "uring" {
         // A buffered write waits for nothing: no hand-off, no pool.
         assert_eq!(inline, N);
@@ -159,9 +164,9 @@ fn mux_writes_are_served_by_the_connection_thread_of_an_async_backend() {
     // pool, by the one rule there is.
     let wrapped = ShardServer::spawn(FaultyDisk::wrap(disk.clone()), "127.0.0.1:0").unwrap();
     let mut c = dial(&wrapped);
-    send_mux(&mut c, N, put(N));
-    assert!(matches!(recv_mux(&mut c), (_, Response::Put)));
-    assert_eq!(counter(&wrapped, "serve.mux_inline"), 0);
+    send(&mut c, N, put(N));
+    assert!(matches!(recv(&mut c), (_, Response::Put)));
+    assert_eq!(counter(&wrapped, "serve.inline"), 0);
     assert_eq!(counter(&wrapped, "serve.put_many"), 1);
     assert_eq!(disk.len() as u64, 3 * N + 3);
     drop((server, wrapped));
@@ -185,6 +190,12 @@ impl GatedDisk {
         for (completer, offsets) in self.held.lock().drain(..) {
             completer.complete(self.inner.read_many(&offsets));
         }
+    }
+
+    /// Complete the oldest held read.
+    fn release_one(&self) {
+        let (completer, offsets) = self.held.lock().remove(0);
+        completer.complete(self.inner.read_many(&offsets));
     }
 }
 
@@ -242,19 +253,15 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
     let mut c = dial(&server);
     // Id 1 stays pending in the backend (the cold page / O_DIRECT
     // case): a worker waits on it.
-    send_mux(&mut c, 1, read(&[(0, 1)]));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while disk.held() < 1 {
-        assert!(Instant::now() < deadline, "id 1 never reached the backend");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    send(&mut c, 1, read(&[(0, 1)]));
+    eventually("id 1 never reached the backend", || disk.held() == 1);
     slow.arm(FaultKind::Delay(Duration::from_millis(80)), 0);
     // Ids 2 and 3 are straggler reads. Neither waits for id 1 or for
     // the other.
     let t0 = Instant::now();
-    send_mux(&mut c, 2, read(&[(1, 1)]));
-    send_mux(&mut c, 3, read(&[(2, 1)]));
-    let mut got = [recv_mux(&mut c), recv_mux(&mut c)];
+    send(&mut c, 2, read(&[(1, 1)]));
+    send(&mut c, 3, read(&[(2, 1)]));
+    let mut got = [recv(&mut c), recv(&mut c)];
     got.sort_by_key(|(id, _)| *id);
     assert_eq!(got[0], (2, cells(&[Some(1)])));
     assert_eq!(got[1], (3, cells(&[Some(2)])));
@@ -268,11 +275,52 @@ fn a_pending_read_and_a_delayed_read_overlap_on_one_connection() {
         t0.elapsed()
     );
     disk.release();
-    assert_eq!(recv_mux(&mut c), (1, cells(&[Some(0)])));
+    assert_eq!(recv(&mut c), (1, cells(&[Some(0)])));
     // Only the inline-served frames count as inline: none of the three.
-    assert_eq!(counter(&server, "serve.mux"), 3);
-    assert_eq!(counter(&server, "serve.mux_inline"), 0);
+    assert_eq!(counter(&server, "serve.inline"), 0);
     assert_eq!(counter(&server, "serve.read"), 3);
+}
+
+/// The combine rule: a connection's combines hold at most
+/// `MUX_WORKERS / 2` = 2 of its 4 workers. With two combines parked in
+/// the backend, a read that needs a worker is still answered at once,
+/// and a third combine waits — off the workers — until one of the two
+/// finishes.
+#[test]
+fn combines_hold_at_most_half_the_workers_and_a_read_is_served_beside_them() {
+    let disk = gated_disk();
+    // Wrapped, so reads need a worker too (see above).
+    let server = ShardServer::spawn(FaultyDisk::wrap(disk.clone()), "127.0.0.1:0").unwrap();
+    let mut c = dial(&server);
+    let combine = Request::CombineRange(CombineSpec {
+        offset: 0,
+        count: 1,
+        outputs: 1,
+        coeffs: vec![1],
+        key: (0, 0),
+        peers: vec![],
+    });
+    send(&mut c, 1, combine.clone());
+    send(&mut c, 2, combine.clone());
+    eventually("two combines in service", || disk.held() == 2);
+    send(&mut c, 3, combine);
+    send(&mut c, 4, read(&[(1, 1)]));
+    assert_eq!(recv(&mut c), (4, cells(&[Some(1)])));
+    // Had the third combine been queued, a free worker would have taken
+    // it before the read behind it: give it every chance to show up.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(disk.held(), 2, "the third combine waits for a turn");
+    disk.release_one();
+    let (first, resp) = recv(&mut c);
+    assert!(matches!(resp, Response::Combined(_)), "{resp:?}");
+    eventually("the third combine takes the freed turn", || {
+        disk.held() == 2
+    });
+    disk.release();
+    let mut rest = [recv(&mut c).0, recv(&mut c).0];
+    rest.sort_unstable();
+    assert_eq!((first, rest), (1, [2, 3]));
+    assert_eq!(counter(&server, "serve.combine"), 3);
 }
 
 #[test]
@@ -280,11 +328,11 @@ fn o_direct_reads_are_handed_off_and_answered() {
     let (server, _, path) = file_shard("direct", 64, true);
     let mut c = dial(&server);
     for id in 0..32u64 {
-        send_mux(&mut c, id, read(&[(id, 1)]));
+        send(&mut c, id, read(&[(id, 1)]));
     }
     let mut seen = [false; 32];
     for _ in 0..32 {
-        let (id, resp) = recv_mux(&mut c);
+        let (id, resp) = recv(&mut c);
         assert!(
             !std::mem::replace(&mut seen[id as usize], true),
             "id {id} twice"
@@ -295,7 +343,6 @@ fn o_direct_reads_are_handed_off_and_answered() {
     // completion can land between the submit and the connection
     // thread's look, and that read is then rightly answered inline. The
     // gated-disk tests in this file pin the hand-off itself.
-    assert_eq!(counter(&server, "serve.mux"), 32);
     assert_eq!(counter(&server, "serve.read"), 32);
     drop(server);
     let _ = std::fs::remove_file(path);
@@ -308,8 +355,10 @@ fn kill_with_pending_hand_offs_joins_and_drops_every_handle() {
     // More pending reads than the pool has workers: some wait in a
     // worker, the rest in the queue.
     for id in 0..8u64 {
-        send_mux(&mut c, id, read(&[(0, 1)]));
+        send(&mut c, id, read(&[(0, 1)]));
     }
+    // `Health` is the connection thread's: answered with every worker
+    // busy.
     assert_eq!(
         rpc(&mut c, &Request::Health),
         Response::Health { elements: 4 }

@@ -1,14 +1,14 @@
-//! The wire is what it was, and the by-value receive path refuses what
+//! The wire is the v3 frame, and the by-value receive path refuses what
 //! lies about itself.
 //!
 //! Frames are written from the buffers that hold their bytes and read
-//! into the buffers that keep them; the bytes on the wire did not move.
-//! The first half pins that against the encoder every frame used to go
-//! through (small fields and bulk bytes joined into one payload),
+//! into the buffers that keep them. The first half pins every request
+//! and response against golden frames built here independently — the
+//! 18-byte header by hand, the payload by the encoder every frame used
+//! to go through (small fields and bulk bytes joined into one payload),
 //! restated here with its own opcode table. The second half feeds the
 //! reader frames whose inner lengths disagree with the frame around
-//! them — plain and `Mux`-wrapped, blocking and polling — and a client
-//! a server that sends them.
+//! them — blocking and polling — and a client a server that sends them.
 
 use std::io::{IoSlice, Write};
 use std::net::TcpListener;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use ecfrm_net::protocol::{
     read_request, read_response, read_response_polling, write_request, write_response, Polled,
-    MAGIC, MAX_PAYLOAD, VERSION,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use ecfrm_net::{
     CheckedElement, Fault, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
@@ -38,21 +38,15 @@ fn string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// `payload` in the frame a peer would send it in.
-fn frame(opcode: u8, payload: &[u8]) -> Vec<u8> {
+/// `payload` in the frame a peer would send it in, tagged `id`:
+/// `[magic 4][version 1][opcode 1][id u64][len u32]`, then the payload.
+fn frame(id: u64, opcode: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     out.extend_from_slice(&[VERSION, opcode]);
+    u64le(&mut out, id);
     u32le(&mut out, payload.len());
     out.extend_from_slice(payload);
     out
-}
-
-/// The same payload inside a `Mux` response envelope tagged 7.
-fn muxed(opcode: u8, payload: &[u8]) -> Vec<u8> {
-    let mut inner = 7u64.to_le_bytes().to_vec();
-    inner.push(opcode);
-    inner.extend_from_slice(payload);
-    frame(137, &inner)
 }
 
 /// The joined-payload encoder responses went through before they were
@@ -127,13 +121,6 @@ fn old_response(resp: &Response) -> (u8, Vec<u8>) {
         Response::Error(msg) => {
             out.extend_from_slice(msg.as_bytes());
             255
-        }
-        Response::Mux { id, inner } => {
-            let (op, payload) = old_response(inner);
-            u64le(&mut out, *id);
-            out.push(op);
-            out.extend_from_slice(&payload);
-            137
         }
     };
     (opcode, out)
@@ -235,15 +222,30 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
             5
         }
         Request::Stats => 6,
-        Request::Mux { id, inner } => {
-            let (op, payload) = old_request(inner);
-            u64le(&mut out, *id);
-            out.push(op);
-            out.extend_from_slice(&payload);
-            9
-        }
     };
     (opcode, out)
+}
+
+/// The header, byte by byte, for a request and a response: the frame
+/// every other golden frame here is built the same way as.
+#[test]
+fn the_v3_header_is_magic_version_opcode_id_and_length() {
+    assert_eq!((VERSION, HEADER_LEN), (3, 18));
+    let mut sent = Vec::new();
+    write_request(&mut sent, 0x0102_0304_0506_0708, &Request::Health).unwrap();
+    #[rustfmt::skip]
+    assert_eq!(sent, [
+        b'E', b'F', b'R', b'M', 3, 4, // v3, Health
+        8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, // id, empty payload
+    ]);
+    let mut sent = Vec::new();
+    write_response(&mut sent, 9, &Response::Health { elements: 2 }).unwrap();
+    #[rustfmt::skip]
+    assert_eq!(sent, [
+        b'E', b'F', b'R', b'M', 3, 132, // v3, Health reply
+        9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, // id 9, 8 B
+        2, 0, 0, 0, 0, 0, 0, 0, // elements
+    ]);
 }
 
 /// One response of every variant, the bulk ones in several shapes.
@@ -289,25 +291,24 @@ fn every_response() -> Vec<Response> {
 
 #[test]
 fn responses_leave_as_the_bytes_the_joined_encoder_produced() {
-    let plain = every_response();
-    let wrapped = plain.iter().cloned().map(|inner| Response::Mux {
-        id: 0xFEED_0000_0000_0001,
-        inner: Box::new(inner),
-    });
-    for resp in plain.iter().cloned().chain(wrapped) {
-        let (opcode, payload) = old_response(&resp);
-        let mut sent = Vec::new();
-        write_response(&mut sent, &resp).unwrap();
-        assert_eq!(sent, frame(opcode, &payload), "{resp:?}");
-        // And what was sent is what is read back, by value.
-        assert_eq!(read_response(&mut sent.as_slice()).unwrap(), resp);
-        let stop = AtomicBool::new(false);
-        match read_response_polling(&mut sent.as_slice(), &stop) {
-            Polled::Frame(got) => assert_eq!(got, resp),
-            other => panic!("{resp:?} polled as {other:?}"),
+    for resp in every_response() {
+        for id in [0, 0xFEED_0000_0000_0001] {
+            let (opcode, payload) = old_response(&resp);
+            let mut sent = Vec::new();
+            write_response(&mut sent, id, &resp).unwrap();
+            assert_eq!(sent, frame(id, opcode, &payload), "{resp:?}");
+            // And what was sent is what is read back, by value.
+            assert_eq!(
+                read_response(&mut sent.as_slice()).unwrap(),
+                (id, resp.clone())
+            );
+            let stop = AtomicBool::new(false);
+            match read_response_polling(&mut sent.as_slice(), &stop) {
+                Polled::Frame(got_id, got) => assert_eq!((got_id, got), (id, resp.clone())),
+                other => panic!("{resp:?} polled as {other:?}"),
+            }
         }
     }
-    assert_eq!(VERSION, 2, "the wire did not change");
 }
 
 /// A writer that takes at most `IOV_MAX` (1 024) buffers a call, as a
@@ -337,8 +338,8 @@ impl Write for IovMax {
 
 /// A front node's reply leaves from the elements that hold its bytes —
 /// one buffer each, more of them than one `writev` takes in the last
-/// case — and is the frame the joined encoder made of those bytes,
-/// plain and muxed; it reads back as `ObjData`.
+/// case — and is the frame the joined encoder made of those bytes; it
+/// reads back as `ObjData`.
 #[test]
 fn object_pieces_leave_as_the_bytes_the_joined_encoder_produced() {
     for count in [0usize, 1, 64, 2048] {
@@ -350,25 +351,18 @@ fn object_pieces_leave_as_the_bytes_the_joined_encoder_produced() {
             })
             .collect();
         let joined: Vec<&[u8]> = pieces.iter().map(|p| &p[..]).collect();
-        let joined = Response::ObjData(joined.concat());
-        let plain = Response::ObjPieces(pieces);
-        let wrapped = |inner| Response::Mux {
-            id: 3,
-            inner: Box::new(inner),
-        };
-        for (resp, want) in [
-            (plain.clone(), joined.clone()),
-            (wrapped(plain), wrapped(joined)),
-        ] {
-            let mut sent = IovMax::default();
-            write_response(&mut sent, &resp).unwrap();
-            let (opcode, payload) = old_response(&want);
-            assert_eq!(sent.bytes, frame(opcode, &payload), "{count} pieces");
-            // Header, length field and the pieces, 1 024 buffers a call
-            // (the empty tail of the small fields needs no call).
-            assert_eq!(sent.calls, (count + 2).div_ceil(1024));
-            assert_eq!(read_response(&mut sent.bytes.as_slice()).unwrap(), want);
-        }
+        let want = Response::ObjData(joined.concat());
+        let mut sent = IovMax::default();
+        write_response(&mut sent, 3, &Response::ObjPieces(pieces)).unwrap();
+        let (opcode, payload) = old_response(&want);
+        assert_eq!(sent.bytes, frame(3, opcode, &payload), "{count} pieces");
+        // Header, length field and the pieces, 1 024 buffers a call
+        // (the empty tail of the small fields needs no call).
+        assert_eq!(sent.calls, (count + 2).div_ceil(1024));
+        assert_eq!(
+            read_response(&mut sent.bytes.as_slice()).unwrap(),
+            (3, want)
+        );
     }
 }
 
@@ -376,7 +370,7 @@ fn object_pieces_leave_as_the_bytes_the_joined_encoder_produced() {
 fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
     let bytes: Vec<u8> = (0..=255).collect();
     let tenant = || "tenant".to_string();
-    let plain = vec![
+    let every = vec![
         Request::Read {
             runs: vec![(1 << 40, 4096), (7, 1)],
             key: Some((u64::MAX, 0xDEAD_BEEF)),
@@ -430,16 +424,17 @@ fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
         Request::InjectFault(Fault::Wipe),
         Request::Stats,
     ];
-    let wrapped = plain.iter().cloned().map(|inner| Request::Mux {
-        id: 99,
-        inner: Box::new(inner),
-    });
-    for req in plain.iter().cloned().chain(wrapped) {
-        let (opcode, payload) = old_request(&req);
-        let mut sent = Vec::new();
-        write_request(&mut sent, &req).unwrap();
-        assert_eq!(sent, frame(opcode, &payload), "{req:?}");
-        assert_eq!(read_request(&mut sent.as_slice()).unwrap(), req);
+    for req in every {
+        for id in [1, 99, u64::MAX] {
+            let (opcode, payload) = old_request(&req);
+            let mut sent = Vec::new();
+            write_request(&mut sent, id, &req).unwrap();
+            assert_eq!(sent, frame(id, opcode, &payload), "{req:?}");
+            assert_eq!(
+                read_request(&mut sent.as_slice()).unwrap(),
+                (id, req.clone())
+            );
+        }
     }
 }
 
@@ -502,24 +497,22 @@ fn refused(bytes: &[u8]) -> NetError {
 }
 
 #[test]
-fn frames_whose_lengths_disagree_are_typed_errors_plain_and_muxed() {
+fn frames_whose_lengths_disagree_are_typed_errors() {
     for (opcode, payload, needle) in hostile_payloads() {
-        for bytes in [frame(opcode, &payload), muxed(opcode, &payload)] {
-            match refused(&bytes) {
-                NetError::Protocol(msg) => {
-                    assert!(msg.contains(needle), "op {opcode} {payload:?}: {msg}");
-                }
-                other => panic!("op {opcode} {payload:?}: {other}"),
+        match refused(&frame(7, opcode, &payload)) {
+            NetError::Protocol(msg) => {
+                assert!(msg.contains(needle), "op {opcode} {payload:?}: {msg}");
             }
+            other => panic!("op {opcode} {payload:?}: {other}"),
         }
     }
-    // A mux envelope inside a mux envelope.
-    let nested = muxed(137, &[0; 9]);
-    assert!(refused(&nested).to_string().contains("nested mux"));
+    // The retired `Mux` envelope is an opcode like any unknown one.
+    let retired = frame(7, 137, &[0; 9]);
+    assert!(refused(&retired).to_string().contains("opcode 137"));
     // A frame that declares more than any frame may hold is refused on
     // its header: nothing after it is read (there is nothing here).
-    let mut over = frame(140, &[]);
-    over[6..10].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+    let mut over = frame(7, 140, &[]);
+    over[14..18].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
     assert!(refused(&over).to_string().contains("exceeds"));
 }
 
@@ -531,29 +524,22 @@ fn a_peer_that_stops_mid_body_is_an_io_error_not_a_short_cell() {
     ]);
     let big = Response::ObjData(vec![7; 100_000]);
     for resp in [good, big] {
-        for wrap in [false, true] {
-            let resp = match wrap {
-                true => Response::Mux {
-                    id: 1,
-                    inner: Box::new(resp.clone()),
-                },
-                false => resp.clone(),
-            };
-            let mut sent = Vec::new();
-            write_response(&mut sent, &resp).unwrap();
-            // Cut in the header, in the small fields and in each body.
-            for keep in [4, 12, 30, 200, 400, sent.len() - 1] {
-                let err = refused(&sent[..keep.min(sent.len() - 1)]);
-                assert!(matches!(err, NetError::Io(_)), "cut at {keep}: {err}");
-            }
+        let mut sent = Vec::new();
+        write_response(&mut sent, 1, &resp).unwrap();
+        // Cut in the magic, in the header, in the small fields and in
+        // each body.
+        for keep in [4, 12, 30, 200, 400, sent.len() - 1] {
+            let err = refused(&sent[..keep.min(sent.len() - 1)]);
+            assert!(matches!(err, NetError::Io(_)), "cut at {keep}: {err}");
         }
     }
 }
 
 /// A server that accepts connections one at a time and answers every
-/// request on each with the next of `replies` (raw bytes). Returns its
-/// address and the count of connections it has accepted.
-fn scripted_server(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, Arc<AtomicUsize>) {
+/// request on each with the next of `replies` — `(opcode, payload)`,
+/// framed with the request's id. Returns its address and the count of
+/// connections it has accepted.
+fn scripted_server(replies: Vec<(u8, Vec<u8>)>) -> (std::net::SocketAddr, Arc<AtomicUsize>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let accepted = Arc::new(AtomicUsize::new(0));
@@ -562,9 +548,11 @@ fn scripted_server(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, Arc<AtomicUs
         let mut replies = replies.into_iter();
         while let Ok((mut stream, _)) = listener.accept() {
             count.fetch_add(1, Ordering::SeqCst);
-            while read_request(&mut stream).is_ok() {
-                let Some(reply) = replies.next() else { return };
-                if stream.write_all(&reply).is_err() {
+            while let Ok((id, _)) = read_request(&mut stream) {
+                let Some((opcode, payload)) = replies.next() else {
+                    return;
+                };
+                if stream.write_all(&frame(id, opcode, &payload)).is_err() {
                     break;
                 }
             }
@@ -573,47 +561,37 @@ fn scripted_server(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, Arc<AtomicUs
     (addr, accepted)
 }
 
-fn sent(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_response(&mut out, resp).unwrap();
-    out
-}
-
 #[test]
 fn a_front_client_drops_the_connection_a_hostile_frame_arrived_on() {
     // Claims 100 object bytes in a frame that holds 10, then behaves.
     let (addr, accepted) = scripted_server(vec![
-        frame(140, &obj_payload(100, 10)),
-        sent(&Response::ObjData(vec![1, 2, 3])),
+        (140, obj_payload(100, 10)),
+        old_response(&Response::ObjData(vec![1, 2, 3])),
     ]);
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().low_latency().build());
     let err = client.read("t", "o").unwrap_err();
-    assert!(
-        matches!(&err, StoreError::Net(msg) if msg.contains("truncated")),
-        "{err}"
-    );
-    // The stream is out of sync past that frame: it was not parked, and
+    assert!(matches!(&err, StoreError::Net(_)), "{err}");
+    // The stream is out of sync past that frame: it was discarded, and
     // the next op dials again.
     assert_eq!(client.read("t", "o").unwrap(), vec![1, 2, 3]);
     assert_eq!(accepted.load(Ordering::SeqCst), 2);
+    let stats = client.net_stats();
+    assert_eq!((stats.conns_discarded, stats.reconnects), (1, 1));
 }
 
 #[test]
 fn a_remote_disk_discards_the_mux_connection_a_hostile_frame_arrived_on() {
-    let honest = Response::Mux {
-        id: 1,
-        inner: Box::new(Response::Cells(vec![CheckedElement::Valid(vec![4; 8])])),
-    };
-    // Reply to id 1: one valid cell claiming 4 GiB, inside a mux frame.
+    let honest = Response::Cells(vec![CheckedElement::Valid(vec![4; 8])]);
+    // One valid cell claiming 4 GiB.
     let (addr, accepted) = scripted_server(vec![
-        muxed(145, &cells_payload(1, &[1], &[(u32::MAX as usize, 16)])),
-        sent(&honest),
+        (145, cells_payload(1, &[1], &[(u32::MAX as usize, 16)])),
+        old_response(&honest),
     ]);
     let disk = RemoteDisk::new(addr, RemoteDiskConfig::builder().low_latency().build());
     assert_eq!(disk.read_many(&[0, 1]), vec![None, None]);
     let stats = disk.net_stats().unwrap();
     assert_eq!((stats.conns_discarded, stats.failed_requests), (1, 1));
-    // A fresh connection (whose ids start at 1 again) serves the next.
+    // A fresh connection serves the next.
     assert_eq!(disk.read(0), Some(vec![4; 8]));
     assert_eq!(accepted.load(Ordering::SeqCst), 2);
     assert_eq!(disk.net_stats().unwrap().reconnects, 1);

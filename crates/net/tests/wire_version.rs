@@ -11,25 +11,28 @@ use ecfrm_net::protocol::{read_response, version_mismatch, write_request, MAGIC,
 use ecfrm_net::{NetError, RemoteDisk, RemoteDiskConfig, Request, Response, ShardServer};
 use ecfrm_sim::{DiskBackend, MemDisk};
 
-/// A version-1 `Health` frame: good magic, the old version byte.
-fn v1_health_frame() -> Vec<u8> {
+/// A `Health` frame of version 1 or 2: good magic, the old version
+/// byte, and the ten-byte header both of them had.
+fn old_health_frame(version: u8) -> Vec<u8> {
     let mut frame = MAGIC.to_vec();
-    frame.extend_from_slice(&[1, 4, 0, 0, 0, 0]); // version, opcode, empty payload
+    frame.extend_from_slice(&[version, 4, 0, 0, 0, 0]); // version, opcode, empty payload
     frame
 }
 
-#[test]
-fn a_v1_frame_is_refused_in_one_typed_frame_and_the_server_carries_on() {
+/// An old peer's frame gets one typed refusal naming both versions, the
+/// connection is closed, and the next client is served.
+fn refused_then_served(version: u8) {
     let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
     let mut old = TcpStream::connect(server.addr()).unwrap();
     old.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    old.write_all(&v1_health_frame()).unwrap();
-    // One frame that says why (in this node's version: a v1 peer's own
-    // version check then names ours)...
+    old.write_all(&old_health_frame(version)).unwrap();
+    // One frame that says why (in this node's version: the old peer's
+    // own version check then names ours)...
     match read_response(&mut old).unwrap() {
-        Response::Error(msg) => {
-            assert_eq!(msg, version_mismatch(1));
-            assert!(msg.contains("peer speaks 1, this node speaks 2"), "{msg}");
+        (_, Response::Error(msg)) => {
+            assert_eq!(msg, version_mismatch(version));
+            let want = format!("peer speaks {version}, this node speaks 3");
+            assert!(msg.contains(&want), "{msg}");
         }
         other => panic!("expected a typed refusal, got {other:?}"),
     }
@@ -41,13 +44,13 @@ fn a_v1_frame_is_refused_in_one_typed_frame_and_the_server_carries_on() {
         "closed after the refusal"
     );
 
-    // The next v2 client is served as if nothing happened.
+    // The next v3 client is served as if nothing happened.
     let mut new = TcpStream::connect(server.addr()).unwrap();
     new.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    write_request(&mut new, &Request::Health).unwrap();
+    write_request(&mut new, 5, &Request::Health).unwrap();
     assert_eq!(
         read_response(&mut new).unwrap(),
-        Response::Health { elements: 0 }
+        (5, Response::Health { elements: 0 })
     );
     let disk = RemoteDisk::new(
         server.addr(),
@@ -55,6 +58,18 @@ fn a_v1_frame_is_refused_in_one_typed_frame_and_the_server_carries_on() {
     );
     disk.write(3, vec![7; 8]);
     assert_eq!(disk.read(3), Some(vec![7; 8]));
+}
+
+#[test]
+fn a_v1_frame_is_refused_in_one_typed_frame_and_the_server_carries_on() {
+    refused_then_served(1);
+}
+
+/// Version 2's header is eight bytes shorter than version 3's: the
+/// server judges the version byte before it waits for the rest.
+#[test]
+fn a_v2_frame_is_refused_exactly_as_a_v1_frame_is() {
+    refused_then_served(2);
 }
 
 /// A peer that answers every frame it is sent, whatever it was, with a
@@ -87,13 +102,13 @@ fn spawn_v1_peer() -> SocketAddr {
 }
 
 #[test]
-fn a_v2_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
-    assert_eq!(VERSION, 2);
+fn a_v3_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
+    assert_eq!(VERSION, 3);
     let disk = RemoteDisk::new(
         spawn_v1_peer(),
         RemoteDiskConfig::builder().low_latency().build(),
     );
-    // The sequential ops report the version, not a lost connection.
+    // The blocking ops report the version, not a lost connection.
     for _ in 0..2 {
         match disk.health() {
             Err(NetError::Protocol(msg)) => assert_eq!(msg, version_mismatch(1)),

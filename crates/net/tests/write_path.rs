@@ -134,8 +134,8 @@ fn a_dead_shard_costs_a_seal_one_failed_request_and_readers_get_their_turn() {
 }
 
 /// A shard that hangs up on every write: a `PutMany` costs it the
-/// connection, whatever else was in flight on it. Reads, health probes
-/// and mux envelopes are served.
+/// connection, whatever else was in flight on it. Reads and health
+/// probes are served.
 fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -144,10 +144,8 @@ fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
             let Ok(mut stream) = stream else { return };
             let disk = Arc::clone(&backend);
             std::thread::spawn(move || loop {
-                let (id, req) = match read_request(&mut stream) {
-                    Ok(Request::Mux { id, inner }) => (Some(id), *inner),
-                    Ok(req) => (None, req),
-                    Err(_) => return,
+                let Ok((id, req)) = read_request(&mut stream) else {
+                    return;
                 };
                 let resp = match req {
                     Request::PutMany { .. } => return,
@@ -164,14 +162,7 @@ fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
                     },
                     _ => Response::Error("unsupported".into()),
                 };
-                let resp = match id {
-                    Some(id) => Response::Mux {
-                        id,
-                        inner: Box::new(resp),
-                    },
-                    None => resp,
-                };
-                if write_response(&mut stream, &resp).is_err() {
+                if write_response(&mut stream, id, &resp).is_err() {
                     return;
                 }
             });
