@@ -7,7 +7,7 @@
 //!   dead shard's all-absent replies degrade into the erasure-code
 //!   failure domain and decode through parity);
 //! * nothing deadlocks — every reader thread finishes;
-//! * the dead disk ends up reported in the array's suspect set;
+//! * the store ends up reporting the dead disk, and only it, suspect;
 //! * submissions in flight against the dead backend complete as
 //!   all-`None` rather than hanging their completion handles.
 
@@ -116,7 +116,7 @@ fn soak_concurrent_stripe_reads_survive_midflight_backend_kill() {
         "the kill must actually have happened mid-soak"
     );
     assert_eq!(
-        store.array().suspects(),
+        store.stats().suspect_disks,
         vec![KILLED_DISK],
         "the dead disk ends up flagged suspect"
     );

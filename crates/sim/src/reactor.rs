@@ -319,14 +319,12 @@ impl Op {
     }
 }
 
-/// One queued submission: the backend to drive, what to do, where to
-/// complete, and the hook fired if the backend panics (`ThreadedArray`
-/// marks the disk suspect with it).
+/// One queued submission: the backend to drive, what to do, and where
+/// to complete.
 struct Job {
     backend: Arc<dyn DiskBackend>,
     op: Op,
     completer: IoCompleter,
-    panic_hook: Box<dyn FnOnce() + Send + 'static>,
 }
 
 /// A bounded worker pool servicing vectored backend operations from a
@@ -334,8 +332,9 @@ struct Job {
 /// [`IoCompleter`] as it lands.
 ///
 /// A panicking backend does **not** kill its worker: the panic is
-/// caught, the op completes as all-`None`, the per-op panic hook fires
-/// (suspect marking), and the worker moves on to the next submission.
+/// caught, the op completes as all-`None` — what the caller makes of a
+/// disk that answers nothing — and the worker moves on to the next
+/// submission.
 pub struct Reactor {
     queue: Arc<Queue<Job>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -371,24 +370,13 @@ impl Reactor {
         while let Some(job) = queue.pop() {
             stats.depth_add(-1);
             stats.inflight_add(1);
-            let Job {
-                backend,
-                op,
-                completer,
-                panic_hook,
-            } = job;
-            let outcome = catch_unwind(AssertUnwindSafe(|| op.submit_to(&*backend).wait()));
+            let outcome = catch_unwind(AssertUnwindSafe(|| job.op.submit_to(&*job.backend).wait()));
             stats.inflight_add(-1);
             stats.note_completed();
             match outcome {
-                Ok(results) => completer.complete(results),
-                Err(_) => {
-                    stats.note_panic();
-                    // The hook is engine code (suspect marking), but
-                    // isolate it anyway: a worker must not die.
-                    let _ = catch_unwind(AssertUnwindSafe(panic_hook));
-                    drop(completer); // delivers all-None
-                }
+                Ok(results) => job.completer.complete(results),
+                // Dropping the completer delivers all-None.
+                Err(_) => stats.note_panic(),
             }
         }
     }
@@ -399,14 +387,9 @@ impl Reactor {
     }
 
     /// Queue `op` against `backend`; the returned handle completes when
-    /// a pool worker has submitted it and waited it out. `panic_hook`
-    /// fires (once, from the worker) if the backend panics.
-    pub fn submit(
-        &self,
-        backend: Arc<dyn DiskBackend>,
-        op: Op,
-        panic_hook: impl FnOnce() + Send + 'static,
-    ) -> IoHandle {
+    /// a pool worker has submitted it and waited it out (all-`None` if
+    /// the backend panics).
+    pub fn submit(&self, backend: Arc<dyn DiskBackend>, op: Op) -> IoHandle {
         // What a lost op completes with: a `None` per offset read.
         let (handle, completer) = io_pair(match &op {
             Op::Read(offsets) => offsets.len(),
@@ -418,7 +401,6 @@ impl Reactor {
             backend,
             op,
             completer,
-            panic_hook: Box::new(panic_hook),
         };
         if self.queue.push(job).is_err() {
             self.stats.depth_add(-1); // dropped: completer → all-None
@@ -520,10 +502,10 @@ mod tests {
             bytes: vec![1, 2],
         };
         reactor
-            .submit(Arc::clone(&disk), Op::Write(vec![run]), || {})
+            .submit(Arc::clone(&disk), Op::Write(vec![run]))
             .wait();
         let got = reactor
-            .submit(Arc::clone(&disk), Op::Read(vec![0, 1, 9]), || {})
+            .submit(Arc::clone(&disk), Op::Read(vec![0, 1, 9]))
             .wait();
         assert_eq!(got, vec![Some(vec![1]), Some(vec![2]), None]);
         let snap = reactor.stats().snapshot();
@@ -550,21 +532,17 @@ mod tests {
     }
 
     #[test]
-    fn panicking_backend_completes_all_none_and_fires_hook() {
+    fn panicking_backend_completes_all_none() {
         let reactor = Reactor::new(1);
-        let (tx, rx) = channel();
         let got = reactor
-            .submit(Arc::new(PanicBackend), Op::Read(vec![0, 1]), move || {
-                tx.send(()).unwrap()
-            })
+            .submit(Arc::new(PanicBackend), Op::Read(vec![0, 1]))
             .wait();
         assert_eq!(got, vec![None, None]);
-        rx.recv().unwrap();
         // The worker survived the panic and serves the next op.
         let disk: Arc<dyn DiskBackend> = Arc::new(MemDisk::new());
         disk.write(0, vec![5]);
         assert_eq!(
-            reactor.submit(disk, Op::Read(vec![0]), || {}).wait(),
+            reactor.submit(disk, Op::Read(vec![0])).wait(),
             vec![Some(vec![5])]
         );
         assert_eq!(reactor.stats().snapshot().panics, 1);
@@ -577,14 +555,14 @@ mod tests {
         let reactor = Reactor::new(1);
         let slow: Arc<dyn DiskBackend> = Arc::new(MemDisk::with_latency(Duration::from_millis(30)));
         slow.write(0, vec![1]);
-        let first = reactor.submit(Arc::clone(&slow), Op::Read(vec![0]), || {});
+        let first = reactor.submit(Arc::clone(&slow), Op::Read(vec![0]));
         // Wait for the worker to dequeue `first` (queue_depth drops to
         // zero) — otherwise shutdown races the dequeue and may abandon
         // it too.
         while reactor.stats().snapshot().queue_depth > 0 {
             std::thread::yield_now();
         }
-        let queued = reactor.submit(Arc::clone(&slow), Op::Read(vec![0, 0]), || {});
+        let queued = reactor.submit(Arc::clone(&slow), Op::Read(vec![0, 0]));
         reactor.shutdown();
         assert_eq!(first.wait(), vec![Some(vec![1])]);
         assert_eq!(queued.wait(), vec![None, None]);

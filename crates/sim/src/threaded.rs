@@ -10,7 +10,7 @@
 //! replies stream back to the caller as they land so decode starts while
 //! slower disks are still working.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -459,17 +459,12 @@ impl Pending<'_> {
 /// ([`DiskBackend::submits_async`]) are submitted inline and complete
 /// from their own machinery.
 ///
-/// The array also keeps a *suspect set*: disks whose backend panicked or
-/// that a reader reported as unresponsive
-/// ([`ThreadedArray::mark_suspect`]). The set is pure reporting — it
-/// never changes how submissions are dispatched — and feeds failure
-/// detectors such as the store's background `RepairManager`, which probe
-/// suspects and either clear them ([`ThreadedArray::clear_suspect`]) or
-/// promote them to failed and start reconstruction.
+/// The array keeps no opinion of a disk's health: a backend that
+/// panics or does not answer reads as absent cells, and what to make of
+/// that is the caller's (the store's per-disk table).
 pub struct ThreadedArray {
     slots: Arc<Slots>,
     reactor: Reactor,
-    suspects: Arc<Mutex<BTreeSet<usize>>>,
 }
 
 /// The per-slot backend registrations, shared with the array's registry
@@ -529,7 +524,6 @@ impl ThreadedArray {
                 disks: disks.into_iter().map(Mutex::new).collect(),
                 retired: Mutex::new(None),
             }),
-            suspects: Arc::new(Mutex::new(BTreeSet::new())),
         }
     }
 
@@ -540,19 +534,17 @@ impl ThreadedArray {
 
     /// Register this array as a source of `recorder`: each snapshot
     /// reads the reactor (`io.queue_depth`, `io.inflight`,
-    /// `io.submitted`, `io.completed`, `io.panics`), `array.suspects`,
-    /// the file I/O gauges ([`crate::file_disk::sample`]) and — when any
-    /// backend, current or replaced, reports transport counters — their
-    /// sum as the `net.*` counters.
+    /// `io.submitted`, `io.completed`, `io.panics`), the file I/O
+    /// gauges ([`crate::file_disk::sample`]) and — when any backend,
+    /// current or replaced, reports transport counters — their sum as
+    /// the `net.*` counters.
     pub fn observe(&self, recorder: &Recorder) {
         let io = Arc::clone(self.reactor.stats());
         let slots = Arc::clone(&self.slots);
-        let suspects = Arc::clone(&self.suspects);
         recorder.observe(move |snap| {
-            let suspects = ("array.suspects", suspects.lock().len() as i64);
-            let gauges = io.snapshot().gauges().into_iter().chain([suspects]);
+            let gauges = io.snapshot().gauges();
             snap.gauges
-                .extend(gauges.map(|(name, v)| (name.to_string(), v)));
+                .extend(gauges.into_iter().map(|(name, v)| (name.to_string(), v)));
             crate::file_disk::sample(snap);
             if let Some(net) = slots.net_totals() {
                 let counters = [
@@ -584,47 +576,25 @@ impl ThreadedArray {
 
     /// Re-register disk `d` with a replacement backend; in-flight
     /// submissions finish against the old backend, new submissions see
-    /// the replacement. Clears the disk's suspect flag and returns the
-    /// previous backend.
+    /// the replacement. Returns the previous backend.
     ///
     /// This is the "new drive in the slot" operation behind background
     /// repair: a killed or crashed disk gets an empty replacement, the
     /// repair pipeline rebuilds its elements onto it, and readers never
     /// see the array change size.
     pub fn replace_disk(&self, d: usize, backend: Arc<dyn DiskBackend>) -> Arc<dyn DiskBackend> {
-        let old = {
-            let mut retired = self.slots.retired.lock();
-            let old = std::mem::replace(&mut *self.slots.disks[d].lock(), backend);
-            if let Some(net) = old.net_stats() {
-                *retired = Some(retired.unwrap_or_default().merge(&net));
-            }
-            old
-        };
-        self.clear_suspect(d);
+        let mut retired = self.slots.retired.lock();
+        let old = std::mem::replace(&mut *self.slots.disks[d].lock(), backend);
+        if let Some(net) = old.net_stats() {
+            *retired = Some(retired.unwrap_or_default().merge(&net));
+        }
         old
-    }
-
-    /// Report disk `d` as unresponsive (timed out, answered all-absent,
-    /// or its backend panicked). Purely advisory: dispatch is unchanged,
-    /// but failure detectors poll this set.
-    pub fn mark_suspect(&self, d: usize) {
-        self.suspects.lock().insert(d);
-    }
-
-    /// Withdraw a suspicion — the disk answered again.
-    pub fn clear_suspect(&self, d: usize) {
-        self.suspects.lock().remove(&d);
-    }
-
-    /// Disks currently under suspicion, ascending.
-    pub fn suspects(&self) -> Vec<usize> {
-        self.suspects.lock().iter().copied().collect()
     }
 
     /// The one way into a disk: hand `op` to disk `d`'s backend — from
     /// this thread when the backend completes submissions itself, through
-    /// the reactor pool when it blocks. A pooled backend that panics is
-    /// marked suspect and its op completes all-`None`.
+    /// the reactor pool when it blocks. A pooled backend that panics
+    /// completes its op all-`None`.
     fn submit(&self, d: usize, op: Op) -> Pending<'_> {
         let backend = self.disk(d);
         if backend.submits_async() {
@@ -636,12 +606,8 @@ impl ThreadedArray {
                 direct: Some(stats),
             };
         }
-        let suspects = Arc::clone(&self.suspects);
-        let hook = move || {
-            suspects.lock().insert(d);
-        };
         Pending {
-            handle: self.reactor.submit(backend, op, hook),
+            handle: self.reactor.submit(backend, op),
             direct: None,
         }
     }
@@ -678,9 +644,9 @@ impl ThreadedArray {
     /// Write runs of consecutive cells, waiting for all to land: one
     /// vectored write per touched disk, every disk's submitted before
     /// the first is waited for (so completion-driven backends' requests
-    /// leave back to back). A panicking pooled backend is marked suspect
-    /// rather than panicking the caller — the lost elements simply read
-    /// back as absent, the same failure surface as a failed disk.
+    /// leave back to back). A panicking pooled backend does not panic
+    /// the caller — the lost elements simply read back as absent, the
+    /// same failure surface as a failed disk.
     /// Returns what was dispatched.
     pub fn write_runs(&self, runs: Vec<(usize, RunBuf)>) -> WriteShape {
         let mut shape = WriteShape {
@@ -711,8 +677,7 @@ impl ThreadedArray {
     /// slower disks' I/O.
     ///
     /// A panicking backend's submission completes immediately as
-    /// all-`None` (and the disk is marked suspect) instead of panicking
-    /// the caller.
+    /// all-`None` instead of panicking the caller.
     pub fn read_batch_streaming(&self, addrs: &[Address]) -> BatchRead {
         let (reply_tx, reply_rx) = channel::<DiskReply>();
         let mut by_disk: HashMap<usize, (Vec<usize>, Vec<u64>)> = HashMap::new();
@@ -1063,21 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_backend_is_marked_suspect() {
-        let a = ThreadedArray::from_backends(vec![
-            Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>,
-            Arc::new(PanicDisk) as Arc<dyn DiskBackend>,
-        ]);
-        assert!(a.suspects().is_empty());
-        // The panic hook fires before the submission completes, so the
-        // suspect is visible as soon as the read returns.
-        let _ = a.read_batch(&[(1, 0)]);
-        assert_eq!(a.suspects(), vec![1]);
-        a.clear_suspect(1);
-        assert!(a.suspects().is_empty());
-    }
-
-    #[test]
     fn replace_disk_revives_a_panicking_slot() {
         use crate::fault::FaultyDisk;
         let healthy = Arc::new(MemDisk::new());
@@ -1088,11 +1038,10 @@ mod tests {
             healthy as Arc<dyn DiskBackend>,
             Arc::new(PanicDisk) as Arc<dyn DiskBackend>,
         ]);
-        let _ = a.read_batch(&[(1, 0)]); // panics → all-None + suspect
-        assert_eq!(a.suspects(), vec![1]);
+        // It panics: all-None.
+        assert_eq!(a.read_batch(&[(1, 0)])[0], None);
         // Re-register a usable backend in slot 1; the array serves it.
         a.replace_disk(1, faulty);
-        assert!(a.suspects().is_empty());
         let got = a.read_batch(&[(0, 0), (1, 0)]);
         assert_eq!(got[0], Some(vec![3]));
         assert_eq!(got[1], Some(vec![9]));
@@ -1133,20 +1082,18 @@ mod tests {
         let a = ThreadedArray::new(2);
         let r = Recorder::new();
         a.observe(&r);
-        a.mark_suspect(1);
         a.read_batch(&[(0, 0), (1, 0)]);
         let s = r.snapshot();
         assert_eq!(s.gauges["io.submitted"], 2);
         assert_eq!(s.gauges["io.completed"], 2);
-        assert_eq!(s.gauges["array.suspects"], 1);
         assert!(s.gauges.contains_key("io.uring_batches"));
         assert!(s.gauges.contains_key("io.file_errors"));
         assert!(
             !s.counters.contains_key("net.retries"),
             "no backend reports transport counters"
         );
-        a.clear_suspect(1);
-        assert_eq!(r.snapshot().gauges["array.suspects"], 0);
+        a.read_batch(&[(0, 0)]);
+        assert_eq!(r.snapshot().gauges["io.completed"], 3);
     }
 
     #[test]

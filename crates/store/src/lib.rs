@@ -53,5 +53,5 @@ pub use meta::{
     ExtentRecord, ObjectMeta, ObjectStat, ReadStats, ScrubReport, StoreStats, StripeManifest,
     StripeRepair,
 };
-pub use repair::{RepairConfig, RepairManager, RepairProgress, RepairQueue, Replacer};
+pub use repair::{DiskTable, RepairConfig, RepairManager, RepairProgress, Replacer};
 pub use store::{ObjectStore, ReadOpts};

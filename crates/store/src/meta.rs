@@ -222,8 +222,10 @@ pub struct StoreStats {
     pub stripes: u64,
     /// Bytes sitting in the unsealed write buffer.
     pub pending_bytes: usize,
-    /// Currently failed disks.
+    /// Disks planned around: failed, rebuilding or given up on.
     pub failed_disks: Vec<usize>,
+    /// Disks a read or a repair found silent or lying, not yet probed.
+    pub suspect_disks: Vec<usize>,
 }
 
 #[cfg(test)]

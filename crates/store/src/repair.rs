@@ -1,34 +1,25 @@
 //! Background repair: rate-limited parallel reconstruction of lost
 //! disks while foreground reads keep flowing.
 //!
+//! Whether a disk is up, suspect, failed, rebuilding or given up on is
+//! one row of the store's [`DiskTable`], under one lock, changed only by
+//! the table's methods (DESIGN.md §12 has the states and transitions).
 //! [`ObjectStore::recover_disk`](crate::ObjectStore::recover_disk)
-//! drives the rebuild engine
-//! ([`ObjectStore::repair_stripe`](crate::ObjectStore::repair_stripe))
-//! over every stripe in one blocking call; production clusters repair
-//! *online*. This module drives the same engine as a subsystem:
+//! drains a lost disk's row in the caller's thread; a [`RepairManager`]
+//! drains the same rows online:
 //!
-//! * **Detection** — a detector thread watches the array's suspect set
-//!   (fed by dead workers and by reads that hit unresponsive disks),
-//!   probes each suspect, and either clears it (the disk answered — a
-//!   transient) or promotes it to *lost* and starts reconstruction. Disks
-//!   already marked failed on the store are adopted the same way.
-//! * **Queueing** — what a lost disk still owes is one record in the
-//!   store's [`RepairQueue`]: the stripes left to rebuild, each once, with
-//!   the ones degraded foreground reads actually touched taken first, so
-//!   hot data regains redundancy first. The record outlives the manager,
-//!   so a new one resumes where the last stopped.
-//! * **Reconstruction** — a small worker pool drains the queue, one
-//!   `repair_stripe` per stripe: helpers pre-sum server-side where every
-//!   one of them is a dialable shard, otherwise one vectored request per
-//!   source disk and the SIMD decode kernels; either way the rebuilt
-//!   elements are written back.
-//! * **Backpressure** — a token-bucket rate limiter bounds repair
-//!   traffic (bytes/second of source reads + rebuilt writes) so
-//!   foreground reads keep a bounded p99 while repair proceeds; leave it
-//!   unset to rebuild at full speed.
+//! * **Detection** — a detector thread probes each suspect and returns
+//!   it to up (it answered: a transient) or promotes it to rebuilding;
+//!   failed disks are adopted the same way.
+//! * **Reconstruction** — a small worker pool pops owed stripes, the
+//!   ones degraded reads touched first, one `repair_stripe` each. The
+//!   row outlives the manager, so a new one resumes where the last
+//!   stopped.
+//! * **Backpressure** — a token bucket bounds repair traffic
+//!   (bytes/second of source reads + rebuilt writes) so foreground
+//!   reads keep a bounded p99; leave it unset to rebuild at full speed.
 //! * **Completion** — when every stripe of a disk is rebuilt the disk is
-//!   healed, the planner stops planning around it, and the
-//!   time-to-full-redundancy lands in the metrics registry.
+//!   healed and the time-to-full-redundancy lands in the registry.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,7 +45,7 @@
 //! assert_eq!(store.get("obj").unwrap(), vec![7u8; 30_000]);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,262 +58,328 @@ use ecfrm_util::{Mutex, TokenBucket};
 
 use crate::store::ObjectStore;
 
-/// Tries per stripe before the queue gives up on it (a failed try goes
+/// Tries per stripe before the table gives up on it (a failed try goes
 /// back among the owed stripes, so transient source outages retry).
 const MAX_TRIES: u32 = 5;
 
-/// How often the detector looks, and how long an idle worker sleeps
+/// How often the detector looks, and how long an idle rebuilder sleeps
 /// before it looks again.
-const TICK: Duration = Duration::from_millis(2);
+pub(crate) const TICK: Duration = Duration::from_millis(2);
 
-/// Everything one disk still owes, from the first degraded read that
-/// hinted it to the tick that heals it or gives up on it.
+/// Where one disk stands; the planner plans around the last three.
 #[derive(Debug, Default)]
-struct DiskRepair {
-    /// Stripes degraded reads touched: staged while the disk is only
-    /// suspected or failed (so a suspicion the foreground withdraws
-    /// never causes repair traffic), taken first once it is promoted.
-    hot: BTreeSet<u64>,
-    /// When the disk was promoted to lost (time-to-full-redundancy
-    /// starts here); `None` while only hints are staged.
-    since: Option<Instant>,
-    /// Stripes `0..sealed_to` are owed; stripes sealed since promotion
-    /// join once the rest is done.
+enum State {
+    #[default]
+    Up,
+    /// A fetch found it silent or lying; still planned until it answers
+    /// again or the detector's probe settles it.
+    Suspect,
+    /// Marked failed by the operator; not rebuilding yet.
+    Failed,
+    /// Lost, and owing stripes.
+    Rebuilding(Rebuild),
+    /// A stripe ran out of tries; never promoted again until healed.
+    GaveUp,
+}
+
+/// What a lost disk still owes, from promotion to the tick that heals
+/// it or gives up on it.
+#[derive(Debug)]
+struct Rebuild {
+    /// When it was promoted (time-to-full-redundancy starts here).
+    since: Instant,
+    /// Stripes `0..sealed_to` are owed; stripes sealed since join once
+    /// the rest is done.
     sealed_to: u64,
-    /// Owed stripes neither hot nor taken. It is also the dedup: a
-    /// stripe in flight or rebuilt is in neither set.
+    /// Owed stripes neither hot nor in flight. A stripe is in at most
+    /// one of the three sets, and in none once rebuilt.
     todo: BTreeSet<u64>,
     /// Where the next `todo` pop starts: a stripe whose try failed goes
     /// back behind it, so the rest of the pass comes first.
     next: u64,
-    in_flight: usize,
+    in_flight: BTreeSet<u64>,
     tries: HashMap<u64, u32>,
     abandoned: u64,
-    /// Out of tries: the disk stays failed and is not promoted again
-    /// until it leaves the failed set (otherwise the detector would
-    /// promote-abandon-promote forever).
-    gave_up: bool,
 }
 
-impl DiskRepair {
-    fn promoted(&self) -> bool {
-        self.since.is_some()
+/// One disk's row: its state, and the stripes degraded reads touched
+/// while it was down — staged while it is suspect or failed (so a
+/// suspicion the foreground withdraws causes no repair traffic), popped
+/// first once it is rebuilding, empty otherwise.
+#[derive(Debug, Default)]
+struct Row {
+    state: State,
+    hot: BTreeSet<u64>,
+}
+
+impl Row {
+    /// Become `Rebuilding`, owing `0..sealed` with staged hints first.
+    fn promote(&mut self, sealed: u64) {
+        let hot = &mut self.hot;
+        hot.retain(|&s| s < sealed);
+        self.state = State::Rebuilding(Rebuild {
+            since: Instant::now(),
+            sealed_to: sealed,
+            todo: (0..sealed).filter(|s| !hot.contains(s)).collect(),
+            next: 0,
+            in_flight: BTreeSet::new(),
+            tries: HashMap::new(),
+            abandoned: 0,
+        });
     }
 
     /// Stripes queued or in flight.
     fn owed(&self) -> usize {
-        if self.promoted() {
-            self.hot.len() + self.todo.len() + self.in_flight
-        } else {
-            0
+        match &self.state {
+            State::Rebuilding(r) => self.hot.len() + r.todo.len() + r.in_flight.len(),
+            _ => 0,
         }
     }
 
     /// Take the next stripe from `hot`, or from `todo` at the cursor.
     fn take(&mut self, hot: bool) -> Option<u64> {
+        let State::Rebuilding(r) = &mut self.state else {
+            return None;
+        };
         let stripe = if hot {
             self.hot.pop_first()?
         } else {
-            let s = *self
-                .todo
-                .range(self.next..)
-                .next()
-                .or_else(|| self.todo.first())?;
-            self.todo.remove(&s);
-            self.next = s + 1;
+            let s = *r.todo.range(r.next..).next().or_else(|| r.todo.first())?;
+            r.todo.remove(&s);
+            r.next = s + 1;
             s
         };
-        self.in_flight += 1;
+        r.in_flight.insert(stripe);
         Some(stripe)
+    }
+
+    /// A rebuilding disk with nothing owed: its `todo` is extended to
+    /// the stripes sealed since (`sealed` is the store's count now), or,
+    /// with none, it is given up on if a stripe ran out of tries and
+    /// ready to heal otherwise.
+    fn settle(&mut self, sealed: u64) -> Option<Settled> {
+        if self.owed() > 0 {
+            return None;
+        }
+        let State::Rebuilding(r) = &mut self.state else {
+            return None;
+        };
+        if r.abandoned > 0 {
+            let abandoned = r.abandoned;
+            self.state = State::GaveUp;
+            Some(Settled::GaveUp(abandoned))
+        } else if sealed > r.sealed_to {
+            r.todo.extend(r.sealed_to..sealed);
+            r.sealed_to = sealed;
+            None
+        } else {
+            Some(Settled::Heal(r.since))
+        }
     }
 }
 
-/// What a detector tick settled for a promoted disk that has nothing
-/// queued or in flight.
+/// What settling found for a rebuilding disk with nothing owed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Settled {
-    /// Every owed stripe is rebuilt: heal the disk, then
-    /// [`RepairQueue::forget`] it. Carries the promotion instant.
+pub(crate) enum Settled {
+    /// Every owed stripe is rebuilt: heal it (promoted at this instant).
     Heal(Instant),
     /// This many stripes ran out of tries; the disk is given up on.
     GaveUp(u64),
 }
 
-/// One record per disk of what it still owes, under one lock.
+/// One row per disk of whether it is up, suspect, failed, rebuilding or
+/// given up on, under one lock — the only place the store keeps it.
 ///
-/// The store owns the queue, so degraded reads can hint into it with no
-/// manager attached (no-ops until a [`RepairManager`] enables it), and
-/// the manager drains it. A record lives until its disk heals, which is
-/// what makes pausing/resuming — or replacing the manager mid-repair —
-/// safe: no stripe is rebuilt twice.
-#[derive(Debug, Default)]
-pub struct RepairQueue {
-    enabled: AtomicBool,
-    disks: Mutex<BTreeMap<usize, DiskRepair>>,
+/// Reads report what they found and hint the stripes they touched, an
+/// operator fails and heals disks, and the manager's workers or
+/// [`ObjectStore::recover_disk`](crate::ObjectStore::recover_disk) drain
+/// a rebuilding row. A row lives until its disk heals, so pausing or
+/// replacing a manager mid-repair, or running `recover_disk` beside one,
+/// rebuilds no stripe twice.
+#[derive(Debug)]
+pub struct DiskTable {
+    rows: Mutex<Vec<Row>>,
 }
 
-impl RepairQueue {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+impl DiskTable {
+    pub(crate) fn new(n_disks: usize) -> Arc<Self> {
+        let rows = (0..n_disks).map(|_| Row::default()).collect();
+        Arc::new(Self {
+            rows: Mutex::new(rows),
+        })
     }
 
-    /// Hints are ignored until a manager attaches, so a store without
-    /// background repair never accumulates queue state.
-    pub(crate) fn enable(&self) {
-        self.enabled.store(true, Ordering::Release);
+    /// The disks whose row `keep` accepts, ascending.
+    fn select(&self, keep: impl Fn(&Row) -> bool) -> Vec<usize> {
+        let rows = self.rows.lock();
+        (0..rows.len()).filter(|&d| keep(&rows[d])).collect()
     }
 
-    /// Record that a degraded read touched `stripes` with `disks` down —
-    /// a priority hint: if a disk turns out to be lost, those stripes
-    /// repair before cold ones. One lock for the whole read.
-    pub fn hint(&self, disks: impl IntoIterator<Item = usize>, stripes: Range<u64>) {
-        if !self.enabled.load(Ordering::Acquire) {
-            return;
-        }
-        let mut records = self.disks.lock();
-        for disk in disks {
-            let r = records.entry(disk).or_default();
-            if r.gave_up {
-                continue;
+    /// Disks the planner avoids: failed, rebuilding or given up on.
+    pub(crate) fn down(&self) -> Vec<usize> {
+        self.select(|r| {
+            matches!(
+                r.state,
+                State::Failed | State::Rebuilding(_) | State::GaveUp
+            )
+        })
+    }
+
+    pub(crate) fn suspect_disks(&self) -> Vec<usize> {
+        self.select(|r| matches!(r.state, State::Suspect))
+    }
+
+    pub(crate) fn rebuilding(&self) -> Vec<usize> {
+        self.select(|r| matches!(r.state, State::Rebuilding(_)))
+    }
+
+    /// What one fetch found: each of `bad` that was up is suspect, and
+    /// each of `answered` that was suspect and not in `bad` is up again,
+    /// its staged hints dropped.
+    pub(crate) fn report(&self, answered: impl IntoIterator<Item = usize>, bad: &BTreeSet<usize>) {
+        let mut rows = self.rows.lock();
+        for d in answered {
+            if !bad.contains(&d) && matches!(rows[d].state, State::Suspect) {
+                rows[d] = Row::default();
             }
-            for s in stripes.clone() {
-                // Once promoted, only a stripe still owed moves up.
-                if !r.promoted() || r.todo.remove(&s) {
-                    r.hot.insert(s);
+        }
+        for &d in bad {
+            if matches!(rows[d].state, State::Up) {
+                rows[d].state = State::Suspect;
+            }
+        }
+    }
+
+    /// A degraded read touched `stripes` with `disks` down: if one turns
+    /// out to be lost, those stripes rebuild before cold ones.
+    pub(crate) fn hint(&self, disks: impl IntoIterator<Item = usize>, stripes: Range<u64>) {
+        let mut rows = self.rows.lock();
+        for d in disks {
+            let row = &mut rows[d];
+            match &mut row.state {
+                State::Suspect | State::Failed => row.hot.extend(stripes.clone()),
+                // Under repair, only a stripe still owed moves up.
+                State::Rebuilding(r) => {
+                    let owed = stripes.clone().filter(|s| r.todo.remove(s));
+                    row.hot.extend(owed);
                 }
+                State::Up | State::GaveUp => {}
             }
         }
     }
 
     /// Staged hints not yet promoted into repair work.
     pub fn hint_count(&self) -> usize {
-        let records = self.disks.lock();
-        let staged = records.values().filter(|r| !r.promoted());
+        let rows = self.rows.lock();
+        let staged = rows
+            .iter()
+            .filter(|r| !matches!(r.state, State::Rebuilding(_)));
         staged.map(|r| r.hot.len()).sum()
     }
 
     /// Stripes queued or in flight.
     pub fn depth(&self) -> usize {
-        self.disks.lock().values().map(DiskRepair::owed).sum()
+        self.rows.lock().iter().map(Row::owed).sum()
     }
 
-    /// Disks under reconstruction.
-    fn active(&self) -> Vec<usize> {
-        let records = self.disks.lock();
-        let active = records.iter().filter(|(_, r)| r.promoted());
-        active.map(|(&d, _)| d).collect()
-    }
-
-    /// Promote `disk` to lost, owing stripes `0..sealed` with its staged
-    /// hints first. False, and nothing changes, when it is already
-    /// promoted or was given up on.
-    fn promote(&self, disk: usize, sealed: u64) -> bool {
-        let mut records = self.disks.lock();
-        let r = records.entry(disk).or_default();
-        if r.promoted() || r.gave_up {
-            return false;
+    /// An up or suspect disk is failed; one already planned around stays.
+    pub(crate) fn fail(&self, disk: usize) {
+        let row = &mut self.rows.lock()[disk];
+        if matches!(row.state, State::Up | State::Suspect) {
+            row.state = State::Failed;
         }
-        let mut hot = std::mem::take(&mut r.hot);
-        hot.retain(|&s| s < sealed);
-        *r = DiskRepair {
-            todo: (0..sealed).filter(|s| !hot.contains(s)).collect(),
-            hot,
-            since: Some(Instant::now()),
-            sealed_to: sealed,
-            ..DiskRepair::default()
-        };
-        true
     }
 
-    /// Next stripe to repair: every disk's hot stripes first.
-    fn pop(&self) -> Option<(usize, u64)> {
-        let mut records = self.disks.lock();
+    /// Up from any state, record and hints dropped.
+    pub(crate) fn heal(&self, disk: usize) {
+        self.rows.lock()[disk] = Row::default();
+    }
+
+    /// The detector probed a suspect: a pass returns it to up, a failure
+    /// promotes it, owing `0..sealed` (true). A disk that stopped being
+    /// suspect meanwhile is left as it is.
+    fn probed(&self, disk: usize, passed: bool, sealed: u64) -> bool {
+        let row = &mut self.rows.lock()[disk];
+        match row.state {
+            State::Suspect if passed => *row = Row::default(),
+            State::Suspect => row.promote(sealed),
+            _ => return false,
+        }
+        !passed
+    }
+
+    /// Promote every failed disk, owing `0..sealed`, and return them.
+    fn adopt(&self, sealed: u64) -> Vec<usize> {
+        let mut rows = self.rows.lock();
+        let failed = rows.iter_mut().enumerate();
+        let failed = failed.filter(|(_, r)| matches!(r.state, State::Failed));
+        let promote = |(d, r): (usize, &mut Row)| {
+            r.promote(sealed);
+            d
+        };
+        failed.map(promote).collect()
+    }
+
+    /// Unless `disk` is already rebuilding, run `wipe` and promote it,
+    /// owing `0..sealed` — under the lock, so no stripe is popped and
+    /// rebuilt before the wipe would erase it.
+    pub(crate) fn start(&self, disk: usize, sealed: u64, wipe: impl FnOnce()) {
+        let row = &mut self.rows.lock()[disk];
+        if !matches!(row.state, State::Rebuilding(_)) {
+            wipe();
+            row.promote(sealed);
+        }
+    }
+
+    /// Next stripe to rebuild — every disk's hot stripes first — of
+    /// `only` that disk when given.
+    pub(crate) fn pop(&self, only: Option<usize>) -> Option<(usize, u64)> {
+        let mut rows = self.rows.lock();
         for hot in [true, false] {
-            for (&d, r) in records.iter_mut().filter(|(_, r)| r.promoted()) {
-                if let Some(s) = r.take(hot) {
-                    return Some((d, s));
-                }
+            let mine = rows.iter_mut().enumerate();
+            let mut mine = mine.filter(|&(d, _)| only.is_none_or(|o| o == d));
+            if let Some(popped) = mine.find_map(|(d, r)| Some((d, r.take(hot)?))) {
+                return Some(popped);
             }
         }
         None
     }
 
-    /// Report how a try at a popped stripe ended. A failed one is owed
-    /// again until it has had [`MAX_TRIES`], then abandoned (and its
-    /// disk can never finish repairing until it is forgotten).
-    fn finish(&self, disk: usize, stripe: u64, ok: bool) {
-        let mut records = self.disks.lock();
-        let Some(r) = records.get_mut(&disk) else {
+    /// How a try at a popped stripe ended. A failed one is owed again
+    /// until it has had [`MAX_TRIES`], then abandoned (and its disk can
+    /// never finish until healed). A stripe no longer in flight — its
+    /// disk healed meanwhile — is ignored.
+    pub(crate) fn finish(&self, disk: usize, stripe: u64, ok: bool) {
+        let mut rows = self.rows.lock();
+        let State::Rebuilding(r) = &mut rows[disk].state else {
             return;
         };
-        r.in_flight -= 1;
-        if ok {
-            r.tries.remove(&stripe);
+        if !r.in_flight.remove(&stripe) {
             return;
         }
-        let tries = r.tries.entry(stripe).or_insert(0);
-        *tries += 1;
-        if *tries < MAX_TRIES {
+        let tries = r.tries.remove(&stripe).unwrap_or(0) + 1;
+        if !ok && tries < MAX_TRIES {
+            r.tries.insert(stripe, tries);
             r.todo.insert(stripe);
-        } else {
-            r.tries.remove(&stripe);
-            r.abandoned += 1;
         }
+        r.abandoned += u64::from(!ok && tries >= MAX_TRIES);
     }
 
-    /// One detector tick over every record. Staged hints of a disk that
-    /// is neither `failed` nor suspect go (the foreground vouched for it
-    /// again), and so does a gave-up mark once its disk leaves `failed`.
-    /// A promoted disk with nothing queued or in flight is settled: its
-    /// `todo` is extended to the stripes sealed since (`sealed` is the
-    /// store's count now), or, with none, it is given up on if a stripe
-    /// ran out of tries and healed otherwise.
-    fn settle(
-        &self,
-        failed: &BTreeSet<usize>,
-        suspects: &[usize],
-        sealed: u64,
-    ) -> Vec<(usize, Settled)> {
-        let mut records = self.disks.lock();
-        records.retain(|d, r| {
-            r.promoted() || failed.contains(d) || (!r.gave_up && suspects.contains(d))
-        });
-        let mut settled = Vec::new();
-        for (&d, r) in records.iter_mut() {
-            let Some(since) = r.since else { continue };
-            if r.owed() > 0 {
-                continue;
-            }
-            if r.abandoned > 0 {
-                settled.push((d, Settled::GaveUp(r.abandoned)));
-                *r = DiskRepair {
-                    gave_up: true,
-                    ..DiskRepair::default()
-                };
-            } else if sealed > r.sealed_to {
-                r.todo.extend(r.sealed_to..sealed);
-                r.sealed_to = sealed;
-            } else {
-                settled.push((d, Settled::Heal(since)));
-            }
-        }
-        settled
+    /// Settle every rebuilding disk with nothing owed — of `only` that
+    /// disk when given — in one lock (see [`Row::settle`]).
+    pub(crate) fn settle(&self, sealed: u64, only: Option<usize>) -> Vec<(usize, Settled)> {
+        let mut rows = self.rows.lock();
+        let mine = rows.iter_mut().enumerate();
+        let mine = mine.filter(|&(d, _)| only.is_none_or(|o| o == d));
+        mine.filter_map(|(d, row)| Some((d, row.settle(sealed)?)))
+            .collect()
     }
 
-    /// Drop `disk`'s record: it healed, or a suspicion was withdrawn
-    /// before repair started. A later loss starts a clean record.
-    fn forget(&self, disk: usize) {
-        self.disks.lock().remove(&disk);
-    }
-
-    /// No disk under reconstruction, and every one of `failed` given up
-    /// on.
-    fn idle(&self, failed: &[usize]) -> bool {
-        let records = self.disks.lock();
-        records.values().all(|r| !r.promoted())
-            && failed
-                .iter()
-                .all(|d| records.get(d).is_some_and(|r| r.gave_up))
+    /// No disk is suspect, failed or rebuilding.
+    fn idle(&self) -> bool {
+        let rows = self.rows.lock();
+        rows.iter()
+            .all(|r| matches!(r.state, State::Up | State::GaveUp))
     }
 }
 
@@ -428,7 +485,7 @@ struct Shared {
 ///
 /// Dropping the manager stops and joins every thread; in-flight stripe
 /// repairs finish, and what is still owed stays in the store's
-/// [`RepairQueue`] and resumes if a new manager attaches.
+/// [`DiskTable`] and resumes if a new manager attaches.
 pub struct RepairManager {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -443,7 +500,6 @@ impl std::fmt::Debug for RepairManager {
 impl RepairManager {
     /// Start the detector and `cfg.workers` repair workers over `store`.
     pub fn spawn(store: Arc<ObjectStore>, cfg: RepairConfig) -> Self {
-        store.repair_queue().enable();
         let metrics = RepairMetrics::new(store.recorder());
         let shared = Arc::new(Shared {
             bucket: cfg.rate_limit.map(TokenBucket::new),
@@ -489,33 +545,24 @@ impl RepairManager {
     /// Current pipeline state.
     pub fn progress(&self) -> RepairProgress {
         let m = &self.shared.metrics;
-        let queue = self.shared.store.repair_queue();
+        let disks = self.shared.store.disks();
         RepairProgress {
             stripes_done: m.stripes_done.get(),
             bytes: m.bytes.get(),
-            queue_depth: queue.depth(),
-            active_disks: queue.active(),
+            queue_depth: disks.depth(),
+            active_disks: disks.rebuilding(),
             disks_restored: m.disks_restored.get(),
             paused: self.shared.paused.load(Ordering::Acquire),
         }
     }
 
-    /// Block until the pipeline is idle — no unprobed suspects, no disk
-    /// under reconstruction, and every failed disk either restored or
-    /// given up on — or `timeout` elapses. Returns whether the pipeline
-    /// went idle.
+    /// Block until the pipeline is idle — no disk suspect, failed or
+    /// rebuilding: every one up, or given up on — or `timeout` elapses.
+    /// Returns whether the pipeline went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let store = &self.shared.store;
         let deadline = Instant::now() + timeout;
         loop {
-            // Read in the order a lost disk moves through the pipeline —
-            // suspect, failed, and its record last: a record is promoted
-            // before the disk stops being suspect and dropped only after
-            // it is healed, so one that changes state while this looks
-            // is still seen.
-            let idle = store.array().suspects().is_empty()
-                && store.repair_queue().idle(&store.stats().failed_disks);
-            if idle {
+            if self.shared.store.disks().idle() {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -544,90 +591,69 @@ impl Drop for RepairManager {
     }
 }
 
-/// Promote a lost disk: promote its record, re-register a replacement
-/// (when configured), and mark it failed so the planner avoids it. A
-/// disk already under repair — a new manager resuming its record — or
-/// given up on is left as it is.
-fn promote(sh: &Shared, disk: usize, stripes: u64) {
-    // The record comes before the slot is touched: `replace_disk` clears
-    // the suspect flag, and until `fail_disk` nothing else says the disk
-    // is in trouble ([`RepairManager::wait_idle`] reads records last).
-    if !sh.store.repair_queue().promote(disk, stripes) {
-        return;
-    }
+/// A disk just promoted to rebuilding gets a fresh backend in its slot
+/// when the config has a replacer (a killed node reads nothing and drops
+/// writes).
+fn replace(sh: &Shared, disk: usize) {
     if let Some(replacer) = &sh.cfg.replacer {
-        let fresh = replacer(disk);
-        sh.store.array().replace_disk(disk, fresh);
+        sh.store.array().replace_disk(disk, replacer(disk));
     }
-    let _ = sh.store.fail_disk(disk);
-    sh.store.array().clear_suspect(disk);
 }
 
 fn detector_loop(sh: &Shared) {
     let store = &sh.store;
-    let queue = store.repair_queue();
+    let disks = store.disks();
     while !sh.stop.load(Ordering::Acquire) {
         std::thread::sleep(TICK);
         if sh.paused.load(Ordering::Acquire) {
             continue;
         }
         let stats = store.stats();
-        let failed: BTreeSet<usize> = stats.failed_disks.iter().copied().collect();
 
-        // 1. Probe suspects: answering disks are cleared (and their
-        //    staged hints dropped — no double repair); silent ones are
-        //    promoted to lost.
-        let active = queue.active();
-        for d in store.array().suspects() {
+        // 1. Probe suspects: answering disks go back up (and their staged
+        //    hints go — no double repair); silent ones are promoted. Every
+        //    disk stores offset 0 once a stripe is sealed, so nothing is
+        //    probed before. The probe verifies the cell's checksum
+        //    footer, so a disk that answers with *corrupt* bytes is
+        //    promoted instead of vouched for — without this, a lying disk
+        //    would cycle suspect → up forever.
+        let suspects = stats.suspect_disks.into_iter();
+        for d in suspects.filter(|_| stats.stripes > 0) {
             if sh.stop.load(Ordering::Acquire) {
                 return;
             }
-            if failed.contains(&d) || active.contains(&d) || stats.stripes == 0 {
-                continue; // under repair, or nothing sealed to probe against
-            }
-            // Every disk stores offset 0 once a stripe is sealed. The
-            // probe verifies the cell's checksum footer, so a disk that
-            // answers with *corrupt* bytes (silent corruption, not
-            // silence) is promoted instead of vouched for — without
-            // this, a lying disk would cycle suspect → cleared forever.
-            if store.probe_disk(d) {
-                store.array().clear_suspect(d);
-                queue.forget(d);
-            } else {
-                promote(sh, d, stats.stripes);
+            if disks.probed(d, store.probe_disk(d), stats.stripes) {
+                replace(sh, d);
             }
         }
 
-        // 2. Adopt disks already marked failed on the store (e.g. via
-        //    `fail_disk` from an operator or a fault drill).
-        for &d in &failed {
-            promote(sh, d, stats.stripes);
+        // 2. Adopt disks an operator or a fault drill marked failed.
+        for d in disks.adopt(stats.stripes) {
+            replace(sh, d);
         }
 
-        // 3. Settle every record in one call: heal what is rebuilt and
-        //    record time-to-full-redundancy, count what was given up.
-        let sealed = store.stats().stripes;
-        for (d, settled) in queue.settle(&failed, &store.array().suspects(), sealed) {
+        // 3. Settle every rebuilding disk in one call: heal what is
+        //    rebuilt and record time-to-full-redundancy, count what was
+        //    given up.
+        for (d, settled) in disks.settle(store.stats().stripes, None) {
             match settled {
                 Settled::GaveUp(stripes) => sh.metrics.abandoned_stripes.add(stripes),
                 Settled::Heal(since) => {
                     let _ = store.heal_disk(d);
-                    store.array().clear_suspect(d);
-                    queue.forget(d);
                     let ms = since.elapsed().as_millis() as i64;
                     sh.metrics.redundancy_ms.set(ms);
                     sh.metrics.disks_restored.inc();
                 }
             }
         }
-        sh.metrics.active_disks.set(queue.active().len() as i64);
-        sh.metrics.queue_depth.set(queue.depth() as i64);
+        sh.metrics.active_disks.set(disks.rebuilding().len() as i64);
+        sh.metrics.queue_depth.set(disks.depth() as i64);
     }
 }
 
 fn worker_loop(sh: &Shared) {
     let store = &sh.store;
-    let queue = store.repair_queue();
+    let disks = store.disks();
     while !sh.stop.load(Ordering::Acquire) {
         if sh.paused.load(Ordering::Acquire) {
             std::thread::sleep(TICK);
@@ -642,7 +668,7 @@ fn worker_loop(sh: &Shared) {
                 return;
             }
         }
-        let Some((disk, stripe)) = queue.pop() else {
+        let Some((disk, stripe)) = disks.pop(None) else {
             std::thread::sleep(TICK);
             continue;
         };
@@ -659,130 +685,329 @@ fn worker_loop(sh: &Shared) {
         }
         // Last: the disk is healed once its last stripe is reported, and
         // by then the counters must say so.
-        queue.finish(disk, stripe, repaired.is_ok());
+        disks.finish(disk, stripe, repaired.is_ok());
         if repaired.is_err() {
             std::thread::sleep(TICK);
         }
-        sh.metrics.queue_depth.set(queue.depth() as i64);
+        sh.metrics.queue_depth.set(disks.depth() as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use ecfrm_util::Rng;
+
     use super::*;
 
-    /// An enabled queue with `disk` promoted, owing `0..sealed`.
-    fn promoted(disk: usize, sealed: u64) -> Arc<RepairQueue> {
-        let q = RepairQueue::new();
-        q.enable();
-        assert!(q.promote(disk, sealed));
-        q
+    /// A table of 4 disks with `disk` rebuilding, owing `0..sealed`.
+    fn rebuilding(disk: usize, sealed: u64) -> Arc<DiskTable> {
+        let t = DiskTable::new(4);
+        t.fail(disk);
+        assert_eq!(t.adopt(sealed), vec![disk]);
+        t
     }
 
-    #[test]
-    fn queue_hints_are_noops_until_enabled() {
-        let q = RepairQueue::new();
-        q.hint([1], 3..4);
-        assert_eq!(q.hint_count(), 0);
-        q.enable();
-        q.hint([1], 3..4);
-        assert_eq!(q.hint_count(), 1);
-        assert_eq!(q.depth(), 0, "staged hints are not repair work");
+    /// Make `disks` suspect, the way a read that found them silent does.
+    fn suspect(t: &DiskTable, disks: &[usize]) {
+        t.report([], &disks.iter().copied().collect());
     }
 
     #[test]
     fn queue_dedups_and_prioritises_hints() {
-        let q = RepairQueue::new();
-        q.enable();
-        q.hint([0], 7..8); // hot stripe, staged
-        q.hint([0], 7..8); // duplicate hint is a no-op
-        q.hint([0], 12..13); // not sealed at promotion: owed later, not hot
-        assert_eq!(q.hint_count(), 2);
+        let t = DiskTable::new(4);
+        suspect(&t, &[0]);
+        t.hint([0], 7..8); // hot stripe, staged
+        t.hint([0], 7..8); // duplicate hint is a no-op
+        t.hint([0], 12..13); // not sealed at promotion: owed later, not hot
+        t.hint([1], 7..8); // disk 1 is up: nothing to stage
+        assert_eq!(t.hint_count(), 2);
         // Promotion: the hint jumps ahead of the full sweep.
-        assert!(q.promote(0, 9));
-        assert!(!q.promote(0, 9), "already promoted");
-        assert_eq!(q.hint_count(), 0);
-        assert_eq!(q.depth(), 9);
-        assert_eq!(q.pop(), Some((0, 7)));
-        assert_eq!(q.pop(), Some((0, 0)));
+        assert!(t.probed(0, false, 9));
+        assert!(!t.probed(0, false, 9), "already rebuilding");
+        assert_eq!(t.hint_count(), 0);
+        assert_eq!(t.depth(), 9);
+        assert_eq!(t.pop(None), Some((0, 7)));
+        assert_eq!(t.pop(None), Some((0, 0)));
         // A hint that lands under repair moves an owed stripe up.
-        q.hint([0], 5..6);
-        assert_eq!(q.pop(), Some((0, 5)));
-        assert_eq!(q.pop(), Some((0, 1)));
-        assert_eq!(q.depth(), 9, "four in flight, five owed");
+        t.hint([0], 5..6);
+        assert_eq!(t.pop(None), Some((0, 5)));
+        assert_eq!(t.pop(None), Some((0, 1)));
+        assert_eq!(t.depth(), 9, "four in flight, five owed");
     }
 
     #[test]
     fn queue_never_requeues_a_done_or_in_flight_stripe() {
-        let q = promoted(0, 3);
-        assert_eq!(q.pop(), Some((0, 0)));
-        assert_eq!(q.pop(), Some((0, 1)));
-        q.finish(0, 0, true);
+        let t = rebuilding(0, 3);
+        assert_eq!(t.pop(None), Some((0, 0)));
+        assert_eq!(t.pop(None), Some((0, 1)));
+        t.finish(0, 0, true);
         // Stripe 0 is done and 1 in flight: neither is hinted or owed
         // again, whatever degraded reads touch.
-        q.hint([0], 0..2);
-        assert_eq!(q.depth(), 2);
-        q.finish(0, 1, true);
-        assert_eq!(q.pop(), Some((0, 2)));
-        assert_eq!(q.pop(), None);
-        q.finish(0, 2, true);
+        t.hint([0], 0..2);
+        assert_eq!(t.depth(), 2);
+        t.finish(0, 1, true);
+        assert_eq!(t.pop(None), Some((0, 2)));
+        assert_eq!(t.pop(None), None);
+        t.finish(0, 2, true);
         // Sealed since promotion: only the new stripe is added.
-        let failed = BTreeSet::from([0]);
-        assert_eq!(q.settle(&failed, &[], 4), vec![]);
-        assert_eq!(q.pop(), Some((0, 3)));
-        assert_eq!(q.pop(), None);
-        q.finish(0, 3, true);
-        let settled = q.settle(&failed, &[], 4);
+        assert_eq!(t.settle(4, None), vec![]);
+        assert_eq!(t.pop(None), Some((0, 3)));
+        assert_eq!(t.pop(None), None);
+        t.finish(0, 3, true);
+        let settled = t.settle(4, None);
         assert!(matches!(settled[..], [(0, Settled::Heal(_))]));
     }
 
     #[test]
     fn queue_gc_drops_hints_for_recovered_disks() {
-        let q = RepairQueue::new();
-        q.enable();
-        q.hint([1, 2], 0..1);
-        assert_eq!(q.hint_count(), 2);
-        q.settle(&BTreeSet::new(), &[2], 1);
-        assert_eq!(q.hint_count(), 1, "disk 1 recovered: its hints drop");
-        assert!(q.promote(2, 2));
-        assert_eq!(q.pop(), Some((2, 0)));
+        let t = DiskTable::new(4);
+        suspect(&t, &[1, 2]);
+        t.hint([1, 2], 0..1);
+        assert_eq!(t.hint_count(), 2);
+        // Disk 1 answers a read again: it is up, and its hints drop.
+        t.report([1, 2], &BTreeSet::from([2]));
+        assert_eq!(t.suspect_disks(), vec![2]);
+        assert_eq!(t.hint_count(), 1, "disk 1 recovered: its hints drop");
+        assert!(t.probed(2, false, 2));
+        assert_eq!(t.pop(None), Some((2, 0)));
     }
 
     #[test]
     fn queue_reset_disk_clears_generation() {
-        let q = promoted(2, 2);
-        assert!(q.promote(3, 1));
-        q.hint([2], 1..2);
-        let (d, s) = q.pop().unwrap();
-        q.finish(d, s, true);
-        q.forget(2);
-        assert_eq!(q.active(), vec![3], "other disks untouched");
-        assert_eq!(q.depth(), 1);
-        assert_eq!(q.hint_count(), 0);
-        // A fresh generation may re-repair the same stripe.
-        assert!(q.promote(2, 2));
-        assert_eq!(q.pop(), Some((2, 0)));
+        let t = rebuilding(2, 2);
+        t.fail(3);
+        assert_eq!(
+            t.adopt(1),
+            vec![3],
+            "a rebuilding disk is not adopted again"
+        );
+        t.hint([2], 1..2);
+        let (d, s) = t.pop(None).unwrap();
+        t.finish(d, s, true);
+        t.heal(2);
+        assert_eq!(t.rebuilding(), vec![3], "other disks untouched");
+        assert_eq!(t.depth(), 1);
+        assert_eq!(t.hint_count(), 0);
+        // The healed disk's late report is ignored...
+        t.finish(2, 0, true);
+        // ... and a fresh generation may rebuild the same stripe.
+        t.fail(2);
+        assert_eq!(t.adopt(2), vec![2]);
+        assert_eq!(t.pop(Some(2)), Some((2, 0)));
     }
 
     #[test]
     fn queue_abandons_after_max_attempts() {
-        let q = promoted(0, 1);
+        let t = rebuilding(0, 1);
         for _ in 0..MAX_TRIES {
-            let (d, s) = q.pop().unwrap();
-            q.finish(d, s, false);
+            let (d, s) = t.pop(None).unwrap();
+            t.finish(d, s, false);
         }
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.depth(), 0);
-        let failed = BTreeSet::from([0]);
-        assert_eq!(q.settle(&failed, &[], 1), vec![(0, Settled::GaveUp(1))]);
-        // Given up on while the disk stays failed: idle, not promoted
-        // again, deaf to hints.
-        assert!(q.idle(&[0]));
-        assert!(!q.promote(0, 1));
-        q.hint([0], 0..1);
-        assert_eq!(q.hint_count(), 0);
-        // Out of the failed set, the mark goes.
-        q.settle(&BTreeSet::new(), &[], 1);
-        assert!(q.promote(0, 1));
+        assert_eq!(t.pop(None), None);
+        assert_eq!(t.depth(), 0);
+        assert_eq!(t.settle(1, None), vec![(0, Settled::GaveUp(1))]);
+        // Given up on: down, idle, not adopted again, deaf to hints.
+        assert_eq!(t.down(), vec![0]);
+        assert!(t.idle());
+        t.fail(0);
+        assert_eq!(t.adopt(1), vec![]);
+        t.hint([0], 0..1);
+        assert_eq!(t.hint_count(), 0);
+        // Healed, the mark goes.
+        t.heal(0);
+        t.fail(0);
+        assert_eq!(t.adopt(1), vec![0]);
+    }
+
+    /// The state names the model test compares.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Label {
+        Up,
+        Suspect,
+        Failed,
+        Rebuilding,
+        GaveUp,
+    }
+
+    fn labels(t: &DiskTable) -> Vec<Label> {
+        let rows = t.rows.lock();
+        let label = |r: &Row| match r.state {
+            State::Up => Label::Up,
+            State::Suspect => Label::Suspect,
+            State::Failed => Label::Failed,
+            State::Rebuilding(_) => Label::Rebuilding,
+            State::GaveUp => Label::GaveUp,
+        };
+        rows.iter().map(label).collect()
+    }
+
+    /// Check the table against the model after a step: the same state
+    /// per disk, the down set and `idle` read off the model, hints only
+    /// where a state keeps them, and no stripe in two of hot, `todo` and
+    /// in flight.
+    fn check(t: &DiskTable, model: &[Label]) -> Result<(), String> {
+        let got = labels(t);
+        if got != model {
+            return Err(format!("states {got:?}, model {model:?}"));
+        }
+        let is = |keep: &[Label]| -> Vec<usize> {
+            (0..model.len())
+                .filter(|&d| keep.contains(&model[d]))
+                .collect()
+        };
+        let down = is(&[Label::Failed, Label::Rebuilding, Label::GaveUp]);
+        if t.down() != down {
+            return Err(format!("down {:?}, want {down:?}", t.down()));
+        }
+        if t.suspect_disks() != is(&[Label::Suspect]) {
+            return Err(format!("suspects {:?}", t.suspect_disks()));
+        }
+        let busy = is(&[Label::Suspect, Label::Failed, Label::Rebuilding]);
+        if t.idle() != busy.is_empty() {
+            return Err(format!("idle() = {} with {busy:?} busy", t.idle()));
+        }
+        let rows = t.rows.lock();
+        for (d, row) in rows.iter().enumerate() {
+            if matches!(row.state, State::Up | State::GaveUp) && !row.hot.is_empty() {
+                return Err(format!("disk {d} keeps hints {:?}", row.hot));
+            }
+            if let State::Rebuilding(r) = &row.state {
+                let sets = [&row.hot, &r.todo, &r.in_flight];
+                let total: usize = sets.iter().map(|s| s.len()).sum();
+                let union: BTreeSet<u64> = sets.iter().flat_map(|s| s.iter().copied()).collect();
+                if union.len() != total {
+                    return Err(format!("disk {d}: a stripe in two sets: {sets:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Apply one random step to the table and the model; return what it
+    /// did, or how the table's answer differed from the model's.
+    fn step(
+        rng: &mut Rng,
+        t: &DiskTable,
+        model: &mut [Label],
+        popped: &mut Vec<(usize, u64)>,
+        sealed: &mut u64,
+    ) -> Result<String, String> {
+        let n = model.len();
+        let d = rng.random_range(0..n);
+        Ok(match rng.random_range(0..11u32) {
+            0 => {
+                let answered: Vec<usize> =
+                    (0..n).filter(|_| rng.random_range(0..2u32) == 0).collect();
+                let bad: BTreeSet<usize> =
+                    (0..n).filter(|_| rng.random_range(0..4u32) == 0).collect();
+                t.report(answered.iter().copied(), &bad);
+                for &a in &answered {
+                    if !bad.contains(&a) && model[a] == Label::Suspect {
+                        model[a] = Label::Up;
+                    }
+                }
+                for &b in &bad {
+                    if model[b] == Label::Up {
+                        model[b] = Label::Suspect;
+                    }
+                }
+                format!("report(answered {answered:?}, bad {bad:?})")
+            }
+            1 => {
+                let s = rng.random_range(0..*sealed + 2);
+                t.hint([d], s..s + rng.random_range(1..3u64));
+                format!("hint({d}, {s}..)")
+            }
+            2 => {
+                t.fail(d);
+                if matches!(model[d], Label::Up | Label::Suspect) {
+                    model[d] = Label::Failed;
+                }
+                format!("fail({d})")
+            }
+            3 => {
+                t.heal(d);
+                model[d] = Label::Up;
+                format!("heal({d})")
+            }
+            4 | 5 => {
+                let passed = rng.random_range(0..2u32) == 0;
+                let promoted = t.probed(d, passed, *sealed);
+                if promoted != (model[d] == Label::Suspect && !passed) {
+                    return Err(format!("probed({d}, passed {passed}) = {promoted}"));
+                }
+                if model[d] == Label::Suspect {
+                    model[d] = if passed { Label::Up } else { Label::Rebuilding };
+                }
+                format!("probed({d}, passed {passed})")
+            }
+            6 => {
+                let adopted = t.adopt(*sealed);
+                let want: Vec<usize> = (0..n).filter(|&d| model[d] == Label::Failed).collect();
+                if adopted != want {
+                    return Err(format!("adopt({sealed}) = {adopted:?}, want {want:?}"));
+                }
+                for d in adopted {
+                    model[d] = Label::Rebuilding;
+                }
+                format!("adopt({sealed})")
+            }
+            7 => {
+                let got = t.pop(None);
+                if let Some(p) = got {
+                    if model[p.0] != Label::Rebuilding {
+                        return Err(format!("pop() = {p:?} from a {:?} disk", model[p.0]));
+                    }
+                    popped.push(p);
+                }
+                format!("pop() = {got:?}")
+            }
+            8 | 9 if !popped.is_empty() => {
+                let (d, s) = popped.swap_remove(rng.random_range(0..popped.len()));
+                let ok = rng.random_range(0..3u32) > 0;
+                t.finish(d, s, ok);
+                format!("finish({d}, {s}, ok {ok})")
+            }
+            8 | 9 => {
+                *sealed += 1;
+                format!("seal → {sealed}")
+            }
+            _ => {
+                for (d, settled) in t.settle(*sealed, None) {
+                    if model[d] != Label::Rebuilding {
+                        return Err(format!("settled a {:?} disk {d}", model[d]));
+                    }
+                    match settled {
+                        Settled::GaveUp(_) => model[d] = Label::GaveUp,
+                        // What the detector does with a rebuilt disk.
+                        Settled::Heal(_) => {
+                            t.heal(d);
+                            model[d] = Label::Up;
+                        }
+                    }
+                }
+                format!("settle({sealed})")
+            }
+        })
+    }
+
+    #[test]
+    fn table_model_holds_its_invariants_on_random_schedules() {
+        for seed in 0..200u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let t = DiskTable::new(5);
+            let mut model = vec![Label::Up; 5];
+            let mut popped = Vec::new();
+            let mut sealed = 3;
+            let mut steps = Vec::new();
+            for _ in 0..300 {
+                let done = step(&mut rng, &t, &mut model, &mut popped, &mut sealed)
+                    .and_then(|s| check(&t, &model).map(|()| s));
+                match done {
+                    Ok(s) => steps.push(s),
+                    Err(e) => panic!("seed {seed}: {e}\nafter:\n  {}", steps.join("\n  ")),
+                }
+            }
+        }
     }
 }

@@ -8,10 +8,12 @@
 //! * `rebuild` — reconstruct what a disk stores, stripe by stripe;
 //! * `scrub` — check stored cells against what was sealed.
 //!
-//! The state is `StripeState` behind one mutex. The writers — seal,
-//! catalog insert, fail/heal — lock it where they change it; everything
+//! The stream's state is `StripeState` behind one mutex. The writers —
+//! seal and catalog insert — lock it where they change it; everything
 //! that only reads it goes through `ObjectStore::with_state`, and the
 //! read, scrub and rebuild paths through the `SealedView` built on it.
+//! Which disks are down is not in it: that is the store's
+//! [`DiskTable`], one row per disk under a lock of its own.
 
 mod read;
 mod rebuild;
@@ -31,7 +33,7 @@ use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
 use crate::meta::{ObjectMeta, StoreStats, StripeManifest};
-use crate::repair::RepairQueue;
+use crate::repair::DiskTable;
 
 pub use read::ReadOpts;
 
@@ -141,7 +143,6 @@ struct StripeState {
     /// at seal time; repair rewrites identical payloads, so manifests
     /// stay valid for the stripe's lifetime.
     manifests: Vec<StripeManifest>,
-    failed: BTreeSet<usize>,
 }
 
 /// What a read, a scrub or a rebuild needs to know before it touches a
@@ -149,7 +150,7 @@ struct StripeState {
 struct SealedView {
     sealed_elements: u64,
     stripes: u64,
-    failed: Vec<usize>,
+    down: Vec<usize>,
 }
 
 /// An erasure-coded object store over a threaded disk array.
@@ -174,10 +175,10 @@ pub struct ObjectStore {
     /// [`ObjectStore::recorder`].
     recorder: Recorder,
     metrics: StoreMetrics,
-    /// Stripe repair queue. Degraded reads drop priority hints into it
-    /// (no-ops until a [`RepairManager`](crate::RepairManager) attaches)
-    /// so hot stripes regain redundancy first.
-    repair_queue: Arc<RepairQueue>,
+    /// Each disk's state — up, suspect, failed, rebuilding, given up on
+    /// — and what a lost one still owes. Reads report into it and hint
+    /// the stripes they touched, so hot stripes regain redundancy first.
+    disks: Arc<DiskTable>,
     /// The keyed-hash key every element footer and merkle manifest is
     /// computed under.
     key: HashKey,
@@ -220,8 +221,17 @@ impl ObjectStore {
         );
         let recorder = Recorder::new();
         let metrics = StoreMetrics::new(&recorder, scheme.n_disks());
-        // Engine gauges and transport totals: read at snapshot time.
+        // Engine gauges, transport totals and the disks' states: read at
+        // snapshot time.
         array.observe(&recorder);
+        let disks = DiskTable::new(scheme.n_disks());
+        let table = Arc::clone(&disks);
+        recorder.observe(move |snap| {
+            let suspect = table.suspect_disks().len() as i64;
+            snap.gauges.insert("disks.suspect".into(), suspect);
+            snap.gauges
+                .insert("disks.down".into(), table.down().len() as i64);
+        });
         // Record which GF region-kernel backend this process dispatched
         // to (avx2/ssse3/neon/scalar), so stats snapshots show
         // what the encode/decode numbers were produced with.
@@ -234,7 +244,7 @@ impl ObjectStore {
         Self {
             recorder,
             metrics,
-            repair_queue: RepairQueue::new(),
+            disks,
             scheme,
             element_size,
             array,
@@ -245,7 +255,6 @@ impl ObjectStore {
                 sealed_elements: 0,
                 stripes: 0,
                 manifests: Vec::new(),
-                failed: BTreeSet::new(),
             }),
             key: HashKey::DEFAULT,
         }
@@ -257,13 +266,14 @@ impl ObjectStore {
     }
 
     /// The state the read, scrub and rebuild paths consult, copied out
-    /// so none of them holds the lock across I/O.
+    /// so none of them holds a lock across I/O.
     fn sealed(&self) -> SealedView {
-        self.with_state(|s| SealedView {
-            sealed_elements: s.sealed_elements,
-            stripes: s.stripes,
-            failed: s.failed.iter().copied().collect(),
-        })
+        let (sealed_elements, stripes) = self.with_state(|s| (s.sealed_elements, s.stripes));
+        SealedView {
+            sealed_elements,
+            stripes,
+            down: self.disks.down(),
+        }
     }
 
     /// The one way the store takes cells off its disks, for reads and
@@ -272,7 +282,8 @@ impl ObjectStore {
     /// payload, footer stripped, to `keep` with its index into `addrs`.
     /// Returns the disks that owe a cell — it came back absent or failed
     /// its footer, which is exactly an erasure, or the disk never
-    /// answered — and the time spent checking footers.
+    /// answered — and the time spent checking footers, and tells the
+    /// disk table who answered and who owes.
     fn fetch_verified(
         &self,
         mut batch: BatchRead,
@@ -310,6 +321,7 @@ impl ObjectStore {
                 .map(|&(d, _)| d)
                 .filter(|d| !answered.contains(d)),
         );
+        self.disks.report(answered, &bad);
         (bad, verify)
     }
 
@@ -334,12 +346,12 @@ impl ObjectStore {
     /// across failure domains), `repair.combined_stripes` (stripes
     /// repaired via server-side `CombineRange`),
     /// `net.*` (the shard clients' transport totals — with the `io.*`
-    /// and `array.suspects` gauges, the array's
-    /// [source](ecfrm_sim::ThreadedArray::observe), read at snapshot
-    /// time). Histograms (µs): `plan_us`,
-    /// `read_us`, `decode_us`, `verify_us` (checksum verification
-    /// time per read / per scrubbed stripe). Disk board: `disk_load`
-    /// (planned fetches per disk).
+    /// gauges, the array's [source](ecfrm_sim::ThreadedArray::observe),
+    /// read at snapshot time). Gauges `disks.suspect` and `disks.down`
+    /// are read off the disk table at snapshot time. Histograms (µs):
+    /// `plan_us`, `read_us`, `decode_us`, `verify_us` (checksum
+    /// verification time per read / per scrubbed stripe). Disk board:
+    /// `disk_load` (planned fetches per disk).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -349,11 +361,11 @@ impl ObjectStore {
         self.element_size
     }
 
-    /// The store's stripe repair queue (drained by a
-    /// [`RepairManager`](crate::RepairManager); degraded reads feed it
-    /// priority hints).
-    pub fn repair_queue(&self) -> &Arc<RepairQueue> {
-        &self.repair_queue
+    /// The store's per-disk table (drained by a
+    /// [`RepairManager`](crate::RepairManager) and by
+    /// [`Self::recover_disk`]; degraded reads feed it priority hints).
+    pub fn disks(&self) -> &DiskTable {
+        &self.disks
     }
 
     /// The keyed-hash key element footers and merkle manifests are
@@ -374,36 +386,40 @@ impl ObjectStore {
         &self.array
     }
 
-    /// Mark a disk failed: subsequent reads plan around it.
+    /// Mark a disk failed: subsequent reads plan around it. A disk
+    /// already planned around (rebuilding, given up on) stays as it is.
     pub fn fail_disk(&self, disk: usize) -> Result<(), StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
         }
         self.array.disk(disk).fail();
-        self.state.lock().failed.insert(disk);
+        self.disks.fail(disk);
         Ok(())
     }
 
-    /// Clear a disk's failure flag (transient failure resolved with no
-    /// data loss — the paper's >90% case).
+    /// Return a disk to service from any state (transient failure
+    /// resolved with no data loss — the paper's >90% case); what a
+    /// rebuild of it still owed is dropped.
     pub fn heal_disk(&self, disk: usize) -> Result<(), StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
         }
         self.array.disk(disk).heal();
-        self.state.lock().failed.remove(&disk);
+        self.disks.heal(disk);
         Ok(())
     }
 
     /// Occupancy snapshot.
     pub fn stats(&self) -> StoreStats {
+        let (failed_disks, suspect_disks) = (self.disks.down(), self.disks.suspect_disks());
         self.with_state(|s| StoreStats {
             objects: s.catalog.len(),
             logical_bytes: s.logical_len,
             sealed_elements: s.sealed_elements,
             stripes: s.stripes,
             pending_bytes: s.pending.len(),
-            failed_disks: s.failed.iter().copied().collect(),
+            failed_disks,
+            suspect_disks,
         })
     }
 

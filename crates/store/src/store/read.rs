@@ -95,17 +95,6 @@ impl ObjectStore {
         self.read_absolute(ObjectMeta { offset, len })
     }
 
-    /// What is sealed, once every element before `last` is: a read that
-    /// reaches into the unsealed tail flushes first.
-    fn sealed_through(&self, last: u64) -> super::SealedView {
-        let sealed = self.sealed();
-        if last <= sealed.sealed_elements {
-            return sealed;
-        }
-        self.flush();
-        self.sealed()
-    }
-
     /// Read the bytes at `meta`, whose `offset` is an *absolute*
     /// logical stream offset (catalog lookups already applied): the
     /// elements they span, appended in order.
@@ -114,8 +103,9 @@ impl ObjectStore {
             .element_range(self.element_size)
             .ok_or_else(|| out_of_bounds(meta.offset, meta.len))?;
         if meta.len == 0 {
+            // Touches no element, so it never flushes the tail.
             let stats = ReadStats {
-                degraded: !self.sealed_through(last).failed.is_empty(),
+                degraded: !self.disks.down().is_empty(),
                 ..ReadStats::default()
             };
             return Ok((Vec::new(), stats));
@@ -138,25 +128,29 @@ impl ObjectStore {
         count: usize,
     ) -> Result<(Vec<Vec<u8>>, ReadStats), StoreError> {
         let last = first + count as u64;
-        let sealed = self.sealed_through(last);
+        let mut sealed = self.sealed();
+        if last > sealed.sealed_elements {
+            self.flush(); // it reaches into the unsealed tail
+            sealed = self.sealed();
+        }
         if last > sealed.sealed_elements {
             let es = self.element_size as u64;
             return Err(out_of_bounds(first * es, sealed.sealed_elements * es));
         }
-        let failed = sealed.failed;
         let t0 = std::time::Instant::now();
 
         // Plan, fetch, and — when a disk stops answering mid-read —
-        // mark it suspect and replan degraded around it. Each iteration
-        // strictly grows the suspect set, so the loop terminates.
+        // replan degraded around it. Each iteration strictly grows the
+        // set planned around, so the loop terminates.
         //
         // Fetches go out as one vectored request per touched disk and
-        // are verified as each disk answers (`fetch_verified`). A demand
+        // are verified as each disk answers (`fetch_verified`, which also
+        // tells the disk table who answered and who did not). A demand
         // cell lands in the slot of the element it is, degraded or not;
         // a cell fetched only to repair with waits beside the slots, and
         // the decode fills just the holes.
         let mut verify_spent = std::time::Duration::ZERO;
-        let mut suspects: BTreeSet<usize> = failed.iter().copied().collect();
+        let mut suspects: BTreeSet<usize> = sealed.down.into_iter().collect();
         let mut replans = 0usize;
         let layout = self.scheme.layout();
         let (plan, elements) = loop {
@@ -197,17 +191,6 @@ impl ObjectStore {
                 }
             });
             verify_spent += verify;
-            // Feed the failure detector: a disk that served every
-            // requested element is vouched for again; one that stopped
-            // answering or lied goes on the array's suspect list for the
-            // background repair pipeline to probe.
-            let touched: BTreeSet<usize> = addrs.iter().map(|&(d, _)| d).collect();
-            for &d in touched.difference(&bad) {
-                self.array.clear_suspect(d);
-            }
-            for &d in &bad {
-                self.array.mark_suspect(d);
-            }
             if bad.is_empty() {
                 let cell = |loc| repair.get(&loc).map(Vec::as_slice);
                 let ctx = ReadCtx::new().with_recorder(&self.recorder);
@@ -225,12 +208,11 @@ impl ObjectStore {
         };
         // Leave breadcrumbs for the background repair pipeline: the
         // stripes this degraded read actually touched, per down disk —
-        // they jump the repair queue so hot data regains redundancy
-        // first. (No-ops until a `RepairManager` attaches.)
+        // they rebuild first so hot data regains redundancy first.
         if !suspects.is_empty() {
             let dps = self.scheme.data_per_stripe() as u64;
             let stripes = first / dps..(last - 1) / dps + 1;
-            self.repair_queue.hint(suspects.iter().copied(), stripes);
+            self.disks.hint(suspects.iter().copied(), stripes);
         }
         let stats = ReadStats {
             requested_elements: count,
@@ -398,7 +380,6 @@ mod tests {
     #[test]
     fn suspect_lifecycle_clears_on_answer_and_dedups_hints() {
         let (store, faulty) = faulty_store();
-        store.repair_queue().enable();
         let data = blob(30_000, 50);
         store.put("x", &data).unwrap();
         store.flush();
@@ -410,8 +391,8 @@ mod tests {
         assert_eq!(bytes, data);
         assert!(stats.degraded);
         assert_eq!(stats.replans, 1, "exactly one mid-read replan");
-        assert_eq!(store.array().suspects(), vec![2]);
-        let staged = store.repair_queue().hint_count();
+        assert_eq!(store.stats().suspect_disks, vec![2]);
+        let staged = store.disks().hint_count();
         assert!(staged > 0, "degraded read stages repair hints");
 
         // Re-reading the same range is another degraded read but must
@@ -419,7 +400,7 @@ mod tests {
         let (_, stats) = store.get_with_stats("x").unwrap();
         assert!(stats.degraded);
         assert_eq!(
-            store.repair_queue().hint_count(),
+            store.disks().hint_count(),
             staged,
             "hints dedup across repeated degraded reads"
         );
@@ -431,9 +412,72 @@ mod tests {
         assert_eq!(bytes, data);
         assert!(!stats.degraded);
         assert_eq!(stats.replans, 0);
-        assert!(store.array().suspects().is_empty(), "suspicion withdrawn");
+        assert!(
+            store.stats().suspect_disks.is_empty(),
+            "suspicion withdrawn"
+        );
         // Hints are staging only — nothing was promoted to repair work.
-        assert_eq!(store.repair_queue().depth(), 0);
+        assert_eq!(store.disks().depth(), 0);
+    }
+
+    /// A backend whose every submission panics.
+    #[derive(Debug)]
+    struct PanicDisk;
+
+    impl DiskBackend for PanicDisk {
+        fn submit_read_many(&self, _offsets: &[u64]) -> IoHandle {
+            panic!("injected backend panic");
+        }
+        fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
+            panic!("injected backend panic");
+        }
+        fn fail(&self) {}
+        fn heal(&self) {}
+        fn wipe(&self) {}
+        fn len(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn panicking_backend_is_marked_suspect() {
+        let scheme = ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3)));
+        let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
+            .map(|d| match d {
+                3 => Arc::new(PanicDisk) as Arc<dyn DiskBackend>,
+                _ => Arc::new(MemDisk::new()),
+            })
+            .collect();
+        let store = ObjectStore::with_array(scheme, 64, ThreadedArray::from_backends(backends));
+        let data = blob(10_000, 52);
+        // The seal's writes to disk 3 panic and are lost like any failed
+        // write; the first read of those cells flags the disk.
+        store.put("x", &data).unwrap();
+        store.flush();
+        assert!(store.stats().suspect_disks.is_empty());
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        assert!(stats.degraded);
+        assert_eq!(store.stats().suspect_disks, vec![3]);
+        let gauges = store.recorder().snapshot().gauges;
+        assert_eq!((gauges["disks.suspect"], gauges["disks.down"]), (1, 0));
+    }
+
+    #[test]
+    fn zero_length_reads_seal_nothing() {
+        let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
+        store.put("a", &blob(10, 53)).unwrap();
+        store.put("e", &[]).unwrap();
+        store.put("b", &blob(10, 54)).unwrap();
+        let before = store.stats();
+        assert_eq!(before.pending_bytes, 20);
+        assert_eq!(store.get("e").unwrap(), Vec::<u8>::new());
+        assert_eq!(store.get_range("b", 3, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(store.stats(), before, "an empty read flushed the tail");
+        store.fail_disk(0).unwrap();
+        let (_, stats) = store.get_with_stats("e").unwrap();
+        assert!(stats.degraded, "degraded comes from the down set");
+        assert_eq!(store.stats().stripes, 0);
     }
 
     #[test]
@@ -486,7 +530,6 @@ mod tests {
     #[test]
     fn verify_on_read_treats_corruption_as_erasure() {
         let (store, faulty) = faulty_store();
-        store.repair_queue().enable();
         let data = blob(30_000, 51);
         store.put("x", &data).unwrap();
         store.flush();
@@ -499,8 +542,8 @@ mod tests {
         assert_eq!(bytes, data, "corrupted answers never reach the caller");
         assert!(stats.degraded);
         assert_eq!(stats.replans, 1);
-        assert_eq!(store.array().suspects(), vec![2]);
-        assert!(store.repair_queue().hint_count() > 0, "stripe hints staged");
+        assert_eq!(store.stats().suspect_disks, vec![2]);
+        assert!(store.disks().hint_count() > 0, "stripe hints staged");
         assert!(store.recorder().snapshot().counters["integrity.verify_fail"] > 0);
 
         // The probe sees through the lie too: corrupt answers must not

@@ -1,8 +1,9 @@
 //! Reconstruction (paper §IV-D): one engine, [`ObjectStore::repair_stripe`],
-//! rebuilds what a disk stores for a stripe, group by group, whoever
-//! asks — the background [`RepairManager`](crate::RepairManager) stripe
-//! by stripe under its rate limit, or [`ObjectStore::recover_disk`] for
-//! every sealed stripe in one blocking call.
+//! rebuilds what a disk stores for a stripe, group by group, and one
+//! record, the disk's row of the [`DiskTable`](crate::DiskTable), says
+//! which stripes are still owed — whoever drains it: the background
+//! [`RepairManager`](crate::RepairManager)'s workers under its rate
+//! limit, or [`ObjectStore::recover_disk`] in the caller's thread.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -14,6 +15,7 @@ use ecfrm_sim::{combine_status, CombinePeerSpec, CombineSpec};
 use super::ObjectStore;
 use crate::error::StoreError;
 use crate::meta::StripeRepair;
+use crate::repair::{Settled, TICK};
 
 /// One try at a stripe: rebuilt and written back, or the helpers that
 /// lied or did not answer — to be excluded before the stripe is
@@ -22,37 +24,56 @@ type Attempt = Result<StripeRepair, Vec<usize>>;
 
 impl ObjectStore {
     /// Rebuild a lost disk from the survivors, write the reconstructed
-    /// elements back, and return how many were rebuilt.
+    /// elements back, and return how many this call rebuilt.
     ///
-    /// Models the *permanent* failure path: the disk's contents are
-    /// wiped and regenerated. This is the synchronous driver of
-    /// [`Self::repair_stripe`] — what the
-    /// [`RepairManager`](crate::RepairManager) does in the background,
-    /// done in the caller's thread: the disk is marked failed (reads
-    /// plan around it while it is rebuilt), every sealed stripe is
-    /// repaired, and only then is the disk healed.
+    /// Models the *permanent* failure path: the disk is wiped, becomes
+    /// rebuilding (reads plan around it), and the caller's thread pops
+    /// and rebuilds its owed stripes with [`Self::repair_stripe`] the way
+    /// a [`RepairManager`](crate::RepairManager)'s workers do, on the same
+    /// record — so a manager beside it rebuilds no stripe twice — and
+    /// heals it once none is owed. A disk already rebuilding is resumed,
+    /// not wiped.
     ///
     /// # Errors
-    /// As [`Self::repair_stripe`]. On an error the disk stays marked
-    /// failed; the call can be repeated.
+    /// [`StoreError::DataLoss`], before anything is wiped, when too many
+    /// disks are down for the rebuild to succeed; otherwise the first
+    /// failed stripe's error, as [`Self::repair_stripe`]. That stripe
+    /// stays owed: calling again rebuilds only what is still owed.
     pub fn recover_disk(&self, disk: usize) -> Result<usize, StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
         }
         self.flush();
         let sealed = self.sealed();
-        // Refuse before destroying anything: with too many disks down
-        // the rebuild cannot succeed, and wiping this one would turn an
-        // outage that may be transient into a loss.
-        DiskRecovery::plan_among(&self.scheme, disk, &sealed.failed, sealed.stripes)
-            .map_err(StoreError::DataLoss)?;
-        self.array.disk(disk).wipe();
-        self.fail_disk(disk)?;
-        let mut rebuilt = 0;
-        for stripe in 0..sealed.stripes {
-            rebuilt += self.repair_stripe(disk, stripe)?.elements;
+        if !self.disks.rebuilding().contains(&disk) {
+            // Refuse before destroying anything: wiping a disk whose
+            // rebuild cannot succeed would turn an outage that may be
+            // transient into a loss.
+            DiskRecovery::plan_among(&self.scheme, disk, &sealed.down, sealed.stripes)
+                .map_err(StoreError::DataLoss)?;
+            let backend = self.array.disk(disk);
+            self.disks.start(disk, sealed.stripes, || backend.wipe());
         }
-        self.heal_disk(disk)?;
+        // Until healed, by this call or a manager beside it.
+        let mut rebuilt = 0;
+        while self.disks.rebuilding().contains(&disk) {
+            if let Some((_, stripe)) = self.disks.pop(Some(disk)) {
+                let repaired = self.repair_stripe(disk, stripe);
+                self.disks.finish(disk, stripe, repaired.is_ok());
+                rebuilt += repaired?.elements;
+                continue;
+            }
+            match self.disks.settle(self.sealed().stripes, Some(disk))[..] {
+                [(_, Settled::Heal(_))] => self.heal_disk(disk)?,
+                [(_, Settled::GaveUp(n))] => {
+                    let lost = format!("gave up on {n} stripes of disk {disk}");
+                    return Err(StoreError::DataLoss(lost));
+                }
+                // A manager's worker holds a stripe of it, or stripes
+                // sealed since joined what is owed.
+                _ => std::thread::sleep(TICK),
+            }
+        }
         Ok(rebuilt)
     }
 
@@ -71,7 +92,7 @@ impl ObjectStore {
     /// the helpers pre-sum their elements server-side and the rebuilder
     /// ingests `rows` regions; otherwise it fetches the `k·rows` source
     /// elements and decodes here. A helper caught lying (checksum
-    /// mismatch) or not answering is marked suspect, excluded, and the
+    /// mismatch) or not answering is reported suspect, excluded, and the
     /// stripe replanned around it — the erasure code has spare sources
     /// precisely for this.
     ///
@@ -87,7 +108,7 @@ impl ObjectStore {
         if stripe >= sealed.stripes {
             return Err(StoreError::NoSuchStripe(stripe));
         }
-        let mut excluded = sealed.failed;
+        let mut excluded = sealed.down;
         for _attempt in 0..3 {
             let recovery = DiskRecovery::plan_stripes(&self.scheme, disk, &excluded, &[stripe])
                 .map_err(StoreError::DataLoss)?;
@@ -100,7 +121,6 @@ impl ObjectStore {
                 Ok(repair) => return Ok(repair),
                 Err(helpers) => {
                     for d in helpers {
-                        self.array.mark_suspect(d);
                         if !excluded.contains(&d) {
                             excluded.push(d);
                         }
@@ -300,6 +320,7 @@ impl ObjectStore {
                 return None;
             }
             self.metrics.verify_fail.add(corrupt.len() as u64);
+            self.disks.report([], &corrupt.iter().copied().collect());
             return Some(Err(corrupt));
         }
         if reply.regions.len() != outputs {
@@ -314,6 +335,7 @@ impl ObjectStore {
             wire_bytes += region.len() as u64;
             let Some(payload) = verify_footer(&self.key, root.offset + r as u64, region) else {
                 self.metrics.verify_fail.inc();
+                self.disks.report([], &BTreeSet::from([root.disk]));
                 return Some(Err(vec![root.disk]));
             };
             let mut bytes = payload.to_vec();
@@ -335,15 +357,131 @@ impl ObjectStore {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     use ecfrm_codes::{CandidateCode, LrcCode, RsCode};
     use ecfrm_core::{LayoutKind, Scheme};
     use ecfrm_integrity::FOOTER_LEN;
-    use ecfrm_sim::FaultKind;
+    use ecfrm_sim::{DiskBackend, FaultKind, IoHandle, MemDisk, ThreadedArray, WriteRun};
 
     use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
     use super::*;
+    use crate::{RepairConfig, RepairManager};
+
+    /// A disk that counts the cells written to it.
+    #[derive(Debug, Default)]
+    struct CountingDisk {
+        inner: MemDisk,
+        cells: AtomicUsize,
+    }
+
+    impl DiskBackend for CountingDisk {
+        fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
+            self.inner.submit_read_many(offsets)
+        }
+        fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
+            let cells: usize = runs.iter().map(WriteRun::count).sum();
+            self.cells.fetch_add(cells, Ordering::Relaxed);
+            self.inner.submit_write_many(runs)
+        }
+        fn fail(&self) {
+            self.inner.fail();
+        }
+        fn heal(&self) {
+            self.inner.heal();
+        }
+        fn wipe(&self) {
+            self.inner.wipe();
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// An RS(6,3) EC-FRM store of 64-byte elements on 100 µs disks, a
+    /// [`CountingDisk`] in slot 4, holding `data` sealed.
+    fn counted_store(data: &[u8]) -> (Arc<ObjectStore>, Arc<CountingDisk>) {
+        let scheme = ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3)));
+        let counting = Arc::new(CountingDisk::default());
+        let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
+            .map(|d| match d {
+                4 => Arc::clone(&counting) as Arc<dyn DiskBackend>,
+                _ => Arc::new(MemDisk::with_latency(Duration::from_micros(100))),
+            })
+            .collect();
+        let array = ThreadedArray::from_backends(backends);
+        let store = Arc::new(ObjectStore::with_array(scheme, 64, array));
+        store.put("x", data).unwrap();
+        store.flush();
+        (store, counting)
+    }
+
+    #[test]
+    fn recover_disk_beside_a_manager_writes_each_victim_cell_once() {
+        let data = blob(40_000, 18);
+        let (store, counting) = counted_store(&data);
+        let stripes = store.stats().stripes;
+        let rows = store.scheme().layout().offsets_per_stripe();
+        let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
+        let before = counting.cells.load(Ordering::Relaxed);
+        // The call and the manager's workers pop one record between them.
+        let rebuilt = store.recover_disk(4).unwrap() as u64;
+        assert!(
+            mgr.wait_idle(Duration::from_secs(30)),
+            "{:?}",
+            mgr.progress()
+        );
+        let by_manager = mgr.progress().stripes_done * rows;
+        mgr.shutdown();
+        let written = (counting.cells.load(Ordering::Relaxed) - before) as u64;
+        assert_eq!(written, stripes * rows, "every victim cell written once");
+        assert_eq!(rebuilt + by_manager, stripes * rows);
+        assert!(store.stats().failed_disks.is_empty());
+        assert_eq!(store.get("x").unwrap(), data);
+    }
+
+    #[test]
+    fn a_failed_recover_disk_resumes_with_only_the_owed_stripes() {
+        let data = blob(40_000, 19);
+        let (store, counting) = counted_store(&data);
+        let stripes = store.stats().stripes;
+        let rows = store.scheme().layout().offsets_per_stripe();
+        let written = || counting.cells.load(Ordering::Relaxed) as u64;
+        // Three helpers lie about every cell of stripe `s`: with the
+        // victim, four disks of an RS(6,3) stripe are out.
+        let s = stripes / 2;
+        let mut saved = Vec::new();
+        for helper in [0, 1, 2] {
+            let disk = store.array().disk(helper);
+            for offset in s * rows..(s + 1) * rows {
+                let cell = disk.read(offset).unwrap();
+                let mut lie = cell.clone();
+                lie[0] ^= 1;
+                disk.write(offset, lie);
+                saved.push((disk.clone(), offset, cell));
+            }
+        }
+        let before = written();
+        assert!(matches!(
+            store.recover_disk(4),
+            Err(StoreError::DataLoss(_))
+        ));
+        assert_eq!(written() - before, s * rows, "stripes before `s` rebuilt");
+        assert_eq!(store.stats().failed_disks, vec![4], "still rebuilding");
+
+        for (disk, offset, cell) in saved {
+            disk.write(offset, cell);
+        }
+        let before = written();
+        let rebuilt = store.recover_disk(4).unwrap() as u64;
+        assert_eq!(written() - before, (stripes - s) * rows, "no re-wipe");
+        assert_eq!(rebuilt, (stripes - s) * rows);
+        assert!(store.stats().failed_disks.is_empty());
+        assert_eq!(store.get("x").unwrap(), data);
+        assert!(store.scrub().unwrap().is_clean());
+    }
 
     #[test]
     fn recovery_works_for_every_disk_and_scheme_form() {
@@ -424,7 +562,7 @@ mod tests {
 
         faulty[liar].arm(FaultKind::FlipCorrupt, 0);
         assert_eq!(store.recover_disk(lost).unwrap() as u64, cells);
-        assert_eq!(store.array().suspects(), vec![liar]);
+        assert_eq!(store.stats().suspect_disks, vec![liar]);
         assert!(store.recorder().snapshot().counters["integrity.verify_fail"] > 0);
         for (o, want) in originals.iter().enumerate() {
             let got = store.array.disk(lost).read(o as u64);

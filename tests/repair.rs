@@ -109,7 +109,7 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
 
     // Full redundancy restored.
     assert!(store.stats().failed_disks.is_empty());
-    assert!(store.array().suspects().is_empty());
+    assert!(store.stats().suspect_disks.is_empty());
     let progress = mgr.progress();
     assert_eq!(
         progress.stripes_done, stripes,
@@ -175,7 +175,7 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     assert_eq!(got, &data[..512]);
     assert!(stats.degraded);
     assert!(
-        store.repair_queue().hint_count() > 0,
+        store.disks().hint_count() > 0,
         "degraded read staged priority hints"
     );
     mgr.resume();
@@ -199,20 +199,16 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
     store.put("obj", &data).unwrap();
     store.flush();
 
-    let mgr = RepairManager::spawn(
-        Arc::clone(&store),
-        RepairConfig {
-            ..RepairConfig::default()
-        },
-    );
-
-    // A disk that goes quiet and comes back before/at the probe: the
-    // detector (or the next successful read) withdraws the suspicion and
-    // no reconstruction happens.
-    store.array().mark_suspect(6);
+    // A disk that goes quiet for one read and comes back before the
+    // probe: the detector withdraws the suspicion and no reconstruction
+    // happens.
+    faulty[6].arm(FaultKind::Kill, 0);
+    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.stats().suspect_disks, vec![6]);
     faulty[6].clear(); // healthy — the probe will get an answer
+    let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
     assert!(mgr.wait_idle(Duration::from_secs(10)));
-    assert!(store.array().suspects().is_empty());
+    assert!(store.stats().suspect_disks.is_empty());
     assert_eq!(mgr.progress().stripes_done, 0, "no repair traffic");
     assert_eq!(mgr.progress().disks_restored, 0);
     assert!(store.stats().failed_disks.is_empty());
@@ -393,9 +389,9 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
     );
 
     // `owed` is what `stripes_done` reads once every disk lost so far is
-    // rebuilt. It is raised only after the loss is on the suspect list,
-    // so a watcher that saw the new value and then an idle pipeline
-    // short of it caught `wait_idle` answering mid-repair.
+    // rebuilt. It is raised only after a read has found the disk
+    // missing, so a watcher that saw the new value and then an idle
+    // pipeline short of it caught `wait_idle` answering mid-repair.
     let owed = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -410,10 +406,10 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
             early
         });
         for round in 1..=200u64 {
-            // The disk comes back empty: the probe finds nothing at
-            // offset 0 and the detector promotes it.
+            // The disk comes back empty: a read finds it so, the probe
+            // finds nothing at offset 0 and the detector promotes it.
             store.array().disk(4).wipe();
-            store.array().mark_suspect(4);
+            assert_eq!(store.get("obj").unwrap(), blob(12_000, 5));
             owed.store(round * stripes, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + Duration::from_secs(60);
             while mgr.progress().disks_restored < round {
