@@ -11,7 +11,9 @@
 //! no thread of its own: a blocking call reads its own reply, completing
 //! any other id it reads on the way. That submission starts the demux
 //! thread, so [`DiskBackend::submit_read_many`] never blocks on the
-//! shard.
+//! shard. The one fault it sends is [`DiskBackend::wipe`] (`Wipe`):
+//! whether its shard is failed is the store's disk table, which no
+//! other client of the shard sees.
 //!
 //! One retry rule for every op: a frame that never fully left this host
 //! is re-sent once on a fresh dial (`net.retries`). Anything else — a
@@ -39,7 +41,7 @@ use ecfrm_sim::{
 use ecfrm_util::Mutex;
 
 use crate::protocol::{
-    read_response_polling, version_mismatch, write_put_many, write_request, CheckedElement, Fault,
+    read_response_polling, version_mismatch, write_put_many, write_request, CheckedElement,
     NetError, Polled, Request, Response, SendFrame, MAX_PAYLOAD, MAX_RANGE,
 };
 
@@ -557,17 +559,6 @@ impl RemoteDisk {
         }
     }
 
-    /// Send a fault-injection command to the shard.
-    ///
-    /// # Errors
-    /// Transport failure, or an error reply.
-    pub fn inject(&self, fault: Fault) -> Result<(), NetError> {
-        match self.rpc(&Request::InjectFault(fault))? {
-            Response::FaultInjected => Ok(()),
-            other => Err(unexpected("fault injection", &other)),
-        }
-    }
-
     /// Liveness probe: stored element count, or an error if the shard is
     /// unreachable.
     ///
@@ -748,18 +739,10 @@ impl DiskBackend for RemoteDisk {
         handle
     }
 
-    /// Remote failure injection: flips the *server's* backend, so every
-    /// client of that shard sees the failure.
-    fn fail(&self) {
-        let _ = self.inject(Fault::Fail);
-    }
-
-    fn heal(&self) {
-        let _ = self.inject(Fault::Heal);
-    }
-
+    /// Erase the shard's backend with one `Wipe` frame; a transport
+    /// failure or an error reply is one failed request.
     fn wipe(&self) {
-        let _ = self.inject(Fault::Wipe);
+        let _ = self.rpc(&Request::Wipe);
     }
 
     fn len(&self) -> usize {
@@ -863,8 +846,6 @@ mod tests {
         }
         assert_eq!(disk.read_many(&[0, 1, 2]).len(), 3);
         assert_eq!(disk.health().unwrap(), 3);
-        disk.fail();
-        disk.heal();
         let spec = CombineSpec {
             offset: 0,
             count: 3,
@@ -874,6 +855,8 @@ mod tests {
             peers: Vec::new(),
         };
         assert_eq!(disk.combine(&spec).unwrap().local_status, [0, 0, 0]);
+        disk.wipe();
+        assert!(disk.is_empty());
         assert_eq!(served(&disk, "serve.conns"), 1);
         assert_eq!(disk.net_stats().unwrap(), NetStats::default());
     }
@@ -1052,8 +1035,6 @@ mod tests {
         fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
             self.0.submit_write_many(runs)
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             self.0.len()
@@ -1180,12 +1161,15 @@ mod tests {
 
     #[test]
     fn fault_injection_via_backend_trait() {
-        let server = server();
+        // A killed disk behind a live server answers absent; wiping is
+        // the one fault the client itself sends.
+        let faulty = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+        let server = ShardServer::spawn(Arc::clone(&faulty) as _, "127.0.0.1:0").unwrap();
         let disk = RemoteDisk::new(server.addr(), fast());
         disk.write(0, vec![9]);
-        disk.fail();
+        faulty.arm(FaultKind::Kill, 0);
         assert_eq!(disk.read(0), None);
-        disk.heal();
+        faulty.clear();
         assert_eq!(disk.read(0), Some(vec![9]));
         disk.wipe();
         assert_eq!(disk.read(0), None);
@@ -1199,9 +1183,6 @@ mod tests {
         let b = RemoteDisk::new(server.addr(), fast());
         a.write(0, vec![5; 8]);
         assert_eq!(b.read(0), Some(vec![5; 8]));
-        b.fail();
-        assert_eq!(a.read(0), None, "failure is server-side state");
-        b.heal();
     }
 
     #[test]

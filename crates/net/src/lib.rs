@@ -8,9 +8,10 @@
 //!
 //! Layers:
 //! * [`protocol`] — version 3 of the length-prefixed binary framing:
-//!   `Read` / `PutMany` / `CombineRange` / `Health` / `InjectFault` /
-//!   `Stats` and the object ops, every frame carrying its request id.
-//!   The version byte is the whole handshake.
+//!   `Read` / `PutMany` / `CombineRange` / `Health` / `Wipe` / `Stats`
+//!   and the object ops, every frame carrying its request id. The
+//!   version byte is the whole handshake. No op marks a shard failed:
+//!   that is the store's disk table, on the client's side.
 //! * [`server`] — [`ShardServer`], a thread-per-connection server
 //!   wrapping a `DiskBackend`, with a per-connection worker pool for the
 //!   frames that have to wait.
@@ -53,5 +54,5 @@ pub mod server;
 pub use client::{RemoteDisk, RemoteDiskConfig};
 pub use cluster::Cluster;
 pub use front::FrontClient;
-pub use protocol::{CheckedElement, Fault, NetError, Request, Response};
+pub use protocol::{CheckedElement, NetError, Request, Response};
 pub use server::ShardServer;

@@ -18,7 +18,7 @@
 //! the rule and the opcode table, retired numbers included.
 //!
 //! A shard serves `Read` (17), `PutMany` (16), `CombineRange` (10),
-//! `Health`, `InjectFault` and `Stats`; a front node also serves the
+//! `Health`, `Wipe` and `Stats`; a front node also serves the
 //! object ops (11–15). [`Request`]'s variants say what each one does. No
 //! sender joins a payload: the small fields and the bulk buffers they
 //! sit between, borrowed from whoever holds them, leave in one vectored
@@ -148,17 +148,6 @@ impl From<ecfrm_store::StoreError> for NetError {
     }
 }
 
-/// A failure-state change injected into a remote shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Reads return absent until healed.
-    Fail,
-    /// Clear the failure flag.
-    Heal,
-    /// Permanently erase contents.
-    Wipe,
-}
-
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -253,8 +242,10 @@ pub enum Request {
     },
     /// Liveness + occupancy probe.
     Health,
-    /// Drive the shard's failure state.
-    InjectFault(Fault),
+    /// Permanently erase every cell the shard stores: the one fault
+    /// sent over the wire, a lost disk before its rebuild. Whether a
+    /// disk is failed is the client's own record, never the shard's.
+    Wipe,
     /// Dump the server's metrics registry.
     Stats,
 }
@@ -263,7 +254,7 @@ pub enum Request {
 /// carried a key, the server's integrity verdict on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckedElement {
-    /// Not stored (or the shard is failed).
+    /// Not stored.
     Missing,
     /// Stored — and, when a key was sent, the checksum footer verified;
     /// carries the full cell (`payload || footer`) so the client can
@@ -323,8 +314,8 @@ pub enum Response {
         /// Elements currently stored.
         elements: u64,
     },
-    /// Fault injection acknowledged.
-    FaultInjected,
+    /// Wipe acknowledged.
+    Wiped,
     /// Flattened metrics: sorted `(name, value)` pairs.
     Stats(Vec<(String, u64)>),
     /// Server-side failure.
@@ -334,9 +325,10 @@ pub enum Response {
 // Opcodes 1, 2, 3, 7 and 8 (and replies 129, 131, 135 and 136) belonged
 // to version 1's per-shape reads and per-cell write; 9 and 137 to
 // version 2's `Mux` envelope, whose id every header carries now. A
-// number is never reused.
+// number is never reused. 5 kept its number when its one-byte fault tag
+// went: `Wipe` has an empty payload, so a tag is trailing bytes.
 const OP_HEALTH: u8 = 4;
-const OP_INJECT: u8 = 5;
+const OP_WIPE: u8 = 5;
 const OP_STATS: u8 = 6;
 const OP_COMBINE_RANGE: u8 = 10;
 const OP_OBJ_CREATE: u8 = 11;
@@ -349,7 +341,7 @@ const OP_READ: u8 = 17;
 
 const RESP_PUT: u8 = 130;
 const RESP_HEALTH: u8 = 132;
-const RESP_FAULT: u8 = 133;
+const RESP_WIPED: u8 = 133;
 const RESP_STATS: u8 = 134;
 const RESP_COMBINED: u8 = 138;
 const RESP_OBJ_ACK: u8 = 139;
@@ -483,7 +475,7 @@ impl Request {
             Request::ObjStat { .. } => OP_OBJ_STAT,
             Request::ObjDelete { .. } => OP_OBJ_DELETE,
             Request::Health => OP_HEALTH,
-            Request::InjectFault(_) => OP_INJECT,
+            Request::Wipe => OP_WIPE,
             Request::Stats => OP_STATS,
         }
     }
@@ -566,12 +558,7 @@ impl Request {
                 put_u64(out, *start);
                 put_u64(out, *len);
             }
-            Request::Health | Request::Stats => {}
-            Request::InjectFault(fault) => out.push(match fault {
-                Fault::Fail => 0,
-                Fault::Heal => 1,
-                Fault::Wipe => 2,
-            }),
+            Request::Health | Request::Stats | Request::Wipe => {}
         }
     }
 
@@ -672,12 +659,7 @@ impl Request {
             },
             OP_HEALTH => Request::Health,
             OP_STATS => Request::Stats,
-            OP_INJECT => Request::InjectFault(match f.u8()? {
-                0 => Fault::Fail,
-                1 => Fault::Heal,
-                2 => Fault::Wipe,
-                t => return Err(NetError::Protocol(format!("bad fault tag {t}"))),
-            }),
+            OP_WIPE => Request::Wipe,
             op => return Err(NetError::Protocol(format!("unknown request opcode {op}"))),
         };
         f.done()?;
@@ -695,7 +677,7 @@ impl Response {
             Response::ObjData(_) | Response::ObjPieces(_) => RESP_OBJ_DATA,
             Response::ObjStat { .. } => RESP_OBJ_STAT,
             Response::Health { .. } => RESP_HEALTH,
-            Response::FaultInjected => RESP_FAULT,
+            Response::Wiped => RESP_WIPED,
             Response::Stats(_) => RESP_STATS,
             Response::Error(_) => RESP_ERROR,
         }
@@ -706,7 +688,7 @@ impl Response {
     fn encode<'a>(&'a self, parts: &mut Parts<'a>) {
         let out = &mut parts.small;
         match self {
-            Response::Put | Response::FaultInjected | Response::ObjAck => {}
+            Response::Put | Response::Wiped | Response::ObjAck => {}
             Response::Cells(items) => {
                 // [count:u32][status byte per cell: 0=missing,
                 // 1=valid, 2=corrupt][per valid cell, in order:
@@ -831,7 +813,7 @@ impl Response {
                 extents: f.u32()?,
             },
             RESP_HEALTH => Response::Health { elements: f.u64()? },
-            RESP_FAULT => Response::FaultInjected,
+            RESP_WIPED => Response::Wiped,
             RESP_STATS => {
                 let n = f.u32()? as usize;
                 let mut pairs = Vec::with_capacity(n.min(1 << 16));
@@ -1164,9 +1146,7 @@ mod tests {
         });
         roundtrip_request(Request::Health);
         roundtrip_request(Request::Stats);
-        for fault in [Fault::Fail, Fault::Heal, Fault::Wipe] {
-            roundtrip_request(Request::InjectFault(fault));
-        }
+        roundtrip_request(Request::Wipe);
     }
 
     #[test]
@@ -1480,7 +1460,7 @@ mod tests {
             CheckedElement::Valid(vec![0xFF; 4096]),
         ]));
         roundtrip_response(Response::Health { elements: 12345 });
-        roundtrip_response(Response::FaultInjected);
+        roundtrip_response(Response::Wiped);
         roundtrip_response(Response::Stats(vec![]));
         roundtrip_response(Response::Stats(vec![
             ("serve.read".into(), 42),
@@ -1618,11 +1598,12 @@ mod tests {
 
     #[test]
     fn retired_fault_tag_rejected() {
-        // Tag 3 (+ a u64) was a test-only straggle delay; it is no fault now.
-        let mut payload = vec![3];
-        put_u64(&mut payload, 80);
-        let err = Request::decode(OP_INJECT, payload).unwrap_err();
-        assert!(err.to_string().contains("bad fault tag 3"), "{err}");
+        // Opcode 5 carried a fault tag (fail, heal, wipe, and once a
+        // straggle delay); it is `Wipe` now, whose payload is empty.
+        for tag in [0u8, 1, 2, 3] {
+            let err = Request::decode(OP_WIPE, vec![tag]).unwrap_err();
+            assert!(err.to_string().contains("trailing bytes"), "{err}");
+        }
     }
 
     #[test]

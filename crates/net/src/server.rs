@@ -4,8 +4,8 @@
 //! notices the stop flag quickly. One connection carries many requests
 //! in flight, answered by id in completion order through one writer.
 //! Which thread serves a frame is chosen per frame (`start`): the
-//! connection thread answers object ops, `Health`, `Stats`,
-//! `InjectFault`, and a `Read` or `PutMany` whose backend submits
+//! connection thread answers object ops, `Health`, `Stats`, `Wipe`,
+//! and a `Read` or `PutMany` whose backend submits
 //! without blocking ([`DiskBackend::submits_async`]) and has the result
 //! in hand; a per-connection worker pool, spawned on the first frame
 //! that needs it, serves the rest — and every `CombineRange`, at most
@@ -33,7 +33,7 @@ use ecfrm_integrity::{verify_footer, HashKey};
 
 use crate::client::{Callback, Link, RemoteDiskConfig};
 use crate::protocol::{
-    read_request_polling, version_mismatch, write_request, write_response, CheckedElement, Fault,
+    read_request_polling, version_mismatch, write_request, write_response, CheckedElement,
     NetError, Polled, Request, Response, MAX_PAYLOAD, MAX_RANGE,
 };
 
@@ -85,7 +85,7 @@ struct ServerMetrics {
     combine_corrupt: Counter,
     obj: Counter,
     health: Counter,
-    inject: Counter,
+    wipe: Counter,
     stats: Counter,
     inline: Counter,
     conns: Counter,
@@ -102,7 +102,7 @@ impl ServerMetrics {
             combine_corrupt: recorder.counter("serve.combine_corrupt"),
             obj: recorder.counter("serve.obj"),
             health: recorder.counter("serve.health"),
-            inject: recorder.counter("serve.inject"),
+            wipe: recorder.counter("serve.wipe"),
             stats: recorder.counter("serve.stats"),
             inline: recorder.counter("serve.inline"),
             conns: recorder.counter("serve.conns"),
@@ -121,7 +121,7 @@ impl ServerMetrics {
             | Request::ObjStat { .. }
             | Request::ObjDelete { .. } => self.obj.inc(),
             Request::Health => self.health.inc(),
-            Request::InjectFault(_) => self.inject.inc(),
+            Request::Wipe => self.wipe.inc(),
             Request::Stats => self.stats.inc(),
         }
     }
@@ -217,7 +217,7 @@ impl ShardServer {
 
     /// The server's metrics registry: per-op counters (`serve.read`,
     /// `serve.put_many`, `serve.combine`, `serve.obj`, `serve.health`,
-    /// `serve.inject`, `serve.stats`), `serve.inline` — the frames the
+    /// `serve.wipe`, `serve.stats`), `serve.inline` — the frames the
     /// connection thread answered itself instead of handing them to its
     /// worker pool — `serve.conns`, the connections accepted, the
     /// `serve.read_corrupt` count of cells that failed footer
@@ -747,13 +747,9 @@ fn handle(req: &Request, shared: &Shared) -> Response {
         Request::Health => Response::Health {
             elements: shared.backend.len() as u64,
         },
-        Request::InjectFault(fault) => {
-            match fault {
-                Fault::Fail => shared.backend.fail(),
-                Fault::Heal => shared.backend.heal(),
-                Fault::Wipe => shared.backend.wipe(),
-            }
-            Response::FaultInjected
+        Request::Wipe => {
+            shared.backend.wipe();
+            Response::Wiped
         }
         Request::Stats => Response::Stats(shared.recorder.snapshot().flatten()),
     }
@@ -1190,12 +1186,10 @@ mod tests {
             ShardServer::spawn(Arc::clone(&disk) as Arc<dyn DiskBackend>, "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![7]));
-        rpc(&mut c, &Request::InjectFault(Fault::Fail));
-        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![None]));
-        rpc(&mut c, &Request::InjectFault(Fault::Heal));
         assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![7])]));
-        rpc(&mut c, &Request::InjectFault(Fault::Wipe));
+        assert_eq!(rpc(&mut c, &Request::Wipe), Response::Wiped);
         assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![None]));
+        assert!(disk.is_empty());
     }
 
     #[test]
@@ -1231,12 +1225,6 @@ mod tests {
                 assert_eq!(run.cell_len, self.element_size, "element size mismatch");
             }
             self.inner.submit_write_many(runs)
-        }
-        fn fail(&self) {
-            self.inner.fail();
-        }
-        fn heal(&self) {
-            self.inner.heal();
         }
         fn wipe(&self) {
             self.inner.wipe();

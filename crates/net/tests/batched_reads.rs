@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use ecfrm_codes::RsCode;
 use ecfrm_core::Scheme;
-use ecfrm_net::{Cluster, Fault};
-use ecfrm_sim::ThreadedArray;
+use ecfrm_net::{Cluster, RemoteDiskConfig};
+use ecfrm_sim::{DiskBackend, FaultKind, FaultyDisk, MemDisk, ThreadedArray};
 use ecfrm_store::ObjectStore;
 
 const ELEMENT: usize = 512;
@@ -101,17 +101,25 @@ fn stripe_read_is_one_rpc_per_live_disk() {
 #[test]
 fn an_all_absent_reply_still_decodes() {
     let scheme = rs_scheme();
-    let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
+    let faulty = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+    let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
+        .map(|d| match d {
+            2 => Arc::clone(&faulty) as Arc<dyn DiskBackend>,
+            _ => Arc::new(MemDisk::new()),
+        })
+        .collect();
+    let cfg = RemoteDiskConfig::builder().low_latency().build();
+    let cluster = Cluster::spawn_over(backends, &cfg).unwrap();
     let store = store_over(&cluster, scheme.clone());
 
     let data = payload(scheme.data_per_stripe() * ELEMENT);
     store.put("stripe", &data).unwrap();
     store.flush();
 
-    // Fail one shard's backend but keep its server up: its reply
-    // arrives as a well-formed all-absent `Cells` frame rather than a
+    // Kill one shard's disk but keep its server up: its reply arrives
+    // as a well-formed all-absent `Cells` frame rather than a
     // transport error.
-    cluster.client(2).inject(Fault::Fail).unwrap();
+    faulty.arm(FaultKind::Kill, 0);
 
     let (got, stats) = store.get_with_stats("stripe").unwrap();
     assert_eq!(got, data, "decode must survive an all-absent range reply");
@@ -123,8 +131,8 @@ fn an_all_absent_reply_still_decodes() {
         "failed shard should have answered the read"
     );
 
-    // Heal and confirm the normal path comes back.
-    cluster.client(2).inject(Fault::Heal).unwrap();
+    // The disk answers again: the normal path comes back.
+    faulty.clear();
     let (again, stats) = store.get_with_stats("stripe").unwrap();
     assert_eq!(again, data);
     assert!(!stats.degraded);

@@ -8,14 +8,15 @@
 //! clients' own counters and, through the array's source, in the
 //! store's registry.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ecfrm_codes::LrcCode;
 use ecfrm_core::Scheme;
 use ecfrm_integrity::FOOTER_LEN;
-use ecfrm_net::{Cluster, RemoteDiskConfig};
-use ecfrm_sim::{DiskBackend, FileDisk, ThreadedArray};
+use ecfrm_net::{Cluster, RemoteDisk, RemoteDiskConfig};
+use ecfrm_sim::{DiskBackend, FaultKind, FaultyDisk, FileDisk, MemDisk, ThreadedArray};
 use ecfrm_store::ObjectStore;
 
 const ELEMENT: usize = 512;
@@ -147,29 +148,96 @@ fn two_crashed_shards_within_tolerance_still_read() {
     assert!(stats.degraded);
 }
 
-#[test]
-fn fail_disk_routes_fault_injection_over_the_wire() {
-    // store.fail_disk → RemoteDisk.fail → InjectFault RPC → the server's
-    // backend flips. The server stays up, so reads fail fast (no
-    // timeouts) and the planner goes degraded via the store's own
-    // failed-disk bookkeeping.
-    let scheme = lrc_scheme();
-    let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
-    let store = store_over(&cluster, scheme);
+/// Shard `i`'s `serve.*` counters, read over the wire.
+fn served(cluster: &Cluster, i: usize) -> BTreeMap<String, u64> {
+    let stats = cluster.client(i).stats().unwrap().into_iter();
+    stats
+        .filter(|(name, _)| name.starts_with("serve."))
+        .collect()
+}
 
+#[test]
+fn operator_actions_do_not_touch_the_shard() {
+    // Two facts per disk: what the world did to it (a killed
+    // `FaultyDisk`, a crashed server) and what the operator believes
+    // (`fail_disk` / `heal_disk`, the store's disk table). Neither
+    // moves the other.
+    let scheme = lrc_scheme();
+    let faulty = FaultyDisk::wrap(Arc::new(MemDisk::new()));
+    let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
+        .map(|d| match d {
+            2 => Arc::clone(&faulty) as Arc<dyn DiskBackend>,
+            _ => Arc::new(MemDisk::new()),
+        })
+        .collect();
+    let cfg = RemoteDiskConfig::builder().low_latency().build();
+    let mut cluster = Cluster::spawn_over(backends, &cfg).unwrap();
+    let store = store_over(&cluster, scheme);
     let data = payload(25_000);
     store.put("obj", &data).unwrap();
     store.flush();
+
+    // Believed failed and really dead: the planner never asks it.
+    faulty.arm(FaultKind::Kill, 0);
     store.fail_disk(2).unwrap();
     let (got, stats) = store.get_with_stats("obj").unwrap();
     assert_eq!(got, data);
     assert!(stats.degraded);
     assert_eq!(stats.replans, 0, "known-failed disk needs no replan");
-
+    // Believed up but still dead: the read finds out for itself.
     store.heal_disk(2).unwrap();
     let (got, stats) = store.get_with_stats("obj").unwrap();
     assert_eq!(got, data);
+    assert_eq!(stats.replans, 1);
+    // Alive again: the normal plan, and nothing was owed to the table.
+    faulty.clear();
+    let (got, stats) = store.get_with_stats("obj").unwrap();
+    assert_eq!(got, data);
     assert!(!stats.degraded);
+
+    // Failing and healing a disk sends its shard nothing: its counters
+    // move exactly as they do with nothing in between, one `Stats`
+    // frame each time.
+    let before = served(&cluster, 2);
+    store.fail_disk(2).unwrap();
+    store.heal_disk(2).unwrap();
+    let after = served(&cluster, 2);
+    let idle = served(&cluster, 2);
+    for (name, &n) in &after {
+        assert_eq!(n - before[name], idle[name] - n, "{name}");
+    }
+    // Nor does it dial a crashed one.
+    cluster.kill(2);
+    let failed = || cluster.client(2).net_stats().unwrap().failed_requests;
+    let before = failed();
+    store.fail_disk(2).unwrap();
+    store.heal_disk(2).unwrap();
+    assert_eq!(failed(), before);
+}
+
+#[test]
+fn one_stores_failed_disk_is_not_failed_for_another_client() {
+    let scheme = lrc_scheme();
+    let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
+    let store = store_over(&cluster, scheme);
+    let data = payload(25_000);
+    store.put("obj", &data).unwrap();
+    store.flush();
+    let stored: Vec<u64> = (0..cluster.client(2).len() as u64).collect();
+    assert!(!stored.is_empty());
+
+    store.fail_disk(2).unwrap();
+    let (got, stats) = store.get_with_stats("obj").unwrap();
+    assert_eq!(got, data);
+    assert!(stats.degraded);
+    // The belief is this store's: another client of shard 2 reads every
+    // cell it holds.
+    let other = RemoteDisk::new(
+        cluster.addr(2),
+        RemoteDiskConfig::builder().low_latency().build(),
+    );
+    let cells = other.read_many(&stored);
+    assert!(cells.iter().all(Option::is_some), "{cells:?}");
 }
 
 #[test]

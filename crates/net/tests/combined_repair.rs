@@ -133,12 +133,6 @@ impl DiskBackend for Noted {
     fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
         self.inner.submit_write_many(runs)
     }
-    fn fail(&self) {
-        self.inner.fail();
-    }
-    fn heal(&self) {
-        self.inner.heal();
-    }
     fn wipe(&self) {
         self.inner.wipe();
     }

@@ -214,12 +214,6 @@ impl DiskBackend for GatedDisk {
     fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
         self.inner.submit_write_many(runs)
     }
-    fn fail(&self) {
-        self.inner.fail();
-    }
-    fn heal(&self) {
-        self.inner.heal();
-    }
     fn wipe(&self) {
         self.inner.wipe();
     }
@@ -300,7 +294,9 @@ fn combines_hold_at_most_half_the_workers_and_a_read_is_served_beside_them() {
         key: (0, 0),
         peers: vec![],
     });
+    // One at a time, so the oldest held read is combine 1's.
     send(&mut c, 1, combine.clone());
+    eventually("one combine in service", || disk.held() == 1);
     send(&mut c, 2, combine.clone());
     eventually("two combines in service", || disk.held() == 2);
     send(&mut c, 3, combine);

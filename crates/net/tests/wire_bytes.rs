@@ -20,7 +20,7 @@ use ecfrm_net::protocol::{
     HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use ecfrm_net::{
-    CheckedElement, Fault, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
+    CheckedElement, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
 };
 use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, DiskBackend};
 use ecfrm_store::{Piece, StoreError};
@@ -55,7 +55,7 @@ fn old_response(resp: &Response) -> (u8, Vec<u8>) {
     let mut out = Vec::new();
     let opcode = match resp {
         Response::Put => 130,
-        Response::FaultInjected => 133,
+        Response::Wiped => 133,
         Response::ObjAck => 139,
         Response::Cells(items) => {
             u32le(&mut out, items.len());
@@ -213,14 +213,7 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
             15
         }
         Request::Health => 4,
-        Request::InjectFault(fault) => {
-            out.push(match fault {
-                Fault::Fail => 0,
-                Fault::Heal => 1,
-                Fault::Wipe => 2,
-            });
-            5
-        }
+        Request::Wipe => 5,
         Request::Stats => 6,
     };
     (opcode, out)
@@ -248,12 +241,32 @@ fn the_v3_header_is_magic_version_opcode_id_and_length() {
     ]);
 }
 
+/// `Wipe` took opcode 5 over from the fault op with its tag byte gone:
+/// an empty payload each way, answered on 133.
+#[test]
+fn wipe_is_opcode_5_with_an_empty_payload() {
+    let mut sent = Vec::new();
+    write_request(&mut sent, 7, &Request::Wipe).unwrap();
+    #[rustfmt::skip]
+    assert_eq!(sent, [
+        b'E', b'F', b'R', b'M', 3, 5, // v3, Wipe
+        7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
+    ]);
+    let mut sent = Vec::new();
+    write_response(&mut sent, 7, &Response::Wiped).unwrap();
+    #[rustfmt::skip]
+    assert_eq!(sent, [
+        b'E', b'F', b'R', b'M', 3, 133, // v3, Wiped
+        7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
+    ]);
+}
+
 /// One response of every variant, the bulk ones in several shapes.
 fn every_response() -> Vec<Response> {
     let pattern = |n: usize| (0..n).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>();
     vec![
         Response::Put,
-        Response::FaultInjected,
+        Response::Wiped,
         Response::ObjAck,
         Response::Cells(vec![]),
         Response::Cells(vec![CheckedElement::Missing, CheckedElement::Corrupt]),
@@ -421,7 +434,7 @@ fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
             object: "d".into(),
         },
         Request::Health,
-        Request::InjectFault(Fault::Wipe),
+        Request::Wipe,
         Request::Stats,
     ];
     for req in every {

@@ -7,6 +7,14 @@
 //! failure timing that exercises suspect detection, degraded replanning
 //! and background repair rather than the easy before-the-read case.
 //!
+//! It is the one way a test makes a disk's I/O fail (beside crashing a
+//! remote shard's server): no backend has a failure switch of its own.
+//! What a `FaultyDisk` does is what the world did to the disk; whether
+//! the store plans around the disk is the operator's belief, kept in the
+//! store's disk table and set by `fail_disk` / `heal_disk`. The two are
+//! independent: failing a disk in the table leaves its backend as it
+//! is, and [`FaultyDisk::clear`] makes it answer whatever the table says.
+//!
 //! Three fault kinds are modelled:
 //!
 //! * [`FaultKind::Kill`] — the disk stops answering entirely: reads
@@ -204,14 +212,6 @@ impl DiskBackend for FaultyDisk {
 
     fn cell_len(&self) -> Option<usize> {
         self.inner.cell_len()
-    }
-
-    fn fail(&self) {
-        self.inner.fail();
-    }
-
-    fn heal(&self) {
-        self.inner.heal();
     }
 
     fn wipe(&self) {

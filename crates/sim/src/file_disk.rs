@@ -32,14 +32,17 @@
 //!
 //! I/O errors never panic a worker: a failed element read or write
 //! surfaces as `None` (counted in [`io_error_count`]) and the store
-//! replans around it through parity, the same contract as a failed
-//! disk.
+//! replans around it through parity, the same contract as a disk that
+//! stops answering. A `FileDisk` has no failure switch of its own:
+//! whether the store plans around it is the store's disk table, and a
+//! test that wants its reads to fail wraps it in a
+//! [`FaultyDisk`](crate::FaultyDisk).
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ecfrm_obs::Snapshot;
@@ -163,7 +166,6 @@ pub struct FileDisk {
     file: Mutex<File>,
     element_size: usize,
     present: Mutex<HashSet<u64>>,
-    failed: AtomicBool,
     engine: Option<Arc<UringEngine>>,
 }
 
@@ -214,7 +216,6 @@ impl FileDisk {
             file: Mutex::new(file),
             element_size,
             present: Mutex::new(HashSet::new()),
-            failed: AtomicBool::new(false),
             engine,
         })
     }
@@ -252,7 +253,6 @@ impl FileDisk {
             file: Mutex::new(file),
             element_size,
             present: Mutex::new((0..slots).collect()),
-            failed: AtomicBool::new(false),
             engine,
         })
     }
@@ -315,7 +315,7 @@ impl FileDisk {
 
     /// Kill the async I/O engine mid-flight (the fault-injection hook
     /// used by the differential tests): every outstanding and future
-    /// uring read resolves all-`None`, exactly like a failed disk.
+    /// uring read resolves all-`None`, exactly like a killed disk.
     /// Returns `false` when this disk runs the blocking backend (which
     /// has no engine to kill).
     pub fn kill_io_engine(&self) -> bool {
@@ -359,9 +359,6 @@ impl FileDisk {
     /// The sorted-run vectored read: present offsets sorted, maximal
     /// sequential runs served with one seek each.
     fn read_sorted_runs(&self, offsets: &[u64]) -> Vec<Option<Vec<u8>>> {
-        if self.failed.load(Ordering::Acquire) {
-            return vec![None; offsets.len()];
-        }
         let mut out: Vec<Option<Vec<u8>>> = vec![None; offsets.len()];
         let mut wanted = self.wanted(offsets);
         wanted.sort_unstable();
@@ -417,9 +414,6 @@ impl DiskBackend for FileDisk {
     /// maximal sequential run) services the batch inline.
     fn submit_read_many(&self, offsets: &[u64]) -> crate::reactor::IoHandle {
         if let Some(engine) = &self.engine {
-            if self.failed.load(Ordering::Acquire) {
-                return crate::reactor::IoHandle::ready(vec![None; offsets.len()]);
-            }
             return engine.submit(self.wanted(offsets), offsets.len());
         }
         crate::reactor::IoHandle::ready(self.read_sorted_runs(offsets))
@@ -478,14 +472,6 @@ impl DiskBackend for FileDisk {
         Some(self.element_size)
     }
 
-    fn fail(&self) {
-        self.failed.store(true, Ordering::Release);
-    }
-
-    fn heal(&self) {
-        self.failed.store(false, Ordering::Release);
-    }
-
     fn wipe(&self) {
         let file = self.file.lock();
         if file.set_len(0).is_err() {
@@ -525,14 +511,10 @@ mod tests {
     }
 
     #[test]
-    fn fail_heal_wipe() {
-        let p = tmpfile("fhw");
+    fn wipe_erases_every_cell() {
+        let p = tmpfile("wipe");
         let d = FileDisk::create(&p, 4).unwrap();
         d.write(0, vec![1, 2, 3, 4]);
-        d.fail();
-        assert_eq!(d.read(0), None);
-        d.heal();
-        assert_eq!(d.read(0), Some(vec![1, 2, 3, 4]));
         d.wipe();
         assert_eq!(d.read(0), None);
         assert_eq!(d.len(), 0);
@@ -585,10 +567,6 @@ mod tests {
         // Unsorted, with duplicates, holes, and out-of-range offsets.
         let offsets = [9u64, 0, 3, 1, 2, 0, 100, 5];
         let want: Vec<Option<Vec<u8>>> = offsets.iter().map(|&o| d.read(o)).collect();
-        assert_eq!(d.read_many(&offsets), want);
-        d.fail();
-        assert_eq!(d.read_many(&offsets), vec![None; offsets.len()]);
-        d.heal();
         assert_eq!(d.read_many(&offsets), want);
         let _ = std::fs::remove_file(&p);
     }

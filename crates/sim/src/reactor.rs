@@ -523,8 +523,6 @@ mod tests {
         fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
             panic!("injected backend panic");
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             0

@@ -11,7 +11,6 @@
 //! slower disks are still working.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
@@ -150,10 +149,15 @@ impl RunBuf {
     }
 }
 
-/// What the array needs from a disk: element-granular read/write plus
-/// failure injection. Implemented by [`MemDisk`] (in-memory, optional
-/// simulated latency), [`FileDisk`](crate::file_disk::FileDisk) (real
-/// files), and `RemoteDisk` in `ecfrm-net` (a shard over TCP).
+/// What the array needs from a disk: element-granular read/write, wipe
+/// and size — four required methods (`submit_read_many`,
+/// `submit_write_many`, `wipe`, `len`). Implemented by [`MemDisk`]
+/// (in-memory, optional simulated latency),
+/// [`FileDisk`](crate::file_disk::FileDisk) (real files), and
+/// `RemoteDisk` in `ecfrm-net` (a shard over TCP). A backend has no
+/// failure switch: whether a disk is failed is the store's disk table,
+/// and a [`FaultyDisk`](crate::FaultyDisk) is how a test makes a disk's
+/// I/O fail.
 ///
 /// The two required I/O methods are the **submission entry points**
 /// [`Self::submit_read_many`] and [`Self::submit_write_many`]: each
@@ -227,10 +231,6 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Mark failed: reads return `None` until healed.
-    fn fail(&self);
-    /// Clear the failure flag.
-    fn heal(&self);
     /// Permanently erase all contents.
     fn wipe(&self);
     /// Number of stored elements.
@@ -267,12 +267,13 @@ pub trait DiskBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// An in-memory "disk": a map from element offset to element bytes, with
-/// optional simulated per-access latency and a failure switch.
+/// optional simulated per-access latency. It has no failure switch: a
+/// [`FaultyDisk`](crate::FaultyDisk) around it makes its I/O fail, and
+/// whether the store plans around it is the store's own record.
 #[derive(Debug)]
 pub struct MemDisk {
     elements: Mutex<HashMap<u64, Vec<u8>>>,
     latency: Duration,
-    failed: AtomicBool,
 }
 
 impl MemDisk {
@@ -286,7 +287,6 @@ impl MemDisk {
         Self {
             elements: Mutex::new(HashMap::new()),
             latency,
-            failed: AtomicBool::new(false),
         }
     }
 }
@@ -300,9 +300,6 @@ impl DiskBackend for MemDisk {
         if !self.latency.is_zero() && !offsets.is_empty() {
             std::thread::sleep(self.latency * offsets.len() as u32);
         }
-        if self.failed.load(Ordering::Acquire) {
-            return IoHandle::ready(vec![None; offsets.len()]);
-        }
         let elements = self.elements.lock();
         IoHandle::ready(offsets.iter().map(|o| elements.get(o).cloned()).collect())
     }
@@ -314,17 +311,6 @@ impl DiskBackend for MemDisk {
             elements.insert(offset, cell.to_vec());
         }
         IoHandle::ready(Vec::new())
-    }
-
-    /// Mark the disk failed: reads return `None` until healed. Contents
-    /// are preserved (the paper's dominant failure class is transient —
-    /// §II-D: >90% of data-centre failures lose no data).
-    fn fail(&self) {
-        self.failed.store(true, Ordering::Release);
-    }
-
-    fn heal(&self) {
-        self.failed.store(false, Ordering::Release);
     }
 
     /// Permanently erase all contents (a real disk loss, before rebuild).
@@ -560,8 +546,8 @@ impl ThreadedArray {
         });
     }
 
-    /// Handle to a disk's current backend (for failure injection and
-    /// inspection). A clone — the slot itself may be re-registered
+    /// Handle to a disk's current backend (for wiping, corruption drills
+    /// and inspection). A clone — the slot itself may be re-registered
     /// concurrently, after which this handle refers to the *old*
     /// backend.
     pub fn disk(&self, d: usize) -> Arc<dyn DiskBackend> {
@@ -729,6 +715,7 @@ impl ThreadedArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultyDisk};
     use std::time::Instant;
 
     #[test]
@@ -742,15 +729,13 @@ mod tests {
     }
 
     #[test]
-    fn memdisk_failure_and_heal() {
+    fn memdisk_wipe_erases_every_cell() {
         let d = MemDisk::new();
         d.write(0, vec![7]);
-        d.fail();
-        assert_eq!(d.read(0), None);
-        d.heal();
-        assert_eq!(d.read(0), Some(vec![7]));
+        d.write(3, vec![8]);
         d.wipe();
-        assert_eq!(d.read(0), None);
+        assert_eq!(d.read_many(&[0, 3]), [None, None]);
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -767,6 +752,14 @@ mod tests {
         }
     }
 
+    /// Put a killed `FaultyDisk` around disk `d`: its cells stay in the
+    /// wrapped disk, and no read reaches them.
+    fn kill(a: &ThreadedArray, d: usize) {
+        let killed = FaultyDisk::wrap(a.disk(d));
+        killed.arm(FaultKind::Kill, 0);
+        a.replace_disk(d, killed);
+    }
+
     #[test]
     fn failed_disk_returns_none_others_fine() {
         let a = ThreadedArray::new(3);
@@ -775,7 +768,7 @@ mod tests {
             ((1, 0), vec![2]),
             ((2, 0), vec![3]),
         ]);
-        a.disk(1).fail();
+        kill(&a, 1);
         let got = a.read_batch(&[(0, 0), (1, 0), (2, 0)]);
         assert_eq!(got[0], Some(vec![1]));
         assert_eq!(got[1], None);
@@ -830,7 +823,7 @@ mod tests {
             .map(|i| (((i % 4) as usize, i / 4), vec![i as u8; 5]))
             .collect();
         a.write_batch(items.clone());
-        a.disk(2).fail();
+        kill(&a, 2);
         let mut addrs: Vec<Address> = items.iter().map(|(a, _)| *a).collect();
         addrs.push((0, 999)); // absent offset
         addrs.push((3, 777)); // absent offset
@@ -873,8 +866,6 @@ mod tests {
         fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
             IoHandle::ready(Vec::new())
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             0
@@ -903,8 +894,6 @@ mod tests {
         fn submits_async(&self) -> bool {
             self.submits_async
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             self.inner.len()
@@ -1023,13 +1012,10 @@ mod tests {
         let offsets = [3u64, 0, 100, 7, 3];
         let want: Vec<Option<Vec<u8>>> = offsets.iter().map(|&o| d.read(o)).collect();
         assert_eq!(d.read_many(&offsets), want);
-        d.fail();
-        assert_eq!(d.read_many(&offsets), vec![None; 5]);
     }
 
     #[test]
     fn replace_disk_revives_a_panicking_slot() {
-        use crate::fault::FaultyDisk;
         let healthy = Arc::new(MemDisk::new());
         healthy.write(0, vec![3]);
         let faulty = FaultyDisk::wrap(Arc::new(MemDisk::new()));

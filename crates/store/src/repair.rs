@@ -399,8 +399,8 @@ pub struct RepairConfig {
     pub rate_limit: Option<u64>,
     /// How to obtain a replacement backend for a disk whose node is
     /// gone (killed or crashed — reads `None`, writes dropped). `None`
-    /// repairs in place onto the existing backend, which is right for
-    /// transient `fail()`-style failures and wiped-but-usable disks.
+    /// repairs in place onto the existing backend, which is right for a
+    /// disk failed in the table only and for wiped-but-usable disks.
     pub replacer: Option<Replacer>,
 }
 

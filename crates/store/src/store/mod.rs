@@ -380,31 +380,31 @@ impl ObjectStore {
         self.with_state(|s| s.manifests.get(stripe as usize).cloned())
     }
 
-    /// Direct handle to the underlying array (failure injection,
-    /// corruption drills, inspection).
+    /// Direct handle to the underlying array (wipes, corruption drills,
+    /// inspection).
     pub fn array(&self) -> &ThreadedArray {
         &self.array
     }
 
-    /// Mark a disk failed: subsequent reads plan around it. A disk
-    /// already planned around (rebuilding, given up on) stays as it is.
+    /// Mark a disk failed in the disk table: subsequent reads plan
+    /// around it. A disk already planned around (rebuilding, given up
+    /// on) stays as it is. Nothing is sent to the disk itself.
     pub fn fail_disk(&self, disk: usize) -> Result<(), StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
         }
-        self.array.disk(disk).fail();
         self.disks.fail(disk);
         Ok(())
     }
 
     /// Return a disk to service from any state (transient failure
     /// resolved with no data loss — the paper's >90% case); what a
-    /// rebuild of it still owed is dropped.
+    /// rebuild of it still owed is dropped. Like [`Self::fail_disk`], a
+    /// change to the disk table only.
     pub fn heal_disk(&self, disk: usize) -> Result<(), StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
         }
-        self.array.disk(disk).heal();
         self.disks.heal(disk);
         Ok(())
     }

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ecfrm_core::{Purpose, ReadCtx};
+use ecfrm_core::{Fetch, Purpose, ReadCtx};
 use ecfrm_layout::Loc;
 
 use super::ObjectStore;
@@ -148,12 +148,15 @@ impl ObjectStore {
         // tells the disk table who answered and who did not). A demand
         // cell lands in the slot of the element it is, degraded or not;
         // a cell fetched only to repair with waits beside the slots, and
-        // the decode fills just the holes.
+        // the decode fills just the holes. Both outlive a pass: a replan
+        // fetches only the cells of its plan that no pass has verified.
         let mut verify_spent = std::time::Duration::ZERO;
         let mut suspects: BTreeSet<usize> = sealed.down.into_iter().collect();
         let mut replans = 0usize;
         let layout = self.scheme.layout();
-        let (plan, elements) = loop {
+        let mut slots: Vec<Vec<u8>> = vec![Vec::new(); count];
+        let mut repair: HashMap<Loc, Vec<u8>> = HashMap::new();
+        let plan = loop {
             let down: Vec<usize> = suspects.iter().copied().collect();
             let t_plan = std::time::Instant::now();
             let plan = if down.is_empty() {
@@ -169,22 +172,20 @@ impl ObjectStore {
                 )));
             }
 
-            let addrs: Vec<(usize, u64)> = plan
-                .fetches
-                .iter()
-                .map(|f| (f.loc.disk, f.loc.offset))
-                .collect();
+            let slot = |f: &Fetch| (layout.data_index(f.stripe, f.row, f.pos) - first) as usize;
+            let held = |f: &Fetch| match f.purpose {
+                Purpose::Demand => !slots[slot(f)].is_empty(),
+                Purpose::Repair => repair.contains_key(&f.loc),
+            };
+            let wanted: Vec<&Fetch> = plan.fetches.iter().filter(|f| !held(f)).collect();
+            let addrs: Vec<(usize, u64)> =
+                wanted.iter().map(|f| (f.loc.disk, f.loc.offset)).collect();
             let batch = self.array.read_batch_streaming(&addrs);
             self.metrics.note_batch(&batch, addrs.len());
-            let mut slots: Vec<Vec<u8>> = vec![Vec::new(); count];
-            let mut repair: HashMap<Loc, Vec<u8>> = HashMap::new();
             let (bad, verify) = self.fetch_verified(batch, &addrs, |tag, bytes| {
-                let f = &plan.fetches[tag];
+                let f = wanted[tag];
                 match f.purpose {
-                    Purpose::Demand => {
-                        let idx = layout.data_index(f.stripe, f.row, f.pos);
-                        slots[(idx - first) as usize] = bytes;
-                    }
+                    Purpose::Demand => slots[slot(f)] = bytes,
                     Purpose::Repair => {
                         repair.insert(f.loc, bytes);
                     }
@@ -196,7 +197,7 @@ impl ObjectStore {
                 let ctx = ReadCtx::new().with_recorder(&self.recorder);
                 self.scheme
                     .fill_holes(first, &mut slots, cell, self.element_size, ctx)?;
-                break (plan, slots);
+                break plan;
             }
             if bad.iter().all(|d| suspects.contains(d)) {
                 return Err(StoreError::DataLoss(format!(
@@ -243,7 +244,7 @@ impl ObjectStore {
         }
         m.read_us.record_duration(stats.elapsed);
 
-        Ok((elements, stats))
+        Ok((slots, stats))
     }
 }
 
@@ -420,6 +421,34 @@ mod tests {
         assert_eq!(store.disks().depth(), 0);
     }
 
+    #[test]
+    fn a_replan_fetches_only_the_cells_no_pass_has_verified() {
+        let (store, faulty) = faulty_store();
+        let data = blob(30_000, 50);
+        store.put("x", &data).unwrap();
+        store.flush();
+        let (first, last) = store.meta("x").unwrap().element_range(64).unwrap();
+        let count = (last - first) as usize;
+        let fetched = || store.recorder().snapshot().counters["read.batch_elems"];
+        let before = fetched();
+
+        // Disk 2 stops answering: pass 1 verifies every cell of the
+        // normal plan but disk 2's, pass 2 plans around disk 2.
+        faulty[2].arm(FaultKind::Kill, 0);
+        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        assert_eq!(bytes, data);
+        assert_eq!(stats.replans, 1);
+
+        let scheme = store.scheme();
+        let p1 = scheme.normal_read_plan(first, count).fetches;
+        let p2 = scheme.degraded_read_plan(first, count, &[2]).fetches;
+        let held: std::collections::HashSet<Loc> =
+            p1.iter().map(|f| f.loc).filter(|l| l.disk != 2).collect();
+        let new = p2.iter().filter(|f| !held.contains(&f.loc)).count();
+        assert!(new < p2.len(), "pass 2 shares cells with pass 1");
+        assert_eq!(fetched() - before, (p1.len() + new) as u64);
+    }
+
     /// A backend whose every submission panics.
     #[derive(Debug)]
     struct PanicDisk;
@@ -431,8 +460,6 @@ mod tests {
         fn submit_write_many(&self, _runs: &[WriteRun<'_>]) -> IoHandle {
             panic!("injected backend panic");
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             0
@@ -641,8 +668,6 @@ mod tests {
         fn submit_write_many(&self, runs: &[WriteRun<'_>]) -> IoHandle {
             self.inner.submit_write_many(runs)
         }
-        fn fail(&self) {}
-        fn heal(&self) {}
         fn wipe(&self) {}
         fn len(&self) -> usize {
             self.inner.len()

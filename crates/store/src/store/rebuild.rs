@@ -386,12 +386,6 @@ mod tests {
             self.cells.fetch_add(cells, Ordering::Relaxed);
             self.inner.submit_write_many(runs)
         }
-        fn fail(&self) {
-            self.inner.fail();
-        }
-        fn heal(&self) {
-            self.inner.heal();
-        }
         fn wipe(&self) {
             self.inner.wipe();
         }

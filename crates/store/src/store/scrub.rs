@@ -8,22 +8,20 @@ use crate::error::StoreError;
 use crate::meta::ScrubReport;
 
 impl ObjectStore {
-    /// All cell addresses of `stripe` in layout order (row by row) —
-    /// the manifest's leaf order.
-    fn stripe_addrs(&self, stripe: u64) -> Vec<(usize, u64)> {
+    /// Every cell of `stripe` in layout order (row by row) — the
+    /// manifest's leaf order — with its offset, those on an up or
+    /// suspect disk read in one batch (one vectored request per disk). A
+    /// cell on a disk in `down` is `None` unread: the disk table plans
+    /// around that disk, and so does a scrub.
+    fn stripe_cells(&self, stripe: u64, down: &[usize]) -> Vec<(u64, Option<Vec<u8>>)> {
         let layout = self.scheme.layout();
-        let rows = layout.rows_per_stripe();
-        let n = self.scheme.code().n();
-        let mut addrs: Vec<(usize, u64)> = Vec::with_capacity(rows * n);
-        for row in 0..rows {
-            addrs.extend(
-                layout
-                    .row_locations(stripe, row)
-                    .iter()
-                    .map(|l| (l.disk, l.offset)),
-            );
-        }
-        addrs
+        let rows = (0..layout.rows_per_stripe()).flat_map(|row| layout.row_locations(stripe, row));
+        let addrs: Vec<(usize, u64)> = rows.map(|l| (l.disk, l.offset)).collect();
+        let up = |&(d, _): &(usize, u64)| !down.contains(&d);
+        let wanted: Vec<(usize, u64)> = addrs.iter().copied().filter(up).collect();
+        let mut read = self.array.read_batch(&wanted).into_iter();
+        let mut cell = |a| if up(&a) { read.next().flatten() } else { None };
+        addrs.into_iter().map(|a| (a.1, cell(a))).collect()
     }
 
     /// Verifying merkle scrub: check every stored element's checksum
@@ -31,9 +29,9 @@ impl ObjectStore {
     /// no decoding, no parity recomputation — and localize any mismatch
     /// to the exact `(stripe, element)`. Flushes pending writes first.
     ///
-    /// Elements on failed disks are counted as missing, not corrupt.
-    /// For the decode-based parity cross-check (slower, group-granular)
-    /// see [`Self::scrub_decode`].
+    /// Elements on disks the table has down are counted as missing, not
+    /// corrupt, and not read. For the decode-based parity cross-check
+    /// (slower, group-granular) see [`Self::scrub_decode`].
     ///
     /// ```
     /// use std::sync::Arc;
@@ -51,7 +49,8 @@ impl ObjectStore {
     /// ```
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         self.flush();
-        let stripes = self.sealed().stripes;
+        let sealed = self.sealed();
+        let stripes = sealed.stripes;
         let n = self.scheme.code().n();
         let mut corrupt_elements: Vec<(u64, usize)> = Vec::new();
         let mut corrupt_groups: Vec<(u64, usize)> = Vec::new();
@@ -60,11 +59,9 @@ impl ObjectStore {
             let manifest = self
                 .manifest(stripe)
                 .expect("every sealed stripe has a manifest");
-            // One batched read per stripe (one vectored request per
-            // disk), cells arriving in leaf order.
-            let addrs = self.stripe_addrs(stripe);
             let t_v = std::time::Instant::now();
-            for (i, cell) in self.array.read_batch(&addrs).into_iter().enumerate() {
+            let cells = self.stripe_cells(stripe, &sealed.down);
+            for (i, (offset, cell)) in cells.into_iter().enumerate() {
                 let Some(cell) = cell else {
                     missing += 1;
                     continue;
@@ -72,7 +69,7 @@ impl ObjectStore {
                 self.metrics.elements_verified.inc();
                 // Footer first (one hash), merkle path second: both must
                 // agree for the element to count as intact.
-                let ok = verify_footer(&self.key, addrs[i].1, &cell)
+                let ok = verify_footer(&self.key, offset, &cell)
                     .map(|payload| manifest.verify_element(&self.key, i, payload))
                     .unwrap_or(false);
                 if !ok {
@@ -100,10 +97,12 @@ impl ObjectStore {
     /// full re-encode per group; kept as the cross-check that needs no
     /// manifests and as the merkle scrub's benchmark baseline.
     ///
-    /// Elements on failed disks are counted as missing, not corrupt.
+    /// Elements on disks the table has down are counted as missing, not
+    /// corrupt, and not read.
     pub fn scrub_decode(&self) -> Result<ScrubReport, StoreError> {
         self.flush();
-        let stripes = self.sealed().stripes;
+        let sealed = self.sealed();
+        let stripes = sealed.stripes;
         let layout = self.scheme.layout();
         let code = self.scheme.code();
         let k = code.k();
@@ -115,10 +114,10 @@ impl ObjectStore {
         let mut parity = vec![vec![0u8; self.element_size]; n - k];
         for stripe in 0..stripes {
             let rows = layout.rows_per_stripe();
-            let addrs = self.stripe_addrs(stripe);
-            let mut stripe_cells = self.array.read_batch(&addrs).into_iter();
+            let mut stripe_cells = self.stripe_cells(stripe, &sealed.down).into_iter();
             for row in 0..rows {
-                let cells: Vec<Option<Vec<u8>>> = stripe_cells.by_ref().take(n).collect();
+                let cells: Vec<Option<Vec<u8>>> =
+                    stripe_cells.by_ref().take(n).map(|(_, c)| c).collect();
                 debug_assert_eq!(cells.len(), n);
                 if cells.iter().any(|c| c.is_none()) {
                     missing += cells.iter().filter(|c| c.is_none()).count();
@@ -165,7 +164,7 @@ impl ObjectStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{blob, lrc_store};
+    use super::super::testkit::{blob, faulty_store, lrc_store};
 
     #[test]
     fn scrub_clean_then_detects_corruption() {
@@ -242,5 +241,25 @@ mod tests {
         let report = store.scrub().unwrap();
         assert!(report.missing_elements > 0);
         assert!(report.corrupt_groups.is_empty());
+    }
+
+    #[test]
+    fn scrub_reads_no_cell_of_a_down_disk() {
+        // `FaultyDisk` counts every read it is sent, armed or not.
+        let (store, faulty) = faulty_store();
+        store.put("m", &blob(30_000, 23)).unwrap();
+        store.flush();
+        store.fail_disk(1).unwrap();
+        let sealed_cells = faulty[1].inner().len();
+        assert!(sealed_cells > 0);
+        let (before, up_before) = (faulty[1].reads(), faulty[0].reads());
+        let report = store.scrub().unwrap();
+        assert_eq!(report.missing_elements, sealed_cells);
+        assert!(report.corrupt_elements.is_empty(), "{report:?}");
+        let report = store.scrub_decode().unwrap();
+        assert_eq!(report.missing_elements, sealed_cells);
+        assert!(report.corrupt_groups.is_empty(), "{report:?}");
+        assert_eq!(faulty[1].reads(), before, "a scrub read the down disk");
+        assert!(faulty[0].reads() > up_before, "the scrub read the up disks");
     }
 }

@@ -96,20 +96,6 @@ fn differential(
     let written = contents(many);
     assert_eq!(written.iter().flatten().count(), 20, "{kind}: script wrote");
 
-    // A failed disk keeps what it is sent: writes land while reads are
-    // refused, and show up on heal.
-    for disk in [many, single] {
-        disk.fail();
-    }
-    apply_vectored(many, &[(50, 3, 11)]);
-    apply_per_cell(single, &[(50, 3, 11)]);
-    assert!(contents(many).iter().all(Option::is_none), "{kind}: failed");
-    for disk in [many, single] {
-        disk.heal();
-    }
-    assert_eq!(contents(many), contents(single), "{kind}: healed");
-    assert_eq!(contents(many)[51], Some(element(51, 11)));
-
     // A wiped disk starts over.
     for disk in [many, single] {
         disk.wipe();
@@ -228,6 +214,6 @@ fn remote_disks_take_runs_like_cells() {
             .find(|(n, _)| n == "serve.put_many")
             .map(|(_, v)| *v)
     };
-    assert_eq!(frames(&many), Some(6), "4 script calls + 2");
-    assert_eq!(frames(&single), Some(36 + 3 + 9), "one per cell");
+    assert_eq!(frames(&many), Some(5), "4 script calls + 1 after the wipe");
+    assert_eq!(frames(&single), Some(36 + 9), "one per cell");
 }
