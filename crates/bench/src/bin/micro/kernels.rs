@@ -13,7 +13,7 @@ use ecfrm_bench::cells;
 use ecfrm_bench::report::Report;
 use ecfrm_codes::{CandidateCode, DecoderCache, LrcCode, RsCode};
 use ecfrm_gf::kernel::{self, Kernel};
-use ecfrm_gf::{region, region16};
+use ecfrm_gf::region;
 
 use crate::{bytes, measure};
 
@@ -33,19 +33,14 @@ fn agrees_with_reference(k: &Kernel) {
     region::reference::mul_region(0x1D, &src, &mut want);
     k.mul_region8(0x1D, &src, &mut got);
     assert_eq!(got, want, "backend {} disagrees with reference", k.name);
-    region16::reference::mul_region16(0x1234, &src[..4096], &mut want[..4096]);
-    k.mul_region16(0x1234, &src[..4096], &mut got[..4096]);
-    assert_eq!(got, want, "backend {} (w=16) disagrees", k.name);
 }
 
 type RegionOp<'a> = (&'static str, &'a dyn Fn(&[u8], &mut [u8]));
 
 fn backend_rows(k: &'static Kernel, budget: Duration, r: &mut Report) {
-    let ops: [RegionOp; 4] = [
+    let ops: [RegionOp; 2] = [
         ("mul_region", &|s, d| k.mul_region8(0x1D, s, d)),
         ("mul_add_region", &|s, d| k.mul_add_region8(0x1D, s, d)),
-        ("mul_region16", &|s, d| k.mul_region16(0x1234, s, d)),
-        ("mul_add_region16", &|s, d| k.mul_add_region16(0x1234, s, d)),
     ];
     for len in SIZES {
         let src = bytes(len, 1);

@@ -44,7 +44,6 @@ pub mod decode;
 pub mod lrc;
 pub mod rs;
 pub mod traits;
-pub mod wide;
 pub mod xor;
 
 pub use cache::DecoderCache;
@@ -52,5 +51,4 @@ pub use decode::{matrix_decode, select_independent_rows};
 pub use lrc::LrcCode;
 pub use rs::RsCode;
 pub use traits::{CandidateCode, CodeError, ElementClass, RepairSpec};
-pub use wide::WideRs;
 pub use xor::XorCode;

@@ -4,7 +4,7 @@
 //! parameters and erasure patterns (fixed seeds, deterministic replay).
 
 use ecfrm_codes::decode::reconstruct_one;
-use ecfrm_codes::{CandidateCode, LrcCode, RepairSpec, RsCode, WideRs, XorCode};
+use ecfrm_codes::{CandidateCode, LrcCode, RepairSpec, RsCode, XorCode};
 use ecfrm_util::Rng;
 
 fn xorshift_bytes(seed: u64, len: usize) -> Vec<u8> {
@@ -162,36 +162,6 @@ fn repair_specs_are_sufficient() {
         let rebuilt = reconstruct_one(code.generator(), target, &sources, len)
             .expect("spec sources must span the target");
         assert_eq!(rebuilt, full[target].clone());
-    }
-}
-
-/// WideRs (GF(2^16)) roundtrips for random parameters including wide
-/// ones, with random erasures up to m.
-#[test]
-fn wide_rs_roundtrip() {
-    let mut rng = Rng::seed_from_u64(0x31DE);
-    for _ in 0..32 {
-        let k = rng.random_range(2usize..40);
-        let m = rng.random_range(1usize..8);
-        let seed: u64 = rng.random();
-        let code = WideRs::new(k, m);
-        let len = 16;
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|i| xorshift_bytes(seed.wrapping_add(i as u64), len))
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut parity = vec![vec![0u8; len]; m];
-        code.encode(&refs, &mut parity);
-        let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
-        let erased = pick_erasures(&mut rng, k + m, m);
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        for &e in &erased {
-            shards[e] = None;
-        }
-        code.decode(&mut shards, len).unwrap();
-        for (i, want) in full.iter().enumerate() {
-            assert_eq!(shards[i].as_deref().unwrap(), &want[..]);
-        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! The [`Field`] trait: arithmetic over binary extension fields `GF(2^w)`.
 //!
 //! All erasure-code math in this workspace is expressed against this trait
-//! so that the same Reed–Solomon / LRC machinery works over `GF(2^4)`,
-//! `GF(2^8)` and `GF(2^16)`. Elements are carried as `u32` regardless of
-//! `w`; implementations guarantee that results always fit in `w` bits and
-//! may debug-assert that inputs do.
+//! so that the same matrix machinery works over `GF(2^8)`, the field of
+//! every code, and `GF(2^4)`, the field small enough for its tests to
+//! check every case. Elements are carried as `u32` regardless of `w`;
+//! implementations guarantee that results always fit in `w` bits and may
+//! debug-assert that inputs do.
 
 /// Arithmetic over a binary extension field `GF(2^w)`.
 ///

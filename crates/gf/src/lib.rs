@@ -4,8 +4,10 @@
 //! Jerasure C libraries that the EC-FRM paper builds on. It provides:
 //!
 //! * [`Field`] — an abstraction over binary extension fields `GF(2^w)`,
-//!   with concrete implementations [`Gf4`], [`Gf8`] and [`Gf16`] backed by
-//!   compile-time generated logarithm/antilogarithm tables;
+//!   with [`Gf8`], the one field every code, store and bench computes in
+//!   (the paper's Jerasure `w = 8`), and [`Gf4`], small enough for the
+//!   matrix tests to check every case; both are backed by compile-time
+//!   generated logarithm/antilogarithm tables;
 //! * [`region`] — bulk "region" operations over byte buffers (XOR,
 //!   multiply-by-constant, multiply-accumulate, fused multi-parity dot
 //!   products), the hot loops of erasure encoding and decoding;
@@ -33,16 +35,13 @@
 #![warn(missing_docs)]
 
 pub mod field;
-pub mod gf16;
 pub mod gf4;
 pub mod gf8;
 pub mod kernel;
 pub mod matrix;
 pub mod region;
-pub mod region16;
 
 pub use field::Field;
-pub use gf16::Gf16;
 pub use gf4::Gf4;
 pub use gf8::Gf8;
 pub use matrix::Matrix;

@@ -1,10 +1,9 @@
 //! Bulk "region" operations: the hot loops of erasure encoding/decoding.
 //!
-//! A *region* is a byte buffer holding one field element per byte
-//! (`GF(2^8)`) or per byte-pair (`GF(2^16)`). Encoding a parity element is
-//! a dot product of coefficient × data-region terms; decoding is the same
-//! with inverted-matrix coefficients. These kernels correspond to
-//! GF-Complete's `multiply_region` family:
+//! A *region* is a byte buffer holding one `GF(2^8)` element per byte.
+//! Encoding a parity element is a dot product of coefficient × data-region
+//! terms; decoding is the same with inverted-matrix coefficients. These
+//! kernels correspond to GF-Complete's `multiply_region` family:
 //!
 //! * [`xor_region`] — `dst ^= src`, processed 64 bits at a time;
 //! * [`mul_region`] / [`mul_add_region`] — multiply a region by a constant
@@ -84,29 +83,14 @@ pub fn mul_add_region(c: u8, src: &[u8], dst: &mut [u8]) {
 /// Dot-product encode kernel: `dst = Σᵢ coeffs[i] · srcs[i]`.
 ///
 /// This is the inner loop of every parity computation: one output region
-/// accumulated from `k` input regions with per-input coefficients. The
-/// first nonzero term is written with a straight multiply (overwriting
-/// `dst`), so no zero-fill pass touches the output beforehand.
+/// accumulated from `k` input regions with per-input coefficients — the
+/// one-row case of [`dot_region_multi`].
 ///
 /// # Panics
 /// Panics if `coeffs.len() != srcs.len()`, or any source length differs
 /// from `dst`.
 pub fn dot_region(coeffs: &[u8], srcs: &[&[u8]], dst: &mut [u8]) {
-    assert_eq!(coeffs.len(), srcs.len(), "dot_region arity mismatch");
-    let mut started = false;
-    for (&c, src) in coeffs.iter().zip(srcs) {
-        if started {
-            mul_add_region(c, src, dst);
-        } else if c != 0 {
-            mul_region(c, src, dst);
-            started = true;
-        } else {
-            assert_eq!(dst.len(), src.len(), "dot_region length mismatch");
-        }
-    }
-    if !started {
-        dst.fill(0);
-    }
+    dot_region_multi(&[coeffs], srcs, &mut [dst]);
 }
 
 /// Fused multi-output dot kernel: `dsts[r] = Σᵢ coeff_rows[r][i]·srcs[i]`
@@ -115,7 +99,9 @@ pub fn dot_region(coeffs: &[u8], srcs: &[&[u8]], dst: &mut [u8]) {
 /// Computing all `m` parities per block means each source block is read
 /// once while hot instead of `m` times from DRAM — for `(k, m)` encode
 /// this cuts memory traffic from `m·k` source reads to `k`, the trick
-/// behind ISA-L's `ec_encode_data`.
+/// behind ISA-L's `ec_encode_data`. Each row's first nonzero term is
+/// written with a straight multiply (overwriting its output block), so
+/// no zero-fill pass touches the outputs beforehand.
 ///
 /// # Panics
 /// Panics if `coeff_rows.len() != dsts.len()`, any coefficient row's

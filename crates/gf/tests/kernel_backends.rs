@@ -1,15 +1,16 @@
 //! Differential suite pinning every compiled kernel backend against the
-//! byte-at-a-time references in `region::reference` / `region16::reference`.
+//! byte-at-a-time references in `region::reference`.
 //!
 //! Every backend × coefficient class {0, 1, random sample} × length class
 //! {0, 1, 7, 8, 9, 63, 64, 65, 4096, 64 KiB ± 1} is exercised for both
-//! `mul` and `mul_add`, in both symbol widths. Backends the running CPU
+//! `mul` and `mul_add`, on fresh allocations and on sub-slices that start
+//! at every offset within a 32-byte vector. Backends the running CPU
 //! cannot execute are skipped (they still compile); CI additionally runs
 //! the whole crate under `ECFRM_FORCE_KERNEL=<name>` so the dispatched
 //! public API is pinned per backend as well.
 
 use ecfrm_gf::kernel::{backends, by_name, Kernel};
-use ecfrm_gf::{region, region16};
+use ecfrm_gf::region;
 
 const LENGTHS: &[usize] = &[0, 1, 7, 8, 9, 63, 64, 65, 4096, 65535, 65536, 65537];
 
@@ -31,12 +32,41 @@ fn coeffs8() -> Vec<u8> {
     vec![0, 1, 2, 3, 0x1D, 0x53, 0x80, 0xA7, 0xFF]
 }
 
-fn coeffs16() -> Vec<u16> {
-    vec![0, 1, 2, 0x00FF, 0x0101, 0x1234, 0x8000, 0xABCD, 0xFFFF]
-}
-
 fn supported() -> impl Iterator<Item = &'static Kernel> {
     backends().iter().copied().filter(|k| k.is_supported())
+}
+
+/// `op` on sub-slices of `src` and `dst` whose starts are independent
+/// offsets in `0..=33` (every position within a 32-byte vector, and one
+/// past) agrees with `reference`, and leaves every byte of the
+/// destination buffer outside the sub-slice as it was. The lengths
+/// straddle the 16-, 32- and 64-byte strides of the SIMD loops.
+fn matches_reference_misaligned(
+    k: &Kernel,
+    op: fn(&Kernel, u8, &[u8], &mut [u8]),
+    reference: fn(u8, &[u8], &mut [u8]),
+) {
+    const PAD: usize = 33;
+    for len in [15, 16, 17, 31, 32, 33, 63, 64, 65, 97] {
+        let src = pseudo(len + PAD, len as u64);
+        let init = pseudo(len + 2 * PAD, 100 + len as u64);
+        for c in [0, 1, 0x1D, 0xA7] {
+            for so in 0..=PAD {
+                let s = &src[so..so + len];
+                for d in 0..=PAD {
+                    let mut got = init.clone();
+                    let mut want = init.clone();
+                    op(k, c, s, &mut got[d..d + len]);
+                    reference(c, s, &mut want[d..d + len]);
+                    assert_eq!(
+                        got, want,
+                        "backend={} c={c} len={len} src+{so} dst+{d}",
+                        k.name
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -52,6 +82,7 @@ fn every_backend_mul8_matches_reference() {
                 assert_eq!(got, want, "backend={} c={c} len={len}", k.name);
             }
         }
+        matches_reference_misaligned(k, Kernel::mul_region8, region::reference::mul_region);
     }
 }
 
@@ -69,41 +100,11 @@ fn every_backend_mul_add8_matches_reference() {
                 assert_eq!(got, want, "backend={} c={c} len={len}", k.name);
             }
         }
-    }
-}
-
-#[test]
-fn every_backend_mul16_matches_reference() {
-    for k in supported() {
-        for &len in LENGTHS {
-            let len = len / 2 * 2; // whole symbols
-            let src = pseudo(len, 14);
-            for c in coeffs16() {
-                let mut got = vec![0x5Au8; len];
-                let mut want = vec![0u8; len];
-                k.mul_region16(c, &src, &mut got);
-                region16::reference::mul_region16(c, &src, &mut want);
-                assert_eq!(got, want, "backend={} c={c:#x} len={len}", k.name);
-            }
-        }
-    }
-}
-
-#[test]
-fn every_backend_mul_add16_matches_reference() {
-    for k in supported() {
-        for &len in LENGTHS {
-            let len = len / 2 * 2;
-            let src = pseudo(len, 15);
-            let init = pseudo(len, 16);
-            for c in coeffs16() {
-                let mut got = init.clone();
-                let mut want = init.clone();
-                k.mul_add_region16(c, &src, &mut got);
-                region16::reference::mul_add_region16(c, &src, &mut want);
-                assert_eq!(got, want, "backend={} c={c:#x} len={len}", k.name);
-            }
-        }
+        matches_reference_misaligned(
+            k,
+            Kernel::mul_add_region8,
+            region::reference::mul_add_region,
+        );
     }
 }
 
@@ -154,35 +155,6 @@ fn dot_region_multi_matches_reference_combination() {
         let mut want = vec![0u8; len];
         for (&c, src) in row.iter().zip(&src_refs) {
             region::reference::mul_add_region(c, src, &mut want);
-        }
-        assert_eq!(got, &want, "row={row:?}");
-    }
-}
-
-#[test]
-fn dot_region_multi16_matches_reference_combination() {
-    let k = 4;
-    let m = 2;
-    let len = region::MULTI_BLOCK + 66;
-    let srcs: Vec<Vec<u8>> = (0..k).map(|i| pseudo(len, 60 + i as u64)).collect();
-    let src_refs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
-    let rows: Vec<Vec<u16>> = (0..m)
-        .map(|r| {
-            (0..k)
-                .map(|i| ((r * 1009 + i * 257 + 1) % 65535) as u16)
-                .collect()
-        })
-        .collect();
-    let row_refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-    let mut outs: Vec<Vec<u8>> = (0..m).map(|r| pseudo(len, 70 + r as u64)).collect();
-    {
-        let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        region16::dot_region_multi16(&row_refs, &src_refs, &mut out_refs);
-    }
-    for (row, got) in rows.iter().zip(&outs) {
-        let mut want = vec![0u8; len];
-        for (&c, src) in row.iter().zip(&src_refs) {
-            region16::reference::mul_add_region16(c, src, &mut want);
         }
         assert_eq!(got, &want, "row={row:?}");
     }

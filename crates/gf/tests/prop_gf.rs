@@ -5,7 +5,7 @@
 
 use ecfrm_gf::field::peasant_mul;
 use ecfrm_gf::region::{self, reference};
-use ecfrm_gf::{Field, Gf16, Gf4, Gf8, Matrix};
+use ecfrm_gf::{Field, Gf4, Gf8, Matrix};
 use ecfrm_util::Rng;
 
 /// Check the full field-axiom set for one (a, b, c) triple.
@@ -46,18 +46,6 @@ fn gf8_axioms_sampled() {
             rng.random_range(0u32..256),
             rng.random_range(0u32..256),
             rng.random_range(0u32..256),
-        );
-    }
-}
-
-#[test]
-fn gf16_axioms_sampled() {
-    let mut rng = Rng::seed_from_u64(0x6F16);
-    for _ in 0..4096 {
-        axioms::<Gf16>(
-            rng.random_range(0u32..65536),
-            rng.random_range(0u32..65536),
-            rng.random_range(0u32..65536),
         );
     }
 }
@@ -106,26 +94,6 @@ fn region_kernels_match_reference() {
         region::mul_region(c, &src, &mut got2);
         reference::mul_region(c, &src, &mut want2);
         assert_eq!(got2, want2, "mul_region mismatch for c={c} n={n}");
-    }
-}
-
-#[test]
-fn region16_acts_symbol_wise() {
-    // mul_region16 must act symbol-wise like the scalar field op.
-    let mut rng = Rng::seed_from_u64(0x12E16);
-    for _ in 0..256 {
-        let c = rng.random_range(0u32..65536);
-        let n_words = rng.random_range(1usize..100);
-        let words: Vec<u16> = (0..n_words)
-            .map(|_| rng.random_range(0u32..65536) as u16)
-            .collect();
-        let src: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let mut dst = vec![0u8; src.len()];
-        ecfrm_gf::region16::mul_region16(c as u16, &src, &mut dst);
-        for (w, d) in words.iter().zip(dst.chunks_exact(2)) {
-            let got = u16::from_le_bytes([d[0], d[1]]);
-            assert_eq!(got as u32, Gf16::mul(c, *w as u32));
-        }
     }
 }
 

@@ -376,8 +376,9 @@ mod tests {
 
     #[test]
     fn wide_parameters_beyond_gf8_limit() {
-        // The layout math is code-agnostic: a (300, 240) EC-FRM grid for
-        // a GF(2^16) wide-stripe code.
+        // The layout math is code-agnostic: a (300, 240) EC-FRM grid is
+        // arithmetic in (n, k), past the 255 elements a GF(2^8) code
+        // can span.
         let l = EcFrmLayout::new(300, 240);
         assert_eq!(l.r(), 60);
         assert_eq!(l.rows_per_stripe(), 5);
