@@ -30,7 +30,7 @@ use ecfrm_bench::cells;
 use ecfrm_bench::report::{pct, Report, Row, Value};
 use ecfrm_net::Cluster;
 use ecfrm_sim::{DiskBackend, ThreadedArray};
-use ecfrm_store::{ObjectStore, RepairConfig, RepairManager};
+use ecfrm_store::{ObjectStore, ReadOpts, RepairConfig, RepairManager};
 use ecfrm_util::Rng;
 
 use crate::{bytes, counter, rs63, sleepy_store, DISK_LATENCY};
@@ -54,7 +54,7 @@ enum Background {
 fn trial(label: &str, background: Background, stripes: usize, r: &mut Report) {
     let store = Arc::new(sleepy_store(ELEMENT));
     let data = bytes(stripes * store.scheme().data_per_stripe() * ELEMENT, 7);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     store.fail_disk(VICTIM).unwrap();
     store.array().disk(VICTIM).wipe();
@@ -72,7 +72,12 @@ fn trial(label: &str, background: Background, stripes: usize, r: &mut Report) {
                     while !stop.load(Ordering::Acquire) {
                         let t = Instant::now();
                         store
-                            .get_range("obj", rng.bounded(span), FG_READ_BYTES)
+                            .read_extent(
+                                obj,
+                                rng.bounded(span),
+                                FG_READ_BYTES,
+                                &ReadOpts::default(),
+                            )
                             .expect("foreground read failed");
                         lat.push(t.elapsed().as_micros() as u64);
                     }
@@ -108,7 +113,7 @@ fn trial(label: &str, background: Background, stripes: usize, r: &mut Report) {
 
     let mut rate_limit = Value::Num(f64::NAN);
     if let Background::Repair(limit) = background {
-        let (got, stats) = store.get_with_stats("obj").unwrap();
+        let (got, stats) = store.read(obj).unwrap();
         assert_eq!(got, data, "{label}: repaired store returned wrong bytes");
         assert!(!stats.degraded, "{label}: store still degraded");
         assert_eq!(stats.repair_elements, 0, "{label}: reads still decoding");
@@ -139,7 +144,7 @@ fn wire_trial(stripes: usize, r: &mut Report) {
     let cluster = Cluster::spawn(scheme.n_disks()).expect("spawn loopback cluster");
     let array = ThreadedArray::from_backends(cluster.backends());
     let store = ObjectStore::with_array(scheme, ELEMENT, array);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     cluster.client(VICTIM).wipe();
 
@@ -154,7 +159,7 @@ fn wire_trial(stripes: usize, r: &mut Report) {
         .sum();
     let ms = t.elapsed().as_secs_f64() * 1e3;
 
-    assert_eq!(store.get("obj").unwrap(), data, "combined: wrong bytes");
+    assert_eq!(store.read(obj).unwrap().0, data, "combined: wrong bytes");
     let combined = counter(&store, "repair.combined_stripes");
     assert_eq!(combined, stripes as u64, "a stripe left the combined path");
     let wire_bytes = counter(&store, "repair.wire_bytes");

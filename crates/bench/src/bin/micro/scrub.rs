@@ -27,7 +27,7 @@ pub fn run(quick: bool) -> Report {
     let (stripes, rounds) = if quick { (16, 5) } else { (64, 9) };
     let store = sleepy_store(ELEMENT);
     let data = bytes(stripes * store.scheme().data_per_stripe() * ELEMENT, 7);
-    store.put("obj", &data).unwrap();
+    store.append(&data);
     store.flush();
     let cells_per_stripe = store.manifest(0).expect("sealed").n_elements();
     let scanned_mb = (stripes * cells_per_stripe * ELEMENT) as f64 / 1e6;

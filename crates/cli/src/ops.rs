@@ -3,38 +3,39 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ecfrm_store::ObjectStore;
+use ecfrm_store::{ObjectMeta, ObjectStore};
 use ecfrm_util::Rng;
 
 use crate::args::Options;
 use crate::error::CliError;
 
-/// Put `--stripes` stripes of the `i % 251` byte pattern into `store`
-/// as `object` and flush them to the disks. Returns the payload and how
-/// long `put` + `flush` took.
+/// Append `--stripes` stripes of the `i % 251` byte pattern to `store`
+/// and flush them; returns the extent, the payload and how long it took.
 fn ingest(
     opts: &Options,
     store: &ObjectStore,
-    object: &str,
-) -> Result<(Vec<u8>, Duration), CliError> {
+) -> Result<(ObjectMeta, Vec<u8>, Duration), CliError> {
     let elements = opts.stripe_count()? * store.scheme().data_per_stripe();
     let payload: Vec<u8> = (0..elements * store.element_size())
         .map(|i| (i % 251) as u8)
         .collect();
     let t0 = Instant::now();
-    store.put(object, &payload)?;
+    let extent = store.append(&payload);
     store.flush();
-    Ok((payload, t0.elapsed()))
+    Ok((extent, payload, t0.elapsed()))
 }
 
-/// A random element-aligned read of 1..=`max` elements inside the `len`
-/// ingested bytes, as `(start, len)` in bytes. A store of fewer than
+/// A random element-aligned read of 1..=`max` elements inside the
+/// ingested `extent`, as the extent it reads. An extent of fewer than
 /// `max` elements caps the read at all of it.
-fn random_read(rng: &mut Rng, max: u64, len: u64, element_size: u64) -> (u64, u64) {
-    let elements = len / element_size;
+fn random_read(rng: &mut Rng, max: u64, extent: ObjectMeta, element_size: u64) -> ObjectMeta {
+    let elements = extent.len / element_size;
     let size = rng.random_range(1..=max.min(elements));
     let start = rng.random_range(0..=elements - size);
-    (start * element_size, size * element_size)
+    ObjectMeta {
+        offset: extent.offset + start * element_size,
+        len: size * element_size,
+    }
 }
 
 /// A directory removed with everything in it when dropped, so a command
@@ -247,7 +248,7 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         element_size,
         ThreadedArray::from_backends(disks.backends),
     );
-    let (payload, took) = ingest(opts, &store, "bench")?;
+    let (extent, payload, took) = ingest(opts, &store)?;
     println!(
         "{}: ingested {:.1} MB in {:.2}s ({:.1} MB/s encode+write)",
         scheme.name(),
@@ -265,8 +266,8 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         let mut bytes = 0usize;
         let t0 = Instant::now();
         for _ in 0..trials {
-            let (start, len) = random_read(&mut rng, 20, payload.len() as u64, element_size as u64);
-            bytes += store.get_range("bench", start, len)?.len();
+            let read = random_read(&mut rng, 20, extent, element_size as u64);
+            bytes += store.read(read)?.0.len();
         }
         let dt = t0.elapsed();
         println!(
@@ -370,7 +371,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
                 .collect(),
         ),
     ));
-    let (payload, _) = ingest(opts, &store, "drill")?;
+    let (extent, payload, _) = ingest(opts, &store)?;
     println!(
         "{}: ingested {:.1} MB over {} disks ({} stripes)",
         scheme.name(),
@@ -412,18 +413,17 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
         let stop = Arc::clone(&stop);
         let expected = payload.clone();
         let mut rng = Rng::seed_from_u64(opts.seed);
-        let len = payload.len() as u64;
-        let es = element_size as u64;
         std::thread::spawn(
             move || -> Result<(ecfrm_obs::Histogram, u64), ecfrm_store::StoreError> {
                 let lat_us = ecfrm_obs::Histogram::new();
                 let mut wrong = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    let (start, size) = random_read(&mut rng, 8, len, es);
+                    let read = random_read(&mut rng, 8, extent, element_size as u64);
                     let t = Instant::now();
-                    let bytes = store.get_range("drill", start, size)?;
+                    let (bytes, _) = store.read(read)?;
                     lat_us.record_duration(t.elapsed());
-                    if bytes != expected[start as usize..(start + size) as usize] {
+                    let start = (read.offset - extent.offset) as usize;
+                    if bytes != expected[start..][..read.len as usize] {
                         wrong += 1;
                     }
                 }
@@ -497,7 +497,7 @@ pub fn drill(opts: &Options) -> Result<(), CliError> {
     if !store.stats().failed_disks.is_empty() {
         return Err(CliError::Usage("disk still failed after repair".into()));
     }
-    let (bytes, stats) = store.get_with_stats("drill")?;
+    let (bytes, stats) = store.read(extent)?;
     if bytes != payload || stats.degraded || stats.repair_elements != 0 {
         return Err(CliError::Usage(
             "post-repair read was degraded or corrupt".into(),
@@ -552,7 +552,7 @@ pub fn scrub(opts: &Options) -> Result<(), CliError> {
         element_size,
         ThreadedArray::new(scheme.n_disks()),
     ));
-    let (payload, _) = ingest(opts, &store, "scrub")?;
+    let (_, payload, _) = ingest(opts, &store)?;
     let sealed = store.stats().stripes;
     let cells_per_stripe = store
         .manifest(0)

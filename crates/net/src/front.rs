@@ -135,8 +135,9 @@ impl FrontClient {
         self.dispatch(&|w, id| write_obj_write(w, id, tenant, object, bytes), ack)
     }
 
-    /// Create + first write in one call. See
-    /// [`FrontDoor::put`](ecfrm_store::FrontDoor::put).
+    /// Create + first write in one call, as two RPCs (`ObjCreate`, then
+    /// `ObjWrite`): unlike [`FrontDoor::put`](ecfrm_store::FrontDoor::put),
+    /// a write refused by admission leaves the object created, empty.
     ///
     /// # Errors
     /// [`StoreError::AlreadyExists`], [`StoreError::Throttled`], or any

@@ -69,14 +69,14 @@ fn stripe_read_is_one_rpc_per_live_disk() {
 
     // Exactly one stripe of data, so the read touches every disk.
     let data = payload(scheme.data_per_stripe() * ELEMENT);
-    store.put("stripe", &data).unwrap();
+    let stripe = store.append(&data);
     store.flush();
 
     let ops_before: Vec<u64> = (0..n).map(|i| server_read_ops(&cluster, i)).collect();
     let rpcs_before = store_counter(&store, "read.rpcs");
     let runs_before = store_counter(&store, "read.coalesced_runs");
 
-    let (got, stats) = store.get_with_stats("stripe").unwrap();
+    let (got, stats) = store.read(stripe).unwrap();
     assert_eq!(got, data);
     assert!(!stats.degraded);
 
@@ -113,7 +113,7 @@ fn an_all_absent_reply_still_decodes() {
     let store = store_over(&cluster, scheme.clone());
 
     let data = payload(scheme.data_per_stripe() * ELEMENT);
-    store.put("stripe", &data).unwrap();
+    let stripe = store.append(&data);
     store.flush();
 
     // Kill one shard's disk but keep its server up: its reply arrives
@@ -121,7 +121,7 @@ fn an_all_absent_reply_still_decodes() {
     // transport error.
     faulty.arm(FaultKind::Kill, 0);
 
-    let (got, stats) = store.get_with_stats("stripe").unwrap();
+    let (got, stats) = store.read(stripe).unwrap();
     assert_eq!(got, data, "decode must survive an all-absent range reply");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
     assert!(stats.replans >= 1, "expected a replan: {stats:?}");
@@ -133,7 +133,7 @@ fn an_all_absent_reply_still_decodes() {
 
     // The disk answers again: the normal path comes back.
     faulty.clear();
-    let (again, stats) = store.get_with_stats("stripe").unwrap();
+    let (again, stats) = store.read(stripe).unwrap();
     assert_eq!(again, data);
     assert!(!stats.degraded);
 }

@@ -17,7 +17,7 @@ use ecfrm_core::Scheme;
 use ecfrm_integrity::FOOTER_LEN;
 use ecfrm_net::{Cluster, RemoteDisk, RemoteDiskConfig};
 use ecfrm_sim::{DiskBackend, FaultKind, FaultyDisk, FileDisk, MemDisk, ThreadedArray};
-use ecfrm_store::ObjectStore;
+use ecfrm_store::{ObjectStore, ReadOpts};
 
 const ELEMENT: usize = 512;
 
@@ -53,8 +53,8 @@ fn object_roundtrip_over_loopback_cluster() {
     let store = store_over(&cluster, scheme);
 
     let data = payload(40_000);
-    store.put("obj", &data).unwrap();
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let obj = store.append(&data);
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data, "bytes survived the wire");
     assert!(!stats.degraded);
     assert_eq!(stats.replans, 0);
@@ -107,13 +107,13 @@ fn mid_read_shard_crash_falls_back_to_degraded() {
     let store = store_over(&cluster, scheme);
 
     let data = payload(60_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     // Crash one shard server. The store has no idea: its next read plans
     // normally, hits the dead node, and must replan degraded mid-read.
     cluster.kill(3);
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data, "degraded fallback reconstructed the bytes");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
     assert!(stats.replans >= 1, "expected a replan: {stats:?}");
@@ -127,7 +127,9 @@ fn mid_read_shard_crash_falls_back_to_degraded() {
     );
 
     // Subsequent ranged reads keep working around the dead node.
-    let slice = store.get_range("obj", 10_000, 20_000).unwrap();
+    let (slice, _) = store
+        .read_extent(obj, 10_000, 20_000, &ReadOpts::default())
+        .unwrap();
     assert_eq!(&slice[..], &data[10_000..30_000]);
 }
 
@@ -139,11 +141,11 @@ fn two_crashed_shards_within_tolerance_still_read() {
     let store = store_over(&cluster, scheme);
 
     let data = payload(30_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     cluster.kill(0);
     cluster.kill(5);
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert!(stats.degraded);
 }
@@ -174,24 +176,24 @@ fn operator_actions_do_not_touch_the_shard() {
     let mut cluster = Cluster::spawn_over(backends, &cfg).unwrap();
     let store = store_over(&cluster, scheme);
     let data = payload(25_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     // Believed failed and really dead: the planner never asks it.
     faulty.arm(FaultKind::Kill, 0);
     store.fail_disk(2).unwrap();
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert!(stats.degraded);
     assert_eq!(stats.replans, 0, "known-failed disk needs no replan");
     // Believed up but still dead: the read finds out for itself.
     store.heal_disk(2).unwrap();
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert_eq!(stats.replans, 1);
     // Alive again: the normal plan, and nothing was owed to the table.
     faulty.clear();
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert!(!stats.degraded);
 
@@ -221,13 +223,13 @@ fn one_stores_failed_disk_is_not_failed_for_another_client() {
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
     let store = store_over(&cluster, scheme);
     let data = payload(25_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     let stored: Vec<u64> = (0..cluster.client(2).len() as u64).collect();
     assert!(!stored.is_empty());
 
     store.fail_disk(2).unwrap();
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert!(stats.degraded);
     // The belief is this store's: another client of shard 2 reads every
@@ -267,9 +269,9 @@ fn file_backed_cluster_roundtrips() {
     let store = store_over(&cluster, scheme);
 
     let data = payload(35_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
     // The shard files really hold the elements.
     assert!(std::fs::metadata(dir.join("shard0.bin")).unwrap().len() > 0);
     // Store-sealed cells on a real file-backed shard verify at the
@@ -292,14 +294,14 @@ fn crash_beyond_tolerance_is_data_loss_not_hang() {
     let store = store_over(&cluster, scheme);
 
     let data = payload(15_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     // LRC(6,2,2) has 4 parities total; 5 erasures can never decode.
     for d in [0, 2, 4, 6, 8] {
         cluster.kill(d);
     }
     let t0 = std::time::Instant::now();
-    let err = store.get("obj");
+    let err = store.read(obj);
     assert!(err.is_err(), "4 dead nodes must not decode");
     // Bounded failure: fast() timeouts keep the whole attempt short.
     assert!(

@@ -61,7 +61,7 @@ fn combined_repair_ships_one_kth_of_the_batched_wire_bytes() {
     // payload on local disks, where no helper can be dialled and every
     // source element is fetched.
     let local = ObjectStore::new(scheme.clone(), ELEMENT);
-    local.put("obj", &data).unwrap();
+    local.append(&data);
     local.flush();
     let batched = local.repair_stripe(2, 0).unwrap();
     assert_eq!(batched.bytes_read, 6 * rows * CELL, "k·rows raw elements");
@@ -73,7 +73,7 @@ fn combined_repair_ships_one_kth_of_the_batched_wire_bytes() {
     // regions reach the rebuilder — 1/k of the batched bytes.
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
     let store = store_over(&cluster, scheme);
-    store.put("obj", &data).unwrap();
+    store.append(&data);
     store.flush();
     let combined = store.repair_stripe(2, 0).unwrap();
     assert_eq!(combined.elements as u64, rows);
@@ -93,7 +93,7 @@ fn recover_disk_over_a_cluster_rebuilds_every_stripe_combined() {
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
     let store = store_over(&cluster, scheme);
     let data = payload(40_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     let stripes = store.stats().stripes;
     assert!(stripes > 1);
@@ -105,7 +105,7 @@ fn recover_disk_over_a_cluster_rebuilds_every_stripe_combined() {
     assert_eq!(counter(&store, "repair.combined_stripes"), stripes);
     assert_eq!(counter(&store, "repair.wire_bytes"), stripes * rows * CELL);
     assert!(store.stats().failed_disks.is_empty());
-    let (got, stats) = store.get_with_stats("obj").unwrap();
+    let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data, "rebuilt bytes are exact");
     assert!(!stats.degraded);
     assert!(store.scrub().unwrap().is_clean());
@@ -181,7 +181,7 @@ fn each_root_opens_one_connection_per_peer_whatever_its_stripe_count() {
         })
         .collect();
     let store = ObjectStore::with_array(scheme, ELEMENT, ThreadedArray::from_backends(backends));
-    store.put("obj", &payload(100_000)).unwrap();
+    store.append(&payload(100_000));
     store.flush();
     let stripes = store.stats().stripes;
     assert!(stripes >= 8, "{stripes} stripes");
@@ -224,7 +224,7 @@ fn corrupt_helper_is_excluded_and_stripe_replanned() {
     let cluster = Cluster::spawn_over(backends, &cfg).unwrap();
     let store = store_over(&cluster, scheme);
     let data = payload(20_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     let originals: Vec<Vec<u8>> = (0..rows).map(|o| mem[2].read(o).unwrap()).collect();
@@ -249,7 +249,7 @@ fn corrupt_helper_is_excluded_and_stripe_replanned() {
     assert!(counter(&store, "integrity.verify_fail") >= 1);
     assert_eq!(counter(&store, "repair.combined_stripes"), 1);
     // The rotted shard is still rotted — reads route around it.
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
 }
 
 #[test]
@@ -263,7 +263,7 @@ fn rack_labels_keep_repair_traffic_intra_domain() {
     let cluster = Cluster::spawn(scheme.n_disks()).unwrap();
     let store = store_over(&cluster, scheme);
     let data = payload(30_000);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     let stripes = store.stats().stripes;
@@ -281,5 +281,5 @@ fn rack_labels_keep_repair_traffic_intra_domain() {
     // unavoidable and the counter says so.
     store.repair_stripe(7, 0).unwrap();
     assert!(counter(&store, "repair.cross_domain_reads") > 0);
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
 }

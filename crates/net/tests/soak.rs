@@ -69,9 +69,7 @@ fn soak_concurrent_stripe_reads_survive_midflight_backend_kill() {
     let want: Vec<Vec<u8>> = (0..OBJECTS)
         .map(|i| payload(i, scheme.data_per_stripe() * ELEMENT * 2 + 97 * i))
         .collect();
-    for (i, data) in want.iter().enumerate() {
-        store.put(&format!("obj{i}"), data).unwrap();
-    }
+    let extents: Vec<_> = want.iter().map(|data| store.append(data)).collect();
     store.flush();
 
     // Die mid-soak: the puts already pushed the tally up, so arm the
@@ -86,13 +84,13 @@ fn soak_concurrent_stripe_reads_survive_midflight_backend_kill() {
     thread::scope(|scope| {
         for r in 0..READERS {
             let store = Arc::clone(&store);
-            let want = &want;
+            let (want, extents) = (&want, &extents);
             let failures = Arc::clone(&failures);
             scope.spawn(move || {
                 for k in 0..READS_PER_READER {
                     let i = (r + k) % OBJECTS;
-                    match store.get(&format!("obj{i}")) {
-                        Ok(got) if got == want[i] => {}
+                    match store.read(extents[i]) {
+                        Ok((got, _)) if got == want[i] => {}
                         Ok(_) => {
                             failures.fetch_add(1, Ordering::Relaxed);
                             eprintln!("reader {r} iter {k}: wrong bytes for obj{i}");
@@ -131,7 +129,7 @@ fn soak_concurrent_stripe_reads_survive_midflight_backend_kill() {
 
     // Reads still work degraded after the soak, and the engine's books
     // balance: everything submitted has completed.
-    let (got, stats) = store.get_with_stats("obj0").unwrap();
+    let (got, stats) = store.read(extents[0]).unwrap();
     assert_eq!(got, want[0]);
     assert!(stats.degraded);
     let io = store.array().io_stats().snapshot();

@@ -48,9 +48,10 @@ fn a_seal_is_one_write_rpc_per_disk_whatever_its_stripe_count() {
         let array = ThreadedArray::from_backends(cluster.backends());
         let store = ObjectStore::with_array(scheme(), ELEMENT, array);
         let mut seals = 0;
+        let mut extents = Vec::new();
         for (i, stripes) in [1usize, 5, 16].into_iter().enumerate() {
             let data = payload(stripes * stripe_bytes, seed + i);
-            store.put(&format!("o{i}"), &data).unwrap();
+            extents.push(store.append(&data));
             seals += 1;
             assert_eq!(counter(&store, "write.rpcs"), 9 * seals, "seed {seed}");
             assert_eq!(counter(&store, "write.runs"), 9 * seals);
@@ -59,9 +60,9 @@ fn a_seal_is_one_write_rpc_per_disk_whatever_its_stripe_count() {
             }
         }
         assert_eq!(counter(&store, "write.batch_elems"), 27 * (1 + 5 + 16));
-        for i in 0..3 {
+        for (i, extent) in extents.into_iter().enumerate() {
             let want = payload([1usize, 5, 16][i] * stripe_bytes, seed + i);
-            assert_eq!(store.get(&format!("o{i}")).unwrap(), want);
+            assert_eq!(store.read(extent).unwrap().0, want);
         }
         // A repair write-back goes out in runs too: stripe 3's three
         // cells of disk 4 are one run in one request.
@@ -80,7 +81,7 @@ fn a_dead_shard_costs_a_seal_one_failed_request_and_readers_get_their_turn() {
     let store = Arc::new(ObjectStore::with_array(scheme(), ELEMENT, array));
     let stripe_bytes = scheme().data_per_stripe() * ELEMENT;
     let sealed = payload(4 * stripe_bytes, 1);
-    store.put("sealed", &sealed).unwrap();
+    let extent = store.append(&sealed);
 
     cluster.kill(2);
     // Plan reads around the dead disk, so only writes still dial it.
@@ -95,19 +96,17 @@ fn a_dead_shard_costs_a_seal_one_failed_request_and_readers_get_their_turn() {
         std::thread::spawn(move || {
             let mut reads_meanwhile = 0u64;
             while !done.load(Ordering::Acquire) {
-                assert_eq!(store.get("sealed").unwrap(), want);
+                assert_eq!(store.read(extent).unwrap().0, want);
                 reads_meanwhile += 1;
             }
             reads_meanwhile
         })
     };
     let t0 = Instant::now();
-    for i in 0..PUTS {
-        // Four stripes: twelve cells for the dead disk in each seal.
-        store
-            .put(&format!("w{i}"), &payload(4 * stripe_bytes, i as usize))
-            .unwrap();
-    }
+    // Four stripes: twelve cells for the dead disk in each seal.
+    let extents: Vec<_> = (0..PUTS)
+        .map(|i| store.append(&payload(4 * stripe_bytes, i as usize)))
+        .collect();
     let elapsed = t0.elapsed();
     done.store(true, Ordering::Release);
     let reads_meanwhile = reader.join().unwrap();
@@ -127,9 +126,9 @@ fn a_dead_shard_costs_a_seal_one_failed_request_and_readers_get_their_turn() {
     // sealed objects stayed readable between and during the puts.
     assert!(reads_meanwhile >= 1, "no read completed during the puts");
     // Everything written is readable through parity.
-    for i in 0..PUTS {
-        let want = payload(4 * stripe_bytes, i as usize);
-        assert_eq!(store.get(&format!("w{i}")).unwrap(), want);
+    for (i, extent) in extents.into_iter().enumerate() {
+        let want = payload(4 * stripe_bytes, i);
+        assert_eq!(store.read(extent).unwrap().0, want);
     }
 }
 
@@ -190,9 +189,7 @@ fn shards_that_drop_put_many_are_failed_counted_writes_covered_by_parity() {
     let store = ObjectStore::with_array(scheme(), ELEMENT, array);
     let t0 = Instant::now();
     let objects: Vec<Vec<u8>> = (0..4).map(|i| payload(20_000 + 7_000 * i, i)).collect();
-    for (i, data) in objects.iter().enumerate() {
-        store.put(&format!("o{i}"), data).unwrap();
-    }
+    let extents: Vec<_> = objects.iter().map(|data| store.append(data)).collect();
     store.flush();
     let seals = counter(&store, "write.rpcs") / 9;
     assert!(seals >= 4);
@@ -207,8 +204,8 @@ fn shards_that_drop_put_many_are_failed_counted_writes_covered_by_parity() {
         assert_eq!(backends[d].net_stats().unwrap().failed_requests, 0);
     }
     // Three erasures per row is what RS(6,3) covers: every byte is back.
-    for (i, data) in objects.iter().enumerate() {
-        assert_eq!(&store.get(&format!("o{i}")).unwrap(), data, "object {i}");
+    for (i, (extent, data)) in extents.into_iter().zip(&objects).enumerate() {
+        assert_eq!(&store.read(extent).unwrap().0, data, "object {i}");
     }
     assert!(
         t0.elapsed() < Duration::from_secs(10),

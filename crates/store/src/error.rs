@@ -5,14 +5,15 @@ use ecfrm_codes::CodeError;
 /// Errors surfaced by the object store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// No object with that name.
+    /// No object with that name in the tenant's namespace (a
+    /// [`FrontDoor`](crate::FrontDoor) error: the store keeps no names).
     NotFound(String),
-    /// An object with that name already exists (append-only store:
-    /// objects are immutable).
+    /// The tenant already has an object with that name (a
+    /// [`FrontDoor`](crate::FrontDoor) error).
     AlreadyExists(String),
-    /// Requested byte range exceeds the object.
+    /// Requested byte range exceeds the object or extent.
     RangeOutOfBounds {
-        /// Object name.
+        /// Object name, or `<extent @offset>` for an extent read.
         name: String,
         /// Object length in bytes.
         len: u64,

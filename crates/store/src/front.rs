@@ -621,6 +621,18 @@ impl FrontDoor {
     /// object with that name; [`StoreError::Throttled`] on admission
     /// rejection.
     pub fn create(&self, tenant: &str, object: &str) -> Result<(), StoreError> {
+        self.insert_new(tenant, object, None)
+    }
+
+    /// [`Self::create`] and, given `bytes`, the first [`Self::write`],
+    /// as one step: one admission, and the record appears whole or not
+    /// at all.
+    fn insert_new(
+        &self,
+        tenant: &str,
+        object: &str,
+        bytes: Option<&[u8]>,
+    ) -> Result<(), StoreError> {
         let t = self.tenant(tenant);
         // Validate before admitting (and without holding the namespace
         // lock across a potential admission sleep) so an invalid
@@ -632,20 +644,24 @@ impl FrontDoor {
                 return Err(StoreError::AlreadyExists(format!("{tenant}/{object}")));
             }
         }
-        self.admit(&t, 0)?;
+        let len = bytes.map_or(0, |b| b.len() as u64);
+        self.admit(&t, len)?;
+        let extents: Vec<ObjectMeta> = bytes.map(|b| self.store.append(b)).into_iter().collect();
         let mut ns = self.namespace.lock();
         let objects = ns.entry(tenant.to_string()).or_default();
         if objects.contains_key(object) {
             return Err(StoreError::AlreadyExists(format!("{tenant}/{object}")));
         }
-        objects.insert(
-            object.to_string(),
-            ExtentRecord {
-                extents: Vec::new(),
-                version: 1,
-            },
-        );
+        let rec = ExtentRecord {
+            version: 1 + extents.len() as u64,
+            extents,
+        };
+        objects.insert(object.to_string(), rec);
         self.metrics.objects.add(1);
+        if bytes.is_some() {
+            t.writes.inc();
+            t.write_bytes.add(len);
+        }
         Ok(())
     }
 
@@ -680,13 +696,18 @@ impl FrontDoor {
         Ok(())
     }
 
-    /// [`Self::create`] followed by [`Self::write`].
+    /// Create an object holding `bytes` as its one extent, in one step:
+    /// one admission for `bytes.len()`, and the record appears whole or
+    /// not at all — a rejected put leaves nothing behind, and no reader
+    /// sees the object empty. The record is the one [`Self::create`]
+    /// then [`Self::write`] would leave (version 2).
     ///
     /// # Errors
-    /// As for the two steps.
+    /// [`StoreError::AlreadyExists`] if the tenant already has an
+    /// object with that name; [`StoreError::Throttled`] on admission
+    /// rejection (nothing is written).
     pub fn put(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.create(tenant, object)?;
-        self.write(tenant, object, bytes)
+        self.insert_new(tenant, object, Some(bytes))
     }
 
     /// Read a whole object.
@@ -973,10 +994,11 @@ mod tests {
             });
             while !stop.load(Ordering::Acquire) {
                 match f.read("a", "swap") {
-                    // Deleted, created and not yet written, or whole.
+                    // Deleted, or whole: a put is one step, so the
+                    // object is never seen empty.
                     Err(StoreError::NotFound(_)) => {}
                     Ok(got) => assert!(
-                        got.is_empty() || got == long || got == short,
+                        got == long || got == short,
                         "torn read of {} bytes",
                         got.len()
                     ),
@@ -998,6 +1020,9 @@ mod tests {
         assert_eq!(f.read("b", "obj").unwrap(), b"bravo");
         assert!(matches!(f.stat("c", "obj"), Err(StoreError::NotFound(_))));
         assert_eq!(f.list("a"), vec!["obj".to_string()]);
+        assert_eq!(f.stat("b", "obj").unwrap().len, 5);
+        let gauges = f.store().recorder().snapshot().gauges;
+        assert_eq!(gauges["front.objects"], 2);
     }
 
     #[test]
@@ -1009,9 +1034,14 @@ mod tests {
             Err(StoreError::AlreadyExists(_))
         ));
         assert!(matches!(
+            f.put("a", "x", b"z"),
+            Err(StoreError::AlreadyExists(_))
+        ));
+        assert!(matches!(
             f.write("a", "nope", b"z"),
             Err(StoreError::NotFound(_))
         ));
+        assert!(matches!(f.read("a", "nope"), Err(StoreError::NotFound(_))));
         f.write("a", "x", &blob(100, 1)).unwrap();
         assert!(matches!(
             f.read_range("a", "x", 90, 20),
@@ -1262,6 +1292,46 @@ mod tests {
         let r = f.put("lat", "o2", &blob(4096, 2));
         assert!(matches!(r, Err(StoreError::Throttled(_))), "{r:?}");
         assert!(t0.elapsed() < Duration::from_millis(200));
+    }
+
+    /// A put is admitted once, for all its bytes, and its record appears
+    /// whole or not at all: a second admission could refuse a put whose
+    /// first one passed, and leave an empty object behind.
+    #[test]
+    fn a_throttled_put_leaves_nothing_behind() {
+        let f = front_with(
+            FrontConfig::builder()
+                .max_delay(Duration::from_secs(5))
+                .build(),
+        );
+        let bulk = || TenantSpec::new("bulk", QosClass::Bulk).rate(1024);
+        // ~8 s of deficit: past the 5 s deadline.
+        f.register_tenant(bulk());
+        f.put("bulk", "hog", &blob(8192, 1)).unwrap();
+        f.delete("bulk", "hog").unwrap();
+        let r = f.put("bulk", "o", &blob(100, 2));
+        assert!(matches!(r, Err(StoreError::Throttled(_))), "{r:?}");
+        assert!(matches!(f.stat("bulk", "o"), Err(StoreError::NotFound(_))));
+        assert!(f.list("bulk").is_empty());
+
+        // ~1.5 s of deficit: a put queues. While it waits the tenant is
+        // replaced by one past its deadline; the put is judged by the
+        // admission it waited in, and lands whole.
+        f.register_tenant(bulk());
+        f.put("bulk", "warm", &blob(1536, 3)).unwrap();
+        f.delete("bulk", "warm").unwrap();
+        let putter = {
+            let f = Arc::clone(&f);
+            std::thread::spawn(move || f.put("bulk", "o", &blob(100, 2)))
+        };
+        std::thread::sleep(Duration::from_millis(300)); // let it park
+        f.register_tenant(bulk());
+        f.put("bulk", "hog", &blob(8192, 1)).unwrap();
+        f.delete("bulk", "hog").unwrap();
+        putter.join().unwrap().unwrap();
+        assert_eq!(f.list("bulk"), vec!["o".to_string()]);
+        let st = f.stat("bulk", "o").unwrap();
+        assert_eq!((st.len, st.version, st.extents), (100, 2, 1));
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! that keeps foreground tail latency bounded (see the
 //! [`repair`] module docs for the full pipeline).
 //!
+//! The store keeps no names: [`ObjectStore::append`] returns the extent
+//! the bytes occupy and [`ObjectStore::read`] takes it back. Naming
+//! objects is the [`FrontDoor`]'s job, and it is the only catalog.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use ecfrm_codes::LrcCode;
@@ -29,14 +33,18 @@
 //!     .layout(ecfrm_core::LayoutKind::EcFrm)
 //!     .build();
 //! let store = ObjectStore::new(scheme, 1024); // 1 KiB elements
-//! store.put("song.mp3", &vec![7u8; 10_000]).unwrap();
+//! let song = store.append(&vec![7u8; 10_000]);
 //!
 //! // Normal read.
-//! assert_eq!(store.get("song.mp3").unwrap().len(), 10_000);
+//! let (bytes, stats) = store.read(song).unwrap();
+//! assert_eq!(bytes.len(), 10_000);
+//! assert!(!stats.degraded);
 //!
 //! // Degraded read: any single disk may fail.
 //! store.fail_disk(3).unwrap();
-//! assert_eq!(store.get("song.mp3").unwrap(), vec![7u8; 10_000]);
+//! let (bytes, stats) = store.read(song).unwrap();
+//! assert_eq!(bytes, vec![7u8; 10_000]);
+//! assert!(stats.degraded);
 //! ```
 
 #![warn(missing_docs)]

@@ -1,14 +1,16 @@
-//! Object catalog entries, stripe integrity manifests, and store
-//! statistics.
+//! Stream extents, the front door's extent records, stripe integrity
+//! manifests, and store statistics.
 
 use ecfrm_integrity::{leaf_hash, HashKey, MerkleStep, MerkleTree};
 
-/// Catalog entry: where an object lives in the logical byte stream.
+/// An extent: where a run of appended bytes lives in the logical byte
+/// stream, as [`ObjectStore::append`](crate::ObjectStore::append)
+/// returned it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Byte offset in the append-only logical stream.
     pub offset: u64,
-    /// Object length in bytes.
+    /// Extent length in bytes.
     pub len: u64,
 }
 
@@ -100,7 +102,7 @@ pub struct ObjectStat {
 }
 
 /// Per-read instrumentation returned by
-/// [`ObjectStore::get_with_stats`](crate::ObjectStore::get_with_stats).
+/// [`ObjectStore::read`](crate::ObjectStore::read).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReadStats {
     /// Data elements the request spanned.
@@ -212,9 +214,7 @@ impl ScrubReport {
 /// A snapshot of store occupancy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Number of catalogued objects.
-    pub objects: usize,
-    /// Logical bytes appended (including per-object data only).
+    /// Logical bytes appended, flush padding included.
     pub logical_bytes: u64,
     /// Data elements sealed into stripes so far.
     pub sealed_elements: u64,

@@ -33,8 +33,8 @@
 //!         .build(),
 //!     512,
 //! ));
-//! store.put("obj", &vec![7u8; 30_000]).unwrap();
-//! store.flush();
+//! let obj = store.append(&vec![7u8; 30_000]);
+//! assert_eq!(store.read(obj).unwrap().0, vec![7u8; 30_000]);
 //!
 //! // Lose a disk for real, then let the background pipeline restore it.
 //! store.fail_disk(2).unwrap();
@@ -42,7 +42,9 @@
 //! let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
 //! assert!(mgr.wait_idle(std::time::Duration::from_secs(10)));
 //! assert!(store.stats().failed_disks.is_empty());
-//! assert_eq!(store.get("obj").unwrap(), vec![7u8; 30_000]);
+//! let (bytes, stats) = store.read(obj).unwrap();
+//! assert_eq!(bytes, vec![7u8; 30_000]);
+//! assert!(!stats.degraded);
 //! ```
 
 use std::collections::{BTreeSet, HashMap};

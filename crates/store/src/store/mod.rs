@@ -9,7 +9,7 @@
 //! * `scrub` — check stored cells against what was sealed.
 //!
 //! The stream's state is `StripeState` behind one mutex. The writers —
-//! seal and catalog insert — lock it where they change it; everything
+//! append and seal — lock it where they change it; everything
 //! that only reads it goes through `ObjectStore::with_state`, and the
 //! read, scrub and rebuild paths through the `SealedView` built on it.
 //! Which disks are down is not in it: that is the store's
@@ -20,7 +20,7 @@ mod rebuild;
 mod scrub;
 mod seal;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,7 @@ use ecfrm_sim::{ThreadedArray, WriteShape};
 use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
-use crate::meta::{ObjectMeta, StoreStats, StripeManifest};
+use crate::meta::{StoreStats, StripeManifest};
 use crate::repair::DiskTable;
 
 pub use read::ReadOpts;
@@ -130,7 +130,6 @@ impl StoreMetrics {
 /// Everything the store knows about its stream and its stripes. One
 /// mutex guards it; see the [module docs](self) for who locks it where.
 struct StripeState {
-    catalog: HashMap<String, ObjectMeta>,
     /// Unsealed logical bytes (tail of the append stream).
     pending: Vec<u8>,
     /// Total logical bytes appended, including alignment padding.
@@ -153,18 +152,20 @@ struct SealedView {
     down: Vec<usize>,
 }
 
-/// An erasure-coded object store over a threaded disk array.
+/// An erasure-coded extent store over a threaded disk array.
 ///
-/// Objects are immutable byte blobs appended to a logical stream. The
-/// stream is chunked into fixed-size elements; once a full stripe of data
-/// elements accumulates it is encoded (all stripes in parallel) and
-/// written out. Reads plan through the scheme — normal or degraded —
-/// and execute on the array's worker threads. Every cell a read touches
-/// is verified against its checksum footer as its disk answers, and a
-/// mismatch is treated exactly like an erasure. When a disk stops
-/// answering mid-read (a remote shard timing out or dying), the read
-/// falls back to a degraded plan around the suspect disk instead of
-/// failing.
+/// Everything written is an extent ([`ObjectMeta`](crate::ObjectMeta))
+/// of one append-only logical stream; the store keeps no names —
+/// mapping names to extents is the [`FrontDoor`](crate::FrontDoor)'s
+/// job. The stream is chunked into fixed-size elements; once a full
+/// stripe of data elements accumulates it is encoded (all stripes in
+/// parallel) and written out. Reads plan through the scheme — normal
+/// or degraded — and execute on the array's worker threads. Every cell
+/// a read touches is verified against its checksum footer as its disk
+/// answers, and a mismatch is treated exactly like an erasure. When a
+/// disk stops answering mid-read (a remote shard timing out or dying),
+/// the read falls back to a degraded plan around the suspect disk
+/// instead of failing.
 pub struct ObjectStore {
     scheme: Scheme,
     element_size: usize,
@@ -231,6 +232,8 @@ impl ObjectStore {
             snap.gauges.insert("disks.suspect".into(), suspect);
             snap.gauges
                 .insert("disks.down".into(), table.down().len() as i64);
+            snap.gauges
+                .insert("disks.repair_todo".into(), table.depth() as i64);
         });
         // Record which GF region-kernel backend this process dispatched
         // to (avx2/ssse3/neon/scalar), so stats snapshots show
@@ -249,7 +252,6 @@ impl ObjectStore {
             element_size,
             array,
             state: Mutex::new(StripeState {
-                catalog: HashMap::new(),
                 pending: Vec::new(),
                 logical_len: 0,
                 sealed_elements: 0,
@@ -347,8 +349,9 @@ impl ObjectStore {
     /// repaired via server-side `CombineRange`),
     /// `net.*` (the shard clients' transport totals — with the `io.*`
     /// gauges, the array's [source](ecfrm_sim::ThreadedArray::observe),
-    /// read at snapshot time). Gauges `disks.suspect` and `disks.down`
-    /// are read off the disk table at snapshot time. Histograms (µs):
+    /// read at snapshot time). Gauges `disks.suspect`, `disks.down` and
+    /// `disks.repair_todo` (stripe rebuilds still owed) are read off the
+    /// disk table at snapshot time. Histograms (µs):
     /// `plan_us`, `read_us`, `decode_us`, `verify_us` (checksum
     /// verification time per read / per scrubbed stripe). Disk board:
     /// `disk_load` (planned fetches per disk).
@@ -413,7 +416,6 @@ impl ObjectStore {
     pub fn stats(&self) -> StoreStats {
         let (failed_disks, suspect_disks) = (self.disks.down(), self.disks.suspect_disks());
         self.with_state(|s| StoreStats {
-            objects: s.catalog.len(),
             logical_bytes: s.logical_len,
             sealed_elements: s.sealed_elements,
             stripes: s.stripes,
@@ -421,11 +423,6 @@ impl ObjectStore {
             failed_disks,
             suspect_disks,
         })
-    }
-
-    /// Metadata for an object, if present.
-    pub fn meta(&self, name: &str) -> Option<ObjectMeta> {
-        self.with_state(|s| s.catalog.get(name).copied())
     }
 }
 
@@ -477,7 +474,7 @@ mod tests {
     #[test]
     fn engine_gauges_are_fresh_without_a_read() {
         let store = lrc_store();
-        store.put("x", &blob(10_000, 2)).unwrap();
+        store.append(&blob(10_000, 2));
         store.flush();
         let io = store.array().io_stats().snapshot();
         assert!(io.submitted > 0, "the seal wrote through the engine");

@@ -13,8 +13,9 @@ use crate::meta::{ObjectMeta, ReadStats};
 /// Per-read options for [`ObjectStore::read_extent`]. There are none:
 /// the type survives, field-less, only because the e2e trace probe
 /// (`crates/bench/src/bin/e2e`, frozen by BENCHMARK.json) names it in
-/// `read_extent(…, &ReadOpts::default())`. It leaves with the same
-/// benchmark-only change ROADMAP 9 waits on for [`ObjectStore::put`].
+/// `read_extent(…, &ReadOpts::default())`. It leaves with the
+/// deprecated `ObjectStore::put` shim, in the next change to that
+/// benchmark.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadOpts {}
 
@@ -28,56 +29,13 @@ fn out_of_bounds(offset: u64, len: u64) -> StoreError {
 }
 
 impl ObjectStore {
-    /// Read a whole object.
-    pub fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        Ok(self.get_with_stats(name)?.0)
-    }
-
-    /// Read a whole object and report how the read went (plan metrics +
-    /// wall-clock time) — the instrumentation behind the examples'
-    /// speed reports.
-    pub fn get_with_stats(&self, name: &str) -> Result<(Vec<u8>, ReadStats), StoreError> {
-        self.read_absolute(self.named(name)?)
-    }
-
-    /// Read `len` bytes of an object starting at byte `start` within it.
-    ///
-    /// If any referenced element is still unsealed the store flushes
-    /// first. Under failed disks the read is planned as a degraded read
-    /// and lost elements are reconstructed inline. A disk that stops
-    /// answering *during* the read (e.g. a remote shard timing out) is
-    /// marked suspect for this read and the plan falls back to degraded
-    /// around it.
-    pub fn get_range(&self, name: &str, start: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        let meta = self.named(name)?;
-        if start.checked_add(len).is_none_or(|end| end > meta.len) {
-            return Err(StoreError::RangeOutOfBounds {
-                name: name.to_string(),
-                len: meta.len,
-            });
-        }
-        let abs = ObjectMeta {
-            offset: meta.offset + start,
-            len,
-        };
-        Ok(self.read_absolute(abs)?.0)
-    }
-
-    fn named(&self, name: &str) -> Result<ObjectMeta, StoreError> {
-        self.meta(name)
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))
-    }
-
-    /// Read `len` bytes starting `start` bytes into `extent` — an
-    /// anonymous stream location previously returned by
-    /// [`Self::append`]. This is the front door's read primitive: its
-    /// extent records carry [`ObjectMeta`] locations instead of store
-    /// catalog names.
+    /// Read `len` bytes starting `start` bytes into `extent` — a
+    /// stream location previously returned by [`Self::append`].
     ///
     /// # Errors
     /// [`StoreError::RangeOutOfBounds`] if `start + len` overruns the
     /// extent (or the logical stream, or `u64`, for a forged extent);
-    /// otherwise exactly like [`Self::get_range`].
+    /// otherwise exactly like [`Self::read`].
     pub fn read_extent(
         &self,
         extent: ObjectMeta,
@@ -92,17 +50,29 @@ impl ObjectStore {
             .offset
             .checked_add(start)
             .ok_or_else(|| out_of_bounds(extent.offset, extent.len))?;
-        self.read_absolute(ObjectMeta { offset, len })
+        self.read(ObjectMeta { offset, len })
     }
 
-    /// Read the bytes at `meta`, whose `offset` is an *absolute*
-    /// logical stream offset (catalog lookups already applied): the
-    /// elements they span, appended in order.
-    fn read_absolute(&self, meta: ObjectMeta) -> Result<(Vec<u8>, ReadStats), StoreError> {
-        let (first, last) = meta
+    /// Read the whole of `extent` — a stream location previously
+    /// returned by [`Self::append`] — and report how the read went
+    /// (plan metrics + wall-clock time).
+    ///
+    /// If any referenced element is still unsealed the store flushes
+    /// first. Under failed disks the read is planned as a degraded read
+    /// and lost elements are reconstructed inline. A disk that stops
+    /// answering *during* the read (e.g. a remote shard timing out) is
+    /// marked suspect for this read and the plan falls back to degraded
+    /// around it.
+    ///
+    /// # Errors
+    /// [`StoreError::RangeOutOfBounds`] for an extent past the end of
+    /// the stream; [`StoreError::DataLoss`] when too many disks are
+    /// down to reconstruct it.
+    pub fn read(&self, extent: ObjectMeta) -> Result<(Vec<u8>, ReadStats), StoreError> {
+        let (first, last) = extent
             .element_range(self.element_size)
-            .ok_or_else(|| out_of_bounds(meta.offset, meta.len))?;
-        if meta.len == 0 {
+            .ok_or_else(|| out_of_bounds(extent.offset, extent.len))?;
+        if extent.len == 0 {
             // Touches no element, so it never flushes the tail.
             let stats = ReadStats {
                 degraded: !self.disks.down().is_empty(),
@@ -111,9 +81,9 @@ impl ObjectStore {
             return Ok((Vec::new(), stats));
         }
         let (elements, stats) = self.read_elements(first, (last - first) as usize)?;
-        let mut out = Vec::with_capacity(meta.len as usize);
+        let mut out = Vec::with_capacity(extent.len as usize);
         for (e, bytes) in (first..last).zip(elements) {
-            out.extend_from_slice(&bytes[meta.part_of(e, bytes.len())]);
+            out.extend_from_slice(&bytes[extent.part_of(e, bytes.len())]);
         }
         Ok((out, stats))
     }
@@ -268,44 +238,36 @@ mod tests {
     fn put_get_roundtrip() {
         let store = lrc_store();
         let data = blob(10_000, 1);
-        store.put("a", &data).unwrap();
-        assert_eq!(store.get("a").unwrap(), data);
+        let a = store.append(&data);
+        assert_eq!(store.read(a).unwrap().0, data);
     }
 
     #[test]
     fn multiple_objects_are_separate() {
         let store = lrc_store();
-        let a = blob(5000, 3);
-        let b = blob(777, 4);
-        let c = blob(12_345, 5);
-        store.put("a", &a).unwrap();
-        store.put("b", &b).unwrap();
-        store.put("c", &c).unwrap();
-        assert_eq!(store.get("b").unwrap(), b);
-        assert_eq!(store.get("a").unwrap(), a);
-        assert_eq!(store.get("c").unwrap(), c);
-        assert_eq!(store.stats().objects, 3);
-        assert_eq!(store.meta("b").unwrap().len, 777);
-        assert!(store.meta("zz").is_none());
-    }
-
-    #[test]
-    fn missing_object_not_found() {
-        let store = lrc_store();
-        assert!(matches!(store.get("nope"), Err(StoreError::NotFound(_))));
+        let (a, b, c) = (blob(5000, 3), blob(777, 4), blob(12_345, 5));
+        let (ea, eb, ec) = (store.append(&a), store.append(&b), store.append(&c));
+        assert_eq!(store.read(eb).unwrap().0, b);
+        assert_eq!(store.read(ea).unwrap().0, a);
+        assert_eq!(store.read(ec).unwrap().0, c);
+        assert_eq!((eb.offset, eb.len), (5000, 777));
     }
 
     #[test]
     fn range_reads() {
         let store = lrc_store();
         let data = blob(4000, 6);
-        store.put("r", &data).unwrap();
-        assert_eq!(store.get_range("r", 0, 10).unwrap(), &data[0..10]);
-        assert_eq!(store.get_range("r", 100, 500).unwrap(), &data[100..600]);
-        assert_eq!(store.get_range("r", 3990, 10).unwrap(), &data[3990..4000]);
-        assert_eq!(store.get_range("r", 0, 0).unwrap().len(), 0);
+        let r = store.append(&data);
+        let range = |start, len| {
+            let read = store.read_extent(r, start, len, &ReadOpts::default());
+            read.map(|(bytes, _)| bytes)
+        };
+        assert_eq!(range(0, 10).unwrap(), &data[0..10]);
+        assert_eq!(range(100, 500).unwrap(), &data[100..600]);
+        assert_eq!(range(3990, 10).unwrap(), &data[3990..4000]);
+        assert_eq!(range(0, 0).unwrap().len(), 0);
         assert!(matches!(
-            store.get_range("r", 3990, 11),
+            range(3990, 11),
             Err(StoreError::RangeOutOfBounds { .. })
         ));
     }
@@ -313,7 +275,7 @@ mod tests {
     #[test]
     fn a_forged_extent_is_a_typed_error_not_an_overflow() {
         let store = lrc_store();
-        store.put("x", &blob(4000, 7)).unwrap();
+        let x = store.append(&blob(4000, 7));
         let forged = ObjectMeta {
             offset: u64::MAX - 3,
             len: 10,
@@ -328,7 +290,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            store.get_range("x", u64::MAX, 2),
+            store.read_extent(x, u64::MAX, 2, &ReadOpts::default()),
             Err(StoreError::RangeOutOfBounds { .. })
         ));
     }
@@ -337,10 +299,10 @@ mod tests {
     fn degraded_read_under_every_single_disk_failure() {
         let store = lrc_store();
         let data = blob(20_000, 7);
-        store.put("d", &data).unwrap();
+        let d = store.append(&data);
         for disk in 0..10 {
             store.fail_disk(disk).unwrap();
-            assert_eq!(store.get("d").unwrap(), data, "failed disk {disk}");
+            assert_eq!(store.read(d).unwrap().0, data, "failed disk {disk}");
             store.heal_disk(disk).unwrap();
         }
     }
@@ -350,12 +312,12 @@ mod tests {
         // (6,2,2) LRC tolerates any 3 disk failures.
         let store = lrc_store();
         let data = blob(8_000, 8);
-        store.put("t", &data).unwrap();
+        let t = store.append(&data);
         for disks in [[0, 1, 2], [3, 6, 9], [7, 8, 9]] {
             for &d in &disks {
                 store.fail_disk(d).unwrap();
             }
-            assert_eq!(store.get("t").unwrap(), data, "failed {disks:?}");
+            assert_eq!(store.read(t).unwrap().0, data, "failed {disks:?}");
             for &d in &disks {
                 store.heal_disk(d).unwrap();
             }
@@ -366,29 +328,29 @@ mod tests {
     fn too_many_failures_is_data_loss_not_garbage() {
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
         let data = blob(10_000, 9);
-        store.put("x", &data).unwrap();
-        store.get("x").unwrap(); // seal
+        let x = store.append(&data);
+        store.read(x).unwrap(); // seal
         for d in [0, 1, 2, 3] {
             store.fail_disk(d).unwrap();
         }
-        assert!(matches!(store.get("x"), Err(StoreError::DataLoss(_))));
+        assert!(matches!(store.read(x), Err(StoreError::DataLoss(_))));
         for d in [0, 1, 2, 3] {
             store.heal_disk(d).unwrap();
         }
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
     }
 
     #[test]
     fn suspect_lifecycle_clears_on_answer_and_dedups_hints() {
         let (store, faulty) = faulty_store();
         let data = blob(30_000, 50);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
 
         // Disk 2 stops answering mid-workload: the read replans degraded
         // around it, marks it suspect, and stages repair hints.
         faulty[2].arm(FaultKind::Kill, 0);
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(stats.degraded);
         assert_eq!(stats.replans, 1, "exactly one mid-read replan");
@@ -398,7 +360,7 @@ mod tests {
 
         // Re-reading the same range is another degraded read but must
         // not stage duplicate work.
-        let (_, stats) = store.get_with_stats("x").unwrap();
+        let (_, stats) = store.read(x).unwrap();
         assert!(stats.degraded);
         assert_eq!(
             store.disks().hint_count(),
@@ -409,7 +371,7 @@ mod tests {
         // The disk answers again (transient blip): the next read plans
         // normally, vouches for it, and the suspicion is withdrawn.
         faulty[2].clear();
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(!stats.degraded);
         assert_eq!(stats.replans, 0);
@@ -425,9 +387,9 @@ mod tests {
     fn a_replan_fetches_only_the_cells_no_pass_has_verified() {
         let (store, faulty) = faulty_store();
         let data = blob(30_000, 50);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
-        let (first, last) = store.meta("x").unwrap().element_range(64).unwrap();
+        let (first, last) = x.element_range(64).unwrap();
         let count = (last - first) as usize;
         let fetched = || store.recorder().snapshot().counters["read.batch_elems"];
         let before = fetched();
@@ -435,7 +397,7 @@ mod tests {
         // Disk 2 stops answering: pass 1 verifies every cell of the
         // normal plan but disk 2's, pass 2 plans around disk 2.
         faulty[2].arm(FaultKind::Kill, 0);
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert_eq!(stats.replans, 1);
 
@@ -479,10 +441,10 @@ mod tests {
         let data = blob(10_000, 52);
         // The seal's writes to disk 3 panic and are lost like any failed
         // write; the first read of those cells flags the disk.
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
         assert!(store.stats().suspect_disks.is_empty());
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(stats.degraded);
         assert_eq!(store.stats().suspect_disks, vec![3]);
@@ -493,16 +455,19 @@ mod tests {
     #[test]
     fn zero_length_reads_seal_nothing() {
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
-        store.put("a", &blob(10, 53)).unwrap();
-        store.put("e", &[]).unwrap();
-        store.put("b", &blob(10, 54)).unwrap();
+        store.append(&blob(10, 53));
+        let e = store.append(&[]);
+        let b = store.append(&blob(10, 54));
         let before = store.stats();
         assert_eq!(before.pending_bytes, 20);
-        assert_eq!(store.get("e").unwrap(), Vec::<u8>::new());
-        assert_eq!(store.get_range("b", 3, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(store.read(e).unwrap().0, Vec::<u8>::new());
+        assert_eq!(
+            store.read_extent(b, 3, 0, &ReadOpts::default()).unwrap().0,
+            Vec::<u8>::new()
+        );
         assert_eq!(store.stats(), before, "an empty read flushed the tail");
         store.fail_disk(0).unwrap();
-        let (_, stats) = store.get_with_stats("e").unwrap();
+        let (_, stats) = store.read(e).unwrap();
         assert!(stats.degraded, "degraded comes from the down set");
         assert_eq!(store.stats().stripes, 0);
     }
@@ -522,15 +487,15 @@ mod tests {
             .collect();
         let store = ObjectStore::with_array(scheme, 64, ThreadedArray::from_backends(backends));
         let data = blob(12_000, 30);
-        store.put("f", &data).unwrap();
-        assert_eq!(store.get("f").unwrap(), data);
+        let f = store.append(&data);
+        assert_eq!(store.read(f).unwrap().0, data);
         // Degraded read off real files.
         store.fail_disk(5).unwrap();
-        assert_eq!(store.get("f").unwrap(), data);
+        assert_eq!(store.read(f).unwrap().0, data);
         // Real loss: wipe the file, rebuild it.
         store.array().disk(5).wipe();
         store.recover_disk(5).unwrap();
-        assert_eq!(store.get("f").unwrap(), data);
+        assert_eq!(store.read(f).unwrap().0, data);
         assert!(store.scrub().unwrap().is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -539,8 +504,8 @@ mod tests {
     fn read_stats_reflect_degradation() {
         let store = lrc_store();
         let data = blob(10_000, 20);
-        store.put("s", &data).unwrap();
-        let (bytes, normal) = store.get_with_stats("s").unwrap();
+        let s = store.append(&data);
+        let (bytes, normal) = store.read(s).unwrap();
         assert_eq!(bytes, data);
         assert!(!normal.degraded);
         assert_eq!(normal.repair_elements, 0);
@@ -548,7 +513,7 @@ mod tests {
         assert!(normal.fetched_elements >= normal.requested_elements);
 
         store.fail_disk(0).unwrap();
-        let (bytes, degraded) = store.get_with_stats("s").unwrap();
+        let (bytes, degraded) = store.read(s).unwrap();
         assert_eq!(bytes, data);
         assert!(degraded.degraded);
         assert!(degraded.cost >= 1.0);
@@ -558,14 +523,14 @@ mod tests {
     fn verify_on_read_treats_corruption_as_erasure() {
         let (store, faulty) = faulty_store();
         let data = blob(30_000, 51);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
 
         // Disk 2 starts lying: every read comes back bit-flipped. The
         // read must detect it, replan degraded, and still return
         // byte-correct data.
         faulty[2].arm(FaultKind::FlipCorrupt, 0);
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data, "corrupted answers never reach the caller");
         assert!(stats.degraded);
         assert_eq!(stats.replans, 1);
@@ -579,7 +544,7 @@ mod tests {
         // Honest again: probe passes, reads are clean and normal.
         faulty[2].clear();
         assert!(store.probe_disk(2));
-        let (bytes, stats) = store.get_with_stats("x").unwrap();
+        let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(!stats.degraded);
     }
@@ -588,10 +553,10 @@ mod tests {
     fn degraded_reads_reuse_solved_coefficients() {
         let store = lrc_store();
         let data = blob(20_000, 23);
-        store.put("hot", &data).unwrap();
+        let hot = store.append(&data);
         store.fail_disk(2).unwrap();
         for _ in 0..10 {
-            assert_eq!(store.get("hot").unwrap(), data);
+            assert_eq!(store.read(hot).unwrap().0, data);
         }
         let (hits, misses) = store.scheme().decoder().stats();
         assert!(misses > 0, "cache must have been exercised");
@@ -608,10 +573,10 @@ mod tests {
         // per-disk request per disk per read round.
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
         let data = blob(30_000, 40);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
         let before = store.recorder().snapshot().counters["read.rpcs"];
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
         let snap = store.recorder().snapshot();
         let rpcs = snap.counters["read.rpcs"] - before;
         assert!(
@@ -632,11 +597,11 @@ mod tests {
         // cross parity rows, which punch periodic holes in the per-disk
         // offsets — those batches stay `BatchGet`.)
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
-        store.put("x", &blob(30_000, 41)).unwrap();
+        let x = store.append(&blob(30_000, 41));
         store.flush();
         // Elements 0..11: every disk serves offset 0, the first two also
         // serve offset 1 → two [0, 1] runs.
-        store.get_range("x", 0, 700).unwrap();
+        store.read_extent(x, 0, 700, &ReadOpts::default()).unwrap();
         let runs = store.recorder().snapshot().counters["read.coalesced_runs"];
         assert!(
             runs >= 2,
@@ -689,7 +654,7 @@ mod tests {
             ThreadedArray::from_backends(backends),
         ));
         let data = blob(30_000, 60);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
 
         // Read A parks inside disk 0 (one retry so far); read B runs
@@ -703,11 +668,11 @@ mod tests {
         *retrying.park.lock() = Some((parked_tx, release_rx));
         let a = std::thread::spawn({
             let store = Arc::clone(&store);
-            move || store.get("x").unwrap()
+            move || store.read(x).unwrap().0
         });
         parked.recv().unwrap();
         assert_eq!(registry(), 1, "A's retry shows while A is in flight");
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
         assert_eq!(registry(), 2);
         release.send(()).unwrap();
         assert_eq!(a.join().unwrap(), data);

@@ -368,7 +368,7 @@ mod tests {
 
     use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
     use super::*;
-    use crate::{RepairConfig, RepairManager};
+    use crate::{ObjectMeta, RepairConfig, RepairManager};
 
     /// A disk that counts the cells written to it.
     #[derive(Debug, Default)]
@@ -395,8 +395,9 @@ mod tests {
     }
 
     /// An RS(6,3) EC-FRM store of 64-byte elements on 100 µs disks, a
-    /// [`CountingDisk`] in slot 4, holding `data` sealed.
-    fn counted_store(data: &[u8]) -> (Arc<ObjectStore>, Arc<CountingDisk>) {
+    /// [`CountingDisk`] in slot 4, holding `data` sealed at the extent
+    /// returned beside it.
+    fn counted_store(data: &[u8]) -> (Arc<ObjectStore>, Arc<CountingDisk>, ObjectMeta) {
         let scheme = ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3)));
         let counting = Arc::new(CountingDisk::default());
         let backends: Vec<Arc<dyn DiskBackend>> = (0..scheme.n_disks())
@@ -407,15 +408,15 @@ mod tests {
             .collect();
         let array = ThreadedArray::from_backends(backends);
         let store = Arc::new(ObjectStore::with_array(scheme, 64, array));
-        store.put("x", data).unwrap();
+        let x = store.append(data);
         store.flush();
-        (store, counting)
+        (store, counting, x)
     }
 
     #[test]
     fn recover_disk_beside_a_manager_writes_each_victim_cell_once() {
         let data = blob(40_000, 18);
-        let (store, counting) = counted_store(&data);
+        let (store, counting, x) = counted_store(&data);
         let stripes = store.stats().stripes;
         let rows = store.scheme().layout().offsets_per_stripe();
         let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
@@ -433,13 +434,13 @@ mod tests {
         assert_eq!(written, stripes * rows, "every victim cell written once");
         assert_eq!(rebuilt + by_manager, stripes * rows);
         assert!(store.stats().failed_disks.is_empty());
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
     }
 
     #[test]
     fn a_failed_recover_disk_resumes_with_only_the_owed_stripes() {
         let data = blob(40_000, 19);
-        let (store, counting) = counted_store(&data);
+        let (store, counting, x) = counted_store(&data);
         let stripes = store.stats().stripes;
         let rows = store.scheme().layout().offsets_per_stripe();
         let written = || counting.cells.load(Ordering::Relaxed) as u64;
@@ -473,7 +474,7 @@ mod tests {
         assert_eq!(written() - before, (stripes - s) * rows, "no re-wipe");
         assert_eq!(rebuilt, (stripes - s) * rows);
         assert!(store.stats().failed_disks.is_empty());
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
         assert!(store.scrub().unwrap().is_clean());
     }
 
@@ -485,13 +486,13 @@ mod tests {
             let name = scheme.name();
             let store = ObjectStore::new(scheme, 32);
             let data = blob(9_000, 11);
-            store.put("o", &data).unwrap();
+            let o = store.append(&data);
             store.flush();
             for d in 0..6 {
                 store.fail_disk(d).unwrap();
                 store.array.disk(d).wipe();
                 store.recover_disk(d).unwrap();
-                assert_eq!(store.get("o").unwrap(), data, "{name} disk {d}");
+                assert_eq!(store.read(o).unwrap().0, data, "{name} disk {d}");
             }
         }
     }
@@ -508,7 +509,7 @@ mod tests {
             let store = ObjectStore::new(ecfrm_scheme(code), 64);
             let name = store.scheme().name();
             let data = blob(15_000, 13);
-            store.put("m", &data).unwrap();
+            let m = store.append(&data);
             store.flush();
             let lost = [0usize, 4, 8];
             let cells: Vec<usize> = lost.iter().map(|&d| store.array.disk(d).len()).collect();
@@ -519,7 +520,7 @@ mod tests {
             }
             for (d, cells) in lost.into_iter().zip(cells) {
                 assert_eq!(store.recover_disk(d).unwrap(), cells, "{name} disk {d}");
-                assert_eq!(store.get("m").unwrap(), data, "{name} disk {d}");
+                assert_eq!(store.read(m).unwrap().0, data, "{name} disk {d}");
             }
             assert!(store.stats().failed_disks.is_empty());
             assert!(store.scrub().unwrap().is_clean(), "{name}");
@@ -529,7 +530,7 @@ mod tests {
     #[test]
     fn recover_beyond_tolerance_is_data_loss_and_destroys_nothing() {
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
-        store.put("x", &blob(5_000, 14)).unwrap();
+        store.append(&blob(5_000, 14));
         store.flush();
         for d in [0usize, 1, 2, 3] {
             store.fail_disk(d).unwrap();
@@ -546,7 +547,7 @@ mod tests {
     fn recover_disk_excludes_a_lying_helper_and_rebuilds_exact_bytes() {
         let (store, faulty) = faulty_store();
         let data = blob(30_000, 17);
-        store.put("x", &data).unwrap();
+        let x = store.append(&data);
         store.flush();
         let (lost, liar) = (2usize, 5usize);
         let cells = store.array.disk(lost).len() as u64;
@@ -563,14 +564,14 @@ mod tests {
             assert_eq!(got.as_ref(), Some(want), "rebuilt cell {o}");
         }
         faulty[liar].clear();
-        assert_eq!(store.get("x").unwrap(), data);
+        assert_eq!(store.read(x).unwrap().0, data);
     }
 
     #[test]
     fn repair_stripe_by_stripe_restores_a_wiped_disk() {
         let store = lrc_store();
         let data = blob(30_000, 15);
-        store.put("big", &data).unwrap();
+        let big = store.append(&data);
         store.flush();
         let elements = store.array.disk(4).len();
         store.fail_disk(4).unwrap();
@@ -590,9 +591,9 @@ mod tests {
         }
         assert_eq!(rebuilt, elements, "every lost element rebuilt");
         // Still planned around until healed — then fully back.
-        assert!(store.get_with_stats("big").unwrap().1.degraded);
+        assert!(store.read(big).unwrap().1.degraded);
         store.heal_disk(4).unwrap();
-        let (bytes, stats) = store.get_with_stats("big").unwrap();
+        let (bytes, stats) = store.read(big).unwrap();
         assert_eq!(bytes, data);
         assert!(!stats.degraded);
         assert_eq!(stats.repair_elements, 0);
@@ -601,7 +602,7 @@ mod tests {
     #[test]
     fn repair_stripe_rejects_bad_coordinates() {
         let store = lrc_store();
-        store.put("x", &blob(5_000, 16)).unwrap();
+        store.append(&blob(5_000, 16));
         store.flush();
         assert!(matches!(
             store.repair_stripe(10, 0),

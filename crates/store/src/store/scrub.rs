@@ -44,8 +44,15 @@ impl ObjectStore {
     ///         .layout(ecfrm_core::LayoutKind::EcFrm)
     ///         .build(),
     ///     512);
-    /// store.put("x", &vec![1u8; 40_000]).unwrap();
+    /// let x = store.append(&vec![1u8; 40_000]);
+    /// assert_eq!(store.read(x).unwrap().0, vec![1u8; 40_000]);
     /// assert!(store.scrub().unwrap().is_clean());
+    ///
+    /// // A down disk is planned around by reads and not read by scrubs.
+    /// store.fail_disk(4).unwrap();
+    /// assert_eq!(store.read(x).unwrap().0, vec![1u8; 40_000]);
+    /// let report = store.scrub().unwrap();
+    /// assert!(report.corrupt_elements.is_empty() && report.missing_elements > 0);
     /// ```
     pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
         self.flush();
@@ -169,7 +176,7 @@ mod tests {
     #[test]
     fn scrub_clean_then_detects_corruption() {
         let store = lrc_store();
-        store.put("c", &blob(9_000, 21)).unwrap();
+        store.append(&blob(9_000, 21));
         store.flush();
         let report = store.scrub().unwrap();
         assert!(report.is_clean(), "{report:?}");
@@ -206,7 +213,7 @@ mod tests {
         // Corrupt one byte of one known cell and require the scrub to
         // name exactly that (stripe, leaf) via the merkle path.
         let store = lrc_store();
-        store.put("c", &blob(9_000, 33)).unwrap();
+        store.append(&blob(9_000, 33));
         store.flush();
         let disk = 7usize;
         let victim = store.array().disk(disk);
@@ -235,7 +242,7 @@ mod tests {
     #[test]
     fn scrub_counts_missing_on_failed_disk() {
         let store = lrc_store();
-        store.put("m", &blob(5_000, 22)).unwrap();
+        store.append(&blob(5_000, 22));
         store.flush();
         store.fail_disk(1).unwrap();
         let report = store.scrub().unwrap();
@@ -247,7 +254,7 @@ mod tests {
     fn scrub_reads_no_cell_of_a_down_disk() {
         // `FaultyDisk` counts every read it is sent, armed or not.
         let (store, faulty) = faulty_store();
-        store.put("m", &blob(30_000, 23)).unwrap();
+        store.append(&blob(30_000, 23));
         store.flush();
         store.fail_disk(1).unwrap();
         let sealed_cells = faulty[1].inner().len();

@@ -14,42 +14,31 @@ use crate::error::StoreError;
 use crate::meta::{ObjectMeta, StripeManifest};
 
 impl ObjectStore {
-    /// Append an object. Full stripes are sealed and encoded eagerly;
-    /// the tail stays buffered until [`Self::flush`] or a read needs it.
-    ///
-    /// # Errors
-    /// [`StoreError::AlreadyExists`] if the name is taken.
-    pub fn put(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut state = self.state.lock();
-        if state.catalog.contains_key(name) {
-            return Err(StoreError::AlreadyExists(name.to_string()));
-        }
-        let meta = self.append_locked(&mut state, bytes);
-        state.catalog.insert(name.to_string(), meta);
-        Ok(())
-    }
-
-    /// Append anonymous bytes to the logical stream, returning the
-    /// extent they occupy — the front door's write primitive: extent
-    /// records ([`crate::ExtentRecord`]) reference these locations
-    /// without entering the store's name catalog.
-    ///
-    /// Like [`Self::put`], full stripes seal eagerly and the tail stays
-    /// buffered until a flush or a read needs it. Read the bytes back
-    /// with [`Self::read_extent`].
+    /// Append `bytes` to the logical stream, returning the extent they
+    /// occupy. Full stripes are sealed and encoded eagerly; the tail
+    /// stays buffered until [`Self::flush`] or a read needs it. Read
+    /// the bytes back with [`Self::read`] or [`Self::read_extent`];
+    /// naming them is the [`FrontDoor`](crate::FrontDoor)'s job.
     pub fn append(&self, bytes: &[u8]) -> ObjectMeta {
-        self.append_locked(&mut self.state.lock(), bytes)
-    }
-
-    fn append_locked(&self, state: &mut StripeState, bytes: &[u8]) -> ObjectMeta {
+        let mut state = self.state.lock();
         let meta = ObjectMeta {
             offset: state.logical_len,
             len: bytes.len() as u64,
         };
         state.pending.extend_from_slice(bytes);
         state.logical_len += bytes.len() as u64;
-        self.seal_full_stripes(state);
+        self.seal_full_stripes(&mut state);
         meta
+    }
+
+    /// [`Self::append`], dropping the extent. Kept only for the frozen
+    /// e2e trace probe (`crates/bench/src/bin/e2e`); the name is not
+    /// recorded anywhere.
+    #[deprecated(note = "use `append` and keep the extent it returns")]
+    #[doc(hidden)]
+    pub fn put(&self, _name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        self.append(bytes);
+        Ok(())
     }
 
     /// Seal the pending tail by zero-padding to a stripe boundary, so
@@ -254,9 +243,7 @@ mod tests {
                     2 * stripe_bytes + 5,
                 ];
                 let objects: Vec<Vec<u8>> = (0..3).map(|i| blob(lens[i], 40 + i as u8)).collect();
-                for (i, data) in objects.iter().enumerate() {
-                    store.put(&format!("o{i}"), data).unwrap();
-                }
+                let extents: Vec<ObjectMeta> = objects.iter().map(|o| store.append(o)).collect();
                 store.flush();
                 let mut stream = objects.concat();
                 let stripes = store.stats().stripes;
@@ -280,8 +267,8 @@ mod tests {
                 assert!(store.manifest(stripes).is_none());
                 let report = store.scrub().unwrap();
                 assert!(report.is_clean(), "{layout:?}: {report:?}");
-                for (i, data) in objects.iter().enumerate() {
-                    assert_eq!(&store.get(&format!("o{i}")).unwrap(), data);
+                for (extent, data) in extents.into_iter().zip(&objects) {
+                    assert_eq!(&store.read(extent).unwrap().0, data);
                 }
             }
         }
@@ -292,7 +279,7 @@ mod tests {
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 32);
         let counter = |name: &str| store.recorder().snapshot().counters[name];
         let stripe_bytes = store.stripe_bytes();
-        store.put("a", &blob(5 * stripe_bytes + 9, 1)).unwrap();
+        let a = store.append(&blob(5 * stripe_bytes + 9, 1));
         assert_eq!(counter("write.rpcs"), 9);
         assert_eq!(counter("write.runs"), 9);
         assert_eq!(counter("write.batch_elems"), 5 * 27);
@@ -306,40 +293,28 @@ mod tests {
         assert_eq!(counter("write.rpcs"), 18 + 6);
         assert_eq!(counter("write.runs"), 18 + 6);
         assert_eq!(counter("write.batch_elems"), 6 * 27 + 18);
-        assert_eq!(store.get("a").unwrap(), blob(5 * stripe_bytes + 9, 1));
+        assert_eq!(store.read(a).unwrap().0, blob(5 * stripe_bytes + 9, 1));
     }
 
     #[test]
     fn small_object_needs_flush_and_gets_it() {
         let store = lrc_store();
         let data = blob(10, 2);
-        store.put("tiny", &data).unwrap();
+        let tiny = store.append(&data);
         // Not yet sealed...
         assert_eq!(store.stats().stripes, 0);
-        // ...but get() flushes automatically.
-        assert_eq!(store.get("tiny").unwrap(), data);
+        // ...but a read flushes automatically.
+        assert_eq!(store.read(tiny).unwrap().0, data);
         assert!(store.stats().stripes >= 1);
-    }
-
-    #[test]
-    fn duplicate_name_rejected() {
-        let store = lrc_store();
-        store.put("x", &[1, 2, 3]).unwrap();
-        assert!(matches!(
-            store.put("x", &[4]),
-            Err(StoreError::AlreadyExists(_))
-        ));
     }
 
     #[test]
     fn stats_track_growth() {
         let store = lrc_store();
         let s0 = store.stats();
-        assert_eq!(s0.objects, 0);
         assert_eq!(s0.logical_bytes, 0);
-        store.put("a", &blob(100, 12)).unwrap();
+        store.append(&blob(100, 12));
         let s1 = store.stats();
-        assert_eq!(s1.objects, 1);
         assert_eq!(s1.logical_bytes, 100);
         assert_eq!(s1.pending_bytes, 100);
         store.flush();

@@ -29,7 +29,7 @@ fn main() {
     let payload: Vec<u8> = (0..2_000_000u32)
         .map(|i| ((i * 7 + 13) % 256) as u8)
         .collect();
-    store.put("volume.img", &payload).expect("put");
+    let volume = store.append(&payload);
     store.flush();
 
     // --- Scenario 1: transient failure -------------------------------
@@ -42,7 +42,7 @@ fn main() {
         plan.cost(),
         plan.repair_fetched()
     );
-    assert_eq!(store.get("volume.img").expect("degraded read"), payload);
+    assert_eq!(store.read(volume).expect("degraded read").0, payload);
     store.heal_disk(5).expect("heal");
     println!("  disk healed, no rebuild needed\n");
 
@@ -58,7 +58,7 @@ fn main() {
     store.fail_disk(1).expect("fail");
     let rebuilt = store.recover_disk(1).expect("recover");
     println!("  rebuilt {rebuilt} elements; verifying reads...");
-    assert_eq!(store.get("volume.img").expect("read"), payload);
+    assert_eq!(store.read(volume).expect("read").0, payload);
     println!("  ok\n");
 
     // --- Scenario 3: triple failure (MDS limit) ----------------------
@@ -66,15 +66,12 @@ fn main() {
     for d in [0, 4, 8] {
         store.fail_disk(d).expect("fail");
     }
-    assert_eq!(
-        store.get("volume.img").expect("triple-degraded read"),
-        payload
-    );
+    assert_eq!(store.read(volume).expect("triple-degraded read").0, payload);
     println!("  triple-degraded read ok; rebuilding one disk at a time");
     for d in [0, 4, 8] {
         let n = store.recover_disk(d).expect("recover");
         println!("  disk {d}: {n} elements rebuilt");
     }
-    assert_eq!(store.get("volume.img").expect("read"), payload);
+    assert_eq!(store.read(volume).expect("read").0, payload);
     println!("  all healthy again — drill complete");
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use ecfrm::codes::{CandidateCode, LrcCode};
 use ecfrm::core::{LayoutKind, Scheme};
 use ecfrm::sim::{mean, speed_mb_s, ArraySim, DiskModel};
-use ecfrm::store::ObjectStore;
+use ecfrm::store::{ObjectMeta, ObjectStore};
 use ecfrm::util::Rng;
 
 /// 1 MB elements, as in the paper's discussion.
@@ -27,16 +27,11 @@ fn main() {
     let code: Arc<dyn CandidateCode> = Arc::new(LrcCode::new(6, 2, 2));
     let mut rng = Rng::seed_from_u64(2015);
 
-    // A library of songs: 3-12 MB each.
-    let songs: Vec<(String, usize)> = (0..40)
-        .map(|i| {
-            (
-                format!("track{i:02}.mp3"),
-                rng.random_range(3usize..=12) * ELEMENT,
-            )
-        })
+    // A library of songs: 3-12 MB each, by size.
+    let songs: Vec<usize> = (0..40)
+        .map(|_| rng.random_range(3usize..=12) * ELEMENT)
         .collect();
-    let total_mb: usize = songs.iter().map(|(_, s)| s / ELEMENT).sum();
+    let total_mb: usize = songs.iter().map(|s| s / ELEMENT).sum();
     println!("library: {} songs, {total_mb} MB total\n", songs.len());
 
     for scheme in [
@@ -49,11 +44,16 @@ fn main() {
         let sim = ArraySim::uniform(scheme.n_disks(), DiskModel::savvio_10k3(), ELEMENT);
         let store = ObjectStore::new(scheme, ELEMENT);
 
-        // Ingest the library (content is synthetic but unique per song).
-        for (i, (title, size)) in songs.iter().enumerate() {
-            let body: Vec<u8> = (0..*size).map(|j| ((i * 37 + j) % 256) as u8).collect();
-            store.put(title, &body).expect("put song");
-        }
+        // Ingest the library (content is synthetic but unique per song),
+        // keeping each song's extent by its index in `songs`.
+        let extents: Vec<ObjectMeta> = songs
+            .iter()
+            .enumerate()
+            .map(|(i, size)| {
+                let body: Vec<u8> = (0..*size).map(|j| ((i * 37 + j) % 256) as u8).collect();
+                store.append(&body)
+            })
+            .collect();
         store.flush();
 
         // Replay 500 random song fetches; model each fetch's time from
@@ -62,9 +62,9 @@ fn main() {
         let mut speeds = Vec::new();
         let mut worst_case_ms: f64 = 0.0;
         for _ in 0..500 {
-            let (title, size) = &songs[replay.random_range(0..songs.len())];
-            let meta = store.meta(title).expect("song exists");
-            let first = meta.offset / ELEMENT as u64;
+            let song = replay.random_range(0..songs.len());
+            let (extent, size) = (extents[song], &songs[song]);
+            let first = extent.offset / ELEMENT as u64;
             let count = size / ELEMENT;
             let plan = store.scheme().normal_read_plan(first, count);
             let t = sim.read_time_ms(&plan.per_disk_load(), &mut replay);
@@ -73,7 +73,7 @@ fn main() {
 
             // Also actually fetch the bytes through the threaded engine,
             // verifying the data path end to end.
-            let body = store.get(title).expect("read song");
+            let (body, _) = store.read(extent).expect("read song");
             assert_eq!(body.len(), *size);
         }
         println!(

@@ -49,22 +49,22 @@ fn main() {
         4096,
     );
     let payload: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
-    store.put("dataset.bin", &payload).expect("put");
-    let read = store.get("dataset.bin").expect("normal read");
+    let dataset = store.append(&payload);
+    let read = store.read(dataset).expect("normal read").0;
     assert_eq!(read, payload);
     println!("stored + read back {} bytes (normal read ok)", read.len());
 
     // 4. Degraded read: fail a disk, read again — reconstruction is
     //    transparent.
     store.fail_disk(2).expect("fail disk 2");
-    let read = store.get("dataset.bin").expect("degraded read");
+    let read = store.read(dataset).expect("degraded read").0;
     assert_eq!(read, payload);
     println!("degraded read with disk 2 down: ok");
 
     // 5. Permanent loss: wipe the disk and rebuild it from survivors.
     let rebuilt = store.recover_disk(2).expect("recovery");
     println!("recovered disk 2: {rebuilt} elements rebuilt");
-    let read = store.get("dataset.bin").expect("read after recovery");
+    let read = store.read(dataset).expect("read after recovery").0;
     assert_eq!(read, payload);
     println!("read after recovery: ok");
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ecfrm::codes::{CandidateCode, LrcCode, RsCode, XorCode};
 use ecfrm::core::{LayoutKind, Scheme};
-use ecfrm::store::{ObjectStore, StoreError};
+use ecfrm::store::{ObjectMeta, ObjectStore, ReadOpts, StoreError};
 
 fn all_codes() -> Vec<Arc<dyn CandidateCode>> {
     vec![
@@ -46,8 +46,8 @@ fn full_matrix_put_get() {
             let name = scheme.name();
             let store = ObjectStore::new(scheme, 256);
             let data = blob(40_000, 1);
-            store.put("obj", &data).unwrap();
-            assert_eq!(store.get("obj").unwrap(), data, "{name}");
+            let obj = store.append(&data);
+            assert_eq!(store.read(obj).unwrap().0, data, "{name}");
         }
     }
 }
@@ -60,10 +60,10 @@ fn full_matrix_degraded_get_single_failure() {
             let n = scheme.n_disks();
             let store = ObjectStore::new(scheme, 128);
             let data = blob(20_000, 2);
-            store.put("obj", &data).unwrap();
+            let obj = store.append(&data);
             for d in 0..n {
                 store.fail_disk(d).unwrap();
-                assert_eq!(store.get("obj").unwrap(), data, "{name} disk {d}");
+                assert_eq!(store.read(obj).unwrap().0, data, "{name} disk {d}");
                 store.heal_disk(d).unwrap();
             }
         }
@@ -78,12 +78,12 @@ fn full_matrix_recover_every_disk() {
             let n = scheme.n_disks();
             let store = ObjectStore::new(scheme, 128);
             let data = blob(15_000, 3);
-            store.put("obj", &data).unwrap();
+            let obj = store.append(&data);
             store.flush();
             for d in 0..n {
                 store.fail_disk(d).unwrap();
                 store.recover_disk(d).unwrap();
-                assert_eq!(store.get("obj").unwrap(), data, "{name} disk {d}");
+                assert_eq!(store.read(obj).unwrap().0, data, "{name} disk {d}");
             }
         }
     }
@@ -100,7 +100,7 @@ fn max_tolerance_degraded_reads() {
         let name = scheme.name();
         let store = ObjectStore::new(scheme, 128);
         let data = blob(25_000, 4);
-        store.put("obj", &data).unwrap();
+        let obj = store.append(&data);
         // A few adversarial subsets: leading, trailing, strided.
         let subsets: Vec<Vec<usize>> = vec![
             (0..t).collect(),
@@ -117,7 +117,7 @@ fn max_tolerance_degraded_reads() {
             for &d in &disks {
                 store.fail_disk(d).unwrap();
             }
-            assert_eq!(store.get("obj").unwrap(), data, "{name} failed {disks:?}");
+            assert_eq!(store.read(obj).unwrap().0, data, "{name} failed {disks:?}");
             for &d in &disks {
                 store.heal_disk(d).unwrap();
             }
@@ -131,16 +131,16 @@ fn many_small_objects_across_stripes() {
         .layout(LayoutKind::EcFrm)
         .build();
     let store = ObjectStore::new(scheme, 64);
-    let objects: Vec<(String, Vec<u8>)> = (0..100)
-        .map(|i| (format!("o{i}"), blob(37 * (i + 1), i as u8)))
+    let objects: Vec<(ObjectMeta, Vec<u8>)> = (0..100)
+        .map(|i| {
+            let data = blob(37 * (i + 1), i as u8);
+            (store.append(&data), data)
+        })
         .collect();
-    for (name, data) in &objects {
-        store.put(name, data).unwrap();
-    }
     // Interleave failures with reads.
     store.fail_disk(7).unwrap();
-    for (name, data) in objects.iter().rev() {
-        assert_eq!(&store.get(name).unwrap()[..], &data[..], "{name}");
+    for (i, (extent, data)) in objects.iter().enumerate().rev() {
+        assert_eq!(&store.read(*extent).unwrap().0[..], &data[..], "o{i}");
     }
 }
 
@@ -152,11 +152,13 @@ fn range_reads_cross_stripe_boundaries() {
     let store = ObjectStore::new(scheme.clone(), 100);
     let stripe_bytes = scheme.data_per_stripe() * 100;
     let data = blob(stripe_bytes * 3 + 57, 5);
-    store.put("span", &data).unwrap();
+    let span = store.append(&data);
     // Ranges straddling each stripe boundary.
     for b in 1..=3usize {
         let mid = b * stripe_bytes;
-        let got = store.get_range("span", (mid - 50) as u64, 100).unwrap();
+        let (got, _) = store
+            .read_extent(span, (mid - 50) as u64, 100, &ReadOpts::default())
+            .unwrap();
         assert_eq!(&got[..], &data[mid - 50..mid + 50], "boundary {b}");
     }
 }
@@ -166,11 +168,11 @@ fn data_loss_is_an_error_never_garbage() {
     let scheme = Scheme::builder(Arc::new(XorCode::new(4))).build();
     let store = ObjectStore::new(scheme, 64);
     let data = blob(5_000, 6);
-    store.put("obj", &data).unwrap();
-    store.get("obj").unwrap();
+    let obj = store.append(&data);
+    store.read(obj).unwrap();
     store.fail_disk(0).unwrap();
     store.fail_disk(1).unwrap();
-    match store.get("obj") {
+    match store.read(obj) {
         Err(StoreError::DataLoss(_)) => {}
         other => panic!("expected DataLoss, got {other:?}"),
     }

@@ -100,9 +100,9 @@ fn object_store_over_files_survives_reopen_and_disk_loss() {
             ELEMENT,
             ThreadedArray::from_backends(file_backends(&dir, n, CELL)),
         );
-        store.put("obj", &data).unwrap();
+        let obj = store.append(&data);
         store.flush();
-        assert_eq!(store.get("obj").unwrap(), data);
+        assert_eq!(store.read(obj).unwrap().0, data);
     }
 
     // Reopen the same files; the elements must still decode. Metadata is
@@ -126,9 +126,9 @@ fn object_store_over_files_survives_reopen_and_disk_loss() {
     // A disk wiped on the reopened array degrades but does not lose data
     // for a store built over the same array.
     let store = ObjectStore::with_array(scheme, ELEMENT, array);
-    store.put("obj2", &data).unwrap();
+    let obj2 = store.append(&data);
     store.flush();
     store.fail_disk(1).unwrap();
-    assert_eq!(store.get("obj2").unwrap(), data);
+    assert_eq!(store.read(obj2).unwrap().0, data);
     let _ = std::fs::remove_dir_all(&dir);
 }

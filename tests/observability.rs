@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ecfrm::codes::RsCode;
 use ecfrm::core::{LayoutKind, Scheme};
-use ecfrm::store::ObjectStore;
+use ecfrm::store::{ObjectStore, ReadOpts};
 
 const ELEMENT: usize = 512;
 const STRIPES: usize = 32;
@@ -22,11 +22,13 @@ fn store_after_sequential_reads(kind: LayoutKind) -> ObjectStore {
     let store = ObjectStore::new(scheme, ELEMENT);
     let total = ELEMENT * 6 * STRIPES;
     let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     let window = (8 * ELEMENT) as u64;
     let mut off = 0u64;
     while off + window <= total as u64 {
-        let got = store.get_range("obj", off, window).unwrap();
+        let (got, _) = store
+            .read_extent(obj, off, window, &ReadOpts::default())
+            .unwrap();
         assert_eq!(got.len(), window as usize);
         off += window;
     }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ecfrm::codes::{CandidateCode, LrcCode, RsCode, XorCode};
 use ecfrm::core::{LayoutKind, ReadCtx, Scheme};
 use ecfrm::layout::{EcFrmLayout, Layout, Loc, RotatedLayout, ShuffledLayout, StandardLayout};
-use ecfrm::store::ObjectStore;
+use ecfrm::store::{ObjectStore, ReadOpts};
 use ecfrm::util::Rng;
 
 /// Any valid (n, k) pair with n ≤ 24 (keeps exhaustive sub-checks fast).
@@ -285,13 +285,15 @@ fn store_roundtrip_bytes() {
             .build();
         let store = ObjectStore::new(scheme, element_size);
         let data: Vec<u8> = (0..len).map(|i| ((i * 131 + 7) % 256) as u8).collect();
-        store.put("obj", &data).unwrap();
-        assert_eq!(&store.get("obj").unwrap()[..], &data[..]);
+        let obj = store.append(&data);
+        assert_eq!(&store.read(obj).unwrap().0[..], &data[..]);
         if len > 0 {
             let start = (range_frac * (len - 1) as f64) as u64;
             let max_len = len as u64 - start;
             let rlen = (range_len_frac * max_len as f64) as u64;
-            let got = store.get_range("obj", start, rlen).unwrap();
+            let (got, _) = store
+                .read_extent(obj, start, rlen, &ReadOpts::default())
+                .unwrap();
             assert_eq!(&got[..], &data[start as usize..(start + rlen) as usize]);
         }
     }

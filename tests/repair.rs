@@ -43,7 +43,7 @@ fn faulty_store() -> (Arc<ObjectStore>, Vec<Arc<FaultyDisk>>) {
 fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
     let (store, faulty) = faulty_store();
     let data = blob(60_000, 1);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     let stripes = store.stats().stripes;
     assert!(stripes >= 20, "enough stripes to repair: {stripes}");
@@ -71,7 +71,9 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
                 let mut reads = 0usize;
                 while !stop.load(Ordering::Acquire) {
                     let start = (reads * 977 + r * 4099) % (want.len() - 512);
-                    let got = store.get_range("obj", start as u64, 512).unwrap();
+                    let (got, _) = store
+                        .read_extent(obj, start as u64, 512, &ReadOpts::default())
+                        .unwrap();
                     assert_eq!(got, &want[start..start + 512], "foreground read corrupt");
                     reads += 1;
                 }
@@ -136,7 +138,7 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
 
     // A subsequent read is fully normal: no degraded planning, zero
     // repair (decode) fetches, no replans.
-    let (bytes, stats) = store.get_with_stats("obj").unwrap();
+    let (bytes, stats) = store.read(obj).unwrap();
     assert_eq!(bytes, data);
     assert!(!stats.degraded, "read after repair must plan normally");
     assert_eq!(stats.repair_elements, 0, "zero decodes after repair");
@@ -152,7 +154,7 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
 fn degraded_read_hints_repair_hot_stripes_first() {
     let (store, faulty) = faulty_store();
     let data = blob(60_000, 2);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     // Pause the pipeline so detection/promotion is deterministic, kill a
@@ -168,9 +170,8 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     );
     mgr.pause();
     faulty[5].arm(FaultKind::Kill, 0);
-    let extent = store.meta("obj").unwrap();
     let (got, stats) = store
-        .read_extent(extent, 0, 512, &ReadOpts::default())
+        .read_extent(obj, 0, 512, &ReadOpts::default())
         .unwrap();
     assert_eq!(got, &data[..512]);
     assert!(stats.degraded);
@@ -187,7 +188,7 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     );
     assert!(store.stats().failed_disks.is_empty());
     assert_eq!(mgr.progress().stripes_done, store.stats().stripes);
-    let (bytes, stats) = store.get_with_stats("obj").unwrap();
+    let (bytes, stats) = store.read(obj).unwrap();
     assert_eq!(bytes, data);
     assert!(!stats.degraded);
 }
@@ -196,14 +197,14 @@ fn degraded_read_hints_repair_hot_stripes_first() {
 fn transient_suspect_is_cleared_without_repair_traffic() {
     let (store, faulty) = faulty_store();
     let data = blob(30_000, 3);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
 
     // A disk that goes quiet for one read and comes back before the
     // probe: the detector withdraws the suspicion and no reconstruction
     // happens.
     faulty[6].arm(FaultKind::Kill, 0);
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
     assert_eq!(store.stats().suspect_disks, vec![6]);
     faulty[6].clear(); // healthy — the probe will get an answer
     let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
@@ -212,7 +213,7 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
     assert_eq!(mgr.progress().stripes_done, 0, "no repair traffic");
     assert_eq!(mgr.progress().disks_restored, 0);
     assert!(store.stats().failed_disks.is_empty());
-    let (bytes, stats) = store.get_with_stats("obj").unwrap();
+    let (bytes, stats) = store.read(obj).unwrap();
     assert_eq!(bytes, data);
     assert!(!stats.degraded);
 }
@@ -221,13 +222,14 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
 fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
     let (store, faulty) = faulty_store();
     let data = blob(60_000, 7);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     let stripes = store.stats().stripes;
     let counter = |name: &str| {
         let snap = store.recorder().snapshot();
         snap.counters.get(name).copied().unwrap_or(0)
     };
+    let repair_todo = || store.recorder().snapshot().gauges["disks.repair_todo"];
 
     // At 1 B/s the lone worker rebuilds one stripe and parks on the
     // limiter, so the disk stays promoted until the fault is cleared.
@@ -248,7 +250,9 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
             let mut reads = 0usize;
             while !stop.load(Ordering::Acquire) {
                 let start = (reads * 977) % (want.len() - 512);
-                let got = store.get_range("obj", start as u64, 512).unwrap();
+                let (got, _) = store
+                    .read_extent(obj, start as u64, 512, &ReadOpts::default())
+                    .unwrap();
                 assert_eq!(got, &want[start..start + 512], "a lie reached a reader");
                 reads += 1;
             }
@@ -267,6 +271,9 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
     }
     assert!(counter("integrity.verify_fail") > 0);
     assert_eq!(throttled.progress().active_disks, vec![2]);
+    // Paused mid-rebuild: the backlog gauge reads the stripes still owed.
+    throttled.pause();
+    assert!(repair_todo() > 0, "a paused rebuild still owes stripes");
 
     // The disk stops lying; a new manager resumes the record.
     faulty[2].clear();
@@ -281,6 +288,7 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
     mgr.shutdown();
     assert!(reader.join().expect("foreground reader died") > 0);
     assert!(store.stats().failed_disks.is_empty(), "the disk healed");
+    assert_eq!(repair_todo(), 0, "nothing owed once idle");
     assert_eq!(counter("repair.stripes_done"), stripes);
     assert_eq!(counter("repair.disks_restored"), 1);
     assert!(store.scrub().unwrap().is_clean());
@@ -290,7 +298,7 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
 fn rate_limited_repair_still_completes() {
     let (store, _faulty) = faulty_store();
     let data = blob(40_000, 4);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     store.fail_disk(1).unwrap();
     store.array().disk(1).wipe();
@@ -310,7 +318,7 @@ fn rate_limited_repair_still_completes() {
         mgr.progress()
     );
     assert!(store.stats().failed_disks.is_empty());
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
     assert!(store.scrub().unwrap().is_clean());
 }
 
@@ -319,7 +327,7 @@ fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
     let (store, _faulty) = faulty_store();
     // 32 stripes: one is rebuilt per manager generation below.
     let data = blob(32 * 18 * 64, 6);
-    store.put("obj", &data).unwrap();
+    let obj = store.append(&data);
     store.flush();
     let stripes = store.stats().stripes;
     store.fail_disk(1).unwrap();
@@ -369,13 +377,13 @@ fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
     assert_eq!(counter("repair.abandoned_stripes"), 0);
     assert!(store.stats().failed_disks.is_empty(), "the disk healed");
     assert_eq!(counter("repair.stripes_done"), stripes);
-    assert_eq!(store.get("obj").unwrap(), data);
+    assert_eq!(store.read(obj).unwrap().0, data);
 }
 
 #[test]
 fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
     let (store, _faulty) = faulty_store();
-    store.put("obj", &blob(12_000, 5)).unwrap();
+    let obj = store.append(&blob(12_000, 5));
     store.flush();
     let stripes = store.stats().stripes;
     let mgr = RepairManager::spawn(
@@ -409,7 +417,7 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
             // The disk comes back empty: a read finds it so, the probe
             // finds nothing at offset 0 and the detector promotes it.
             store.array().disk(4).wipe();
-            assert_eq!(store.get("obj").unwrap(), blob(12_000, 5));
+            assert_eq!(store.read(obj).unwrap().0, blob(12_000, 5));
             owed.store(round * stripes, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + Duration::from_secs(60);
             while mgr.progress().disks_restored < round {
@@ -421,5 +429,5 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
         assert_eq!(watcher.join().unwrap(), 0, "idle reported mid-promotion");
     });
     assert_eq!(mgr.progress().stripes_done, 200 * stripes);
-    assert_eq!(store.get("obj").unwrap(), blob(12_000, 5));
+    assert_eq!(store.read(obj).unwrap().0, blob(12_000, 5));
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 use ecfrm::codes::LrcCode;
 use ecfrm::core::{LayoutKind, Scheme};
 use ecfrm::sim::ThreadedArray;
-use ecfrm::store::ObjectStore;
+use ecfrm::store::{ObjectMeta, ObjectStore};
 
 const LATENCY: Duration = Duration::from_millis(20);
 const ELEMENT: usize = 1024;
@@ -24,20 +24,21 @@ fn store_with_latency(scheme: Scheme) -> ObjectStore {
     ObjectStore::with_array(scheme, ELEMENT, array)
 }
 
-/// An object spanning exactly 8 elements, starting at element 0.
-fn eight_element_object(store: &ObjectStore) -> Vec<u8> {
+/// An extent spanning exactly 8 elements, starting at element 0, and
+/// its bytes.
+fn eight_element_object(store: &ObjectStore) -> (ObjectMeta, Vec<u8>) {
     let data: Vec<u8> = (0..8 * ELEMENT).map(|i| (i % 251) as u8).collect();
-    store.put("eight", &data).unwrap();
+    let eight = store.append(&data);
     store.flush();
-    data
+    (eight, data)
 }
 
 #[test]
 fn standard_layout_pays_two_latencies() {
     let code = Arc::new(LrcCode::new(6, 2, 2));
     let store = store_with_latency(Scheme::builder(code).build());
-    let data = eight_element_object(&store);
-    let (bytes, stats) = store.get_with_stats("eight").unwrap();
+    let (eight, data) = eight_element_object(&store);
+    let (bytes, stats) = store.read(eight).unwrap();
     assert_eq!(bytes, data);
     assert_eq!(stats.max_disk_load, 2, "Figure 3(a): double-loaded disk");
     assert!(
@@ -51,8 +52,8 @@ fn standard_layout_pays_two_latencies() {
 fn ecfrm_layout_pays_one_latency() {
     let code = Arc::new(LrcCode::new(6, 2, 2));
     let store = store_with_latency(Scheme::builder(code).layout(LayoutKind::EcFrm).build());
-    let data = eight_element_object(&store);
-    let (bytes, stats) = store.get_with_stats("eight").unwrap();
+    let (eight, data) = eight_element_object(&store);
+    let (bytes, stats) = store.read(eight).unwrap();
     assert_eq!(bytes, data);
     assert_eq!(stats.max_disk_load, 1, "Figure 7(a): no disk loaded twice");
     assert!(
@@ -71,15 +72,15 @@ fn ecfrm_is_faster_in_wall_clock_across_many_reads() {
     let code = Arc::new(LrcCode::new(6, 2, 2));
     let std_store = store_with_latency(Scheme::builder(code.clone()).build());
     let ec_store = store_with_latency(Scheme::builder(code).layout(LayoutKind::EcFrm).build());
-    let d1 = eight_element_object(&std_store);
-    let d2 = eight_element_object(&ec_store);
+    let (e1, d1) = eight_element_object(&std_store);
+    let (e2, d2) = eight_element_object(&ec_store);
     assert_eq!(d1, d2);
 
     let mut std_total = Duration::ZERO;
     let mut ec_total = Duration::ZERO;
     for _ in 0..5 {
-        std_total += std_store.get_with_stats("eight").unwrap().1.elapsed;
-        ec_total += ec_store.get_with_stats("eight").unwrap().1.elapsed;
+        std_total += std_store.read(e1).unwrap().1.elapsed;
+        ec_total += ec_store.read(e2).unwrap().1.elapsed;
     }
     assert!(
         ec_total < std_total,
@@ -94,9 +95,9 @@ fn degraded_read_wall_clock_still_bounded() {
     // demand reads on distinct disks).
     let code = Arc::new(LrcCode::new(6, 2, 2));
     let store = store_with_latency(Scheme::builder(code).layout(LayoutKind::EcFrm).build());
-    let data = eight_element_object(&store);
+    let (eight, data) = eight_element_object(&store);
     store.fail_disk(0).unwrap();
-    let (bytes, stats) = store.get_with_stats("eight").unwrap();
+    let (bytes, stats) = store.read(eight).unwrap();
     assert_eq!(bytes, data);
     assert!(stats.degraded);
     assert!(
