@@ -54,9 +54,9 @@ impl Drop for RemoveOnDrop {
 /// in-memory disk. Runs until killed.
 ///
 /// With `--front` the node also hosts the multi-tenant object front
-/// door (opcodes 11–15): it builds a full `--code`/`--layout` store —
+/// door (opcodes 12–15, 18): it builds a full `--code`/`--layout` store —
 /// over `--remote` shard servers when given, else over local disks —
-/// and answers object create/write/read/stat/delete with QoS admission
+/// and answers object put/write/read/stat/delete with QoS admission
 /// and the parity-aware read cache in the path. `--tenant
 /// name:class[:rate]` registers tenants (one without a rate is never
 /// throttled), `--cache-bytes` sizes the cache.

@@ -16,9 +16,11 @@
 //! other client of the shard sees.
 //!
 //! One retry rule for every op: a frame that never fully left this host
-//! is re-sent once on a fresh dial (`net.retries`). Anything else — a
-//! refused dial, a connection lost with the request in flight, an error
-//! reply — fails the request (`net.failed_requests`): a read's cells
+//! is re-sent once on a fresh dial (`net.retries`) — unless it never
+//! started to, being over the frame cap: that request fails
+//! [`NetError::TooLarge`] and its connection carries on. Anything else —
+//! a refused dial, a connection lost with the request in flight, an
+//! error reply — fails the request (`net.failed_requests`): a read's cells
 //! complete absent, so the store replans it through parity, and every
 //! other op returns the error. One timeout rule: a request past its
 //! deadline completes `Timeout` (`net.timeouts`); its connection stays
@@ -319,9 +321,11 @@ impl MuxConn {
     /// Send one id-tagged frame: `send` writes it, given the writer and
     /// the id to tag it with; an async submission (`demux`) starts the
     /// demux thread first. `Ok` means `done` runs exactly once — with
-    /// the response, with `Timeout` after the deadline, or with a
-    /// transport error if the connection dies first. `Err` hands `done`
-    /// back unrun: the frame did not (wholly) leave this host.
+    /// the response, with `Timeout` after the deadline, with
+    /// [`NetError::TooLarge`] for a frame refused before its first byte
+    /// (the connection untouched), or with a transport error if the
+    /// connection dies first. `Err` hands `done` back unrun: the frame
+    /// did not (wholly) leave this host.
     fn submit(
         &self,
         send: SendFrame<'_>,
@@ -343,7 +347,14 @@ impl MuxConn {
                 done,
             },
         );
-        let wrote = send(&mut self.writer.lock(), id).is_ok();
+        let sent = send(&mut self.writer.lock(), id);
+        if let Err(too_large @ NetError::TooLarge(_)) = sent {
+            if let Some(p) = self.shared.pending.lock().remove(&id) {
+                (p.done)(Err(too_large));
+            }
+            return Ok(());
+        }
+        let wrote = sent.is_ok();
         if !wrote {
             self.shared.discard();
         }
@@ -629,8 +640,9 @@ fn pack_frames<'a>(runs: &[WriteRun<'a>], max_bytes: usize) -> Vec<Vec<WriteRun<
                 (room, cells) = (max_bytes, MAX_RANGE as usize);
                 continue;
             }
-            // (A cell too big for any frame still goes out, alone, and
-            // is refused — and counted — when the frame is written.)
+            // (A cell too big for any frame still gets one, alone: it is
+            // refused — and counted — before a byte of it is written,
+            // and the connection carries on.)
             let take = rest.count().min(fits.max(1)).min(cells);
             let (head, tail) = rest.bytes.split_at(take * rest.cell_len);
             frames.last_mut().expect("pushed above").push(WriteRun {
@@ -1052,6 +1064,33 @@ mod tests {
         assert_eq!(disk.net_stats().unwrap().failed_requests, 1);
         // The connection is fine: the reply was well-formed, just wrong.
         assert_eq!(disk.net_stats().unwrap().conns_discarded, 0);
+    }
+
+    /// A `PutMany` no frame can carry is refused before a byte of it is
+    /// written: one failed request, and the connection — with the read
+    /// in flight beside it — carries on. (It used to be discarded, failing
+    /// that read, and the frame re-sent on a fresh dial.)
+    #[test]
+    fn a_write_over_the_frame_cap_fails_alone_and_its_connection_carries_on() {
+        let server = server();
+        let disk = RemoteDisk::new(server.addr(), fast());
+        disk.write(0, vec![1; 4]); // dials, and starts the demux thread
+        let big = vec![2u8; MAX_PAYLOAD as usize];
+        let read = disk.submit_read_many(&[0]);
+        let run = WriteRun {
+            start: 1,
+            cell_len: big.len(),
+            bytes: &big,
+        };
+        disk.submit_write_many(&[run]).wait();
+        assert_eq!(read.wait(), vec![Some(vec![1; 4])]);
+        assert_eq!(disk.read(1), None, "nothing of it was stored");
+        let failed = NetStats {
+            failed_requests: 1,
+            ..NetStats::default()
+        };
+        assert_eq!(disk.net_stats().unwrap(), failed);
+        assert_eq!(served(&disk, "serve.conns"), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`FrontClient`]: the object front door over the wire.
 //!
-//! A front node serves the object namespace ops (opcodes 11–15) through
+//! A front node serves the object namespace ops (opcodes 12–15, 18) through
 //! a [`FrontDoor`](ecfrm_store::FrontDoor) attached with
 //! [`ShardServer::spawn_with_front`](crate::ShardServer::spawn_with_front).
 //! `FrontClient` is the matching client: typed errors instead of
@@ -8,13 +8,17 @@
 //! reads itself — it never starts a thread. Under the crate's one retry
 //! rule ([`crate::client`]) an op runs at most once: a lost *response*
 //! to [`Request::ObjWrite`] is an error, because the write may have
-//! landed and a blind retry would append the extent twice.
+//! landed and a blind retry would append the extent twice. A put is one
+//! [`Request::ObjPut`], so like [`FrontDoor::put`](ecfrm_store::FrontDoor::put)
+//! it lands whole or not at all.
 //!
 //! Every failure is a typed error and none of them changes what the
 //! next call does: a timeout, an outage, a mid-op connection drop or a
 //! server with no front door ([`NO_FRONT`]) is [`StoreError::Net`], and
 //! the next call goes to the wire again — on the same connection after a
-//! timeout (the late reply is dropped), on a fresh dial after a drop.
+//! timeout (the late reply is dropped), on a fresh dial after a drop. A
+//! request over the frame cap is [`StoreError::TooLarge`], refused before
+//! a byte of it is sent, and its connection serves the next call.
 //!
 //! Store errors cross the wire as prefixed strings ([`wire_error`]) and
 //! are re-typed client-side ([`unwire_error`]), so `match`ing on
@@ -27,7 +31,7 @@ use ecfrm_obs::{Counter, NetStats, Recorder};
 use ecfrm_store::{ObjectStat, StoreError};
 
 use crate::client::{Link, RemoteDiskConfig};
-use crate::protocol::{write_obj_write, write_request, NetError, Request, Response, SendFrame};
+use crate::protocol::{write_obj_bytes, write_request, NetError, Request, Response, SendFrame};
 
 /// The typed error a server with no front door attached answers every
 /// object op with; a [`FrontClient`] reports it as [`StoreError::Net`].
@@ -74,7 +78,7 @@ pub fn unwire_error(msg: &str) -> StoreError {
     StoreError::Net(msg.to_string())
 }
 
-/// Object front door client: speaks opcodes 11–15 to a front node.
+/// Object front door client: speaks opcodes 12–15 and 18 to a front node.
 pub struct FrontClient {
     link: Link,
     recorder: Recorder,
@@ -111,19 +115,6 @@ impl FrontClient {
         self.link.counters.snapshot()
     }
 
-    /// Create an empty object. See
-    /// [`FrontDoor::create`](ecfrm_store::FrontDoor::create).
-    ///
-    /// # Errors
-    /// [`StoreError::AlreadyExists`] / [`StoreError::Net`].
-    pub fn create(&self, tenant: &str, object: &str) -> Result<(), StoreError> {
-        let req = Request::ObjCreate {
-            tenant: tenant.to_string(),
-            object: object.to_string(),
-        };
-        self.dispatch(&|w, id| write_request(w, id, &req), ack)
-    }
-
     /// Append `bytes` to an object as one extent. See
     /// [`FrontDoor::write`](ecfrm_store::FrontDoor::write).
     ///
@@ -132,19 +123,25 @@ impl FrontClient {
     /// store/transport error.
     pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Sent from the caller's buffer: no owned `Request`, no payload.
-        self.dispatch(&|w, id| write_obj_write(w, id, tenant, object, bytes), ack)
+        self.dispatch(
+            &|w, id| write_obj_bytes(w, id, false, tenant, object, bytes),
+            ack,
+        )
     }
 
-    /// Create + first write in one call, as two RPCs (`ObjCreate`, then
-    /// `ObjWrite`): unlike [`FrontDoor::put`](ecfrm_store::FrontDoor::put),
-    /// a write refused by admission leaves the object created, empty.
+    /// Create an object holding `bytes`, in one RPC sent like
+    /// [`Self::write`]'s: it lands whole or not at all. See
+    /// [`FrontDoor::put`](ecfrm_store::FrontDoor::put).
     ///
     /// # Errors
-    /// [`StoreError::AlreadyExists`], [`StoreError::Throttled`], or any
+    /// [`StoreError::AlreadyExists`], [`StoreError::Throttled`],
+    /// [`StoreError::TooLarge`] for more than one frame carries, or any
     /// store/transport error.
     pub fn put(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.create(tenant, object)?;
-        self.write(tenant, object, bytes)
+        self.dispatch(
+            &|w, id| write_obj_bytes(w, id, true, tenant, object, bytes),
+            ack,
+        )
     }
 
     /// Read a whole object. See
@@ -196,13 +193,8 @@ impl FrontClient {
             object: object.to_string(),
         };
         self.dispatch(&|w, id| write_request(w, id, &req), |resp| match resp {
-            Response::ObjStat {
+            Response::ObjStat { len, extents } => Ok(ObjectStat {
                 len,
-                version,
-                extents,
-            } => Ok(ObjectStat {
-                len,
-                version,
                 extents: extents as usize,
             }),
             other => Err(unexpected(&other)),
@@ -235,6 +227,7 @@ impl FrontClient {
                 decode(resp)
             }
             Err(NetError::Remote(msg)) => Err(unwire_error(&msg)),
+            Err(too_large @ NetError::TooLarge(_)) => Err(too_large.into()),
             Err(e) => Err(StoreError::Net(format!("front op failed: {e}"))),
         }
     }

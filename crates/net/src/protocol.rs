@@ -1,4 +1,4 @@
-//! The wire protocol, version 3: a length-prefixed binary frame.
+//! The wire protocol, version 4: a length-prefixed binary frame.
 //!
 //! Every frame is
 //!
@@ -14,12 +14,12 @@
 //! any version reads it before anything else: a peer that speaks another
 //! version gets one typed [`Response::Error`] naming both versions
 //! ([`version_mismatch`]) and the connection is closed. Nothing is
-//! negotiated per connection or per op; DESIGN.md ("The wire, v3") has
+//! negotiated per connection or per op; DESIGN.md ("The wire, v4") has
 //! the rule and the opcode table, retired numbers included.
 //!
 //! A shard serves `Read` (17), `PutMany` (16), `CombineRange` (10),
 //! `Health`, `Wipe` and `Stats`; a front node also serves the
-//! object ops (11–15). [`Request`]'s variants say what each one does. No
+//! object ops (12–15, 18). [`Request`]'s variants say what each one does. No
 //! sender joins a payload: the small fields and the bulk buffers they
 //! sit between, borrowed from whoever holds them, leave in one vectored
 //! write (`Parts`). No receiver copies one out: a request's frame is
@@ -37,7 +37,7 @@ use ecfrm_store::Piece;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Bytes of a frame ahead of its payload: magic, version, opcode, id
 /// and payload length.
 pub const HEADER_LEN: usize = 18;
@@ -55,9 +55,10 @@ pub fn version_mismatch(peer: u8) -> String {
 }
 
 /// The bulk bytes of a received request, kept in the frame they arrived
-/// in: decoding a [`Request::PutMany`] or [`Request::ObjWrite`] moves
-/// the frame here instead of copying the bytes out of it. Reads as a
-/// byte slice; build one for sending with `Vec::into`.
+/// in: decoding a [`Request::PutMany`], [`Request::ObjPut`] or
+/// [`Request::ObjWrite`] moves the frame here instead of copying the
+/// bytes out of it. Reads as a byte slice; build one for sending with
+/// `Vec::into`.
 #[derive(Clone)]
 pub struct Body {
     /// The whole frame payload.
@@ -104,6 +105,9 @@ pub enum NetError {
     Timeout,
     /// The server reported an error.
     Remote(String),
+    /// A frame over [`MAX_PAYLOAD`], refused before its first byte was
+    /// written: the connection it was meant for is as it was.
+    TooLarge(String),
 }
 
 impl std::fmt::Display for NetError {
@@ -113,6 +117,7 @@ impl std::fmt::Display for NetError {
             NetError::Protocol(m) => write!(f, "protocol error: {m}"),
             NetError::Timeout => write!(f, "request timed out"),
             NetError::Remote(m) => write!(f, "remote error: {m}"),
+            NetError::TooLarge(m) => write!(f, "too large: {m}"),
         }
     }
 }
@@ -134,9 +139,14 @@ impl From<std::io::Error> for NetError {
 
 /// A transport failure surfacing through the store reads as a network
 /// error; callers holding a `Result<_, StoreError>` can `?` net calls.
+/// A frame refused for its size keeps its type: nothing was sent, so it
+/// is the caller's request that is too large, not the network that failed.
 impl From<NetError> for ecfrm_store::StoreError {
     fn from(e: NetError) -> Self {
-        ecfrm_store::StoreError::Net(e.to_string())
+        match e {
+            NetError::TooLarge(m) => ecfrm_store::StoreError::TooLarge(m),
+            e => ecfrm_store::StoreError::Net(e.to_string()),
+        }
     }
 }
 
@@ -195,15 +205,17 @@ pub enum Request {
     /// no peers), and seals each returned region with a footer salted
     /// by `offset + lane`.
     CombineRange(CombineSpec),
-    /// Create an empty named object for a tenant on the server's
-    /// object front door ([`ecfrm_store::FrontDoor`]). A server without
-    /// a front door attached answers every object op (opcodes 11–15)
-    /// with the typed [`crate::front::NO_FRONT`] error.
-    ObjCreate {
+    /// Create a named object holding `bytes` on the server's object
+    /// front door ([`ecfrm_store::FrontDoor`]), whole or not at all. A
+    /// server without one answers every object op with the typed
+    /// [`crate::front::NO_FRONT`] error.
+    ObjPut {
         /// Owning tenant.
         tenant: String,
         /// Object name, unique per tenant.
         object: String,
+        /// The object's bytes.
+        bytes: Body,
     },
     /// Append bytes to an existing object as one new extent.
     ObjWrite {
@@ -290,7 +302,7 @@ pub enum Response {
     /// rebuilder can exclude a bad helper and re-plan. `regions` is
     /// empty when nothing contributed.
     Combined(CombineReply),
-    /// Object op acknowledged ([`Request::ObjCreate`] /
+    /// Object op acknowledged ([`Request::ObjPut`] /
     /// [`Request::ObjWrite`] / [`Request::ObjDelete`]).
     ObjAck,
     /// The bytes answering a [`Request::ObjGet`].
@@ -304,9 +316,8 @@ pub enum Response {
     ObjStat {
         /// Object length in bytes.
         len: u64,
-        /// Mutation version (create = 1, +1 per write).
-        version: u64,
-        /// Number of stream extents backing the object.
+        /// Number of stream extents backing the object: one per put or
+        /// write.
         extents: u32,
     },
     /// Health probe answer: stored element count.
@@ -324,20 +335,21 @@ pub enum Response {
 
 // Opcodes 1, 2, 3, 7 and 8 (and replies 129, 131, 135 and 136) belonged
 // to version 1's per-shape reads and per-cell write; 9 and 137 to
-// version 2's `Mux` envelope, whose id every header carries now. A
-// number is never reused. 5 kept its number when its one-byte fault tag
-// went: `Wipe` has an empty payload, so a tag is trailing bytes.
+// version 2's `Mux` envelope, whose id every header carries now; 11 to
+// version 3's empty-object create, which `ObjPut` replaced. A number is
+// never reused. 5 kept its number when its one-byte fault tag went:
+// `Wipe` has an empty payload, so a tag is trailing bytes.
 const OP_HEALTH: u8 = 4;
 const OP_WIPE: u8 = 5;
 const OP_STATS: u8 = 6;
 const OP_COMBINE_RANGE: u8 = 10;
-const OP_OBJ_CREATE: u8 = 11;
 const OP_OBJ_WRITE: u8 = 12;
 const OP_OBJ_GET: u8 = 13;
 const OP_OBJ_STAT: u8 = 14;
 const OP_OBJ_DELETE: u8 = 15;
 const OP_PUT_MANY: u8 = 16;
 const OP_READ: u8 = 17;
+const OP_OBJ_PUT: u8 = 18;
 
 const RESP_PUT: u8 = 130;
 const RESP_HEALTH: u8 = 132;
@@ -382,7 +394,7 @@ impl<'a> Parts<'a> {
         let bulk: u64 = self.bulk.iter().map(|(_, b)| b.len() as u64).sum();
         let len = self.small.len() as u64 + bulk;
         if len > u64::from(MAX_PAYLOAD) {
-            return Err(NetError::Protocol(format!(
+            return Err(NetError::TooLarge(format!(
                 "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"
             )));
         }
@@ -450,7 +462,7 @@ fn get_runs<R: Read>(f: &mut Frame<'_, R>) -> Result<Vec<(u64, u32)>, NetError> 
     Ok(runs)
 }
 
-/// Everything of an `ObjWrite` payload ahead of the bytes:
+/// Everything of an `ObjPut` or `ObjWrite` payload ahead of the bytes:
 /// `[tenant][object][bytes len:u32]`.
 fn obj_write_head(out: &mut Vec<u8>, tenant: &str, object: &str, len: usize) {
     put_str(out, tenant);
@@ -469,7 +481,7 @@ impl Request {
             Request::Read { .. } => OP_READ,
             Request::PutMany { .. } => OP_PUT_MANY,
             Request::CombineRange { .. } => OP_COMBINE_RANGE,
-            Request::ObjCreate { .. } => OP_OBJ_CREATE,
+            Request::ObjPut { .. } => OP_OBJ_PUT,
             Request::ObjWrite { .. } => OP_OBJ_WRITE,
             Request::ObjGet { .. } => OP_OBJ_GET,
             Request::ObjStat { .. } => OP_OBJ_STAT,
@@ -532,13 +544,16 @@ impl Request {
                 }
             }
             // [tenant len:u32][tenant][object len:u32][object].
-            Request::ObjCreate { tenant, object }
-            | Request::ObjDelete { tenant, object }
-            | Request::ObjStat { tenant, object } => {
+            Request::ObjDelete { tenant, object } | Request::ObjStat { tenant, object } => {
                 put_str(out, tenant);
                 put_str(out, object);
             }
-            Request::ObjWrite {
+            Request::ObjPut {
+                tenant,
+                object,
+                bytes,
+            }
+            | Request::ObjWrite {
                 tenant,
                 object,
                 bytes,
@@ -562,8 +577,8 @@ impl Request {
         }
     }
 
-    /// Decode the request whose payload is `frame`. The two bulk ops
-    /// keep `frame` as their [`Body`].
+    /// Decode the request whose payload is `frame`. The bulk ops keep
+    /// `frame` as their [`Body`].
     fn decode(opcode: u8, frame: Vec<u8>) -> Result<Self, NetError> {
         let mut f = Frame {
             r: &frame[..],
@@ -585,7 +600,7 @@ impl Request {
                     bytes,
                 });
             }
-            OP_OBJ_WRITE => {
+            OP_OBJ_PUT | OP_OBJ_WRITE => {
                 let tenant = get_str(f)?;
                 let object = get_str(f)?;
                 if f.u32()? as usize != f.left {
@@ -593,10 +608,18 @@ impl Request {
                 }
                 let start = here(f);
                 let bytes = Body { frame, start };
-                return Ok(Request::ObjWrite {
-                    tenant,
-                    object,
-                    bytes,
+                return Ok(if opcode == OP_OBJ_PUT {
+                    Request::ObjPut {
+                        tenant,
+                        object,
+                        bytes,
+                    }
+                } else {
+                    Request::ObjWrite {
+                        tenant,
+                        object,
+                        bytes,
+                    }
                 });
             }
             OP_READ => {
@@ -639,10 +662,6 @@ impl Request {
                     peers,
                 })
             }
-            OP_OBJ_CREATE => Request::ObjCreate {
-                tenant: get_str(f)?,
-                object: get_str(f)?,
-            },
             OP_OBJ_GET => Request::ObjGet {
                 tenant: get_str(f)?,
                 object: get_str(f)?,
@@ -736,14 +755,9 @@ impl Response {
                     parts.bulk(piece);
                 }
             }
-            Response::ObjStat {
-                len,
-                version,
-                extents,
-            } => {
-                // [len:u64][version:u64][extents:u32].
+            Response::ObjStat { len, extents } => {
+                // [len:u64][extents:u32].
                 put_u64(out, *len);
-                put_u64(out, *version);
                 put_u32(out, *extents);
             }
             Response::Health { elements } => put_u64(out, *elements),
@@ -809,7 +823,6 @@ impl Response {
             }
             RESP_OBJ_STAT => Response::ObjStat {
                 len: f.u64()?,
-                version: f.u64()?,
                 extents: f.u32()?,
             },
             RESP_HEALTH => Response::Health { elements: f.u64()? },
@@ -1006,14 +1019,16 @@ pub fn read_response_polling(r: &mut impl Read, stop: &AtomicBool) -> Polled<Res
 
 /// Writes one request frame, tagged with the id it is given, onto a
 /// connection — a closure, so a bulk write can send from buffers it only
-/// borrows ([`write_put_many`], [`write_obj_write`]) where everything
-/// else sends an owned [`Request`] ([`write_request`]).
+/// borrows ([`write_put_many`], [`write_obj_bytes`]) where everything
+/// else sends an owned [`Request`] ([`write_request`]). A frame over
+/// [`MAX_PAYLOAD`] is [`NetError::TooLarge`], and nothing of it is
+/// written.
 pub(crate) type SendFrame<'a> = &'a dyn Fn(&mut std::net::TcpStream, u64) -> Result<(), NetError>;
 
 /// Serialise one request tagged `id` onto a stream.
 ///
 /// # Errors
-/// I/O failure, or an oversized payload.
+/// I/O failure, or an oversized payload ([`NetError::TooLarge`]).
 pub fn write_request(w: &mut impl Write, id: u64, req: &Request) -> Result<(), NetError> {
     let mut parts = Parts::default();
     req.encode(&mut parts);
@@ -1043,14 +1058,16 @@ pub fn write_put_many(
     parts.send(w, OP_PUT_MANY, id)
 }
 
-/// Send a [`Request::ObjWrite`] of `bytes` tagged `id`, straight from
-/// the caller's buffer.
+/// Send `bytes` tagged `id`, straight from the caller's buffer, as a
+/// [`Request::ObjPut`] when the object is `new` and a
+/// [`Request::ObjWrite`] when it is not.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
-pub fn write_obj_write(
+pub fn write_obj_bytes(
     w: &mut impl Write,
     id: u64,
+    new: bool,
     tenant: &str,
     object: &str,
     bytes: &[u8],
@@ -1058,7 +1075,7 @@ pub fn write_obj_write(
     let mut parts = Parts::default();
     obj_write_head(&mut parts.small, tenant, object, bytes.len());
     parts.bulk(bytes);
-    parts.send(w, OP_OBJ_WRITE, id)
+    parts.send(w, if new { OP_OBJ_PUT } else { OP_OBJ_WRITE }, id)
 }
 
 /// Read one request frame off a stream: its id and the request.
@@ -1151,9 +1168,15 @@ mod tests {
 
     #[test]
     fn object_op_roundtrips() {
-        roundtrip_request(Request::ObjCreate {
+        roundtrip_request(Request::ObjPut {
             tenant: "web".into(),
             object: "profile.json".into(),
+            bytes: vec![7; 300].into(),
+        });
+        roundtrip_request(Request::ObjPut {
+            tenant: "t".into(),
+            object: "empty".into(),
+            bytes: vec![].into(),
         });
         roundtrip_request(Request::ObjWrite {
             tenant: "".into(),
@@ -1184,7 +1207,6 @@ mod tests {
         roundtrip_response(Response::ObjData(vec![]));
         roundtrip_response(Response::ObjStat {
             len: u64::MAX,
-            version: 3,
             extents: u32::MAX,
         });
         // Non-UTF-8 tenant bytes are a protocol error, not garbage.
@@ -1248,7 +1270,7 @@ mod tests {
 
     /// The two combine variants carry `ecfrm-sim`'s types since PR 19;
     /// the payloads are byte for byte what the loose fields encoded to
-    /// (captured at the commit before), behind the v3 header.
+    /// (captured at the commit before), behind the v4 header.
     #[test]
     fn combine_frames_are_the_bytes_they_always_were() {
         let mut buf = Vec::new();
@@ -1268,7 +1290,7 @@ mod tests {
         write_request(&mut buf, 7, &req).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 3, 10, // v3, op 10
+            b'E', b'F', b'R', b'M', 4, 10, // v4, op 10
             7, 0, 0, 0, 0, 0, 0, 0, 66, 0, 0, 0, // id 7, 66 B
             3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, // offset, count, outputs
             2, 0, 0, 0, 7, 9, // coeffs
@@ -1286,7 +1308,7 @@ mod tests {
         write_response(&mut buf, 7, &resp).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 3, 138, // v3, op 138
+            b'E', b'F', b'R', b'M', 4, 138, // v4, op 138
             7, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, // id 7, 21 B
             1, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD, // one region
             2, 0, 0, 0, 0, 2, // local verdicts
@@ -1355,7 +1377,7 @@ mod tests {
     /// `write_put_many` (borrowed runs, no payload built) and
     /// `write_request` (an owned `PutMany`) put the same frame on the
     /// wire, and the decoded body is the run bytes; likewise
-    /// `write_obj_write`.
+    /// `write_obj_bytes`, for a put and for a write.
     #[test]
     fn borrowed_put_many_is_the_same_frame() {
         let cells: Vec<u8> = (0..40).collect();
@@ -1384,16 +1406,27 @@ mod tests {
             read_request(&mut borrowed.as_slice()).unwrap(),
             (0xABCD, want)
         );
-        let want = Request::ObjWrite {
-            tenant: "t".into(),
-            object: "o".into(),
-            bytes: cells.clone().into(),
-        };
-        let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
-        write_obj_write(&mut borrowed, 5, "t", "o", &cells).unwrap();
-        write_request(&mut whole, 5, &want).unwrap();
-        assert_eq!(borrowed, whole);
-        assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), (5, want));
+        for new in [true, false] {
+            let (tenant, object, bytes) = ("t".into(), "o".into(), cells.clone().into());
+            let want = if new {
+                Request::ObjPut {
+                    tenant,
+                    object,
+                    bytes,
+                }
+            } else {
+                Request::ObjWrite {
+                    tenant,
+                    object,
+                    bytes,
+                }
+            };
+            let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
+            write_obj_bytes(&mut borrowed, 5, new, "t", "o", &cells).unwrap();
+            write_request(&mut whole, 5, &want).unwrap();
+            assert_eq!(borrowed, whole);
+            assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), (5, want));
+        }
     }
 
     /// Frames that lie about their own shape are refused at decode
@@ -1540,7 +1573,7 @@ mod tests {
         assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(2)));
         assert!(err
             .to_string()
-            .contains("peer speaks 2, this node speaks 3"));
+            .contains("peer speaks 2, this node speaks 4"));
         // The polling reader names the version too, and reads no further:
         // five bytes are all an older peer's header need share with ours.
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -1647,5 +1680,14 @@ mod tests {
         assert!(matches!(e, NetError::Timeout));
         let e: NetError = std::io::Error::new(std::io::ErrorKind::ConnectionReset, "gone").into();
         assert!(matches!(e, NetError::Io(_)));
+    }
+
+    #[test]
+    fn an_oversized_frame_stays_typed_as_a_store_error() {
+        use ecfrm_store::StoreError;
+        let e: StoreError = NetError::TooLarge("70000000 bytes".into()).into();
+        assert!(matches!(e, StoreError::TooLarge(_)), "{e:?}");
+        let e: StoreError = NetError::Timeout.into();
+        assert!(matches!(e, StoreError::Net(_)), "{e:?}");
     }
 }

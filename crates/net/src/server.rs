@@ -115,7 +115,7 @@ impl ServerMetrics {
             Request::Read { .. } => self.read.inc(),
             Request::PutMany { .. } => self.put_many.inc(),
             Request::CombineRange { .. } => self.combine.inc(),
-            Request::ObjCreate { .. }
+            Request::ObjPut { .. }
             | Request::ObjWrite { .. }
             | Request::ObjGet { .. }
             | Request::ObjStat { .. }
@@ -129,7 +129,7 @@ impl ServerMetrics {
 
 struct Shared {
     backend: Arc<dyn DiskBackend>,
-    /// Object front door served by opcodes 11–15, when this node is a
+    /// Object front door served by opcodes 12–15 and 18, when this node is a
     /// front node and not just a raw shard. `None` answers object ops
     /// with a typed wire error.
     front: Option<Arc<ecfrm_store::FrontDoor>>,
@@ -165,7 +165,7 @@ impl ShardServer {
     }
 
     /// Like [`Self::spawn`], but also attach an object front door: this
-    /// node serves the object namespace ops (opcodes 11–15) through
+    /// node serves the object namespace ops (opcodes 12–15, 18) through
     /// `front` in addition to the raw shard ops on `backend`. Plain
     /// [`Self::spawn`] servers answer object ops with a typed
     /// `"no front door attached"` error.
@@ -713,8 +713,12 @@ fn handle(req: &Request, shared: &Shared) -> Response {
             Err(msg) => Response::Error(msg),
         },
         Request::CombineRange(spec) => handle_combine(spec, shared),
-        Request::ObjCreate { tenant, object } => obj_result(shared, |f| {
-            f.create(tenant, object).map(|()| Response::ObjAck)
+        Request::ObjPut {
+            tenant,
+            object,
+            bytes,
+        } => obj_result(shared, |f| {
+            f.put(tenant, object, bytes).map(|()| Response::ObjAck)
         }),
         Request::ObjWrite {
             tenant,
@@ -737,7 +741,6 @@ fn handle(req: &Request, shared: &Shared) -> Response {
         Request::ObjStat { tenant, object } => obj_result(shared, |f| {
             f.stat(tenant, object).map(|s| Response::ObjStat {
                 len: s.len,
-                version: s.version,
                 extents: s.extents as u32,
             })
         }),

@@ -1,12 +1,13 @@
-//! The copy budget of a read, as an exact count of allocations.
+//! The copy budget of a read and of a put, as an exact count of
+//! allocations.
 //!
-//! A read's bytes are written from the buffers that hold them and read
-//! into the buffers that keep them, so on each hop the only buffers as
-//! big as the bytes are the ones that have to exist: the front door's
-//! reply and the client's result for an object read, one `Vec` per cell
-//! on each side of a shard read. A payload joined for sending, a frame
-//! zero-filled for receiving or a cell copied out of one would each
-//! show here as one more. DESIGN §14 ("Who copies a cell on its way to
+//! Bytes are written from the buffers that hold them and read into the
+//! buffers that keep them, so on each hop the only buffers as big as
+//! the bytes are the ones that have to exist: the front door's reply
+//! and the client's result for an object read, one `Vec` per cell on
+//! each side of a shard read, the received frame for a put. A payload
+//! joined for sending, a frame zero-filled for receiving or a cell
+//! copied out of one would each show here as one more. DESIGN §14 ("Who copies a cell on its way to
 //! the tenant") states the counts this test backs.
 //!
 //! The allocator counts for the whole process, so the tests in this
@@ -132,6 +133,42 @@ fn a_warm_256k_object_read_allocates_one_body_the_clients() {
         hits + 2 * (LEN / 4096) as u64,
         "warm"
     );
+}
+
+/// The write side of the same hop: a warm 256 KiB put. The client sends
+/// from the caller's buffer and the front node appends from the frame it
+/// received, so the one buffer of a quarter of the body or more is that
+/// frame — the body behind 15 bytes of names and length. In process,
+/// there is none.
+#[test]
+fn a_warm_256k_put_allocates_one_body_the_received_frame() {
+    let _turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    const LEN: usize = 256 * 1024;
+    let store = Arc::new(ObjectStore::new(rs63(), 4096));
+    let front = FrontDoor::new(store, FrontConfig::default());
+    let server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), RemoteDiskConfig::default());
+    let data = pattern(LEN, 5);
+    // Dials, and grows the store's pending tail to what a put needs.
+    for name in ["w0", "w1"] {
+        client.put("t", name, &data).unwrap();
+        front.put("u", name, &data).unwrap();
+    }
+
+    let (put, in_process, _) = counted(LEN / 4, || front.put("u", "p1", &data));
+    put.unwrap();
+    assert_eq!(in_process, 0, "appended from the caller's buffer");
+
+    // `[4]["t"][4]["p1"][4]`: 15 bytes ahead of the body.
+    let (put, both, bytes) = counted(LEN / 4, || client.put("t", "p1", &data));
+    put.unwrap();
+    assert_eq!(both, 1, "the frame the front node received, and no payload");
+    assert_eq!(bytes, LEN + 15, "exactly the frame: reserved, not grown");
+    assert_eq!(front.read("t", "p1").unwrap(), data);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The object front door over real TCP: opcodes 11–15 end-to-end,
+//! The object front door over real TCP: opcodes 12–15 and 18 end-to-end,
 //! typed errors across the wire, and what the client does when the
 //! wire lets it down — every failure a typed error that changes nothing
 //! about the next call, and no write ever sent twice.
@@ -9,8 +9,10 @@ use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_net::protocol::{read_request, write_response, MAX_PAYLOAD};
 use ecfrm_net::{FrontClient, RemoteDiskConfig, Request, Response, ShardServer};
-use ecfrm_sim::MemDisk;
-use ecfrm_store::{FrontConfig, FrontDoor, ObjectStore, QosClass, StoreError, TenantSpec};
+use ecfrm_sim::{MemDisk, NetStats};
+use ecfrm_store::{
+    FrontConfig, FrontDoor, ObjectStat, ObjectStore, QosClass, StoreError, TenantSpec,
+};
 
 const ELEMENT: usize = 512;
 
@@ -33,9 +35,25 @@ fn client_cfg() -> RemoteDiskConfig {
     RemoteDiskConfig::builder().build()
 }
 
+/// `name`'s count in the front node's registry — the server's `serve.*`
+/// or its front door's `admit.*` — or 0.
+fn count(server: &ShardServer, front: &FrontDoor, name: &str) -> u64 {
+    let (server, node) = (
+        server.recorder().snapshot(),
+        front.store().recorder().snapshot(),
+    );
+    server
+        .counters
+        .get(name)
+        .or(node.counters.get(name))
+        .copied()
+        .unwrap_or(0)
+}
+
 /// Full object lifecycle against a front node over real sockets:
-/// create / write (multi-extent) / stat / ranged + whole reads /
-/// delete, with bytes compared against a reference copy.
+/// put / write (multi-extent) / stat / ranged + whole reads / delete,
+/// with bytes compared against a reference copy. A put is one frame and
+/// one admission, and every put and write one extent.
 #[test]
 fn remote_front_round_trips_every_op() {
     let front = local_front();
@@ -46,14 +64,24 @@ fn remote_front_round_trips_every_op() {
 
     let a = payload(10_000);
     let b = payload(3_000);
-    client.create("web", "hero.png").unwrap();
-    client.write("web", "hero.png", &a).unwrap();
+    let (asked, admitted) = (
+        count(&server, &front, "serve.obj"),
+        count(&server, &front, "admit.ok"),
+    );
+    client.put("web", "hero.png", &a).unwrap();
+    assert_eq!(count(&server, &front, "serve.obj"), asked + 1, "one frame");
+    assert_eq!(count(&server, &front, "admit.ok"), admitted + 1);
     client.write("web", "hero.png", &b).unwrap();
 
     let stat = client.stat("web", "hero.png").unwrap();
-    assert_eq!(stat.len, 13_000);
-    assert_eq!(stat.extents, 2);
-    assert_eq!(stat.version, 3); // create=1, +1 per write
+    assert_eq!((stat.len, stat.extents), (13_000, 2));
+    // An empty object is a put of no bytes.
+    client.put("web", "empty", &[]).unwrap();
+    assert_eq!(
+        client.stat("web", "empty").unwrap(),
+        ObjectStat { len: 0, extents: 1 }
+    );
+    assert!(client.read("web", "empty").unwrap().is_empty());
 
     let mut want = a.clone();
     want.extend_from_slice(&b);
@@ -87,20 +115,18 @@ fn wire_errors_arrive_typed() {
         client.read("web", "missing"),
         Err(StoreError::NotFound(n)) if n == "web/missing"
     ));
-    client.create("web", "dup").unwrap();
+    client.put("web", "dup", &payload(100)).unwrap();
     assert!(matches!(
-        client.create("web", "dup"),
+        client.put("web", "dup", &payload(10)),
         Err(StoreError::AlreadyExists(_))
     ));
-    client.write("web", "dup", &payload(100)).unwrap();
     assert!(matches!(
         client.read_range("web", "dup", 90, 20),
         Err(StoreError::RangeOutOfBounds { len: 100, .. })
     ));
     // The bulk tenant's first byte overdraws its 1 B/s bucket for far
     // longer than the 500 ms default deadline.
-    client.create("bulk", "slow").unwrap();
-    client.write("bulk", "slow", &payload(4096)).unwrap();
+    client.put("bulk", "slow", &payload(4096)).unwrap();
     assert!(matches!(
         client.read("bulk", "slow"),
         Err(StoreError::Throttled(_))
@@ -142,31 +168,24 @@ fn a_read_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
     front.put("t", "big", &bytes[..HALF]).unwrap();
     front.write("t", "big", &bytes).unwrap(); // two extents, cap + 1 bytes
     front.put("t", "small", b"hello").unwrap();
+    // Seal the tail now: a read that reaches into it seals it first, and
+    // a 4 MiB stripe sealed inside a debug build's 1 s request deadline
+    // is what this test would otherwise time.
+    front.store().flush();
     let mut server =
         ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
             .unwrap();
     let client = FrontClient::new(server.addr(), client_cfg());
     assert_eq!(client.stat("t", "big").unwrap().len, MAX_PAYLOAD as u64 + 1);
 
-    let count = |name: &str| -> u64 {
-        let (server, node) = (
-            server.recorder().snapshot(),
-            front.store().recorder().snapshot(),
-        );
-        server
-            .counters
-            .get(name)
-            .or(node.counters.get(name))
-            .copied()
-            .unwrap_or(0)
-    };
-    let (asked, admitted, cache) = (count("serve.obj"), count("admit.ok"), front.cache_stats());
+    let n = |name: &str| count(&server, &front, name);
+    let (asked, admitted, cache) = (n("serve.obj"), n("admit.ok"), front.cache_stats());
     assert!(matches!(
         client.read("t", "big"),
         Err(StoreError::TooLarge(m)) if m.starts_with("t/big")
     ));
-    assert_eq!(count("serve.obj"), asked + 1, "asked once: not retried");
-    assert_eq!(count("admit.ok"), admitted, "not charged");
+    assert_eq!(n("serve.obj"), asked + 1, "asked once: not retried");
+    assert_eq!(n("admit.ok"), admitted, "not charged");
     assert_eq!(front.cache_stats(), cache, "not looked up");
 
     assert_eq!(client.read("t", "small").unwrap(), b"hello");
@@ -178,6 +197,59 @@ fn a_read_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
     server.kill();
 }
 
+/// A put or write no request frame can carry is refused before a byte
+/// of it is sent: a typed error, in one attempt, and the connection it
+/// was meant for carries the next put. Nothing reached the front node,
+/// so nothing is left behind. (It used to discard the connection, send
+/// the frame again on a fresh dial and — a remote put then being a
+/// create and a write — leave an empty object.)
+#[test]
+fn a_write_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
+    let front = local_front();
+    let mut server =
+        ShardServer::spawn_with_front(Arc::new(MemDisk::new()), Arc::clone(&front), "127.0.0.1:0")
+            .unwrap();
+    let client = FrontClient::new(server.addr(), client_cfg());
+    client.put("t", "small", b"hello").unwrap(); // dials the connection
+
+    let n = |name: &str| count(&server, &front, name);
+    let (asked, admitted, conns) = (n("serve.obj"), n("admit.ok"), n("serve.conns"));
+    let net = client.net_stats();
+    let big = vec![7u8; MAX_PAYLOAD as usize];
+    for put in [true, false] {
+        let refused = if put {
+            client.put("t", "big", &big)
+        } else {
+            client.write("t", "small", &big)
+        };
+        assert!(
+            matches!(&refused, Err(StoreError::TooLarge(m)) if m.contains("cap")),
+            "{refused:?}"
+        );
+    }
+    assert_eq!(n("serve.obj"), asked, "neither frame left the client");
+    assert_eq!(n("admit.ok"), admitted);
+    // No retry, no redial, no discard: each refusal is one failed
+    // request, as any error reply is, and nothing else.
+    let failed_requests = net.failed_requests + 2;
+    assert_eq!(
+        client.net_stats(),
+        NetStats {
+            failed_requests,
+            ..net
+        }
+    );
+
+    assert!(matches!(
+        client.stat("t", "big"),
+        Err(StoreError::NotFound(_))
+    ));
+    assert_eq!(client.read("t", "small").unwrap(), b"hello");
+    client.put("t", "next", b"x").unwrap();
+    assert_eq!(n("serve.conns"), conns, "every op rode the same connection");
+    server.kill();
+}
+
 /// A server with no front door attached answers a typed error, and a
 /// dead one is a transport error; both are `StoreError::Net`, and the
 /// same client goes back to the wire on its next call.
@@ -186,7 +258,7 @@ fn a_front_less_or_dead_server_is_a_typed_net_error() {
     let mut server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
     let client = FrontClient::new(server.addr(), client_cfg());
     for _ in 0..2 {
-        match client.create("web", "obj") {
+        match client.put("web", "obj", b"x") {
             Err(StoreError::Net(msg)) => assert!(msg.starts_with("no_front"), "{msg}"),
             other => panic!("expected a typed no_front error, got {other:?}"),
         }
@@ -204,7 +276,7 @@ fn a_front_less_or_dead_server_is_a_typed_net_error() {
     }; // listener dropped: nothing is home
     let client = FrontClient::new(addr, client_cfg());
     assert!(matches!(
-        client.create("web", "obj"),
+        client.put("web", "obj", b"x"),
         Err(StoreError::Net(_))
     ));
 }
@@ -213,10 +285,10 @@ fn a_front_less_or_dead_server_is_a_typed_net_error() {
 /// `get_delay` — a live node that merely blows the client's request
 /// deadline (queued admission, slow disk, big transfer); the late reply
 /// goes out when it is ready, whatever was answered meanwhile. Also
-/// counts `ObjWrite` frames it *receives* and, when `drop_writes` is
-/// set, kills the connection after reading one instead of answering —
-/// the executed-but-response-lost case. Returns its address, the write
-/// count and the count of connections it accepted.
+/// counts the `ObjPut` and `ObjWrite` frames it *receives* and, when
+/// `drop_writes` is set, kills the connection after reading one instead
+/// of answering — the executed-but-response-lost case. Returns its
+/// address, the write count and the count of connections it accepted.
 fn spawn_slow_server(
     get_delay: std::time::Duration,
     drop_writes: bool,
@@ -246,12 +318,7 @@ fn spawn_slow_server(
                     return;
                 };
                 let resp = match req {
-                    Request::ObjCreate { .. } => Response::ObjAck,
-                    Request::ObjStat { .. } => Response::ObjStat {
-                        len: 0,
-                        version: 1,
-                        extents: 0,
-                    },
+                    Request::ObjStat { .. } => Response::ObjStat { len: 0, extents: 1 },
                     Request::ObjGet { .. } => {
                         let reply = reply.clone();
                         std::thread::spawn(move || {
@@ -260,7 +327,7 @@ fn spawn_slow_server(
                         });
                         continue;
                     }
-                    Request::ObjWrite { .. } => {
+                    Request::ObjPut { .. } | Request::ObjWrite { .. } => {
                         writes.fetch_add(1, Ordering::SeqCst);
                         if drop_writes {
                             return; // connection dies with the response unsent
@@ -299,28 +366,35 @@ fn slow_server_times_out_and_the_next_op_is_served() {
     assert_eq!(snap.counters.get("front.remote").copied(), Some(1));
     // The late reply arrives and is dropped; the connection serves on.
     std::thread::sleep(std::time::Duration::from_millis(300));
-    assert_eq!(client.stat("web", "obj").unwrap().version, 1);
+    assert_eq!(client.stat("web", "obj").unwrap().extents, 1);
     let stats = client.net_stats();
     assert_eq!((stats.timeouts, stats.conns_discarded), (1, 0), "{stats:?}");
     assert_eq!(accepted.load(std::sync::atomic::Ordering::SeqCst), 1);
 }
 
-/// A lost `ObjWrite` *response* must not trigger a blind retry: the
-/// server may have appended the extent with only the answer lost, and
-/// a replay would append it twice. The server here counts the write
-/// frames it receives — exactly one may arrive.
+/// A lost `ObjWrite` or `ObjPut` *response* must not trigger a blind
+/// retry: the server may have appended the extent with only the answer
+/// lost, and a replay would append it twice. The server here counts the
+/// write frames it receives — exactly one may arrive per call.
 #[test]
 fn lost_write_response_is_not_retried() {
     let (addr, writes, _) = spawn_slow_server(std::time::Duration::ZERO, true);
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().build());
 
-    client.create("web", "obj").unwrap(); // dials the connection
+    client.stat("web", "obj").unwrap(); // dials the connection
     let r = client.write("web", "obj", &payload(100));
     assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
     assert_eq!(
         writes.load(std::sync::atomic::Ordering::SeqCst),
         1,
         "the write frame must cross the wire exactly once"
+    );
+    let r = client.put("web", "other", &payload(100)); // on a fresh dial
+    assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
+    assert_eq!(
+        writes.load(std::sync::atomic::Ordering::SeqCst),
+        2,
+        "so must the put frame"
     );
 }
 
@@ -346,11 +420,10 @@ fn the_first_op_after_a_hang_up_fails_typed_and_the_next_dials_fresh() {
                 if let Ok((id, req)) = read_request(&mut stream) {
                     count.fetch_add(1, Ordering::SeqCst);
                     let resp = match req {
-                        Request::ObjCreate { .. } => Response::ObjAck,
+                        Request::ObjPut { .. } => Response::ObjAck,
                         Request::ObjStat { .. } => Response::ObjStat {
                             len: 42,
-                            version: 1,
-                            extents: 0,
+                            extents: 1,
                         },
                         _ => Response::Error("unexpected op".into()),
                     };
@@ -361,7 +434,7 @@ fn the_first_op_after_a_hang_up_fails_typed_and_the_next_dials_fresh() {
     });
 
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().build());
-    client.create("web", "obj").unwrap();
+    client.put("web", "obj", b"x").unwrap();
     std::thread::sleep(std::time::Duration::from_millis(30)); // let the server hang up
     assert!(matches!(client.stat("web", "obj"), Err(StoreError::Net(_))));
     assert_eq!(served.load(Ordering::SeqCst), 1, "the stat never arrived");

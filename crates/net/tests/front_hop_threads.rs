@@ -45,8 +45,8 @@ fn a_thousand_front_ops_add_one_thread_the_front_nodes_connection() {
     let client = FrontClient::new(server.addr(), RemoteDiskConfig::default());
     let mut ops = 0;
     for i in 0..10 {
-        client.put("t", &format!("o{i}"), &data).unwrap(); // create + write
-        ops += 2;
+        client.put("t", &format!("o{i}"), &data).unwrap();
+        ops += 1;
     }
     while ops < 1000 {
         let name = format!("o{}", ops % 10);

@@ -11,11 +11,16 @@ use ecfrm_net::protocol::{read_response, version_mismatch, write_request, MAGIC,
 use ecfrm_net::{NetError, RemoteDisk, RemoteDiskConfig, Request, Response, ShardServer};
 use ecfrm_sim::{DiskBackend, MemDisk};
 
-/// A `Health` frame of version 1 or 2: good magic, the old version
-/// byte, and the ten-byte header both of them had.
+/// A `Health` frame of an older version: good magic, the old version
+/// byte, and the header it had — ten bytes in versions 1 and 2, and the
+/// eighteen of version 3, which put an id before the length.
 fn old_health_frame(version: u8) -> Vec<u8> {
     let mut frame = MAGIC.to_vec();
-    frame.extend_from_slice(&[version, 4, 0, 0, 0, 0]); // version, opcode, empty payload
+    frame.extend_from_slice(&[version, 4]); // version, opcode
+    if version == 3 {
+        frame.extend_from_slice(&7u64.to_le_bytes()); // id
+    }
+    frame.extend_from_slice(&[0; 4]); // empty payload
     frame
 }
 
@@ -31,7 +36,7 @@ fn refused_then_served(version: u8) {
     match read_response(&mut old).unwrap() {
         (_, Response::Error(msg)) => {
             assert_eq!(msg, version_mismatch(version));
-            let want = format!("peer speaks {version}, this node speaks 3");
+            let want = format!("peer speaks {version}, this node speaks 4");
             assert!(msg.contains(&want), "{msg}");
         }
         other => panic!("expected a typed refusal, got {other:?}"),
@@ -44,7 +49,7 @@ fn refused_then_served(version: u8) {
         "closed after the refusal"
     );
 
-    // The next v3 client is served as if nothing happened.
+    // The next v4 client is served as if nothing happened.
     let mut new = TcpStream::connect(server.addr()).unwrap();
     new.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     write_request(&mut new, 5, &Request::Health).unwrap();
@@ -65,11 +70,18 @@ fn a_v1_frame_is_refused_in_one_typed_frame_and_the_server_carries_on() {
     refused_then_served(1);
 }
 
-/// Version 2's header is eight bytes shorter than version 3's: the
+/// Version 2's header is eight bytes shorter than this version's: the
 /// server judges the version byte before it waits for the rest.
 #[test]
 fn a_v2_frame_is_refused_exactly_as_a_v1_frame_is() {
     refused_then_served(2);
+}
+
+/// Version 3 had this version's header and a create op this one
+/// retired: its frames are refused by the version byte, like any other.
+#[test]
+fn a_v3_frame_is_refused_exactly_as_a_v1_frame_is() {
+    refused_then_served(3);
 }
 
 /// A peer that answers every frame it is sent, whatever it was, with a
@@ -102,8 +114,8 @@ fn spawn_v1_peer() -> SocketAddr {
 }
 
 #[test]
-fn a_v3_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
-    assert_eq!(VERSION, 3);
+fn a_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
+    assert_eq!(VERSION, 4);
     let disk = RemoteDisk::new(
         spawn_v1_peer(),
         RemoteDiskConfig::builder().low_latency().build(),

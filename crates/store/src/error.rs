@@ -37,9 +37,9 @@ pub enum StoreError {
     /// bucket could not cover it within the configured maximum queueing
     /// delay. The request was not executed; retry after backing off.
     Throttled(String),
-    /// The read asked for more bytes than one reply may carry. Refused
-    /// before admission and before any byte is fetched; read it in
-    /// ranges.
+    /// More bytes than one frame may carry: a read, refused before
+    /// admission and before any byte is fetched (read it in ranges), or
+    /// a remote put or write, refused before a byte of it is sent.
     TooLarge(String),
 }
 

@@ -478,14 +478,16 @@ struct FrontMetrics {
     objects: Gauge,
 }
 
+/// tenant → object → extent record.
+type Namespace = HashMap<String, HashMap<String, ExtentRecord>>;
+
 /// The multi-tenant object layer over an [`ObjectStore`]. See the
 /// [module docs](self) for the full design and a runnable example.
 pub struct FrontDoor {
     store: Arc<ObjectStore>,
     cfg: FrontConfig,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
-    /// tenant → object → extent record.
-    namespace: Mutex<HashMap<String, HashMap<String, ExtentRecord>>>,
+    namespace: Mutex<Namespace>,
     cache: ElementCache,
     metrics: FrontMetrics,
     /// Raised by [`Self::shutdown`]: unparks every admission waiter
@@ -614,57 +616,6 @@ impl FrontDoor {
         Ok(())
     }
 
-    /// Create an empty object.
-    ///
-    /// # Errors
-    /// [`StoreError::AlreadyExists`] if the tenant already has an
-    /// object with that name; [`StoreError::Throttled`] on admission
-    /// rejection.
-    pub fn create(&self, tenant: &str, object: &str) -> Result<(), StoreError> {
-        self.insert_new(tenant, object, None)
-    }
-
-    /// [`Self::create`] and, given `bytes`, the first [`Self::write`],
-    /// as one step: one admission, and the record appears whole or not
-    /// at all.
-    fn insert_new(
-        &self,
-        tenant: &str,
-        object: &str,
-        bytes: Option<&[u8]>,
-    ) -> Result<(), StoreError> {
-        let t = self.tenant(tenant);
-        // Validate before admitting (and without holding the namespace
-        // lock across a potential admission sleep) so an invalid
-        // request costs no budget; the post-admission insert re-checks
-        // in case a racing create won meanwhile.
-        {
-            let ns = self.namespace.lock();
-            if ns.get(tenant).is_some_and(|o| o.contains_key(object)) {
-                return Err(StoreError::AlreadyExists(format!("{tenant}/{object}")));
-            }
-        }
-        let len = bytes.map_or(0, |b| b.len() as u64);
-        self.admit(&t, len)?;
-        let extents: Vec<ObjectMeta> = bytes.map(|b| self.store.append(b)).into_iter().collect();
-        let mut ns = self.namespace.lock();
-        let objects = ns.entry(tenant.to_string()).or_default();
-        if objects.contains_key(object) {
-            return Err(StoreError::AlreadyExists(format!("{tenant}/{object}")));
-        }
-        let rec = ExtentRecord {
-            version: 1 + extents.len() as u64,
-            extents,
-        };
-        objects.insert(object.to_string(), rec);
-        self.metrics.objects.add(1);
-        if bytes.is_some() {
-            t.writes.inc();
-            t.write_bytes.add(len);
-        }
-        Ok(())
-    }
-
     /// Append `bytes` to an existing object as one new extent.
     ///
     /// # Errors
@@ -672,42 +623,62 @@ impl FrontDoor {
     /// [`StoreError::Throttled`] on admission rejection (the bytes are
     /// not written).
     pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let t = self.tenant(tenant);
-        // Check existence *before* admitting or appending so a
-        // misspelled name neither spends the tenant's budget nor leaks
-        // stream bytes.
-        {
-            let ns = self.namespace.lock();
-            ns.get(tenant)
-                .and_then(|o| o.get(object))
-                .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?;
-        }
-        self.admit(&t, bytes.len() as u64)?;
-        let extent = self.store.append(bytes);
-        let mut ns = self.namespace.lock();
-        let rec = ns
-            .get_mut(tenant)
-            .and_then(|o| o.get_mut(object))
-            .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?;
-        rec.extents.push(extent);
-        rec.version += 1;
-        t.writes.inc();
-        t.write_bytes.add(bytes.len() as u64);
-        Ok(())
+        self.add_extent(tenant, object, bytes, false)
     }
 
     /// Create an object holding `bytes` as its one extent, in one step:
     /// one admission for `bytes.len()`, and the record appears whole or
     /// not at all — a rejected put leaves nothing behind, and no reader
-    /// sees the object empty. The record is the one [`Self::create`]
-    /// then [`Self::write`] would leave (version 2).
+    /// sees the object empty. An empty object is a put of no bytes.
     ///
     /// # Errors
     /// [`StoreError::AlreadyExists`] if the tenant already has an
     /// object with that name; [`StoreError::Throttled`] on admission
     /// rejection (nothing is written).
     pub fn put(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.insert_new(tenant, object, Some(bytes))
+        self.add_extent(tenant, object, bytes, true)
+    }
+
+    /// [`Self::put`] (`new`: the name must be free) and [`Self::write`]
+    /// (the object must exist): record `bytes` as one more extent of
+    /// the object. The name is checked before admitting or appending, so
+    /// a refused request neither spends the tenant's budget nor leaks
+    /// stream bytes, and without holding the namespace lock across an
+    /// admission sleep; the insert re-checks it, in case a racing put
+    /// or delete won meanwhile.
+    fn add_extent(
+        &self,
+        tenant: &str,
+        object: &str,
+        bytes: &[u8],
+        new: bool,
+    ) -> Result<(), StoreError> {
+        let t = self.tenant(tenant);
+        let check = |ns: &Namespace| {
+            let found = ns.get(tenant).is_some_and(|o| o.contains_key(object));
+            match (found, new) {
+                (true, true) => Err(StoreError::AlreadyExists(format!("{tenant}/{object}"))),
+                (false, false) => Err(StoreError::NotFound(format!("{tenant}/{object}"))),
+                _ => Ok(()),
+            }
+        };
+        check(&self.namespace.lock())?;
+        self.admit(&t, bytes.len() as u64)?;
+        let extent = self.store.append(bytes);
+        let mut ns = self.namespace.lock();
+        check(&ns)?;
+        ns.entry(tenant.to_string())
+            .or_default()
+            .entry(object.to_string())
+            .or_default()
+            .extents
+            .push(extent);
+        if new {
+            self.metrics.objects.add(1);
+        }
+        t.writes.inc();
+        t.write_bytes.add(bytes.len() as u64);
+        Ok(())
     }
 
     /// Read a whole object.
@@ -796,7 +767,7 @@ impl FrontDoor {
         Ok(pieces)
     }
 
-    /// Object metadata: length, version, extent count.
+    /// Object metadata: length and extent count.
     ///
     /// # Errors
     /// [`StoreError::NotFound`].
@@ -808,7 +779,6 @@ impl FrontDoor {
             .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?;
         Ok(ObjectStat {
             len: rec.len(),
-            version: rec.version,
             extents: rec.extents.len(),
         })
     }
@@ -927,7 +897,7 @@ mod tests {
         f.put("a", "obj", &data).unwrap();
         assert_eq!(f.read("a", "obj").unwrap(), data);
         let st = f.stat("a", "obj").unwrap();
-        assert_eq!((st.len, st.version, st.extents), (5000, 2, 1));
+        assert_eq!((st.len, st.extents), (5000, 1));
         // Appends add extents; reads concatenate.
         let more = blob(700, 9);
         f.write("a", "obj", &more).unwrap();
@@ -945,6 +915,20 @@ mod tests {
         assert!(matches!(f.read("a", "obj"), Err(StoreError::NotFound(_))));
         f.put("a", "obj", b"fresh").unwrap();
         assert_eq!(f.read("a", "obj").unwrap(), b"fresh");
+        // An empty object is a put of no bytes: one extent, like any
+        // put, and every write adds one more.
+        f.put("a", "empty", &[]).unwrap();
+        assert!(f.read("a", "empty").unwrap().is_empty());
+        assert_eq!(
+            f.stat("a", "empty").unwrap(),
+            ObjectStat { len: 0, extents: 1 }
+        );
+        f.write("a", "empty", &[]).unwrap();
+        f.write("a", "empty", b"xy").unwrap();
+        assert_eq!(
+            f.stat("a", "empty").unwrap(),
+            ObjectStat { len: 2, extents: 3 }
+        );
     }
 
     #[test]
@@ -1028,11 +1012,7 @@ mod tests {
     #[test]
     fn duplicate_create_rejected_and_errors_typed() {
         let f = front();
-        f.create("a", "x").unwrap();
-        assert!(matches!(
-            f.create("a", "x"),
-            Err(StoreError::AlreadyExists(_))
-        ));
+        f.put("a", "x", &[]).unwrap();
         assert!(matches!(
             f.put("a", "x", b"z"),
             Err(StoreError::AlreadyExists(_))
@@ -1331,7 +1311,7 @@ mod tests {
         putter.join().unwrap().unwrap();
         assert_eq!(f.list("bulk"), vec!["o".to_string()]);
         let st = f.stat("bulk", "o").unwrap();
-        assert_eq!((st.len, st.version, st.extents), (100, 2, 1));
+        assert_eq!((st.len, st.extents), (100, 1));
     }
 
     #[test]
@@ -1402,7 +1382,7 @@ mod tests {
                 Err(StoreError::NotFound(_))
             ));
             assert!(matches!(
-                f.create("t", "o"),
+                f.put("t", "o", &blob(10_000_000, 3)),
                 Err(StoreError::AlreadyExists(_))
             ));
         }
@@ -1460,7 +1440,6 @@ mod tests {
                     len: 20,
                 },
             ],
-            version: 3,
         };
         assert_eq!(rec.len(), 30);
         // Range straddling both extents.

@@ -42,8 +42,8 @@ impl ObjectMeta {
 /// metadata (scfs-style: an object is an ordered list of extents over
 /// the append-only stream, so appends never rewrite data in place).
 ///
-/// Each write to an object appends one [`ObjectMeta`] extent (a stream
-/// location returned by
+/// Each put or write of an object appends one [`ObjectMeta`] extent (a
+/// stream location returned by
 /// [`ObjectStore::append`](crate::ObjectStore::append)); a read
 /// concatenates the extents in order. Deleting an object drops the
 /// record — the underlying stream bytes are unreferenced garbage until
@@ -53,9 +53,6 @@ pub struct ExtentRecord {
     /// Stream extents in append order; the object's bytes are their
     /// concatenation.
     pub extents: Vec<ObjectMeta>,
-    /// Bumped on every mutation (create = 1), so cached stats can be
-    /// recognized as stale.
-    pub version: u64,
 }
 
 impl ExtentRecord {
@@ -95,9 +92,8 @@ impl ExtentRecord {
 pub struct ObjectStat {
     /// Object length in bytes (sum over extents).
     pub len: u64,
-    /// Mutation version (create = 1, +1 per write).
-    pub version: u64,
-    /// Number of stream extents backing the object.
+    /// Number of stream extents backing the object: one per put or
+    /// write.
     pub extents: usize,
 }
 

@@ -53,7 +53,7 @@ struct StoreMetrics {
     batch_elems: Counter,
     /// Per-disk batches whose offsets formed one contiguous ascending
     /// run of ≥ 2 elements — the batches a remote backend ships as a
-    /// single coalesced `GetRange`.
+    /// one-run `Read`.
     coalesced_runs: Counter,
     /// Per-disk vectored writes issued (one per touched disk per seal or
     /// repair write-back; for remote backends the logical RPC count),
@@ -337,7 +337,7 @@ impl ObjectStore {
     /// `repair_elements`, `decoded_elements`, `read.rpcs` (per-disk
     /// vectored requests issued), `read.batch_elems` (elements those
     /// requests carried), `read.coalesced_runs` (per-disk batches that
-    /// formed one contiguous run — shipped as a single `GetRange` on
+    /// formed one contiguous run — shipped as a one-run `Read` on
     /// remote backends), `write.rpcs` / `write.runs` /
     /// `write.batch_elems` (their mirrors for seals and repair
     /// write-backs: per-disk vectored writes, the runs of consecutive

@@ -595,7 +595,7 @@ mod tests {
         // spanning two data rows hands (at least) the wrap-around disks
         // a strictly contiguous per-disk offset run. (Full-object reads
         // cross parity rows, which punch periodic holes in the per-disk
-        // offsets — those batches stay `BatchGet`.)
+        // offsets — those batches are not a one-run `Read`.)
         let store = ObjectStore::new(ecfrm_scheme(Arc::new(RsCode::vandermonde(6, 3))), 64);
         let x = store.append(&blob(30_000, 41));
         store.flush();
