@@ -93,7 +93,7 @@ fn usage() -> String {
      \x20         (merkle vs decode scrub timing; --corrupt plants bit-rot and checks localization)\n\
      \x20 serve   --listen <host:port> [--dir <shard dir>] [--element-size <bytes>]\n\
      \x20         [--file-io auto|blocking|uring[:depth]]\n\
-     \x20         [--front]   (object front door: opcodes 12-15, 18)\n\
+     \x20         [--front]   (object front door: opcodes 13-15, 18)\n\
      \x20         [--tenant name:latency|bulk[:rate_bytes_per_s]]...\n\
      \x20         [--cache-bytes <n>]\n\
      \x20         [--remote host:port,...]   (front store over remote shards, one per disk)\n\

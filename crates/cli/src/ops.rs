@@ -54,7 +54,7 @@ impl Drop for RemoveOnDrop {
 /// in-memory disk. Runs until killed.
 ///
 /// With `--front` the node also hosts the multi-tenant object front
-/// door (opcodes 12–15, 18): it builds a full `--code`/`--layout` store —
+/// door (opcodes 13–15, 18): it builds a full `--code`/`--layout` store —
 /// over `--remote` shard servers when given, else over local disks —
 /// and answers object put/write/read/stat/delete with QoS admission
 /// and the parity-aware read cache in the path. `--tenant

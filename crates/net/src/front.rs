@@ -1,15 +1,15 @@
 //! [`FrontClient`]: the object front door over the wire.
 //!
-//! A front node serves the object namespace ops (opcodes 12–15, 18) through
+//! A front node serves the object namespace ops (opcodes 13–15, 18) through
 //! a [`FrontDoor`](ecfrm_store::FrontDoor) attached with
 //! [`ShardServer::spawn_with_front`](crate::ShardServer::spawn_with_front).
 //! `FrontClient` is the matching client: typed errors instead of
 //! strings, over the crate's one connection per peer, whose replies it
 //! reads itself — it never starts a thread. Under the crate's one retry
 //! rule ([`crate::client`]) an op runs at most once: a lost *response*
-//! to [`Request::ObjWrite`] is an error, because the write may have
-//! landed and a blind retry would append the extent twice. A put is one
-//! [`Request::ObjPut`], so like [`FrontDoor::put`](ecfrm_store::FrontDoor::put)
+//! to a [`Request::ObjPut`] is an error, because the put may have
+//! landed and a replay would answer `AlreadyExists` for it. A put is
+//! one `ObjPut`, so like [`FrontDoor::put`](ecfrm_store::FrontDoor::put)
 //! it lands whole or not at all.
 //!
 //! Every failure is a typed error and none of them changes what the
@@ -78,7 +78,7 @@ pub fn unwire_error(msg: &str) -> StoreError {
     StoreError::Net(msg.to_string())
 }
 
-/// Object front door client: speaks opcodes 12–15 and 18 to a front node.
+/// Object front door client: speaks opcodes 13–15 and 18 to a front node.
 pub struct FrontClient {
     link: Link,
     recorder: Recorder,
@@ -115,33 +115,16 @@ impl FrontClient {
         self.link.counters.snapshot()
     }
 
-    /// Append `bytes` to an object as one extent. See
-    /// [`FrontDoor::write`](ecfrm_store::FrontDoor::write).
-    ///
-    /// # Errors
-    /// [`StoreError::NotFound`], [`StoreError::Throttled`], or any
-    /// store/transport error.
-    pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        // Sent from the caller's buffer: no owned `Request`, no payload.
-        self.dispatch(
-            &|w, id| write_obj_bytes(w, id, false, tenant, object, bytes),
-            ack,
-        )
-    }
-
-    /// Create an object holding `bytes`, in one RPC sent like
-    /// [`Self::write`]'s: it lands whole or not at all. See
-    /// [`FrontDoor::put`](ecfrm_store::FrontDoor::put).
+    /// Create an object holding `bytes`, in one RPC: it lands whole or
+    /// not at all. See [`FrontDoor::put`](ecfrm_store::FrontDoor::put).
     ///
     /// # Errors
     /// [`StoreError::AlreadyExists`], [`StoreError::Throttled`],
     /// [`StoreError::TooLarge`] for more than one frame carries, or any
     /// store/transport error.
     pub fn put(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.dispatch(
-            &|w, id| write_obj_bytes(w, id, true, tenant, object, bytes),
-            ack,
-        )
+        // Sent from the caller's buffer: no owned `Request`, no payload.
+        self.dispatch(&|w, id| write_obj_bytes(w, id, tenant, object, bytes), ack)
     }
 
     /// Read a whole object. See
@@ -193,10 +176,7 @@ impl FrontClient {
             object: object.to_string(),
         };
         self.dispatch(&|w, id| write_request(w, id, &req), |resp| match resp {
-            Response::ObjStat { len, extents } => Ok(ObjectStat {
-                len,
-                extents: extents as usize,
-            }),
+            Response::ObjStat { len } => Ok(ObjectStat { len }),
             other => Err(unexpected(&other)),
         })
     }
@@ -233,7 +213,7 @@ impl FrontClient {
     }
 }
 
-/// Shared decode for the three ops whose success is a bare
+/// Shared decode for the two ops whose success is a bare
 /// [`Response::ObjAck`].
 fn ack(resp: Response) -> Result<(), StoreError> {
     match resp {

@@ -7,7 +7,7 @@
 //! when a node times out or dies mid-read.
 //!
 //! Layers:
-//! * [`protocol`] — version 4 of the length-prefixed binary framing:
+//! * [`protocol`] — version 5 of the length-prefixed binary framing:
 //!   `Read` / `PutMany` / `CombineRange` / `Health` / `Wipe` / `Stats`
 //!   and the object ops, every frame carrying its request id. The
 //!   version byte is the whole handshake. No op marks a shard failed:

@@ -1,4 +1,4 @@
-//! The wire protocol, version 4: a length-prefixed binary frame.
+//! The wire protocol, version 5: a length-prefixed binary frame.
 //!
 //! Every frame is
 //!
@@ -14,12 +14,12 @@
 //! any version reads it before anything else: a peer that speaks another
 //! version gets one typed [`Response::Error`] naming both versions
 //! ([`version_mismatch`]) and the connection is closed. Nothing is
-//! negotiated per connection or per op; DESIGN.md ("The wire, v4") has
+//! negotiated per connection or per op; DESIGN.md ("The wire, v5") has
 //! the rule and the opcode table, retired numbers included.
 //!
 //! A shard serves `Read` (17), `PutMany` (16), `CombineRange` (10),
 //! `Health`, `Wipe` and `Stats`; a front node also serves the
-//! object ops (12–15, 18). [`Request`]'s variants say what each one does. No
+//! object ops (13–15, 18). [`Request`]'s variants say what each one does. No
 //! sender joins a payload: the small fields and the bulk buffers they
 //! sit between, borrowed from whoever holds them, leave in one vectored
 //! write (`Parts`). No receiver copies one out: a request's frame is
@@ -37,7 +37,7 @@ use ecfrm_store::Piece;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 /// Bytes of a frame ahead of its payload: magic, version, opcode, id
 /// and payload length.
 pub const HEADER_LEN: usize = 18;
@@ -55,10 +55,9 @@ pub fn version_mismatch(peer: u8) -> String {
 }
 
 /// The bulk bytes of a received request, kept in the frame they arrived
-/// in: decoding a [`Request::PutMany`], [`Request::ObjPut`] or
-/// [`Request::ObjWrite`] moves the frame here instead of copying the
-/// bytes out of it. Reads as a byte slice; build one for sending with
-/// `Vec::into`.
+/// in: decoding a [`Request::PutMany`] or [`Request::ObjPut`] moves
+/// the frame here instead of copying the bytes out of it. Reads as a
+/// byte slice; build one for sending with `Vec::into`.
 #[derive(Clone)]
 pub struct Body {
     /// The whole frame payload.
@@ -217,15 +216,6 @@ pub enum Request {
         /// The object's bytes.
         bytes: Body,
     },
-    /// Append bytes to an existing object as one new extent.
-    ObjWrite {
-        /// Owning tenant.
-        tenant: String,
-        /// Object name.
-        object: String,
-        /// Bytes to append.
-        bytes: Body,
-    },
     /// Read `len` bytes of an object starting at `start`
     /// (`len == u64::MAX` means "to the end").
     ObjGet {
@@ -303,7 +293,7 @@ pub enum Response {
     /// empty when nothing contributed.
     Combined(CombineReply),
     /// Object op acknowledged ([`Request::ObjPut`] /
-    /// [`Request::ObjWrite`] / [`Request::ObjDelete`]).
+    /// [`Request::ObjDelete`]).
     ObjAck,
     /// The bytes answering a [`Request::ObjGet`].
     ObjData(Vec<u8>),
@@ -316,9 +306,6 @@ pub enum Response {
     ObjStat {
         /// Object length in bytes.
         len: u64,
-        /// Number of stream extents backing the object: one per put or
-        /// write.
-        extents: u32,
     },
     /// Health probe answer: stored element count.
     Health {
@@ -336,14 +323,14 @@ pub enum Response {
 // Opcodes 1, 2, 3, 7 and 8 (and replies 129, 131, 135 and 136) belonged
 // to version 1's per-shape reads and per-cell write; 9 and 137 to
 // version 2's `Mux` envelope, whose id every header carries now; 11 to
-// version 3's empty-object create, which `ObjPut` replaced. A number is
-// never reused. 5 kept its number when its one-byte fault tag went:
-// `Wipe` has an empty payload, so a tag is trailing bytes.
+// version 3's empty-object create, which `ObjPut` replaced; 12 to
+// version 4's append-to-object, gone with it: an object is one put. A
+// number is never reused. 5 kept its number when its one-byte fault tag
+// went: `Wipe` has an empty payload, so a tag is trailing bytes.
 const OP_HEALTH: u8 = 4;
 const OP_WIPE: u8 = 5;
 const OP_STATS: u8 = 6;
 const OP_COMBINE_RANGE: u8 = 10;
-const OP_OBJ_WRITE: u8 = 12;
 const OP_OBJ_GET: u8 = 13;
 const OP_OBJ_STAT: u8 = 14;
 const OP_OBJ_DELETE: u8 = 15;
@@ -462,9 +449,9 @@ fn get_runs<R: Read>(f: &mut Frame<'_, R>) -> Result<Vec<(u64, u32)>, NetError> 
     Ok(runs)
 }
 
-/// Everything of an `ObjPut` or `ObjWrite` payload ahead of the bytes:
+/// Everything of an `ObjPut` payload ahead of the bytes:
 /// `[tenant][object][bytes len:u32]`.
-fn obj_write_head(out: &mut Vec<u8>, tenant: &str, object: &str, len: usize) {
+fn obj_put_head(out: &mut Vec<u8>, tenant: &str, object: &str, len: usize) {
     put_str(out, tenant);
     put_str(out, object);
     put_u32(out, len as u32);
@@ -482,7 +469,6 @@ impl Request {
             Request::PutMany { .. } => OP_PUT_MANY,
             Request::CombineRange { .. } => OP_COMBINE_RANGE,
             Request::ObjPut { .. } => OP_OBJ_PUT,
-            Request::ObjWrite { .. } => OP_OBJ_WRITE,
             Request::ObjGet { .. } => OP_OBJ_GET,
             Request::ObjStat { .. } => OP_OBJ_STAT,
             Request::ObjDelete { .. } => OP_OBJ_DELETE,
@@ -552,13 +538,8 @@ impl Request {
                 tenant,
                 object,
                 bytes,
-            }
-            | Request::ObjWrite {
-                tenant,
-                object,
-                bytes,
             } => {
-                obj_write_head(out, tenant, object, bytes.len());
+                obj_put_head(out, tenant, object, bytes.len());
                 parts.bulk(bytes);
             }
             Request::ObjGet {
@@ -600,7 +581,7 @@ impl Request {
                     bytes,
                 });
             }
-            OP_OBJ_PUT | OP_OBJ_WRITE => {
+            OP_OBJ_PUT => {
                 let tenant = get_str(f)?;
                 let object = get_str(f)?;
                 if f.u32()? as usize != f.left {
@@ -608,18 +589,10 @@ impl Request {
                 }
                 let start = here(f);
                 let bytes = Body { frame, start };
-                return Ok(if opcode == OP_OBJ_PUT {
-                    Request::ObjPut {
-                        tenant,
-                        object,
-                        bytes,
-                    }
-                } else {
-                    Request::ObjWrite {
-                        tenant,
-                        object,
-                        bytes,
-                    }
+                return Ok(Request::ObjPut {
+                    tenant,
+                    object,
+                    bytes,
                 });
             }
             OP_READ => {
@@ -755,11 +728,7 @@ impl Response {
                     parts.bulk(piece);
                 }
             }
-            Response::ObjStat { len, extents } => {
-                // [len:u64][extents:u32].
-                put_u64(out, *len);
-                put_u32(out, *extents);
-            }
+            Response::ObjStat { len } => put_u64(out, *len),
             Response::Health { elements } => put_u64(out, *elements),
             Response::Stats(pairs) => {
                 put_u32(out, pairs.len() as u32);
@@ -821,10 +790,7 @@ impl Response {
                 let len = f.u32()? as usize;
                 Response::ObjData(f.body(len)?)
             }
-            RESP_OBJ_STAT => Response::ObjStat {
-                len: f.u64()?,
-                extents: f.u32()?,
-            },
+            RESP_OBJ_STAT => Response::ObjStat { len: f.u64()? },
             RESP_HEALTH => Response::Health { elements: f.u64()? },
             RESP_WIPED => Response::Wiped,
             RESP_STATS => {
@@ -1058,24 +1024,22 @@ pub fn write_put_many(
     parts.send(w, OP_PUT_MANY, id)
 }
 
-/// Send `bytes` tagged `id`, straight from the caller's buffer, as a
-/// [`Request::ObjPut`] when the object is `new` and a
-/// [`Request::ObjWrite`] when it is not.
+/// Send `bytes` tagged `id` as a [`Request::ObjPut`], straight from
+/// the caller's buffer.
 ///
 /// # Errors
 /// I/O failure, or an oversized payload.
 pub fn write_obj_bytes(
     w: &mut impl Write,
     id: u64,
-    new: bool,
     tenant: &str,
     object: &str,
     bytes: &[u8],
 ) -> Result<(), NetError> {
     let mut parts = Parts::default();
-    obj_write_head(&mut parts.small, tenant, object, bytes.len());
+    obj_put_head(&mut parts.small, tenant, object, bytes.len());
     parts.bulk(bytes);
-    parts.send(w, if new { OP_OBJ_PUT } else { OP_OBJ_WRITE }, id)
+    parts.send(w, OP_OBJ_PUT, id)
 }
 
 /// Read one request frame off a stream: its id and the request.
@@ -1178,15 +1142,10 @@ mod tests {
             object: "empty".into(),
             bytes: vec![].into(),
         });
-        roundtrip_request(Request::ObjWrite {
+        roundtrip_request(Request::ObjPut {
             tenant: "".into(),
             object: "naïve/名前".into(),
             bytes: vec![0, 1, 255].into(),
-        });
-        roundtrip_request(Request::ObjWrite {
-            tenant: "t".into(),
-            object: "o".into(),
-            bytes: vec![].into(),
         });
         roundtrip_request(Request::ObjGet {
             tenant: "t".into(),
@@ -1205,10 +1164,7 @@ mod tests {
         roundtrip_response(Response::ObjAck);
         roundtrip_response(Response::ObjData(vec![9; 4096]));
         roundtrip_response(Response::ObjData(vec![]));
-        roundtrip_response(Response::ObjStat {
-            len: u64::MAX,
-            extents: u32::MAX,
-        });
+        roundtrip_response(Response::ObjStat { len: u64::MAX });
         // Non-UTF-8 tenant bytes are a protocol error, not garbage.
         let mut buf = Vec::new();
         write_request(
@@ -1270,7 +1226,7 @@ mod tests {
 
     /// The two combine variants carry `ecfrm-sim`'s types since PR 19;
     /// the payloads are byte for byte what the loose fields encoded to
-    /// (captured at the commit before), behind the v4 header.
+    /// (captured at the commit before), behind the v5 header.
     #[test]
     fn combine_frames_are_the_bytes_they_always_were() {
         let mut buf = Vec::new();
@@ -1290,7 +1246,7 @@ mod tests {
         write_request(&mut buf, 7, &req).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 4, 10, // v4, op 10
+            b'E', b'F', b'R', b'M', 5, 10, // v5, op 10
             7, 0, 0, 0, 0, 0, 0, 0, 66, 0, 0, 0, // id 7, 66 B
             3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, // offset, count, outputs
             2, 0, 0, 0, 7, 9, // coeffs
@@ -1308,7 +1264,7 @@ mod tests {
         write_response(&mut buf, 7, &resp).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 4, 138, // v4, op 138
+            b'E', b'F', b'R', b'M', 5, 138, // v5, op 138
             7, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, // id 7, 21 B
             1, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD, // one region
             2, 0, 0, 0, 0, 2, // local verdicts
@@ -1377,7 +1333,7 @@ mod tests {
     /// `write_put_many` (borrowed runs, no payload built) and
     /// `write_request` (an owned `PutMany`) put the same frame on the
     /// wire, and the decoded body is the run bytes; likewise
-    /// `write_obj_bytes`, for a put and for a write.
+    /// `write_obj_bytes` and an owned `ObjPut`.
     #[test]
     fn borrowed_put_many_is_the_same_frame() {
         let cells: Vec<u8> = (0..40).collect();
@@ -1406,27 +1362,16 @@ mod tests {
             read_request(&mut borrowed.as_slice()).unwrap(),
             (0xABCD, want)
         );
-        for new in [true, false] {
-            let (tenant, object, bytes) = ("t".into(), "o".into(), cells.clone().into());
-            let want = if new {
-                Request::ObjPut {
-                    tenant,
-                    object,
-                    bytes,
-                }
-            } else {
-                Request::ObjWrite {
-                    tenant,
-                    object,
-                    bytes,
-                }
-            };
-            let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
-            write_obj_bytes(&mut borrowed, 5, new, "t", "o", &cells).unwrap();
-            write_request(&mut whole, 5, &want).unwrap();
-            assert_eq!(borrowed, whole);
-            assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), (5, want));
-        }
+        let want = Request::ObjPut {
+            tenant: "t".into(),
+            object: "o".into(),
+            bytes: cells.clone().into(),
+        };
+        let (mut borrowed, mut whole) = (Vec::new(), Vec::new());
+        write_obj_bytes(&mut borrowed, 5, "t", "o", &cells).unwrap();
+        write_request(&mut whole, 5, &want).unwrap();
+        assert_eq!(borrowed, whole);
+        assert_eq!(read_request(&mut borrowed.as_slice()).unwrap(), (5, want));
     }
 
     /// Frames that lie about their own shape are refused at decode
@@ -1449,24 +1394,32 @@ mod tests {
         // A key tag that is neither "none" nor "some".
         let err = Request::decode(OP_READ, vec![2, 0, 0, 0, 0]).unwrap_err();
         assert!(err.to_string().contains("key tag"), "{err}");
-        // An object write whose length field disagrees with the frame.
-        let mut payload = Vec::new();
-        obj_write_head(&mut payload, "t", "o", 100);
-        payload.extend_from_slice(&[9; 10]);
-        assert!(matches!(
-            Request::decode(OP_OBJ_WRITE, payload),
-            Err(NetError::Protocol(_))
-        ));
+        // An object put whose length field disagrees with the frame,
+        // either way.
+        for (claimed, shipped) in [(100, 10), (10, 100)] {
+            let mut payload = Vec::new();
+            obj_put_head(&mut payload, "t", "o", claimed);
+            payload.extend(std::iter::repeat_n(9, shipped));
+            assert!(matches!(
+                Request::decode(OP_OBJ_PUT, payload),
+                Err(NetError::Protocol(_))
+            ));
+        }
     }
 
-    /// The retired `Mux` envelope's opcodes are unknown opcodes now.
+    /// Retired opcodes are unknown opcodes now: the `Mux` envelope's
+    /// (9, 137), version 3's create (11) and version 4's append (12),
+    /// whose payload is still a well-formed `ObjPut`'s.
     #[test]
-    fn retired_mux_opcodes_are_refused() {
-        let err = Request::decode(9, vec![0; 10]).unwrap_err();
-        assert!(
-            err.to_string().contains("unknown request opcode 9"),
-            "{err}"
-        );
+    fn retired_opcodes_are_refused() {
+        let mut put = Vec::new();
+        obj_put_head(&mut put, "t", "o", 1);
+        put.push(7);
+        for (op, payload) in [(9, vec![0; 10]), (11, put.clone()), (12, put)] {
+            let err = Request::decode(op, payload).unwrap_err();
+            let want = format!("unknown request opcode {op}");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
         let err = read_response(&mut frame(137, &[0; 10]).as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("unknown response opcode 137"),
@@ -1573,7 +1526,7 @@ mod tests {
         assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(2)));
         assert!(err
             .to_string()
-            .contains("peer speaks 2, this node speaks 4"));
+            .contains("peer speaks 2, this node speaks 5"));
         // The polling reader names the version too, and reads no further:
         // five bytes are all an older peer's header need share with ours.
         let stop = std::sync::atomic::AtomicBool::new(false);

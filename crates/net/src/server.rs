@@ -116,7 +116,6 @@ impl ServerMetrics {
             Request::PutMany { .. } => self.put_many.inc(),
             Request::CombineRange { .. } => self.combine.inc(),
             Request::ObjPut { .. }
-            | Request::ObjWrite { .. }
             | Request::ObjGet { .. }
             | Request::ObjStat { .. }
             | Request::ObjDelete { .. } => self.obj.inc(),
@@ -129,7 +128,7 @@ impl ServerMetrics {
 
 struct Shared {
     backend: Arc<dyn DiskBackend>,
-    /// Object front door served by opcodes 12–15 and 18, when this node is a
+    /// Object front door served by opcodes 13–15 and 18, when this node is a
     /// front node and not just a raw shard. `None` answers object ops
     /// with a typed wire error.
     front: Option<Arc<ecfrm_store::FrontDoor>>,
@@ -165,7 +164,7 @@ impl ShardServer {
     }
 
     /// Like [`Self::spawn`], but also attach an object front door: this
-    /// node serves the object namespace ops (opcodes 12–15, 18) through
+    /// node serves the object namespace ops (opcodes 13–15, 18) through
     /// `front` in addition to the raw shard ops on `backend`. Plain
     /// [`Self::spawn`] servers answer object ops with a typed
     /// `"no front door attached"` error.
@@ -720,13 +719,6 @@ fn handle(req: &Request, shared: &Shared) -> Response {
         } => obj_result(shared, |f| {
             f.put(tenant, object, bytes).map(|()| Response::ObjAck)
         }),
-        Request::ObjWrite {
-            tenant,
-            object,
-            bytes,
-        } => obj_result(shared, |f| {
-            f.write(tenant, object, bytes).map(|()| Response::ObjAck)
-        }),
         Request::ObjGet {
             tenant,
             object,
@@ -739,10 +731,8 @@ fn handle(req: &Request, shared: &Shared) -> Response {
                 .map(Response::ObjPieces)
         }),
         Request::ObjStat { tenant, object } => obj_result(shared, |f| {
-            f.stat(tenant, object).map(|s| Response::ObjStat {
-                len: s.len,
-                extents: s.extents as u32,
-            })
+            f.stat(tenant, object)
+                .map(|s| Response::ObjStat { len: s.len })
         }),
         Request::ObjDelete { tenant, object } => obj_result(shared, |f| {
             f.delete(tenant, object).map(|()| Response::ObjAck)

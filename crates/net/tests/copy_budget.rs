@@ -95,12 +95,14 @@ fn rs63() -> Scheme {
         .build()
 }
 
-#[test]
-fn a_warm_256k_object_read_allocates_one_body_the_clients() {
-    let _turn = TURN
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    const LEN: usize = 256 * 1024;
+const LEN: usize = 256 * 1024;
+
+/// A front node over RS(6,3), a client of it, and the 256 KiB object
+/// `t/hot` they share, cached whole on a connection that is up: the
+/// client has read it twice, the first read filling the cache and the
+/// second finding every element there. The server must outlive the
+/// reads.
+fn warm_256k_object() -> (Arc<FrontDoor>, ShardServer, FrontClient, Vec<u8>) {
     let store = Arc::new(ObjectStore::new(rs63(), 4096));
     let front = FrontDoor::new(store, FrontConfig::builder().cache_bytes(4 * LEN).build());
     let server =
@@ -109,11 +111,18 @@ fn a_warm_256k_object_read_allocates_one_body_the_clients() {
     let client = FrontClient::new(server.addr(), RemoteDiskConfig::default());
     let data = pattern(LEN, 3);
     client.put("t", "hot", &data).unwrap();
-    // Twice: the first read fills the cache, the second finds the
-    // connection up and every element cached.
     for _ in 0..2 {
         assert_eq!(client.read("t", "hot").unwrap(), data);
     }
+    (front, server, client, data)
+}
+
+#[test]
+fn a_warm_256k_object_read_allocates_one_body_the_clients() {
+    let _turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (front, _server, client, data) = warm_256k_object();
     let (hits, _) = front.cache_stats();
 
     // Anything a quarter of the body or more is a buffer of its bytes.
@@ -135,6 +144,26 @@ fn a_warm_256k_object_read_allocates_one_body_the_clients() {
     );
 }
 
+/// The same warm read, every allocation counted, whatever its size. In
+/// process: the cache's run of hits, the pieces and the buffer returned
+/// — the one namespace record is copied out, not cloned. Over the wire
+/// the rest is both ends' frames, names and bookkeeping.
+#[test]
+fn a_warm_256k_object_read_makes_three_allocations_in_process_and_eighteen_remote() {
+    let _turn = TURN
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (front, _server, client, data) = warm_256k_object();
+
+    let (got, in_process, _) = counted(1, || front.read_range("t", "hot", 0, LEN as u64));
+    assert_eq!(got.unwrap(), data);
+    assert_eq!(in_process, 3, "hits, pieces, the buffer returned");
+
+    let (got, remote, _) = counted(1, || client.read_range("t", "hot", 0, u64::MAX));
+    assert_eq!(got.unwrap(), data);
+    assert_eq!(remote, 18);
+}
+
 /// The write side of the same hop: a warm 256 KiB put. The client sends
 /// from the caller's buffer and the front node appends from the frame it
 /// received, so the one buffer of a quarter of the body or more is that
@@ -145,7 +174,6 @@ fn a_warm_256k_put_allocates_one_body_the_received_frame() {
     let _turn = TURN
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    const LEN: usize = 256 * 1024;
     let store = Arc::new(ObjectStore::new(rs63(), 4096));
     let front = FrontDoor::new(store, FrontConfig::default());
     let server =

@@ -1,7 +1,7 @@
-//! The object front door over real TCP: opcodes 12–15 and 18 end-to-end,
+//! The object front door over real TCP: opcodes 13–15 and 18 end-to-end,
 //! typed errors across the wire, and what the client does when the
 //! wire lets it down — every failure a typed error that changes nothing
-//! about the next call, and no write ever sent twice.
+//! about the next call, and no put ever sent twice.
 
 use std::sync::Arc;
 
@@ -51,9 +51,8 @@ fn count(server: &ShardServer, front: &FrontDoor, name: &str) -> u64 {
 }
 
 /// Full object lifecycle against a front node over real sockets:
-/// put / write (multi-extent) / stat / ranged + whole reads / delete,
-/// with bytes compared against a reference copy. A put is one frame and
-/// one admission, and every put and write one extent.
+/// put / stat / ranged + whole reads / delete, with bytes compared
+/// against a reference copy. A put is one frame and one admission.
 #[test]
 fn remote_front_round_trips_every_op() {
     let front = local_front();
@@ -63,7 +62,6 @@ fn remote_front_round_trips_every_op() {
     let client = FrontClient::new(server.addr(), client_cfg());
 
     let a = payload(10_000);
-    let b = payload(3_000);
     let (asked, admitted) = (
         count(&server, &front, "serve.obj"),
         count(&server, &front, "admit.ok"),
@@ -71,25 +69,20 @@ fn remote_front_round_trips_every_op() {
     client.put("web", "hero.png", &a).unwrap();
     assert_eq!(count(&server, &front, "serve.obj"), asked + 1, "one frame");
     assert_eq!(count(&server, &front, "admit.ok"), admitted + 1);
-    client.write("web", "hero.png", &b).unwrap();
 
-    let stat = client.stat("web", "hero.png").unwrap();
-    assert_eq!((stat.len, stat.extents), (13_000, 2));
+    assert_eq!(
+        client.stat("web", "hero.png").unwrap(),
+        ObjectStat { len: 10_000 }
+    );
     // An empty object is a put of no bytes.
     client.put("web", "empty", &[]).unwrap();
-    assert_eq!(
-        client.stat("web", "empty").unwrap(),
-        ObjectStat { len: 0, extents: 1 }
-    );
+    assert_eq!(client.stat("web", "empty").unwrap(), ObjectStat { len: 0 });
     assert!(client.read("web", "empty").unwrap().is_empty());
 
-    let mut want = a.clone();
-    want.extend_from_slice(&b);
-    assert_eq!(client.read("web", "hero.png").unwrap(), want);
-    // A range crossing the extent seam.
+    assert_eq!(client.read("web", "hero.png").unwrap(), a);
     assert_eq!(
-        client.read_range("web", "hero.png", 9_990, 20).unwrap(),
-        &want[9_990..10_010]
+        client.read_range("web", "hero.png", 9_990, 10).unwrap(),
+        &a[9_990..]
     );
 
     client.delete("web", "hero.png").unwrap();
@@ -154,19 +147,18 @@ fn a_reply_of_more_pieces_than_one_writev_takes_arrives_whole() {
 }
 
 /// An object read no reply frame can carry is refused with a typed
-/// error on the namespace lookup alone — no admission charge, no cache
-/// lookup, no fetch — in one attempt, and the connection it was asked
-/// on serves the next read. (It used to be read whole, dropped by the
-/// frame writer with the connection, and read again by the client's
-/// retry of an idempotent op.)
+/// error on the namespace lookup alone — nothing charged to the
+/// tenant, no cache lookup, no fetch — in one attempt, and the
+/// connection it was asked on serves the next read. (It used to be
+/// read whole, dropped by the frame writer with the connection, and
+/// read again by the client's retry of an idempotent op.)
 #[test]
 fn a_read_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
-    const HALF: usize = MAX_PAYLOAD as usize / 2;
     let store = Arc::new(ObjectStore::new(scheme(), 1 << 20));
     let front = FrontDoor::new(store, FrontConfig::default());
-    let bytes = payload(HALF + 1);
-    front.put("t", "big", &bytes[..HALF]).unwrap();
-    front.write("t", "big", &bytes).unwrap(); // two extents, cap + 1 bytes
+    // In process a put has no cap: one byte more than a frame carries.
+    let bytes = payload(MAX_PAYLOAD as usize + 1);
+    front.put("t", "big", &bytes).unwrap();
     front.put("t", "small", b"hello").unwrap();
     // Seal the tail now: a read that reaches into it seals it first, and
     // a 4 MiB stripe sealed inside a debug build's 1 s request deadline
@@ -189,17 +181,17 @@ fn a_read_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
     assert_eq!(front.cache_stats(), cache, "not looked up");
 
     assert_eq!(client.read("t", "small").unwrap(), b"hello");
-    let seam = HALF as u64 - 10;
+    let half = MAX_PAYLOAD as usize / 2;
     assert_eq!(
-        client.read_range("t", "big", seam, 20).unwrap(),
-        [&bytes[HALF - 10..HALF], &bytes[..10]].concat()
+        client.read_range("t", "big", half as u64 - 10, 20).unwrap(),
+        &bytes[half - 10..half + 10]
     );
     server.kill();
 }
 
-/// A put or write no request frame can carry is refused before a byte
-/// of it is sent: a typed error, in one attempt, and the connection it
-/// was meant for carries the next put. Nothing reached the front node,
+/// A put no request frame can carry is refused before a byte of it is
+/// sent: a typed error, in one attempt, and the connection it was meant
+/// for carries the next put. Nothing reached the front node,
 /// so nothing is left behind. (It used to discard the connection, send
 /// the frame again on a fresh dial and — a remote put then being a
 /// create and a write — leave an empty object.)
@@ -216,22 +208,16 @@ fn a_write_over_the_frame_cap_is_a_typed_error_in_one_attempt() {
     let (asked, admitted, conns) = (n("serve.obj"), n("admit.ok"), n("serve.conns"));
     let net = client.net_stats();
     let big = vec![7u8; MAX_PAYLOAD as usize];
-    for put in [true, false] {
-        let refused = if put {
-            client.put("t", "big", &big)
-        } else {
-            client.write("t", "small", &big)
-        };
-        assert!(
-            matches!(&refused, Err(StoreError::TooLarge(m)) if m.contains("cap")),
-            "{refused:?}"
-        );
-    }
-    assert_eq!(n("serve.obj"), asked, "neither frame left the client");
+    let refused = client.put("t", "big", &big);
+    assert!(
+        matches!(&refused, Err(StoreError::TooLarge(m)) if m.contains("cap")),
+        "{refused:?}"
+    );
+    assert_eq!(n("serve.obj"), asked, "the frame never left the client");
     assert_eq!(n("admit.ok"), admitted);
-    // No retry, no redial, no discard: each refusal is one failed
+    // No retry, no redial, no discard: the refusal is one failed
     // request, as any error reply is, and nothing else.
-    let failed_requests = net.failed_requests + 2;
+    let failed_requests = net.failed_requests + 1;
     assert_eq!(
         client.net_stats(),
         NetStats {
@@ -285,13 +271,13 @@ fn a_front_less_or_dead_server_is_a_typed_net_error() {
 /// `get_delay` — a live node that merely blows the client's request
 /// deadline (queued admission, slow disk, big transfer); the late reply
 /// goes out when it is ready, whatever was answered meanwhile. Also
-/// counts the `ObjPut` and `ObjWrite` frames it *receives* and, when
-/// `drop_writes` is set, kills the connection after reading one instead
-/// of answering — the executed-but-response-lost case. Returns its
-/// address, the write count and the count of connections it accepted.
+/// counts the `ObjPut` frames it *receives* and, when `drop_puts` is
+/// set, kills the connection after reading one instead of answering —
+/// the executed-but-response-lost case. Returns its address, the put
+/// count and the count of connections it accepted.
 fn spawn_slow_server(
     get_delay: std::time::Duration,
-    drop_writes: bool,
+    drop_puts: bool,
 ) -> (
     std::net::SocketAddr,
     Arc<std::sync::atomic::AtomicUsize>,
@@ -301,13 +287,13 @@ fn spawn_slow_server(
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let (writes, accepted) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-    let (counter, conns) = (Arc::clone(&writes), Arc::clone(&accepted));
+    let (puts, accepted) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (counter, conns) = (Arc::clone(&puts), Arc::clone(&accepted));
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
             conns.fetch_add(1, Ordering::SeqCst);
-            let writes = Arc::clone(&counter);
+            let puts = Arc::clone(&counter);
             let writer = Arc::new(std::sync::Mutex::new(stream.try_clone().unwrap()));
             let reply = move |id, resp: &Response| {
                 let mut w = writer.lock().unwrap();
@@ -318,7 +304,7 @@ fn spawn_slow_server(
                     return;
                 };
                 let resp = match req {
-                    Request::ObjStat { .. } => Response::ObjStat { len: 0, extents: 1 },
+                    Request::ObjStat { .. } => Response::ObjStat { len: 0 },
                     Request::ObjGet { .. } => {
                         let reply = reply.clone();
                         std::thread::spawn(move || {
@@ -327,9 +313,9 @@ fn spawn_slow_server(
                         });
                         continue;
                     }
-                    Request::ObjPut { .. } | Request::ObjWrite { .. } => {
-                        writes.fetch_add(1, Ordering::SeqCst);
-                        if drop_writes {
+                    Request::ObjPut { .. } => {
+                        puts.fetch_add(1, Ordering::SeqCst);
+                        if drop_puts {
                             return; // connection dies with the response unsent
                         }
                         Response::ObjAck
@@ -342,7 +328,7 @@ fn spawn_slow_server(
             });
         }
     });
-    (addr, writes, accepted)
+    (addr, puts, accepted)
 }
 
 /// A request that merely exceeds the client timeout on a live server
@@ -366,36 +352,33 @@ fn slow_server_times_out_and_the_next_op_is_served() {
     assert_eq!(snap.counters.get("front.remote").copied(), Some(1));
     // The late reply arrives and is dropped; the connection serves on.
     std::thread::sleep(std::time::Duration::from_millis(300));
-    assert_eq!(client.stat("web", "obj").unwrap().extents, 1);
+    assert_eq!(client.stat("web", "obj").unwrap().len, 0);
     let stats = client.net_stats();
     assert_eq!((stats.timeouts, stats.conns_discarded), (1, 0), "{stats:?}");
     assert_eq!(accepted.load(std::sync::atomic::Ordering::SeqCst), 1);
 }
 
-/// A lost `ObjWrite` or `ObjPut` *response* must not trigger a blind
-/// retry: the server may have appended the extent with only the answer
-/// lost, and a replay would append it twice. The server here counts the
-/// write frames it receives — exactly one may arrive per call.
+/// A lost `ObjPut` *response* must not trigger a blind retry: the
+/// server may have made the object with only the answer lost, and a
+/// replay would be answered `AlreadyExists` for the put that landed.
+/// The server here counts the put frames it receives — exactly one may
+/// arrive per call.
 #[test]
 fn lost_write_response_is_not_retried() {
-    let (addr, writes, _) = spawn_slow_server(std::time::Duration::ZERO, true);
+    let (addr, puts, _) = spawn_slow_server(std::time::Duration::ZERO, true);
     let client = FrontClient::new(addr, RemoteDiskConfig::builder().build());
 
     client.stat("web", "obj").unwrap(); // dials the connection
-    let r = client.write("web", "obj", &payload(100));
-    assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
-    assert_eq!(
-        writes.load(std::sync::atomic::Ordering::SeqCst),
-        1,
-        "the write frame must cross the wire exactly once"
-    );
-    let r = client.put("web", "other", &payload(100)); // on a fresh dial
-    assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
-    assert_eq!(
-        writes.load(std::sync::atomic::Ordering::SeqCst),
-        2,
-        "so must the put frame"
-    );
+    for (object, sent) in [("obj", 1), ("other", 2)] {
+        // The second on a fresh dial.
+        let r = client.put("web", object, &payload(100));
+        assert!(matches!(r, Err(StoreError::Net(_))), "{r:?}");
+        assert_eq!(
+            puts.load(std::sync::atomic::Ordering::SeqCst),
+            sent,
+            "the put frame must cross the wire exactly once"
+        );
+    }
 }
 
 /// One retry rule for every op: a frame that left is never sent again.
@@ -421,10 +404,7 @@ fn the_first_op_after_a_hang_up_fails_typed_and_the_next_dials_fresh() {
                     count.fetch_add(1, Ordering::SeqCst);
                     let resp = match req {
                         Request::ObjPut { .. } => Response::ObjAck,
-                        Request::ObjStat { .. } => Response::ObjStat {
-                            len: 42,
-                            extents: 1,
-                        },
+                        Request::ObjStat { .. } => Response::ObjStat { len: 42 },
                         _ => Response::Error("unexpected op".into()),
                     };
                     let _ = write_response(&mut stream, id, &resp);

@@ -1,4 +1,4 @@
-//! The wire is the v4 frame, and the by-value receive path refuses what
+//! The wire is the v5 frame, and the by-value receive path refuses what
 //! lies about itself.
 //!
 //! Frames are written from the buffers that hold their bytes and read
@@ -96,9 +96,8 @@ fn old_response(resp: &Response) -> (u8, Vec<u8>) {
             let bytes: Vec<&[u8]> = pieces.iter().map(|p| &p[..]).collect();
             return old_response(&Response::ObjData(bytes.concat()));
         }
-        Response::ObjStat { len, extents } => {
+        Response::ObjStat { len } => {
             u64le(&mut out, *len);
-            u32le(&mut out, *extents as usize);
             141
         }
         Response::Health { elements } => {
@@ -180,17 +179,6 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
             out.extend_from_slice(bytes);
             18
         }
-        Request::ObjWrite {
-            tenant,
-            object,
-            bytes,
-        } => {
-            string(&mut out, tenant);
-            string(&mut out, object);
-            u32le(&mut out, bytes.len());
-            out.extend_from_slice(bytes);
-            12
-        }
         Request::ObjGet {
             tenant,
             object,
@@ -221,23 +209,24 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
 }
 
 /// The header, byte by byte, for a request and a response: the frame
-/// every other golden frame here is built the same way as. (Version 4
-/// kept version 3's header; only the version byte says which it is.)
+/// every other golden frame here is built the same way as. (Versions 4
+/// and 5 kept version 3's header; only the version byte says which it
+/// is.)
 #[test]
 fn the_header_is_magic_version_opcode_id_and_length() {
-    assert_eq!((VERSION, HEADER_LEN), (4, 18));
+    assert_eq!((VERSION, HEADER_LEN), (5, 18));
     let mut sent = Vec::new();
     write_request(&mut sent, 0x0102_0304_0506_0708, &Request::Health).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 4, 4, // v4, Health
+        b'E', b'F', b'R', b'M', 5, 4, // v5, Health
         8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, // id, empty payload
     ]);
     let mut sent = Vec::new();
     write_response(&mut sent, 9, &Response::Health { elements: 2 }).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 4, 132, // v4, Health reply
+        b'E', b'F', b'R', b'M', 5, 132, // v5, Health reply
         9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, // id 9, 8 B
         2, 0, 0, 0, 0, 0, 0, 0, // elements
     ]);
@@ -251,14 +240,14 @@ fn wipe_is_opcode_5_with_an_empty_payload() {
     write_request(&mut sent, 7, &Request::Wipe).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 4, 5, // v4, Wipe
+        b'E', b'F', b'R', b'M', 5, 5, // v5, Wipe
         7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
     ]);
     let mut sent = Vec::new();
     write_response(&mut sent, 7, &Response::Wiped).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 4, 133, // v4, Wiped
+        b'E', b'F', b'R', b'M', 5, 133, // v5, Wiped
         7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
     ]);
 }
@@ -293,10 +282,7 @@ fn every_response() -> Vec<Response> {
         Response::ObjData(vec![]),
         Response::ObjData(pattern(1)),
         Response::ObjData(pattern(256 * 1024)),
-        Response::ObjStat {
-            len: u64::MAX,
-            extents: u32::MAX,
-        },
+        Response::ObjStat { len: u64::MAX },
         Response::Health { elements: 12345 },
         Response::Stats(vec![("serve.read".into(), 42), ("x".into(), u64::MAX)]),
         Response::Error("disk on fire".into()),
@@ -416,10 +402,10 @@ fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
             object: "p".into(),
             bytes: bytes.clone().into(),
         },
-        Request::ObjWrite {
+        Request::ObjPut {
             tenant: tenant(),
-            object: "w".into(),
-            bytes: bytes.clone().into(),
+            object: "empty".into(),
+            bytes: vec![].into(),
         },
         Request::ObjGet {
             tenant: tenant(),

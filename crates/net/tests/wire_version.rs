@@ -13,11 +13,11 @@ use ecfrm_sim::{DiskBackend, MemDisk};
 
 /// A `Health` frame of an older version: good magic, the old version
 /// byte, and the header it had — ten bytes in versions 1 and 2, and the
-/// eighteen of version 3, which put an id before the length.
+/// eighteen of versions 3 and 4, which put an id before the length.
 fn old_health_frame(version: u8) -> Vec<u8> {
     let mut frame = MAGIC.to_vec();
     frame.extend_from_slice(&[version, 4]); // version, opcode
-    if version == 3 {
+    if version >= 3 {
         frame.extend_from_slice(&7u64.to_le_bytes()); // id
     }
     frame.extend_from_slice(&[0; 4]); // empty payload
@@ -36,7 +36,7 @@ fn refused_then_served(version: u8) {
     match read_response(&mut old).unwrap() {
         (_, Response::Error(msg)) => {
             assert_eq!(msg, version_mismatch(version));
-            let want = format!("peer speaks {version}, this node speaks 4");
+            let want = format!("peer speaks {version}, this node speaks 5");
             assert!(msg.contains(&want), "{msg}");
         }
         other => panic!("expected a typed refusal, got {other:?}"),
@@ -49,7 +49,7 @@ fn refused_then_served(version: u8) {
         "closed after the refusal"
     );
 
-    // The next v4 client is served as if nothing happened.
+    // The next v5 client is served as if nothing happened.
     let mut new = TcpStream::connect(server.addr()).unwrap();
     new.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     write_request(&mut new, 5, &Request::Health).unwrap();
@@ -84,6 +84,13 @@ fn a_v3_frame_is_refused_exactly_as_a_v1_frame_is() {
     refused_then_served(3);
 }
 
+/// Version 4 differs from this one only in an append op and a longer
+/// `ObjStat` reply, and is refused by the version byte all the same.
+#[test]
+fn a_v4_frame_is_refused_exactly_as_a_v1_frame_is() {
+    refused_then_served(4);
+}
+
 /// A peer that answers every frame it is sent, whatever it was, with a
 /// version-1 `Health` reply.
 fn spawn_v1_peer() -> SocketAddr {
@@ -115,7 +122,7 @@ fn spawn_v1_peer() -> SocketAddr {
 
 #[test]
 fn a_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
-    assert_eq!(VERSION, 4);
+    assert_eq!(VERSION, 5);
     let disk = RemoteDisk::new(
         spawn_v1_peer(),
         RemoteDiskConfig::builder().low_latency().build(),

@@ -3,11 +3,11 @@
 //!
 //! This is the layer that turns the stripe store into a *service*:
 //!
-//! * **Namespace** — tenants own named objects; each object is an
-//!   ordered list of stream extents ([`ExtentRecord`], kept next to the
-//!   stripe manifests in [`crate::meta`]). Writes append extents via
+//! * **Namespace** — tenants own named objects; an object is one
+//!   immutable stream extent (an [`ObjectMeta`], kept next to the
+//!   stripe manifests in [`crate::meta`]). A put appends its bytes via
 //!   [`ObjectStore::append`], so object data is erasure coded exactly
-//!   like everything else and deletes are metadata-only.
+//!   like everything else, and deletes are metadata-only.
 //! * **Admission control** — per-tenant pay-after token buckets
 //!   ([`ecfrm_util::TokenBucket`], the same limiter background repair
 //!   uses) behind two priority classes: [`QosClass::Latency`] is
@@ -56,7 +56,7 @@
 //!         .build(),
 //! );
 //! // "web" is latency class (no limit); "scan" is bulk, capped so hard
-//! // that its second write overdraws the bucket and is shed.
+//! // that its second put overdraws the bucket and is shed.
 //! front.register_tenant(TenantSpec::new("web", QosClass::Latency));
 //! front.register_tenant(TenantSpec::new("scan", QosClass::Bulk).rate(1024));
 //!
@@ -77,7 +77,7 @@ use std::time::Duration;
 use ecfrm_obs::{Counter, Gauge, Recorder};
 use ecfrm_util::{Mutex, TokenBucket};
 
-use crate::meta::{ExtentRecord, ObjectMeta, ObjectStat};
+use crate::meta::{ObjectMeta, ObjectStat};
 use crate::store::ObjectStore;
 use crate::StoreError;
 
@@ -478,8 +478,8 @@ struct FrontMetrics {
     objects: Gauge,
 }
 
-/// tenant → object → extent record.
-type Namespace = HashMap<String, HashMap<String, ExtentRecord>>;
+/// tenant → object → its one extent.
+type Namespace = HashMap<String, HashMap<String, ObjectMeta>>;
 
 /// The multi-tenant object layer over an [`ObjectStore`]. See the
 /// [module docs](self) for the full design and a runnable example.
@@ -616,66 +616,40 @@ impl FrontDoor {
         Ok(())
     }
 
-    /// Append `bytes` to an existing object as one new extent.
-    ///
-    /// # Errors
-    /// [`StoreError::NotFound`] if the object does not exist;
-    /// [`StoreError::Throttled`] on admission rejection (the bytes are
-    /// not written).
-    pub fn write(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.add_extent(tenant, object, bytes, false)
-    }
-
     /// Create an object holding `bytes` as its one extent, in one step:
     /// one admission for `bytes.len()`, and the record appears whole or
     /// not at all — a rejected put leaves nothing behind, and no reader
-    /// sees the object empty. An empty object is a put of no bytes.
+    /// sees the object empty. An empty object is a put of no bytes. An
+    /// object never changes once put: a new version is a delete and a
+    /// put.
+    ///
+    /// The name is checked before admitting or appending, so a refused
+    /// put neither spends the tenant's budget nor leaks stream bytes,
+    /// and without holding the namespace lock across an admission
+    /// sleep; the insert re-checks it, in case a racing put won
+    /// meanwhile.
     ///
     /// # Errors
     /// [`StoreError::AlreadyExists`] if the tenant already has an
     /// object with that name; [`StoreError::Throttled`] on admission
     /// rejection (nothing is written).
     pub fn put(&self, tenant: &str, object: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.add_extent(tenant, object, bytes, true)
-    }
-
-    /// [`Self::put`] (`new`: the name must be free) and [`Self::write`]
-    /// (the object must exist): record `bytes` as one more extent of
-    /// the object. The name is checked before admitting or appending, so
-    /// a refused request neither spends the tenant's budget nor leaks
-    /// stream bytes, and without holding the namespace lock across an
-    /// admission sleep; the insert re-checks it, in case a racing put
-    /// or delete won meanwhile.
-    fn add_extent(
-        &self,
-        tenant: &str,
-        object: &str,
-        bytes: &[u8],
-        new: bool,
-    ) -> Result<(), StoreError> {
         let t = self.tenant(tenant);
-        let check = |ns: &Namespace| {
-            let found = ns.get(tenant).is_some_and(|o| o.contains_key(object));
-            match (found, new) {
-                (true, true) => Err(StoreError::AlreadyExists(format!("{tenant}/{object}"))),
-                (false, false) => Err(StoreError::NotFound(format!("{tenant}/{object}"))),
-                _ => Ok(()),
+        let name_free = |ns: &Namespace| {
+            if ns.get(tenant).is_some_and(|o| o.contains_key(object)) {
+                return Err(StoreError::AlreadyExists(format!("{tenant}/{object}")));
             }
+            Ok(())
         };
-        check(&self.namespace.lock())?;
+        name_free(&self.namespace.lock())?;
         self.admit(&t, bytes.len() as u64)?;
         let extent = self.store.append(bytes);
         let mut ns = self.namespace.lock();
-        check(&ns)?;
+        name_free(&ns)?;
         ns.entry(tenant.to_string())
             .or_default()
-            .entry(object.to_string())
-            .or_default()
-            .extents
-            .push(extent);
-        if new {
-            self.metrics.objects.add(1);
-        }
+            .insert(object.to_string(), extent);
+        self.metrics.objects.add(1);
         t.writes.inc();
         t.write_bytes.add(bytes.len() as u64);
         Ok(())
@@ -715,8 +689,8 @@ impl FrontDoor {
     /// read-through the decoded-element cache, as the buffers that hold
     /// them, in order: no byte is copied. `len == u64::MAX` reads to the
     /// end — of the object as the one namespace lookup finds it, so a
-    /// whole-object read racing a write or a delete-and-recreate returns
-    /// one version's bytes whole.
+    /// whole-object read racing a delete-and-re-put returns one
+    /// version's bytes whole.
     ///
     /// # Errors
     /// [`StoreError::NotFound`], [`StoreError::RangeOutOfBounds`],
@@ -732,14 +706,13 @@ impl FrontDoor {
         cap: u64,
     ) -> Result<Vec<Piece>, StoreError> {
         let t = self.tenant(tenant);
-        let rec = {
-            let ns = self.namespace.lock();
-            ns.get(tenant)
-                .and_then(|o| o.get(object))
-                .cloned()
-                .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?
-        };
-        let total = rec.len();
+        let extent = *self
+            .namespace
+            .lock()
+            .get(tenant)
+            .and_then(|o| o.get(object))
+            .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?;
+        let total = extent.len;
         let len = match len {
             u64::MAX => total.saturating_sub(start),
             len => len,
@@ -758,29 +731,23 @@ impl FrontDoor {
         // Admit only after the request is known valid, so NotFound /
         // RangeOutOfBounds / TooLarge traffic cannot throttle a tenant.
         self.admit(&t, len)?;
-        let mut pieces = Vec::new();
-        for (extent, off, run) in rec.slices(start, len) {
-            self.extent_pieces(extent, off, run, &mut pieces)?;
-        }
+        let pieces = self.extent_pieces(extent, start, len)?;
         t.reads.inc();
         t.read_bytes.add(len);
         Ok(pieces)
     }
 
-    /// Object metadata: length and extent count.
+    /// Object metadata: its length.
     ///
     /// # Errors
     /// [`StoreError::NotFound`].
     pub fn stat(&self, tenant: &str, object: &str) -> Result<ObjectStat, StoreError> {
         let ns = self.namespace.lock();
-        let rec = ns
+        let extent = ns
             .get(tenant)
             .and_then(|o| o.get(object))
             .ok_or_else(|| StoreError::NotFound(format!("{tenant}/{object}")))?;
-        Ok(ObjectStat {
-            len: rec.len(),
-            extents: rec.extents.len(),
-        })
+        Ok(ObjectStat { len: extent.len })
     }
 
     /// Delete an object: the namespace record is dropped, the stream
@@ -818,17 +785,21 @@ impl FrontDoor {
         (self.cache.hits.get(), self.cache.misses.get())
     }
 
-    /// Push the pieces of the `run` bytes starting `off` into `extent`,
-    /// in order: decoded elements from the cache, contiguous miss runs
+    /// The pieces of the `run` bytes starting `off` into `extent`, in
+    /// order: decoded elements from the cache, contiguous miss runs
     /// batch-read through the store — each element buffer wrapped once
-    /// and shared between the pieces and the cache.
+    /// and shared between the pieces and the cache. No bytes are no
+    /// pieces: an empty range touches neither the cache nor the store,
+    /// whose read of an unsealed element would seal the tail.
     fn extent_pieces(
         &self,
         extent: ObjectMeta,
         off: u64,
         run: u64,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Vec<Piece>, StoreError> {
+        if run == 0 {
+            return Ok(Vec::new());
+        }
         let abs = ObjectMeta {
             offset: extent.offset + off,
             len: run,
@@ -841,7 +812,7 @@ impl FrontDoor {
             element,
         };
         let mut cached = self.cache.get_run(first..last);
-        pieces.reserve(cached.len());
+        let mut pieces = Vec::with_capacity(cached.len());
         let mut e = first;
         while e < last {
             if let Some(element) = cached[(e - first) as usize].take() {
@@ -861,7 +832,7 @@ impl FrontDoor {
             self.cache.insert_run(e, elements);
             e += fetched;
         }
-        Ok(())
+        Ok(pieces)
     }
 }
 
@@ -896,39 +867,28 @@ mod tests {
         let data = blob(5000, 3);
         f.put("a", "obj", &data).unwrap();
         assert_eq!(f.read("a", "obj").unwrap(), data);
-        let st = f.stat("a", "obj").unwrap();
-        assert_eq!((st.len, st.extents), (5000, 1));
-        // Appends add extents; reads concatenate.
-        let more = blob(700, 9);
-        f.write("a", "obj", &more).unwrap();
-        let mut all = data.clone();
-        all.extend_from_slice(&more);
-        assert_eq!(f.read("a", "obj").unwrap(), all);
-        assert_eq!(f.stat("a", "obj").unwrap().extents, 2);
-        // Ranged read across the extent boundary.
+        assert_eq!(f.stat("a", "obj").unwrap(), ObjectStat { len: 5000 });
         assert_eq!(
-            f.read_range("a", "obj", 4990, 20).unwrap(),
-            &all[4990..5010]
+            f.read_range("a", "obj", 4990, 10).unwrap(),
+            &data[4990..5000]
         );
         // Delete frees the name.
         f.delete("a", "obj").unwrap();
         assert!(matches!(f.read("a", "obj"), Err(StoreError::NotFound(_))));
         f.put("a", "obj", b"fresh").unwrap();
         assert_eq!(f.read("a", "obj").unwrap(), b"fresh");
-        // An empty object is a put of no bytes: one extent, like any
-        // put, and every write adds one more.
+        // An empty object is a put of no bytes. Reading it, or no bytes
+        // of any object, looks nothing up and seals nothing, though this
+        // one lies inside an unsealed element.
+        f.put("a", "tail", b"xyz").unwrap();
         f.put("a", "empty", &[]).unwrap();
+        let (cache, pending) = (f.cache_stats(), f.store().stats().pending_bytes);
+        assert_eq!(pending, 3);
         assert!(f.read("a", "empty").unwrap().is_empty());
-        assert_eq!(
-            f.stat("a", "empty").unwrap(),
-            ObjectStat { len: 0, extents: 1 }
-        );
-        f.write("a", "empty", &[]).unwrap();
-        f.write("a", "empty", b"xy").unwrap();
-        assert_eq!(
-            f.stat("a", "empty").unwrap(),
-            ObjectStat { len: 2, extents: 3 }
-        );
+        assert!(f.read_range("a", "obj", 3, 0).unwrap().is_empty());
+        assert_eq!(f.cache_stats(), cache);
+        assert_eq!(f.store().stats().pending_bytes, pending);
+        assert_eq!(f.stat("a", "empty").unwrap(), ObjectStat { len: 0 });
     }
 
     #[test]
@@ -957,22 +917,16 @@ mod tests {
     #[test]
     fn a_whole_object_read_racing_writers_returns_one_version_whole() {
         let f = front();
-        let (long, short, more) = (blob(3000, 1), blob(700, 2), blob(900, 3));
-        let grown = [long.clone(), more.clone()].concat();
+        let (long, short) = (blob(3000, 1), blob(700, 2));
         f.put("a", "swap", &long).unwrap();
-        f.put("a", "grow", &long).unwrap();
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                // `swap` alternates between a long and a short version;
-                // `grow` is appended to once.
+                // `swap` alternates between a long and a short version.
                 for round in 0..4000 {
                     f.delete("a", "swap").unwrap();
                     let next = if round % 2 == 0 { &short } else { &long };
                     f.put("a", "swap", next).unwrap();
-                    if round == 2000 {
-                        f.write("a", "grow", &more).unwrap();
-                    }
                 }
                 stop.store(true, Ordering::Release);
             });
@@ -988,11 +942,8 @@ mod tests {
                     ),
                     Err(e) => panic!("a racing whole-object read failed: {e}"),
                 }
-                let got = f.read("a", "grow").unwrap();
-                assert!(got == long || got == grown, "{} bytes", got.len());
             }
         });
-        assert_eq!(f.read("a", "grow").unwrap(), grown);
     }
 
     #[test]
@@ -1017,14 +968,10 @@ mod tests {
             f.put("a", "x", b"z"),
             Err(StoreError::AlreadyExists(_))
         ));
-        assert!(matches!(
-            f.write("a", "nope", b"z"),
-            Err(StoreError::NotFound(_))
-        ));
         assert!(matches!(f.read("a", "nope"), Err(StoreError::NotFound(_))));
-        f.write("a", "x", &blob(100, 1)).unwrap();
+        f.put("a", "y", &blob(100, 1)).unwrap();
         assert!(matches!(
-            f.read_range("a", "x", 90, 20),
+            f.read_range("a", "y", 90, 20),
             Err(StoreError::RangeOutOfBounds { .. })
         ));
     }
@@ -1066,7 +1013,7 @@ mod tests {
     }
 
     /// More than `cap` bytes is refused on the namespace lookup alone:
-    /// no admission charge, no cache lookup, no fetch.
+    /// nothing charged to the tenant, no cache lookup, no fetch.
     #[test]
     fn a_read_over_the_cap_is_refused_before_admission() {
         let f = front();
@@ -1310,8 +1257,7 @@ mod tests {
         f.delete("bulk", "hog").unwrap();
         putter.join().unwrap().unwrap();
         assert_eq!(f.list("bulk"), vec!["o".to_string()]);
-        let st = f.stat("bulk", "o").unwrap();
-        assert_eq!((st.len, st.extents), (100, 1));
+        assert_eq!(f.stat("bulk", "o").unwrap().len, 100);
     }
 
     #[test]
@@ -1378,10 +1324,6 @@ mod tests {
                 Err(StoreError::RangeOutOfBounds { .. })
             ));
             assert!(matches!(
-                f.write("t", "missing", &blob(10_000_000, 2)),
-                Err(StoreError::NotFound(_))
-            ));
-            assert!(matches!(
                 f.put("t", "o", &blob(10_000_000, 3)),
                 Err(StoreError::AlreadyExists(_))
             ));
@@ -1425,45 +1367,5 @@ mod tests {
         assert!(err.contains("latency|bulk"), "{err}");
         assert!(TenantSpec::parse("scan:bulk:zap").is_err());
         assert!(TenantSpec::parse("scan:bulk:1:2").is_err());
-    }
-
-    #[test]
-    fn extent_record_slices() {
-        let rec = ExtentRecord {
-            extents: vec![
-                ObjectMeta {
-                    offset: 100,
-                    len: 10,
-                },
-                ObjectMeta {
-                    offset: 500,
-                    len: 20,
-                },
-            ],
-        };
-        assert_eq!(rec.len(), 30);
-        // Range straddling both extents.
-        assert_eq!(
-            rec.slices(5, 10),
-            vec![
-                (
-                    ObjectMeta {
-                        offset: 100,
-                        len: 10
-                    },
-                    5,
-                    5
-                ),
-                (
-                    ObjectMeta {
-                        offset: 500,
-                        len: 20
-                    },
-                    0,
-                    5
-                ),
-            ]
-        );
-        assert_eq!(rec.slices(10, 0), vec![]);
     }
 }

@@ -58,8 +58,7 @@ pub mod store;
 pub use error::StoreError;
 pub use front::{FrontConfig, FrontDoor, Piece, QosClass, TenantSpec};
 pub use meta::{
-    ExtentRecord, ObjectMeta, ObjectStat, ReadStats, ScrubReport, StoreStats, StripeManifest,
-    StripeRepair,
+    ObjectMeta, ObjectStat, ReadStats, ScrubReport, StoreStats, StripeManifest, StripeRepair,
 };
 pub use repair::{DiskTable, RepairConfig, RepairManager, RepairProgress, Replacer};
 pub use store::{ObjectStore, ReadOpts};

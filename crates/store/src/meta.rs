@@ -1,11 +1,13 @@
-//! Stream extents, the front door's extent records, stripe integrity
-//! manifests, and store statistics.
+//! Stream extents, stripe integrity manifests, and store statistics.
 
 use ecfrm_integrity::{leaf_hash, HashKey, MerkleStep, MerkleTree};
 
 /// An extent: where a run of appended bytes lives in the logical byte
 /// stream, as [`ObjectStore::append`](crate::ObjectStore::append)
-/// returned it.
+/// returned it. A named object is exactly one extent: this is the
+/// front door's whole namespace record, and deleting the object drops
+/// it (the stream bytes stay, unreferenced, like any append-only
+/// store's garbage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Byte offset in the append-only logical stream.
@@ -37,64 +39,12 @@ impl ObjectMeta {
     }
 }
 
-/// A named object's extent map — the front door's namespace record,
-/// kept next to the [`StripeManifest`]s as the store's per-object
-/// metadata (scfs-style: an object is an ordered list of extents over
-/// the append-only stream, so appends never rewrite data in place).
-///
-/// Each put or write of an object appends one [`ObjectMeta`] extent (a
-/// stream location returned by
-/// [`ObjectStore::append`](crate::ObjectStore::append)); a read
-/// concatenates the extents in order. Deleting an object drops the
-/// record — the underlying stream bytes are unreferenced garbage until
-/// a future compaction pass, exactly like a real append-only store.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExtentRecord {
-    /// Stream extents in append order; the object's bytes are their
-    /// concatenation.
-    pub extents: Vec<ObjectMeta>,
-}
-
-impl ExtentRecord {
-    /// Total object length in bytes.
-    pub fn len(&self) -> u64 {
-        self.extents.iter().map(|e| e.len).sum()
-    }
-
-    /// Whether the object holds no bytes yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Map the object-relative byte range `start .. start + len` to
-    /// `(extent, offset_within_extent, run_len)` pieces in read order.
-    /// Pieces never cross extent boundaries.
-    pub fn slices(&self, start: u64, len: u64) -> Vec<(ObjectMeta, u64, u64)> {
-        let mut out = Vec::new();
-        let (mut pos, end) = (0u64, start + len);
-        for e in &self.extents {
-            let (a, b) = (pos.max(start), (pos + e.len).min(end));
-            if a < b {
-                out.push((*e, a - pos, b - a));
-            }
-            pos += e.len;
-            if pos >= end {
-                break;
-            }
-        }
-        out
-    }
-}
-
 /// What [`FrontDoor::stat`](crate::front::FrontDoor::stat) reports for
 /// a named object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectStat {
-    /// Object length in bytes (sum over extents).
+    /// Object length in bytes.
     pub len: u64,
-    /// Number of stream extents backing the object: one per put or
-    /// write.
-    pub extents: usize,
 }
 
 /// Per-read instrumentation returned by
