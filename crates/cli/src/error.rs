@@ -103,11 +103,15 @@ mod tests {
 
     #[test]
     fn store_and_net_errors_convert_into_each_other() {
-        // The From impls live in ecfrm-net; exercise them from the
-        // consumer side so a future cycle break is caught here.
+        // Both conversions live in ecfrm-net; exercise them from the
+        // consumer side so a future cycle break is caught here. A
+        // transport failure reads as a store error...
         let s: StoreError = NetError::Timeout.into();
         assert!(matches!(s, StoreError::Net(_)));
-        let n: NetError = StoreError::NotFound("x".into()).into();
-        assert!(matches!(n, NetError::Remote(_)));
+        // ...and a store error crosses the wire one way, and arrives
+        // typed.
+        use ecfrm_net::front::{unwire_error, wire_error};
+        let back = unwire_error(&wire_error(&StoreError::NotFound("x".into())));
+        assert!(matches!(back, StoreError::NotFound(_)), "{back:?}");
     }
 }

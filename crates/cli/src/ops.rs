@@ -103,8 +103,8 @@ struct Disks {
 /// Open `n` disks: one shard client per `remote` address when there are
 /// any, else `FileDisk`s named `file(d)` under `dir`, else in-memory
 /// disks. Shard files hold whole cells (element payload plus the
-/// store's checksum footer), and every shard client ships the store's
-/// integrity key, so whatever it reads is verified at the shard.
+/// store's checksum footer); a shard ships each cell as stored, and the
+/// store checks it where it is used.
 fn open_disks(
     opts: &Options,
     remote: &[String],
@@ -125,10 +125,7 @@ fn open_disks(
                 remote.len()
             )));
         }
-        let key = ecfrm_integrity::HashKey::DEFAULT;
-        let cfg = RemoteDiskConfig::builder()
-            .integrity_key(key.k0, key.k1)
-            .build();
+        let cfg = RemoteDiskConfig::default();
         let remotes = remote
             .iter()
             .map(|a| match a.parse() {
@@ -877,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn front_door_over_remote_shards_verifies_reads_at_the_shard() {
+    fn front_door_over_remote_shards_catches_a_rotted_cell_at_the_store() {
         use ecfrm_net::ShardServer;
         use ecfrm_sim::{DiskBackend, MemDisk};
         use std::sync::Arc;
@@ -900,13 +897,14 @@ mod tests {
         front.put("t", "o", &data).unwrap();
         front.store().flush();
 
-        // Rot one stored cell: the client ships the integrity key, so
-        // the shard itself names it corrupt and the read decodes around it.
+        // Rot one stored cell: the shard ships it as stored, the store
+        // finds its footer wrong, and the read decodes around it.
         let mut cell = disks[0].read(0).unwrap();
         cell[3] ^= 0x40;
         disks[0].write(0, cell);
+        let verify_fails = || front.store().recorder().snapshot().counters["integrity.verify_fail"];
+        let before = verify_fails();
         assert_eq!(front.read("t", "o").unwrap(), data);
-        let caught = servers[0].recorder().snapshot().counters["serve.read_corrupt"];
-        assert!(caught >= 1, "the shard verified what it served");
+        assert_eq!(verify_fails(), before + 1, "checked once, at the store");
     }
 }

@@ -35,16 +35,15 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ecfrm_obs::{Histogram, HistogramSnapshot};
+use ecfrm_obs::{Histogram, HistogramSnapshot, NetCounters, NetStats};
 use ecfrm_sim::{
-    io_pair, CombineReply, CombineSpec, DiskBackend, IoCompleter, IoHandle, IoResults, NetCounters,
-    NetStats, WriteRun,
+    io_pair, CombineReply, CombineSpec, DiskBackend, IoCompleter, IoHandle, IoResults, WriteRun,
 };
 use ecfrm_util::Mutex;
 
 use crate::protocol::{
-    read_response_polling, version_mismatch, write_put_many, write_request, CheckedElement,
-    NetError, Polled, Request, Response, SendFrame, MAX_PAYLOAD, MAX_RANGE,
+    read_response_polling, version_mismatch, write_put_many, write_request, NetError, Polled,
+    Request, Response, SendFrame, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// What a client needs to know about its connections. Build one with
@@ -55,11 +54,6 @@ pub struct RemoteDiskConfig {
     pub connect_timeout: Duration,
     /// Per-request response deadline.
     pub request_timeout: Duration,
-    /// The store's integrity key `(k0, k1)`. When set, every read
-    /// carries it: the shard verifies each cell's checksum footer at
-    /// the source and a corrupt cell comes back as a one-byte verdict
-    /// instead of a payload. `None` keeps all verification client-side.
-    pub integrity_key: Option<(u64, u64)>,
 }
 
 impl Default for RemoteDiskConfig {
@@ -67,7 +61,6 @@ impl Default for RemoteDiskConfig {
         Self {
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(1),
-            integrity_key: None,
         }
     }
 }
@@ -123,11 +116,13 @@ impl RemoteDiskConfigBuilder {
         self
     }
 
-    /// The store's `(k0, k1)` integrity key, enabling footer
-    /// verification at the shard on every read.
+    /// Does nothing: a shard ships each cell as stored and the store
+    /// checks it where it is used (DESIGN.md §13). Kept so callers
+    /// written against the keyed `Read` still build.
+    #[deprecated(note = "the store checks every cell once: a read carries no key")]
+    #[doc(hidden)]
     #[must_use]
-    pub fn integrity_key(mut self, k0: u64, k1: u64) -> Self {
-        self.cfg.integrity_key = Some((k0, k1));
+    pub fn integrity_key(self, _k0: u64, _k1: u64) -> Self {
         self
     }
 
@@ -512,10 +507,6 @@ pub struct RemoteDisk {
     /// End-to-end latency of data-path requests (read / write /
     /// combine), in microseconds.
     request_us: Histogram,
-    /// Cells the server reported as failing footer verification
-    /// (`CheckedElement::Corrupt`). Surfaced via
-    /// [`RemoteDisk::remote_verify_fails`].
-    remote_verify_fails: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for RemoteDisk {
@@ -531,7 +522,6 @@ impl RemoteDisk {
         Self {
             link: Link::new(addr, cfg),
             request_us: Histogram::new(),
-            remote_verify_fails: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -549,12 +539,6 @@ impl RemoteDisk {
     /// (microseconds).
     pub fn request_latency(&self) -> HistogramSnapshot {
         self.request_us.snapshot()
-    }
-
-    /// Cells the server has reported as corrupt (footer verification
-    /// failed at the source) over this client's lifetime.
-    pub fn remote_verify_fails(&self) -> u64 {
-        self.remote_verify_fails.load(Ordering::Relaxed)
     }
 
     /// Fetch the server's metrics registry as flat `(name, value)`
@@ -663,11 +647,10 @@ fn pack_frames<'a>(runs: &[WriteRun<'a>], max_bytes: usize) -> Vec<Vec<WriteRun<
 
 impl DiskBackend for RemoteDisk {
     /// Submit a batch read: one `Read` frame (more only past
-    /// [`MAX_RANGE`] cells), carrying the integrity key when one is
-    /// configured. The handle completes when the demux thread delivers
-    /// the response or its deadline passes; a frame that fails for any
-    /// reason leaves its cells absent, counts one failed request, and
-    /// the store replans degraded.
+    /// [`MAX_RANGE`] cells). The handle completes when the demux thread
+    /// delivers the cells, as stored, or the deadline passes; a frame
+    /// that fails for any reason leaves its cells absent, counts one
+    /// failed request, and the store replans degraded.
     fn submit_read_many(&self, offsets: &[u64]) -> IoHandle {
         let (handle, completer) = io_pair(offsets.len());
         let gather = Arc::new(Gather {
@@ -677,28 +660,18 @@ impl DiskBackend for RemoteDisk {
         let mut at = 0;
         for runs in pack_runs(offsets, MAX_RANGE as usize) {
             let n: usize = runs.iter().map(|&(_, count)| count as usize).sum();
-            let req = Request::Read {
-                runs,
-                key: self.link.cfg.integrity_key,
-            };
+            let req = Request::Read { runs };
             let gather = Arc::clone(&gather);
             let counters = Arc::clone(&self.link.counters);
             let request_us = self.request_us.clone();
-            let verify_fails = Arc::clone(&self.remote_verify_fails);
             let t0 = Instant::now();
             let done: Callback = Box::new(move |res| {
                 request_us.record_duration(t0.elapsed());
                 match res {
-                    Ok(Response::Cells(items)) if items.len() == n => {
-                        let mut cells = gather.cells.lock();
-                        for (slot, item) in cells[at..at + n].iter_mut().zip(items) {
-                            match item {
-                                CheckedElement::Valid(bytes) => *slot = Some(bytes),
-                                CheckedElement::Missing => {}
-                                CheckedElement::Corrupt => {
-                                    verify_fails.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                    Ok(Response::Cells(cells)) if cells.len() == n => {
+                        let mut slots = gather.cells.lock();
+                        for (slot, cell) in slots[at..at + n].iter_mut().zip(cells) {
+                            *slot = cell;
                         }
                     }
                     _ => {
@@ -807,7 +780,7 @@ mod tests {
 
     #[test]
     #[allow(deprecated)]
-    fn builder_sets_each_of_the_three_fields() {
+    fn builder_sets_each_of_the_two_fields() {
         assert_eq!(
             RemoteDiskConfig::builder().build(),
             RemoteDiskConfig::default()
@@ -815,17 +788,19 @@ mod tests {
         let cfg = RemoteDiskConfig::builder()
             .connect_timeout(Duration::from_millis(10))
             .request_timeout(Duration::from_millis(20))
-            .integrity_key(3, 4)
             .build();
         let want = RemoteDiskConfig {
             connect_timeout: Duration::from_millis(10),
             request_timeout: Duration::from_millis(20),
-            integrity_key: Some((3, 4)),
         };
         assert_eq!(cfg, want);
-        // A pool size is accepted, and changes nothing.
+        // A pool size and an integrity key are accepted, and change
+        // nothing.
         assert_eq!(
-            RemoteDiskConfig::builder().pool_size(9).build(),
+            RemoteDiskConfig::builder()
+                .pool_size(9)
+                .integrity_key(3, 4)
+                .build(),
             RemoteDiskConfig::default()
         );
     }
@@ -947,26 +922,18 @@ mod tests {
 
     /// For seeded random offset lists — runs, holes, repeats, both ends
     /// of the offset space — a `RemoteDisk` answers exactly as the
-    /// `MemDisk` behind its shard does, with and without a key.
+    /// `MemDisk` behind its shard does.
     #[test]
     fn read_many_matches_the_backing_disk_on_random_offset_lists() {
-        let key = HashKey::DEFAULT.derive(0x4449_4646, 3);
         let backend = Arc::new(MemDisk::new());
         let stored: Vec<u64> = (0..200).chain([u64::MAX - 2, u64::MAX - 1]).collect();
         for &off in stored.iter().filter(|o| *o % 7 != 3) {
-            let mut cell = vec![off as u8; 24];
-            append_footer(&key, off, &mut cell);
-            backend.write(off, cell);
+            backend.write(off, vec![off as u8; 24]);
         }
         let server =
             ShardServer::spawn(Arc::clone(&backend) as Arc<dyn DiskBackend>, "127.0.0.1:0")
                 .unwrap();
-        let plain = RemoteDisk::new(server.addr(), fast());
-        let keyed_cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .integrity_key(key.k0, key.k1)
-            .build();
-        let keyed = RemoteDisk::new(server.addr(), keyed_cfg);
+        let disk = RemoteDisk::new(server.addr(), fast());
         let mut rng = ecfrm_util::Rng::seed_from_u64(0xEC_F2);
         for round in 0..60 {
             let mut offsets = Vec::new();
@@ -978,58 +945,11 @@ mod tests {
                 let run = rng.random_range(1..6u64);
                 offsets.extend((0..run).map(|i| start.saturating_add(i)));
             }
-            let want = backend.read_many(&offsets);
             assert_eq!(
-                plain.read_many(&offsets),
-                want,
+                disk.read_many(&offsets),
+                backend.read_many(&offsets),
                 "round {round}: {offsets:?}"
             );
-            assert_eq!(
-                keyed.read_many(&offsets),
-                want,
-                "round {round}: {offsets:?}"
-            );
-        }
-        for disk in [&plain, &keyed] {
-            assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
-        }
-        assert_eq!(keyed.remote_verify_fails(), 0);
-    }
-
-    /// Verification at the source does not depend on what a batch looks
-    /// like: a rotted cell read alone, inside a contiguous run and in a
-    /// scattered batch is absent each time, and counted on both sides.
-    #[test]
-    fn a_corrupt_cell_is_absent_and_counted_whatever_the_batch_shape() {
-        let backend = Arc::new(MemDisk::new());
-        let server =
-            ShardServer::spawn(Arc::clone(&backend) as Arc<dyn DiskBackend>, "127.0.0.1:0")
-                .unwrap();
-        let key = HashKey::DEFAULT.derive(0x454C_454D, 7);
-        let cfg = RemoteDiskConfig::builder()
-            .low_latency()
-            .integrity_key(key.k0, key.k1)
-            .build();
-        let disk = RemoteDisk::new(server.addr(), cfg);
-        for off in 0..6u64 {
-            let mut cell = vec![off as u8; 8];
-            append_footer(&key, off, &mut cell);
-            disk.write(off, cell);
-        }
-        // Flip a payload byte behind the server's back: bit rot.
-        let mut rotted = backend.read(2).unwrap();
-        rotted[3] ^= 0x80;
-        backend.write(2, rotted);
-
-        let shapes: [&[u64]; 3] = [&[2], &[0, 1, 2, 3], &[5, 2, 0]];
-        for (i, offsets) in shapes.into_iter().enumerate() {
-            let got = disk.read_many(offsets);
-            for (&off, cell) in offsets.iter().zip(&got) {
-                assert_eq!(cell.is_some(), off != 2, "shape {i}, offset {off}");
-            }
-            assert_eq!(disk.remote_verify_fails(), i as u64 + 1, "shape {i}");
-            assert_eq!(served(&disk, "serve.read_corrupt"), i as u64 + 1);
-            assert_eq!(served(&disk, "serve.read"), i as u64 + 1);
         }
         assert_eq!(disk.net_stats().unwrap().failed_requests, 0);
     }

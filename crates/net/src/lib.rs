@@ -7,7 +7,7 @@
 //! when a node times out or dies mid-read.
 //!
 //! Layers:
-//! * [`protocol`] — version 5 of the length-prefixed binary framing:
+//! * [`protocol`] — version 6 of the length-prefixed binary framing:
 //!   `Read` / `PutMany` / `CombineRange` / `Health` / `Wipe` / `Stats`
 //!   and the object ops, every frame carrying its request id. The
 //!   version byte is the whole handshake. No op marks a shard failed:
@@ -54,5 +54,5 @@ pub mod server;
 pub use client::{RemoteDisk, RemoteDiskConfig};
 pub use cluster::Cluster;
 pub use front::FrontClient;
-pub use protocol::{CheckedElement, NetError, Request, Response};
+pub use protocol::{NetError, Request, Response};
 pub use server::ShardServer;

@@ -1,4 +1,4 @@
-//! The wire protocol, version 5: a length-prefixed binary frame.
+//! The wire protocol, version 6: a length-prefixed binary frame.
 //!
 //! Every frame is
 //!
@@ -14,7 +14,7 @@
 //! any version reads it before anything else: a peer that speaks another
 //! version gets one typed [`Response::Error`] naming both versions
 //! ([`version_mismatch`]) and the connection is closed. Nothing is
-//! negotiated per connection or per op; DESIGN.md ("The wire, v5") has
+//! negotiated per connection or per op; DESIGN.md ("The wire, v6") has
 //! the rule and the opcode table, retired numbers included.
 //!
 //! A shard serves `Read` (17), `PutMany` (16), `CombineRange` (10),
@@ -37,7 +37,7 @@ use ecfrm_store::Piece;
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"EFRM";
 /// Protocol version this build speaks.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// Bytes of a frame ahead of its payload: magic, version, opcode, id
 /// and payload length.
 pub const HEADER_LEN: usize = 18;
@@ -149,32 +149,20 @@ impl From<NetError> for ecfrm_store::StoreError {
     }
 }
 
-/// A store failure crossing back onto the wire (e.g. a server-side
-/// handler) is reported to the peer as a remote error.
-impl From<ecfrm_store::StoreError> for NetError {
-    fn from(e: ecfrm_store::StoreError) -> Self {
-        NetError::Remote(e.to_string())
-    }
-}
-
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Fetch runs of consecutive cells — the one read op. Run `i` covers
     /// offsets `runs[i].0 .. runs[i].0 + runs[i].1`; the answer is one
     /// [`Response::Cells`] entry per cell, in run order (so unsorted and
-    /// repeated offsets come back the way they were asked). With a
-    /// `key` the server checks each stored cell's checksum footer
-    /// against its offset before answering and reports a mismatch as
-    /// [`CheckedElement::Corrupt`] instead of shipping the bytes — the
-    /// wire analogue of verify-on-read. The server refuses (with
-    /// [`Response::Error`], before touching its backend) an empty run,
-    /// a run past the last offset and more than [`MAX_RANGE`] cells.
+    /// repeated offsets come back the way they were asked), as stored:
+    /// the shard judges no cell, the store checks each where it uses it
+    /// (DESIGN.md §13). The server refuses (with [`Response::Error`],
+    /// before touching its backend) an empty run, a run past the last
+    /// offset and more than [`MAX_RANGE`] cells.
     Read {
         /// `(first offset, cell count)` per run.
         runs: Vec<(u64, u32)>,
-        /// The store's integrity key `(k0, k1)`, to verify at the source.
-        key: Option<(u64, u64)>,
     },
     /// Store runs of consecutive cells — the one write op. Run `i`
     /// covers offsets `runs[i].0 .. runs[i].0 + runs[i].1`; `bytes`
@@ -252,39 +240,16 @@ pub enum Request {
     Stats,
 }
 
-/// One cell of a [`Response::Cells`] — for a [`Request::Read`] that
-/// carried a key, the server's integrity verdict on it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckedElement {
-    /// Not stored.
-    Missing,
-    /// Stored — and, when a key was sent, the checksum footer verified;
-    /// carries the full cell (`payload || footer`) so the client can
-    /// re-verify end-to-end.
-    Valid(Vec<u8>),
-    /// Stored but the checksum footer disagreed — the bytes are not
-    /// shipped (they are known-bad; the client treats this as an
-    /// erasure and saves the wire transfer). Only ever answers a read
-    /// that carried a key.
-    Corrupt,
-}
-
-/// A cell as a backend answers it, unjudged: stored is `Valid`.
-impl From<Option<Vec<u8>>> for CheckedElement {
-    fn from(cell: Option<Vec<u8>>) -> Self {
-        cell.map_or(CheckedElement::Missing, CheckedElement::Valid)
-    }
-}
-
 /// A server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
     /// Write acknowledged.
     Put,
-    /// The cells answering a [`Request::Read`], in run order: one
-    /// status byte per cell (so absent and corrupt cells cost 1 byte
-    /// each) followed by the valid cells' bytes.
-    Cells(Vec<CheckedElement>),
+    /// The cells answering a [`Request::Read`], in run order, each
+    /// whole (`payload || footer`) or absent: one status byte per cell
+    /// (so an absent cell costs 1 byte) followed by the stored cells'
+    /// bytes.
+    Cells(Vec<Option<Vec<u8>>>),
     /// The answer to a [`Request::CombineRange`] (the array's own
     /// [`CombineReply`]): one pre-summed region per output lane plus
     /// per-local-element and per-peer verdicts (0 = ok,
@@ -482,15 +447,8 @@ impl Request {
     fn encode<'a>(&'a self, parts: &mut Parts<'a>) {
         let out = &mut parts.small;
         match self {
-            Request::Read { runs, key } => {
-                // [has key:u8]([k0:u64][k1:u64])? then the run table.
-                out.push(u8::from(key.is_some()));
-                if let Some((k0, k1)) = key {
-                    put_u64(out, *k0);
-                    put_u64(out, *k1);
-                }
-                put_runs(out, runs.iter().copied());
-            }
+            // The run table.
+            Request::Read { runs } => put_runs(out, runs.iter().copied()),
             Request::PutMany {
                 runs,
                 cell_len,
@@ -595,15 +553,7 @@ impl Request {
                     bytes,
                 });
             }
-            OP_READ => {
-                let key = match f.u8()? {
-                    0 => None,
-                    1 => Some((f.u64()?, f.u64()?)),
-                    t => return Err(NetError::Protocol(format!("bad key tag {t}"))),
-                };
-                let runs = get_runs(f)?;
-                Request::Read { runs, key }
-            }
+            OP_READ => Request::Read { runs: get_runs(f)? },
             OP_COMBINE_RANGE => {
                 let offset = f.u64()?;
                 let count = f.u32()?;
@@ -681,22 +631,14 @@ impl Response {
         let out = &mut parts.small;
         match self {
             Response::Put | Response::Wiped | Response::ObjAck => {}
-            Response::Cells(items) => {
+            Response::Cells(cells) => {
                 // [count:u32][status byte per cell: 0=missing,
-                // 1=valid, 2=corrupt][per valid cell, in order:
-                // len:u32 + bytes]. Corrupt cells ship a verdict but
-                // no payload.
-                put_u32(out, items.len() as u32);
-                out.extend(items.iter().map(|item| match item {
-                    CheckedElement::Missing => 0,
-                    CheckedElement::Valid(_) => 1,
-                    CheckedElement::Corrupt => 2,
-                }));
-                for item in items {
-                    if let CheckedElement::Valid(v) = item {
-                        put_u32(&mut parts.small, v.len() as u32);
-                        parts.bulk(v);
-                    }
+                // 1=stored][per stored cell, in order: len:u32 + bytes].
+                put_u32(out, cells.len() as u32);
+                out.extend(cells.iter().map(|cell| u8::from(cell.is_some())));
+                for cell in cells.iter().flatten() {
+                    put_u32(&mut parts.small, cell.len() as u32);
+                    parts.bulk(cell);
                 }
             }
             Response::Combined(CombineReply {
@@ -752,21 +694,20 @@ impl Response {
                 // anything is allocated for the count it claims.
                 let n = f.u32()? as usize;
                 let statuses = f.body(n)?;
-                let mut items = Vec::with_capacity(n);
+                let mut cells = Vec::with_capacity(n);
                 for s in statuses {
-                    items.push(match s {
-                        0 => CheckedElement::Missing,
+                    cells.push(match s {
+                        0 => None,
                         1 => {
                             let len = f.u32()? as usize;
-                            CheckedElement::Valid(f.body(len)?)
+                            Some(f.body(len)?)
                         }
-                        2 => CheckedElement::Corrupt,
                         t => {
                             return Err(NetError::Protocol(format!("bad cell status {t}")));
                         }
                     });
                 }
-                Response::Cells(items)
+                Response::Cells(cells)
             }
             RESP_COMBINED => {
                 let n = f.u32()? as usize;
@@ -876,10 +817,6 @@ impl<R: Read> Frame<'_, R> {
         let mut buf = [0u8; N];
         self.fill(&mut buf, false)?;
         Ok(buf)
-    }
-
-    fn u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.field::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32, NetError> {
@@ -1104,17 +1041,12 @@ mod tests {
     fn request_roundtrips() {
         roundtrip_request(Request::Read {
             runs: vec![(42, 1)],
-            key: None,
         });
-        // Unsorted, repeated and far-apart runs, with and without a key.
+        // Unsorted, repeated and far-apart runs.
         roundtrip_request(Request::Read {
             runs: vec![(1 << 40, 4096), (7, 1), (7, 1), (u64::MAX, u32::MAX)],
-            key: Some((u64::MAX, 0xDEAD_BEEF_CAFE_F00D)),
         });
-        roundtrip_request(Request::Read {
-            runs: vec![],
-            key: Some((0, 0)),
-        });
+        roundtrip_request(Request::Read { runs: vec![] });
         roundtrip_request(Request::PutMany {
             runs: vec![(u64::MAX - 1, 1), (0, 2)],
             cell_len: 2,
@@ -1226,7 +1158,7 @@ mod tests {
 
     /// The two combine variants carry `ecfrm-sim`'s types since PR 19;
     /// the payloads are byte for byte what the loose fields encoded to
-    /// (captured at the commit before), behind the v5 header.
+    /// (captured at the commit before), behind the v6 header.
     #[test]
     fn combine_frames_are_the_bytes_they_always_were() {
         let mut buf = Vec::new();
@@ -1246,7 +1178,7 @@ mod tests {
         write_request(&mut buf, 7, &req).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 5, 10, // v5, op 10
+            b'E', b'F', b'R', b'M', 6, 10, // v6, op 10
             7, 0, 0, 0, 0, 0, 0, 0, 66, 0, 0, 0, // id 7, 66 B
             3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, // offset, count, outputs
             2, 0, 0, 0, 7, 9, // coeffs
@@ -1264,7 +1196,7 @@ mod tests {
         write_response(&mut buf, 7, &resp).unwrap();
         #[rustfmt::skip]
         assert_eq!(buf, [
-            b'E', b'F', b'R', b'M', 5, 138, // v5, op 138
+            b'E', b'F', b'R', b'M', 6, 138, // v6, op 138
             7, 0, 0, 0, 0, 0, 0, 0, 21, 0, 0, 0, // id 7, 21 B
             1, 0, 0, 0, 2, 0, 0, 0, 0xAB, 0xCD, // one region
             2, 0, 0, 0, 0, 2, // local verdicts
@@ -1282,7 +1214,6 @@ mod tests {
                 u64::MAX,
                 Request::Read {
                     runs: vec![(1 << 33, 512), (3, 2)],
-                    key: Some((7, u64::MAX)),
                 },
             ),
             (
@@ -1309,13 +1240,7 @@ mod tests {
     #[test]
     fn mux_response_roundtrips() {
         let resps = [
-            (
-                9,
-                Response::Cells(vec![
-                    CheckedElement::Valid(vec![5; 16]),
-                    CheckedElement::Missing,
-                ]),
-            ),
+            (9, Response::Cells(vec![Some(vec![5; 16]), None])),
             (1 << 50, Response::Error("shard offline".into())),
             (3, Response::Put),
         ];
@@ -1386,14 +1311,11 @@ mod tests {
         let err = Request::decode(OP_PUT_MANY, payload).unwrap_err();
         assert!(err.to_string().contains("overruns"), "{err}");
         // The same table under a `Read`.
-        let mut read = vec![0u8]; // no key
+        let mut read = Vec::new();
         put_u32(&mut read, 3);
         read.extend_from_slice(&[0; 24]);
         let err = Request::decode(OP_READ, read).unwrap_err();
         assert!(err.to_string().contains("overruns"), "{err}");
-        // A key tag that is neither "none" nor "some".
-        let err = Request::decode(OP_READ, vec![2, 0, 0, 0, 0]).unwrap_err();
-        assert!(err.to_string().contains("key tag"), "{err}");
         // An object put whose length field disagrees with the frame,
         // either way.
         for (claimed, shipped) in [(100, 10), (10, 100)] {
@@ -1431,19 +1353,15 @@ mod tests {
     fn response_roundtrips() {
         roundtrip_response(Response::Put);
         roundtrip_response(Response::Cells(vec![]));
-        roundtrip_response(Response::Cells(vec![CheckedElement::Valid(vec![7; 32])]));
+        roundtrip_response(Response::Cells(vec![Some(vec![7; 32])]));
+        roundtrip_response(Response::Cells(vec![None; 3]));
+        // Stored and absent interleaved, with an empty stored cell.
         roundtrip_response(Response::Cells(vec![
-            CheckedElement::Missing,
-            CheckedElement::Corrupt,
-            CheckedElement::Missing,
-        ]));
-        // All three verdicts interleaved, with an empty valid cell.
-        roundtrip_response(Response::Cells(vec![
-            CheckedElement::Valid(vec![1, 2, 3]),
-            CheckedElement::Corrupt,
-            CheckedElement::Valid(vec![]),
-            CheckedElement::Missing,
-            CheckedElement::Valid(vec![0xFF; 4096]),
+            Some(vec![1, 2, 3]),
+            None,
+            Some(vec![]),
+            None,
+            Some(vec![0xFF; 4096]),
         ]));
         roundtrip_response(Response::Health { elements: 12345 });
         roundtrip_response(Response::Wiped);
@@ -1526,7 +1444,7 @@ mod tests {
         assert!(matches!(&err, NetError::Protocol(m) if m == &version_mismatch(2)));
         assert!(err
             .to_string()
-            .contains("peer speaks 2, this node speaks 5"));
+            .contains("peer speaks 2, this node speaks 6"));
         // The polling reader names the version too, and reads no further:
         // five bytes are all an older peer's header need share with ours.
         let stop = std::sync::atomic::AtomicBool::new(false);
@@ -1555,7 +1473,6 @@ mod tests {
             1,
             &Request::Read {
                 runs: vec![(5, 1); 8],
-                key: None,
             },
         )
         .unwrap();
@@ -1568,10 +1485,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let req = Request::Read {
-            runs: vec![(3, 1)],
-            key: None,
-        };
+        let req = Request::Read { runs: vec![(3, 1)] };
         let mut buf = Vec::new();
         write_request(&mut buf, 1, &req).unwrap();
         let mut payload = buf.split_off(HEADER_LEN);
@@ -1594,12 +1508,15 @@ mod tests {
 
     #[test]
     fn bad_cell_status_rejected() {
-        // count=1, status byte 3 (only 0/1/2 are defined).
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 1);
-        payload.push(3);
-        let err = read_response(&mut frame(RESP_CELLS, &payload).as_slice()).unwrap_err();
-        assert!(err.to_string().contains("cell status"), "{err}");
+        // count=1, one status byte: only 0 (missing) and 1 (stored) are
+        // defined, and 2 is version 5's "corrupt".
+        for status in [2, 3, 255] {
+            let mut payload = Vec::new();
+            put_u32(&mut payload, 1);
+            payload.push(status);
+            let err = read_response(&mut frame(RESP_CELLS, &payload).as_slice()).unwrap_err();
+            assert!(err.to_string().contains("cell status"), "{err}");
+        }
     }
 
     #[test]
@@ -1613,10 +1530,10 @@ mod tests {
             read_response(&mut frame(RESP_CELLS, &payload).as_slice()),
             Err(NetError::Protocol(_))
         ));
-        // A valid cell whose bytes the frame does not hold.
+        // A stored cell whose bytes the frame does not hold.
         let mut payload = Vec::new();
         put_u32(&mut payload, 1);
-        payload.push(1); // valid...
+        payload.push(1); // stored...
         put_u32(&mut payload, 100); // ...claiming 100 bytes
         payload.extend_from_slice(&[9; 10]); // but shipping 10
         assert!(matches!(

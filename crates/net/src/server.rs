@@ -24,17 +24,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ecfrm_obs::{Counter, Histogram, Recorder};
-use ecfrm_sim::{
-    CombinePeerSpec, CombineReply, CombineSpec, DiskBackend, IoHandle, IoResults, WriteRun,
-};
+use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, DiskBackend, IoHandle, WriteRun};
 use ecfrm_util::{Mutex, Queue};
 
 use ecfrm_integrity::{verify_footer, HashKey};
 
 use crate::client::{Callback, Link, RemoteDiskConfig};
 use crate::protocol::{
-    read_request_polling, version_mismatch, write_request, write_response, CheckedElement,
-    NetError, Polled, Request, Response, MAX_PAYLOAD, MAX_RANGE,
+    read_request_polling, version_mismatch, write_request, write_response, NetError, Polled,
+    Request, Response, MAX_PAYLOAD, MAX_RANGE,
 };
 
 /// How often blocked accept/read loops wake to check the stop flag.
@@ -79,7 +77,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// registry maps.
 struct ServerMetrics {
     read: Counter,
-    read_corrupt: Counter,
     put_many: Counter,
     combine: Counter,
     combine_corrupt: Counter,
@@ -96,7 +93,6 @@ impl ServerMetrics {
     fn new(recorder: &Recorder) -> Self {
         Self {
             read: recorder.counter("serve.read"),
-            read_corrupt: recorder.counter("serve.read_corrupt"),
             put_many: recorder.counter("serve.put_many"),
             combine: recorder.counter("serve.combine"),
             combine_corrupt: recorder.counter("serve.combine_corrupt"),
@@ -218,12 +214,12 @@ impl ShardServer {
     /// `serve.put_many`, `serve.combine`, `serve.obj`, `serve.health`,
     /// `serve.wipe`, `serve.stats`), `serve.inline` — the frames the
     /// connection thread answered itself instead of handing them to its
-    /// worker pool — `serve.conns`, the connections accepted, the
-    /// `serve.read_corrupt` count of cells that failed footer
-    /// verification at this shard, and the `serve_us` request-service
-    /// histogram; plus the gauges of the file I/O engine under the
-    /// shard's disk (`io.uring_*`, `io.file_errors`), read at snapshot
-    /// time.
+    /// worker pool — `serve.conns`, the connections accepted,
+    /// `serve.combine_corrupt`, the cells that failed footer
+    /// verification before they could join a combined sum, and the
+    /// `serve_us` request-service histogram; plus the gauges of the file
+    /// I/O engine under the shard's disk (`io.uring_*`,
+    /// `io.file_errors`), read at snapshot time.
     /// Remote clients can fetch the same data with [`Request::Stats`].
     pub fn recorder(&self) -> &Recorder {
         &self.shared.recorder
@@ -320,8 +316,6 @@ enum Job {
     /// to wait for it (cold page, `O_DIRECT`): a worker waits it out.
     Finish {
         id: u64,
-        key: Option<(u64, u64)>,
-        offsets: Vec<u64>,
         handle: IoHandle,
         t0: Instant,
     },
@@ -356,7 +350,7 @@ fn start(id: u64, req: Request, shared: &Shared) -> Started {
     }
     shared.metrics.count(&req);
     let t0 = Instant::now();
-    let Request::Read { runs, key } = &req else {
+    let Request::Read { runs } = &req else {
         return Started::Done(handle_caught(&req, shared), t0);
     };
     let offsets = match read_offsets(runs) {
@@ -369,14 +363,8 @@ fn start(id: u64, req: Request, shared: &Shared) -> Started {
         Err(payload) => return Started::Done(Response::Error(panic_message(payload.as_ref())), t0),
     };
     match handle.try_take() {
-        Some(cells) => Started::Done(finish_read(*key, &offsets, cells, shared), t0),
-        None => Started::Job(Job::Finish {
-            id,
-            key: *key,
-            offsets,
-            handle,
-            t0,
-        }),
+        Some(cells) => Started::Done(Response::Cells(cells), t0),
+        None => Started::Job(Job::Finish { id, handle, t0 }),
     }
 }
 
@@ -448,13 +436,7 @@ fn worker(queue: &Queue<Job>, combines: &CombineGate, shared: &Shared, writer: &
         let combine = job.is_combine();
         let alive = match job {
             Job::Serve { id, req } => serve_one(&req, id, shared, writer),
-            Job::Finish {
-                id,
-                key,
-                offsets,
-                mut handle,
-                t0,
-            } => {
+            Job::Finish { id, mut handle, t0 } => {
                 // Wait in slices so a kill interrupts it.
                 let cells = loop {
                     if let Some(cells) = handle.wait_timeout(POLL) {
@@ -464,8 +446,7 @@ fn worker(queue: &Queue<Job>, combines: &CombineGate, shared: &Shared, writer: &
                         return;
                     }
                 };
-                let resp = finish_read(key, &offsets, cells, shared);
-                respond(resp, id, t0, shared, writer)
+                respond(Response::Cells(cells), id, t0, shared, writer)
             }
         };
         if combine {
@@ -664,31 +645,6 @@ fn read_offsets(runs: &[(u64, u32)]) -> Result<Vec<u64>, String> {
     Ok(offsets)
 }
 
-/// Shape the backend's `cells` for `offsets` into the reply, verifying
-/// each against its offset when the read carried a key.
-fn finish_read(
-    key: Option<(u64, u64)>,
-    offsets: &[u64],
-    cells: IoResults,
-    shared: &Shared,
-) -> Response {
-    let key = key.map(hash_key);
-    let checked = cells
-        .into_iter()
-        .zip(offsets)
-        .map(|(cell, &off)| match (cell, &key) {
-            // Verify at the source: a corrupt cell costs a status byte
-            // on the wire, not a payload transfer the client would
-            // throw away anyway.
-            (Some(cell), Some(key)) if verify_footer(key, off, &cell).is_none() => {
-                shared.metrics.read_corrupt.inc();
-                CheckedElement::Corrupt
-            }
-            (cell, _) => cell.into(),
-        });
-    Response::Cells(checked.collect())
-}
-
 /// The integrity key as the wire carries it, `(k0, k1)`.
 fn hash_key((k0, k1): (u64, u64)) -> HashKey {
     HashKey { k0, k1 }
@@ -696,8 +652,8 @@ fn hash_key((k0, k1): (u64, u64)) -> HashKey {
 
 fn handle(req: &Request, shared: &Shared) -> Response {
     match req {
-        Request::Read { runs, key } => match read_offsets(runs) {
-            Ok(offsets) => finish_read(*key, &offsets, shared.backend.read_many(&offsets), shared),
+        Request::Read { runs } => match read_offsets(runs) {
+            Ok(offsets) => Response::Cells(shared.backend.read_many(&offsets)),
             Err(msg) => Response::Error(msg),
         },
         Request::PutMany {
@@ -1014,17 +970,11 @@ mod tests {
         resp
     }
 
-    /// A keyless read of one run.
+    /// A read of one run.
     fn read(start: u64, count: u32) -> Request {
         Request::Read {
             runs: vec![(start, count)],
-            key: None,
         }
-    }
-
-    /// The reply to a keyless read: every stored cell is `Valid`.
-    fn cells(items: Vec<Option<Vec<u8>>>) -> Response {
-        Response::Cells(items.into_iter().map(Into::into).collect())
     }
 
     /// A one-cell write.
@@ -1041,8 +991,11 @@ mod tests {
         let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         assert_eq!(rpc(&mut c, &put(3, vec![1, 2, 3])), Response::Put);
-        assert_eq!(rpc(&mut c, &read(3, 1)), cells(vec![Some(vec![1, 2, 3])]));
-        assert_eq!(rpc(&mut c, &read(99, 1)), cells(vec![None]));
+        assert_eq!(
+            rpc(&mut c, &read(3, 1)),
+            Response::Cells(vec![Some(vec![1, 2, 3])])
+        );
+        assert_eq!(rpc(&mut c, &read(99, 1)), Response::Cells(vec![None]));
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 1 }
@@ -1059,11 +1012,10 @@ mod tests {
         // Unsorted and repeated runs come back the way they were asked.
         let scattered = Request::Read {
             runs: vec![(2, 1), (9, 1), (0, 1), (2, 1)],
-            key: None,
         };
         assert_eq!(
             rpc(&mut c, &scattered),
-            cells(vec![
+            Response::Cells(vec![
                 Some(vec![2, 2]),
                 None,
                 Some(vec![0, 0]),
@@ -1072,66 +1024,35 @@ mod tests {
         );
         assert_eq!(
             rpc(&mut c, &read(2, 4)),
-            cells(vec![
+            Response::Cells(vec![
                 Some(vec![2, 2]),
                 Some(vec![3, 3]),
                 None,
                 Some(vec![5, 5])
             ])
         );
-        assert_eq!(rpc(&mut c, &read(100, 2)), cells(vec![None, None]));
-        let snap = server.recorder().snapshot();
-        assert_eq!(snap.counters.get("serve.read").copied(), Some(3));
-    }
-
-    #[test]
-    fn keyed_read_classifies_valid_missing_and_corrupt() {
-        let server = ShardServer::spawn(Arc::new(MemDisk::new()), "127.0.0.1:0").unwrap();
-        let mut c = dial(&server);
+        assert_eq!(
+            rpc(&mut c, &read(100, 2)),
+            Response::Cells(vec![None, None])
+        );
+        // A footered cell, a hole and a cell rotted after sealing: the
+        // shard judges none of them and ships each as stored.
         let key = HashKey::DEFAULT.derive(0x454C_454D, 0);
-        // Offsets 0 and 2 hold properly footered cells; offset 1 is a
-        // hole; offset 3 holds a cell whose payload was flipped after
-        // sealing.
         let sealed = |off: u64| {
             let mut cell = vec![off as u8; 16];
             ecfrm_integrity::append_footer(&key, off, &mut cell);
             cell
         };
-        let mut rotted = sealed(3);
+        let mut rotted = sealed(12);
         rotted[4] ^= 0x40;
-        for (off, cell) in [(0, sealed(0)), (2, sealed(2)), (3, rotted.clone())] {
-            rpc(&mut c, &put(off, cell));
-        }
-        let keyed = |runs| Request::Read {
-            runs,
-            key: Some((key.k0, key.k1)),
-        };
+        rpc(&mut c, &put(10, sealed(10)));
+        rpc(&mut c, &put(12, rotted.clone()));
         assert_eq!(
-            rpc(&mut c, &keyed(vec![(0, 4)])),
-            Response::Cells(vec![
-                CheckedElement::Valid(sealed(0)),
-                CheckedElement::Missing,
-                CheckedElement::Valid(sealed(2)),
-                CheckedElement::Corrupt,
-            ])
-        );
-        // Whatever the shape: alone, and scattered.
-        assert_eq!(
-            rpc(&mut c, &keyed(vec![(3, 1)])),
-            Response::Cells(vec![CheckedElement::Corrupt])
-        );
-        assert_eq!(
-            rpc(&mut c, &keyed(vec![(3, 1), (0, 1)])),
-            Response::Cells(vec![
-                CheckedElement::Corrupt,
-                CheckedElement::Valid(sealed(0))
-            ])
+            rpc(&mut c, &read(10, 3)),
+            Response::Cells(vec![Some(sealed(10)), None, Some(rotted)])
         );
         let snap = server.recorder().snapshot();
-        assert_eq!(snap.counters.get("serve.read").copied(), Some(3));
-        assert_eq!(snap.counters.get("serve.read_corrupt").copied(), Some(3));
-        // Without a key nothing is judged: the bytes ship as stored.
-        assert_eq!(rpc(&mut c, &read(3, 1)), cells(vec![Some(rotted)]));
+        assert_eq!(snap.counters.get("serve.read").copied(), Some(4));
     }
 
     #[test]
@@ -1152,20 +1073,17 @@ mod tests {
             (vec![(0, 1), (5, 0)], "empty run"),
         ];
         for (runs, needle) in cases {
-            for key in [None, Some((1, 2))] {
-                let req = Request::Read {
-                    runs: runs.clone(),
-                    key,
-                };
-                match rpc(&mut c, &req) {
-                    Response::Error(msg) => assert!(msg.contains(needle), "got: {msg}"),
-                    other => panic!("expected Response::Error, got {other:?}"),
-                }
+            match rpc(&mut c, &Request::Read { runs }) {
+                Response::Error(msg) => assert!(msg.contains(needle), "got: {msg}"),
+                other => panic!("expected Response::Error, got {other:?}"),
             }
         }
         // Every offset there is can be asked for (and is absent), and
         // the connection survived the refusals.
-        assert_eq!(rpc(&mut c, &read(u64::MAX - 3, 4)), cells(vec![None; 4]));
+        assert_eq!(
+            rpc(&mut c, &read(u64::MAX - 3, 4)),
+            Response::Cells(vec![None; 4])
+        );
         assert_eq!(
             rpc(&mut c, &Request::Health),
             Response::Health { elements: 2 }
@@ -1179,9 +1097,12 @@ mod tests {
             ShardServer::spawn(Arc::clone(&disk) as Arc<dyn DiskBackend>, "127.0.0.1:0").unwrap();
         let mut c = dial(&server);
         rpc(&mut c, &put(0, vec![7]));
-        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![7])]));
+        assert_eq!(
+            rpc(&mut c, &read(0, 1)),
+            Response::Cells(vec![Some(vec![7])])
+        );
         assert_eq!(rpc(&mut c, &Request::Wipe), Response::Wiped);
-        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![None]));
+        assert_eq!(rpc(&mut c, &read(0, 1)), Response::Cells(vec![None]));
         assert!(disk.is_empty());
     }
 
@@ -1246,7 +1167,10 @@ mod tests {
         }
         // Same connection still serves well-formed requests.
         assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
-        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![2; 8])]));
+        assert_eq!(
+            rpc(&mut c, &read(0, 1)),
+            Response::Cells(vec![Some(vec![2; 8])])
+        );
     }
 
     #[test]
@@ -1305,7 +1229,10 @@ mod tests {
             other => panic!("expected Response::Error, got {other:?}"),
         }
         assert_eq!(rpc(&mut c, &put(0, vec![2; 8])), Response::Put);
-        assert_eq!(rpc(&mut c, &read(0, 1)), cells(vec![Some(vec![2; 8])]));
+        assert_eq!(
+            rpc(&mut c, &read(0, 1)),
+            Response::Cells(vec![Some(vec![2; 8])])
+        );
         // A shard node's `Stats` carries the I/O engine under its disk.
         let Response::Stats(pairs) = rpc(&mut c, &Request::Stats) else {
             panic!("expected Response::Stats");
@@ -1363,7 +1290,7 @@ mod tests {
         for id in 0..6u64 {
             assert_eq!(
                 seen.get(&(100 + id)),
-                Some(&cells(vec![Some(vec![id as u8; 4])])),
+                Some(&Response::Cells(vec![Some(vec![id as u8; 4])])),
                 "id {id}"
             );
         }
@@ -1391,7 +1318,7 @@ mod tests {
         }
         for _ in 0..4 {
             let (_, resp) = crate::protocol::read_response(&mut c).unwrap();
-            assert_eq!(resp, cells(vec![Some(vec![1])]));
+            assert_eq!(resp, Response::Cells(vec![Some(vec![1])]));
         }
         assert!(
             t0.elapsed() < Duration::from_millis(240),
@@ -1420,7 +1347,7 @@ mod tests {
             "{:?}",
             t0.elapsed()
         );
-        assert_eq!(next(), (1, cells(vec![Some(vec![1])])));
+        assert_eq!(next(), (1, Response::Cells(vec![Some(vec![1])])));
         assert!(
             t0.elapsed() >= Duration::from_millis(70),
             "{:?}",
@@ -1713,7 +1640,7 @@ mod tests {
                     rpc(&mut c, &put(i, vec![i as u8; 16]));
                     assert_eq!(
                         rpc(&mut c, &read(i, 1)),
-                        cells(vec![Some(vec![i as u8; 16])])
+                        Response::Cells(vec![Some(vec![i as u8; 16])])
                     );
                 })
             })

@@ -258,13 +258,7 @@ fn file_backed_cluster_roundtrips() {
             ) as Arc<dyn DiskBackend>
         })
         .collect();
-    // Ship the store's integrity key so shards verify footers at the
-    // source.
-    let key = ecfrm_integrity::HashKey::DEFAULT;
-    let cfg = RemoteDiskConfig::builder()
-        .low_latency()
-        .integrity_key(key.k0, key.k1)
-        .build();
+    let cfg = RemoteDiskConfig::builder().low_latency().build();
     let cluster = Cluster::spawn_over(backends, &cfg).unwrap();
     let store = store_over(&cluster, scheme);
 
@@ -274,17 +268,57 @@ fn file_backed_cluster_roundtrips() {
     assert_eq!(store.read(obj).unwrap().0, data);
     // The shard files really hold the elements.
     assert!(std::fs::metadata(dir.join("shard0.bin")).unwrap().len() > 0);
-    // Store-sealed cells on a real file-backed shard verify at the
-    // source (the store's footers were written with this key): every
-    // read so far carried the key and none found a corrupt cell.
+    // Store-sealed cells come back off a real file-backed shard whole,
+    // and every one the store read passed its footer.
     let got = cluster.client(0).read_many(&[0, 1]);
-    assert!(got[0].is_some(), "shard 0 offset 0 must verify server-side");
+    assert_eq!(got[0].as_ref().map(Vec::len), Some(ELEMENT + FOOTER_LEN));
     let stats = cluster.client(0).stats().unwrap();
     let get = |name: &str| stats.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
     assert!(get("serve.read") >= Some(2), "{stats:?}");
-    assert_eq!(get("serve.read_corrupt"), Some(0));
-    assert_eq!(cluster.client(0).remote_verify_fails(), 0);
+    assert_eq!(
+        store.recorder().snapshot().counters["integrity.verify_fail"],
+        0
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cell that rots on its shard reaches the store as the bytes the
+/// shard holds, fails its footer there — once — and is read around like
+/// any erasure. The cluster's clients are configured as the e2e stack
+/// configures them, key and all: the key goes nowhere.
+#[test]
+#[allow(deprecated)]
+fn a_rotted_shard_cell_is_caught_by_the_store_once() {
+    let scheme = lrc_scheme();
+    let disks: Vec<Arc<MemDisk>> = (0..scheme.n_disks())
+        .map(|_| Arc::new(MemDisk::new()))
+        .collect();
+    let backends = disks.iter().map(|d| Arc::clone(d) as _).collect();
+    let key = ecfrm_integrity::HashKey::DEFAULT;
+    let cfg = RemoteDiskConfig::builder()
+        .low_latency()
+        .integrity_key(key.k0, key.k1)
+        .build();
+    let cluster = Cluster::spawn_over(backends, &cfg).unwrap();
+    let store = store_over(&cluster, scheme);
+    let data = payload(30_000);
+    let obj = store.append(&data);
+    store.flush();
+
+    // Flip one bit of the extent's first data cell, behind the store's
+    // back.
+    let loc = store.scheme().layout().data_location(0);
+    let mut cell = disks[loc.disk].read(loc.offset).unwrap();
+    cell[3] ^= 0x10;
+    disks[loc.disk].write(loc.offset, cell);
+
+    let verify_fails = || store.recorder().snapshot().counters["integrity.verify_fail"];
+    let before = verify_fails();
+    let (got, stats) = store.read(obj).unwrap();
+    assert_eq!(got, data, "the rotted cell was read around");
+    assert!(stats.degraded, "{stats:?}");
+    assert_eq!(verify_fails(), before + 1, "checked once, at the store");
+    assert_eq!(failed_requests(&cluster), 0, "the shard answered in full");
 }
 
 #[test]

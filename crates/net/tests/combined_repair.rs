@@ -13,8 +13,9 @@ use ecfrm_codes::RsCode;
 use ecfrm_core::{DomainMap, LayoutKind, Scheme};
 use ecfrm_integrity::FOOTER_LEN;
 use ecfrm_net::{Cluster, RemoteDisk, RemoteDiskConfig};
+use ecfrm_obs::NetStats;
 use ecfrm_sim::{
-    CombineReply, CombineSpec, DiskBackend, IoHandle, MemDisk, NetStats, ThreadedArray, WriteRun,
+    CombineReply, CombineSpec, DiskBackend, IoHandle, MemDisk, ThreadedArray, WriteRun,
 };
 use ecfrm_store::ObjectStore;
 

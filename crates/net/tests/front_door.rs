@@ -9,7 +9,8 @@ use ecfrm_codes::RsCode;
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_net::protocol::{read_request, write_response, MAX_PAYLOAD};
 use ecfrm_net::{FrontClient, RemoteDiskConfig, Request, Response, ShardServer};
-use ecfrm_sim::{MemDisk, NetStats};
+use ecfrm_obs::NetStats;
+use ecfrm_sim::MemDisk;
 use ecfrm_store::{
     FrontConfig, FrontDoor, ObjectStat, ObjectStore, QosClass, StoreError, TenantSpec,
 };

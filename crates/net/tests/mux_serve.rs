@@ -42,17 +42,16 @@ fn recv(c: &mut TcpStream) -> (u64, Response) {
     read_response(c).unwrap()
 }
 
-/// A keyless read of the given runs.
+/// A read of the given runs.
 fn read(runs: &[(u64, u32)]) -> Request {
     Request::Read {
         runs: runs.to_vec(),
-        key: None,
     }
 }
 
-/// The reply to a keyless read holding `cell(o)` for each `Some(o)`.
+/// The reply to a read holding `cell(o)` for each `Some(o)`.
 fn cells(offsets: &[Option<u64>]) -> Response {
-    Response::Cells(offsets.iter().map(|o| o.map(cell).into()).collect())
+    Response::Cells(offsets.iter().map(|o| o.map(cell)).collect())
 }
 
 fn rpc(c: &mut TcpStream, req: &Request) -> Response {

@@ -1,4 +1,4 @@
-//! The wire is the v5 frame, and the by-value receive path refuses what
+//! The wire is the v6 frame, and the by-value receive path refuses what
 //! lies about itself.
 //!
 //! Frames are written from the buffers that hold their bytes and read
@@ -19,9 +19,7 @@ use ecfrm_net::protocol::{
     read_request, read_response, read_response_polling, write_request, write_response, Polled,
     HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
-use ecfrm_net::{
-    CheckedElement, FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response,
-};
+use ecfrm_net::{FrontClient, NetError, RemoteDisk, RemoteDiskConfig, Request, Response};
 use ecfrm_sim::{CombinePeerSpec, CombineReply, CombineSpec, DiskBackend};
 use ecfrm_store::{Piece, StoreError};
 
@@ -57,20 +55,17 @@ fn old_response(resp: &Response) -> (u8, Vec<u8>) {
         Response::Put => 130,
         Response::Wiped => 133,
         Response::ObjAck => 139,
-        Response::Cells(items) => {
-            u32le(&mut out, items.len());
-            for item in items {
-                out.push(match item {
-                    CheckedElement::Missing => 0,
-                    CheckedElement::Valid(_) => 1,
-                    CheckedElement::Corrupt => 2,
+        Response::Cells(cells) => {
+            u32le(&mut out, cells.len());
+            for cell in cells {
+                out.push(match cell {
+                    None => 0,
+                    Some(_) => 1,
                 });
             }
-            for item in items {
-                if let CheckedElement::Valid(v) = item {
-                    u32le(&mut out, v.len());
-                    out.extend_from_slice(v);
-                }
+            for v in cells.iter().flatten() {
+                u32le(&mut out, v.len());
+                out.extend_from_slice(v);
             }
             145
         }
@@ -131,12 +126,7 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
         }
     };
     let opcode = match req {
-        Request::Read { runs: table, key } => {
-            out.push(u8::from(key.is_some()));
-            if let Some((k0, k1)) = key {
-                u64le(&mut out, *k0);
-                u64le(&mut out, *k1);
-            }
+        Request::Read { runs: table } => {
             runs(&mut out, table);
             17
         }
@@ -210,23 +200,23 @@ fn old_request(req: &Request) -> (u8, Vec<u8>) {
 
 /// The header, byte by byte, for a request and a response: the frame
 /// every other golden frame here is built the same way as. (Versions 4
-/// and 5 kept version 3's header; only the version byte says which it
+/// to 6 kept version 3's header; only the version byte says which it
 /// is.)
 #[test]
 fn the_header_is_magic_version_opcode_id_and_length() {
-    assert_eq!((VERSION, HEADER_LEN), (5, 18));
+    assert_eq!((VERSION, HEADER_LEN), (6, 18));
     let mut sent = Vec::new();
     write_request(&mut sent, 0x0102_0304_0506_0708, &Request::Health).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 5, 4, // v5, Health
+        b'E', b'F', b'R', b'M', 6, 4, // v6, Health
         8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0, // id, empty payload
     ]);
     let mut sent = Vec::new();
     write_response(&mut sent, 9, &Response::Health { elements: 2 }).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 5, 132, // v5, Health reply
+        b'E', b'F', b'R', b'M', 6, 132, // v6, Health reply
         9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, // id 9, 8 B
         2, 0, 0, 0, 0, 0, 0, 0, // elements
     ]);
@@ -240,14 +230,14 @@ fn wipe_is_opcode_5_with_an_empty_payload() {
     write_request(&mut sent, 7, &Request::Wipe).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 5, 5, // v5, Wipe
+        b'E', b'F', b'R', b'M', 6, 5, // v6, Wipe
         7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
     ]);
     let mut sent = Vec::new();
     write_response(&mut sent, 7, &Response::Wiped).unwrap();
     #[rustfmt::skip]
     assert_eq!(sent, [
-        b'E', b'F', b'R', b'M', 5, 133, // v5, Wiped
+        b'E', b'F', b'R', b'M', 6, 133, // v6, Wiped
         7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // id 7, empty payload
     ]);
 }
@@ -260,14 +250,14 @@ fn every_response() -> Vec<Response> {
         Response::Wiped,
         Response::ObjAck,
         Response::Cells(vec![]),
-        Response::Cells(vec![CheckedElement::Missing, CheckedElement::Corrupt]),
+        Response::Cells(vec![None, None]),
         Response::Cells(vec![
-            CheckedElement::Valid(pattern(4104)),
-            CheckedElement::Missing,
-            CheckedElement::Valid(vec![]),
-            CheckedElement::Corrupt,
-            CheckedElement::Valid(pattern(3)),
-            CheckedElement::Valid(pattern(70_000)),
+            Some(pattern(4104)),
+            None,
+            Some(vec![]),
+            None,
+            Some(pattern(3)),
+            Some(pattern(70_000)),
         ]),
         Response::Combined(CombineReply {
             regions: vec![],
@@ -373,12 +363,8 @@ fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
     let every = vec![
         Request::Read {
             runs: vec![(1 << 40, 4096), (7, 1)],
-            key: Some((u64::MAX, 0xDEAD_BEEF)),
         },
-        Request::Read {
-            runs: vec![],
-            key: None,
-        },
+        Request::Read { runs: vec![] },
         Request::PutMany {
             runs: vec![(3, 16), (100, 16)],
             cell_len: 8,
@@ -440,7 +426,7 @@ fn requests_leave_as_the_bytes_the_joined_encoder_produced() {
 }
 
 /// A `Cells` payload: `count`, the status bytes, then `(claimed length,
-/// bytes shipped)` per valid cell.
+/// bytes shipped)` per stored cell.
 fn cells_payload(count: usize, statuses: &[u8], cells: &[(usize, usize)]) -> Vec<u8> {
     let mut out = Vec::new();
     u32le(&mut out, count);
@@ -475,11 +461,14 @@ fn hostile_payloads() -> Vec<(u8, Vec<u8>, &'static str)> {
             cells_payload(2, &[1, 1], &[(4, 4), (u32::MAX as usize, 4)]),
             "truncated",
         ),
-        // A valid cell with no length at all.
+        // A stored cell with no length at all.
         (145, cells_payload(1, &[1], &[]), "truncated"),
         // Bytes nobody claimed.
         (145, cells_payload(1, &[1], &[(4, 5)]), "trailing"),
-        (145, cells_payload(2, &[0, 2, 0], &[]), "trailing"),
+        // A status that is neither missing nor stored: 2 was version
+        // 5's "corrupt".
+        (145, cells_payload(2, &[0, 2, 0], &[]), "cell status"),
+        (145, cells_payload(1, &[2], &[]), "cell status"),
         (145, cells_payload(1, &[7], &[]), "cell status"),
     ]
 }
@@ -519,10 +508,7 @@ fn frames_whose_lengths_disagree_are_typed_errors() {
 
 #[test]
 fn a_peer_that_stops_mid_body_is_an_io_error_not_a_short_cell() {
-    let good = Response::Cells(vec![
-        CheckedElement::Valid(vec![5; 300]),
-        CheckedElement::Valid(vec![6; 300]),
-    ]);
+    let good = Response::Cells(vec![Some(vec![5; 300]), Some(vec![6; 300])]);
     let big = Response::ObjData(vec![7; 100_000]);
     for resp in [good, big] {
         let mut sent = Vec::new();
@@ -582,8 +568,8 @@ fn a_front_client_drops_the_connection_a_hostile_frame_arrived_on() {
 
 #[test]
 fn a_remote_disk_discards_the_mux_connection_a_hostile_frame_arrived_on() {
-    let honest = Response::Cells(vec![CheckedElement::Valid(vec![4; 8])]);
-    // One valid cell claiming 4 GiB.
+    let honest = Response::Cells(vec![Some(vec![4; 8])]);
+    // One stored cell claiming 4 GiB.
     let (addr, accepted) = scripted_server(vec![
         (145, cells_payload(1, &[1], &[(u32::MAX as usize, 16)])),
         old_response(&honest),

@@ -13,7 +13,7 @@ use ecfrm_sim::{DiskBackend, MemDisk};
 
 /// A `Health` frame of an older version: good magic, the old version
 /// byte, and the header it had — ten bytes in versions 1 and 2, and the
-/// eighteen of versions 3 and 4, which put an id before the length.
+/// eighteen of versions 3 to 5, which put an id before the length.
 fn old_health_frame(version: u8) -> Vec<u8> {
     let mut frame = MAGIC.to_vec();
     frame.extend_from_slice(&[version, 4]); // version, opcode
@@ -36,7 +36,7 @@ fn refused_then_served(version: u8) {
     match read_response(&mut old).unwrap() {
         (_, Response::Error(msg)) => {
             assert_eq!(msg, version_mismatch(version));
-            let want = format!("peer speaks {version}, this node speaks 5");
+            let want = format!("peer speaks {version}, this node speaks 6");
             assert!(msg.contains(&want), "{msg}");
         }
         other => panic!("expected a typed refusal, got {other:?}"),
@@ -49,7 +49,7 @@ fn refused_then_served(version: u8) {
         "closed after the refusal"
     );
 
-    // The next v5 client is served as if nothing happened.
+    // The next v6 client is served as if nothing happened.
     let mut new = TcpStream::connect(server.addr()).unwrap();
     new.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     write_request(&mut new, 5, &Request::Health).unwrap();
@@ -91,6 +91,14 @@ fn a_v4_frame_is_refused_exactly_as_a_v1_frame_is() {
     refused_then_served(4);
 }
 
+/// Version 5 differs from this one only in the key a `Read` could
+/// carry and the "corrupt" cell status a shard could answer with, and
+/// is refused by the version byte all the same.
+#[test]
+fn a_v5_frame_is_refused_exactly_as_a_v1_frame_is() {
+    refused_then_served(5);
+}
+
 /// A peer that answers every frame it is sent, whatever it was, with a
 /// version-1 `Health` reply.
 fn spawn_v1_peer() -> SocketAddr {
@@ -122,7 +130,7 @@ fn spawn_v1_peer() -> SocketAddr {
 
 #[test]
 fn a_client_names_a_v1_peers_version_and_its_reads_complete_absent() {
-    assert_eq!(VERSION, 5);
+    assert_eq!(VERSION, 6);
     let disk = RemoteDisk::new(
         spawn_v1_peer(),
         RemoteDiskConfig::builder().low_latency().build(),

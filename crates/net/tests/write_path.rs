@@ -148,13 +148,12 @@ fn spawn_putless_server(backend: Arc<MemDisk>) -> SocketAddr {
                 };
                 let resp = match req {
                     Request::PutMany { .. } => return,
-                    Request::Read { runs, .. } => {
+                    Request::Read { runs } => {
                         let offsets: Vec<u64> = runs
                             .iter()
                             .flat_map(|&(start, count)| start..start + u64::from(count))
                             .collect();
-                        let cells = disk.read_many(&offsets);
-                        Response::Cells(cells.into_iter().map(Into::into).collect())
+                        Response::Cells(disk.read_many(&offsets))
                     }
                     Request::Health => Response::Health {
                         elements: disk.len() as u64,

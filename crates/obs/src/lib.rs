@@ -26,8 +26,7 @@
 //!   carries no serde).
 //!
 //! [`NetCounters`]/[`NetStats`] — the transport counters the remote
-//! disk client increments — live here too, re-exported by `ecfrm-sim`
-//! for compatibility with their original home.
+//! disk client increments — live here too.
 
 #![warn(missing_docs)]
 

@@ -49,8 +49,8 @@ use std::time::Duration;
 
 use ecfrm_util::Mutex;
 
-use crate::metrics::NetStats;
 use crate::threaded::{DiskBackend, WriteRun};
+use ecfrm_obs::NetStats;
 
 /// What a [`FaultyDisk`] does once its fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,7 +41,7 @@ pub use disk::DiskModel;
 pub use event::{Completion, EventSim, Request};
 pub use fault::{FaultKind, FaultyDisk};
 pub use file_disk::{FileDisk, FileIoConfig, FileIoMode};
-pub use metrics::{mean, speed_mb_s, stddev, NetCounters, NetStats, Summary};
+pub use metrics::{mean, speed_mb_s, stddev, Summary};
 pub use net::{ClusterSim, NetModel};
 pub use reactor::{
     io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Op, Reactor, ReactorStats,

@@ -1,11 +1,4 @@
 //! Small statistics helpers for the experiment harnesses.
-//!
-//! The network transport counters that used to live here moved to
-//! `ecfrm-obs` (the observability substrate); they are re-exported
-//! under their old names so existing `ecfrm_sim::{NetCounters,
-//! NetStats}` imports keep working.
-
-pub use ecfrm_obs::{NetCounters, NetStats};
 
 /// Bytes over milliseconds, reported as MB/s (1 MB = 10^6 bytes, matching
 /// the disk model's transfer-rate convention and the paper's MB/s axes).

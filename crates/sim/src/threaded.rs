@@ -18,8 +18,8 @@ use std::time::Duration;
 use ecfrm_obs::Recorder;
 use ecfrm_util::Mutex;
 
-use crate::metrics::NetStats;
 use crate::reactor::{IoHandle, IoResults, Op, Reactor, ReactorStats};
+use ecfrm_obs::NetStats;
 
 /// Address of one element on the array: `(disk, offset)`.
 pub type Address = (usize, u64);

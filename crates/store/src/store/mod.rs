@@ -372,8 +372,8 @@ impl ObjectStore {
     }
 
     /// The keyed-hash key element footers and merkle manifests are
-    /// computed under (remote shard clients pass it on the wire so
-    /// servers can pre-verify coalesced runs).
+    /// computed under (a combined repair ships it to the shards, which
+    /// check each source cell before it joins a sum).
     pub fn integrity_key(&self) -> HashKey {
         self.key
     }

@@ -226,9 +226,8 @@ mod tests {
 
     use ecfrm_codes::{LrcCode, RsCode};
     use ecfrm_integrity::FOOTER_LEN;
-    use ecfrm_sim::{
-        DiskBackend, FaultKind, IoHandle, MemDisk, NetCounters, NetStats, ThreadedArray, WriteRun,
-    };
+    use ecfrm_obs::{NetCounters, NetStats};
+    use ecfrm_sim::{DiskBackend, FaultKind, IoHandle, MemDisk, ThreadedArray, WriteRun};
     use ecfrm_util::Mutex;
 
     use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
