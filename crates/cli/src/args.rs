@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use ecfrm_codes::{CandidateCode, LrcCode, RsCode, XorCode};
 use ecfrm_core::{LayoutKind, Scheme};
-use ecfrm_sim::FileIoConfig;
 
 /// Parsed command options.
 #[derive(Debug, Default)]
@@ -18,8 +17,6 @@ pub struct Options {
     pub element_size: Option<usize>,
     /// `--dir shard-dir`: file-backed disks (serve).
     pub dir: Option<String>,
-    /// `--disk 3`.
-    pub disk: Option<usize>,
     /// `--start 0`.
     pub start: Option<u64>,
     /// `--count 8`.
@@ -38,16 +35,6 @@ pub struct Options {
     pub json: Option<String>,
     /// `--stripes small|full|<n>` (bench ingest size).
     pub stripes: Option<String>,
-    /// `--rate 5000000`: repair rate limit in bytes/second (drill).
-    pub rate: Option<u64>,
-    /// `--workers 2`: repair worker threads (drill).
-    pub workers: Option<usize>,
-    /// `--corrupt`: inject silent bit-rot instead of (drill) or in
-    /// addition to (scrub) the clean-loss fault.
-    pub corrupt: bool,
-    /// `--file-io auto|blocking|uring[:depth]` (serve/bench local
-    /// disks).
-    pub file_io: Option<String>,
     /// `--racks 3`: split the disks into that many contiguous failure
     /// domains; repair and degraded reads prefer same-rack helpers.
     pub racks: Option<usize>,
@@ -88,9 +75,6 @@ impl Options {
                     )
                 }
                 "--dir" => o.dir = Some(value()?),
-                "--disk" => {
-                    o.disk = Some(value()?.parse().map_err(|e| format!("bad --disk: {e}"))?)
-                }
                 "--start" => {
                     o.start = Some(value()?.parse().map_err(|e| format!("bad --start: {e}"))?)
                 }
@@ -107,7 +91,6 @@ impl Options {
                     .extend(value()?.split(',').map(|a| a.trim().to_string())),
                 // Boolean flags take no value.
                 "--stats" => o.stats = true,
-                "--corrupt" => o.corrupt = true,
                 "--front" => o.front = true,
                 "--tenant" => o.tenant.push(value()?),
                 "--cache-bytes" => {
@@ -119,19 +102,8 @@ impl Options {
                 }
                 "--json" => o.json = Some(value()?),
                 "--stripes" => o.stripes = Some(value()?),
-                "--rate" => {
-                    o.rate = Some(value()?.parse().map_err(|e| format!("bad --rate: {e}"))?)
-                }
-                "--file-io" => o.file_io = Some(value()?),
                 "--racks" => {
                     o.racks = Some(value()?.parse().map_err(|e| format!("bad --racks: {e}"))?)
-                }
-                "--workers" => {
-                    o.workers = Some(
-                        value()?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?,
-                    )
                 }
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -155,33 +127,6 @@ impl Options {
             self.seed,
             self.racks,
         )
-    }
-
-    /// Resolve `--file-io` to a [`FileIoConfig`]: `auto` (probe, the
-    /// default), `blocking`, `uring`, or `uring:<depth>` for an
-    /// explicit queue depth. The `ECFRM_FORCE_FILE_IO` environment
-    /// variable still overrides whatever is chosen here.
-    pub fn file_io_config(&self) -> Result<FileIoConfig, String> {
-        let spec = self.file_io.as_deref().unwrap_or("auto");
-        match spec {
-            "auto" => Ok(FileIoConfig::default()),
-            "blocking" => Ok(FileIoConfig::blocking()),
-            "uring" => Ok(FileIoConfig::uring(FileIoConfig::default().depth)),
-            _ => {
-                if let Some(depth) = spec.strip_prefix("uring:") {
-                    let depth = depth
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&d| d > 0)
-                        .ok_or_else(|| format!("bad --file-io depth `{depth}`"))?;
-                    Ok(FileIoConfig::uring(depth))
-                } else {
-                    Err(format!(
-                        "bad --file-io `{spec}` (use auto|blocking|uring[:depth])"
-                    ))
-                }
-            }
-        }
     }
 
     /// Resolve `--stripes` to an ingest size: `small` = 8 stripes (the
@@ -361,54 +306,21 @@ mod tests {
         assert!(Options::parse(&sv(&["--racks", "many"])).is_err());
     }
 
+    /// The CLI acts on a deployment, so it takes no in-memory drill's
+    /// knobs, and the kernel probe (or `ECFRM_FORCE_FILE_IO`) picks the
+    /// file backend.
     #[test]
     fn repair_drill_flags() {
-        let o = Options::parse(&sv(&[
-            "--rate",
-            "5000000",
-            "--workers",
-            "4",
-            "--disk",
-            "3",
-            "--corrupt",
-        ]))
-        .unwrap();
-        assert_eq!(o.rate, Some(5_000_000));
-        assert_eq!(o.workers, Some(4));
-        assert_eq!(o.disk, Some(3));
-        assert!(o.corrupt);
-        assert!(!Options::default().corrupt);
-        assert!(Options::parse(&sv(&["--rate", "fast"])).is_err());
-        assert!(Options::parse(&sv(&["--workers", "-1"])).is_err());
+        for flag in ["--rate", "--workers", "--disk", "--corrupt"] {
+            let err = Options::parse(&sv(&[flag, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
     fn file_io_flag() {
-        use ecfrm_sim::FileIoMode;
-        let with = |s: &str| Options {
-            file_io: Some(s.into()),
-            ..Default::default()
-        };
-        let o = Options::parse(&sv(&["--file-io", "uring:32"])).unwrap();
-        assert_eq!(o.file_io.as_deref(), Some("uring:32"));
-        let cfg = o.file_io_config().unwrap();
-        assert_eq!(cfg.mode, FileIoMode::Uring);
-        assert_eq!(cfg.depth, 32);
-        assert_eq!(
-            Options::default().file_io_config().unwrap().mode,
-            FileIoMode::Auto
-        );
-        assert_eq!(
-            with("blocking").file_io_config().unwrap().mode,
-            FileIoMode::Blocking
-        );
-        assert_eq!(
-            with("uring").file_io_config().unwrap().mode,
-            FileIoMode::Uring
-        );
-        assert!(with("uring:0").file_io_config().is_err());
-        assert!(with("uring:lots").file_io_config().is_err());
-        assert!(with("mmap").file_io_config().is_err());
+        let err = Options::parse(&sv(&["--file-io", "blocking"])).unwrap_err();
+        assert_eq!(err, "unknown flag `--file-io`");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The CLI operations: plan / bench / drill / scrub / serve / stats.
+//! The CLI operations: plan / bench / serve / stats.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -8,22 +8,6 @@ use ecfrm_util::Rng;
 
 use crate::args::Options;
 use crate::error::CliError;
-
-/// Append `--stripes` stripes of the `i % 251` byte pattern to `store`
-/// and flush them; returns the extent, the payload and how long it took.
-fn ingest(
-    opts: &Options,
-    store: &ObjectStore,
-) -> Result<(ObjectMeta, Vec<u8>, Duration), CliError> {
-    let elements = opts.stripe_count()? * store.scheme().data_per_stripe();
-    let payload: Vec<u8> = (0..elements * store.element_size())
-        .map(|i| (i % 251) as u8)
-        .collect();
-    let t0 = Instant::now();
-    let extent = store.append(&payload);
-    store.flush();
-    Ok((extent, payload, t0.elapsed()))
-}
 
 /// A random element-aligned read of 1..=`max` elements inside the
 /// ingested `extent`, as the extent it reads. An extent of fewer than
@@ -56,7 +40,7 @@ impl Drop for RemoveOnDrop {
 /// With `--front` the node also hosts the multi-tenant object front
 /// door (opcodes 13–15, 18): it builds a full `--code`/`--layout` store —
 /// over `--remote` shard servers when given, else over local disks —
-/// and answers object put/write/read/stat/delete with QoS admission
+/// and answers object put/get/stat/delete with QoS admission
 /// and the parity-aware read cache in the path. `--tenant
 /// name:class[:rate]` registers tenants (one without a rate is never
 /// throttled), `--cache-bytes` sizes the cache.
@@ -66,7 +50,7 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     let listen = Options::require(&opts.listen, "listen")?;
     let element_size = opts.element_size.unwrap_or(64 * 1024);
     let dir = opts.dir.as_deref().map(Path::new);
-    let mut shard = open_disks(opts, &[], dir, 1, element_size, |_| "shard.bin".into())?;
+    let mut shard = open_disks(&[], dir, 1, element_size, |_| "shard.bin".into())?;
     let storage = match shard.file_io {
         Some(io) => format!("file-backed, {io} reads"),
         None => "in-memory".to_string(),
@@ -104,9 +88,9 @@ struct Disks {
 /// any, else `FileDisk`s named `file(d)` under `dir`, else in-memory
 /// disks. Shard files hold whole cells (element payload plus the
 /// store's checksum footer); a shard ships each cell as stored, and the
-/// store checks it where it is used.
+/// store checks it where it is used. File-backed disks read through
+/// the engine the kernel probe picks (`ECFRM_FORCE_FILE_IO` pins one).
 fn open_disks(
-    opts: &Options,
     remote: &[String],
     dir: Option<&Path>,
     n: usize,
@@ -117,7 +101,6 @@ fn open_disks(
     use ecfrm_sim::{DiskBackend, FileDisk, MemDisk};
     use std::sync::Arc;
 
-    let file_io = opts.file_io_config().map_err(CliError::Usage)?;
     if !remote.is_empty() {
         if remote.len() != n {
             return Err(CliError::Usage(format!(
@@ -150,7 +133,7 @@ fn open_disks(
     let files = (0..n)
         .map(|d| {
             let cell = element_size + ecfrm_integrity::FOOTER_LEN;
-            FileDisk::create_with(dir.join(file(d)), cell, file_io)
+            FileDisk::create(dir.join(file(d)), cell)
                 .map_err(|e| CliError::io(format!("creating disk file {d}"), e))
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -178,14 +161,9 @@ fn build_front(
 
     let scheme = opts.scheme()?;
     let dir = opts.dir.as_deref().map(Path::new);
-    let disks = open_disks(
-        opts,
-        &opts.remote,
-        dir,
-        scheme.n_disks(),
-        element_size,
-        |d| format!("front-d{d}.bin"),
-    )?;
+    let disks = open_disks(&opts.remote, dir, scheme.n_disks(), element_size, |d| {
+        format!("front-d{d}.bin")
+    })?;
     let store = Arc::new(ObjectStore::with_array(
         scheme,
         element_size,
@@ -223,7 +201,6 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         std::env::temp_dir().join(format!("ecfrm-bench-{}-{call}", std::process::id())),
     );
     let disks = open_disks(
-        opts,
         &opts.remote,
         Some(&dir.0),
         scheme.n_disks(),
@@ -245,7 +222,15 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         element_size,
         ThreadedArray::from_backends(disks.backends),
     );
-    let (extent, payload, took) = ingest(opts, &store)?;
+    // `--stripes` stripes of the `i % 251` byte pattern.
+    let elements = opts.stripe_count()? * scheme.data_per_stripe();
+    let payload: Vec<u8> = (0..elements * element_size)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    let t0 = Instant::now();
+    let extent = store.append(&payload);
+    store.flush();
+    let took = t0.elapsed();
     println!(
         "{}: ingested {:.1} MB in {:.2}s ({:.1} MB/s encode+write)",
         scheme.name(),
@@ -324,319 +309,6 @@ fn write_json(path: &str, json: String) -> Result<(), CliError> {
     std::fs::write(path, json).map_err(|e| CliError::io(format!("writing {path}"), e))?;
     println!("metrics JSON written to {path}");
     Ok(())
-}
-
-/// `ecfrm drill`: a kill-and-repair fire drill on an in-memory store.
-///
-/// Ingests `--stripes` worth of data, wipes one disk for real
-/// (`--disk`, default 0), and lets a background
-/// [`RepairManager`](ecfrm_store::RepairManager) restore full
-/// redundancy — `--workers` parallel reconstruction workers under an
-/// optional `--rate` bytes/second token-bucket limit — while a
-/// foreground reader keeps hammering the store. Reports foreground
-/// latency during repair (the paper's degraded-read service quality)
-/// against repair throughput and time-to-full-redundancy.
-pub fn drill(opts: &Options) -> Result<(), CliError> {
-    use ecfrm_sim::{DiskBackend, FaultKind, FaultyDisk, MemDisk, ThreadedArray};
-    use ecfrm_store::{RepairConfig, RepairManager};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let element_size = opts.element_size.unwrap_or(16 * 1024);
-    let scheme = opts.scheme()?;
-    let victim = opts.disk.unwrap_or(0);
-    if victim >= scheme.n_disks() {
-        return Err(CliError::Usage(format!(
-            "--disk {victim} out of range (scheme has {} disks)",
-            scheme.n_disks()
-        )));
-    }
-
-    // Every disk gets a fault-injection wrapper so `--corrupt` can arm
-    // silent bit-rot on the victim mid-workload; disarmed wrappers are
-    // pure pass-through.
-    let faulty: Vec<Arc<FaultyDisk>> = (0..scheme.n_disks())
-        .map(|_| FaultyDisk::wrap(Arc::new(MemDisk::new())))
-        .collect();
-    let store = Arc::new(ObjectStore::with_array(
-        scheme.clone(),
-        element_size,
-        ThreadedArray::from_backends(
-            faulty
-                .iter()
-                .map(|f| Arc::clone(f) as Arc<dyn DiskBackend>)
-                .collect(),
-        ),
-    ));
-    let (extent, payload, _) = ingest(opts, &store)?;
-    println!(
-        "{}: ingested {:.1} MB over {} disks ({} stripes)",
-        scheme.name(),
-        payload.len() as f64 / 1e6,
-        scheme.n_disks(),
-        store.stats().stripes,
-    );
-
-    if opts.corrupt {
-        // Silent bit-rot: the victim keeps answering but every served
-        // element comes back with one bit flipped. Nothing at the
-        // transport notices; verify-on-read must catch each lie before
-        // it reaches a caller and escalate the disk to repair.
-        faulty[victim].arm(FaultKind::FlipCorrupt, 0);
-        println!("disk {victim} now silently corrupting every read; starting verify-on-read drill");
-    } else {
-        // Lose the victim for real: contents gone, reads plan around it.
-        store.fail_disk(victim)?;
-        store.array().disk(victim).wipe();
-        println!("disk {victim} wiped; starting background repair");
-    }
-
-    let t0 = Instant::now();
-    let mgr = RepairManager::spawn(
-        Arc::clone(&store),
-        RepairConfig {
-            workers: opts.workers.unwrap_or(2),
-            rate_limit: opts.rate,
-            replacer: None,
-        },
-    );
-
-    // Foreground load while repair runs: random small reads, latency
-    // sampled per read and every answer compared byte-for-byte against
-    // the known payload — a single leaked lie fails the drill.
-    let stop = Arc::new(AtomicBool::new(false));
-    let reader = {
-        let store = Arc::clone(&store);
-        let stop = Arc::clone(&stop);
-        let expected = payload.clone();
-        let mut rng = Rng::seed_from_u64(opts.seed);
-        std::thread::spawn(
-            move || -> Result<(ecfrm_obs::Histogram, u64), ecfrm_store::StoreError> {
-                let lat_us = ecfrm_obs::Histogram::new();
-                let mut wrong = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let read = random_read(&mut rng, 8, extent, element_size as u64);
-                    let t = Instant::now();
-                    let (bytes, _) = store.read(read)?;
-                    lat_us.record_duration(t.elapsed());
-                    let start = (read.offset - extent.offset) as usize;
-                    if bytes != expected[start..][..read.len as usize] {
-                        wrong += 1;
-                    }
-                }
-                Ok((lat_us, wrong))
-            },
-        )
-    };
-
-    if opts.corrupt {
-        // Wait for the escalation chain: verify-on-read flags the lying
-        // disk suspect, the detector's footer-verifying probe confirms,
-        // and the disk is promoted to failed.
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while !store.stats().failed_disks.contains(&victim) {
-            if Instant::now() > deadline {
-                return Err(CliError::Usage(
-                    "verify-on-read never escalated the corrupting disk to failed".into(),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        println!(
-            "verify-on-read caught the corruption; disk {victim} failed after {:.0} ms",
-            t0.elapsed().as_secs_f64() * 1e3
-        );
-        // The fuse corrupts the read path, not the media. Model the
-        // operator swapping the bad disk: clear the fault so the
-        // repair pipeline's rewrites verify and the disk re-enters
-        // service with fresh checksums.
-        faulty[victim].clear();
-    }
-
-    let finished = mgr.wait_idle(Duration::from_secs(600));
-    let elapsed = t0.elapsed();
-    stop.store(true, Ordering::Release);
-    let (lat, wrong_reads) = reader
-        .join()
-        .map_err(|_| CliError::Usage("foreground reader panicked".into()))??;
-    if wrong_reads > 0 {
-        return Err(CliError::Usage(format!(
-            "{wrong_reads} foreground reads returned corrupted bytes"
-        )));
-    }
-    if !finished {
-        return Err(CliError::Usage(format!(
-            "repair did not converge: {:?}",
-            mgr.progress()
-        )));
-    }
-
-    let progress = mgr.progress();
-    let snap = store.recorder().snapshot();
-    let repaired_bytes = snap.counters.get("repair.bytes").copied().unwrap_or(0);
-    println!(
-        "repair: {} stripes ({:.1} MB rebuilt) in {:.2}s ({:.1} MB/s){}",
-        progress.stripes_done,
-        repaired_bytes as f64 / 1e6,
-        elapsed.as_secs_f64(),
-        repaired_bytes as f64 / 1e6 / elapsed.as_secs_f64(),
-        match opts.rate {
-            Some(r) => format!(", rate limit {:.1} MB/s", r as f64 / 1e6),
-            None => String::new(),
-        },
-    );
-    if let Some(ms) = snap.gauges.get("repair.time_to_redundancy_ms") {
-        println!("time to full redundancy: {:.2}s", *ms as f64 / 1e3);
-    }
-    println!("foreground during repair: {}", lat.snapshot().summary("us"));
-
-    // Prove the drill ended healthy: full redundancy, correct bytes.
-    if !store.stats().failed_disks.is_empty() {
-        return Err(CliError::Usage("disk still failed after repair".into()));
-    }
-    let (bytes, stats) = store.read(extent)?;
-    if bytes != payload || stats.degraded || stats.repair_elements != 0 {
-        return Err(CliError::Usage(
-            "post-repair read was degraded or corrupt".into(),
-        ));
-    }
-    println!("post-repair read: normal plan, zero decodes, bytes verified");
-
-    if opts.corrupt {
-        // The drill only counts if verification actually fired, and the
-        // re-sealed stripes must pass a full merkle scrub.
-        let caught = snap
-            .counters
-            .get("integrity.verify_fail")
-            .copied()
-            .unwrap_or(0);
-        if caught == 0 {
-            return Err(CliError::Usage(
-                "drill ran but integrity.verify_fail never incremented".into(),
-            ));
-        }
-        let report = store.scrub()?;
-        if !report.is_clean() {
-            return Err(CliError::Usage(format!(
-                "final merkle scrub found damage: {report:?}"
-            )));
-        }
-        println!(
-            "final merkle scrub clean ({} stripes); {caught} lies caught in-flight",
-            report.stripes_checked
-        );
-    }
-
-    report_metrics(opts, &snap, &scheme.name())
-}
-
-/// `ecfrm scrub`: integrity-scrub exercise and microbenchmark. Builds
-/// an in-memory store, ingests `--stripes` worth of data, and times the
-/// merkle scrub (checksum + manifest verification, no decoding) against
-/// the decode scrub (recompute every parity). With `--corrupt`, first
-/// plants one flipped byte on a disk behind the store's back and proves
-/// the merkle scrub localizes it to the exact element, then heals
-/// through the repair pipeline and finishes with a clean re-scrub.
-pub fn scrub(opts: &Options) -> Result<(), CliError> {
-    use ecfrm_sim::ThreadedArray;
-    use ecfrm_store::{RepairConfig, RepairManager};
-    use std::sync::Arc;
-
-    let element_size = opts.element_size.unwrap_or(16 * 1024);
-    let scheme = opts.scheme()?;
-    let store = Arc::new(ObjectStore::with_array(
-        scheme.clone(),
-        element_size,
-        ThreadedArray::new(scheme.n_disks()),
-    ));
-    let (_, payload, _) = ingest(opts, &store)?;
-    let sealed = store.stats().stripes;
-    let cells_per_stripe = store
-        .manifest(0)
-        .map_or(scheme.data_per_stripe(), |m| m.n_elements());
-    let scrubbed_bytes = (sealed as usize * cells_per_stripe * element_size) as f64;
-    println!(
-        "{}: ingested {:.1} MB over {} disks ({sealed} stripes)",
-        scheme.name(),
-        payload.len() as f64 / 1e6,
-        scheme.n_disks(),
-    );
-
-    if opts.corrupt {
-        // One flipped byte on disk 0, behind the store's back: media
-        // bit-rot that no read has touched yet.
-        let victim_disk = 0usize;
-        let disk = store.array().disk(victim_disk);
-        let mut cell = disk
-            .read(0)
-            .ok_or_else(|| CliError::Usage("disk 0 offset 0 holds no element".into()))?;
-        cell[element_size / 2] ^= 0x10;
-        disk.write(0, cell);
-
-        let report = store.scrub()?;
-        if report.corrupt_elements.len() != 1 {
-            return Err(CliError::Usage(format!(
-                "merkle scrub should localize exactly 1 corrupt element, found {:?}",
-                report.corrupt_elements
-            )));
-        }
-        let (stripe, element) = report.corrupt_elements[0];
-        println!(
-            "planted bit-rot on disk {victim_disk}; merkle scrub localized it to \
-             stripe {stripe}, element {element} ({} groups flagged)",
-            report.corrupt_groups.len()
-        );
-
-        // Heal through the normal pipeline: fail the disk, let repair
-        // rebuild it from survivors with fresh checksums.
-        store.fail_disk(victim_disk)?;
-        let mgr = RepairManager::spawn(
-            Arc::clone(&store),
-            RepairConfig {
-                workers: opts.workers.unwrap_or(2),
-                rate_limit: None,
-                replacer: None,
-            },
-        );
-        if !mgr.wait_idle(Duration::from_secs(600)) {
-            return Err(CliError::Usage("repair did not converge".into()));
-        }
-        mgr.shutdown();
-        let report = store.scrub()?;
-        if !report.is_clean() {
-            return Err(CliError::Usage(format!(
-                "re-scrub after repair still dirty: {report:?}"
-            )));
-        }
-        println!("healed through repair; re-scrub clean");
-    }
-
-    // Timed comparison: merkle scrub (footer + manifest verification,
-    // O(elements) hashing, no decode) vs decode scrub (recompute every
-    // parity through the code).
-    let t = Instant::now();
-    let merkle_report = store.scrub()?;
-    let merkle_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let decode_report = store.scrub_decode()?;
-    let decode_s = t.elapsed().as_secs_f64();
-    if !merkle_report.is_clean() || !decode_report.is_clean() {
-        return Err(CliError::Usage("scrub found unexpected damage".into()));
-    }
-    println!(
-        "merkle scrub: {sealed} stripes in {:.1} ms ({:.0} MB/s)",
-        merkle_s * 1e3,
-        scrubbed_bytes / 1e6 / merkle_s
-    );
-    println!(
-        "decode scrub: {sealed} stripes in {:.1} ms ({:.0} MB/s)  [decode/merkle time ratio {:.2}]",
-        decode_s * 1e3,
-        scrubbed_bytes / 1e6 / decode_s,
-        decode_s / merkle_s.max(1e-9)
-    );
-
-    let snap = store.recorder().snapshot();
-    report_metrics(opts, &snap, &scheme.name())
 }
 
 /// `ecfrm stats`: fetch and print the metrics registry of one or more
@@ -759,18 +431,25 @@ mod tests {
         bench(&opts).unwrap();
     }
 
-    /// RS(2,1) under EC-FRM holds 6 data elements a stripe: fewer than
-    /// the 8 a drill read may ask for.
+    /// A read of up to `max` elements lands element-aligned inside an
+    /// extent that need not start at 0, and an extent of fewer than
+    /// `max` elements caps it.
     #[test]
-    fn drill_reads_no_more_than_one_stripe_holds() {
-        let opts = Options {
-            code: Some("rs:2,1".into()),
-            element_size: Some(512),
-            stripes: Some("1".into()),
-            seed: 5,
-            ..Default::default()
-        };
-        drill(&opts).unwrap();
+    fn random_reads_stay_inside_their_extent() {
+        let mut rng = Rng::seed_from_u64(5);
+        for elements in [1u64, 6, 40] {
+            let extent = ObjectMeta {
+                offset: 3 * 512,
+                len: elements * 512,
+            };
+            for _ in 0..200 {
+                let read = random_read(&mut rng, 8, extent, 512);
+                assert_eq!(read.offset % 512, 0);
+                assert!(read.len >= 512 && read.len <= 8.min(elements) * 512);
+                assert!(read.offset >= extent.offset);
+                assert!(read.offset + read.len <= extent.offset + extent.len);
+            }
+        }
     }
 
     #[test]

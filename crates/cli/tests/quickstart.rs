@@ -1,6 +1,7 @@
 //! The `ecfrm` command line as the README shows it: every line of its
-//! quick-start runs and exits 0, the chunk-directory commands are gone,
-//! and `bench` leaves no temp directory behind.
+//! quick-start runs and exits 0, the chunk-directory commands and the
+//! in-memory drills are gone, and `bench` leaves no temp directory
+//! behind.
 
 use std::process::{Command, Output};
 
@@ -37,11 +38,11 @@ fn quickstart_lines() -> Vec<String> {
 #[test]
 fn every_readme_quickstart_line_exits_zero() {
     let lines = quickstart_lines();
-    assert!(lines.len() >= 5, "too few ecfrm lines: {lines:?}");
+    assert_eq!(lines.len(), 3, "the README's ecfrm lines: {lines:?}");
     for line in &lines {
         let args: Vec<&str> = line.split_whitespace().collect();
         // A store the size of `--stripes small` keeps a debug build fast.
-        if ["bench", "drill", "scrub"].contains(&args[0]) {
+        if args[0] == "bench" {
             assert!(
                 line.contains("--stripes small"),
                 "`{line}` ingests too much"
@@ -60,7 +61,9 @@ fn every_readme_quickstart_line_exits_zero() {
 
 #[test]
 fn the_chunk_directory_commands_are_unknown() {
-    for cmd in ["encode", "decode", "repair", "info", "verify"] {
+    for cmd in [
+        "encode", "decode", "repair", "info", "verify", "drill", "scrub",
+    ] {
         let out = ecfrm(&[cmd, "--input", "big.bin", "--dir", "./chunks"]);
         assert_eq!(out.status.code(), Some(1), "{cmd}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -69,6 +72,12 @@ fn the_chunk_directory_commands_are_unknown() {
             "{cmd}: {stderr}"
         );
     }
+    // The file backend is the kernel probe's pick, or
+    // `ECFRM_FORCE_FILE_IO`'s: there is no flag for it.
+    let out = ecfrm(&["bench", "--file-io", "blocking"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--file-io`"), "{stderr}");
 }
 
 #[test]

@@ -481,9 +481,19 @@ mod tests {
     #[test]
     fn recovery_works_for_every_disk_and_scheme_form() {
         let code: Arc<dyn CandidateCode> = Arc::new(RsCode::vandermonde(6, 3));
-        for kind in [LayoutKind::Standard, LayoutKind::Rotated, LayoutKind::EcFrm] {
-            let scheme = Scheme::builder(code.clone()).layout(kind).build();
-            let name = scheme.name();
+        // The last form is EC-FRM over three racks of three: helpers
+        // prefer the lost disk's rack.
+        for (kind, racks) in [
+            (LayoutKind::Standard, 1),
+            (LayoutKind::Rotated, 1),
+            (LayoutKind::EcFrm, 1),
+            (LayoutKind::EcFrm, 3),
+        ] {
+            let scheme = Scheme::builder(code.clone())
+                .layout(kind)
+                .racks(racks)
+                .build();
+            let name = format!("{} over {racks} racks", scheme.name());
             let store = ObjectStore::new(scheme, 32);
             let data = blob(9_000, 11);
             let o = store.append(&data);

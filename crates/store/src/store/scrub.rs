@@ -237,6 +237,12 @@ mod tests {
             .manifest(0)
             .unwrap()
             .verify_element(&store.integrity_key(), leaf, payload));
+        // Healing is a rebuild: the disk is rewritten from survivors and
+        // the scrub comes back clean.
+        store.fail_disk(disk).unwrap();
+        store.recover_disk(disk).unwrap();
+        assert!(store.scrub().unwrap().is_clean());
+        assert_eq!(victim.read(0), Some(original));
     }
 
     #[test]
