@@ -67,6 +67,13 @@ impl From<NetError> for CliError {
     }
 }
 
+/// The one bare I/O error is a failed write of the command's output.
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::io("writing to stdout", e)
+    }
+}
+
 /// Parse-layer errors (`Options::parse`, spec parsing) are usage errors.
 impl From<String> for CliError {
     fn from(msg: String) -> Self {

@@ -27,12 +27,17 @@ mod error;
 mod ops;
 
 use error::CliError;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    match run(&argv, &mut std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed its end of the pipe has read all it wants.
+        Err(CliError::Io { source, .. }) if source.kind() == ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(1)
@@ -40,21 +45,18 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(argv: &[String]) -> Result<(), CliError> {
+fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err(CliError::Usage(usage()));
     };
     // The command is resolved before its flags are parsed, so an
     // unknown command is reported as one whatever flags follow it.
-    let command: fn(&args::Options) -> Result<(), CliError> = match cmd.as_str() {
+    let command: fn(&args::Options, &mut dyn Write) -> Result<(), CliError> = match cmd.as_str() {
         "plan" => ops::plan,
         "bench" => ops::bench,
         "serve" => ops::serve,
         "stats" => ops::stats,
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            return Ok(());
-        }
+        "help" | "--help" | "-h" => return Ok(writeln!(out, "{}", usage())?),
         other => {
             return Err(CliError::Usage(format!(
                 "unknown command `{other}`\n{}",
@@ -62,7 +64,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
             )))
         }
     };
-    command(&args::Options::parse(&argv[1..])?)
+    command(&args::Options::parse(&argv[1..])?, out)
 }
 
 fn usage() -> String {

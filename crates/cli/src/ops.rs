@@ -1,5 +1,6 @@
 //! The CLI operations: plan / bench / serve / stats.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,7 @@ impl Drop for RemoveOnDrop {
 /// and the parity-aware read cache in the path. `--tenant
 /// name:class[:rate]` registers tenants (one without a rate is never
 /// throttled), `--cache-bytes` sizes the cache.
-pub fn serve(opts: &Options) -> Result<(), CliError> {
+pub fn serve(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use ecfrm_net::ShardServer;
 
     let listen = Options::require(&opts.listen, "listen")?;
@@ -58,7 +59,9 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
     let backend = shard.backends.remove(0);
     let server = if opts.front {
         let front = build_front(opts, element_size)?;
-        println!(
+        // A banner that cannot be written is no reason to stop serving.
+        let _ = writeln!(
+            out,
             "front door up: {} tenants, {} B cache",
             opts.tenant.len(),
             opts.cache_bytes.unwrap_or(32 << 20),
@@ -68,7 +71,7 @@ pub fn serve(opts: &Options) -> Result<(), CliError> {
         ShardServer::spawn(backend, listen)
     }
     .map_err(|e| CliError::io(format!("bind {listen}"), e))?;
-    println!("serving shard on {} ({storage})", server.addr());
+    let _ = writeln!(out, "serving shard on {} ({storage})", server.addr());
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
@@ -185,7 +188,7 @@ fn build_front(
 /// file-backed disks in a temp directory (or over `--remote` shard
 /// servers), ingest data, and replay the paper's random-read workload,
 /// reporting actual wall-clock speeds for normal and degraded reads.
-pub fn bench(opts: &Options) -> Result<(), CliError> {
+pub fn bench(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use ecfrm_sim::ThreadedArray;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -208,7 +211,7 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
         |d| format!("bench-d{d}.bin"),
     )?;
     if let Some(io) = disks.file_io {
-        println!("local disks     {io} reads");
+        writeln!(out, "local disks     {io} reads")?;
     }
     let remotes = disks.remotes;
     // Health-check up front so a dead shard fails the bench with a
@@ -231,13 +234,14 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
     let extent = store.append(&payload);
     store.flush();
     let took = t0.elapsed();
-    println!(
+    writeln!(
+        out,
         "{}: ingested {:.1} MB in {:.2}s ({:.1} MB/s encode+write)",
         scheme.name(),
         payload.len() as f64 / 1e6,
         took.as_secs_f64(),
         payload.len() as f64 / 1e6 / took.as_secs_f64()
-    );
+    )?;
 
     // Replay random reads (sizes 1..=20 elements).
     let mut rng = Rng::seed_from_u64(opts.seed);
@@ -252,12 +256,13 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
             bytes += store.read(read)?.0.len();
         }
         let dt = t0.elapsed();
-        println!(
+        writeln!(
+            out,
             "{label}: {trials} reads, {:.1} MB in {:.2}s ({:.1} MB/s)",
             bytes as f64 / 1e6,
             dt.as_secs_f64(),
             bytes as f64 / 1e6 / dt.as_secs_f64()
-        );
+        )?;
         if let Some(d) = failed {
             store.heal_disk(d)?;
         }
@@ -270,20 +275,21 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
     let snap = store.recorder().snapshot();
     if !remotes.is_empty() {
         let net = |what: &str| snap.counters[&format!("net.{what}")];
-        println!(
+        writeln!(
+            out,
             "network: {} retries, {} timeouts, {} reconnects, {} failed",
             net("retries"),
             net("timeouts"),
             net("reconnects"),
             net("failed_requests")
-        );
+        )?;
     }
-    report_metrics(opts, &snap, &scheme.name())?;
+    report_metrics(opts, out, &snap, &scheme.name())?;
     if opts.stats && !remotes.is_empty() {
-        println!("-- per-shard request latency (client side) --");
+        writeln!(out, "-- per-shard request latency (client side) --")?;
         for disk in &remotes {
             let lat = disk.request_latency();
-            println!("  {}: {}", disk.addr(), lat.summary("us"));
+            writeln!(out, "  {}: {}", disk.addr(), lat.summary("us"))?;
         }
     }
     Ok(())
@@ -292,28 +298,29 @@ pub fn bench(opts: &Options) -> Result<(), CliError> {
 /// `--stats` prints the registry snapshot, `--json <file>` writes it.
 fn report_metrics(
     opts: &Options,
+    out: &mut dyn Write,
     snap: &ecfrm_obs::Snapshot,
     scheme: &str,
 ) -> Result<(), CliError> {
     if opts.stats {
-        println!("\n-- store metrics ({scheme}) --");
-        print!("{}", snap.render());
+        writeln!(out, "\n-- store metrics ({scheme}) --")?;
+        write!(out, "{}", snap.render())?;
     }
     match &opts.json {
-        Some(path) => write_json(path, snap.to_json()),
+        Some(path) => write_json(path, out, snap.to_json()),
         None => Ok(()),
     }
 }
 
-fn write_json(path: &str, json: String) -> Result<(), CliError> {
+fn write_json(path: &str, out: &mut dyn Write, json: String) -> Result<(), CliError> {
     std::fs::write(path, json).map_err(|e| CliError::io(format!("writing {path}"), e))?;
-    println!("metrics JSON written to {path}");
+    writeln!(out, "metrics JSON written to {path}")?;
     Ok(())
 }
 
 /// `ecfrm stats`: fetch and print the metrics registry of one or more
 /// shard servers (`--remote host:port,...`) over the wire.
-pub fn stats(opts: &Options) -> Result<(), CliError> {
+pub fn stats(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     use ecfrm_net::{RemoteDisk, RemoteDiskConfig};
 
     if opts.remote.is_empty() {
@@ -328,13 +335,13 @@ pub fn stats(opts: &Options) -> Result<(), CliError> {
             .map_err(|e| CliError::Usage(format!("bad --remote address `{a}`: {e}")))?;
         let disk = RemoteDisk::new(addr, RemoteDiskConfig::builder().build());
         let pairs = disk.stats()?;
-        println!("shard {a}:");
+        writeln!(out, "shard {a}:")?;
         if pairs.is_empty() {
-            println!("  (no activity)");
+            writeln!(out, "  (no activity)")?;
         }
         let width = pairs.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
         for (name, value) in &pairs {
-            println!("  {name:<width$} {value}");
+            writeln!(out, "  {name:<width$} {value}")?;
         }
         if opts.json.is_some() {
             let fields: Vec<(String, String)> = pairs
@@ -345,14 +352,14 @@ pub fn stats(opts: &Options) -> Result<(), CliError> {
         }
     }
     match &opts.json {
-        Some(path) => write_json(path, ecfrm_obs::json::object(&json_shards)),
+        Some(path) => write_json(path, out, ecfrm_obs::json::object(&json_shards)),
         None => Ok(()),
     }
 }
 
 /// `ecfrm plan`: print the per-disk load distribution of a read — the
 /// paper's Figure 3 / Figure 7 views.
-pub fn plan(opts: &Options) -> Result<(), CliError> {
+pub fn plan(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let start = *Options::require(&opts.start, "start")?;
     let count = *Options::require(&opts.count, "count")?;
     let scheme = opts.scheme()?;
@@ -361,7 +368,8 @@ pub fn plan(opts: &Options) -> Result<(), CliError> {
     } else {
         scheme.degraded_read_plan(start, count, &opts.failed)
     };
-    println!(
+    writeln!(
+        out,
         "{}: read {count} elements from {start}{}",
         scheme.name(),
         if opts.failed.is_empty() {
@@ -369,7 +377,7 @@ pub fn plan(opts: &Options) -> Result<(), CliError> {
         } else {
             format!(" with failed disks {:?}", opts.failed)
         }
-    );
+    )?;
     let loads = plan.per_disk_load();
     for (d, &l) in loads.iter().enumerate() {
         let marker = if opts.failed.contains(&d) {
@@ -377,17 +385,19 @@ pub fn plan(opts: &Options) -> Result<(), CliError> {
         } else {
             ""
         };
-        println!("  disk {d:>2}: {:<20} {l}{marker}", "#".repeat(l.min(20)));
+        let bar = "#".repeat(l.min(20));
+        writeln!(out, "  disk {d:>2}: {bar:<20} {l}{marker}")?;
     }
-    println!(
+    writeln!(
+        out,
         "  max load {} | total fetched {} | repair fetched {} | cost {:.3}",
         plan.max_load(),
         plan.total_fetched(),
         plan.repair_fetched(),
         plan.cost()
-    );
+    )?;
     if !plan.unreadable.is_empty() {
-        println!("  UNREADABLE elements: {:?}", plan.unreadable);
+        writeln!(out, "  UNREADABLE elements: {:?}", plan.unreadable)?;
     }
     Ok(())
 }
@@ -413,7 +423,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        bench(&opts).unwrap();
+        bench(&opts, &mut std::io::sink()).unwrap();
     }
 
     /// RS(4,2) under EC-FRM holds 12 data elements a stripe: fewer than
@@ -428,7 +438,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        bench(&opts).unwrap();
+        bench(&opts, &mut std::io::sink()).unwrap();
     }
 
     /// A read of up to `max` elements lands element-aligned inside an
@@ -470,7 +480,7 @@ mod tests {
             remote: servers.iter().map(|s| s.addr().to_string()).collect(),
             ..Default::default()
         };
-        bench(&opts).unwrap();
+        bench(&opts, &mut std::io::sink()).unwrap();
     }
 
     #[test]
@@ -488,7 +498,7 @@ mod tests {
             json: Some(json.to_string_lossy().into_owned()),
             ..Default::default()
         };
-        bench(&opts).unwrap();
+        bench(&opts, &mut std::io::sink()).unwrap();
         let dumped = std::fs::read_to_string(&json).unwrap();
         assert!(dumped.contains("\"disk_load\""), "{dumped}");
         assert!(dumped.contains("\"read_us\""), "{dumped}");
@@ -506,9 +516,9 @@ mod tests {
             remote: vec![server.addr().to_string()],
             ..Default::default()
         };
-        stats(&opts).unwrap();
+        stats(&opts, &mut std::io::sink()).unwrap();
         // No --remote is a usage error.
-        assert!(stats(&Options::default()).is_err());
+        assert!(stats(&Options::default(), &mut std::io::sink()).is_err());
     }
 
     #[test]
@@ -519,7 +529,7 @@ mod tests {
             remote: vec!["127.0.0.1:1".into()],
             ..Default::default()
         };
-        let err = bench(&opts).unwrap_err();
+        let err = bench(&opts, &mut std::io::sink()).unwrap_err();
         assert!(err.to_string().contains("exactly n = 6"), "{err}");
     }
 
@@ -532,10 +542,10 @@ mod tests {
             count: Some(8),
             ..Default::default()
         };
-        plan(&p).unwrap();
+        plan(&p, &mut std::io::sink()).unwrap();
         let mut pd = p;
         pd.failed = vec![2];
-        plan(&pd).unwrap();
+        plan(&pd, &mut std::io::sink()).unwrap();
     }
 
     #[test]

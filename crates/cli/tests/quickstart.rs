@@ -1,9 +1,9 @@
 //! The `ecfrm` command line as the README shows it: every line of its
 //! quick-start runs and exits 0, the chunk-directory commands and the
-//! in-memory drills are gone, and `bench` leaves no temp directory
-//! behind.
+//! in-memory drills are gone, `bench` leaves no temp directory behind,
+//! and a closed stdout ends a command quietly.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const README: &str = include_str!("../../../README.md");
 const PREFIX: &str = "target/release/ecfrm ";
@@ -90,8 +90,8 @@ fn a_failing_bench_removes_its_temp_dir() {
     let child = Command::new(env!("CARGO_BIN_EXE_ecfrm"))
         .args("bench --code rs:4,2 --layout ecfrm --stripes small --count 5 --element-size 512 --json".split(' '))
         .arg(&json)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn ecfrm");
     let pid = child.id();
@@ -107,4 +107,20 @@ fn a_failing_bench_removes_its_temp_dir() {
         .filter(|name| *name == dir || name.starts_with(&format!("{dir}-")))
         .collect();
     assert!(left.is_empty(), "bench left {left:?} in {}", tmp.display());
+}
+
+/// `ecfrm bench | head -1` exits 0 and prints no panic.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ecfrm"))
+        .args("bench --stripes small --count 5 --element-size 4096".split(' '))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ecfrm");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for ecfrm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
