@@ -124,7 +124,7 @@ fn an_all_absent_reply_still_decodes() {
     let (got, stats) = store.read(stripe).unwrap();
     assert_eq!(got, data, "decode must survive an all-absent range reply");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
-    assert!(stats.replans >= 1, "expected a replan: {stats:?}");
+    assert!(stats.replans() >= 1, "expected a replan: {stats:?}");
     // The failure really travelled over the wire.
     assert!(
         server_counter(&cluster, 2, "serve.read") >= 1,

@@ -57,7 +57,7 @@ fn object_roundtrip_over_loopback_cluster() {
     let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data, "bytes survived the wire");
     assert!(!stats.degraded);
-    assert_eq!(stats.replans, 0);
+    assert_eq!(stats.replans(), 0);
     assert_eq!(failed_requests(&cluster), 0);
 
     // The registry after one read: every engine gauge and transport
@@ -116,7 +116,7 @@ fn mid_read_shard_crash_falls_back_to_degraded() {
     let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data, "degraded fallback reconstructed the bytes");
     assert!(stats.degraded, "read should be flagged degraded: {stats:?}");
-    assert!(stats.replans >= 1, "expected a replan: {stats:?}");
+    assert!(stats.replans() >= 1, "expected a replan: {stats:?}");
     // The crash is visible in the dead node's client counters, and the
     // store's registry reads the same total.
     let failed = failed_requests(&cluster);
@@ -185,12 +185,12 @@ fn operator_actions_do_not_touch_the_shard() {
     let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
     assert!(stats.degraded);
-    assert_eq!(stats.replans, 0, "known-failed disk needs no replan");
+    assert_eq!(stats.replans(), 0, "known-failed disk needs no replan");
     // Believed up but still dead: the read finds out for itself.
     store.heal_disk(2).unwrap();
     let (got, stats) = store.read(obj).unwrap();
     assert_eq!(got, data);
-    assert_eq!(stats.replans, 1);
+    assert_eq!(stats.replans(), 1);
     // Alive again: the normal plan, and nothing was owed to the table.
     faulty.clear();
     let (got, stats) = store.read(obj).unwrap();

@@ -47,8 +47,8 @@ pub use reactor::{
     io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Op, Reactor, ReactorStats,
 };
 pub use threaded::{
-    combine_status, Address, CombinePeerSpec, CombineReply, CombineSpec, DiskBackend, MemDisk,
-    RunBuf, ThreadedArray, WriteRun, WriteShape,
+    combine_status, Address, CombinePeerSpec, CombineReply, CombineSpec, DiskAsk, DiskBackend,
+    MemDisk, RunBuf, ThreadedArray, WriteRun, WriteShape,
 };
 pub use uring::UringSnapshot;
 pub use workload::{

@@ -341,6 +341,18 @@ pub struct DiskReply {
     pub items: Vec<(usize, Option<Vec<u8>>)>,
 }
 
+/// What a batched read asked of one disk: one vectored request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiskAsk {
+    /// The disk asked.
+    pub disk: usize,
+    /// Cells the request carried.
+    pub cells: usize,
+    /// Runs of consecutive ascending offsets they formed, as asked (a
+    /// `RemoteDisk` ships one run of ≥ 2 cells as a single-run `Read`).
+    pub runs: usize,
+}
+
 /// An in-flight batched read: per-disk replies stream out of
 /// [`Self::next_reply`] as each disk's submission completes, so callers
 /// can start consuming (copying out, decoding) while slower disks are
@@ -351,31 +363,21 @@ pub struct DiskReply {
 pub struct BatchRead {
     rx: std::sync::mpsc::Receiver<DiskReply>,
     pending: usize,
-    jobs: usize,
-    coalesced_runs: usize,
+    asked: Vec<DiskAsk>,
 }
 
 impl BatchRead {
-    /// Number of per-disk submissions this batch dispatched — the
-    /// array-level request count (one vectored request per touched
-    /// disk). For remote backends this is the logical RPC count of the
-    /// batch.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// How many of those submissions covered one run of two or more
-    /// consecutive ascending offsets — the requests a `RemoteDisk` ships
-    /// as a single-run `Read`.
-    pub fn coalesced_runs(&self) -> usize {
-        self.coalesced_runs
+    /// Each per-disk request the batch dispatched, in disk order (for
+    /// remote backends, its logical RPCs).
+    pub fn asked(&self) -> &[DiskAsk] {
+        &self.asked
     }
 
     /// Next per-disk reply, blocking until one arrives; `None` once
     /// every dispatched disk has answered. The completion engine
     /// guarantees every submission answers — a panicking backend's
     /// submission completes as all-`None` — so the stream always runs
-    /// to exactly [`Self::jobs`] replies.
+    /// to exactly one reply per [`Self::asked`] disk.
     pub fn next_reply(&mut self) -> Option<DiskReply> {
         if self.pending == 0 {
             return None;
@@ -666,17 +668,20 @@ impl ThreadedArray {
     /// all-`None` instead of panicking the caller.
     pub fn read_batch_streaming(&self, addrs: &[Address]) -> BatchRead {
         let (reply_tx, reply_rx) = channel::<DiskReply>();
-        let mut by_disk: HashMap<usize, (Vec<usize>, Vec<u64>)> = HashMap::new();
+        let mut by_disk: BTreeMap<usize, (Vec<usize>, Vec<u64>)> = BTreeMap::new();
         for (tag, &(disk, offset)) in addrs.iter().enumerate() {
             let entry = by_disk.entry(disk).or_default();
             entry.0.push(tag);
             entry.1.push(offset);
         }
-        let jobs = by_disk.len();
-        let mut coalesced_runs = 0;
+        let mut asked = Vec::with_capacity(by_disk.len());
         for (disk, (tags, offsets)) in by_disk {
-            let one_run = offsets.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
-            coalesced_runs += usize::from(offsets.len() >= 2 && one_run);
+            let gaps = offsets.windows(2).filter(|w| w[1] != w[0].wrapping_add(1));
+            asked.push(DiskAsk {
+                disk,
+                cells: offsets.len(),
+                runs: 1 + gaps.count(),
+            });
             let reply = reply_tx.clone();
             self.submit(disk, Op::Read(offsets))
                 .on_complete(move |results| {
@@ -687,9 +692,8 @@ impl ThreadedArray {
         }
         BatchRead {
             rx: reply_rx,
-            pending: jobs,
-            jobs,
-            coalesced_runs,
+            pending: asked.len(),
+            asked,
         }
     }
 
@@ -843,7 +847,8 @@ mod tests {
         // 12 elements over disks {0,1,2} → exactly 3 per-disk jobs.
         let addrs: Vec<Address> = (0..12u64).map(|i| ((i % 3) as usize, i / 3)).collect();
         let mut batch = a.read_batch_streaming(&addrs);
-        assert_eq!(batch.jobs(), 3);
+        let shape: Vec<_> = batch.asked().iter().map(|a| (a.disk, a.cells)).collect();
+        assert_eq!(shape, [(0, 4), (1, 4), (2, 4)]);
         let mut replies = 0;
         let mut elems = 0;
         while let Some(reply) = batch.next_reply() {
@@ -969,17 +974,24 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_read_counts_the_disks_it_asks_for_one_run() {
-        // One contiguous ascending run of ≥ 2 offsets per disk counts;
-        // gaps, singletons and descending order do not.
+    fn a_batch_read_reports_each_disks_cells_and_runs() {
+        // A run is consecutive ascending offsets: a gap or a step back
+        // starts a new one.
         let a = ThreadedArray::new(3);
-        let runs = |addrs: &[Address]| a.read_batch_streaming(addrs).coalesced_runs();
-        assert_eq!(runs(&[]), 0);
-        assert_eq!(runs(&[(0, 5)]), 0);
-        assert_eq!(runs(&[(0, 5), (0, 6), (0, 7)]), 1);
-        assert_eq!(runs(&[(0, 5), (0, 7)]), 0);
-        assert_eq!(runs(&[(0, 6), (0, 5)]), 0);
-        assert_eq!(runs(&[(0, 0), (1, 3), (0, 1), (1, 4), (2, 9)]), 2);
+        let asked = |addrs: &[Address]| {
+            let batch = a.read_batch_streaming(addrs);
+            let shape = batch.asked().iter().map(|x| (x.disk, x.cells, x.runs));
+            shape.collect::<Vec<_>>()
+        };
+        assert_eq!(asked(&[]), []);
+        assert_eq!(asked(&[(0, 5)]), [(0, 1, 1)]);
+        assert_eq!(asked(&[(0, 5), (0, 6), (0, 7)]), [(0, 3, 1)]);
+        assert_eq!(asked(&[(0, 5), (0, 7)]), [(0, 2, 2)]);
+        assert_eq!(asked(&[(0, 6), (0, 5)]), [(0, 2, 2)]);
+        assert_eq!(
+            asked(&[(2, 9), (0, 0), (1, 3), (0, 1), (1, 4), (1, 9)]),
+            [(0, 2, 1), (1, 3, 2), (2, 1, 1)]
+        );
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub mod store;
 pub use error::StoreError;
 pub use front::{FrontConfig, FrontDoor, Piece, QosClass, TenantSpec};
 pub use meta::{
-    ObjectMeta, ObjectStat, ReadStats, ScrubReport, StoreStats, StripeManifest, StripeRepair,
+    FetchRound, ObjectMeta, ObjectStat, Outcome, ReadStats, ScrubReport, StoreStats,
+    StripeManifest, StripeRepair,
 };
 pub use repair::{DiskTable, RepairConfig, RepairManager, RepairProgress, Replacer};
 pub use store::{ObjectStore, ReadOpts};

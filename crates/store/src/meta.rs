@@ -47,27 +47,62 @@ pub struct ObjectStat {
     pub len: u64,
 }
 
-/// Per-read instrumentation returned by
-/// [`ObjectStore::read`](crate::ObjectStore::read).
+/// What one [`ObjectStore::read`](crate::ObjectStore::read) did: its
+/// final plan's figures and the record of its fetch rounds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReadStats {
     /// Data elements the request spanned.
     pub requested_elements: usize,
-    /// Elements physically fetched (demand + repair).
+    /// Elements the final plan fetches (demand + repair). A read that
+    /// replanned sent other cells too: [`Self::rounds`] has what it sent.
     pub fetched_elements: usize,
-    /// Elements fetched only for reconstruction.
+    /// Elements the final plan fetches only for reconstruction.
     pub repair_elements: usize,
-    /// Elements served by the most-loaded disk.
+    /// Elements the final plan asks of its most-loaded disk.
     pub max_disk_load: usize,
     /// Degraded-read cost (fetched / requested).
     pub cost: f64,
     /// Whether the read was planned around failed disks.
     pub degraded: bool,
-    /// Times the read re-planned after a disk stopped answering
-    /// mid-read (normal plan → degraded plan fallback).
-    pub replans: usize,
+    /// Each fetch round, in order.
+    pub rounds: Vec<FetchRound>,
     /// Wall-clock time of the parallel fetch + reconstruction.
     pub elapsed: std::time::Duration,
+}
+
+impl ReadStats {
+    /// Times the read replanned: its rounds after the first.
+    pub fn replans(&self) -> usize {
+        self.rounds.len().saturating_sub(1)
+    }
+}
+
+/// One fetch round: one vectored request per disk it touched.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FetchRound {
+    /// What each disk was asked and how it answered, in disk order.
+    pub disks: Vec<(ecfrm_sim::DiskAsk, Outcome)>,
+    /// Time spent checking the round's cells against their footers.
+    pub verify: std::time::Duration,
+}
+
+impl FetchRound {
+    /// The disks that owe a cell or never answered.
+    pub(crate) fn bad(&self) -> impl Iterator<Item = usize> + '_ {
+        let bad = self.disks.iter().filter(|(_, o)| *o != Outcome::Verified);
+        bad.map(|(a, _)| a.disk)
+    }
+}
+
+/// How a disk answered its part of a fetch round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Every cell came back and passed its footer check.
+    Verified,
+    /// A cell came back absent or failed its footer: an erasure.
+    Owes,
+    /// The disk never answered.
+    Silent,
 }
 
 /// Outcome of rebuilding one stripe of one disk

@@ -20,19 +20,17 @@ mod rebuild;
 mod scrub;
 mod seal;
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ecfrm_core::Scheme;
+use ecfrm_core::{ReadPlan, Scheme};
 use ecfrm_integrity::{verify_footer, HashKey};
 use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
-use ecfrm_sim::threaded::BatchRead;
 use ecfrm_sim::{ThreadedArray, WriteShape};
 use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
-use crate::meta::{StoreStats, StripeManifest};
+use crate::meta::{FetchRound, Outcome, ReadStats, StoreStats, StripeManifest};
 use crate::repair::DiskTable;
 
 pub use read::ReadOpts;
@@ -45,15 +43,11 @@ struct StoreMetrics {
     replans: Counter,
     fetched_elements: Counter,
     repair_elements: Counter,
-    /// Per-disk vectored requests issued by the batched read path (one
-    /// per touched disk per fetch round; for remote backends this is
-    /// the logical RPC count).
+    /// Over every read round: the per-disk requests (for remote
+    /// backends, the logical RPCs), their cells, and those of ≥ 2 cells
+    /// in one run — what a remote backend ships as a one-run `Read`.
     rpcs: Counter,
-    /// Elements carried by those vectored requests.
     batch_elems: Counter,
-    /// Per-disk batches whose offsets formed one contiguous ascending
-    /// run of ≥ 2 elements — the batches a remote backend ships as a
-    /// one-run `Read`.
     coalesced_runs: Counter,
     /// Per-disk vectored writes issued (one per touched disk per seal or
     /// repair write-back; for remote backends the logical RPC count),
@@ -111,12 +105,33 @@ impl StoreMetrics {
         }
     }
 
-    /// Tally one dispatched fetch round: `batch`'s per-disk requests,
-    /// covering `elems` addresses.
-    fn note_batch(&self, batch: &BatchRead, elems: usize) {
-        self.rpcs.add(batch.jobs() as u64);
-        self.batch_elems.add(elems as u64);
-        self.coalesced_runs.add(batch.coalesced_runs() as u64);
+    /// Fold one read into the read counters, from its record: every
+    /// round's requests, however it ended, and — for a read that returned
+    /// its data, with the plan it finished on — the read itself.
+    fn note_read(&self, stats: &ReadStats, done: Option<&ReadPlan>, element_size: usize) {
+        let asked = || stats.rounds.iter().flat_map(|r| &r.disks).map(|(a, _)| a);
+        self.rpcs.add(asked().count() as u64);
+        self.batch_elems.add(asked().map(|a| a.cells as u64).sum());
+        let one_run = asked().filter(|a| a.cells >= 2 && a.runs == 1).count();
+        self.coalesced_runs.add(one_run as u64);
+        let Some(plan) = done else { return };
+        self.reads.inc();
+        if stats.degraded {
+            self.degraded_reads.inc();
+        }
+        if stats.replans() > 0 {
+            self.replans.add(stats.replans() as u64);
+        }
+        self.fetched_elements.add(stats.fetched_elements as u64);
+        self.repair_elements.add(stats.repair_elements as u64);
+        let verify: Duration = stats.rounds.iter().map(|r| r.verify).sum();
+        if verify > Duration::ZERO {
+            self.verify_us.record_duration(verify);
+        }
+        for f in &plan.fetches {
+            self.disk_load.record(f.loc.disk, 1, element_size as u64);
+        }
+        self.read_us.record_duration(stats.elapsed);
     }
 
     /// Tally one array-level write, as the array dispatched it.
@@ -279,52 +294,48 @@ impl ObjectStore {
     }
 
     /// The one way the store takes cells off its disks, for reads and
-    /// repairs alike: wait out `batch` (a read of `addrs`), check every
-    /// cell against its footer as its disk answers, and hand each intact
-    /// payload, footer stripped, to `keep` with its index into `addrs`.
-    /// Returns the disks that owe a cell — it came back absent or failed
-    /// its footer, which is exactly an erasure, or the disk never
-    /// answered — and the time spent checking footers, and tells the
-    /// disk table who answered and who owes.
+    /// repairs alike: read `addrs`, one vectored request per disk, check
+    /// every cell against its footer as its disk answers, and hand each
+    /// intact payload, footer stripped, to `keep` with its index into
+    /// `addrs`. Returns the round's record — a disk owes a cell that came
+    /// back absent or failed its footer, which is exactly an erasure —
+    /// and tells the disk table who answered and who owes.
     fn fetch_verified(
         &self,
-        mut batch: BatchRead,
         addrs: &[(usize, u64)],
         mut keep: impl FnMut(usize, Vec<u8>),
-    ) -> (BTreeSet<usize>, Duration) {
-        let mut bad = BTreeSet::new();
-        let mut answered = BTreeSet::new();
+    ) -> FetchRound {
+        let mut batch = self.array.read_batch_streaming(addrs);
+        // A disk whose worker dies mid-batch never answers: it stays silent.
+        let silent = |&a| (a, Outcome::Silent);
+        let mut disks: Vec<_> = batch.asked().iter().map(silent).collect();
         let mut verify = Duration::ZERO;
         while let Some(reply) = batch.next_reply() {
-            answered.insert(reply.disk);
+            let mut outcome = Outcome::Verified;
             for (tag, bytes) in reply.items {
-                let (disk, offset) = addrs[tag];
                 let Some(mut b) = bytes else {
-                    bad.insert(disk);
+                    outcome = Outcome::Owes;
                     continue;
                 };
                 let t = Instant::now();
-                let ok = verify_footer(&self.key, offset, &b).is_some();
+                let ok = verify_footer(&self.key, addrs[tag].1, &b).is_some();
                 verify += t.elapsed();
                 if !ok {
                     self.metrics.verify_fail.inc();
-                    bad.insert(disk);
+                    outcome = Outcome::Owes;
                     continue;
                 }
                 b.truncate(self.element_size);
                 keep(tag, b);
             }
+            if let Some(d) = disks.iter_mut().find(|(a, _)| a.disk == reply.disk) {
+                d.1 = outcome;
+            }
         }
-        // A worker that died mid-batch ends the reply stream early; its
-        // disk never answered and owes every cell it was asked for.
-        bad.extend(
-            addrs
-                .iter()
-                .map(|&(d, _)| d)
-                .filter(|d| !answered.contains(d)),
-        );
-        self.disks.report(answered, &bad);
-        (bad, verify)
+        let round = FetchRound { disks, verify };
+        let asked = round.disks.iter().map(|(a, _)| a.disk);
+        self.disks.report(asked, &round.bad().collect());
+        round
     }
 
     /// The bound scheme.

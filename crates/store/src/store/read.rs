@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ecfrm_core::{Fetch, Purpose, ReadCtx};
+use ecfrm_core::{Fetch, Purpose, ReadCtx, ReadPlan};
 use ecfrm_layout::Loc;
 
 use super::ObjectStore;
@@ -108,21 +108,35 @@ impl ObjectStore {
             return Err(out_of_bounds(first * es, sealed.sealed_elements * es));
         }
         let t0 = std::time::Instant::now();
+        let mut stats = ReadStats::default();
+        let read = self.read_rounds(first, count, sealed.down, &mut stats);
+        stats.elapsed = t0.elapsed();
+        let done = read.as_ref().ok().map(|(_, plan)| plan);
+        self.metrics.note_read(&stats, done, self.element_size);
+        read.map(|(slots, _)| (slots, stats))
+    }
 
-        // Plan, fetch, and — when a disk stops answering mid-read —
-        // replan degraded around it. Each iteration strictly grows the
-        // set planned around, so the loop terminates.
-        //
-        // Fetches go out as one vectored request per touched disk and
-        // are verified as each disk answers (`fetch_verified`, which also
-        // tells the disk table who answered and who did not). A demand
-        // cell lands in the slot of the element it is, degraded or not;
-        // a cell fetched only to repair with waits beside the slots, and
-        // the decode fills just the holes. Both outlive a pass: a replan
-        // fetches only the cells of its plan that no pass has verified.
-        let mut verify_spent = std::time::Duration::ZERO;
-        let mut suspects: BTreeSet<usize> = sealed.down.into_iter().collect();
-        let mut replans = 0usize;
+    /// Plan, fetch, and — when a disk stops answering mid-read — replan
+    /// degraded around it, starting from the `down` disks. Each round's
+    /// record joins `stats` as it is made, and the final plan's figures
+    /// once the holes are filled. Each iteration strictly grows the set
+    /// planned around, so the loop terminates.
+    ///
+    /// Fetches go out as one vectored request per touched disk and are
+    /// verified as each disk answers (`fetch_verified`, which also tells
+    /// the disk table who answered and who did not). A demand cell lands
+    /// in the slot of the element it is, degraded or not; a cell fetched
+    /// only to repair with waits beside the slots, and the decode fills
+    /// just the holes. Both outlive a round: a replan fetches only the
+    /// cells of its plan that no round has verified.
+    fn read_rounds(
+        &self,
+        first: u64,
+        count: usize,
+        down: Vec<usize>,
+        stats: &mut ReadStats,
+    ) -> Result<(Vec<Vec<u8>>, ReadPlan), StoreError> {
+        let mut suspects: BTreeSet<usize> = down.into_iter().collect();
         let layout = self.scheme.layout();
         let mut slots: Vec<Vec<u8>> = vec![Vec::new(); count];
         let mut repair: HashMap<Loc, Vec<u8>> = HashMap::new();
@@ -150,9 +164,7 @@ impl ObjectStore {
             let wanted: Vec<&Fetch> = plan.fetches.iter().filter(|f| !held(f)).collect();
             let addrs: Vec<(usize, u64)> =
                 wanted.iter().map(|f| (f.loc.disk, f.loc.offset)).collect();
-            let batch = self.array.read_batch_streaming(&addrs);
-            self.metrics.note_batch(&batch, addrs.len());
-            let (bad, verify) = self.fetch_verified(batch, &addrs, |tag, bytes| {
+            let round = self.fetch_verified(&addrs, |tag, bytes| {
                 let f = wanted[tag];
                 match f.purpose {
                     Purpose::Demand => slots[slot(f)] = bytes,
@@ -161,7 +173,8 @@ impl ObjectStore {
                     }
                 }
             });
-            verify_spent += verify;
+            let bad: Vec<usize> = round.bad().collect();
+            stats.rounds.push(round);
             if bad.is_empty() {
                 let cell = |loc| repair.get(&loc).map(Vec::as_slice);
                 let ctx = ReadCtx::new().with_recorder(&self.recorder);
@@ -175,46 +188,22 @@ impl ObjectStore {
                 )));
             }
             suspects.extend(bad);
-            replans += 1;
         };
         // Leave breadcrumbs for the background repair pipeline: the
         // stripes this degraded read actually touched, per down disk —
         // they rebuild first so hot data regains redundancy first.
         if !suspects.is_empty() {
             let dps = self.scheme.data_per_stripe() as u64;
-            let stripes = first / dps..(last - 1) / dps + 1;
+            let stripes = first / dps..(first + count as u64 - 1) / dps + 1;
             self.disks.hint(suspects.iter().copied(), stripes);
         }
-        let stats = ReadStats {
-            requested_elements: count,
-            fetched_elements: plan.total_fetched(),
-            repair_elements: plan.repair_fetched(),
-            max_disk_load: plan.max_load(),
-            cost: plan.cost(),
-            degraded: !suspects.is_empty(),
-            replans,
-            elapsed: t0.elapsed(),
-        };
-
-        let m = &self.metrics;
-        m.reads.inc();
-        if stats.degraded {
-            m.degraded_reads.inc();
-        }
-        if replans > 0 {
-            m.replans.add(replans as u64);
-        }
-        m.fetched_elements.add(stats.fetched_elements as u64);
-        m.repair_elements.add(stats.repair_elements as u64);
-        if verify_spent > std::time::Duration::ZERO {
-            m.verify_us.record_duration(verify_spent);
-        }
-        for f in &plan.fetches {
-            m.disk_load.record(f.loc.disk, 1, self.element_size as u64);
-        }
-        m.read_us.record_duration(stats.elapsed);
-
-        Ok((slots, stats))
+        stats.requested_elements = count;
+        stats.fetched_elements = plan.total_fetched();
+        stats.repair_elements = plan.repair_fetched();
+        stats.max_disk_load = plan.max_load();
+        stats.cost = plan.cost();
+        stats.degraded = !suspects.is_empty();
+        Ok((slots, plan))
     }
 }
 
@@ -232,6 +221,7 @@ mod tests {
 
     use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
     use super::*;
+    use crate::meta::Outcome;
 
     #[test]
     fn put_get_roundtrip() {
@@ -352,7 +342,7 @@ mod tests {
         let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(stats.degraded);
-        assert_eq!(stats.replans, 1, "exactly one mid-read replan");
+        assert_eq!(stats.replans(), 1, "exactly one mid-read replan");
         assert_eq!(store.stats().suspect_disks, vec![2]);
         let staged = store.disks().hint_count();
         assert!(staged > 0, "degraded read stages repair hints");
@@ -373,13 +363,22 @@ mod tests {
         let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
         assert!(!stats.degraded);
-        assert_eq!(stats.replans, 0);
+        assert_eq!(stats.replans(), 0);
         assert!(
             store.stats().suspect_disks.is_empty(),
             "suspicion withdrawn"
         );
         // Hints are staging only — nothing was promoted to repair work.
         assert_eq!(store.disks().depth(), 0);
+    }
+
+    /// Each disk's cells over every round of `stats`' record.
+    fn cells_per_disk(stats: &ReadStats, n_disks: usize) -> Vec<u64> {
+        let mut cells = vec![0; n_disks];
+        for (asked, _) in stats.rounds.iter().flat_map(|r| &r.disks) {
+            cells[asked.disk] += asked.cells as u64;
+        }
+        cells
     }
 
     #[test]
@@ -390,15 +389,13 @@ mod tests {
         store.flush();
         let (first, last) = x.element_range(64).unwrap();
         let count = (last - first) as usize;
-        let fetched = || store.recorder().snapshot().counters["read.batch_elems"];
-        let before = fetched();
 
         // Disk 2 stops answering: pass 1 verifies every cell of the
         // normal plan but disk 2's, pass 2 plans around disk 2.
         faulty[2].arm(FaultKind::Kill, 0);
         let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data);
-        assert_eq!(stats.replans, 1);
+        assert_eq!(stats.replans(), 1);
 
         let scheme = store.scheme();
         let p1 = scheme.normal_read_plan(first, count).fetches;
@@ -407,7 +404,81 @@ mod tests {
             p1.iter().map(|f| f.loc).filter(|l| l.disk != 2).collect();
         let new = p2.iter().filter(|f| !held.contains(&f.loc)).count();
         assert!(new < p2.len(), "pass 2 shares cells with pass 1");
-        assert_eq!(fetched() - before, (p1.len() + new) as u64);
+        let sent: u64 = cells_per_disk(&stats, scheme.n_disks()).iter().sum();
+        assert_eq!(sent, (p1.len() + new) as u64);
+        // `fetched_elements` is the final plan's, not what was sent.
+        assert_eq!(stats.fetched_elements, p2.len());
+    }
+
+    #[test]
+    fn the_record_is_what_the_disks_saw() {
+        let (store, faulty) = faulty_store();
+        let data = blob(30_000, 55);
+        let x = store.append(&data);
+        store.flush();
+        let n = store.scheme().n_disks();
+        let outcomes = |stats: &ReadStats, round: usize| {
+            let disks = stats.rounds[round].disks.iter();
+            disks.map(|(a, o)| (a.disk, *o)).collect::<Vec<_>>()
+        };
+        // Each scenario: the fault, then the read's rounds and how each
+        // round-1 disk answered, checked against what every disk served.
+        for scenario in ["kill", "flip", "down"] {
+            let before: Vec<u64> = faulty.iter().map(|f| f.reads()).collect();
+            match scenario {
+                "kill" => faulty[2].arm(FaultKind::Kill, 0),
+                "flip" => faulty[4].arm(FaultKind::FlipCorrupt, 0),
+                _ => store.fail_disk(5).unwrap(),
+            }
+            let (bytes, stats) = store.read(x).unwrap();
+            assert_eq!(bytes, data, "{scenario}");
+            let served: Vec<u64> = faulty
+                .iter()
+                .zip(&before)
+                .map(|(f, b)| f.reads() - b)
+                .collect();
+            assert_eq!(cells_per_disk(&stats, n), served, "{scenario}");
+            let first = outcomes(&stats, 0);
+            let expect = |d: usize| match (scenario, d) {
+                ("kill", 2) | ("flip", 4) => Outcome::Owes,
+                _ => Outcome::Verified,
+            };
+            let asked = |d| scenario != "down" || d != 5;
+            let want: Vec<_> = (0..n)
+                .filter(|&d| asked(d))
+                .map(|d| (d, expect(d)))
+                .collect();
+            assert_eq!(first, want, "{scenario}");
+            assert_eq!(stats.rounds.len(), if scenario == "down" { 1 } else { 2 });
+            faulty.iter().for_each(|f| f.clear());
+            store.heal_disk(5).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_read_lost_after_round_one_counts_that_round_and_no_read() {
+        let (store, faulty) = faulty_store();
+        let x = store.append(&blob(30_000, 56));
+        store.flush();
+        let (first, last) = x.element_range(64).unwrap();
+        let plan = store
+            .scheme()
+            .normal_read_plan(first, (last - first) as usize);
+        let counters = || store.recorder().snapshot().counters;
+        let before = counters();
+        // Four silent disks: round 1 finds them, the replan cannot read
+        // around them.
+        for f in &faulty[..4] {
+            f.arm(FaultKind::Kill, 0);
+        }
+        assert!(matches!(store.read(x), Err(StoreError::DataLoss(_))));
+        let after = counters();
+        let moved = |name: &str| after[name] - before[name];
+        assert_eq!(moved("read.rpcs"), plan.disks_touched() as u64);
+        assert_eq!(moved("read.batch_elems"), plan.total_fetched() as u64);
+        for name in ["reads", "replans", "fetched_elements", "degraded_reads"] {
+            assert_eq!(moved(name), 0, "{name}");
+        }
     }
 
     /// A backend whose every submission panics.
@@ -532,7 +603,7 @@ mod tests {
         let (bytes, stats) = store.read(x).unwrap();
         assert_eq!(bytes, data, "corrupted answers never reach the caller");
         assert!(stats.degraded);
-        assert_eq!(stats.replans, 1);
+        assert_eq!(stats.replans(), 1);
         assert_eq!(store.stats().suspect_disks, vec![2]);
         assert!(store.disks().hint_count() > 0, "stripe hints staged");
         assert!(store.recorder().snapshot().counters["integrity.verify_fail"] > 0);
@@ -574,18 +645,20 @@ mod tests {
         let data = blob(30_000, 40);
         let x = store.append(&data);
         store.flush();
-        let before = store.recorder().snapshot().counters["read.rpcs"];
-        assert_eq!(store.read(x).unwrap().0, data);
-        let snap = store.recorder().snapshot();
-        let rpcs = snap.counters["read.rpcs"] - before;
+        let (bytes, stats) = store.read(x).unwrap();
+        assert_eq!(bytes, data);
+        let [round] = &stats.rounds[..] else {
+            panic!("one round: {stats:?}")
+        };
+        let rpcs = round.disks.len();
         assert!(
-            rpcs <= store.scheme().n_disks() as u64,
+            (1..=store.scheme().n_disks()).contains(&rpcs),
             "one read issued {rpcs} per-disk requests over {} disks",
             store.scheme().n_disks()
         );
-        assert!(rpcs >= 1);
-        let elems = snap.counters["read.batch_elems"];
-        assert!(elems as usize >= data.len() / 64, "batch_elems: {elems}");
+        let elems: usize = round.disks.iter().map(|(a, _)| a.cells).sum();
+        assert_eq!(elems, stats.fetched_elements);
+        assert!(elems >= data.len() / 64, "cells: {elems}");
     }
 
     #[test]
@@ -600,11 +673,17 @@ mod tests {
         store.flush();
         // Elements 0..11: every disk serves offset 0, the first two also
         // serve offset 1 → two [0, 1] runs.
-        store.read_extent(x, 0, 700, &ReadOpts::default()).unwrap();
-        let runs = store.recorder().snapshot().counters["read.coalesced_runs"];
-        assert!(
-            runs >= 2,
-            "sequential layout produced {runs} coalesced runs, expected ≥ 2"
+        let (_, stats) = store.read_extent(x, 0, 700, &ReadOpts::default()).unwrap();
+        let shape: Vec<_> = stats.rounds[0]
+            .disks
+            .iter()
+            .map(|(a, _)| (a.disk, a.cells, a.runs))
+            .collect();
+        let want: Vec<_> = (0..9).map(|d| (d, if d < 2 { 2 } else { 1 }, 1)).collect();
+        assert_eq!(shape, want);
+        assert_eq!(
+            store.recorder().snapshot().counters["read.coalesced_runs"],
+            2
         );
     }
 

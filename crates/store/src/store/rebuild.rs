@@ -149,13 +149,13 @@ impl ObjectStore {
             .collect();
         let addrs: Vec<(usize, u64)> = want.into_iter().collect();
         let mut fetched: HashMap<Loc, Vec<u8>> = HashMap::with_capacity(addrs.len());
-        let batch = self.array.read_batch_streaming(&addrs);
-        let (bad, _) = self.fetch_verified(batch, &addrs, |tag, bytes| {
+        let round = self.fetch_verified(&addrs, |tag, bytes| {
             let (disk, offset) = addrs[tag];
             fetched.insert(Loc::new(disk, offset), bytes);
         });
+        let bad: Vec<usize> = round.bad().collect();
         if !bad.is_empty() {
-            return Err(bad.into_iter().collect());
+            return Err(bad);
         }
         // Every source arrived whole: a payload and its footer each.
         let bytes_read = (addrs.len() * (self.element_size + FOOTER_LEN)) as u64;

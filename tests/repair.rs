@@ -142,7 +142,7 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
     assert_eq!(bytes, data);
     assert!(!stats.degraded, "read after repair must plan normally");
     assert_eq!(stats.repair_elements, 0, "zero decodes after repair");
-    assert_eq!(stats.replans, 0);
+    assert_eq!(stats.replans(), 0);
 
     // And the replaced disk physically holds its full share again.
     assert!(!store.array().disk(3).is_empty());

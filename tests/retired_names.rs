@@ -33,7 +33,7 @@ const RULES: &[Rule] = &[
         Grep("-E", r"(range|checked|combine)_supported|mux_state|demot|with_fallback", &["crates/net/src", "crates/store/src"], 0, "fn range_supported(&self) -> bool {"),
     ]),
     Rule("No runtime switch on the store (DESIGN.md §13, §16, §17)", "verify-on-read is always on, a stripe's repair path is chosen from peer_addr, admission is FrontConfig: no setter, no whole-disk event", &[
-        Grep("-E", r"set_verify_reads|set_combined_repair|set_admission|DiskRebuilt", &["crates", "tests"], 0, "store.set_verify_reads(true);"),
+        Grep("-E", r"set_verify_reads|set_combined_repair|set_admission|DiskRebuilt", &["--exclude-dir=target", "crates", "tests"], 0, "store.set_verify_reads(true);"),
     ]),
     Rule("One microbench driver, one report (ROADMAP item 7)", "micro <name> [--quick] is the one microbench driver and figures prints through the same report::Report: rows go to the Report, rules to the bench's check()", &[
         Grep("-E", r"fn json_f|no-json|assert-fairness|criterion_main|normal_table|normal_json|degraded_json|degraded_speed_table|degraded_cost_table", &["--exclude-dir=e2e", "crates/bench"], 0, "fn json_f(v: f64) -> String {"),
@@ -88,6 +88,11 @@ const RULES: &[Rule] = &[
     Rule("One field, GF(2^8) (DESIGN.md §10, ROADMAP item 19)", "GF(2^8) is the only arithmetic: no GF(2^16) field, region ops, kernels or wide-stripe code; kernel.rs has 9 unsafe sites: the SIMD kernels (two x86_64, one aarch64) and their six safe wrappers", &[
         Grep("-E", r"Gf16|region16|WideRs|mul16|split_tables16|dot_region16", &["--exclude-dir=target", "crates", "src", "examples", "tests"], 0, "pub struct Gf16(u16);"),
         Grep("-E", r"unsafe (fn|\{)", &["crates/gf/src/kernel.rs"], 9, "unsafe fn mul_add_avx2(c: u8, src: &[u8], dst: &mut [u8]) {"),
+    ]),
+    Rule("One record of what a read did (ROADMAP item 27)", "a read's rounds are in its ReadStats, what each disk was asked as the array dispatched it (BatchRead::asked), and every read counter folds from that record in StoreMetrics::note_read", &[
+        Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "self.metrics.note_batch(&batch, addrs.len());"),
+        Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "pub fn jobs(&self) -> usize {"),
+        Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "pub fn coalesced_runs(&self) -> usize {"),
     ]),
 ];
 
