@@ -24,7 +24,7 @@ use ecfrm_bench::report::{gain_pct, Cells, Report};
 use ecfrm_codes::{CandidateCode, RsCode};
 use ecfrm_core::{LayoutKind, Scheme};
 use ecfrm_sim::{mean, DiskModel, NormalReadWorkload};
-use ecfrm_util::{par_map, Rng};
+use ecfrm_util::Rng;
 
 /// The paper's six figures: name, title, LRC (else RS) forms, and what
 /// each reports per code beside its per-form rows.
@@ -89,7 +89,7 @@ fn figure(name: &str, cfg: &ExperimentConfig, quick: bool, json: bool) {
         };
         (cells, r.tail, quote)
     };
-    let measured = par_map(&codes, |_, forms| forms.each_ref().map(measure));
+    let measured = codes.each_ref().map(|forms| forms.each_ref().map(measure));
 
     let shape = cells! {
         "figure": title,

@@ -173,14 +173,14 @@ struct SealedView {
 /// of one append-only logical stream; the store keeps no names —
 /// mapping names to extents is the [`FrontDoor`](crate::FrontDoor)'s
 /// job. The stream is chunked into fixed-size elements; once a full
-/// stripe of data elements accumulates it is encoded (all stripes in
-/// parallel) and written out. Reads plan through the scheme — normal
-/// or degraded — and execute on the array's worker threads. Every cell
-/// a read touches is verified against its checksum footer as its disk
-/// answers, and a mismatch is treated exactly like an erasure. When a
-/// disk stops answering mid-read (a remote shard timing out or dying),
-/// the read falls back to a degraded plan around the suspect disk
-/// instead of failing.
+/// stripe of data elements accumulates it is encoded (one stripe after
+/// the other, on the appending thread) and written out. Reads plan
+/// through the scheme — normal or degraded — and execute on the array's
+/// worker threads. Every cell a read touches is verified against its
+/// checksum footer as its disk answers, and a mismatch is treated
+/// exactly like an erasure. When a disk stops answering mid-read (a
+/// remote shard timing out or dying), the read falls back to a degraded
+/// plan around the suspect disk instead of failing.
 pub struct ObjectStore {
     scheme: Scheme,
     element_size: usize,

@@ -7,7 +7,6 @@
 use ecfrm_integrity::{element_checksum, leaf_hash, MerkleTree, FOOTER_LEN};
 use ecfrm_layout::Loc;
 use ecfrm_sim::RunBuf;
-use ecfrm_util::{par_map, Mutex};
 
 use super::{ObjectStore, StripeState};
 use crate::error::StoreError;
@@ -90,54 +89,42 @@ impl ObjectStore {
             n as u64 * per_disk,
             "a stripe fills the same offsets on every disk"
         );
-        // Bytes one stripe occupies in one disk's run.
-        let share = per_disk as usize * cell_len;
+        let start = first_stripe * per_disk;
         let mut runs: Vec<RunBuf> = (0..n)
             .map(|_| RunBuf {
-                start: first_stripe * per_disk,
+                start,
                 cell_len,
-                bytes: vec![0u8; full * share],
+                bytes: vec![0u8; full * per_disk as usize * cell_len],
             })
             .collect();
-        // Stripe `i`'s share of every disk's run, so stripes can be
-        // built in parallel. (`par_map` hands out `&T`; each stripe's
-        // shares sit behind a lock only it ever takes.)
-        let mut shares: Vec<Vec<&mut [u8]>> = (0..full).map(|_| Vec::with_capacity(n)).collect();
-        for run in &mut runs {
-            for (stripe, chunk) in shares.iter_mut().zip(run.bytes.chunks_exact_mut(share)) {
-                stripe.push(chunk);
-            }
-        }
-        let shares: Vec<Mutex<Vec<&mut [u8]>>> = shares.into_iter().map(Mutex::new).collect();
+        // Where `loc`'s cell starts in its disk's run.
+        let at = |loc: Loc| (loc.offset - start) as usize * cell_len;
 
-        // Encode stripes in parallel: each is an independent set of
-        // group-by-group parity computations. Each cell is
-        // `payload || checksum footer`, and each stripe additionally
-        // yields its merkle manifest (leaves in layout order).
-        let manifests: Vec<StripeManifest> = par_map(&shares, |i, disks| {
-            let stripe = first_stripe + i as u64;
-            let mut disks = disks.lock();
-            let block = &state.pending[i * stripe_bytes..][..stripe_bytes];
+        // One stripe at a time, group by group: each group is one
+        // candidate-code stripe. Each cell is `payload || checksum
+        // footer`, and each stripe additionally yields its merkle
+        // manifest (leaves in layout order).
+        let mut manifests = Vec::with_capacity(full);
+        let blocks = state.pending[..full * stripe_bytes].chunks_exact(stripe_bytes);
+        for (stripe, block) in (first_stripe..).zip(blocks) {
             let data: Vec<&[u8]> = block.chunks_exact(es).collect();
-            // Where `loc`'s cell starts in its disk's share.
-            let at = |loc: Loc| (loc.offset - stripe * per_disk) as usize * cell_len;
             let base = stripe * dps as u64;
             for (t, d) in data.iter().enumerate() {
                 let loc = layout.data_location(base + t as u64);
-                disks[loc.disk][at(loc)..][..es].copy_from_slice(d);
+                runs[loc.disk].bytes[at(loc)..][..es].copy_from_slice(d);
             }
             for (g, group) in data.chunks_exact(k).enumerate() {
                 // A candidate row's elements sit on distinct disks, so
-                // its parity cells are disjoint borrows of `disks`.
+                // its parity cells are disjoint borrows of `runs`.
                 let locs: Vec<Loc> = (0..n - k)
                     .map(|p| layout.parity_location(stripe, g, p))
                     .collect();
-                let mut cells: Vec<(usize, &mut [u8])> = disks
+                let mut cells: Vec<(usize, &mut [u8])> = runs
                     .iter_mut()
                     .enumerate()
-                    .filter_map(|(d, share)| {
+                    .filter_map(|(d, run)| {
                         let p = locs.iter().position(|l| l.disk == d)?;
-                        Some((p, &mut share[at(locs[p])..][..es]))
+                        Some((p, &mut run.bytes[at(locs[p])..][..es]))
                     })
                     .collect();
                 cells.sort_unstable_by_key(|(p, _)| *p);
@@ -150,16 +137,16 @@ impl ObjectStore {
             let mut leaves = Vec::with_capacity(n * rows);
             for row in 0..rows {
                 for loc in layout.row_locations(stripe, row) {
-                    let cell = &mut disks[loc.disk][at(loc)..][..cell_len];
+                    let cell = &mut runs[loc.disk].bytes[at(loc)..][..cell_len];
                     let (payload, footer) = cell.split_at_mut(es);
                     let sum = element_checksum(&self.key, loc.offset, payload);
                     footer.copy_from_slice(&sum.to_le_bytes());
                     leaves.push(leaf_hash(&self.key, leaves.len() as u64, payload));
                 }
             }
-            StripeManifest::new(MerkleTree::from_leaves(&self.key, leaves))
-        });
-        drop(shares);
+            let tree = MerkleTree::from_leaves(&self.key, leaves);
+            manifests.push(StripeManifest::new(tree));
+        }
         state.pending.drain(..full * stripe_bytes);
         state.manifests.extend(manifests);
 
@@ -235,19 +222,21 @@ mod tests {
                 let scheme = Scheme::builder(code).layout(layout).build();
                 let store = ObjectStore::new(scheme, 64);
                 let stripe_bytes = store.stripe_bytes();
-                // Three seals: several stripes at once, a stripe
-                // completed by two puts, and the flush's padded tail.
+                // Several stripes at once, a stripe completed by two
+                // puts, fourteen stripes at once (a 1 MiB put of 4 KiB
+                // elements under RS(6,3)), and the flush's padded tail.
                 let lens = [
                     3 * stripe_bytes + 17,
                     stripe_bytes - 17,
+                    14 * stripe_bytes,
                     2 * stripe_bytes + 5,
                 ];
-                let objects: Vec<Vec<u8>> = (0..3).map(|i| blob(lens[i], 40 + i as u8)).collect();
+                let objects: Vec<Vec<u8>> = (0..4).map(|i| blob(lens[i], 40 + i as u8)).collect();
                 let extents: Vec<ObjectMeta> = objects.iter().map(|o| store.append(o)).collect();
                 store.flush();
                 let mut stream = objects.concat();
                 let stripes = store.stats().stripes;
-                assert_eq!(stripes, 7, "{layout:?}");
+                assert_eq!(stripes, 21, "{layout:?}");
                 stream.resize(stripes as usize * stripe_bytes, 0);
 
                 let (want, roots) = per_cell_seal(&store, &stream, stripes);

@@ -13,19 +13,15 @@
 //!   parking_lot-style), keeping call sites free of `unwrap()` noise.
 //! * [`Queue`] — the closable FIFO under every worker pool in the
 //!   workspace (the I/O engine's, a shard connection's).
-//! * [`par_map`] — scoped-thread parallel map over a slice, the rayon
-//!   `par_iter().map().collect()` shape the store and figure harness use.
 //! * [`TokenBucket`] — the pay-after rate limiter shared by background
 //!   repair and the front door's per-tenant admission control.
 
 #![warn(missing_docs)]
 
 pub mod bucket;
-pub mod par;
 pub mod rng;
 pub mod sync;
 
 pub use bucket::TokenBucket;
-pub use par::par_map;
 pub use rng::Rng;
 pub use sync::{Mutex, Queue};

@@ -24,7 +24,7 @@
 //!   harness;
 //! * [`vertical`] — the vertical codes (X-Code, WEAVER) whose
 //!   restrictions motivate EC-FRM (paper §II-B);
-//! * [`util`] — dependency-free RNG, lock, and parallel-map utilities.
+//! * [`util`] — dependency-free RNG, lock, queue and rate-limiter utilities.
 //!
 //! ## Quickstart
 //!

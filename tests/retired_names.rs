@@ -38,7 +38,7 @@ const RULES: &[Rule] = &[
     Rule("One microbench driver, one report (ROADMAP item 7)", "micro <name> [--quick] is the one microbench driver and figures prints through the same report::Report: rows go to the Report, rules to the bench's check()", &[
         Grep("-E", r"fn json_f|no-json|assert-fairness|criterion_main|normal_table|normal_json|degraded_json|degraded_speed_table|degraded_cost_table", &["--exclude-dir=e2e", "crates/bench"], 0, "fn json_f(v: f64) -> String {"),
     ]),
-    Rule("One submission path, one queue, one planner (ROADMAP item 9)", "ThreadedArray asks submits_async() in one function: submit(); one closable queue (ecfrm_util::Queue) under both pools, one Op, one planner (Scheme), no unsafe in par_map, the array reports the shape it dispatched", &[
+    Rule("One submission path, one queue, one planner (ROADMAP item 9)", "ThreadedArray asks submits_async() in one function: submit(); one closable queue (ecfrm_util::Queue) under both pools, one Op, one planner (Scheme), the array reports the shape it dispatched", &[
         Grep("-G", r"submits_async()", &["crates/sim/src/threaded.rs"], 1, "if self.submits_async() {"),
         Grep("-E", r"SubmitQueue|QueueInner|JobQueue|OpKind|WideScheme|SendPtr|count_coalesced_runs", &["--exclude-dir=target", "crates"], 0, "struct SubmitQueue {"),
     ]),
@@ -93,6 +93,9 @@ const RULES: &[Rule] = &[
         Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "self.metrics.note_batch(&batch, addrs.len());"),
         Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "pub fn jobs(&self) -> usize {"),
         Grep("-E", r"note_batch|fn jobs\(|fn coalesced_runs\(", &["--exclude-dir=target", "crates"], 0, "pub fn coalesced_runs(&self) -> usize {"),
+    ]),
+    Rule(r#"One-pass seal (DESIGN.md §14, "Who copies a cell on its way to disk")"#, "a seal is one loop over its full stripes on the caller's thread: no parallel map and no host probe under the store, the array or the wire", &[
+        Grep("-E", r"par_map|available_parallelism", &["crates/util/src", "crates/store/src", "crates/sim/src", "crates/net/src", "crates/core/src"], 0, "let manifests: Vec<StripeManifest> = par_map(&shares, |i, disks| {"),
     ]),
 ];
 
