@@ -97,8 +97,8 @@ fn trial(label: &str, background: Background, stripes: usize, r: &mut Report) {
                 let idle = mgr.wait_idle(Duration::from_secs(600));
                 assert!(
                     idle,
-                    "{label}: repair did not converge: {:?}",
-                    mgr.progress()
+                    "{label}: repair did not converge: {} of {stripes} stripes rebuilt",
+                    counter(&store, "repair.stripes_done")
                 );
                 let snap = store.recorder().snapshot();
                 ttr_ms = snap.gauges["repair.time_to_redundancy_ms"] as f64;

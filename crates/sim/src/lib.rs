@@ -43,9 +43,7 @@ pub use fault::{FaultKind, FaultyDisk};
 pub use file_disk::{FileDisk, FileIoConfig, FileIoMode};
 pub use metrics::{mean, speed_mb_s, stddev, Summary};
 pub use net::{ClusterSim, NetModel};
-pub use reactor::{
-    io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, Op, Reactor, ReactorStats,
-};
+pub use reactor::{io_pair, IoCompleter, IoHandle, IoResults, IoSnapshot, ReactorStats};
 pub use threaded::{
     combine_status, Address, CombinePeerSpec, CombineReply, CombineSpec, DiskAsk, DiskBackend,
     MemDisk, RunBuf, ThreadedArray, WriteRun, WriteShape,

@@ -10,7 +10,7 @@
 //!   delivered as a callback ([`IoHandle::on_complete`]) the moment the
 //!   result lands — the shape `ThreadedArray`'s streaming reads use so
 //!   decode starts while slower disks are still working.
-//! * [`Reactor`] — a bounded worker pool draining a shared submission
+//! * `Reactor` — a bounded worker pool draining a shared submission
 //!   queue of vectored backend operations. Blocking backends (memory,
 //!   files) are serviced here; backends that are themselves
 //!   completion-driven (a multiplexed remote client) bypass the pool
@@ -296,9 +296,10 @@ impl IoSnapshot {
 }
 
 /// One vectored backend operation: what [`Reactor::submit`] queues and
-/// `ThreadedArray` hands a completion-driven backend directly.
+/// `ThreadedArray` hands a completion-driven backend directly — crate
+/// private, so `ThreadedArray::submit` stays the one way into a disk.
 #[derive(Debug)]
-pub enum Op {
+pub(crate) enum Op {
     /// Read these offsets: one result entry per offset.
     Read(Vec<u64>),
     /// Write these runs: an empty result once they are applied.
@@ -335,7 +336,7 @@ struct Job {
 /// caught, the op completes as all-`None` — what the caller makes of a
 /// disk that answers nothing — and the worker moves on to the next
 /// submission.
-pub struct Reactor {
+pub(crate) struct Reactor {
     queue: Arc<Queue<Job>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     stats: Arc<ReactorStats>,

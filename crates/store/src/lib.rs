@@ -61,5 +61,5 @@ pub use meta::{
     FetchRound, ObjectMeta, ObjectStat, Outcome, ReadStats, ScrubReport, StoreStats,
     StripeManifest, StripeRepair,
 };
-pub use repair::{DiskTable, RepairConfig, RepairManager, RepairProgress, Replacer};
+pub use repair::{DiskTable, RepairConfig, RepairManager, Replacer};
 pub use store::{ObjectStore, ReadOpts};

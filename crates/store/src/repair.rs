@@ -13,13 +13,17 @@
 //!   failed disks are adopted the same way.
 //! * **Reconstruction** — a small worker pool pops owed stripes, the
 //!   ones degraded reads touched first, one `repair_stripe` each. The
-//!   row outlives the manager, so a new one resumes where the last
-//!   stopped.
+//!   row outlives the manager, so shutting one down and spawning
+//!   another resumes where the last stopped.
 //! * **Backpressure** — a token bucket bounds repair traffic
 //!   (bytes/second of source reads + rebuilt writes) so foreground
 //!   reads keep a bounded p99; leave it unset to rebuild at full speed.
 //! * **Completion** — when every stripe of a disk is rebuilt the disk is
 //!   healed and the time-to-full-redundancy lands in the registry.
+//!
+//! The manager counts nothing itself: `repair_stripe` counts each
+//! rebuilt stripe and the store's settle each healed or given-up disk,
+//! so the registry reads the same whichever driver did the work.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,7 +58,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ecfrm_obs::{Counter, Gauge, Histogram, Recorder};
 use ecfrm_sim::DiskBackend;
 use ecfrm_util::{Mutex, TokenBucket};
 
@@ -62,7 +65,7 @@ use crate::store::ObjectStore;
 
 /// Tries per stripe before the table gives up on it (a failed try goes
 /// back among the owed stripes, so transient source outages retry).
-const MAX_TRIES: u32 = 5;
+pub(crate) const MAX_TRIES: u32 = 5;
 
 /// How often the detector looks, and how long an idle rebuilder sleeps
 /// before it looks again.
@@ -158,7 +161,7 @@ impl Row {
     /// A rebuilding disk with nothing owed: its `todo` is extended to
     /// the stripes sealed since (`sealed` is the store's count now), or,
     /// with none, it is given up on if a stripe ran out of tries and
-    /// ready to heal otherwise.
+    /// healed otherwise.
     fn settle(&mut self, sealed: u64) -> Option<Settled> {
         if self.owed() > 0 {
             return None;
@@ -175,7 +178,9 @@ impl Row {
             r.sealed_to = sealed;
             None
         } else {
-            Some(Settled::Heal(r.since))
+            let since = r.since;
+            *self = Row::default();
+            Some(Settled::Heal(since))
         }
     }
 }
@@ -183,7 +188,8 @@ impl Row {
 /// What settling found for a rebuilding disk with nothing owed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Settled {
-    /// Every owed stripe is rebuilt: heal it (promoted at this instant).
+    /// Every owed stripe is rebuilt: it is up again (promoted at this
+    /// instant).
     Heal(Instant),
     /// This many stripes ran out of tries; the disk is given up on.
     GaveUp(u64),
@@ -195,7 +201,7 @@ pub(crate) enum Settled {
 /// Reads report what they found and hint the stripes they touched, an
 /// operator fails and heals disks, and the manager's workers or
 /// [`ObjectStore::recover_disk`](crate::ObjectStore::recover_disk) drain
-/// a rebuilding row. A row lives until its disk heals, so pausing or
+/// a rebuilding row. A row lives until its disk heals, so stopping or
 /// replacing a manager mid-repair, or running `recover_disk` beside one,
 /// rebuilds no stripe twice.
 #[derive(Debug)]
@@ -368,13 +374,23 @@ impl DiskTable {
     }
 
     /// Settle every rebuilding disk with nothing owed — of `only` that
-    /// disk when given — in one lock (see [`Row::settle`]).
-    pub(crate) fn settle(&self, sealed: u64, only: Option<usize>) -> Vec<(usize, Settled)> {
+    /// disk when given — in one lock (see [`Row::settle`]), handing each
+    /// outcome to `note` before the lock is released: nobody sees a
+    /// disk healed before it is counted, and no disk settles twice.
+    pub(crate) fn settle(
+        &self,
+        sealed: u64,
+        only: Option<usize>,
+        note: impl Fn(Settled),
+    ) -> Vec<(usize, Settled)> {
         let mut rows = self.rows.lock();
         let mine = rows.iter_mut().enumerate();
         let mine = mine.filter(|&(d, _)| only.is_none_or(|o| o == d));
-        mine.filter_map(|(d, row)| Some((d, row.settle(sealed)?)))
-            .collect()
+        let settled: Vec<_> = mine
+            .filter_map(|(d, row)| Some((d, row.settle(sealed)?)))
+            .collect();
+        settled.iter().for_each(|&(_, s)| note(s));
+        settled
     }
 
     /// No disk is suspect, failed or rebuilding.
@@ -426,60 +442,11 @@ impl std::fmt::Debug for RepairConfig {
     }
 }
 
-/// Pre-resolved repair instruments (registered on the store's
-/// [`Recorder`], so one snapshot shows foreground and repair together).
-struct RepairMetrics {
-    stripes_done: Counter,
-    bytes: Counter,
-    read_bytes: Counter,
-    queue_depth: Gauge,
-    active_disks: Gauge,
-    repair_us: Histogram,
-    redundancy_ms: Gauge,
-    disks_restored: Counter,
-    abandoned_stripes: Counter,
-}
-
-impl RepairMetrics {
-    fn new(recorder: &Recorder) -> Self {
-        Self {
-            stripes_done: recorder.counter("repair.stripes_done"),
-            bytes: recorder.counter("repair.bytes"),
-            read_bytes: recorder.counter("repair.read_bytes"),
-            queue_depth: recorder.gauge("repair.queue_depth"),
-            active_disks: recorder.gauge("repair.active_disks"),
-            repair_us: recorder.histogram("repair_us"),
-            redundancy_ms: recorder.gauge("repair.time_to_redundancy_ms"),
-            disks_restored: recorder.counter("repair.disks_restored"),
-            abandoned_stripes: recorder.counter("repair.abandoned_stripes"),
-        }
-    }
-}
-
-/// A point-in-time view of the repair pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepairProgress {
-    /// Stripes rebuilt since the manager started.
-    pub stripes_done: u64,
-    /// Rebuilt bytes written back.
-    pub bytes: u64,
-    /// Stripes queued or in flight.
-    pub queue_depth: usize,
-    /// Disks currently under reconstruction.
-    pub active_disks: Vec<usize>,
-    /// Disks fully restored since the manager started.
-    pub disks_restored: u64,
-    /// Whether the pipeline is paused.
-    pub paused: bool,
-}
-
 struct Shared {
     store: Arc<ObjectStore>,
     cfg: RepairConfig,
     stop: AtomicBool,
-    paused: AtomicBool,
     bucket: Option<TokenBucket>,
-    metrics: RepairMetrics,
 }
 
 /// The background repair subsystem: detector + worker pool over an
@@ -487,7 +454,8 @@ struct Shared {
 ///
 /// Dropping the manager stops and joins every thread; in-flight stripe
 /// repairs finish, and what is still owed stays in the store's
-/// [`DiskTable`] and resumes if a new manager attaches.
+/// [`DiskTable`] and resumes if a new manager attaches — that is how a
+/// repair is paused and resumed.
 pub struct RepairManager {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -502,14 +470,11 @@ impl std::fmt::Debug for RepairManager {
 impl RepairManager {
     /// Start the detector and `cfg.workers` repair workers over `store`.
     pub fn spawn(store: Arc<ObjectStore>, cfg: RepairConfig) -> Self {
-        let metrics = RepairMetrics::new(store.recorder());
         let shared = Arc::new(Shared {
             bucket: cfg.rate_limit.map(TokenBucket::new),
             store,
             cfg,
             stop: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
-            metrics,
         });
         let mut threads = Vec::with_capacity(shared.cfg.workers + 1);
         {
@@ -531,31 +496,6 @@ impl RepairManager {
             );
         }
         Self { shared, threads }
-    }
-
-    /// Stop picking up new stripes (in-flight ones finish). Progress is
-    /// kept; [`Self::resume`] continues where repair left off.
-    pub fn pause(&self) {
-        self.shared.paused.store(true, Ordering::Release);
-    }
-
-    /// Resume after [`Self::pause`].
-    pub fn resume(&self) {
-        self.shared.paused.store(false, Ordering::Release);
-    }
-
-    /// Current pipeline state.
-    pub fn progress(&self) -> RepairProgress {
-        let m = &self.shared.metrics;
-        let disks = self.shared.store.disks();
-        RepairProgress {
-            stripes_done: m.stripes_done.get(),
-            bytes: m.bytes.get(),
-            queue_depth: disks.depth(),
-            active_disks: disks.rebuilding(),
-            disks_restored: m.disks_restored.get(),
-            paused: self.shared.paused.load(Ordering::Acquire),
-        }
     }
 
     /// Block until the pipeline is idle — no disk suspect, failed or
@@ -607,9 +547,6 @@ fn detector_loop(sh: &Shared) {
     let disks = store.disks();
     while !sh.stop.load(Ordering::Acquire) {
         std::thread::sleep(TICK);
-        if sh.paused.load(Ordering::Acquire) {
-            continue;
-        }
         let stats = store.stats();
 
         // 1. Probe suspects: answering disks go back up (and their staged
@@ -635,21 +572,8 @@ fn detector_loop(sh: &Shared) {
         }
 
         // 3. Settle every rebuilding disk in one call: heal what is
-        //    rebuilt and record time-to-full-redundancy, count what was
-        //    given up.
-        for (d, settled) in disks.settle(store.stats().stripes, None) {
-            match settled {
-                Settled::GaveUp(stripes) => sh.metrics.abandoned_stripes.add(stripes),
-                Settled::Heal(since) => {
-                    let _ = store.heal_disk(d);
-                    let ms = since.elapsed().as_millis() as i64;
-                    sh.metrics.redundancy_ms.set(ms);
-                    sh.metrics.disks_restored.inc();
-                }
-            }
-        }
-        sh.metrics.active_disks.set(disks.rebuilding().len() as i64);
-        sh.metrics.queue_depth.set(disks.depth() as i64);
+        //    rebuilt, give up on what ran out of tries.
+        store.settle_rebuilds(None);
     }
 }
 
@@ -657,10 +581,6 @@ fn worker_loop(sh: &Shared) {
     let store = &sh.store;
     let disks = store.disks();
     while !sh.stop.load(Ordering::Acquire) {
-        if sh.paused.load(Ordering::Acquire) {
-            std::thread::sleep(TICK);
-            continue;
-        }
         // Wait for the limiter before taking a stripe: a worker stopped
         // while it waits holds none, so no stripe is charged a try it
         // never had.
@@ -674,24 +594,14 @@ fn worker_loop(sh: &Shared) {
             std::thread::sleep(TICK);
             continue;
         };
-        let t0 = Instant::now();
         let repaired = store.repair_stripe(disk, stripe);
-        if let Ok(r) = &repaired {
-            if let Some(bucket) = &sh.bucket {
-                bucket.spend(r.bytes_read + r.bytes_written);
-            }
-            sh.metrics.stripes_done.inc();
-            sh.metrics.bytes.add(r.bytes_written);
-            sh.metrics.read_bytes.add(r.bytes_read);
-            sh.metrics.repair_us.record_duration(t0.elapsed());
+        if let (Ok(r), Some(bucket)) = (&repaired, &sh.bucket) {
+            bucket.spend(r.bytes_read + r.bytes_written);
         }
-        // Last: the disk is healed once its last stripe is reported, and
-        // by then the counters must say so.
         disks.finish(disk, stripe, repaired.is_ok());
         if repaired.is_err() {
             std::thread::sleep(TICK);
         }
-        sh.metrics.queue_depth.set(disks.depth() as i64);
     }
 }
 
@@ -752,12 +662,15 @@ mod tests {
         assert_eq!(t.pop(None), None);
         t.finish(0, 2, true);
         // Sealed since promotion: only the new stripe is added.
-        assert_eq!(t.settle(4, None), vec![]);
+        assert_eq!(t.settle(4, None, |_| {}), vec![]);
         assert_eq!(t.pop(None), Some((0, 3)));
         assert_eq!(t.pop(None), None);
         t.finish(0, 3, true);
-        let settled = t.settle(4, None);
+        let settled = t.settle(4, None, |_| {});
         assert!(matches!(settled[..], [(0, Settled::Heal(_))]));
+        // Healed inside the settle: a second one finds nothing to do.
+        assert_eq!(t.down(), vec![]);
+        assert_eq!(t.settle(4, None, |_| {}), vec![]);
     }
 
     #[test]
@@ -807,7 +720,7 @@ mod tests {
         }
         assert_eq!(t.pop(None), None);
         assert_eq!(t.depth(), 0);
-        assert_eq!(t.settle(1, None), vec![(0, Settled::GaveUp(1))]);
+        assert_eq!(t.settle(1, None, |_| {}), vec![(0, Settled::GaveUp(1))]);
         // Given up on: down, idle, not adopted again, deaf to hints.
         assert_eq!(t.down(), vec![0]);
         assert!(t.idle());
@@ -975,18 +888,20 @@ mod tests {
                 format!("seal → {sealed}")
             }
             _ => {
-                for (d, settled) in t.settle(*sealed, None) {
+                let noted = std::cell::Cell::new(0);
+                let settled = t.settle(*sealed, None, |_| noted.set(noted.get() + 1));
+                if noted.get() != settled.len() {
+                    return Err(format!("{} noted, {settled:?} settled", noted.get()));
+                }
+                for (d, settled) in settled {
                     if model[d] != Label::Rebuilding {
                         return Err(format!("settled a {:?} disk {d}", model[d]));
                     }
-                    match settled {
-                        Settled::GaveUp(_) => model[d] = Label::GaveUp,
-                        // What the detector does with a rebuilt disk.
-                        Settled::Heal(_) => {
-                            t.heal(d);
-                            model[d] = Label::Up;
-                        }
-                    }
+                    // A rebuilt disk is healed inside the settle.
+                    model[d] = match settled {
+                        Settled::GaveUp(_) => Label::GaveUp,
+                        Settled::Heal(_) => Label::Up,
+                    };
                 }
                 format!("settle({sealed})")
             }

@@ -25,13 +25,13 @@ use std::time::{Duration, Instant};
 
 use ecfrm_core::{ReadPlan, Scheme};
 use ecfrm_integrity::{verify_footer, HashKey};
-use ecfrm_obs::{Counter, DiskBoard, Histogram, Recorder};
+use ecfrm_obs::{Counter, DiskBoard, Gauge, Histogram, Recorder};
 use ecfrm_sim::{ThreadedArray, WriteShape};
 use ecfrm_util::Mutex;
 
 use crate::error::StoreError;
-use crate::meta::{FetchRound, Outcome, ReadStats, StoreStats, StripeManifest};
-use crate::repair::DiskTable;
+use crate::meta::{FetchRound, Outcome, ReadStats, StoreStats, StripeManifest, StripeRepair};
+use crate::repair::{DiskTable, Settled};
 
 pub use read::ReadOpts;
 
@@ -71,6 +71,17 @@ struct StoreMetrics {
     cross_domain_reads: Counter,
     /// Stripes repaired via server-side `CombineRange` partial sums.
     combined_stripes: Counter,
+    /// Every rebuilt stripe, whichever driver popped it: the stripe, its
+    /// rebuilt bytes written back, its source bytes read, its time.
+    stripes_done: Counter,
+    repair_bytes: Counter,
+    repair_read_bytes: Counter,
+    repair_us: Histogram,
+    /// Every settled rebuild: disks healed, the last one's detection →
+    /// healed time, and the stripes of disks given up on.
+    disks_restored: Counter,
+    redundancy_ms: Gauge,
+    abandoned_stripes: Counter,
     plan_us: Histogram,
     read_us: Histogram,
     /// Time spent verifying checksum footers (per read / per scrubbed
@@ -98,6 +109,13 @@ impl StoreMetrics {
             repair_wire_bytes: recorder.counter("repair.wire_bytes"),
             cross_domain_reads: recorder.counter("repair.cross_domain_reads"),
             combined_stripes: recorder.counter("repair.combined_stripes"),
+            stripes_done: recorder.counter("repair.stripes_done"),
+            repair_bytes: recorder.counter("repair.bytes"),
+            repair_read_bytes: recorder.counter("repair.read_bytes"),
+            repair_us: recorder.histogram("repair_us"),
+            disks_restored: recorder.counter("repair.disks_restored"),
+            redundancy_ms: recorder.gauge("repair.time_to_redundancy_ms"),
+            abandoned_stripes: recorder.counter("repair.abandoned_stripes"),
             plan_us: recorder.histogram("plan_us"),
             read_us: recorder.histogram("read_us"),
             verify_us: recorder.histogram("verify_us"),
@@ -132,6 +150,27 @@ impl StoreMetrics {
             self.disk_load.record(f.loc.disk, 1, element_size as u64);
         }
         self.read_us.record_duration(stats.elapsed);
+    }
+
+    /// Fold one rebuilt stripe into the repair counters.
+    fn note_repair(&self, repair: &StripeRepair, took: Duration) {
+        self.stripes_done.inc();
+        self.repair_bytes.add(repair.bytes_written);
+        self.repair_read_bytes.add(repair.bytes_read);
+        self.repair_wire_bytes.add(repair.bytes_read);
+        self.repair_us.record_duration(took);
+    }
+
+    /// Count one settled rebuild: a healed disk and its time to full
+    /// redundancy, or the stripes of a disk given up on.
+    fn note_settled(&self, settled: Settled) {
+        match settled {
+            Settled::Heal(since) => {
+                self.redundancy_ms.set(since.elapsed().as_millis() as i64);
+                self.disks_restored.inc();
+            }
+            Settled::GaveUp(stripes) => self.abandoned_stripes.add(stripes),
+        }
     }
 
     /// Tally one array-level write, as the array dispatched it.
@@ -247,6 +286,8 @@ impl ObjectStore {
             snap.gauges.insert("disks.suspect".into(), suspect);
             snap.gauges
                 .insert("disks.down".into(), table.down().len() as i64);
+            let rebuilding = table.rebuilding().len() as i64;
+            snap.gauges.insert("disks.rebuilding".into(), rebuilding);
             snap.gauges
                 .insert("disks.repair_todo".into(), table.depth() as i64);
         });
@@ -357,15 +398,20 @@ impl ObjectStore {
     /// `repair.wire_bytes` (bytes the rebuilding client ingested during
     /// stripe repair), `repair.cross_domain_reads` (repair sources read
     /// across failure domains), `repair.combined_stripes` (stripes
-    /// repaired via server-side `CombineRange`),
+    /// repaired via server-side `CombineRange`), `repair.stripes_done`,
+    /// `repair.bytes` / `repair.read_bytes` (rebuilt bytes written, source
+    /// bytes read), `repair.disks_restored`, `repair.abandoned_stripes`
+    /// — every rebuild, whichever driver ran it —
     /// `net.*` (the shard clients' transport totals — with the `io.*`
     /// gauges, the array's [source](ecfrm_sim::ThreadedArray::observe),
-    /// read at snapshot time). Gauges `disks.suspect`, `disks.down` and
-    /// `disks.repair_todo` (stripe rebuilds still owed) are read off the
-    /// disk table at snapshot time. Histograms (µs):
-    /// `plan_us`, `read_us`, `decode_us`, `verify_us` (checksum
-    /// verification time per read / per scrubbed stripe). Disk board:
-    /// `disk_load` (planned fetches per disk).
+    /// read at snapshot time). Gauges: `repair.time_to_redundancy_ms`
+    /// (the last healed disk's detection → healed), and `disks.suspect`,
+    /// `disks.down`, `disks.rebuilding` and `disks.repair_todo` (stripe
+    /// rebuilds still owed), read off the disk table at snapshot time.
+    /// Histograms (µs): `plan_us`, `read_us`, `decode_us`, `verify_us`
+    /// (checksum verification time per read / per scrubbed stripe),
+    /// `repair_us` (per rebuilt stripe). Disk board: `disk_load`
+    /// (planned fetches per disk).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }

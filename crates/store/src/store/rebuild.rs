@@ -3,9 +3,12 @@
 //! record, the disk's row of the [`DiskTable`](crate::DiskTable), says
 //! which stripes are still owed — whoever drains it: the background
 //! [`RepairManager`](crate::RepairManager)'s workers under its rate
-//! limit, or [`ObjectStore::recover_disk`] in the caller's thread.
+//! limit, or [`ObjectStore::recover_disk`] in the caller's thread. Both
+//! are counted here: each rebuilt stripe by the engine, each settled
+//! disk by `settle_rebuilds`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 use ecfrm_core::DiskRecovery;
 use ecfrm_integrity::{append_footer, verify_footer, FOOTER_LEN};
@@ -32,13 +35,16 @@ impl ObjectStore {
     /// a [`RepairManager`](crate::RepairManager)'s workers do, on the same
     /// record — so a manager beside it rebuilds no stripe twice — and
     /// heals it once none is owed. A disk already rebuilding is resumed,
-    /// not wiped.
+    /// not wiped. It counts in the [registry](Self::recorder) as a
+    /// manager's rebuild does: `repair.stripes_done`, `repair.bytes`,
+    /// `repair_us`, `repair.disks_restored`, `repair.abandoned_stripes`.
     ///
     /// # Errors
     /// [`StoreError::DataLoss`], before anything is wiped, when too many
     /// disks are down for the rebuild to succeed; otherwise the first
     /// failed stripe's error, as [`Self::repair_stripe`]. That stripe
-    /// stays owed: calling again rebuilds only what is still owed.
+    /// stays owed: calling again rebuilds only what is still owed, until
+    /// it has run out of tries and the disk is given up on.
     pub fn recover_disk(&self, disk: usize) -> Result<usize, StoreError> {
         if disk >= self.scheme.n_disks() {
             return Err(StoreError::NoSuchDisk(disk));
@@ -63,8 +69,8 @@ impl ObjectStore {
                 rebuilt += repaired?.elements;
                 continue;
             }
-            match self.disks.settle(self.sealed().stripes, Some(disk))[..] {
-                [(_, Settled::Heal(_))] => self.heal_disk(disk)?,
+            match self.settle_rebuilds(Some(disk))[..] {
+                [(_, Settled::Heal(_))] => {}
                 [(_, Settled::GaveUp(n))] => {
                     let lost = format!("gave up on {n} stripes of disk {disk}");
                     return Err(StoreError::DataLoss(lost));
@@ -77,6 +83,17 @@ impl ObjectStore {
         Ok(rebuilt)
     }
 
+    /// Settle every rebuilding disk with nothing owed — `only` that disk
+    /// when given — for either driver: a rebuilt disk is healed inside
+    /// the table's lock and counted there, so it is restored and counted
+    /// once whoever settles it, and a disk given up on counts its
+    /// abandoned stripes.
+    pub(crate) fn settle_rebuilds(&self, only: Option<usize>) -> Vec<(usize, Settled)> {
+        let sealed = self.with_state(|s| s.stripes);
+        self.disks
+            .settle(sealed, only, |s| self.metrics.note_settled(s))
+    }
+
     /// Rebuild every element `disk` stores for `stripe` (data *and*
     /// parity) from the survivors and write them back — the one
     /// reconstruction engine.
@@ -85,7 +102,9 @@ impl ObjectStore {
     /// proceeds stripe by stripe while reads keep planning around it,
     /// and the disk is healed only once every stripe is back (so
     /// redundancy is restored atomically from the planner's point of
-    /// view).
+    /// view). A rebuilt stripe counts in `repair.stripes_done`,
+    /// `repair.bytes`, `repair.read_bytes`, `repair.wire_bytes` and
+    /// `repair_us`.
     ///
     /// Where every helper is a shard other shards can dial
     /// ([`DiskBackend::peer_addr`](ecfrm_sim::DiskBackend::peer_addr)),
@@ -108,6 +127,7 @@ impl ObjectStore {
         if stripe >= sealed.stripes {
             return Err(StoreError::NoSuchStripe(stripe));
         }
+        let t0 = Instant::now();
         let mut excluded = sealed.down;
         for _attempt in 0..3 {
             let recovery = DiskRecovery::plan_stripes(&self.scheme, disk, &excluded, &[stripe])
@@ -118,7 +138,10 @@ impl ObjectStore {
                 None => self.repair_stripe_batched(&recovery),
             };
             match attempt {
-                Ok(repair) => return Ok(repair),
+                Ok(repair) => {
+                    self.metrics.note_repair(&repair, t0.elapsed());
+                    return Ok(repair);
+                }
                 Err(helpers) => {
                     for d in helpers {
                         if !excluded.contains(&d) {
@@ -180,7 +203,6 @@ impl ObjectStore {
             rebuilt.push(((task.target.disk, task.target.offset), bytes));
         }
         let elements = rebuilt.len();
-        self.metrics.repair_wire_bytes.add(bytes_read);
         self.metrics.note_write(self.array.write_batch(rebuilt));
         Ok(StripeRepair {
             elements,
@@ -344,7 +366,6 @@ impl ObjectStore {
             bytes_written += bytes.len() as u64;
             rebuilt.push(((task.target.disk, task.target.offset), bytes));
         }
-        self.metrics.repair_wire_bytes.add(wire_bytes);
         self.metrics.combined_stripes.inc();
         self.metrics.note_write(self.array.write_batch(rebuilt));
         Some(Ok(StripeRepair {
@@ -368,6 +389,7 @@ mod tests {
 
     use super::super::testkit::{blob, ecfrm_scheme, faulty_store, lrc_store};
     use super::*;
+    use crate::repair::MAX_TRIES;
     use crate::{ObjectMeta, RepairConfig, RepairManager};
 
     /// A disk that counts the cells written to it.
@@ -413,6 +435,31 @@ mod tests {
         (store, counting, x)
     }
 
+    /// Make helpers 0, 1 and 2 lie about every cell of `stripe`: with
+    /// disk 4 lost, four disks of an RS(6,3) stripe are out. Returns
+    /// each cell as it was, to put back.
+    fn lie_about(store: &ObjectStore, stripe: u64) -> Vec<(Arc<dyn DiskBackend>, u64, Vec<u8>)> {
+        let rows = store.scheme().layout().offsets_per_stripe();
+        let mut saved = Vec::new();
+        for helper in [0, 1, 2] {
+            let disk = store.array().disk(helper);
+            for offset in stripe * rows..(stripe + 1) * rows {
+                let cell = disk.read(offset).unwrap();
+                let mut lie = cell.clone();
+                lie[0] ^= 1;
+                disk.write(offset, lie);
+                saved.push((disk.clone(), offset, cell));
+            }
+        }
+        saved
+    }
+
+    /// A registry counter, 0 if never registered.
+    fn counter(store: &ObjectStore, name: &str) -> u64 {
+        let snap = store.recorder().snapshot();
+        snap.counters.get(name).copied().unwrap_or(0)
+    }
+
     #[test]
     fn recover_disk_beside_a_manager_writes_each_victim_cell_once() {
         let data = blob(40_000, 18);
@@ -426,14 +473,100 @@ mod tests {
         assert!(
             mgr.wait_idle(Duration::from_secs(30)),
             "{:?}",
-            mgr.progress()
+            store.disks()
         );
-        let by_manager = mgr.progress().stripes_done * rows;
         mgr.shutdown();
         let written = (counting.cells.load(Ordering::Relaxed) - before) as u64;
         assert_eq!(written, stripes * rows, "every victim cell written once");
-        assert_eq!(rebuilt + by_manager, stripes * rows);
+        assert!(rebuilt <= stripes * rows);
+        // Each stripe counted once, whichever driver rebuilt it, and the
+        // disk restored once, whichever settled it.
+        assert_eq!(counter(&store, "repair.stripes_done"), stripes);
+        assert_eq!(counter(&store, "repair.disks_restored"), 1);
         assert!(store.stats().failed_disks.is_empty());
+        assert_eq!(store.read(x).unwrap().0, data);
+    }
+
+    #[test]
+    fn recover_disk_counts_its_rebuild_as_a_manager_does() {
+        let data = blob(40_000, 20);
+        let (store, _, x) = counted_store(&data);
+        let stripes = store.stats().stripes;
+        let cells = store.array().disk(4).len() as u64;
+        assert_eq!(store.recover_disk(4).unwrap() as u64, cells);
+        let snap = store.recorder().snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied();
+        assert_eq!(counter("repair.stripes_done"), Some(stripes));
+        assert_eq!(counter("repair.disks_restored"), Some(1));
+        let cell = 64 + FOOTER_LEN as u64;
+        assert_eq!(counter("repair.bytes"), Some(cells * cell));
+        let samples = snap.histograms.get("repair_us").map(|h| h.count);
+        assert_eq!(samples, Some(stripes), "one repair_us sample per stripe");
+        let ttr = snap.gauges.get("repair.time_to_redundancy_ms");
+        assert!(ttr.is_some_and(|&ms| ms >= 0), "{ttr:?}");
+        assert_eq!(store.read(x).unwrap().0, data);
+    }
+
+    #[test]
+    fn a_recover_disk_that_gives_up_counts_the_abandoned_stripes() {
+        let (store, _, _) = counted_store(&blob(40_000, 21));
+        let stripes = store.stats().stripes;
+        lie_about(&store, stripes / 2);
+        // Each call fails on the stripe the helpers lie about and charges
+        // it one try; the call after its last try gives the disk up.
+        for call in 1..=MAX_TRIES {
+            let err = store.recover_disk(4).unwrap_err();
+            assert!(!err.to_string().contains("gave up"), "call {call}: {err}");
+        }
+        let err = store.recover_disk(4).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::DataLoss(e) if e == "gave up on 1 stripes of disk 4"),
+            "{err}"
+        );
+        assert_eq!(store.stats().failed_disks, vec![4], "given up on: down");
+        assert_eq!(counter(&store, "repair.abandoned_stripes"), 1);
+        assert_eq!(counter(&store, "repair.stripes_done"), stripes - 1);
+        assert_eq!(counter(&store, "repair.disks_restored"), 0);
+    }
+
+    #[test]
+    fn repair_gauges_agree_with_the_table_after_a_stopped_manager_and_recover_disk() {
+        let data = blob(40_000, 22);
+        let (store, _, x) = counted_store(&data);
+        let stripes = store.stats().stripes;
+        let done = store.recorder().counter("repair.stripes_done");
+        store.fail_disk(4).unwrap();
+        store.array().disk(4).wipe();
+        // At 1 B/s the lone worker rebuilds one stripe and parks on the
+        // limiter; the call finishes the disk once the manager is gone.
+        let throttled = RepairManager::spawn(
+            Arc::clone(&store),
+            RepairConfig {
+                workers: 1,
+                rate_limit: Some(1),
+                replacer: None,
+            },
+        );
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while done.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "no stripe rebuilt");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        throttled.shutdown();
+        store.recover_disk(4).unwrap();
+
+        let snap = store.recorder().snapshot();
+        assert_eq!(snap.counters.get("repair.stripes_done"), Some(&stripes));
+        assert_eq!(snap.counters.get("repair.disks_restored"), Some(&1));
+        assert_eq!(snap.gauges.get("disks.rebuilding"), Some(&0));
+        // Every disk is up and nothing is owed: so says every gauge.
+        let backlog = snap.gauges.iter().filter(|(name, _)| {
+            let repair = name.starts_with("repair.") && *name != "repair.time_to_redundancy_ms";
+            repair || name.starts_with("disks.")
+        });
+        for (name, &v) in backlog {
+            assert_eq!(v, 0, "{name} with every disk up and nothing owed");
+        }
         assert_eq!(store.read(x).unwrap().0, data);
     }
 
@@ -447,17 +580,7 @@ mod tests {
         // Three helpers lie about every cell of stripe `s`: with the
         // victim, four disks of an RS(6,3) stripe are out.
         let s = stripes / 2;
-        let mut saved = Vec::new();
-        for helper in [0, 1, 2] {
-            let disk = store.array().disk(helper);
-            for offset in s * rows..(s + 1) * rows {
-                let cell = disk.read(offset).unwrap();
-                let mut lie = cell.clone();
-                lie[0] ^= 1;
-                disk.write(offset, lie);
-                saved.push((disk.clone(), offset, cell));
-            }
-        }
+        let saved = lie_about(&store, s);
         let before = written();
         assert!(matches!(
             store.recover_disk(4),

@@ -7,8 +7,9 @@
 //! `Result` so the lock reads as `m.lock()`.
 //!
 //! [`Queue`] is the one closable FIFO under both worker pools of the
-//! workspace: the I/O engine's (`ecfrm_sim::Reactor`) and a shard
-//! connection's (`ecfrm-net`'s mux pool).
+//! workspace: the I/O engine's (the reactor inside
+//! `ecfrm_sim::ThreadedArray`) and a shard connection's (`ecfrm-net`'s
+//! mux pool).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, MutexGuard, PoisonError};

@@ -94,14 +94,15 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(faulty[3].fired(), "workload never tripped the fault");
-    while mgr.progress().disks_restored == 0 && t0.elapsed() < Duration::from_secs(60) {
+    let restored = store.recorder().counter("repair.disks_restored");
+    while restored.get() == 0 && t0.elapsed() < Duration::from_secs(60) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(mgr.progress().disks_restored, 1, "kill detected, repaired");
+    assert_eq!(restored.get(), 1, "kill detected, repaired");
     assert!(
         mgr.wait_idle(Duration::from_secs(60)),
         "repair did not finish: {:?}",
-        mgr.progress()
+        store.disks()
     );
     stop.store(true, Ordering::Release);
     for r in readers {
@@ -109,23 +110,17 @@ fn kill_mid_workload_foreground_correct_and_redundancy_restored() {
         assert!(reads > 0);
     }
 
-    // Full redundancy restored.
+    // Full redundancy restored, and the store's registry says so.
     assert!(store.stats().failed_disks.is_empty());
     assert!(store.stats().suspect_disks.is_empty());
-    let progress = mgr.progress();
-    assert_eq!(
-        progress.stripes_done, stripes,
-        "every sealed stripe repaired exactly once"
-    );
-    assert_eq!(progress.disks_restored, 1);
-    assert_eq!(progress.queue_depth, 0);
-
-    // The counters made it into the store's registry too.
     let snap = store.recorder().snapshot();
     assert_eq!(
         snap.counters.get("repair.stripes_done").copied(),
-        Some(stripes)
+        Some(stripes),
+        "every sealed stripe repaired exactly once"
     );
+    assert_eq!(snap.counters.get("repair.disks_restored").copied(), Some(1));
+    assert_eq!(snap.gauges.get("disks.repair_todo").copied(), Some(0));
     assert!(snap.counters.get("repair.bytes").copied().unwrap_or(0) > 0);
     assert!(
         snap.gauges
@@ -157,18 +152,8 @@ fn degraded_read_hints_repair_hot_stripes_first() {
     let obj = store.append(&data);
     store.flush();
 
-    // Pause the pipeline so detection/promotion is deterministic, kill a
-    // disk, and issue one degraded read of a small hot range.
-    let mgr = RepairManager::spawn(
-        Arc::clone(&store),
-        RepairConfig {
-            replacer: Some(Arc::new(|_d| {
-                Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
-            })),
-            ..RepairConfig::default()
-        },
-    );
-    mgr.pause();
+    // Kill a disk and issue one degraded read of a small hot range
+    // before any manager runs, so detection/promotion is deterministic.
     faulty[5].arm(FaultKind::Kill, 0);
     let (got, stats) = store
         .read_extent(obj, 0, 512, &ReadOpts::default())
@@ -179,15 +164,24 @@ fn degraded_read_hints_repair_hot_stripes_first() {
         store.disks().hint_count() > 0,
         "degraded read staged priority hints"
     );
-    mgr.resume();
+    let mgr = RepairManager::spawn(
+        Arc::clone(&store),
+        RepairConfig {
+            replacer: Some(Arc::new(|_d| {
+                Arc::new(MemDisk::new()) as Arc<dyn DiskBackend>
+            })),
+            ..RepairConfig::default()
+        },
+    );
 
     assert!(
         mgr.wait_idle(Duration::from_secs(60)),
         "repair did not finish: {:?}",
-        mgr.progress()
+        store.disks()
     );
     assert!(store.stats().failed_disks.is_empty());
-    assert_eq!(mgr.progress().stripes_done, store.stats().stripes);
+    let done = store.recorder().counter("repair.stripes_done");
+    assert_eq!(done.get(), store.stats().stripes);
     let (bytes, stats) = store.read(obj).unwrap();
     assert_eq!(bytes, data);
     assert!(!stats.degraded);
@@ -210,8 +204,9 @@ fn transient_suspect_is_cleared_without_repair_traffic() {
     let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
     assert!(mgr.wait_idle(Duration::from_secs(10)));
     assert!(store.stats().suspect_disks.is_empty());
-    assert_eq!(mgr.progress().stripes_done, 0, "no repair traffic");
-    assert_eq!(mgr.progress().disks_restored, 0);
+    let counter = |name: &str| store.recorder().counter(name).get();
+    assert_eq!(counter("repair.stripes_done"), 0, "no repair traffic");
+    assert_eq!(counter("repair.disks_restored"), 0);
     assert!(store.stats().failed_disks.is_empty());
     let (bytes, stats) = store.read(obj).unwrap();
     assert_eq!(bytes, data);
@@ -229,7 +224,7 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
         let snap = store.recorder().snapshot();
         snap.counters.get(name).copied().unwrap_or(0)
     };
-    let repair_todo = || store.recorder().snapshot().gauges["disks.repair_todo"];
+    let gauge = |name: &str| store.recorder().snapshot().gauges[name];
 
     // At 1 B/s the lone worker rebuilds one stripe and parks on the
     // limiter, so the disk stays promoted until the fault is cleared.
@@ -270,25 +265,25 @@ fn a_corrupting_disk_is_caught_promoted_rebuilt_and_healed() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(counter("integrity.verify_fail") > 0);
-    assert_eq!(throttled.progress().active_disks, vec![2]);
-    // Paused mid-rebuild: the backlog gauge reads the stripes still owed.
-    throttled.pause();
-    assert!(repair_todo() > 0, "a paused rebuild still owes stripes");
+    assert_eq!(gauge("disks.rebuilding"), 1);
+    // Stopped mid-rebuild: the backlog gauge reads the stripes still owed.
+    throttled.shutdown();
+    let owed = gauge("disks.repair_todo");
+    assert!(owed > 0, "a stopped rebuild still owes stripes");
 
     // The disk stops lying; a new manager resumes the record.
     faulty[2].clear();
-    throttled.shutdown();
     let mgr = RepairManager::spawn(Arc::clone(&store), RepairConfig::default());
     assert!(
         mgr.wait_idle(Duration::from_secs(60)),
         "{:?}",
-        mgr.progress()
+        store.disks()
     );
     stop.store(true, Ordering::Release);
     mgr.shutdown();
     assert!(reader.join().expect("foreground reader died") > 0);
     assert!(store.stats().failed_disks.is_empty(), "the disk healed");
-    assert_eq!(repair_todo(), 0, "nothing owed once idle");
+    assert_eq!(gauge("disks.repair_todo"), 0, "nothing owed once idle");
     assert_eq!(counter("repair.stripes_done"), stripes);
     assert_eq!(counter("repair.disks_restored"), 1);
     assert!(store.scrub().unwrap().is_clean());
@@ -315,7 +310,7 @@ fn rate_limited_repair_still_completes() {
     assert!(
         mgr.wait_idle(Duration::from_secs(60)),
         "rate-limited repair did not finish: {:?}",
-        mgr.progress()
+        store.disks()
     );
     assert!(store.stats().failed_disks.is_empty());
     assert_eq!(store.read(obj).unwrap().0, data);
@@ -372,7 +367,7 @@ fn stopping_a_manager_mid_rate_limit_wait_charges_no_attempt() {
     assert!(
         mgr.wait_idle(Duration::from_secs(60)),
         "{:?}",
-        mgr.progress()
+        store.disks()
     );
     assert_eq!(counter("repair.abandoned_stripes"), 0);
     assert!(store.stats().failed_disks.is_empty(), "the disk healed");
@@ -396,6 +391,8 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
         },
     );
 
+    let done = store.recorder().counter("repair.stripes_done");
+    let restored = store.recorder().counter("repair.disks_restored");
     // `owed` is what `stripes_done` reads once every disk lost so far is
     // rebuilt. It is raised only after a read has found the disk
     // missing, so a watcher that saw the new value and then an idle
@@ -407,7 +404,7 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
             let mut early = 0;
             while !stop.load(Ordering::SeqCst) {
                 let owed = owed.load(Ordering::SeqCst);
-                if mgr.wait_idle(Duration::ZERO) && mgr.progress().stripes_done < owed {
+                if mgr.wait_idle(Duration::ZERO) && done.get() < owed {
                     early += 1;
                 }
             }
@@ -420,7 +417,7 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
             assert_eq!(store.read(obj).unwrap().0, blob(12_000, 5));
             owed.store(round * stripes, Ordering::SeqCst);
             let deadline = std::time::Instant::now() + Duration::from_secs(60);
-            while mgr.progress().disks_restored < round {
+            while restored.get() < round {
                 assert!(std::time::Instant::now() < deadline, "round {round} stuck");
                 std::thread::yield_now();
             }
@@ -428,6 +425,6 @@ fn wait_idle_never_reports_idle_while_a_disk_is_being_promoted() {
         stop.store(true, Ordering::SeqCst);
         assert_eq!(watcher.join().unwrap(), 0, "idle reported mid-promotion");
     });
-    assert_eq!(mgr.progress().stripes_done, 200 * stripes);
+    assert_eq!(done.get(), 200 * stripes);
     assert_eq!(store.read(obj).unwrap().0, blob(12_000, 5));
 }

@@ -97,6 +97,14 @@ const RULES: &[Rule] = &[
     Rule(r#"One-pass seal (DESIGN.md §14, "Who copies a cell on its way to disk")"#, "a seal is one loop over its full stripes on the caller's thread: no parallel map and no host probe under the store, the array or the wire", &[
         Grep("-E", r"par_map|available_parallelism", &["crates/util/src", "crates/store/src", "crates/sim/src", "crates/net/src", "crates/core/src"], 0, "let manifests: Vec<StripeManifest> = par_map(&shares, |i, disks| {"),
     ]),
+    Rule("One record of what a rebuild did (DESIGN.md §12, ROADMAP item 8)", "the store counts every rebuild, whoever drives it: repair_stripe each stripe, the one settle each disk; the manager keeps threads, a bucket and a stop flag, the backlog is read off the disk table at snapshot time, and shutdown then spawn is pause and resume", &[
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, "pub fn progress(&self) -> RepairProgress {"),
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, "    pub fn pause(&self) {"),
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, "    pub fn resume(&self) {"),
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, "struct RepairMetrics {"),
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, r#"queue_depth: recorder.gauge("repair.queue_depth"),"#),
+        Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, r#"active_disks: recorder.gauge("repair.active_disks"),"#),
+    ]),
 ];
 
 /// Run `grep` from the repository root with `stdin` as its input.
