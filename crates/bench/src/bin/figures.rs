@@ -23,7 +23,9 @@ use ecfrm_bench::params::{lrc_params, lrc_schemes, rs_params, rs_schemes};
 use ecfrm_bench::report::{gain_pct, Cells, Report};
 use ecfrm_codes::{CandidateCode, RsCode};
 use ecfrm_core::{LayoutKind, Scheme};
-use ecfrm_sim::{mean, DiskModel, NormalReadWorkload};
+use ecfrm_sim::{
+    latency_percentile_ms, mean, mean_latency_ms, DiskModel, NormalReadWorkload, ReadModel,
+};
 use ecfrm_util::Rng;
 
 /// The paper's six figures: name, title, LRC (else RS) forms, and what
@@ -190,7 +192,7 @@ fn sweep_size(cfg: &ExperimentConfig) {
             min_size: size,
             max_size: size,
         };
-        let sim = ecfrm_sim::ArraySim::uniform(s.n_disks(), c.disk, c.element_size);
+        let sim = ReadModel::uniform(s.n_disks(), c.disk, c.element_size);
         let mut rng = Rng::seed_from_u64(c.seed);
         let speeds_of = |scheme: &Scheme, rng: &mut Rng| {
             let xs: Vec<f64> = wl
@@ -222,7 +224,7 @@ fn hetero(cfg: &ExperimentConfig) {
     println!("Ablation: RS(6,3) forms with disk 0 at half speed (normal reads, MB/s)");
     let mut disks = vec![DiskModel::savvio_10k3(); 9];
     disks[0] = DiskModel::savvio_10k3().with_speed_factor(0.5);
-    let sim = ecfrm_sim::ArraySim::heterogeneous(disks, cfg.element_size);
+    let sim = ReadModel::heterogeneous(disks, cfg.element_size);
     let wl = NormalReadWorkload {
         trials: cfg.trials_normal,
         address_space: cfg.address_space,
@@ -296,11 +298,12 @@ fn concurrency(cfg: &ExperimentConfig) {
     };
     let rs_reqs = reqs_for(&s);
     let ec_reqs = reqs_for(&e);
+    let sim_s = ReadModel::uniform(s.n_disks(), cfg.disk, cfg.element_size);
+    let sim_e = ReadModel::uniform(e.n_disks(), cfg.disk, cfg.element_size);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     for clients in [1usize, 2, 4, 8, 16] {
-        let sim_s = ecfrm_sim::EventSim::uniform(s.n_disks(), cfg.disk, cfg.element_size);
-        let sim_e = ecfrm_sim::EventSim::uniform(e.n_disks(), cfg.disk, cfg.element_size);
-        let t_s = sim_s.throughput_mb_s(&sim_s.run_closed_loop(&rs_reqs, clients));
-        let t_e = sim_e.throughput_mb_s(&sim_e.run_closed_loop(&ec_reqs, clients));
+        let t_s = sim_s.throughput_mb_s(&sim_s.run_closed_loop(&rs_reqs, clients, &mut rng));
+        let t_e = sim_e.throughput_mb_s(&sim_e.run_closed_loop(&ec_reqs, clients, &mut rng));
         println!(
             "{:<10} {:>12.1} {:>14.1} {:>+10.1}",
             clients,
@@ -351,7 +354,7 @@ fn vertical(cfg: &ExperimentConfig) {
     };
     let reqs = wl.generate(cfg.seed);
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let sim = ecfrm_sim::ArraySim::uniform(7, cfg.disk, cfg.element_size);
+    let sim = ReadModel::uniform(7, cfg.disk, cfg.element_size);
 
     // EC-FRM-RS(5,2): same 7 disks, same tolerance 2, efficiency 5/7.
     let ec = Scheme::builder(Arc::new(RsCode::vandermonde(5, 2)) as Arc<dyn CandidateCode>)
@@ -436,13 +439,13 @@ fn trace(cfg: &ExperimentConfig) {
                 }
             })
             .collect();
-        let sim = ecfrm_sim::EventSim::uniform(scheme.n_disks(), cfg.disk, cfg.element_size);
-        let done = sim.run_closed_loop(&reqs, 8);
+        let sim = ReadModel::uniform(scheme.n_disks(), cfg.disk, cfg.element_size);
+        let done = sim.run_closed_loop(&reqs, 8, &mut Rng::seed_from_u64(cfg.seed));
         println!(
             "{:<20} {:>14.1} {:>16.1}",
             scheme.name(),
             sim.throughput_mb_s(&done),
-            sim.mean_latency_ms(&done)
+            mean_latency_ms(&done)
         );
     }
     println!();
@@ -453,7 +456,7 @@ fn trace(cfg: &ExperimentConfig) {
 /// mattering (all forms converge) and only fetch volume — where LRC's
 /// locality wins — distinguishes codes.
 fn bandwidth(cfg: &ExperimentConfig) {
-    use ecfrm_sim::{ClusterSim, DegradedReadWorkload, NetModel};
+    use ecfrm_sim::{DegradedReadWorkload, NetModel};
     println!("Ablation: degraded reads vs client downlink (mean MB/s of requested data)");
     println!(
         "{:<12} {:>10} {:>12} {:>10} {:>12}",
@@ -461,7 +464,10 @@ fn bandwidth(cfg: &ExperimentConfig) {
     );
     let [rs_std, _, rs_ec] = rs_schemes(6, 3);
     let [lrc_std, _, lrc_ec] = lrc_schemes(6, 2, 2);
-    let speed_of = |scheme: &Scheme, cluster: &ClusterSim| -> f64 {
+    let speed_of = |scheme: &Scheme, net: NetModel| -> f64 {
+        let cluster =
+            ReadModel::uniform(scheme.n_disks(), cfg.disk, cfg.element_size).with_net(net);
+        let mut rng = Rng::seed_from_u64(cfg.seed);
         let wl = DegradedReadWorkload {
             trials: cfg.trials_degraded.min(2000),
             address_space: cfg.address_space,
@@ -474,7 +480,7 @@ fn bandwidth(cfg: &ExperimentConfig) {
             .iter()
             .map(|r| {
                 let plan = scheme.degraded_read_plan(r.start, r.size, &[r.failed_disk.unwrap()]);
-                cluster.read_speed_mb_s(r.size, &plan.per_disk_load())
+                cluster.read_speed_mb_s(r.size, &plan.per_disk_load(), &mut rng)
             })
             .collect();
         mean(&xs)
@@ -485,7 +491,6 @@ fn bandwidth(cfg: &ExperimentConfig) {
             client_downlink_mb_s: down,
             rtt_ms: 0.2,
         };
-        let cluster = ClusterSim::new(cfg.disk, net, cfg.element_size);
         println!(
             "{:<12} {:>10.1} {:>12.1} {:>10.1} {:>12.1}",
             if down.is_infinite() {
@@ -493,10 +498,10 @@ fn bandwidth(cfg: &ExperimentConfig) {
             } else {
                 format!("{down:.0} MB/s")
             },
-            speed_of(&rs_std, &cluster),
-            speed_of(&rs_ec, &cluster),
-            speed_of(&lrc_std, &cluster),
-            speed_of(&lrc_ec, &cluster),
+            speed_of(&rs_std, net),
+            speed_of(&rs_ec, net),
+            speed_of(&lrc_std, net),
+            speed_of(&lrc_ec, net),
         );
     }
     println!();
@@ -530,18 +535,19 @@ fn latency(cfg: &ExperimentConfig) {
     };
     let rs_reqs = reqs_for(&s);
     let ec_reqs = reqs_for(&e);
-    let sim_s = ecfrm_sim::EventSim::uniform(s.n_disks(), cfg.disk, cfg.element_size);
-    let sim_e = ecfrm_sim::EventSim::uniform(e.n_disks(), cfg.disk, cfg.element_size);
+    let sim_s = ReadModel::uniform(s.n_disks(), cfg.disk, cfg.element_size);
+    let sim_e = ReadModel::uniform(e.n_disks(), cfg.disk, cfg.element_size);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
     for inter_ms in [60.0f64, 45.0, 35.0, 30.0, 25.0] {
-        let d_s = sim_s.run_open_loop(&rs_reqs, inter_ms);
-        let d_e = sim_e.run_open_loop(&ec_reqs, inter_ms);
+        let d_s = sim_s.run_open_loop(&rs_reqs, inter_ms, &mut rng);
+        let d_e = sim_e.run_open_loop(&ec_reqs, inter_ms, &mut rng);
         println!(
             "{:<16} {:>10.0} {:>10.0} {:>12.0} {:>12.0}",
             format!("{inter_ms} ms"),
-            sim_s.latency_percentile_ms(&d_s, 0.5),
-            sim_s.latency_percentile_ms(&d_s, 0.99),
-            sim_e.latency_percentile_ms(&d_e, 0.5),
-            sim_e.latency_percentile_ms(&d_e, 0.99),
+            latency_percentile_ms(&d_s, 0.5),
+            latency_percentile_ms(&d_s, 0.99),
+            latency_percentile_ms(&d_e, 0.5),
+            latency_percentile_ms(&d_e, 0.99),
         );
     }
     println!();

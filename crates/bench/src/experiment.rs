@@ -3,7 +3,7 @@
 
 use ecfrm_core::Scheme;
 use ecfrm_obs::{DiskBoard, Histogram};
-use ecfrm_sim::{mean, ArraySim, DegradedReadWorkload, DiskModel, Jitter, NormalReadWorkload};
+use ecfrm_sim::{mean, DegradedReadWorkload, DiskModel, Jitter, NormalReadWorkload, ReadModel};
 use ecfrm_util::Rng;
 
 /// Shared experiment knobs.
@@ -50,13 +50,9 @@ impl ExperimentConfig {
         }
     }
 
-    fn sim(&self, n_disks: usize) -> ArraySim {
-        let sim = ArraySim::uniform(n_disks, self.disk, self.element_size);
-        if self.jitter > 0.0 {
-            sim.with_jitter(Jitter::new(self.jitter))
-        } else {
-            sim
-        }
+    fn sim(&self, n_disks: usize) -> ReadModel {
+        ReadModel::uniform(n_disks, self.disk, self.element_size)
+            .with_jitter(Jitter::new(self.jitter))
     }
 }
 

@@ -22,7 +22,8 @@
 //! batched read path (verify-on-read: a bad footer marks the element
 //! absent and the read replans degraded), the repair pipeline (sources
 //! are verified, rebuilt elements are re-footered), and the wire
-//! protocol (servers can pre-verify a coalesced run before shipping it).
+//! protocol (a shard ships each cell as stored, and checks footers only
+//! on the sources of a combined repair before they enter its sum).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,12 +1,14 @@
-//! Analytic disk-array timing: the paper's "read speed is limited by the
-//! slowest disk to respond" model (§I, §III-A), computed exactly.
+//! The read model: the paper's "read speed is limited by the slowest
+//! disk to respond" rule (§I, §III-A), computed exactly, with the
+//! network behind the disks as one more field ([`NetModel`]).
 
 use ecfrm_util::Rng;
 
 use crate::disk::DiskModel;
+use crate::net::NetModel;
 
 /// Multiplicative per-access service-time jitter, uniform in
-/// `[1 - spread, 1 + spread]`.
+/// `[1 - spread, 1 + spread]`; a spread of 0 is no jitter.
 ///
 /// Real disks vary access to access (queueing, head position, track
 /// location); jitter makes the "most-loaded disk is *usually* the
@@ -28,6 +30,7 @@ impl Jitter {
         Self { spread }
     }
 
+    /// One multiplier; a spread of 0 gives 1.0 and draws nothing.
     fn sample(&self, rng: &mut Rng) -> f64 {
         if self.spread == 0.0 {
             1.0
@@ -37,39 +40,39 @@ impl Jitter {
     }
 }
 
-/// An array of (possibly heterogeneous) disk models evaluated under the
-/// max-over-disks completion-time rule.
+/// An array of (possibly heterogeneous) disks behind a network, timed by
+/// the max-over-disks completion rule. One read is [`Self::read_time_ms`];
+/// many in flight are the event drivers ([`Self::run_closed_loop`],
+/// [`Self::run_open_loop`]). Both serve a disk's queue with
+/// [`Self::disk_ms`].
 ///
 /// ```
-/// use ecfrm_sim::{ArraySim, DiskModel};
+/// use ecfrm_sim::{DiskModel, ReadModel};
 /// use ecfrm_util::Rng;
 ///
-/// let array = ArraySim::uniform(10, DiskModel::savvio_10k3(), 1_000_000);
+/// let model = ReadModel::uniform(10, DiskModel::savvio_10k3(), 1_000_000);
 /// let mut rng = Rng::seed_from_u64(1);
 /// // Balanced 8-element read: one 17.1 ms element per disk.
-/// let t = array.read_time_ms(&[1, 1, 1, 1, 1, 1, 1, 1, 0, 0], &mut rng);
+/// let t = model.read_time_ms(&[1, 1, 1, 1, 1, 1, 1, 1, 0, 0], &mut rng);
 /// assert!((t - 17.1).abs() < 1e-9);
 /// // Skewed plan: the double-loaded disk doubles the time.
-/// let t = array.read_time_ms(&[2, 1, 1, 1, 1, 1, 1, 0, 0, 0], &mut rng);
+/// let t = model.read_time_ms(&[2, 1, 1, 1, 1, 1, 1, 0, 0, 0], &mut rng);
 /// assert!((t - 34.2).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ArraySim {
-    disks: Vec<DiskModel>,
-    element_size: usize,
-    jitter: Option<Jitter>,
+pub struct ReadModel {
+    pub(crate) disks: Vec<DiskModel>,
+    pub(crate) element_size: usize,
+    jitter: Jitter,
+    pub(crate) net: NetModel,
 }
 
-impl ArraySim {
+impl ReadModel {
     /// A homogeneous array of `n` copies of `model` holding
-    /// `element_size`-byte elements.
+    /// `element_size`-byte elements, without jitter, on a sufficient
+    /// network.
     pub fn uniform(n: usize, model: DiskModel, element_size: usize) -> Self {
-        assert!(n > 0, "array needs at least one disk");
-        Self {
-            disks: vec![model; n],
-            element_size,
-            jitter: None,
-        }
+        Self::heterogeneous(vec![model; n], element_size)
     }
 
     /// A heterogeneous array from explicit per-disk models.
@@ -78,29 +81,36 @@ impl ArraySim {
         Self {
             disks,
             element_size,
-            jitter: None,
+            jitter: Jitter::new(0.0),
+            net: NetModel::sufficient(),
         }
     }
 
-    /// Enable per-access jitter.
+    /// Per-access jitter.
     pub fn with_jitter(mut self, jitter: Jitter) -> Self {
-        self.jitter = Some(jitter);
+        self.jitter = jitter;
         self
     }
 
-    /// Number of disks.
-    pub fn n_disks(&self) -> usize {
-        self.disks.len()
+    /// The network between the disks and the reading client.
+    pub fn with_net(mut self, net: NetModel) -> Self {
+        self.net = net;
+        self
     }
 
-    /// Element size in bytes.
-    pub fn element_size(&self) -> usize {
-        self.element_size
+    /// Time (ms) for `disk` to serve `q` elements in sequence: each
+    /// element's queued service time times one jitter sample.
+    pub fn disk_ms(&self, disk: usize, q: usize, rng: &mut Rng) -> f64 {
+        let model = &self.disks[disk];
+        (0..q)
+            .map(|i| model.queued_service_time_ms(i, self.element_size) * self.jitter.sample(rng))
+            .sum()
     }
 
     /// Completion time (ms) of a parallel read described by per-disk
-    /// element counts: each disk serves its queue sequentially; the read
-    /// completes when the last disk finishes.
+    /// element counts: the slowest touched disk (its service, or its
+    /// uplink; the stages pipeline so the max binds) or the client
+    /// downlink draining every fetched element, plus the RTT.
     ///
     /// # Panics
     /// Panics if `per_disk_load.len()` differs from the disk count.
@@ -110,24 +120,20 @@ impl ArraySim {
             self.disks.len(),
             "load vector does not match disk count"
         );
+        let element_mb = self.element_size as f64 / 1e6;
+        let link_ms = |q: usize, mb_s: f64| q as f64 * element_mb / mb_s * 1e3;
         let mut worst: f64 = 0.0;
-        for (disk, &q) in self.disks.iter().zip(per_disk_load) {
-            let t: f64 = (0..q)
-                .map(|i| {
-                    let base = disk.queued_service_time_ms(i, self.element_size);
-                    match self.jitter {
-                        None => base,
-                        Some(j) => base * j.sample(rng),
-                    }
-                })
-                .sum();
-            worst = worst.max(t);
+        for (disk, &q) in per_disk_load.iter().enumerate().filter(|(_, &q)| q > 0) {
+            let uplink_ms = link_ms(q, self.net.node_uplink_mb_s);
+            worst = worst.max(self.disk_ms(disk, q, rng).max(uplink_ms));
         }
-        worst
+        let fetched = per_disk_load.iter().sum();
+        worst.max(link_ms(fetched, self.net.client_downlink_mb_s)) + self.net.rtt_ms
     }
 
-    /// Read speed in MB/s for a request of `requested_elements` under the
-    /// given load vector (the paper's Figure 8/9 metric).
+    /// Read speed in MB/s of *requested* data for a request of
+    /// `requested_elements` under the given load vector (the paper's
+    /// Figure 8/9 metric).
     pub fn read_speed_mb_s(
         &self,
         requested_elements: usize,
@@ -152,7 +158,7 @@ mod tests {
 
     #[test]
     fn time_is_max_over_disks() {
-        let a = ArraySim::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
+        let a = ReadModel::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
         let per = DiskModel::savvio_10k3().service_time_ms(1_000_000);
         let t = a.read_time_ms(&[1, 3, 0, 2], &mut rng());
         assert!((t - 3.0 * per).abs() < 1e-9);
@@ -160,7 +166,7 @@ mod tests {
 
     #[test]
     fn zero_load_is_instant() {
-        let a = ArraySim::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
+        let a = ReadModel::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
         assert_eq!(a.read_time_ms(&[0, 0, 0, 0], &mut rng()), 0.0);
         assert_eq!(a.read_speed_mb_s(0, &[0, 0, 0, 0], &mut rng()), 0.0);
     }
@@ -169,7 +175,7 @@ mod tests {
     fn speed_scales_with_bottleneck() {
         // Same 8 requested elements; max load 1 must be twice as fast as
         // max load 2 (the whole point of EC-FRM).
-        let a = ArraySim::uniform(10, DiskModel::savvio_10k3(), 1_000_000);
+        let a = ReadModel::uniform(10, DiskModel::savvio_10k3(), 1_000_000);
         let balanced = vec![1, 1, 1, 1, 1, 1, 1, 1, 0, 0];
         let skewed = vec![2, 2, 1, 1, 1, 1, 0, 0, 0, 0];
         let s1 = a.read_speed_mb_s(8, &balanced, &mut rng());
@@ -181,7 +187,7 @@ mod tests {
     fn heterogeneous_slow_disk_dominates() {
         let mut disks = vec![DiskModel::savvio_10k3(); 4];
         disks[3] = DiskModel::savvio_10k3().with_speed_factor(0.25);
-        let a = ArraySim::heterogeneous(disks, 1_000_000);
+        let a = ReadModel::heterogeneous(disks, 1_000_000);
         let t = a.read_time_ms(&[1, 1, 1, 1], &mut rng());
         let slow = DiskModel::savvio_10k3()
             .with_speed_factor(0.25)
@@ -191,8 +197,8 @@ mod tests {
 
     #[test]
     fn jitter_stays_in_bounds_and_perturbs() {
-        let a =
-            ArraySim::uniform(2, DiskModel::savvio_10k3(), 1_000_000).with_jitter(Jitter::new(0.2));
+        let a = ReadModel::uniform(2, DiskModel::savvio_10k3(), 1_000_000)
+            .with_jitter(Jitter::new(0.2));
         let base = DiskModel::savvio_10k3().service_time_ms(1_000_000);
         let mut r = rng();
         let mut saw_different = false;
@@ -212,8 +218,8 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_deterministic() {
-        let a =
-            ArraySim::uniform(2, DiskModel::savvio_10k3(), 1_000_000).with_jitter(Jitter::new(0.0));
+        let a = ReadModel::uniform(2, DiskModel::savvio_10k3(), 1_000_000)
+            .with_jitter(Jitter::new(0.0));
         let t1 = a.read_time_ms(&[2, 1], &mut rng());
         let t2 = a.read_time_ms(&[2, 1], &mut rng());
         assert_eq!(t1, t2);
@@ -222,7 +228,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn load_vector_length_checked() {
-        let a = ArraySim::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
+        let a = ReadModel::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
         a.read_time_ms(&[1, 2], &mut rng());
     }
 }

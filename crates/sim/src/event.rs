@@ -1,17 +1,21 @@
 //! Discrete-event queueing simulation: many outstanding requests.
 //!
 //! The paper evaluates one request at a time (§VI), where completion time
-//! is simply the max per-disk service sum ([`crate::ArraySim`]). Real
-//! frontends keep several requests in flight; under concurrency the
-//! most-loaded-disk effect *compounds*, because a hot disk delays every
-//! queued request behind it. This module simulates closed-loop clients
-//! over FIFO per-disk queues so that effect can be measured — the
-//! `figures -- concurrency` ablation.
+//! is simply the max per-disk service sum
+//! ([`ReadModel::read_time_ms`]). Real frontends keep several requests in
+//! flight; under concurrency the most-loaded-disk effect *compounds*,
+//! because a hot disk delays every queued request behind it. The drivers
+//! here feed closed-loop clients or open-loop arrivals into FIFO per-disk
+//! queues, each served by [`ReadModel::disk_ms`], so that effect can be
+//! measured — the `figures -- concurrency` ablation.
 //!
 //! Backs EXPERIMENTS.md "Ablations → Closed-loop concurrency", "Zipf
 //! trace" and "Open-loop tail latency" (DESIGN §5).
 
-use crate::disk::DiskModel;
+use ecfrm_util::Rng;
+
+use crate::array::ReadModel;
+use crate::net::NetModel;
 
 /// One request: how many elements it needs from each disk.
 #[derive(Debug, Clone)]
@@ -40,89 +44,55 @@ impl Completion {
     }
 }
 
-/// A closed-loop simulation: `clients` concurrent clients each issue the
-/// next request from the shared queue the moment their previous one
-/// completes.
-///
-/// ```
-/// use ecfrm_sim::{DiskModel, EventSim, Request};
-///
-/// let sim = EventSim::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
-/// let reqs = vec![
-///     Request { loads: vec![1, 1, 0, 0], requested: 2 },
-///     Request { loads: vec![0, 0, 1, 1], requested: 2 },
-/// ];
-/// // Two clients: disjoint disks, both finish in one service time.
-/// let done = sim.run_closed_loop(&reqs, 2);
-/// assert_eq!(done[0].finish_ms, done[1].finish_ms);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventSim {
-    disks: Vec<DiskModel>,
-    element_size: usize,
-}
-
-impl EventSim {
-    /// A homogeneous array of `n` copies of `model`.
-    pub fn uniform(n: usize, model: DiskModel, element_size: usize) -> Self {
-        assert!(n > 0, "array needs at least one disk");
-        Self {
-            disks: vec![model; n],
-            element_size,
-        }
-    }
-
-    /// Run `requests` (in order) over `clients` closed-loop clients.
+impl ReadModel {
+    /// Run `requests` (in order) over `clients` closed-loop clients: each
+    /// issues the next request from the shared queue the moment its
+    /// previous one completes.
     ///
     /// Each disk serves a FIFO queue: a request's accesses on a disk are
     /// appended when the request is issued, and the request completes
     /// when every disk has finished its share.
     ///
+    /// ```
+    /// use ecfrm_sim::{DiskModel, ReadModel, Request};
+    /// use ecfrm_util::Rng;
+    ///
+    /// let model = ReadModel::uniform(4, DiskModel::savvio_10k3(), 1_000_000);
+    /// let reqs = vec![
+    ///     Request { loads: vec![1, 1, 0, 0], requested: 2 },
+    ///     Request { loads: vec![0, 0, 1, 1], requested: 2 },
+    /// ];
+    /// // Two clients: disjoint disks, both finish in one service time.
+    /// let done = model.run_closed_loop(&reqs, 2, &mut Rng::seed_from_u64(1));
+    /// assert_eq!(done[0].finish_ms, done[1].finish_ms);
+    /// ```
+    ///
     /// # Panics
-    /// Panics if `clients == 0` or any request's load vector has the
-    /// wrong length.
-    pub fn run_closed_loop(&self, requests: &[Request], clients: usize) -> Vec<Completion> {
+    /// Panics if `clients == 0`, the network is not sufficient, or any
+    /// request's load vector has the wrong length.
+    pub fn run_closed_loop(
+        &self,
+        requests: &[Request],
+        clients: usize,
+        rng: &mut Rng,
+    ) -> Vec<Completion> {
         assert!(clients > 0, "need at least one client");
-        let n = self.disks.len();
-        let per_elem: Vec<f64> = self
-            .disks
-            .iter()
-            .map(|d| d.service_time_ms(self.element_size))
-            .collect();
-
-        // Each client's next-available time; disks' queue-free times.
+        let mut disk_free = self.idle_queues();
         let mut client_free = vec![0.0f64; clients];
-        let mut disk_free = vec![0.0f64; n];
-        let mut out = Vec::with_capacity(requests.len());
-
-        for req in requests {
-            assert_eq!(req.loads.len(), n, "request load vector length");
-            // The earliest-free client issues the request.
-            let (ci, issue) = client_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, &t)| (i, t))
-                .unwrap();
-            // Dispatch to each disk's FIFO queue.
-            let mut finish = issue;
-            for (d, &q) in req.loads.iter().enumerate() {
-                if q == 0 {
-                    continue;
-                }
-                let start = disk_free[d].max(issue);
-                let end = start + q as f64 * per_elem[d];
-                disk_free[d] = end;
-                finish = finish.max(end);
-            }
-            client_free[ci] = finish;
-            out.push(Completion {
-                issue_ms: issue,
-                finish_ms: finish,
-                requested: req.requested,
-            });
-        }
-        out
+        requests
+            .iter()
+            .map(|req| {
+                // The earliest-free client issues the request.
+                let (ci, &issue) = client_free
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                    .unwrap();
+                let done = self.dispatch(&mut disk_free, req, issue, rng);
+                client_free[ci] = done.finish_ms;
+                done
+            })
+            .collect()
     }
 
     /// Run `requests` open-loop: request `i` is issued at
@@ -131,51 +101,59 @@ impl EventSim {
     /// in the latency percentiles).
     ///
     /// # Panics
-    /// Panics if `interarrival_ms` is negative or a load vector has the
-    /// wrong length.
-    pub fn run_open_loop(&self, requests: &[Request], interarrival_ms: f64) -> Vec<Completion> {
+    /// Panics if `interarrival_ms` is negative, the network is not
+    /// sufficient, or a load vector has the wrong length.
+    pub fn run_open_loop(
+        &self,
+        requests: &[Request],
+        interarrival_ms: f64,
+        rng: &mut Rng,
+    ) -> Vec<Completion> {
         assert!(interarrival_ms >= 0.0, "negative interarrival time");
-        let n = self.disks.len();
-        let per_elem: Vec<f64> = self
-            .disks
+        let mut disk_free = self.idle_queues();
+        requests
             .iter()
-            .map(|d| d.service_time_ms(self.element_size))
-            .collect();
-        let mut disk_free = vec![0.0f64; n];
-        let mut out = Vec::with_capacity(requests.len());
-        for (i, req) in requests.iter().enumerate() {
-            assert_eq!(req.loads.len(), n, "request load vector length");
-            let issue = i as f64 * interarrival_ms;
-            let mut finish = issue;
-            for (d, &q) in req.loads.iter().enumerate() {
-                if q == 0 {
-                    continue;
-                }
-                let start = disk_free[d].max(issue);
-                let end = start + q as f64 * per_elem[d];
-                disk_free[d] = end;
-                finish = finish.max(end);
-            }
-            out.push(Completion {
-                issue_ms: issue,
-                finish_ms: finish,
-                requested: req.requested,
-            });
-        }
-        out
+            .enumerate()
+            .map(|(i, req)| self.dispatch(&mut disk_free, req, i as f64 * interarrival_ms, rng))
+            .collect()
     }
 
-    /// Latency percentile (e.g. `0.5`, `0.99`) over a completed run, by
-    /// nearest-rank. Returns 0 for an empty run.
-    pub fn latency_percentile_ms(&self, completions: &[Completion], p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "percentile must be in [0, 1]");
-        if completions.is_empty() {
-            return 0.0;
+    /// Every disk's queue free at time 0. The drivers serve disk time
+    /// only, so they refuse a model whose network could bind.
+    fn idle_queues(&self) -> Vec<f64> {
+        assert_eq!(
+            self.net,
+            NetModel::sufficient(),
+            "the event drivers model disk time only"
+        );
+        vec![0.0; self.disks.len()]
+    }
+
+    /// Append `req`'s accesses, issued at `issue`, to each disk's FIFO
+    /// queue (`disk_free` holds when each queue drains).
+    fn dispatch(
+        &self,
+        disk_free: &mut [f64],
+        req: &Request,
+        issue: f64,
+        rng: &mut Rng,
+    ) -> Completion {
+        assert_eq!(
+            req.loads.len(),
+            disk_free.len(),
+            "request load vector length"
+        );
+        let mut finish = issue;
+        for (d, &q) in req.loads.iter().enumerate().filter(|(_, &q)| q > 0) {
+            let end = disk_free[d].max(issue) + self.disk_ms(d, q, rng);
+            disk_free[d] = end;
+            finish = finish.max(end);
         }
-        let mut lat: Vec<f64> = completions.iter().map(|c| c.latency_ms()).collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1]
+        Completion {
+            issue_ms: issue,
+            finish_ms: finish,
+            requested: req.requested,
+        }
     }
 
     /// Aggregate throughput in MB/s over a completed run: total requested
@@ -194,23 +172,41 @@ impl EventSim {
             .sum();
         crate::metrics::speed_mb_s(bytes, makespan)
     }
+}
 
-    /// Mean request latency in milliseconds.
-    pub fn mean_latency_ms(&self, completions: &[Completion]) -> f64 {
-        crate::metrics::mean(
-            &completions
-                .iter()
-                .map(|c| c.latency_ms())
-                .collect::<Vec<_>>(),
-        )
+/// Latency percentile (e.g. `0.5`, `0.99`) over a completed run, by
+/// nearest-rank. Returns 0 for an empty run.
+pub fn latency_percentile_ms(completions: &[Completion], p: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&p), "percentile must be in [0, 1]");
+    if completions.is_empty() {
+        return 0.0;
     }
+    let mut lat: Vec<f64> = completions.iter().map(|c| c.latency_ms()).collect();
+    lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
+    lat[rank - 1]
+}
+
+/// Mean request latency in milliseconds.
+pub fn mean_latency_ms(completions: &[Completion]) -> f64 {
+    crate::metrics::mean(
+        &completions
+            .iter()
+            .map(|c| c.latency_ms())
+            .collect::<Vec<_>>(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiskModel;
 
-    fn one_ms_disks(n: usize) -> EventSim {
+    fn rng() -> Rng {
+        Rng::seed_from_u64(42)
+    }
+
+    fn one_ms_disks(n: usize) -> ReadModel {
         // A disk model whose element service time is exactly 1 ms.
         let d = DiskModel {
             seek_ms: 0.5,
@@ -219,7 +215,7 @@ mod tests {
             speed_factor: 1.0,
             track_to_track_ms: None,
         };
-        EventSim::uniform(n, d, 0)
+        ReadModel::uniform(n, d, 0)
     }
 
     #[test]
@@ -235,7 +231,7 @@ mod tests {
                 requested: 4,
             },
         ];
-        let done = sim.run_closed_loop(&reqs, 1);
+        let done = sim.run_closed_loop(&reqs, 1, &mut rng());
         // Request 0: max(2,1) = 2 ms. Request 1 issues at 2, takes 3 ms.
         assert_eq!(done[0].finish_ms, 2.0);
         assert_eq!(done[1].issue_ms, 2.0);
@@ -257,7 +253,7 @@ mod tests {
                 requested: 2,
             },
         ];
-        let done = sim.run_closed_loop(&reqs, 2);
+        let done = sim.run_closed_loop(&reqs, 2, &mut rng());
         assert_eq!(done[0].finish_ms, 2.0);
         assert_eq!(done[1].finish_ms, 2.0);
     }
@@ -277,7 +273,7 @@ mod tests {
                 requested: 2,
             },
         ];
-        let done = sim.run_closed_loop(&reqs, 2);
+        let done = sim.run_closed_loop(&reqs, 2, &mut rng());
         assert_eq!(done[0].finish_ms, 2.0);
         assert_eq!(done[1].finish_ms, 4.0, "queued behind the hot disk");
     }
@@ -291,15 +287,15 @@ mod tests {
             speed_factor: 1.0,
             track_to_track_ms: None,
         };
-        let sim = EventSim::uniform(2, d, 1_000_000);
+        let sim = ReadModel::uniform(2, d, 1_000_000);
         let reqs = vec![Request {
             loads: vec![1, 1],
             requested: 2,
         }];
-        let done = sim.run_closed_loop(&reqs, 1);
+        let done = sim.run_closed_loop(&reqs, 1, &mut rng());
         // 2 MB in 1000 ms = 2 MB/s.
         assert!((sim.throughput_mb_s(&done) - 2.0).abs() < 1e-9);
-        assert!((sim.mean_latency_ms(&done) - 1000.0).abs() < 1e-9);
+        assert!((mean_latency_ms(&done) - 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -320,7 +316,7 @@ mod tests {
             },
         ];
         // Arrivals every 0.5 ms on a 1 ms/element disk: queue builds up.
-        let done = sim.run_open_loop(&reqs, 0.5);
+        let done = sim.run_open_loop(&reqs, 0.5, &mut rng());
         assert_eq!(done[0].issue_ms, 0.0);
         assert_eq!(done[1].issue_ms, 0.5);
         assert_eq!(done[0].finish_ms, 1.0);
@@ -328,13 +324,12 @@ mod tests {
         assert_eq!(done[2].finish_ms, 3.0);
         assert!((done[2].latency_ms() - 2.0).abs() < 1e-12);
         // Slower arrivals than service: no queueing.
-        let relaxed = sim.run_open_loop(&reqs, 2.0);
+        let relaxed = sim.run_open_loop(&reqs, 2.0, &mut rng());
         assert!(relaxed.iter().all(|c| (c.latency_ms() - 1.0).abs() < 1e-12));
     }
 
     #[test]
     fn latency_percentiles() {
-        let sim = one_ms_disks(1);
         let done: Vec<Completion> = (0..100)
             .map(|i| Completion {
                 issue_ms: 0.0,
@@ -342,16 +337,16 @@ mod tests {
                 requested: 1,
             })
             .collect();
-        assert_eq!(sim.latency_percentile_ms(&done, 0.5), 50.0);
-        assert_eq!(sim.latency_percentile_ms(&done, 0.99), 99.0);
-        assert_eq!(sim.latency_percentile_ms(&done, 1.0), 100.0);
-        assert_eq!(sim.latency_percentile_ms(&[], 0.5), 0.0);
+        assert_eq!(latency_percentile_ms(&done, 0.5), 50.0);
+        assert_eq!(latency_percentile_ms(&done, 0.99), 99.0);
+        assert_eq!(latency_percentile_ms(&done, 1.0), 100.0);
+        assert_eq!(latency_percentile_ms(&[], 0.5), 0.0);
     }
 
     #[test]
     fn empty_run_is_zero() {
         let sim = one_ms_disks(2);
-        let done = sim.run_closed_loop(&[], 3);
+        let done = sim.run_closed_loop(&[], 3, &mut rng());
         assert!(done.is_empty());
         assert_eq!(sim.throughput_mb_s(&done), 0.0);
     }
@@ -359,6 +354,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_clients_rejected() {
-        one_ms_disks(2).run_closed_loop(&[], 0);
+        one_ms_disks(2).run_closed_loop(&[], 0, &mut rng());
     }
 }

@@ -16,51 +16,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation; 0.0 for fewer than two points.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
-/// Summary statistics of one experiment series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub stddev: f64,
-    /// Minimum sample.
-    pub min: f64,
-    /// Maximum sample.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarise a series. All-zero for an empty input.
-    pub fn of(xs: &[f64]) -> Self {
-        Self {
-            count: xs.len(),
-            mean: mean(xs),
-            stddev: stddev(xs),
-            min: xs
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min)
-                .min(f64::INFINITY),
-            max: xs
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-                .max(f64::NEG_INFINITY),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,24 +30,11 @@ mod tests {
     fn mean_and_stddev() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        // Sample stddev of this classic set is ~2.138.
-        assert!((stddev(&xs) - 2.13809).abs() < 1e-4);
     }
 
     #[test]
     fn empty_series() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(stddev(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn summary_of_series() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.count, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
     }
 
     #[test]

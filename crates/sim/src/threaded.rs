@@ -1,6 +1,6 @@
 //! A real concurrent disk-array engine.
 //!
-//! [`ArraySim`](crate::ArraySim) *models* time; [`ThreadedArray`] actually
+//! [`ReadModel`](crate::ReadModel) *models* time; [`ThreadedArray`] actually
 //! runs the parallel I/O structure of an erasure-coded read. Since the
 //! reactor redesign it is a thin driver over the completion engine in
 //! [`crate::reactor`]: array-level reads submit one vectored operation

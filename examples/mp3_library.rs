@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use ecfrm::codes::{CandidateCode, LrcCode};
 use ecfrm::core::{LayoutKind, Scheme};
-use ecfrm::sim::{mean, speed_mb_s, ArraySim, DiskModel};
+use ecfrm::sim::{mean, speed_mb_s, DiskModel, ReadModel};
 use ecfrm::store::{ObjectMeta, ObjectStore};
 use ecfrm::util::Rng;
 
@@ -41,7 +41,7 @@ fn main() {
             .build(),
     ] {
         let name = scheme.name();
-        let sim = ArraySim::uniform(scheme.n_disks(), DiskModel::savvio_10k3(), ELEMENT);
+        let sim = ReadModel::uniform(scheme.n_disks(), DiskModel::savvio_10k3(), ELEMENT);
         let store = ObjectStore::new(scheme, ELEMENT);
 
         // Ingest the library (content is synthetic but unique per song),

@@ -6,9 +6,13 @@ use std::sync::Arc;
 
 use ecfrm::codes::{CandidateCode, LrcCode, RsCode};
 use ecfrm::core::{LayoutKind, Scheme};
-use ecfrm::sim::{ClusterSim, DiskModel, NetModel};
+use ecfrm::sim::{DiskModel, NetModel, ReadModel};
+use ecfrm::util::Rng;
 
-fn mean_degraded_speed(scheme: &Scheme, cluster: &ClusterSim) -> f64 {
+fn mean_degraded_speed(scheme: &Scheme, net: NetModel) -> f64 {
+    let cluster =
+        ReadModel::uniform(scheme.n_disks(), DiskModel::savvio_10k3(), 1_000_000).with_net(net);
+    let mut rng = Rng::seed_from_u64(1);
     let mut total = 0.0;
     let mut n = 0;
     for start in 0..60u64 {
@@ -16,7 +20,7 @@ fn mean_degraded_speed(scheme: &Scheme, cluster: &ClusterSim) -> f64 {
             // Deterministically mixed sizes 1..=20, as in §VI's workload.
             let size = 1 + ((start * 7 + failed as u64 * 3) % 20) as usize;
             let plan = scheme.degraded_read_plan(start, size, &[failed]);
-            total += cluster.read_speed_mb_s(size, &plan.per_disk_load());
+            total += cluster.read_speed_mb_s(size, &plan.per_disk_load(), &mut rng);
             n += 1;
         }
     }
@@ -26,11 +30,11 @@ fn mean_degraded_speed(scheme: &Scheme, cluster: &ClusterSim) -> f64 {
 #[test]
 fn sufficient_bandwidth_preserves_layout_gains() {
     let code: Arc<dyn CandidateCode> = Arc::new(RsCode::vandermonde(6, 3));
-    let cluster = ClusterSim::new(DiskModel::savvio_10k3(), NetModel::sufficient(), 1_000_000);
-    let std = mean_degraded_speed(&Scheme::builder(code.clone()).build(), &cluster);
+    let net = NetModel::sufficient();
+    let std = mean_degraded_speed(&Scheme::builder(code.clone()).build(), net);
     let ec = mean_degraded_speed(
         &Scheme::builder(code).layout(LayoutKind::EcFrm).build(),
-        &cluster,
+        net,
     );
     assert!(
         ec > std * 1.05,
@@ -46,11 +50,10 @@ fn bound_bandwidth_collapses_layout_gains() {
         client_downlink_mb_s: 100.0, // far below the array's raw rate
         rtt_ms: 0.0,
     };
-    let cluster = ClusterSim::new(DiskModel::savvio_10k3(), slow, 1_000_000);
-    let std = mean_degraded_speed(&Scheme::builder(code.clone()).build(), &cluster);
+    let std = mean_degraded_speed(&Scheme::builder(code.clone()).build(), slow);
     let ec = mean_degraded_speed(
         &Scheme::builder(code).layout(LayoutKind::EcFrm).build(),
-        &cluster,
+        slow,
     );
     let gap = (ec / std - 1.0).abs();
     assert!(
@@ -70,9 +73,8 @@ fn under_bound_bandwidth_lrc_beats_rs_by_cost() {
         client_downlink_mb_s: 100.0,
         rtt_ms: 0.0,
     };
-    let cluster = ClusterSim::new(DiskModel::savvio_10k3(), slow, 1_000_000);
-    let rs_speed = mean_degraded_speed(&Scheme::builder(rs).build(), &cluster);
-    let lrc_speed = mean_degraded_speed(&Scheme::builder(lrc).build(), &cluster);
+    let rs_speed = mean_degraded_speed(&Scheme::builder(rs).build(), slow);
+    let lrc_speed = mean_degraded_speed(&Scheme::builder(lrc).build(), slow);
     assert!(
         lrc_speed > rs_speed * 1.05,
         "LRC {lrc_speed:.1} should beat RS {rs_speed:.1} when bandwidth binds"

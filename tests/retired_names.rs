@@ -105,6 +105,10 @@ const RULES: &[Rule] = &[
         Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, r#"queue_depth: recorder.gauge("repair.queue_depth"),"#),
         Grep("-E", r"RepairProgress|fn pause\(|fn resume\(|struct RepairMetrics|repair\.queue_depth|repair\.active_disks", &["--exclude-dir=target", "crates", "tests", "examples"], 0, r#"active_disks: recorder.gauge("repair.active_disks"),"#),
     ]),
+    Rule("One read model (ROADMAP item 31)", "a read is timed by ReadModel: one per-disk service function (disk_ms) for one read and for both event drivers, with the jitter and the network as fields of it; no series summary or stddev beside mean", &[
+        Grep("-E", r"ArraySim|ClusterSim|EventSim", &["--exclude-dir=target", "crates", "src", "tests", "examples"], 0, "pub struct ArraySim {"),
+        Grep("-E", r"struct Summary|fn stddev", &["crates/sim/src"], 0, "pub fn stddev(xs: &[f64]) -> f64 {"),
+    ]),
 ];
 
 /// Run `grep` from the repository root with `stdin` as its input.
